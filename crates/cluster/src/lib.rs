@@ -34,6 +34,7 @@ mod obs_export;
 pub mod rebalance;
 mod remote;
 mod sim;
+mod splitter;
 mod threaded;
 mod transport;
 mod validate;

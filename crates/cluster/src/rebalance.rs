@@ -46,15 +46,33 @@
 //!   Sub-aggregates feeding a central super tolerate the split — the
 //!   super re-aggregates partials by design (Section 5.2.2).
 //!
-//! Ineligible plans are not an error: the runners record the reason
-//! and fall back to static partitioning.
+//! Ineligible plans are not an error: no controller is attached, the
+//! run records the reason, and the table is never rewritten — which is
+//! all static partitioning is.
+//!
+//! # The loop
+//!
+//! `drive` is the one feed loop of all three runners: it cuts the
+//! trace into epochs, routes each through the `Splitter` into the
+//! runner's `Carrier`, and — when a `Controller` is attached — runs
+//! the control step between epochs and, if it yields a table, one
+//! drain-and-handoff (`handoff`) before the swap. The carrier is the
+//! only transport-specific part: a direct engine call (simulator),
+//! worker inboxes (threaded), or `Migrate`/`MigrateAck` over session
+//! sockets (remote).
+
+use std::collections::{BTreeMap, HashMap};
 
 use serde::Serialize;
 
+use qap_exec::{Engine, ExecResult};
 use qap_expr::{BinOp, ScalarExpr};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
+use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{Schema, Value};
+use qap_types::{Schema, Tuple, Value};
+
+use crate::splitter::{Gauges, Splitter, Staged, StreamScans};
 
 /// Knobs for the online rebalance controller. Disabled by default —
 /// every existing entry point keeps its static behavior unless a
@@ -581,6 +599,339 @@ fn scan_partitions(dag: &QueryDag, node: NodeId) -> Result<Vec<u32>, String> {
         }
     }
     Ok(out)
+}
+
+/// What the control loop did over one run — the rebalance fields of
+/// [`crate::ClusterMetrics`].
+pub(crate) struct ControlStats {
+    pub(crate) repartitions: u64,
+    pub(crate) migrated_keys: u64,
+    pub(crate) pause_ms: f64,
+    pub(crate) load_imbalance: f64,
+    /// Why an enabled controller was not attached.
+    pub(crate) fallback: Option<String>,
+}
+
+impl ControlStats {
+    pub(crate) fn apply(self, metrics: &mut crate::ClusterMetrics) {
+        metrics.repartitions = self.repartitions;
+        metrics.migrated_keys = self.migrated_keys;
+        metrics.migration_pause_ms = self.pause_ms;
+        metrics.load_imbalance = self.load_imbalance;
+        metrics.rebalance_fallback = self.fallback;
+    }
+}
+
+/// The rebalance controller: cuts the feed into sample epochs and, at
+/// each boundary, decides whether the splitter's table changes.
+pub(crate) struct Controller {
+    reb: RebalanceConfig,
+    spec: MigrationSpec,
+    set: PartitionSet,
+    partitions: usize,
+    /// Per-family key partitioners over the aggregate schemas.
+    keyps: Vec<HashPartitioner>,
+    /// The stream's time column.
+    tidx: usize,
+    /// Host whose partitions never move (see [`plan_assignment_pinned`]).
+    pinned: Option<usize>,
+    detector: ImbalanceDetector,
+    /// Cleared once a unit dies mid-handoff: the fleet's state can no
+    /// longer be moved consistently.
+    live: bool,
+    /// End of the current sample epoch (a trace timestamp); unset until
+    /// the first tuple starts the clock.
+    epoch_end: Option<u64>,
+}
+
+impl Controller {
+    /// Attaches a controller when `reb` asks for one and the deployment
+    /// can migrate state; otherwise the run is static, and the stats
+    /// carry the reason if one was asked for. `veto` is the runner's own
+    /// ineligibility reason.
+    pub(crate) fn attach(
+        plan: &DistributedPlan,
+        reb: RebalanceConfig,
+        streams: &[StreamScans],
+        veto: Option<&str>,
+        pinned: Option<usize>,
+    ) -> (Option<Controller>, ControlStats) {
+        let mut stats = ControlStats {
+            repartitions: 0,
+            migrated_keys: 0,
+            pause_ms: 0.0,
+            load_imbalance: 1.0,
+            fallback: None,
+        };
+        if !reb.enabled {
+            return (None, stats);
+        }
+        let build = || -> Result<Controller, String> {
+            let spec = migration_spec(plan)?;
+            let scans = match streams {
+                [one] => one,
+                [] => return Err("plan reads no source stream".into()),
+                _ => return Err("adaptive splitter supports a single source stream".into()),
+            };
+            if let Some(reason) = veto {
+                return Err(reason.into());
+            }
+            let &tidx = scans
+                .schema
+                .temporal_indices()
+                .first()
+                .ok_or_else(|| format!("stream {} has no time column", scans.stream))?;
+            let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
+                return Err("round-robin split has no key to re-route".into());
+            };
+            let partitions = plan.partitioning.partitions;
+            let keyps = spec
+                .families
+                .iter()
+                .map(|fam| {
+                    HashPartitioner::with_buckets(
+                        set,
+                        &fam.schema,
+                        partitions,
+                        reb.buckets_per_partition,
+                    )
+                    .map_err(|e| format!("migration key partitioner: {e}"))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(Controller {
+                reb,
+                spec,
+                set: set.clone(),
+                partitions,
+                keyps,
+                tidx,
+                pinned,
+                detector: ImbalanceDetector::new(reb),
+                live: true,
+                epoch_end: None,
+            })
+        };
+        match build() {
+            Ok(c) => (Some(c), stats),
+            Err(reason) => {
+                stats.fallback = Some(reason);
+                (None, stats)
+            }
+        }
+    }
+
+    fn time_of(&self, t: &Tuple) -> u64 {
+        t.get(self.tidx).as_u64().unwrap_or(0)
+    }
+
+    /// End index of the sample epoch starting at `start`, advancing the
+    /// epoch clock (a gap in the trace yields empty epochs).
+    fn next_epoch(&mut self, trace: &[Tuple], start: usize) -> usize {
+        let began = self
+            .epoch_end
+            .unwrap_or_else(|| self.time_of(&trace[start]));
+        let epoch_end = began + self.reb.sample_secs.max(1);
+        self.epoch_end = Some(epoch_end);
+        let mut end = start;
+        while end < trace.len() && self.time_of(&trace[end]) < epoch_end {
+            end += 1;
+        }
+        end
+    }
+
+    /// The control step at a sample boundary: fold the epoch's gauges
+    /// into the detector and, when it fires, is not vetoed by an
+    /// indivisible hot key, and the greedy planner finds an improving
+    /// move, return the next table.
+    fn at_boundary(
+        &mut self,
+        gauges: &Gauges,
+        assignment: &[u32],
+        stats: &mut ControlStats,
+    ) -> Option<Vec<u32>> {
+        let hosts = gauges.host_tuples.len();
+        stats.load_imbalance = stats.load_imbalance.max(imbalance(&gauges.host_tuples));
+        if !(self.detector.observe(&gauges.host_tuples)
+            && self.live
+            && hot_key_floor(&gauges.sketch, hosts) < self.reb.threshold)
+        {
+            return None;
+        }
+        plan_assignment_pinned(
+            assignment,
+            &gauges.bucket_tuples,
+            self.partitions,
+            hosts,
+            self.pinned,
+        )
+    }
+}
+
+/// One member's share of a handoff: drain `node`, shipping every group
+/// whose key routes outside `owned` under `keyp`'s (next) table.
+pub(crate) struct ExtractJob {
+    /// Global plan-node id of the member aggregate.
+    pub(crate) node: NodeId,
+    pub(crate) keyp: HashPartitioner,
+    /// Partitions the member keeps under the next table (sorted).
+    pub(crate) owned: Vec<u32>,
+}
+
+/// The table change a handoff serves, for carriers whose units rebuild
+/// the key partitioners on their side of a wire.
+pub(crate) struct Handoff<'a> {
+    /// Drain boundary (a trace timestamp).
+    pub(crate) boundary: u64,
+    pub(crate) next: &'a [u32],
+    pub(crate) set: &'a PartitionSet,
+    pub(crate) partitions: usize,
+    pub(crate) buckets_per_partition: usize,
+}
+
+/// Group-state rows of one aggregate (a global plan node), mid-handoff.
+pub(crate) type StateRows = (NodeId, Vec<Tuple>);
+
+/// How a runner reaches its units: the transport-specific half of the
+/// feed loop and of drain-and-handoff. Node ids are global plan ids.
+pub(crate) trait Carrier {
+    /// Delivers one staged batch to the unit that owns `scan`. A dead
+    /// unit swallows its feed (its failure surfaces when it is joined).
+    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()>;
+
+    /// On every job's unit: force-close windows before the boundary,
+    /// then extract the re-routed groups. Returns the state rows keyed
+    /// by member node, and whether any unit died (or could not be
+    /// reached) on the way.
+    fn extract(
+        &mut self,
+        handoff: &Handoff<'_>,
+        jobs: Vec<ExtractJob>,
+    ) -> ExecResult<(Vec<StateRows>, bool)>;
+
+    /// Merges state rows into the given aggregates; `false` when a
+    /// destination died.
+    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool>;
+}
+
+/// Extracts from `node` every group `keyp` routes outside `owned`.
+pub(crate) fn extract_rerouted(
+    engine: &mut Engine,
+    node: NodeId,
+    keyp: &HashPartitioner,
+    owned: &[u32],
+) -> Vec<Tuple> {
+    engine.extract_state(node, &mut |key| {
+        !owned.contains(&(keyp.partition(&Tuple::new(key.to_vec())) as u32))
+    })
+}
+
+/// Drives one feed through the splitter and into the carrier. Without a
+/// controller the run is one epoch spanning the whole feed. With one,
+/// the feed is cut at every sample boundary for the control step; only
+/// a boundary that actually hands state off flushes the staged residue
+/// (the drain needs every routed tuple inside its engine) — so a
+/// controller that never fires feeds exactly the static run's batches.
+pub(crate) fn drive<C: Carrier>(
+    splitter: &mut Splitter,
+    mut controller: Option<&mut Controller>,
+    stats: &mut ControlStats,
+    trace: &[Tuple],
+    carrier: &mut C,
+) -> ExecResult<()> {
+    let mut start = 0;
+    while start < trace.len() {
+        let end = match controller.as_deref_mut() {
+            Some(ctl) => ctl.next_epoch(trace, start),
+            None => trace.len(),
+        };
+        splitter.route(&trace[start..end], &mut |scan, batch| {
+            carrier.feed(scan, batch)
+        })?;
+        if let (Some(ctl), Some(gauges)) = (controller.as_deref_mut(), splitter.gauges()) {
+            if end < trace.len() {
+                if let Some(next) = ctl.at_boundary(gauges, splitter.assignment(), stats) {
+                    splitter.flush(&mut |scan, batch| carrier.feed(scan, batch))?;
+                    let timer = std::time::Instant::now();
+                    let moved = handoff(ctl, carrier, &next)?;
+                    stats.pause_ms += timer.elapsed().as_secs_f64() * 1e3;
+                    if let Some(n) = moved {
+                        stats.migrated_keys += n;
+                        stats.repartitions += 1;
+                        splitter.set_assignment(next);
+                    }
+                }
+                splitter.reset_gauges();
+            }
+        }
+        start = end;
+    }
+    splitter.flush(&mut |scan, batch| carrier.feed(scan, batch))
+}
+
+/// One drain-and-handoff at the controller's current epoch boundary:
+/// flush-and-extract on every member, route the state rows by the next
+/// table, absorb at the destinations. Transactional up to the first
+/// absorb: if any extract died, every extracted row goes back to its
+/// source engine (best effort) and the old table stays (`None`). Once
+/// absorbs start the next table takes effect regardless — rows bound
+/// for a dead unit are part of that unit's failure record, exactly like
+/// tuples it would have been fed. Either kind of death ends migrations
+/// for the run.
+fn handoff<C: Carrier>(
+    ctl: &mut Controller,
+    carrier: &mut C,
+    next: &[u32],
+) -> ExecResult<Option<u64>> {
+    let mut keyps = ctl.keyps.clone();
+    for kp in &mut keyps {
+        kp.set_assignment(next.to_vec());
+    }
+    let mut family_of: HashMap<NodeId, usize> = HashMap::new();
+    let mut jobs = Vec::new();
+    for (fi, fam) in ctl.spec.families.iter().enumerate() {
+        for mem in &fam.members {
+            family_of.insert(mem.node, fi);
+            jobs.push(ExtractJob {
+                node: mem.node,
+                keyp: keyps[fi].clone(),
+                owned: mem.partitions.clone(),
+            });
+        }
+    }
+    let change = Handoff {
+        boundary: ctl.epoch_end.unwrap_or(0),
+        next,
+        set: &ctl.set,
+        partitions: ctl.partitions,
+        buckets_per_partition: ctl.reb.buckets_per_partition,
+    };
+    let (mut extracted, any_dead) = carrier.extract(&change, jobs)?;
+    extracted.retain(|(_, rows)| !rows.is_empty());
+    if any_dead {
+        carrier.absorb(extracted)?;
+        ctl.live = false;
+        return Ok(None);
+    }
+    let mut per_dest: BTreeMap<NodeId, Vec<Tuple>> = BTreeMap::new();
+    for (node, rows) in extracted {
+        for row in rows {
+            // The spec covers every partition; a row that somehow maps
+            // nowhere stays with its source.
+            let dest = family_of
+                .get(&node)
+                .and_then(|&fi| {
+                    let p = keyps[fi].partition(&row) as u32;
+                    ctl.spec.families[fi].member_of_partition(p)
+                })
+                .map_or(node, |m| m.node);
+            per_dest.entry(dest).or_default().push(row);
+        }
+    }
+    let moved = per_dest.values().map(|rows| rows.len() as u64).sum();
+    if !carrier.absorb(per_dest.into_iter().collect())? {
+        ctl.live = false;
+    }
+    Ok(Some(moved))
 }
 
 #[cfg(test)]

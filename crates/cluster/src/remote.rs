@@ -14,12 +14,17 @@
 //!    ([`crate::deploy`]); the host rebuilds the sliced DAG by
 //!    replaying its build script, so schema inference and local node
 //!    ids reproduce exactly;
-//! 3. a per-host **writer** thread streams the splitter's feed batches
-//!    as `Data` frames (one wire frame per splitter batch — the same
-//!    batch boundaries the in-process engines see) and a per-host
-//!    **reader pump** forwards the host's boundary `Data` frames into
-//!    the same bounded channel the threaded central unit consumes, so
-//!    [`run_central_unit`](crate::threaded) runs *unchanged*;
+//! 3. a splitter thread runs the shared feed loop
+//!    ([`crate::rebalance::drive`]) with the sessions as its carrier: a
+//!    per-host **writer** thread drains the session's command queue
+//!    into `Data` frames (one wire frame per splitter batch — the same
+//!    batch boundaries the in-process engines see), `Migrate` frames
+//!    when a rebalance controller hands state off, and `Eos` when the
+//!    queue closes; a per-host **reader pump** forwards the host's
+//!    boundary `Data` frames into the same bounded channel the threaded
+//!    central unit consumes, so
+//!    [`run_central_unit`](crate::threaded) runs *unchanged* (fed its
+//!    own share of the trace through an inbox, like every unit);
 //! 4. the host streams back its boundary frames and, after `Eos`, a
 //!    serialized [`UnitOutcome`] — per-node counters, metrics,
 //!    outputs, measured edge transport — which the coordinator
@@ -40,24 +45,21 @@
 //!
 //! [`Deploy`]: qap_types::ControlFrame::Deploy
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::BufWriter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel as chan;
-use qap_exec::{
-    BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics,
-};
+use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure};
 use qap_obs::SharedGauge;
-use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, KeySketch};
+use qap_optimizer::DistributedPlan;
+use qap_partition::HashPartitioner;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{
     encode_batch, encode_column_batch, Bytes, BytesMut, Catalog, ColumnBatch, ControlFrame, Tuple,
-    ERROR_DEPLOY, ERROR_EXEC, ERROR_VERSION, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    ERROR_DEPLOY, ERROR_EXEC, ERROR_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::deploy::{
@@ -66,20 +68,34 @@ use crate::deploy::{
     RemoteUnit, UnitOutcome,
 };
 use crate::link::{
-    read_control, write_control, ChannelTransport, DuplexStream, FrameSink, HostAddr, HostListener,
-    LinkError, StreamSink, Transport,
+    read_control, write_control, ChannelSink, ChannelSource, ChannelTransport, DuplexStream,
+    FrameSink, HostAddr, HostListener, SendOutcome, StreamSink, Transport,
 };
-use crate::rebalance::{self, ImbalanceDetector};
-use crate::sim::{account, trace_duration, SimConfig, SimResult};
+use crate::rebalance::{
+    drive, extract_rerouted, Carrier, Controller, ExtractJob, Handoff, StateRows,
+};
+use crate::sim::{SimConfig, SimResult};
+use crate::splitter::{Batch, Splitter, Staged};
 use crate::threaded::{
-    compute_units, forward_boundary, panic_message, run_central_unit, slice_unit, split_trace,
-    EdgeStage, SplitterFeed, TxShared, UnitPlan,
+    compute_units, forward_boundary, panic_message, run_central_unit, send_or_close, stitch,
+    Deployment, EdgeStage, FeedBatch, RunTotals, TxShared, UnitPlan, UnitRun,
 };
-use crate::transport::{EdgeTransport, TransportMetrics};
+use crate::transport::EdgeTransport;
 
 /// How long a handshake step may block before the coordinator declares
 /// the peer dead (used when `send_timeout_ms` is 0).
 const HANDSHAKE_FALLBACK_MS: u64 = 10_000;
+
+/// The bound on one control-plane round trip (a handshake step, a
+/// `MigrateAck`): the run's `send_timeout_ms`, or the fallback when
+/// that is unbounded.
+fn control_timeout(send_timeout_ms: u64) -> Duration {
+    Duration::from_millis(if send_timeout_ms == 0 {
+        HANDSHAKE_FALLBACK_MS
+    } else {
+        send_timeout_ms
+    })
+}
 
 // ---------------------------------------------------------------------
 // Coordinator
@@ -165,17 +181,9 @@ fn deploy_host(
 ) -> Result<HostSession, HostFailure> {
     let fail = |msg: String| link_failure(slice_host, 0, msg);
     let stream = crate::link::connect_with_backoff(addr, timeout_ms).map_err(&fail)?;
-    let handshake_ms = if timeout_ms == 0 {
-        HANDSHAKE_FALLBACK_MS
-    } else {
-        timeout_ms
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_millis(handshake_ms)))
-        .map_err(&fail)?;
-    stream
-        .set_write_timeout(Some(Duration::from_millis(handshake_ms)))
-        .map_err(&fail)?;
+    let handshake = control_timeout(timeout_ms);
+    stream.set_read_timeout(Some(handshake)).map_err(&fail)?;
+    stream.set_write_timeout(Some(handshake)).map_err(&fail)?;
     let mut write_half = stream.try_clone().map_err(&fail)?;
     let mut scratch = BytesMut::new();
     let expect = |half: &mut DuplexStream, what: &str| -> Result<ControlFrame, HostFailure> {
@@ -242,27 +250,14 @@ fn deploy_host(
     })
 }
 
-/// Encodes one splitter feed batch as a single wire frame in the run's
-/// configured representation — the same batch boundaries (and thus the
-/// same engine-visible feed) as the in-process runner.
-fn encode_feed_frame(
-    batch: &[Tuple],
-    columnar: bool,
-    stage: &mut ColumnBatch,
-    scratch: &mut BytesMut,
-) -> ExecResult<Bytes> {
-    if columnar && !batch.is_empty() {
-        let arity = batch[0].arity();
-        if stage.arity() != arity {
-            *stage = ColumnBatch::new(arity);
-        } else {
-            stage.clear();
-        }
-        stage.extend_rows(batch);
-        Ok(encode_column_batch(stage, scratch)?)
-    } else {
-        Ok(encode_batch(batch, scratch)?)
-    }
+/// Encodes one splitter feed batch as a single wire frame in the
+/// representation it was staged in — the same batch boundaries (and
+/// thus the same engine-visible feed) as the in-process runner.
+fn encode_feed_frame(batch: &Batch, scratch: &mut BytesMut) -> ExecResult<Bytes> {
+    Ok(match batch {
+        Batch::Rows(rows) => encode_batch(rows, scratch)?,
+        Batch::Columns(cols) => encode_column_batch(cols, scratch)?,
+    })
 }
 
 /// Number of leaf host processes (and thus addresses) a plan needs
@@ -278,6 +273,101 @@ pub fn remote_host_count(plan: &DistributedPlan, cfg: &SimConfig) -> usize {
         - 1
 }
 
+/// Commands the splitter queues to one host session's writer thread.
+/// The queue and the socket are both FIFO, so a `Migrate` reaches the
+/// host only after every feed batch queued before it — the socket
+/// counterpart of the in-process drain ordering. Dropping the queue is
+/// end-of-stream.
+enum HostCmd {
+    /// One splitter batch for the given (global) scan node.
+    Feed(u32, Batch),
+    /// An encoded [`MigrateCmd`] payload.
+    Migrate(Bytes),
+}
+
+/// Drains one session's command queue into its socket: one `Data`
+/// frame per splitter batch (the same batch boundaries the in-process
+/// engines see), `Migrate` frames in queue order, and `Eos` once the
+/// queue closes — at end of stream, or when the splitter gave up on the
+/// host — so the host can always finish.
+fn write_session(
+    stream: DuplexStream,
+    queue: chan::Receiver<HostCmd>,
+    fed: &AtomicU64,
+) -> Result<(), String> {
+    let mut writer = BufWriter::new(stream);
+    let mut enc_scratch = BytesMut::new();
+    let mut ctl_scratch = BytesMut::new();
+    while let Ok(cmd) = queue.recv() {
+        let (frame, tuples) = match cmd {
+            HostCmd::Feed(producer, batch) => {
+                let frame =
+                    encode_feed_frame(&batch, &mut enc_scratch).map_err(|e| e.to_string())?;
+                (ControlFrame::Data { producer, frame }, batch.len() as u64)
+            }
+            HostCmd::Migrate(payload) => (ControlFrame::Migrate(payload), 0),
+        };
+        write_control(&mut writer, &frame, &mut ctl_scratch)?;
+        fed.fetch_add(tuples, Ordering::Relaxed);
+    }
+    write_control(&mut writer, &ControlFrame::Eos, &mut ctl_scratch)
+}
+
+/// How one session's reader pump ended.
+struct PumpEnd {
+    /// The host's terminal `Result`, when it got that far.
+    outcome: Option<UnitOutcome>,
+    /// Why the session ended early, as diagnosed from the read side.
+    cause: Option<String>,
+}
+
+/// Forwards a session's boundary `Data` frames into the central
+/// channel and its `MigrateAck` payloads to the splitter, until the
+/// terminal `Result`; everything else ends the session with a cause.
+fn pump_session(
+    mut stream: DuplexStream,
+    mut sink: impl FrameSink,
+    acks: chan::Sender<Bytes>,
+    depth: &SharedGauge,
+) -> PumpEnd {
+    let mut outcome = None;
+    let cause = loop {
+        match read_control(&mut stream) {
+            Ok(Some(ControlFrame::Data { producer, frame })) => {
+                depth.inc();
+                // Central gone (strict-mode abort): stop pumping; the
+                // driver shuts the sockets down.
+                if !matches!(
+                    sink.send((producer as NodeId, frame)),
+                    Ok(SendOutcome::Sent)
+                ) {
+                    break None;
+                }
+            }
+            Ok(Some(ControlFrame::MigrateAck(payload))) => {
+                // Splitter gone (abort path): keep pumping boundary
+                // frames regardless.
+                let _ = acks.send(payload);
+            }
+            Ok(Some(ControlFrame::Result(payload))) => match decode_unit_outcome(payload) {
+                Ok(decoded) => {
+                    outcome = Some(decoded);
+                    break None;
+                }
+                Err(e) => break Some(format!("result payload corrupt: {e}")),
+            },
+            Ok(Some(ControlFrame::Error { kind, message })) => {
+                break Some(format!("host reported failure ({kind}): {message}"))
+            }
+            Ok(Some(ControlFrame::Eos)) => continue,
+            Ok(Some(other)) => break Some(format!("protocol violation: {other:?}")),
+            Ok(None) => break Some("connection closed before result".into()),
+            Err(e) => break Some(e.to_string()),
+        }
+    };
+    PumpEnd { outcome, cause }
+}
+
 /// Executes a distributed plan with each leaf host running as its own
 /// OS process behind `hosts[i]` (one address per leaf unit, in unit
 /// order — ascending host id under the host-serial decomposition).
@@ -286,42 +376,26 @@ pub fn remote_host_count(plan: &DistributedPlan, cfg: &SimConfig) -> usize {
 /// [`TransportConfig::host_serial`](crate::TransportConfig::host_serial):
 /// same splitter routing, same central engine, same strict /
 /// partial-results semantics, bit-identical outputs.
+///
+/// The central unit runs on the calling thread, the splitter on one of
+/// its own. With a rebalance controller attached the splitter drives drain-and-handoff over the sessions'
+/// `Migrate`/`MigrateAck` exchanges; the aggregator host's partitions
+/// are **pinned** (its scans run in the central unit, where no socket
+/// reaches them), so
+/// [`plan_assignment_pinned`](crate::plan_assignment_pinned) balances
+/// the dedicated leaf host processes around it.
 pub fn run_distributed_remote(
     plan: &DistributedPlan,
     trace: &[Tuple],
     cfg: &SimConfig,
     hosts: &[HostAddr],
 ) -> ExecResult<SimResult> {
-    if cfg.transport.rebalance.enabled {
-        return run_remote_adaptive(plan, trace, cfg, hosts);
-    }
     let agg = plan.partitioning.aggregator_host;
     // One process per host: the decomposition is host-serial by
     // construction, whatever the in-process parallelism knob says.
     let transport = cfg.transport.host_serial();
-
-    let unit_nodes = compute_units(plan, agg, &transport);
-    let SplitterFeed {
-        schema,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
+    let dep = Deployment::new(plan, &transport)?;
+    let slices = &dep.slices;
     if hosts.len() != slices.len() - 1 {
         return Err(ExecError::BadPlan(format!(
             "plan needs {} leaf host processes, got {} addresses",
@@ -329,6 +403,16 @@ pub fn run_distributed_remote(
             hosts.len()
         )));
     }
+    let veto =
+        (hosts.len() < 2).then_some("fewer than two leaf host processes: nothing to rebalance");
+    let (mut controller, mut control) = Controller::attach(
+        plan,
+        transport.rebalance,
+        std::slice::from_ref(&dep.scans),
+        veto,
+        Some(agg),
+    );
+    let mut splitter = Splitter::new(plan, &dep.scans, cfg, controller.is_some())?;
 
     // Connect + handshake + deploy every leaf host up front, so a
     // refused or mismatched host fails fast (strict) or is recorded and
@@ -336,1053 +420,323 @@ pub fn run_distributed_remote(
     let mut scratch = BytesMut::new();
     let mut sessions: Vec<HostSession> = Vec::new();
     let mut failures: Vec<HostFailure> = Vec::new();
-    for (i, addr) in hosts.iter().enumerate() {
-        let u = i + 1;
+    for (addr, u) in hosts.iter().zip(1..) {
         let payload = encode_remote_unit(&remote_unit_of(plan, &slices[u], cfg)?, &mut scratch)?;
         match deploy_host(addr, u, slices[u].host, payload, transport.send_timeout_ms) {
             Ok(session) => sessions.push(session),
-            Err(failure) => {
-                if !transport.partial_results {
-                    return Err(failure.into());
-                }
-                failures.push(failure);
-            }
+            Err(failure) if transport.partial_results => failures.push(failure),
+            Err(failure) => return Err(failure.into()),
         }
     }
 
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
+    // With a controller attached the pumps also carry `MigrateAck`s, and
+    // the central unit reads no boundary frame until the splitter is
+    // done — which it is not while it awaits an ack. A pump parked on a
+    // full boundary channel would close that cycle, so the channel is
+    // unbounded then (the coordinator already holds the whole trace; an
+    // eligible plan's boundary volume is a fraction of it).
+    let (tx, rx) = if controller.is_some() {
+        let (tx, rx) = chan::unbounded();
+        (ChannelSink(tx), ChannelSource(rx))
+    } else {
+        ChannelTransport.pair(transport.channel_capacity.max(1))
+    };
     let depth = SharedGauge::new();
     let batch_cfg = cfg.batch;
-    let columnar = transport.columnar;
-
-    // Per-session shared state: outcome slot, coordinator-side fed
-    // counter (failure attribution), and the shutdown handle.
-    let outcomes: Vec<Mutex<Option<UnitOutcome>>> =
-        sessions.iter().map(|_| Mutex::new(None)).collect();
+    // Coordinator-side fed counters, for failure attribution.
     let fed: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
-    let shared_failures: Mutex<Vec<HostFailure>> = Mutex::new(Vec::new());
-    let shutdown_handles: Vec<DuplexStream> = sessions
-        .iter()
-        .map(|s| s.stream.try_clone())
-        .collect::<Result<_, _>>()
-        .map_err(|e| link_failure(agg, 0, e))?;
 
-    let central = std::thread::scope(|scope| {
+    let (driven, central, ends) = std::thread::scope(|scope| {
+        let mut carrier = Sessions {
+            queues: Vec::new(),
+            acks: Vec::new(),
+            central: None,
+            session_of_unit: vec![None; slices.len()],
+            dep: &dep,
+            ack_timeout: control_timeout(transport.send_timeout_ms),
+        };
+        let mut threads = Vec::new();
         for (i, session) in sessions.iter().enumerate() {
-            // Writer: stream this host's splitter feed as Data frames,
-            // then Eos. One wire frame per splitter batch.
-            let feed = std::mem::take(&mut per_unit_feed[session.unit]);
-            let write_stream = match session.stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    continue;
-                }
-            };
-            let fed_i = &fed[i];
-            let host = session.host;
-            let shared_failures = &shared_failures;
-            scope.spawn(move || {
-                let mut writer = BufWriter::new(write_stream);
-                let mut stage = ColumnBatch::new(0);
-                let mut enc_scratch = BytesMut::new();
-                let mut ctl_scratch = BytesMut::new();
-                let mut sent: u64 = 0;
-                let outcome: Result<(), String> = (|| {
-                    for (scan, batch) in &feed {
-                        let frame =
-                            encode_feed_frame(batch, columnar, &mut stage, &mut enc_scratch)
-                                .map_err(|e| e.to_string())?;
-                        write_control(
-                            &mut writer,
-                            &ControlFrame::Data {
-                                producer: *scan as u32,
-                                frame,
-                            },
-                            &mut ctl_scratch,
-                        )?;
-                        sent += batch.len() as u64;
-                        fed_i.store(sent, Ordering::Relaxed);
-                    }
-                    write_control(&mut writer, &ControlFrame::Eos, &mut ctl_scratch)
-                })();
-                if let Err(msg) = outcome {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(host, sent, msg));
-                }
-            });
-
-            // Reader pump: forward boundary Data frames into the
-            // central channel; stash the terminal Result; surface
-            // everything else as a typed Link failure.
-            let read_stream = match session.stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    continue;
-                }
-            };
-            let mut sink = tx.clone();
-            let depth = &depth;
-            let outcome_slot = &outcomes[i];
-            let fed_i = &fed[i];
-            scope.spawn(move || {
-                let mut stream = read_stream;
-                let mut got_result = false;
-                let failure = loop {
-                    match read_control(&mut stream) {
-                        Ok(Some(ControlFrame::Data { producer, frame })) => {
-                            depth.inc();
-                            match sink.send((producer as NodeId, frame)) {
-                                // Central gone (strict-mode abort):
-                                // stop pumping; sockets are shut down
-                                // by the driver.
-                                Ok(crate::link::SendOutcome::Closed) | Err(_) => break None,
-                                _ => {}
-                            }
-                        }
-                        Ok(Some(ControlFrame::Result(payload))) => {
-                            match decode_unit_outcome(payload) {
-                                Ok(outcome) => {
-                                    *outcome_slot.lock().unwrap() = Some(outcome);
-                                    got_result = true;
-                                    break None;
-                                }
-                                Err(e) => break Some(format!("result payload corrupt: {e}")),
-                            }
-                        }
-                        Ok(Some(ControlFrame::Error { kind, message })) => {
-                            break Some(format!("host reported failure ({kind}): {message}"))
-                        }
-                        Ok(Some(ControlFrame::Eos)) => continue,
-                        Ok(Some(other)) => break Some(format!("protocol violation: {other:?}")),
-                        Ok(None) => break Some("connection closed before result".into()),
-                        Err(e @ LinkError::MidFrame { .. }) => break Some(e.to_string()),
-                        Err(e) => break Some(e.to_string()),
-                    }
-                };
-                let _ = got_result;
-                if let Some(msg) = failure {
-                    shared_failures.lock().unwrap().push(link_failure(
-                        host,
-                        fed_i.load(Ordering::Relaxed),
-                        msg,
+            carrier.session_of_unit[session.unit] = Some(i);
+            let (cmd_tx, cmd_rx) = chan::unbounded();
+            let (ack_tx, ack_rx) = chan::unbounded();
+            carrier.acks.push(ack_rx);
+            let halves = session
+                .stream
+                .try_clone()
+                .and_then(|w| Ok((w, session.stream.try_clone()?)));
+            match halves {
+                Ok((write_half, read_half)) => {
+                    carrier.queues.push(Some(cmd_tx));
+                    let (fed, sink, depth) = (&fed[i], tx.clone(), &depth);
+                    threads.push((
+                        i,
+                        scope.spawn(move || write_session(write_half, cmd_rx, fed)),
+                        scope.spawn(move || pump_session(read_half, sink, ack_tx, depth)),
                     ));
                 }
-            });
+                Err(e) => {
+                    carrier.queues.push(None);
+                    failures.push(link_failure(session.host, 0, e));
+                }
+            }
         }
         drop(tx);
-
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
+        let (central_tx, central_rx) = chan::unbounded();
+        carrier.central = dep.central_owns_scans().then_some(central_tx);
+        // As in the threaded runner: the splitter on a thread of its own,
+        // the central unit on the calling thread.
+        let (splitter, controller, control) = (&mut splitter, &mut controller, &mut control);
+        let splitter_handle = scope.spawn(move || {
+            let driven = drive(splitter, controller.as_mut(), control, trace, &mut carrier);
+            // End of stream: the writers append Eos behind the queued
+            // feed.
+            drop(carrier);
+            driven
+        });
         let central = run_central_unit(
-            &slices[0],
-            central_feed,
-            batch_cfg,
-            columnar,
-            rx,
-            &depth,
-            &plan.host,
-            &transport,
-            agg,
+            &slices[0], central_rx, batch_cfg, rx, &depth, &plan.host, &transport, agg,
         );
         // Unblock any writer or pump still parked on a socket — a
         // strict-mode abort must not leave threads behind (the scope
         // would otherwise never join).
-        for s in &shutdown_handles {
-            s.shutdown();
+        for session in &sessions {
+            session.stream.shutdown();
         }
-        central
-    });
-
-    let central = central?;
-    failures.extend(shared_failures.into_inner().unwrap());
-
-    // Stitch: central results in-process, leaf results from the
-    // decoded outcomes — exactly the threaded driver's merge, with
-    // global ids recovered through each slice's local map.
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
+        let driven = splitter_handle.join().unwrap_or_else(|payload| {
+            Err(link_failure(
+                agg,
+                0,
+                format!("splitter panicked: {}", panic_message(payload)),
             )
-        })
-        .collect();
-    for (&global, &local) in &slices[0].local {
-        global_counters[global] = central.run.counters[local];
-        global_metrics[global] = central.run.node_metrics[local].clone();
-    }
-    for (idx, rows) in central.run.outputs {
-        outputs[idx].1 = rows;
+            .into())
+        });
+        let ends: Vec<_> = threads
+            .into_iter()
+            .map(|(i, writer, pump)| {
+                let written = writer.join().unwrap_or_else(|payload| {
+                    Err(format!(
+                        "session writer panicked: {}",
+                        panic_message(payload)
+                    ))
+                });
+                let pumped = pump.join().unwrap_or_else(|payload| PumpEnd {
+                    outcome: None,
+                    cause: Some(format!(
+                        "session reader panicked: {}",
+                        panic_message(payload)
+                    )),
+                });
+                (i, written, pumped)
+            })
+            .collect();
+        (driven, central, ends)
+    });
+    driven?;
+    let central = central?;
+
+    let mut runs = vec![(0, central.run)];
+    let mut totals = RunTotals {
+        stalls: 0,
+        dropped: 0,
+        corrupt_dropped: central.corrupt_dropped,
+        queue_peak: depth.peak(),
+    };
+    for (i, written, pumped) in ends {
+        // The read side diagnoses why a session ended; a write error on
+        // top of that (EPIPE on a socket the host already closed) is its
+        // consequence, not a second failure.
+        if let Some(msg) = pumped.cause.or(written.err()) {
+            failures.push(link_failure(
+                sessions[i].host,
+                fed[i].load(Ordering::Relaxed),
+                msg,
+            ));
+        }
+        if let Some(outcome) = pumped.outcome {
+            totals.stalls += outcome.stalls;
+            totals.dropped += outcome.dropped;
+            runs.push((
+                sessions[i].unit,
+                UnitRun {
+                    counters: outcome.counters,
+                    node_metrics: outcome.node_metrics,
+                    outputs: outcome
+                        .outputs
+                        .into_iter()
+                        .map(|(idx, rows)| (idx as usize, rows))
+                        .collect(),
+                    edges: outcome.edges,
+                },
+            ));
+        }
     }
     failures.extend(central.failures);
-
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    let mut stalls: u64 = 0;
-    let mut dropped: u64 = 0;
-    for (i, session) in sessions.iter().enumerate() {
-        let outcome = outcomes[i].lock().unwrap().take();
-        let Some(outcome) = outcome else {
-            // Failure already recorded by the pump; nothing to stitch.
-            continue;
-        };
-        let slice = &slices[session.unit];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = outcome.counters[local];
-            global_metrics[global] = outcome.node_metrics[local].clone();
-        }
-        for (idx, rows) in outcome.outputs {
-            outputs[idx as usize].1 = rows;
-        }
-        edges.extend(outcome.edges);
-        stalls += outcome.stalls;
-        dropped += outcome.dropped;
-    }
-
-    if !transport.partial_results {
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first.into());
-        }
-        failures = Vec::new();
-    }
-
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls,
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped,
-        frames_corrupt_dropped: central.corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch: transport.frame_batch.max(1),
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
+    stitch(plan, cfg, &dep, trace, runs, failures, totals, control)
 }
 
-// ---------------------------------------------------------------------
-// Adaptive coordinator
-// ---------------------------------------------------------------------
+/// State rows keyed by a unit-local node id, as they cross the wire.
+type LocalRows = (u32, Vec<Tuple>);
 
-/// Commands the adaptive coordinator queues to one host session's
-/// writer thread. The channel and the socket are both FIFO, so a
-/// `Migrate` reaches the host only after every feed batch queued before
-/// it — the socket counterpart of the in-process drain ordering.
-enum HostCmd {
-    /// One splitter batch for the given (global) scan node.
-    Feed(u32, Vec<Tuple>),
-    /// An encoded [`MigrateCmd`] payload; the writer flushes its buffer
-    /// behind it so the host sees the command promptly.
-    Migrate(Bytes),
-    /// End of stream.
-    Eos,
+/// The socket carrier: per-session command queues out, `MigrateAck`
+/// payloads back. A session whose queue is gone (its host died, timed
+/// out on an ack, or never deployed) is fed no more; its typed failure
+/// surfaces through its pump.
+struct Sessions<'a> {
+    /// Writer queues by session index.
+    queues: Vec<Option<chan::Sender<HostCmd>>>,
+    /// `MigrateAck` payloads by session index.
+    acks: Vec<chan::Receiver<Bytes>>,
+    central: Option<chan::Sender<FeedBatch>>,
+    /// Unit index → session index; `None` for the central unit and for
+    /// hosts that failed to deploy.
+    session_of_unit: Vec<Option<usize>>,
+    dep: &'a Deployment,
+    ack_timeout: Duration,
 }
 
-/// Outcome of one remote drain-and-handoff attempt (the socket
-/// counterpart of the threaded runner's migrate report).
-struct RemoteMigrateReport {
-    /// Rows shipped; `Some` means the new assignment table takes effect
-    /// (`None` = aborted with all state back in its source engines).
-    moved: Option<u64>,
-    /// A host died (or timed out) mid-protocol: the driver disables
-    /// further migrations — the fleet's state can no longer be moved
-    /// consistently. Its typed failure surfaces through the pump.
-    host_died: bool,
+impl Sessions<'_> {
+    fn send(&mut self, si: usize, cmd: HostCmd) -> bool {
+        send_or_close(&mut self.queues[si], cmd)
+    }
+
+    /// Sends one encoded `Migrate` payload per session, then collects
+    /// the replies; a session that cannot be reached or does not answer
+    /// within the ack timeout yields `None` and is marked dead.
+    fn migrate_round(
+        &mut self,
+        outbound: Vec<(usize, Bytes)>,
+    ) -> Vec<(usize, Option<Vec<LocalRows>>)> {
+        let sent: Vec<(usize, bool)> = outbound
+            .into_iter()
+            .map(|(si, payload)| (si, self.send(si, HostCmd::Migrate(payload))))
+            .collect();
+        sent.into_iter()
+            .map(|(si, sent)| {
+                let reply = sent
+                    .then(|| self.acks[si].recv_timeout(self.ack_timeout).ok())
+                    .flatten()
+                    .and_then(|payload| decode_migrate_reply(payload).ok());
+                if reply.is_none() {
+                    self.queues[si] = None;
+                }
+                (si, reply)
+            })
+            .collect()
+    }
 }
 
-/// The adaptive variant of the remote coordinator: the calling thread
-/// becomes the splitter, routing the trace epoch by epoch through a
-/// live [`HashPartitioner`] table and driving drain-and-handoff
-/// migrations over the sessions' `Migrate`/`MigrateAck` exchanges.
-///
-/// The host-serial decomposition parks the aggregator host's partition
-/// scans inside the central unit, where no socket reaches them — so
-/// those partitions are **pinned**:
-/// [`plan_assignment_pinned`](crate::plan_assignment_pinned) never
-/// selects the aggregator host as donor or receiver, the pinned
-/// buckets' routing never changes, and the central unit's feed is fully
-/// determined by the *initial* table. That lets the coordinator
-/// pre-route the central feed up front and run
-/// [`run_central_unit`] unchanged while rebalancing the dedicated leaf
-/// host processes around it.
-///
-/// Each migration is one `Migrate(Extract)` round trip per leaf
-/// session (flush to the boundary, then extract the re-routed groups)
-/// followed by one `Migrate(Absorb)` round trip to the destinations.
-/// Combining flush and extract per host is sound because no absorb is
-/// sent until *every* extract ack is in — by then the whole fleet is
-/// flushed to the boundary, which is the same global barrier the
-/// threaded runner erects with its explicit flush phase.
-fn run_remote_adaptive(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    cfg: &SimConfig,
-    hosts: &[HostAddr],
-) -> ExecResult<SimResult> {
-    let fallback = |reason: String| -> ExecResult<SimResult> {
-        let mut cfg = *cfg;
-        cfg.transport.rebalance.enabled = false;
-        let mut r = run_distributed_remote(plan, trace, &cfg, hosts)?;
-        r.metrics.rebalance_fallback = Some(reason);
-        Ok(r)
-    };
-    let reb = cfg.transport.rebalance;
-    let spec = match rebalance::migration_spec(plan) {
-        Ok(s) => s,
-        Err(reason) => return fallback(reason),
-    };
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport.host_serial();
-    let unit_nodes = compute_units(plan, agg, &transport);
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
+impl Carrier for Sessions<'_> {
+    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
+        match self.dep.unit_of[scan] {
+            0 => {
+                if let Some(tx) = &self.central {
+                    let _ = tx.send((scan, batch.take()));
+                }
+            }
+            u => {
+                if let Some(si) = self.session_of_unit[u] {
+                    self.send(si, HostCmd::Feed(scan as u32, batch.take()));
+                }
+            }
         }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-    if hosts.len() != slices.len() - 1 {
-        return Err(ExecError::BadPlan(format!(
-            "plan needs {} leaf host processes, got {} addresses",
-            slices.len() - 1,
-            hosts.len()
-        )));
-    }
-    if slices.len() - 1 < 2 {
-        return fallback("fewer than two leaf host processes: nothing to rebalance".into());
+        Ok(())
     }
 
-    // Stream geometry: partition → scan node → unit.
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return fallback(format!("stream {stream} has no time column"));
-    };
-    let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-        unreachable!("migration_spec admits only hash strategies");
-    };
-    let m = plan.partitioning.partitions;
-    let hosts_n = plan.partitioning.hosts;
-    let mut splitter = HashPartitioner::with_buckets(set, &schema, m, reb.buckets_per_partition)
-        .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?;
-    let scan_of: Vec<NodeId> = (0..m)
-        .map(|p| {
-            scan_of_partition
-                .get(&(p as u32))
-                .copied()
-                .ok_or_else(|| ExecError::BadPlan(format!("plan has no scan for partition {p}")))
-        })
-        .collect::<ExecResult<_>>()?;
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    // Pre-route the central unit's feed with the initial table. The
-    // identity bucket assignment routes bit-identically to the static
-    // splitter, and pinned buckets never move, so this is exactly the
-    // feed the central scans would see live.
-    let SplitterFeed {
-        schema: _,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-
-    // Migration topology: family members grouped by unit, with the
-    // per-unit local↔global id maps the wire protocol needs.
-    let mut fam_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut members_by_unit: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for (fi, fam) in spec.families.iter().enumerate() {
-        for mem in &fam.members {
-            fam_of.insert(mem.node, fi);
-            members_by_unit
-                .entry(unit_of[mem.node])
+    /// One `Migrate(Extract)` round trip per leaf session: flush to the
+    /// boundary, then extract. Combining the two per host is sound
+    /// because no absorb goes out until *every* reply is in — by then
+    /// the whole fleet is flushed to the boundary. The central unit's
+    /// members sit on the pinned aggregator host: their keys never
+    /// re-route, so they take part in no exchange.
+    fn extract(
+        &mut self,
+        handoff: &Handoff<'_>,
+        jobs: Vec<ExtractJob>,
+    ) -> ExecResult<(Vec<StateRows>, bool)> {
+        let aborted = Ok((Vec::new(), true));
+        // session → (global node, local node, owned partitions)
+        let mut by_session: BTreeMap<usize, Vec<(NodeId, u32, Vec<u32>)>> = BTreeMap::new();
+        for job in jobs {
+            let u = self.dep.unit_of[job.node];
+            if u == 0 {
+                continue;
+            }
+            let Some(si) = self.session_of_unit[u] else {
+                return aborted;
+            };
+            let local = self.dep.slices[u].local[&job.node] as u32;
+            by_session
+                .entry(si)
                 .or_default()
-                .push(mem.node);
+                .push((job.node, local, job.owned));
         }
-    }
-    // Unit 0's members sit on the pinned aggregator host: their keys
-    // never re-route, so they take part in no exchange.
-    let mut units: Vec<usize> = members_by_unit
-        .keys()
-        .copied()
-        .filter(|&u| u != 0)
-        .collect();
-    units.sort_unstable();
-    let global_of: Vec<HashMap<u32, NodeId>> = slices
-        .iter()
-        .map(|s| s.local.iter().map(|(&g, &l)| (l as u32, g)).collect())
-        .collect();
-
-    // Connect + handshake + deploy every leaf host up front.
-    let mut scratch = BytesMut::new();
-    let mut sessions: Vec<HostSession> = Vec::new();
-    let mut failures: Vec<HostFailure> = Vec::new();
-    for (i, addr) in hosts.iter().enumerate() {
-        let u = i + 1;
-        let payload = encode_remote_unit(&remote_unit_of(plan, &slices[u], cfg)?, &mut scratch)?;
-        match deploy_host(addr, u, slices[u].host, payload, transport.send_timeout_ms) {
-            Ok(session) => sessions.push(session),
-            Err(failure) => {
-                if !transport.partial_results {
-                    return Err(failure.into());
-                }
-                failures.push(failure);
-            }
-        }
-    }
-    let session_of_unit: HashMap<usize, usize> =
-        sessions.iter().enumerate().map(|(i, s)| (s.unit, i)).collect();
-
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    let depth = SharedGauge::new();
-    let batch_cfg = cfg.batch;
-    let columnar = transport.columnar;
-    let max = batch_cfg.max_batch.max(1);
-    let ack_timeout = Duration::from_millis(if transport.send_timeout_ms > 0 {
-        transport.send_timeout_ms
-    } else {
-        HANDSHAKE_FALLBACK_MS
-    });
-
-    let outcomes: Vec<Mutex<Option<UnitOutcome>>> =
-        sessions.iter().map(|_| Mutex::new(None)).collect();
-    let fed: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
-    let shared_failures: Mutex<Vec<HostFailure>> = Mutex::new(Vec::new());
-    let shutdown_handles: Vec<DuplexStream> = sessions
-        .iter()
-        .map(|s| s.stream.try_clone())
-        .collect::<Result<_, _>>()
-        .map_err(|e| link_failure(agg, 0, e))?;
-
-    let mut repartitions = 0u64;
-    let mut migrated = 0u64;
-    let mut pause_ms = 0.0f64;
-    let mut peak_imbalance = 1.0f64;
-
-    let central = std::thread::scope(|scope| {
-        let mut cmd_txs: Vec<Option<chan::Sender<HostCmd>>> = Vec::with_capacity(sessions.len());
-        let mut ack_rxs: Vec<chan::Receiver<Bytes>> = Vec::with_capacity(sessions.len());
-        for (i, session) in sessions.iter().enumerate() {
-            let (cmd_tx, cmd_rx) = chan::unbounded::<HostCmd>();
-            let (ack_tx, ack_rx) = chan::unbounded::<Bytes>();
-            ack_rxs.push(ack_rx);
-            let clones = session
-                .stream
-                .try_clone()
-                .and_then(|w| session.stream.try_clone().map(|r| (w, r)));
-            let (write_stream, read_stream) = match clones {
-                Ok(pair) => pair,
-                Err(e) => {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(session.host, 0, e));
-                    cmd_txs.push(None);
-                    continue;
-                }
-            };
-            cmd_txs.push(Some(cmd_tx));
-            let fed_i = &fed[i];
-            let host = session.host;
-            let shared_failures = &shared_failures;
-
-            // Writer: drain the command queue into the socket.
-            scope.spawn(move || {
-                use std::io::Write;
-                let mut writer = BufWriter::new(write_stream);
-                let mut stage = ColumnBatch::new(0);
-                let mut enc_scratch = BytesMut::new();
-                let mut ctl_scratch = BytesMut::new();
-                let mut sent: u64 = 0;
-                let outcome: Result<(), String> = (|| {
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            HostCmd::Feed(scan, batch) => {
-                                let frame = encode_feed_frame(
-                                    &batch,
-                                    columnar,
-                                    &mut stage,
-                                    &mut enc_scratch,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                write_control(
-                                    &mut writer,
-                                    &ControlFrame::Data {
-                                        producer: scan,
-                                        frame,
-                                    },
-                                    &mut ctl_scratch,
-                                )?;
-                                sent += batch.len() as u64;
-                                fed_i.store(sent, Ordering::Relaxed);
-                            }
-                            HostCmd::Migrate(payload) => {
-                                write_control(
-                                    &mut writer,
-                                    &ControlFrame::Migrate(payload),
-                                    &mut ctl_scratch,
-                                )?;
-                                writer.flush().map_err(|e| e.to_string())?;
-                            }
-                            HostCmd::Eos => break,
-                        }
-                    }
-                    // Reached on Eos *and* when the driver drops the
-                    // queue on an abort path: either way, close the
-                    // feed so the host can finish.
-                    write_control(&mut writer, &ControlFrame::Eos, &mut ctl_scratch)?;
-                    writer.flush().map_err(|e| e.to_string())
-                })();
-                if let Err(msg) = outcome {
-                    shared_failures
-                        .lock()
-                        .unwrap()
-                        .push(link_failure(host, sent, msg));
-                }
-            });
-
-            // Reader pump: boundary Data frames into the central
-            // channel, MigrateAck payloads to the driver, terminal
-            // Result into the outcome slot.
-            let mut sink = tx.clone();
-            let depth = &depth;
-            let outcome_slot = &outcomes[i];
-            let fed_i = &fed[i];
-            scope.spawn(move || {
-                let mut stream = read_stream;
-                let failure = loop {
-                    match read_control(&mut stream) {
-                        Ok(Some(ControlFrame::Data { producer, frame })) => {
-                            depth.inc();
-                            match sink.send((producer as NodeId, frame)) {
-                                Ok(crate::link::SendOutcome::Closed) | Err(_) => break None,
-                                _ => {}
-                            }
-                        }
-                        Ok(Some(ControlFrame::MigrateAck(payload))) => {
-                            // Driver gone (abort path): keep pumping
-                            // boundary frames regardless.
-                            let _ = ack_tx.send(payload);
-                        }
-                        Ok(Some(ControlFrame::Result(payload))) => {
-                            match decode_unit_outcome(payload) {
-                                Ok(outcome) => {
-                                    *outcome_slot.lock().unwrap() = Some(outcome);
-                                    break None;
-                                }
-                                Err(e) => break Some(format!("result payload corrupt: {e}")),
-                            }
-                        }
-                        Ok(Some(ControlFrame::Error { kind, message })) => {
-                            break Some(format!("host reported failure ({kind}): {message}"))
-                        }
-                        Ok(Some(ControlFrame::Eos)) => continue,
-                        Ok(Some(other)) => break Some(format!("protocol violation: {other:?}")),
-                        Ok(None) => break Some("connection closed before result".into()),
-                        Err(e @ LinkError::MidFrame { .. }) => break Some(e.to_string()),
-                        Err(e) => break Some(e.to_string()),
-                    }
-                };
-                if let Some(msg) = failure {
-                    shared_failures.lock().unwrap().push(link_failure(
-                        host,
-                        fed_i.load(Ordering::Relaxed),
-                        msg,
-                    ));
-                }
-            });
-        }
-        drop(tx);
-
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
-        let central_handle = scope.spawn(|| {
-            run_central_unit(
-                &slices[0],
-                central_feed,
-                batch_cfg,
-                columnar,
-                rx,
-                &depth,
-                &plan.host,
-                &transport,
-                agg,
-            )
-        });
-
-        // One absorb round trip: encode per-session batches, send,
-        // collect acks. Returns false if any destination died.
-        let absorb_round = |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>,
-                            mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>>|
-         -> bool {
-            let mut ok = true;
-            let mut scratch = BytesMut::new();
-            let mut sent_to = Vec::new();
-            let mut sis: Vec<usize> = by_session.keys().copied().collect();
-            sis.sort_unstable();
-            for si in sis {
-                let batches = by_session.remove(&si).expect("keyed by session");
-                let payload = match encode_migrate_cmd(&MigrateCmd::Absorb { batches }, &mut scratch)
-                {
-                    Ok(p) => p,
-                    Err(_) => {
-                        ok = false;
-                        continue;
-                    }
-                };
-                let sent = match &cmd_txs[si] {
-                    Some(tx) => tx.send(HostCmd::Migrate(payload)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    sent_to.push(si);
-                } else {
-                    cmd_txs[si] = None;
-                    ok = false;
-                }
-            }
-            for si in sent_to {
-                let acked = ack_rxs[si]
-                    .recv_timeout(ack_timeout)
-                    .ok()
-                    .and_then(|p| decode_migrate_reply(p).ok())
-                    .is_some();
-                if !acked {
-                    cmd_txs[si] = None;
-                    ok = false;
-                }
-            }
-            ok
-        };
-
-        // One drain-and-handoff attempt, transactional up to the first
-        // absorb — the same phase discipline as the threaded runner.
-        let migrate = |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>,
-                       next: &[u32],
-                       boundary: u64|
-         -> RemoteMigrateReport {
-            let abort = RemoteMigrateReport {
-                moved: None,
-                host_died: true,
-            };
-            // Coordinator-side routing partitioners bound to the new
-            // table, one per replica family.
-            let mut keyps = Vec::with_capacity(spec.families.len());
-            for fam in &spec.families {
-                let mut kp = match HashPartitioner::with_buckets(
-                    set,
-                    &fam.schema,
-                    m,
-                    reb.buckets_per_partition,
-                ) {
-                    Ok(kp) => kp,
-                    Err(_) => {
-                        return RemoteMigrateReport {
-                            moved: None,
-                            host_died: false,
-                        }
-                    }
-                };
-                kp.set_assignment(next.to_vec());
-                keyps.push(kp);
-            }
-
-            // Build every extract payload before sending anything: a
-            // failure here aborts with all state still in place.
-            let mut enc_scratch = BytesMut::new();
-            let mut outbound: Vec<(usize, Bytes)> = Vec::new();
-            for &u in &units {
-                let Some(&si) = session_of_unit.get(&u) else {
-                    return abort;
-                };
-                let jobs: Vec<(u32, Vec<u32>)> = members_by_unit[&u]
+        // Build every payload before sending anything: a failure here
+        // aborts with all state still in place.
+        let mut scratch = BytesMut::new();
+        let mut outbound = Vec::new();
+        for (&si, jobs) in &by_session {
+            let cmd = MigrateCmd::Extract {
+                boundary: handoff.boundary,
+                partitions: handoff.partitions as u32,
+                buckets_per_partition: handoff.buckets_per_partition as u32,
+                assignment: handoff.next.to_vec(),
+                set: handoff.set.clone(),
+                jobs: jobs
                     .iter()
-                    .map(|&node| {
-                        let fi = fam_of[&node];
-                        let mem = spec.families[fi]
-                            .members
-                            .iter()
-                            .find(|mb| mb.node == node)
-                            .expect("member of its own family");
-                        (slices[u].local[&node] as u32, mem.partitions.clone())
-                    })
-                    .collect();
-                let cmd = MigrateCmd::Extract {
-                    boundary,
-                    partitions: m as u32,
-                    buckets_per_partition: reb.buckets_per_partition as u32,
-                    assignment: next.to_vec(),
-                    set: set.clone(),
-                    jobs,
-                };
-                match encode_migrate_cmd(&cmd, &mut enc_scratch) {
-                    Ok(payload) => outbound.push((si, payload)),
-                    Err(_) => {
-                        return RemoteMigrateReport {
-                            moved: None,
-                            host_died: false,
-                        }
-                    }
+                    .map(|(_, l, owned)| (*l, owned.clone()))
+                    .collect(),
+            };
+            match encode_migrate_cmd(&cmd, &mut scratch) {
+                Ok(payload) => outbound.push((si, payload)),
+                Err(_) => return aborted,
+            }
+        }
+        let mut any_dead = false;
+        let mut extracted = Vec::new();
+        for (si, reply) in self.migrate_round(outbound) {
+            let Some(batches) = reply else {
+                any_dead = true;
+                continue;
+            };
+            for (local, rows) in batches {
+                match by_session[&si].iter().find(|(_, l, _)| *l == local) {
+                    Some(&(global, ..)) => extracted.push((global, rows)),
+                    None => any_dead = true,
                 }
             }
+        }
+        Ok((extracted, any_dead))
+    }
 
-            // Flush-and-extract round trip to every leaf session. The
-            // global barrier holds because no absorb goes out until
-            // every ack is in: by then the whole fleet is flushed to
-            // the boundary.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut any_dead = false;
-            for (si, payload) in outbound {
-                let sent = match &cmd_txs[si] {
-                    Some(tx) => tx.send(HostCmd::Migrate(payload)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    pending.push(si);
-                } else {
-                    cmd_txs[si] = None;
-                    any_dead = true;
-                }
-            }
-            let mut extracted: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
-            for si in pending {
-                let u = sessions[si].unit;
-                let batches = ack_rxs[si]
-                    .recv_timeout(ack_timeout)
-                    .ok()
-                    .and_then(|p| decode_migrate_reply(p).ok());
-                match batches {
-                    Some(batches) => {
-                        for (l, rows) in batches {
-                            match global_of[u].get(&l) {
-                                Some(&g) => extracted.push((g, rows)),
-                                None => any_dead = true,
-                            }
-                        }
-                    }
-                    None => {
-                        cmd_txs[si] = None;
-                        any_dead = true;
-                    }
-                }
-            }
-            if any_dead {
-                // Hand every extracted row back to its source engine
-                // (best effort) so the survivors keep a consistent
-                // picture under the *old* table.
-                let mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>> = HashMap::new();
-                for (node, rows) in extracted {
-                    let u = unit_of[node];
-                    if let Some(&si) = session_of_unit.get(&u) {
-                        by_session
-                            .entry(si)
-                            .or_default()
-                            .push((slices[u].local[&node] as u32, rows));
-                    }
-                }
-                absorb_round(cmd_txs, by_session);
-                return abort;
-            }
-
-            // Route by the new table and absorb at the destinations.
-            let mut per_node: HashMap<NodeId, Vec<Tuple>> = HashMap::new();
-            for (node, rows) in extracted {
-                let fi = fam_of[&node];
-                let fam = &spec.families[fi];
-                for row in rows {
-                    let p = keyps[fi].partition(&row) as u32;
-                    let dest = fam
-                        .member_of_partition(p)
-                        .expect("spec covers every partition")
-                        .node;
-                    per_node.entry(dest).or_default().push(row);
-                }
-            }
-            let mut moved = 0u64;
-            let mut by_session: HashMap<usize, Vec<(u32, Vec<Tuple>)>> = HashMap::new();
-            let mut dests: Vec<NodeId> = per_node.keys().copied().collect();
-            dests.sort_unstable();
-            for node in dests {
-                let rows = per_node.remove(&node).expect("keyed by nodes");
-                moved += rows.len() as u64;
-                let u = unit_of[node];
-                // An extracted row's bucket moved, and moved buckets
-                // never land on the pinned aggregator host.
-                let &si = session_of_unit
-                    .get(&u)
-                    .expect("pinned host never receives migrated state");
-                by_session
+    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
+        let mut ok = true;
+        let mut by_session: BTreeMap<usize, Vec<LocalRows>> = BTreeMap::new();
+        for (node, rows) in batches {
+            let u = self.dep.unit_of[node];
+            // Moved buckets never land on the pinned aggregator host,
+            // so only a host that never deployed has no session here.
+            match self.session_of_unit[u] {
+                Some(si) => by_session
                     .entry(si)
                     .or_default()
-                    .push((slices[u].local[&node] as u32, rows));
+                    .push((self.dep.slices[u].local[&node] as u32, rows)),
+                None => ok = false,
             }
-            let ok = absorb_round(cmd_txs, by_session);
-            RemoteMigrateReport {
-                moved: Some(moved),
-                host_died: !ok,
-            }
-        };
-
-        // The adaptive splitter loop — the same epoch segmentation and
-        // gauge accounting as the in-process runner, minus the pinned
-        // partitions (their feed went to the central unit up front, but
-        // their tuples still count toward the load gauges).
-        let send_feed =
-            |cmd_txs: &mut Vec<Option<chan::Sender<HostCmd>>>, p: usize, batch: Vec<Tuple>| {
-                let scan = scan_of[p];
-                if let Some(&si) = session_of_unit.get(&unit_of[scan]) {
-                    if let Some(tx) = &cmd_txs[si] {
-                        if tx.send(HostCmd::Feed(scan as u32, batch)).is_err() {
-                            cmd_txs[si] = None;
-                        }
-                    }
-                }
-            };
-        let mut detector = ImbalanceDetector::new(reb);
-        let mut host_tuples = vec![0u64; hosts_n];
-        let mut bucket_tuples = vec![0u64; splitter.bucket_count()];
-        let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-        let mut migrations_enabled = true;
-        let mut parts: Vec<u32> = Vec::new();
-        let mut buckets: Vec<u32> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut sketch = KeySketch::with_defaults();
-        let t0 = trace
-            .first()
-            .map(|t| t.get(tidx).as_u64().unwrap_or(0))
-            .unwrap_or(0);
-        let mut epoch_end = t0 + reb.sample_secs;
-        let mut start = 0usize;
-        while start < trace.len() {
-            let mut end = start;
-            while end < trace.len() && trace[end].get(tidx).as_u64().unwrap_or(0) < epoch_end {
-                end += 1;
-            }
-            for chunk in trace[start..end].chunks(max) {
-                let lane_ok = {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    splitter.route_columns_hashed(&cols, &mut parts, &mut buckets, &mut hashes)
-                };
-                for (i, tuple) in chunk.iter().enumerate() {
-                    let (p, b) = if lane_ok {
-                        sketch.observe(hashes[i]);
-                        (parts[i] as usize, buckets[i] as usize)
-                    } else {
-                        sketch.observe(splitter.key_hash(tuple));
-                        (splitter.partition(tuple), splitter.bucket(tuple))
-                    };
-                    host_tuples[plan.partitioning.host_of_partition(p)] += 1;
-                    bucket_tuples[b] += 1;
-                    if unit_of[scan_of[p]] != 0 {
-                        bufs[p].push(tuple.clone());
-                        if bufs[p].len() >= max {
-                            send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                        }
-                    }
-                }
-            }
-            // Epoch boundary: residue in ascending scan order — the
-            // drain barrier needs every routed tuple inside its engine.
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_unstable_by_key(|&p| scan_of[p]);
-            for p in order {
-                if !bufs[p].is_empty() {
-                    send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                }
-            }
-            if end < trace.len() {
-                peak_imbalance = peak_imbalance.max(rebalance::imbalance(&host_tuples));
-                if detector.observe(&host_tuples)
-                    && migrations_enabled
-                    && rebalance::hot_key_floor(&sketch, hosts_n) < reb.threshold
-                {
-                    if let Some(next) = rebalance::plan_assignment_pinned(
-                        splitter.assignment(),
-                        &bucket_tuples,
-                        m,
-                        hosts_n,
-                        Some(agg),
-                    ) {
-                        let timer = Instant::now();
-                        let report = migrate(&mut cmd_txs, &next, epoch_end);
-                        pause_ms += timer.elapsed().as_secs_f64() * 1e3;
-                        if report.host_died {
-                            migrations_enabled = false;
-                        }
-                        if let Some(n) = report.moved {
-                            migrated += n;
-                            splitter.set_assignment(next);
-                            repartitions += 1;
-                        }
-                    }
-                }
-                host_tuples.fill(0);
-                bucket_tuples.fill(0);
-                sketch.clear();
-            }
-            start = end;
-            epoch_end += reb.sample_secs;
         }
-        // End of stream: the writers append Eos behind the queued feed.
-        for tx in cmd_txs.iter().flatten() {
-            let _ = tx.send(HostCmd::Eos);
+        let mut scratch = BytesMut::new();
+        let mut outbound = Vec::new();
+        for (si, batches) in by_session {
+            match encode_migrate_cmd(&MigrateCmd::Absorb { batches }, &mut scratch) {
+                Ok(payload) => outbound.push((si, payload)),
+                Err(_) => ok = false,
+            }
         }
-        drop(cmd_txs);
-
-        let central = match central_handle.join() {
-            Ok(outcome) => outcome,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        // Unblock any writer or pump still parked on a socket.
-        for s in &shutdown_handles {
-            s.shutdown();
+        for (_, reply) in self.migrate_round(outbound) {
+            ok &= reply.is_some();
         }
-        central
-    });
-
-    let central = central?;
-    failures.extend(shared_failures.into_inner().unwrap());
-
-    // Stitch — identical to the static coordinator's merge.
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-    for (&global, &local) in &slices[0].local {
-        global_counters[global] = central.run.counters[local];
-        global_metrics[global] = central.run.node_metrics[local].clone();
+        Ok(ok)
     }
-    for (idx, rows) in central.run.outputs {
-        outputs[idx].1 = rows;
-    }
-    failures.extend(central.failures);
-
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    let mut stalls: u64 = 0;
-    let mut dropped: u64 = 0;
-    for (i, session) in sessions.iter().enumerate() {
-        let outcome = outcomes[i].lock().unwrap().take();
-        let Some(outcome) = outcome else {
-            continue;
-        };
-        let slice = &slices[session.unit];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = outcome.counters[local];
-            global_metrics[global] = outcome.node_metrics[local].clone();
-        }
-        for (idx, rows) in outcome.outputs {
-            outputs[idx as usize].1 = rows;
-        }
-        edges.extend(outcome.edges);
-        stalls += outcome.stalls;
-        dropped += outcome.dropped;
-    }
-
-    if !transport.partial_results {
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first.into());
-        }
-        failures = Vec::new();
-    }
-
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls,
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped,
-        frames_corrupt_dropped: central.corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch: transport.frame_batch.max(1),
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    metrics.repartitions = repartitions;
-    metrics.migrated_keys = migrated;
-    metrics.migration_pause_ms = pause_ms;
-    metrics.load_imbalance = peak_imbalance;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1484,7 +838,7 @@ fn run_deployed_unit(
             },
         })
         .collect();
-    let scan_local: std::collections::HashMap<u32, NodeId> =
+    let scan_local: HashMap<u32, NodeId> =
         unit.scans.iter().map(|&(g, l)| (g, l as NodeId)).collect();
 
     let mut scratch = BytesMut::new();
@@ -1556,14 +910,9 @@ fn run_deployed_unit(
                                 partitions as usize,
                                 buckets_per_partition as usize,
                             )
-                            .map_err(|e| {
-                                ExecError::BadPlan(format!("migrate partitioner: {e}"))
-                            })?;
+                            .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
                             keyp.set_assignment(assignment.clone());
-                            let rows = engine.extract_state(local, &mut |key| {
-                                let p = keyp.partition(&Tuple::new(key.to_vec())) as u32;
-                                !owned.contains(&p)
-                            });
+                            let rows = extract_rerouted(&mut engine, local, &keyp, &owned);
                             if !rows.is_empty() {
                                 out.push((node, rows));
                             }

@@ -1,16 +1,18 @@
-//! The deterministic cluster simulator.
-
-use std::collections::HashMap;
+//! The deterministic cluster simulator: the whole physical plan in one
+//! engine, fed by the shared splitter loop ([`crate::rebalance::drive`])
+//! through a carrier that is a direct engine call, with per-host work
+//! accounted from the operator counters afterwards.
 
 use serde::Serialize;
 
 use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
-use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, KeySketch};
-use qap_plan::LogicalNode;
-use qap_types::{ColumnBatch, Tuple};
+use qap_optimizer::DistributedPlan;
+use qap_types::Tuple;
 
-use crate::rebalance::{self, ImbalanceDetector, MigrationSpec};
+use crate::rebalance::{
+    drive, extract_rerouted, Carrier, Controller, ExtractJob, Handoff, StateRows,
+};
+use crate::splitter::{plan_streams, single_stream, Splitter, Staged};
 use crate::transport::{TransportConfig, TransportMetrics};
 
 /// Per-tuple work-unit charges. The absolute scale is arbitrary — CPU
@@ -195,181 +197,71 @@ pub fn run_distributed(
     trace: &[Tuple],
     cfg: &SimConfig,
 ) -> ExecResult<SimResult> {
-    let mut streams: Vec<&str> = Vec::new();
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, .. } = plan.dag.node(id) {
-            if !streams.iter().any(|s| s.eq_ignore_ascii_case(stream)) {
-                streams.push(stream);
-            }
-        }
-    }
-    let [stream] = streams[..] else {
-        return Err(ExecError::BadPlan(format!(
-            "plan reads {} streams; use run_distributed_multi and feed each",
-            streams.len()
-        )));
-    };
-    let stream = stream.to_string();
-    run_distributed_multi(plan, &[(&stream, trace)], cfg)
+    let scans = single_stream(plan)?;
+    run_distributed_multi(plan, &[(&scans.stream, trace)], cfg)
 }
 
 /// Executes a distributed plan over time-ordered traces of its source
 /// streams. The paper's framework partitions every source with the same
 /// partitioning set (Section 4's simplifying assumption), so one
 /// splitter configuration drives all feeds.
+///
+/// Every host lives in one engine here, so the splitter's carrier is a
+/// direct engine call, and a migration "ships" state by
+/// extract→absorb between plan nodes — the same
+/// [`Engine::flush_before`]/[`Engine::extract_state`]/
+/// [`Engine::absorb_state`] contract the threaded and remote runners
+/// drive over their transports.
 pub fn run_distributed_multi(
     plan: &DistributedPlan,
     feeds: &[(&str, &[Tuple])],
     cfg: &SimConfig,
 ) -> ExecResult<SimResult> {
-    if cfg.transport.rebalance.enabled {
-        return run_distributed_adaptive(plan, feeds, cfg);
-    }
-    // Locate partition scans, grouped by stream.
-    let mut scans: HashMap<(String, u32), usize> = HashMap::new();
-    let mut streams: Vec<String> = Vec::new();
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            let key = stream.to_ascii_lowercase();
-            if !streams.contains(&key) {
-                streams.push(key.clone());
-            }
-            let p = partition.ok_or_else(|| {
-                ExecError::BadPlan("distributed plan contains an unpartitioned source".into())
-            })?;
-            scans.insert((key, p), id);
-        }
-    }
-    for stream in &streams {
-        if !feeds.iter().any(|(s, _)| s.eq_ignore_ascii_case(stream)) {
+    let streams = plan_streams(plan)?;
+    for s in &streams {
+        if !feeds.iter().any(|(f, _)| f.eq_ignore_ascii_case(&s.stream)) {
             return Err(ExecError::BadPlan(format!(
-                "plan reads stream '{stream}' but no feed was provided"
+                "plan reads stream '{}' but no feed was provided",
+                s.stream.to_ascii_lowercase()
             )));
         }
     }
+    let (mut controller, mut control) =
+        Controller::attach(plan, cfg.transport.rebalance, &streams, None, None);
 
-    let m = plan.partitioning.partitions;
     let sink_nodes: Vec<usize> = plan.outputs.iter().map(|o| o.node).collect();
     let mut engine = Engine::with_sinks(&plan.dag, &sink_nodes)?;
     engine.set_batch_config(cfg.batch);
 
     let mut duration = 1.0f64;
     for (stream, trace) in feeds {
-        let key = stream.to_ascii_lowercase();
-        if !streams.contains(&key) {
-            // A feed for a stream the plan never reads is ignored.
+        // A feed for a stream the plan never reads is ignored.
+        let Some(scans) = streams
+            .iter()
+            .find(|s| s.stream.eq_ignore_ascii_case(stream))
+        else {
             continue;
-        }
-        let schema = plan
-            .dag
-            .catalog()
-            .get(stream)
-            .expect("plan catalog has its stream")
-            .clone();
-        let hash = match &plan.partitioning.strategy {
-            SplitStrategy::RoundRobin => None,
-            SplitStrategy::Hash(set) => Some(
-                HashPartitioner::new(set, &schema, m)
-                    .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?,
-            ),
         };
-        // Partition → scan node, resolved once per feed; the split loop
-        // then stages tuples into per-partition buffers and feeds each
-        // scan a batch at a time. Partition assignment is hoisted to
-        // chunk granularity: each chunk transposes once and the lane
-        // fold assigns every row in one sweep (string lanes
-        // dictionary-encode, so each distinct value hashes once).
-        // Assignments are bit-identical to per-row hashing, and the
-        // staging/flush schedule below is untouched — downstream
-        // arrival order is exactly the row splitter's.
-        let scan_of: Vec<usize> = (0..m).map(|p| scans[&(key.clone(), p as u32)]).collect();
-        let max = cfg.batch.max_batch;
-        let columnar = cfg.transport.columnar;
-        let arity = schema.arity();
-        let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-        // Columnar staging: per-partition SoA batches, transposed at
-        // the splitter (one value clone per field — the same copy the
-        // row path pays) and fed to `push_columns`, which swaps the
-        // buffer against a pooled batch; a pooled batch of another
-        // arity is re-armed before reuse.
-        let mut cbufs: Vec<ColumnBatch> = if columnar {
-            (0..m).map(|_| ColumnBatch::new(arity)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut rr = 0usize;
-        let mut parts: Vec<u32> = Vec::new();
-        for chunk in trace.chunks(max.max(1)) {
-            let lane_ok = match &hash {
-                Some(h) => {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    h.partition_columns(&cols, &mut parts)
-                }
-                None => false,
-            };
-            for (i, tuple) in chunk.iter().enumerate() {
-                let p = if lane_ok {
-                    parts[i] as usize
-                } else {
-                    match &hash {
-                        Some(h) => h.partition(tuple),
-                        None => {
-                            let p = rr;
-                            rr = (rr + 1) % m;
-                            p
-                        }
-                    }
-                };
-                if columnar {
-                    cbufs[p].push_row(tuple);
-                    if cbufs[p].rows() >= max {
-                        // Ship encoded lanes: string columns go over
-                        // the wire as dictionary codes, and the engine
-                        // inherits the encoding.
-                        cbufs[p].dict_encode_strings();
-                        engine.push_columns(scan_of[p], &mut cbufs[p])?;
-                        if cbufs[p].arity() != arity {
-                            cbufs[p] = ColumnBatch::new(arity);
-                        }
-                    }
-                } else {
-                    bufs[p].push(tuple.clone());
-                    if bufs[p].len() >= max {
-                        engine.push_batch(scan_of[p], &mut bufs[p])?;
-                    }
-                }
-            }
-        }
-        // Tail flush, in ascending scan-node order so the residue feeds
-        // deterministically regardless of partition numbering.
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_unstable_by_key(|&p| scan_of[p]);
-        for p in order {
-            if columnar {
-                if cbufs[p].rows() > 0 {
-                    cbufs[p].dict_encode_strings();
-                    engine.push_columns(scan_of[p], &mut cbufs[p])?;
-                }
-            } else if !bufs[p].is_empty() {
-                engine.push_batch(scan_of[p], &mut bufs[p])?;
-            }
-        }
-        duration = duration.max(trace_duration(&schema, trace));
+        let mut splitter = Splitter::new(plan, scans, cfg, controller.is_some())?;
+        drive(
+            &mut splitter,
+            controller.as_mut(),
+            &mut control,
+            trace,
+            &mut InEngine(&mut engine),
+        )?;
+        duration = duration.max(trace_duration(&scans.schema, trace));
     }
     engine.finish()?;
 
     let counters = engine.counters().to_vec();
     let node_metrics = engine.metrics();
     let mut metrics = account(plan, &counters, duration, cfg);
+    control.apply(&mut metrics);
 
-    let mut outputs = Vec::new();
-    for o in &plan.outputs {
-        let name = o
-            .name
-            .clone()
-            .unwrap_or_else(|| format!("query{}", o.logical));
-        outputs.push((name, engine.output(o.node)));
+    let mut outputs = named_outputs(plan);
+    for (o, out) in plan.outputs.iter().zip(&mut outputs) {
+        out.1 = engine.output(o.node);
     }
     metrics.output_rows = outputs
         .iter()
@@ -384,302 +276,62 @@ pub fn run_distributed_multi(
     })
 }
 
-/// Re-runs statically (controller off) and records why the adaptive
-/// path declined.
-fn static_fallback(
-    plan: &DistributedPlan,
-    feeds: &[(&str, &[Tuple])],
-    cfg: &SimConfig,
-    reason: String,
-) -> ExecResult<SimResult> {
-    let mut cfg = *cfg;
-    cfg.transport.rebalance.enabled = false;
-    let mut r = run_distributed_multi(plan, feeds, &cfg)?;
-    r.metrics.rebalance_fallback = Some(reason);
-    Ok(r)
-}
-
-/// The adaptive splitter loop: feed one sample epoch, read the load
-/// gauges, and when the imbalance detector fires, drain-and-handoff
-/// group state at the epoch boundary before swapping the bucket
-/// assignment. In the deterministic simulator every host lives in one
-/// engine, so "shipping" state is an extract→absorb between plan nodes
-/// — the same [`Engine::flush_before`]/[`Engine::extract_state`]/
-/// [`Engine::absorb_state`] contract the threaded and remote runners
-/// drive over their transports.
-fn run_distributed_adaptive(
-    plan: &DistributedPlan,
-    feeds: &[(&str, &[Tuple])],
-    cfg: &SimConfig,
-) -> ExecResult<SimResult> {
-    let reb = cfg.transport.rebalance;
-    let spec = match rebalance::migration_spec(plan) {
-        Ok(s) => s,
-        Err(reason) => return static_fallback(plan, feeds, cfg, reason),
-    };
-    let mut scans: HashMap<u32, usize> = HashMap::new();
-    let mut stream_name: Option<String> = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            let key = stream.to_ascii_lowercase();
-            match &stream_name {
-                None => stream_name = Some(key),
-                Some(s) if *s == key => {}
-                Some(_) => {
-                    return static_fallback(
-                        plan,
-                        feeds,
-                        cfg,
-                        "adaptive splitter supports a single source stream".into(),
-                    );
-                }
-            }
-            let p = partition.ok_or_else(|| {
-                ExecError::BadPlan("distributed plan contains an unpartitioned source".into())
-            })?;
-            scans.insert(p, id);
-        }
-    }
-    let Some(stream) = stream_name else {
-        return static_fallback(plan, feeds, cfg, "plan reads no source stream".into());
-    };
-    let Some((_, trace)) = feeds.iter().find(|(s, _)| s.eq_ignore_ascii_case(&stream)) else {
-        return Err(ExecError::BadPlan(format!(
-            "plan reads stream '{stream}' but no feed was provided"
-        )));
-    };
-    let trace: &[Tuple] = trace;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("plan catalog has its stream")
-        .clone();
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return static_fallback(plan, feeds, cfg, format!("stream {stream} has no time column"));
-    };
-    let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-        unreachable!("migration_spec admits only hash strategies");
-    };
-
-    let m = plan.partitioning.partitions;
-    let hosts = plan.partitioning.hosts;
-    let mut splitter = HashPartitioner::with_buckets(set, &schema, m, reb.buckets_per_partition)
-        .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?;
-    let scan_of: Vec<usize> = (0..m)
-        .map(|p| {
-            scans.get(&(p as u32)).copied().ok_or_else(|| {
-                ExecError::BadPlan(format!("plan has no scan for partition {p}"))
-            })
+/// The plan's output names, each with an empty row set to fill in.
+pub(crate) fn named_outputs(plan: &DistributedPlan) -> Vec<(String, Vec<Tuple>)> {
+    plan.outputs
+        .iter()
+        .map(|o| {
+            let name = o
+                .name
+                .clone()
+                .unwrap_or_else(|| format!("query{}", o.logical));
+            (name, Vec::new())
         })
-        .collect::<ExecResult<_>>()?;
-
-    let sink_nodes: Vec<usize> = plan.outputs.iter().map(|o| o.node).collect();
-    let mut engine = Engine::with_sinks(&plan.dag, &sink_nodes)?;
-    engine.set_batch_config(cfg.batch);
-
-    let max = cfg.batch.max_batch.max(1);
-    let columnar = cfg.transport.columnar;
-    let arity = schema.arity();
-    let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-    let mut cbufs: Vec<ColumnBatch> = if columnar {
-        (0..m).map(|_| ColumnBatch::new(arity)).collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut detector = ImbalanceDetector::new(reb);
-    let mut host_tuples = vec![0u64; hosts];
-    let mut bucket_tuples = vec![0u64; splitter.bucket_count()];
-    let mut repartitions = 0u64;
-    let mut migrated = 0u64;
-    let mut pause_ms = 0.0f64;
-    let mut peak_imbalance = 1.0f64;
-
-    let t0 = trace
-        .first()
-        .map(|t| t.get(tidx).as_u64().unwrap_or(0))
-        .unwrap_or(0);
-    let mut epoch_end = t0 + reb.sample_secs;
-    let mut start = 0usize;
-    let mut parts: Vec<u32> = Vec::new();
-    let mut buckets: Vec<u32> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    let mut sketch = KeySketch::with_defaults();
-    while start < trace.len() {
-        let mut end = start;
-        while end < trace.len() && trace[end].get(tidx).as_u64().unwrap_or(0) < epoch_end {
-            end += 1;
-        }
-        // Feed this epoch's segment exactly as the static splitter
-        // does, counting per-host and per-bucket routed tuples from
-        // the same hash sweep. The key sketch rides the same hashes,
-        // so frequency tracking costs no extra hashing pass.
-        for chunk in trace[start..end].chunks(max) {
-            let lane_ok = {
-                let mut cols = ColumnBatch::from_rows(chunk);
-                cols.dict_encode_strings();
-                splitter.route_columns_hashed(&cols, &mut parts, &mut buckets, &mut hashes)
-            };
-            for (i, tuple) in chunk.iter().enumerate() {
-                let (p, b) = if lane_ok {
-                    sketch.observe(hashes[i]);
-                    (parts[i] as usize, buckets[i] as usize)
-                } else {
-                    sketch.observe(splitter.key_hash(tuple));
-                    (splitter.partition(tuple), splitter.bucket(tuple))
-                };
-                host_tuples[plan.partitioning.host_of_partition(p)] += 1;
-                bucket_tuples[b] += 1;
-                if columnar {
-                    cbufs[p].push_row(tuple);
-                    if cbufs[p].rows() >= max {
-                        cbufs[p].dict_encode_strings();
-                        engine.push_columns(scan_of[p], &mut cbufs[p])?;
-                        if cbufs[p].arity() != arity {
-                            cbufs[p] = ColumnBatch::new(arity);
-                        }
-                    }
-                } else {
-                    bufs[p].push(tuple.clone());
-                    if bufs[p].len() >= max {
-                        engine.push_batch(scan_of[p], &mut bufs[p])?;
-                    }
-                }
-            }
-        }
-        // Epoch boundary: flush staged residue (the drain step needs
-        // every routed tuple inside the engine), in scan order.
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_unstable_by_key(|&p| scan_of[p]);
-        for p in order {
-            if columnar {
-                if cbufs[p].rows() > 0 {
-                    cbufs[p].dict_encode_strings();
-                    engine.push_columns(scan_of[p], &mut cbufs[p])?;
-                }
-                // Unlike the static splitter's one-shot tail flush, the
-                // buffers live on into the next epoch: re-arm a pooled
-                // swap-in of another arity before reuse.
-                if cbufs[p].arity() != arity {
-                    cbufs[p] = ColumnBatch::new(arity);
-                }
-            } else if !bufs[p].is_empty() {
-                engine.push_batch(scan_of[p], &mut bufs[p])?;
-            }
-        }
-        if end < trace.len() {
-            peak_imbalance = peak_imbalance.max(rebalance::imbalance(&host_tuples));
-            if detector.observe(&host_tuples)
-                && rebalance::hot_key_floor(&sketch, hosts) < reb.threshold
-            {
-                if let Some(next) = rebalance::plan_assignment(
-                    splitter.assignment(),
-                    &bucket_tuples,
-                    m,
-                    hosts,
-                ) {
-                    let timer = std::time::Instant::now();
-                    migrated += migrate_in_engine(
-                        &mut engine,
-                        &spec,
-                        set,
-                        m,
-                        reb.buckets_per_partition,
-                        &next,
-                        epoch_end,
-                    )?;
-                    pause_ms += timer.elapsed().as_secs_f64() * 1e3;
-                    splitter.set_assignment(next);
-                    repartitions += 1;
-                }
-            }
-            host_tuples.fill(0);
-            bucket_tuples.fill(0);
-            sketch.clear();
-        }
-        start = end;
-        epoch_end += reb.sample_secs;
-    }
-    engine.finish()?;
-
-    let duration = trace_duration(&schema, trace);
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let mut metrics = account(plan, &counters, duration, cfg);
-    metrics.repartitions = repartitions;
-    metrics.migrated_keys = migrated;
-    metrics.migration_pause_ms = pause_ms;
-    metrics.load_imbalance = peak_imbalance;
-
-    let mut outputs = Vec::new();
-    for o in &plan.outputs {
-        let name = o
-            .name
-            .clone()
-            .unwrap_or_else(|| format!("query{}", o.logical));
-        outputs.push((name, engine.output(o.node)));
-    }
-    metrics.output_rows = outputs
-        .iter()
-        .map(|(n, rows)| (n.clone(), rows.len() as u64))
-        .collect();
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters,
-        node_metrics,
-        failures: Vec::new(),
-    })
+        .collect()
 }
 
-/// One drain-and-handoff inside a single engine: for every replica
-/// family, force-close windows before `boundary`, extract the groups
-/// whose keys re-route under `next`, and absorb them into the replica
-/// that now owns their partition. Returns the number of state rows
-/// moved.
-fn migrate_in_engine(
-    engine: &mut Engine,
-    spec: &MigrationSpec,
-    set: &qap_partition::PartitionSet,
-    partitions: usize,
-    buckets_per_partition: usize,
-    next: &[u32],
-    boundary: u64,
-) -> ExecResult<u64> {
-    let mut moved = 0u64;
-    for fam in &spec.families {
-        let mut keyp =
-            HashPartitioner::with_buckets(set, &fam.schema, partitions, buckets_per_partition)
-                .map_err(|e| ExecError::BadPlan(format!("migration key partitioner: {e}")))?;
-        keyp.set_assignment(next.to_vec());
-        for mem in &fam.members {
-            engine.flush_before(mem.node, boundary)?;
-        }
-        let mut per_dest: HashMap<usize, Vec<Tuple>> = HashMap::new();
-        for mem in &fam.members {
-            let owned = &mem.partitions;
-            let rows = engine.extract_state(mem.node, &mut |key| {
-                let p = keyp.partition(&Tuple::new(key.to_vec())) as u32;
-                !owned.contains(&p)
-            });
-            for row in rows {
-                let p = keyp.partition(&row) as u32;
-                let dest = fam
-                    .member_of_partition(p)
-                    .expect("spec covers every partition")
-                    .node;
-                per_dest.entry(dest).or_default().push(row);
+/// The simulator's carrier: every unit is the one engine.
+struct InEngine<'a>(&'a mut Engine);
+
+impl Carrier for InEngine<'_> {
+    fn feed(&mut self, scan: usize, batch: Staged<'_>) -> ExecResult<()> {
+        match batch {
+            Staged::Rows(rows) => self.0.push_batch(scan, rows),
+            Staged::Columns(cols) => {
+                // Ship encoded lanes: string columns enter the engine
+                // as dictionary codes.
+                cols.dict_encode_strings();
+                self.0.push_columns(scan, cols)
             }
         }
-        let mut dests: Vec<(usize, Vec<Tuple>)> = per_dest.into_iter().collect();
-        dests.sort_unstable_by_key(|(d, _)| *d);
-        for (dest, mut rows) in dests {
-            moved += rows.len() as u64;
-            engine.absorb_state(dest, &mut rows)?;
-        }
     }
-    Ok(moved)
+
+    fn extract(
+        &mut self,
+        handoff: &Handoff<'_>,
+        jobs: Vec<ExtractJob>,
+    ) -> ExecResult<(Vec<StateRows>, bool)> {
+        for job in &jobs {
+            self.0.flush_before(job.node, handoff.boundary)?;
+        }
+        let extracted = jobs
+            .iter()
+            .map(|job| {
+                (
+                    job.node,
+                    extract_rerouted(self.0, job.node, &job.keyp, &job.owned),
+                )
+            })
+            .collect();
+        Ok((extracted, false))
+    }
+
+    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
+        for (node, mut rows) in batches {
+            self.0.absorb_state(node, &mut rows)?;
+        }
+        Ok(true)
+    }
 }
 
 /// Span of the trace's temporal attribute, in seconds.

@@ -1,0 +1,447 @@
+//! The splitter in front of the hosts (Section 3.3).
+//!
+//! Every runner — the simulator, the threaded runner, the socket
+//! coordinator — routes its feed through one [`Splitter`]: hash
+//! (through a virtual-bucket assignment table) or round-robin
+//! assignment of raw tuples to partitions, staged into
+//! `max_batch`-tuple batches per partition and handed to the runner's
+//! carrier a full batch at a time, with the partial tails flushed in
+//! ascending scan-node order. A *static* deployment is simply a table
+//! nobody rewrites; the rebalance controller
+//! ([`crate::rebalance::Controller`]) rewrites it between epochs.
+
+use qap_exec::{ExecError, ExecResult};
+use qap_optimizer::{DistributedPlan, SplitStrategy};
+use qap_partition::{HashPartitioner, KeySketch};
+use qap_plan::{LogicalNode, NodeId};
+use qap_types::{ColumnBatch, Schema, Tuple};
+
+use crate::sim::SimConfig;
+
+/// One base stream's partition scans.
+pub(crate) struct StreamScans {
+    /// Stream name as the plan spells it.
+    pub(crate) stream: String,
+    pub(crate) schema: Schema,
+    /// Partition → scan node.
+    pub(crate) scan_of: Vec<NodeId>,
+}
+
+/// Locates the plan's partition scans, grouped by base stream in order
+/// of first appearance.
+pub(crate) fn plan_streams(plan: &DistributedPlan) -> ExecResult<Vec<StreamScans>> {
+    let m = plan.partitioning.partitions;
+    let mut found: Vec<(String, Vec<Option<NodeId>>)> = Vec::new();
+    for id in plan.dag.topo_order() {
+        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
+            let p = partition.ok_or_else(|| {
+                ExecError::BadPlan("distributed plan contains an unpartitioned source".into())
+            })? as usize;
+            let at = match found
+                .iter()
+                .position(|(s, _)| s.eq_ignore_ascii_case(stream))
+            {
+                Some(at) => at,
+                None => {
+                    found.push((stream.clone(), vec![None; m]));
+                    found.len() - 1
+                }
+            };
+            *found[at].1.get_mut(p).ok_or_else(|| {
+                ExecError::BadPlan(format!("scan of partition {p} but the plan has {m}"))
+            })? = Some(id);
+        }
+    }
+    found
+        .into_iter()
+        .map(|(stream, scans)| {
+            let schema = plan.dag.catalog().get(&stream).cloned().ok_or_else(|| {
+                ExecError::BadPlan(format!("plan catalog has no stream '{stream}'"))
+            })?;
+            let scan_of = scans
+                .into_iter()
+                .enumerate()
+                .map(|(p, s)| {
+                    s.ok_or_else(|| {
+                        ExecError::BadPlan(format!("plan has no scan for partition {p}"))
+                    })
+                })
+                .collect::<ExecResult<_>>()?;
+            Ok(StreamScans {
+                stream,
+                schema,
+                scan_of,
+            })
+        })
+        .collect()
+}
+
+/// The scans of a plan fed by exactly one trace.
+pub(crate) fn single_stream(plan: &DistributedPlan) -> ExecResult<StreamScans> {
+    let mut streams = plan_streams(plan)?;
+    if streams.len() != 1 {
+        return Err(ExecError::BadPlan(format!(
+            "plan reads {} streams; use run_distributed_multi and feed each",
+            streams.len()
+        )));
+    }
+    Ok(streams.remove(0))
+}
+
+/// A staged batch on its way to a scan. The receiver must drain it (as
+/// `Engine::push_batch`/`push_columns` and [`Staged::take`] do); the
+/// buffer stays with the splitter.
+pub(crate) enum Staged<'a> {
+    Rows(&'a mut Vec<Tuple>),
+    Columns(&'a mut ColumnBatch),
+}
+
+/// An owned feed batch, as it crosses a unit's inbox: what the engine
+/// ingests, in the representation the run stages
+/// ([`crate::TransportConfig::columnar`]). Columnar staging transposes
+/// once, at the splitter, and moves no per-tuple allocation between
+/// threads.
+pub(crate) enum Batch {
+    Rows(Vec<Tuple>),
+    Columns(ColumnBatch),
+}
+
+impl Batch {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Batch::Rows(rows) => rows.len(),
+            Batch::Columns(cols) => cols.rows(),
+        }
+    }
+}
+
+impl Staged<'_> {
+    /// Moves the batch out, leaving an empty buffer behind.
+    pub(crate) fn take(self) -> Batch {
+        match self {
+            Staged::Rows(rows) => Batch::Rows(std::mem::take(rows)),
+            Staged::Columns(cols) => {
+                let empty = ColumnBatch::new(cols.arity());
+                Batch::Columns(std::mem::replace(cols, empty))
+            }
+        }
+    }
+}
+
+/// What the controller reads at an epoch boundary: tuples routed per
+/// host and per virtual bucket since the last reset, and the key
+/// frequencies seen by the same hash sweep.
+pub(crate) struct Gauges {
+    pub(crate) host_tuples: Vec<u64>,
+    pub(crate) bucket_tuples: Vec<u64>,
+    pub(crate) sketch: KeySketch,
+}
+
+enum Route {
+    Hash(HashPartitioner),
+    RoundRobin(usize),
+}
+
+enum Stage {
+    Rows(Vec<Vec<Tuple>>),
+    Columns(Vec<ColumnBatch>),
+}
+
+pub(crate) struct Splitter {
+    route: Route,
+    scan_of: Vec<NodeId>,
+    /// Partitions in ascending scan-node order: the tail-flush order.
+    tail_order: Vec<usize>,
+    host_of: Vec<usize>,
+    max: usize,
+    arity: usize,
+    stage: Stage,
+    parts: Vec<u32>,
+    buckets: Vec<u32>,
+    hashes: Vec<u64>,
+    gauges: Option<Gauges>,
+}
+
+impl Splitter {
+    /// A splitter over `scans` with the identity assignment table
+    /// (which routes bit-identically to the closed-form range split),
+    /// staging `cfg.batch.max_batch`-tuple batches in the representation
+    /// `cfg.transport.columnar` selects. `gauged` turns on load
+    /// accounting and is only meaningful for hash strategies.
+    pub(crate) fn new(
+        plan: &DistributedPlan,
+        scans: &StreamScans,
+        cfg: &SimConfig,
+        gauged: bool,
+    ) -> ExecResult<Splitter> {
+        let part = &plan.partitioning;
+        let m = part.partitions;
+        let buckets_per_partition = cfg.transport.rebalance.buckets_per_partition;
+        let route = match &part.strategy {
+            SplitStrategy::RoundRobin => Route::RoundRobin(0),
+            SplitStrategy::Hash(set) => Route::Hash(
+                HashPartitioner::with_buckets(set, &scans.schema, m, buckets_per_partition)
+                    .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?,
+            ),
+        };
+        let gauges = match &route {
+            Route::Hash(h) if gauged => Some(Gauges {
+                host_tuples: vec![0; part.hosts],
+                bucket_tuples: vec![0; h.bucket_count()],
+                sketch: KeySketch::with_defaults(),
+            }),
+            _ => None,
+        };
+        let arity = scans.schema.arity();
+        let mut tail_order: Vec<usize> = (0..m).collect();
+        tail_order.sort_unstable_by_key(|&p| scans.scan_of[p]);
+        Ok(Splitter {
+            route,
+            scan_of: scans.scan_of.clone(),
+            tail_order,
+            host_of: (0..m).map(|p| part.host_of_partition(p)).collect(),
+            max: cfg.batch.max_batch.max(1),
+            arity,
+            stage: if cfg.transport.columnar {
+                Stage::Columns((0..m).map(|_| ColumnBatch::new(arity)).collect())
+            } else {
+                Stage::Rows(vec![Vec::new(); m])
+            },
+            parts: Vec::new(),
+            buckets: Vec::new(),
+            hashes: Vec::new(),
+            gauges,
+        })
+    }
+
+    /// Routes `feed` in arrival order, handing every batch that fills
+    /// to `emit(scan, batch)`. Partition assignment is hoisted to chunk
+    /// granularity: each chunk transposes once and the lane fold hashes
+    /// every row in one sweep, bit-identically to per-row hashing.
+    pub(crate) fn route(
+        &mut self,
+        feed: &[Tuple],
+        emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+    ) -> ExecResult<()> {
+        for chunk in feed.chunks(self.max) {
+            let lane_ok = match &self.route {
+                Route::Hash(h) => {
+                    let mut cols = ColumnBatch::from_rows(chunk);
+                    cols.dict_encode_strings();
+                    h.route_columns_hashed(
+                        &cols,
+                        &mut self.parts,
+                        &mut self.buckets,
+                        &mut self.hashes,
+                    )
+                }
+                Route::RoundRobin(_) => false,
+            };
+            for (i, tuple) in chunk.iter().enumerate() {
+                let p = match &mut self.route {
+                    Route::RoundRobin(next) => {
+                        let p = *next;
+                        *next = (p + 1) % self.scan_of.len();
+                        p
+                    }
+                    Route::Hash(h) => {
+                        let p = if lane_ok {
+                            self.parts[i] as usize
+                        } else {
+                            h.partition(tuple)
+                        };
+                        if let Some(g) = &mut self.gauges {
+                            let (b, key) = if lane_ok {
+                                (self.buckets[i] as usize, self.hashes[i])
+                            } else {
+                                (h.bucket(tuple), h.key_hash(tuple))
+                            };
+                            g.sketch.observe(key);
+                            g.host_tuples[self.host_of[p]] += 1;
+                            g.bucket_tuples[b] += 1;
+                        }
+                        p
+                    }
+                };
+                match &mut self.stage {
+                    Stage::Rows(bufs) => {
+                        bufs[p].push(tuple.clone());
+                        if bufs[p].len() >= self.max {
+                            emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
+                        }
+                    }
+                    Stage::Columns(bufs) => {
+                        bufs[p].push_row(tuple);
+                        if bufs[p].rows() >= self.max {
+                            emit_columns(&mut bufs[p], self.scan_of[p], self.arity, emit)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands out every partial batch, in ascending scan-node order so
+    /// the residue feeds deterministically regardless of partition
+    /// numbering. The buffers stay usable for the next epoch.
+    pub(crate) fn flush(
+        &mut self,
+        emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+    ) -> ExecResult<()> {
+        for &p in &self.tail_order {
+            match &mut self.stage {
+                Stage::Rows(bufs) => {
+                    if !bufs[p].is_empty() {
+                        emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
+                    }
+                }
+                Stage::Columns(bufs) => {
+                    if bufs[p].rows() > 0 {
+                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, emit)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The load gauges, when the splitter was built `gauged` over a
+    /// hash strategy.
+    pub(crate) fn gauges(&self) -> Option<&Gauges> {
+        self.gauges.as_ref()
+    }
+
+    /// Zeroes the gauges for the next sample epoch.
+    pub(crate) fn reset_gauges(&mut self) {
+        if let Some(g) = &mut self.gauges {
+            g.host_tuples.fill(0);
+            g.bucket_tuples.fill(0);
+            g.sketch.clear();
+        }
+    }
+
+    /// The current bucket → partition table (empty for round-robin).
+    pub(crate) fn assignment(&self) -> &[u32] {
+        match &self.route {
+            Route::Hash(h) => h.assignment(),
+            Route::RoundRobin(_) => &[],
+        }
+    }
+
+    /// Swaps in the next table: the atomic re-route at an epoch
+    /// boundary.
+    pub(crate) fn set_assignment(&mut self, next: Vec<u32>) {
+        if let Route::Hash(h) = &mut self.route {
+            h.set_assignment(next);
+        }
+    }
+}
+
+/// Ships one columnar batch. `Engine::push_columns` swaps the buffer
+/// against a pooled batch; one of another arity is re-armed before
+/// reuse.
+fn emit_columns(
+    buf: &mut ColumnBatch,
+    scan: NodeId,
+    arity: usize,
+    emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+) -> ExecResult<()> {
+    emit(scan, Staged::Columns(buf))?;
+    if buf.arity() != arity {
+        *buf = ColumnBatch::new(arity);
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qap_optimizer::{optimize, OptimizerConfig, Partitioning};
+    use qap_partition::PartitionSet;
+    use qap_sql::QuerySetBuilder;
+    use qap_trace::{generate, TraceConfig};
+    use qap_types::Catalog;
+
+    fn plan_for(part: &Partitioning) -> DistributedPlan {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.add_query(
+            "flows",
+            "SELECT tb, srcIP, destIP, COUNT(*) as cnt FROM TCP \
+             GROUP BY time/60 as tb, srcIP, destIP",
+        )
+        .unwrap();
+        optimize(&b.build(), part, &OptimizerConfig::full()).unwrap()
+    }
+
+    /// The splitter's contract written out the slow way: per-row
+    /// partitioning, `max`-tuple staging, tails in ascending scan order.
+    fn reference(
+        plan: &DistributedPlan,
+        scans: &StreamScans,
+        trace: &[Tuple],
+        max: usize,
+    ) -> Vec<(NodeId, Vec<Tuple>)> {
+        let m = plan.partitioning.partitions;
+        let hash = match &plan.partitioning.strategy {
+            SplitStrategy::Hash(set) => Some(HashPartitioner::new(set, &scans.schema, m).unwrap()),
+            SplitStrategy::RoundRobin => None,
+        };
+        let mut out = Vec::new();
+        let mut stage: Vec<Vec<Tuple>> = vec![Vec::new(); m];
+        for (i, t) in trace.iter().enumerate() {
+            let p = hash.as_ref().map_or(i % m, |h| h.partition(t));
+            stage[p].push(t.clone());
+            if stage[p].len() >= max {
+                out.push((scans.scan_of[p], std::mem::take(&mut stage[p])));
+            }
+        }
+        let mut tail: Vec<(NodeId, usize)> = (0..m).map(|p| (scans.scan_of[p], p)).collect();
+        tail.sort_unstable();
+        for (scan, p) in tail {
+            if !stage[p].is_empty() {
+                out.push((scan, std::mem::take(&mut stage[p])));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn identity_table_without_controller_matches_row_by_row_routing() {
+        let trace = generate(&TraceConfig::tiny(17));
+        for part in [
+            Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 3),
+            Partitioning::round_robin(3),
+        ] {
+            let plan = plan_for(&part);
+            let scans = single_stream(&plan).unwrap();
+            for columnar in [false, true] {
+                let cfg = SimConfig {
+                    batch: qap_exec::BatchConfig::new(7),
+                    transport: crate::TransportConfig::default().with_columnar(columnar),
+                    ..SimConfig::default()
+                };
+                let mut splitter = Splitter::new(&plan, &scans, &cfg, false).unwrap();
+                let mut got: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
+                let mut emit = |scan: NodeId, batch: Staged<'_>| {
+                    got.push((
+                        scan,
+                        match batch.take() {
+                            Batch::Rows(rows) => rows,
+                            Batch::Columns(cols) => cols.to_rows(),
+                        },
+                    ));
+                    Ok(())
+                };
+                splitter.route(&trace, &mut emit).unwrap();
+                splitter.flush(&mut emit).unwrap();
+                assert!(splitter.gauges().is_none());
+                assert_eq!(
+                    got,
+                    reference(&plan, &scans, &trace, 7),
+                    "columnar={columnar}"
+                );
+            }
+        }
+    }
+}

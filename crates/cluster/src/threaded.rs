@@ -15,6 +15,17 @@
 //!   ([`TransportConfig::partition_parallel`]; turning it off restores
 //!   the one-thread-per-host baseline).
 //!
+//! A splitter thread runs the shared feed loop
+//! ([`crate::rebalance::drive`]): it routes the trace and streams each
+//! staged batch into the owning unit's unbounded inbox. Leaf units
+//! apply their inbox in order; the central unit, when the decomposition
+//! leaves it scans of its own (host-serial), drains its inbox first and
+//! then the boundary. Static partitioning is that loop with no
+//! rebalance controller attached; with one, the same inboxes carry the
+//! two halves of each drain-and-handoff. One [`stitch`] merges the unit
+//! results (the socket coordinator in [`crate::remote`] reuses it, the
+//! decomposition and the central unit).
+//!
 //! Boundary data crosses units as **length-prefixed wire frames** (up
 //! to [`TransportConfig::frame_batch`] tuples per frame, staged through
 //! reusable scratch) over a **bounded** channel of
@@ -54,7 +65,7 @@
 //! suite; the default plan injects nothing and leaves the clean path
 //! bit-identical.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -64,17 +75,18 @@ use qap_exec::{
 };
 use crossbeam::channel as chan;
 use qap_obs::SharedGauge;
-use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, KeySketch, PartitionSet};
+use qap_optimizer::DistributedPlan;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, Schema, Tuple,
-    FRAME_HEADER_LEN,
+    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, Tuple, FRAME_HEADER_LEN,
 };
 
 use crate::link::{ChannelTransport, FrameSink, FrameSource, RecvOutcome, SendOutcome, Transport};
-use crate::rebalance::{self, ImbalanceDetector, MigrationSpec};
-use crate::sim::{account, trace_duration, SimConfig, SimResult};
+use crate::rebalance::{
+    drive, extract_rerouted, Carrier, ControlStats, Controller, ExtractJob, Handoff, StateRows,
+};
+use crate::sim::{account, named_outputs, trace_duration, SimConfig, SimResult};
+use crate::splitter::{single_stream, Batch, Splitter, Staged, StreamScans};
 use crate::transport::{EdgeTransport, FaultPlan, TransportConfig, TransportMetrics};
 
 /// One execution unit's slice of the plan.
@@ -157,8 +169,11 @@ pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult
         };
         let node = match plan.dag.node(id).clone() {
             LogicalNode::Source { stream, partition } => {
+                let partition = partition.ok_or_else(|| {
+                    ExecError::BadPlan("distributed plan contains an unpartitioned source".into())
+                })?;
                 let lid = dag
-                    .add_partition_source(&stream, partition.expect("physical scan"))
+                    .add_partition_source(&stream, partition)
                     .map_err(|e| ExecError::BadPlan(e.to_string()))?;
                 local.insert(id, lid);
                 continue;
@@ -408,109 +423,79 @@ pub(crate) struct UnitRun {
     pub(crate) edges: Vec<EdgeTransport>,
 }
 
-/// The splitter's routing of the raw trace: each unit's feed is a
-/// sequence of per-scan batches in arrival order. Shared by the
-/// in-process runner and the socket coordinator so every transport sees
-/// byte-identical feed batching.
-pub(crate) struct SplitterFeed {
-    /// The base stream's schema (for trace-duration accounting).
-    pub(crate) schema: Schema,
-    /// Per-unit feed, indexed like `unit_nodes`.
-    pub(crate) per_unit: Vec<Vec<(NodeId, Vec<Tuple>)>>,
+/// The plan cut into execution units for one single-stream feed: what
+/// the threaded runner and the socket coordinator both deploy.
+pub(crate) struct Deployment {
+    /// Unit slices; element 0 is the central unit.
+    pub(crate) slices: Vec<UnitPlan>,
+    /// Plan node → index of the unit that runs it.
+    pub(crate) unit_of: Vec<usize>,
+    pub(crate) scans: StreamScans,
 }
 
-/// Routes trace tuples to execution units via the splitter: hash or
-/// round-robin partitioning into `max_batch`-tuple staged batches, with
-/// the partial tails flushed in ascending scan-node order for
-/// determinism. Tuples are cloned exactly once (out of the shared
-/// trace, into a staging buffer).
-pub(crate) fn split_trace(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    max_batch: usize,
-    unit_nodes: &[Vec<NodeId>],
-) -> ExecResult<SplitterFeed> {
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let m = plan.partitioning.partitions;
-    let hash = match &plan.partitioning.strategy {
-        SplitStrategy::RoundRobin => None,
-        SplitStrategy::Hash(set) => Some(
-            HashPartitioner::new(set, &schema, m)
-                .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?,
-        ),
-    };
-
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    let max = max_batch.max(1);
-    let mut per_unit: Vec<Vec<(NodeId, Vec<Tuple>)>> = vec![Vec::new(); unit_nodes.len()];
-    let mut stage: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-    let mut rr = 0usize;
-    // Partition assignment is chunked through the lane fold: each chunk
-    // transposes once and hashes column-at-a-time (string lanes
-    // dictionary-encode, so distinct values hash once). Assignments are
-    // bit-identical to per-row hashing, and the staging/flush schedule
-    // is untouched, so every unit sees the row splitter's exact feed.
-    let mut parts: Vec<u32> = Vec::new();
-    for chunk in trace.chunks(max) {
-        let lane_ok = match &hash {
-            Some(h) => {
-                let mut cols = ColumnBatch::from_rows(chunk);
-                cols.dict_encode_strings();
-                h.partition_columns(&cols, &mut parts)
-            }
-            None => false,
-        };
-        for (i, t) in chunk.iter().enumerate() {
-            let p = if lane_ok {
-                parts[i] as usize
-            } else {
-                match &hash {
-                    Some(h) => h.partition(t),
-                    None => {
-                        let p = rr;
-                        rr = (rr + 1) % m;
-                        p
-                    }
-                }
-            };
-            stage[p].push(t.clone());
-            if stage[p].len() >= max {
-                let scan = scan_of_partition[&(p as u32)];
-                per_unit[unit_of[scan]].push((scan, std::mem::take(&mut stage[p])));
+impl Deployment {
+    pub(crate) fn new(plan: &DistributedPlan, transport: &TransportConfig) -> ExecResult<Self> {
+        let scans = single_stream(plan)?;
+        let unit_nodes = compute_units(plan, plan.partitioning.aggregator_host, transport);
+        let slices: Vec<UnitPlan> = unit_nodes
+            .iter()
+            .map(|nodes| slice_unit(plan, nodes))
+            .collect::<ExecResult<_>>()?;
+        // Leaf units must be channel-source-free: their only inputs are
+        // trace partitions (the lowering sends leaf-tier data toward the
+        // central tier, never back out), and the central unit must not
+        // ship anything onward — otherwise the single rendezvous at the
+        // central unit could deadlock.
+        for s in &slices[1..] {
+            if !s.remote_in.is_empty() {
+                return Err(ExecError::BadPlan(format!(
+                    "leaf unit on host {} unexpectedly consumes remote streams",
+                    s.host
+                )));
             }
         }
+        if !slices[0].boundary.is_empty() {
+            return Err(ExecError::BadPlan(
+                "central unit unexpectedly ships boundary output".into(),
+            ));
+        }
+        let mut unit_of = vec![0; plan.dag.len()];
+        for (u, nodes) in unit_nodes.iter().enumerate() {
+            for &id in nodes {
+                unit_of[id] = u;
+            }
+        }
+        Ok(Deployment {
+            slices,
+            unit_of,
+            scans,
+        })
     }
-    // Tail flush in ascending scan-node order, for determinism.
-    let mut tail: Vec<(NodeId, usize)> = (0..m)
-        .filter(|&p| !stage[p].is_empty())
-        .map(|p| (scan_of_partition[&(p as u32)], p))
-        .collect();
-    tail.sort_unstable();
-    for (scan, p) in tail {
-        per_unit[unit_of[scan]].push((scan, std::mem::take(&mut stage[p])));
+
+    /// Whether the central unit owns partition scans (host-serial: the
+    /// aggregator host's own partitions run in its unit).
+    pub(crate) fn central_owns_scans(&self) -> bool {
+        self.scans.scan_of.iter().any(|&s| self.unit_of[s] == 0)
     }
-    Ok(SplitterFeed { schema, per_unit })
+}
+
+/// One splitter batch for a (global) scan node — what the central
+/// unit's inbox carries.
+pub(crate) type FeedBatch = (NodeId, Batch);
+
+/// Splitter→worker commands. Per-inbox FIFO is the protocol's ordering
+/// guarantee: by the time a worker sees `Extract`, every earlier `Feed`
+/// on the same inbox has been applied, which is exactly the drain step
+/// of drain-and-handoff. Dropping the inbox is end-of-stream.
+enum WorkerCmd {
+    Feed(NodeId, Batch),
+    /// Force-close windows before the boundary on every job's
+    /// aggregate, then extract re-routed group state; reply with
+    /// `(global node, rows)`. A dropped reply means the worker failed.
+    Extract(u64, Vec<ExtractJob>, chan::Sender<Vec<StateRows>>),
+    /// Merge shipped state rows into the listed (global) aggregates,
+    /// then ack.
+    Absorb(Vec<StateRows>, chan::Sender<()>),
 }
 
 /// Executes a distributed plan with partition-parallel worker threads
@@ -518,735 +503,55 @@ pub(crate) fn split_trace(
 /// [`crate::run_distributed`]; metrics are computed from the merged
 /// per-unit counters with the same accounting, plus the *measured*
 /// [`TransportMetrics`] from the frame path.
+///
+/// A splitter thread streams batches into the units' unbounded inboxes
+/// as it routes and, when a rebalance controller is attached, brackets
+/// each migration with `Extract` → `Absorb` over the same inboxes.
 pub fn run_distributed_threaded(
     plan: &DistributedPlan,
     trace: &[Tuple],
     cfg: &SimConfig,
 ) -> ExecResult<SimResult> {
-    if cfg.transport.rebalance.enabled {
-        return run_threaded_adaptive(plan, trace, cfg);
-    }
     let agg = plan.partitioning.aggregator_host;
     let transport = cfg.transport;
-
-    let unit_nodes = compute_units(plan, agg, &transport);
-    // Each unit's feed is a sequence of per-scan batches; from the
-    // splitter's staging buffer batches move — into the feed, then into
-    // the unit engine — with no further materialization.
-    let SplitterFeed {
-        schema,
-        per_unit: mut per_unit_feed,
-    } = split_trace(plan, trace, cfg.batch.max_batch, &unit_nodes)?;
-
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-
-    // Leaf units must be channel-source-free: their only inputs are
-    // trace partitions (the lowering sends leaf-tier data toward the
-    // central tier, never back out), and the central unit must not ship
-    // anything onward — otherwise the single rendezvous at the central
-    // thread could deadlock.
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
+    let dep = Deployment::new(plan, &transport)?;
+    let slices = &dep.slices;
+    // Migration commands reach leaf workers only.
+    let veto = dep
+        .central_owns_scans()
+        .then_some("host-serial unit decomposition: the central unit owns partition scans");
+    let (mut controller, mut control) = Controller::attach(
+        plan,
+        transport.rebalance,
+        std::slice::from_ref(&dep.scans),
+        veto,
+        None,
+    );
+    let mut splitter = Splitter::new(plan, &dep.scans, cfg, controller.is_some())?;
 
     // The boundary data path: one bounded frame channel fanning into
-    // the central unit. No unbounded buffering anywhere — producers
-    // block when `channel_capacity` frames are in flight.
+    // the central unit — producers block when `channel_capacity` frames
+    // are in flight.
     let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    // Live depth of the boundary channel (in-flight frames).
     let depth = SharedGauge::new();
-    // Blocking sends observed by producers (backpressure stalls).
     let stalls = AtomicU64::new(0);
-    // Frames discarded by the fault plan's drop knob.
     let dropped = AtomicU64::new(0);
-
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
-
-    let batch_cfg = cfg.batch;
-    let frame_batch = transport.frame_batch.max(1);
-    let columnar = transport.columnar;
     // Per-worker progress counters, owned by the driver so a panicking
     // worker's last consistent tuple count survives into its failure
     // record.
     let worker_tuples: Vec<AtomicU64> = (0..slices.len()).map(|_| AtomicU64::new(0)).collect();
-    type ScopeOut = (Vec<(usize, UnitRun)>, Vec<HostFailure>, u64);
-    let result: ExecResult<ScopeOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (u, slice) in slices.iter().enumerate().skip(1) {
-            // Move the feed into its worker thread — the batches were
-            // materialized once at the splitter and never copied again.
-            let feed = std::mem::take(&mut per_unit_feed[u]);
-            let shared = TxShared {
-                sink: tx.clone(),
-                depth: &depth,
-                stalls: &stalls,
-                dropped: &dropped,
-                tuples: &worker_tuples[u],
-                fault: transport.fault,
-                send_timeout_ms: transport.send_timeout_ms,
-                host: slice.host,
-            };
-            handles.push((
-                u,
-                scope.spawn(move || {
-                    // A worker panic (organic or injected) must not
-                    // propagate: catch it here and let the driver turn
-                    // it into a typed HostFailure. The closure's state
-                    // is moved in and abandoned on unwind, so
-                    // AssertUnwindSafe is sound.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_leaf_unit(slice, feed, batch_cfg, frame_batch, columnar, shared)
-                    }))
-                }),
-            ));
-        }
-        drop(tx);
-        // The central unit runs on this thread, concurrently with the
-        // workers.
-        let central_feed = std::mem::take(&mut per_unit_feed[0]);
-        let central = run_central_unit(
-            &slices[0],
-            central_feed,
-            batch_cfg,
-            columnar,
-            rx,
-            &depth,
-            &plan.host,
-            &transport,
-            agg,
-        );
-        // Join every worker before inspecting the central result: even
-        // a failing run must not leave a thread behind (std::thread::
-        // scope would join them anyway, but collecting their outcomes
-        // here is what turns panics into typed failure records).
-        let mut runs = Vec::new();
-        let mut failures: Vec<HostFailure> = Vec::new();
-        for (u, handle) in handles {
-            let outcome = handle.join().expect("catch_unwind never panics");
-            match outcome {
-                Ok(Ok(run)) => runs.push((u, run)),
-                Ok(Err(ExecError::Host(f))) => failures.push(f),
-                Ok(Err(e)) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Exec(Box::new(e)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-                Err(payload) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Panic(panic_message(payload)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-            }
-        }
-        let central = central?;
-        runs.insert(0, (0, central.run));
-        failures.extend(central.failures);
-        if !transport.partial_results {
-            if let Some(first) = failures.into_iter().next() {
-                return Err(first.into());
-            }
-            return Ok((runs, Vec::new(), central.corrupt_dropped));
-        }
-        Ok((runs, failures, central.corrupt_dropped))
-    });
-    let (runs, failures, corrupt_dropped) = result?;
-
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    for (u, run) in runs {
-        let slice = &slices[u];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = run.counters[local];
-            global_metrics[global] = run.node_metrics[local].clone();
-        }
-        for (idx, rows) in run.outputs {
-            outputs[idx].1 = rows;
-        }
-        edges.extend(run.edges);
-    }
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls.load(Ordering::Relaxed),
-        queue_peak: depth.peak(),
-        retries,
-        frames_dropped: dropped.load(Ordering::Relaxed),
-        frames_corrupt_dropped: corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch,
-    };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
-        failures,
-    })
-}
-
-/// One state-extraction order for a leaf worker: which aggregate to
-/// drain, the key partitioner bound to the *new* assignment table, and
-/// the partitions the member keeps (everything else ships).
-struct ExtractJob {
-    /// Global plan-node id of the member aggregate.
-    node: NodeId,
-    /// Routing partitioner over the aggregate's group-key prefix,
-    /// already carrying the next assignment table.
-    keyp: HashPartitioner,
-    /// Partitions this member still owns under the new table (sorted).
-    owned: Vec<u32>,
-}
-
-/// Driver→worker commands of the adaptive runner. Per-channel FIFO is
-/// the protocol's ordering guarantee: a `Flush` ack certifies every
-/// earlier `Feed` on the same channel was applied, which is exactly the
-/// drain step of drain-and-handoff. Dropping the channel is
-/// end-of-stream.
-enum WorkerCmd {
-    /// Route one splitter batch into the given (global) scan.
-    Feed(NodeId, Vec<Tuple>),
-    /// Force-close windows before the boundary on the listed (global)
-    /// aggregates, then ack success.
-    Flush(u64, Vec<NodeId>, chan::Sender<bool>),
-    /// Extract re-routed group state; reply with `(global node, rows)`.
-    Extract(Vec<ExtractJob>, chan::Sender<Vec<(NodeId, Vec<Tuple>)>>),
-    /// Merge shipped state rows into the listed (global) aggregates,
-    /// then ack success.
-    Absorb(Vec<(NodeId, Vec<Tuple>)>, chan::Sender<bool>),
-}
-
-/// Command-driven variant of [`run_leaf_unit`]: the driver thread
-/// streams `Feed` batches epoch by epoch and brackets each migration
-/// with `Flush` → `Extract` → `Absorb`. Engine errors during a
-/// migration command are acked as failure *and* returned, so the driver
-/// can abort the handoff while the join harvest still records the typed
-/// cause. Fault injection (hang, panic-after-N-tuples) matches the
-/// static worker.
-fn run_leaf_unit_adaptive<S: FrameSink>(
-    slice: &UnitPlan,
-    rx: chan::Receiver<WorkerCmd>,
-    batch_cfg: BatchConfig,
-    frame_batch: usize,
-    columnar: bool,
-    mut shared: TxShared<'_, S>,
-) -> ExecResult<UnitRun> {
-    if shared.fault.hang_host == Some(shared.host) && shared.fault.hang_millis > 0 {
-        std::thread::sleep(Duration::from_millis(shared.fault.hang_millis));
-    }
-    let panic_at =
-        (shared.fault.panic_host == Some(shared.host)).then_some(shared.fault.panic_after_tuples);
-
-    let mut sinks: Vec<NodeId> = slice.boundary.iter().map(|&g| slice.local[&g]).collect();
-    for &(_, g) in &slice.outputs {
-        let l = slice.local[&g];
-        if !sinks.contains(&l) {
-            sinks.push(l);
-        }
-    }
-    let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
-    let mut edges: Vec<EdgeStage> = slice
-        .boundary
-        .iter()
-        .map(|&g| EdgeStage::new(slice, g))
-        .collect();
-    let mut scratch = BytesMut::new();
-    let mut feed_stage = ColumnBatch::new(0);
-
-    let mut fed: u64 = 0;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WorkerCmd::Feed(scan_global, mut batch) => {
-                let batch_len = batch.len() as u64;
-                feed_engine(
-                    &mut engine,
-                    slice.local[&scan_global],
-                    &mut batch,
-                    columnar,
-                    &mut feed_stage,
-                )?;
-                fed += batch_len;
-                shared.tuples.store(fed, Ordering::Relaxed);
-                if let Some(at) = panic_at {
-                    if fed >= at {
-                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-                    }
-                }
-                forward_boundary(
-                    &mut engine,
-                    &mut edges,
-                    frame_batch,
-                    columnar,
-                    false,
-                    &mut scratch,
-                    &mut shared,
-                )?;
-            }
-            WorkerCmd::Flush(boundary, nodes, ack) => {
-                let r = (|| -> ExecResult<()> {
-                    for g in &nodes {
-                        engine.flush_before(slice.local[g], boundary)?;
-                    }
-                    forward_boundary(
-                        &mut engine,
-                        &mut edges,
-                        frame_batch,
-                        columnar,
-                        false,
-                        &mut scratch,
-                        &mut shared,
-                    )
-                })();
-                match r {
-                    Ok(()) => {
-                        let _ = ack.send(true);
-                    }
-                    Err(e) => {
-                        let _ = ack.send(false);
-                        return Err(e);
-                    }
-                }
-            }
-            WorkerCmd::Extract(jobs, reply) => {
-                let mut out = Vec::new();
-                for job in jobs {
-                    let ExtractJob { node, keyp, owned } = job;
-                    let local = slice.local[&node];
-                    let rows = engine.extract_state(local, &mut |key| {
-                        let p = keyp.partition(&Tuple::new(key.to_vec())) as u32;
-                        !owned.contains(&p)
-                    });
-                    if !rows.is_empty() {
-                        out.push((node, rows));
-                    }
-                }
-                let _ = reply.send(out);
-            }
-            WorkerCmd::Absorb(batches, ack) => {
-                let r = (|| -> ExecResult<()> {
-                    for (g, mut rows) in batches {
-                        engine.absorb_state(slice.local[&g], &mut rows)?;
-                    }
-                    forward_boundary(
-                        &mut engine,
-                        &mut edges,
-                        frame_batch,
-                        columnar,
-                        false,
-                        &mut scratch,
-                        &mut shared,
-                    )
-                })();
-                match r {
-                    Ok(()) => {
-                        let _ = ack.send(true);
-                    }
-                    Err(e) => {
-                        let _ = ack.send(false);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-    engine.finish()?;
-    forward_boundary(
-        &mut engine,
-        &mut edges,
-        frame_batch,
-        columnar,
-        true,
-        &mut scratch,
-        &mut shared,
-    )?;
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx, engine.output(slice.local[&g])))
-        .collect();
-    Ok(UnitRun {
-        counters,
-        node_metrics,
-        outputs,
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-    })
-}
-
-/// Outcome of one drain-and-handoff attempt across the worker fleet.
-struct MigrateReport {
-    /// Rows shipped; `Some` means the new assignment table takes effect
-    /// (`None` = aborted before any state left its engine — the old
-    /// table stays).
-    moved: Option<u64>,
-    /// A worker died mid-protocol. Its typed failure surfaces at join;
-    /// the driver disables further migrations (the fleet's state can no
-    /// longer be moved consistently).
-    worker_died: bool,
-}
-
-/// Drives one migration over the command channels: flush barrier on
-/// every family member, extract the re-routed groups, route the rows by
-/// the new table, absorb at the destinations. Transactional up to the
-/// first absorb: a death during flush aborts with no state moved; a
-/// death during extract hands every already-extracted row back to its
-/// source engine (best effort) and aborts; once absorbs start, the new
-/// table takes effect regardless — rows bound for a dead worker are
-/// part of that worker's failure record, exactly like tuples it would
-/// have been fed.
-#[allow(clippy::too_many_arguments)]
-fn migrate_threaded(
-    cmd_txs: &mut [Option<chan::Sender<WorkerCmd>>],
-    unit_of: &[usize],
-    spec: &MigrationSpec,
-    set: &PartitionSet,
-    partitions: usize,
-    buckets_per_partition: usize,
-    next: &[u32],
-    boundary: u64,
-) -> MigrateReport {
-    let abort = MigrateReport {
-        moved: None,
-        worker_died: true,
-    };
-    // Per-family routing partitioners bound to the *new* table.
-    let mut keyps = Vec::with_capacity(spec.families.len());
-    for fam in &spec.families {
-        let mut kp = match HashPartitioner::with_buckets(
-            set,
-            &fam.schema,
-            partitions,
-            buckets_per_partition,
-        ) {
-            Ok(kp) => kp,
-            Err(_) => {
-                return MigrateReport {
-                    moved: None,
-                    worker_died: false,
-                }
-            }
-        };
-        kp.set_assignment(next.to_vec());
-        keyps.push(kp);
-    }
-    let mut fam_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut members_by_unit: HashMap<usize, Vec<NodeId>> = HashMap::new();
-    for (fi, fam) in spec.families.iter().enumerate() {
-        for mem in &fam.members {
-            fam_of.insert(mem.node, fi);
-            members_by_unit
-                .entry(unit_of[mem.node])
-                .or_default()
-                .push(mem.node);
-        }
-    }
-    let mut units: Vec<usize> = members_by_unit.keys().copied().collect();
-    units.sort_unstable();
-
-    // Phase 1 — flush barrier: every member force-closes windows before
-    // the boundary, so every shipped state row and every destination
-    // agree on the current bucket. An abort here is harmless: flushed
-    // windows are complete anyway (the feed is time-ordered and past the
-    // boundary), their results just emitted early.
-    let mut acks = Vec::new();
-    for &u in &units {
-        let (ack_tx, ack_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx
-                .send(WorkerCmd::Flush(
-                    boundary,
-                    members_by_unit[&u].clone(),
-                    ack_tx,
-                ))
-                .is_ok(),
-            None => false,
-        };
-        if !sent {
-            cmd_txs[u] = None;
-            return abort;
-        }
-        acks.push((u, ack_rx));
-    }
-    for (u, rx) in acks {
-        if !matches!(rx.recv(), Ok(true)) {
-            cmd_txs[u] = None;
-            return abort;
-        }
-    }
-
-    // Phase 2 — extract the groups whose keys re-route under the new
-    // table, from every member concurrently.
-    let mut any_dead = false;
-    let mut replies = Vec::new();
-    for &u in &units {
-        let jobs: Vec<ExtractJob> = members_by_unit[&u]
-            .iter()
-            .map(|&node| {
-                let fi = fam_of[&node];
-                let mem = spec.families[fi]
-                    .members
-                    .iter()
-                    .find(|m| m.node == node)
-                    .expect("member of its own family");
-                ExtractJob {
-                    node,
-                    keyp: keyps[fi].clone(),
-                    owned: mem.partitions.clone(),
-                }
-            })
-            .collect();
-        let (reply_tx, reply_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx.send(WorkerCmd::Extract(jobs, reply_tx)).is_ok(),
-            None => false,
-        };
-        if sent {
-            replies.push((u, reply_rx));
-        } else {
-            cmd_txs[u] = None;
-            any_dead = true;
-        }
-    }
-    let mut extracted: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
-    for (u, rx) in replies {
-        match rx.recv() {
-            Ok(batch) => extracted.extend(batch),
-            Err(_) => {
-                cmd_txs[u] = None;
-                any_dead = true;
-            }
-        }
-    }
-    if any_dead {
-        // Hand every extracted row back to its source engine so the
-        // surviving workers keep a consistent picture under the *old*
-        // table (best effort — a failed return joins that worker's
-        // loss).
-        let mut by_unit: HashMap<usize, Vec<(NodeId, Vec<Tuple>)>> = HashMap::new();
-        for (node, rows) in extracted {
-            by_unit.entry(unit_of[node]).or_default().push((node, rows));
-        }
-        for (u, batches) in by_unit {
-            let (ack_tx, ack_rx) = chan::bounded(1);
-            if let Some(ctx) = &cmd_txs[u] {
-                if ctx.send(WorkerCmd::Absorb(batches, ack_tx)).is_ok() {
-                    let _ = ack_rx.recv();
-                }
-            }
-        }
-        return abort;
-    }
-
-    // Phase 3 — route by the new table and absorb at the destinations.
-    let mut per_node: HashMap<NodeId, Vec<Tuple>> = HashMap::new();
-    for (node, rows) in extracted {
-        let fi = fam_of[&node];
-        let fam = &spec.families[fi];
-        for row in rows {
-            let p = keyps[fi].partition(&row) as u32;
-            let dest = fam
-                .member_of_partition(p)
-                .expect("spec covers every partition")
-                .node;
-            per_node.entry(dest).or_default().push(row);
-        }
-    }
-    let mut moved = 0u64;
-    let mut by_unit: HashMap<usize, Vec<(NodeId, Vec<Tuple>)>> = HashMap::new();
-    let mut nodes: Vec<NodeId> = per_node.keys().copied().collect();
-    nodes.sort_unstable();
-    for node in nodes {
-        let rows = per_node.remove(&node).expect("keyed by nodes");
-        moved += rows.len() as u64;
-        by_unit.entry(unit_of[node]).or_default().push((node, rows));
-    }
-    let mut dest_units: Vec<usize> = by_unit.keys().copied().collect();
-    dest_units.sort_unstable();
-    let mut worker_died = false;
-    let mut acks = Vec::new();
-    for u in dest_units {
-        let batches = by_unit.remove(&u).expect("keyed by units");
-        let (ack_tx, ack_rx) = chan::bounded(1);
-        let sent = match &cmd_txs[u] {
-            Some(ctx) => ctx.send(WorkerCmd::Absorb(batches, ack_tx)).is_ok(),
-            None => false,
-        };
-        if sent {
-            acks.push((u, ack_rx));
-        } else {
-            cmd_txs[u] = None;
-            worker_died = true;
-        }
-    }
-    for (u, rx) in acks {
-        if !matches!(rx.recv(), Ok(true)) {
-            cmd_txs[u] = None;
-            worker_died = true;
-        }
-    }
-    MigrateReport {
-        moved: Some(moved),
-        worker_died,
-    }
-}
-
-/// The adaptive variant of the threaded runner: the calling thread
-/// *becomes the splitter* — it routes the trace epoch by epoch through
-/// a live [`HashPartitioner`] assignment table, reads the per-host load
-/// gauges at every sample boundary, and drives drain-and-handoff
-/// migrations over the worker command channels while the central unit
-/// consumes boundary frames on its own thread. Plans the migration
-/// spec rejects fall back to the static runner with the reason
-/// recorded.
-fn run_threaded_adaptive(
-    plan: &DistributedPlan,
-    trace: &[Tuple],
-    cfg: &SimConfig,
-) -> ExecResult<SimResult> {
-    let fallback = |reason: String| -> ExecResult<SimResult> {
-        let mut cfg = *cfg;
-        cfg.transport.rebalance.enabled = false;
-        let mut r = run_distributed_threaded(plan, trace, &cfg)?;
-        r.metrics.rebalance_fallback = Some(reason);
-        Ok(r)
-    };
-    let reb = cfg.transport.rebalance;
-    let spec = match rebalance::migration_spec(plan) {
-        Ok(s) => s,
-        Err(reason) => return fallback(reason),
-    };
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport;
-    let unit_nodes = compute_units(plan, agg, &transport);
-    // The driver feeds leaf workers only: a host-serial decomposition
-    // parks the aggregator host's scans inside the central unit, where
-    // no command channel reaches them.
-    if unit_nodes[0]
-        .iter()
-        .any(|&id| matches!(plan.dag.node(id), LogicalNode::Source { .. }))
-    {
-        return fallback(
-            "host-serial unit decomposition: the central unit owns partition scans".into(),
-        );
-    }
-    let slices: Vec<UnitPlan> = unit_nodes
-        .iter()
-        .map(|nodes| slice_unit(plan, nodes))
-        .collect::<ExecResult<Vec<_>>>()?;
-    for (u, s) in slices.iter().enumerate() {
-        if u != 0 && !s.remote_in.is_empty() {
-            return Err(ExecError::BadPlan(format!(
-                "leaf unit on host {} unexpectedly consumes remote streams",
-                s.host
-            )));
-        }
-    }
-    if !slices[0].boundary.is_empty() {
-        return Err(ExecError::BadPlan(
-            "central unit unexpectedly ships boundary output".into(),
-        ));
-    }
-
-    // Stream geometry: partition → scan node → unit.
-    let mut scan_of_partition: HashMap<u32, NodeId> = HashMap::new();
-    let mut stream_name = None;
-    for id in plan.dag.topo_order() {
-        if let LogicalNode::Source { stream, partition } = plan.dag.node(id) {
-            stream_name = Some(stream.clone());
-            scan_of_partition.insert(partition.expect("physical scan"), id);
-        }
-    }
-    let stream =
-        stream_name.ok_or_else(|| ExecError::BadPlan("plan has no source scans".into()))?;
-    let schema = plan
-        .dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has stream")
-        .clone();
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return fallback(format!("stream {stream} has no time column"));
-    };
-    let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-        unreachable!("migration_spec admits only hash strategies");
-    };
-    let m = plan.partitioning.partitions;
-    let hosts = plan.partitioning.hosts;
-    let mut splitter = HashPartitioner::with_buckets(set, &schema, m, reb.buckets_per_partition)
-        .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?;
-    let scan_of: Vec<NodeId> = (0..m)
-        .map(|p| {
-            scan_of_partition.get(&(p as u32)).copied().ok_or_else(|| {
-                ExecError::BadPlan(format!("plan has no scan for partition {p}"))
-            })
-        })
-        .collect::<ExecResult<_>>()?;
-    let mut unit_of: Vec<usize> = vec![0; plan.dag.len()];
-    for (u, nodes) in unit_nodes.iter().enumerate() {
-        for &id in nodes {
-            unit_of[id] = u;
-        }
-    }
-
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
-    let depth = SharedGauge::new();
-    let stalls = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
-    let worker_tuples: Vec<AtomicU64> = (0..slices.len()).map(|_| AtomicU64::new(0)).collect();
-
     let batch_cfg = cfg.batch;
     let frame_batch = transport.frame_batch.max(1);
     let columnar = transport.columnar;
-    let max = batch_cfg.max_batch.max(1);
 
-    let mut repartitions = 0u64;
-    let mut migrated = 0u64;
-    let mut pause_ms = 0.0f64;
-    let mut peak_imbalance = 1.0f64;
-
-    type ScopeOut = (Vec<(usize, UnitRun)>, Vec<HostFailure>, u64);
-    let result: ExecResult<ScopeOut> = std::thread::scope(|scope| {
+    let (driven, mut runs, mut failures, central) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        let mut cmd_txs: Vec<Option<chan::Sender<WorkerCmd>>> = vec![None];
+        let mut inboxes = vec![None];
         for (u, slice) in slices.iter().enumerate().skip(1) {
+            // Unbounded: a bounded inbox, a feed-first central unit and
+            // a full boundary channel would deadlock three ways.
             let (cmd_tx, cmd_rx) = chan::unbounded();
-            cmd_txs.push(Some(cmd_tx));
+            inboxes.push(Some(cmd_tx));
             let shared = TxShared {
                 sink: tx.clone(),
                 depth: &depth,
@@ -1257,200 +562,219 @@ fn run_threaded_adaptive(
                 send_timeout_ms: transport.send_timeout_ms,
                 host: slice.host,
             };
-            handles.push((
-                u,
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_leaf_unit_adaptive(
-                            slice, cmd_rx, batch_cfg, frame_batch, columnar, shared,
-                        )
-                    }))
-                }),
-            ));
+            // A worker panic (organic or injected) must not propagate:
+            // catch it and let the harvest turn it into a typed
+            // HostFailure. The closure's state is moved in and
+            // abandoned on unwind, so AssertUnwindSafe is sound.
+            handles.push(scope.spawn(move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_leaf_unit(slice, cmd_rx, batch_cfg, frame_batch, columnar, shared)
+                }))
+            }));
         }
         drop(tx);
-        // The central unit gets its own thread — the calling thread is
-        // busy being the splitter.
-        let central_handle = scope.spawn(|| {
-            run_central_unit(
-                &slices[0],
-                Vec::new(),
-                batch_cfg,
-                columnar,
-                rx,
-                &depth,
-                &plan.host,
-                &transport,
-                agg,
-            )
+        let (central_tx, central_rx) = chan::unbounded();
+        let mut workers = Workers {
+            inboxes,
+            // A central unit without scans starts on the boundary at
+            // once: its inbox closes here.
+            central: dep.central_owns_scans().then_some(central_tx),
+            unit_of: &dep.unit_of,
+        };
+        // The splitter gets a thread of its own; the central unit stays
+        // on the calling thread, whose allocator arena outlives the run —
+        // so a caller that runs many plans re-uses the central tier's
+        // (large) working memory instead of stranding it per run.
+        let (splitter, controller, control) = (&mut splitter, &mut controller, &mut control);
+        let splitter_handle = scope.spawn(move || {
+            let driven = drive(splitter, controller.as_mut(), control, trace, &mut workers);
+            // End of stream: closing the inboxes lets each unit drain its
+            // queue, finish its engine, and flush its tail frames.
+            drop(workers);
+            driven
+        });
+        let central = run_central_unit(
+            &slices[0], central_rx, batch_cfg, rx, &depth, &plan.host, &transport, agg,
+        );
+        let driven = splitter_handle.join().unwrap_or_else(|payload| {
+            Err(HostFailure {
+                host: agg,
+                cause: FailureCause::Panic(panic_message(payload)),
+                tuples_processed: 0,
+            }
+            .into())
         });
 
-        // The adaptive splitter loop, mirroring the simulator's epoch
-        // segmentation and gauge accounting batch for batch.
-        let send_feed =
-            |cmd_txs: &mut Vec<Option<chan::Sender<WorkerCmd>>>, p: usize, batch: Vec<Tuple>| {
-                let scan = scan_of[p];
-                let u = unit_of[scan];
-                if let Some(cmd_tx) = &cmd_txs[u] {
-                    if cmd_tx.send(WorkerCmd::Feed(scan, batch)).is_err() {
-                        // Worker died; its typed failure is harvested at
-                        // join. Stop feeding it.
-                        cmd_txs[u] = None;
-                    }
-                }
-            };
-        let mut detector = ImbalanceDetector::new(reb);
-        let mut host_tuples = vec![0u64; hosts];
-        let mut bucket_tuples = vec![0u64; splitter.bucket_count()];
-        let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); m];
-        let mut migrations_enabled = true;
-        let mut parts: Vec<u32> = Vec::new();
-        let mut buckets: Vec<u32> = Vec::new();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut sketch = KeySketch::with_defaults();
-        let t0 = trace
-            .first()
-            .map(|t| t.get(tidx).as_u64().unwrap_or(0))
-            .unwrap_or(0);
-        let mut epoch_end = t0 + reb.sample_secs;
-        let mut start = 0usize;
-        while start < trace.len() {
-            let mut end = start;
-            while end < trace.len() && trace[end].get(tidx).as_u64().unwrap_or(0) < epoch_end {
-                end += 1;
-            }
-            for chunk in trace[start..end].chunks(max) {
-                let lane_ok = {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    splitter.route_columns_hashed(&cols, &mut parts, &mut buckets, &mut hashes)
-                };
-                for (i, tuple) in chunk.iter().enumerate() {
-                    let (p, b) = if lane_ok {
-                        sketch.observe(hashes[i]);
-                        (parts[i] as usize, buckets[i] as usize)
-                    } else {
-                        sketch.observe(splitter.key_hash(tuple));
-                        (splitter.partition(tuple), splitter.bucket(tuple))
-                    };
-                    host_tuples[plan.partitioning.host_of_partition(p)] += 1;
-                    bucket_tuples[b] += 1;
-                    bufs[p].push(tuple.clone());
-                    if bufs[p].len() >= max {
-                        send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                    }
-                }
-            }
-            // Epoch boundary: residue in ascending scan order (the
-            // static splitter's tail discipline) — the flush barrier
-            // needs every routed tuple inside its engine.
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_unstable_by_key(|&p| scan_of[p]);
-            for p in order {
-                if !bufs[p].is_empty() {
-                    send_feed(&mut cmd_txs, p, std::mem::take(&mut bufs[p]));
-                }
-            }
-            if end < trace.len() {
-                peak_imbalance = peak_imbalance.max(rebalance::imbalance(&host_tuples));
-                if detector.observe(&host_tuples)
-                    && migrations_enabled
-                    && rebalance::hot_key_floor(&sketch, hosts) < reb.threshold
-                {
-                    if let Some(next) = rebalance::plan_assignment(
-                        splitter.assignment(),
-                        &bucket_tuples,
-                        m,
-                        hosts,
-                    ) {
-                        let timer = Instant::now();
-                        let report = migrate_threaded(
-                            &mut cmd_txs,
-                            &unit_of,
-                            &spec,
-                            set,
-                            m,
-                            reb.buckets_per_partition,
-                            &next,
-                            epoch_end,
-                        );
-                        pause_ms += timer.elapsed().as_secs_f64() * 1e3;
-                        if report.worker_died {
-                            migrations_enabled = false;
-                        }
-                        if let Some(n) = report.moved {
-                            migrated += n;
-                            splitter.set_assignment(next);
-                            repartitions += 1;
-                        }
-                    }
-                }
-                host_tuples.fill(0);
-                bucket_tuples.fill(0);
-                sketch.clear();
-            }
-            start = end;
-            epoch_end += reb.sample_secs;
-        }
-        // End of stream: closing the command channels lets each worker
-        // drain its queue, finish its engine, and flush its tail frames.
-        drop(cmd_txs);
-
+        // Join every worker before inspecting the central result: even
+        // a failing run must not leave a thread behind, and collecting
+        // the outcomes here is what turns panics into typed records.
         let mut runs = Vec::new();
         let mut failures: Vec<HostFailure> = Vec::new();
-        for (u, handle) in handles {
-            let outcome = handle.join().expect("catch_unwind never panics");
-            match outcome {
+        for (handle, u) in handles.into_iter().zip(1..) {
+            let failed = |cause| HostFailure {
+                host: slices[u].host,
+                cause,
+                tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
+            };
+            match handle.join().unwrap_or_else(Err) {
                 Ok(Ok(run)) => runs.push((u, run)),
                 Ok(Err(ExecError::Host(f))) => failures.push(f),
-                Ok(Err(e)) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Exec(Box::new(e)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
-                Err(payload) => failures.push(HostFailure {
-                    host: slices[u].host,
-                    cause: FailureCause::Panic(panic_message(payload)),
-                    tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
-                }),
+                Ok(Err(e)) => failures.push(failed(FailureCause::Exec(Box::new(e)))),
+                Err(payload) => failures.push(failed(FailureCause::Panic(panic_message(payload)))),
             }
         }
-        let central = match central_handle.join() {
-            Ok(outcome) => outcome?,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        runs.insert(0, (0, central.run));
-        failures.extend(central.failures);
-        if !transport.partial_results {
-            if let Some(first) = failures.into_iter().next() {
-                return Err(first.into());
-            }
-            return Ok((runs, Vec::new(), central.corrupt_dropped));
-        }
-        Ok((runs, failures, central.corrupt_dropped))
+        (driven, runs, failures, central)
     });
-    let (runs, failures, corrupt_dropped) = result?;
+    driven?;
+    let central = central?;
+    runs.insert(0, (0, central.run));
+    failures.extend(central.failures);
+    let totals = RunTotals {
+        stalls: stalls.load(Ordering::Relaxed),
+        dropped: dropped.load(Ordering::Relaxed),
+        corrupt_dropped: central.corrupt_dropped,
+        queue_peak: depth.peak(),
+    };
+    stitch(plan, cfg, &dep, trace, runs, failures, totals, control)
+}
 
-    let mut global_counters: Vec<OpCounters> = vec![OpCounters::default(); plan.dag.len()];
-    let mut global_metrics: Vec<OpMetrics> = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs: Vec<(String, Vec<Tuple>)> = plan
-        .outputs
-        .iter()
-        .map(|o| {
-            (
-                o.name
-                    .clone()
-                    .unwrap_or_else(|| format!("query{}", o.logical)),
-                Vec::new(),
-            )
-        })
-        .collect();
+/// The threaded carrier: unit inboxes. A unit whose inbox has closed is
+/// dead; its typed failure is harvested at join, and it is fed no more.
+struct Workers<'a> {
+    /// Leaf-unit inboxes by unit index (slot 0, the central unit, is
+    /// never used).
+    inboxes: Vec<Option<chan::Sender<WorkerCmd>>>,
+    central: Option<chan::Sender<FeedBatch>>,
+    unit_of: &'a [usize],
+}
+
+/// Queues `msg` on a unit's inbox; `false` — the inbox was already gone,
+/// or its receiver is — marks the unit dead by closing the slot.
+pub(crate) fn send_or_close<T>(inbox: &mut Option<chan::Sender<T>>, msg: T) -> bool {
+    let sent = inbox.as_ref().is_some_and(|tx| tx.send(msg).is_ok());
+    if !sent {
+        *inbox = None;
+    }
+    sent
+}
+
+impl Workers<'_> {
+    fn send(&mut self, u: usize, cmd: WorkerCmd) -> bool {
+        send_or_close(&mut self.inboxes[u], cmd)
+    }
+
+    /// Groups per-node items by owning unit, in ascending unit order.
+    fn by_unit<T>(&self, items: Vec<T>, node: impl Fn(&T) -> NodeId) -> BTreeMap<usize, Vec<T>> {
+        let mut grouped: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+        for item in items {
+            grouped
+                .entry(self.unit_of[node(&item)])
+                .or_default()
+                .push(item);
+        }
+        grouped
+    }
+}
+
+impl Carrier for Workers<'_> {
+    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
+        match self.unit_of[scan] {
+            0 => {
+                if let Some(tx) = &self.central {
+                    let _ = tx.send((scan, batch.take()));
+                }
+            }
+            u => {
+                self.send(u, WorkerCmd::Feed(scan, batch.take()));
+            }
+        }
+        Ok(())
+    }
+
+    fn extract(
+        &mut self,
+        handoff: &Handoff<'_>,
+        jobs: Vec<ExtractJob>,
+    ) -> ExecResult<(Vec<StateRows>, bool)> {
+        let mut any_dead = false;
+        let mut replies = Vec::new();
+        for (u, jobs) in self.by_unit(jobs, |j| j.node) {
+            let (reply_tx, reply_rx) = chan::bounded(1);
+            if self.send(u, WorkerCmd::Extract(handoff.boundary, jobs, reply_tx)) {
+                replies.push((u, reply_rx));
+            } else {
+                any_dead = true;
+            }
+        }
+        let mut extracted = Vec::new();
+        for (u, reply) in replies {
+            match reply.recv() {
+                Ok(batches) => extracted.extend(batches),
+                Err(_) => {
+                    self.inboxes[u] = None;
+                    any_dead = true;
+                }
+            }
+        }
+        Ok((extracted, any_dead))
+    }
+
+    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
+        let mut ok = true;
+        let mut acks = Vec::new();
+        for (u, batches) in self.by_unit(batches, |b| b.0) {
+            let (ack_tx, ack_rx) = chan::bounded(1);
+            if self.send(u, WorkerCmd::Absorb(batches, ack_tx)) {
+                acks.push((u, ack_rx));
+            } else {
+                ok = false;
+            }
+        }
+        for (u, ack) in acks {
+            if ack.recv().is_err() {
+                self.inboxes[u] = None;
+                ok = false;
+            }
+        }
+        Ok(ok)
+    }
+}
+
+/// Run-wide transport tallies handed to [`stitch`].
+pub(crate) struct RunTotals {
+    pub(crate) stalls: u64,
+    pub(crate) dropped: u64,
+    pub(crate) corrupt_dropped: u64,
+    pub(crate) queue_peak: u64,
+}
+
+/// Merges per-unit results into the run's [`SimResult`]: counters and
+/// metrics back onto global node ids through each slice's local map,
+/// outputs by plan index, edges into the measured [`TransportMetrics`],
+/// and the accounting of [`account`] over the merged counters. In
+/// strict mode the first failure is the run's error instead.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stitch(
+    plan: &DistributedPlan,
+    cfg: &SimConfig,
+    dep: &Deployment,
+    trace: &[Tuple],
+    runs: Vec<(usize, UnitRun)>,
+    mut failures: Vec<HostFailure>,
+    totals: RunTotals,
+    control: ControlStats,
+) -> ExecResult<SimResult> {
+    if !cfg.transport.partial_results && !failures.is_empty() {
+        return Err(failures.swap_remove(0).into());
+    }
+    let mut counters = vec![OpCounters::default(); plan.dag.len()];
+    let mut node_metrics = vec![OpMetrics::default(); plan.dag.len()];
+    let mut outputs = named_outputs(plan);
     let mut edges: Vec<EdgeTransport> = Vec::new();
     for (u, run) in runs {
-        let slice = &slices[u];
-        for (&global, &local) in &slice.local {
-            global_counters[global] = run.counters[local];
-            global_metrics[global] = run.node_metrics[local].clone();
+        for (&global, &local) in &dep.slices[u].local {
+            counters[global] = run.counters[local];
+            node_metrics[global] = run.node_metrics[local].clone();
         }
         for (idx, rows) in run.outputs {
             outputs[idx].1 = rows;
@@ -1461,32 +785,28 @@ fn run_threaded_adaptive(
     let frames: u64 = edges.iter().map(|e| e.frames).sum();
     let payload: u64 = edges.iter().map(|e| e.bytes).sum();
     let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport_metrics = TransportMetrics {
+    let transport = TransportMetrics {
         edges,
         frames,
         frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls.load(Ordering::Relaxed),
-        queue_peak: depth.peak(),
+        backpressure_stalls: totals.stalls,
+        queue_peak: totals.queue_peak,
         retries,
-        frames_dropped: dropped.load(Ordering::Relaxed),
-        frames_corrupt_dropped: corrupt_dropped,
-        channel_capacity: transport.channel_capacity.max(1),
-        frame_batch,
+        frames_dropped: totals.dropped,
+        frames_corrupt_dropped: totals.corrupt_dropped,
+        channel_capacity: cfg.transport.channel_capacity.max(1),
+        frame_batch: cfg.transport.frame_batch.max(1),
     };
-
-    let duration = trace_duration(&schema, trace);
-    let mut metrics = account(plan, &global_counters, duration, cfg);
-    metrics.boundary_queue_peak = transport_metrics.queue_peak;
-    metrics.transport = transport_metrics;
-    metrics.repartitions = repartitions;
-    metrics.migrated_keys = migrated;
-    metrics.migration_pause_ms = pause_ms;
-    metrics.load_imbalance = peak_imbalance;
+    let duration = trace_duration(&dep.scans.schema, trace);
+    let mut metrics = account(plan, &counters, duration, cfg);
+    metrics.boundary_queue_peak = transport.queue_peak;
+    metrics.transport = transport;
+    control.apply(&mut metrics);
     Ok(SimResult {
         metrics,
         outputs,
-        counters: global_counters,
-        node_metrics: global_metrics,
+        counters,
+        node_metrics,
         failures,
     })
 }
@@ -1529,35 +849,24 @@ impl EdgeStage {
     }
 }
 
-/// Feeds one splitter batch to a unit engine in the configured
-/// representation: columnar transposes into the reusable `stage` batch
-/// (re-armed when a [`qap_exec::Engine::push_columns`] swap handed back
-/// a pooled batch of another arity) and enters the engine's vectorized
-/// path; row mode pushes the batch as-is.
-pub(crate) fn feed_engine(
-    engine: &mut Engine,
-    local: NodeId,
-    batch: &mut Vec<Tuple>,
-    columnar: bool,
-    stage: &mut ColumnBatch,
-) -> ExecResult<()> {
-    if !columnar || batch.is_empty() {
-        return engine.push_batch(local, batch);
+/// Feeds one splitter batch to a unit engine, in the representation it
+/// was staged in.
+fn push_feed(engine: &mut Engine, local: NodeId, batch: Batch) -> ExecResult<()> {
+    match batch {
+        Batch::Rows(mut rows) => engine.push_batch(local, &mut rows),
+        Batch::Columns(mut cols) => engine.push_columns(local, &mut cols),
     }
-    let arity = batch[0].arity();
-    if stage.arity() != arity {
-        *stage = ColumnBatch::new(arity);
-    } else {
-        stage.clear();
-    }
-    stage.extend_rows(batch);
-    batch.clear();
-    engine.push_columns(local, stage)
 }
 
-pub(crate) fn run_leaf_unit<S: FrameSink>(
+/// One leaf unit: applies its inbox in order — feed batches into the
+/// scans, and the two halves of a drain-and-handoff — shipping boundary
+/// frames as they materialize; a closed inbox is end-of-stream. An
+/// engine error mid-handoff drops the reply channel (the splitter sees
+/// the unit as dead and aborts the handoff) and is returned, so the
+/// join harvest records the typed cause.
+fn run_leaf_unit<S: FrameSink>(
     slice: &UnitPlan,
-    feed: Vec<(NodeId, Vec<Tuple>)>,
+    inbox: chan::Receiver<WorkerCmd>,
     batch_cfg: BatchConfig,
     frame_batch: usize,
     columnar: bool,
@@ -1581,30 +890,47 @@ pub(crate) fn run_leaf_unit<S: FrameSink>(
     }
     let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
     engine.set_batch_config(batch_cfg);
-
     let mut edges: Vec<EdgeStage> = slice
         .boundary
         .iter()
         .map(|&g| EdgeStage::new(slice, g))
         .collect();
     let mut scratch = BytesMut::new();
-    let mut feed_stage = ColumnBatch::new(0);
 
     let mut fed: u64 = 0;
-    for (scan_global, mut batch) in feed {
-        let batch_len = batch.len() as u64;
-        feed_engine(
-            &mut engine,
-            slice.local[&scan_global],
-            &mut batch,
-            columnar,
-            &mut feed_stage,
-        )?;
-        fed += batch_len;
-        shared.tuples.store(fed, Ordering::Relaxed);
-        if let Some(at) = panic_at {
-            if fed >= at {
-                panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
+    while let Ok(cmd) = inbox.recv() {
+        match cmd {
+            WorkerCmd::Feed(scan, batch) => {
+                fed += batch.len() as u64;
+                push_feed(&mut engine, slice.local[&scan], batch)?;
+                shared.tuples.store(fed, Ordering::Relaxed);
+                if let Some(at) = panic_at {
+                    if fed >= at {
+                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
+                    }
+                }
+            }
+            WorkerCmd::Extract(boundary, jobs, reply) => {
+                for job in &jobs {
+                    engine.flush_before(slice.local[&job.node], boundary)?;
+                }
+                let extracted = jobs
+                    .iter()
+                    .map(|job| {
+                        let local = slice.local[&job.node];
+                        (
+                            job.node,
+                            extract_rerouted(&mut engine, local, &job.keyp, &job.owned),
+                        )
+                    })
+                    .collect();
+                let _ = reply.send(extracted);
+            }
+            WorkerCmd::Absorb(batches, ack) => {
+                for (g, mut rows) in batches {
+                    engine.absorb_state(slice.local[&g], &mut rows)?;
+                }
+                let _ = ack.send(());
             }
         }
         forward_boundary(
@@ -1809,9 +1135,8 @@ pub(crate) struct CentralOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_central_unit<R: FrameSource>(
     slice: &UnitPlan,
-    feed: Vec<(NodeId, Vec<Tuple>)>,
+    feed: chan::Receiver<FeedBatch>,
     batch_cfg: BatchConfig,
-    columnar: bool,
     mut rx: R,
     depth: &SharedGauge,
     host_of: &[usize],
@@ -1825,18 +1150,11 @@ pub(crate) fn run_central_unit<R: FrameSource>(
         .collect();
     let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
     engine.set_batch_config(batch_cfg);
-    // Local partitions first (host-serial mode keeps the aggregator
-    // host's own scans in this unit; workers stream concurrently into
-    // the channel buffer)...
-    let mut feed_stage = ColumnBatch::new(0);
-    for (scan_global, mut batch) in feed {
-        feed_engine(
-            &mut engine,
-            slice.local[&scan_global],
-            &mut batch,
-            columnar,
-            &mut feed_stage,
-        )?;
+    // Local partitions first, until the splitter closes the inbox
+    // (host-serial mode keeps the aggregator host's own scans in this
+    // unit; workers stream concurrently into the channel buffer)...
+    while let Ok((scan, batch)) = feed.recv() {
+        push_feed(&mut engine, slice.local[&scan], batch)?;
     }
     // ...then every boundary frame, decoded straight into the engine's
     // pooled buffers; merge operators align the independently-

@@ -267,6 +267,60 @@ fn tcp_adaptive_matches_static_and_migrates() {
 }
 
 // ---------------------------------------------------------------------
+// Static partitioning is the loop whose controller never fires
+// ---------------------------------------------------------------------
+
+#[test]
+fn controller_that_never_fires_is_the_static_run() {
+    let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
+    let plan = flows_plan(4);
+    let armed = |transport: TransportConfig| SimConfig {
+        transport: TransportConfig {
+            rebalance: RebalanceConfig::adaptive().with_threshold(f64::INFINITY),
+            ..transport
+        },
+        ..SimConfig::default()
+    };
+    let off = |transport: TransportConfig| SimConfig {
+        transport,
+        ..SimConfig::default()
+    };
+    let check = |label: &str, armed: &SimResult, off: &SimResult| {
+        assert!(
+            armed.metrics.rebalance_fallback.is_none(),
+            "{label}: fell back: {:?}",
+            armed.metrics.rebalance_fallback
+        );
+        assert_eq!(armed.metrics.repartitions, 0, "{label}");
+        assert_eq!(armed.metrics.migrated_keys, 0, "{label}");
+        assert!(armed.failures.is_empty(), "{label}: {:?}", armed.failures);
+        assert_same_outputs(label, armed, off);
+        assert_eq!(armed.counters, off.counters, "{label}: counters");
+    };
+
+    let transport = TransportConfig::default();
+    let sim_off = run_distributed(&plan, &trace, &off(transport)).unwrap();
+    let sim_armed = run_distributed(&plan, &trace, &armed(transport)).unwrap();
+    check("sim", &sim_armed, &sim_off);
+    // One engine, one feed order: not even the row order may differ.
+    assert_eq!(sim_armed.outputs, sim_off.outputs, "sim: unsorted outputs");
+
+    let threaded_off = run_distributed_threaded(&plan, &trace, &off(transport)).unwrap();
+    let threaded_armed = run_distributed_threaded(&plan, &trace, &armed(transport)).unwrap();
+    check("threaded", &threaded_armed, &threaded_off);
+
+    let transport = transport.host_serial();
+    let needed = remote_host_count(&plan, &off(transport));
+    let mut tcp = Vec::new();
+    for cfg in [off(transport), armed(transport)] {
+        let children = spawn_hosts(needed);
+        let addrs: Vec<HostAddr> = children.iter().map(|c| c.addr.clone()).collect();
+        tcp.push(run_distributed_remote(&plan, &trace, &cfg, &addrs).unwrap());
+    }
+    check("tcp", &tcp[1], &tcp[0]);
+}
+
+// ---------------------------------------------------------------------
 // Mid-migration host failure: typed, partial, no deadlock
 // ---------------------------------------------------------------------
 

@@ -219,4 +219,10 @@ fn missing_feed_for_multi_stream_plan_rejected() {
     let tcp: Vec<Tuple> = vec![pkt(0, 1, 2, 64)];
     let err = run_distributed_multi(&plan, &[("TCP", &tcp)], &SimConfig::default()).unwrap_err();
     assert!(err.to_string().to_lowercase().contains("pkt"), "{err}");
+    // The single-trace runners refuse it the same way, before any unit
+    // starts (or any host is contacted).
+    let err = run_distributed_threaded(&plan, &tcp, &SimConfig::default()).unwrap_err();
+    assert!(err.to_string().contains("plan reads 2 streams"), "{err}");
+    let err = run_distributed_remote(&plan, &tcp, &SimConfig::default(), &[]).unwrap_err();
+    assert!(err.to_string().contains("plan reads 2 streams"), "{err}");
 }
