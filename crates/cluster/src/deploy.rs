@@ -1,13 +1,15 @@
-//! Serialization of execution units and their outcomes for
-//! process-level deployment.
+//! Serialization of execution units, their migration commands and
+//! their outcomes for process-level deployment.
 //!
 //! A socket coordinator cannot hand a leaf host a `QueryDag` by
 //! reference: the unit must cross the process boundary as bytes inside
 //! a [`qap_types::ControlFrame::Deploy`] payload. This module encodes a
-//! [`RemoteUnit`] — the sliced leaf sub-plan as a replayable build
+//! [`UnitSpec`] — with the sliced leaf sub-plan as a replayable build
 //! script (catalog schemas plus nodes in id order, so the remote
 //! rebuild re-runs the *same* schema inference and gets the same local
-//! ids) — and the [`UnitOutcome`] the host streams back inside
+//! ids) — the [`UnitCmd`] halves of a drain-and-handoff inside
+//! [`qap_types::ControlFrame::Migrate`] (and the [`UnitReply`] inside
+//! `MigrateAck`), and the [`UnitOutcome`] the host streams back inside
 //! [`qap_types::ControlFrame::Result`].
 //!
 //! Everything is hand-rolled binary in the style of
@@ -20,83 +22,23 @@
 //! holds a function registered in the *coordinator's* catalog, which a
 //! remote process cannot resolve — deployment encoding rejects such
 //! plans up front ([`qap_exec::ExecError::BadPlan`]) instead of
-//! shipping a plan that would mis-execute.
+//! shipping a plan that would mis-execute. (In-process units never pass
+//! through this module, so they run UDAFs freely.)
 
 use qap_exec::{ExecError, ExecResult, OpCounters, OpMetrics};
 use qap_expr::{
     AggCall, AggFunc, AggKind, AnalyzedExpr, BinOp, ColumnRef, ColumnTransform, ScalarExpr, UnOp,
 };
-use qap_partition::PartitionSet;
 use qap_obs::{Histogram, HISTOGRAM_BUCKETS};
+use qap_partition::PartitionSet;
 use qap_plan::{JoinType, LogicalNode, NamedAgg, NamedExpr, TemporalJoin};
 use qap_types::{
     decode_batch, encode_batch, Buf, BufMut, Bytes, BytesMut, DataType, Field, Schema, Temporality,
-    Tuple, TypeError, TypeResult, Value,
+    TypeError, TypeResult, Value,
 };
 
 use crate::transport::{EdgeTransport, FaultPlan};
-
-/// One leaf execution unit, serialized for deployment to a `qapctl
-/// host --listen` process.
-///
-/// The unit carries the *local* sliced DAG (partition scans plus the
-/// leaf pipeline) as a build script, the global↔local id maps the
-/// coordinator and host use to address data frames, and every knob that
-/// shapes execution — batch size, frame size, representation, timeout
-/// and fault plan — so a remote run is parameterized identically to the
-/// in-process worker it replaces.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RemoteUnit {
-    /// Cluster host id this unit executes as.
-    pub(crate) host: u32,
-    /// Base-stream schemas (the unit's catalog), in deterministic
-    /// (name-sorted) order.
-    pub(crate) schemas: Vec<Schema>,
-    /// The sliced DAG's nodes in local id order, children already
-    /// local. Replaying `add_partition_source`/`add_node` over a fresh
-    /// catalog reproduces the dag — including its inferred schemas —
-    /// exactly.
-    pub(crate) nodes: Vec<LogicalNode>,
-    /// Partition scans: (global node id, local node id).
-    pub(crate) scans: Vec<(u32, u32)>,
-    /// Boundary producers: (global node id, local node id).
-    pub(crate) boundary: Vec<(u32, u32)>,
-    /// Plan outputs hosted here: (output index, local node id).
-    pub(crate) outputs: Vec<(u32, u32)>,
-    /// Engine batch size ([`qap_exec::BatchConfig::max_batch`]).
-    pub(crate) max_batch: u32,
-    /// Tuples staged per boundary frame.
-    pub(crate) frame_batch: u32,
-    /// Columnar (SoA) boundary frames when true, row-major otherwise.
-    pub(crate) columnar: bool,
-    /// Retry/receive bound in milliseconds (0 = unbounded).
-    pub(crate) send_timeout_ms: u64,
-    /// Deterministic fault plan, shipped so socket chaos tests inject
-    /// the same faults in-process and across processes.
-    pub(crate) fault: FaultPlan,
-}
-
-/// One unit's results, serialized for the trip back to the
-/// coordinator: per-local-node counters and metrics, any plan outputs
-/// hosted on the leaf, the measured per-edge transport, and the
-/// run-wide counters the coordinator folds into [`crate::TransportMetrics`].
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct UnitOutcome {
-    /// Per-local-node semantic counters.
-    pub(crate) counters: Vec<OpCounters>,
-    /// Per-local-node observability metrics.
-    pub(crate) node_metrics: Vec<OpMetrics>,
-    /// Plan outputs hosted on this unit: (output index, rows).
-    pub(crate) outputs: Vec<(u32, Vec<Tuple>)>,
-    /// Measured per-edge transport.
-    pub(crate) edges: Vec<EdgeTransport>,
-    /// Backpressure stalls the unit's send path observed.
-    pub(crate) stalls: u64,
-    /// Frames the fault plan dropped before the wire.
-    pub(crate) dropped: u64,
-    /// Tuples the unit fed its engine (failure attribution).
-    pub(crate) tuples_fed: u64,
-}
+use crate::unit::{LocalRows, UnitCmd, UnitOutcome, UnitReply, UnitSpec};
 
 // ---------------------------------------------------------------------
 // Primitive writers/readers
@@ -798,9 +740,9 @@ fn read_op_metrics(r: &mut Reader) -> TypeResult<OpMetrics> {
 // Top-level payloads
 // ---------------------------------------------------------------------
 
-/// Encodes a [`RemoteUnit`] into a `Deploy` payload. Plans carrying
+/// Encodes a [`UnitSpec`] into a `Deploy` payload. Plans carrying
 /// UDAFs are rejected with [`ExecError::BadPlan`].
-pub(crate) fn encode_remote_unit(unit: &RemoteUnit, scratch: &mut BytesMut) -> ExecResult<Bytes> {
+pub(crate) fn encode_unit_spec(unit: &UnitSpec, scratch: &mut BytesMut) -> ExecResult<Bytes> {
     scratch.clear();
     let buf = scratch;
     buf.put_u32(unit.host);
@@ -827,9 +769,9 @@ pub(crate) fn encode_remote_unit(unit: &RemoteUnit, scratch: &mut BytesMut) -> E
     Ok(buf.split().freeze())
 }
 
-/// Decodes a `Deploy` payload back into a [`RemoteUnit`]; any damage
+/// Decodes a `Deploy` payload back into a [`UnitSpec`]; any damage
 /// surfaces as a typed [`TypeError`].
-pub(crate) fn decode_remote_unit(payload: Bytes) -> TypeResult<RemoteUnit> {
+pub(crate) fn decode_unit_spec(payload: Bytes) -> TypeResult<UnitSpec> {
     let mut r = Reader::new(payload, "remote unit");
     let host = r.u32()?;
     let n = r.len()?;
@@ -859,7 +801,7 @@ pub(crate) fn decode_remote_unit(payload: Bytes) -> TypeResult<RemoteUnit> {
     let send_timeout_ms = r.u64()?;
     let fault = read_fault(&mut r)?;
     r.finish()?;
-    Ok(RemoteUnit {
+    Ok(UnitSpec {
         host,
         schemas,
         nodes,
@@ -969,42 +911,6 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
 // Migration payloads
 // ---------------------------------------------------------------------
 
-/// One drain-and-handoff command, serialized into a
-/// [`qap_types::ControlFrame::Migrate`] payload.
-///
-/// `Extract` carries everything a host needs to rebuild the routing
-/// partitioner locally — the partitioning set, the bucket geometry and
-/// the *new* assignment table — because the host process shares no
-/// memory with the coordinator's splitter. Node ids are the host's
-/// *local* ids (the coordinator resolves them through the slice's
-/// global↔local map, exactly as it addresses `Data` frames).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MigrateCmd {
-    /// Force-close windows before `boundary` on each job's node, then
-    /// extract every group whose key re-routes away from the node's
-    /// owned partitions under the new table.
-    Extract {
-        /// Drain boundary (a trace timestamp).
-        boundary: u64,
-        /// Partition count `M` of the deployed splitter.
-        partitions: u32,
-        /// Virtual buckets per partition.
-        buckets_per_partition: u32,
-        /// The *new* bucket→partition table the extraction routes by.
-        assignment: Vec<u32>,
-        /// The partitioning set, for rebuilding the key partitioner
-        /// against each node's aggregate schema.
-        set: PartitionSet,
-        /// Per-node jobs: (local node id, owned partitions).
-        jobs: Vec<(u32, Vec<u32>)>,
-    },
-    /// Merge shipped state rows into each node's group table.
-    Absorb {
-        /// Per-node row batches: (local node id, state rows).
-        batches: Vec<(u32, Vec<Tuple>)>,
-    },
-}
-
 fn put_transform(buf: &mut BytesMut, t: &ColumnTransform) {
     match t {
         ColumnTransform::Identity => buf.put_u8(0),
@@ -1056,7 +962,7 @@ fn read_partition_set(r: &mut Reader) -> TypeResult<PartitionSet> {
 /// wire frame — the same codec the result path uses for outputs.
 fn put_node_batches(
     buf: &mut BytesMut,
-    batches: &[(u32, Vec<Tuple>)],
+    batches: &[LocalRows],
     scratch: &mut BytesMut,
 ) -> TypeResult<()> {
     buf.put_u32(batches.len() as u32);
@@ -1069,7 +975,7 @@ fn put_node_batches(
     Ok(())
 }
 
-fn read_node_batches(r: &mut Reader) -> TypeResult<Vec<(u32, Vec<Tuple>)>> {
+fn read_node_batches(r: &mut Reader) -> TypeResult<Vec<LocalRows>> {
     let n = r.len()?;
     let mut batches = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1083,11 +989,14 @@ fn read_node_batches(r: &mut Reader) -> TypeResult<Vec<(u32, Vec<Tuple>)>> {
 const MIGRATE_EXTRACT: u8 = 0;
 const MIGRATE_ABSORB: u8 = 1;
 
-/// Encodes a [`MigrateCmd`] into a `Migrate` payload.
-pub(crate) fn encode_migrate_cmd(cmd: &MigrateCmd, scratch: &mut BytesMut) -> TypeResult<Bytes> {
+/// Encodes the `Extract` or `Absorb` half of a drain-and-handoff into
+/// a `Migrate` payload. A `Feed` has no such encoding: its batch
+/// travels as a `Data` frame.
+pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     let mut out = BytesMut::new();
     match cmd {
-        MigrateCmd::Extract {
+        UnitCmd::Feed(..) => return Err(TypeError::Corrupt("a feed is not a migrate command")),
+        UnitCmd::Extract {
             boundary,
             partitions,
             buckets_per_partition,
@@ -1113,7 +1022,7 @@ pub(crate) fn encode_migrate_cmd(cmd: &MigrateCmd, scratch: &mut BytesMut) -> Ty
                 }
             }
         }
-        MigrateCmd::Absorb { batches } => {
+        UnitCmd::Absorb(batches) => {
             out.put_u8(MIGRATE_ABSORB);
             put_node_batches(&mut out, batches, scratch)?;
         }
@@ -1123,7 +1032,7 @@ pub(crate) fn encode_migrate_cmd(cmd: &MigrateCmd, scratch: &mut BytesMut) -> Ty
 
 /// Decodes a `Migrate` payload; damage surfaces as a typed
 /// [`TypeError`], never a panic in the host process.
-pub(crate) fn decode_migrate_cmd(payload: Bytes) -> TypeResult<MigrateCmd> {
+pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
     let mut r = Reader::new(payload, "migrate command");
     let cmd = match r.u8()? {
         MIGRATE_EXTRACT => {
@@ -1147,7 +1056,7 @@ pub(crate) fn decode_migrate_cmd(payload: Bytes) -> TypeResult<MigrateCmd> {
                 }
                 jobs.push((node, owned));
             }
-            MigrateCmd::Extract {
+            UnitCmd::Extract {
                 boundary,
                 partitions,
                 buckets_per_partition,
@@ -1156,9 +1065,7 @@ pub(crate) fn decode_migrate_cmd(payload: Bytes) -> TypeResult<MigrateCmd> {
                 jobs,
             }
         }
-        MIGRATE_ABSORB => MigrateCmd::Absorb {
-            batches: read_node_batches(&mut r)?,
-        },
+        MIGRATE_ABSORB => UnitCmd::Absorb(read_node_batches(&mut r)?),
         other => return Err(TypeError::BadTag(other)),
     };
     r.finish()?;
@@ -1167,8 +1074,8 @@ pub(crate) fn decode_migrate_cmd(payload: Bytes) -> TypeResult<MigrateCmd> {
 
 /// Encodes a `MigrateAck` payload: the per-node state rows an extract
 /// produced (empty for an absorb acknowledgement).
-pub(crate) fn encode_migrate_reply(
-    batches: &[(u32, Vec<Tuple>)],
+pub(crate) fn encode_unit_reply(
+    batches: &[LocalRows],
     scratch: &mut BytesMut,
 ) -> TypeResult<Bytes> {
     let mut out = BytesMut::new();
@@ -1177,7 +1084,7 @@ pub(crate) fn encode_migrate_reply(
 }
 
 /// Decodes a `MigrateAck` payload.
-pub(crate) fn decode_migrate_reply(payload: Bytes) -> TypeResult<Vec<(u32, Vec<Tuple>)>> {
+pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
     let mut r = Reader::new(payload, "migrate reply");
     let batches = read_node_batches(&mut r)?;
     r.finish()?;
@@ -1187,8 +1094,9 @@ pub(crate) fn decode_migrate_reply(payload: Bytes) -> TypeResult<Vec<(u32, Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qap_types::Tuple;
 
-    fn sample_unit() -> RemoteUnit {
+    fn sample_unit() -> UnitSpec {
         let schema = Schema::new(
             "pkt",
             vec![
@@ -1246,7 +1154,7 @@ mod tests {
                 }),
             },
         ];
-        RemoteUnit {
+        UnitSpec {
             host: 3,
             schemas: vec![schema],
             nodes,
@@ -1265,22 +1173,22 @@ mod tests {
     fn remote_unit_round_trips() {
         let unit = sample_unit();
         let mut scratch = BytesMut::new();
-        let bytes = encode_remote_unit(&unit, &mut scratch).unwrap();
-        assert_eq!(decode_remote_unit(bytes).unwrap(), unit);
+        let bytes = encode_unit_spec(&unit, &mut scratch).unwrap();
+        assert_eq!(decode_unit_spec(bytes).unwrap(), unit);
     }
 
     #[test]
     fn truncated_unit_is_typed_error() {
         let unit = sample_unit();
         let mut scratch = BytesMut::new();
-        let bytes = encode_remote_unit(&unit, &mut scratch).unwrap();
+        let bytes = encode_unit_spec(&unit, &mut scratch).unwrap();
         for cut in 0..bytes.len() {
-            let err = decode_remote_unit(bytes.slice(..cut));
+            let err = decode_unit_spec(bytes.slice(..cut));
             assert!(err.is_err(), "cut {cut} decoded");
         }
         let mut longer = bytes.to_vec();
         longer.push(0);
-        assert!(decode_remote_unit(Bytes::from(longer)).is_err());
+        assert!(decode_unit_spec(Bytes::from(longer)).is_err());
     }
 
     #[test]
@@ -1290,7 +1198,7 @@ mod tests {
             aggregates[0].call.func = AggFunc::Udaf("my_sketch".into());
         }
         let mut scratch = BytesMut::new();
-        let err = encode_remote_unit(&unit, &mut scratch).unwrap_err();
+        let err = encode_unit_spec(&unit, &mut scratch).unwrap_err();
         assert!(
             matches!(&err, ExecError::BadPlan(msg) if msg.contains("UDAF")),
             "got {err}"
@@ -1357,7 +1265,7 @@ mod tests {
         assert_eq!(decode_unit_outcome(bytes).unwrap(), outcome);
     }
 
-    fn sample_migrate_cmds() -> Vec<MigrateCmd> {
+    fn sample_migrate_cmds() -> Vec<UnitCmd> {
         let set = PartitionSet::from_analyzed([
             AnalyzedExpr {
                 column: ColumnRef::bare("srcIP"),
@@ -1369,7 +1277,7 @@ mod tests {
             },
         ]);
         vec![
-            MigrateCmd::Extract {
+            UnitCmd::Extract {
                 boundary: 1_234_567,
                 partitions: 8,
                 buckets_per_partition: 4,
@@ -1377,19 +1285,17 @@ mod tests {
                 set,
                 jobs: vec![(3, vec![2, 3]), (9, vec![6, 7])],
             },
-            MigrateCmd::Absorb {
-                batches: vec![
-                    (
-                        3,
-                        vec![Tuple::new(vec![
-                            Value::UInt(60),
-                            Value::UInt(0xDEAD),
-                            Value::Int(7),
-                        ])],
-                    ),
-                    (9, Vec::new()),
-                ],
-            },
+            UnitCmd::Absorb(vec![
+                (
+                    3,
+                    vec![Tuple::new(vec![
+                        Value::UInt(60),
+                        Value::UInt(0xDEAD),
+                        Value::Int(7),
+                    ])],
+                ),
+                (9, Vec::new()),
+            ]),
         ]
     }
 
@@ -1397,8 +1303,8 @@ mod tests {
     fn migrate_cmd_round_trips() {
         let mut scratch = BytesMut::new();
         for cmd in sample_migrate_cmds() {
-            let bytes = encode_migrate_cmd(&cmd, &mut scratch).unwrap();
-            assert_eq!(decode_migrate_cmd(bytes).unwrap(), cmd, "{cmd:?}");
+            let bytes = encode_unit_cmd(&cmd, &mut scratch).unwrap();
+            assert_eq!(decode_unit_cmd(bytes).unwrap(), cmd, "{cmd:?}");
         }
     }
 
@@ -1406,18 +1312,18 @@ mod tests {
     fn truncated_migrate_cmd_is_typed_error() {
         let mut scratch = BytesMut::new();
         for cmd in sample_migrate_cmds() {
-            let bytes = encode_migrate_cmd(&cmd, &mut scratch).unwrap();
+            let bytes = encode_unit_cmd(&cmd, &mut scratch).unwrap();
             for cut in 0..bytes.len() {
                 assert!(
-                    decode_migrate_cmd(bytes.slice(..cut)).is_err(),
+                    decode_unit_cmd(bytes.slice(..cut)).is_err(),
                     "{cmd:?} cut {cut} decoded"
                 );
             }
             let mut longer = bytes.to_vec();
             longer.push(0);
-            assert!(decode_migrate_cmd(Bytes::from(longer)).is_err());
+            assert!(decode_unit_cmd(Bytes::from(longer)).is_err());
         }
-        assert!(decode_migrate_cmd(Bytes::from(vec![9u8])).is_err(), "bad tag");
+        assert!(decode_unit_cmd(Bytes::from(vec![9u8])).is_err(), "bad tag");
     }
 
     #[test]
@@ -1433,10 +1339,10 @@ mod tests {
             (11, Vec::new()),
         ];
         let mut scratch = BytesMut::new();
-        let bytes = encode_migrate_reply(&batches, &mut scratch).unwrap();
-        assert_eq!(decode_migrate_reply(bytes.clone()).unwrap(), batches);
+        let bytes = encode_unit_reply(&batches, &mut scratch).unwrap();
+        assert_eq!(decode_unit_reply(bytes.clone()).unwrap(), batches);
         for cut in 0..bytes.len() {
-            assert!(decode_migrate_reply(bytes.slice(..cut)).is_err(), "cut {cut}");
+            assert!(decode_unit_reply(bytes.slice(..cut)).is_err(), "cut {cut}");
         }
     }
 

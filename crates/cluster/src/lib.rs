@@ -37,6 +37,7 @@ mod sim;
 mod splitter;
 mod threaded;
 mod transport;
+mod unit;
 mod validate;
 
 pub use link::{connect_with_backoff, HostAddr, HostListener};

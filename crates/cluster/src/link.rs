@@ -67,8 +67,9 @@ pub enum SendOutcome {
 pub trait FrameSink: Send {
     /// Attempts to ship a frame without blocking on capacity.
     fn try_send(&mut self, frame: Frame) -> Result<SendOutcome, String>;
-    /// Ships a frame, blocking on capacity as long as it takes (the
-    /// `send_timeout_ms == 0` legacy mode).
+    /// Ships a frame, blocking on capacity as long as it takes (what a
+    /// session's reader pump does: the consumer it waits on bounds its
+    /// own waits).
     fn send(&mut self, frame: Frame) -> Result<SendOutcome, String>;
 }
 
@@ -371,8 +372,8 @@ pub fn connect_with_backoff(addr: &HostAddr, timeout_ms: u64) -> Result<DuplexSt
     }
 }
 
-/// Connect-retry bound used when `send_timeout_ms` is 0 (the legacy
-/// unbounded mode has to bound *connection* attempts somewhere).
+/// Connect-retry bound [`connect_with_backoff`] uses when handed a
+/// `timeout_ms` of 0.
 pub const CONNECT_FALLBACK_MS: u64 = 5_000;
 
 /// How a control read ended without producing a frame.

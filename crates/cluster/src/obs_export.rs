@@ -184,29 +184,9 @@ mod tests {
 
     #[test]
     fn adaptive_runs_export_rebalance_gauges() {
-        use crate::RebalanceConfig;
-        use qap_trace::{generate_skew_ramp, SkewRampConfig};
-
-        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-        b.add_query(
-            "flows",
-            "SELECT tb, srcIP, COUNT(*) as pkts, SUM(len) as bytes FROM TCP \
-             GROUP BY time/60 as tb, srcIP",
-        )
-        .unwrap();
-        let dag = b.build();
-        let plan = optimize(
-            &dag,
-            &Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 4),
-            &OptimizerConfig::full(),
-        )
-        .unwrap();
-        let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
+        let (plan, trace, rebalance) = crate::sim::tests::skew_case();
         let mut cfg = SimConfig::default();
-        cfg.transport.rebalance = RebalanceConfig::adaptive()
-            .with_threshold(1.2)
-            .with_consecutive(1)
-            .with_sample_secs(45);
+        cfg.transport.rebalance = rebalance;
         let result = run_distributed(&plan, &trace, &cfg).unwrap();
         assert!(result.metrics.repartitions >= 1, "skew ramp must trigger");
         let reg = metrics_registry(&plan, &result);

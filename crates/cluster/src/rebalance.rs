@@ -57,9 +57,9 @@
 //! runner's `Carrier`, and — when a `Controller` is attached — runs
 //! the control step between epochs and, if it yields a table, one
 //! drain-and-handoff (`handoff`) before the swap. The carrier is the
-//! only transport-specific part: a direct engine call (simulator),
-//! worker inboxes (threaded), or `Migrate`/`MigrateAck` over session
-//! sockets (remote).
+//! only runner-specific part: a direct engine call (the simulator), or
+//! unit commands over ports (the `unit` module — worker threads and
+//! host processes alike).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -252,7 +252,9 @@ pub fn hot_key_floor(sketch: &qap_partition::KeySketch, hosts: usize) -> f64 {
 /// its load is strictly below the max−min host gap — moving anything
 /// heavier just swaps which host is overloaded. Returns `None` when no
 /// move improves the spread (already balanced, one host, or the hot
-/// load sits in a single bucket heavier than the gap).
+/// load sits in a single bucket heavier than the gap) and for inputs no
+/// deployment produces: more hosts than partitions, mismatched table
+/// and load lengths, or a table entry naming a nonexistent partition.
 pub fn plan_assignment(
     assign: &[u32],
     bucket_load: &[u64],
@@ -279,7 +281,12 @@ pub fn plan_assignment_pinned(
     pinned: Option<usize>,
 ) -> Option<Vec<u32>> {
     let movable = hosts - usize::from(pinned.is_some_and(|h| h < hosts));
-    if movable < 2 || partitions == 0 || assign.len() != bucket_load.len() || assign.is_empty() {
+    if movable < 2
+        || hosts > partitions
+        || assign.len() != bucket_load.len()
+        || assign.is_empty()
+        || assign.iter().any(|&p| p as usize >= partitions)
+    {
         return None;
     }
     let mut next = assign.to_vec();
@@ -295,18 +302,19 @@ pub fn plan_assignment_pinned(
     // Each iteration moves one bucket; 4 sweeps over the table bounds
     // the work while letting a badly skewed table disperse fully.
     for _ in 0..next.len() * 4 {
-        let (hi, &hi_load) = host_load
+        let hi = host_load
             .iter()
             .enumerate()
             .filter(|&(i, _)| Some(i) != pinned)
-            .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)))
-            .expect("at least two movable hosts");
-        let (lo, &lo_load) = host_load
+            .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)));
+        let lo = host_load
             .iter()
             .enumerate()
             .filter(|&(i, _)| Some(i) != pinned)
-            .min_by_key(|&(i, &l)| (l, i))
-            .expect("at least two movable hosts");
+            .min_by_key(|&(i, &l)| (l, i));
+        let (Some((hi, &hi_load)), Some((lo, &lo_load))) = (hi, lo) else {
+            break;
+        };
         let gap = hi_load - lo_load;
         if gap == 0 {
             break;
@@ -327,9 +335,8 @@ pub fn plan_assignment_pinned(
             .iter()
             .enumerate()
             .filter(|&(p, _)| host_of(p, partitions, hosts) == lo)
-            .min_by_key(|&(p, &l)| (l, p))
-            .map(|(p, _)| p)
-            .expect("every host owns at least one partition when hosts <= partitions");
+            .min_by_key(|&(p, &l)| (l, p));
+        let Some((target, _)) = target else { break };
         let from = next[bucket] as usize;
         let load = bucket_load[bucket];
         next[bucket] = target as u32;
@@ -1026,6 +1033,10 @@ mod tests {
         assert!(plan_assignment(&one, &[100, 0, 0, 0], 2, 1).is_none());
         // Mismatched shapes.
         assert!(plan_assignment(&assign, &[1, 2, 3], 4, 2).is_none());
+        // More hosts than partitions: some host owns no partition.
+        assert!(plan_assignment(&[0, 0], &[3, 2], 1, 2).is_none());
+        // A table entry naming a nonexistent partition.
+        assert!(plan_assignment(&[5, 0], &[3, 2], 2, 2).is_none());
     }
 
     #[test]

@@ -490,13 +490,14 @@ pub(crate) fn account(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::rebalance::RebalanceConfig;
     use qap_optimizer::{optimize, OptimizerConfig, Partitioning};
     use qap_partition::PartitionSet;
     use qap_plan::QueryDag;
     use qap_sql::QuerySetBuilder;
-    use qap_trace::{generate, TraceConfig};
+    use qap_trace::{generate, generate_skew_ramp, SkewRampConfig, TraceConfig};
     use qap_types::Catalog;
 
     fn flows_dag() -> QueryDag {
@@ -510,7 +511,30 @@ mod tests {
         b.build()
     }
 
-    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    /// The case every runner's adaptive test migrates: a per-source
+    /// aggregation hash-partitioned over 4 hosts, a skew-ramp trace, and
+    /// a trigger-happy controller sampling at 45s — deliberately
+    /// unaligned with the 60s window, so the drain boundary splits live
+    /// windows and group state genuinely ships.
+    pub(crate) fn skew_case() -> (DistributedPlan, Vec<Tuple>, RebalanceConfig) {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.add_query(
+            "flows",
+            "SELECT tb, srcIP, COUNT(*) as pkts, SUM(len) as bytes FROM TCP \
+             GROUP BY time/60 as tb, srcIP",
+        )
+        .unwrap();
+        let part = Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 4);
+        let plan = optimize(&b.build(), &part, &OptimizerConfig::full()).unwrap();
+        let rebalance = RebalanceConfig::adaptive()
+            .with_threshold(1.2)
+            .with_consecutive(1)
+            .with_sample_secs(45);
+        let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
+        (plan, trace, rebalance)
+    }
+
+    pub(crate) fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
         rows.sort_by(|a, b| {
             for (x, y) in a.values().iter().zip(b.values()) {
                 let ord = x.total_cmp(y);
@@ -525,29 +549,10 @@ mod tests {
 
     #[test]
     fn adaptive_rebalance_is_bit_identical_to_static_and_migrates() {
-        use crate::rebalance::RebalanceConfig;
-        use qap_trace::{generate_skew_ramp, SkewRampConfig};
-
-        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-        b.add_query(
-            "flows",
-            "SELECT tb, srcIP, COUNT(*) as pkts, SUM(len) as bytes FROM TCP \
-             GROUP BY time/60 as tb, srcIP",
-        )
-        .unwrap();
-        let dag = b.build();
-        let part = Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 4);
-        let plan = optimize(&dag, &part, &OptimizerConfig::full()).unwrap();
-        let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
-
+        let (plan, trace, rebalance) = skew_case();
         let stat = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
         let mut cfg = SimConfig::default();
-        // Sample at 45s — deliberately unaligned with the 60s window so
-        // the drain boundary splits live windows and state really ships.
-        cfg.transport.rebalance = RebalanceConfig::adaptive()
-            .with_threshold(1.2)
-            .with_consecutive(1)
-            .with_sample_secs(45);
+        cfg.transport.rebalance = rebalance;
         let adap = run_distributed(&plan, &trace, &cfg).unwrap();
 
         assert!(adap.metrics.rebalance_fallback.is_none());
@@ -562,8 +567,6 @@ mod tests {
 
     #[test]
     fn adaptive_on_round_robin_falls_back_to_static() {
-        use crate::rebalance::RebalanceConfig;
-
         let dag = flows_dag();
         let plan = optimize(
             &dag,

@@ -14,7 +14,7 @@ use qap_exec::{ExecError, ExecResult};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
 use qap_partition::{HashPartitioner, KeySketch};
 use qap_plan::{LogicalNode, NodeId};
-use qap_types::{ColumnBatch, Schema, Tuple};
+use qap_types::{Bytes, ColumnBatch, Schema, Tuple, COLUMNAR_FLAG, FRAME_HEADER_LEN};
 
 use crate::sim::SimConfig;
 
@@ -96,22 +96,44 @@ pub(crate) enum Staged<'a> {
     Columns(&'a mut ColumnBatch),
 }
 
-/// An owned feed batch, as it crosses a unit's inbox: what the engine
+/// An owned feed batch, as it crosses a unit's port: what the engine
 /// ingests, in the representation the run stages
 /// ([`crate::TransportConfig::columnar`]). Columnar staging transposes
 /// once, at the splitter, and moves no per-tuple allocation between
 /// threads.
+#[derive(Debug)]
 pub(crate) enum Batch {
     Rows(Vec<Tuple>),
     Columns(ColumnBatch),
+    /// Already one wire frame — how a batch arrives over a socket. It
+    /// stays encoded until `Engine::push_frame`.
+    Frame(Bytes),
 }
 
 impl Batch {
+    /// Tuples in the batch; for a frame, what its header claims (the
+    /// count word, less the representation flag).
     pub(crate) fn len(&self) -> usize {
         match self {
             Batch::Rows(rows) => rows.len(),
             Batch::Columns(cols) => cols.rows(),
+            Batch::Frame(frame) => frame.get(4..FRAME_HEADER_LEN).map_or(0, |w| {
+                (u32::from_be_bytes([w[0], w[1], w[2], w[3]]) & !COLUMNAR_FLAG) as usize
+            }),
         }
+    }
+}
+
+/// Test-only: batches compare by content, whatever their representation.
+#[cfg(test)]
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        let rows = |b: &Batch| match b {
+            Batch::Rows(rows) => Ok(rows.clone()),
+            Batch::Columns(cols) => Ok(cols.to_rows()),
+            Batch::Frame(frame) => Err(frame.clone()),
+        };
+        rows(self) == rows(other)
     }
 }
 
@@ -429,6 +451,7 @@ mod tests {
                         match batch.take() {
                             Batch::Rows(rows) => rows,
                             Batch::Columns(cols) => cols.to_rows(),
+                            Batch::Frame(_) => unreachable!("the splitter stages, never encodes"),
                         },
                     ));
                     Ok(())

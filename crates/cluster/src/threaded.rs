@@ -1,30 +1,34 @@
 //! Multi-threaded cluster execution over framed, bounded boundary
-//! transport.
+//! transport — and the coordinator half every distributing runner
+//! shares.
 //!
 //! Where [`crate::run_distributed`] executes the whole physical plan in
 //! one deterministic engine, this runner actually *distributes* it. The
-//! plan is decomposed into **execution units**:
+//! plan is decomposed into **execution units** ([`Deployment`]):
 //!
 //! - the **central unit** — the aggregation tier (`plan.central`
 //!   nodes), run by the calling thread;
 //! - one **leaf unit** per independent partition pipeline — a connected
-//!   component of non-central nodes on one host — each run by its own
-//!   worker thread. A host owning N partition scans therefore runs N
-//!   workers, so a 4-host deployment scales with cores instead of
-//!   serializing each host's partitions on one thread
+//!   component of non-central nodes on one host — each running
+//!   [`run_unit`] on its own worker thread. A host owning N partition
+//!   scans therefore runs N workers, so a 4-host deployment scales with
+//!   cores instead of serializing each host's partitions on one thread
 //!   ([`TransportConfig::partition_parallel`]; turning it off restores
 //!   the one-thread-per-host baseline).
 //!
 //! A splitter thread runs the shared feed loop
-//! ([`crate::rebalance::drive`]): it routes the trace and streams each
-//! staged batch into the owning unit's unbounded inbox. Leaf units
-//! apply their inbox in order; the central unit, when the decomposition
-//! leaves it scans of its own (host-serial), drains its inbox first and
-//! then the boundary. Static partitioning is that loop with no
-//! rebalance controller attached; with one, the same inboxes carry the
-//! two halves of each drain-and-handoff. One [`stitch`] merges the unit
-//! results (the socket coordinator in [`crate::remote`] reuses it, the
-//! decomposition and the central unit).
+//! ([`crate::rebalance::drive`]) with the unit ports as its carrier
+//! ([`Units`]): it routes the trace and streams each staged batch into
+//! the owning unit's unbounded inbox. Leaf units apply their inbox in
+//! order; the central unit, when the decomposition leaves it scans of
+//! its own (host-serial), drains its inbox first and then the boundary.
+//! Static partitioning is that loop with no rebalance controller
+//! attached; with one, the same inboxes carry the two halves of each
+//! drain-and-handoff. The socket coordinator in [`crate::remote`] is
+//! this runner with its leaf units in other processes: it shares the
+//! decomposition, [`Feed`], [`feed_and_aggregate`] and [`stitch`], and
+//! differs only in how a leaf unit is started and how its end is
+//! harvested.
 //!
 //! Boundary data crosses units as **length-prefixed wire frames** (up
 //! to [`TransportConfig::frame_batch`] tuples per frame, staged through
@@ -56,38 +60,35 @@
 //! [`TransportConfig::send_timeout_ms`] surfaces as
 //! [`FailureCause::Timeout`] instead of deadlocking the run (producers
 //! retry a full channel with bounded backoff; the central consumer
-//! bounds its receive wait). In strict mode (the default) the first
+//! bounds its receive wait; the splitter bounds its wait for a
+//! migration reply). In strict mode (the default) the first
 //! failure aborts the run as `Err(ExecError::Host(..))`; with
 //! [`TransportConfig::partial_results`] surviving hosts finish their
 //! epochs and the [`SimResult`] carries the per-host failure records
 //! plus conservation-checked partial counters. A deterministic
-//! [`FaultPlan`] injects each fault class on demand for the chaos
-//! suite; the default plan injects nothing and leaves the clean path
-//! bit-identical.
+//! [`FaultPlan`](crate::FaultPlan) injects each fault class on demand
+//! for the chaos suite; the default plan injects nothing and leaves the
+//! clean path bit-identical.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::thread::Scope;
+use std::time::Duration;
 
-use qap_exec::{
-    BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics,
-};
 use crossbeam::channel as chan;
+use qap_exec::{Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics};
 use qap_obs::SharedGauge;
 use qap_optimizer::DistributedPlan;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, Tuple, FRAME_HEADER_LEN,
-};
+use qap_types::{Tuple, FRAME_HEADER_LEN};
 
-use crate::link::{ChannelTransport, FrameSink, FrameSource, RecvOutcome, SendOutcome, Transport};
-use crate::rebalance::{
-    drive, extract_rerouted, Carrier, ControlStats, Controller, ExtractJob, Handoff, StateRows,
-};
+use crate::link::{ChannelTransport, FrameSource, RecvOutcome, Transport};
+use crate::rebalance::{drive, ControlStats, Controller};
 use crate::sim::{account, named_outputs, trace_duration, SimConfig, SimResult};
-use crate::splitter::{single_stream, Batch, Splitter, Staged, StreamScans};
-use crate::transport::{EdgeTransport, FaultPlan, TransportConfig, TransportMetrics};
+use crate::splitter::{single_stream, Splitter, StreamScans};
+use crate::transport::{EdgeTransport, TransportConfig, TransportMetrics};
+use crate::unit::{push_feed, run_unit, ChannelPort, FeedBatch, UnitOutcome, UnitSpec, Units};
 
 /// One execution unit's slice of the plan.
 #[derive(Debug)]
@@ -167,64 +168,27 @@ pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult
                 remote_in[&c]
             }
         };
-        let node = match plan.dag.node(id).clone() {
+        let mut node = plan.dag.node(id).clone();
+        match &mut node {
             LogicalNode::Source { stream, partition } => {
                 let partition = partition.ok_or_else(|| {
                     ExecError::BadPlan("distributed plan contains an unpartitioned source".into())
                 })?;
                 let lid = dag
-                    .add_partition_source(&stream, partition)
+                    .add_partition_source(stream, partition)
                     .map_err(|e| ExecError::BadPlan(e.to_string()))?;
                 local.insert(id, lid);
                 continue;
             }
-            LogicalNode::SelectProject {
-                input,
-                predicate,
-                projections,
-            } => LogicalNode::SelectProject {
-                input: remap(input),
-                predicate,
-                projections,
-            },
-            LogicalNode::Aggregate {
-                input,
-                predicate,
-                group_by,
-                aggregates,
-                having,
-            } => LogicalNode::Aggregate {
-                input: remap(input),
-                predicate,
-                group_by,
-                aggregates,
-                having,
-            },
-            LogicalNode::Join {
-                left,
-                right,
-                left_alias,
-                right_alias,
-                join_type,
-                temporal,
-                equi,
-                residual,
-                projections,
-            } => LogicalNode::Join {
-                left: remap(left),
-                right: remap(right),
-                left_alias,
-                right_alias,
-                join_type,
-                temporal,
-                equi,
-                residual,
-                projections,
-            },
-            LogicalNode::Merge { inputs } => LogicalNode::Merge {
-                inputs: inputs.into_iter().map(remap).collect(),
-            },
-        };
+            LogicalNode::SelectProject { input, .. } | LogicalNode::Aggregate { input, .. } => {
+                *input = remap(*input)
+            }
+            LogicalNode::Join { left, right, .. } => {
+                *left = remap(*left);
+                *right = remap(*right);
+            }
+            LogicalNode::Merge { inputs } => inputs.iter_mut().for_each(|c| *c = remap(*c)),
+        }
         let lid = dag
             .add_node(node)
             .map_err(|e| ExecError::BadPlan(format!("unit subplan: {e}")))?;
@@ -346,64 +310,6 @@ pub(crate) fn compute_units(
     }
 }
 
-/// Everything a leaf worker's send path shares with the driver: the
-/// boundary frame sink plus telemetry counters, the fault plan, and the
-/// retry bound. One per worker (a channel sink is a cheap sender clone,
-/// a socket sink owns its stream's write half; the counters are shared
-/// references into driver-owned atomics).
-pub(crate) struct TxShared<'a, S: FrameSink> {
-    pub(crate) sink: S,
-    /// Live boundary-buffer depth (in-flight frames).
-    pub(crate) depth: &'a SharedGauge,
-    /// First-refusal backpressure stalls, run-wide.
-    pub(crate) stalls: &'a AtomicU64,
-    /// Frames discarded by the fault plan's `drop_every` knob, run-wide.
-    pub(crate) dropped: &'a AtomicU64,
-    /// Tuples this worker has fed its engine — advanced batch by batch
-    /// so a panic or fault mid-run reports the last consistent count in
-    /// its [`HostFailure`].
-    pub(crate) tuples: &'a AtomicU64,
-    pub(crate) fault: FaultPlan,
-    /// Bound on the full-buffer retry loop, in milliseconds (0 =
-    /// unbounded blocking send, the pre-fault-tolerance behavior).
-    pub(crate) send_timeout_ms: u64,
-    /// Host this worker executes on (fault targeting + attribution).
-    pub(crate) host: usize,
-}
-
-/// Applies the per-frame fault knobs to an encoded frame about to be
-/// shipped. `seq` is the edge's 1-based frame sequence number (advanced
-/// even for dropped frames), so a fixed plan hits the same frames on
-/// every run. Returns `None` when the frame is dropped.
-///
-/// Corruption flips the high byte of the big-endian payload-length
-/// header word — the consumer's decoder deterministically reports
-/// `FrameLengthMismatch`. Truncation halves the frame (cutting either
-/// mid-payload or into the header), which decodes as
-/// `Truncated`/`FrameLengthMismatch`. Both mutations copy the frame —
-/// the clean path stays zero-copy.
-// `seq % n == 0` spelled out rather than `is_multiple_of` to hold the
-// workspace MSRV (1.75; the method stabilized in 1.87).
-#[allow(clippy::manual_is_multiple_of)]
-fn inject_frame_fault(fault: &FaultPlan, seq: u64, frame: Bytes) -> Option<Bytes> {
-    if fault.drop_every > 0 && seq % fault.drop_every == 0 {
-        return None;
-    }
-    let corrupt = fault.corrupt_every > 0 && seq % fault.corrupt_every == 0;
-    let truncate = fault.truncate_every > 0 && seq % fault.truncate_every == 0;
-    if !corrupt && !truncate {
-        return Some(frame);
-    }
-    let mut bytes = frame.as_ref().to_vec();
-    if corrupt && !bytes.is_empty() {
-        bytes[0] ^= 0x80;
-    }
-    if truncate {
-        bytes.truncate(bytes.len() / 2);
-    }
-    Some(Bytes::from(bytes))
-}
-
 /// Renders a caught panic payload as the `FailureCause::Panic` message.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -415,28 +321,32 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One unit's results: stitched back into global vectors by the driver.
-pub(crate) struct UnitRun {
-    pub(crate) counters: Vec<OpCounters>,
-    pub(crate) node_metrics: Vec<OpMetrics>,
-    pub(crate) outputs: Vec<(usize, Vec<Tuple>)>,
-    pub(crate) edges: Vec<EdgeTransport>,
-}
-
 /// The plan cut into execution units for one single-stream feed: what
 /// the threaded runner and the socket coordinator both deploy.
-pub(crate) struct Deployment {
+pub(crate) struct Deployment<'a> {
+    pub(crate) plan: &'a DistributedPlan,
+    /// The run's configuration, as deployed (the socket coordinator's
+    /// has its host-serial decomposition applied).
+    pub(crate) cfg: SimConfig,
     /// Unit slices; element 0 is the central unit.
     pub(crate) slices: Vec<UnitPlan>,
+    /// The leaf units' descriptions: `specs[u - 1]` describes
+    /// `slices[u]` (see [`Deployment::leaves`]).
+    pub(crate) specs: Vec<UnitSpec>,
     /// Plan node → index of the unit that runs it.
     pub(crate) unit_of: Vec<usize>,
+    /// Plan node → its local id inside that unit.
+    pub(crate) local_of: Vec<NodeId>,
     pub(crate) scans: StreamScans,
 }
 
-impl Deployment {
-    pub(crate) fn new(plan: &DistributedPlan, transport: &TransportConfig) -> ExecResult<Self> {
+impl<'a> Deployment<'a> {
+    pub(crate) fn new(plan: &'a DistributedPlan, cfg: &SimConfig) -> ExecResult<Self> {
+        // One bound for every wait of the run, and never "no bound".
+        let mut cfg = *cfg;
+        cfg.transport.send_timeout_ms = cfg.transport.send_timeout_ms.max(1);
         let scans = single_stream(plan)?;
-        let unit_nodes = compute_units(plan, plan.partitioning.aggregator_host, transport);
+        let unit_nodes = compute_units(plan, plan.partitioning.aggregator_host, &cfg.transport);
         let slices: Vec<UnitPlan> = unit_nodes
             .iter()
             .map(|nodes| slice_unit(plan, nodes))
@@ -460,16 +370,32 @@ impl Deployment {
             ));
         }
         let mut unit_of = vec![0; plan.dag.len()];
-        for (u, nodes) in unit_nodes.iter().enumerate() {
-            for &id in nodes {
-                unit_of[id] = u;
+        let mut local_of = vec![0; plan.dag.len()];
+        for (u, slice) in slices.iter().enumerate() {
+            for (&global, &local) in &slice.local {
+                unit_of[global] = u;
+                local_of[global] = local;
             }
         }
+        let specs = slices[1..]
+            .iter()
+            .map(|slice| unit_spec_of(plan, slice, &cfg))
+            .collect();
         Ok(Deployment {
+            plan,
+            cfg,
             slices,
+            specs,
             unit_of,
+            local_of,
             scans,
         })
+    }
+
+    /// The leaf units: (unit index, slice, description).
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = (usize, &UnitPlan, &UnitSpec)> {
+        let leaves = self.slices[1..].iter().zip(&self.specs);
+        leaves.zip(1..).map(|((slice, spec), u)| (u, slice, spec))
     }
 
     /// Whether the central unit owns partition scans (host-serial: the
@@ -479,23 +405,51 @@ impl Deployment {
     }
 }
 
-/// One splitter batch for a (global) scan node — what the central
-/// unit's inbox carries.
-pub(crate) type FeedBatch = (NodeId, Batch);
-
-/// Splitter→worker commands. Per-inbox FIFO is the protocol's ordering
-/// guarantee: by the time a worker sees `Extract`, every earlier `Feed`
-/// on the same inbox has been applied, which is exactly the drain step
-/// of drain-and-handoff. Dropping the inbox is end-of-stream.
-enum WorkerCmd {
-    Feed(NodeId, Batch),
-    /// Force-close windows before the boundary on every job's
-    /// aggregate, then extract re-routed group state; reply with
-    /// `(global node, rows)`. A dropped reply means the worker failed.
-    Extract(u64, Vec<ExtractJob>, chan::Sender<Vec<StateRows>>),
-    /// Merge shipped state rows into the listed (global) aggregates,
-    /// then ack.
-    Absorb(Vec<StateRows>, chan::Sender<()>),
+/// Describes one leaf slice for [`run_unit`]: its id maps, the run's
+/// knobs, and the sliced DAG as a replayable build script for the
+/// runner that has to ship it.
+fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> UnitSpec {
+    let transport = cfg.transport;
+    let mut schemas: Vec<_> = plan.dag.catalog().schemas().cloned().collect();
+    schemas.sort_by(|a, b| {
+        a.name()
+            .to_ascii_lowercase()
+            .cmp(&b.name().to_ascii_lowercase())
+    });
+    // Local dag nodes in id order: replaying this list reproduces the
+    // dag (ids are assigned sequentially by insertion).
+    let dag = &slice.dag;
+    let nodes: Vec<LogicalNode> = (0..dag.len()).map(|id| dag.node(id).clone()).collect();
+    let mut scans: Vec<(u32, u32)> = slice
+        .local
+        .iter()
+        .filter(|(&g, _)| plan.dag.node(g).is_source())
+        .map(|(&g, &l)| (g as u32, l as u32))
+        .collect();
+    scans.sort_unstable();
+    let boundary = slice
+        .boundary
+        .iter()
+        .map(|&g| (g as u32, slice.local[&g] as u32))
+        .collect();
+    let outputs = slice
+        .outputs
+        .iter()
+        .map(|&(idx, g)| (idx as u32, slice.local[&g] as u32))
+        .collect();
+    UnitSpec {
+        host: slice.host as u32,
+        schemas,
+        nodes,
+        scans,
+        boundary,
+        outputs,
+        max_batch: cfg.batch.max_batch as u32,
+        frame_batch: transport.frame_batch.max(1) as u32,
+        columnar: transport.columnar,
+        send_timeout_ms: transport.send_timeout_ms,
+        fault: transport.fault,
+    }
 }
 
 /// Executes a distributed plan with partition-parallel worker threads
@@ -512,274 +466,193 @@ pub fn run_distributed_threaded(
     trace: &[Tuple],
     cfg: &SimConfig,
 ) -> ExecResult<SimResult> {
-    let agg = plan.partitioning.aggregator_host;
-    let transport = cfg.transport;
-    let dep = Deployment::new(plan, &transport)?;
-    let slices = &dep.slices;
+    let dep = Deployment::new(plan, cfg)?;
     // Migration commands reach leaf workers only.
     let veto = dep
         .central_owns_scans()
         .then_some("host-serial unit decomposition: the central unit owns partition scans");
-    let (mut controller, mut control) = Controller::attach(
-        plan,
-        transport.rebalance,
-        std::slice::from_ref(&dep.scans),
-        veto,
-        None,
-    );
-    let mut splitter = Splitter::new(plan, &dep.scans, cfg, controller.is_some())?;
+    let mut feed = Feed::new(&dep, trace, veto, None)?;
 
     // The boundary data path: one bounded frame channel fanning into
     // the central unit — producers block when `channel_capacity` frames
     // are in flight.
-    let (tx, rx) = ChannelTransport.pair(transport.channel_capacity.max(1));
+    let (tx, rx) = ChannelTransport.pair(cfg.transport.channel_capacity.max(1));
     let depth = SharedGauge::new();
-    let stalls = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
     // Per-worker progress counters, owned by the driver so a panicking
     // worker's last consistent tuple count survives into its failure
     // record.
-    let worker_tuples: Vec<AtomicU64> = (0..slices.len()).map(|_| AtomicU64::new(0)).collect();
-    let batch_cfg = cfg.batch;
-    let frame_batch = transport.frame_batch.max(1);
-    let columnar = transport.columnar;
+    let fed: Vec<AtomicU64> = dep.slices.iter().map(|_| AtomicU64::new(0)).collect();
 
-    let (driven, mut runs, mut failures, central) = std::thread::scope(|scope| {
+    let (central, outcomes, failures) = std::thread::scope(|scope| {
+        let (mut units, central_rx) = Units::new(&dep);
         let mut handles = Vec::new();
-        let mut inboxes = vec![None];
-        for (u, slice) in slices.iter().enumerate().skip(1) {
-            // Unbounded: a bounded inbox, a feed-first central unit and
-            // a full boundary channel would deadlock three ways.
-            let (cmd_tx, cmd_rx) = chan::unbounded();
-            inboxes.push(Some(cmd_tx));
-            let shared = TxShared {
-                sink: tx.clone(),
-                depth: &depth,
-                stalls: &stalls,
-                dropped: &dropped,
-                tuples: &worker_tuples[u],
-                fault: transport.fault,
-                send_timeout_ms: transport.send_timeout_ms,
-                host: slice.host,
+        for (u, slice, spec) in dep.leaves() {
+            let (inbox, replies) = units.open(u);
+            let (sink, depth) = (tx.clone(), &depth);
+            let mut port = ChannelPort {
+                inbox,
+                replies,
+                sink,
+                depth,
             };
+            let fed = &fed[u];
             // A worker panic (organic or injected) must not propagate:
             // catch it and let the harvest turn it into a typed
             // HostFailure. The closure's state is moved in and
             // abandoned on unwind, so AssertUnwindSafe is sound.
             handles.push(scope.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
-                    run_leaf_unit(slice, cmd_rx, batch_cfg, frame_batch, columnar, shared)
+                    run_unit(spec, &slice.dag, &mut port, fed)
                 }))
             }));
         }
         drop(tx);
-        let (central_tx, central_rx) = chan::unbounded();
-        let mut workers = Workers {
-            inboxes,
-            // A central unit without scans starts on the boundary at
-            // once: its inbox closes here.
-            central: dep.central_owns_scans().then_some(central_tx),
-            unit_of: &dep.unit_of,
-        };
-        // The splitter gets a thread of its own; the central unit stays
-        // on the calling thread, whose allocator arena outlives the run —
-        // so a caller that runs many plans re-uses the central tier's
-        // (large) working memory instead of stranding it per run.
-        let (splitter, controller, control) = (&mut splitter, &mut controller, &mut control);
-        let splitter_handle = scope.spawn(move || {
-            let driven = drive(splitter, controller.as_mut(), control, trace, &mut workers);
-            // End of stream: closing the inboxes lets each unit drain its
-            // queue, finish its engine, and flush its tail frames.
-            drop(workers);
-            driven
-        });
-        let central = run_central_unit(
-            &slices[0], central_rx, batch_cfg, rx, &depth, &plan.host, &transport, agg,
-        );
-        let driven = splitter_handle.join().unwrap_or_else(|payload| {
-            Err(HostFailure {
-                host: agg,
-                cause: FailureCause::Panic(panic_message(payload)),
-                tuples_processed: 0,
-            }
-            .into())
-        });
+        let central =
+            feed_and_aggregate(scope, &dep, &mut feed, units, central_rx, rx, &depth, || ());
 
         // Join every worker before inspecting the central result: even
         // a failing run must not leave a thread behind, and collecting
         // the outcomes here is what turns panics into typed records.
-        let mut runs = Vec::new();
+        let mut outcomes = Vec::new();
         let mut failures: Vec<HostFailure> = Vec::new();
-        for (handle, u) in handles.into_iter().zip(1..) {
+        for (handle, (u, slice, _)) in handles.into_iter().zip(dep.leaves()) {
             let failed = |cause| HostFailure {
-                host: slices[u].host,
+                host: slice.host,
                 cause,
-                tuples_processed: worker_tuples[u].load(Ordering::Relaxed),
+                tuples_processed: fed[u].load(Ordering::Relaxed),
             };
             match handle.join().unwrap_or_else(Err) {
-                Ok(Ok(run)) => runs.push((u, run)),
+                Ok(Ok(outcome)) => outcomes.push((u, outcome)),
                 Ok(Err(ExecError::Host(f))) => failures.push(f),
                 Ok(Err(e)) => failures.push(failed(FailureCause::Exec(Box::new(e)))),
                 Err(payload) => failures.push(failed(FailureCause::Panic(panic_message(payload)))),
             }
         }
-        (driven, runs, failures, central)
+        (central, outcomes, failures)
     });
-    driven?;
-    let central = central?;
-    runs.insert(0, (0, central.run));
-    failures.extend(central.failures);
-    let totals = RunTotals {
-        stalls: stalls.load(Ordering::Relaxed),
-        dropped: dropped.load(Ordering::Relaxed),
-        corrupt_dropped: central.corrupt_dropped,
-        queue_peak: depth.peak(),
-    };
-    stitch(plan, cfg, &dep, trace, runs, failures, totals, control)
+    stitch(&dep, feed, central?, outcomes, failures)
 }
 
-/// The threaded carrier: unit inboxes. A unit whose inbox has closed is
-/// dead; its typed failure is harvested at join, and it is fed no more.
-struct Workers<'a> {
-    /// Leaf-unit inboxes by unit index (slot 0, the central unit, is
-    /// never used).
-    inboxes: Vec<Option<chan::Sender<WorkerCmd>>>,
-    central: Option<chan::Sender<FeedBatch>>,
-    unit_of: &'a [usize],
+/// What the splitter thread drives: the one splitter over the one
+/// trace, and the rebalance controller when the run attached one.
+pub(crate) struct Feed<'a> {
+    splitter: Splitter,
+    controller: Option<Controller>,
+    control: ControlStats,
+    trace: &'a [Tuple],
 }
 
-/// Queues `msg` on a unit's inbox; `false` — the inbox was already gone,
-/// or its receiver is — marks the unit dead by closing the slot.
-pub(crate) fn send_or_close<T>(inbox: &mut Option<chan::Sender<T>>, msg: T) -> bool {
-    let sent = inbox.as_ref().is_some_and(|tx| tx.send(msg).is_ok());
-    if !sent {
-        *inbox = None;
+impl<'a> Feed<'a> {
+    /// `veto` is the runner's own reason a controller cannot attach;
+    /// `pinned` the host whose partitions never move.
+    pub(crate) fn new(
+        dep: &Deployment<'_>,
+        trace: &'a [Tuple],
+        veto: Option<&str>,
+        pinned: Option<usize>,
+    ) -> ExecResult<Feed<'a>> {
+        let (controller, control) = Controller::attach(
+            dep.plan,
+            dep.cfg.transport.rebalance,
+            std::slice::from_ref(&dep.scans),
+            veto,
+            pinned,
+        );
+        let splitter = Splitter::new(dep.plan, &dep.scans, &dep.cfg, controller.is_some())?;
+        Ok(Feed {
+            splitter,
+            controller,
+            control,
+            trace,
+        })
     }
-    sent
-}
 
-impl Workers<'_> {
-    fn send(&mut self, u: usize, cmd: WorkerCmd) -> bool {
-        send_or_close(&mut self.inboxes[u], cmd)
-    }
-
-    /// Groups per-node items by owning unit, in ascending unit order.
-    fn by_unit<T>(&self, items: Vec<T>, node: impl Fn(&T) -> NodeId) -> BTreeMap<usize, Vec<T>> {
-        let mut grouped: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-        for item in items {
-            grouped
-                .entry(self.unit_of[node(&item)])
-                .or_default()
-                .push(item);
-        }
-        grouped
+    /// Whether a rebalance controller is attached.
+    pub(crate) fn adaptive(&self) -> bool {
+        self.controller.is_some()
     }
 }
 
-impl Carrier for Workers<'_> {
-    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
-        match self.unit_of[scan] {
-            0 => {
-                if let Some(tx) = &self.central {
-                    let _ = tx.send((scan, batch.take()));
-                }
-            }
-            u => {
-                self.send(u, WorkerCmd::Feed(scan, batch.take()));
-            }
+/// The part of a run every port-based runner shares once its leaf
+/// units are started: the splitter drives `units` from a thread of its
+/// own while the central unit runs on the calling thread — whose
+/// allocator arena outlives the run, so a caller that runs many plans
+/// re-uses the central tier's (large) working memory instead of
+/// stranding it per run. `stop` runs as soon as the central unit is
+/// done, before the splitter is joined: whatever it takes for the
+/// runner's leaf units to wind down even when the run is aborting.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn feed_and_aggregate<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    dep: &'scope Deployment<'_>,
+    feed: &'scope mut Feed<'_>,
+    mut units: Units<'scope>,
+    central_rx: chan::Receiver<FeedBatch>,
+    rx: impl FrameSource,
+    depth: &SharedGauge,
+    stop: impl FnOnce(),
+) -> ExecResult<CentralOutcome> {
+    let splitter = scope.spawn(move || {
+        let driven = drive(
+            &mut feed.splitter,
+            feed.controller.as_mut(),
+            &mut feed.control,
+            feed.trace,
+            &mut units,
+        );
+        // End of stream: closing the inboxes lets each unit drain its
+        // queue, finish its engine, and flush its tail frames.
+        drop(units);
+        driven
+    });
+    let central = run_central_unit(dep, central_rx, rx, depth);
+    stop();
+    let driven = splitter.join().unwrap_or_else(|payload| {
+        Err(HostFailure {
+            host: dep.plan.partitioning.aggregator_host,
+            cause: FailureCause::Panic(panic_message(payload)),
+            tuples_processed: 0,
         }
-        Ok(())
-    }
-
-    fn extract(
-        &mut self,
-        handoff: &Handoff<'_>,
-        jobs: Vec<ExtractJob>,
-    ) -> ExecResult<(Vec<StateRows>, bool)> {
-        let mut any_dead = false;
-        let mut replies = Vec::new();
-        for (u, jobs) in self.by_unit(jobs, |j| j.node) {
-            let (reply_tx, reply_rx) = chan::bounded(1);
-            if self.send(u, WorkerCmd::Extract(handoff.boundary, jobs, reply_tx)) {
-                replies.push((u, reply_rx));
-            } else {
-                any_dead = true;
-            }
-        }
-        let mut extracted = Vec::new();
-        for (u, reply) in replies {
-            match reply.recv() {
-                Ok(batches) => extracted.extend(batches),
-                Err(_) => {
-                    self.inboxes[u] = None;
-                    any_dead = true;
-                }
-            }
-        }
-        Ok((extracted, any_dead))
-    }
-
-    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
-        let mut ok = true;
-        let mut acks = Vec::new();
-        for (u, batches) in self.by_unit(batches, |b| b.0) {
-            let (ack_tx, ack_rx) = chan::bounded(1);
-            if self.send(u, WorkerCmd::Absorb(batches, ack_tx)) {
-                acks.push((u, ack_rx));
-            } else {
-                ok = false;
-            }
-        }
-        for (u, ack) in acks {
-            if ack.recv().is_err() {
-                self.inboxes[u] = None;
-                ok = false;
-            }
-        }
-        Ok(ok)
-    }
-}
-
-/// Run-wide transport tallies handed to [`stitch`].
-pub(crate) struct RunTotals {
-    pub(crate) stalls: u64,
-    pub(crate) dropped: u64,
-    pub(crate) corrupt_dropped: u64,
-    pub(crate) queue_peak: u64,
+        .into())
+    });
+    driven.and(central)
 }
 
 /// Merges per-unit results into the run's [`SimResult`]: counters and
 /// metrics back onto global node ids through each slice's local map,
-/// outputs by plan index, edges into the measured [`TransportMetrics`],
-/// and the accounting of [`account`] over the merged counters. In
-/// strict mode the first failure is the run's error instead.
-#[allow(clippy::too_many_arguments)]
+/// outputs by plan index, edges and send-path tallies into the measured
+/// [`TransportMetrics`], and the accounting of [`account`] over the
+/// merged counters. In strict mode the first failure is the run's error
+/// instead.
 pub(crate) fn stitch(
-    plan: &DistributedPlan,
-    cfg: &SimConfig,
-    dep: &Deployment,
-    trace: &[Tuple],
-    runs: Vec<(usize, UnitRun)>,
+    dep: &Deployment<'_>,
+    feed: Feed<'_>,
+    central: CentralOutcome,
+    mut units: Vec<(usize, UnitOutcome)>,
     mut failures: Vec<HostFailure>,
-    totals: RunTotals,
-    control: ControlStats,
 ) -> ExecResult<SimResult> {
+    let (plan, cfg) = (dep.plan, &dep.cfg);
+    failures.extend(central.failures);
     if !cfg.transport.partial_results && !failures.is_empty() {
         return Err(failures.swap_remove(0).into());
     }
+    units.push((0, central.outcome));
     let mut counters = vec![OpCounters::default(); plan.dag.len()];
     let mut node_metrics = vec![OpMetrics::default(); plan.dag.len()];
     let mut outputs = named_outputs(plan);
     let mut edges: Vec<EdgeTransport> = Vec::new();
-    for (u, run) in runs {
+    let (mut stalls, mut dropped) = (0, 0);
+    for (u, unit) in units {
         for (&global, &local) in &dep.slices[u].local {
-            counters[global] = run.counters[local];
-            node_metrics[global] = run.node_metrics[local].clone();
+            counters[global] = unit.counters[local];
+            node_metrics[global] = unit.node_metrics[local].clone();
         }
-        for (idx, rows) in run.outputs {
-            outputs[idx].1 = rows;
+        for (idx, rows) in unit.outputs {
+            outputs[idx as usize].1 = rows;
         }
-        edges.extend(run.edges);
+        edges.extend(unit.edges);
+        stalls += unit.stalls;
+        dropped += unit.dropped;
     }
     edges.sort_unstable_by_key(|e| e.producer);
     let frames: u64 = edges.iter().map(|e| e.frames).sum();
@@ -789,19 +662,19 @@ pub(crate) fn stitch(
         edges,
         frames,
         frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: totals.stalls,
-        queue_peak: totals.queue_peak,
+        backpressure_stalls: stalls,
+        queue_peak: central.queue_peak,
         retries,
-        frames_dropped: totals.dropped,
-        frames_corrupt_dropped: totals.corrupt_dropped,
+        frames_dropped: dropped,
+        frames_corrupt_dropped: central.corrupt_dropped,
         channel_capacity: cfg.transport.channel_capacity.max(1),
         frame_batch: cfg.transport.frame_batch.max(1),
     };
-    let duration = trace_duration(&dep.scans.schema, trace);
+    let duration = trace_duration(&dep.scans.schema, feed.trace);
     let mut metrics = account(plan, &counters, duration, cfg);
     metrics.boundary_queue_peak = transport.queue_peak;
     metrics.transport = transport;
-    control.apply(&mut metrics);
+    feed.control.apply(&mut metrics);
     Ok(SimResult {
         metrics,
         outputs,
@@ -811,444 +684,108 @@ pub(crate) fn stitch(
     })
 }
 
-/// Per-boundary-producer framing state within one leaf unit.
-pub(crate) struct EdgeStage {
-    /// Global producer node id.
-    pub(crate) producer: NodeId,
-    /// Local sink id inside the unit's engine.
-    pub(crate) local: NodeId,
-    /// Tuples drained but not yet framed.
-    pub(crate) pending: Vec<Tuple>,
-    /// Reused columnar staging batch (columnar transport only): each
-    /// frame's tuples transpose into these lanes before encoding, so
-    /// steady-state framing reuses the lane allocations.
-    pub(crate) col_stage: ColumnBatch,
-    /// 1-based frame sequence number for deterministic fault selection;
-    /// advances even for frames the fault plan drops (unlike
-    /// `stats.frames`, which counts only shipped frames).
-    pub(crate) seq: u64,
-    /// Measured transport for this edge.
-    pub(crate) stats: EdgeTransport,
-}
-
-impl EdgeStage {
-    /// Fresh framing state for one boundary edge of `slice`.
-    pub(crate) fn new(slice: &UnitPlan, global: NodeId) -> EdgeStage {
-        EdgeStage {
-            producer: global,
-            local: slice.local[&global],
-            pending: Vec::new(),
-            col_stage: ColumnBatch::new(slice.dag.schema(slice.local[&global]).arity()),
-            seq: 0,
-            stats: EdgeTransport {
-                producer: global,
-                from_host: slice.host,
-                ..EdgeTransport::default()
-            },
-        }
-    }
-}
-
-/// Feeds one splitter batch to a unit engine, in the representation it
-/// was staged in.
-fn push_feed(engine: &mut Engine, local: NodeId, batch: Batch) -> ExecResult<()> {
-    match batch {
-        Batch::Rows(mut rows) => engine.push_batch(local, &mut rows),
-        Batch::Columns(mut cols) => engine.push_columns(local, &mut cols),
-    }
-}
-
-/// One leaf unit: applies its inbox in order — feed batches into the
-/// scans, and the two halves of a drain-and-handoff — shipping boundary
-/// frames as they materialize; a closed inbox is end-of-stream. An
-/// engine error mid-handoff drops the reply channel (the splitter sees
-/// the unit as dead and aborts the handoff) and is returned, so the
-/// join harvest records the typed cause.
-fn run_leaf_unit<S: FrameSink>(
-    slice: &UnitPlan,
-    inbox: chan::Receiver<WorkerCmd>,
-    batch_cfg: BatchConfig,
-    frame_batch: usize,
-    columnar: bool,
-    mut shared: TxShared<'_, S>,
-) -> ExecResult<UnitRun> {
-    // Injected hang: stall once, before the first frame, long enough
-    // for the consumer's receive timeout to notice. Finite by
-    // construction — the scoped runner must eventually join us.
-    if shared.fault.hang_host == Some(shared.host) && shared.fault.hang_millis > 0 {
-        std::thread::sleep(Duration::from_millis(shared.fault.hang_millis));
-    }
-    let panic_at =
-        (shared.fault.panic_host == Some(shared.host)).then_some(shared.fault.panic_after_tuples);
-
-    let mut sinks: Vec<NodeId> = slice.boundary.iter().map(|&g| slice.local[&g]).collect();
-    for &(_, g) in &slice.outputs {
-        let l = slice.local[&g];
-        if !sinks.contains(&l) {
-            sinks.push(l);
-        }
-    }
-    let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
-    let mut edges: Vec<EdgeStage> = slice
-        .boundary
-        .iter()
-        .map(|&g| EdgeStage::new(slice, g))
-        .collect();
-    let mut scratch = BytesMut::new();
-
-    let mut fed: u64 = 0;
-    while let Ok(cmd) = inbox.recv() {
-        match cmd {
-            WorkerCmd::Feed(scan, batch) => {
-                fed += batch.len() as u64;
-                push_feed(&mut engine, slice.local[&scan], batch)?;
-                shared.tuples.store(fed, Ordering::Relaxed);
-                if let Some(at) = panic_at {
-                    if fed >= at {
-                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-                    }
-                }
-            }
-            WorkerCmd::Extract(boundary, jobs, reply) => {
-                for job in &jobs {
-                    engine.flush_before(slice.local[&job.node], boundary)?;
-                }
-                let extracted = jobs
-                    .iter()
-                    .map(|job| {
-                        let local = slice.local[&job.node];
-                        (
-                            job.node,
-                            extract_rerouted(&mut engine, local, &job.keyp, &job.owned),
-                        )
-                    })
-                    .collect();
-                let _ = reply.send(extracted);
-            }
-            WorkerCmd::Absorb(batches, ack) => {
-                for (g, mut rows) in batches {
-                    engine.absorb_state(slice.local[&g], &mut rows)?;
-                }
-                let _ = ack.send(());
-            }
-        }
-        forward_boundary(
-            &mut engine,
-            &mut edges,
-            frame_batch,
-            columnar,
-            false,
-            &mut scratch,
-            &mut shared,
-        )?;
-    }
-    engine.finish()?;
-    forward_boundary(
-        &mut engine,
-        &mut edges,
-        frame_batch,
-        columnar,
-        true,
-        &mut scratch,
-        &mut shared,
-    )?;
-
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx, engine.output(slice.local[&g])))
-        .collect();
-    Ok(UnitRun {
-        counters,
-        node_metrics,
-        outputs,
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-    })
-}
-
-/// Drains each boundary sink into its staging buffer and ships every
-/// full `frame_batch`-tuple frame (plus, on `final_flush`, the partial
-/// tail frame). Frames per edge are deterministic: the producer's
-/// output sequence is fixed by the plan and trace, and chunking is
-/// positional.
-pub(crate) fn forward_boundary<S: FrameSink>(
-    engine: &mut Engine,
-    edges: &mut [EdgeStage],
-    frame_batch: usize,
-    columnar: bool,
-    final_flush: bool,
-    scratch: &mut BytesMut,
-    shared: &mut TxShared<'_, S>,
-) -> ExecResult<()> {
-    for edge in edges.iter_mut() {
-        let mut drained = engine.drain_output(edge.local);
-        if !drained.is_empty() {
-            if edge.pending.is_empty() {
-                edge.pending = drained;
-            } else {
-                edge.pending.append(&mut drained);
-            }
-        }
-        let mut start = 0;
-        while edge.pending.len() - start >= frame_batch {
-            ship(edge, start..start + frame_batch, columnar, scratch, shared)?;
-            start += frame_batch;
-        }
-        if final_flush && start < edge.pending.len() {
-            let end = edge.pending.len();
-            ship(edge, start..end, columnar, scratch, shared)?;
-            start = end;
-        }
-        if start > 0 {
-            edge.pending.drain(..start);
-        }
-    }
-    Ok(())
-}
-
-/// Encodes one frame — column-contiguous through the edge's reused
-/// staging batch when `columnar`, row-major otherwise — applies the
-/// fault plan, and sends it through the unit's [`FrameSink`]: a
-/// non-blocking attempt first, and on a full buffer one counted
-/// backpressure stall followed by a bounded retry-with-backoff loop
-/// (or, with `send_timeout_ms == 0`, the pre-fault-tolerance blocking
-/// send). Exhausting the retry bound surfaces as a typed
-/// [`FailureCause::Timeout`] instead of wedging the worker. A dropped
-/// receiver (central error path) discards the frame — never a
-/// deadlock. A sink whose *link* breaks (socket transports only)
-/// surfaces as a typed [`FailureCause::Link`].
-fn ship<S: FrameSink>(
-    edge: &mut EdgeStage,
-    range: std::ops::Range<usize>,
-    columnar: bool,
-    scratch: &mut BytesMut,
-    shared: &mut TxShared<'_, S>,
-) -> ExecResult<()> {
-    let chunk = &edge.pending[range];
-    let frame = if columnar {
-        edge.col_stage.clear();
-        edge.col_stage.extend_rows(chunk);
-        encode_column_batch(&edge.col_stage, scratch)?
-    } else {
-        encode_batch(chunk, scratch)?
-    };
-    edge.seq += 1;
-    let frame_len = frame.len();
-    let frame = match inject_frame_fault(&shared.fault, edge.seq, frame) {
-        Some(f) => f,
-        None => {
-            // Dropped by the fault plan: the frame never reaches the
-            // wire, so it counts as a drop, not a shipment.
-            shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-    };
-    if shared.fault.slow_host == Some(shared.host) && shared.fault.slow_micros > 0 {
-        std::thread::sleep(Duration::from_micros(shared.fault.slow_micros));
-    }
-    edge.stats.frames += 1;
-    edge.stats.tuples += chunk.len() as u64;
-    edge.stats.bytes += (frame_len - FRAME_HEADER_LEN) as u64;
-    shared.depth.inc();
-    let link_failure = |shared: &TxShared<'_, S>, msg: String| -> ExecError {
-        HostFailure {
-            host: shared.host,
-            cause: FailureCause::Link(msg),
-            tuples_processed: shared.tuples.load(Ordering::Relaxed),
-        }
-        .into()
-    };
-    let first = shared
-        .sink
-        .try_send((edge.producer, frame))
-        .map_err(|e| link_failure(shared, e))?;
-    match first {
-        SendOutcome::Sent => Ok(()),
-        SendOutcome::Closed => {
-            shared.depth.dec();
-            Ok(())
-        }
-        SendOutcome::Full(mut msg) => {
-            shared.stalls.fetch_add(1, Ordering::Relaxed);
-            if shared.send_timeout_ms == 0 {
-                // Unbounded mode: plain blocking send, as before.
-                let outcome = shared.sink.send(msg).map_err(|e| link_failure(shared, e))?;
-                if let SendOutcome::Closed = outcome {
-                    shared.depth.dec();
-                }
-                return Ok(());
-            }
-            // Bounded retry with exponential backoff, capped at the
-            // send timeout: a consumer that never drains surfaces as a
-            // typed timeout failure instead of a wedged worker.
-            let deadline = Duration::from_millis(shared.send_timeout_ms);
-            let started = Instant::now();
-            let mut backoff = Duration::from_micros(100);
-            loop {
-                match shared
-                    .sink
-                    .try_send(msg)
-                    .map_err(|e| link_failure(shared, e))?
-                {
-                    SendOutcome::Sent => return Ok(()),
-                    SendOutcome::Closed => {
-                        shared.depth.dec();
-                        return Ok(());
-                    }
-                    SendOutcome::Full(m) => {
-                        msg = m;
-                        edge.stats.retries += 1;
-                        let waited = started.elapsed();
-                        if waited >= deadline {
-                            shared.depth.dec();
-                            return Err(HostFailure {
-                                host: shared.host,
-                                cause: FailureCause::Timeout {
-                                    waited_ms: waited.as_millis() as u64,
-                                },
-                                tuples_processed: shared.tuples.load(Ordering::Relaxed),
-                            }
-                            .into());
-                        }
-                        std::thread::sleep(backoff.min(deadline - waited));
-                        backoff = (backoff * 2).min(Duration::from_millis(10));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The central unit's outcome: its engine results plus the failure
 /// records it observed on the receive side (always empty in strict
 /// mode, where the first such failure aborts instead).
 pub(crate) struct CentralOutcome {
-    pub(crate) run: UnitRun,
-    pub(crate) failures: Vec<HostFailure>,
+    outcome: UnitOutcome,
+    failures: Vec<HostFailure>,
     /// Corrupt frames detected, recorded, and discarded (partial mode).
-    pub(crate) corrupt_dropped: u64,
+    corrupt_dropped: u64,
+    /// Peak boundary-buffer depth (in-flight frames) over the run.
+    queue_peak: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_central_unit<R: FrameSource>(
-    slice: &UnitPlan,
+fn run_central_unit<R: FrameSource>(
+    dep: &Deployment<'_>,
     feed: chan::Receiver<FeedBatch>,
-    batch_cfg: BatchConfig,
     mut rx: R,
     depth: &SharedGauge,
-    host_of: &[usize],
-    transport: &TransportConfig,
-    agg: usize,
 ) -> ExecResult<CentralOutcome> {
+    let (slice, transport) = (&dep.slices[0], dep.cfg.transport);
+    let agg = dep.plan.partitioning.aggregator_host;
     let sinks: Vec<NodeId> = slice
         .outputs
         .iter()
         .map(|&(_, g)| slice.local[&g])
         .collect();
     let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(batch_cfg);
+    engine.set_batch_config(dep.cfg.batch);
     // Local partitions first, until the splitter closes the inbox
     // (host-serial mode keeps the aggregator host's own scans in this
     // unit; workers stream concurrently into the channel buffer)...
+    let mut fed: u64 = 0;
     while let Ok((scan, batch)) = feed.recv() {
-        push_feed(&mut engine, slice.local[&scan], batch)?;
+        fed += push_feed(&mut engine, scan, batch)? as u64;
     }
     // ...then every boundary frame, decoded straight into the engine's
     // pooled buffers; merge operators align the independently-
     // progressing inputs. Dropping `rx` on an early error unblocks any
     // producer stalled on a full channel. The receive wait is bounded
-    // (`send_timeout_ms`, 0 = unbounded): a quiet-but-connected
-    // boundary past the bound means a hung peer, surfaced as a typed
-    // timeout attributed to this observer host.
+    // (`send_timeout_ms`): a quiet-but-connected boundary past the
+    // bound means a hung peer, surfaced as a typed timeout attributed
+    // to this observer host.
     let mut failures: Vec<HostFailure> = Vec::new();
     let mut corrupt_dropped: u64 = 0;
     let mut rx_tuples: u64 = 0;
-    let timeout = Duration::from_millis(transport.send_timeout_ms);
-    loop {
-        let outcome = if transport.send_timeout_ms == 0 {
-            rx.recv()
-        } else {
-            rx.recv_timeout(timeout)
+    let timeout_ms = transport.send_timeout_ms;
+    // Strict mode fails the run on the first failure the receive side
+    // observes; partial mode records it and carries on.
+    let mut observe = |host, cause, tuples_processed| {
+        let failure = HostFailure {
+            host,
+            cause,
+            tuples_processed,
         };
-        let (producer, frame) = match outcome {
+        if transport.partial_results {
+            failures.push(failure);
+            Ok(())
+        } else {
+            Err(ExecError::from(failure))
+        }
+    };
+    loop {
+        let (producer, frame) = match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
             Ok(RecvOutcome::Frame(msg)) => msg,
             Ok(RecvOutcome::Closed) => break,
+            // Give up on the quiet boundary but keep what arrived:
+            // finish the surviving epochs.
             Ok(RecvOutcome::Timeout) => {
-                let failure = HostFailure {
-                    host: agg,
-                    cause: FailureCause::Timeout {
-                        waited_ms: transport.send_timeout_ms,
-                    },
-                    tuples_processed: rx_tuples,
-                };
-                if transport.partial_results {
-                    // Give up on the quiet boundary but keep what
-                    // arrived: record the failure and finish the
-                    // surviving epochs.
-                    failures.push(failure);
-                    break;
-                }
-                return Err(failure.into());
+                let waited_ms = timeout_ms;
+                observe(agg, FailureCause::Timeout { waited_ms }, rx_tuples)?;
+                break;
             }
+            // The receive side's link itself broke (socket transports
+            // only; channels cannot fail). Attribute to the observing
+            // aggregator host.
             Err(msg) => {
-                // The receive side's link itself broke (socket
-                // transports only; channels cannot fail). Attribute to
-                // the observing aggregator host.
-                let failure = HostFailure {
-                    host: agg,
-                    cause: FailureCause::Link(msg),
-                    tuples_processed: rx_tuples,
-                };
-                if transport.partial_results {
-                    failures.push(failure);
-                    break;
-                }
-                return Err(failure.into());
+                observe(agg, FailureCause::Link(msg), rx_tuples)?;
+                break;
             }
         };
         depth.dec();
         let pseudo = slice.remote_in[&producer];
         match engine.push_frame(pseudo, frame) {
             Ok(n) => rx_tuples += n as u64,
+            // Corrupt boundary frame: attribute to the producing host;
+            // partial mode drops the frame and keeps consuming.
             Err(ExecError::Wire(e)) => {
-                // Corrupt boundary frame: attribute to the producing
-                // host. Strict mode fails the run; partial mode drops
-                // the frame, records the failure, and keeps consuming.
-                let failure = HostFailure {
-                    host: host_of[producer],
-                    cause: FailureCause::Decode(e),
-                    tuples_processed: rx_tuples,
-                };
-                if transport.partial_results {
-                    corrupt_dropped += 1;
-                    failures.push(failure);
-                } else {
-                    return Err(failure.into());
-                }
+                observe(dep.plan.host[producer], FailureCause::Decode(e), rx_tuples)?;
+                corrupt_dropped += 1;
             }
             Err(other) => return Err(other),
         }
     }
     engine.finish()?;
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
     let outputs = slice
         .outputs
         .iter()
-        .map(|&(idx, g)| (idx, engine.output(slice.local[&g])))
-        .collect();
+        .map(|&(idx, g)| (idx as u32, slice.local[&g]));
     Ok(CentralOutcome {
-        run: UnitRun {
-            counters,
-            node_metrics,
-            outputs,
-            edges: Vec::new(),
-        },
+        outcome: UnitOutcome::collect(&mut engine, outputs, fed),
         failures,
         corrupt_dropped,
+        queue_peak: depth.peak(),
     })
 }
 
@@ -1262,6 +799,7 @@ mod tests {
     use qap_types::Catalog;
 
     use crate::run_distributed;
+    use crate::sim::tests::{skew_case, sorted};
 
     fn section_3_2() -> QueryDag {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -1284,19 +822,6 @@ mod tests {
         )
         .unwrap();
         b.build()
-    }
-
-    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-        rows.sort_by(|a, b| {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                let ord = x.total_cmp(y);
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows
     }
 
     fn check_matches(cfg: &SimConfig) {
@@ -1482,33 +1007,10 @@ mod tests {
 
     #[test]
     fn adaptive_threaded_is_bit_identical_and_migrates() {
-        use crate::rebalance::RebalanceConfig;
-        use qap_trace::{generate_skew_ramp, SkewRampConfig};
-
-        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-        b.add_query(
-            "flows",
-            "SELECT tb, srcIP, COUNT(*) as pkts, SUM(len) as bytes FROM TCP \
-             GROUP BY time/60 as tb, srcIP",
-        )
-        .unwrap();
-        let dag = b.build();
-        let plan = optimize(
-            &dag,
-            &Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 4),
-            &OptimizerConfig::full(),
-        )
-        .unwrap();
-        let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
-
+        let (plan, trace, rebalance) = skew_case();
         let stat = run_distributed_threaded(&plan, &trace, &SimConfig::default()).unwrap();
         let mut cfg = SimConfig::default();
-        // 45s samples against 60s windows: the drain boundary splits
-        // live windows, so group state genuinely ships between workers.
-        cfg.transport.rebalance = RebalanceConfig::adaptive()
-            .with_threshold(1.2)
-            .with_consecutive(1)
-            .with_sample_secs(45);
+        cfg.transport.rebalance = rebalance;
         let adap = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
 
         assert!(adap.metrics.rebalance_fallback.is_none());

@@ -1,29 +1,29 @@
-//! Configuration and measured telemetry for the threaded runner's
-//! framed boundary transport.
+//! Configuration and measured telemetry for the framed boundary
+//! transport every distributing runner shares — worker threads over a
+//! channel and host processes over sockets alike.
 //!
-//! The threaded cluster runner ships boundary data between execution
-//! units as length-prefixed wire frames ([`qap_types::encode_batch`])
-//! over *bounded* channels. Two knobs govern the path:
-//!
-//! - `channel_capacity` — in-flight frames a boundary channel buffers
-//!   before the producing unit blocks (backpressure);
-//! - `frame_batch` — tuples staged per frame before it is encoded and
-//!   shipped.
-//!
-//! Both are pure performance knobs: results and semantic counters are
-//! identical at every setting (the transport equivalence suite sweeps
-//! them against the deterministic simulator).
+//! Boundary data crosses execution units as length-prefixed wire frames
+//! ([`qap_types::encode_batch`] / [`qap_types::encode_column_batch`])
+//! into a *bounded* buffer. [`TransportConfig`] holds the run's knobs:
+//! buffer depth and frame size, the unit decomposition, the frame
+//! representation, the fault plan and strict/partial failure mode, the
+//! one timeout that bounds every wait on a peer, and the rebalance
+//! controller. Capacity, frame size, decomposition and representation
+//! are pure performance knobs: results and semantic counters are
+//! identical at every setting (the transport, socket and columnar
+//! equivalence suites sweep them against the deterministic simulator).
 //!
 //! [`TransportMetrics`] is the *measured* side: actual frames and
 //! encoded bytes that crossed each boundary edge — as opposed to the
 //! cost model's derived `tuples × wire_size(arity)` estimate — plus
-//! backpressure stalls and the live channel-depth peak.
+//! backpressure stalls and the live buffer-depth peak.
 
 use serde::Serialize;
 
 use crate::rebalance::RebalanceConfig;
 
-/// Deterministic fault-injection plan for the threaded runner.
+/// Deterministic fault-injection plan, applied by every leaf unit
+/// wherever it runs.
 ///
 /// All knobs are *every-Nth* selectors driven by per-edge (or per-host)
 /// monotone counters, so a given plan injects the same faults at the
@@ -139,7 +139,7 @@ impl FaultPlan {
     }
 }
 
-/// Knobs for the threaded runner's boundary transport.
+/// Knobs for the boundary transport and the units around it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TransportConfig {
     /// Bounded channel capacity, in frames. Producing units block once
@@ -172,11 +172,12 @@ pub struct TransportConfig {
     /// false (default, *strict* mode) the first failure surfaces as
     /// `Err(ExecError::Host(..))`.
     pub partial_results: bool,
-    /// Bound, in milliseconds, on how long a producer retries a full
-    /// channel and on how long the central consumer waits for a quiet
-    /// boundary before declaring the peer hung
-    /// ([`qap_exec::FailureCause::Timeout`]). `0` means unbounded —
-    /// the pre-fault-tolerance blocking behavior.
+    /// Bound, in milliseconds, on every wait on a peer: how long a
+    /// producer retries a full channel, how long the central consumer
+    /// waits for a quiet boundary before declaring the peer hung
+    /// ([`qap_exec::FailureCause::Timeout`]), and how long a control
+    /// round trip (handshake step, migration reply) may take. Clamped
+    /// to at least 1: no setting lets a hung peer hang the run.
     pub send_timeout_ms: u64,
     /// Online re-partitioning controller (disabled by default): when
     /// enabled, the splitter samples per-host load each epoch and
@@ -282,10 +283,10 @@ impl TransportConfig {
         self
     }
 
-    /// Sets the retry/receive timeout bound in milliseconds (0 =
-    /// unbounded).
+    /// Sets the retry/receive timeout bound in milliseconds (clamped to
+    /// at least 1).
     pub fn with_send_timeout_ms(mut self, ms: u64) -> Self {
-        self.send_timeout_ms = ms;
+        self.send_timeout_ms = ms.max(1);
         self
     }
 
@@ -401,6 +402,8 @@ mod tests {
                 .send_timeout_ms,
             250
         );
+        let unbounded = TransportConfig::default().with_send_timeout_ms(0);
+        assert_eq!(unbounded.send_timeout_ms, 1, "0 is not a mode");
         let r = TransportConfig::default()
             .with_rebalance(RebalanceConfig::adaptive().with_threshold(0.2))
             .rebalance;

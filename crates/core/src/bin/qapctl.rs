@@ -65,7 +65,7 @@ const USAGE: &str = "usage:
                    [--partial-results]    (record host failures and finish surviving epochs instead
                                            of failing the run on the first fault)
                    [--send-timeout MS]    (bound on send retries / receive waits before a hung peer
-                                           surfaces as a timeout failure; 0 = unbounded; default 30000)
+                                           surfaces as a timeout failure; at least 1; default 30000)
                    [--transport channel|tcp|unix] (boundary transport: in-process bounded channels —
                                            default — or one OS process per leaf host behind TCP /
                                            Unix-domain sockets; results are transport-invariant)
@@ -232,6 +232,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 opts.transport.send_timeout_ms = value("--send-timeout")?
                     .parse()
                     .map_err(|e| format!("--send-timeout: {e}"))?;
+                if opts.transport.send_timeout_ms == 0 {
+                    return Err("--send-timeout must be at least 1".into());
+                }
             }
             "--columnar" => opts.transport.columnar = true,
             other if other.starts_with("--columnar=") => {
