@@ -31,7 +31,10 @@
 //!
 //! Backpressure composes across the boundary: a slow central consumer
 //! blocks the pump, the socket buffer fills, and the host's frame
-//! writes block — the socket counterpart of a full bounded channel.
+//! writes block — the socket counterpart of a full bounded channel. It
+//! composes toward the hosts too: a slow host blocks its writer on the
+//! socket, the writer's bounded inbox fills, and the feed loop waits —
+//! draining the boundary while it does.
 //!
 //! Link faults (refused/reset connections, a peer killed mid-frame,
 //! handshake rejections, failures a host reports before dying) surface
@@ -63,12 +66,14 @@ use crate::deploy::{
     encode_unit_spec,
 };
 use crate::link::{
-    read_control, write_control, ChannelSink, ChannelSource, ChannelTransport, DuplexStream,
-    FrameSink, HostAddr, HostListener, SendOutcome, StreamSink, Transport,
+    read_control, write_control, ChannelSink, ChannelTransport, DuplexStream, FrameSink, HostAddr,
+    HostListener, SendOutcome, StreamSink, Transport,
 };
 use crate::sim::{SimConfig, SimResult};
 use crate::splitter::Batch;
-use crate::threaded::{compute_units, feed_and_aggregate, panic_message, stitch, Deployment, Feed};
+use crate::threaded::{
+    compute_units, feed_and_aggregate, panic_message, stitch, Central, Deployment, Feed,
+};
 use crate::unit::{run_unit, StreamPort, UnitCmd, UnitOutcome, UnitReply, UnitSpec, Units};
 
 // ---------------------------------------------------------------------
@@ -328,24 +333,20 @@ pub fn run_distributed_remote(
         }
     }
 
-    // With a controller attached the pumps also carry `MigrateAck`s, and
-    // the central unit reads no boundary frame until the splitter is
-    // done — which it is not while it awaits an ack. A pump parked on a
-    // full boundary channel would close that cycle, so the channel is
-    // unbounded then (the coordinator already holds the whole trace; an
-    // eligible plan's boundary volume is a fraction of it).
-    let (tx, rx) = if feed.adaptive() {
-        let (tx, rx) = chan::unbounded();
-        (ChannelSink(tx), ChannelSource(rx))
-    } else {
-        ChannelTransport.pair(cfg.transport.channel_capacity.max(1))
-    };
+    // The boundary data path, as in the threaded runner: the sessions'
+    // reader pumps block when `channel_capacity` frames are in flight.
+    // They also carry the `MigrateAck`s; the feed loop keeps draining
+    // the boundary while it waits for one, so a pump never parks on a
+    // full channel with an ack behind it.
+    let (tx, rx) = ChannelTransport.pair(cfg.transport.channel_capacity.max(1));
     let depth = SharedGauge::new();
     // Coordinator-side fed counters, for failure attribution.
     let fed: Vec<AtomicU64> = sessions.iter().map(|_| AtomicU64::new(0)).collect();
 
+    let central = Central::new(&dep, rx, &depth)?;
+
     let (central, ends) = std::thread::scope(|scope| {
-        let (mut units, central_rx) = Units::new(&dep);
+        let mut units = Units::new(&dep, central);
         let mut threads = Vec::new();
         for (i, session) in sessions.iter().enumerate() {
             let halves = session
@@ -370,8 +371,7 @@ pub fn run_distributed_remote(
         // still parked on a socket — a strict-mode abort must not leave
         // threads behind (the scope would otherwise never join).
         let stop = || sessions.iter().for_each(|s| s.stream.shutdown());
-        let central =
-            feed_and_aggregate(scope, &dep, &mut feed, units, central_rx, rx, &depth, stop);
+        let central = feed_and_aggregate(&dep, &mut feed, units, stop);
         let ends: Vec<_> = threads
             .into_iter()
             .map(|(i, writer, pump)| {
@@ -665,6 +665,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn adaptive_tcp_migrates_behind_a_one_frame_boundary() {
+        // The acks ride the reader pumps, and a one-frame boundary has a
+        // pump parked on it most of the time: the feed loop must drain
+        // the boundary while it waits for an ack (and for inbox room —
+        // eight-tuple batches fill every inbox), or each handoff sits
+        // out the two-second timeout and disables the controller.
+        let (plan, trace, rebalance) = skew_case();
+        let cfg = SimConfig {
+            batch: qap_exec::BatchConfig::new(8),
+            transport: TransportConfig::new(1, 2)
+                .host_serial()
+                .with_send_timeout_ms(2_000),
+            ..SimConfig::default()
+        };
+        let reference = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
+
+        let mut acfg = cfg;
+        acfg.transport.rebalance = rebalance;
+        let units = compute_units(&plan, plan.partitioning.aggregator_host, &cfg.transport);
+        let addrs = spawn_hosts(units.len() - 1);
+        let adap = run_distributed_remote(&plan, &trace, &acfg, &addrs).unwrap();
+
+        assert_eq!(adap.metrics.rebalance_fallback, None);
+        assert!(adap.metrics.repartitions >= 1, "no repartition fired");
+        assert!(adap.failures.is_empty(), "{:?}", adap.failures);
+        for (s, a) in reference.outputs.iter().zip(adap.outputs.iter()) {
+            assert_eq!(sorted(s.1.clone()), sorted(a.1.clone()), "{}", s.0);
+        }
+    }
+
     /// Everything observable about one unit's run: its outcome, the
     /// state rows its `Extract` returned, and its boundary frames.
     type UnitTrace = (UnitOutcome, Vec<StateRows>, Vec<Frame>);
@@ -683,7 +714,11 @@ mod tests {
             ChannelSink,
         ) -> Box<dyn FnOnce() -> UnitOutcome + 's>,
     ) -> UnitTrace {
-        let (mut units, _central) = Units::new(dep);
+        // The central unit sits on a boundary of its own that nothing
+        // ships to: the unit's frames go to `rx` instead, to be compared.
+        let (_quiet, boundary) = ChannelTransport.pair(1);
+        let depth = SharedGauge::new();
+        let mut units = Units::new(dep, Central::new(dep, boundary, &depth).unwrap());
         let (inbox, replies) = units.open(u);
         let (tx, rx) = chan::unbounded();
         let finish = start(inbox, replies, ChannelSink(tx));

@@ -6,9 +6,12 @@
 //! assignment of raw tuples to partitions, staged into
 //! `max_batch`-tuple batches per partition and handed to the runner's
 //! carrier a full batch at a time, with the partial tails flushed in
-//! ascending scan-node order. A *static* deployment is simply a table
-//! nobody rewrites; the rebalance controller
-//! ([`crate::rebalance::Controller`]) rewrites it between epochs.
+//! ascending scan-node order. Each row is touched once: its arity is
+//! checked, its key words are hashed where they lie, and its values
+//! are scattered into the partition's pre-sized lanes. A *static*
+//! deployment is simply a table nobody rewrites; the rebalance
+//! controller ([`crate::rebalance::Controller`]) rewrites it between
+//! epochs.
 
 use qap_exec::{ExecError, ExecResult};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
@@ -142,10 +145,7 @@ impl Staged<'_> {
     pub(crate) fn take(self) -> Batch {
         match self {
             Staged::Rows(rows) => Batch::Rows(std::mem::take(rows)),
-            Staged::Columns(cols) => {
-                let empty = ColumnBatch::new(cols.arity());
-                Batch::Columns(std::mem::replace(cols, empty))
-            }
+            Staged::Columns(cols) => Batch::Columns(cols.take()),
         }
     }
 }
@@ -176,11 +176,12 @@ pub(crate) struct Splitter {
     tail_order: Vec<usize>,
     host_of: Vec<usize>,
     max: usize,
+    /// Stream name and arity, for the row check.
+    stream: String,
     arity: usize,
+    /// Rows routed so far: the index a bad row is reported by.
+    routed: usize,
     stage: Stage,
-    parts: Vec<u32>,
-    buckets: Vec<u32>,
-    hashes: Vec<u64>,
     gauges: Option<Gauges>,
 }
 
@@ -214,7 +215,7 @@ impl Splitter {
             }),
             _ => None,
         };
-        let arity = scans.schema.arity();
+        let (arity, max) = (scans.schema.arity(), cfg.batch.max_batch.max(1));
         let mut tail_order: Vec<usize> = (0..m).collect();
         tail_order.sort_unstable_by_key(|&p| scans.scan_of[p]);
         Ok(Splitter {
@@ -222,81 +223,67 @@ impl Splitter {
             scan_of: scans.scan_of.clone(),
             tail_order,
             host_of: (0..m).map(|p| part.host_of_partition(p)).collect(),
-            max: cfg.batch.max_batch.max(1),
+            max,
+            stream: scans.stream.clone(),
             arity,
+            routed: 0,
             stage: if cfg.transport.columnar {
-                Stage::Columns((0..m).map(|_| ColumnBatch::new(arity)).collect())
+                let staged = (0..m).map(|_| ColumnBatch::with_row_budget(arity, max));
+                Stage::Columns(staged.collect())
             } else {
                 Stage::Rows(vec![Vec::new(); m])
             },
-            parts: Vec::new(),
-            buckets: Vec::new(),
-            hashes: Vec::new(),
             gauges,
         })
     }
 
-    /// Routes `feed` in arrival order, handing every batch that fills
-    /// to `emit(scan, batch)`. Partition assignment is hoisted to chunk
-    /// granularity: each chunk transposes once and the lane fold hashes
-    /// every row in one sweep, bit-identically to per-row hashing.
+    /// Routes `feed` in arrival order, one pass over the rows, handing
+    /// every batch that fills to `emit(scan, batch)`. A row whose arity
+    /// is not the stream's is a typed error naming it: the feed comes
+    /// from outside the plan.
     pub(crate) fn route(
         &mut self,
         feed: &[Tuple],
         emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
     ) -> ExecResult<()> {
-        for chunk in feed.chunks(self.max) {
-            let lane_ok = match &self.route {
-                Route::Hash(h) => {
-                    let mut cols = ColumnBatch::from_rows(chunk);
-                    cols.dict_encode_strings();
-                    h.route_columns_hashed(
-                        &cols,
-                        &mut self.parts,
-                        &mut self.buckets,
-                        &mut self.hashes,
-                    )
+        for tuple in feed {
+            if tuple.arity() != self.arity {
+                return Err(ExecError::BadPlan(format!(
+                    "trace tuple {} has arity {} but stream '{}' has arity {}",
+                    self.routed,
+                    tuple.arity(),
+                    self.stream,
+                    self.arity
+                )));
+            }
+            self.routed += 1;
+            let p = match &mut self.route {
+                Route::RoundRobin(next) => {
+                    let p = *next;
+                    *next = (p + 1) % self.scan_of.len();
+                    p
                 }
-                Route::RoundRobin(_) => false,
+                Route::Hash(h) => {
+                    let to = h.route(tuple);
+                    if let Some(g) = &mut self.gauges {
+                        g.sketch.observe(to.hash);
+                        g.host_tuples[self.host_of[to.partition]] += 1;
+                        g.bucket_tuples[to.bucket] += 1;
+                    }
+                    to.partition
+                }
             };
-            for (i, tuple) in chunk.iter().enumerate() {
-                let p = match &mut self.route {
-                    Route::RoundRobin(next) => {
-                        let p = *next;
-                        *next = (p + 1) % self.scan_of.len();
-                        p
+            match &mut self.stage {
+                Stage::Rows(bufs) => {
+                    bufs[p].push(tuple.clone());
+                    if bufs[p].len() >= self.max {
+                        emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
                     }
-                    Route::Hash(h) => {
-                        let p = if lane_ok {
-                            self.parts[i] as usize
-                        } else {
-                            h.partition(tuple)
-                        };
-                        if let Some(g) = &mut self.gauges {
-                            let (b, key) = if lane_ok {
-                                (self.buckets[i] as usize, self.hashes[i])
-                            } else {
-                                (h.bucket(tuple), h.key_hash(tuple))
-                            };
-                            g.sketch.observe(key);
-                            g.host_tuples[self.host_of[p]] += 1;
-                            g.bucket_tuples[b] += 1;
-                        }
-                        p
-                    }
-                };
-                match &mut self.stage {
-                    Stage::Rows(bufs) => {
-                        bufs[p].push(tuple.clone());
-                        if bufs[p].len() >= self.max {
-                            emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
-                        }
-                    }
-                    Stage::Columns(bufs) => {
-                        bufs[p].push_row(tuple);
-                        if bufs[p].rows() >= self.max {
-                            emit_columns(&mut bufs[p], self.scan_of[p], self.arity, emit)?;
-                        }
+                }
+                Stage::Columns(bufs) => {
+                    bufs[p].push_row(tuple);
+                    if bufs[p].rows() >= self.max {
+                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, self.max, emit)?;
                     }
                 }
             }
@@ -320,7 +307,7 @@ impl Splitter {
                 }
                 Stage::Columns(bufs) => {
                     if bufs[p].rows() > 0 {
-                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, emit)?;
+                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, self.max, emit)?;
                     }
                 }
             }
@@ -367,11 +354,12 @@ fn emit_columns(
     buf: &mut ColumnBatch,
     scan: NodeId,
     arity: usize,
+    max: usize,
     emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
 ) -> ExecResult<()> {
     emit(scan, Staged::Columns(buf))?;
     if buf.arity() != arity {
-        *buf = ColumnBatch::new(arity);
+        *buf = ColumnBatch::with_row_budget(arity, max);
     }
     Ok(())
 }
@@ -383,7 +371,7 @@ mod tests {
     use qap_partition::PartitionSet;
     use qap_sql::QuerySetBuilder;
     use qap_trace::{generate, TraceConfig};
-    use qap_types::Catalog;
+    use qap_types::{Catalog, Value};
 
     fn plan_for(part: &Partitioning) -> DistributedPlan {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -466,5 +454,152 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Routes `feed`, one `route` call per slice, then flushes: the
+    /// batches in emission order, as rows.
+    fn staged(splitter: &mut Splitter, feed: &[&[Tuple]]) -> Vec<(NodeId, Vec<Tuple>)> {
+        let mut got = Vec::new();
+        let mut emit = |scan: NodeId, batch: Staged<'_>| {
+            let rows = match batch.take() {
+                Batch::Rows(rows) => rows,
+                Batch::Columns(cols) => cols.to_rows(),
+                Batch::Frame(_) => unreachable!("the splitter stages, never encodes"),
+            };
+            got.push((scan, rows));
+            Ok(())
+        };
+        for part in feed {
+            splitter.route(part, &mut emit).unwrap();
+        }
+        splitter.flush(&mut emit).unwrap();
+        got
+    }
+
+    fn cfg_of(max: usize, columnar: bool) -> SimConfig {
+        SimConfig {
+            batch: qap_exec::BatchConfig::new(max),
+            transport: crate::TransportConfig::default().with_columnar(columnar),
+            ..SimConfig::default()
+        }
+    }
+
+    /// The Section 6.2 set: `srcIP & 0xFFF0` is not a bare column.
+    fn masked() -> Partitioning {
+        Partitioning::hash(
+            PartitionSet::from_exprs([
+                &qap_expr::ScalarExpr::col("srcIP").mask(0xFFF0),
+                &qap_expr::ScalarExpr::col("destIP"),
+            ]),
+            3,
+        )
+    }
+
+    /// A trace with NULLs, signed values and strings in the key
+    /// columns (srcIP, destIP) and outside them (flags, len).
+    fn untyped_trace() -> Vec<Tuple> {
+        let odd = [Value::Null, Value::Int(-5), Value::from("10.0.0.1")];
+        let mut trace = generate(&TraceConfig::tiny(19));
+        for (i, t) in trace.iter_mut().enumerate() {
+            let at = match i % 11 {
+                0 => 2,
+                3 => 3,
+                5 => 7,
+                8 => 8,
+                _ => continue,
+            };
+            let mut values = t.values().to_vec();
+            values[at] = odd[i % odd.len()].clone();
+            *t = Tuple::new(values);
+        }
+        trace
+    }
+
+    #[test]
+    fn masked_keys_untyped_rows_and_sliced_feeds_stage_the_same_batches() {
+        let typed = generate(&TraceConfig::tiny(17));
+        let untyped = untyped_trace();
+        for part in [
+            masked(),
+            Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 3),
+            Partitioning::round_robin(3),
+        ] {
+            let plan = plan_for(&part);
+            let scans = single_stream(&plan).unwrap();
+            for (trace, columnar) in [(&typed, true), (&untyped, true), (&untyped, false)] {
+                let want = reference(&plan, &scans, trace, 7);
+                let cfg = cfg_of(7, columnar);
+                let mut whole = Splitter::new(&plan, &scans, &cfg, false).unwrap();
+                assert_eq!(staged(&mut whole, &[trace]), want, "columnar={columnar}");
+                // The same feed in arbitrary cuts — empty ones, ones
+                // shorter than a batch, ones spanning many.
+                let mut cuts: Vec<&[Tuple]> = Vec::new();
+                let (mut rest, mut n) = (trace.as_slice(), 0);
+                while !rest.is_empty() {
+                    let (head, tail) = rest.split_at((n * 5 % 23).min(rest.len()));
+                    cuts.push(head);
+                    (rest, n) = (tail, n + 1);
+                }
+                let mut sliced = Splitter::new(&plan, &scans, &cfg, false).unwrap();
+                assert_eq!(staged(&mut sliced, &cuts), want, "columnar={columnar}");
+            }
+        }
+    }
+
+    #[test]
+    fn gauged_splitter_counts_what_per_row_routing_counts() {
+        let trace = untyped_trace();
+        for part in [
+            masked(),
+            Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 3),
+        ] {
+            let plan = plan_for(&part);
+            let scans = single_stream(&plan).unwrap();
+            let cfg = cfg_of(7, true);
+            let mut splitter = Splitter::new(&plan, &scans, &cfg, true).unwrap();
+            assert_eq!(
+                staged(&mut splitter, &[&trace]),
+                reference(&plan, &scans, &trace, 7)
+            );
+
+            let SplitStrategy::Hash(set) = &part.strategy else {
+                unreachable!("hash strategies only");
+            };
+            let k = cfg.transport.rebalance.buckets_per_partition;
+            let h = HashPartitioner::with_buckets(set, &scans.schema, part.partitions, k).unwrap();
+            let mut hosts = vec![0u64; part.hosts];
+            let mut buckets = vec![0u64; h.bucket_count()];
+            let mut sketch = KeySketch::with_defaults();
+            for t in &trace {
+                hosts[part.host_of_partition(h.partition(t))] += 1;
+                buckets[h.bucket(t)] += 1;
+                sketch.observe(h.key_hash(t));
+            }
+            let g = splitter.gauges().expect("gauged over a hash strategy");
+            assert_eq!(g.host_tuples, hosts);
+            assert_eq!(g.bucket_tuples, buckets);
+            assert_eq!(g.sketch.observed(), trace.len() as u64);
+            assert_eq!(g.sketch.top_k(), sketch.top_k());
+            assert_eq!(g.sketch.distinct_estimate(), sketch.distinct_estimate());
+        }
+    }
+
+    #[test]
+    fn wrong_arity_row_is_a_typed_error_counted_across_calls() {
+        let plan = plan_for(&Partitioning::round_robin(3));
+        let scans = single_stream(&plan).unwrap();
+        let mut trace = generate(&TraceConfig::tiny(17));
+        trace[30] = trace[30].project(&[0, 1]);
+        let mut splitter = Splitter::new(&plan, &scans, &cfg_of(7, true), false).unwrap();
+        let mut emit = |_: NodeId, batch: Staged<'_>| {
+            batch.take();
+            Ok(())
+        };
+        splitter.route(&trace[..25], &mut emit).unwrap();
+        let err = splitter.route(&trace[25..], &mut emit).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::BadPlan("trace tuple 30 has arity 2 but stream 'TCP' has arity 9".into())
+        );
     }
 }

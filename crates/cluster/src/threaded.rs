@@ -6,8 +6,8 @@
 //! one deterministic engine, this runner actually *distributes* it. The
 //! plan is decomposed into **execution units** ([`Deployment`]):
 //!
-//! - the **central unit** — the aggregation tier (`plan.central`
-//!   nodes), run by the calling thread;
+//! - the **central unit** ([`Central`]) — the aggregation tier
+//!   (`plan.central` nodes), run by the calling thread;
 //! - one **leaf unit** per independent partition pipeline — a connected
 //!   component of non-central nodes on one host — each running
 //!   [`run_unit`] on its own worker thread. A host owning N partition
@@ -16,19 +16,32 @@
 //!   ([`TransportConfig::partition_parallel`]; turning it off restores
 //!   the one-thread-per-host baseline).
 //!
-//! A splitter thread runs the shared feed loop
+//! The calling thread also runs the shared feed loop
 //! ([`crate::rebalance::drive`]) with the unit ports as its carrier
-//! ([`Units`]): it routes the trace and streams each staged batch into
-//! the owning unit's unbounded inbox. Leaf units apply their inbox in
-//! order; the central unit, when the decomposition leaves it scans of
-//! its own (host-serial), drains its inbox first and then the boundary.
-//! Static partitioning is that loop with no rebalance controller
-//! attached; with one, the same inboxes carry the two halves of each
-//! drain-and-handoff. The socket coordinator in [`crate::remote`] is
-//! this runner with its leaf units in other processes: it shares the
-//! decomposition, [`Feed`], [`feed_and_aggregate`] and [`stitch`], and
-//! differs only in how a leaf unit is started and how its end is
-//! harvested.
+//! ([`Units`]): it routes the trace and moves each staged batch into
+//! the owning leaf unit's bounded inbox — or, for the scans the
+//! decomposition leaves the central unit (host-serial), straight into
+//! the central engine — and applies the boundary frames that have
+//! arrived in between. When an inbox is full it waits *on the
+//! boundary*, so a leaf stalled on a full boundary channel is always
+//! drained and every queue of the run can be bounded: the splitter is
+//! never more than an inbox ahead of its slowest unit. Once the feed is
+//! over the inboxes close and the central unit drains the boundary to
+//! its end. Leaf units apply their inbox in order. Static partitioning
+//! is that loop with no rebalance controller attached; with one, the
+//! same inboxes carry the two halves of each drain-and-handoff. The
+//! socket coordinator in [`crate::remote`] is this runner with its leaf
+//! units in other processes: it shares the decomposition, [`Feed`],
+//! [`feed_and_aggregate`] and [`stitch`], and differs only in how a
+//! leaf unit is started and how its end is harvested.
+//!
+//! There is no splitter thread, on purpose. Every thread a run spawns
+//! takes an allocator arena that keeps its high-water mark after the
+//! thread is gone and is handed to *some* thread of the next run; a
+//! splitter thread (small footprint) next to leaf threads (large) makes
+//! a process's resident memory depend on which of them happened to
+//! inherit which arena. Leaf threads are alike, and what the splitter
+//! and the central unit allocate lives in the caller's own arena.
 //!
 //! Boundary data crosses units as **length-prefixed wire frames** (up
 //! to [`TransportConfig::frame_batch`] tuples per frame, staged through
@@ -60,9 +73,9 @@
 //! [`TransportConfig::send_timeout_ms`] surfaces as
 //! [`FailureCause::Timeout`] instead of deadlocking the run (producers
 //! retry a full channel with bounded backoff; the central consumer
-//! bounds its receive wait; the splitter bounds its wait for a
-//! migration reply). In strict mode (the default) the first
-//! failure aborts the run as `Err(ExecError::Host(..))`; with
+//! bounds its receive wait; the feed loop bounds its wait for room in
+//! an inbox and for a migration reply). In strict mode (the default)
+//! the first failure aborts the run as `Err(ExecError::Host(..))`; with
 //! [`TransportConfig::partial_results`] surviving hosts finish their
 //! epochs and the [`SimResult`] carries the per-host failure records
 //! plus conservation-checked partial counters. A deterministic
@@ -73,22 +86,20 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::Scope;
 use std::time::Duration;
 
-use crossbeam::channel as chan;
 use qap_exec::{Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics};
 use qap_obs::SharedGauge;
 use qap_optimizer::DistributedPlan;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{Tuple, FRAME_HEADER_LEN};
 
-use crate::link::{ChannelTransport, FrameSource, RecvOutcome, Transport};
+use crate::link::{ChannelSource, ChannelTransport, Frame, FrameSource, RecvOutcome, Transport};
 use crate::rebalance::{drive, ControlStats, Controller};
 use crate::sim::{account, named_outputs, trace_duration, SimConfig, SimResult};
-use crate::splitter::{single_stream, Splitter, StreamScans};
+use crate::splitter::{single_stream, Splitter, Staged, StreamScans};
 use crate::transport::{EdgeTransport, TransportConfig, TransportMetrics};
-use crate::unit::{push_feed, run_unit, ChannelPort, FeedBatch, UnitOutcome, UnitSpec, Units};
+use crate::unit::{run_unit, ChannelPort, UnitOutcome, UnitSpec, Units};
 
 /// One execution unit's slice of the plan.
 #[derive(Debug)]
@@ -458,9 +469,10 @@ fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> Un
 /// per-unit counters with the same accounting, plus the *measured*
 /// [`TransportMetrics`] from the frame path.
 ///
-/// A splitter thread streams batches into the units' unbounded inboxes
-/// as it routes and, when a rebalance controller is attached, brackets
-/// each migration with `Extract` → `Absorb` over the same inboxes.
+/// The calling thread routes the trace into the leaf units' bounded
+/// inboxes and runs the central unit; when a rebalance controller is
+/// attached it brackets each migration with `Extract` → `Absorb` over
+/// the same inboxes.
 pub fn run_distributed_threaded(
     plan: &DistributedPlan,
     trace: &[Tuple],
@@ -483,8 +495,10 @@ pub fn run_distributed_threaded(
     // record.
     let fed: Vec<AtomicU64> = dep.slices.iter().map(|_| AtomicU64::new(0)).collect();
 
+    let central = Central::new(&dep, rx, &depth)?;
+
     let (central, outcomes, failures) = std::thread::scope(|scope| {
-        let (mut units, central_rx) = Units::new(&dep);
+        let mut units = Units::new(&dep, central);
         let mut handles = Vec::new();
         for (u, slice, spec) in dep.leaves() {
             let (inbox, replies) = units.open(u);
@@ -507,8 +521,7 @@ pub fn run_distributed_threaded(
             }));
         }
         drop(tx);
-        let central =
-            feed_and_aggregate(scope, &dep, &mut feed, units, central_rx, rx, &depth, || ());
+        let central = feed_and_aggregate(&dep, &mut feed, units, || ());
 
         // Join every worker before inspecting the central result: even
         // a failing run must not leave a thread behind, and collecting
@@ -533,8 +546,8 @@ pub fn run_distributed_threaded(
     stitch(&dep, feed, central?, outcomes, failures)
 }
 
-/// What the splitter thread drives: the one splitter over the one
-/// trace, and the rebalance controller when the run attached one.
+/// What the feed loop drives: the one splitter over the one trace, and
+/// the rebalance controller when the run attached one.
 pub(crate) struct Feed<'a> {
     splitter: Splitter,
     controller: Option<Controller>,
@@ -566,48 +579,37 @@ impl<'a> Feed<'a> {
             trace,
         })
     }
-
-    /// Whether a rebalance controller is attached.
-    pub(crate) fn adaptive(&self) -> bool {
-        self.controller.is_some()
-    }
 }
 
 /// The part of a run every port-based runner shares once its leaf
-/// units are started: the splitter drives `units` from a thread of its
-/// own while the central unit runs on the calling thread — whose
-/// allocator arena outlives the run, so a caller that runs many plans
-/// re-uses the central tier's (large) working memory instead of
-/// stranding it per run. `stop` runs as soon as the central unit is
-/// done, before the splitter is joined: whatever it takes for the
-/// runner's leaf units to wind down even when the run is aborting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn feed_and_aggregate<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    dep: &'scope Deployment<'_>,
-    feed: &'scope mut Feed<'_>,
-    mut units: Units<'scope>,
-    central_rx: chan::Receiver<FeedBatch>,
-    rx: impl FrameSource,
-    depth: &SharedGauge,
+/// units are started, all of it on the calling thread: the feed loop
+/// routes the trace into `units` — the central unit's own scans
+/// straight into its engine, boundary frames applied as they arrive —
+/// then the inboxes close and the central unit drains the boundary to
+/// its end. The calling thread's allocator arena outlives the run, so a
+/// caller that runs many plans re-uses the splitter's batches and the
+/// central tier's (large) working memory instead of stranding them in a
+/// per-run thread's arena. `stop` runs once the central unit is done:
+/// whatever it takes for the runner's leaf units to wind down even when
+/// the run is aborting.
+pub(crate) fn feed_and_aggregate(
+    dep: &Deployment<'_>,
+    feed: &mut Feed<'_>,
+    mut units: Units<'_>,
     stop: impl FnOnce(),
 ) -> ExecResult<CentralOutcome> {
-    let splitter = scope.spawn(move || {
-        let driven = drive(
+    // A panic in the feed loop is the aggregator host's typed failure,
+    // like a worker's; what it abandons is dropped with the run.
+    let driven = catch_unwind(AssertUnwindSafe(|| {
+        drive(
             &mut feed.splitter,
             feed.controller.as_mut(),
             &mut feed.control,
             feed.trace,
             &mut units,
-        );
-        // End of stream: closing the inboxes lets each unit drain its
-        // queue, finish its engine, and flush its tail frames.
-        drop(units);
-        driven
-    });
-    let central = run_central_unit(dep, central_rx, rx, depth);
-    stop();
-    let driven = splitter.join().unwrap_or_else(|payload| {
+        )
+    }))
+    .unwrap_or_else(|payload| {
         Err(HostFailure {
             host: dep.plan.partitioning.aggregator_host,
             cause: FailureCause::Panic(panic_message(payload)),
@@ -615,7 +617,14 @@ pub(crate) fn feed_and_aggregate<'scope>(
         }
         .into())
     });
-    driven.and(central)
+    // End of stream: closing the inboxes lets each unit drain its
+    // queue, finish its engine, and flush its tail frames. A failed
+    // feed drops the central unit with them, which unblocks any
+    // producer stalled on the boundary.
+    let central = units.close();
+    let outcome = driven.and_then(|()| central.finish());
+    stop();
+    outcome
 }
 
 /// Merges per-unit results into the run's [`SimResult`]: counters and
@@ -696,97 +705,177 @@ pub(crate) struct CentralOutcome {
     queue_peak: u64,
 }
 
-fn run_central_unit<R: FrameSource>(
-    dep: &Deployment<'_>,
-    feed: chan::Receiver<FeedBatch>,
-    mut rx: R,
-    depth: &SharedGauge,
-) -> ExecResult<CentralOutcome> {
-    let (slice, transport) = (&dep.slices[0], dep.cfg.transport);
-    let agg = dep.plan.partitioning.aggregator_host;
-    let sinks: Vec<NodeId> = slice
-        .outputs
-        .iter()
-        .map(|&(_, g)| slice.local[&g])
-        .collect();
-    let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-    engine.set_batch_config(dep.cfg.batch);
-    // Local partitions first, until the splitter closes the inbox
-    // (host-serial mode keeps the aggregator host's own scans in this
-    // unit; workers stream concurrently into the channel buffer)...
-    let mut fed: u64 = 0;
-    while let Ok((scan, batch)) = feed.recv() {
-        fed += push_feed(&mut engine, scan, batch)? as u64;
+/// The central unit — the aggregation tier, plus the aggregator host's
+/// own partition scans under the host-serial decomposition — as the
+/// calling thread runs it: fed in place by the feed loop, applying
+/// boundary frames whenever the loop has a moment or has to wait, and
+/// draining the boundary to its end once the feed is over. Merge
+/// operators align the independently-progressing inputs, so the order
+/// in which feed batches and boundary frames reach the engine does not
+/// change its results.
+pub(crate) struct Central<'a> {
+    dep: &'a Deployment<'a>,
+    engine: Engine,
+    rx: ChannelSource,
+    depth: &'a SharedGauge,
+    /// The boundary still has producers and has not been given up on.
+    open: bool,
+    /// Tuples fed from the unit's own scans.
+    fed: u64,
+    /// Tuples received across the boundary.
+    rx_tuples: u64,
+    failures: Vec<HostFailure>,
+    corrupt_dropped: u64,
+}
+
+impl<'a> Central<'a> {
+    pub(crate) fn new(
+        dep: &'a Deployment<'a>,
+        rx: ChannelSource,
+        depth: &'a SharedGauge,
+    ) -> ExecResult<Central<'a>> {
+        let slice = &dep.slices[0];
+        let sinks: Vec<NodeId> = slice
+            .outputs
+            .iter()
+            .map(|&(_, g)| slice.local[&g])
+            .collect();
+        let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
+        engine.set_batch_config(dep.cfg.batch);
+        Ok(Central {
+            dep,
+            engine,
+            rx,
+            depth,
+            open: true,
+            fed: 0,
+            rx_tuples: 0,
+            failures: Vec::new(),
+            corrupt_dropped: 0,
+        })
     }
-    // ...then every boundary frame, decoded straight into the engine's
-    // pooled buffers; merge operators align the independently-
-    // progressing inputs. Dropping `rx` on an early error unblocks any
-    // producer stalled on a full channel. The receive wait is bounded
-    // (`send_timeout_ms`): a quiet-but-connected boundary past the
-    // bound means a hung peer, surfaced as a typed timeout attributed
-    // to this observer host.
-    let mut failures: Vec<HostFailure> = Vec::new();
-    let mut corrupt_dropped: u64 = 0;
-    let mut rx_tuples: u64 = 0;
-    let timeout_ms = transport.send_timeout_ms;
-    // Strict mode fails the run on the first failure the receive side
-    // observes; partial mode records it and carries on.
-    let mut observe = |host, cause, tuples_processed| {
+
+    /// Feeds one staged batch to a scan of this unit (its local id),
+    /// draining the splitter's buffer in place.
+    pub(crate) fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
+        match batch {
+            Staged::Rows(rows) => {
+                self.fed += rows.len() as u64;
+                self.engine.push_batch(scan, rows)
+            }
+            Staged::Columns(cols) => {
+                self.fed += cols.rows() as u64;
+                self.engine.push_columns(scan, cols)
+            }
+        }
+    }
+
+    /// A failure this unit observed. Strict mode fails the run on the
+    /// first one; partial mode records it and carries on.
+    pub(crate) fn observe(&mut self, host: usize, cause: FailureCause) -> ExecResult<()> {
         let failure = HostFailure {
             host,
             cause,
-            tuples_processed,
+            tuples_processed: self.rx_tuples,
         };
-        if transport.partial_results {
-            failures.push(failure);
+        if self.dep.cfg.transport.partial_results {
+            self.failures.push(failure);
             Ok(())
         } else {
-            Err(ExecError::from(failure))
+            Err(failure.into())
         }
-    };
-    loop {
-        let (producer, frame) = match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
-            Ok(RecvOutcome::Frame(msg)) => msg,
-            Ok(RecvOutcome::Closed) => break,
-            // Give up on the quiet boundary but keep what arrived:
-            // finish the surviving epochs.
-            Ok(RecvOutcome::Timeout) => {
-                let waited_ms = timeout_ms;
-                observe(agg, FailureCause::Timeout { waited_ms }, rx_tuples)?;
-                break;
-            }
-            // The receive side's link itself broke (socket transports
-            // only; channels cannot fail). Attribute to the observing
-            // aggregator host.
-            Err(msg) => {
-                observe(agg, FailureCause::Link(msg), rx_tuples)?;
-                break;
-            }
-        };
-        depth.dec();
-        let pseudo = slice.remote_in[&producer];
-        match engine.push_frame(pseudo, frame) {
-            Ok(n) => rx_tuples += n as u64,
-            // Corrupt boundary frame: attribute to the producing host;
-            // partial mode drops the frame and keeps consuming.
+    }
+
+    /// A timeout this unit's host observed while waiting on a peer.
+    pub(crate) fn timed_out(&mut self, waited: Duration) -> ExecResult<()> {
+        let waited_ms = waited.as_millis() as u64;
+        let agg = self.dep.plan.partitioning.aggregator_host;
+        self.observe(agg, FailureCause::Timeout { waited_ms })
+    }
+
+    /// Decodes one boundary frame straight into the engine's pooled
+    /// buffers. A corrupt frame is attributed to the producing host;
+    /// partial mode drops it and keeps consuming.
+    fn apply(&mut self, (producer, frame): Frame) -> ExecResult<()> {
+        self.depth.dec();
+        let pseudo = self.dep.slices[0].remote_in[&producer];
+        match self.engine.push_frame(pseudo, frame) {
+            Ok(n) => self.rx_tuples += n as u64,
             Err(ExecError::Wire(e)) => {
-                observe(dep.plan.host[producer], FailureCause::Decode(e), rx_tuples)?;
-                corrupt_dropped += 1;
+                self.observe(self.dep.plan.host[producer], FailureCause::Decode(e))?;
+                self.corrupt_dropped += 1;
             }
             Err(other) => return Err(other),
         }
+        Ok(())
     }
-    engine.finish()?;
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx as u32, slice.local[&g]));
-    Ok(CentralOutcome {
-        outcome: UnitOutcome::collect(&mut engine, outputs, fed),
-        failures,
-        corrupt_dropped,
-        queue_peak: depth.peak(),
-    })
+
+    /// Waits up to `wait` for the next boundary frame. `None` with the
+    /// boundary still open is a quiet boundary; otherwise every producer
+    /// is done, or the receive side's link itself broke (socket
+    /// transports only; channels cannot fail), which this host observes.
+    fn next_frame(&mut self, wait: Duration) -> ExecResult<Option<Frame>> {
+        match self.rx.recv_timeout(wait) {
+            Ok(RecvOutcome::Frame(msg)) => return Ok(Some(msg)),
+            Ok(RecvOutcome::Timeout) => return Ok(None),
+            Ok(RecvOutcome::Closed) => {}
+            Err(msg) => {
+                let agg = self.dep.plan.partitioning.aggregator_host;
+                self.observe(agg, FailureCause::Link(msg))?;
+            }
+        }
+        self.open = false;
+        Ok(None)
+    }
+
+    /// Applies every boundary frame that is already waiting; with
+    /// nothing waiting, blocks up to `wait` for one. This is how the
+    /// feed loop waits for anything: no producer stays stalled on a full
+    /// boundary while the thread that drains it sleeps.
+    pub(crate) fn pump(&mut self, mut wait: Duration) -> ExecResult<()> {
+        if !self.open {
+            std::thread::sleep(wait);
+            return Ok(());
+        }
+        while let Some(frame) = self.next_frame(wait)? {
+            self.apply(frame)?;
+            wait = Duration::ZERO;
+        }
+        Ok(())
+    }
+
+    /// The rest of the boundary, then the engine's results. The receive
+    /// wait is bounded (`send_timeout_ms`): a quiet-but-connected
+    /// boundary past the bound means a hung peer, surfaced as a typed
+    /// timeout attributed to this observer host — give up on it but
+    /// keep what arrived, and finish the surviving epochs. Dropping
+    /// `self` on an early error unblocks any producer stalled on a full
+    /// channel.
+    fn finish(mut self) -> ExecResult<CentralOutcome> {
+        let timeout = Duration::from_millis(self.dep.cfg.transport.send_timeout_ms);
+        while self.open {
+            match self.next_frame(timeout)? {
+                Some(frame) => self.apply(frame)?,
+                None if self.open => {
+                    self.timed_out(timeout)?;
+                    break;
+                }
+                None => {}
+            }
+        }
+        self.engine.finish()?;
+        let slice = &self.dep.slices[0];
+        let outputs = slice
+            .outputs
+            .iter()
+            .map(|&(idx, g)| (idx as u32, slice.local[&g]));
+        Ok(CentralOutcome {
+            outcome: UnitOutcome::collect(&mut self.engine, outputs, self.fed),
+            failures: self.failures,
+            corrupt_dropped: self.corrupt_dropped,
+            queue_peak: self.depth.peak(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -923,6 +1012,24 @@ mod tests {
             ..SimConfig::default()
         };
         check_matches(&cfg);
+    }
+
+    #[test]
+    fn full_inboxes_behind_a_tight_boundary_match() {
+        // Four-tuple batches put hundreds of commands through every
+        // 16-deep inbox while leaves stall on a one-frame boundary: the
+        // feed loop has to keep the boundary moving to get its own
+        // batches accepted, with and without scans of its own.
+        for transport in [
+            TransportConfig::new(1, 2),
+            TransportConfig::new(1, 2).host_serial(),
+        ] {
+            check_matches(&SimConfig {
+                batch: qap_exec::BatchConfig::new(4),
+                transport,
+                ..SimConfig::default()
+            });
+        }
     }
 
     #[test]

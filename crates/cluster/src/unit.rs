@@ -35,7 +35,7 @@ use crate::link::{
 };
 use crate::rebalance::{extract_rerouted, Carrier, ExtractJob, Handoff, StateRows};
 use crate::splitter::{Batch, Staged};
-use crate::threaded::Deployment;
+use crate::threaded::{Central, Deployment};
 use crate::transport::{EdgeTransport, FaultPlan};
 
 /// One leaf execution unit's description: the id maps that address its
@@ -590,9 +590,15 @@ fn ship<P: UnitPort>(
     }
 }
 
-/// One splitter batch for a central-unit scan (its local id) — what the
-/// central unit's inbox carries.
-pub(crate) type FeedBatch = (NodeId, Batch);
+/// Commands a leaf unit's inbox holds before the feed loop waits for
+/// the unit (~1.2 MB of 1024-row TCP batches): what bounds how far the
+/// splitter runs ahead of the slowest unit.
+const INBOX_COMMANDS: usize = 16;
+
+/// How long the feed loop sits on the boundary before it looks at a
+/// full inbox or an awaited reply again — well under the time a unit
+/// needs to work off a full inbox.
+const PUMP_WAIT: Duration = Duration::from_micros(200);
 
 /// The coordinator's ends of one live leaf unit's port.
 struct UnitLink {
@@ -600,97 +606,131 @@ struct UnitLink {
     replies: chan::Receiver<UnitReply>,
 }
 
-/// The carrier of every runner whose units sit behind ports: per-unit
-/// command inboxes out, replies back. In-process the worker thread
-/// holds the other ends ([`ChannelPort`]); over sockets a session's
-/// writer drains the inbox into control frames and its reader pump
-/// turns `MigrateAck`s into replies. A unit without a link — it never
-/// deployed, its inbox closed, or it stayed silent past the control
-/// timeout — is dead: it is fed no more, and its typed failure surfaces
-/// where the unit is harvested. This is also the one place global plan
-/// ids become unit-local ids, and back.
+/// The carrier of every runner whose leaf units sit behind ports:
+/// per-unit command inboxes out, replies back, and the central unit —
+/// which runs on the feed loop's own thread — fed directly. In-process
+/// the worker thread holds the other ends ([`ChannelPort`]); over
+/// sockets a session's writer drains the inbox into control frames and
+/// its reader pump turns `MigrateAck`s into replies. A unit without a
+/// link — it never deployed, its inbox closed, or it stayed silent past
+/// the control timeout — is dead: it is fed no more, and its typed
+/// failure surfaces where the unit is harvested. This is also the one
+/// place global plan ids become unit-local ids, and back.
+///
+/// Every inbox is bounded. That is safe because the feed loop never
+/// just waits: whenever an inbox is full or a reply is outstanding it
+/// pumps the boundary into the central unit, so a unit stalled on a
+/// full boundary channel always gets to drain its inbox eventually —
+/// and each wait is bounded by the run's one timeout.
 pub(crate) struct Units<'a> {
     /// By unit index; slot 0, the central unit, never has one.
     links: Vec<Option<UnitLink>>,
-    central: Option<chan::Sender<FeedBatch>>,
+    central: Central<'a>,
     dep: &'a Deployment<'a>,
-    /// Bound on one `Extract`/`Absorb` round trip.
+    /// Bound on one wait for inbox room or for an `Extract`/`Absorb`
+    /// round trip.
     timeout: Duration,
 }
 
 impl<'a> Units<'a> {
-    /// A carrier with no leaf unit linked yet, and the central unit's
-    /// inbox. A central unit without scans starts on the boundary at
-    /// once: its inbox closes here.
-    pub(crate) fn new(dep: &'a Deployment<'a>) -> (Units<'a>, chan::Receiver<FeedBatch>) {
-        let (central_tx, central_rx) = chan::unbounded();
-        let units = Units {
+    /// A carrier around the central unit, with no leaf unit linked yet.
+    pub(crate) fn new(dep: &'a Deployment<'a>, central: Central<'a>) -> Units<'a> {
+        Units {
             links: dep.slices.iter().map(|_| None).collect(),
-            central: dep.central_owns_scans().then_some(central_tx),
+            central,
             dep,
             timeout: Duration::from_millis(dep.cfg.transport.send_timeout_ms),
-        };
-        (units, central_rx)
+        }
     }
 
     /// Links leaf unit `u`, returning the unit-side ends of its port.
-    /// The inbox is unbounded: a bounded inbox, a feed-first central
-    /// unit and a full boundary channel would deadlock three ways.
     pub(crate) fn open(&mut self, u: usize) -> (chan::Receiver<UnitCmd>, chan::Sender<UnitReply>) {
-        let (inbox, cmds) = chan::unbounded();
+        let (inbox, cmds) = chan::bounded(INBOX_COMMANDS);
         let (reply_tx, replies) = chan::unbounded();
         self.links[u] = Some(UnitLink { inbox, replies });
         (cmds, reply_tx)
     }
 
-    /// Queues `cmd` on unit `u`'s inbox; `false` — the link was already
-    /// gone, or the unit's end of it is — marks the unit dead.
-    fn send(&mut self, u: usize, cmd: UnitCmd) -> bool {
-        let link = self.links[u].as_ref();
-        let sent = link.is_some_and(|l| l.inbox.send(cmd).is_ok());
-        if !sent {
-            self.links[u] = None;
-        }
-        sent
+    /// Closes every inbox — end of stream for the leaf units — and
+    /// hands the central unit back.
+    pub(crate) fn close(self) -> Central<'a> {
+        self.central
     }
 
-    /// Sends one command per unit, then collects the replies; a unit
-    /// that cannot be reached or does not answer within the control
-    /// timeout yields `None` and is marked dead.
-    fn round(&mut self, cmds: Vec<(usize, UnitCmd)>) -> Vec<(usize, Option<UnitReply>)> {
+    /// Queues `cmd` on unit `u`'s inbox, pumping the boundary while the
+    /// inbox is full. `false` marks the unit dead: the link was already
+    /// gone, the unit's end of it is, or the inbox stayed full past the
+    /// timeout — a hung unit, which the central unit records.
+    fn send(&mut self, u: usize, mut cmd: UnitCmd) -> ExecResult<bool> {
+        let mut waiting: Option<Instant> = None;
+        while let Some(link) = &self.links[u] {
+            match link.inbox.try_send(cmd) {
+                Ok(()) => return Ok(true),
+                Err(chan::TrySendError::Disconnected(_)) => break,
+                Err(chan::TrySendError::Full(back)) => cmd = back,
+            }
+            let waited = waiting.get_or_insert_with(Instant::now).elapsed();
+            if waited >= self.timeout {
+                self.central.timed_out(waited)?;
+                break;
+            }
+            self.central.pump(PUMP_WAIT)?;
+        }
+        self.links[u] = None;
+        Ok(false)
+    }
+
+    /// Sends one command per unit, then collects the replies, pumping
+    /// the boundary while it waits; a unit that cannot be reached or
+    /// does not answer within the control timeout yields `None` and is
+    /// marked dead.
+    fn round(
+        &mut self,
+        cmds: Vec<(usize, UnitCmd)>,
+    ) -> ExecResult<Vec<(usize, Option<UnitReply>)>> {
         // Every command goes out before the first wait; a failed send
         // leaves no link, which reads as no reply below.
         let mut asked = Vec::new();
         for (u, cmd) in cmds {
-            self.send(u, cmd);
+            self.send(u, cmd)?;
             asked.push(u);
         }
-        asked
-            .into_iter()
-            .map(|u| {
-                let link = self.links[u].as_ref();
-                let reply = link.and_then(|l| l.replies.recv_timeout(self.timeout).ok());
-                if reply.is_none() {
-                    self.links[u] = None;
+        let mut answers = Vec::new();
+        for u in asked {
+            let started = Instant::now();
+            let reply = loop {
+                let Some(link) = &self.links[u] else {
+                    break None;
+                };
+                match link.replies.recv_timeout(PUMP_WAIT) {
+                    Ok(reply) => break Some(reply),
+                    Err(chan::RecvTimeoutError::Disconnected) => break None,
+                    Err(chan::RecvTimeoutError::Timeout) => {}
                 }
-                (u, reply)
-            })
-            .collect()
+                if started.elapsed() >= self.timeout {
+                    break None;
+                }
+                self.central.pump(Duration::ZERO)?;
+            };
+            if reply.is_none() {
+                self.links[u] = None;
+            }
+            answers.push((u, reply));
+        }
+        Ok(answers)
     }
 }
 
 impl Carrier for Units<'_> {
     fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
         let (u, local) = (self.dep.unit_of[scan], self.dep.local_of[scan]);
-        let batch = batch.take();
         if u == 0 {
-            if let Some(tx) = &self.central {
-                let _ = tx.send((local, batch));
-            }
+            self.central.feed(local, batch)?;
         } else {
-            self.send(u, UnitCmd::Feed(local as u32, batch));
+            self.send(u, UnitCmd::Feed(local as u32, batch.take()))?;
         }
-        Ok(())
+        // Whatever reached the boundary meanwhile.
+        self.central.pump(Duration::ZERO)
     }
 
     /// One `Extract` round trip per leaf unit: flush to the boundary,
@@ -739,7 +779,7 @@ impl Carrier for Units<'_> {
             .collect();
         let mut any_dead = false;
         let mut extracted = Vec::new();
-        for (u, reply) in self.round(cmds) {
+        for (u, reply) in self.round(cmds)? {
             let Some(batches) = reply else {
                 any_dead = true;
                 continue;
@@ -768,6 +808,6 @@ impl Carrier for Units<'_> {
             .collect();
         // Moved buckets never land on the central unit, so only a dead
         // unit fails to answer here.
-        Ok(self.round(cmds).iter().all(|(_, reply)| reply.is_some()))
+        Ok(self.round(cmds)?.iter().all(|(_, reply)| reply.is_some()))
     }
 }

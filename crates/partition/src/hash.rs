@@ -28,6 +28,22 @@ pub fn fnv1a_hash(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(FNV_OFFSET, fnv_fold_word)
 }
 
+/// Where one tuple routes, from one hash: the key identity a rebalance
+/// controller's frequency sketch counts (finer than a bucket: many keys
+/// share a bucket, and a bucket is the atomic migration unit, but a
+/// single *key* is atomic under any assignment at all), the virtual
+/// bucket it counts load at, and the partition the bucket is assigned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routed {
+    /// FNV-1a over the partitioning-set expressions in sorted set order.
+    pub hash: u64,
+    /// `⌊hash·V / 2⁶⁴⌋` over `V` virtual buckets; bucket-free
+    /// partitioners have one bucket per partition.
+    pub bucket: usize,
+    /// The partition the assignment table maps the bucket to.
+    pub partition: usize,
+}
+
 /// Evaluates a partitioning set's expressions against tuples of one
 /// schema and maps them onto `M` partitions.
 ///
@@ -122,53 +138,56 @@ impl HashPartitioner {
         self.assign = Some(std::sync::Arc::new(assign));
     }
 
-    /// The FNV-1a hash a tuple routes by (partitioning-set expressions
-    /// evaluated in sorted set order).
+    /// The FNV-1a hash a tuple routes by. A bare column — every
+    /// packet-header key — is read where it lies in the row.
     #[inline]
     fn route_hash(&self, tuple: &Tuple) -> u64 {
-        let words = self.exprs.iter().map(|e| match e.eval(tuple) {
-            Ok(v) => value_word(&v),
-            Err(_) => 0,
-        });
-        fnv1a_hash(words)
+        self.exprs.iter().fold(FNV_OFFSET, |h, e| {
+            let word = match e {
+                BoundExpr::Column(i) => value_word(tuple.get(*i)),
+                e => e.eval(tuple).map_or(0, |v| value_word(&v)),
+            };
+            fnv_fold_word(h, word)
+        })
     }
 
-    /// Assigns a tuple to a partition. An empty expression list (the
-    /// degenerate empty set) sends everything to partition 0.
-    pub fn partition(&self, tuple: &Tuple) -> usize {
+    /// Routes one tuple: hash → bucket → partition. An empty
+    /// expression list (the degenerate empty set) is one key in bucket
+    /// 0 of partition 0.
+    #[inline]
+    pub fn route(&self, tuple: &Tuple) -> Routed {
         if self.exprs.is_empty() {
-            return 0;
+            return Routed {
+                hash: 0,
+                bucket: 0,
+                partition: 0,
+            };
         }
-        let h = self.route_hash(tuple);
-        match &self.assign {
-            // i = floor(H * M / 2^64): the range split of Section 3.3.
-            None => ((u128::from(h) * self.partitions as u128) >> 64) as usize,
-            Some(a) => a[((u128::from(h) * a.len() as u128) >> 64) as usize] as usize,
-        }
-    }
-
-    /// The routing hash of one tuple — the key identity a rebalance
-    /// controller's frequency sketch counts (finer than a bucket: many
-    /// keys share a bucket, and a bucket is the atomic migration unit,
-    /// but a single *key* is atomic under any assignment at all). The
-    /// degenerate empty set hashes everything to one key.
-    pub fn key_hash(&self, tuple: &Tuple) -> u64 {
-        if self.exprs.is_empty() {
-            return 0;
-        }
-        self.route_hash(tuple)
-    }
-
-    /// The virtual bucket a tuple falls into — the granularity the
-    /// rebalance controller counts load at. Bucket-free partitioners
-    /// report the partition itself (one bucket per partition).
-    pub fn bucket(&self, tuple: &Tuple) -> usize {
-        if self.exprs.is_empty() {
-            return 0;
-        }
-        let h = self.route_hash(tuple);
+        let hash = self.route_hash(tuple);
+        // b = floor(H * V / 2^64): the range split of Section 3.3 over
+        // the virtual buckets, or the partitions themselves.
         let v = self.assign.as_ref().map_or(self.partitions, |a| a.len());
-        ((u128::from(h) * v as u128) >> 64) as usize
+        let bucket = ((u128::from(hash) * v as u128) >> 64) as usize;
+        Routed {
+            hash,
+            bucket,
+            partition: self.assign.as_ref().map_or(bucket, |a| a[bucket] as usize),
+        }
+    }
+
+    /// The partition [`HashPartitioner::route`] assigns.
+    pub fn partition(&self, tuple: &Tuple) -> usize {
+        self.route(tuple).partition
+    }
+
+    /// The routing hash of [`HashPartitioner::route`].
+    pub fn key_hash(&self, tuple: &Tuple) -> u64 {
+        self.route(tuple).hash
+    }
+
+    /// The virtual bucket of [`HashPartitioner::route`].
+    pub fn bucket(&self, tuple: &Tuple) -> usize {
+        self.route(tuple).bucket
     }
 
     /// Columnar twin of [`HashPartitioner::partition`]: assigns every
@@ -208,79 +227,6 @@ impl HashPartitioner {
                         .map(|&h| a[((u128::from(h) * v) >> 64) as usize]),
                 );
             }
-        }
-        true
-    }
-
-    /// [`HashPartitioner::partition_columns`] that also reports each
-    /// row's virtual bucket (the rebalance controller's load-count
-    /// granularity) from the same hash sweep. Same coverage contract:
-    /// `false` leaves both vectors empty.
-    pub fn route_columns(
-        &self,
-        batch: &ColumnBatch,
-        parts: &mut Vec<u32>,
-        buckets: &mut Vec<u32>,
-    ) -> bool {
-        parts.clear();
-        buckets.clear();
-        let n = batch.rows();
-        if self.exprs.is_empty() {
-            parts.resize(n, 0);
-            buckets.resize(n, 0);
-            return true;
-        }
-        if !self.exprs.iter().all(|e| lane_foldable(e, batch)) {
-            return false;
-        }
-        let mut hs = vec![FNV_OFFSET; n];
-        for e in &self.exprs {
-            fold_expr_lane(e, batch, &mut hs);
-        }
-        let v = self.assign.as_ref().map_or(self.partitions, |a| a.len()) as u128;
-        buckets.extend(hs.iter().map(|&h| ((u128::from(h) * v) >> 64) as u32));
-        match &self.assign {
-            None => parts.extend(buckets.iter().copied()),
-            Some(a) => parts.extend(buckets.iter().map(|&b| a[b as usize])),
-        }
-        true
-    }
-
-    /// [`HashPartitioner::route_columns`] that additionally reports
-    /// each row's routing hash from the same lane sweep, so an adaptive
-    /// splitter can feed its key-frequency sketch without hashing
-    /// twice. Same coverage contract: `false` leaves all three vectors
-    /// empty, and whenever it returns `true` the hashes agree with
-    /// [`HashPartitioner::key_hash`] row for row.
-    pub fn route_columns_hashed(
-        &self,
-        batch: &ColumnBatch,
-        parts: &mut Vec<u32>,
-        buckets: &mut Vec<u32>,
-        hashes: &mut Vec<u64>,
-    ) -> bool {
-        parts.clear();
-        buckets.clear();
-        hashes.clear();
-        let n = batch.rows();
-        if self.exprs.is_empty() {
-            parts.resize(n, 0);
-            buckets.resize(n, 0);
-            hashes.resize(n, 0);
-            return true;
-        }
-        if !self.exprs.iter().all(|e| lane_foldable(e, batch)) {
-            return false;
-        }
-        hashes.resize(n, FNV_OFFSET);
-        for e in &self.exprs {
-            fold_expr_lane(e, batch, hashes);
-        }
-        let v = self.assign.as_ref().map_or(self.partitions, |a| a.len()) as u128;
-        buckets.extend(hashes.iter().map(|&h| ((u128::from(h) * v) >> 64) as u32));
-        match &self.assign {
-            None => parts.extend(buckets.iter().copied()),
-            Some(a) => parts.extend(buckets.iter().map(|&b| a[b as usize])),
         }
         true
     }
@@ -540,15 +486,24 @@ mod tests {
         p.set_assignment(identity_assignment(4, 8));
         let rows: Vec<Tuple> = (0..512u64).map(|i| pkt(i, i * 7, i * 13)).collect();
         let batch = ColumnBatch::from_rows(&rows);
-        let (mut parts, mut buckets, mut hashes) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(p.route_columns_hashed(&batch, &mut parts, &mut buckets, &mut hashes));
-        let (mut parts2, mut buckets2) = (Vec::new(), Vec::new());
-        assert!(p.route_columns(&batch, &mut parts2, &mut buckets2));
-        assert_eq!(parts, parts2);
-        assert_eq!(buckets, buckets2);
+        let mut parts = Vec::new();
+        assert!(p.partition_columns(&batch, &mut parts));
         for (i, t) in rows.iter().enumerate() {
-            assert_eq!(hashes[i], p.key_hash(t), "row {i}");
-            assert_eq!(parts[i] as usize, p.partition(t), "row {i}");
+            // One call, the three answers, each by its closed form.
+            let hash = fnv1a_hash([t.get(2).as_u64().unwrap()]);
+            let bucket = ((u128::from(hash) * 32) >> 64) as usize;
+            let routed = Routed {
+                hash,
+                bucket,
+                partition: p.assignment()[bucket] as usize,
+            };
+            assert_eq!(p.route(t), routed, "row {i}");
+            assert_eq!(
+                (p.key_hash(t), p.bucket(t), p.partition(t)),
+                (routed.hash, routed.bucket, routed.partition),
+                "row {i}"
+            );
+            assert_eq!(parts[i] as usize, routed.partition, "row {i}");
         }
         // Same key, same hash — the sketch identity the controller
         // counts by.
@@ -667,11 +622,11 @@ mod tests {
         // Row and lane paths agree on the rewritten table.
         let rows: Vec<Tuple> = (0..256u64).map(|i| pkt(i, i * 17, 0)).collect();
         let batch = ColumnBatch::from_rows(&rows);
-        let (mut parts, mut buckets) = (Vec::new(), Vec::new());
-        assert!(p.route_columns(&batch, &mut parts, &mut buckets));
+        let mut parts = Vec::new();
+        assert!(p.partition_columns(&batch, &mut parts));
         for (i, t) in rows.iter().enumerate() {
             assert_eq!(p.partition(t), parts[i] as usize);
-            assert_eq!(p.bucket(t), buckets[i] as usize);
+            assert_eq!(p.assignment()[p.bucket(t)] as usize, parts[i] as usize);
         }
     }
 

@@ -39,6 +39,6 @@ pub use cost::{
     estimated_tuple_size, node_rates, plan_cost, CostModel, CostObjective, CostReport, NodeRates,
     NodeStats, StatsProvider, UniformStats,
 };
-pub use hash::{fnv1a_hash, identity_assignment, HashPartitioner};
+pub use hash::{fnv1a_hash, identity_assignment, HashPartitioner, Routed};
 pub use set::{reconcile_partition_sets, PartitionSet};
 pub use sketch::KeySketch;

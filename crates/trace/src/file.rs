@@ -72,8 +72,13 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<Tuple>, TraceFileError> 
         let mut len_bytes = [0u8; 4];
         r.read_exact(&mut len_bytes)?;
         let len = u32::from_le_bytes(len_bytes) as usize;
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf)?;
+        // `len` is whatever the file says: reserve a bounded amount and
+        // read through `take`, so the buffer grows past that only as
+        // far as the file really goes.
+        let mut buf = Vec::with_capacity(len.min(1 << 16));
+        if r.by_ref().take(len as u64).read_to_end(&mut buf)? != len {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
         let tuple = decode_tuple(buf.into()).map_err(TraceFileError::Corrupt)?;
         trace.push(tuple);
     }
@@ -130,6 +135,21 @@ mod tests {
         assert!(matches!(
             read_trace(&path).unwrap_err(),
             TraceFileError::Io(_)
+        ));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn rejects_a_record_longer_than_the_file() {
+        let path = tmp("long-record.qtr");
+        write_trace(&path, &generate(&TraceConfig::tiny(83))).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The first record's length word follows the magic and count.
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_trace(&path).unwrap_err(),
+            TraceFileError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof
         ));
         std::fs::remove_file(path).ok();
     }

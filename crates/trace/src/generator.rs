@@ -168,6 +168,74 @@ fn spread(h: u64) -> u64 {
     (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & 0xFFFF_FFFF
 }
 
+/// One packet before it becomes a row: `[timestamp, srcIP, destIP,
+/// srcPort, destPort, flags, len, generation index]`. `time` is
+/// `timestamp / 10⁶` and the protocol is always TCP.
+type Packet = [u64; 8];
+
+/// Draws one flow's ports, size and packets, in that order, appending
+/// the packets to `epoch` in generation order.
+fn flow_packets(
+    rng: &mut StdRng,
+    cfg: &TraceConfig,
+    time_base: u64,
+    (src, dst): (u64, u64),
+    epoch: &mut Vec<Packet>,
+) {
+    let src_port: u64 = rng.random_range(1024..=65535);
+    let dst_port: u64 = *[80u64, 443, 53, 22, 25]
+        .get(rng.random_range(0..5usize))
+        .expect("index in range");
+    let suspicious = rng.random::<f64>() < cfg.suspicious_fraction;
+    let mut count = pareto_count(rng, cfg.pareto_alpha, cfg.max_flow_packets);
+    if suspicious {
+        // A suspicious flow needs all three flag values present.
+        count = count.max(SUSPICIOUS_FLAGS.len() as u64);
+    }
+    for i in 0..count {
+        let time = time_base + rng.random_range(0..cfg.epoch_secs);
+        let micro: u64 = rng.random_range(0..1_000_000);
+        let flags = if suspicious {
+            SUSPICIOUS_FLAGS[(i as usize) % SUSPICIOUS_FLAGS.len()]
+        } else {
+            NORMAL_FLAGS[rng.random_range(0..NORMAL_FLAGS.len())]
+        };
+        let len: u64 = if rng.random::<f64>() < 0.5 {
+            rng.random_range(40..=100)
+        } else {
+            rng.random_range(100..=1500)
+        };
+        let index = epoch.len() as u64;
+        let timestamp = time * 1_000_000 + micro;
+        epoch.push([timestamp, src, dst, src_port, dst_port, flags, len, index]);
+    }
+}
+
+/// Sorts one epoch's packets into arrival order — by timestamp, which
+/// carries `time` in its high digits, then by generation index — and
+/// only then builds their rows, so the trace's heap order is its
+/// arrival order: a reader walking the `Vec<Tuple>` walks memory
+/// forward. Epochs are disjoint in `time`, so appending epoch after
+/// epoch is the global order. Leaves `epoch` empty for reuse.
+fn append_epoch(epoch: &mut Vec<Packet>, trace: &mut Vec<Tuple>) {
+    epoch.sort_unstable_by_key(|p| (p[0], p[7]));
+    trace.reserve(epoch.len());
+    for &[timestamp, src, dst, src_port, dst_port, flags, len, _] in epoch.iter() {
+        trace.push(Tuple::new(vec![
+            Value::UInt(timestamp / 1_000_000),
+            Value::UInt(timestamp),
+            Value::UInt(src),
+            Value::UInt(dst),
+            Value::UInt(src_port),
+            Value::UInt(dst_port),
+            Value::UInt(6),
+            Value::UInt(flags),
+            Value::UInt(len),
+        ]));
+    }
+    epoch.clear();
+}
+
 /// Generates a trace as tuples of the `TCP` schema:
 /// `(time, timestamp, srcIP, destIP, srcPort, destPort, protocol,
 /// flags, len)`, ordered by `time`/`timestamp`.
@@ -185,58 +253,22 @@ pub fn generate(cfg: &TraceConfig) -> Vec<Tuple> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let zipf = Zipf::new(cfg.hosts, cfg.zipf_exponent);
     let ip = |h: u64| if cfg.spread_ips { spread(h) } else { h };
-    let mut packets: Vec<(u64, u64, Tuple)> = Vec::new();
+    let (mut epoch_packets, mut trace) = (Vec::new(), Vec::new());
 
     for epoch in 0..cfg.epochs {
-        let base = epoch * cfg.epoch_secs;
+        let time_base = epoch * cfg.epoch_secs;
         for _ in 0..cfg.flows_per_epoch {
             let src = zipf.sample(&mut rng) + 1;
             let mut dst = zipf.sample(&mut rng) + 1;
             if dst == src {
                 dst = (dst % cfg.hosts) + 1;
             }
-            let src_port: u64 = rng.random_range(1024..=65535);
-            let dst_port: u64 = *[80u64, 443, 53, 22, 25]
-                .get(rng.random_range(0..5usize))
-                .expect("index in range");
-            let suspicious = rng.random::<f64>() < cfg.suspicious_fraction;
-            let mut count = pareto_count(&mut rng, cfg.pareto_alpha, cfg.max_flow_packets);
-            if suspicious {
-                // A suspicious flow needs all three flag values present.
-                count = count.max(SUSPICIOUS_FLAGS.len() as u64);
-            }
-            let (src, dst) = (ip(src), ip(dst));
-            for i in 0..count {
-                let time = base + rng.random_range(0..cfg.epoch_secs);
-                let micro: u64 = rng.random_range(0..1_000_000);
-                let timestamp = time * 1_000_000 + micro;
-                let flags = if suspicious {
-                    SUSPICIOUS_FLAGS[(i as usize) % SUSPICIOUS_FLAGS.len()]
-                } else {
-                    NORMAL_FLAGS[rng.random_range(0..NORMAL_FLAGS.len())]
-                };
-                let len: u64 = if rng.random::<f64>() < 0.5 {
-                    rng.random_range(40..=100)
-                } else {
-                    rng.random_range(100..=1500)
-                };
-                let tuple = Tuple::new(vec![
-                    Value::UInt(time),
-                    Value::UInt(timestamp),
-                    Value::UInt(src),
-                    Value::UInt(dst),
-                    Value::UInt(src_port),
-                    Value::UInt(dst_port),
-                    Value::UInt(6),
-                    Value::UInt(flags),
-                    Value::UInt(len),
-                ]);
-                packets.push((time, timestamp, tuple));
-            }
+            let endpoints = (ip(src), ip(dst));
+            flow_packets(&mut rng, cfg, time_base, endpoints, &mut epoch_packets);
         }
+        append_epoch(&mut epoch_packets, &mut trace);
     }
-    packets.sort_by_key(|(t, ts, _)| (*t, *ts));
-    packets.into_iter().map(|(_, _, t)| t).collect()
+    trace
 }
 
 /// Generates a skew-ramp trace (same `TCP` schema and ordering as
@@ -257,7 +289,7 @@ pub fn generate_skew_ramp(cfg: &SkewRampConfig) -> Vec<Tuple> {
     let zipf = Zipf::new(base.hosts, base.zipf_exponent);
     let ip = |h: u64| if base.spread_ips { spread(h) } else { h };
     let drift = cfg.drift_period.max(1);
-    let mut packets: Vec<(u64, u64, Tuple)> = Vec::new();
+    let (mut epoch_packets, mut trace) = (Vec::new(), Vec::new());
 
     for epoch in 0..base.epochs {
         let phase = epoch / drift;
@@ -289,46 +321,11 @@ pub fn generate_skew_ramp(cfg: &SkewRampConfig) -> Vec<Tuple> {
             if dst == src {
                 dst = ip((dst % base.hosts) + 1);
             }
-            let src_port: u64 = rng.random_range(1024..=65535);
-            let dst_port: u64 = *[80u64, 443, 53, 22, 25]
-                .get(rng.random_range(0..5usize))
-                .expect("index in range");
-            let suspicious = rng.random::<f64>() < base.suspicious_fraction;
-            let mut count = pareto_count(&mut rng, base.pareto_alpha, base.max_flow_packets);
-            if suspicious {
-                count = count.max(SUSPICIOUS_FLAGS.len() as u64);
-            }
-            for i in 0..count {
-                let time = time_base + rng.random_range(0..base.epoch_secs);
-                let micro: u64 = rng.random_range(0..1_000_000);
-                let timestamp = time * 1_000_000 + micro;
-                let flags = if suspicious {
-                    SUSPICIOUS_FLAGS[(i as usize) % SUSPICIOUS_FLAGS.len()]
-                } else {
-                    NORMAL_FLAGS[rng.random_range(0..NORMAL_FLAGS.len())]
-                };
-                let len: u64 = if rng.random::<f64>() < 0.5 {
-                    rng.random_range(40..=100)
-                } else {
-                    rng.random_range(100..=1500)
-                };
-                let tuple = Tuple::new(vec![
-                    Value::UInt(time),
-                    Value::UInt(timestamp),
-                    Value::UInt(src),
-                    Value::UInt(dst),
-                    Value::UInt(src_port),
-                    Value::UInt(dst_port),
-                    Value::UInt(6),
-                    Value::UInt(flags),
-                    Value::UInt(len),
-                ]);
-                packets.push((time, timestamp, tuple));
-            }
+            flow_packets(&mut rng, base, time_base, (src, dst), &mut epoch_packets);
         }
+        append_epoch(&mut epoch_packets, &mut trace);
     }
-    packets.sort_by_key(|(t, ts, _)| (*t, *ts));
-    packets.into_iter().map(|(_, _, t)| t).collect()
+    trace
 }
 
 #[cfg(test)]
@@ -342,6 +339,85 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(&TraceConfig::tiny(8));
         assert_ne!(a, c);
+    }
+
+    /// `h = (h ^ v) * FNV_PRIME` over every value in row order, with
+    /// the tuple count: any value, row or order change moves it.
+    fn fold(trace: &[Tuple]) -> (u64, usize) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in trace.iter().flat_map(Tuple::values) {
+            h = (h ^ v.as_u64().expect("TCP rows are unsigned")).wrapping_mul(0x0100_0000_01b3);
+        }
+        (h, trace.len())
+    }
+
+    /// The constants were computed with the generator that built every
+    /// row in flow order and stable-sorted the whole trace by
+    /// `(time, timestamp)`; the per-epoch generator must reproduce it
+    /// tuple for tuple.
+    #[test]
+    fn traces_are_pinned_value_for_value() {
+        assert_eq!(
+            fold(&generate(&TraceConfig::tiny(7))),
+            (10883829857733480819, 1384)
+        );
+        assert_eq!(
+            fold(&generate_skew_ramp(&SkewRampConfig::tiny(7))),
+            (13990304757106620655, 1650)
+        );
+        let spread_hot = SkewRampConfig {
+            base: TraceConfig {
+                spread_ips: true,
+                ..TraceConfig::tiny(9)
+            },
+            hot_hosts: Some(vec![vec![77_777, 88_888], vec![99_999]]),
+            ..SkewRampConfig::tiny(9)
+        };
+        assert_eq!(
+            fold(&generate_skew_ramp(&spread_hot)),
+            (17336057840193092485, 1525)
+        );
+        // bench_e2e's trace (`spec.rs::trace_config(20080609, false)`).
+        let bench = TraceConfig {
+            seed: 20080609,
+            epochs: 5,
+            epoch_secs: 60,
+            flows_per_epoch: 20_000,
+            hosts: 1_000,
+            max_flow_packets: 32,
+            pareto_alpha: 1.1,
+            zipf_exponent: 1.1,
+            suspicious_fraction: 0.05,
+            spread_ips: true,
+        };
+        assert_eq!(fold(&generate(&bench)), (6133711191889091491, 453_507));
+        // One-second epochs: 343 adjacent pairs share a timestamp, and
+        // the fold is order-sensitive.
+        let ties = generate(&TraceConfig {
+            epoch_secs: 1,
+            flows_per_epoch: 3000,
+            ..TraceConfig::tiny(7)
+        });
+        let tied = ties.windows(2).filter(|w| w[0].get(1) == w[1].get(1));
+        assert_eq!(tied.count(), 343);
+        assert_eq!(fold(&ties), (1189624882039854796, 44_938));
+    }
+
+    /// Two packets on one timestamp arrive in the order they were
+    /// generated.
+    #[test]
+    fn same_timestamp_sorts_by_generation_index() {
+        let mut epoch: Vec<Packet> = vec![
+            [9, 1, 0, 0, 0, 0, 0, 0],
+            [5, 2, 0, 0, 0, 0, 0, 1],
+            [9, 3, 0, 0, 0, 0, 0, 2],
+            [5, 4, 0, 0, 0, 0, 0, 3],
+        ];
+        let mut trace = Vec::new();
+        append_epoch(&mut epoch, &mut trace);
+        assert!(epoch.is_empty());
+        let srcs: Vec<u64> = trace.iter().map(|t| t.get(2).as_u64().unwrap()).collect();
+        assert_eq!(srcs, [2, 4, 1, 3]);
     }
 
     #[test]

@@ -438,6 +438,12 @@ impl Column {
 
     /// Appends a value, typing or demoting the lane as needed.
     pub fn push(&mut self, v: &Value) {
+        self.push_reserving(v, 0);
+    }
+
+    /// [`Column::push`] for a column that expects `budget` rows: the
+    /// push that types the lane allocates it at that size.
+    fn push_reserving(&mut self, v: &Value, budget: usize) {
         match v {
             Value::Null => {
                 if self.nulls.is_empty() {
@@ -450,7 +456,7 @@ impl Column {
                 self.len += 1;
             }
             other => {
-                self.push_non_null(other);
+                self.push_non_null(other, budget);
                 if !self.nulls.is_empty() {
                     self.nulls.push(false);
                 }
@@ -459,13 +465,14 @@ impl Column {
         }
     }
 
-    fn push_non_null(&mut self, v: &Value) {
+    fn push_non_null(&mut self, v: &Value, budget: usize) {
         let data = self.data.get_or_insert_with(|| {
+            let cap = budget.max(self.len);
             let mut lane = match v {
-                Value::UInt(_) => ColumnData::UInt(Vec::new()),
-                Value::Int(_) => ColumnData::Int(Vec::new()),
-                Value::Bool(_) => ColumnData::Bool(Vec::new()),
-                Value::Str(_) => ColumnData::Str(Vec::new()),
+                Value::UInt(_) => ColumnData::UInt(Vec::with_capacity(cap)),
+                Value::Int(_) => ColumnData::Int(Vec::with_capacity(cap)),
+                Value::Bool(_) => ColumnData::Bool(Vec::with_capacity(cap)),
+                Value::Str(_) => ColumnData::Str(Vec::with_capacity(cap)),
                 Value::Null => unreachable!("push_non_null sees no NULLs"),
             };
             for _ in 0..self.len {
@@ -556,14 +563,27 @@ impl Column {
 pub struct ColumnBatch {
     columns: Vec<Column>,
     rows: usize,
+    /// Rows the builder expects to push: what a lane reserves when its
+    /// first non-NULL value types it. 0 leaves lanes to grow by
+    /// doubling.
+    budget: usize,
 }
 
 impl ColumnBatch {
     /// Creates an empty batch of the given arity.
     pub fn new(arity: usize) -> Self {
+        ColumnBatch::with_row_budget(arity, 0)
+    }
+
+    /// [`ColumnBatch::new`] for a batch that will be filled to `rows`
+    /// rows by [`ColumnBatch::push_row`]: lanes still type themselves
+    /// from the values pushed, but each is allocated once, at `rows`
+    /// entries, instead of doubling its way there.
+    pub fn with_row_budget(arity: usize, rows: usize) -> Self {
         ColumnBatch {
             columns: (0..arity).map(|_| Column::new()).collect(),
             rows: 0,
+            budget: rows,
         }
     }
 
@@ -571,7 +591,7 @@ impl ColumnBatch {
     /// first tuple (0 when the batch is empty).
     pub fn from_rows(rows: &[Tuple]) -> Self {
         let arity = rows.first().map_or(0, Tuple::arity);
-        let mut b = ColumnBatch::new(arity);
+        let mut b = ColumnBatch::with_row_budget(arity, rows.len());
         b.extend_rows(rows);
         b
     }
@@ -596,7 +616,11 @@ impl ColumnBatch {
             columns.iter().all(|c| c.len() == rows),
             "columns disagree on row count"
         );
-        ColumnBatch { columns, rows }
+        ColumnBatch {
+            columns,
+            rows,
+            budget: 0,
+        }
     }
 
     /// Number of rows.
@@ -629,6 +653,13 @@ impl ColumnBatch {
         &self.columns
     }
 
+    /// Moves the rows out, leaving an empty, untyped batch of the same
+    /// arity and row budget behind.
+    pub fn take(&mut self) -> ColumnBatch {
+        let empty = ColumnBatch::with_row_budget(self.arity(), self.budget);
+        std::mem::replace(self, empty)
+    }
+
     /// Moves column `i` out, leaving an empty column in its place —
     /// the zero-copy building block of pure-column projection.
     pub fn take_column(&mut self, i: usize) -> Column {
@@ -642,7 +673,15 @@ impl ColumnBatch {
     pub fn push_row(&mut self, t: &Tuple) {
         assert_eq!(t.arity(), self.arity(), "tuple arity != batch arity");
         for (c, v) in self.columns.iter_mut().zip(t.values()) {
-            c.push(v);
+            match (&mut c.data, v) {
+                // The packet-header case, inline: an unsigned value
+                // onto an all-valid unsigned lane.
+                (Some(ColumnData::UInt(lane)), Value::UInt(x)) if c.nulls.is_empty() => {
+                    lane.push(*x);
+                    c.len += 1;
+                }
+                _ => c.push_reserving(v, self.budget),
+            }
         }
         self.rows += 1;
     }

@@ -303,6 +303,47 @@ fn hung_host_in_partial_mode_is_recorded_and_survived() {
 }
 
 #[test]
+fn hung_host_behind_a_full_inbox_is_a_timeout_too() {
+    // One-tuple batches: the hung unit's bounded inbox fills long before
+    // the feed ends, so it is the feed loop — not the final boundary
+    // drain — that has to give up on it, with the same typed cause.
+    let trace = generate(&TraceConfig::tiny(11));
+    let plan = plan_for(3);
+    let agg = plan.partitioning.aggregator_host;
+    let hung = leaf_host(&plan);
+    let transport = TransportConfig::default()
+        .with_fault(FaultPlan::seeded(6).hang(hung, 600))
+        .with_send_timeout_ms(100);
+    let run = |transport| {
+        let cfg = SimConfig {
+            batch: BatchConfig::new(1),
+            transport,
+            ..SimConfig::default()
+        };
+        run_distributed_threaded(&plan, &trace, &cfg)
+    };
+    match run(transport).unwrap_err() {
+        ExecError::Host(f) => {
+            assert!(
+                matches!(f.cause, FailureCause::Timeout { .. }),
+                "expected timeout cause, got {f}"
+            );
+            assert_eq!(f.host, agg);
+        }
+        other => panic!("expected ExecError::Host, got {other}"),
+    }
+    let r = run(transport.with_partial_results(true)).unwrap();
+    assert!(
+        r.failures
+            .iter()
+            .any(|f| f.host == agg && matches!(f.cause, FailureCause::Timeout { .. })),
+        "no timeout record in {:?}",
+        r.failures
+    );
+    assert!(r.outputs.iter().any(|(_, rows)| !rows.is_empty()));
+}
+
+#[test]
 fn worker_panic_surfaces_as_typed_failure_not_a_crash() {
     let trace = generate(&TraceConfig::tiny(11));
     let plan = plan_for(3);

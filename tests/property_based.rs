@@ -506,6 +506,66 @@ proptest! {
     }
 }
 
+/// Unsigned three times in four, so a column stays on the typed,
+/// all-valid lane for a while before a NULL masks it or another kind
+/// demotes it.
+fn arb_mostly_uint() -> impl Strategy<Value = Value> {
+    (0u8..8, 0u64..u64::MAX, arb_wire_value()).prop_map(|(pick, x, other)| {
+        if pick < 6 {
+            Value::UInt(x)
+        } else {
+            other
+        }
+    })
+}
+
+proptest! {
+    /// `push_row` / `extend_rows` build exactly the columns that pushing
+    /// each value through `Column::push` builds — same lane type, NULL
+    /// mask and values — through self-typing, masking and a `UInt` lane
+    /// demoted mid-batch, with and without a row budget, and again on
+    /// the recycled batch, whose lanes keep their type across `clear`.
+    #[test]
+    fn row_pushes_build_what_value_pushes_build(
+        arity in 1usize..5,
+        vals in proptest::collection::vec(arb_mostly_uint(), 0..60),
+        budget in 0usize..20,
+        split in 0usize..16
+    ) {
+        use qap::types::{Column, ColumnBatch};
+        let rows: Vec<Tuple> = vals.chunks_exact(arity).map(|c| Tuple::new(c.to_vec())).collect();
+        let split = split.min(rows.len());
+        let mut batch = ColumnBatch::with_row_budget(arity, budget);
+        let mut columns = vec![Column::new(); arity];
+        for _recycled in [false, true] {
+            batch.clear();
+            columns.iter_mut().for_each(Column::clear);
+            for t in &rows[..split] {
+                batch.push_row(t);
+            }
+            batch.extend_rows(&rows[split..]);
+            for t in &rows {
+                for (c, v) in columns.iter_mut().zip(t.values()) {
+                    c.push(v);
+                }
+            }
+            prop_assert_eq!(batch.rows(), rows.len());
+            for (got, want) in batch.columns().iter().zip(&columns) {
+                prop_assert_eq!(
+                    got.data().map(std::mem::discriminant),
+                    want.data().map(std::mem::discriminant)
+                );
+                prop_assert_eq!(got.null_mask(), want.null_mask());
+                prop_assert_eq!(got.len(), want.len());
+                for i in 0..want.len() {
+                    prop_assert_eq!(got.value(i), want.value(i));
+                }
+            }
+            prop_assert_eq!(&batch.to_rows(), &rows);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // control-plane codec: handshake / deploy / data envelope frames
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 //! partition layouts, runtime expression errors, and multi-stream
 //! feeds.
 
+use qap::exec::ExecError;
 use qap::prelude::*;
 
 fn pkt(time: u64, src: u64, dst: u64, len: u64) -> Tuple {
@@ -225,4 +226,54 @@ fn missing_feed_for_multi_stream_plan_rejected() {
     assert!(err.to_string().contains("plan reads 2 streams"), "{err}");
     let err = run_distributed_remote(&plan, &tcp, &SimConfig::default(), &[]).unwrap_err();
     assert!(err.to_string().contains("plan reads 2 streams"), "{err}");
+}
+
+/// A trace row of the wrong arity is the caller's mistake: every runner
+/// answers with a typed `BadPlan` naming the row, on the hash route and
+/// the round-robin one, for a row that is too short and one too long.
+#[test]
+fn wrong_arity_trace_tuple_is_a_typed_error_on_every_runner() {
+    let dag = flows_dag();
+    let good = pkt(17, 1, 2, 64);
+    for part in [
+        Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 3),
+        Partitioning::round_robin(3),
+    ] {
+        let plan = optimize(&dag, &part, &OptimizerConfig::full()).unwrap();
+        for bad in [good.project(&[0, 1, 2]), good.concat(&good)] {
+            let mut trace: Vec<Tuple> = (0..40u64).map(|i| pkt(i, i % 5, i % 3, 64)).collect();
+            trace[17] = bad.clone();
+            let check = |runner: &str, result: Result<SimResult, ExecError>| match result {
+                Err(ExecError::BadPlan(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "trace tuple 17 has arity {} but stream 'TCP' has arity 9",
+                        bad.arity()
+                    ),
+                    "{runner}"
+                ),
+                other => panic!("{runner}: expected BadPlan, got {:?}", other.map(|_| ())),
+            };
+            let cfg = SimConfig::default();
+            check("sim", run_distributed(&plan, &trace, &cfg));
+            check("threaded", run_distributed_threaded(&plan, &trace, &cfg));
+
+            let listeners: Vec<HostListener> = (0..remote_host_count(&plan, &cfg))
+                .map(|_| HostListener::bind(&HostAddr::Tcp("127.0.0.1:0".into())).unwrap())
+                .collect();
+            let addrs: Vec<HostAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+            std::thread::scope(|scope| {
+                for listener in &listeners {
+                    scope.spawn(move || {
+                        // The coordinator side reports the run's error.
+                        let _ = serve_host(listener, &HostServerConfig { once: true });
+                    });
+                }
+                check(
+                    "remote",
+                    run_distributed_remote(&plan, &trace, &cfg, &addrs),
+                );
+            });
+        }
+    }
 }
