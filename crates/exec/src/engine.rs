@@ -12,7 +12,7 @@ use std::collections::{HashMap, VecDeque};
 use qap_expr::{bind, bind_with, BoundExpr, ColumnRef, ScalarExpr};
 use qap_obs::OpMetrics;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{ColumnBatch, Schema, SelectionVector, Temporality, Tuple};
+use qap_types::{ColumnBatch, Schema, Temporality, Tuple};
 
 use crate::ops::{AccFactory, AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
 use crate::{ExecError, ExecResult};
@@ -66,10 +66,9 @@ impl BatchConfig {
 const POOL_CAP: usize = 32;
 
 /// One in-flight routed payload: a row (AoS) batch or a columnar (SoA)
-/// batch. The queue preserves representation end-to-end — a columnar
-/// feed stays columnar through every operator that accepts columns and
-/// only transposes at the boundary of a row-based consumer (join,
-/// merge) or a sink.
+/// batch. The queue preserves representation end-to-end — every
+/// operator consumes both, so a columnar feed stays columnar through
+/// the whole plan and only transposes at a sink.
 enum Payload {
     Rows(Vec<Tuple>),
     Cols(ColumnBatch),
@@ -287,9 +286,9 @@ impl Engine {
     /// Delivers a columnar batch to a source scan, draining `cols`
     /// (its buffers are swapped against a pooled batch when the feed
     /// fits one routed batch). The batch stays in SoA form through
-    /// every operator that accepts columns; it must produce exactly
-    /// the results its row materialization would — the columnar
-    /// equivalence suite holds the engine to that.
+    /// every operator; it must produce exactly the results its row
+    /// materialization would — the columnar equivalence suite holds the
+    /// engine to that.
     pub fn push_columns(&mut self, source: NodeId, cols: &mut ColumnBatch) -> ExecResult<()> {
         let arity = self.check_source(source)?;
         if cols.rows() == 0 {
@@ -312,24 +311,18 @@ impl Engine {
             self.queue.push_back((source, 0, Payload::Cols(b)));
             return self.run();
         }
-        // Oversized feed: split `max` rows at a time. The head chunk is
-        // carved out by compaction (a lane copy); rare — boundary
-        // transports frame at most `frame_batch` rows per frame.
-        while cols.rows() > 0 {
-            let take = cols.rows().min(max);
-            let mut head = cols.clone();
-            if take < cols.rows() {
-                head.compact(&SelectionVector::identity(take));
-                let mut tail = SelectionVector::new();
-                for i in take..cols.rows() {
-                    tail.push(i as u32);
-                }
-                cols.compact(&tail);
-            } else {
-                cols.clear();
+        // Oversized feed: `max` rows at a time, each chunk one lane copy
+        // into a pooled batch. Rare — boundary transports frame at most
+        // `frame_batch` rows per frame.
+        for at in (0..cols.rows()).step_by(max) {
+            let mut chunk = self.take_col_buf();
+            if chunk.arity() != arity {
+                chunk = ColumnBatch::new(arity);
             }
-            self.queue.push_back((source, 0, Payload::Cols(head)));
+            chunk.append_range(cols, at..cols.rows().min(at + max));
+            self.queue.push_back((source, 0, Payload::Cols(chunk)));
         }
+        cols.clear();
         self.run()
     }
 
@@ -367,9 +360,7 @@ impl Engine {
     }
 
     /// Drains the routing queue, delivering each in-flight batch in
-    /// its native representation: columnar batches reach
-    /// column-accepting operators as columns and transpose only at the
-    /// boundary of a row-based consumer.
+    /// its native representation.
     fn run(&mut self) -> ExecResult<()> {
         while let Some((id, port, payload)) = self.queue.pop_front() {
             let n = payload.len() as u64;
@@ -390,22 +381,12 @@ impl Engine {
                     self.recycle(batch);
                     self.route(id, out);
                 }
-                Payload::Cols(mut cols) if self.ops[id].accepts_columns() => {
+                Payload::Cols(mut cols) => {
                     let mut cols_out = self.take_col_buf();
                     self.ops[id].push_columns(port, &mut cols, &mut out, &mut cols_out)?;
                     self.recycle_col(cols);
                     self.route(id, out);
                     self.route_cols(id, cols_out);
-                }
-                Payload::Cols(cols) => {
-                    // Row-based operator (join, merge): transpose at
-                    // the boundary.
-                    let mut batch = self.take_buf();
-                    cols.append_rows_to(&mut batch);
-                    self.recycle_col(cols);
-                    self.ops[id].push_batch(port, &mut batch, &mut out)?;
-                    self.recycle(batch);
-                    self.route(id, out);
                 }
             }
         }

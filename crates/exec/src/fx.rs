@@ -13,12 +13,9 @@
 //! across processes, so a distributed run's leaf hosts probe their
 //! tables identically — useful when diffing per-host traces.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 use qap_types::Value;
-
-/// `HashMap` keyed by the Fx hasher.
-pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

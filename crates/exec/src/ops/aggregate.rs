@@ -3,16 +3,20 @@
 use std::sync::Arc;
 
 use qap_expr::{
-    make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind,
+    make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel,
     PredicateKernel, Udaf, UdafState, LANE_KINDS,
 };
-use qap_types::{ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE};
+use qap_types::{
+    Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE,
+};
 
 use crate::fx;
 use crate::ExecResult;
 
 use super::group_table::GroupTable;
-use super::{bucket_of, OpRuntimeStats, Operator};
+use super::{
+    bucket_of, column_lane_kind, masked, merge_lanes, reset_arity, OpRuntimeStats, Operator,
+};
 
 /// How to create fresh per-group aggregate state.
 pub(crate) enum AccFactory {
@@ -117,9 +121,11 @@ impl AggSlot {
 /// at operator construction. The general recursive evaluator threads a
 /// `Result<Value>` through every node, which is a measurable share of
 /// the per-tuple cost; the two shapes every windowed query hits — a
-/// plain column and the `time/60` window key — shortcut it. Each fast
-/// path reproduces [`BoundExpr::eval`] exactly and falls back to it for
-/// any input value outside its domain.
+/// plain column and the `time/60` window key — shortcut it on both
+/// paths, and any other numeric key (`srcIP & 0xFFF0`) compiles to a
+/// kernel for the columnar one. Each fast path reproduces
+/// [`BoundExpr::eval`] exactly and falls back to it for any input value
+/// outside its domain.
 enum KeyEval {
     /// Plain column reference.
     Col(usize),
@@ -133,6 +139,10 @@ enum KeyEval {
     /// true fraction `r/d` sits at least `1/d > 2^-32` below the next
     /// integer).
     DivConst { col: usize, div: u64, magic: u64 },
+    /// Any other key inside the numeric kernel domain: the columnar
+    /// path evaluates it once per batch into an owned unsigned lane;
+    /// the row path evaluates it like [`KeyEval::General`].
+    Kernel(NumKernel),
     /// Full recursive evaluation.
     General,
 }
@@ -158,10 +168,19 @@ impl KeyEval {
                         magic,
                     }
                 }
-                _ => KeyEval::General,
+                _ => KeyEval::general(e),
             },
-            _ => KeyEval::General,
+            _ => KeyEval::general(e),
         }
+    }
+
+    fn general(e: &BoundExpr) -> KeyEval {
+        NumKernel::compile(e).map_or(KeyEval::General, KeyEval::Kernel)
+    }
+
+    /// Whether the row path reads this key straight off the tuple.
+    fn is_fast(&self) -> bool {
+        matches!(self, KeyEval::Col(_) | KeyEval::DivConst { .. })
     }
 }
 
@@ -225,8 +244,8 @@ fn key_matches(evals: &[KeyEval], divs: &[u64], tuple: &Tuple, key: &[Value]) ->
             d += 1;
             matches!(kv, Value::UInt(x) if *x == q)
         }
-        KeyEval::General => {
-            debug_assert!(false, "fast key path excludes General evals");
+        KeyEval::Kernel(_) | KeyEval::General => {
+            debug_assert!(false, "fast key path excludes interpreted evals");
             false
         }
     })
@@ -368,7 +387,7 @@ impl AggregateOp {
             })
             .collect();
         let key_evals: Vec<KeyEval> = group_exprs.iter().map(KeyEval::classify).collect();
-        let fast_keys = key_evals.iter().all(|e| !matches!(e, KeyEval::General));
+        let fast_keys = key_evals.iter().all(KeyEval::is_fast);
         let divs_before = key_evals[..temporal_idx]
             .iter()
             .filter(|e| matches!(e, KeyEval::DivConst { .. }))
@@ -377,7 +396,7 @@ impl AggregateOp {
             KeyEval::Col(i) => TemporalSrc::Col(*i),
             KeyEval::DivConst { .. } => TemporalSrc::Div(divs_before),
             // Unused: `fast_keys` is false, so the slow path runs.
-            KeyEval::General => TemporalSrc::Col(0),
+            KeyEval::Kernel(_) | KeyEval::General => TemporalSrc::Col(0),
         };
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         AggregateOp {
@@ -493,10 +512,7 @@ impl AggregateOp {
     ) -> ExecResult<()> {
         let arity = self.group_exprs.len();
         let width = self.slots.len();
-        if out.arity() != arity + width {
-            debug_assert!(out.is_empty(), "pooled output batch arrives empty");
-            *out = ColumnBatch::new(arity + width);
-        }
+        reset_arity(out, arity + width);
         let mut vals = keys.drain(..);
         for e in 0..n {
             let accs = &accs_arena[e * width..(e + 1) * width];
@@ -588,7 +604,9 @@ impl AggregateOp {
                     self.key_scratch.push(Value::UInt(self.div_scratch[d]));
                     d += 1;
                 }
-                KeyEval::General => debug_assert!(false, "fast key path excludes General evals"),
+                KeyEval::Kernel(_) | KeyEval::General => {
+                    debug_assert!(false, "fast key path excludes interpreted evals")
+                }
             }
         }
     }
@@ -608,7 +626,7 @@ impl AggregateOp {
                     Value::UInt(x) => Value::UInt(div_q(*x, *div, *magic)),
                     _ => e.eval(&tuple)?,
                 },
-                KeyEval::General => e.eval(&tuple)?,
+                KeyEval::Kernel(_) | KeyEval::General => e.eval(&tuple)?,
             };
             vh.add(&v);
             self.key_scratch.push(v);
@@ -905,7 +923,7 @@ impl AggregateOp {
         let boundary = match &self.key_evals[self.temporal_idx] {
             KeyEval::Col(_) => i128::from(time),
             KeyEval::DivConst { div, .. } => i128::from(time / *div),
-            KeyEval::General => return Ok(()),
+            KeyEval::Kernel(_) | KeyEval::General => return Ok(()),
         };
         if let Some(cur) = self.current_bucket {
             if cur < boundary {
@@ -1020,25 +1038,6 @@ enum KeyLane<'a> {
     },
 }
 
-/// Whether row `r` is NULL under a possibly-empty null mask.
-#[inline]
-fn masked(m: &[bool], r: usize) -> bool {
-    !m.is_empty() && m[r]
-}
-
-/// The lane type a column's data would execute as — the label the
-/// per-lane kernel counters tally under.
-fn column_lane_kind(c: &qap_types::Column) -> LaneKind {
-    match c.data() {
-        Some(ColumnData::UInt(_)) | None => LaneKind::Uint,
-        Some(ColumnData::Int(_)) => LaneKind::Int,
-        Some(ColumnData::Bool(_)) => LaneKind::Bool,
-        Some(ColumnData::Str(_)) => LaneKind::Str,
-        Some(ColumnData::Dict(_)) => LaneKind::Dict,
-        Some(ColumnData::Mixed(_)) => LaneKind::Mixed,
-    }
-}
-
 /// The lane type a classified key lane reads — `None` for the untyped
 /// all-NULL lane, which belongs to no tally.
 fn key_lane_kind(lane: &KeyLane<'_>) -> Option<LaneKind> {
@@ -1058,14 +1057,17 @@ fn key_lane_kind(lane: &KeyLane<'_>) -> Option<LaneKind> {
 /// `Mixed` — no single lane to blame), a window divisor over anything
 /// but a non-null unsigned lane, or a temporal lane that is not
 /// non-null unsigned — NULL windows and kind-ranked buckets stay on the
-/// exact row path.
+/// exact row path. `computed` holds this batch's kernel-evaluated keys,
+/// one column per `Kernel` eval in key order.
 fn classify_key_lanes<'a>(
     key_evals: &[KeyEval],
     temporal_idx: usize,
     batch: &'a ColumnBatch,
+    computed: &'a [Column],
 ) -> Result<Vec<KeyLane<'a>>, LaneKind> {
     let mut lanes = Vec::with_capacity(key_evals.len());
     let mut n_divs = 0;
+    let mut computed = computed.iter();
     for ev in key_evals {
         lanes.push(match ev {
             KeyEval::Col(i) => {
@@ -1096,6 +1098,11 @@ fn classify_key_lanes<'a>(
                     idx,
                 }
             }
+            KeyEval::Kernel(_) => match computed.next().map(|c| (c.uints(), c.null_mask())) {
+                Some((Some(l), [])) => KeyLane::U(l),
+                Some((Some(l), m)) => KeyLane::UNull(l, m),
+                _ => return Err(LaneKind::Uint),
+            },
             KeyEval::General => return Err(LaneKind::Mixed),
         });
     }
@@ -1407,7 +1414,7 @@ impl Operator for AggregateOp {
                             break;
                         }
                     },
-                    KeyEval::General => {
+                    KeyEval::Kernel(_) | KeyEval::General => {
                         fallback = true;
                         break;
                     }
@@ -1475,10 +1482,6 @@ impl Operator for AggregateOp {
         Ok(())
     }
 
-    fn accepts_columns(&self) -> bool {
-        true
-    }
-
     fn push_columns(
         &mut self,
         port: usize,
@@ -1494,17 +1497,6 @@ impl Operator for AggregateOp {
         // string predicates and group keys run as integer compares
         // (no-op for already-typed lanes).
         batch.dict_encode_strings();
-        // Key-lane eligibility gates the whole batch: ineligible shapes
-        // (Mixed lanes, General evals, non-unsigned window attributes)
-        // materialize and take the exact row path — predicate included.
-        if let Err(kind) = classify_key_lanes(&self.key_evals, self.temporal_idx, batch) {
-            self.kernel_fallbacks += 1;
-            self.lane_fallbacks[kind as usize] += 1;
-            let mut rows = Vec::with_capacity(batch.rows());
-            batch.append_rows_to(&mut rows);
-            batch.clear();
-            return self.push_batch(port, &mut rows, rows_out);
-        }
         // σ: refine the selection, then compact onto the survivors
         // (skipped entirely when the plan has no predicate).
         if self.predicate.is_some() {
@@ -1516,11 +1508,34 @@ impl Operator for AggregateOp {
             }
             batch.compact(&self.sel);
         }
-        // Re-classify against the compacted lanes (compaction only
-        // preserves or upgrades shapes — a null mask can drop, a lane
-        // type never changes).
-        let lanes = classify_key_lanes(&self.key_evals, self.temporal_idx, batch)
-            .expect("compaction preserves key-lane shapes");
+        // Computed keys evaluate once per batch into owned lanes; then
+        // key-lane eligibility gates the whole batch. Ineligible shapes
+        // (a bailed key kernel, Mixed lanes, General evals, non-unsigned
+        // window attributes) materialize the survivors and take the
+        // exact row path, whose predicate pass keeps all of them again.
+        let computed: Option<Vec<Column>> = self
+            .key_evals
+            .iter()
+            .filter_map(|ev| match ev {
+                KeyEval::Kernel(k) => Some(k.eval_column(batch, &mut self.kscratch)),
+                _ => None,
+            })
+            .collect();
+        let classified = match &computed {
+            Some(cols) => classify_key_lanes(&self.key_evals, self.temporal_idx, batch, cols),
+            None => Err(LaneKind::Uint),
+        };
+        let lanes = match classified {
+            Ok(lanes) => lanes,
+            Err(kind) => {
+                self.kernel_fallbacks += 1;
+                self.lane_fallbacks[kind as usize] += 1;
+                let mut rows = Vec::with_capacity(batch.rows());
+                batch.append_rows_to(&mut rows);
+                batch.clear();
+                return self.push_batch(port, &mut rows, rows_out);
+            }
+        };
         self.kernel_hits += 1;
         for lane in &lanes {
             if let Some(k) = key_lane_kind(lane) {
@@ -1730,16 +1745,6 @@ impl Operator for AggregateOp {
             kernel_lane_fallbacks: merge_lanes(self.kscratch.lane_fallbacks(), self.lane_fallbacks),
         }
     }
-}
-
-/// Element-wise sum of two per-lane counter arrays: the predicate
-/// kernel's tallies plus the operator's own key-lane tallies.
-fn merge_lanes(a: [u64; LANE_KINDS], b: [u64; LANE_KINDS]) -> [u64; LANE_KINDS] {
-    let mut out = a;
-    for (o, v) in out.iter_mut().zip(b) {
-        *o += v;
-    }
-    out
 }
 
 #[cfg(test)]

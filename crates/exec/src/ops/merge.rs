@@ -2,11 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use qap_types::Tuple;
+use qap_types::{ColumnBatch, Tuple};
 
 use crate::ExecResult;
 
-use super::{bucket_of, Operator};
+use super::{append_batch, bucket_of, for_each_bucket_run, Operator};
 
 /// Merge of K same-schema inputs, aligned on the schema's temporal
 /// attribute so the downstream window discipline holds.
@@ -23,9 +23,10 @@ pub(crate) struct MergeOp {
     temporal_idx: usize,
     /// Per input port: last observed bucket.
     last: Vec<Option<i128>>,
-    /// Buffered tuples grouped by bucket (insertion order preserved
-    /// within a bucket).
-    buffer: BTreeMap<i128, Vec<Tuple>>,
+    /// Buffered rows grouped by bucket, as lanes (insertion order
+    /// preserved within a bucket), whichever representation they
+    /// arrived in.
+    buffer: BTreeMap<i128, ColumnBatch>,
 }
 
 impl MergeOp {
@@ -35,6 +36,10 @@ impl MergeOp {
             last: vec![None; ports],
             buffer: BTreeMap::new(),
         }
+    }
+
+    fn observe(&mut self, port: usize, b: i128) {
+        self.last[port] = Some(self.last[port].map_or(b, |l| l.max(b)));
     }
 
     /// Buckets strictly below every port's current bucket are complete.
@@ -51,17 +56,18 @@ impl MergeOp {
         Some(min)
     }
 
-    fn release(&mut self, out: &mut Vec<Tuple>) {
-        let Some(threshold) = self.threshold() else {
-            return;
+    /// Takes the complete buckets out of the buffer, in bucket order.
+    fn release(&mut self) -> impl Iterator<Item = ColumnBatch> {
+        let ready = match self.threshold() {
+            // Split off the still-buffered tail (buckets >= threshold);
+            // what remains is complete.
+            Some(threshold) => {
+                let keep = self.buffer.split_off(&threshold);
+                std::mem::replace(&mut self.buffer, keep)
+            }
+            None => BTreeMap::new(),
         };
-        // Split off the still-buffered tail (buckets >= threshold); what
-        // remains in `ready` is complete, already in bucket order.
-        let keep = self.buffer.split_off(&threshold);
-        let ready = std::mem::replace(&mut self.buffer, keep);
-        for (_, tuples) in ready {
-            out.extend(tuples);
-        }
+        ready.into_values()
     }
 }
 
@@ -74,8 +80,11 @@ impl Operator for MergeOp {
     ) -> ExecResult<()> {
         for tuple in batch.drain(..) {
             let b = bucket_of(tuple.get(self.temporal_idx));
-            self.last[port] = Some(self.last[port].map_or(b, |l| l.max(b)));
-            self.buffer.entry(b).or_default().push(tuple);
+            self.observe(port, b);
+            self.buffer
+                .entry(b)
+                .or_insert_with(|| ColumnBatch::new(tuple.arity()))
+                .push_row(&tuple);
         }
         // One release per batch is exact, not an approximation: a
         // released bucket lies strictly below every port's watermark,
@@ -83,13 +92,54 @@ impl Operator for MergeOp {
         // this batch (or any later batch) can belong to it. Deferring
         // the release only coalesces consecutive per-tuple releases;
         // bucket order and within-bucket insertion order are unchanged.
-        self.release(out);
+        for rows in self.release() {
+            rows.append_rows_to(out);
+        }
+        Ok(())
+    }
+
+    fn push_columns(
+        &mut self,
+        port: usize,
+        batch: &mut ColumnBatch,
+        _rows_out: &mut Vec<Tuple>,
+        cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
+        if batch.rows() == 0 {
+            return Ok(());
+        }
+        let rows_in: &ColumnBatch = batch;
+        let mut whole = None;
+        for_each_bucket_run(rows_in.column(self.temporal_idx), |run, b| {
+            self.observe(port, b);
+            if run.len() == rows_in.rows() && !self.buffer.contains_key(&b) {
+                // The whole batch opens its bucket: move it in below.
+                whole = Some(b);
+            } else {
+                self.buffer
+                    .entry(b)
+                    .or_insert_with(|| ColumnBatch::new(rows_in.arity()))
+                    .append_range(rows_in, run);
+            }
+            Ok(())
+        })?;
+        match whole {
+            Some(b) => {
+                self.buffer.insert(b, batch.take());
+            }
+            None => batch.clear(),
+        }
+        // Whole buckets leave as they are: the first moves into the
+        // output, later ones append to it.
+        for rows in self.release() {
+            append_batch(cols_out, rows);
+        }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()> {
-        for (_, tuples) in std::mem::take(&mut self.buffer) {
-            out.extend(tuples);
+        for rows in std::mem::take(&mut self.buffer).into_values() {
+            rows.append_rows_to(out);
         }
         Ok(())
     }

@@ -11,8 +11,8 @@ pub(crate) use join::JoinOp;
 pub(crate) use merge::MergeOp;
 pub(crate) use select::SelectOp;
 
-use qap_expr::LANE_KINDS;
-use qap_types::{ColumnBatch, Tuple, Value};
+use qap_expr::{LaneKind, LANE_KINDS};
+use qap_types::{Column, ColumnBatch, ColumnData, Tuple, Value};
 
 use crate::ExecResult;
 
@@ -48,17 +48,18 @@ pub(crate) struct OpRuntimeStats {
 }
 
 /// A compiled streaming operator, processing input one *batch* at a
-/// time. `push_batch` delivers a batch of input tuples on an input port
-/// (0 for unary operators; joins use 0 = left, 1 = right; merges one
-/// port per input) and must drain `batch`, appending any produced
-/// tuples to `out`; both vectors are engine-owned scratch buffers that
-/// are recycled between calls, so operators must not stash them.
-/// Semantics are defined tuple-at-a-time: `push_batch(p, [t1..tn], out)`
-/// must emit exactly the concatenation a per-tuple loop would, in the
-/// same order — batching is a mechanical optimisation, never a
-/// semantic one. `finish` signals end-of-stream on all ports (the
-/// engine calls it in topological order, so every input is already
-/// complete).
+/// time, in either representation. `push_batch` delivers a batch of
+/// input tuples on an input port (0 for unary operators; joins use
+/// 0 = left, 1 = right; merges one port per input) and must drain
+/// `batch`, appending any produced tuples to `out`; `push_columns`
+/// delivers the same thing as a [`ColumnBatch`]. All buffers are
+/// engine-owned scratch that is recycled between calls, so operators
+/// must not stash them. Semantics are defined tuple-at-a-time:
+/// `push_batch(p, [t1..tn], out)` must emit exactly the concatenation a
+/// per-tuple loop would, in the same order — batching and
+/// representation are mechanical optimisations, never semantic ones.
+/// `finish` signals end-of-stream on all ports (the engine calls it in
+/// topological order, so every input is already complete).
 pub(crate) trait Operator {
     /// Processes one batch of tuples, draining `batch` and appending
     /// any produced tuples to `out`.
@@ -70,35 +71,19 @@ pub(crate) trait Operator {
     ) -> ExecResult<()>;
     /// Flushes remaining state at end-of-stream.
     fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()>;
-    /// Whether the operator consumes columnar (SoA) batches natively.
-    /// Operators answering `false` only ever see row batches — the
-    /// engine transposes at the boundary (the row↔column converter the
-    /// join and merge operators rely on).
-    fn accepts_columns(&self) -> bool {
-        false
-    }
     /// Processes one columnar batch, draining `batch` (left cleared)
     /// and appending produced output to `rows_out` and/or `cols_out`
-    /// (an empty engine-owned scratch batch). Must emit exactly what
-    /// [`Operator::push_batch`] would emit for the batch's row
-    /// materialization, in the same order — representation is a
-    /// mechanical optimisation, never a semantic one.
-    ///
-    /// The default bridges through rows for operators that opt in to
-    /// columns on some code path but not another; the engine only calls
-    /// this when [`Operator::accepts_columns`] is `true`.
+    /// (an empty engine-owned scratch batch of no particular arity).
+    /// Must emit exactly what [`Operator::push_batch`] would emit for
+    /// the batch's row materialization, in the same order; one call's
+    /// output goes to one of the two buffers, never both.
     fn push_columns(
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
         rows_out: &mut Vec<Tuple>,
-        _cols_out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
-        let mut rows = Vec::with_capacity(batch.rows());
-        batch.append_rows_to(&mut rows);
-        batch.clear();
-        self.push_batch(port, &mut rows, rows_out)
-    }
+        cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()>;
     /// Tuples dropped for arriving behind the operator's window.
     fn late_dropped(&self) -> u64 {
         0
@@ -156,10 +141,6 @@ impl Operator for ScanOp {
         Ok(())
     }
 
-    fn accepts_columns(&self) -> bool {
-        true
-    }
-
     fn push_columns(
         &mut self,
         _port: usize,
@@ -184,4 +165,83 @@ pub(crate) fn bucket_of(v: &Value) -> i128 {
         Value::Bool(b) => i128::from(*b),
         _ => i128::MIN,
     }
+}
+
+/// Whether row `r` is flagged under a possibly-empty mask.
+#[inline]
+pub(crate) fn masked(m: &[bool], r: usize) -> bool {
+    !m.is_empty() && m[r]
+}
+
+/// The lane type a column's data would execute as — the label the
+/// per-lane kernel counters tally under.
+pub(crate) fn column_lane_kind(c: &Column) -> LaneKind {
+    match c.data() {
+        Some(ColumnData::UInt(_)) | None => LaneKind::Uint,
+        Some(ColumnData::Int(_)) => LaneKind::Int,
+        Some(ColumnData::Bool(_)) => LaneKind::Bool,
+        Some(ColumnData::Str(_)) => LaneKind::Str,
+        Some(ColumnData::Dict(_)) => LaneKind::Dict,
+        Some(ColumnData::Mixed(_)) => LaneKind::Mixed,
+    }
+}
+
+/// Element-wise sum of two per-lane counter arrays: a kernel scratch's
+/// tallies plus the operator's own key-lane tallies.
+pub(crate) fn merge_lanes(a: [u64; LANE_KINDS], b: [u64; LANE_KINDS]) -> [u64; LANE_KINDS] {
+    let mut out = a;
+    for (o, v) in out.iter_mut().zip(b) {
+        *o += v;
+    }
+    out
+}
+
+/// Gives an empty output batch the operator's output arity (pooled
+/// scratch batches arrive with whatever arity their last user left).
+pub(crate) fn reset_arity(out: &mut ColumnBatch, arity: usize) {
+    if out.arity() != arity {
+        debug_assert!(out.is_empty(), "pooled output batch arrives empty");
+        *out = ColumnBatch::new(arity);
+    }
+}
+
+/// Appends `src` to an output batch, by move when the output is still
+/// empty.
+pub(crate) fn append_batch(out: &mut ColumnBatch, src: ColumnBatch) {
+    if out.is_empty() {
+        *out = src;
+    } else {
+        out.append_range(&src, 0..src.rows());
+    }
+}
+
+/// Calls `f(rows, bucket)` for each maximal run of consecutive rows of
+/// a temporal column that share a bucket ([`bucket_of`] per row; a
+/// non-null unsigned lane compares raw words). Operator inputs are
+/// bucket-ordered, so a run is normally a whole epoch.
+pub(crate) fn for_each_bucket_run(
+    col: &Column,
+    mut f: impl FnMut(std::ops::Range<usize>, i128) -> ExecResult<()>,
+) -> ExecResult<()> {
+    let n = col.len();
+    let mut start = 0;
+    while start < n {
+        let (bucket, len) = match col.uints() {
+            Some(lane) if !col.has_nulls() => {
+                let x = lane[start];
+                let len = lane[start..].iter().take_while(|&&y| y == x).count();
+                (i128::from(x), len)
+            }
+            _ => {
+                let b = bucket_of(&col.value(start));
+                let len = (start..n)
+                    .take_while(|&r| bucket_of(&col.value(r)) == b)
+                    .count();
+                (b, len)
+            }
+        };
+        f(start..start + len, bucket)?;
+        start += len;
+    }
+    Ok(())
 }

@@ -23,6 +23,76 @@ enum ColProj {
     Kernel(NumKernel),
 }
 
+/// A projection list every entry of which evaluates column-at-a-time:
+/// bare columns move, everything else runs a [`NumKernel`]. Shared by
+/// selection and the join's output projection.
+pub(crate) struct ColPlan(Vec<ColProj>);
+
+impl ColPlan {
+    /// Compiles the projections, or `None` when one of them is neither
+    /// a bare column nor inside the numeric kernel domain.
+    pub(crate) fn compile(projections: &[BoundExpr]) -> Option<ColPlan> {
+        let mut plan = projections
+            .iter()
+            .map(|e| match e {
+                BoundExpr::Column(i) => Some(ColProj::Col {
+                    pos: *i,
+                    take: false,
+                }),
+                e => NumKernel::compile(e).map(ColProj::Kernel),
+            })
+            .collect::<Option<Vec<ColProj>>>()?;
+        // Mark the last use of each bare-column position: that use may
+        // move the column out of the input batch; earlier uses clone.
+        // Kernels evaluate before any take, so they always see intact
+        // input columns.
+        let mut seen: Vec<usize> = Vec::new();
+        for p in plan.iter_mut().rev() {
+            if let ColProj::Col { pos, take } = p {
+                if !seen.contains(pos) {
+                    seen.push(*pos);
+                    *take = true;
+                }
+            }
+        }
+        Some(ColPlan(plan))
+    }
+
+    /// Projects `batch`, moving its columns out: `Some((out, ran))`
+    /// with `ran` telling whether a kernel executed, or `None` — with
+    /// `batch` untouched — when a kernel bails out at run time.
+    pub(crate) fn project(
+        &self,
+        batch: &mut ColumnBatch,
+        kscratch: &mut KernelScratch,
+    ) -> Option<(ColumnBatch, bool)> {
+        let mut outputs: Vec<Option<Column>> = Vec::with_capacity(self.0.len());
+        for p in &self.0 {
+            outputs.push(match p {
+                ColProj::Col { .. } => None,
+                ColProj::Kernel(k) => Some(k.eval_column(batch, kscratch)?),
+            });
+        }
+        let ran_kernel = outputs.iter().any(Option::is_some);
+        let rows = batch.rows();
+        let columns = self
+            .0
+            .iter()
+            .zip(outputs)
+            .map(|(p, out)| match (p, out) {
+                (_, Some(c)) => c,
+                (ColProj::Col { pos, take: true }, None) => batch.take_column(*pos),
+                (ColProj::Col { pos, take: false }, None) => batch.column(*pos).clone(),
+                (ColProj::Kernel(_), None) => unreachable!("kernel output populated"),
+            })
+            .collect();
+        Some((
+            ColumnBatch::from_columns_with_rows(columns, rows),
+            ran_kernel,
+        ))
+    }
+}
+
 /// Stateless filter + projection.
 ///
 /// **Row path.** When every projection is a bare column reference (the
@@ -54,7 +124,7 @@ pub(crate) struct SelectOp {
     kernel: Option<PredicateKernel>,
     /// `Some(plan)` when every projection is columnar-evaluable (bare
     /// column or compiled numeric kernel).
-    col_plan: Option<Vec<ColProj>>,
+    col_plan: Option<ColPlan>,
     /// Reused selection vector for the columnar filter.
     sel: SelectionVector,
     /// Recycled surviving-row indices for the interpreter predicate
@@ -77,31 +147,7 @@ impl SelectOp {
             })
             .collect::<Option<Vec<usize>>>();
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
-        let mut col_plan = projections
-            .iter()
-            .map(|e| match e {
-                BoundExpr::Column(i) => Some(ColProj::Col {
-                    pos: *i,
-                    take: false,
-                }),
-                e => NumKernel::compile(e).map(ColProj::Kernel),
-            })
-            .collect::<Option<Vec<ColProj>>>();
-        if let Some(plan) = &mut col_plan {
-            // Mark the last use of each bare-column position: that use
-            // may move the column out of the input batch; earlier uses
-            // clone. Kernels evaluate before any take, so they always
-            // see intact input columns.
-            let mut seen: Vec<usize> = Vec::new();
-            for p in plan.iter_mut().rev() {
-                if let ColProj::Col { pos, take } = p {
-                    if !seen.contains(pos) {
-                        seen.push(*pos);
-                        *take = true;
-                    }
-                }
-            }
-        }
+        let col_plan = ColPlan::compile(&projections);
         SelectOp {
             predicate,
             projections,
@@ -187,10 +233,6 @@ impl Operator for SelectOp {
         Ok(())
     }
 
-    fn accepts_columns(&self) -> bool {
-        true
-    }
-
     fn push_columns(
         &mut self,
         _port: usize,
@@ -219,40 +261,11 @@ impl Operator for SelectOp {
         // π, columnar: kernels evaluate first (they read input
         // columns), then bare columns move or clone into place.
         if let Some(plan) = &self.col_plan {
-            let mut outputs: Vec<Option<Column>> = Vec::with_capacity(plan.len());
-            let mut bailed = false;
-            let mut ran_kernel = false;
-            for p in plan {
-                match p {
-                    ColProj::Col { .. } => outputs.push(None),
-                    ColProj::Kernel(k) => match k.eval_column(batch, &mut self.kscratch) {
-                        Some(c) => {
-                            ran_kernel = true;
-                            outputs.push(Some(c));
-                        }
-                        None => {
-                            bailed = true;
-                            break;
-                        }
-                    },
-                }
-            }
-            if !bailed {
+            if let Some((out, ran_kernel)) = plan.project(batch, &mut self.kscratch) {
                 if ran_kernel {
                     self.kernel_hits += 1;
                 }
-                let rows = batch.rows();
-                let columns = plan
-                    .iter()
-                    .zip(outputs)
-                    .map(|(p, out)| match (p, out) {
-                        (_, Some(c)) => c,
-                        (ColProj::Col { pos, take: true }, None) => batch.take_column(*pos),
-                        (ColProj::Col { pos, take: false }, None) => batch.column(*pos).clone(),
-                        (ColProj::Kernel(_), None) => unreachable!("kernel output populated"),
-                    })
-                    .collect();
-                *cols_out = ColumnBatch::from_columns_with_rows(columns, rows);
+                *cols_out = out;
                 batch.clear();
                 return Ok(());
             }

@@ -452,3 +452,44 @@ fn counters_track_flow() {
     // 5 groups per minute, spanning 2 minutes (0..60, 60..100).
     assert_eq!(engine.counters()[agg].tuples_out, 10);
 }
+
+#[test]
+fn oversized_column_feed_equals_max_batch_feeds() {
+    use crate::BatchConfig;
+    use qap_types::ColumnBatch;
+    let dag = build(&[(
+        "flows",
+        "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         GROUP BY time/60 as tb, srcIP, destIP",
+    )]);
+    let trace: Vec<Tuple> = (0..640u64)
+        .map(|i| pkt(i / 4, i % 7, i % 3, 0, 100 + i))
+        .collect();
+    let run = |feeds: &[&[Tuple]]| {
+        let mut engine = Engine::new(&dag).unwrap();
+        engine.set_batch_config(BatchConfig::new(64));
+        let src = engine.source_nodes()[0];
+        for feed in feeds {
+            let mut cols = ColumnBatch::from_rows(feed);
+            engine.push_columns(src, &mut cols).unwrap();
+            assert!(cols.is_empty(), "the feed is drained");
+        }
+        engine.finish().unwrap();
+        let batches: Vec<(u64, u64)> = engine
+            .metrics()
+            .iter()
+            .map(|m| (m.batches_in, m.col_batches_in))
+            .collect();
+        (
+            engine.output(dag.roots()[0]),
+            engine.counters().to_vec(),
+            batches,
+        )
+    };
+    // One 10 × max_batch feed is chunked into exactly the ten batches
+    // that ten max_batch feeds deliver.
+    let whole = run(&[&trace[..]]);
+    let tens = run(&trace.chunks(64).collect::<Vec<_>>());
+    assert_eq!(whole, tens);
+    assert_eq!(whole.2[0], (10, 10));
+}

@@ -17,8 +17,10 @@
 //!   [`Value`]s, preserving every value exactly. Row→column→row is the
 //!   identity for arbitrary value sequences.
 //! - [`ColumnBatch`] — a fixed-arity set of equal-length columns with
-//!   row↔column converters for the operators that stay row-based
-//!   (join, merge) and for the engine boundary.
+//!   row↔column converters for the engine boundary and lane-to-lane
+//!   appends ([`ColumnBatch::append_range`],
+//!   [`ColumnBatch::append_gather`]) for the operators that buffer
+//!   (join, merge).
 //! - [`SelectionVector`] — the indices of surviving rows, the unit of
 //!   communication between predicate kernels and operators: a filter is
 //!   a refinement of the selection, not a copy of the data.
@@ -162,6 +164,66 @@ impl DictLane {
     fn compact(&mut self, sel: &[u32]) {
         compact_lane(&mut self.codes, sel);
     }
+
+    /// Appends the given rows of another dictionary lane. Codes of
+    /// different lanes are not comparable, so each distinct source
+    /// string interns into this lane's table once (on first use) and
+    /// its rows copy the translated code; NULL rows stay NULL codes.
+    fn append_lane(&mut self, src: &DictLane, rows: Rows<'_>) {
+        // `DICT_NULL_CODE` never names a string, so it doubles as the
+        // "not translated yet" mark.
+        let mut remap = vec![DICT_NULL_CODE; src.values.len()];
+        self.codes.reserve(rows.len());
+        rows.for_each(|i| {
+            let c = src.codes[i];
+            if c == DICT_NULL_CODE {
+                return self.codes.push(c);
+            }
+            if remap[c as usize] == DICT_NULL_CODE {
+                remap[c as usize] = self.intern(&src.values[c as usize]);
+            }
+            self.codes.push(remap[c as usize]);
+        });
+    }
+}
+
+/// The source rows of a lane append: a contiguous range (a slice copy)
+/// or an arbitrary gather list.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    Range(usize, usize),
+    Gather(&'a [u32]),
+}
+
+impl Rows<'_> {
+    fn len(self) -> usize {
+        match self {
+            Rows::Range(s, e) => e - s,
+            Rows::Gather(idx) => idx.len(),
+        }
+    }
+
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Rows::Range(s, e) => (s..e).for_each(f),
+            Rows::Gather(idx) => idx.iter().for_each(|&i| f(i as usize)),
+        }
+    }
+
+    fn any(self, mut f: impl FnMut(usize) -> bool) -> bool {
+        match self {
+            Rows::Range(s, e) => (s..e).any(f),
+            Rows::Gather(idx) => idx.iter().any(|&i| f(i as usize)),
+        }
+    }
+
+    /// Appends the rows of `src` to `dst`: one slice copy for a range.
+    fn extend<T: Clone>(self, dst: &mut Vec<T>, src: &[T]) {
+        match self {
+            Rows::Range(s, e) => dst.extend_from_slice(&src[s..e]),
+            Rows::Gather(idx) => dst.extend(idx.iter().map(|&i| src[i as usize].clone())),
+        }
+    }
 }
 
 /// The typed lane backing one [`Column`].
@@ -209,6 +271,18 @@ impl ColumnData {
             ColumnData::Str(v) => v.clear(),
             ColumnData::Dict(v) => v.clear(),
             ColumnData::Mixed(v) => v.clear(),
+        }
+    }
+
+    /// An empty lane of the same type.
+    fn empty_like(&self) -> ColumnData {
+        match self {
+            ColumnData::UInt(_) => ColumnData::UInt(Vec::new()),
+            ColumnData::Int(_) => ColumnData::Int(Vec::new()),
+            ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
+            ColumnData::Str(_) => ColumnData::Str(Vec::new()),
+            ColumnData::Dict(_) => ColumnData::Dict(DictLane::new()),
+            ColumnData::Mixed(_) => ColumnData::Mixed(Vec::new()),
         }
     }
 
@@ -553,6 +627,71 @@ impl Column {
         }
         self.len = sel.len();
     }
+
+    /// Appends the given rows of `src`, lane to lane: the result holds
+    /// exactly the values pushing `src.value(i)` for each row would,
+    /// without materializing any of them when the lane types agree.
+    /// The caller has checked the rows against `src.len()`.
+    fn append_rows(&mut self, src: &Column, rows: Rows<'_>) {
+        let n = rows.len();
+        if n == 0 {
+            return;
+        }
+        // The mask first: it stays empty unless an appended row is NULL.
+        if src.has_nulls() && rows.any(|i| src.nulls[i]) {
+            if self.nulls.is_empty() {
+                self.nulls.resize(self.len, false);
+            }
+            rows.extend(&mut self.nulls, &src.nulls);
+        } else if !self.nulls.is_empty() {
+            self.nulls.resize(self.len + n, false);
+        }
+        match (&mut self.data, &src.data) {
+            // An untyped source is all NULLs.
+            (None, None) => {}
+            (Some(d), None) => (0..n).for_each(|_| d.push_placeholder()),
+            (dst, Some(s)) => {
+                // A lane with no rows carries no values to preserve, so
+                // it takes the source's type instead of demoting.
+                if self.len == 0 || dst.is_none() {
+                    let mut lane = s.empty_like();
+                    (0..self.len).for_each(|_| lane.push_placeholder());
+                    *dst = Some(lane);
+                }
+                match (dst.as_mut(), s) {
+                    (Some(ColumnData::UInt(d)), ColumnData::UInt(s)) => rows.extend(d, s),
+                    (Some(ColumnData::Int(d)), ColumnData::Int(s)) => rows.extend(d, s),
+                    (Some(ColumnData::Bool(d)), ColumnData::Bool(s)) => rows.extend(d, s),
+                    (Some(ColumnData::Str(d)), ColumnData::Str(s)) => rows.extend(d, s),
+                    (Some(ColumnData::Dict(d)), ColumnData::Dict(s)) => d.append_lane(s, rows),
+                    (Some(ColumnData::Dict(d)), ColumnData::Str(s)) => rows.for_each(|i| {
+                        if src.is_null(i) {
+                            d.push_placeholder();
+                        } else {
+                            d.push(&s[i]);
+                        }
+                    }),
+                    (Some(ColumnData::Str(d)), ColumnData::Dict(s)) => rows.for_each(|i| {
+                        d.push(if src.is_null(i) {
+                            Arc::from("")
+                        } else {
+                            Arc::clone(s.get(i))
+                        });
+                    }),
+                    _ => {
+                        if !matches!(self.data, Some(ColumnData::Mixed(_))) {
+                            self.demote_to_mixed();
+                        }
+                        let Some(ColumnData::Mixed(d)) = &mut self.data else {
+                            unreachable!("demote_to_mixed leaves a Mixed lane");
+                        };
+                        rows.for_each(|i| d.push(src.value(i)));
+                    }
+                }
+            }
+        }
+        self.len += n;
+    }
 }
 
 /// A batch of tuples in columnar (structure-of-arrays) layout.
@@ -693,6 +832,42 @@ impl ColumnBatch {
         }
     }
 
+    /// Appends rows `rows` of `src`, lane to lane — what pushing each of
+    /// those rows would leave, without materializing them.
+    ///
+    /// # Panics
+    /// When the arities disagree or the range reaches past `src.rows()`.
+    pub fn append_range(&mut self, src: &ColumnBatch, rows: std::ops::Range<usize>) {
+        assert!(
+            rows.start <= rows.end && rows.end <= src.rows,
+            "rows {rows:?} out of bounds ({} rows)",
+            src.rows
+        );
+        self.append_rows(src, Rows::Range(rows.start, rows.end));
+    }
+
+    /// Appends the rows of `src` named by `idx` (any order, repeats
+    /// allowed), lane to lane.
+    ///
+    /// # Panics
+    /// When the arities disagree or an index reaches past `src.rows()`.
+    pub fn append_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
+        assert!(
+            idx.iter().all(|&i| (i as usize) < src.rows),
+            "gather index out of bounds ({} rows)",
+            src.rows
+        );
+        self.append_rows(src, Rows::Gather(idx));
+    }
+
+    fn append_rows(&mut self, src: &ColumnBatch, rows: Rows<'_>) {
+        assert_eq!(src.arity(), self.arity(), "source arity != batch arity");
+        for (c, s) in self.columns.iter_mut().zip(&src.columns) {
+            c.append_rows(s, rows);
+        }
+        self.rows += rows.len();
+    }
+
     /// Materializes row `i` into `out` (cleared first), so a row-based
     /// consumer can recycle one scratch tuple across the whole batch.
     pub fn write_row_into(&self, i: usize, out: &mut Tuple) {
@@ -710,8 +885,7 @@ impl ColumnBatch {
     }
 
     /// Transposes back to rows, appending to `out` — the boundary
-    /// converter for operators that stay row-based (join, merge) and
-    /// for sink output.
+    /// converter for sink output and the row path's outputs.
     pub fn append_rows_to(&self, out: &mut Vec<Tuple>) {
         out.reserve(self.rows);
         for i in 0..self.rows {

@@ -11,8 +11,9 @@
 //! `Deploy`/`Result` payloads are opaque here — their encodings belong
 //! to the cluster layer, which knows what an execution unit is — and a
 //! `Data` frame wraps one ordinary wire frame ([`crate::encode_batch`]
-//! / [`crate::encode_column_batch`]) together with the global plan-node
-//! id of its producer, so the inner bytes flow into the engine's frame
+//! / [`crate::encode_column_batch`]) together with the plan-node id it
+//! belongs to (see [`ControlFrame::Data`] for which id space each
+//! direction uses), so the inner bytes flow into the engine's frame
 //! ingestion untouched.
 //!
 //! The decoder follows the same hardening discipline as the wire
@@ -95,9 +96,11 @@ pub enum ControlFrame {
     /// wire frame exactly as [`crate::encode_batch`] /
     /// [`crate::encode_column_batch`] produced it.
     Data {
-        /// Global plan-node id of the producing operator (coordinator →
-        /// host: the partition scan being fed; host → coordinator: the
-        /// boundary producer).
+        /// Plan-node id the frame belongs to. Coordinator → host: the
+        /// partition scan being fed, as the receiving unit's *local*
+        /// node id (node ids cross a port as local ids; the sender
+        /// translates once). Host → coordinator: the *global* id of the
+        /// boundary producer.
         producer: u32,
         /// The framed batch.
         frame: Bytes,

@@ -304,3 +304,32 @@ fn mixed_type_groups_match_a_scalar_reference() {
         .collect();
     assert_eq!(rows.len(), expected.len(), "group cardinality mismatch");
 }
+
+#[test]
+fn min_max_over_int_and_null_blocks_match_row_path() {
+    // The argument column runs in blocks — unsigned, then signed, then
+    // unsigned with NULLs — while every group spans all blocks, so the
+    // accumulators meet `UInt`, `Int` and NULL off typed, nullable and
+    // `Mixed` lanes depending on where the batches cut.
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(
+        "STREAM T(ts uint increasing, k uint, v uint);\n\
+         QUERY extremes: SELECT tb, k, MIN(v) as lo, MAX(v) as hi FROM T \
+         GROUP BY ts/60 as tb, k;",
+    )
+    .expect("script parses");
+    let dag = b.build();
+    let input: Vec<Tuple> = (0..900u64)
+        .map(|i| {
+            let v = match (i / 20) % 3 {
+                0 => Value::UInt(1_000 - i % 97),
+                1 => Value::Int(40 - (i % 83) as i64),
+                _ if i % 4 == 0 => Value::Null,
+                _ => Value::UInt(i % 7),
+            };
+            Tuple::new(vec![Value::UInt(i / 3), Value::UInt(i % 3), v])
+        })
+        .collect();
+    assert_batch_invariant(&dag, &input, "min/max int/null blocks");
+    assert_columnar_invariant(&dag, &input, "min/max int/null blocks");
+}

@@ -96,6 +96,52 @@ fn complex_deployments_match() {
     assert_columnar_invariant(Scenario::Complex, 4, 41);
 }
 
+/// Sum of `kernel_fallbacks` over every operator of one engine running
+/// the scenario's whole logical query set on a columnar feed. The feed
+/// is the generated trace overlaid with its own echo one epoch later,
+/// so every flow also exists in the following epoch and the self-joins
+/// have pairs to evaluate (generated flows do not outlive their epoch).
+fn engine_kernel_fallbacks(scenario: Scenario, seed: u64) -> u64 {
+    let dag = scenario.dag();
+    let mut trace = generate(&TraceConfig::tiny(seed));
+    let echo: Vec<Tuple> = trace
+        .iter()
+        .map(|t| {
+            let mut vals = t.values().to_vec();
+            vals[0] = Value::UInt(vals[0].as_u64().unwrap() + 60);
+            vals[1] = Value::UInt(vals[1].as_u64().unwrap() + 60_000_000);
+            Tuple::new(vals)
+        })
+        .collect();
+    trace.extend(echo);
+    trace.sort_by_key(|t| t.get(1).as_u64());
+    let mut engine = Engine::new(&dag).unwrap();
+    let source = engine.source_nodes()[0];
+    for chunk in trace.chunks(1024) {
+        engine
+            .push_columns(source, &mut ColumnBatch::from_rows(chunk))
+            .unwrap();
+    }
+    engine.finish().unwrap();
+    for root in dag.roots() {
+        assert!(!engine.output(root).is_empty(), "{}", scenario.name());
+    }
+    engine.metrics().iter().map(|m| m.kernel_fallbacks).sum()
+}
+
+/// The §6.2 set — a computed group key, `MIN`, and the epoch self-join
+/// — stays on lanes from scan to sink: no operator falls back.
+#[test]
+fn query_set_never_leaves_the_kernels() {
+    assert_eq!(engine_kernel_fallbacks(Scenario::QuerySet, 37), 0);
+}
+
+/// Likewise the §6.3 chain `flows → heavy_flows → flow_pairs`.
+#[test]
+fn complex_chain_never_leaves_the_kernels() {
+    assert_eq!(engine_kernel_fallbacks(Scenario::Complex, 41), 0);
+}
+
 /// The splitter always hashes the *row* view of a tuple, and a tuple
 /// that has crossed the columnar wire must route to the same partition
 /// as its original: transpose → encode → decode → materialize is the

@@ -1056,3 +1056,129 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// lane-to-lane appends: `append_range` / `append_gather`
+// ---------------------------------------------------------------------
+
+/// A batch of arity 3 whose columns each draw one kind (so lanes stay
+/// typed) — unsigned, signed, boolean, a small string vocabulary, or a
+/// per-cell mix that demotes the lane — with NULLs sprinkled in.
+/// Returns the per-column kinds with the rows.
+fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
+    (
+        proptest::collection::vec(0u8..5, 3..4),
+        proptest::collection::vec(
+            proptest::collection::vec((0u8..6, 0u64..1_000), 3..4),
+            0..30,
+        ),
+    )
+        .prop_map(|(kinds, cells)| {
+            let value = |kind: u8, x: u64| match kind {
+                0 => Value::UInt(x),
+                1 => Value::Int(x as i64 - 500),
+                2 => Value::Bool(x % 2 == 1),
+                _ => Value::from(["tcp", "udp", "", "°δ", "icmp"][x as usize % 5]),
+            };
+            let rows = cells
+                .into_iter()
+                .map(|row| {
+                    Tuple::new(
+                        row.into_iter()
+                            .zip(&kinds)
+                            .map(|((null, x), &kind)| match (null, kind) {
+                                (0, _) => Value::Null,
+                                (_, 4) => value((x % 4) as u8, x / 4),
+                                (_, kind) => value(kind, x),
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            (kinds, rows)
+        })
+}
+
+proptest! {
+    /// `append_range` and `append_gather` leave exactly the rows that
+    /// pushing each named source row would — across typed, nullable,
+    /// untyped, `Mixed` and dictionary lanes (destination and source
+    /// encoded independently, so their dictionaries differ) — and keep
+    /// a lane typed when both sides agree on its type.
+    #[test]
+    fn lane_appends_equal_row_pushes(
+        dst in arb_kinded_rows(),
+        src in arb_kinded_rows(),
+        encode_dst in any::<bool>(),
+        encode_src in any::<bool>(),
+        bounds in (0usize..40, 0usize..40),
+        picks in proptest::collection::vec(0usize..1_000, 0..40)
+    ) {
+        use qap::types::ColumnData;
+        let ((dst_kinds, dst_rows), (src_kinds, src_rows)) = (dst, src);
+        let mut dst = ColumnBatch::from_rows(&dst_rows);
+        if dst_rows.is_empty() {
+            dst = ColumnBatch::new(3);
+        }
+        let mut src = ColumnBatch::from_rows(&src_rows);
+        if src_rows.is_empty() {
+            src = ColumnBatch::new(3);
+        }
+        if encode_dst {
+            dst.dict_encode_strings();
+        }
+        if encode_src {
+            src.dict_encode_strings();
+        }
+        let n = src_rows.len();
+        let (a, b) = (bounds.0.min(n), bounds.1.min(n));
+        let range = a.min(b)..a.max(b);
+        let idx: Vec<u32> = if n == 0 {
+            Vec::new()
+        } else {
+            picks.iter().map(|p| (p % n) as u32).collect()
+        };
+
+        let mut ranged = dst.clone();
+        ranged.append_range(&src, range.clone());
+        let mut want = dst_rows.clone();
+        want.extend_from_slice(&src_rows[range]);
+        prop_assert_eq!(ranged.rows(), want.len());
+        prop_assert_eq!(&ranged.to_rows(), &want);
+
+        let mut gathered = dst.clone();
+        gathered.append_gather(&src, &idx);
+        let mut want = dst_rows.clone();
+        want.extend(idx.iter().map(|&i| src_rows[i as usize].clone()));
+        prop_assert_eq!(gathered.rows(), want.len());
+        prop_assert_eq!(&gathered.to_rows(), &want);
+
+        for batch in [&ranged, &gathered] {
+            for (c, col) in batch.columns().iter().enumerate() {
+                prop_assert_eq!(col.len(), batch.rows());
+                prop_assert!(col.null_mask().is_empty() || col.null_mask().len() == col.len());
+                if dst_kinds[c] == src_kinds[c] && dst_kinds[c] != 4 {
+                    prop_assert!(
+                        !matches!(col.data(), Some(ColumnData::Mixed(_))),
+                        "column {} demoted though both sides are kind {}", c, dst_kinds[c]
+                    );
+                }
+            }
+        }
+
+        // A recycled (cleared) destination takes the source's lane
+        // types instead of demoting against its stale ones.
+        let mut recycled = dst.clone();
+        recycled.clear();
+        recycled.append_gather(&src, &idx);
+        prop_assert_eq!(
+            recycled.to_rows(),
+            idx.iter().map(|&i| src_rows[i as usize].clone()).collect::<Vec<_>>()
+        );
+        for (c, col) in recycled.columns().iter().enumerate() {
+            if src_kinds[c] != 4 && !idx.is_empty() {
+                prop_assert!(!matches!(col.data(), Some(ColumnData::Mixed(_))));
+            }
+        }
+    }
+}
