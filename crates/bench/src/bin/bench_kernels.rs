@@ -18,18 +18,24 @@
 //! fallback-zero gate. The `qset_*` groups decompose the §6.2 set the
 //! way EXPERIMENTS.md reports it: the subnet aggregate with and without
 //! its `srcIP & 0xFFF0` key, `tcp_flows` alone, with the `jitter`
-//! self-join on top, and the full set.
+//! self-join on top, and the full set. `naive_leaf_boundary` sizes the
+//! other end of a leaf engine: what one §6.1 Naive leaf host spends per
+//! tuple it *ships* — closing the window (emit), collecting it at the
+//! boundary (sink), cutting and encoding frames (frame).
 //!
 //! Usage: `cargo run --release -p qap-bench --bin bench_kernels [OUT.json]`
 //! (default output path `BENCH_kernels.json` in the working directory).
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use qap::obs::{OpMetrics, KERNEL_LANE_LABELS};
+use qap::plan::NodeId;
 use qap::prelude::*;
-use qap::types::{ColumnBatch, DataType, Field, Temporality};
+use qap::types::{encode_column_batch, BytesMut, ColumnBatch, DataType, Field, Temporality};
 use qap_bench::{small_trace, standard_trace_config};
 
 const BATCH: usize = 1024;
@@ -43,6 +49,9 @@ struct Case {
     /// Whether the fallback-zero gate applies (all-unsigned §6 shape).
     gate: bool,
     metrics: OpMetrics,
+    /// `ns_per_tuple` by stage — (emit, sink, frame) — for the boundary
+    /// group.
+    stages: Option<[f64; 3]>,
 }
 
 /// Sums the kernel/group counters across all operators of one engine
@@ -95,6 +104,195 @@ fn measure(dag: &QueryDag, chunks: &[ColumnBatch], tuples: usize) -> (f64, OpMet
         }
     }
     (best / tuples as f64, metrics)
+}
+
+/// One leaf host of the §6.1 Naive deployment as a stand-alone plan:
+/// its partition scans and their sub-aggregates, the batches the
+/// round-robin splitter hands it, and the nodes whose output crosses to
+/// the aggregator.
+struct NaiveLeaf {
+    dag: QueryDag,
+    feed: Vec<(NodeId, ColumnBatch)>,
+    boundary: Vec<NodeId>,
+}
+
+fn naive_leaf(trace: &[Tuple]) -> NaiveLeaf {
+    let plan = Scenario::SimpleAgg.plan("Naive", 3);
+    let host = (0..plan.partitioning.hosts)
+        .find(|&h| h != plan.partitioning.aggregator_host)
+        .expect("three hosts");
+    let mut dag = QueryDag::new(plan.dag.catalog().clone());
+    let mut local: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut scan_of: HashMap<usize, NodeId> = HashMap::new();
+    for id in plan.dag.topo_order().filter(|&id| plan.host[id] == host) {
+        let lid = match plan.dag.node(id).clone() {
+            LogicalNode::Source { stream, partition } => {
+                let p = partition.expect("a distributed plan scans partitions");
+                let lid = dag.add_partition_source(&stream, p).expect("scan");
+                scan_of.insert(p as usize, lid);
+                lid
+            }
+            LogicalNode::Aggregate {
+                input,
+                predicate,
+                group_by,
+                aggregates,
+                having,
+            } => dag
+                .add_node(LogicalNode::Aggregate {
+                    input: local[&input],
+                    predicate,
+                    group_by,
+                    aggregates,
+                    having,
+                })
+                .expect("sub-aggregate"),
+            other => panic!(
+                "a Naive leaf scans and sub-aggregates; found {}",
+                other.label()
+            ),
+        };
+        local.insert(id, lid);
+    }
+    // Tuple `i` goes to partition `i mod M`; a partition's batch leaves
+    // when it fills, the residue in scan order.
+    let partitions = plan.partitioning.partitions;
+    let mut stage: Vec<ColumnBatch> = (0..partitions).map(|_| ColumnBatch::new(0)).collect();
+    let mut feed = Vec::new();
+    for (i, t) in trace.iter().enumerate() {
+        let p = i % partitions;
+        let Some(&scan) = scan_of.get(&p) else {
+            continue;
+        };
+        if stage[p].is_empty() {
+            stage[p] = ColumnBatch::with_row_budget(t.arity(), BATCH);
+        }
+        stage[p].push_row(t);
+        if stage[p].rows() == BATCH {
+            feed.push((scan, stage[p].take()));
+        }
+    }
+    let mut residue: Vec<(NodeId, ColumnBatch)> = scan_of
+        .iter()
+        .map(|(&p, &scan)| (scan, stage[p].take()))
+        .filter(|(_, rows)| !rows.is_empty())
+        .collect();
+    residue.sort_by_key(|(scan, _)| *scan);
+    feed.extend(residue);
+    NaiveLeaf {
+        boundary: dag.roots(),
+        dag,
+        feed,
+    }
+}
+
+/// How far one timed pass of [`NaiveLeaf`] goes.
+#[derive(Clone, Copy, PartialEq)]
+enum Upto {
+    /// The engine alone: nothing collects the sub-aggregates' output.
+    Emit,
+    /// Plus a boundary sink per sub-aggregate, drained after every feed.
+    Sink,
+    /// Plus what a unit does with the drained lanes: `frame_batch`-row
+    /// frames cut positionally, each encoded.
+    Frame,
+}
+
+/// One pass over the leaf's feed: wall nanoseconds, tuples that reached
+/// the boundary, and the engine for its metrics.
+fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
+    let feed: Vec<(NodeId, ColumnBatch)> = leaf.feed.clone();
+    let boundary: &[NodeId] = if upto == Upto::Emit {
+        &[]
+    } else {
+        &leaf.boundary
+    };
+    let t0 = Instant::now();
+    let mut engine = Engine::with_boundary(&leaf.dag, &[], boundary).expect("engine builds");
+    engine.set_batch_config(BatchConfig::new(BATCH));
+    let mut pending: Vec<ColumnBatch> = boundary
+        .iter()
+        .map(|&b| ColumnBatch::new(leaf.dag.schema(b).arity()))
+        .collect();
+    let mut scratch = BytesMut::new();
+    let mut shipped = 0;
+    let mut forward = |engine: &mut Engine, last: bool| {
+        for (&node, pending) in boundary.iter().zip(&mut pending) {
+            let mut frame = |pending: &mut ColumnBatch| {
+                black_box(encode_column_batch(pending, &mut scratch).expect("frame encodes"));
+                pending.clear();
+            };
+            if let Some(drained) = engine.drain_boundary(node) {
+                shipped += drained.rows();
+                if upto == Upto::Sink {
+                    black_box(&drained);
+                    continue;
+                }
+                let mut at = 0;
+                while pending.rows() + (drained.rows() - at) >= BATCH {
+                    let cut = at + BATCH - pending.rows();
+                    pending.append_range(&drained, at..cut);
+                    at = cut;
+                    frame(pending);
+                }
+                pending.append_range(&drained, at..drained.rows());
+            }
+            if last && !pending.is_empty() {
+                frame(pending);
+            }
+        }
+    };
+    for (scan, mut cols) in feed {
+        engine.push_columns(scan, &mut cols).expect("push");
+        forward(&mut engine, false);
+    }
+    engine.finish().expect("finish");
+    forward(&mut engine, true);
+    let ns = t0.elapsed().as_nanos() as f64;
+    (ns, shipped, engine)
+}
+
+/// The boundary's cost on one Naive leaf, per tuple shipped: the
+/// minimum of [`ITERS`] passes at each depth — taken in rotation, so a
+/// disturbance falls on all three alike — with emit read off the
+/// sub-aggregates' own flush clocks and the two stages after it as
+/// differences of minima.
+fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
+    let leaf = naive_leaf(trace);
+    let depths = [Upto::Emit, Upto::Sink, Upto::Frame];
+    let mut best = [f64::INFINITY; 3];
+    let (mut tuples, mut metrics) = (0, OpMetrics::default());
+    for _ in 0..=ITERS {
+        for (upto, best) in depths.into_iter().zip(&mut best) {
+            let (ns, shipped, engine) = run_leaf(&leaf, upto);
+            if ns < *best {
+                *best = ns;
+                if upto == Upto::Frame {
+                    (tuples, metrics) = (shipped, summed_metrics(&engine));
+                }
+            }
+        }
+    }
+    let [engine_ns, sink_ns, frame_ns] = best;
+    let per = |ns: f64| ns / tuples as f64;
+    let stages = [
+        per(metrics.flush_ns as f64),
+        per(sink_ns - engine_ns),
+        per(frame_ns - sink_ns),
+    ];
+    let fed: usize = leaf.feed.iter().map(|(_, b)| b.rows()).sum();
+    println!(
+        "naive_leaf_boundary: {fed} tuples in at {:.1} ns/tuple, {tuples} out",
+        frame_ns / fed as f64
+    );
+    Case {
+        group: "naive_leaf_boundary",
+        tuples,
+        ns_per_tuple: stages.iter().sum(),
+        gate: true,
+        metrics,
+        stages: Some(stages),
+    }
 }
 
 fn tcp_dag(sql: &str) -> QueryDag {
@@ -173,13 +371,14 @@ fn main() -> ExitCode {
     // The §6.2/§6.3 groups run on the trace `bench_e2e` replays
     // (~0.45 M packets, 20 k flows per epoch): their cost is group-table
     // and join-buffer misses, which a cache-resident trace hides.
-    let e2e_chunks: Vec<ColumnBatch> = generate(&TraceConfig {
+    let e2e_trace = generate(&TraceConfig {
         flows_per_epoch: 20_000,
         ..standard_trace_config()
-    })
-    .chunks(BATCH)
-    .map(ColumnBatch::from_rows)
-    .collect();
+    });
+    let e2e_chunks: Vec<ColumnBatch> = e2e_trace
+        .chunks(BATCH)
+        .map(ColumnBatch::from_rows)
+        .collect();
 
     let mut cases: Vec<Case> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
@@ -246,31 +445,45 @@ fn main() -> ExitCode {
         ),
     ];
 
-    for (group, dag, chunks, gate) in &groups {
-        let tuples = chunks.iter().map(ColumnBatch::rows).sum::<usize>();
-        let (ns_per_tuple, metrics) = measure(dag, chunks, tuples);
-        println!(
-            "{group}: {ns_per_tuple:.1} ns/tuple ({:.2} Mt/s), kernel {} hit / {} fallback, \
+    // Prints a finished case and holds it to the fallback-zero gate.
+    let mut finish = |c: Case| {
+        let (group, metrics) = (c.group, &c.metrics);
+        print!(
+            "{group}: {:.1} ns/tuple ({:.2} Mt/s), kernel {} hit / {} fallback, \
              {} group inserts",
-            1e3 / ns_per_tuple,
+            c.ns_per_tuple,
+            1e3 / c.ns_per_tuple,
             metrics.kernel_hits,
             metrics.kernel_fallbacks,
             metrics.group_inserts,
         );
-        if *gate && metrics.kernel_fallbacks > 0 {
+        match c.stages {
+            Some([emit, sink, frame]) => {
+                println!(" (per tuple shipped: emit {emit:.1} + sink {sink:.1} + frame {frame:.1})")
+            }
+            None => println!(),
+        }
+        if c.gate && metrics.kernel_fallbacks > 0 {
             gate_failures.push(format!(
                 "{group}: {} kernel fallbacks on an all-unsigned workload",
                 metrics.kernel_fallbacks
             ));
         }
-        cases.push(Case {
+        cases.push(c);
+    };
+    for (group, dag, chunks, gate) in &groups {
+        let tuples = chunks.iter().map(ColumnBatch::rows).sum::<usize>();
+        let (ns_per_tuple, metrics) = measure(dag, chunks, tuples);
+        finish(Case {
             group,
             tuples,
             ns_per_tuple,
             gate: *gate,
             metrics,
+            stages: None,
         });
     }
+    finish(measure_leaf_boundary(&e2e_trace));
 
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
@@ -287,13 +500,17 @@ fn main() -> ExitCode {
         };
         let _ = writeln!(
             json,
-            "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, \
+            "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, {}\
              \"mtuples_per_sec\": {:.2}, \"gated\": {}, \"kernel_hits\": {}, \
              \"kernel_fallbacks\": {}, \"kernel_lane_hits\": {}, \
              \"kernel_lane_fallbacks\": {}, \"group_inserts\": {}, \"flush_ns\": {}}}{}",
             c.group,
             c.tuples,
             c.ns_per_tuple,
+            c.stages
+                .map_or(String::new(), |[emit, sink, frame]| format!(
+                    "\"emit_ns\": {emit:.2}, \"sink_ns\": {sink:.2}, \"frame_ns\": {frame:.2}, "
+                )),
             1e3 / c.ns_per_tuple,
             c.gate,
             c.metrics.kernel_hits,

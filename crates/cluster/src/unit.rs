@@ -299,13 +299,9 @@ pub(crate) fn run_unit<P: UnitPort>(
     }
     let panic_at = (fault.panic_host == Some(host)).then_some(fault.panic_after_tuples);
 
-    let mut sinks: Vec<NodeId> = spec.boundary.iter().map(|&(_, l)| l as NodeId).collect();
-    for &(_, l) in &spec.outputs {
-        if !sinks.contains(&(l as NodeId)) {
-            sinks.push(l as NodeId);
-        }
-    }
-    let mut engine = Engine::with_sinks(dag, &sinks)?;
+    let boundary: Vec<NodeId> = spec.boundary.iter().map(|&(_, l)| l as NodeId).collect();
+    let outputs: Vec<NodeId> = spec.outputs.iter().map(|&(_, l)| l as NodeId).collect();
+    let mut engine = Engine::with_boundary(dag, &outputs, &boundary)?;
     engine.set_batch_config(BatchConfig::new(spec.max_batch as usize));
     let mut edges: Vec<EdgeStage> = spec
         .boundary
@@ -313,8 +309,7 @@ pub(crate) fn run_unit<P: UnitPort>(
         .map(|&(g, l)| EdgeStage {
             producer: g as NodeId,
             local: l as NodeId,
-            pending: Vec::new(),
-            col_stage: ColumnBatch::new(dag.schema(l as NodeId).arity()),
+            pending: ColumnBatch::new(dag.schema(l as NodeId).arity()),
             seq: 0,
             stats: EdgeTransport {
                 producer: g as NodeId,
@@ -412,12 +407,13 @@ struct EdgeStage {
     producer: NodeId,
     /// Local sink id inside the unit's engine.
     local: NodeId,
-    /// Tuples drained but not yet framed.
-    pending: Vec<Tuple>,
-    /// Reused columnar staging batch (columnar transport only): each
-    /// frame's tuples transpose into these lanes before encoding, so
-    /// steady-state framing reuses the lane allocations.
-    col_stage: ColumnBatch,
+    /// The frame being filled: the producer's output not yet shipped,
+    /// always short of `frame_batch` rows between calls. Rows are cut
+    /// into these lanes straight from the engine's boundary sink
+    /// ([`ColumnBatch::append_range`]) and encoded from them, so
+    /// steady-state framing reuses the lane allocations and no tuple is
+    /// built on the way out.
+    pending: ColumnBatch,
     /// 1-based frame sequence number for deterministic fault selection;
     /// advances even for frames the fault plan drops (unlike
     /// `stats.frames`, which counts only shipped frames).
@@ -471,11 +467,11 @@ fn inject_frame_fault(fault: &FaultPlan, seq: u64, frame: Bytes) -> Option<Bytes
     Some(Bytes::from(bytes))
 }
 
-/// Drains each boundary sink into its staging buffer and ships every
-/// full `frame_batch`-tuple frame (plus, on `final_flush`, the partial
-/// tail frame). Frames per edge are deterministic: the producer's
-/// output sequence is fixed by the plan and trace, and chunking is
-/// positional.
+/// Drains each boundary sink, as lanes, and ships every frame the
+/// drained rows complete: `frame_batch` rows each, cut off the front of
+/// the producer's output sequence (plus, on `final_flush`, the partial
+/// tail frame). Frames per edge are deterministic: that sequence is
+/// fixed by the plan and trace, and chunking is positional.
 fn forward_boundary<P: UnitPort>(
     engine: &mut Engine,
     edges: &mut [EdgeStage],
@@ -485,55 +481,42 @@ fn forward_boundary<P: UnitPort>(
 ) -> ExecResult<()> {
     let frame_batch = tx.spec.frame_batch.max(1) as usize;
     for edge in edges.iter_mut() {
-        let mut drained = engine.drain_output(edge.local);
-        if !drained.is_empty() {
-            if edge.pending.is_empty() {
-                edge.pending = drained;
-            } else {
-                edge.pending.append(&mut drained);
+        if let Some(drained) = engine.drain_boundary(edge.local) {
+            let mut at = 0;
+            while edge.pending.rows() + (drained.rows() - at) >= frame_batch {
+                let cut = at + frame_batch - edge.pending.rows();
+                edge.pending.append_range(&drained, at..cut);
+                at = cut;
+                ship(edge, tx, port)?;
             }
+            edge.pending.append_range(&drained, at..drained.rows());
         }
-        let mut start = 0;
-        while edge.pending.len() - start >= frame_batch {
-            ship(edge, start..start + frame_batch, tx, port)?;
-            start += frame_batch;
-        }
-        if final_flush && start < edge.pending.len() {
-            let end = edge.pending.len();
-            ship(edge, start..end, tx, port)?;
-            start = end;
-        }
-        if start > 0 {
-            edge.pending.drain(..start);
+        if final_flush && !edge.pending.is_empty() {
+            ship(edge, tx, port)?;
         }
     }
     Ok(())
 }
 
-/// Encodes one frame — column-contiguous through the edge's reused
-/// staging batch when the unit ships columnar, row-major otherwise —
-/// applies the fault plan, and ships it through the port: a non-blocking attempt first, and on a full buffer
-/// one counted backpressure stall followed by a retry-with-backoff loop
-/// bounded by the unit's send timeout. Exhausting the bound surfaces as
-/// a typed [`FailureCause::Timeout`] instead of wedging the unit. A
-/// dropped receiver (central error path) discards the frame — never a
-/// deadlock. A sink whose *link* breaks (socket ports only) surfaces as
-/// a typed [`FailureCause::Link`].
-fn ship<P: UnitPort>(
-    edge: &mut EdgeStage,
-    range: std::ops::Range<usize>,
-    tx: &mut Tx<'_>,
-    port: &mut P,
-) -> ExecResult<()> {
+/// Encodes the edge's pending rows as one frame — straight off their
+/// lanes when the unit ships columnar; a row frame transposes them here,
+/// the one place a unit's output may still become tuples — applies the
+/// fault plan, and ships it through the port: a non-blocking attempt
+/// first, and on a full buffer one counted backpressure stall followed
+/// by a retry-with-backoff loop bounded by the unit's send timeout.
+/// Exhausting the bound surfaces as a typed [`FailureCause::Timeout`]
+/// instead of wedging the unit. A dropped receiver (central error path)
+/// discards the frame — never a deadlock. A sink whose *link* breaks
+/// (socket ports only) surfaces as a typed [`FailureCause::Link`].
+fn ship<P: UnitPort>(edge: &mut EdgeStage, tx: &mut Tx<'_>, port: &mut P) -> ExecResult<()> {
     let spec = tx.spec;
-    let chunk = &edge.pending[range];
     let frame = if spec.columnar {
-        edge.col_stage.clear();
-        edge.col_stage.extend_rows(chunk);
-        encode_column_batch(&edge.col_stage, &mut tx.scratch)?
+        encode_column_batch(&edge.pending, &mut tx.scratch)?
     } else {
-        encode_batch(chunk, &mut tx.scratch)?
+        encode_batch(&edge.pending.to_rows(), &mut tx.scratch)?
     };
+    let tuples = edge.pending.rows() as u64;
+    edge.pending.clear();
     edge.seq += 1;
     let frame_len = frame.len();
     let Some(frame) = inject_frame_fault(&spec.fault, edge.seq, frame) else {
@@ -547,7 +530,7 @@ fn ship<P: UnitPort>(
         std::thread::sleep(Duration::from_micros(spec.fault.slow_micros));
     }
     edge.stats.frames += 1;
-    edge.stats.tuples += chunk.len() as u64;
+    edge.stats.tuples += tuples;
     edge.stats.bytes += (frame_len - FRAME_HEADER_LEN) as u64;
     let fed = tx.fed;
     let failed = move |cause| -> ExecError {

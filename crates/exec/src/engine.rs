@@ -67,8 +67,9 @@ const POOL_CAP: usize = 32;
 
 /// One in-flight routed payload: a row (AoS) batch or a columnar (SoA)
 /// batch. The queue preserves representation end-to-end — every
-/// operator consumes both, so a columnar feed stays columnar through
-/// the whole plan and only transposes at a sink.
+/// operator consumes both and answers lanes with lanes, so a columnar
+/// feed stays columnar through the whole plan; what a sink does with it
+/// is the sink's kind ([`Sink`]).
 enum Payload {
     Rows(Vec<Tuple>),
     Cols(ColumnBatch),
@@ -83,19 +84,33 @@ impl Payload {
     }
 }
 
+/// Where a sink node's output collects.
+enum Sink {
+    /// A query output: result rows, read once through
+    /// [`Engine::output`]. A columnar output transposes here — a run's
+    /// few thousand result rows.
+    Rows(Vec<Tuple>),
+    /// A boundary: the producer's output on its way to another unit,
+    /// kept as lanes from the operator to the frame encoder
+    /// ([`Engine::drain_boundary`]). A columnar output appends lane to
+    /// lane; only a row output is transposed in.
+    Lanes(ColumnBatch),
+}
+
 /// A compiled, executable plan.
 ///
 /// Feed tuples to source scans with [`Engine::push_batch`] (or the
 /// per-tuple [`Engine::push`] shim), in non-decreasing order of the
-/// stream's temporal attribute, then call [`Engine::finish`]; collected
-/// sink outputs are available through [`Engine::output`].
+/// stream's temporal attribute, then call [`Engine::finish`]; a query
+/// output's collected rows are available through [`Engine::output`], a
+/// boundary's lanes through [`Engine::drain_boundary`] at any time.
 pub struct Engine {
     ops: Vec<Box<dyn Operator>>,
     consumers: Vec<Vec<(NodeId, usize)>>,
     /// Expected tuple arity per source scan (None for non-sources).
     source_arity: Vec<Option<usize>>,
     counters: Vec<OpCounters>,
-    sink_outputs: HashMap<NodeId, Vec<Tuple>>,
+    sinks: HashMap<NodeId, Sink>,
     finished: bool,
     batch: BatchConfig,
     /// Recycled scratch buffers: every routed batch and operator output
@@ -130,6 +145,17 @@ impl Engine {
 
     /// Compiles a plan, collecting output at the given sink nodes.
     pub fn with_sinks(dag: &QueryDag, sinks: &[NodeId]) -> ExecResult<Self> {
+        Engine::with_boundary(dag, sinks, &[])
+    }
+
+    /// Compiles a plan that collects result rows at the `outputs` nodes
+    /// and lanes at the `boundary` nodes — producers whose output leaves
+    /// for another unit. A node named in both is a boundary.
+    pub fn with_boundary(
+        dag: &QueryDag,
+        outputs: &[NodeId],
+        boundary: &[NodeId],
+    ) -> ExecResult<Self> {
         let n = dag.len();
         let mut ops: Vec<Box<dyn Operator>> = Vec::with_capacity(n);
         for id in dag.topo_order() {
@@ -154,7 +180,15 @@ impl Engine {
             consumers,
             source_arity,
             counters: vec![OpCounters::default(); n],
-            sink_outputs: sinks.iter().map(|&s| (s, Vec::new())).collect(),
+            sinks: outputs
+                .iter()
+                .map(|&s| (s, Sink::Rows(Vec::new())))
+                .chain(
+                    boundary
+                        .iter()
+                        .map(|&s| (s, Sink::Lanes(ColumnBatch::new(dag.schema(s).arity())))),
+                )
+                .collect(),
             finished: false,
             batch: BatchConfig::default(),
             pool: Vec::new(),
@@ -408,12 +442,11 @@ impl Engine {
             }
         }
         let has_consumers = !self.consumers[id].is_empty();
-        if let Some(sink) = self.sink_outputs.get_mut(&id) {
-            if has_consumers {
-                sink.extend(out.iter().cloned());
-            } else {
-                sink.append(&mut out);
-            }
+        match self.sinks.get_mut(&id) {
+            Some(Sink::Rows(sink)) if has_consumers => sink.extend(out.iter().cloned()),
+            Some(Sink::Rows(sink)) => sink.append(&mut out),
+            Some(Sink::Lanes(sink)) => sink.extend_rows(&out),
+            None => {}
         }
         if !has_consumers || out.is_empty() {
             self.recycle(out);
@@ -432,12 +465,17 @@ impl Engine {
     }
 
     /// [`Engine::route`] for a columnar output batch: identical
-    /// accounting and fan-out, with sinks receiving the row
-    /// materialization (sink outputs are row vectors) and consumers
-    /// receiving the batch in SoA form.
+    /// accounting and fan-out, with consumers and boundary sinks
+    /// receiving the batch as lanes and query-output sinks its row
+    /// materialization.
     fn route_cols(&mut self, id: NodeId, out: ColumnBatch) {
+        // An empty output batch has no particular arity: nothing in it
+        // to count, collect or deliver.
+        if out.is_empty() {
+            return self.recycle_col(out);
+        }
         self.counters[id].tuples_out += out.rows() as u64;
-        if self.metrics_on && !out.is_empty() {
+        if self.metrics_on {
             let bytes = out.rows() as u64 * self.wire[id];
             self.metrics[id].bytes_out += bytes;
             self.metrics[id].batches_out += 1;
@@ -445,11 +483,12 @@ impl Engine {
                 self.metrics[c].bytes_in += bytes;
             }
         }
-        let has_consumers = !self.consumers[id].is_empty();
-        if let Some(sink) = self.sink_outputs.get_mut(&id) {
-            out.append_rows_to(sink);
+        match self.sinks.get_mut(&id) {
+            Some(Sink::Rows(sink)) => out.append_rows_to(sink),
+            Some(Sink::Lanes(sink)) => sink.append_range(&out, 0..out.rows()),
+            None => {}
         }
-        if !has_consumers || out.is_empty() {
+        if self.consumers[id].is_empty() {
             self.recycle_col(out);
             return;
         }
@@ -470,8 +509,10 @@ impl Engine {
         self.finished = true;
         for id in 0..self.ops.len() {
             let mut out = self.take_buf();
-            self.ops[id].finish(&mut out)?;
+            let mut cols_out = self.take_col_buf();
+            self.ops[id].finish(&mut out, &mut cols_out)?;
             self.route(id, out);
+            self.route_cols(id, cols_out);
             // Drain anything still in flight destined at or after `id`.
             self.run()?;
         }
@@ -482,7 +523,8 @@ impl Engine {
     }
 
     /// Migration drain: force-closes any window at `node` complete
-    /// relative to boundary `time`, routing flushed rows downstream.
+    /// relative to boundary `time`, routing what it flushes downstream
+    /// (as lanes when the node has been fed lanes).
     /// After this, the node's live state holds at most the one window
     /// the boundary splits — exactly what [`Engine::extract_state`]
     /// ships.
@@ -491,8 +533,10 @@ impl Engine {
             return Err(ExecError::BadPlan(format!("no node {node} to flush")));
         }
         let mut out = self.take_buf();
-        self.ops[node].flush_before(time, &mut out)?;
+        let mut cols_out = self.take_col_buf();
+        self.ops[node].flush_before(time, &mut out, &mut cols_out)?;
         self.route(node, out);
+        self.route_cols(node, cols_out);
         self.run()
     }
 
@@ -525,19 +569,24 @@ impl Engine {
         self.run()
     }
 
-    /// Takes the collected output of a sink node.
+    /// Takes the collected rows of a query-output sink (none for a
+    /// node that is not one).
     pub fn output(&mut self, node: NodeId) -> Vec<Tuple> {
-        self.sink_outputs.remove(&node).unwrap_or_default()
+        match self.sinks.get_mut(&node) {
+            Some(Sink::Rows(rows)) => std::mem::take(rows),
+            _ => Vec::new(),
+        }
     }
 
-    /// Drains a sink's accumulated output without deregistering it —
-    /// used for incremental forwarding (e.g. streaming a host boundary
-    /// over a channel while the engine keeps running).
-    pub fn drain_output(&mut self, node: NodeId) -> Vec<Tuple> {
-        self.sink_outputs
-            .get_mut(&node)
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Moves out what a boundary sink has accumulated since the last
+    /// drain, as lanes, leaving the sink collecting — incremental
+    /// forwarding of a unit's boundary while its engine keeps running.
+    /// `None` when nothing has arrived (or the node is not a boundary).
+    pub fn drain_boundary(&mut self, node: NodeId) -> Option<ColumnBatch> {
+        match self.sinks.get_mut(&node) {
+            Some(Sink::Lanes(lanes)) if !lanes.is_empty() => Some(lanes.take()),
+            _ => None,
+        }
     }
 
     /// Tuple-flow counters, indexed by node id.

@@ -301,6 +301,9 @@ pub(crate) struct AggregateOp {
     /// flush at finish.
     null_groups: GroupTable<AnyAcc>,
     late: u64,
+    /// Some input arrived as lanes: the windows no input closes — the
+    /// last one, a migration drain — leave as lanes too.
+    lane_fed: bool,
     /// Window flushes performed (including the end-of-stream flush).
     flushes: u64,
     /// Wall-clock nanoseconds spent inside window flushes. Timed per
@@ -412,6 +415,7 @@ impl AggregateOp {
             groups: GroupTable::new(slots.len()),
             null_groups: GroupTable::new(slots.len()),
             late: 0,
+            lane_fed: false,
             flushes: 0,
             flush_ns: 0,
             key_scratch: Vec::new(),
@@ -919,7 +923,12 @@ impl AggregateOp {
     /// [`AggregateOp::extract_state`] ships. A `General` temporal key
     /// is a no-op (callers gate migration eligibility on fast temporal
     /// shapes).
-    fn window_flush_before(&mut self, time: u64, out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn window_flush_before(
+        &mut self,
+        time: u64,
+        rows_out: &mut Vec<Tuple>,
+        cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
         let boundary = match &self.key_evals[self.temporal_idx] {
             KeyEval::Col(_) => i128::from(time),
             KeyEval::DivConst { div, .. } => i128::from(time / *div),
@@ -927,7 +936,11 @@ impl AggregateOp {
         };
         if let Some(cur) = self.current_bucket {
             if cur < boundary {
-                self.flush(out)?;
+                if self.lane_fed {
+                    self.flush_cols(cols_out)?;
+                } else {
+                    self.flush(rows_out)?;
+                }
                 // Arm the boundary bucket so anything older than the
                 // drain point still counts as late, exactly as if a
                 // boundary-bucket tuple had advanced the window.
@@ -1493,6 +1506,7 @@ impl Operator for AggregateOp {
             batch.clear();
             return Ok(());
         }
+        self.lane_fed = true;
         // Entry normalization: plain string lanes dictionary-encode so
         // string predicates and group keys run as integer compares
         // (no-op for already-typed lanes).
@@ -1701,13 +1715,22 @@ impl Operator for AggregateOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()> {
-        self.flush(out)?;
-        // NULL-window groups close with the stream (their emission
-        // folds into the final flush's latency accounting).
+    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
+        if self.lane_fed {
+            self.flush_cols(cols_out)?;
+        } else {
+            self.flush(rows_out)?;
+        }
+        // NULL-window groups close with the stream, into the buffer the
+        // last window took (their emission folds into the final flush's
+        // latency accounting).
         let start = std::time::Instant::now();
         let (mut keys, accs, n) = self.null_groups.take_entries();
-        let res = self.emit(&mut keys, &accs, n, out);
+        let res = if self.lane_fed {
+            self.emit_cols(&mut keys, &accs, n, cols_out)
+        } else {
+            self.emit(&mut keys, &accs, n, rows_out)
+        };
         self.null_groups.restore(keys, accs);
         self.flush_ns += start.elapsed().as_nanos() as u64;
         res?;
@@ -1720,8 +1743,13 @@ impl Operator for AggregateOp {
         self.late
     }
 
-    fn flush_before(&mut self, time: u64, out: &mut Vec<Tuple>) -> ExecResult<()> {
-        self.window_flush_before(time, out)
+    fn flush_before(
+        &mut self,
+        time: u64,
+        rows_out: &mut Vec<Tuple>,
+        cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
+        self.window_flush_before(time, rows_out, cols_out)
     }
 
     fn extract_state(&mut self, pred: &mut dyn FnMut(&[Value]) -> bool, out: &mut Vec<Tuple>) {

@@ -63,6 +63,10 @@ const PARTITIONS: usize = 128;
 /// partition, so both levels see independent hash entropy.
 const PART_SHIFT: u32 = 64 - PARTITIONS.trailing_zeros();
 
+/// Entries the flat arenas make room for when the first key of a window
+/// finds them unallocated (see [`GroupTable::first_entry`]).
+const FIRST_ENTRIES: usize = 256;
+
 /// One first-level partition: an independently sized open-addressed
 /// slot array over the shared entry arenas.
 #[derive(Default)]
@@ -277,6 +281,24 @@ impl<P> GroupTable<P> {
         self.insert_new(hash, key, fresh)
     }
 
+    /// Sizes the three flat arenas for [`FIRST_ENTRIES`] entries before
+    /// the first one goes in, instead of letting each double its way up
+    /// from four elements. Besides the eight regrowths this saves, it
+    /// decides *where* the arenas live: the allocator serves a request
+    /// of a few words from the thread's cache of chunks it freed last —
+    /// on a central unit, chunks a session or leaf thread allocated —
+    /// and every later `realloc` stays in the malloc arena that first
+    /// chunk belongs to. A key arena that grew to its 800 KB there left
+    /// that thread's malloc arena 2 MB larger for the rest of the
+    /// process, in some runs and not in others (EXPERIMENTS.md, PR 23
+    /// *Steadiness*); a block this size comes from the caller's own.
+    #[cold]
+    fn first_entry(&mut self, arity: usize) {
+        self.keys.reserve(FIRST_ENTRIES * arity);
+        self.ukeys.reserve(FIRST_ENTRIES * arity);
+        self.payloads.reserve(FIRST_ENTRIES * self.width);
+    }
+
     /// Inserts a key known to be absent (callers probe first, e.g. via
     /// [`GroupTable::find_with`]), draining it out of the caller's
     /// scratch buffer so the scratch keeps its capacity for the next
@@ -289,6 +311,9 @@ impl<P> GroupTable<P> {
         key: &mut Vec<Value>,
         fresh: impl Iterator<Item = P>,
     ) -> &mut [P] {
+        if self.len == 0 {
+            self.first_entry(key.len());
+        }
         let p = &mut self.parts[(hash >> PART_SHIFT) as usize];
         if p.len * 2 >= p.slots.len() {
             p.grow();
@@ -377,6 +402,9 @@ impl<P> GroupTable<P> {
                 i = (i + 1) & p.mask as usize;
             }
             *counted += inspected;
+        }
+        if self.len == 0 {
+            self.first_entry(arity);
         }
         let p = &mut self.parts[pi];
         let i = if p.len * 2 >= p.slots.len() {
@@ -489,6 +517,32 @@ mod tests {
         assert!(t.get_mut(h, &k).is_none());
         t.insert_new(h, &mut k, [1, 1].into_iter());
         assert_eq!(t.get_mut(h, &key(7)), Some(&mut [1u64, 1][..]));
+    }
+
+    #[test]
+    fn first_insert_sizes_the_arenas_on_both_paths() {
+        // One entry in, room for FIRST_ENTRIES: no arena ever holds a
+        // block small enough to have come out of another thread's heap.
+        let sized = |t: &GroupTable<u64>| {
+            assert!(t.keys.capacity() >= FIRST_ENTRIES * 2);
+            assert!(t.ukeys.capacity() >= FIRST_ENTRIES * 2);
+            assert!(t.payloads.capacity() >= FIRST_ENTRIES * 3);
+        };
+        let mut by_value: GroupTable<u64> = GroupTable::new(3);
+        let mut k = key(1);
+        let h = hash_values(&k);
+        by_value.insert_new(h, &mut k, [0, 0, 0].into_iter());
+        sized(&by_value);
+
+        let mut by_word: GroupTable<u64> = GroupTable::new(3);
+        by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
+        sized(&by_word);
+        // A window that was drained and restored keeps what it had.
+        let (mut keys, payloads, _) = by_word.take_entries();
+        keys.clear();
+        by_word.restore(keys, payloads);
+        by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
+        sized(&by_word);
     }
 
     #[test]

@@ -186,6 +186,9 @@ pub(crate) struct JoinOp {
     /// kernel domain).
     col_plan: Option<ColPlan>,
     finished: bool,
+    /// Some input arrived as lanes: the end-of-stream fire leaves as
+    /// lanes too.
+    lane_fed: bool,
     lkeys: Keys,
     rkeys: Keys,
     /// Chained index over the firing right epoch: `heads[slot]` is the
@@ -232,6 +235,7 @@ impl JoinOp {
             residual,
             projections,
             finished: false,
+            lane_fed: false,
             lkeys: Keys::default(),
             rkeys: Keys::default(),
             heads: Vec::new(),
@@ -554,6 +558,7 @@ impl Operator for JoinOp {
         // take the same late/advance decision for every row of the run,
         // and a pairing that the run's first row makes ready holds only
         // closed epochs, which the rest of the run cannot touch.
+        self.lane_fed = true;
         let temporal_idx = self.side(port).temporal_idx;
         let rows_in: &ColumnBatch = batch;
         for_each_bucket_run(rows_in.column(temporal_idx), |run, b| {
@@ -570,11 +575,15 @@ impl Operator for JoinOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
         self.finished = true;
-        let mut staged = ColumnBatch::default();
-        self.fire_ready(&mut staged)?;
-        staged.append_rows_to(out);
+        if self.lane_fed {
+            self.fire_ready(cols_out)?;
+        } else {
+            let mut staged = ColumnBatch::default();
+            self.fire_ready(&mut staged)?;
+            staged.append_rows_to(rows_out);
+        }
         debug_assert!(self.left.epochs.is_empty());
         debug_assert!(self.right.epochs.is_empty());
         Ok(())

@@ -27,6 +27,9 @@ pub(crate) struct MergeOp {
     /// preserved within a bucket), whichever representation they
     /// arrived in.
     buffer: BTreeMap<i128, ColumnBatch>,
+    /// Some input arrived as lanes: the end-of-stream release leaves as
+    /// lanes too.
+    lane_fed: bool,
 }
 
 impl MergeOp {
@@ -35,6 +38,7 @@ impl MergeOp {
             temporal_idx,
             last: vec![None; ports],
             buffer: BTreeMap::new(),
+            lane_fed: false,
         }
     }
 
@@ -108,6 +112,7 @@ impl Operator for MergeOp {
         if batch.rows() == 0 {
             return Ok(());
         }
+        self.lane_fed = true;
         let rows_in: &ColumnBatch = batch;
         let mut whole = None;
         for_each_bucket_run(rows_in.column(self.temporal_idx), |run, b| {
@@ -137,9 +142,13 @@ impl Operator for MergeOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
         for rows in std::mem::take(&mut self.buffer).into_values() {
-            rows.append_rows_to(out);
+            if self.lane_fed {
+                append_batch(cols_out, rows);
+            } else {
+                rows.append_rows_to(rows_out);
+            }
         }
         Ok(())
     }

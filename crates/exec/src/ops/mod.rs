@@ -60,6 +60,12 @@ pub(crate) struct OpRuntimeStats {
 /// representation are mechanical optimisations, never semantic ones.
 /// `finish` signals end-of-stream on all ports (the engine calls it in
 /// topological order, so every input is already complete).
+///
+/// Every call that can emit takes the `(rows_out, cols_out)` pair and
+/// fills one of the two, never both: an operator that has been fed
+/// lanes answers in lanes — window flushes, the end-of-stream flush and
+/// a migration drain included — so a columnar feed never drops to rows
+/// between operators.
 pub(crate) trait Operator {
     /// Processes one batch of tuples, draining `batch` and appending
     /// any produced tuples to `out`.
@@ -69,8 +75,9 @@ pub(crate) trait Operator {
         batch: &mut Vec<Tuple>,
         out: &mut Vec<Tuple>,
     ) -> ExecResult<()>;
-    /// Flushes remaining state at end-of-stream.
-    fn finish(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()>;
+    /// Flushes remaining state at end-of-stream, into `cols_out` when
+    /// the operator has been fed lanes and into `rows_out` otherwise.
+    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()>;
     /// Processes one columnar batch, draining `batch` (left cleared)
     /// and appending produced output to `rows_out` and/or `cols_out`
     /// (an empty engine-owned scratch batch of no particular arity).
@@ -92,7 +99,12 @@ pub(crate) trait Operator {
     /// to the drain boundary `time` (every tuple at `time` or later
     /// maps to a strictly greater bucket), emitting the flushed rows.
     /// Stateless and non-windowed operators have nothing to close.
-    fn flush_before(&mut self, _time: u64, _out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn flush_before(
+        &mut self,
+        _time: u64,
+        _rows_out: &mut Vec<Tuple>,
+        _cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
         Ok(())
     }
     /// Migration extract hook: removes live group state for keys the
@@ -137,7 +149,11 @@ impl Operator for ScanOp {
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn finish(
+        &mut self,
+        _rows_out: &mut Vec<Tuple>,
+        _cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
         Ok(())
     }
 

@@ -229,7 +229,11 @@ impl Operator for SelectOp {
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<Tuple>) -> ExecResult<()> {
+    fn finish(
+        &mut self,
+        _rows_out: &mut Vec<Tuple>,
+        _cols_out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
         Ok(())
     }
 

@@ -493,3 +493,47 @@ fn oversized_column_feed_equals_max_batch_feeds() {
     assert_eq!(whole, tens);
     assert_eq!(whole.2[0], (10, 10));
 }
+
+#[test]
+fn a_boundary_sink_collects_what_an_output_sink_does() {
+    use qap_types::ColumnBatch;
+    // Every window but the last closes inside a feed; the last leaves
+    // through `finish`.
+    let dag = build(&[(
+        "flows",
+        "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         GROUP BY time/60 as tb, srcIP HAVING COUNT(*) > 1",
+    )]);
+    let agg = dag.roots()[0];
+    let trace: Vec<Tuple> = (0..600u64)
+        .map(|i| pkt(i / 3, i % 11 % 7, 2, 0, 40 + i))
+        .collect();
+    let want = run_logical(&dag, trace.clone()).unwrap().remove(0).1;
+    assert!(want.len() > 8);
+
+    for columnar in [false, true] {
+        let mut engine = Engine::with_boundary(&dag, &[], &[agg]).unwrap();
+        let src = engine.source_nodes()[0];
+        let mut got = ColumnBatch::new(dag.schema(agg).arity());
+        for chunk in trace.chunks(50) {
+            if columnar {
+                let mut cols = ColumnBatch::from_rows(chunk);
+                engine.push_columns(src, &mut cols).unwrap();
+            } else {
+                engine.push_batch(src, &mut chunk.to_vec()).unwrap();
+            }
+            // Draining leaves the sink collecting.
+            if let Some(drained) = engine.drain_boundary(agg) {
+                got.append_range(&drained, 0..drained.rows());
+            }
+        }
+        engine.finish().unwrap();
+        let last = engine
+            .drain_boundary(agg)
+            .expect("the last window closes at finish");
+        got.append_range(&last, 0..last.rows());
+        assert_eq!(got.to_rows(), want, "columnar={columnar}");
+        assert!(engine.drain_boundary(agg).is_none());
+        assert!(engine.output(agg).is_empty(), "a boundary is not an output");
+    }
+}

@@ -217,6 +217,10 @@ impl Rows<'_> {
         }
     }
 
+    fn all(self, mut f: impl FnMut(usize) -> bool) -> bool {
+        !self.any(|i| !f(i))
+    }
+
     /// Appends the rows of `src` to `dst`: one slice copy for a range.
     fn extend<T: Clone>(self, dst: &mut Vec<T>, src: &[T]) {
         match self {
@@ -628,9 +632,15 @@ impl Column {
         self.len = sel.len();
     }
 
-    /// Appends the given rows of `src`, lane to lane: the result holds
-    /// exactly the values pushing `src.value(i)` for each row would,
-    /// without materializing any of them when the lane types agree.
+    /// Appends the given rows of `src`, lane to lane: the column is left
+    /// as pushing `src.value(i)` for each row would leave it — same
+    /// values, same null mask, same placeholders, and on a column with
+    /// no rows the same lane type a fresh column would type itself to —
+    /// without materializing any value when the lane types agree. (One
+    /// representation is the source's to choose: a `Dict` source types
+    /// an empty column `Dict`, with the appended rows' distinct strings
+    /// interned in first-use order.) So what a consumer encodes after an
+    /// append depends on the rows, never on which lanes carried them.
     /// The caller has checked the rows against `src.len()`.
     fn append_rows(&mut self, src: &Column, rows: Rows<'_>) {
         let n = rows.len();
@@ -638,7 +648,30 @@ impl Column {
             return;
         }
         // The mask first: it stays empty unless an appended row is NULL.
-        if src.has_nulls() && rows.any(|i| src.nulls[i]) {
+        let nulls = src.has_nulls() && rows.any(|i| src.nulls[i]);
+        // Rows that are all NULL type nothing (an untyped source holds
+        // nothing else).
+        let all_null = src.data.is_none() || (nulls && rows.all(|i| src.nulls[i]));
+        if self.len == 0 {
+            // No rows, so no values to preserve: what is left of an
+            // earlier use is allocations, which only a source lane of
+            // the same type can reuse. A `Mixed` source re-types itself
+            // row by row below, as pushes would.
+            let reusable = match (&self.data, &src.data) {
+                (Some(d), Some(s)) => {
+                    std::mem::discriminant(d) == std::mem::discriminant(s)
+                        && !matches!(s, ColumnData::Mixed(_))
+                }
+                _ => false,
+            };
+            if all_null || !reusable {
+                self.data = None;
+            }
+        }
+        if let Some(ColumnData::Mixed(_)) = &src.data {
+            return rows.for_each(|i| self.push(&src.value(i)));
+        }
+        if nulls {
             if self.nulls.is_empty() {
                 self.nulls.resize(self.len, false);
             }
@@ -646,32 +679,49 @@ impl Column {
         } else if !self.nulls.is_empty() {
             self.nulls.resize(self.len + n, false);
         }
-        match (&mut self.data, &src.data) {
-            // An untyped source is all NULLs.
+        let typed = match &src.data {
+            Some(s) if !(all_null && self.data.is_none()) => Some(s),
+            _ => None,
+        };
+        match (&mut self.data, typed) {
             (None, None) => {}
             (Some(d), None) => (0..n).for_each(|_| d.push_placeholder()),
             (dst, Some(s)) => {
-                // A lane with no rows carries no values to preserve, so
-                // it takes the source's type instead of demoting.
-                if self.len == 0 || dst.is_none() {
+                let lane = dst.get_or_insert_with(|| {
                     let mut lane = s.empty_like();
                     (0..self.len).for_each(|_| lane.push_placeholder());
-                    *dst = Some(lane);
-                }
-                match (dst.as_mut(), s) {
-                    (Some(ColumnData::UInt(d)), ColumnData::UInt(s)) => rows.extend(d, s),
-                    (Some(ColumnData::Int(d)), ColumnData::Int(s)) => rows.extend(d, s),
-                    (Some(ColumnData::Bool(d)), ColumnData::Bool(s)) => rows.extend(d, s),
-                    (Some(ColumnData::Str(d)), ColumnData::Str(s)) => rows.extend(d, s),
-                    (Some(ColumnData::Dict(d)), ColumnData::Dict(s)) => d.append_lane(s, rows),
-                    (Some(ColumnData::Dict(d)), ColumnData::Str(s)) => rows.for_each(|i| {
+                    lane
+                });
+                // Source lanes hold anything at NULL positions (a kernel
+                // computes straight through them); pushes leave the
+                // placeholder.
+                let appended = &self.nulls[if nulls { self.len } else { self.nulls.len() }..];
+                match (lane, s) {
+                    (ColumnData::UInt(d), ColumnData::UInt(s)) => {
+                        rows.extend(d, s);
+                        blank_nulls(d, appended, || 0);
+                    }
+                    (ColumnData::Int(d), ColumnData::Int(s)) => {
+                        rows.extend(d, s);
+                        blank_nulls(d, appended, || 0);
+                    }
+                    (ColumnData::Bool(d), ColumnData::Bool(s)) => {
+                        rows.extend(d, s);
+                        blank_nulls(d, appended, || false);
+                    }
+                    (ColumnData::Str(d), ColumnData::Str(s)) => {
+                        rows.extend(d, s);
+                        blank_nulls(d, appended, || Arc::from(""));
+                    }
+                    (ColumnData::Dict(d), ColumnData::Dict(s)) => d.append_lane(s, rows),
+                    (ColumnData::Dict(d), ColumnData::Str(s)) => rows.for_each(|i| {
                         if src.is_null(i) {
                             d.push_placeholder();
                         } else {
                             d.push(&s[i]);
                         }
                     }),
-                    (Some(ColumnData::Str(d)), ColumnData::Dict(s)) => rows.for_each(|i| {
+                    (ColumnData::Str(d), ColumnData::Dict(s)) => rows.for_each(|i| {
                         d.push(if src.is_null(i) {
                             Arc::from("")
                         } else {
@@ -691,6 +741,17 @@ impl Column {
             }
         }
         self.len += n;
+    }
+}
+
+/// Overwrites the last `nulls.len()` entries of `lane` with the lane's
+/// placeholder wherever `nulls` flags the row.
+fn blank_nulls<T>(lane: &mut [T], nulls: &[bool], placeholder: impl Fn() -> T) {
+    let at = lane.len() - nulls.len();
+    for (x, &null) in lane[at..].iter_mut().zip(nulls) {
+        if null {
+            *x = placeholder();
+        }
     }
 }
 

@@ -1,0 +1,342 @@
+//! The leaf → aggregator boundary stays on lanes, and nobody downstream
+//! can tell: every frame a leaf unit ships is byte for byte the frame
+//! the row-staged boundary shipped — the producer's output as rows, cut
+//! positionally into `frame_batch`-row chunks, each chunk pushed row by
+//! row into a fresh batch and encoded.
+//!
+//! The frames are read off the wire. Each leaf host is an in-process
+//! [`serve_host`] behind a tap: a loopback proxy that forwards control
+//! frames both ways and keeps a copy of every boundary `Data` frame the
+//! host sends. The producer's output sequence comes from the same run
+//! under `--columnar=off`, where leaf engines are fed rows and the frames
+//! are row frames — no lane is involved in computing it.
+
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+use qap::cluster::link::{read_control, write_control, DuplexStream};
+use qap::prelude::*;
+use qap::types::{
+    decode_batch, encode_column_batch, frame_is_columnar, Bytes, BytesMut, ColumnBatch,
+    ControlFrame,
+};
+
+/// Rows per boundary frame: small enough that the edges of the tiny
+/// trace ship several full frames and a partial tail.
+const FRAME_BATCH: usize = 7;
+
+/// Every boundary frame of one run, in shipping order, by producer.
+type Frames = BTreeMap<u32, Vec<Bytes>>;
+
+fn loopback() -> HostListener {
+    HostListener::bind(&HostAddr::Tcp("127.0.0.1:0".into())).expect("bind loopback")
+}
+
+/// Forwards control frames from `from` to `to` until either side ends,
+/// handing each to `see` first.
+fn forward(mut from: DuplexStream, mut to: DuplexStream, mut see: impl FnMut(&ControlFrame)) {
+    let mut scratch = BytesMut::new();
+    while let Ok(Some(frame)) = read_control(&mut from) {
+        see(&frame);
+        if write_control(&mut to, &frame, &mut scratch).is_err() {
+            break;
+        }
+    }
+}
+
+/// Runs the plan over sockets with every leaf host behind a tap;
+/// returns the result and the boundary frames the hosts shipped.
+fn tapped_run(plan: &DistributedPlan, trace: &[Tuple], cfg: &SimConfig) -> (SimResult, Frames) {
+    let n = remote_host_count(plan, cfg);
+    let hosts: Vec<HostListener> = (0..n).map(|_| loopback()).collect();
+    let taps: Vec<HostListener> = (0..n).map(|_| loopback()).collect();
+    let tap_addrs: Vec<HostAddr> = taps.iter().map(|t| t.local_addr().unwrap()).collect();
+    let frames = Mutex::new(Frames::new());
+    let result = std::thread::scope(|scope| {
+        for (host, tap) in hosts.iter().zip(&taps) {
+            scope.spawn(move || serve_host(host, &HostServerConfig { once: true }));
+            let frames = &frames;
+            scope.spawn(move || {
+                let down = tap.accept().expect("coordinator connects to the tap");
+                let up = connect_with_backoff(&host.local_addr().unwrap(), 5_000)
+                    .expect("tap connects to the host");
+                let (down_w, up_w) = (down.try_clone().unwrap(), up.try_clone().unwrap());
+                std::thread::scope(|pair| {
+                    // The host ends its session after `Result`; the
+                    // coordinator hangs up once it has read that.
+                    pair.spawn(|| {
+                        forward(up, down_w, |frame| {
+                            if let ControlFrame::Data { producer, frame } = frame {
+                                let mut frames = frames.lock().unwrap();
+                                frames.entry(*producer).or_default().push(frame.clone());
+                            }
+                        })
+                    });
+                    forward(down, up_w.try_clone().unwrap(), |_| {});
+                    up_w.shutdown();
+                });
+            });
+        }
+        run_distributed_remote(plan, trace, cfg, &tap_addrs)
+    });
+    (result.expect("tapped run"), frames.into_inner().unwrap())
+}
+
+fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    rows.sort_by(|a, b| {
+        for (x, y) in a.values().iter().zip(b.values()) {
+            let ord = x.total_cmp(y);
+            if !ord.is_eq() {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    rows
+}
+
+fn cfg(columnar: bool) -> SimConfig {
+    SimConfig {
+        transport: TransportConfig::new(64, FRAME_BATCH).with_columnar(columnar),
+        ..SimConfig::default()
+    }
+}
+
+/// The tiny trace overlaid with its own echo one epoch later, so every
+/// flow also exists in the following epoch and the self-joins have
+/// pairs to emit (generated flows do not outlive their epoch).
+fn with_echo(mut trace: Vec<Tuple>) -> Vec<Tuple> {
+    let echo: Vec<Tuple> = trace
+        .iter()
+        .map(|t| {
+            let mut vals = t.values().to_vec();
+            vals[0] = Value::UInt(vals[0].as_u64().unwrap() + 60);
+            vals[1] = Value::UInt(vals[1].as_u64().unwrap() + 60_000_000);
+            Tuple::new(vals)
+        })
+        .collect();
+    trace.extend(echo);
+    trace.sort_by_key(|t| t.get(1).as_u64());
+    trace
+}
+
+/// One edge's `(producer, frames, tuples, payload bytes)`.
+type Edge = (usize, u64, u64, u64);
+
+fn edge_counts(result: &SimResult) -> Vec<Edge> {
+    let edges = &result.metrics.transport.edges;
+    edges
+        .iter()
+        .map(|e| (e.producer, e.frames, e.tuples, e.bytes))
+        .collect()
+}
+
+/// The entries of `pinned` whose producers `run` shipped from.
+fn pinned_for(run: &SimResult, pinned: &[Edge]) -> Vec<Edge> {
+    let shipped: Vec<usize> = edge_counts(run).iter().map(|e| e.0).collect();
+    pinned
+        .iter()
+        .copied()
+        .filter(|e| shipped.contains(&e.0))
+        .collect()
+}
+
+/// One deployment on one trace: the tapped columnar frames against the
+/// row-staged oracle, and every runner's per-edge counts against
+/// `pinned` — what the parent of this change measured on the threaded
+/// runner's partition-parallel decomposition. The host-serial
+/// decomposition (the socket runner's, and the threaded runner's under
+/// `host_serial()`) ships the same edges minus the aggregator host's
+/// own.
+fn check(label: &str, scenario: Scenario, config: &str, trace: &[Tuple], pinned: &[Edge]) {
+    let plan = scenario.plan(config, 3);
+    let reference = run_distributed(&plan, trace, &cfg(true)).unwrap();
+
+    // The producers' output, by the row path.
+    let (rows_run, row_frames) = tapped_run(&plan, trace, &cfg(false));
+    let (lane_run, lane_frames) = tapped_run(&plan, trace, &cfg(true));
+    for run in [&rows_run, &lane_run] {
+        assert!(run.failures.is_empty(), "{label}");
+        for ((name, rows), (ref_name, ref_rows)) in run.outputs.iter().zip(&reference.outputs) {
+            assert_eq!(name, ref_name, "{label}");
+            assert_eq!(
+                sorted(rows.clone()),
+                sorted(ref_rows.clone()),
+                "{label}: {name}"
+            );
+        }
+    }
+    assert_eq!(
+        row_frames.keys().collect::<Vec<_>>(),
+        lane_frames.keys().collect::<Vec<_>>(),
+        "{label}: producers"
+    );
+    assert!(
+        !lane_frames.is_empty(),
+        "{label}: nothing crossed the boundary"
+    );
+    let mut scratch = BytesMut::new();
+    for (producer, frames) in &lane_frames {
+        let output: Vec<Tuple> = row_frames[producer]
+            .iter()
+            .flat_map(|f| {
+                assert!(!frame_is_columnar(f), "{label}: row run ships row frames");
+                decode_batch(f.clone()).expect("row frame decodes")
+            })
+            .collect();
+        let oracle: Vec<Bytes> = output
+            .chunks(FRAME_BATCH)
+            .map(|chunk| {
+                let mut stage = ColumnBatch::new(chunk[0].arity());
+                stage.extend_rows(chunk);
+                encode_column_batch(&stage, &mut scratch).expect("oracle frame encodes")
+            })
+            .collect();
+        assert_eq!(
+            frames.len(),
+            oracle.len(),
+            "{label}: producer {producer} frame count"
+        );
+        for (i, (got, want)) in frames.iter().zip(&oracle).enumerate() {
+            assert!(
+                got == want,
+                "{label}: producer {producer}, frame {i} differs from the row-staged frame"
+            );
+        }
+    }
+
+    let serial = edge_counts(&lane_run);
+    assert!(
+        serial.len() < pinned.len(),
+        "{label}: host-serial ships fewer edges"
+    );
+    assert_eq!(
+        serial,
+        pinned_for(&lane_run, pinned),
+        "{label}: socket runner edges"
+    );
+    let threaded_serial = SimConfig {
+        transport: cfg(true).transport.host_serial(),
+        ..cfg(true)
+    };
+    let threaded = run_distributed_threaded(&plan, trace, &threaded_serial).unwrap();
+    assert_eq!(
+        edge_counts(&threaded),
+        serial,
+        "{label}: threaded host-serial edges"
+    );
+    let threaded = run_distributed_threaded(&plan, trace, &cfg(true)).unwrap();
+    assert_eq!(
+        edge_counts(&threaded),
+        pinned,
+        "{label}: threaded partition-parallel edges"
+    );
+}
+
+#[test]
+fn simple_agg_naive_frames_are_the_row_staged_frames() {
+    let trace = generate(&TraceConfig::tiny(31));
+    let pinned = [
+        (6, 20, 135, 9000),
+        (7, 19, 129, 8598),
+        (8, 19, 132, 8790),
+        (9, 18, 120, 8004),
+        (10, 20, 140, 9320),
+        (11, 18, 124, 8260),
+    ];
+    check("6.1 Naive", Scenario::SimpleAgg, "Naive", &trace, &pinned);
+}
+
+#[test]
+fn simple_agg_partitioned_frames_are_the_row_staged_frames() {
+    let trace = generate(&TraceConfig::tiny(31));
+    let pinned = [
+        (6, 0, 0, 0),
+        (7, 1, 2, 146),
+        (8, 1, 3, 210),
+        (9, 1, 5, 338),
+        (10, 1, 3, 210),
+        (11, 1, 3, 210),
+    ];
+    check(
+        "6.1 Partitioned",
+        Scenario::SimpleAgg,
+        "Partitioned",
+        &trace,
+        &pinned,
+    );
+}
+
+#[test]
+fn query_set_optimal_frames_are_the_row_staged_frames() {
+    let trace = generate(&TraceConfig::tiny(37));
+    let config = "Partitioned (optimal)";
+    // Producers 18–23 are the pushed-down self-join: nothing to emit
+    // until the echo gives flows a second epoch.
+    let pinned = [
+        (6, 4, 26, 1088),
+        (7, 4, 25, 1048),
+        (8, 3, 15, 636),
+        (9, 2, 14, 584),
+        (10, 3, 16, 676),
+        (11, 3, 21, 876),
+        (18, 0, 0, 0),
+        (19, 0, 0, 0),
+        (20, 0, 0, 0),
+        (21, 0, 0, 0),
+        (22, 0, 0, 0),
+        (23, 0, 0, 0),
+    ];
+    check("6.2 optimal", Scenario::QuerySet, config, &trace, &pinned);
+    let pinned = [
+        (6, 6, 40, 1672),
+        (7, 7, 43, 1804),
+        (8, 4, 26, 1088),
+        (9, 4, 23, 968),
+        (10, 4, 28, 1168),
+        (11, 5, 33, 1380),
+        (18, 15, 103, 5154),
+        (19, 10, 69, 3452),
+        (20, 4, 26, 1304),
+        (21, 3, 20, 1002),
+        (22, 4, 23, 1160),
+        (23, 9, 59, 2958),
+    ];
+    check(
+        "6.2 optimal, echo",
+        Scenario::QuerySet,
+        config,
+        &with_echo(trace),
+        &pinned,
+    );
+}
+
+#[test]
+fn complex_full_frames_are_the_row_staged_frames() {
+    let trace = generate(&TraceConfig::tiny(41));
+    let config = "Partitioned (full)";
+    let pinned = [
+        (18, 1, 6, 202),
+        (19, 2, 11, 372),
+        (20, 1, 4, 138),
+        (21, 2, 8, 276),
+        (22, 1, 5, 170),
+        (23, 1, 7, 234),
+    ];
+    check("6.3 full", Scenario::Complex, config, &trace, &pinned);
+    let pinned = [
+        (18, 2, 13, 436),
+        (19, 3, 18, 606),
+        (20, 2, 11, 372),
+        (21, 3, 21, 702),
+        (22, 3, 15, 510),
+        (23, 4, 22, 744),
+    ];
+    check(
+        "6.3 full, echo",
+        Scenario::Complex,
+        config,
+        &with_echo(trace),
+        &pinned,
+    );
+}

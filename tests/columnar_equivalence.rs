@@ -142,6 +142,108 @@ fn complex_chain_never_leaves_the_kernels() {
     assert_eq!(engine_kernel_fallbacks(Scenario::Complex, 41), 0);
 }
 
+/// A columnar feed never drops to rows between operators — not at a
+/// window the feed closes and not at the one the end of the stream
+/// closes: on every `bench_e2e` deployment (3 hosts, host-serial, batch
+/// 1024, threaded runner), every batch any operator of any unit received
+/// was a column batch.
+#[test]
+fn no_row_batch_reaches_an_operator_of_a_lane_fed_plan() {
+    let cfg = SimConfig {
+        batch: BatchConfig::new(1024),
+        transport: TransportConfig::default().host_serial(),
+        ..SimConfig::default()
+    };
+    for (scenario, config, seed) in [
+        (Scenario::SimpleAgg, "Partitioned", 31),
+        (Scenario::SimpleAgg, "Naive", 31),
+        (Scenario::QuerySet, "Partitioned (optimal)", 37),
+    ] {
+        let plan = scenario.plan(config, 3);
+        let trace = generate(&TraceConfig::tiny(seed));
+        let run = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
+        let mut fed = 0;
+        for id in plan.dag.topo_order() {
+            if plan.dag.node(id).is_source() {
+                continue;
+            }
+            let m = &run.node_metrics[id];
+            assert_eq!(
+                m.batches_in,
+                m.col_batches_in,
+                "{} [{config}]: node {id} ({}) received a row batch",
+                scenario.name(),
+                plan.dag.node(id).label()
+            );
+            fed += m.batches_in;
+        }
+        assert!(fed > 0, "{} [{config}]", scenario.name());
+    }
+}
+
+/// A migration drain leaves on lanes too: `flush_before` on a lane-fed
+/// aggregate hands the window it closes to the operator downstream as a
+/// column batch, and the run's output does not change.
+#[test]
+fn a_migration_drain_reaches_downstream_as_lanes() {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.add_query(
+        "flows",
+        "SELECT tb, srcIP, destIP, COUNT(*) as cnt FROM TCP \
+         GROUP BY time/60 as tb, srcIP, destIP",
+    )
+    .unwrap();
+    b.add_query(
+        "heavy_flows",
+        "SELECT tb, srcIP, MAX(cnt) as max_cnt FROM flows GROUP BY tb, srcIP",
+    )
+    .unwrap();
+    let dag = b.build();
+    let heavy = dag.roots()[0];
+    let flows = dag.node(heavy).children()[0];
+    let trace = generate(&TraceConfig::tiny(43));
+    let time = |t: &Tuple| t.get(0).as_u64().unwrap();
+    // The first window's rows, then a drain at the start of the next.
+    let boundary = (time(&trace[0]) / 60 + 1) * 60;
+    let split = trace.iter().position(|t| time(t) >= boundary).unwrap();
+    assert!(0 < split && split < trace.len());
+
+    let feed = |engine: &mut Engine, rows: &[Tuple]| {
+        let source = engine.source_nodes()[0];
+        for chunk in rows.chunks(1024) {
+            engine
+                .push_columns(source, &mut ColumnBatch::from_rows(chunk))
+                .unwrap();
+        }
+    };
+    let mut reference = Engine::new(&dag).unwrap();
+    feed(&mut reference, &trace);
+    reference.finish().unwrap();
+
+    let mut engine = Engine::new(&dag).unwrap();
+    feed(&mut engine, &trace[..split]);
+    assert_eq!(
+        engine.metrics()[heavy].batches_in,
+        0,
+        "no window closed yet"
+    );
+    engine.flush_before(flows, boundary).unwrap();
+    let m = &engine.metrics()[heavy];
+    assert_eq!(
+        (m.batches_in, m.col_batches_in),
+        (1, 1),
+        "the drained window"
+    );
+    feed(&mut engine, &trace[split..]);
+    engine.finish().unwrap();
+    let m = &engine.metrics()[heavy];
+    assert_eq!(m.batches_in, m.col_batches_in);
+    assert_eq!(
+        sorted(engine.output(heavy)),
+        sorted(reference.output(heavy))
+    );
+}
+
 /// The splitter always hashes the *row* view of a tuple, and a tuple
 /// that has crossed the columnar wire must route to the same partition
 /// as its original: transpose → encode → decode → materialize is the

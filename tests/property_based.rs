@@ -1066,6 +1066,12 @@ proptest! {
 /// per-cell mix that demotes the lane — with NULLs sprinkled in.
 /// Returns the per-column kinds with the rows.
 fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
+    arb_kinded_rows_mixing(4)
+}
+
+/// [`arb_kinded_rows`] whose mixed columns draw from the first
+/// `mixed_kinds` of unsigned, signed, boolean, string.
+fn arb_kinded_rows_mixing(mixed_kinds: u64) -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
     (
         proptest::collection::vec(0u8..5, 3..4),
         proptest::collection::vec(
@@ -1073,7 +1079,7 @@ fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
             0..30,
         ),
     )
-        .prop_map(|(kinds, cells)| {
+        .prop_map(move |(kinds, cells)| {
             let value = |kind: u8, x: u64| match kind {
                 0 => Value::UInt(x),
                 1 => Value::Int(x as i64 - 500),
@@ -1088,7 +1094,7 @@ fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
                             .zip(&kinds)
                             .map(|((null, x), &kind)| match (null, kind) {
                                 (0, _) => Value::Null,
-                                (_, 4) => value((x % 4) as u8, x / 4),
+                                (_, 4) => value((x % mixed_kinds) as u8, x / mixed_kinds),
                                 (_, kind) => value(kind, x),
                             })
                             .collect(),
@@ -1179,6 +1185,120 @@ proptest! {
             if src_kinds[c] != 4 && !idx.is_empty() {
                 prop_assert!(!matches!(col.data(), Some(ColumnData::Mixed(_))));
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// boundary frames: cut off lanes ≡ staged from rows
+// ---------------------------------------------------------------------
+
+/// The batch with every typed lane's NULL positions overwritten — what a
+/// kernel that computes straight through NULL inputs leaves there.
+fn poison_placeholders(batch: &ColumnBatch) -> ColumnBatch {
+    use qap::types::{Column, ColumnData};
+    let columns = batch
+        .columns()
+        .iter()
+        .map(|c| {
+            let mask = c.null_mask();
+            let junk = |i: usize| !mask.is_empty() && mask[i];
+            let data = match c.data() {
+                Some(ColumnData::UInt(l)) => ColumnData::UInt(
+                    (0..l.len())
+                        .map(|i| if junk(i) { 0xDEAD } else { l[i] })
+                        .collect(),
+                ),
+                Some(ColumnData::Int(l)) => ColumnData::Int(
+                    (0..l.len())
+                        .map(|i| if junk(i) { -7 } else { l[i] })
+                        .collect(),
+                ),
+                Some(ColumnData::Bool(l)) => {
+                    ColumnData::Bool((0..l.len()).map(|i| junk(i) || l[i]).collect())
+                }
+                _ => return c.clone(),
+            };
+            Column::from_parts(data, mask.to_vec())
+        })
+        .collect();
+    ColumnBatch::from_columns_with_rows(columns, batch.rows())
+}
+
+proptest! {
+    /// A unit's boundary, as `unit::forward_boundary` runs it: the
+    /// producer's output arrives in drains of any size, as lanes of
+    /// whatever type each drain's values gave them (dictionary-encoded
+    /// or not, placeholders under NULLs poisoned or not), and frames of
+    /// `frame_batch` rows are cut off it with `append_range` into one
+    /// reused staging batch. Every frame must be, byte for byte, the
+    /// frame of the same rows pushed one by one into a fresh batch
+    /// (dictionary-encoded when the drains are): its bytes depend on
+    /// the rows it carries and on nothing the lanes remember — not the
+    /// source's dictionary or its order, not a NULL elsewhere in the
+    /// drain, not a lane type the staging batch held a frame ago.
+    #[test]
+    fn lane_cut_frames_equal_row_staged_frames(
+        src in arb_kinded_rows_mixing(3),
+        encode_src in any::<bool>(),
+        poison in any::<bool>(),
+        frame_batch in 1usize..9,
+        drains in proptest::collection::vec(0usize..12, 0..8)
+    ) {
+        let (_, rows) = src;
+        let mut scratch = BytesMut::new();
+
+        let mut want = Vec::new();
+        for chunk in rows.chunks(frame_batch) {
+            let mut stage = ColumnBatch::new(3);
+            stage.extend_rows(chunk);
+            if encode_src {
+                stage.dict_encode_strings();
+            }
+            want.push(encode_column_batch(&stage, &mut scratch).unwrap());
+        }
+
+        // Drain boundaries: the given sizes, then whatever is left.
+        let mut bounds = vec![0];
+        for d in drains {
+            bounds.push((bounds[bounds.len() - 1] + d).min(rows.len()));
+        }
+        bounds.push(rows.len());
+        let mut got = Vec::new();
+        let mut pending = ColumnBatch::new(3);
+        for w in bounds.windows(2) {
+            let mut drained = ColumnBatch::from_rows(&rows[w[0]..w[1]]);
+            if drained.is_empty() {
+                continue;
+            }
+            if encode_src {
+                drained.dict_encode_strings();
+            }
+            if poison {
+                drained = poison_placeholders(&drained);
+            }
+            let mut at = 0;
+            while pending.rows() + (drained.rows() - at) >= frame_batch {
+                let cut = at + frame_batch - pending.rows();
+                pending.append_range(&drained, at..cut);
+                at = cut;
+                got.push(encode_column_batch(&pending, &mut scratch).unwrap());
+                pending.clear();
+            }
+            pending.append_range(&drained, at..drained.rows());
+        }
+        if !pending.is_empty() {
+            got.push(encode_column_batch(&pending, &mut scratch).unwrap());
+        }
+
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+
+            prop_assert!(g == w, "frame {} of {} differs", i, want.len());
+            prop_assert_eq!(
+                decode_column_batch(g.clone()).unwrap().to_rows(),
+                rows[i * frame_batch..rows.len().min((i + 1) * frame_batch)].to_vec()
+            );
         }
     }
 }
