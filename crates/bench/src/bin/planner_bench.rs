@@ -1,13 +1,14 @@
 //! Planner benchmark: planning time and extracted-plan predicted cost
-//! for every Section 6 deployment, e-graph backend vs. legacy rewriters,
-//! written as machine-readable `BENCH_planner.json`.
+//! for every Section 6 deployment, written as machine-readable
+//! `BENCH_planner.json`.
 //!
-//! For each scenario/configuration pair the harness runs both backends
-//! through `optimize_explained` (planning + emission, the `qapctl`
-//! path), times the call, and prices the extracted physical plan with
-//! the plan-based predictor. The process exits non-zero if the e-graph
-//! backend's predicted cost exceeds the legacy backend's on any
-//! deployment — CI runs this as a regression gate.
+//! For each scenario/configuration pair the harness runs
+//! `optimize_explained` (planning + emission, the `qapctl` path), times
+//! the call, and prices the extracted physical plan with the plan-based
+//! predictor. The process exits non-zero if a deployment's predicted
+//! total cost or physical node count differs from the value pinned in
+//! the deployment table — CI runs this as a regression gate. Planning
+//! time is advisory: it is reported, never gated.
 //!
 //! Usage: `cargo run --release -p qap-bench --bin planner_bench [OUT.json]`
 //! (default output path `BENCH_planner.json` in the working directory).
@@ -18,12 +19,11 @@ use std::time::Instant;
 
 use qap::prelude::*;
 
-/// One measured (scenario, configuration, backend) cell.
+/// One measured (scenario, configuration) cell.
 struct Case {
     scenario: &'static str,
     config: &'static str,
     hosts: usize,
-    backend: &'static str,
     plan_micros: f64,
     predicted_total_bytes_per_sec: f64,
     predicted_aggregator_bytes_per_sec: f64,
@@ -35,22 +35,17 @@ fn measure(
     partitioning: &Partitioning,
     config: &OptimizerConfig,
 ) -> (DistributedPlan, f64) {
-    // Warm-up, then the median of a small odd sample: planning is
-    // micro-scale, one timing would be all noise.
-    let _ = optimize_explained(dag, partitioning, config).expect("planning succeeds");
-    let mut times: Vec<f64> = Vec::new();
-    let mut plan = None;
-    for _ in 0..5 {
+    // Warm-up, then the minimum of 31 runs: planning is micro-scale,
+    // and on a shared box the minimum is the one statistic outside
+    // load cannot inflate (EXPERIMENTS.md).
+    let (mut plan, _) = optimize_explained(dag, partitioning, config).expect("planning succeeds");
+    let mut best = f64::INFINITY;
+    for _ in 0..31 {
         let t0 = Instant::now();
-        let (p, _) = optimize_explained(dag, partitioning, config).expect("planning succeeds");
-        times.push(t0.elapsed().as_secs_f64() * 1e6);
-        plan = Some(p);
+        (plan, _) = optimize_explained(dag, partitioning, config).expect("planning succeeds");
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
     }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (
-        plan.expect("measured at least once"),
-        times[times.len() / 2],
-    )
+    (plan, best)
 }
 
 fn main() -> ExitCode {
@@ -58,13 +53,21 @@ fn main() -> ExitCode {
         .nth(1)
         .unwrap_or_else(|| "BENCH_planner.json".to_string());
 
-    let deployments: &[(Scenario, &str, usize)] = &[
-        (Scenario::SimpleAgg, "Partitioned", 4),
-        (Scenario::SimpleAgg, "Naive", 4),
-        (Scenario::QuerySet, "Partitioned (optimal)", 4),
-        (Scenario::QuerySet, "Partitioned (suboptimal)", 4),
-        (Scenario::Complex, "Partitioned (full)", 4),
-        (Scenario::Complex, "Partitioned (partial)", 4),
+    // Each 4-host deployment with its pinned predicted total B/s and
+    // physical node count.
+    let hosts = 4;
+    let deployments: &[(Scenario, &str, f64, usize)] = &[
+        (Scenario::SimpleAgg, "Partitioned", 740_000.0, 17),
+        (Scenario::SimpleAgg, "Naive", 740_000.0, 18),
+        (Scenario::QuerySet, "Partitioned (optimal)", 526_000.0, 34),
+        (
+            Scenario::QuerySet,
+            "Partitioned (suboptimal)",
+            526_000.0,
+            35,
+        ),
+        (Scenario::Complex, "Partitioned (full)", 3_800.0, 33),
+        (Scenario::Complex, "Partitioned (partial)", 29_000.0, 27),
     ];
 
     let stats = UniformStats::default();
@@ -72,45 +75,29 @@ fn main() -> ExitCode {
     let mut cases: Vec<Case> = Vec::new();
     let mut regressions: Vec<String> = Vec::new();
 
-    for &(scenario, config_name, hosts) in deployments {
+    for &(scenario, config_name, pinned_total, pinned_nodes) in deployments {
         let dag = scenario.dag();
-        let (partitioning, base_cfg) = scenario.deployment(config_name, hosts);
-        let mut per_backend = Vec::new();
-        for (backend, backend_name) in [
-            (PlannerBackend::EGraph, "egraph"),
-            (PlannerBackend::Legacy, "legacy"),
-        ] {
-            let cfg = OptimizerConfig {
-                backend,
-                ..base_cfg
-            };
-            let (plan, micros) = measure(&dag, &partitioning, &cfg);
-            let load = predict_host_load_for_plan(&plan, &dag, &stats, &model);
-            let total: f64 = load.iter().sum();
-            let agg = load[plan.partitioning.aggregator_host];
-            per_backend.push(total);
-            cases.push(Case {
-                scenario: scenario.name(),
-                config: config_name,
-                hosts,
-                backend: backend_name,
-                plan_micros: micros,
-                predicted_total_bytes_per_sec: total,
-                predicted_aggregator_bytes_per_sec: agg,
-                physical_nodes: plan.dag.len(),
-            });
-            println!(
-                "{} / {config_name} / {backend_name}: {micros:.0} us, predicted {total:.0} B/s ({} physical nodes)",
-                scenario.name(),
-                plan.dag.len(),
-            );
-        }
-        // The e-graph planner extracts the cheapest realization; it must
-        // never cost more than the rewriters it replaced.
-        let (egraph_cost, legacy_cost) = (per_backend[0], per_backend[1]);
-        if egraph_cost > legacy_cost * (1.0 + 1e-9) {
+        let (partitioning, cfg) = scenario.deployment(config_name, hosts);
+        let (plan, micros) = measure(&dag, &partitioning, &cfg);
+        let load = predict_host_load_for_plan(&plan, &dag, &stats, &model);
+        let total: f64 = load.iter().sum();
+        let nodes = plan.dag.len();
+        cases.push(Case {
+            scenario: scenario.name(),
+            config: config_name,
+            hosts,
+            plan_micros: micros,
+            predicted_total_bytes_per_sec: total,
+            predicted_aggregator_bytes_per_sec: load[plan.partitioning.aggregator_host],
+            physical_nodes: nodes,
+        });
+        println!(
+            "{} / {config_name}: {micros:.0} us, predicted {total:.0} B/s ({nodes} physical nodes)",
+            scenario.name(),
+        );
+        if (total - pinned_total).abs() > 1e-9 * pinned_total || nodes != pinned_nodes {
             regressions.push(format!(
-                "{} / {config_name}: egraph {egraph_cost:.0} B/s > legacy {legacy_cost:.0} B/s",
+                "{} / {config_name}: {total:.0} B/s in {nodes} nodes, pinned {pinned_total:.0} B/s in {pinned_nodes}",
                 scenario.name()
             ));
         }
@@ -120,13 +107,12 @@ fn main() -> ExitCode {
     for (i, c) in cases.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"scenario\": \"{}\", \"config\": \"{}\", \"hosts\": {}, \"backend\": \"{}\", \
+            "    {{\"scenario\": \"{}\", \"config\": \"{}\", \"hosts\": {}, \"backend\": \"egraph\", \
              \"plan_micros\": {:.1}, \"predicted_total_bytes_per_sec\": {:.1}, \
              \"predicted_aggregator_bytes_per_sec\": {:.1}, \"physical_nodes\": {}}}{}",
             c.scenario,
             c.config,
             c.hosts,
-            c.backend,
             c.plan_micros,
             c.predicted_total_bytes_per_sec,
             c.predicted_aggregator_bytes_per_sec,
@@ -142,7 +128,7 @@ fn main() -> ExitCode {
     println!("\nwrote {out_path} ({} cases)", cases.len());
 
     if !regressions.is_empty() {
-        eprintln!("\nPLANNER COST REGRESSIONS:");
+        eprintln!("\nPLANS DIFFER FROM THE PINNED VALUES:");
         for r in &regressions {
             eprintln!("  {r}");
         }

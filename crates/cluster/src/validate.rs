@@ -289,8 +289,7 @@ mod tests {
     fn plan_based_and_frontier_predictions_agree() {
         // The physical-plan predictor walks the extracted plan's
         // origins; the frontier predictor re-derives the crossing set
-        // from the logical DAG. One shared emitter means they must
-        // price the same bytes — for every backend.
+        // from the logical DAG. They must price the same bytes.
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
         b.add_query(
             "flows",
@@ -313,22 +312,16 @@ mod tests {
             PartitionSet::empty(),
         ] {
             let partitioning = Partitioning::hash(set, 3);
-            for backend in [
-                qap_optimizer::PlannerBackend::EGraph,
-                qap_optimizer::PlannerBackend::Legacy,
-            ] {
-                let cfg = OptimizerConfig {
-                    partial_aggregation: false,
-                    analysis,
-                    backend,
-                    ..OptimizerConfig::full()
-                };
-                let plan = optimize(&dag, &partitioning, &cfg).unwrap();
-                let by_plan = predict_host_load_for_plan(&plan, &dag, &stats, &model);
-                let by_frontier = predict_host_load(&dag, &partitioning, &stats, &model, analysis);
-                for (a, b) in by_plan.iter().zip(&by_frontier) {
-                    assert!((a - b).abs() < 1e-6, "{by_plan:?} vs {by_frontier:?}");
-                }
+            let cfg = OptimizerConfig {
+                partial_aggregation: false,
+                analysis,
+                ..OptimizerConfig::full()
+            };
+            let plan = optimize(&dag, &partitioning, &cfg).unwrap();
+            let by_plan = predict_host_load_for_plan(&plan, &dag, &stats, &model);
+            let by_frontier = predict_host_load(&dag, &partitioning, &stats, &model, analysis);
+            for (a, b) in by_plan.iter().zip(&by_frontier) {
+                assert!((a - b).abs() < 1e-6, "{by_plan:?} vs {by_frontier:?}");
             }
         }
     }

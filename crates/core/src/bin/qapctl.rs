@@ -4,8 +4,7 @@
 //! ```sh
 //! qapctl analyze <script.gsql> [--strict-joins]
 //! qapctl plan    <script.gsql> --hosts N [--set "srcIP, destIP & 0xFFF0"]
-//!                              [--round-robin] [--naive] [--agnostic]
-//!                              [--planner egraph|legacy] [--explain]
+//!                              [--round-robin] [--naive] [--agnostic] [--explain]
 //! qapctl run     <script.gsql> --hosts N [--set ...] [--round-robin]
 //!                              [--seed S] [--epochs E] [--flows F]
 //!                              [--trace file.qtr] [--threaded] [--limit K]
@@ -41,14 +40,12 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   qapctl analyze   <script.gsql> [--strict-joins]
   qapctl plan      <script.gsql> --hosts N [--set \"expr, expr\"] [--round-robin] [--naive] [--agnostic]
-                   [--planner egraph|legacy] (placement decisions via the e-graph planner — default —
-                                              or the historical rewriters)
                    [--explain]               (print the planner's costed account: every realization
                                               alternative per node with the rewrite that produced it,
                                               the partitioning each plan edge carries, and the
                                               predicted per-host receive load)
   qapctl run       <script.gsql> --hosts N [--set \"expr, expr\"] [--round-robin]
-                   [--planner egraph|legacy] [--explain]
+                   [--explain]
                    [--seed S] [--epochs E] [--flows F] [--trace file.qtr] [--threaded] [--limit K]
                    [--batch-size B]   (engine batch size; results are batch-size-invariant)
                    [--metrics[=PATH]] (export run metrics; .prom = Prometheus text, else JSON;
@@ -102,7 +99,6 @@ struct Opts {
     limit: usize,
     trace_file: Option<String>,
     batch_size: usize,
-    backend: PlannerBackend,
     explain: bool,
     transport: TransportConfig,
     transport_kind: TransportKind,
@@ -138,7 +134,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         limit: 10,
         trace_file: None,
         batch_size: BatchConfig::default().max_batch,
-        backend: PlannerBackend::default(),
         explain: false,
         transport: TransportConfig::default(),
         transport_kind: TransportKind::default(),
@@ -243,10 +238,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     "off" | "false" | "0" => false,
                     bad => return Err(format!("--columnar: expected on|off, got '{bad}'")),
                 };
-            }
-            "--planner" => opts.backend = parse_backend(&value("--planner")?)?,
-            other if other.starts_with("--planner=") => {
-                opts.backend = parse_backend(&other["--planner=".len()..])?;
             }
             "--explain" => opts.explain = true,
             "--trace" => opts.trace_file = Some(value("--trace")?),
@@ -359,14 +350,6 @@ fn parse_repartition(spec: &str) -> Result<RebalanceConfig, String> {
         cfg = cfg.with_consecutive(k);
     }
     Ok(cfg)
-}
-
-fn parse_backend(raw: &str) -> Result<PlannerBackend, String> {
-    match raw {
-        "egraph" => Ok(PlannerBackend::EGraph),
-        "legacy" => Ok(PlannerBackend::Legacy),
-        bad => Err(format!("--planner: expected egraph|legacy, got '{bad}'")),
-    }
 }
 
 fn load_dag(path: &str) -> Result<QueryDag, String> {
@@ -589,7 +572,7 @@ fn deployment(dag: &QueryDag, opts: &Opts) -> Result<(Partitioning, OptimizerCon
         };
         Partitioning::hash(set, opts.hosts)
     };
-    let mut config = if opts.agnostic {
+    let config = if opts.agnostic {
         OptimizerConfig {
             agnostic: true,
             ..OptimizerConfig::default()
@@ -604,7 +587,6 @@ fn deployment(dag: &QueryDag, opts: &Opts) -> Result<(Partitioning, OptimizerCon
             ..OptimizerConfig::full()
         }
     };
-    config.backend = opts.backend;
     Ok((partitioning, config))
 }
 
@@ -616,8 +598,7 @@ fn plan(dag: &QueryDag, opts: &Opts) -> Result<(DistributedPlan, PlanExplanation
 /// The `--explain` report: the planner's costed account of every
 /// realization alternative, the partitioning each logical edge carries
 /// in the chosen plan, and the predicted per-host receive load of the
-/// extracted physical plan. Works for both backends (the legacy one
-/// reports decisions without alternatives — it never enumerates any).
+/// extracted physical plan.
 fn explain_report(dag: &QueryDag, plan: &DistributedPlan, explanation: &PlanExplanation) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use qap_optimizer::{
         agnostic_plan, optimize, optimize_explained, plan_partitioning, DistributedPlan,
         NodeDecision, OptimizerConfig, PartialAggScope, Partitioning, PlacementStrategy,
-        PlanExplanation, PlannerBackend, SplitStrategy,
+        PlanExplanation, SplitStrategy,
     };
     pub use qap_partition::{
         choose_partitioning, choose_partitioning_with, compatible_set, node_compatibilities,
@@ -111,7 +111,7 @@ pub mod prelude {
         CostObjective, HashPartitioner, PartitionAnalysis, PartitionSet, UniformStats,
     };
     pub use qap_plan::{render_dag, render_dag_annotated, LogicalNode, QueryDag};
-    pub use qap_planner::{choose_partitioning_egraph, plan_with, PlannerInput, PlannerOutcome};
+    pub use qap_planner::{plan_with, PlannerInput, PlannerOutcome};
     pub use qap_sql::QuerySetBuilder;
     pub use qap_trace::{
         generate, generate_skew_ramp, read_trace, stats, write_trace, SkewRampConfig, TraceConfig,

@@ -1,24 +1,17 @@
 //! Decision-driven lowering of logical DAGs into host-annotated
 //! physical plans.
 //!
-//! Since the unified-planner refactor this module no longer decides
-//! *where* operators run — that is the planner's job
-//! ([`qap_planner::plan`] for the e-graph backend,
-//! [`legacy_decisions`] for the historical rewriters). It only *emits*:
-//! one shared bottom-up pass turns a [`qap_planner::NodeDecision`] per
-//! logical node into physical nodes with host assignments, so equal
-//! decisions produce bit-identical plans regardless of backend.
+//! This module does not decide *where* operators run — that is the
+//! planner's job ([`qap_planner::plan`]). It only *emits*: one
+//! bottom-up pass turns a [`qap_planner::NodeDecision`] per logical node
+//! into physical nodes with host assignments.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use qap_expr::ScalarExpr;
-use qap_partition::{compatible_set_with, node_compatibilities_with, PartitionSet};
 use qap_plan::{LogicalNode, NamedAgg, NamedExpr, NodeId, QueryDag};
-use qap_planner::{
-    legacy_explanation, partial, NodeDecision, PlanExplanation, PlannerBackend, PlannerInput,
-    SubScope,
-};
+use qap_planner::{partial, NodeDecision, PlanExplanation, PlannerInput};
 
 use crate::{OptError, OptResult, OptimizerConfig, PartialAggScope, Partitioning};
 
@@ -163,9 +156,9 @@ impl Lowering<'_> {
     }
 }
 
-/// Lowers a logical DAG onto a deployed partitioning, using the
-/// configured [`PlannerBackend`] to decide operator placement. See the
-/// crate docs for the rule set.
+/// Lowers a logical DAG onto a deployed partitioning: the planner
+/// decides operator placement, the emitter builds the physical plan. See
+/// the crate docs for the rule set.
 pub fn optimize(
     logical: &QueryDag,
     partitioning: &Partitioning,
@@ -181,32 +174,21 @@ pub fn optimize_explained(
     partitioning: &Partitioning,
     config: &OptimizerConfig,
 ) -> OptResult<(DistributedPlan, PlanExplanation)> {
-    partitioning.validate()?;
+    partitioning.validate_for(logical)?;
     let set = partitioning.strategy.effective_set();
 
-    let (decisions, explanation) = match config.backend {
-        PlannerBackend::EGraph => {
-            let outcome = qap_planner::plan(&PlannerInput {
-                dag: logical,
-                deployed: &set,
-                agnostic: config.agnostic,
-                partial_aggregation: config.partial_aggregation,
-                scope: sub_scope(config.partial_agg_scope),
-                analysis: config.analysis,
-            })
-            .map_err(|e| OptError::Planner(e.to_string()))?;
-            (outcome.decisions, outcome.explanation)
-        }
-        PlannerBackend::Legacy => {
-            let decisions = legacy_decisions(logical, config, &set);
-            let compat = node_compatibilities_with(logical, config.analysis);
-            let explanation = legacy_explanation(logical, &compat, &decisions, set.to_string());
-            (decisions, explanation)
-        }
-    };
+    let outcome = qap_planner::plan(&PlannerInput {
+        dag: logical,
+        deployed: &set,
+        agnostic: config.agnostic,
+        partial_aggregation: config.partial_aggregation,
+        scope: config.partial_agg_scope,
+        analysis: config.analysis,
+    })
+    .map_err(|e| OptError::Planner(e.to_string()))?;
 
-    let plan = emit(logical, partitioning, config, &decisions)?;
-    Ok((plan, explanation))
+    let plan = emit(logical, partitioning, config, &outcome.decisions)?;
+    Ok((plan, outcome.explanation))
 }
 
 /// The partition-agnostic plan of Section 5.1 / Figure 3: per-partition
@@ -222,82 +204,11 @@ pub fn agnostic_plan(
     optimize(logical, partitioning, &cfg)
 }
 
-fn sub_scope(scope: PartialAggScope) -> SubScope {
-    match scope {
-        PartialAggScope::PerPartition => SubScope::PerPartition,
-        PartialAggScope::PerHost => SubScope::PerHost,
-    }
-}
-
-/// The historical bespoke rewriters, expressed as per-node decisions:
-/// push whenever the node is compatible with the deployed set and its
-/// inputs are partitioned; sub/super-split incompatible splittable
-/// aggregations when partial aggregation is on; centralize otherwise.
-/// Reachable only through [`PlannerBackend::Legacy`].
-pub fn legacy_decisions(
-    logical: &QueryDag,
-    config: &OptimizerConfig,
-    set: &PartitionSet,
-) -> Vec<NodeDecision> {
-    let mut out = vec![NodeDecision::Central; logical.len()];
-    for id in logical.topo_order() {
-        let compatible =
-            !config.agnostic && compatible_set_with(logical, id, config.analysis).allows(set);
-        out[id] = match logical.node(id) {
-            LogicalNode::Source { .. } => NodeDecision::Push,
-            LogicalNode::SelectProject { input, .. } => {
-                if out[*input] == NodeDecision::Push && compatible {
-                    NodeDecision::Push
-                } else {
-                    NodeDecision::Central
-                }
-            }
-            LogicalNode::Aggregate {
-                input, aggregates, ..
-            } => {
-                if out[*input] == NodeDecision::Push && compatible {
-                    NodeDecision::Push
-                } else if out[*input] == NodeDecision::Push
-                    && !config.agnostic
-                    && config.partial_aggregation
-                    && partial::all_splittable(logical, aggregates)
-                {
-                    NodeDecision::SubSuper
-                } else {
-                    NodeDecision::Central
-                }
-            }
-            LogicalNode::Join { left, right, .. } => {
-                if out[*left] == NodeDecision::Push
-                    && out[*right] == NodeDecision::Push
-                    && compatible
-                {
-                    NodeDecision::Push
-                } else {
-                    NodeDecision::Central
-                }
-            }
-            LogicalNode::Merge { inputs } => {
-                if !inputs.is_empty()
-                    && inputs.iter().all(|&i| out[i] == NodeDecision::Push)
-                    && compatible
-                {
-                    NodeDecision::Push
-                } else {
-                    NodeDecision::Central
-                }
-            }
-        };
-    }
-    out
-}
-
-/// The shared emitter: turns per-node decisions into physical nodes.
-/// Both backends flow through here, so equal decisions produce
-/// bit-identical plans. A `Push`/`SubSuper` decision over a child that
-/// was lowered centrally falls back to the central form (the planner
-/// never produces such decisions for well-formed DAGs; the fallback
-/// keeps arbitrary decision vectors safe to emit).
+/// The emitter: turns per-node decisions into physical nodes. A
+/// `Push`/`SubSuper` decision over a child that was lowered centrally
+/// falls back to the central form (the planner never produces such
+/// decisions for well-formed DAGs; the fallback keeps arbitrary
+/// decision vectors safe to emit).
 fn emit(
     logical: &QueryDag,
     partitioning: &Partitioning,

@@ -35,9 +35,9 @@ mod plan_partition;
 mod tests;
 
 pub use distributed::{
-    agnostic_plan, legacy_decisions, optimize, optimize_explained, DistributedPlan, PlanOutput,
+    agnostic_plan, optimize, optimize_explained, DistributedPlan, PlanOutput,
 };
 pub use error::{OptError, OptResult};
 pub use partitioning::{OptimizerConfig, PartialAggScope, Partitioning, SplitStrategy};
 pub use plan_partition::{plan_partitioning, PlacementStrategy};
-pub use qap_planner::{NodeDecision, PlanExplanation, PlannerBackend};
+pub use qap_planner::{NodeDecision, PlanExplanation};

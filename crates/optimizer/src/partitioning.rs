@@ -1,7 +1,7 @@
 //! Descriptions of the deployed partitioning and optimizer knobs.
 
-use qap_partition::{AnalysisOptions, PartitionSet};
-use qap_planner::PlannerBackend;
+use qap_partition::{AnalysisOptions, HashPartitioner, PartitionSet};
+use qap_plan::{LogicalNode, QueryDag};
 
 use crate::{OptError, OptResult};
 
@@ -86,6 +86,27 @@ impl Partitioning {
         Ok(())
     }
 
+    /// [`Partitioning::validate`], plus: a hash set must resolve against
+    /// the schema of every source of `logical` — the resolution the
+    /// splitter performs when it compiles its partitioner, so a
+    /// deployment that cannot run is rejected before it is costed.
+    pub(crate) fn validate_for(&self, logical: &QueryDag) -> OptResult<()> {
+        self.validate()?;
+        let SplitStrategy::Hash(set) = &self.strategy else {
+            return Ok(());
+        };
+        for id in logical.topo_order() {
+            if let LogicalNode::Source { stream, .. } = logical.node(id) {
+                HashPartitioner::new(set, logical.schema(id), self.partitions).map_err(|e| {
+                    OptError::BadPartitioning(format!(
+                        "partitioning set {set} is unusable on stream {stream}: {e}"
+                    ))
+                })?;
+            }
+        }
+        Ok(())
+    }
+
     /// Host owning a partition (block assignment: with 8 partitions on
     /// 4 hosts, partitions 0–1 → host 0, 2–3 → host 1, ...).
     pub fn host_of_partition(&self, p: usize) -> usize {
@@ -102,17 +123,8 @@ impl Partitioning {
 }
 
 /// Where incompatible aggregations compute their partial (sub-)
-/// aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartialAggScope {
-    /// One sub-aggregate per partition — what a query-independent
-    /// box-splitting DSMS does (the paper's *Naive* configuration).
-    #[default]
-    PerPartition,
-    /// One sub-aggregate per host, merging the host's partitions first —
-    /// the paper's *Optimized* configuration (Figure 5).
-    PerHost,
-}
+/// aggregates: the planner's scope, under the optimizer's name for it.
+pub use qap_planner::SubScope as PartialAggScope;
 
 /// Optimizer knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -127,10 +139,6 @@ pub struct OptimizerConfig {
     pub partial_agg_scope: PartialAggScope,
     /// Compatibility-analysis options (e.g. strict join rule).
     pub analysis: AnalysisOptions,
-    /// Which planner decides operator placement. Defaults to the
-    /// e-graph planner; the historical rewriters stay reachable only
-    /// through [`PlannerBackend::Legacy`].
-    pub backend: PlannerBackend,
 }
 
 impl OptimizerConfig {
@@ -142,7 +150,6 @@ impl OptimizerConfig {
             partial_aggregation: true,
             partial_agg_scope: PartialAggScope::PerHost,
             analysis: AnalysisOptions::default(),
-            backend: PlannerBackend::default(),
         }
     }
 
@@ -155,7 +162,6 @@ impl OptimizerConfig {
             partial_aggregation: true,
             partial_agg_scope: PartialAggScope::PerPartition,
             analysis: AnalysisOptions::default(),
-            backend: PlannerBackend::default(),
         }
     }
 }

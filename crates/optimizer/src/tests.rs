@@ -6,7 +6,8 @@ use qap_sql::QuerySetBuilder;
 use qap_types::Catalog;
 
 use crate::{
-    agnostic_plan, optimize, DistributedPlan, OptimizerConfig, PartialAggScope, Partitioning,
+    agnostic_plan, optimize, DistributedPlan, OptError, OptimizerConfig, PartialAggScope,
+    Partitioning,
 };
 
 fn build(queries: &[(&str, &str)]) -> QueryDag {
@@ -327,4 +328,21 @@ fn invalid_partitioning_rejected() {
     let mut part = Partitioning::round_robin(2);
     part.partitions = 1;
     assert!(optimize(&dag, &part, &OptimizerConfig::full()).is_err());
+}
+
+#[test]
+fn unresolved_partitioning_set_is_rejected_before_planning() {
+    // The splitter could not compile this set, so no plan may be costed
+    // for it either.
+    let dag = flows_set();
+    let part = Partitioning::hash(PartitionSet::from_columns(["nosuchcol"]), 3);
+    let err = optimize(&dag, &part, &OptimizerConfig::full()).unwrap_err();
+    assert!(
+        matches!(&err, OptError::BadPartitioning(m) if m.contains("nosuchcol")),
+        "{err}"
+    );
+    // A masked column of the stream resolves and plans.
+    let masked = qap_expr::ScalarExpr::col("srcIP").mask(0xFFF0);
+    let part = Partitioning::hash(PartitionSet::from_exprs([&masked]), 3);
+    optimize(&dag, &part, &OptimizerConfig::full()).unwrap();
 }

@@ -376,6 +376,25 @@ mod tests {
         );
     }
 
+    #[test]
+    fn masked_sets_reconcile_to_a_set_no_query_asks_for() {
+        // Two aggregations with different srcIP masks: neither query's
+        // own set satisfies both; only the reconciled mask (0xFF00 ⊓
+        // 0x0FF0 = 0x0F00) does, and only reconciliation can find it.
+        let (_, analysis) = analyze(&[
+            (
+                "hi",
+                "SELECT tb, s, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP & 0xFF00 as s",
+            ),
+            (
+                "lo",
+                "SELECT tb, s, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP & 0x0FF0 as s",
+            ),
+        ]);
+        assert_eq!(analysis.recommended.to_string(), "{srcIP & 0xF00}");
+        assert!(analysis.report.compatible.iter().all(|&c| c));
+    }
+
     fn analyze_strict(queries: &[(&str, &str)]) -> (QueryDag, PartitionAnalysis) {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
         for (name, sql) in queries {

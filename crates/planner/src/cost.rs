@@ -2,7 +2,7 @@
 //! per-e-node cost function.
 //!
 //! Rates come from [`qap_partition::node_rates`] — the same steady-state
-//! estimates `plan_cost` uses — so the e-graph extractor and the legacy
+//! estimates `plan_cost` uses — so the extractor and the analyzer's
 //! frontier costing price identical plans identically. The only network
 //! charges are [`PlanExpr::Collect`] terms: shipping a partitioned
 //! stream to the aggregator costs that stream's byte rate; everything
@@ -22,8 +22,7 @@ use crate::term::PlanExpr;
 ///
 /// Ordered lexicographically on `(net, central_ops)`: network bytes
 /// first (the paper's objective), then the number of central operators
-/// as a tie-break so maximal push-down wins exact byte ties (matching
-/// the legacy rewriters, which always push when compatible).
+/// as a tie-break so maximal push-down wins exact byte ties.
 /// `out_bytes` is a *rider*, not part of the order: it carries the
 /// term's own output byte rate so a parent [`PlanExpr::Collect`] knows
 /// what a collection would cost. All e-nodes of one class produce the
@@ -72,17 +71,12 @@ pub(crate) fn sub_partial_bytes(dag: &QueryDag, rates: &NodeRates) -> Vec<f64> {
         .collect()
 }
 
-/// The extraction cost function. `allowed_ps`, when set, masks every
-/// [`PlanExpr::Part`] over a different partition-set table index with an
-/// infinite cost — the per-candidate extraction of `Choose_Partitioning`
-/// uses it to price each candidate set in isolation.
+/// The extraction cost function.
 pub struct NetCost<'a> {
     /// Steady-state per-node rates.
     pub rates: &'a NodeRates,
     /// Sub-aggregate output byte rates (indexed by logical node).
     pub sub_bytes: &'a [f64],
-    /// When set, only this partition-set index is feasible.
-    pub allowed_ps: Option<u32>,
 }
 
 impl CostFunction<PlanExpr> for NetCost<'_> {
@@ -90,14 +84,11 @@ impl CostFunction<PlanExpr> for NetCost<'_> {
 
     fn cost(&mut self, enode: &PlanExpr, costs: &mut dyn FnMut(Id) -> PlanCost) -> PlanCost {
         match enode {
-            PlanExpr::Part { op, ps } => {
-                let feasible = self.allowed_ps.is_none_or(|a| a == *ps);
-                PlanCost {
-                    net: if feasible { 0.0 } else { f64::INFINITY },
-                    central_ops: 0,
-                    out_bytes: self.rates.out_bytes[*op as usize],
-                }
-            }
+            PlanExpr::Part { op } => PlanCost {
+                net: 0.0,
+                central_ops: 0,
+                out_bytes: self.rates.out_bytes[*op as usize],
+            },
             PlanExpr::Lift { op, children } => {
                 let (net, ops) = fold(children, costs);
                 PlanCost {
@@ -185,12 +176,5 @@ mod tests {
             out_bytes: 7.0,
         };
         assert!(c == d);
-        // Infinite net sorts above anything finite.
-        let inf = PlanCost {
-            net: f64::INFINITY,
-            central_ops: 0,
-            out_bytes: 0.0,
-        };
-        assert!(a < inf);
     }
 }

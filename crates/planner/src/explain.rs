@@ -3,8 +3,7 @@
 
 use std::fmt::Write as _;
 
-use qap_partition::Compatibility;
-use qap_plan::{NodeId, QueryDag};
+use qap_plan::NodeId;
 
 use crate::NodeDecision;
 
@@ -34,21 +33,18 @@ pub struct NodeExplain {
     pub label: String,
     /// Compatibility requirement of the node.
     pub requirement: String,
-    /// The decision extraction (or the legacy rewriters) made.
+    /// The decision extraction made.
     pub decision: NodeDecision,
-    /// Every alternative the e-graph held for this node's stream
-    /// (empty under the legacy backend, which never enumerates).
+    /// Every alternative the e-graph held for this node's stream.
     pub alternatives: Vec<AltExplain>,
 }
 
 /// The full planner account of one `optimize()` call.
 #[derive(Debug, Clone)]
 pub struct PlanExplanation {
-    /// Which backend produced the plan (`"egraph"` or `"legacy"`).
-    pub backend: &'static str,
     /// Display form of the deployed partitioning set.
     pub deployed: String,
-    /// Saturation iterations (0 under the legacy backend).
+    /// Saturation iterations.
     pub iterations: usize,
     /// Whether rewriting reached a fixpoint.
     pub saturated: bool,
@@ -63,21 +59,13 @@ impl PlanExplanation {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "Planner: {} backend, deployed set {}{}",
-            self.backend,
+            "Planner: deployed set {} ({} iterations, {})",
             self.deployed,
-            if self.backend == "egraph" {
-                format!(
-                    " ({} iterations, {})",
-                    self.iterations,
-                    if self.saturated {
-                        "saturated"
-                    } else {
-                        "iteration limit"
-                    }
-                )
+            self.iterations,
+            if self.saturated {
+                "saturated"
             } else {
-                String::new()
+                "iteration limit"
             }
         );
         for n in &self.nodes {
@@ -104,33 +92,5 @@ impl PlanExplanation {
             }
         }
         out
-    }
-}
-
-/// Explanation for the legacy backend: decisions without alternatives
-/// (the bespoke rewriters never enumerate competing realizations).
-pub fn legacy_explanation(
-    dag: &QueryDag,
-    compat: &[Compatibility],
-    decisions: &[NodeDecision],
-    deployed: String,
-) -> PlanExplanation {
-    let nodes = dag
-        .topo_order()
-        .filter(|&id| !dag.node(id).is_source())
-        .map(|id| NodeExplain {
-            node: id,
-            label: dag.node(id).label(),
-            requirement: compat[id].to_string(),
-            decision: decisions[id],
-            alternatives: Vec::new(),
-        })
-        .collect();
-    PlanExplanation {
-        backend: "legacy",
-        deployed,
-        iterations: 0,
-        saturated: true,
-        nodes,
     }
 }

@@ -1,16 +1,15 @@
 #![warn(missing_docs)]
 
-//! The unified cost-driven planner: one e-graph over plan + partition
-//! terms replaces the three bespoke rewriters (compatible push-down,
-//! sub/super split, pairwise join) that previously lived as `match`
-//! arms in `qap-optimizer`, plus the `Choose_Partitioning` candidate
-//! enumeration of `qap-partition`.
+//! The cost-driven planner: one e-graph over plan terms decides where
+//! every operator of a logical DAG runs *under the deployed
+//! partitioning set* (Section 5). Choosing that set is the analyzer's
+//! job (`qap_partition::choose_partitioning`, Section 4.2.2).
 //!
 //! The pipeline is build → saturate → extract:
 //!
 //! 1. **Build** ([`plan`]): every logical node seeds its *central*
-//!    realization `Central(op, …)`; sources seed `Collect(Part(src, ps))`
-//!    for the deployed partitioning set.
+//!    realization `Central(op, …)`; sources seed `Collect(Part(src))`,
+//!    split by the deployed partitioning set.
 //! 2. **Saturate**: the rewrite catalog of [`rules`] (Sections 5.1–5.4
 //!    as e-graph rules, guarded by the `qap-partition` compatibility
 //!    lattice) runs to a fixpoint, so every sound placement of every
@@ -18,21 +17,18 @@
 //! 3. **Extract**: [`cost::NetCost`] — the Section 4.2.1 network charge
 //!    over [`qap_partition::node_rates`] — picks the cheapest
 //!    realization per class; ties break toward fewer central operators,
-//!    so maximal push-down wins exact byte ties exactly like the legacy
-//!    rewriters.
+//!    so maximal push-down wins exact byte ties.
 //!
 //! The planner's output is a [`NodeDecision`] per logical node plus a
 //! [`PlanExplanation`]; `qap-optimizer` lowers decisions into the
-//! physical [`qap_plan::QueryDag`] (one shared emitter for both
-//! backends, so equal decisions produce bit-identical plans).
+//! physical [`qap_plan::QueryDag`].
 
-use std::cell::RefCell;
 use std::fmt;
 
 use egg::{EGraph, Extractor, Id, Rewrite, Runner};
 use qap_partition::{
-    node_compatibilities_with, plan_cost, AnalysisOptions, CostModel, PartitionAnalysis,
-    PartitionSet, StatsProvider, UniformStats,
+    node_compatibilities_with, AnalysisOptions, CostModel, PartitionSet, StatsProvider,
+    UniformStats,
 };
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 
@@ -43,26 +39,13 @@ pub mod rules;
 pub mod term;
 
 pub use cost::{NetCost, PlanCost};
-pub use explain::{legacy_explanation, AltExplain, NodeExplain, PlanExplanation};
+pub use explain::{AltExplain, NodeExplain, PlanExplanation};
 pub use term::{OpId, PlanExpr, SubScope};
 
-use rules::{
-    PairwiseJoin, PushAggregate, PushMerge, PushSelect, ReconcileSets, RuleCtx, SubSuperSplit,
-};
-
-/// Which planner produces physical plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerBackend {
-    /// The e-graph planner (this crate): saturate + cost extraction.
-    #[default]
-    EGraph,
-    /// The historical bespoke rewriters, kept for differential testing.
-    /// Only reachable through this variant.
-    Legacy,
-}
+use rules::{PairwiseJoin, PushAggregate, PushMerge, PushSelect, RuleCtx, SubSuperSplit};
 
 /// How one logical node is realized physically. The optimizer's
-/// emitter consumes these; both backends produce them.
+/// emitter consumes these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeDecision {
     /// Replicated per partition below the collecting merge
@@ -147,8 +130,8 @@ pub struct PlannerOutcome {
 }
 
 /// Plans under the default statistics ([`UniformStats`]) and cost
-/// model — what `optimize()` uses, keeping the default backend's
-/// decisions deterministic.
+/// model — what `optimize()` uses, keeping its decisions
+/// deterministic.
 pub fn plan(input: &PlannerInput<'_>) -> Result<PlannerOutcome, PlannerError> {
     plan_with(input, &UniformStats::default(), &CostModel::default())
 }
@@ -170,15 +153,10 @@ pub fn plan_with(
     // split for every source.
     let mut eg: EGraph<PlanExpr> = EGraph::new();
     let mut central_class: Vec<Id> = Vec::with_capacity(dag.len());
-    let mut sources: Vec<OpId> = Vec::new();
     for id in dag.topo_order() {
         let class = match dag.node(id) {
             LogicalNode::Source { .. } => {
-                sources.push(id as OpId);
-                let p = eg.add(PlanExpr::Part {
-                    op: id as OpId,
-                    ps: 0,
-                });
+                let p = eg.add(PlanExpr::Part { op: id as OpId });
                 eg.add(PlanExpr::Collect { child: [p] })
             }
             node => {
@@ -199,10 +177,7 @@ pub fn plan_with(
         splittable: &splittable,
         partial_aggregation: input.partial_aggregation,
         scope: input.scope,
-        ps_table: RefCell::new(vec![input.deployed.clone()]),
-        central_class: central_class.clone(),
-        sources,
-        max_partition_sets: MAX_PARTITION_SETS,
+        deployed: input.deployed,
     };
 
     // Saturate: the agnostic configuration runs no rewrites at all, so
@@ -226,7 +201,6 @@ pub fn plan_with(
         NetCost {
             rates: &rates,
             sub_bytes: &sub_bytes,
-            allowed_ps: None,
         },
     );
     let decisions = derive_decisions(dag, &central_class, &extractor)?;
@@ -266,7 +240,6 @@ pub fn plan_with(
         });
     }
     let explanation = PlanExplanation {
-        backend: "egraph",
         deployed: input.deployed.to_string(),
         iterations,
         saturated,
@@ -281,9 +254,6 @@ pub fn plan_with(
         saturated,
     })
 }
-
-/// Cap on the partition-set table during reconciliation closure.
-const MAX_PARTITION_SETS: usize = 64;
 
 /// Per-node: is it an aggregate whose aggregate list fully splits?
 fn splittable_nodes(dag: &QueryDag) -> Vec<bool> {
@@ -344,153 +314,6 @@ fn summarize(eg: &EGraph<PlanExpr>, node: &PlanExpr) -> String {
             }
         }
         other => format!("{other:?}"),
-    }
-}
-
-/// `Choose_Partitioning` (Section 4.2.2) on the e-graph: candidate
-/// partition sets are the constrained nodes' compatible sets closed
-/// under pairwise [`qap_partition::reconcile_partition_sets`] — the
-/// closure computed *inside* the e-graph by the
-/// [`rules::ReconcileSets`] rewrite. Each candidate is then priced by
-/// a masked extraction (realizability) and ranked under the paper's
-/// max-per-node objective via [`qap_partition::plan_cost`], with the
-/// same tie-breaking as the legacy search (strictly cheaper, or equal
-/// cost satisfying more constrained nodes).
-pub fn choose_partitioning_egraph(
-    dag: &QueryDag,
-    stats: &dyn StatsProvider,
-    model: &CostModel,
-    opts: AnalysisOptions,
-) -> PartitionAnalysis {
-    let per_node = node_compatibilities_with(dag, opts);
-
-    // Seed candidates: distinct non-empty constrained sets.
-    let mut seeds: Vec<PartitionSet> = Vec::new();
-    for id in dag.topo_order() {
-        if let Some(s) = per_node[id].as_set() {
-            if !s.is_empty() && !seeds.contains(s) {
-                seeds.push(s.clone());
-            }
-        }
-    }
-
-    let cost_of = |ps: &PartitionSet| plan_cost(dag, &per_node, ps, stats, model);
-    let mut best_set = PartitionSet::empty();
-    let mut best_report = cost_of(&best_set);
-    let mut considered = 1usize;
-
-    if seeds.is_empty() {
-        return PartitionAnalysis {
-            per_node,
-            recommended: best_set,
-            report: best_report,
-            candidates_considered: considered,
-        };
-    }
-
-    // Build: every source splits by every seed; all collected forms of
-    // one source are equal (they all reconstruct the full stream).
-    let rates = qap_partition::node_rates(dag, stats, model);
-    let sub_bytes = cost::sub_partial_bytes(dag, &rates);
-    let splittable = splittable_nodes(dag);
-    let mut eg: EGraph<PlanExpr> = EGraph::new();
-    let mut central_class: Vec<Id> = Vec::with_capacity(dag.len());
-    let mut sources: Vec<OpId> = Vec::new();
-    for id in dag.topo_order() {
-        let class = match dag.node(id) {
-            LogicalNode::Source { .. } => {
-                sources.push(id as OpId);
-                let mut first = None;
-                for ps in 0..seeds.len() as u32 {
-                    let p = eg.add(PlanExpr::Part { op: id as OpId, ps });
-                    let c = eg.add(PlanExpr::Collect { child: [p] });
-                    match first {
-                        None => first = Some(c),
-                        Some(f) => {
-                            eg.union(f, c);
-                        }
-                    }
-                }
-                first.expect("at least one seed")
-            }
-            node => {
-                let children = node.children().iter().map(|&c| central_class[c]).collect();
-                eg.add(PlanExpr::Central {
-                    op: id as OpId,
-                    children,
-                })
-            }
-        };
-        central_class.push(class);
-    }
-    eg.rebuild();
-
-    let ctx = RuleCtx {
-        dag,
-        compat: &per_node,
-        splittable: &splittable,
-        partial_aggregation: false,
-        scope: SubScope::default(),
-        ps_table: RefCell::new(seeds),
-        central_class: central_class.clone(),
-        sources,
-        max_partition_sets: MAX_PARTITION_SETS,
-    };
-    let select = PushSelect(&ctx);
-    let agg = PushAggregate(&ctx);
-    let join = PairwiseJoin(&ctx);
-    let merge = PushMerge(&ctx);
-    let reconcile = ReconcileSets(&ctx);
-    let rules: [&dyn Rewrite<PlanExpr>; 5] = [&select, &agg, &join, &merge, &reconcile];
-    Runner::default().run(&mut eg, &rules);
-
-    // Rank: every candidate the closure produced, masked extraction
-    // confirming realizability, the Section 4.2.1 objective deciding.
-    let satisfied_count =
-        |r: &qap_partition::CostReport| r.compatible.iter().filter(|&&c| c).count();
-    let objective = model.objective;
-    let improves = |cand: &qap_partition::CostReport, best: &qap_partition::CostReport| {
-        let c = cand.objective_cost(objective);
-        let b = best.objective_cost(objective);
-        let eps = 1e-9 * b.max(1.0);
-        c < b - eps || (c <= b + eps && satisfied_count(cand) > satisfied_count(best))
-    };
-
-    let candidates = ctx.ps_table.borrow().clone();
-    for (i, set) in candidates.iter().enumerate() {
-        considered += 1;
-        // Masked extraction: is a finite-cost plan realizable when only
-        // this set partitions the sources? (Always, via the central
-        // fallback — this also prices the candidate for --explain and
-        // the equivalence suite.)
-        let extractor = Extractor::new(
-            &eg,
-            NetCost {
-                rates: &rates,
-                sub_bytes: &sub_bytes,
-                allowed_ps: Some(i as u32),
-            },
-        );
-        let realizable = dag.roots().iter().all(|&root| {
-            extractor
-                .best_cost(central_class[root])
-                .is_some_and(|c| c.net.is_finite())
-        });
-        if !realizable {
-            continue;
-        }
-        let report = cost_of(set);
-        if improves(&report, &best_report) {
-            best_report = report;
-            best_set = set.clone();
-        }
-    }
-
-    PartitionAnalysis {
-        per_node,
-        recommended: best_set,
-        report: best_report,
-        candidates_considered: considered,
     }
 }
 
@@ -636,7 +459,7 @@ mod tests {
         let dag = section_3_2_dag();
         let out = plan_under(&dag, &PartitionSet::from_columns(["srcIP"]), false);
         let text = out.explanation.render();
-        assert!(text.contains("egraph backend"), "{text}");
+        assert!(text.contains("deployed set {srcIP}"), "{text}");
         assert!(text.contains(rules::RULE_PUSH_AGG), "{text}");
         assert!(text.contains(rules::RULE_PAIRWISE_JOIN), "{text}");
         assert!(text.contains("pushed per partition"), "{text}");
@@ -657,119 +480,5 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn choose_section_3_2_recommends_srcip() {
-        let dag = section_3_2_dag();
-        let analysis = choose_partitioning_egraph(
-            &dag,
-            &UniformStats::default(),
-            &CostModel::default(),
-            AnalysisOptions::default(),
-        );
-        assert_eq!(analysis.recommended, PartitionSet::from_columns(["srcIP"]));
-        assert!(analysis.report.compatible.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn choose_section_4_recommends_two_tuple() {
-        let dag = build(&[
-            (
-                "tcp_flows",
-                "SELECT tb, srcIP, destIP, srcPort, destPort, COUNT(*) as cnt, SUM(len) as bytes \
-                 FROM TCP GROUP BY time/60 as tb, srcIP, destIP, srcPort, destPort",
-            ),
-            (
-                "flow_cnt",
-                "SELECT tb, srcIP, destIP, COUNT(*) as n FROM tcp_flows \
-                 GROUP BY tb, srcIP, destIP",
-            ),
-        ]);
-        let analysis = choose_partitioning_egraph(
-            &dag,
-            &UniformStats::default(),
-            &CostModel::default(),
-            AnalysisOptions::default(),
-        );
-        assert_eq!(
-            analysis.recommended,
-            PartitionSet::from_columns(["srcIP", "destIP"])
-        );
-    }
-
-    #[test]
-    fn choose_reconciles_masked_sets_inside_the_egraph() {
-        // Two aggregations with different srcIP masks: no seed set
-        // satisfies both; only the reconciled mask (0xFF00 ⊓ 0x0FF0 =
-        // 0x0F00) does, and it is discovered by the ReconcileSets
-        // rewrite, not seeded.
-        let dag = build(&[
-            (
-                "hi",
-                "SELECT tb, s, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP & 0xFF00 as s",
-            ),
-            (
-                "lo",
-                "SELECT tb, s, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP & 0x0FF0 as s",
-            ),
-        ]);
-        let analysis = choose_partitioning_egraph(
-            &dag,
-            &UniformStats::default(),
-            &CostModel::default(),
-            AnalysisOptions::default(),
-        );
-        assert_eq!(analysis.recommended.to_string(), "{srcIP & 0xF00}");
-        assert!(analysis.report.compatible.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn choose_select_only_recommends_empty() {
-        let dag = build(&[("dns", "SELECT time, srcIP FROM TCP WHERE destPort = 53")]);
-        let analysis = choose_partitioning_egraph(
-            &dag,
-            &UniformStats::default(),
-            &CostModel::default(),
-            AnalysisOptions::default(),
-        );
-        assert!(analysis.recommended.is_empty());
-        assert_eq!(analysis.candidates_considered, 1);
-    }
-
-    #[test]
-    fn choose_agrees_with_legacy_on_section_6_examples() {
-        let cases: &[&[(&str, &str)]] = &[
-            &[
-                (
-                    "flows",
-                    "SELECT tb, srcIP, destIP, COUNT(*) as cnt FROM TCP \
-                     GROUP BY time/60 as tb, srcIP, destIP",
-                ),
-                (
-                    "heavy_flows",
-                    "SELECT tb, srcIP, MAX(cnt) as max_cnt FROM flows GROUP BY tb, srcIP",
-                ),
-            ],
-            &[(
-                "per_epoch",
-                "SELECT tb, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb",
-            )],
-        ];
-        for queries in cases {
-            let dag = build(queries);
-            let legacy = qap_partition::choose_partitioning(
-                &dag,
-                &UniformStats::default(),
-                &CostModel::default(),
-            );
-            let egraph = choose_partitioning_egraph(
-                &dag,
-                &UniformStats::default(),
-                &CostModel::default(),
-                AnalysisOptions::default(),
-            );
-            assert_eq!(egraph.recommended, legacy.recommended);
-        }
     }
 }

@@ -1,6 +1,5 @@
-//! The rewrite catalog: Section 5.1–5.4 plan transforms and the
-//! Section 4.1 `Reconcile_Partn_Sets` closure, as e-graph rules over
-//! [`PlanExpr`].
+//! The rewrite catalog: the Section 5.1–5.4 plan transforms as e-graph
+//! rules over [`PlanExpr`].
 //!
 //! Every rule matches a *central* realization `Central(op, …)` whose
 //! children admit a `Collect(x)` form, and proposes an equivalent
@@ -11,15 +10,14 @@
 //! Central(γ, Collect(x))      ≡  Super(γ, Collect(Sub(γ, x)))  (split)
 //! ```
 //!
-//! Compatibility guards come from the `qap-partition` lattice
-//! ([`Compatibility::allows`]); the rules never union two partitioned
-//! terms, so the term sorts of [`crate::term`] are preserved.
-
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+//! Every source is split by the one deployed set, so every partitioned
+//! term carries it and a rule's guard is the `qap-partition` lattice
+//! asked once ([`Compatibility::allows`] on the deployed set); the rules
+//! never union two partitioned terms, so the term sorts of
+//! [`crate::term`] are preserved.
 
 use egg::{EGraph, Id, Match, Rewrite, Template};
-use qap_partition::{reconcile_partition_sets, Compatibility, PartitionSet};
+use qap_partition::{Compatibility, PartitionSet};
 use qap_plan::{LogicalNode, QueryDag};
 
 use crate::term::{OpId, PlanExpr, SubScope};
@@ -36,8 +34,6 @@ pub const RULE_PAIRWISE_JOIN: &str = "pairwise-join (Figure 7)";
 pub const RULE_PUSH_MERGE: &str = "merge-push-down (Section 5.1)";
 /// Figure 5 sub/super aggregate split.
 pub const RULE_SUB_SUPER: &str = "sub-super-split (Figure 5)";
-/// Section 4.1 partition-set reconciliation.
-pub const RULE_RECONCILE: &str = "reconcile-partn-sets (Section 4.1)";
 
 /// Shared, immutable-during-search context for every rule.
 pub struct RuleCtx<'a> {
@@ -51,79 +47,43 @@ pub struct RuleCtx<'a> {
     pub partial_aggregation: bool,
     /// Where sub-aggregates run.
     pub scope: SubScope,
-    /// The partition-set table `Part::ps` indexes. Grows during
-    /// reconciliation (interior mutability: search is otherwise
-    /// immutable).
-    pub ps_table: RefCell<Vec<PartitionSet>>,
-    /// Central-stream class of every logical node (set at build time;
-    /// read through `EGraph::find` since unions move canonicals).
-    pub central_class: Vec<Id>,
-    /// Logical source node ids (reconciliation seeds new `Part` terms
-    /// for every source).
-    pub sources: Vec<OpId>,
-    /// Cap on the partition-set table (keeps the reconcile closure
-    /// finite on adversarial inputs).
-    pub max_partition_sets: usize,
+    /// The partitioning set the splitter deploys: every source is split
+    /// by it, so every partitioned term carries it.
+    pub deployed: &'a PartitionSet,
 }
 
 impl RuleCtx<'_> {
-    /// The partition-set table index a partitioned class is split by,
-    /// resolved structurally: every partitioned term bottoms out in a
-    /// `Part` leaf, and rewrites never union terms with different sets.
-    pub fn ps_of(&self, eg: &EGraph<PlanExpr>, class: Id) -> Option<u32> {
-        let mut seen = HashSet::new();
-        self.ps_of_inner(eg, class, &mut seen)
-    }
-
-    fn ps_of_inner(&self, eg: &EGraph<PlanExpr>, class: Id, seen: &mut HashSet<Id>) -> Option<u32> {
-        let class = eg.find(class);
-        if !seen.insert(class) {
-            return None;
-        }
-        for node in &eg.class(class).nodes {
-            match node {
-                PlanExpr::Part { ps, .. } => return Some(*ps),
-                PlanExpr::Lift { children, .. } => {
-                    if let Some(ps) = self.ps_of_inner(eg, children[0], seen) {
-                        return Some(ps);
-                    }
-                }
-                PlanExpr::Sub { child, .. } => {
-                    if let Some(ps) = self.ps_of_inner(eg, child[0], seen) {
-                        return Some(ps);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Whether logical node `op` tolerates partition-set table entry
-    /// `ps` (the compat-lattice rewrite guard).
-    pub fn allows(&self, op: OpId, ps: u32) -> bool {
-        let table = self.ps_table.borrow();
-        self.compat[op as usize].allows(&table[ps as usize])
+    /// Whether logical node `op` tolerates the deployed set (the
+    /// compat-lattice rewrite guard).
+    pub fn allows(&self, op: OpId) -> bool {
+        self.compat[op as usize].allows(self.deployed)
     }
 }
 
 /// The partitioned realizations (`x` of `Collect(x)`) available in a
-/// central-stream class, with their partition-set index.
-fn collected_children(ctx: &RuleCtx<'_>, eg: &EGraph<PlanExpr>, class: Id) -> Vec<(Id, u32)> {
+/// central-stream class.
+fn collected_children(eg: &EGraph<PlanExpr>, class: Id) -> Vec<Id> {
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
     for node in &eg.class(eg.find(class)).nodes {
         if let PlanExpr::Collect { child } = node {
             let x = eg.find(child[0]);
-            if !seen.insert(x) {
-                continue;
-            }
-            if let Some(ps) = ctx.ps_of(eg, x) {
-                out.push((x, ps));
+            if !out.contains(&x) {
+                out.push(x);
             }
         }
     }
     out
+}
+
+/// The push match: `class ≡ Collect(Lift(op, xs…))` — `op` replicated
+/// per partition over the partitioned realizations `xs` of its inputs,
+/// below the collecting merge.
+fn pushed(class: Id, op: OpId, xs: &[Id]) -> Match<PlanExpr> {
+    let mut t = Template::new();
+    let children = xs.iter().map(|&x| t.class(x)).collect();
+    let l = t.node(PlanExpr::Lift { op, children });
+    t.node(PlanExpr::Collect { child: [l] });
+    Match { class, template: t }
 }
 
 /// Matches `Central(op, …)` nodes of one logical kind, handing each to
@@ -158,15 +118,8 @@ impl Rewrite<PlanExpr> for PushSelect<'_> {
             if !matches!(ctx.dag.node(op as usize), LogicalNode::SelectProject { .. }) {
                 return;
             }
-            for (x, _ps) in collected_children(ctx, eg, children[0]) {
-                let mut t = Template::new();
-                let xi = t.class(x);
-                let l = t.node(PlanExpr::Lift {
-                    op,
-                    children: vec![xi],
-                });
-                t.node(PlanExpr::Collect { child: [l] });
-                out.push(Match { class, template: t });
+            for x in collected_children(eg, children[0]) {
+                out.push(pushed(class, op, &[x]));
             }
         });
         out
@@ -186,21 +139,13 @@ impl Rewrite<PlanExpr> for PushAggregate<'_> {
         let ctx = self.0;
         let mut out = Vec::new();
         for_each_central(eg, |class, op, children| {
-            if !matches!(ctx.dag.node(op as usize), LogicalNode::Aggregate { .. }) {
+            if !matches!(ctx.dag.node(op as usize), LogicalNode::Aggregate { .. })
+                || !ctx.allows(op)
+            {
                 return;
             }
-            for (x, ps) in collected_children(ctx, eg, children[0]) {
-                if !ctx.allows(op, ps) {
-                    continue;
-                }
-                let mut t = Template::new();
-                let xi = t.class(x);
-                let l = t.node(PlanExpr::Lift {
-                    op,
-                    children: vec![xi],
-                });
-                t.node(PlanExpr::Collect { child: [l] });
-                out.push(Match { class, template: t });
+            for x in collected_children(eg, children[0]) {
+                out.push(pushed(class, op, &[x]));
             }
         });
         out
@@ -231,7 +176,7 @@ impl Rewrite<PlanExpr> for SubSuperSplit<'_> {
             {
                 return;
             }
-            for (x, _ps) in collected_children(ctx, eg, children[0]) {
+            for x in collected_children(eg, children[0]) {
                 let mut t = Template::new();
                 let xi = t.class(x);
                 let sub = t.node(PlanExpr::Sub {
@@ -250,7 +195,7 @@ impl Rewrite<PlanExpr> for SubSuperSplit<'_> {
 
 /// Figure 7: a join whose key set tolerates the deployed partitioning
 /// runs pairwise per partition — partition `i` of the left joins
-/// partition `i` of the right, both split by the *same* set.
+/// partition `i` of the right.
 pub struct PairwiseJoin<'a>(pub &'a RuleCtx<'a>);
 
 impl Rewrite<PlanExpr> for PairwiseJoin<'_> {
@@ -262,25 +207,13 @@ impl Rewrite<PlanExpr> for PairwiseJoin<'_> {
         let ctx = self.0;
         let mut out = Vec::new();
         for_each_central(eg, |class, op, children| {
-            if !matches!(ctx.dag.node(op as usize), LogicalNode::Join { .. }) {
+            if !matches!(ctx.dag.node(op as usize), LogicalNode::Join { .. }) || !ctx.allows(op) {
                 return;
             }
-            let ls = collected_children(ctx, eg, children[0]);
-            let rs = collected_children(ctx, eg, children[1]);
-            for &(lx, lps) in &ls {
-                for &(rx, rps) in &rs {
-                    if lps != rps || !ctx.allows(op, lps) {
-                        continue;
-                    }
-                    let mut t = Template::new();
-                    let li = t.class(lx);
-                    let ri = t.class(rx);
-                    let l = t.node(PlanExpr::Lift {
-                        op,
-                        children: vec![li, ri],
-                    });
-                    t.node(PlanExpr::Collect { child: [l] });
-                    out.push(Match { class, template: t });
+            let rs = collected_children(eg, children[1]);
+            for lx in collected_children(eg, children[0]) {
+                for &rx in &rs {
+                    out.push(pushed(class, op, &[lx, rx]));
                 }
             }
         });
@@ -288,8 +221,8 @@ impl Rewrite<PlanExpr> for PairwiseJoin<'_> {
     }
 }
 
-/// Union push-down: a merge whose inputs are all partitioned by the
-/// same set merges partition-wise and stays partitioned.
+/// Union push-down: a merge whose inputs are all partitioned merges
+/// partition-wise and stays partitioned.
 pub struct PushMerge<'a>(pub &'a RuleCtx<'a>);
 
 impl Rewrite<PlanExpr> for PushMerge<'_> {
@@ -307,96 +240,20 @@ impl Rewrite<PlanExpr> for PushMerge<'_> {
             let Some(first) = children.first() else {
                 return;
             };
-            // Candidate sets come from the first input; every other
-            // input must offer a partitioned realization under the same
-            // set.
-            for (x0, ps) in collected_children(ctx, eg, *first) {
+            // Every other input must offer a partitioned realization too.
+            let rest: Option<Vec<Id>> = children[1..]
+                .iter()
+                .map(|&c| collected_children(eg, c).first().copied())
+                .collect();
+            let Some(rest) = rest else {
+                return;
+            };
+            for x0 in collected_children(eg, *first) {
                 let mut picks = vec![x0];
-                let mut ok = true;
-                for &c in &children[1..] {
-                    match collected_children(ctx, eg, c)
-                        .into_iter()
-                        .find(|&(_, p)| p == ps)
-                    {
-                        Some((x, _)) => picks.push(x),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let mut t = Template::new();
-                let idx: Vec<Id> = picks.iter().map(|&x| t.class(x)).collect();
-                let l = t.node(PlanExpr::Lift { op, children: idx });
-                t.node(PlanExpr::Collect { child: [l] });
-                out.push(Match { class, template: t });
+                picks.extend(&rest);
+                out.push(pushed(class, op, &picks));
             }
         });
-        out
-    }
-}
-
-/// `Reconcile_Partn_Sets` (Section 4.1) as a rewrite: whenever two
-/// distinct partition sets are live in the graph, their reconciliation
-/// (when non-empty and novel) becomes a new way to split every source —
-/// `Collect(Part(src, r)) ≡ central stream of src`. The closure of this
-/// rule enumerates exactly the candidate sets `Choose_Partitioning`
-/// considers.
-pub struct ReconcileSets<'a>(pub &'a RuleCtx<'a>);
-
-impl Rewrite<PlanExpr> for ReconcileSets<'_> {
-    fn name(&self) -> &'static str {
-        RULE_RECONCILE
-    }
-
-    fn search(&self, eg: &EGraph<PlanExpr>) -> Vec<Match<PlanExpr>> {
-        let ctx = self.0;
-        // Live sets: those some Part term actually uses.
-        let mut live: BTreeSet<u32> = BTreeSet::new();
-        for class in eg.classes() {
-            for node in &class.nodes {
-                if let PlanExpr::Part { ps, .. } = node {
-                    live.insert(*ps);
-                }
-            }
-        }
-        // New sets from pairwise reconciliation, deduped against the
-        // table by value.
-        let mut fresh: BTreeMap<u32, PartitionSet> = BTreeMap::new();
-        {
-            let mut table = ctx.ps_table.borrow_mut();
-            let live: Vec<u32> = live.iter().copied().collect();
-            for (i, &a) in live.iter().enumerate() {
-                for &b in &live[i + 1..] {
-                    if table.len() >= ctx.max_partition_sets {
-                        break;
-                    }
-                    let r = reconcile_partition_sets(&table[a as usize], &table[b as usize]);
-                    if r.is_empty() || table.contains(&r) {
-                        continue;
-                    }
-                    let idx = table.len() as u32;
-                    table.push(r.clone());
-                    fresh.insert(idx, r);
-                }
-            }
-        }
-        // Every fresh set splits every source.
-        let mut out = Vec::new();
-        for &idx in fresh.keys() {
-            for &src in &ctx.sources {
-                let mut t = Template::new();
-                let p = t.node(PlanExpr::Part { op: src, ps: idx });
-                t.node(PlanExpr::Collect { child: [p] });
-                out.push(Match {
-                    class: eg.find(ctx.central_class[src as usize]),
-                    template: t,
-                });
-            }
-        }
         out
     }
 }

@@ -6,8 +6,8 @@
 //! each operator is realized, not *what* it computes. Terms are sorted
 //! by construction into two families:
 //!
-//! - **partitioned streams** — [`PlanExpr::Part`] (a source split by a
-//!   partitioning set), [`PlanExpr::Lift`] (an operator replicated per
+//! - **partitioned streams** — [`PlanExpr::Part`] (a source split by the
+//!   deployed partitioning set), [`PlanExpr::Lift`] (an operator replicated per
 //!   partition: Figure 4 compatible push-down, Figure 7 pairwise join,
 //!   Section 5.4 σ/π push), and [`PlanExpr::Sub`] (the sub-aggregate of
 //!   the Figure 5 split);
@@ -24,27 +24,27 @@ use egg::{Id, Language};
 /// Logical node id inside the source DAG (fits `qap_plan::NodeId`).
 pub type OpId = u32;
 
-/// Where sub-aggregates run (mirrors the optimizer's
-/// `PartialAggScope` without depending on it).
+/// Where incompatible aggregations compute their partial (sub-)
+/// aggregates (`qap-optimizer` re-exports this as `PartialAggScope`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SubScope {
-    /// One sub-aggregate per partition.
+    /// One sub-aggregate per partition — what a query-independent
+    /// box-splitting DSMS does (the paper's *Naive* configuration).
     #[default]
     PerPartition,
-    /// One sub-aggregate per host (partitions pre-merged locally).
+    /// One sub-aggregate per host, merging the host's partitions first —
+    /// the paper's *Optimized* configuration (Figure 5).
     PerHost,
 }
 
 /// One e-node of the plan-term language.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PlanExpr {
-    /// A base source split by partitioning set `ps` (an index into the
-    /// planner's partition-set table). Partition-sorted.
+    /// A base source split by the deployed partitioning set.
+    /// Partition-sorted.
     Part {
         /// Logical source node.
         op: OpId,
-        /// Partition-set table index.
-        ps: u32,
     },
     /// An operator replicated across every partition of its (already
     /// partitioned) children. Partition-sorted.
@@ -88,21 +88,6 @@ pub enum PlanExpr {
     },
 }
 
-impl PlanExpr {
-    /// The logical node this term realizes, when it has one
-    /// ([`PlanExpr::Collect`] is pure plumbing).
-    pub fn op(&self) -> Option<OpId> {
-        match self {
-            PlanExpr::Part { op, .. }
-            | PlanExpr::Lift { op, .. }
-            | PlanExpr::Sub { op, .. }
-            | PlanExpr::Central { op, .. }
-            | PlanExpr::Super { op, .. } => Some(*op),
-            PlanExpr::Collect { .. } => None,
-        }
-    }
-}
-
 impl Language for PlanExpr {
     fn children(&self) -> &[Id] {
         match self {
@@ -131,9 +116,8 @@ mod tests {
 
     #[test]
     fn children_cover_every_variant() {
-        let part = PlanExpr::Part { op: 0, ps: 0 };
+        let part = PlanExpr::Part { op: 0 };
         assert!(part.children().is_empty());
-        assert_eq!(part.op(), Some(0));
 
         let lift = PlanExpr::Lift {
             op: 1,
@@ -144,13 +128,12 @@ mod tests {
         let collect = PlanExpr::Collect {
             child: [Id::from(0usize)],
         };
-        assert_eq!(collect.op(), None);
         assert_eq!(collect.children(), &[Id::from(0usize)]);
 
         let sup = PlanExpr::Super {
             op: 3,
             child: [Id::from(2usize)],
         };
-        assert_eq!(sup.op(), Some(3));
+        assert_eq!(sup.children().len(), 1);
     }
 }

@@ -1,0 +1,148 @@
+//! Golden physical plans: what the planner decides, pinned byte for byte.
+//!
+//! Every §6 deployment (`Scenario` × `configs()` × 2–4 hosts) and the
+//! `optimizer_regressions` queries are planned and rendered in full —
+//! the physical DAG with every expression, each node's id, host and
+//! tier, then the output list — and compared against
+//! `tests/golden/plans/*.txt`. Planning is deterministic (uniform
+//! statistics, default cost model), so any change to a placement
+//! decision, to the emitter's node order or to a lowered expression
+//! shows up as a diff. Regenerate with
+//! `UPDATE_GOLDEN=1 cargo test --test golden_plans` and review the diff
+//! like any other code change.
+
+use std::fmt::Write as _;
+
+use qap::prelude::*;
+
+mod golden;
+use golden::compare_golden;
+
+/// The full rendering of one physical plan.
+fn render(plan: &DistributedPlan) -> String {
+    let mut out = render_dag_annotated(&plan.dag, &|id| {
+        let tier = if plan.central[id] { "central" } else { "leaf" };
+        Some(format!("#{id} host {} {tier}", plan.host[id]))
+    });
+    let _ = writeln!(out, "Outputs:");
+    for o in &plan.outputs {
+        let name = o.name.as_deref().unwrap_or("<unnamed>");
+        let _ = writeln!(out, "  {name} -> #{} (logical #{})", o.node, o.logical);
+    }
+    out
+}
+
+/// Compares one plan against `tests/golden/plans/<name>.txt`.
+fn compare_plan(plan: &DistributedPlan, name: &str) {
+    compare_golden(&render(plan), &format!("plans/{name}.txt"));
+}
+
+/// `"Partitioned (optimal)"` → `"partitioned_optimal"`.
+fn slug(s: &str) -> String {
+    s.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+        .map(str::to_ascii_lowercase)
+        .collect::<Vec<_>>()
+        .join("_")
+}
+
+#[test]
+fn section_6_deployments_match_their_golden_plans() {
+    for (scenario, tag) in [
+        (Scenario::SimpleAgg, "simple_agg"),
+        (Scenario::QuerySet, "query_set"),
+        (Scenario::Complex, "complex"),
+    ] {
+        for &config in scenario.configs() {
+            for hosts in 2..=4usize {
+                let plan = scenario.plan(config, hosts);
+                compare_plan(&plan, &format!("{tag}__{}__h{hosts}", slug(config)));
+            }
+        }
+    }
+}
+
+/// The query sets of `tests/optimizer_regressions.rs`.
+const REGRESSION_QUERIES: &[(&str, &[(&str, &str)])] = &[
+    (
+        "having_with_avg_split",
+        &[(
+            "q",
+            "SELECT tb, srcIP, AVG(len) as a, COUNT(*) as c FROM TCP \
+             GROUP BY time/60 as tb, srcIP HAVING COUNT(*) > 2 AND AVG(len) > 500",
+        )],
+    ),
+    (
+        "having_hidden_agg_split",
+        &[(
+            "q",
+            "SELECT tb, srcIP, COUNT(*) as c FROM TCP \
+             GROUP BY time/60 as tb, srcIP HAVING MAX(len) > 900",
+        )],
+    ),
+    (
+        "where_pushdown_split",
+        &[(
+            "q",
+            "SELECT tb, srcIP, SUM(len) as s FROM TCP WHERE len > 100 \
+             GROUP BY time/60 as tb, srcIP",
+        )],
+    ),
+    (
+        "outer_join_then_aggregate",
+        &[
+            (
+                "by_src",
+                "SELECT tb, srcIP, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP",
+            ),
+            (
+                "by_dst",
+                "SELECT tb, destIP, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, destIP",
+            ),
+            (
+                "matched",
+                "SELECT A.tb, A.srcIP, A.c as sent, B.c as received \
+                 FROM by_src A FULL OUTER JOIN by_dst B \
+                 WHERE A.tb = B.tb and A.srcIP = B.destIP",
+            ),
+            (
+                "per_epoch",
+                "SELECT tb, COUNT(*) as n FROM matched GROUP BY tb",
+            ),
+        ],
+    ),
+];
+
+fn build(queries: &[(&str, &str)]) -> QueryDag {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    for (name, sql) in queries {
+        b.add_query(name, sql).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn regression_queries_match_their_golden_plans() {
+    let part = Partitioning::round_robin(3);
+    for (tag, queries) in REGRESSION_QUERIES {
+        let dag = build(queries);
+        for (cfg_tag, cfg) in [
+            ("full", OptimizerConfig::full()),
+            ("naive", OptimizerConfig::naive()),
+        ] {
+            let plan = optimize(&dag, &part, &cfg).unwrap();
+            compare_plan(&plan, &format!("{tag}__{cfg_tag}"));
+        }
+    }
+    // `agnostic` suppresses every rewrite, the sub/super split included.
+    let dag = build(&[(
+        "q",
+        "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb, srcIP",
+    )]);
+    let cfg = OptimizerConfig {
+        agnostic: true,
+        ..OptimizerConfig::full()
+    };
+    let plan = optimize(&dag, &part, &cfg).unwrap();
+    compare_plan(&plan, "count_by_src__agnostic");
+}

@@ -13,37 +13,11 @@
 //! (complete families, cumulative buckets, stable output) without
 //! pinning run-dependent numbers.
 
-use std::path::PathBuf;
-
 use qap::exec::OpMetrics;
 use qap::prelude::*;
 
-/// Compares `actual` against the committed golden file, or rewrites the
-/// file when `UPDATE_GOLDEN` is set.
-fn compare_golden(actual: &str, name: &str) {
-    let path: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "..",
-        "..",
-        "tests",
-        "golden",
-        name,
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted from its golden snapshot; \
-         run UPDATE_GOLDEN=1 cargo test --test metrics_export and review the diff"
-    );
-}
+mod golden;
+use golden::compare_golden;
 
 /// A small, fully deterministic registry covering every export feature:
 /// two operators (one empty, one busy), two hosts, histogram samples in
