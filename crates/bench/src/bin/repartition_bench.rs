@@ -77,7 +77,9 @@ fn hot_sets_on_victim(
             Value::UInt(0),
             Value::UInt(0),
         ]);
-        let host = plan.partitioning.host_of_partition(splitter.partition(&probe));
+        let host = plan
+            .partitioning
+            .host_of_partition(splitter.partition(&probe));
         if host == victim {
             out[phase].push(v);
             phase = (phase + 1) % phases;
@@ -182,7 +184,10 @@ fn main() -> ExitCode {
     let adaptive_tput = ad.tuples / ad.max_work;
     let ratio = adaptive_tput / static_tput;
 
-    println!("repartition_bench: {} tuples, {hosts} hosts, victim host {victim}", trace.len());
+    println!(
+        "repartition_bench: {} tuples, {hosts} hosts, victim host {victim}",
+        trace.len()
+    );
     println!(
         "  static:   max host work {:.0}, sustainable {:.4} tuples/work, peak imbalance {:.2}",
         st.max_work, static_tput, st.peak_imbalance
@@ -204,7 +209,11 @@ fn main() -> ExitCode {
     for (label, s) in [("static", &st), ("adaptive", &ad)] {
         let _ = writeln!(json, "  \"{label}\": {{");
         let _ = writeln!(json, "    \"max_host_work\": {},", s.max_work);
-        let _ = writeln!(json, "    \"sustainable_tuples_per_work\": {},", s.tuples / s.max_work);
+        let _ = writeln!(
+            json,
+            "    \"sustainable_tuples_per_work\": {},",
+            s.tuples / s.max_work
+        );
         let _ = writeln!(json, "    \"wall_ms\": {},", s.wall_ms);
         let _ = writeln!(json, "    \"repartitions\": {},", s.repartitions);
         let _ = writeln!(json, "    \"migrated_keys\": {},", s.migrated_keys);

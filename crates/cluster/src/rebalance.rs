@@ -234,12 +234,7 @@ pub fn hot_key_floor(sketch: &qap_partition::KeySketch, hosts: usize) -> f64 {
     if total == 0 || hosts == 0 {
         return 0.0;
     }
-    let hottest = sketch
-        .top_k()
-        .iter()
-        .map(|&(_, n)| n)
-        .max()
-        .unwrap_or(0);
+    let hottest = sketch.top_k().iter().map(|&(_, n)| n).max().unwrap_or(0);
     hottest as f64 / total as f64 * hosts as f64
 }
 
@@ -419,7 +414,10 @@ pub fn migration_spec(plan: &DistributedPlan) -> Result<MigrationSpec, String> {
         if plan.central[id] {
             continue;
         }
-        let LogicalNode::Aggregate { input, group_by, .. } = dag.node(id) else {
+        let LogicalNode::Aggregate {
+            input, group_by, ..
+        } = dag.node(id)
+        else {
             continue;
         };
         let schema = dag.schema(id);
@@ -526,9 +524,7 @@ fn fast_temporal_column(e: &ScalarExpr) -> Option<&str> {
             lhs,
             rhs,
         } => match (lhs.as_ref(), rhs.as_ref()) {
-            (ScalarExpr::Column(c), ScalarExpr::Literal(Value::UInt(d))) if *d > 0 => {
-                Some(&c.name)
-            }
+            (ScalarExpr::Column(c), ScalarExpr::Literal(Value::UInt(d))) if *d > 0 => Some(&c.name),
             _ => None,
         },
         _ => None,
@@ -572,7 +568,9 @@ fn check_time_lineage(dag: &QueryDag, node: NodeId, name: &str) -> Result<bool, 
                 .ok_or_else(|| format!("column {name} dropped by a projection"))?;
             match &proj.expr {
                 ScalarExpr::Column(c) => check_time_lineage(dag, *input, &c.name),
-                other => Err(format!("column {name} is computed ({other}), not passed through")),
+                other => Err(format!(
+                    "column {name} is computed ({other}), not passed through"
+                )),
             }
         }
         LogicalNode::Merge { inputs } => {
@@ -581,9 +579,9 @@ fn check_time_lineage(dag: &QueryDag, node: NodeId, name: &str) -> Result<bool, 
             }
             Ok(true)
         }
-        LogicalNode::Aggregate { .. } => Err(format!(
-            "column {name} flows through a nested aggregate"
-        )),
+        LogicalNode::Aggregate { .. } => {
+            Err(format!("column {name} flows through a nested aggregate"))
+        }
         LogicalNode::Join { .. } => Err(format!("column {name} flows through a join")),
     }
 }
@@ -1004,7 +1002,7 @@ mod tests {
         // buckets {0,1} on partition 0 and {2,3} on partition 1 — all
         // of host 0.
         let assign = qap_partition::identity_assignment(4, 2); // [0,0,1,1,2,2,3,3]
-        // Host 0 (partitions 0,1 → buckets 0..4) carries all the load.
+                                                               // Host 0 (partitions 0,1 → buckets 0..4) carries all the load.
         let load = [400, 300, 200, 100, 0, 0, 0, 0];
         let next = plan_assignment(&assign, &load, 4, 2).expect("rebalances");
         let host_load = |a: &[u32]| {
@@ -1018,7 +1016,10 @@ mod tests {
         let after = host_load(&next);
         assert_eq!(before, [1000, 0]);
         assert!(after[0].abs_diff(after[1]) < before[0].abs_diff(before[1]));
-        assert!(after[0] >= 400, "the heaviest bucket cannot move (400 < gap fails once balanced)");
+        assert!(
+            after[0] >= 400,
+            "the heaviest bucket cannot move (400 < gap fails once balanced)"
+        );
         // Deterministic: same inputs, same plan.
         assert_eq!(plan_assignment(&assign, &load, 4, 2).unwrap(), next);
     }
@@ -1129,9 +1130,8 @@ mod tests {
         // Partitioned on {srcIP, destIP} but grouped on srcIP alone:
         // the planner lowers to sub/super aggregates, and a state row
         // carries no destIP value to re-route by — static fallback.
-        let dag = dag_for(
-            "SELECT tb, srcIP, COUNT(*) as pkts FROM TCP GROUP BY time/60 as tb, srcIP",
-        );
+        let dag =
+            dag_for("SELECT tb, srcIP, COUNT(*) as pkts FROM TCP GROUP BY time/60 as tb, srcIP");
         let part = Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 2);
         let plan = optimize(&dag, &part, &OptimizerConfig::full()).expect("optimize");
         assert!(migration_spec(&plan).is_err());

@@ -249,8 +249,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--skew-ramp" => opts.skew_ramp = true,
             "--repartition" => opts.transport.rebalance = RebalanceConfig::adaptive(),
             other if other.starts_with("--repartition=") => {
-                opts.transport.rebalance =
-                    parse_repartition(&other["--repartition=".len()..])?;
+                opts.transport.rebalance = parse_repartition(&other["--repartition=".len()..])?;
             }
             "--metrics" => opts.metrics = Some(None),
             other if other.starts_with("--metrics=") => {

@@ -953,11 +953,22 @@ impl AggregateOp {
     /// Extracts live group state (current window and NULL-window
     /// groups) for keys `pred` selects; each state row is the group key
     /// followed by every slot's lossless accumulator state.
-    fn window_extract_state(&mut self, pred: &mut dyn FnMut(&[Value]) -> bool, out: &mut Vec<Tuple>) {
+    fn window_extract_state(
+        &mut self,
+        pred: &mut dyn FnMut(&[Value]) -> bool,
+        out: &mut Vec<Tuple>,
+    ) {
         let arity = self.group_exprs.len();
         let state_w: usize = self.slots.iter().map(slot_state_width).sum();
         extract_from_table(&mut self.groups, &self.slots, arity, state_w, pred, out);
-        extract_from_table(&mut self.null_groups, &self.slots, arity, state_w, pred, out);
+        extract_from_table(
+            &mut self.null_groups,
+            &self.slots,
+            arity,
+            state_w,
+            pred,
+            out,
+        );
     }
 
     /// Absorbs state rows extracted from the same operator shape on

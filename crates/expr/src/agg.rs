@@ -286,9 +286,7 @@ fn put_i128(x: i128, out: &mut Vec<Value>) {
 
 fn get_i128(hi: &Value, lo: &Value) -> Option<i128> {
     match (hi, lo) {
-        (Value::UInt(h), Value::UInt(l)) => {
-            Some(((u128::from(*h) << 64) | u128::from(*l)) as i128)
-        }
+        (Value::UInt(h), Value::UInt(l)) => Some(((u128::from(*h) << 64) | u128::from(*l)) as i128),
         _ => None,
     }
 }
@@ -308,9 +306,7 @@ impl Accumulator {
                     out.push(Value::Null);
                 }
             },
-            Accumulator::Min(m) | Accumulator::Max(m) => {
-                out.push(m.clone().unwrap_or(Value::Null))
-            }
+            Accumulator::Min(m) | Accumulator::Max(m) => out.push(m.clone().unwrap_or(Value::Null)),
             Accumulator::Avg(s, n) => {
                 put_i128(*s, out);
                 out.push(Value::UInt(*n));

@@ -23,5 +23,7 @@ mod generator;
 mod stats;
 
 pub use file::{read_trace, write_trace, TraceFileError};
-pub use generator::{generate, generate_skew_ramp, SkewRampConfig, TraceConfig, SUSPICIOUS_PATTERN};
+pub use generator::{
+    generate, generate_skew_ramp, SkewRampConfig, TraceConfig, SUSPICIOUS_PATTERN,
+};
 pub use stats::{stats, TraceStats};

@@ -69,7 +69,7 @@ fn sample_registry() -> MetricsRegistry {
     r.set_gauge("duration_secs", 120.0);
     r.set_gauge("hosts", 2.0);
     r.set_gauge("bytes/sec", 12.5); // '/' must sanitize to '_'
-    // Adaptive re-partitioning gauges, as a closed-loop run sets them.
+                                    // Adaptive re-partitioning gauges, as a closed-loop run sets them.
     r.set_gauge("load_imbalance", 1.875);
     r.set_gauge("repartitions", 2.0);
     r.set_gauge("migrated_keys", 37.0);

@@ -109,7 +109,11 @@ fn scenario_sweep(scenario: Scenario, seed: u64) {
         let sim = run_distributed(&plan, &trace, &cfg)
             .unwrap_or_else(|e| panic!("{scenario:?} hosts={hosts} sim: {e}"));
         assert!(sim.failures.is_empty(), "{scenario:?} hosts={hosts} sim");
-        assert_same_outputs(&format!("{scenario:?} hosts={hosts} sim"), &sim, &static_ref);
+        assert_same_outputs(
+            &format!("{scenario:?} hosts={hosts} sim"),
+            &sim,
+            &static_ref,
+        );
 
         let threaded = run_distributed_threaded(&plan, &trace, &cfg)
             .unwrap_or_else(|e| panic!("{scenario:?} hosts={hosts} threaded: {e}"));
