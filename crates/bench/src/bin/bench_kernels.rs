@@ -22,6 +22,9 @@
 //! other end of a leaf engine: what one §6.1 Naive leaf host spends per
 //! tuple it *ships* — closing the window (emit), collecting it at the
 //! boundary (sink), cutting and encoding frames (frame).
+//! `splitter_route` sizes the stage in front of the engines: the
+//! splitter's routing hash and its per-row route + scatter under the
+//! §6.1 and §6.2 sets, timed but not gated.
 //!
 //! Usage: `cargo run --release -p qap-bench --bin bench_kernels [OUT.json]`
 //! (default output path `BENCH_kernels.json` in the working directory).
@@ -35,7 +38,9 @@ use std::time::Instant;
 use qap::obs::{OpMetrics, KERNEL_LANE_LABELS};
 use qap::plan::NodeId;
 use qap::prelude::*;
-use qap::types::{encode_column_batch, BytesMut, ColumnBatch, DataType, Field, Temporality};
+use qap::types::{
+    encode_column_batch, tcp_schema, BytesMut, ColumnBatch, DataType, Field, Temporality,
+};
 use qap_bench::{small_trace, standard_trace_config};
 
 const BATCH: usize = 1024;
@@ -295,6 +300,60 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
     }
 }
 
+/// The splitter's per-row cost under one deployed set, ns per trace
+/// tuple: the routing hash alone, and the whole per-row body of the run
+/// loop's `Splitter::route` around it.
+struct RouteCase {
+    set: String,
+    tuples: usize,
+    hash_ns: f64,
+    route_scatter_ns: f64,
+}
+
+/// Times the splitter of `config`'s 3-host deployment over `trace`:
+/// "hash" is `HashPartitioner::route` per row, "route + scatter" also
+/// `push_row`s the row into its partition's [`BATCH`]-row staging batch
+/// (a full batch is cleared, as the engine's swap would leave it). The
+/// minimum of [`ITERS`] passes each, taken in rotation.
+fn measure_splitter_route(trace: &[Tuple], scenario: Scenario, config: &str) -> RouteCase {
+    let (partitioning, _) = scenario.deployment(config, 3);
+    let SplitStrategy::Hash(set) = &partitioning.strategy else {
+        panic!("{config} is a hash deployment");
+    };
+    let schema = tcp_schema();
+    let buckets = RebalanceConfig::default().buckets_per_partition;
+    let router = HashPartitioner::with_buckets(set, &schema, partitioning.partitions, buckets)
+        .expect("the set binds");
+    let mut stage: Vec<ColumnBatch> = (0..partitioning.partitions)
+        .map(|_| ColumnBatch::with_row_budget(schema.arity(), BATCH))
+        .collect();
+    let (mut hash_ns, mut route_scatter_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ITERS {
+        let t0 = Instant::now();
+        for t in trace {
+            black_box(router.route(black_box(t)));
+        }
+        hash_ns = hash_ns.min(t0.elapsed().as_nanos() as f64);
+        let t0 = Instant::now();
+        for t in trace {
+            let batch = &mut stage[router.route(t).partition];
+            batch.push_row(t);
+            if batch.rows() >= BATCH {
+                batch.clear();
+            }
+        }
+        route_scatter_ns = route_scatter_ns.min(t0.elapsed().as_nanos() as f64);
+        black_box(&mut stage);
+    }
+    let n = trace.len() as f64;
+    RouteCase {
+        set: set.to_string(),
+        tuples: trace.len(),
+        hash_ns: hash_ns / n,
+        route_scatter_ns: route_scatter_ns / n,
+    }
+}
+
 fn tcp_dag(sql: &str) -> QueryDag {
     tcp_set(&[("q", sql)])
 }
@@ -485,7 +544,31 @@ fn main() -> ExitCode {
     }
     finish(measure_leaf_boundary(&e2e_trace));
 
-    let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"cases\": [\n");
+    let routes = [
+        measure_splitter_route(&e2e_trace, Scenario::SimpleAgg, "Partitioned"),
+        measure_splitter_route(&e2e_trace, Scenario::QuerySet, "Partitioned (optimal)"),
+    ];
+    for r in &routes {
+        println!(
+            "splitter_route {}: hash {:.1} ns/tuple, route + scatter {:.1} ns/tuple",
+            r.set, r.hash_ns, r.route_scatter_ns
+        );
+    }
+
+    let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"splitter_route\": [\n");
+    for (i, r) in routes.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"set\": \"{}\", \"tuples\": {}, \"hash_ns_per_tuple\": {:.2}, \
+             \"route_scatter_ns_per_tuple\": {:.2}}}{}",
+            r.set,
+            r.tuples,
+            r.hash_ns,
+            r.route_scatter_ns,
+            if i + 1 < routes.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         let lanes = |arr: &[u64]| {
             let mut s = String::from("{");

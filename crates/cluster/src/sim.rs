@@ -250,7 +250,7 @@ pub fn run_distributed_multi(
             trace,
             &mut InEngine(&mut engine),
         )?;
-        duration = duration.max(trace_duration(&scans.schema, trace));
+        duration = duration.max(splitter.duration());
     }
     engine.finish()?;
 
@@ -331,25 +331,6 @@ impl Carrier for InEngine<'_> {
             self.0.absorb_state(node, &mut rows)?;
         }
         Ok(true)
-    }
-}
-
-/// Span of the trace's temporal attribute, in seconds.
-pub(crate) fn trace_duration(schema: &qap_types::Schema, trace: &[Tuple]) -> f64 {
-    let Some(&tidx) = schema.temporal_indices().first() else {
-        return 1.0;
-    };
-    let mut lo = u64::MAX;
-    let mut hi = 0u64;
-    for t in trace {
-        let v = t.get(tidx).as_u64().unwrap_or(0);
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    if trace.is_empty() {
-        1.0
-    } else {
-        (hi - lo + 1) as f64
     }
 }
 

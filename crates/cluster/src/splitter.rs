@@ -181,6 +181,11 @@ pub(crate) struct Splitter {
     arity: usize,
     /// Rows routed so far: the index a bad row is reported by.
     routed: usize,
+    /// The stream's first temporal column, and the least and greatest
+    /// value routed in it so far: the trace's span.
+    time_col: Option<usize>,
+    time_lo: u64,
+    time_hi: u64,
     stage: Stage,
     gauges: Option<Gauges>,
 }
@@ -227,6 +232,9 @@ impl Splitter {
             stream: scans.stream.clone(),
             arity,
             routed: 0,
+            time_col: scans.schema.temporal_indices().first().copied(),
+            time_lo: u64::MAX,
+            time_hi: 0,
             stage: if cfg.transport.columnar {
                 let staged = (0..m).map(|_| ColumnBatch::with_row_budget(arity, max));
                 Stage::Columns(staged.collect())
@@ -238,9 +246,10 @@ impl Splitter {
     }
 
     /// Routes `feed` in arrival order, one pass over the rows, handing
-    /// every batch that fills to `emit(scan, batch)`. A row whose arity
-    /// is not the stream's is a typed error naming it: the feed comes
-    /// from outside the plan.
+    /// every batch that fills to `emit(scan, batch)` and widening the
+    /// trace span by each row's time. A row whose arity is not the
+    /// stream's is a typed error naming it: the feed comes from outside
+    /// the plan.
     pub(crate) fn route(
         &mut self,
         feed: &[Tuple],
@@ -257,6 +266,11 @@ impl Splitter {
                 )));
             }
             self.routed += 1;
+            if let Some(c) = self.time_col {
+                let t = tuple.get(c).as_u64().unwrap_or(0);
+                self.time_lo = self.time_lo.min(t);
+                self.time_hi = self.time_hi.max(t);
+            }
             let p = match &mut self.route {
                 Route::RoundRobin(next) => {
                     let p = *next;
@@ -313,6 +327,18 @@ impl Splitter {
             }
         }
         Ok(())
+    }
+
+    /// The span of the stream's first temporal column over every row
+    /// routed so far, in seconds: `max − min + 1` over `Value::as_u64`,
+    /// a value it does not read (NULL, negative, string) counting as 0.
+    /// 1.0 before the first row, and for a stream with no temporal
+    /// column.
+    pub(crate) fn duration(&self) -> f64 {
+        match self.time_col {
+            Some(_) if self.routed > 0 => (self.time_hi - self.time_lo + 1) as f64,
+            _ => 1.0,
+        }
     }
 
     /// The load gauges, when the splitter was built `gauged` over a
@@ -582,6 +608,78 @@ mod tests {
             assert_eq!(g.sketch.top_k(), sketch.top_k());
             assert_eq!(g.sketch.distinct_estimate(), sketch.distinct_estimate());
         }
+    }
+
+    /// The trace span by its definition: one more pass over the rows,
+    /// min and max of the first temporal column.
+    fn span_oracle(schema: &Schema, trace: &[Tuple]) -> f64 {
+        let Some(&c) = schema.temporal_indices().first() else {
+            return 1.0;
+        };
+        let times = trace.iter().map(|t| t.get(c).as_u64().unwrap_or(0));
+        match (times.clone().min(), times.max()) {
+            (Some(lo), Some(hi)) => (hi - lo + 1) as f64,
+            _ => 1.0,
+        }
+    }
+
+    /// [`untyped_trace`] with its times moved 1000 s on and NULL,
+    /// signed and string values among them: those read as 0 (or 7),
+    /// below every real time.
+    fn untyped_times() -> Vec<Tuple> {
+        let odd = [Value::Null, Value::Int(-5), Value::Int(7), Value::from("9")];
+        let mut trace = untyped_trace();
+        for (i, t) in trace.iter_mut().enumerate() {
+            let mut values = t.values().to_vec();
+            values[0] = match (i % 13, values[0].as_u64()) {
+                (4, _) => odd[i % odd.len()].clone(),
+                (_, Some(time)) => Value::UInt(time + 1000),
+                (_, None) => continue,
+            };
+            *t = Tuple::new(values);
+        }
+        trace
+    }
+
+    #[test]
+    fn duration_is_the_span_of_every_row_routed() {
+        let typed = generate(&TraceConfig::tiny(17));
+        let untyped = untyped_times();
+        let empty: Vec<Tuple> = Vec::new();
+        let part = Partitioning::hash(PartitionSet::from_columns(["srcIP", "destIP"]), 3);
+        let plan = plan_for(&part);
+        let scans = single_stream(&plan).unwrap();
+        // The same stream with no column marked temporal.
+        let untimed = StreamScans {
+            schema: Schema::new(
+                "TCP",
+                (scans.schema.fields().iter())
+                    .map(|f| qap_types::Field::new(f.name(), f.data_type()))
+                    .collect(),
+            )
+            .unwrap(),
+            stream: scans.stream.clone(),
+            scan_of: scans.scan_of.clone(),
+        };
+        assert!(untimed.schema.temporal_indices().is_empty());
+        for (trace, scans) in [
+            (&typed, &scans),
+            (&untyped, &scans),
+            (&empty, &scans),
+            (&typed, &untimed),
+        ] {
+            let want = span_oracle(&scans.schema, trace);
+            let mut whole = Splitter::new(&plan, scans, &cfg_of(7, true), false).unwrap();
+            staged(&mut whole, &[trace]);
+            assert_eq!(whole.duration(), want);
+            let mut sliced = Splitter::new(&plan, scans, &cfg_of(7, true), false).unwrap();
+            let cuts: Vec<&[Tuple]> = trace.chunks(17).collect();
+            staged(&mut sliced, &cuts);
+            assert_eq!(sliced.duration(), want);
+        }
+        assert_eq!(span_oracle(&scans.schema, &empty), 1.0);
+        assert_eq!(span_oracle(&untimed.schema, &typed), 1.0);
+        assert!(span_oracle(&scans.schema, &untyped) > span_oracle(&scans.schema, &typed) + 999.0);
     }
 
     #[test]

@@ -96,7 +96,7 @@ use qap_types::{Tuple, FRAME_HEADER_LEN};
 
 use crate::link::{ChannelSource, ChannelTransport, Frame, FrameSource, RecvOutcome, Transport};
 use crate::rebalance::{drive, ControlStats, Controller};
-use crate::sim::{account, named_outputs, trace_duration, SimConfig, SimResult};
+use crate::sim::{account, named_outputs, SimConfig, SimResult};
 use crate::splitter::{single_stream, Splitter, Staged, StreamScans};
 use crate::transport::{EdgeTransport, TransportConfig, TransportMetrics};
 use crate::unit::{run_unit, ChannelPort, UnitOutcome, UnitSpec, Units};
@@ -679,8 +679,7 @@ pub(crate) fn stitch(
         channel_capacity: cfg.transport.channel_capacity.max(1),
         frame_batch: cfg.transport.frame_batch.max(1),
     };
-    let duration = trace_duration(&dep.scans.schema, feed.trace);
-    let mut metrics = account(plan, &counters, duration, cfg);
+    let mut metrics = account(plan, &counters, feed.splitter.duration(), cfg);
     metrics.boundary_queue_peak = transport.queue_peak;
     metrics.transport = transport;
     feed.control.apply(&mut metrics);

@@ -36,10 +36,9 @@ use qap_optimizer::{optimize, DistributedPlan, OptimizerConfig, Partitioning};
 use qap_partition::{
     node_compatibilities_with, node_rates, plan_cost, CostModel, CostObjective, StatsProvider,
 };
-use qap_plan::{LogicalNode, QueryDag};
+use qap_plan::QueryDag;
 use qap_types::Tuple;
 
-use crate::sim::trace_duration;
 use crate::{measure_stats, run_distributed_threaded, SimConfig};
 
 /// Documented agreement tolerance of the validation harness: maximum
@@ -177,8 +176,8 @@ pub fn predict_host_load_for_plan(
 }
 
 /// Runs the full validation loop for one plan and partitioning:
-/// measure selectivities on the trace, predict per-host load, execute
-/// the lowered plan threaded, and compare. See the module docs for the
+/// measure selectivities on the trace, execute the lowered plan
+/// threaded, predict per-host load, and compare. See the module docs for the
 /// exact correspondence.
 ///
 /// The plan must read a single base stream (the threaded runner's
@@ -193,45 +192,28 @@ pub fn validate_cost_model(
     // 1. Observed selectivities from a centralized run over the trace.
     let stats = measure_stats(dag, trace)?;
 
-    // 2. The model's source rate is the trace's own rate, so predicted
-    //    bytes/sec and measured bytes/sec share a denominator.
-    let stream = dag
-        .topo_order()
-        .find_map(|id| match dag.node(id) {
-            LogicalNode::Source { stream, .. } => Some(stream.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| ExecError::BadPlan("plan has no source".into()))?;
-    let schema = dag
-        .catalog()
-        .get(&stream)
-        .expect("catalog has its stream")
-        .clone();
-    let duration = trace_duration(&schema, trace);
-    let source_rate = trace.len() as f64 / duration;
-    let analysis = qap_partition::AnalysisOptions::default();
-    let model = CostModel {
-        source_rate,
-        objective: CostObjective::MaxPerNode,
-    };
-
-    // 3. Lower first, predict from the extracted plan (partial
-    //    aggregation off: the model does not describe the sub/super
-    //    rewrite).
+    // 2. Lower (partial aggregation off: the model does not describe
+    //    the sub/super rewrite) and execute the deployment for real.
     let opt_cfg = OptimizerConfig {
         partial_aggregation: false,
-        analysis,
         ..OptimizerConfig::full()
     };
     let plan = optimize(dag, partitioning, &opt_cfg)
         .map_err(|e| ExecError::BadPlan(format!("lowering failed: {e}")))?;
+    let metrics = run_distributed_threaded(&plan, trace, cfg)?.metrics;
+
+    // 3. Predict from the extracted plan. The model's source rate is the
+    //    trace's own rate over the span the run measured, so predicted
+    //    and measured bytes/sec share a denominator.
+    let source_rate = trace.len() as f64 / metrics.duration_secs;
+    let model = CostModel {
+        source_rate,
+        objective: CostObjective::MaxPerNode,
+    };
     let predicted = predict_host_load_for_plan(&plan, dag, &stats, &model);
+    let measured = metrics.host_rx_bytes_per_sec;
 
-    // 4. Execute the same deployment for real.
-    let result = run_distributed_threaded(&plan, trace, cfg)?;
-    let measured = result.metrics.host_rx_bytes_per_sec.clone();
-
-    // 5. Compare.
+    // 4. Compare.
     let max_rel_error = predicted
         .iter()
         .zip(&measured)

@@ -220,7 +220,7 @@ pub fn plan_with(
         }
         let class = central_class[id];
         let best = extractor.best_node(class).cloned();
-        let alternatives = extractor
+        let mut alternatives: Vec<AltExplain> = extractor
             .alternatives(class)
             .into_iter()
             .map(|(node, c)| AltExplain {
@@ -231,6 +231,14 @@ pub fn plan_with(
                 chosen: best.as_ref() == Some(&node),
             })
             .collect();
+        // An e-class lists its nodes in hash order; the report lists
+        // them cheapest first, the unextractable last.
+        alternatives.sort_by(|a, b| {
+            (a.net.is_none().cmp(&b.net.is_none()))
+                .then(a.net.unwrap_or(0.0).total_cmp(&b.net.unwrap_or(0.0)))
+                .then(a.central_ops.cmp(&b.central_ops))
+                .then_with(|| (&a.summary, a.rule).cmp(&(&b.summary, b.rule)))
+        });
         nodes.push(NodeExplain {
             node: id,
             label: dag.node(id).label(),

@@ -7,7 +7,9 @@
 //! `tests/golden/plans/*.txt`. Planning is deterministic (uniform
 //! statistics, default cost model), so any change to a placement
 //! decision, to the emitter's node order or to a lowered expression
-//! shows up as a diff. Regenerate with
+//! shows up as a diff. The §6.2 planner report behind `qapctl plan
+//! --explain` is pinned the same way, in `tests/golden/explain/`.
+//! Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_plans` and review the diff
 //! like any other code change.
 
@@ -60,6 +62,23 @@ fn section_6_deployments_match_their_golden_plans() {
             }
         }
     }
+}
+
+/// `--explain`'s planner report — every alternative of every node, with
+/// its cost and rule — for the §6.2 optimal deployment on 3 hosts:
+/// identical across two plannings in one process (the e-graph's hash
+/// seeds differ between them) and to `tests/golden/explain/`.
+#[test]
+fn section_6_2_explain_report_is_deterministic() {
+    let dag = Scenario::QuerySet.dag();
+    let (partitioning, config) = Scenario::QuerySet.deployment("Partitioned (optimal)", 3);
+    let report = || {
+        let (_, explanation) = optimize_explained(&dag, &partitioning, &config).unwrap();
+        explanation.render()
+    };
+    let first = report();
+    assert_eq!(first, report(), "two plannings, two reports");
+    compare_golden(&first, "explain/query_set__partitioned_optimal__h3.txt");
 }
 
 /// The query sets of `tests/optimizer_regressions.rs`.

@@ -9,6 +9,7 @@
 //!
 //! - sorted output rows are bit-identical to the simulator's;
 //! - cumulative per-node counters are identical;
+//! - the run's trace span (`duration_secs`) is the simulator's;
 //! - flow conservation holds over the stitched per-node metrics
 //!   (`tuples_in(n) == Σ children tuples_out` across every edge, even
 //!   when producer and consumer ran in different OS processes);
@@ -167,6 +168,11 @@ fn check_cell(
 
     assert!(result.failures.is_empty(), "{label}: {:?}", result.failures);
     assert_eq!(result.counters, reference.counters, "{label}: counters");
+    // Every runner takes the trace span from its splitter's pass.
+    assert_eq!(
+        result.metrics.duration_secs, reference.metrics.duration_secs,
+        "{label}: duration"
+    );
     for ((name, rows), (ref_name, ref_rows)) in result.outputs.iter().zip(reference.outputs.iter())
     {
         assert_eq!(name, ref_name, "{label}");
@@ -195,6 +201,9 @@ fn sweep(scenario: Scenario, seed: u64) {
     for hosts in [2usize, 3, 4] {
         let plan = plan_for(scenario, hosts);
         let reference = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
+        let times = trace.iter().map(|t| t.get(0).as_u64().unwrap());
+        let span = times.clone().max().unwrap() - times.min().unwrap() + 1;
+        assert_eq!(reference.metrics.duration_secs, span as f64);
         for transport_kind in ["channel", "tcp", "unix"] {
             for columnar in [true, false] {
                 check_cell(
