@@ -33,8 +33,8 @@ use qap_obs::{Histogram, HISTOGRAM_BUCKETS};
 use qap_partition::PartitionSet;
 use qap_plan::{JoinType, LogicalNode, NamedAgg, NamedExpr, TemporalJoin};
 use qap_types::{
-    decode_batch, encode_batch, Buf, BufMut, Bytes, BytesMut, DataType, Field, Schema, Temporality,
-    TypeError, TypeResult, Value,
+    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, DataType,
+    Field, Schema, Temporality, Tuple, TypeError, TypeResult, Value,
 };
 
 use crate::transport::{EdgeTransport, FaultPlan};
@@ -763,7 +763,6 @@ pub(crate) fn encode_unit_spec(unit: &UnitSpec, scratch: &mut BytesMut) -> ExecR
     }
     buf.put_u32(unit.max_batch);
     buf.put_u32(unit.frame_batch);
-    buf.put_u8(unit.columnar as u8);
     buf.put_u64(unit.send_timeout_ms);
     put_fault(buf, &unit.fault);
     Ok(buf.split().freeze())
@@ -797,7 +796,6 @@ pub(crate) fn decode_unit_spec(payload: Bytes) -> TypeResult<UnitSpec> {
     let [scans, boundary, outputs] = lists;
     let max_batch = r.u32()?;
     let frame_batch = r.u32()?;
-    let columnar = r.bool()?;
     let send_timeout_ms = r.u64()?;
     let fault = read_fault(&mut r)?;
     r.finish()?;
@@ -810,15 +808,27 @@ pub(crate) fn decode_unit_spec(payload: Bytes) -> TypeResult<UnitSpec> {
         outputs,
         max_batch,
         frame_batch,
-        columnar,
         send_timeout_ms,
         fault,
     })
 }
 
-/// Encodes a [`UnitOutcome`] into a `Result` payload. Output rows
-/// travel as ordinary row-major wire frames, so the result path reuses
-/// the hardened batch codec.
+/// Writes rows as one length-prefixed lane frame, so the result and
+/// migration paths reuse the hardened boundary codec; its round trip is
+/// exact for every value kind.
+fn put_rows(buf: &mut BytesMut, rows: &[Tuple], scratch: &mut BytesMut) -> TypeResult<()> {
+    let frame = encode_column_batch(&ColumnBatch::from_rows(rows), scratch)?;
+    buf.put_u32(frame.len() as u32);
+    buf.put_slice(&frame);
+    Ok(())
+}
+
+fn read_rows(r: &mut Reader) -> TypeResult<Vec<Tuple>> {
+    Ok(decode_column_batch(r.bytes()?)?.to_rows())
+}
+
+/// Encodes a [`UnitOutcome`] into a `Result` payload, each output's
+/// rows as one lane frame.
 pub(crate) fn encode_unit_outcome(
     outcome: &UnitOutcome,
     scratch: &mut BytesMut,
@@ -837,9 +847,7 @@ pub(crate) fn encode_unit_outcome(
     out.put_u32(outcome.outputs.len() as u32);
     for (idx, rows) in &outcome.outputs {
         out.put_u32(*idx);
-        let frame = encode_batch(rows, scratch)?;
-        out.put_u32(frame.len() as u32);
-        out.put_slice(&frame);
+        put_rows(&mut out, rows, scratch)?;
     }
     out.put_u32(outcome.edges.len() as u32);
     for e in &outcome.edges {
@@ -877,8 +885,7 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
     let mut outputs = Vec::with_capacity(n);
     for _ in 0..n {
         let idx = r.u32()?;
-        let frame = r.bytes()?;
-        outputs.push((idx, decode_batch(frame)?));
+        outputs.push((idx, read_rows(&mut r)?));
     }
     let n = r.len()?;
     let mut edges = Vec::with_capacity(n);
@@ -958,8 +965,8 @@ fn read_partition_set(r: &mut Reader) -> TypeResult<PartitionSet> {
     Ok(PartitionSet::from_analyzed(exprs))
 }
 
-/// Writes a `(local node, rows)` list with each batch as one hardened
-/// wire frame — the same codec the result path uses for outputs.
+/// Writes a `(local node, rows)` list with each batch as one lane frame
+/// — the same codec the result path uses for outputs.
 fn put_node_batches(
     buf: &mut BytesMut,
     batches: &[LocalRows],
@@ -968,9 +975,7 @@ fn put_node_batches(
     buf.put_u32(batches.len() as u32);
     for (node, rows) in batches {
         buf.put_u32(*node);
-        let frame = encode_batch(rows, scratch)?;
-        buf.put_u32(frame.len() as u32);
-        buf.put_slice(&frame);
+        put_rows(buf, rows, scratch)?;
     }
     Ok(())
 }
@@ -980,8 +985,7 @@ fn read_node_batches(r: &mut Reader) -> TypeResult<Vec<LocalRows>> {
     let mut batches = Vec::with_capacity(n);
     for _ in 0..n {
         let node = r.u32()?;
-        let frame = r.bytes()?;
-        batches.push((node, decode_batch(frame)?));
+        batches.push((node, read_rows(r)?));
     }
     Ok(batches)
 }
@@ -1094,7 +1098,6 @@ pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qap_types::Tuple;
 
     fn sample_unit() -> UnitSpec {
         let schema = Schema::new(
@@ -1163,7 +1166,6 @@ mod tests {
             outputs: vec![(1, 2)],
             max_batch: 512,
             frame_batch: 128,
-            columnar: true,
             send_timeout_ms: 1500,
             fault: FaultPlan::seeded(11).corrupt_every(3).slow(1, 40),
         }
@@ -1246,6 +1248,7 @@ mod tests {
                     0,
                     vec![Tuple::new(vec![Value::UInt(1), Value::Str("a".into())])],
                 ),
+                (1, every_lane_kind()),
                 (2, Vec::new()),
             ],
             edges: vec![EdgeTransport {
@@ -1263,6 +1266,30 @@ mod tests {
         let mut scratch = BytesMut::new();
         let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
         assert_eq!(decode_unit_outcome(bytes).unwrap(), outcome);
+    }
+
+    /// Rows whose columns land on every lane a frame carries: `UInt`,
+    /// negative `Int`, `Bool`, `Str`, all-NULL, and `Int` mixed with
+    /// `UInt`.
+    fn every_lane_kind() -> Vec<Tuple> {
+        vec![
+            Tuple::new(vec![
+                Value::UInt(u64::MAX),
+                Value::Int(-7),
+                Value::Bool(true),
+                Value::from("tcp"),
+                Value::Null,
+                Value::UInt(3),
+            ]),
+            Tuple::new(vec![
+                Value::UInt(0),
+                Value::Int(i64::MIN),
+                Value::Bool(false),
+                Value::from(""),
+                Value::Null,
+                Value::Int(-3),
+            ]),
+        ]
     }
 
     fn sample_migrate_cmds() -> Vec<UnitCmd> {
@@ -1295,7 +1322,9 @@ mod tests {
                     ])],
                 ),
                 (9, Vec::new()),
+                (12, every_lane_kind()),
             ]),
+            UnitCmd::Absorb(Vec::new()),
         ]
     }
 

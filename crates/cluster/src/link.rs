@@ -1,11 +1,10 @@
 //! The pluggable boundary transport: how framed wire bytes move
 //! between execution units.
 //!
-//! PRs 3–5 built a complete frame protocol (row + columnar payloads,
-//! fallible encode/decode, per-edge sequence numbers, bounded
-//! retry-with-backoff, receive timeouts) but always moved the frames
-//! over in-process crossbeam channels. This module extracts the
-//! *moving* into a [`Transport`] abstraction with three backends:
+//! The frame protocol (lane payloads, fallible encode/decode, per-edge
+//! sequence numbers, bounded retry-with-backoff, receive timeouts) does
+//! not depend on how frames move. This module puts the *moving* behind
+//! a [`Transport`] abstraction with three backends:
 //!
 //! - **channel** ([`ChannelTransport`]) — the existing bounded
 //!   crossbeam channel, default and behavior-preserving: the threaded

@@ -70,9 +70,9 @@ use qap_expr::{BinOp, ScalarExpr};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
 use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{Schema, Tuple, Value};
+use qap_types::{ColumnBatch, Schema, Tuple, Value};
 
-use crate::splitter::{Gauges, Splitter, Staged, StreamScans};
+use crate::splitter::{Gauges, Splitter, StreamScans};
 
 /// Knobs for the online rebalance controller. Disabled by default —
 /// every existing entry point keeps its static behavior unless a
@@ -799,9 +799,10 @@ pub(crate) type StateRows = (NodeId, Vec<Tuple>);
 /// How a runner reaches its units: the transport-specific half of the
 /// feed loop and of drain-and-handoff. Node ids are global plan ids.
 pub(crate) trait Carrier {
-    /// Delivers one staged batch to the unit that owns `scan`. A dead
-    /// unit swallows its feed (its failure surfaces when it is joined).
-    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()>;
+    /// Delivers one staged batch to the unit that owns `scan`, draining
+    /// the splitter's buffer. A dead unit swallows its feed (its failure
+    /// surfaces when it is joined).
+    fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()>;
 
     /// On every job's unit: force-close windows before the boundary,
     /// then extract the re-routed groups. Returns the state rows keyed

@@ -57,8 +57,8 @@ use qap_obs::SharedGauge;
 use qap_optimizer::DistributedPlan;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, ERROR_DEPLOY,
-    ERROR_EXEC, ERROR_VERSION, PROTOCOL_VERSION,
+    encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, ERROR_DEPLOY, ERROR_EXEC,
+    ERROR_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::deploy::{
@@ -202,7 +202,6 @@ fn write_session(
             UnitCmd::Feed(producer, batch) => {
                 let tuples = batch.len() as u64;
                 let frame = match batch {
-                    Batch::Rows(rows) => encode_batch(&rows, &mut enc_scratch),
                     Batch::Columns(cols) => encode_column_batch(&cols, &mut enc_scratch),
                     Batch::Frame(frame) => Ok(frame),
                 };

@@ -7,12 +7,12 @@ use serde::Serialize;
 
 use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
 use qap_optimizer::DistributedPlan;
-use qap_types::Tuple;
+use qap_types::{ColumnBatch, Tuple};
 
 use crate::rebalance::{
     drive, extract_rerouted, Carrier, Controller, ExtractJob, Handoff, StateRows,
 };
-use crate::splitter::{plan_streams, single_stream, Splitter, Staged};
+use crate::splitter::{plan_streams, single_stream, Splitter};
 use crate::transport::{TransportConfig, TransportMetrics};
 
 /// Per-tuple work-unit charges. The absolute scale is arbitrary — CPU
@@ -68,12 +68,8 @@ pub struct SimConfig {
     /// Boundary-transport knobs for the threaded runner (channel
     /// capacity, frame size, partition-parallel hosts). The channel and
     /// threading knobs are ignored by the deterministic simulator,
-    /// which delivers boundaries in-process; [`TransportConfig::columnar`]
-    /// *is* honored — it selects whether the splitter stages feeds as
-    /// columnar (SoA) batches into the engines' vectorized hot path
-    /// (the default) or as row batches. Results and semantic counters
-    /// are identical either way (the columnar equivalence suite
-    /// enforces it).
+    /// which delivers boundaries in-process; the rebalance controller
+    /// is honored by every runner.
     pub transport: TransportConfig,
 }
 
@@ -294,16 +290,11 @@ pub(crate) fn named_outputs(plan: &DistributedPlan) -> Vec<(String, Vec<Tuple>)>
 struct InEngine<'a>(&'a mut Engine);
 
 impl Carrier for InEngine<'_> {
-    fn feed(&mut self, scan: usize, batch: Staged<'_>) -> ExecResult<()> {
-        match batch {
-            Staged::Rows(rows) => self.0.push_batch(scan, rows),
-            Staged::Columns(cols) => {
-                // Ship encoded lanes: string columns enter the engine
-                // as dictionary codes.
-                cols.dict_encode_strings();
-                self.0.push_columns(scan, cols)
-            }
-        }
+    fn feed(&mut self, scan: usize, batch: &mut ColumnBatch) -> ExecResult<()> {
+        // Ship encoded lanes: string columns enter the engine as
+        // dictionary codes.
+        batch.dict_encode_strings();
+        self.0.push_columns(scan, batch)
     }
 
     fn extract(

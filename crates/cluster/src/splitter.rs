@@ -91,22 +91,11 @@ pub(crate) fn single_stream(plan: &DistributedPlan) -> ExecResult<StreamScans> {
     Ok(streams.remove(0))
 }
 
-/// A staged batch on its way to a scan. The receiver must drain it (as
-/// `Engine::push_batch`/`push_columns` and [`Staged::take`] do); the
-/// buffer stays with the splitter.
-pub(crate) enum Staged<'a> {
-    Rows(&'a mut Vec<Tuple>),
-    Columns(&'a mut ColumnBatch),
-}
-
 /// An owned feed batch, as it crosses a unit's port: what the engine
-/// ingests, in the representation the run stages
-/// ([`crate::TransportConfig::columnar`]). Columnar staging transposes
-/// once, at the splitter, and moves no per-tuple allocation between
-/// threads.
+/// ingests. The splitter transposes each row once, into lanes, and
+/// moves no per-tuple allocation between threads.
 #[derive(Debug)]
 pub(crate) enum Batch {
-    Rows(Vec<Tuple>),
     Columns(ColumnBatch),
     /// Already one wire frame — how a batch arrives over a socket. It
     /// stays encoded until `Engine::push_frame`.
@@ -115,10 +104,9 @@ pub(crate) enum Batch {
 
 impl Batch {
     /// Tuples in the batch; for a frame, what its header claims (the
-    /// count word, less the representation flag).
+    /// count word, less the flag).
     pub(crate) fn len(&self) -> usize {
         match self {
-            Batch::Rows(rows) => rows.len(),
             Batch::Columns(cols) => cols.rows(),
             Batch::Frame(frame) => frame.get(4..FRAME_HEADER_LEN).map_or(0, |w| {
                 (u32::from_be_bytes([w[0], w[1], w[2], w[3]]) & !COLUMNAR_FLAG) as usize
@@ -127,26 +115,15 @@ impl Batch {
     }
 }
 
-/// Test-only: batches compare by content, whatever their representation.
+/// Test-only: batches compare by content, whether staged or encoded.
 #[cfg(test)]
 impl PartialEq for Batch {
     fn eq(&self, other: &Batch) -> bool {
         let rows = |b: &Batch| match b {
-            Batch::Rows(rows) => Ok(rows.clone()),
             Batch::Columns(cols) => Ok(cols.to_rows()),
             Batch::Frame(frame) => Err(frame.clone()),
         };
         rows(self) == rows(other)
-    }
-}
-
-impl Staged<'_> {
-    /// Moves the batch out, leaving an empty buffer behind.
-    pub(crate) fn take(self) -> Batch {
-        match self {
-            Staged::Rows(rows) => Batch::Rows(std::mem::take(rows)),
-            Staged::Columns(cols) => Batch::Columns(cols.take()),
-        }
     }
 }
 
@@ -162,11 +139,6 @@ pub(crate) struct Gauges {
 enum Route {
     Hash(HashPartitioner),
     RoundRobin(usize),
-}
-
-enum Stage {
-    Rows(Vec<Vec<Tuple>>),
-    Columns(Vec<ColumnBatch>),
 }
 
 pub(crate) struct Splitter {
@@ -186,16 +158,16 @@ pub(crate) struct Splitter {
     time_col: Option<usize>,
     time_lo: u64,
     time_hi: u64,
-    stage: Stage,
+    /// Partition → the batch being filled.
+    stage: Vec<ColumnBatch>,
     gauges: Option<Gauges>,
 }
 
 impl Splitter {
     /// A splitter over `scans` with the identity assignment table
     /// (which routes bit-identically to the closed-form range split),
-    /// staging `cfg.batch.max_batch`-tuple batches in the representation
-    /// `cfg.transport.columnar` selects. `gauged` turns on load
-    /// accounting and is only meaningful for hash strategies.
+    /// staging `cfg.batch.max_batch`-row column batches. `gauged` turns
+    /// on load accounting and is only meaningful for hash strategies.
     pub(crate) fn new(
         plan: &DistributedPlan,
         scans: &StreamScans,
@@ -235,25 +207,24 @@ impl Splitter {
             time_col: scans.schema.temporal_indices().first().copied(),
             time_lo: u64::MAX,
             time_hi: 0,
-            stage: if cfg.transport.columnar {
-                let staged = (0..m).map(|_| ColumnBatch::with_row_budget(arity, max));
-                Stage::Columns(staged.collect())
-            } else {
-                Stage::Rows(vec![Vec::new(); m])
-            },
+            stage: (0..m)
+                .map(|_| ColumnBatch::with_row_budget(arity, max))
+                .collect(),
             gauges,
         })
     }
 
     /// Routes `feed` in arrival order, one pass over the rows, handing
     /// every batch that fills to `emit(scan, batch)` and widening the
-    /// trace span by each row's time. A row whose arity is not the
+    /// trace span by each row's time. The receiver must drain the batch
+    /// (as `Engine::push_columns` and `ColumnBatch::take` do); the
+    /// buffer stays with the splitter. A row whose arity is not the
     /// stream's is a typed error naming it: the feed comes from outside
     /// the plan.
     pub(crate) fn route(
         &mut self,
         feed: &[Tuple],
-        emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+        emit: &mut impl FnMut(NodeId, &mut ColumnBatch) -> ExecResult<()>,
     ) -> ExecResult<()> {
         for tuple in feed {
             if tuple.arity() != self.arity {
@@ -287,19 +258,10 @@ impl Splitter {
                     to.partition
                 }
             };
-            match &mut self.stage {
-                Stage::Rows(bufs) => {
-                    bufs[p].push(tuple.clone());
-                    if bufs[p].len() >= self.max {
-                        emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
-                    }
-                }
-                Stage::Columns(bufs) => {
-                    bufs[p].push_row(tuple);
-                    if bufs[p].rows() >= self.max {
-                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, self.max, emit)?;
-                    }
-                }
+            let buf = &mut self.stage[p];
+            buf.push_row(tuple);
+            if buf.rows() >= self.max {
+                emit_columns(buf, self.scan_of[p], self.arity, self.max, emit)?;
             }
         }
         Ok(())
@@ -310,20 +272,12 @@ impl Splitter {
     /// numbering. The buffers stay usable for the next epoch.
     pub(crate) fn flush(
         &mut self,
-        emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+        emit: &mut impl FnMut(NodeId, &mut ColumnBatch) -> ExecResult<()>,
     ) -> ExecResult<()> {
         for &p in &self.tail_order {
-            match &mut self.stage {
-                Stage::Rows(bufs) => {
-                    if !bufs[p].is_empty() {
-                        emit(self.scan_of[p], Staged::Rows(&mut bufs[p]))?;
-                    }
-                }
-                Stage::Columns(bufs) => {
-                    if bufs[p].rows() > 0 {
-                        emit_columns(&mut bufs[p], self.scan_of[p], self.arity, self.max, emit)?;
-                    }
-                }
+            let buf = &mut self.stage[p];
+            if buf.rows() > 0 {
+                emit_columns(buf, self.scan_of[p], self.arity, self.max, emit)?;
             }
         }
         Ok(())
@@ -373,7 +327,7 @@ impl Splitter {
     }
 }
 
-/// Ships one columnar batch. `Engine::push_columns` swaps the buffer
+/// Ships one staged batch. `Engine::push_columns` swaps the buffer
 /// against a pooled batch; one of another arity is re-armed before
 /// reuse.
 fn emit_columns(
@@ -381,9 +335,9 @@ fn emit_columns(
     scan: NodeId,
     arity: usize,
     max: usize,
-    emit: &mut impl FnMut(NodeId, Staged<'_>) -> ExecResult<()>,
+    emit: &mut impl FnMut(NodeId, &mut ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    emit(scan, Staged::Columns(buf))?;
+    emit(scan, buf)?;
     if buf.arity() != arity {
         *buf = ColumnBatch::with_row_budget(arity, max);
     }
@@ -451,34 +405,16 @@ mod tests {
         ] {
             let plan = plan_for(&part);
             let scans = single_stream(&plan).unwrap();
-            for columnar in [false, true] {
-                let cfg = SimConfig {
-                    batch: qap_exec::BatchConfig::new(7),
-                    transport: crate::TransportConfig::default().with_columnar(columnar),
-                    ..SimConfig::default()
-                };
-                let mut splitter = Splitter::new(&plan, &scans, &cfg, false).unwrap();
-                let mut got: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
-                let mut emit = |scan: NodeId, batch: Staged<'_>| {
-                    got.push((
-                        scan,
-                        match batch.take() {
-                            Batch::Rows(rows) => rows,
-                            Batch::Columns(cols) => cols.to_rows(),
-                            Batch::Frame(_) => unreachable!("the splitter stages, never encodes"),
-                        },
-                    ));
-                    Ok(())
-                };
-                splitter.route(&trace, &mut emit).unwrap();
-                splitter.flush(&mut emit).unwrap();
-                assert!(splitter.gauges().is_none());
-                assert_eq!(
-                    got,
-                    reference(&plan, &scans, &trace, 7),
-                    "columnar={columnar}"
-                );
-            }
+            let mut splitter = Splitter::new(&plan, &scans, &cfg_of(7), false).unwrap();
+            let mut got: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
+            let mut emit = |scan: NodeId, batch: &mut ColumnBatch| {
+                got.push((scan, batch.take().to_rows()));
+                Ok(())
+            };
+            splitter.route(&trace, &mut emit).unwrap();
+            splitter.flush(&mut emit).unwrap();
+            assert!(splitter.gauges().is_none());
+            assert_eq!(got, reference(&plan, &scans, &trace, 7));
         }
     }
 
@@ -486,13 +422,8 @@ mod tests {
     /// batches in emission order, as rows.
     fn staged(splitter: &mut Splitter, feed: &[&[Tuple]]) -> Vec<(NodeId, Vec<Tuple>)> {
         let mut got = Vec::new();
-        let mut emit = |scan: NodeId, batch: Staged<'_>| {
-            let rows = match batch.take() {
-                Batch::Rows(rows) => rows,
-                Batch::Columns(cols) => cols.to_rows(),
-                Batch::Frame(_) => unreachable!("the splitter stages, never encodes"),
-            };
-            got.push((scan, rows));
+        let mut emit = |scan: NodeId, batch: &mut ColumnBatch| {
+            got.push((scan, batch.take().to_rows()));
             Ok(())
         };
         for part in feed {
@@ -502,10 +433,9 @@ mod tests {
         got
     }
 
-    fn cfg_of(max: usize, columnar: bool) -> SimConfig {
+    fn cfg_of(max: usize) -> SimConfig {
         SimConfig {
             batch: qap_exec::BatchConfig::new(max),
-            transport: crate::TransportConfig::default().with_columnar(columnar),
             ..SimConfig::default()
         }
     }
@@ -552,11 +482,11 @@ mod tests {
         ] {
             let plan = plan_for(&part);
             let scans = single_stream(&plan).unwrap();
-            for (trace, columnar) in [(&typed, true), (&untyped, true), (&untyped, false)] {
+            for trace in [&typed, &untyped] {
                 let want = reference(&plan, &scans, trace, 7);
-                let cfg = cfg_of(7, columnar);
+                let cfg = cfg_of(7);
                 let mut whole = Splitter::new(&plan, &scans, &cfg, false).unwrap();
-                assert_eq!(staged(&mut whole, &[trace]), want, "columnar={columnar}");
+                assert_eq!(staged(&mut whole, &[trace]), want);
                 // The same feed in arbitrary cuts — empty ones, ones
                 // shorter than a batch, ones spanning many.
                 let mut cuts: Vec<&[Tuple]> = Vec::new();
@@ -567,7 +497,7 @@ mod tests {
                     (rest, n) = (tail, n + 1);
                 }
                 let mut sliced = Splitter::new(&plan, &scans, &cfg, false).unwrap();
-                assert_eq!(staged(&mut sliced, &cuts), want, "columnar={columnar}");
+                assert_eq!(staged(&mut sliced, &cuts), want);
             }
         }
     }
@@ -581,7 +511,7 @@ mod tests {
         ] {
             let plan = plan_for(&part);
             let scans = single_stream(&plan).unwrap();
-            let cfg = cfg_of(7, true);
+            let cfg = cfg_of(7);
             let mut splitter = Splitter::new(&plan, &scans, &cfg, true).unwrap();
             assert_eq!(
                 staged(&mut splitter, &[&trace]),
@@ -669,10 +599,10 @@ mod tests {
             (&typed, &untimed),
         ] {
             let want = span_oracle(&scans.schema, trace);
-            let mut whole = Splitter::new(&plan, scans, &cfg_of(7, true), false).unwrap();
+            let mut whole = Splitter::new(&plan, scans, &cfg_of(7), false).unwrap();
             staged(&mut whole, &[trace]);
             assert_eq!(whole.duration(), want);
-            let mut sliced = Splitter::new(&plan, scans, &cfg_of(7, true), false).unwrap();
+            let mut sliced = Splitter::new(&plan, scans, &cfg_of(7), false).unwrap();
             let cuts: Vec<&[Tuple]> = trace.chunks(17).collect();
             staged(&mut sliced, &cuts);
             assert_eq!(sliced.duration(), want);
@@ -688,9 +618,9 @@ mod tests {
         let scans = single_stream(&plan).unwrap();
         let mut trace = generate(&TraceConfig::tiny(17));
         trace[30] = trace[30].project(&[0, 1]);
-        let mut splitter = Splitter::new(&plan, &scans, &cfg_of(7, true), false).unwrap();
-        let mut emit = |_: NodeId, batch: Staged<'_>| {
-            batch.take();
+        let mut splitter = Splitter::new(&plan, &scans, &cfg_of(7), false).unwrap();
+        let mut emit = |_: NodeId, batch: &mut ColumnBatch| {
+            batch.clear();
             Ok(())
         };
         splitter.route(&trace[..25], &mut emit).unwrap();

@@ -2,16 +2,15 @@
 //! transport every distributing runner shares — worker threads over a
 //! channel and host processes over sockets alike.
 //!
-//! Boundary data crosses execution units as length-prefixed wire frames
-//! ([`qap_types::encode_batch`] / [`qap_types::encode_column_batch`])
-//! into a *bounded* buffer. [`TransportConfig`] holds the run's knobs:
-//! buffer depth and frame size, the unit decomposition, the frame
-//! representation, the fault plan and strict/partial failure mode, the
-//! one timeout that bounds every wait on a peer, and the rebalance
-//! controller. Capacity, frame size, decomposition and representation
-//! are pure performance knobs: results and semantic counters are
-//! identical at every setting (the transport, socket and columnar
-//! equivalence suites sweep them against the deterministic simulator).
+//! Boundary data crosses execution units as length-prefixed lane frames
+//! ([`qap_types::encode_column_batch`]) into a *bounded* buffer.
+//! [`TransportConfig`] holds the run's knobs: buffer depth and frame
+//! size, the unit decomposition, the fault plan and strict/partial
+//! failure mode, the one timeout that bounds every wait on a peer, and
+//! the rebalance controller. Capacity, frame size and decomposition are
+//! pure performance knobs: results and semantic counters are identical
+//! at every setting (the transport and socket equivalence suites sweep
+//! them against the deterministic simulator).
 //!
 //! [`TransportMetrics`] is the *measured* side: actual frames and
 //! encoded bytes that crossed each boundary edge — as opposed to the
@@ -155,13 +154,6 @@ pub struct TransportConfig {
     /// the central merge stage; when false, each host runs one thread —
     /// the pre-partition-parallel baseline topology.
     pub partition_parallel: bool,
-    /// When true (default), boundary tuples stage into columnar (SoA)
-    /// frames ([`qap_types::encode_column_batch`]) and the receiving
-    /// engine keeps them columnar through its vectorized hot path; when
-    /// false, frames carry row-major payloads — the pre-columnar
-    /// baseline. Results and semantic counters are identical either
-    /// way (the columnar equivalence suite sweeps both).
-    pub columnar: bool,
     /// Deterministic fault-injection plan. The default injects nothing;
     /// with any knob active the run exercises the failure paths
     /// (typed [`qap_exec::HostFailure`], retries, timeouts).
@@ -197,7 +189,6 @@ impl Default for TransportConfig {
             channel_capacity: 64,
             frame_batch: 1024,
             partition_parallel: true,
-            columnar: true,
             fault: FaultPlan::default(),
             partial_results: false,
             send_timeout_ms: DEFAULT_SEND_TIMEOUT_MS,
@@ -263,13 +254,6 @@ impl TransportConfig {
         self
     }
 
-    /// Sets the boundary-frame representation: columnar (SoA) frames
-    /// when `on`, row-major frames otherwise.
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
-        self
-    }
-
     /// Installs a deterministic fault-injection plan.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
@@ -311,10 +295,9 @@ pub struct EdgeTransport {
     pub tuples: u64,
     /// Encoded payload bytes carried (excluding the 8-byte frame
     /// headers) — the measured counterpart of the cost model's
-    /// `tuples × wire_size(arity)` estimate. Under row frames
-    /// ([`TransportConfig::with_columnar`]`(false)`) the two are
-    /// identical for all-numeric schemas; columnar frames pack typed
-    /// lanes and measure *below* the estimate.
+    /// `tuples × wire_size(arity)` estimate, which prices the tagged
+    /// per-tuple encoding. Lane frames pack typed values untagged, so
+    /// on all-numeric schemas they measure *below* the estimate.
     pub bytes: u64,
     /// Bounded-backoff retries this edge's producer performed against a
     /// full channel (each retry re-polls `try_send` after a short
@@ -382,7 +365,6 @@ mod tests {
         assert_eq!(d.channel_capacity, 64);
         assert_eq!(d.frame_batch, 1024);
         assert!(d.partition_parallel);
-        assert!(d.columnar);
         assert!(d.fault.is_clean());
         assert!(!d.partial_results);
         assert_eq!(d.send_timeout_ms, DEFAULT_SEND_TIMEOUT_MS);
@@ -390,7 +372,6 @@ mod tests {
         let c = TransportConfig::new(0, 0);
         assert_eq!((c.channel_capacity, c.frame_batch), (1, 1));
         assert!(!TransportConfig::default().host_serial().partition_parallel);
-        assert!(!TransportConfig::default().with_columnar(false).columnar);
         assert!(
             TransportConfig::default()
                 .with_partial_results(true)

@@ -25,7 +25,7 @@ use qap_obs::SharedGauge;
 use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{
-    encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Schema, Tuple,
+    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Schema, Tuple,
     FRAME_HEADER_LEN,
 };
 
@@ -34,13 +34,13 @@ use crate::link::{
     read_control, ChannelSink, DuplexStream, Frame, FrameSink, SendOutcome, StreamSink,
 };
 use crate::rebalance::{extract_rerouted, Carrier, ExtractJob, Handoff, StateRows};
-use crate::splitter::{Batch, Staged};
+use crate::splitter::Batch;
 use crate::threaded::{Central, Deployment};
 use crate::transport::{EdgeTransport, FaultPlan};
 
 /// One leaf execution unit's description: the id maps that address its
 /// data and every knob that shapes its execution — batch size, frame
-/// size, representation, timeout and fault plan — so a unit is
+/// size, timeout and fault plan — so a unit is
 /// parameterized identically on a worker thread and in a host process.
 ///
 /// The in-process runner hands this to [`run_unit`] next to the sliced
@@ -69,8 +69,6 @@ pub(crate) struct UnitSpec {
     pub(crate) max_batch: u32,
     /// Tuples staged per boundary frame.
     pub(crate) frame_batch: u32,
-    /// Columnar (SoA) boundary frames when true, row-major otherwise.
-    pub(crate) columnar: bool,
     /// Bound on the full-buffer retry loop, in milliseconds.
     pub(crate) send_timeout_ms: u64,
     /// Deterministic fault plan, part of the description so chaos tests
@@ -250,16 +248,17 @@ impl UnitPort for StreamPort {
     }
 }
 
-/// Feeds one splitter batch to a unit engine, in the representation it
-/// arrived in; returns the tuples ingested.
+/// Feeds one splitter batch to a unit engine, staged or still encoded;
+/// returns the tuples ingested.
 pub(crate) fn push_feed(engine: &mut Engine, local: NodeId, batch: Batch) -> ExecResult<usize> {
-    let n = batch.len();
     match batch {
-        Batch::Rows(mut rows) => engine.push_batch(local, &mut rows)?,
-        Batch::Columns(mut cols) => engine.push_columns(local, &mut cols)?,
-        Batch::Frame(frame) => return engine.push_frame(local, frame),
+        Batch::Columns(mut cols) => {
+            let n = cols.rows();
+            engine.push_columns(local, &mut cols)?;
+            Ok(n)
+        }
+        Batch::Frame(frame) => engine.push_frame(local, frame),
     }
-    Ok(n)
 }
 
 /// Resolves a node id a command names; one the unit does not run is a
@@ -498,23 +497,18 @@ fn forward_boundary<P: UnitPort>(
     Ok(())
 }
 
-/// Encodes the edge's pending rows as one frame — straight off their
-/// lanes when the unit ships columnar; a row frame transposes them here,
-/// the one place a unit's output may still become tuples — applies the
-/// fault plan, and ships it through the port: a non-blocking attempt
-/// first, and on a full buffer one counted backpressure stall followed
-/// by a retry-with-backoff loop bounded by the unit's send timeout.
+/// Encodes the edge's pending rows as one frame straight off their
+/// lanes, applies the fault plan, and ships it through the port: a
+/// non-blocking attempt first, and on a full buffer one counted
+/// backpressure stall followed by a retry-with-backoff loop bounded by
+/// the unit's send timeout.
 /// Exhausting the bound surfaces as a typed [`FailureCause::Timeout`]
 /// instead of wedging the unit. A dropped receiver (central error path)
 /// discards the frame — never a deadlock. A sink whose *link* breaks
 /// (socket ports only) surfaces as a typed [`FailureCause::Link`].
 fn ship<P: UnitPort>(edge: &mut EdgeStage, tx: &mut Tx<'_>, port: &mut P) -> ExecResult<()> {
     let spec = tx.spec;
-    let frame = if spec.columnar {
-        encode_column_batch(&edge.pending, &mut tx.scratch)?
-    } else {
-        encode_batch(&edge.pending.to_rows(), &mut tx.scratch)?
-    };
+    let frame = encode_column_batch(&edge.pending, &mut tx.scratch)?;
     let tuples = edge.pending.rows() as u64;
     edge.pending.clear();
     edge.seq += 1;
@@ -705,12 +699,12 @@ impl<'a> Units<'a> {
 }
 
 impl Carrier for Units<'_> {
-    fn feed(&mut self, scan: NodeId, batch: Staged<'_>) -> ExecResult<()> {
+    fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
         let (u, local) = (self.dep.unit_of[scan], self.dep.local_of[scan]);
         if u == 0 {
             self.central.feed(local, batch)?;
         } else {
-            self.send(u, UnitCmd::Feed(local as u32, batch.take()))?;
+            self.send(u, UnitCmd::Feed(local as u32, Batch::Columns(batch.take())))?;
         }
         // Whatever reached the boundary meanwhile.
         self.central.pump(Duration::ZERO)

@@ -8,7 +8,7 @@
 //! qapctl run     <script.gsql> --hosts N [--set ...] [--round-robin]
 //!                              [--seed S] [--epochs E] [--flows F]
 //!                              [--trace file.qtr] [--threaded] [--limit K]
-//!                              [--batch-size B] [--metrics[=PATH]] [--columnar[=on|off]]
+//!                              [--batch-size B] [--metrics[=PATH]]
 //!                              [--channel-capacity C] [--frame-batch F] [--host-serial]
 //! qapctl gen-trace <out.qtr>   [--seed S] [--epochs E] [--flows F]
 //! qapctl host      --listen <addr> [--once]
@@ -53,8 +53,6 @@ const USAGE: &str = "usage:
                    [--channel-capacity C] (bounded boundary-channel depth for --threaded; default 64)
                    [--frame-batch F]      (max tuples per boundary frame for --threaded; default 1024)
                    [--host-serial]        (one worker per host instead of partition-parallel units)
-                   [--columnar[=on|off]]  (columnar SoA frames + vectorized engine path; default on;
-                                           results are representation-invariant)
                    [--fault-plan SPEC]    (deterministic fault injection for --threaded; SPEC is a
                                            comma list of seed=N, corrupt=N, truncate=N, drop=N
                                            (every Nth frame), slow=HOST:MICROS, hang=HOST:MILLIS,
@@ -230,14 +228,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 if opts.transport.send_timeout_ms == 0 {
                     return Err("--send-timeout must be at least 1".into());
                 }
-            }
-            "--columnar" => opts.transport.columnar = true,
-            other if other.starts_with("--columnar=") => {
-                opts.transport.columnar = match &other["--columnar=".len()..] {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    bad => return Err(format!("--columnar: expected on|off, got '{bad}'")),
-                };
             }
             "--explain" => opts.explain = true,
             "--trace" => opts.trace_file = Some(value("--trace")?),
@@ -668,7 +658,7 @@ fn execute(dag: &QueryDag, opts: &Opts) -> Result<(), String> {
         ..SimConfig::default()
     };
     println!(
-        "Engine: {} runner, batch {}, {} representation\n",
+        "Engine: {} runner, batch {}\n",
         match opts.transport_kind {
             TransportKind::Tcp => "tcp process",
             TransportKind::Unix => "unix-socket process",
@@ -676,11 +666,6 @@ fn execute(dag: &QueryDag, opts: &Opts) -> Result<(), String> {
             TransportKind::Channel => "simulated",
         },
         opts.batch_size,
-        if opts.transport.columnar {
-            "columnar"
-        } else {
-            "row"
-        }
     );
     let result = match opts.transport_kind {
         TransportKind::Tcp | TransportKind::Unix => run_remote(&plan, &trace, &sim, opts)?,

@@ -360,37 +360,20 @@ impl Engine {
         self.run()
     }
 
-    /// Delivers a wire frame (produced by [`qap_types::encode_batch`]
-    /// or [`qap_types::encode_column_batch`]) to a source scan,
-    /// dispatching on the frame's representation flag: row frames
-    /// decode into a pooled scratch buffer, columnar frames decode
-    /// straight into a [`ColumnBatch`] and stay columnar through the
+    /// Delivers a lane frame (produced by
+    /// [`qap_types::encode_column_batch`]) to a source scan: it decodes
+    /// straight into a [`ColumnBatch`] and stays on lanes through the
     /// engine. Returns the number of tuples ingested.
     ///
     /// This is the receive half of the cluster's framed boundary
-    /// transport: decode errors surface as typed [`ExecError::Wire`]
-    /// failures rather than panics.
+    /// transport: a damaged frame, or one without
+    /// [`qap_types::COLUMNAR_FLAG`], is a typed [`ExecError::Wire`]
+    /// failure that reaches no operator — never a panic.
     pub fn push_frame(&mut self, source: NodeId, frame: qap_types::Bytes) -> ExecResult<usize> {
-        if qap_types::frame_is_columnar(&frame) {
-            let mut cols = match qap_types::decode_column_batch(frame) {
-                Ok(c) => c,
-                Err(e) => return Err(ExecError::Wire(e)),
-            };
-            let n = cols.rows();
-            self.push_columns(source, &mut cols)?;
-            return Ok(n);
-        }
-        let mut buf = self.take_buf();
-        if let Err(e) = qap_types::decode_batch_into(frame, &mut buf) {
-            buf.clear();
-            self.recycle(buf);
-            return Err(ExecError::Wire(e));
-        }
-        let n = buf.len();
-        let result = self.push_batch(source, &mut buf);
-        buf.clear();
-        self.recycle(buf);
-        result.map(|()| n)
+        let mut cols = qap_types::decode_column_batch(frame).map_err(ExecError::Wire)?;
+        let n = cols.rows();
+        self.push_columns(source, &mut cols)?;
+        Ok(n)
     }
 
     /// Drains the routing queue, delivering each in-flight batch in

@@ -495,6 +495,31 @@ fn oversized_column_feed_equals_max_batch_feeds() {
 }
 
 #[test]
+fn frame_without_the_columnar_flag_is_a_wire_error_that_moves_nothing() {
+    use qap_types::{encode_column_batch, Bytes, BytesMut, ColumnBatch, COLUMNAR_FLAG};
+    let dag = build(&[(
+        "flows",
+        "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb, srcIP",
+    )]);
+    let trace: Vec<Tuple> = (0..20u64).map(|i| pkt(i, i % 3, 2, 0, 10)).collect();
+    let frame = encode_column_batch(&ColumnBatch::from_rows(&trace), &mut BytesMut::new()).unwrap();
+    let mut engine = Engine::new(&dag).unwrap();
+    let src = engine.source_nodes()[0];
+    // Well-formed in every other respect: only the flag is cleared.
+    let mut raw = frame.to_vec();
+    raw[4] &= !((COLUMNAR_FLAG >> 24) as u8);
+    let err = engine.push_frame(src, Bytes::from(raw)).unwrap_err();
+    assert!(matches!(err, ExecError::Wire(_)), "{err}");
+    assert!(engine
+        .counters()
+        .iter()
+        .all(|c| c.tuples_in == 0 && c.tuples_out == 0));
+    // The same frame with its flag is ingested whole.
+    assert_eq!(engine.push_frame(src, frame).unwrap(), trace.len());
+    assert_eq!(engine.counters()[src].tuples_in, trace.len() as u64);
+}
+
+#[test]
 fn a_boundary_sink_collects_what_an_output_sink_does() {
     use qap_types::ColumnBatch;
     // Every window but the last closes inside a feed; the last leaves

@@ -10,8 +10,8 @@
 //! A control frame is `[u32 payload_len][u8 tag][payload]`. The
 //! `Deploy`/`Result` payloads are opaque here — their encodings belong
 //! to the cluster layer, which knows what an execution unit is — and a
-//! `Data` frame wraps one ordinary wire frame ([`crate::encode_batch`]
-//! / [`crate::encode_column_batch`]) together with the plan-node id it
+//! `Data` frame wraps one ordinary lane frame
+//! ([`crate::encode_column_batch`]) together with the plan-node id it
 //! belongs to (see [`ControlFrame::Data`] for which id space each
 //! direction uses), so the inner bytes flow into the engine's frame
 //! ingestion untouched.
@@ -30,7 +30,7 @@ use crate::{TypeError, TypeResult};
 /// carrying any other version with [`ControlFrame::Error`] (kind
 /// [`ERROR_VERSION`]) — mixed-version clusters fail fast at the
 /// handshake instead of mis-decoding deployment payloads mid-run.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Byte length of a control-frame header: `u32` payload length plus
 /// `u8` tag.
@@ -93,8 +93,7 @@ pub enum ControlFrame {
     /// Host → coordinator: deployment decoded and compiled.
     DeployAck,
     /// A boundary data frame, either direction: the inner bytes are one
-    /// wire frame exactly as [`crate::encode_batch`] /
-    /// [`crate::encode_column_batch`] produced it.
+    /// lane frame exactly as [`crate::encode_column_batch`] produced it.
     Data {
         /// Plan-node id the frame belongs to. Coordinator → host: the
         /// partition scan being fed, as the receiving unit's *local*
@@ -154,7 +153,7 @@ fn payload_len(frame: &ControlFrame) -> usize {
 }
 
 /// Encodes one control frame, reusing `scratch` as the staging buffer
-/// exactly as [`crate::encode_batch`] does. Payloads that overflow the
+/// exactly as [`crate::encode_column_batch`] does. Payloads that overflow the
 /// `u32` header length (or an `Error` message longer than `u32::MAX`)
 /// are refused with [`TypeError::FrameTooLarge`] before any bytes are
 /// staged.

@@ -35,9 +35,8 @@ pub use tuple::Tuple;
 pub use udaf::{Udaf, UdafRegistry, UdafState};
 pub use value::Value;
 pub use wire::{
-    decode_batch, decode_batch_into, decode_column_batch, decode_frame_into, decode_tuple,
-    encode_batch, encode_column_batch, encode_tuple, encoded_batch_len, encoded_column_batch_len,
-    encoded_len, frame_is_columnar, DecodedFrame, COLUMNAR_FLAG, FRAME_HEADER_LEN,
+    decode_column_batch, decode_tuple, encode_column_batch, encode_tuple, encoded_column_batch_len,
+    encoded_len, COLUMNAR_FLAG, FRAME_HEADER_LEN,
 };
 
 // Downstream crates (exec frame ingestion, the cluster transport) take

@@ -7,15 +7,14 @@
 //! Two granularities are provided:
 //!
 //! - [`encode_tuple`]/[`decode_tuple`] — one tuple, one buffer (trace
-//!   files, tests);
-//! - [`encode_batch`]/[`decode_batch`] — a length-prefixed **frame**
-//!   carrying a whole batch, the unit the threaded cluster runner ships
-//!   over its bounded boundary channels. A frame is
-//!   `[u32 payload_len][u32 tuple_count][tuple bytes…]`, where the
-//!   payload is exactly the concatenation of [`encode_tuple`] encodings
-//!   — so `payload_len == Σ encoded_len(t)` and the measured frame
-//!   bytes stay in lock-step with the Section 4.2.1 cost model's
-//!   per-tuple size estimator.
+//!   files, tests); [`encoded_len`] is its exact size, which the
+//!   Section 4.2.1 cost model charges per transferred tuple;
+//! - [`encode_column_batch`]/[`decode_column_batch`] — a
+//!   length-prefixed **frame** carrying a whole [`ColumnBatch`] lane by
+//!   lane, the one unit every cluster runner ships across a boundary.
+//!   A frame is `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]
+//!   [lanes…]`; the lanes pack typed values without per-value tags, so
+//!   measured frame bytes sit below the cost model's tagged estimate.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -37,15 +36,13 @@ const LANE_MIXED: u8 = 5;
 const LANE_DICT: u8 = 6;
 
 /// Byte length of a frame header: `u32` payload length plus `u32`
-/// tuple count.
+/// row count.
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// High bit of the frame header's count word, set when the payload is
-/// column-contiguous ([`encode_column_batch`]) rather than row-major
-/// ([`encode_batch`]). Row batches never reach 2³¹ tuples (the batch
-/// size is config-bounded), so the bit is free. A row decoder handed a
-/// columnar frame sees an absurd count and fails with a typed error
-/// rather than misparsing; [`decode_frame_into`] dispatches on the bit.
+/// High bit of the frame header's count word, set on every frame
+/// [`encode_column_batch`] writes. It is a corruption check: a frame
+/// without it is not a lane frame, and [`decode_column_batch`] rejects
+/// it with a typed error rather than misparsing it.
 pub const COLUMNAR_FLAG: u32 = 1 << 31;
 
 /// Largest payload a frame header's `u32` length word can describe.
@@ -53,147 +50,22 @@ pub const COLUMNAR_FLAG: u32 = 1 << 31;
 /// silently truncated length and a corrupt frame.
 pub const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
 
-/// Largest tuple/row count a frame header can carry: the count word's
-/// high bit is the [`COLUMNAR_FLAG`], so counts stop one short of 2³¹.
+/// Largest row count a frame header can carry: the count word's high
+/// bit is the [`COLUMNAR_FLAG`], so counts stop one short of 2³¹.
 pub const MAX_FRAME_COUNT: usize = (COLUMNAR_FLAG - 1) as usize;
-
-/// Validates that a frame of `count` tuples and `payload` bytes fits
-/// the `u32` header fields.
-fn check_frame_limits(count: usize, payload: usize) -> TypeResult<()> {
-    if count > MAX_FRAME_COUNT {
-        return Err(TypeError::FrameTooLarge {
-            context: "tuple count",
-            size: count,
-            limit: MAX_FRAME_COUNT,
-        });
-    }
-    if payload > MAX_FRAME_PAYLOAD {
-        return Err(TypeError::FrameTooLarge {
-            context: "frame payload",
-            size: payload,
-            limit: MAX_FRAME_PAYLOAD,
-        });
-    }
-    Ok(())
-}
-
-/// Appends one tuple's encoding to a growing buffer.
-fn encode_tuple_into(tuple: &Tuple, buf: &mut BytesMut) {
-    buf.put_u16(tuple.arity() as u16);
-    for v in tuple.values() {
-        encode_value_into(v, buf);
-    }
-}
 
 /// Encodes a tuple into a freshly allocated byte buffer.
 pub fn encode_tuple(tuple: &Tuple) -> Bytes {
     let mut buf = BytesMut::with_capacity(encoded_len(tuple));
-    encode_tuple_into(tuple, &mut buf);
+    buf.put_u16(tuple.arity() as u16);
+    for v in tuple.values() {
+        encode_value_into(v, &mut buf);
+    }
     buf.freeze()
 }
 
-/// Exact payload length in bytes of a frame carrying `batch` — the sum
-/// of the tuples' [`encoded_len`]s, excluding the
-/// [`FRAME_HEADER_LEN`]-byte header.
-pub fn encoded_batch_len(batch: &[Tuple]) -> usize {
-    batch.iter().map(encoded_len).sum()
-}
-
-/// Encodes a batch of tuples into one length-prefixed frame, reusing
-/// `scratch` as the staging buffer (its allocation is retained across
-/// calls, so steady-state framing does no buffer growth).
-///
-/// Frame layout: `[u32 payload_len][u32 tuple_count][payload]`, payload
-/// being the concatenation of [`encode_tuple`] encodings. The returned
-/// [`Bytes`] is self-contained; `scratch` is left empty with its
-/// capacity intact.
-///
-/// Batches whose payload or tuple count overflow the `u32` header
-/// fields — or whose tuples overflow the `u16` per-tuple arity header —
-/// are rejected with [`TypeError::FrameTooLarge`] *before* any bytes
-/// are staged; a silently length-truncated (corrupt) frame is never
-/// produced.
-pub fn encode_batch(batch: &[Tuple], scratch: &mut BytesMut) -> TypeResult<Bytes> {
-    scratch.clear();
-    let payload = encoded_batch_len(batch);
-    check_frame_limits(batch.len(), payload)?;
-    for t in batch {
-        if t.arity() > u16::MAX as usize {
-            return Err(TypeError::FrameTooLarge {
-                context: "tuple arity",
-                size: t.arity(),
-                limit: u16::MAX as usize,
-            });
-        }
-    }
-    scratch.reserve(FRAME_HEADER_LEN + payload);
-    scratch.put_u32(payload as u32);
-    scratch.put_u32(batch.len() as u32);
-    for t in batch {
-        encode_tuple_into(t, scratch);
-    }
-    debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + payload);
-    Ok(scratch.split().freeze())
-}
-
-/// Decodes a frame produced by [`encode_batch`] into a fresh vector.
-pub fn decode_batch(frame: Bytes) -> TypeResult<Vec<Tuple>> {
-    let mut out = Vec::new();
-    decode_batch_into(frame, &mut out)?;
-    Ok(out)
-}
-
-/// Decodes a frame produced by [`encode_batch`], appending the tuples
-/// to `out` (callers recycle the vector to keep the decode path
-/// allocation-free at steady state).
-///
-/// Rejects truncated or oversized frames, count/length disagreements,
-/// and malformed tuple payloads with typed [`TypeError`]s — a corrupt
-/// frame never panics and never yields partial output beyond what was
-/// already appended.
-pub fn decode_batch_into(mut frame: Bytes, out: &mut Vec<Tuple>) -> TypeResult<()> {
-    if frame.remaining() < FRAME_HEADER_LEN {
-        return Err(TypeError::Truncated {
-            context: "frame header",
-            need: FRAME_HEADER_LEN,
-            have: frame.remaining(),
-        });
-    }
-    let payload = frame.get_u32() as usize;
-    let count = frame.get_u32() as usize;
-    if frame.remaining() != payload {
-        return Err(TypeError::FrameLengthMismatch {
-            declared: payload,
-            actual: frame.remaining(),
-        });
-    }
-    // Every tuple costs at least its 2-byte arity header; a count that
-    // cannot fit the payload is corrupt (and must not drive a huge
-    // `reserve`).
-    if count * 2 > payload {
-        return Err(TypeError::Corrupt("tuple count exceeds frame payload"));
-    }
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(decode_tuple_from(&mut frame)?);
-    }
-    if frame.remaining() != 0 {
-        return Err(TypeError::Corrupt("trailing bytes after frame payload"));
-    }
-    Ok(())
-}
-
-/// Whether a frame's payload is column-contiguous (produced by
-/// [`encode_column_batch`]) rather than row-major. Answers `false` for
-/// anything shorter than a header; the decoder will report the
-/// truncation properly.
-#[inline]
-pub fn frame_is_columnar(frame: &[u8]) -> bool {
-    frame.len() >= FRAME_HEADER_LEN && frame[4] & 0x80 != 0
-}
-
 /// Payload byte length of the value body (excluding the 1-byte tag) —
-/// shared between [`encoded_len`] and the mixed-lane columnar encoder.
+/// shared between [`encoded_len`] and the mixed-lane encoder.
 #[inline]
 fn value_body_len(v: &Value) -> usize {
     match v {
@@ -232,7 +104,9 @@ pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
 }
 
 /// Encodes a column batch into one length-prefixed frame, reusing
-/// `scratch` exactly as [`encode_batch`] does.
+/// `scratch` as the staging buffer (its allocation is retained across
+/// calls, so steady-state framing does no buffer growth). The returned
+/// [`Bytes`] is self-contained; `scratch` is left empty.
 ///
 /// Frame layout: `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]`
 /// then `[u16 arity]` and, per column: `[u8 lane_tag][u8 has_mask]`,
@@ -240,25 +114,30 @@ pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
 /// out contiguously (`u64`s for UInt, `i64`s for Int, one byte per
 /// Bool, `u32`-length-prefixed UTF-8 per Str, tagged [`Value`]
 /// encodings per Mixed entry; untyped all-NULL columns ship no body at
-/// all). Decoding a columnar frame yields exactly the tuples the row
-/// frame of the same batch would — the two encodings are
-/// interchangeable on the wire.
+/// all). Decoding the frame and materializing its rows yields exactly
+/// the rows the batch holds, for every value kind.
 ///
-/// The same size discipline as [`encode_batch`]: payloads, row counts
-/// or arities that overflow their header fields (`u32`/`u32`/`u16`)
-/// report [`TypeError::FrameTooLarge`] instead of emitting a corrupt
-/// frame. Per-string `u32` length prefixes cannot overflow once the
-/// whole payload fits (each string costs `4 + len` payload bytes).
+/// Payloads, row counts or arities that overflow their header fields
+/// (`u32`/`u32`/`u16`) report [`TypeError::FrameTooLarge`] *before* any
+/// bytes are staged, instead of emitting a silently length-truncated
+/// (corrupt) frame. Per-string `u32` length prefixes cannot overflow
+/// once the whole payload fits (each string costs `4 + len` payload
+/// bytes).
 pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     scratch.clear();
     let payload = encoded_column_batch_len(batch);
-    check_frame_limits(batch.rows(), payload)?;
-    if batch.arity() > u16::MAX as usize {
-        return Err(TypeError::FrameTooLarge {
-            context: "column batch arity",
-            size: batch.arity(),
-            limit: u16::MAX as usize,
-        });
+    for (context, size, limit) in [
+        ("tuple count", batch.rows(), MAX_FRAME_COUNT),
+        ("frame payload", payload, MAX_FRAME_PAYLOAD),
+        ("column batch arity", batch.arity(), u16::MAX as usize),
+    ] {
+        if size > limit {
+            return Err(TypeError::FrameTooLarge {
+                context,
+                size,
+                limit,
+            });
+        }
     }
     scratch.reserve(FRAME_HEADER_LEN + payload);
     scratch.put_u32(payload as u32);
@@ -327,8 +206,8 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
     Ok(scratch.split().freeze())
 }
 
-/// Appends one tagged value encoding (the unit of both the row tuple
-/// payload and the columnar mixed lane).
+/// Appends one tagged value encoding (the unit of both the tuple
+/// encoding and the mixed lane).
 fn encode_value_into(v: &Value, buf: &mut BytesMut) {
     match v {
         Value::Null => buf.put_u8(TAG_NULL),
@@ -352,11 +231,12 @@ fn encode_value_into(v: &Value, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes a columnar frame produced by [`encode_column_batch`].
+/// Decodes a frame produced by [`encode_column_batch`].
 ///
-/// The same corruption discipline as [`decode_batch_into`]: truncated
-/// lanes, count/length disagreements, bad tags and invalid UTF-8 all
-/// report typed [`TypeError`]s, never panics.
+/// A frame without [`COLUMNAR_FLAG`], truncated lanes, count/length
+/// disagreements, bad tags and invalid UTF-8 all report typed
+/// [`TypeError`]s, never panics; no count read off the wire drives an
+/// allocation the remaining payload cannot back.
 pub fn decode_column_batch(mut frame: Bytes) -> TypeResult<ColumnBatch> {
     if frame.remaining() < FRAME_HEADER_LEN {
         return Err(TypeError::Truncated {
@@ -368,7 +248,7 @@ pub fn decode_column_batch(mut frame: Bytes) -> TypeResult<ColumnBatch> {
     let payload = frame.get_u32() as usize;
     let count = frame.get_u32();
     if count & COLUMNAR_FLAG == 0 {
-        return Err(TypeError::Corrupt("row frame passed to columnar decoder"));
+        return Err(TypeError::Corrupt("frame lacks the columnar flag"));
     }
     let rows = (count & !COLUMNAR_FLAG) as usize;
     if frame.remaining() != payload {
@@ -505,35 +385,6 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
     Ok(Column::from_parts(data, nulls))
 }
 
-/// Which representation a boundary frame carried, as reported by
-/// [`decode_frame_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodedFrame {
-    /// Row frame: the decoded tuples were appended to the row buffer.
-    Rows,
-    /// Columnar frame: the column batch was replaced with the decoded
-    /// columns (the row buffer is untouched).
-    Columns,
-}
-
-/// Decodes either kind of boundary frame, dispatching on
-/// [`COLUMNAR_FLAG`]: row frames append to `rows`, columnar frames
-/// replace `columns`. Returns which buffer received the batch so the
-/// engine can route it down the matching path.
-pub fn decode_frame_into(
-    frame: Bytes,
-    rows: &mut Vec<Tuple>,
-    columns: &mut ColumnBatch,
-) -> TypeResult<DecodedFrame> {
-    if frame_is_columnar(&frame) {
-        *columns = decode_column_batch(frame)?;
-        Ok(DecodedFrame::Columns)
-    } else {
-        decode_batch_into(frame, rows)?;
-        Ok(DecodedFrame::Rows)
-    }
-}
-
 /// Exact length in bytes [`encode_tuple`] will produce, without encoding.
 ///
 /// The cost model uses this as `out_tuple_size` when charging network
@@ -544,11 +395,6 @@ pub fn encoded_len(tuple: &Tuple) -> usize {
         .iter()
         .map(|v| 1 + value_body_len(v))
         .sum::<usize>()
-}
-
-/// Decodes a tuple previously produced by [`encode_tuple`].
-pub fn decode_tuple(mut buf: Bytes) -> TypeResult<Tuple> {
-    decode_tuple_from(&mut buf)
 }
 
 /// Ensures `buf` holds at least `need` more bytes before a read.
@@ -564,25 +410,24 @@ fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
     Ok(())
 }
 
-/// Decodes one tuple off the front of `buf`, advancing the cursor —
-/// the inner loop of [`decode_batch_into`]'s frame walk. Every
+/// Decodes a tuple previously produced by [`encode_tuple`]. Every
 /// short-buffer case reports a typed [`TypeError::Truncated`] (never a
 /// panic), unknown tags report [`TypeError::BadTag`].
-fn decode_tuple_from(buf: &mut Bytes) -> TypeResult<Tuple> {
-    want(buf, "arity header", 2)?;
+pub fn decode_tuple(mut buf: Bytes) -> TypeResult<Tuple> {
+    want(&buf, "arity header", 2)?;
     let arity = buf.get_u16() as usize;
     // Each value costs at least its 1-byte tag: bound the pre-sized
     // allocation by the bytes actually present.
-    want(buf, "tuple values", arity)?;
+    want(&buf, "tuple values", arity)?;
     let mut tuple = Tuple::with_capacity(arity);
     for _ in 0..arity {
-        tuple.push(decode_value_from(buf)?);
+        tuple.push(decode_value_from(&mut buf)?);
     }
     Ok(tuple)
 }
 
-/// Decodes one tagged value off the front of `buf` — shared by the row
-/// tuple walk and the columnar mixed lane.
+/// Decodes one tagged value off the front of `buf` — shared by the
+/// tuple decoder and the mixed lane.
 fn decode_value_from(buf: &mut Bytes) -> TypeResult<Value> {
     want(buf, "value tag", 1)?;
     let tag = buf.get_u8();
@@ -681,49 +526,60 @@ mod tests {
         ));
     }
 
+    /// Encodes `rows` as one lane frame through `scratch`.
+    fn frame_of(rows: &[Tuple], scratch: &mut BytesMut) -> Bytes {
+        encode_column_batch(&ColumnBatch::from_rows(rows), scratch).unwrap()
+    }
+
     #[test]
     fn batch_round_trips_and_sizes_agree() {
         let batch = vec![
-            tuple![1u64, 2u64],
-            Tuple::new(vec![Value::Null, Value::from("frame"), Value::Bool(false)]),
-            Tuple::default(),
+            Tuple::new(vec![
+                Value::UInt(1),
+                Value::from("frame"),
+                Value::Bool(false),
+            ]),
+            Tuple::new(vec![Value::Null, Value::from("lane"), Value::Bool(true)]),
         ];
+        let cols = ColumnBatch::from_rows(&batch);
         let mut scratch = BytesMut::new();
-        let frame = encode_batch(&batch, &mut scratch).unwrap();
-        assert_eq!(frame.len(), FRAME_HEADER_LEN + encoded_batch_len(&batch));
+        let frame = encode_column_batch(&cols, &mut scratch).unwrap();
+        // Arity word; a masked uint lane (2 + 2 + 2·8); a string lane
+        // (2 + 4+5 + 4+4); a bool lane (2 + 2).
+        assert_eq!(encoded_column_batch_len(&cols), 2 + 20 + 19 + 4);
         assert_eq!(
-            encoded_batch_len(&batch),
-            batch.iter().map(encoded_len).sum::<usize>()
+            frame.len(),
+            FRAME_HEADER_LEN + encoded_column_batch_len(&cols)
         );
-        assert_eq!(decode_batch(frame).unwrap(), batch);
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), batch);
         // Scratch is drained but keeps capacity for the next frame.
         assert!(scratch.is_empty());
     }
 
     #[test]
     fn empty_batch_round_trips() {
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&[], &mut scratch).unwrap();
-        assert_eq!(frame.len(), FRAME_HEADER_LEN);
-        assert_eq!(decode_batch(frame).unwrap(), Vec::<Tuple>::new());
+        let frame = frame_of(&[], &mut BytesMut::new());
+        // The header and the arity word of an arity-0 batch.
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + 2);
+        let decoded = decode_column_batch(frame).unwrap();
+        assert_eq!((decoded.arity(), decoded.rows()), (0, 0));
     }
 
     #[test]
     fn zero_arity_batch_round_trips() {
-        // A batch of arity-0 tuples is all headers and no bodies: each
-        // tuple costs exactly its 2-byte arity header, which sits right
-        // on the `count * 2 <= payload` sanity boundary.
+        // A batch of arity-0 rows has no lanes at all: the frame is the
+        // header and the arity word, and only the header's row count
+        // says how many rows it carries.
         let batch = vec![Tuple::default(); 5];
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&batch, &mut scratch).unwrap();
-        assert_eq!(frame.len(), FRAME_HEADER_LEN + 2 * batch.len());
-        assert_eq!(decode_batch(frame).unwrap(), batch);
+        let frame = frame_of(&batch, &mut BytesMut::new());
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + 2);
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), batch);
     }
 
     #[test]
     fn zero_length_frame_is_truncated_not_panic() {
         assert!(matches!(
-            decode_batch(Bytes::new()).unwrap_err(),
+            decode_column_batch(Bytes::new()).unwrap_err(),
             TypeError::Truncated {
                 context: "frame header",
                 need: FRAME_HEADER_LEN,
@@ -734,62 +590,68 @@ mod tests {
 
     #[test]
     fn empty_payload_with_nonzero_count_is_rejected() {
-        // Header claims tuples but carries no payload for even their
-        // arity headers: must be a typed corruption, not a bad decode.
+        // Header claims rows but carries no payload, not even the arity
+        // word: must be a typed truncation, not a bad decode.
         let mut raw = BytesMut::new();
         raw.put_u32(0); // payload_len
-        raw.put_u32(3); // tuple_count
+        raw.put_u32(3 | COLUMNAR_FLAG); // row count
         assert!(matches!(
-            decode_batch(raw.freeze()).unwrap_err(),
-            TypeError::Corrupt("tuple count exceeds frame payload")
+            decode_column_batch(raw.freeze()).unwrap_err(),
+            TypeError::Truncated {
+                context: "columnar arity",
+                ..
+            }
         ));
     }
 
     #[test]
     fn empty_frame_prefixes_are_typed_errors() {
-        // Every proper prefix of the canonical empty frame (header
-        // only) fails typed; the full frame decodes to zero tuples.
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&[], &mut scratch).unwrap();
+        // Every proper prefix of the canonical empty frame fails typed;
+        // the full frame decodes to zero rows.
+        let frame = frame_of(&[], &mut BytesMut::new());
         for cut in 0..frame.len() {
-            let err = decode_batch(frame.slice(0..cut)).unwrap_err();
+            let err = decode_column_batch(frame.slice(0..cut)).unwrap_err();
             assert!(
-                matches!(err, TypeError::Truncated { .. }),
+                matches!(
+                    err,
+                    TypeError::Truncated { .. } | TypeError::FrameLengthMismatch { .. }
+                ),
                 "cut at {cut}: {err}"
             );
         }
-        assert!(decode_batch(frame).unwrap().is_empty());
+        assert!(decode_column_batch(frame).unwrap().is_empty());
     }
 
     #[test]
     fn scratch_reuse_is_stable_across_frames() {
+        // A frame staged through a scratch buffer that already shipped
+        // another is byte for byte the frame a fresh buffer stages.
         let mut scratch = BytesMut::new();
         let a = vec![tuple![7u64]];
-        let b = vec![tuple![8u64, 9u64], tuple![10u64]];
-        let fa = encode_batch(&a, &mut scratch).unwrap();
-        let fb = encode_batch(&b, &mut scratch).unwrap();
-        assert_eq!(decode_batch(fa).unwrap(), a);
-        assert_eq!(decode_batch(fb).unwrap(), b);
+        let b = vec![tuple![8u64, 9u64], tuple![10u64, 11u64]];
+        let fa = frame_of(&a, &mut scratch);
+        let fb = frame_of(&b, &mut scratch);
+        assert_eq!(fb, frame_of(&b, &mut BytesMut::new()));
+        assert_eq!(decode_column_batch(fa).unwrap().to_rows(), a);
+        assert_eq!(decode_column_batch(fb).unwrap().to_rows(), b);
     }
 
     #[test]
     fn frame_length_mismatch_is_rejected() {
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&[tuple![1u64]], &mut scratch).unwrap();
+        let frame = frame_of(&[tuple![1u64]], &mut BytesMut::new());
         let short = frame.slice(0..frame.len() - 1);
         assert!(matches!(
-            decode_batch(short).unwrap_err(),
+            decode_column_batch(short).unwrap_err(),
             TypeError::FrameLengthMismatch { .. }
         ));
     }
 
     #[test]
     fn truncated_frame_header_is_rejected() {
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&[tuple![1u64]], &mut scratch).unwrap();
+        let frame = frame_of(&[tuple![1u64]], &mut BytesMut::new());
         let stub = frame.slice(0..FRAME_HEADER_LEN - 1);
         assert!(matches!(
-            decode_batch(stub).unwrap_err(),
+            decode_column_batch(stub).unwrap_err(),
             TypeError::Truncated {
                 context: "frame header",
                 ..
@@ -799,15 +661,16 @@ mod tests {
 
     #[test]
     fn oversize_payload_is_rejected_before_staging() {
-        // 68 tuples sharing one 64 MiB Arc<str> describe a ~4.25 GiB
+        // 68 rows sharing one 64 MiB Arc<str> describe a ~4.25 GiB
         // payload while occupying ~64 MiB of memory: the encoder must
         // refuse before reserving anything, instead of emitting a frame
         // whose u32 length word silently truncated.
         let big: Value = Value::from("x".repeat(64 << 20).as_str());
-        let batch: Vec<Tuple> = (0..68).map(|_| Tuple::new(vec![big.clone()])).collect();
-        assert!(encoded_batch_len(&batch) > MAX_FRAME_PAYLOAD);
+        let rows: Vec<Tuple> = (0..68).map(|_| Tuple::new(vec![big.clone()])).collect();
+        let cols = ColumnBatch::from_rows(&rows);
+        assert!(encoded_column_batch_len(&cols) > MAX_FRAME_PAYLOAD);
         let mut scratch = BytesMut::new();
-        let err = encode_batch(&batch, &mut scratch).unwrap_err();
+        let err = encode_column_batch(&cols, &mut scratch).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -819,28 +682,13 @@ mod tests {
             "{err}"
         );
         assert!(scratch.is_empty(), "refused before staging any bytes");
-        let cols = ColumnBatch::from_rows(&batch);
-        assert!(matches!(
-            encode_column_batch(&cols, &mut scratch).unwrap_err(),
-            TypeError::FrameTooLarge {
-                context: "frame payload",
-                ..
-            }
-        ));
     }
 
     #[test]
     fn oversize_tuple_arity_is_rejected() {
         let wide = Tuple::new(vec![Value::Null; (u16::MAX as usize) + 1]);
-        let mut scratch = BytesMut::new();
-        assert!(matches!(
-            encode_batch(std::slice::from_ref(&wide), &mut scratch).unwrap_err(),
-            TypeError::FrameTooLarge {
-                context: "tuple arity",
-                ..
-            }
-        ));
         let cols = ColumnBatch::from_rows(&[wide]);
+        let mut scratch = BytesMut::new();
         assert!(matches!(
             encode_column_batch(&cols, &mut scratch).unwrap_err(),
             TypeError::FrameTooLarge {
@@ -848,6 +696,7 @@ mod tests {
                 ..
             }
         ));
+        assert!(scratch.is_empty(), "refused before staging any bytes");
     }
 
     #[test]
@@ -888,46 +737,37 @@ mod tests {
 
     #[test]
     fn absurd_tuple_count_is_rejected_before_reserve() {
+        // A frame claiming 2³¹ − 1 rows of one uint lane in a 12-byte
+        // payload: rejected on the bytes present, before the lane is
+        // pre-sized off the wire's count.
         let mut raw = BytesMut::new();
-        raw.put_u32(2); // payload: one empty tuple (2-byte arity header)
-        raw.put_u32(u32::MAX); // claims 4 billion tuples
-        raw.put_u16(0);
+        raw.put_u32(2 + 2 + 8); // arity word + lane header + one value
+        raw.put_u32(MAX_FRAME_COUNT as u32 | COLUMNAR_FLAG);
+        raw.put_u16(1);
+        raw.put_u8(TAG_UINT);
+        raw.put_u8(0); // no mask
+        raw.put_u64(7);
         assert!(matches!(
-            decode_batch(raw.freeze()).unwrap_err(),
-            TypeError::Corrupt(_)
+            decode_column_batch(raw.freeze()).unwrap_err(),
+            TypeError::Truncated {
+                context: "uint lane",
+                ..
+            }
         ));
     }
 
-    /// A columnar frame must decode to exactly the tuples the row frame
-    /// of the same batch decodes to.
+    /// A lane frame is interchangeable with the rows it was cut from:
+    /// its length is the header plus [`encoded_column_batch_len`], it
+    /// carries the flag, and decoding it materializes exactly those rows.
     fn assert_interchangeable(rows: Vec<Tuple>) {
-        let mut scratch = BytesMut::new();
-        let row_frame = encode_batch(&rows, &mut scratch).unwrap();
         let batch = ColumnBatch::from_rows(&rows);
-        let col_frame = encode_column_batch(&batch, &mut scratch).unwrap();
-        assert!(!frame_is_columnar(&row_frame));
-        assert!(frame_is_columnar(&col_frame));
+        let frame = encode_column_batch(&batch, &mut BytesMut::new()).unwrap();
         assert_eq!(
-            col_frame.len(),
+            frame.len(),
             FRAME_HEADER_LEN + encoded_column_batch_len(&batch)
         );
-        let from_rows = decode_batch(row_frame.clone()).unwrap();
-        let from_cols = decode_column_batch(col_frame.clone()).unwrap().to_rows();
-        assert_eq!(from_cols, from_rows);
-        assert_eq!(from_cols, rows);
-        // The dispatching decoder routes each frame to the right buffer.
-        let mut rbuf = Vec::new();
-        let mut cbuf = ColumnBatch::default();
-        assert_eq!(
-            decode_frame_into(row_frame, &mut rbuf, &mut cbuf).unwrap(),
-            DecodedFrame::Rows
-        );
-        assert_eq!(rbuf, rows);
-        assert_eq!(
-            decode_frame_into(col_frame, &mut rbuf, &mut cbuf).unwrap(),
-            DecodedFrame::Columns
-        );
-        assert_eq!(cbuf.to_rows(), rows);
+        assert_ne!(frame[4] & 0x80, 0, "every frame carries the flag");
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), rows);
     }
 
     #[test]
@@ -1052,22 +892,14 @@ mod tests {
     }
 
     #[test]
-    fn row_decoder_rejects_columnar_frame() {
-        let batch = ColumnBatch::from_rows(&[tuple![1u64]]);
-        let mut scratch = BytesMut::new();
-        let frame = encode_column_batch(&batch, &mut scratch).unwrap();
-        // The flagged count word is absurd as a row count; the row
-        // decoder must fail typed, never misparse.
-        assert!(decode_batch(frame).is_err());
-    }
-
-    #[test]
     fn columnar_decoder_rejects_row_frame() {
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&[tuple![1u64]], &mut scratch).unwrap();
+        // A well-formed frame with only the flag cleared is a typed
+        // corruption, never misparsed.
+        let mut raw = frame_of(&[tuple![1u64]], &mut BytesMut::new()).to_vec();
+        raw[4] &= 0x7F;
         assert!(matches!(
-            decode_column_batch(frame).unwrap_err(),
-            TypeError::Corrupt(_)
+            decode_column_batch(Bytes::from(raw)).unwrap_err(),
+            TypeError::Corrupt("frame lacks the columnar flag")
         ));
     }
 
@@ -1137,15 +969,16 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_counted_tuples_are_rejected() {
-        // payload length covers two empty tuples but count says one.
+        // The payload length covers an arity-0 batch plus two bytes no
+        // lane accounts for.
         let mut raw = BytesMut::new();
         raw.put_u32(4);
-        raw.put_u32(1);
+        raw.put_u32(1 | COLUMNAR_FLAG);
         raw.put_u16(0);
         raw.put_u16(0);
         assert!(matches!(
-            decode_batch(raw.freeze()).unwrap_err(),
-            TypeError::Corrupt(_)
+            decode_column_batch(raw.freeze()).unwrap_err(),
+            TypeError::Corrupt("trailing bytes after columnar payload")
         ));
     }
 }

@@ -7,19 +7,17 @@
 //! The frames are read off the wire. Each leaf host is an in-process
 //! [`serve_host`] behind a tap: a loopback proxy that forwards control
 //! frames both ways and keeps a copy of every boundary `Data` frame the
-//! host sends. The producer's output sequence comes from the same run
-//! under `--columnar=off`, where leaf engines are fed rows and the frames
-//! are row frames — no lane is involved in computing it.
+//! host sends. Each producer's frames are pinned by a checksum over
+//! their bytes, generated while a row-fed run of the same deployment
+//! still served as the oracle — rows decoded from row frames, no lane
+//! involved — and every frame matched it byte for byte.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use qap::cluster::link::{read_control, write_control, DuplexStream};
 use qap::prelude::*;
-use qap::types::{
-    decode_batch, encode_column_batch, frame_is_columnar, Bytes, BytesMut, ColumnBatch,
-    ControlFrame,
-};
+use qap::types::{Bytes, BytesMut, ControlFrame};
 
 /// Rows per boundary frame: small enough that the edges of the tiny
 /// trace ship several full frames and a partial tail.
@@ -82,6 +80,16 @@ fn tapped_run(plan: &DistributedPlan, trace: &[Tuple], cfg: &SimConfig) -> (SimR
     (result.expect("tapped run"), frames.into_inner().unwrap())
 }
 
+/// 64-bit FNV-1a over the concatenated bytes of `frames`.
+fn fnv1a(frames: &[Bytes]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in frames.iter().flat_map(|f| f.iter()) {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows.sort_by(|a, b| {
         for (x, y) in a.values().iter().zip(b.values()) {
@@ -95,9 +103,9 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
-fn cfg(columnar: bool) -> SimConfig {
+fn cfg() -> SimConfig {
     SimConfig {
-        transport: TransportConfig::new(64, FRAME_BATCH).with_columnar(columnar),
+        transport: TransportConfig::new(64, FRAME_BATCH),
         ..SimConfig::default()
     }
 }
@@ -141,83 +149,51 @@ fn pinned_for(run: &SimResult, pinned: &[Edge]) -> Vec<Edge> {
         .collect()
 }
 
-/// One deployment on one trace: the tapped columnar frames against the
-/// row-staged oracle, and every runner's per-edge counts against
-/// `pinned` — what the parent of this change measured on the threaded
-/// runner's partition-parallel decomposition. The host-serial
-/// decomposition (the socket runner's, and the threaded runner's under
-/// `host_serial()`) ships the same edges minus the aggregator host's
-/// own.
-fn check(label: &str, scenario: Scenario, config: &str, trace: &[Tuple], pinned: &[Edge]) {
+/// One deployment on one trace: each producer's tapped frames against
+/// `frame_sums` (the FNV-1a checksum of their concatenated bytes), and
+/// every runner's per-edge counts against `pinned` — both generated
+/// while the frames were still checked against the row-staged oracle.
+/// `pinned` is the threaded runner's partition-parallel decomposition;
+/// the host-serial decomposition (the socket runner's, and the threaded
+/// runner's under `host_serial()`) ships the same edges minus the
+/// aggregator host's own.
+fn check(
+    label: &str,
+    scenario: Scenario,
+    config: &str,
+    trace: &[Tuple],
+    pinned: &[Edge],
+    frame_sums: &[(u32, u64)],
+) {
     let plan = scenario.plan(config, 3);
-    let reference = run_distributed(&plan, trace, &cfg(true)).unwrap();
+    let reference = run_distributed(&plan, trace, &cfg()).unwrap();
 
-    // The producers' output, by the row path.
-    let (rows_run, row_frames) = tapped_run(&plan, trace, &cfg(false));
-    let (lane_run, lane_frames) = tapped_run(&plan, trace, &cfg(true));
-    for run in [&rows_run, &lane_run] {
-        assert!(run.failures.is_empty(), "{label}");
-        for ((name, rows), (ref_name, ref_rows)) in run.outputs.iter().zip(&reference.outputs) {
-            assert_eq!(name, ref_name, "{label}");
-            assert_eq!(
-                sorted(rows.clone()),
-                sorted(ref_rows.clone()),
-                "{label}: {name}"
-            );
-        }
-    }
-    assert_eq!(
-        row_frames.keys().collect::<Vec<_>>(),
-        lane_frames.keys().collect::<Vec<_>>(),
-        "{label}: producers"
-    );
-    assert!(
-        !lane_frames.is_empty(),
-        "{label}: nothing crossed the boundary"
-    );
-    let mut scratch = BytesMut::new();
-    for (producer, frames) in &lane_frames {
-        let output: Vec<Tuple> = row_frames[producer]
-            .iter()
-            .flat_map(|f| {
-                assert!(!frame_is_columnar(f), "{label}: row run ships row frames");
-                decode_batch(f.clone()).expect("row frame decodes")
-            })
-            .collect();
-        let oracle: Vec<Bytes> = output
-            .chunks(FRAME_BATCH)
-            .map(|chunk| {
-                let mut stage = ColumnBatch::new(chunk[0].arity());
-                stage.extend_rows(chunk);
-                encode_column_batch(&stage, &mut scratch).expect("oracle frame encodes")
-            })
-            .collect();
+    let (run, frames) = tapped_run(&plan, trace, &cfg());
+    assert!(run.failures.is_empty(), "{label}");
+    for ((name, rows), (ref_name, ref_rows)) in run.outputs.iter().zip(&reference.outputs) {
+        assert_eq!(name, ref_name, "{label}");
         assert_eq!(
-            frames.len(),
-            oracle.len(),
-            "{label}: producer {producer} frame count"
+            sorted(rows.clone()),
+            sorted(ref_rows.clone()),
+            "{label}: {name}"
         );
-        for (i, (got, want)) in frames.iter().zip(&oracle).enumerate() {
-            assert!(
-                got == want,
-                "{label}: producer {producer}, frame {i} differs from the row-staged frame"
-            );
-        }
     }
+    let sums: Vec<(u32, u64)> = frames.iter().map(|(p, f)| (*p, fnv1a(f))).collect();
+    assert_eq!(sums, frame_sums, "{label}: frame checksums");
 
-    let serial = edge_counts(&lane_run);
+    let serial = edge_counts(&run);
     assert!(
         serial.len() < pinned.len(),
         "{label}: host-serial ships fewer edges"
     );
     assert_eq!(
         serial,
-        pinned_for(&lane_run, pinned),
+        pinned_for(&run, pinned),
         "{label}: socket runner edges"
     );
     let threaded_serial = SimConfig {
-        transport: cfg(true).transport.host_serial(),
-        ..cfg(true)
+        transport: cfg().transport.host_serial(),
+        ..cfg()
     };
     let threaded = run_distributed_threaded(&plan, trace, &threaded_serial).unwrap();
     assert_eq!(
@@ -225,7 +201,7 @@ fn check(label: &str, scenario: Scenario, config: &str, trace: &[Tuple], pinned:
         serial,
         "{label}: threaded host-serial edges"
     );
-    let threaded = run_distributed_threaded(&plan, trace, &cfg(true)).unwrap();
+    let threaded = run_distributed_threaded(&plan, trace, &cfg()).unwrap();
     assert_eq!(
         edge_counts(&threaded),
         pinned,
@@ -244,7 +220,20 @@ fn simple_agg_naive_frames_are_the_row_staged_frames() {
         (10, 20, 140, 9320),
         (11, 18, 124, 8260),
     ];
-    check("6.1 Naive", Scenario::SimpleAgg, "Naive", &trace, &pinned);
+    let sums = [
+        (8, 0x0a8d_5580_401c_5086),
+        (9, 0x17e2_e5c8_8d2b_cbf0),
+        (10, 0x5e72_2b61_957d_117b),
+        (11, 0x981b_b7dd_2c57_062a),
+    ];
+    check(
+        "6.1 Naive",
+        Scenario::SimpleAgg,
+        "Naive",
+        &trace,
+        &pinned,
+        &sums,
+    );
 }
 
 #[test]
@@ -258,12 +247,19 @@ fn simple_agg_partitioned_frames_are_the_row_staged_frames() {
         (10, 1, 3, 210),
         (11, 1, 3, 210),
     ];
+    let sums = [
+        (8, 0xf87a_f81d_8cf1_5d33),
+        (9, 0x9f0f_457b_2a84_dd7d),
+        (10, 0x37d6_b87d_5869_4e0b),
+        (11, 0x8859_219a_a178_ab4a),
+    ];
     check(
         "6.1 Partitioned",
         Scenario::SimpleAgg,
         "Partitioned",
         &trace,
         &pinned,
+        &sums,
     );
 }
 
@@ -287,7 +283,20 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
         (22, 0, 0, 0),
         (23, 0, 0, 0),
     ];
-    check("6.2 optimal", Scenario::QuerySet, config, &trace, &pinned);
+    let sums = [
+        (8, 0xd860_0f57_63e4_61a8),
+        (9, 0xc5bf_a26f_c2a1_b07d),
+        (10, 0x579a_813b_2c11_b68b),
+        (11, 0x9abd_a011_dee5_8874),
+    ];
+    check(
+        "6.2 optimal",
+        Scenario::QuerySet,
+        config,
+        &trace,
+        &pinned,
+        &sums,
+    );
     let pinned = [
         (6, 6, 40, 1672),
         (7, 7, 43, 1804),
@@ -302,12 +311,23 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
         (22, 4, 23, 1160),
         (23, 9, 59, 2958),
     ];
+    let sums = [
+        (8, 0x2c6f_b9bd_88db_4c44),
+        (9, 0x0aeb_1d57_4611_e8cf),
+        (10, 0x7c35_97d1_0c0c_1792),
+        (11, 0x638a_18af_4daf_b9e2),
+        (20, 0xd441_195f_522a_5618),
+        (21, 0x0333_ef88_3f39_133c),
+        (22, 0x0aa8_b87c_4a89_79b7),
+        (23, 0xa589_c74c_dcc9_1e6e),
+    ];
     check(
         "6.2 optimal, echo",
         Scenario::QuerySet,
         config,
         &with_echo(trace),
         &pinned,
+        &sums,
     );
 }
 
@@ -323,7 +343,20 @@ fn complex_full_frames_are_the_row_staged_frames() {
         (22, 1, 5, 170),
         (23, 1, 7, 234),
     ];
-    check("6.3 full", Scenario::Complex, config, &trace, &pinned);
+    let sums = [
+        (20, 0xab00_e842_d7d3_c6d3),
+        (21, 0x897f_5d37_1052_18d3),
+        (22, 0xa565_910a_b354_50fb),
+        (23, 0x5fc7_5a6b_beb8_e2b7),
+    ];
+    check(
+        "6.3 full",
+        Scenario::Complex,
+        config,
+        &trace,
+        &pinned,
+        &sums,
+    );
     let pinned = [
         (18, 2, 13, 436),
         (19, 3, 18, 606),
@@ -332,11 +365,18 @@ fn complex_full_frames_are_the_row_staged_frames() {
         (22, 3, 15, 510),
         (23, 4, 22, 744),
     ];
+    let sums = [
+        (20, 0x19a8_b453_e0d8_f2b4),
+        (21, 0x2e02_1f5d_29b2_03fc),
+        (22, 0x7dfe_5825_5b7a_26f4),
+        (23, 0x22cb_a72b_d857_76c4),
+    ];
     check(
         "6.3 full, echo",
         Scenario::Complex,
         config,
         &with_echo(trace),
         &pinned,
+        &sums,
     );
 }

@@ -1,9 +1,10 @@
-//! Columnar ↔ row execution equivalence across the Section 6
-//! deployments: the SoA representation, the compiled expression
-//! kernels, the vectorized group-key path and the column-contiguous
-//! wire frames must all be invisible to results and to the semantic
-//! per-node counters — at every batch size, in both the deterministic
-//! simulator and the threaded runner.
+//! Lane execution equivalence across the Section 6 deployments: the
+//! SoA representation, the compiled expression kernels, the vectorized
+//! group-key path and the column-contiguous wire frames must all be
+//! invisible to results and to the semantic per-node counters — at
+//! every batch size, in both the deterministic simulator and the
+//! threaded runner. Results are held to `run_logical`, the row-at-a-time
+//! reference engine over the unpartitioned query set.
 
 use qap::prelude::*;
 use qap::types::{decode_column_batch, encode_column_batch, BytesMut, ColumnBatch};
@@ -22,60 +23,53 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 }
 
 /// Runs every configuration of one Section 6 scenario through the
-/// simulator and the threaded runner at batch ∈ {1, 7, 1024} ×
-/// columnar ∈ {off, on}, holding results and flow counters to the
-/// row-mode reference.
+/// simulator and the threaded runner at batch ∈ {1, 7, 1024}, holding
+/// each output to `run_logical`'s rows for the same query and the
+/// per-node flow counters to the simulator's at default batching.
 fn assert_columnar_invariant(scenario: Scenario, hosts: usize, seed: u64) {
     let trace = generate(&TraceConfig::tiny(seed));
+    let logical = run_logical(&scenario.dag(), trace.clone()).unwrap();
     for config in scenario.configs() {
         let plan = scenario.plan(config, hosts);
-
-        // Reference: row representation end-to-end, default batching.
-        let ref_cfg = SimConfig {
-            transport: TransportConfig::default().with_columnar(false),
-            ..SimConfig::default()
-        };
-        let reference = run_distributed(&plan, &trace, &ref_cfg).unwrap();
-        let ref_outputs: Vec<(String, Vec<Tuple>)> = reference
+        let ref_outputs: Vec<Vec<Tuple>> = plan
             .outputs
             .iter()
-            .map(|(n, rows)| (n.clone(), sorted(rows.clone())))
+            .map(|o| {
+                let (_, rows) = logical
+                    .iter()
+                    .find(|(id, _)| *id == o.logical)
+                    .expect("every plan output is a logical root");
+                sorted(rows.clone())
+            })
             .collect();
+        let reference = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
 
         for batch in [1usize, 7, 1024] {
-            for columnar in [false, true] {
-                let cfg = SimConfig {
-                    batch: BatchConfig { max_batch: batch },
-                    transport: TransportConfig::default().with_columnar(columnar),
-                    ..SimConfig::default()
-                };
-                let label = format!(
-                    "{} [{config}] batch={batch} columnar={columnar}",
-                    scenario.name()
+            let cfg = SimConfig {
+                batch: BatchConfig { max_batch: batch },
+                ..SimConfig::default()
+            };
+            let label = format!("{} [{config}] batch={batch}", scenario.name());
+            for (runner, result) in [
+                ("sim", run_distributed(&plan, &trace, &cfg)),
+                ("threaded", run_distributed_threaded(&plan, &trace, &cfg)),
+            ] {
+                let result = result.unwrap_or_else(|e| panic!("{label} {runner}: {e}"));
+                // Flow-conservation counters: per-node tuple flow is
+                // batch-size- and runner-invariant.
+                assert_eq!(
+                    result.counters, reference.counters,
+                    "{label} {runner}: counters"
                 );
-                for (runner, result) in [
-                    ("sim", run_distributed(&plan, &trace, &cfg)),
-                    ("threaded", run_distributed_threaded(&plan, &trace, &cfg)),
-                ] {
-                    let result = result.unwrap_or_else(|e| panic!("{label} {runner}: {e}"));
-                    // Flow-conservation counters: per-node tuple flow
-                    // is representation- and batch-size-invariant.
+                assert_eq!(result.outputs.len(), ref_outputs.len(), "{label} {runner}");
+                for ((name, rows), ref_rows) in result.outputs.iter().zip(&ref_outputs) {
                     assert_eq!(
-                        result.counters, reference.counters,
-                        "{label} {runner}: counters"
+                        &sorted(rows.clone()),
+                        ref_rows,
+                        "{label} {runner}: output {name}"
                     );
-                    for ((name, rows), (ref_name, ref_rows)) in
-                        result.outputs.iter().zip(ref_outputs.iter())
-                    {
-                        assert_eq!(name, ref_name, "{label} {runner}");
-                        assert_eq!(
-                            &sorted(rows.clone()),
-                            ref_rows,
-                            "{label} {runner}: output {name}"
-                        );
-                    }
-                    assert_eq!(result.metrics.late_dropped, 0, "{label} {runner}");
                 }
+                assert_eq!(result.metrics.late_dropped, 0, "{label} {runner}");
             }
         }
     }

@@ -331,56 +331,7 @@ fn arb_wire_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_wire_tuple() -> impl Strategy<Value = Tuple> {
-    proptest::collection::vec(arb_wire_value(), 0..8).prop_map(Tuple::new)
-}
-
-proptest! {
-    /// Batch framing round-trips for arbitrary batches — including the
-    /// empty batch, empty tuples, Nulls and strings — and the frame is
-    /// exactly the 8-byte header plus the sum of per-tuple encodings,
-    /// which is what keeps measured frame bytes in lock-step with the
-    /// cost model's derived estimates.
-    #[test]
-    fn batch_framing_round_trips(batch in proptest::collection::vec(arb_wire_tuple(), 0..12)) {
-        use qap::types::{
-            decode_batch, encode_batch, encoded_batch_len, BytesMut, FRAME_HEADER_LEN,
-        };
-        let mut scratch = BytesMut::new();
-        let frame = encode_batch(&batch, &mut scratch).unwrap();
-        let payload: usize = batch.iter().map(qap::types::encoded_len).sum();
-        prop_assert_eq!(frame.len(), FRAME_HEADER_LEN + payload);
-        prop_assert_eq!(encoded_batch_len(&batch), payload);
-        let decoded = decode_batch(frame).unwrap();
-        prop_assert_eq!(decoded, batch);
-        // The scratch buffer is reusable: a second encode of the same
-        // batch through the same scratch produces an identical frame.
-        let again = encode_batch(&batch, &mut scratch).unwrap();
-        prop_assert_eq!(again, encode_batch(&batch, &mut BytesMut::new()).unwrap());
-    }
-
-    /// Truncating a well-formed frame at any interior point yields a
-    /// typed error, never a panic or a silently short batch.
-    #[test]
-    fn truncated_frames_error_cleanly(
-        batch in proptest::collection::vec(arb_wire_tuple(), 1..6),
-        cut_pct in 0usize..100
-    ) {
-        use qap::types::{decode_batch, encode_batch, Bytes, BytesMut};
-        let frame = encode_batch(&batch, &mut BytesMut::new()).unwrap();
-        let cut = frame.len() * cut_pct / 100;
-        if cut < frame.len() {
-            let truncated = Bytes::from(frame.as_ref()[..cut].to_vec());
-            prop_assert!(decode_batch(truncated).is_err());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// wire mutation: decoders survive arbitrary damage
-// ---------------------------------------------------------------------
-
-/// Uniform-arity batches (what the columnar encoder requires — a
+/// Uniform-arity batches (what a frame carries — a
 /// [`qap::types::ColumnBatch`] is rectangular by construction): a flat
 /// value pool chunked into rows of one drawn arity.
 fn arb_uniform_batch() -> impl Strategy<Value = Vec<Tuple>> {
@@ -394,6 +345,53 @@ fn arb_uniform_batch() -> impl Strategy<Value = Vec<Tuple>> {
                 .collect()
         })
 }
+
+/// One lane frame of `batch`.
+fn lane_frame(batch: &[Tuple], scratch: &mut qap::types::BytesMut) -> qap::types::Bytes {
+    let cols = qap::types::ColumnBatch::from_rows(batch);
+    qap::types::encode_column_batch(&cols, scratch).unwrap()
+}
+
+proptest! {
+    /// Batch framing round-trips for arbitrary batches — including the
+    /// empty batch, NULLs, strings and mixed lanes — the frame is
+    /// exactly the 8-byte header plus `encoded_column_batch_len`, and a
+    /// reused scratch buffer stages the same bytes as a fresh one.
+    #[test]
+    fn batch_framing_round_trips(batch in arb_uniform_batch()) {
+        use qap::types::{
+            decode_column_batch, encoded_column_batch_len, BytesMut, ColumnBatch, FRAME_HEADER_LEN,
+        };
+        let mut scratch = BytesMut::new();
+        let frame = lane_frame(&batch, &mut scratch);
+        let payload = encoded_column_batch_len(&ColumnBatch::from_rows(&batch));
+        prop_assert_eq!(frame.len(), FRAME_HEADER_LEN + payload);
+        let decoded = decode_column_batch(frame).unwrap();
+        prop_assert_eq!(decoded.to_rows(), batch.clone());
+        let again = lane_frame(&batch, &mut scratch);
+        prop_assert_eq!(again, lane_frame(&batch, &mut BytesMut::new()));
+    }
+
+    /// Truncating a well-formed frame at any interior point yields a
+    /// typed error, never a panic or a silently short batch.
+    #[test]
+    fn truncated_frames_error_cleanly(
+        batch in arb_uniform_batch(),
+        cut_pct in 0usize..100
+    ) {
+        use qap::types::{decode_column_batch, Bytes, BytesMut};
+        let frame = lane_frame(&batch, &mut BytesMut::new());
+        let cut = frame.len() * cut_pct / 100;
+        if cut < frame.len() {
+            let truncated = Bytes::from(frame.as_ref()[..cut].to_vec());
+            prop_assert!(decode_column_batch(truncated).is_err());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// wire mutation: decoders survive arbitrary damage
+// ---------------------------------------------------------------------
 
 /// Applies one wire mutation to a valid frame: flip one bit anywhere
 /// (header or payload), cut at an arbitrary point, or append junk
@@ -421,31 +419,13 @@ fn mutate_frame(frame: &[u8], kind: u64, pos: usize, junk: u8) -> Vec<u8> {
 }
 
 proptest! {
-    /// Damaged row frames never panic the decoder: every mutation
-    /// yields either a typed error or a batch that re-encodes cleanly
-    /// (a bit flip inside a value payload can decode to a *different*
-    /// but perfectly well-formed batch — that is acceptable; an
-    /// allocation blowup, panic, or wedged decode is not).
-    #[test]
-    fn mutated_row_frames_decode_to_error_or_valid_batch(
-        batch in proptest::collection::vec(arb_wire_tuple(), 0..8),
-        kind in 0u64..3,
-        pos in 0usize..4096,
-        junk in 0u64..256
-    ) {
-        let junk = junk as u8;
-        use qap::types::{decode_batch, encode_batch, Bytes, BytesMut};
-        let frame = encode_batch(&batch, &mut BytesMut::new()).unwrap();
-        let mutated = Bytes::from(mutate_frame(&frame, kind, pos, junk));
-        if let Ok(decoded) = decode_batch(mutated) {
-            prop_assert!(encode_batch(&decoded, &mut BytesMut::new()).is_ok());
-        }
-    }
-
-    /// The same discipline for columnar (SoA) frames, whose headers
-    /// carry row counts, lane tags, and per-lane lengths — all of which
-    /// the decoder must validate against the remaining payload before
-    /// allocating.
+    /// Damaged frames never panic the decoder: their headers carry row
+    /// counts, lane tags and per-lane lengths, all of which the decoder
+    /// validates against the remaining payload before allocating. Every
+    /// mutation yields either a typed error or a batch that re-encodes
+    /// cleanly (a bit flip inside a value can decode to a *different*
+    /// but well-formed batch — that is acceptable; an allocation
+    /// blowup, panic, or wedged decode is not).
     #[test]
     fn mutated_columnar_frames_decode_to_error_or_valid_batch(
         batch in arb_uniform_batch(),
@@ -454,54 +434,45 @@ proptest! {
         junk in 0u64..256
     ) {
         let junk = junk as u8;
-        use qap::types::{decode_column_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch};
-        let arity = batch.first().map_or(0, |t| t.arity());
-        let mut cols = ColumnBatch::new(arity);
-        cols.extend_rows(&batch);
-        let frame = encode_column_batch(&cols, &mut BytesMut::new()).unwrap();
+        use qap::types::{decode_column_batch, encode_column_batch, Bytes, BytesMut};
+        let frame = lane_frame(&batch, &mut BytesMut::new());
         let mutated = Bytes::from(mutate_frame(&frame, kind, pos, junk));
         if let Ok(decoded) = decode_column_batch(mutated) {
             prop_assert!(encode_column_batch(&decoded, &mut BytesMut::new()).is_ok());
         }
     }
 
-    /// The representation-dispatching entry point ([`qap::types::
-    /// decode_frame_into`]) survives mutations that flip the columnar
-    /// flag itself — a row frame mis-routed to the columnar decoder (or
-    /// vice versa) must still produce a typed error or a re-encodable
-    /// batch, never a panic.
+    /// The engine's frame entry ([`qap::exec::Engine::push_frame`])
+    /// survives the same damage, including a flipped columnar flag: a
+    /// mutated frame is ingested whole or refused with a typed error
+    /// (`Wire` for a bad frame, `BadPlan` for a well-formed one of the
+    /// wrong arity), and a frame without the flag is always refused.
     #[test]
     fn mutated_frames_survive_representation_dispatch(
         batch in arb_uniform_batch(),
-        columnar in any::<bool>(),
         kind in 0u64..3,
         pos in 0usize..4096,
         junk in 0u64..256
     ) {
         let junk = junk as u8;
-        use qap::types::{
-            decode_frame_into, encode_batch, encode_column_batch, Bytes, BytesMut, ColumnBatch,
-            DecodedFrame,
-        };
-        let frame = if columnar {
-            let arity = batch.first().map_or(0, |t| t.arity());
-            let mut cols = ColumnBatch::new(arity);
-            cols.extend_rows(&batch);
-            encode_column_batch(&cols, &mut BytesMut::new()).unwrap()
-        } else {
-            encode_batch(&batch, &mut BytesMut::new()).unwrap()
-        };
-        let mutated = Bytes::from(mutate_frame(&frame, kind, pos, junk));
-        let mut rows = Vec::new();
-        let mut cols = ColumnBatch::new(0);
-        match decode_frame_into(mutated, &mut rows, &mut cols) {
-            Ok(DecodedFrame::Rows) => {
-                prop_assert!(encode_batch(&rows, &mut BytesMut::new()).is_ok());
-            }
-            Ok(DecodedFrame::Columns) => {
-                prop_assert!(encode_column_batch(&cols, &mut BytesMut::new()).is_ok());
-            }
-            Err(_) => {} // typed error — the contract
+        use qap::exec::ExecError;
+        use qap::types::{Bytes, BytesMut, DataType, Field, Schema, COLUMNAR_FLAG};
+        let arity = batch.first().map_or(1, |t| t.arity());
+        let fields = (0..arity).map(|i| Field::new(format!("c{i}"), DataType::UInt)).collect();
+        let mut catalog = Catalog::new();
+        catalog.register(Schema::new("S", fields).unwrap()).unwrap();
+        let mut dag = QueryDag::new(catalog);
+        let source = dag.add_source("S").unwrap();
+        let mut engine = Engine::new(&dag).unwrap();
+        let frame = lane_frame(&batch, &mut BytesMut::new());
+        let mutated = mutate_frame(&frame, kind, pos, junk);
+        let flagged = mutated.len() >= 8
+            && u32::from_be_bytes([mutated[4], mutated[5], mutated[6], mutated[7]]) & COLUMNAR_FLAG
+                != 0;
+        match engine.push_frame(source, Bytes::from(mutated)) {
+            Ok(n) => prop_assert!(flagged && engine.counters()[source].tuples_in == n as u64),
+            Err(ExecError::Wire(_) | ExecError::BadPlan(_)) => {}
+            Err(other) => prop_assert!(false, "untyped refusal: {other}"),
         }
     }
 }

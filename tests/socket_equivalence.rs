@@ -2,10 +2,10 @@
 //! must produce bit-identical results whether the leaf hosts run as
 //! in-process engine threads behind bounded channels, or as *real OS
 //! processes* (spawned `qapctl host --listen` children) behind TCP or
-//! Unix-domain sockets — in both row and columnar representation.
+//! Unix-domain sockets.
 //!
 //! The reference is the deterministic simulator. For each scenario ×
-//! host count × transport × representation cell the suite asserts:
+//! host count × transport cell the suite asserts:
 //!
 //! - sorted output rows are bit-identical to the simulator's;
 //! - cumulative per-node counters are identical;
@@ -130,17 +130,13 @@ fn check_cell(
     trace: &[Tuple],
     reference: &SimResult,
     transport_kind: &str,
-    columnar: bool,
 ) {
     let label = format!(
-        "{scenario:?} hosts={} transport={transport_kind} columnar={columnar}",
+        "{scenario:?} hosts={} transport={transport_kind}",
         plan.partitioning.hosts
     );
     let sim = SimConfig {
-        transport: TransportConfig {
-            columnar,
-            ..TransportConfig::default().host_serial()
-        },
+        transport: TransportConfig::default().host_serial(),
         ..SimConfig::default()
     };
     let result = match transport_kind {
@@ -150,11 +146,7 @@ fn check_cell(
             let children = spawn_hosts(
                 kind,
                 needed,
-                &format!(
-                    "{scenario:?}{}c{}",
-                    plan.partitioning.hosts,
-                    u8::from(columnar)
-                ),
+                &format!("{scenario:?}{}", plan.partitioning.hosts),
             );
             let addrs: Vec<HostAddr> = children.iter().map(|c| c.addr.clone()).collect();
             let result = run_distributed_remote(plan, trace, &sim, &addrs);
@@ -194,8 +186,8 @@ fn check_cell(
     assert_eq!(scanned, trace.len() as u64, "{label}: splitter delivery");
 }
 
-/// The full sweep for one scenario: 2–4 hosts × {channel, tcp, unix} ×
-/// {row, columnar}, with tcp/unix cells running real child processes.
+/// The full sweep for one scenario: 2–4 hosts × {channel, tcp, unix},
+/// with tcp/unix cells running real child processes.
 fn sweep(scenario: Scenario, seed: u64) {
     let trace = generate(&TraceConfig::tiny(seed));
     for hosts in [2usize, 3, 4] {
@@ -205,16 +197,7 @@ fn sweep(scenario: Scenario, seed: u64) {
         let span = times.clone().max().unwrap() - times.min().unwrap() + 1;
         assert_eq!(reference.metrics.duration_secs, span as f64);
         for transport_kind in ["channel", "tcp", "unix"] {
-            for columnar in [true, false] {
-                check_cell(
-                    scenario,
-                    &plan,
-                    &trace,
-                    &reference,
-                    transport_kind,
-                    columnar,
-                );
-            }
+            check_cell(scenario, &plan, &trace, &reference, transport_kind);
         }
     }
 }
