@@ -1,13 +1,17 @@
-//! Serialization of execution units, their migration commands and
-//! their outcomes for process-level deployment.
+//! The payloads of process-level deployment: what a host is sent to
+//! run, the migration commands it is sent mid-run, and what it sends
+//! back.
 //!
-//! A socket coordinator cannot hand a leaf host a `QueryDag` by
-//! reference: the unit must cross the process boundary as bytes inside
-//! a [`qap_types::ControlFrame::Deploy`] payload. This module encodes a
-//! [`UnitSpec`] — with the sliced leaf sub-plan as a replayable build
-//! script (catalog schemas plus nodes in id order, so the remote
-//! rebuild re-runs the *same* schema inference and gets the same local
-//! ids) — the [`UnitCmd`] halves of a drain-and-handoff inside
+//! A `Deploy` payload ([`qap_types::ControlFrame::Deploy`]) does not
+//! carry the host's execution unit. It carries the inputs the
+//! coordinator planned from ([`DeployInputs`]): the catalog as `STREAM`
+//! statements, the query set's GSQL, the partitioning, the optimizer
+//! and run knobs, which leaf unit to run, and a fingerprint of the
+//! coordinator's plan. The host plans again, slices the plan with the
+//! same decomposition, and runs its unit only if its plan has the same
+//! fingerprint ([`crate::serve_host`]). Planning is deterministic, so
+//! the IR has one definition — its GSQL surface — and no second one
+//! here. The [`UnitCmd`] halves of a drain-and-handoff travel inside
 //! [`qap_types::ControlFrame::Migrate`] (and the [`UnitReply`] inside
 //! `MigrateAck`), and the [`UnitOutcome`] the host streams back inside
 //! [`qap_types::ControlFrame::Result`].
@@ -17,28 +21,20 @@
 //! and lengths are written explicitly, and the decoder surfaces typed
 //! [`TypeError`]s for truncation, bad tags and length disagreements —
 //! a corrupt deployment never panics a host process.
-//!
-//! UDAFs do not cross the boundary: a [`qap_expr::AggFunc::Udaf`] call
-//! holds a function registered in the *coordinator's* catalog, which a
-//! remote process cannot resolve — deployment encoding rejects such
-//! plans up front ([`qap_exec::ExecError::BadPlan`]) instead of
-//! shipping a plan that would mis-execute. (In-process units never pass
-//! through this module, so they run UDAFs freely.)
 
-use qap_exec::{ExecError, ExecResult, OpCounters, OpMetrics};
-use qap_expr::{
-    AggCall, AggFunc, AggKind, AnalyzedExpr, BinOp, ColumnRef, ColumnTransform, ScalarExpr, UnOp,
-};
+use qap_exec::{OpCounters, OpMetrics};
 use qap_obs::{Histogram, HISTOGRAM_BUCKETS};
-use qap_partition::PartitionSet;
-use qap_plan::{JoinType, LogicalNode, NamedAgg, NamedExpr, TemporalJoin};
+use qap_optimizer::{
+    DistributedPlan, OptimizerConfig, PartialAggScope, Partitioning, PlanSource, SplitStrategy,
+};
+use qap_partition::{fnv1a_hash, AnalysisOptions, PartitionSet};
 use qap_types::{
-    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, DataType,
-    Field, Schema, Temporality, Tuple, TypeError, TypeResult, Value,
+    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, Tuple,
+    TypeError, TypeResult,
 };
 
 use crate::transport::{EdgeTransport, FaultPlan};
-use crate::unit::{LocalRows, UnitCmd, UnitOutcome, UnitReply, UnitSpec};
+use crate::unit::{LocalRows, UnitCmd, UnitOutcome, UnitReply};
 
 // ---------------------------------------------------------------------
 // Primitive writers/readers
@@ -105,11 +101,6 @@ impl Reader {
         Ok(self.buf.get_u64())
     }
 
-    fn i64(&mut self) -> TypeResult<i64> {
-        self.want(8)?;
-        Ok(self.buf.get_i64())
-    }
-
     /// Element count prefix, sanity-bounded: each element costs at
     /// least one byte, so a count beyond the remaining bytes is corrupt
     /// (and must not drive a huge allocation).
@@ -148,484 +139,6 @@ impl Reader {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// Expression codecs
-// ---------------------------------------------------------------------
-
-fn bin_op_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::BitAnd => 5,
-        BinOp::BitOr => 6,
-        BinOp::BitXor => 7,
-        BinOp::Shl => 8,
-        BinOp::Shr => 9,
-        BinOp::Eq => 10,
-        BinOp::Ne => 11,
-        BinOp::Lt => 12,
-        BinOp::Le => 13,
-        BinOp::Gt => 14,
-        BinOp::Ge => 15,
-        BinOp::And => 16,
-        BinOp::Or => 17,
-    }
-}
-
-fn bin_op_from(tag: u8) -> TypeResult<BinOp> {
-    Ok(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::BitAnd,
-        6 => BinOp::BitOr,
-        7 => BinOp::BitXor,
-        8 => BinOp::Shl,
-        9 => BinOp::Shr,
-        10 => BinOp::Eq,
-        11 => BinOp::Ne,
-        12 => BinOp::Lt,
-        13 => BinOp::Le,
-        14 => BinOp::Gt,
-        15 => BinOp::Ge,
-        16 => BinOp::And,
-        17 => BinOp::Or,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn un_op_tag(op: UnOp) -> u8 {
-    match op {
-        UnOp::Neg => 0,
-        UnOp::Not => 1,
-        UnOp::BitNot => 2,
-    }
-}
-
-fn un_op_from(tag: u8) -> TypeResult<UnOp> {
-    Ok(match tag {
-        0 => UnOp::Neg,
-        1 => UnOp::Not,
-        2 => UnOp::BitNot,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::UInt(x) => {
-            buf.put_u8(1);
-            buf.put_u64(*x);
-        }
-        Value::Int(x) => {
-            buf.put_u8(2);
-            buf.put_i64(*x);
-        }
-        Value::Bool(x) => {
-            buf.put_u8(3);
-            buf.put_u8(*x as u8);
-        }
-        Value::Str(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn read_value(r: &mut Reader) -> TypeResult<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::UInt(r.u64()?),
-        2 => Value::Int(r.i64()?),
-        3 => Value::Bool(r.bool()?),
-        4 => Value::Str(r.str()?.into()),
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn put_column_ref(buf: &mut BytesMut, c: &ColumnRef) {
-    put_opt(buf, &c.qualifier, |b, q| put_str(b, q));
-    put_str(buf, &c.name);
-}
-
-fn read_column_ref(r: &mut Reader) -> TypeResult<ColumnRef> {
-    let qualifier = r.opt(|r| r.str())?;
-    let name = r.str()?;
-    Ok(ColumnRef { qualifier, name })
-}
-
-fn put_expr(buf: &mut BytesMut, e: &ScalarExpr) {
-    match e {
-        ScalarExpr::Column(c) => {
-            buf.put_u8(0);
-            put_column_ref(buf, c);
-        }
-        ScalarExpr::Literal(v) => {
-            buf.put_u8(1);
-            put_value(buf, v);
-        }
-        ScalarExpr::Binary { op, lhs, rhs } => {
-            buf.put_u8(2);
-            buf.put_u8(bin_op_tag(*op));
-            put_expr(buf, lhs);
-            put_expr(buf, rhs);
-        }
-        ScalarExpr::Unary { op, expr } => {
-            buf.put_u8(3);
-            buf.put_u8(un_op_tag(*op));
-            put_expr(buf, expr);
-        }
-    }
-}
-
-fn read_expr(r: &mut Reader) -> TypeResult<ScalarExpr> {
-    Ok(match r.u8()? {
-        0 => ScalarExpr::Column(read_column_ref(r)?),
-        1 => ScalarExpr::Literal(read_value(r)?),
-        2 => {
-            let op = bin_op_from(r.u8()?)?;
-            let lhs = Box::new(read_expr(r)?);
-            let rhs = Box::new(read_expr(r)?);
-            ScalarExpr::Binary { op, lhs, rhs }
-        }
-        3 => {
-            let op = un_op_from(r.u8()?)?;
-            let expr = Box::new(read_expr(r)?);
-            ScalarExpr::Unary { op, expr }
-        }
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn agg_kind_tag(k: AggKind) -> u8 {
-    match k {
-        AggKind::Count => 0,
-        AggKind::Sum => 1,
-        AggKind::Min => 2,
-        AggKind::Max => 3,
-        AggKind::Avg => 4,
-        AggKind::OrAgg => 5,
-        AggKind::AndAgg => 6,
-    }
-}
-
-fn agg_kind_from(tag: u8) -> TypeResult<AggKind> {
-    Ok(match tag {
-        0 => AggKind::Count,
-        1 => AggKind::Sum,
-        2 => AggKind::Min,
-        3 => AggKind::Max,
-        4 => AggKind::Avg,
-        5 => AggKind::OrAgg,
-        6 => AggKind::AndAgg,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn put_agg_call(buf: &mut BytesMut, c: &AggCall) -> ExecResult<()> {
-    match &c.func {
-        AggFunc::Builtin(kind) => buf.put_u8(agg_kind_tag(*kind)),
-        AggFunc::Udaf(name) => {
-            return Err(ExecError::BadPlan(format!(
-                "UDAF '{name}' cannot be deployed to a remote host: \
-                 user-defined aggregates live in the coordinator's catalog"
-            )))
-        }
-    }
-    put_opt(buf, &c.arg, put_expr);
-    buf.put_u8(c.merge as u8);
-    buf.put_u8(c.emit_partial as u8);
-    Ok(())
-}
-
-fn read_agg_call(r: &mut Reader) -> TypeResult<AggCall> {
-    let func = AggFunc::Builtin(agg_kind_from(r.u8()?)?);
-    let arg = r.opt(read_expr)?;
-    let merge = r.bool()?;
-    let emit_partial = r.bool()?;
-    Ok(AggCall {
-        func,
-        arg,
-        merge,
-        emit_partial,
-    })
-}
-
-fn put_named_expr(buf: &mut BytesMut, e: &NamedExpr) {
-    put_str(buf, &e.name);
-    put_expr(buf, &e.expr);
-}
-
-fn read_named_expr(r: &mut Reader) -> TypeResult<NamedExpr> {
-    Ok(NamedExpr {
-        name: r.str()?,
-        expr: read_expr(r)?,
-    })
-}
-
-fn join_type_tag(j: JoinType) -> u8 {
-    match j {
-        JoinType::Inner => 0,
-        JoinType::LeftOuter => 1,
-        JoinType::RightOuter => 2,
-        JoinType::FullOuter => 3,
-    }
-}
-
-fn join_type_from(tag: u8) -> TypeResult<JoinType> {
-    Ok(match tag {
-        0 => JoinType::Inner,
-        1 => JoinType::LeftOuter,
-        2 => JoinType::RightOuter,
-        3 => JoinType::FullOuter,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Node and schema codecs
-// ---------------------------------------------------------------------
-
-fn put_node(buf: &mut BytesMut, node: &LogicalNode) -> ExecResult<()> {
-    match node {
-        LogicalNode::Source { stream, partition } => {
-            buf.put_u8(0);
-            put_str(buf, stream);
-            put_opt(buf, partition, |b, p| b.put_u32(*p));
-        }
-        LogicalNode::SelectProject {
-            input,
-            predicate,
-            projections,
-        } => {
-            buf.put_u8(1);
-            buf.put_u32(*input as u32);
-            put_opt(buf, predicate, put_expr);
-            buf.put_u32(projections.len() as u32);
-            for p in projections {
-                put_named_expr(buf, p);
-            }
-        }
-        LogicalNode::Aggregate {
-            input,
-            predicate,
-            group_by,
-            aggregates,
-            having,
-        } => {
-            buf.put_u8(2);
-            buf.put_u32(*input as u32);
-            put_opt(buf, predicate, put_expr);
-            buf.put_u32(group_by.len() as u32);
-            for g in group_by {
-                put_named_expr(buf, g);
-            }
-            buf.put_u32(aggregates.len() as u32);
-            for a in aggregates {
-                put_str(buf, &a.name);
-                put_agg_call(buf, &a.call)?;
-            }
-            put_opt(buf, having, put_expr);
-        }
-        LogicalNode::Join {
-            left,
-            right,
-            left_alias,
-            right_alias,
-            join_type,
-            temporal,
-            equi,
-            residual,
-            projections,
-        } => {
-            buf.put_u8(3);
-            buf.put_u32(*left as u32);
-            buf.put_u32(*right as u32);
-            put_str(buf, left_alias);
-            put_str(buf, right_alias);
-            buf.put_u8(join_type_tag(*join_type));
-            put_column_ref(buf, &temporal.left);
-            put_column_ref(buf, &temporal.right);
-            buf.put_i64(temporal.offset);
-            buf.put_u32(equi.len() as u32);
-            for (l, rhs) in equi {
-                put_expr(buf, l);
-                put_expr(buf, rhs);
-            }
-            put_opt(buf, residual, put_expr);
-            buf.put_u32(projections.len() as u32);
-            for p in projections {
-                put_named_expr(buf, p);
-            }
-        }
-        LogicalNode::Merge { inputs } => {
-            buf.put_u8(4);
-            buf.put_u32(inputs.len() as u32);
-            for i in inputs {
-                buf.put_u32(*i as u32);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn read_node(r: &mut Reader) -> TypeResult<LogicalNode> {
-    Ok(match r.u8()? {
-        0 => LogicalNode::Source {
-            stream: r.str()?,
-            partition: r.opt(|r| r.u32())?,
-        },
-        1 => {
-            let input = r.u32()? as usize;
-            let predicate = r.opt(read_expr)?;
-            let n = r.len()?;
-            let mut projections = Vec::with_capacity(n);
-            for _ in 0..n {
-                projections.push(read_named_expr(r)?);
-            }
-            LogicalNode::SelectProject {
-                input,
-                predicate,
-                projections,
-            }
-        }
-        2 => {
-            let input = r.u32()? as usize;
-            let predicate = r.opt(read_expr)?;
-            let n = r.len()?;
-            let mut group_by = Vec::with_capacity(n);
-            for _ in 0..n {
-                group_by.push(read_named_expr(r)?);
-            }
-            let n = r.len()?;
-            let mut aggregates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.str()?;
-                let call = read_agg_call(r)?;
-                aggregates.push(NamedAgg { name, call });
-            }
-            let having = r.opt(read_expr)?;
-            LogicalNode::Aggregate {
-                input,
-                predicate,
-                group_by,
-                aggregates,
-                having,
-            }
-        }
-        3 => {
-            let left = r.u32()? as usize;
-            let right = r.u32()? as usize;
-            let left_alias = r.str()?;
-            let right_alias = r.str()?;
-            let join_type = join_type_from(r.u8()?)?;
-            let temporal = TemporalJoin {
-                left: read_column_ref(r)?,
-                right: read_column_ref(r)?,
-                offset: r.i64()?,
-            };
-            let n = r.len()?;
-            let mut equi = Vec::with_capacity(n);
-            for _ in 0..n {
-                let l = read_expr(r)?;
-                let rhs = read_expr(r)?;
-                equi.push((l, rhs));
-            }
-            let residual = r.opt(read_expr)?;
-            let n = r.len()?;
-            let mut projections = Vec::with_capacity(n);
-            for _ in 0..n {
-                projections.push(read_named_expr(r)?);
-            }
-            LogicalNode::Join {
-                left,
-                right,
-                left_alias,
-                right_alias,
-                join_type,
-                temporal,
-                equi,
-                residual,
-                projections,
-            }
-        }
-        4 => {
-            let n = r.len()?;
-            let mut inputs = Vec::with_capacity(n);
-            for _ in 0..n {
-                inputs.push(r.u32()? as usize);
-            }
-            LogicalNode::Merge { inputs }
-        }
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn temporality_tag(t: Temporality) -> u8 {
-    match t {
-        Temporality::None => 0,
-        Temporality::Increasing => 1,
-        Temporality::Decreasing => 2,
-    }
-}
-
-fn temporality_from(tag: u8) -> TypeResult<Temporality> {
-    Ok(match tag {
-        0 => Temporality::None,
-        1 => Temporality::Increasing,
-        2 => Temporality::Decreasing,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn data_type_tag(t: DataType) -> u8 {
-    match t {
-        DataType::UInt => 0,
-        DataType::Int => 1,
-        DataType::Bool => 2,
-        DataType::Str => 3,
-    }
-}
-
-fn data_type_from(tag: u8) -> TypeResult<DataType> {
-    Ok(match tag {
-        0 => DataType::UInt,
-        1 => DataType::Int,
-        2 => DataType::Bool,
-        3 => DataType::Str,
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn put_schema(buf: &mut BytesMut, s: &Schema) {
-    put_str(buf, s.name());
-    buf.put_u32(s.fields().len() as u32);
-    for f in s.fields() {
-        put_str(buf, f.name());
-        buf.put_u8(data_type_tag(f.data_type()));
-        buf.put_u8(temporality_tag(f.temporality()));
-    }
-}
-
-fn read_schema(r: &mut Reader) -> TypeResult<Schema> {
-    let name = r.str()?;
-    let n = r.len()?;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fname = r.str()?;
-        let dt = data_type_from(r.u8()?)?;
-        let temp = temporality_from(r.u8()?)?;
-        fields.push(Field::temporal(fname, dt, temp));
-    }
-    Schema::new(name, fields)
 }
 
 // ---------------------------------------------------------------------
@@ -740,77 +253,118 @@ fn read_op_metrics(r: &mut Reader) -> TypeResult<OpMetrics> {
 // Top-level payloads
 // ---------------------------------------------------------------------
 
-/// Encodes a [`UnitSpec`] into a `Deploy` payload. Plans carrying
-/// UDAFs are rejected with [`ExecError::BadPlan`].
-pub(crate) fn encode_unit_spec(unit: &UnitSpec, scratch: &mut BytesMut) -> ExecResult<Bytes> {
-    scratch.clear();
-    let buf = scratch;
-    buf.put_u32(unit.host);
-    buf.put_u32(unit.schemas.len() as u32);
-    for s in &unit.schemas {
-        put_schema(buf, s);
-    }
-    buf.put_u32(unit.nodes.len() as u32);
-    for n in &unit.nodes {
-        put_node(buf, n)?;
-    }
-    for list in [&unit.scans, &unit.boundary, &unit.outputs] {
-        buf.put_u32(list.len() as u32);
-        for (a, b) in list.iter() {
-            buf.put_u32(*a);
-            buf.put_u32(*b);
-        }
-    }
-    buf.put_u32(unit.max_batch);
-    buf.put_u32(unit.frame_batch);
-    buf.put_u64(unit.send_timeout_ms);
-    put_fault(buf, &unit.fault);
-    Ok(buf.split().freeze())
+/// What a `Deploy` payload carries: the inputs the coordinator planned
+/// from, and which of the plan's leaf units the host runs.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DeployInputs {
+    /// The plan's base streams ([`qap_types::Catalog::stream_defs`]).
+    pub(crate) catalog: String,
+    /// The query set's GSQL and the optimizer knobs.
+    pub(crate) source: PlanSource,
+    /// The deployed partitioning; a hash set travels as the GSQL of its
+    /// items.
+    pub(crate) partitioning: Partitioning,
+    /// Index of the host's leaf unit in the deployment (≥ 1).
+    pub(crate) unit: u32,
+    /// The run knobs a leaf unit sees: engine batch size, tuples per
+    /// boundary frame, the timeout bound and the fault plan.
+    pub(crate) max_batch: u32,
+    pub(crate) frame_batch: u32,
+    pub(crate) send_timeout_ms: u64,
+    pub(crate) fault: FaultPlan,
+    /// [`plan_fingerprint`] of the coordinator's plan.
+    pub(crate) fingerprint: u64,
 }
 
-/// Decodes a `Deploy` payload back into a [`UnitSpec`]; any damage
-/// surfaces as a typed [`TypeError`].
-pub(crate) fn decode_unit_spec(payload: Bytes) -> TypeResult<UnitSpec> {
-    let mut r = Reader::new(payload, "remote unit");
-    let host = r.u32()?;
-    let n = r.len()?;
-    let mut schemas = Vec::with_capacity(n);
-    for _ in 0..n {
-        schemas.push(read_schema(&mut r)?);
+/// FNV-1a over the plan's full rendering ([`DistributedPlan::render`]):
+/// equal on two processes exactly when they planned the same thing.
+pub(crate) fn plan_fingerprint(plan: &DistributedPlan) -> u64 {
+    fnv1a_hash(plan.render().bytes().map(u64::from))
+}
+
+/// A hash partitioning set from its items' GSQL: the items of
+/// `PartitionSet::exprs`, each as its `render()`.
+pub(crate) fn parse_set(items: &[String]) -> TypeResult<PartitionSet> {
+    let exprs = items
+        .iter()
+        .map(|item| qap_sql::parse_expression(item))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| TypeError::Corrupt("partitioning set item is not a GSQL expression"))?;
+    Ok(PartitionSet::from_exprs(&exprs))
+}
+
+/// Encodes a `Deploy` payload.
+pub(crate) fn encode_deploy(d: &DeployInputs) -> Bytes {
+    let mut buf = BytesMut::new();
+    put_str(&mut buf, &d.catalog);
+    put_str(&mut buf, &d.source.gsql);
+    let o = &d.source.config;
+    let per_host = o.partial_agg_scope == PartialAggScope::PerHost;
+    let strict = o.analysis.strict_join_compatibility;
+    for flag in [o.agnostic, o.partial_aggregation, per_host, strict] {
+        buf.put_u8(flag as u8);
     }
-    let n = r.len()?;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        nodes.push(read_node(&mut r)?);
+    let p = &d.partitioning;
+    let set = match &p.strategy {
+        SplitStrategy::RoundRobin => None,
+        SplitStrategy::Hash(set) => Some(set),
+    };
+    put_opt(&mut buf, &set, |b, set| {
+        b.put_u32(set.len() as u32);
+        set.exprs().iter().for_each(|e| put_str(b, &e.render()));
+    });
+    for n in [p.partitions, p.hosts, p.aggregator_host] {
+        buf.put_u32(n as u32);
     }
-    let mut lists: [Vec<(u32, u32)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for list in lists.iter_mut() {
-        let n = r.len()?;
-        list.reserve(n);
-        for _ in 0..n {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            list.push((a, b));
-        }
+    for n in [d.unit, d.max_batch, d.frame_batch] {
+        buf.put_u32(n);
     }
-    let [scans, boundary, outputs] = lists;
-    let max_batch = r.u32()?;
-    let frame_batch = r.u32()?;
-    let send_timeout_ms = r.u64()?;
-    let fault = read_fault(&mut r)?;
+    buf.put_u64(d.send_timeout_ms);
+    put_fault(&mut buf, &d.fault);
+    buf.put_u64(d.fingerprint);
+    buf.freeze()
+}
+
+/// Decodes a `Deploy` payload; any damage surfaces as a typed
+/// [`TypeError`].
+pub(crate) fn decode_deploy(payload: Bytes) -> TypeResult<DeployInputs> {
+    let mut r = Reader::new(payload, "deploy");
+    let catalog = r.str()?;
+    let gsql = r.str()?;
+    let config = OptimizerConfig {
+        agnostic: r.bool()?,
+        partial_aggregation: r.bool()?,
+        partial_agg_scope: match r.bool()? {
+            true => PartialAggScope::PerHost,
+            false => PartialAggScope::PerPartition,
+        },
+        analysis: AnalysisOptions {
+            strict_join_compatibility: r.bool()?,
+        },
+    };
+    let set = r.opt(|r| {
+        let items = (0..r.len()?).map(|_| r.str());
+        parse_set(&items.collect::<TypeResult<Vec<_>>>()?)
+    })?;
+    let strategy = set.map_or(SplitStrategy::RoundRobin, SplitStrategy::Hash);
+    let inputs = DeployInputs {
+        catalog,
+        source: PlanSource { gsql, config },
+        partitioning: Partitioning {
+            strategy,
+            partitions: r.u32()? as usize,
+            hosts: r.u32()? as usize,
+            aggregator_host: r.u32()? as usize,
+        },
+        unit: r.u32()?,
+        max_batch: r.u32()?,
+        frame_batch: r.u32()?,
+        send_timeout_ms: r.u64()?,
+        fault: read_fault(&mut r)?,
+        fingerprint: r.u64()?,
+    };
     r.finish()?;
-    Ok(UnitSpec {
-        host,
-        schemas,
-        nodes,
-        scans,
-        boundary,
-        outputs,
-        max_batch,
-        frame_batch,
-        send_timeout_ms,
-        fault,
-    })
+    Ok(inputs)
 }
 
 /// Writes rows as one length-prefixed lane frame, so the result and
@@ -918,53 +472,6 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
 // Migration payloads
 // ---------------------------------------------------------------------
 
-fn put_transform(buf: &mut BytesMut, t: &ColumnTransform) {
-    match t {
-        ColumnTransform::Identity => buf.put_u8(0),
-        ColumnTransform::Div(k) => {
-            buf.put_u8(1);
-            buf.put_u64(*k);
-        }
-        ColumnTransform::Mask(m) => {
-            buf.put_u8(2);
-            buf.put_u64(*m);
-        }
-        ColumnTransform::Opaque(e) => {
-            buf.put_u8(3);
-            put_expr(buf, e);
-        }
-    }
-}
-
-fn read_transform(r: &mut Reader) -> TypeResult<ColumnTransform> {
-    Ok(match r.u8()? {
-        0 => ColumnTransform::Identity,
-        1 => ColumnTransform::Div(r.u64()?),
-        2 => ColumnTransform::Mask(r.u64()?),
-        3 => ColumnTransform::Opaque(read_expr(r)?),
-        other => return Err(TypeError::BadTag(other)),
-    })
-}
-
-fn put_partition_set(buf: &mut BytesMut, set: &PartitionSet) {
-    buf.put_u32(set.exprs().len() as u32);
-    for e in set.exprs() {
-        put_column_ref(buf, &e.column);
-        put_transform(buf, &e.transform);
-    }
-}
-
-fn read_partition_set(r: &mut Reader) -> TypeResult<PartitionSet> {
-    let n = r.len()?;
-    let mut exprs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let column = read_column_ref(r)?;
-        let transform = read_transform(r)?;
-        exprs.push(AnalyzedExpr { column, transform });
-    }
-    Ok(PartitionSet::from_analyzed(exprs))
-}
-
 /// Writes a `(local node, rows)` list with each batch as one lane frame
 /// — the same codec the result path uses for outputs.
 fn put_node_batches(
@@ -1005,7 +512,6 @@ pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResu
             partitions,
             buckets_per_partition,
             assignment,
-            set,
             jobs,
         } => {
             out.put_u8(MIGRATE_EXTRACT);
@@ -1016,7 +522,6 @@ pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResu
             for &a in assignment {
                 out.put_u32(a);
             }
-            put_partition_set(&mut out, set);
             out.put_u32(jobs.len() as u32);
             for (node, owned) in jobs {
                 out.put_u32(*node);
@@ -1048,7 +553,6 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
             for _ in 0..n {
                 assignment.push(r.u32()?);
             }
-            let set = read_partition_set(&mut r)?;
             let n = r.len()?;
             let mut jobs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -1065,7 +569,6 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
                 partitions,
                 buckets_per_partition,
                 assignment,
-                set,
                 jobs,
             }
         }
@@ -1098,113 +601,72 @@ pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qap_expr::{BinOp, ScalarExpr};
+    use qap_types::Value;
 
-    fn sample_unit() -> UnitSpec {
-        let schema = Schema::new(
-            "pkt",
-            vec![
-                Field::temporal("time", DataType::UInt, Temporality::Increasing),
-                Field::new("srcIP", DataType::UInt),
-                Field::new("len", DataType::Int),
-            ],
-        )
-        .unwrap();
-        let nodes = vec![
-            LogicalNode::Source {
-                stream: "pkt".into(),
-                partition: Some(2),
-            },
-            LogicalNode::SelectProject {
-                input: 0,
-                predicate: Some(ScalarExpr::Binary {
-                    op: BinOp::Gt,
-                    lhs: Box::new(ScalarExpr::Column(ColumnRef {
-                        qualifier: None,
-                        name: "len".into(),
-                    })),
-                    rhs: Box::new(ScalarExpr::Literal(Value::Int(100))),
-                }),
-                projections: vec![NamedExpr {
-                    name: "srcIP".into(),
-                    expr: ScalarExpr::Column(ColumnRef {
-                        qualifier: Some("pkt".into()),
-                        name: "srcIP".into(),
-                    }),
-                }],
-            },
-            LogicalNode::Aggregate {
-                input: 1,
-                predicate: None,
-                group_by: vec![NamedExpr {
-                    name: "srcIP".into(),
-                    expr: ScalarExpr::Column(ColumnRef {
-                        qualifier: None,
-                        name: "srcIP".into(),
-                    }),
-                }],
-                aggregates: vec![NamedAgg {
-                    name: "cnt".into(),
-                    call: AggCall {
-                        func: AggFunc::Builtin(AggKind::Count),
-                        arg: None,
-                        merge: false,
-                        emit_partial: true,
-                    },
-                }],
-                having: Some(ScalarExpr::Unary {
-                    op: UnOp::Not,
-                    expr: Box::new(ScalarExpr::Literal(Value::Bool(false))),
-                }),
-            },
-        ];
-        UnitSpec {
-            host: 3,
-            schemas: vec![schema],
-            nodes,
-            scans: vec![(7, 0)],
-            boundary: vec![(9, 2)],
-            outputs: vec![(1, 2)],
+    use crate::experiments::Scenario;
+
+    /// The inputs of leaf unit 2 of the §6.2 optimal deployment.
+    fn sample_deploy() -> DeployInputs {
+        let plan = Scenario::QuerySet.plan("Partitioned (optimal)", 3);
+        DeployInputs {
+            catalog: plan.dag.catalog().stream_defs(),
+            source: plan.source.clone().unwrap(),
+            partitioning: plan.partitioning.clone(),
+            unit: 2,
             max_batch: 512,
             frame_batch: 128,
             send_timeout_ms: 1500,
             fault: FaultPlan::seeded(11).corrupt_every(3).slow(1, 40),
+            fingerprint: plan_fingerprint(&plan),
         }
     }
 
     #[test]
     fn remote_unit_round_trips() {
-        let unit = sample_unit();
-        let mut scratch = BytesMut::new();
-        let bytes = encode_unit_spec(&unit, &mut scratch).unwrap();
-        assert_eq!(decode_unit_spec(bytes).unwrap(), unit);
+        let round_robin = DeployInputs {
+            partitioning: Partitioning::round_robin(4),
+            ..sample_deploy()
+        };
+        for inputs in [sample_deploy(), round_robin] {
+            assert_eq!(decode_deploy(encode_deploy(&inputs)).unwrap(), inputs);
+        }
     }
 
     #[test]
     fn truncated_unit_is_typed_error() {
-        let unit = sample_unit();
-        let mut scratch = BytesMut::new();
-        let bytes = encode_unit_spec(&unit, &mut scratch).unwrap();
+        let bytes = encode_deploy(&sample_deploy());
         for cut in 0..bytes.len() {
-            let err = decode_unit_spec(bytes.slice(..cut));
+            let err = decode_deploy(bytes.slice(..cut));
             assert!(err.is_err(), "cut {cut} decoded");
         }
         let mut longer = bytes.to_vec();
         longer.push(0);
-        assert!(decode_unit_spec(Bytes::from(longer)).is_err());
+        assert!(decode_deploy(Bytes::from(longer)).is_err());
     }
 
+    /// Every §6 hash set, plus a `Div`, a `Mask` and an `Opaque` item,
+    /// is the same set after its items go through GSQL text.
     #[test]
-    fn udaf_deployment_is_rejected() {
-        let mut unit = sample_unit();
-        if let LogicalNode::Aggregate { aggregates, .. } = &mut unit.nodes[2] {
-            aggregates[0].call.func = AggFunc::Udaf("my_sketch".into());
+    fn partition_sets_survive_their_gsql() {
+        let mut sets = Vec::new();
+        for scenario in [Scenario::SimpleAgg, Scenario::QuerySet, Scenario::Complex] {
+            for &config in scenario.configs() {
+                if let SplitStrategy::Hash(set) = scenario.deployment(config, 3).0.strategy {
+                    sets.push(set);
+                }
+            }
         }
-        let mut scratch = BytesMut::new();
-        let err = encode_unit_spec(&unit, &mut scratch).unwrap_err();
-        assert!(
-            matches!(&err, ExecError::BadPlan(msg) if msg.contains("UDAF")),
-            "got {err}"
-        );
+        assert_eq!(sets.len(), 5);
+        sets.push(PartitionSet::from_exprs([
+            &ScalarExpr::col("time").div(60),
+            &ScalarExpr::qcol("TCP", "srcIP").mask(0xFF00),
+            &ScalarExpr::col("destPort").binary(BinOp::Add, ScalarExpr::lit(1u64)),
+        ]));
+        for set in sets {
+            let items: Vec<String> = set.exprs().iter().map(|e| e.render()).collect();
+            assert_eq!(parse_set(&items).unwrap(), set, "{items:?}");
+        }
     }
 
     #[test]
@@ -1293,23 +755,12 @@ mod tests {
     }
 
     fn sample_migrate_cmds() -> Vec<UnitCmd> {
-        let set = PartitionSet::from_analyzed([
-            AnalyzedExpr {
-                column: ColumnRef::bare("srcIP"),
-                transform: ColumnTransform::Mask(0xFFF0),
-            },
-            AnalyzedExpr {
-                column: ColumnRef::qualified("TCP", "destIP"),
-                transform: ColumnTransform::Identity,
-            },
-        ]);
         vec![
             UnitCmd::Extract {
                 boundary: 1_234_567,
                 partitions: 8,
                 buckets_per_partition: 4,
                 assignment: (0..32).map(|b| b / 4).collect(),
-                set,
                 jobs: vec![(3, vec![2, 3]), (9, vec![6, 7])],
             },
             UnitCmd::Absorb(vec![

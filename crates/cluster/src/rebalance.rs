@@ -68,7 +68,7 @@ use serde::Serialize;
 use qap_exec::{Engine, ExecResult};
 use qap_expr::{BinOp, ScalarExpr};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
-use qap_partition::{HashPartitioner, PartitionSet};
+use qap_partition::HashPartitioner;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{ColumnBatch, Schema, Tuple, Value};
 
@@ -632,7 +632,6 @@ impl ControlStats {
 pub(crate) struct Controller {
     reb: RebalanceConfig,
     spec: MigrationSpec,
-    set: PartitionSet,
     partitions: usize,
     /// Per-family key partitioners over the aggregate schemas.
     keyps: Vec<HashPartitioner>,
@@ -706,7 +705,6 @@ impl Controller {
             Ok(Controller {
                 reb,
                 spec,
-                set: set.clone(),
                 partitions,
                 keyps,
                 tidx,
@@ -783,12 +781,12 @@ pub(crate) struct ExtractJob {
 }
 
 /// The table change a handoff serves, for carriers whose units rebuild
-/// the key partitioners on their side of a wire.
+/// the key partitioners on their side of a wire (over the set each unit
+/// was deployed with).
 pub(crate) struct Handoff<'a> {
     /// Drain boundary (a trace timestamp).
     pub(crate) boundary: u64,
     pub(crate) next: &'a [u32],
-    pub(crate) set: &'a PartitionSet,
     pub(crate) partitions: usize,
     pub(crate) buckets_per_partition: usize,
 }
@@ -907,7 +905,6 @@ fn handoff<C: Carrier>(
     let change = Handoff {
         boundary: ctl.epoch_end.unwrap_or(0),
         next,
-        set: &ctl.set,
         partitions: ctl.partitions,
         buckets_per_partition: ctl.reb.buckets_per_partition,
     };

@@ -11,11 +11,13 @@
 //!    runner's [`Deployment`]), connects to each host with bounded
 //!    backoff, and performs the versioned handshake
 //!    (`Hello`/`Welcome`, [`qap_types::PROTOCOL_VERSION`]);
-//! 2. each leaf unit's [`UnitSpec`](crate::unit::UnitSpec) ships as a
-//!    serialized [`Deploy`] payload ([`crate::deploy`]); the host
-//!    rebuilds the sliced DAG by replaying its build script, so schema
-//!    inference and local node ids reproduce exactly, and runs
-//!    [`run_unit`] over a [`StreamPort`];
+//! 2. each host is sent a [`Deploy`] payload ([`crate::deploy`]) with
+//!    what the coordinator planned from — catalog, GSQL, partitioning,
+//!    knobs — and which leaf unit is its own. The host plans again,
+//!    slices with the same [`Deployment::new`], and checks that its
+//!    plan's fingerprint is the coordinator's: on a match it acks and
+//!    runs [`run_unit`] over a [`StreamPort`], on a mismatch it rejects
+//!    the deployment (`ERROR_DEPLOY`) rather than run a different plan;
 //! 3. the coordinator side of that port is two threads per session
 //!    around the shared carrier ([`Units`]): a **writer** drains the
 //!    unit's command inbox into `Data` frames (one wire frame per
@@ -52,18 +54,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crossbeam::channel as chan;
-use qap_exec::{ExecError, ExecResult, FailureCause, HostFailure};
+use qap_exec::{BatchConfig, ExecError, ExecResult, FailureCause, HostFailure};
 use qap_obs::SharedGauge;
-use qap_optimizer::DistributedPlan;
-use qap_plan::{LogicalNode, NodeId, QueryDag};
+use qap_optimizer::{optimize, DistributedPlan};
+use qap_plan::{LogicalNode, NodeId};
+use qap_sql::QuerySetBuilder;
 use qap_types::{
     encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, ERROR_DEPLOY, ERROR_EXEC,
     ERROR_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::deploy::{
-    decode_unit_outcome, decode_unit_reply, decode_unit_spec, encode_unit_cmd, encode_unit_outcome,
-    encode_unit_spec,
+    decode_deploy, decode_unit_outcome, decode_unit_reply, encode_deploy, encode_unit_cmd,
+    encode_unit_outcome, plan_fingerprint, DeployInputs,
 };
 use crate::link::{
     read_control, write_control, ChannelSink, ChannelTransport, DuplexStream, FrameSink, HostAddr,
@@ -74,7 +77,8 @@ use crate::splitter::Batch;
 use crate::threaded::{
     compute_units, feed_and_aggregate, panic_message, stitch, Central, Deployment, Feed,
 };
-use crate::unit::{run_unit, StreamPort, UnitCmd, UnitOutcome, UnitReply, UnitSpec, Units};
+use crate::transport::TransportConfig;
+use crate::unit::{run_unit, StreamPort, UnitCmd, UnitOutcome, UnitReply, Units};
 
 // ---------------------------------------------------------------------
 // Coordinator
@@ -179,6 +183,83 @@ pub fn remote_host_count(plan: &DistributedPlan, cfg: &SimConfig) -> usize {
     )
     .len()
         - 1
+}
+
+/// What every host is sent to plan from (`unit` left for the caller).
+/// A host plans from GSQL and runs only the functions its own binary
+/// has, so two kinds of plan cannot be deployed and are a
+/// [`ExecError::BadPlan`] before any host is contacted: one without a
+/// [`DistributedPlan::source`] (its DAG was extended past what GSQL text
+/// says, or [`qap_optimizer::plan_partitioning`] built it), and one that
+/// calls a UDAF, whose code lives in the coordinator's catalog.
+fn deploy_inputs(plan: &DistributedPlan, cfg: &SimConfig) -> ExecResult<DeployInputs> {
+    let source = plan.source.clone().ok_or_else(|| {
+        ExecError::BadPlan("remote hosts plan from GSQL, and this plan has no GSQL source".into())
+    })?;
+    let udaf = plan
+        .dag
+        .topo_order()
+        .find_map(|id| match plan.dag.node(id) {
+            LogicalNode::Aggregate { aggregates, .. } => {
+                aggregates.iter().find(|a| a.call.builtin_kind().is_none())
+            }
+            _ => None,
+        });
+    if let Some(a) = udaf {
+        return Err(ExecError::BadPlan(format!(
+            "UDAF '{}' cannot be deployed to a remote host: \
+             user-defined aggregates live in the coordinator's catalog",
+            a.call.func
+        )));
+    }
+    Ok(DeployInputs {
+        catalog: plan.dag.catalog().stream_defs(),
+        source,
+        partitioning: plan.partitioning.clone(),
+        unit: 0,
+        max_batch: cfg.batch.max_batch as u32,
+        frame_batch: cfg.transport.frame_batch as u32,
+        send_timeout_ms: cfg.transport.send_timeout_ms,
+        fault: cfg.transport.fault,
+        fingerprint: plan_fingerprint(plan),
+    })
+}
+
+impl DeployInputs {
+    /// The run configuration as far as a leaf unit sees it: what the
+    /// host slices the plan with.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            batch: BatchConfig::new(self.max_batch as usize),
+            transport: TransportConfig {
+                frame_batch: self.frame_batch as usize,
+                send_timeout_ms: self.send_timeout_ms,
+                fault: self.fault,
+                ..TransportConfig::default().host_serial()
+            },
+            ..SimConfig::default()
+        }
+    }
+}
+
+/// Plans the deployed query set again, as the coordinator did, and
+/// holds the result to the coordinator's fingerprint: a host never runs
+/// a plan other than the one it was sent.
+fn replan(inputs: &DeployInputs) -> Result<DistributedPlan, String> {
+    let mut b = QuerySetBuilder::new(Catalog::new());
+    b.parse_script(&inputs.catalog)
+        .and_then(|_| b.parse_script(&inputs.source.gsql))
+        .map_err(|e| format!("deployed query set: {e}"))?;
+    let plan = optimize(&b.build(), &inputs.partitioning, &inputs.source.config)
+        .map_err(|e| format!("deployed plan: {e}"))?;
+    let ours = plan_fingerprint(&plan);
+    if ours != inputs.fingerprint {
+        return Err(format!(
+            "plan fingerprint mismatch: coordinator {:016x}, host {ours:016x}",
+            inputs.fingerprint
+        ));
+    }
+    Ok(plan)
 }
 
 /// The coordinator's write half of a unit's port: drains the unit's
@@ -304,6 +385,7 @@ pub fn run_distributed_remote(
         transport: cfg.transport.host_serial(),
         ..*cfg
     };
+    let mut inputs = deploy_inputs(plan, &cfg)?;
     let dep = Deployment::new(plan, &cfg)?;
     if hosts.len() != dep.specs.len() {
         return Err(ExecError::BadPlan(format!(
@@ -320,11 +402,11 @@ pub fn run_distributed_remote(
     // Connect + handshake + deploy every leaf host up front, so a
     // refused or mismatched host fails fast (strict) or is recorded and
     // excluded (partial) before any data moves.
-    let mut scratch = BytesMut::new();
     let mut sessions: Vec<HostSession> = Vec::new();
     let mut failures: Vec<HostFailure> = Vec::new();
     for ((u, _, spec), addr) in dep.leaves().zip(hosts) {
-        let payload = encode_unit_spec(spec, &mut scratch)?;
+        inputs.unit = u as u32;
+        let payload = encode_deploy(&inputs);
         match deploy_host(addr, u, spec.host as usize, payload, spec.send_timeout_ms) {
             Ok(session) => sessions.push(session),
             Err(failure) if cfg.transport.partial_results => failures.push(failure),
@@ -421,41 +503,11 @@ pub struct HostServerConfig {
     pub once: bool,
 }
 
-/// Rebuilds the deployed unit's DAG by replaying its build script over
-/// a fresh catalog — the exact construction
-/// [`slice_unit`](crate::threaded) performed on the coordinator, so
-/// node ids and inferred schemas reproduce.
-fn rebuild_dag(unit: &UnitSpec) -> ExecResult<QueryDag> {
-    let mut catalog = Catalog::new();
-    for s in &unit.schemas {
-        catalog
-            .register(s.clone())
-            .map_err(|e| ExecError::BadPlan(format!("deployed catalog: {e}")))?;
-    }
-    let mut dag = QueryDag::new(catalog);
-    for node in &unit.nodes {
-        match node {
-            LogicalNode::Source { stream, partition } => {
-                let p = partition.ok_or_else(|| {
-                    ExecError::BadPlan("deployed scan is missing its partition".into())
-                })?;
-                dag.add_partition_source(stream, p)
-                    .map_err(|e| ExecError::BadPlan(format!("deployed scan: {e}")))?;
-            }
-            other => {
-                dag.add_node(other.clone())
-                    .map_err(|e| ExecError::BadPlan(format!("deployed node: {e}")))?;
-            }
-        }
-    }
-    Ok(dag)
-}
-
 /// Handles one coordinator session on an accepted stream: versioned
-/// handshake, deployment, execution, result. Protocol and execution
-/// failures are reported to the coordinator as typed `Error` frames;
-/// only transport-level failures (the session socket itself dying)
-/// surface as `Err`.
+/// handshake, deployment (plan again, slice, check the fingerprint),
+/// execution, result. Protocol and execution failures are reported to
+/// the coordinator as typed `Error` frames; only transport-level
+/// failures (the session socket itself dying) surface as `Err`.
 fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     let mut scratch = BytesMut::new();
     let step = |stream: &mut DuplexStream, what: &str| match read_control(stream) {
@@ -463,18 +515,19 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
         Ok(None) => Err(format!("connection closed before {what}")),
         Err(e) => Err(e.to_string()),
     };
+    let reject = |stream: &mut DuplexStream, kind, message| {
+        let frame = ControlFrame::Error { kind, message };
+        write_control(stream, &frame, &mut BytesMut::new())
+    };
     let version = match step(&mut stream, "Hello")? {
         ControlFrame::Hello { version, .. } => version,
         other => return Err(format!("protocol violation: expected Hello, got {other:?}")),
     };
     if version != PROTOCOL_VERSION {
-        let reject = ControlFrame::Error {
-            kind: ERROR_VERSION,
-            message: format!(
-                "protocol version mismatch: host speaks {PROTOCOL_VERSION}, coordinator sent {version}"
-            ),
-        };
-        return write_control(&mut stream, &reject, &mut scratch);
+        let message = format!(
+            "protocol version mismatch: host speaks {PROTOCOL_VERSION}, coordinator sent {version}"
+        );
+        return reject(&mut stream, ERROR_VERSION, message);
     }
     write_control(
         &mut stream,
@@ -492,21 +545,21 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
             ))
         }
     };
-    let deployed = decode_unit_spec(payload)
+    let planned = decode_deploy(payload)
         .map_err(|e| format!("deployment payload corrupt: {e}"))
-        .and_then(|spec| match rebuild_dag(&spec) {
-            Ok(dag) => Ok((spec, dag)),
-            Err(e) => Err(format!("deployment rejected: {e}")),
-        });
-    let (spec, dag) = match deployed {
-        Ok(deployed) => deployed,
-        Err(message) => {
-            let reject = ControlFrame::Error {
-                kind: ERROR_DEPLOY,
-                message,
-            };
-            return write_control(&mut stream, &reject, &mut scratch);
-        }
+        .and_then(|inputs| Ok((replan(&inputs)?, inputs)));
+    let (plan, inputs) = match planned {
+        Ok(planned) => planned,
+        Err(message) => return reject(&mut stream, ERROR_DEPLOY, message),
+    };
+    let dep = Deployment::new(&plan, &inputs.sim_config());
+    let unit = match &dep {
+        Ok(dep) => dep.leaves().find(|&(u, ..)| u == inputs.unit as usize),
+        Err(e) => return reject(&mut stream, ERROR_DEPLOY, e.to_string()),
+    };
+    let Some((_, slice, spec)) = unit else {
+        let message = format!("the deployed plan has no leaf unit {}", inputs.unit);
+        return reject(&mut stream, ERROR_DEPLOY, message);
     };
     write_control(&mut stream, &ControlFrame::DeployAck, &mut scratch)?;
 
@@ -519,7 +572,7 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     // tear down the acceptor silently: catch it and report a typed
     // execution error before ending the session.
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        run_unit(&spec, &dag, &mut port, &progress)
+        run_unit(spec, &slice.dag, &mut port, &progress)
     }));
     let report = match ran {
         Ok(Ok(outcome)) => ControlFrame::Result(
@@ -734,7 +787,6 @@ mod tests {
         let handoff = Handoff {
             boundary: late[0].get(0).as_u64().unwrap(),
             next: &qap_partition::identity_assignment(partitions, 1),
-            set,
             partitions,
             buckets_per_partition: 1,
         };
@@ -794,7 +846,9 @@ mod tests {
                 Box::new(move || unit.join().unwrap().unwrap())
             });
             let by_stream = scripted_unit(&dep, &trace, u, |inbox, replies, sink| {
-                let payload = encode_unit_spec(spec, &mut BytesMut::new()).unwrap();
+                let mut inputs = deploy_inputs(&plan, &cfg).unwrap();
+                inputs.unit = u as u32;
+                let payload = encode_deploy(&inputs);
                 let addr = spawn_hosts(1).remove(0);
                 let session = deploy_host(&addr, u, slice.host, payload, 5_000).unwrap();
                 let (w, r) = (session.stream.try_clone(), session.stream.try_clone());
@@ -899,5 +953,38 @@ mod tests {
             other => panic!("expected deploy rejection, got {other:?}"),
         }
         server.join().unwrap().unwrap();
+    }
+
+    /// A host whose plan does not hash to the coordinator's refuses the
+    /// unit, naming both fingerprints, instead of running its own plan.
+    #[test]
+    fn altered_fingerprint_is_a_typed_deploy_rejection() {
+        let plan = optimize(
+            &flows_dag(),
+            &Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 2),
+            &OptimizerConfig::full(),
+        )
+        .unwrap();
+        let mut inputs = deploy_inputs(&plan, &SimConfig::default()).unwrap();
+        inputs.unit = 1;
+        inputs.fingerprint ^= 1;
+
+        let listener = HostListener::bind(&HostAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || serve_host(&listener, &HostServerConfig { once: true }));
+        let err = deploy_host(&addr, 1, 1, encode_deploy(&inputs), 5_000)
+            .err()
+            .expect("deployment refused");
+        server.join().unwrap().unwrap();
+        assert!(matches!(err.cause, FailureCause::Link(_)), "{err}");
+        let (sent, ours) = (inputs.fingerprint, plan_fingerprint(&plan));
+        for part in [
+            format!("({ERROR_DEPLOY})"),
+            format!("{sent:016x}"),
+            format!("{ours:016x}"),
+        ] {
+            assert!(err.to_string().contains(&part), "{err}");
+        }
     }
 }

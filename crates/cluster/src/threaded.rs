@@ -414,21 +414,10 @@ impl<'a> Deployment<'a> {
     }
 }
 
-/// Describes one leaf slice for [`run_unit`]: its id maps, the run's
-/// knobs, and the sliced DAG as a replayable build script for the
-/// runner that has to ship it.
+/// Describes one leaf slice for [`run_unit`]: its id maps, the deployed
+/// set and the run's knobs.
 fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> UnitSpec {
     let transport = cfg.transport;
-    let mut schemas: Vec<_> = plan.dag.catalog().schemas().cloned().collect();
-    schemas.sort_by(|a, b| {
-        a.name()
-            .to_ascii_lowercase()
-            .cmp(&b.name().to_ascii_lowercase())
-    });
-    // Local dag nodes in id order: replaying this list reproduces the
-    // dag (ids are assigned sequentially by insertion).
-    let dag = &slice.dag;
-    let nodes: Vec<LogicalNode> = (0..dag.len()).map(|id| dag.node(id).clone()).collect();
     let mut scans: Vec<(u32, u32)> = slice
         .local
         .iter()
@@ -448,8 +437,7 @@ fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> Un
         .collect();
     UnitSpec {
         host: slice.host as u32,
-        schemas,
-        nodes,
+        set: plan.partitioning.strategy.effective_set(),
         scans,
         boundary,
         outputs,

@@ -23,10 +23,9 @@ use qap_exec::{
 };
 use qap_obs::SharedGauge;
 use qap_partition::{HashPartitioner, PartitionSet};
-use qap_plan::{LogicalNode, NodeId, QueryDag};
+use qap_plan::{NodeId, QueryDag};
 use qap_types::{
-    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Schema, Tuple,
-    FRAME_HEADER_LEN,
+    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Tuple, FRAME_HEADER_LEN,
 };
 
 use crate::deploy::{decode_unit_cmd, encode_unit_reply};
@@ -39,26 +38,20 @@ use crate::threaded::{Central, Deployment};
 use crate::transport::{EdgeTransport, FaultPlan};
 
 /// One leaf execution unit's description: the id maps that address its
-/// data and every knob that shapes its execution — batch size, frame
-/// size, timeout and fault plan — so a unit is
-/// parameterized identically on a worker thread and in a host process.
+/// data, the deployed partitioning set, and every knob that shapes its
+/// execution — batch size, frame size, timeout and fault plan.
 ///
-/// The in-process runner hands this to [`run_unit`] next to the sliced
-/// DAG itself; the socket coordinator serializes the same value
-/// ([`crate::deploy`]), and the host rebuilds the DAG from the build
-/// script in `schemas`/`nodes`.
-#[derive(Debug, Clone, PartialEq)]
+/// [`Deployment::new`] builds it next to the sliced DAG, and [`run_unit`]
+/// takes both. Nothing serializes it: a host process derives the same
+/// pair from the same plan, which it plans again from the `Deploy`
+/// payload's text ([`crate::deploy`]).
+#[derive(Debug, Clone)]
 pub(crate) struct UnitSpec {
     /// Cluster host id this unit executes as.
     pub(crate) host: u32,
-    /// Base-stream schemas (the unit's catalog), in deterministic
-    /// (name-sorted) order.
-    pub(crate) schemas: Vec<Schema>,
-    /// The sliced DAG's nodes in local id order, children already
-    /// local. Replaying `add_partition_source`/`add_node` over a fresh
-    /// catalog reproduces the dag — including its inferred schemas —
-    /// exactly.
-    pub(crate) nodes: Vec<LogicalNode>,
+    /// The deployed partitioning set (empty under round-robin): what an
+    /// `Extract` re-keys the unit's aggregates by.
+    pub(crate) set: PartitionSet,
     /// Partition scans: (global node id, local node id).
     pub(crate) scans: Vec<(u32, u32)>,
     /// Boundary producers: (global node id, local node id).
@@ -133,10 +126,11 @@ pub(crate) enum UnitCmd {
     /// Force-close windows before `boundary` on each job's node, then
     /// extract every group whose key re-routes away from the node's
     /// owned partitions under the new table; reply with the rows. The
-    /// command carries the table recipe — partitioning set, bucket
-    /// geometry and the *next* assignment — and the unit rebuilds the
-    /// key partitioner against each node's aggregate schema, because a
-    /// host process shares no memory with the coordinator's splitter.
+    /// command carries the table recipe — bucket geometry and the *next*
+    /// assignment — and the unit rebuilds the key partitioner from it
+    /// and its deployed set ([`UnitSpec::set`]) against each node's
+    /// aggregate schema, because a host process shares no memory with
+    /// the coordinator's splitter.
     Extract {
         /// Drain boundary (a trace timestamp).
         boundary: u64,
@@ -146,8 +140,6 @@ pub(crate) enum UnitCmd {
         buckets_per_partition: u32,
         /// The *new* bucket→partition table the extraction routes by.
         assignment: Vec<u32>,
-        /// The partitioning set.
-        set: PartitionSet,
         /// Per-node jobs: (local node id, owned partitions).
         jobs: Vec<(u32, Vec<u32>)>,
     },
@@ -348,7 +340,6 @@ pub(crate) fn run_unit<P: UnitPort>(
                 partitions,
                 buckets_per_partition,
                 assignment,
-                set,
                 jobs,
             } => {
                 if assignment.is_empty() || assignment.iter().any(|&p| p >= partitions) {
@@ -362,7 +353,7 @@ pub(crate) fn run_unit<P: UnitPort>(
                 let mut extracted = Vec::new();
                 for (node, owned) in jobs {
                     let mut keyp = HashPartitioner::with_buckets(
-                        &set,
+                        &spec.set,
                         dag.schema(node as NodeId),
                         partitions as usize,
                         buckets_per_partition as usize,
@@ -748,7 +739,6 @@ impl Carrier for Units<'_> {
                     partitions: handoff.partitions as u32,
                     buckets_per_partition: handoff.buckets_per_partition as u32,
                     assignment: handoff.next.to_vec(),
-                    set: handoff.set.clone(),
                     jobs: jobs.iter().map(|(_, l, o)| (*l, o.clone())).collect(),
                 };
                 (u, cmd)

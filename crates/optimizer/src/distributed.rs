@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use qap_expr::ScalarExpr;
-use qap_plan::{LogicalNode, NamedAgg, NamedExpr, NodeId, QueryDag};
+use qap_plan::{render_dag_annotated, LogicalNode, NamedAgg, NamedExpr, NodeId, QueryDag};
 use qap_planner::{partial, NodeDecision, PlanExplanation, PlannerInput};
 
 use crate::{OptError, OptResult, OptimizerConfig, PartialAggScope, Partitioning};
@@ -44,9 +44,40 @@ pub struct DistributedPlan {
     pub outputs: Vec<PlanOutput>,
     /// The partitioning the plan was built for.
     pub partitioning: Partitioning,
+    /// What [`optimize`] planned from, when text can say it: with the
+    /// catalog and the partitioning, enough to plan again in another
+    /// process. `None` for a DAG without [`QueryDag::gsql`] and for
+    /// [`crate::plan_partitioning`]'s plans.
+    pub source: Option<PlanSource>,
+}
+
+/// The logical side of an [`optimize`] call, as text and knobs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanSource {
+    /// The logical query set ([`QueryDag::gsql`]).
+    pub gsql: String,
+    /// The optimizer knobs.
+    pub config: OptimizerConfig,
 }
 
 impl DistributedPlan {
+    /// The full rendering: the physical DAG with every expression, each
+    /// node's id, host and tier, then the output list. Planning is
+    /// deterministic, so this text pins a plan in golden files and
+    /// fingerprints it across processes.
+    pub fn render(&self) -> String {
+        let mut out = render_dag_annotated(&self.dag, &|id| {
+            let tier = if self.central[id] { "central" } else { "leaf" };
+            Some(format!("#{id} host {} {tier}", self.host[id]))
+        });
+        let _ = writeln!(out, "Outputs:");
+        for o in &self.outputs {
+            let name = o.name.as_deref().unwrap_or("<unnamed>");
+            let _ = writeln!(out, "  {name} -> #{} (logical #{})", o.node, o.logical);
+        }
+        out
+    }
+
     /// Renders the plan grouped by host, in the spirit of the paper's
     /// Figures 2–7 and 12.
     pub fn render_by_host(&self) -> String {
@@ -87,11 +118,6 @@ impl DistributedPlan {
             let _ = writeln!(out, "  {name} -> #{}", o.node);
         }
         out
-    }
-
-    /// Physical node count on one host.
-    pub fn nodes_on_host(&self, host: usize) -> usize {
-        self.host.iter().filter(|&&h| h == host).count()
     }
 }
 
@@ -253,6 +279,10 @@ fn emit(
         central: lw.central,
         outputs,
         partitioning: partitioning.clone(),
+        source: logical.gsql().map(|gsql| PlanSource {
+            gsql: gsql.to_string(),
+            config: *config,
+        }),
     })
 }
 

@@ -34,7 +34,9 @@ mod plan_partition;
 #[cfg(test)]
 mod tests;
 
-pub use distributed::{agnostic_plan, optimize, optimize_explained, DistributedPlan, PlanOutput};
+pub use distributed::{
+    agnostic_plan, optimize, optimize_explained, DistributedPlan, PlanOutput, PlanSource,
+};
 pub use error::{OptError, OptResult};
 pub use partitioning::{OptimizerConfig, PartialAggScope, Partitioning, SplitStrategy};
 pub use plan_partition::{plan_partitioning, PlacementStrategy};

@@ -127,7 +127,7 @@ impl Partitioning {
 pub use qap_planner::SubScope as PartialAggScope;
 
 /// Optimizer knobs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Disable all push-down: produce the partition-agnostic plan of
     /// Figure 3 (everything central behind one merge per source).

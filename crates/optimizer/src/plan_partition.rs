@@ -139,6 +139,8 @@ pub fn plan_partitioning(
             hosts,
             aggregator_host: 0,
         },
+        // `optimize` cannot plan this again: no optimizer config says it.
+        source: None,
     })
 }
 

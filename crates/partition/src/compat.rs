@@ -68,7 +68,7 @@ impl fmt::Display for Compatibility {
 }
 
 /// Knobs of the compatibility analysis.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// When set, join nodes demand exact-expression matches (the paper's
     /// literal rule) instead of accepting semantically-sound coarsenings

@@ -32,6 +32,10 @@ pub struct QueryDag {
     /// sub-aggregate, or central operator realizes; purely synthetic
     /// nodes (collecting merges, finishing projections) carry `None`.
     origins: Vec<Option<NodeId>>,
+    /// The GSQL of the queries that built the DAG, and how many nodes it
+    /// accounts for; `None` once a node was added that no text built.
+    gsql: Option<String>,
+    gsql_nodes: usize,
 }
 
 impl QueryDag {
@@ -45,6 +49,32 @@ impl QueryDag {
             names: HashMap::new(),
             source_ids: HashMap::new(),
             origins: Vec::new(),
+            gsql: Some(String::new()),
+            gsql_nodes: 0,
+        }
+    }
+
+    /// The GSQL text that rebuilds this DAG over its catalog — every
+    /// query in definition order, without `STREAM` statements — while
+    /// that text still describes every node. A DAG that gained a node no
+    /// query text built (a direct [`QueryDag::add_node`], a union) has
+    /// none.
+    pub fn gsql(&self) -> Option<&str> {
+        self.gsql
+            .as_deref()
+            .filter(|_| self.gsql_nodes == self.nodes.len())
+    }
+
+    /// Appends the text of the query that added nodes `from..` (the DAG
+    /// had `from` nodes before it was analyzed). Text recorded after a
+    /// node no text built is dropped for good: see [`QueryDag::gsql`].
+    pub fn record_gsql(&mut self, from: usize, text: &str) {
+        match &mut self.gsql {
+            Some(gsql) if self.gsql_nodes == from => {
+                gsql.push_str(text);
+                self.gsql_nodes = self.nodes.len();
+            }
+            _ => self.gsql = None,
         }
     }
 

@@ -5,7 +5,7 @@ use qap_types::Catalog;
 
 use crate::analyzer::analyze_into;
 use crate::parser::{parse_select, Parser};
-use crate::SqlResult;
+use crate::{SelectStmt, SqlResult};
 
 /// Incrementally assembles a [`QueryDag`] from named GSQL queries.
 ///
@@ -49,13 +49,20 @@ impl QuerySetBuilder {
     /// it in their FROM clause.
     pub fn add_query(&mut self, name: &str, sql: &str) -> SqlResult<NodeId> {
         let stmt = parse_select(sql)?;
-        analyze_into(&mut self.dag, Some(name), &stmt)
+        let sql = sql.trim();
+        let sql = sql.strip_suffix(';').unwrap_or(sql);
+        // A `;` that a trailing `--` comment swallows is harmless: the
+        // newline ends the comment, and the terminator is optional.
+        self.analyze(Some(name), &stmt, &format!("QUERY {name}: {sql};\n"))
     }
 
-    /// Parses and adds an unnamed (root) query.
-    pub fn add_unnamed(&mut self, sql: &str) -> SqlResult<NodeId> {
-        let stmt = parse_select(sql)?;
-        analyze_into(&mut self.dag, None, &stmt)
+    /// Adds one parsed query to the DAG and records `text`, the script
+    /// statement that adds it again ([`QueryDag::gsql`]).
+    fn analyze(&mut self, name: Option<&str>, stmt: &SelectStmt, text: &str) -> SqlResult<NodeId> {
+        let from = self.dag.len();
+        let id = analyze_into(&mut self.dag, name, stmt)?;
+        self.dag.record_gsql(from, text);
+        Ok(id)
     }
 
     /// Parses a whole script of the form
@@ -74,6 +81,7 @@ impl QuerySetBuilder {
                 self.dag.register_stream(schema)?;
                 continue;
             }
+            let start = parser.peek_pos();
             let name = if parser.eat_keyword("QUERY") {
                 let n = parser.expect_ident()?;
                 // Accept `QUERY name:` with a colon, as in the paper's prose.
@@ -84,7 +92,10 @@ impl QuerySetBuilder {
             };
             let stmt = parser.select_stmt()?;
             parser.eat_symbol(";");
-            nodes.push(analyze_into(&mut self.dag, name.as_deref(), &stmt)?);
+            // The statement's own text, from its first token to the next
+            // statement's (a trailing comment's newline kept).
+            let text = format!("{}\n", script[start..parser.peek_pos()].trim_end());
+            nodes.push(self.analyze(name.as_deref(), &stmt, &text)?);
         }
         Ok(nodes)
     }
@@ -409,6 +420,40 @@ mod tests {
         let dag = b.build();
         assert!(matches!(dag.node(u), LogicalNode::Merge { .. }));
         assert_eq!(dag.roots(), vec![top]);
+    }
+
+    #[test]
+    fn union_leaves_the_dag_without_gsql() {
+        let mut b = builder();
+        assert_eq!(b.dag().gsql(), Some(""));
+        b.add_union("packets", &["TCP"]).unwrap();
+        assert_eq!(b.dag().gsql(), None);
+        let sql = "SELECT tb, COUNT(*) as c FROM packets GROUP BY time/60 as tb";
+        b.add_query("per_epoch", sql).unwrap();
+        assert_eq!(b.dag().gsql(), None, "no later text describes the union");
+    }
+
+    #[test]
+    fn stream_defs_parse_back_to_equal_schemas() {
+        use qap_types::{DataType, Field, Schema, Temporality};
+        let mut catalog = Catalog::with_network_schemas();
+        let fields = vec![
+            Field::temporal("ts", DataType::UInt, Temporality::Decreasing),
+            Field::new("delta", DataType::Int),
+            Field::new("ok", DataType::Bool),
+            Field::new("label", DataType::Str),
+        ];
+        catalog
+            .register(Schema::new("FLOWLOG", fields).unwrap())
+            .unwrap();
+        let mut b = QuerySetBuilder::new(Catalog::new());
+        b.parse_script(&catalog.stream_defs()).unwrap();
+        let rebuilt = b.build();
+        for name in ["TCP", "PKT", "FLOWLOG"] {
+            let schema = catalog.get(name).unwrap();
+            assert_eq!(rebuilt.catalog().get(name), Some(schema), "{name}");
+        }
+        assert_eq!(rebuilt.catalog().stream_defs(), catalog.stream_defs());
     }
 
     #[test]

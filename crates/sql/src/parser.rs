@@ -44,7 +44,8 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    fn peek_pos(&self) -> usize {
+    /// Byte offset of the next token (the input's length at its end).
+    pub(crate) fn peek_pos(&self) -> usize {
         self.tokens[self.pos].pos
     }
 

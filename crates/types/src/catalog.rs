@@ -68,9 +68,16 @@ impl Catalog {
         self.streams.contains_key(&name.to_ascii_lowercase())
     }
 
-    /// All registered schemas, in unspecified order.
-    pub fn schemas(&self) -> impl Iterator<Item = &Schema> {
-        self.streams.values()
+    /// The registered streams as GSQL `STREAM name(field type
+    /// [increasing|decreasing], ...);` statements, one a line, sorted by
+    /// name: the script that registers them again. UDAFs are code, not
+    /// text, and are not part of it.
+    pub fn stream_defs(&self) -> String {
+        let mut keys: Vec<&String> = self.streams.keys().collect();
+        keys.sort();
+        keys.iter()
+            .map(|k| format!("STREAM {};\n", self.streams[*k]))
+            .collect()
     }
 
     /// Registers a user-defined aggregate function; GSQL queries may

@@ -30,7 +30,7 @@ use crate::{TypeError, TypeResult};
 /// carrying any other version with [`ControlFrame::Error`] (kind
 /// [`ERROR_VERSION`]) — mixed-version clusters fail fast at the
 /// handshake instead of mis-decoding deployment payloads mid-run.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Byte length of a control-frame header: `u32` payload length plus
 /// `u8` tag.
@@ -84,13 +84,16 @@ pub enum ControlFrame {
         /// have been rejected).
         version: u32,
     },
-    /// Coordinator → host: serialized execution unit (opaque payload,
-    /// encoded by the cluster layer).
+    /// Coordinator → host: what the host plans its execution unit from
+    /// (opaque payload, encoded by the cluster layer): the query set as
+    /// GSQL, its catalog, the partitioning and knobs, which unit is the
+    /// host's, and a fingerprint of the coordinator's plan.
     Deploy(
-        /// The serialized execution unit.
+        /// The encoded deployment inputs.
         Bytes,
     ),
-    /// Host → coordinator: deployment decoded and compiled.
+    /// Host → coordinator: deployment planned, fingerprint matched and
+    /// unit compiled.
     DeployAck,
     /// A boundary data frame, either direction: the inner bytes are one
     /// lane frame exactly as [`crate::encode_column_batch`] produced it.

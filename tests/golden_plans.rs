@@ -13,30 +13,15 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden_plans` and review the diff
 //! like any other code change.
 
-use std::fmt::Write as _;
-
 use qap::prelude::*;
 
 mod golden;
 use golden::compare_golden;
 
-/// The full rendering of one physical plan.
-fn render(plan: &DistributedPlan) -> String {
-    let mut out = render_dag_annotated(&plan.dag, &|id| {
-        let tier = if plan.central[id] { "central" } else { "leaf" };
-        Some(format!("#{id} host {} {tier}", plan.host[id]))
-    });
-    let _ = writeln!(out, "Outputs:");
-    for o in &plan.outputs {
-        let name = o.name.as_deref().unwrap_or("<unnamed>");
-        let _ = writeln!(out, "  {name} -> #{} (logical #{})", o.node, o.logical);
-    }
-    out
-}
-
-/// Compares one plan against `tests/golden/plans/<name>.txt`.
+/// Compares one plan's full rendering against
+/// `tests/golden/plans/<name>.txt`.
 fn compare_plan(plan: &DistributedPlan, name: &str) {
-    compare_golden(&render(plan), &format!("plans/{name}.txt"));
+    compare_golden(&plan.render(), &format!("plans/{name}.txt"));
 }
 
 /// `"Partitioned (optimal)"` → `"partitioned_optimal"`.
@@ -164,4 +149,34 @@ fn regression_queries_match_their_golden_plans() {
     };
     let plan = optimize(&dag, &part, &cfg).unwrap();
     compare_plan(&plan, "count_by_src__agnostic");
+}
+
+/// What a remote host plans from: each §6 query set, each regression
+/// query set above and each shipped `scripts/*.gsql`, rebuilt from its
+/// `gsql()` over its catalog's `STREAM` statements, renders as the
+/// original does.
+#[test]
+fn query_sets_rebuild_from_their_gsql() {
+    let scenarios = [Scenario::SimpleAgg, Scenario::QuerySet, Scenario::Complex];
+    let mut dags: Vec<(String, QueryDag)> = scenarios.map(|s| (format!("{s:?}"), s.dag())).into();
+    for (tag, queries) in REGRESSION_QUERIES {
+        dags.push((tag.to_string(), build(queries)));
+    }
+    let scripts = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts");
+    for entry in std::fs::read_dir(scripts).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.parse_script(&text).unwrap();
+        dags.push((path.display().to_string(), b.build()));
+    }
+    assert_eq!(dags.len(), 3 + REGRESSION_QUERIES.len() + 5);
+    for (tag, dag) in dags {
+        let gsql = dag.gsql().unwrap_or_else(|| panic!("{tag}: no GSQL"));
+        let mut b = QuerySetBuilder::new(Catalog::new());
+        b.parse_script(&dag.catalog().stream_defs()).unwrap();
+        b.parse_script(gsql)
+            .unwrap_or_else(|e| panic!("{tag}: {e}\n{gsql}"));
+        assert_eq!(render_dag(&b.build()), render_dag(&dag), "{tag}");
+    }
 }

@@ -277,3 +277,31 @@ fn wrong_arity_trace_tuple_is_a_typed_error_on_every_runner() {
         }
     }
 }
+
+/// A remote host plans from the plan's GSQL, so a plan without any —
+/// one over a DAG a union extended, or one `plan_partitioning` built —
+/// is a typed `BadPlan` before any host is contacted, not a link
+/// failure against addresses that refuse every connection.
+#[test]
+fn plan_without_gsql_is_refused_before_any_host_is_contacted() {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.add_union("packets", &["TCP"]).unwrap();
+    let sql = "SELECT tb, COUNT(*) as c FROM packets GROUP BY time/60 as tb";
+    b.add_query("per_epoch", sql).unwrap();
+    let part = Partitioning::round_robin(2);
+    let union = optimize(&b.build(), &part, &OptimizerConfig::naive()).unwrap();
+    let placed = plan_partitioning(&flows_dag(), 2, PlacementStrategy::RoundRobin).unwrap();
+    let dead = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        HostAddr::parse(&l.local_addr().unwrap().to_string()).unwrap()
+    };
+    let cfg = SimConfig::default();
+    for plan in [union, placed] {
+        assert!(plan.source.is_none());
+        let addrs = vec![dead.clone(); remote_host_count(&plan, &cfg)];
+        match run_distributed_remote(&plan, &[], &cfg, &addrs) {
+            Err(ExecError::BadPlan(msg)) => assert!(msg.contains("GSQL"), "{msg}"),
+            other => panic!("expected BadPlan, got {:?}", other.map(|_| ())),
+        }
+    }
+}

@@ -284,3 +284,26 @@ fn udaf_in_having_clause() {
     let result = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
     assert_eq!(sorted(result.outputs[0].1.clone()), reference);
 }
+
+/// A remote host plans from GSQL and runs only the functions its own
+/// binary has, so a plan that calls a UDAF is refused with a typed
+/// `BadPlan` before any host is contacted.
+#[test]
+fn udaf_deployment_is_rejected() {
+    let mut b = QuerySetBuilder::new(catalog_with_udafs());
+    b.add_query(
+        "fanout",
+        "SELECT tb, srcIP, APPROX_DISTINCT(destIP) as peers FROM TCP \
+         GROUP BY time/60 as tb, srcIP",
+    )
+    .unwrap();
+    let part = Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 2);
+    let plan = optimize(&b.build(), &part, &OptimizerConfig::full()).unwrap();
+    let cfg = SimConfig::default();
+    // Nothing listens there: reaching it would be a link failure.
+    let dead = vec![HostAddr::Tcp("127.0.0.1:1".into()); remote_host_count(&plan, &cfg)];
+    match run_distributed_remote(&plan, &[], &cfg, &dead) {
+        Err(qap::exec::ExecError::BadPlan(msg)) => assert!(msg.contains("UDAF"), "{msg}"),
+        other => panic!("expected BadPlan, got {:?}", other.map(|_| ())),
+    }
+}
