@@ -44,8 +44,8 @@ pub use link::{connect_with_backoff, HostAddr, HostListener};
 pub use measure::measure_stats;
 pub use obs_export::{metrics_registry, op_kind};
 pub use rebalance::{
-    hot_key_floor, migration_spec, plan_assignment, plan_assignment_pinned, ImbalanceDetector,
-    MigrationSpec, RebalanceConfig, ReplicaFamily,
+    hot_key_floor, migration_spec, plan_assignment, ImbalanceDetector, MigrationSpec,
+    RebalanceConfig, ReplicaFamily,
 };
 pub use remote::{remote_host_count, run_distributed_remote, serve_host, HostServerConfig};
 pub use sim::{

@@ -59,7 +59,9 @@
 //! drain-and-handoff (`handoff`) before the swap. The carrier is the
 //! only runner-specific part: a direct engine call (the simulator), or
 //! unit commands over ports (the `unit` module — worker threads and
-//! host processes alike).
+//! host processes alike) beside the central unit's own engine. Whatever
+//! the carrier, each engine applies its share of a handoff through the
+//! same two calls, `extract_in_engine` and `absorb_in_engine`.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -256,27 +258,7 @@ pub fn plan_assignment(
     partitions: usize,
     hosts: usize,
 ) -> Option<Vec<u32>> {
-    plan_assignment_pinned(assign, bucket_load, partitions, hosts, None)
-}
-
-/// [`plan_assignment`] with one host's partitions *pinned*: no bucket
-/// moves onto or off `pinned`'s partitions, and its load never makes it
-/// the donor or the receiver of a move.
-///
-/// The remote runner needs this: under the host-serial process
-/// decomposition the aggregator host's scans execute inside the central
-/// unit's process, where no migration command reaches them — so its
-/// share of the key space stays put and re-planning balances the
-/// dedicated leaf host processes among themselves.
-pub fn plan_assignment_pinned(
-    assign: &[u32],
-    bucket_load: &[u64],
-    partitions: usize,
-    hosts: usize,
-    pinned: Option<usize>,
-) -> Option<Vec<u32>> {
-    let movable = hosts - usize::from(pinned.is_some_and(|h| h < hosts));
-    if movable < 2
+    if hosts < 2
         || hosts > partitions
         || assign.len() != bucket_load.len()
         || assign.is_empty()
@@ -297,19 +279,12 @@ pub fn plan_assignment_pinned(
     // Each iteration moves one bucket; 4 sweeps over the table bounds
     // the work while letting a badly skewed table disperse fully.
     for _ in 0..next.len() * 4 {
-        let hi = host_load
+        // `host_load` has `hosts` ≥ 2 entries: both ends exist.
+        let (hi, &hi_load) = host_load
             .iter()
             .enumerate()
-            .filter(|&(i, _)| Some(i) != pinned)
-            .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)));
-        let lo = host_load
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| Some(i) != pinned)
-            .min_by_key(|&(i, &l)| (l, i));
-        let (Some((hi, &hi_load)), Some((lo, &lo_load))) = (hi, lo) else {
-            break;
-        };
+            .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)))?;
+        let (lo, &lo_load) = host_load.iter().enumerate().min_by_key(|&(i, &l)| (l, i))?;
         let gap = hi_load - lo_load;
         if gap == 0 {
             break;
@@ -637,8 +612,6 @@ pub(crate) struct Controller {
     keyps: Vec<HashPartitioner>,
     /// The stream's time column.
     tidx: usize,
-    /// Host whose partitions never move (see [`plan_assignment_pinned`]).
-    pinned: Option<usize>,
     detector: ImbalanceDetector,
     /// Cleared once a unit dies mid-handoff: the fleet's state can no
     /// longer be moved consistently.
@@ -651,14 +624,11 @@ pub(crate) struct Controller {
 impl Controller {
     /// Attaches a controller when `reb` asks for one and the deployment
     /// can migrate state; otherwise the run is static, and the stats
-    /// carry the reason if one was asked for. `veto` is the runner's own
-    /// ineligibility reason.
+    /// carry the reason if one was asked for.
     pub(crate) fn attach(
         plan: &DistributedPlan,
         reb: RebalanceConfig,
         streams: &[StreamScans],
-        veto: Option<&str>,
-        pinned: Option<usize>,
     ) -> (Option<Controller>, ControlStats) {
         let mut stats = ControlStats {
             repartitions: 0,
@@ -677,9 +647,6 @@ impl Controller {
                 [] => return Err("plan reads no source stream".into()),
                 _ => return Err("adaptive splitter supports a single source stream".into()),
             };
-            if let Some(reason) = veto {
-                return Err(reason.into());
-            }
             let &tidx = scans
                 .schema
                 .temporal_indices()
@@ -708,7 +675,6 @@ impl Controller {
                 partitions,
                 keyps,
                 tidx,
-                pinned,
                 detector: ImbalanceDetector::new(reb),
                 live: true,
                 epoch_end: None,
@@ -760,20 +726,15 @@ impl Controller {
         {
             return None;
         }
-        plan_assignment_pinned(
-            assignment,
-            &gauges.bucket_tuples,
-            self.partitions,
-            hosts,
-            self.pinned,
-        )
+        plan_assignment(assignment, &gauges.bucket_tuples, self.partitions, hosts)
     }
 }
 
 /// One member's share of a handoff: drain `node`, shipping every group
 /// whose key routes outside `owned` under `keyp`'s (next) table.
 pub(crate) struct ExtractJob {
-    /// Global plan-node id of the member aggregate.
+    /// The member aggregate: a global plan-node id, until a carrier
+    /// addresses it inside one unit's engine.
     pub(crate) node: NodeId,
     pub(crate) keyp: HashPartitioner,
     /// Partitions the member keeps under the next table (sorted).
@@ -803,9 +764,9 @@ pub(crate) trait Carrier {
     fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()>;
 
     /// On every job's unit: force-close windows before the boundary,
-    /// then extract the re-routed groups. Returns the state rows keyed
-    /// by member node, and whether any unit died (or could not be
-    /// reached) on the way.
+    /// then extract the re-routed groups. Returns the non-empty state
+    /// row sets keyed by member node, and whether any unit died (or
+    /// could not be reached) on the way.
     fn extract(
         &mut self,
         handoff: &Handoff<'_>,
@@ -817,16 +778,38 @@ pub(crate) trait Carrier {
     fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool>;
 }
 
-/// Extracts from `node` every group `keyp` routes outside `owned`.
-pub(crate) fn extract_rerouted(
+/// The extract half of a handoff inside one engine, whichever unit it
+/// is: force-close windows before `boundary` on every job's node, then
+/// extract from each the groups its `keyp` routes outside `owned`.
+/// Node ids are the engine's own; returns the non-empty row sets.
+pub(crate) fn extract_in_engine(
     engine: &mut Engine,
-    node: NodeId,
-    keyp: &HashPartitioner,
-    owned: &[u32],
-) -> Vec<Tuple> {
-    engine.extract_state(node, &mut |key| {
-        !owned.contains(&(keyp.partition(&Tuple::new(key.to_vec())) as u32))
-    })
+    boundary: u64,
+    jobs: &[ExtractJob],
+) -> ExecResult<Vec<StateRows>> {
+    for job in jobs {
+        engine.flush_before(job.node, boundary)?;
+    }
+    let mut extracted = Vec::new();
+    for job in jobs {
+        let rows = engine.extract_state(job.node, &mut |key| {
+            !job.owned
+                .contains(&(job.keyp.partition(&Tuple::new(key.to_vec())) as u32))
+        });
+        if !rows.is_empty() {
+            extracted.push((job.node, rows));
+        }
+    }
+    Ok(extracted)
+}
+
+/// The absorb half of a handoff inside one engine: merges each batch of
+/// state rows into its node's group table (the engine's own ids).
+pub(crate) fn absorb_in_engine(engine: &mut Engine, batches: Vec<StateRows>) -> ExecResult<()> {
+    for (node, mut rows) in batches {
+        engine.absorb_state(node, &mut rows)?;
+    }
+    Ok(())
 }
 
 /// Drives one feed through the splitter and into the carrier. Without a
@@ -908,8 +891,7 @@ fn handoff<C: Carrier>(
         partitions: ctl.partitions,
         buckets_per_partition: ctl.reb.buckets_per_partition,
     };
-    let (mut extracted, any_dead) = carrier.extract(&change, jobs)?;
-    extracted.retain(|(_, rows)| !rows.is_empty());
+    let (extracted, any_dead) = carrier.extract(&change, jobs)?;
     if any_dead {
         carrier.absorb(extracted)?;
         ctl.live = false;
@@ -1036,42 +1018,6 @@ mod tests {
         assert!(plan_assignment(&[0, 0], &[3, 2], 1, 2).is_none());
         // A table entry naming a nonexistent partition.
         assert!(plan_assignment(&[5, 0], &[3, 2], 2, 2).is_none());
-    }
-
-    #[test]
-    fn plan_assignment_pinned_never_touches_the_pinned_host() {
-        // 3 hosts × 1 partition × 2 buckets each; host 1 is hot.
-        let assign = qap_partition::identity_assignment(3, 2); // [0,0,1,1,2,2]
-        let load = [50, 50, 400, 300, 0, 0];
-        let next = plan_assignment_pinned(&assign, &load, 3, 3, Some(0)).expect("rebalances");
-        // Buckets on host 0's partition stay; nothing lands there.
-        for (b, (&was, &is)) in assign.iter().zip(&next).enumerate() {
-            if host_of(was as usize, 3, 3) == 0 {
-                assert_eq!(was, is, "bucket {b} left the pinned host");
-            }
-            assert!(
-                host_of(was as usize, 3, 3) == 0 || host_of(is as usize, 3, 3) != 0,
-                "bucket {b} moved onto the pinned host"
-            );
-        }
-        // Load moved from host 1 toward host 2.
-        let host_load = |a: &[u32]| {
-            let mut h = [0u64; 3];
-            for (b, &p) in a.iter().enumerate() {
-                h[host_of(p as usize, 3, 3)] += load[b];
-            }
-            h
-        };
-        let after = host_load(&next);
-        assert_eq!(after[0], 100);
-        assert!(after[1] < 700 && after[2] > 0);
-        // Pinning the only counterpart kills every move.
-        assert!(plan_assignment_pinned(&assign, &load, 3, 1, Some(0)).is_none());
-        // The unpinned delegate is unchanged.
-        assert_eq!(
-            plan_assignment(&assign, &load, 3, 3),
-            plan_assignment_pinned(&assign, &load, 3, 3, None)
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Unix-domain socket. The unit is the same [`run_unit`] loop over the
 //! same [`UnitCmd`]s; what this module adds is the wire in between:
 //!
-//! 1. the coordinator slices the plan host-serially (the threaded
-//!    runner's [`Deployment`]), connects to each host with bounded
+//! 1. the coordinator slices the plan one unit per host (the threaded
+//!    runner's [`Deployment`]), connects to each leaf host with bounded
 //!    backoff, and performs the versioned handshake
 //!    (`Hello`/`Welcome`, [`qap_types::PROTOCOL_VERSION`]);
 //! 2. each host is sent a [`Deploy`] payload ([`crate::deploy`]) with
@@ -172,17 +172,11 @@ fn deploy_host(
     })
 }
 
-/// Number of leaf host processes (and thus addresses) a plan needs
-/// under the remote decomposition: one per non-aggregator host with
-/// work, independent of the in-process parallelism knob.
-pub fn remote_host_count(plan: &DistributedPlan, cfg: &SimConfig) -> usize {
-    compute_units(
-        plan,
-        plan.partitioning.aggregator_host,
-        &cfg.transport.host_serial(),
-    )
-    .len()
-        - 1
+/// Number of leaf host processes (and thus addresses) a plan needs: one
+/// per non-aggregator host with work. No knob changes it; `_cfg` stays
+/// in the signature because the `bench_e2e` workloads pass one.
+pub fn remote_host_count(plan: &DistributedPlan, _cfg: &SimConfig) -> usize {
+    compute_units(plan, plan.partitioning.aggregator_host).len() - 1
 }
 
 /// What every host is sent to plan from (`unit` left for the caller).
@@ -235,7 +229,7 @@ impl DeployInputs {
                 frame_batch: self.frame_batch as usize,
                 send_timeout_ms: self.send_timeout_ms,
                 fault: self.fault,
-                ..TransportConfig::default().host_serial()
+                ..TransportConfig::default()
             },
             ..SimConfig::default()
         }
@@ -360,33 +354,23 @@ fn pump_session(
 
 /// Executes a distributed plan with each leaf host running as its own
 /// OS process behind `hosts[i]` (one address per leaf unit, in unit
-/// order — ascending host id under the host-serial decomposition).
-/// Semantically identical to
-/// [`crate::run_distributed_threaded`] with
-/// [`TransportConfig::host_serial`](crate::TransportConfig::host_serial):
-/// same splitter routing, same central engine, same strict /
-/// partial-results semantics, bit-identical outputs.
+/// order — ascending host id). Semantically identical to
+/// [`crate::run_distributed_threaded`]: same units, same splitter
+/// routing, same central engine, same strict / partial-results
+/// semantics, bit-identical outputs.
 ///
 /// With a rebalance controller attached the splitter drives
 /// drain-and-handoff over the sessions' `Migrate`/`MigrateAck`
-/// exchanges; the aggregator host's partitions are **pinned** (its
-/// scans run in the central unit, where no socket reaches them), so
-/// [`plan_assignment_pinned`](crate::plan_assignment_pinned) balances
-/// the dedicated leaf host processes around it.
+/// exchanges, and the central unit hands its own partitions' state off
+/// in place, exactly as in the threaded runner.
 pub fn run_distributed_remote(
     plan: &DistributedPlan,
     trace: &[Tuple],
     cfg: &SimConfig,
     hosts: &[HostAddr],
 ) -> ExecResult<SimResult> {
-    // One process per host: the decomposition is host-serial by
-    // construction, whatever the in-process parallelism knob says.
-    let cfg = SimConfig {
-        transport: cfg.transport.host_serial(),
-        ..*cfg
-    };
-    let mut inputs = deploy_inputs(plan, &cfg)?;
-    let dep = Deployment::new(plan, &cfg)?;
+    let mut inputs = deploy_inputs(plan, cfg)?;
+    let dep = Deployment::new(plan, cfg)?;
     if hosts.len() != dep.specs.len() {
         return Err(ExecError::BadPlan(format!(
             "plan needs {} leaf host processes, got {} addresses",
@@ -394,10 +378,7 @@ pub fn run_distributed_remote(
             hosts.len()
         )));
     }
-    let veto =
-        (hosts.len() < 2).then_some("fewer than two leaf host processes: nothing to rebalance");
-    let pinned = Some(plan.partitioning.aggregator_host);
-    let mut feed = Feed::new(&dep, trace, veto, pinned)?;
+    let mut feed = Feed::new(&dep, trace)?;
 
     // Connect + handshake + deploy every leaf host up front, so a
     // refused or mismatched host fails fast (strict) or is recorded and
@@ -662,14 +643,10 @@ mod tests {
             &OptimizerConfig::full(),
         )
         .unwrap();
-        let cfg = SimConfig {
-            transport: TransportConfig::default().host_serial(),
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig::default();
         let threaded = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
 
-        let units = compute_units(&plan, plan.partitioning.aggregator_host, &cfg.transport);
-        let addrs = spawn_hosts(units.len() - 1);
+        let addrs = spawn_hosts(remote_host_count(&plan, &cfg));
         let remote = run_distributed_remote(&plan, &trace, &cfg, &addrs).unwrap();
 
         assert!(remote.failures.is_empty(), "{:?}", remote.failures);
@@ -688,18 +665,14 @@ mod tests {
     #[test]
     fn adaptive_tcp_is_bit_identical_and_migrates() {
         let (plan, trace, rebalance) = skew_case();
-        let cfg = SimConfig {
-            transport: TransportConfig::default().host_serial(),
-            ..SimConfig::default()
-        };
-
-        let units = compute_units(&plan, plan.partitioning.aggregator_host, &cfg.transport);
-        let addrs = spawn_hosts(units.len() - 1);
+        let cfg = SimConfig::default();
+        let needed = remote_host_count(&plan, &cfg);
+        let addrs = spawn_hosts(needed);
         let stat = run_distributed_remote(&plan, &trace, &cfg, &addrs).unwrap();
 
         let mut acfg = cfg;
         acfg.transport.rebalance = rebalance;
-        let addrs = spawn_hosts(units.len() - 1);
+        let addrs = spawn_hosts(needed);
         let adap = run_distributed_remote(&plan, &trace, &acfg, &addrs).unwrap();
 
         assert!(
@@ -727,17 +700,14 @@ mod tests {
         let (plan, trace, rebalance) = skew_case();
         let cfg = SimConfig {
             batch: qap_exec::BatchConfig::new(8),
-            transport: TransportConfig::new(1, 2)
-                .host_serial()
-                .with_send_timeout_ms(2_000),
+            transport: TransportConfig::new(1, 2).with_send_timeout_ms(2_000),
             ..SimConfig::default()
         };
         let reference = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
 
         let mut acfg = cfg;
         acfg.transport.rebalance = rebalance;
-        let units = compute_units(&plan, plan.partitioning.aggregator_host, &cfg.transport);
-        let addrs = spawn_hosts(units.len() - 1);
+        let addrs = spawn_hosts(remote_host_count(&plan, &cfg));
         let adap = run_distributed_remote(&plan, &trace, &acfg, &addrs).unwrap();
 
         assert_eq!(adap.metrics.rebalance_fallback, None);

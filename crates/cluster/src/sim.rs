@@ -10,7 +10,7 @@ use qap_optimizer::DistributedPlan;
 use qap_types::{ColumnBatch, Tuple};
 
 use crate::rebalance::{
-    drive, extract_rerouted, Carrier, Controller, ExtractJob, Handoff, StateRows,
+    absorb_in_engine, drive, extract_in_engine, Carrier, Controller, ExtractJob, Handoff, StateRows,
 };
 use crate::splitter::{plan_streams, single_stream, Splitter};
 use crate::transport::{TransportConfig, TransportMetrics};
@@ -66,10 +66,9 @@ pub struct SimConfig {
     /// (the equivalence suite enforces it).
     pub batch: BatchConfig,
     /// Boundary-transport knobs for the threaded runner (channel
-    /// capacity, frame size, partition-parallel hosts). The channel and
-    /// threading knobs are ignored by the deterministic simulator,
-    /// which delivers boundaries in-process; the rebalance controller
-    /// is honored by every runner.
+    /// capacity, frame size). The channel knobs are ignored by the
+    /// deterministic simulator, which delivers boundaries in-process;
+    /// the rebalance controller is honored by every runner.
     pub transport: TransportConfig,
 }
 
@@ -222,8 +221,7 @@ pub fn run_distributed_multi(
             )));
         }
     }
-    let (mut controller, mut control) =
-        Controller::attach(plan, cfg.transport.rebalance, &streams, None, None);
+    let (mut controller, mut control) = Controller::attach(plan, cfg.transport.rebalance, &streams);
 
     let sink_nodes: Vec<usize> = plan.outputs.iter().map(|o| o.node).collect();
     let mut engine = Engine::with_sinks(&plan.dag, &sink_nodes)?;
@@ -302,25 +300,11 @@ impl Carrier for InEngine<'_> {
         handoff: &Handoff<'_>,
         jobs: Vec<ExtractJob>,
     ) -> ExecResult<(Vec<StateRows>, bool)> {
-        for job in &jobs {
-            self.0.flush_before(job.node, handoff.boundary)?;
-        }
-        let extracted = jobs
-            .iter()
-            .map(|job| {
-                (
-                    job.node,
-                    extract_rerouted(self.0, job.node, &job.keyp, &job.owned),
-                )
-            })
-            .collect();
-        Ok((extracted, false))
+        Ok((extract_in_engine(self.0, handoff.boundary, &jobs)?, false))
     }
 
     fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
-        for (node, mut rows) in batches {
-            self.0.absorb_state(node, &mut rows)?;
-        }
+        absorb_in_engine(self.0, batches)?;
         Ok(true)
     }
 }

@@ -5,12 +5,13 @@
 //! Boundary data crosses execution units as length-prefixed lane frames
 //! ([`qap_types::encode_column_batch`]) into a *bounded* buffer.
 //! [`TransportConfig`] holds the run's knobs: buffer depth and frame
-//! size, the unit decomposition, the fault plan and strict/partial
-//! failure mode, the one timeout that bounds every wait on a peer, and
-//! the rebalance controller. Capacity, frame size and decomposition are
-//! pure performance knobs: results and semantic counters are identical
-//! at every setting (the transport and socket equivalence suites sweep
-//! them against the deterministic simulator).
+//! size, the fault plan and strict/partial failure mode, the one
+//! timeout that bounds every wait on a peer, and the rebalance
+//! controller. Capacity and frame size are pure performance knobs:
+//! results and semantic counters are identical at every setting (the
+//! transport and socket equivalence suites sweep them against the
+//! deterministic simulator). The unit decomposition is not a knob:
+//! every runner deploys one execution unit per host.
 //!
 //! [`TransportMetrics`] is the *measured* side: actual frames and
 //! encoded bytes that crossed each boundary edge — as opposed to the
@@ -149,11 +150,6 @@ pub struct TransportConfig {
     /// into frames of exactly this many tuples (plus one final partial
     /// frame). Clamped to at least 1.
     pub frame_batch: usize,
-    /// When true (default), a host owning several partition scans runs
-    /// each independent leaf component on its own worker thread feeding
-    /// the central merge stage; when false, each host runs one thread —
-    /// the pre-partition-parallel baseline topology.
-    pub partition_parallel: bool,
     /// Deterministic fault-injection plan. The default injects nothing;
     /// with any knob active the run exercises the failure paths
     /// (typed [`qap_exec::HostFailure`], retries, timeouts).
@@ -182,13 +178,11 @@ impl Default for TransportConfig {
     /// 64 in-flight frames (enough to decouple producer/consumer
     /// scheduling jitter, small enough that a stalled consumer stops
     /// producers within tens of frames) × 1024-tuple frames (matches
-    /// the default [`qap_exec::BatchConfig`]) with partition-parallel
-    /// hosts on.
+    /// the default [`qap_exec::BatchConfig`]).
     fn default() -> Self {
         TransportConfig {
             channel_capacity: 64,
             frame_batch: 1024,
-            partition_parallel: true,
             fault: FaultPlan::default(),
             partial_results: false,
             send_timeout_ms: DEFAULT_SEND_TIMEOUT_MS,
@@ -238,7 +232,7 @@ impl TransportKind {
 
 impl TransportConfig {
     /// Config with the given capacity and frame size (each clamped to
-    /// at least 1), partition-parallel on.
+    /// at least 1).
     pub fn new(channel_capacity: usize, frame_batch: usize) -> Self {
         TransportConfig {
             channel_capacity: channel_capacity.max(1),
@@ -247,10 +241,11 @@ impl TransportConfig {
         }
     }
 
-    /// The pre-partition-parallel baseline: one thread per host, same
-    /// framed bounded transport.
-    pub fn host_serial(mut self) -> Self {
-        self.partition_parallel = false;
+    /// Returns the config unchanged: one unit per host is the only
+    /// decomposition. Kept because the `bench_e2e` workloads still call
+    /// it, and only a benchmark change may edit them; it goes with the
+    /// next one.
+    pub fn host_serial(self) -> Self {
         self
     }
 
@@ -364,14 +359,13 @@ mod tests {
         let d = TransportConfig::default();
         assert_eq!(d.channel_capacity, 64);
         assert_eq!(d.frame_batch, 1024);
-        assert!(d.partition_parallel);
         assert!(d.fault.is_clean());
         assert!(!d.partial_results);
         assert_eq!(d.send_timeout_ms, DEFAULT_SEND_TIMEOUT_MS);
         assert!(!d.rebalance.enabled);
         let c = TransportConfig::new(0, 0);
         assert_eq!((c.channel_capacity, c.frame_batch), (1, 1));
-        assert!(!TransportConfig::default().host_serial().partition_parallel);
+        assert_eq!(TransportConfig::default().host_serial(), d);
         assert!(
             TransportConfig::default()
                 .with_partial_results(true)

@@ -32,7 +32,9 @@ use crate::deploy::{decode_unit_cmd, encode_unit_reply};
 use crate::link::{
     read_control, ChannelSink, DuplexStream, Frame, FrameSink, SendOutcome, StreamSink,
 };
-use crate::rebalance::{extract_rerouted, Carrier, ExtractJob, Handoff, StateRows};
+use crate::rebalance::{
+    absorb_in_engine, extract_in_engine, Carrier, ExtractJob, Handoff, StateRows,
+};
 use crate::splitter::Batch;
 use crate::threaded::{Central, Deployment};
 use crate::transport::{EdgeTransport, FaultPlan};
@@ -115,6 +117,11 @@ impl UnitOutcome {
 
 /// State rows keyed by a unit-local node id, as they cross a port.
 pub(crate) type LocalRows = (u32, Vec<Tuple>);
+
+/// Row sets keyed by a unit's node ids, as a port carries them.
+fn local_rows(rows: Vec<StateRows>) -> Vec<LocalRows> {
+    rows.into_iter().map(|(l, r)| (l as u32, r)).collect()
+}
 
 /// What a leaf unit is asked to do. Node ids are the unit's *local*
 /// ids: [`Units`] is the one place that translates.
@@ -347,30 +354,30 @@ pub(crate) fn run_unit<P: UnitPort>(
                         "migrate table is empty or names a nonexistent partition".into(),
                     ));
                 }
-                for &(node, _) in &jobs {
-                    engine.flush_before(known(dag, node, "migrate job")?, boundary)?;
-                }
-                let mut extracted = Vec::new();
-                for (node, owned) in jobs {
-                    let mut keyp = HashPartitioner::with_buckets(
-                        &spec.set,
-                        dag.schema(node as NodeId),
-                        partitions as usize,
-                        buckets_per_partition as usize,
-                    )
-                    .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
-                    keyp.set_assignment(assignment.clone());
-                    let rows = extract_rerouted(&mut engine, node as NodeId, &keyp, &owned);
-                    if !rows.is_empty() {
-                        extracted.push((node, rows));
-                    }
-                }
-                Some(extracted)
+                let jobs = jobs
+                    .into_iter()
+                    .map(|(node, owned)| {
+                        let node = known(dag, node, "migrate job")?;
+                        let mut keyp = HashPartitioner::with_buckets(
+                            &spec.set,
+                            dag.schema(node),
+                            partitions as usize,
+                            buckets_per_partition as usize,
+                        )
+                        .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
+                        keyp.set_assignment(assignment.clone());
+                        Ok(ExtractJob { node, keyp, owned })
+                    })
+                    .collect::<ExecResult<Vec<_>>>()?;
+                let extracted = extract_in_engine(&mut engine, boundary, &jobs)?;
+                Some(local_rows(extracted))
             }
             UnitCmd::Absorb(batches) => {
-                for (node, mut rows) in batches {
-                    engine.absorb_state(known(dag, node, "migrate batch")?, &mut rows)?;
-                }
+                let batches = batches
+                    .into_iter()
+                    .map(|(node, rows)| Ok((known(dag, node, "migrate batch")?, rows)))
+                    .collect::<ExecResult<_>>()?;
+                absorb_in_engine(&mut engine, batches)?;
                 Some(Vec::new())
             }
         };
@@ -704,56 +711,64 @@ impl Carrier for Units<'_> {
     /// One `Extract` round trip per leaf unit: flush to the boundary,
     /// then extract. Combining the two per unit is sound because no
     /// absorb goes out until *every* reply is in — by then the whole
-    /// fleet is flushed to the boundary. Jobs for the central unit are
-    /// skipped: over sockets its members sit on the pinned aggregator
-    /// host, whose keys never re-route, and in-process a central unit
-    /// with scans vetoes the controller up front.
+    /// fleet is flushed to the boundary. The central unit's jobs — the
+    /// aggregator host's own partitions — are applied to its engine in
+    /// place, before any command goes out.
     fn extract(
         &mut self,
         handoff: &Handoff<'_>,
         jobs: Vec<ExtractJob>,
     ) -> ExecResult<(Vec<StateRows>, bool)> {
-        // unit → (global node, local node, owned partitions)
-        let mut by_unit: BTreeMap<usize, Vec<(NodeId, u32, Vec<u32>)>> = BTreeMap::new();
+        // unit → (global node ids, the jobs by the unit's local ids)
+        let mut by_unit: BTreeMap<usize, (Vec<NodeId>, Vec<ExtractJob>)> = BTreeMap::new();
         for job in jobs {
             let u = self.dep.unit_of[job.node];
-            if u == 0 {
-                continue;
-            }
-            // Nothing has been sent yet: aborting here leaves all state
-            // in place.
-            if self.links[u].is_none() {
+            // Nothing has been extracted yet: aborting here leaves all
+            // state in place.
+            if u != 0 && self.links[u].is_none() {
                 return Ok((Vec::new(), true));
             }
-            let local = self.dep.local_of[job.node] as u32;
-            by_unit
-                .entry(u)
-                .or_default()
-                .push((job.node, local, job.owned));
+            let (globals, local) = by_unit.entry(u).or_default();
+            globals.push(job.node);
+            local.push(ExtractJob {
+                node: self.dep.local_of[job.node],
+                ..job
+            });
+        }
+        let mut replies = Vec::new();
+        if let Some((_, jobs)) = by_unit.get(&0) {
+            let rows = self.central.extract(handoff.boundary, jobs)?;
+            replies.push((0, Some(local_rows(rows))));
         }
         let cmds = by_unit
             .iter()
-            .map(|(&u, jobs)| {
+            .filter(|(&u, _)| u != 0)
+            .map(|(&u, (_, jobs))| {
                 let cmd = UnitCmd::Extract {
                     boundary: handoff.boundary,
                     partitions: handoff.partitions as u32,
                     buckets_per_partition: handoff.buckets_per_partition as u32,
                     assignment: handoff.next.to_vec(),
-                    jobs: jobs.iter().map(|(_, l, o)| (*l, o.clone())).collect(),
+                    jobs: jobs
+                        .iter()
+                        .map(|j| (j.node as u32, j.owned.clone()))
+                        .collect(),
                 };
                 (u, cmd)
             })
             .collect();
+        replies.extend(self.round(cmds)?);
         let mut any_dead = false;
         let mut extracted = Vec::new();
-        for (u, reply) in self.round(cmds)? {
+        for (u, reply) in replies {
             let Some(batches) = reply else {
                 any_dead = true;
                 continue;
             };
+            let (globals, jobs) = &by_unit[&u];
             for (local, rows) in batches {
-                match by_unit[&u].iter().find(|(_, l, _)| *l == local) {
-                    Some(&(global, ..)) => extracted.push((global, rows)),
+                match jobs.iter().position(|j| j.node == local as NodeId) {
+                    Some(i) => extracted.push((globals[i], rows)),
                     None => any_dead = true,
                 }
             }
@@ -762,19 +777,21 @@ impl Carrier for Units<'_> {
     }
 
     fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
-        let mut by_unit: BTreeMap<usize, Vec<LocalRows>> = BTreeMap::new();
+        let mut by_unit: BTreeMap<usize, Vec<StateRows>> = BTreeMap::new();
         for (node, rows) in batches {
             by_unit
                 .entry(self.dep.unit_of[node])
                 .or_default()
-                .push((self.dep.local_of[node] as u32, rows));
+                .push((self.dep.local_of[node], rows));
+        }
+        if let Some(batches) = by_unit.remove(&0) {
+            self.central.absorb(batches)?;
         }
         let cmds = by_unit
             .into_iter()
-            .map(|(u, batches)| (u, UnitCmd::Absorb(batches)))
+            .map(|(u, batches)| (u, UnitCmd::Absorb(local_rows(batches))))
             .collect();
-        // Moved buckets never land on the central unit, so only a dead
-        // unit fails to answer here.
+        // Only a dead unit fails to answer here.
         Ok(self.round(cmds)?.iter().all(|(_, reply)| reply.is_some()))
     }
 }

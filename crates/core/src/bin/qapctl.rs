@@ -9,7 +9,7 @@
 //!                              [--seed S] [--epochs E] [--flows F]
 //!                              [--trace file.qtr] [--threaded] [--limit K]
 //!                              [--batch-size B] [--metrics[=PATH]]
-//!                              [--channel-capacity C] [--frame-batch F] [--host-serial]
+//!                              [--channel-capacity C] [--frame-batch F]
 //! qapctl gen-trace <out.qtr>   [--seed S] [--epochs E] [--flows F]
 //! qapctl host      --listen <addr> [--once]
 //! ```
@@ -46,13 +46,15 @@ const USAGE: &str = "usage:
                                               predicted per-host receive load)
   qapctl run       <script.gsql> --hosts N [--set \"expr, expr\"] [--round-robin]
                    [--explain]
-                   [--seed S] [--epochs E] [--flows F] [--trace file.qtr] [--threaded] [--limit K]
+                   [--seed S] [--epochs E] [--flows F] [--trace file.qtr] [--limit K]
+                   [--threaded]           (one execution unit per host: a worker thread per leaf
+                                           host, and the aggregator host, its own partitions
+                                           included, on the calling thread)
                    [--batch-size B]   (engine batch size; results are batch-size-invariant)
                    [--metrics[=PATH]] (export run metrics; .prom = Prometheus text, else JSON;
                                        bare --metrics prints JSON to stdout)
                    [--channel-capacity C] (bounded boundary-channel depth for --threaded; default 64)
                    [--frame-batch F]      (max tuples per boundary frame for --threaded; default 1024)
-                   [--host-serial]        (one worker per host instead of partition-parallel units)
                    [--fault-plan SPEC]    (deterministic fault injection for --threaded; SPEC is a
                                            comma list of seed=N, corrupt=N, truncate=N, drop=N
                                            (every Nth frame), slow=HOST:MICROS, hang=HOST:MILLIS,
@@ -209,7 +211,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     return Err("--frame-batch must be at least 1".into());
                 }
             }
-            "--host-serial" => opts.transport.partition_parallel = false,
             "--fault-plan" => {
                 opts.transport.fault = parse_fault_plan(&value("--fault-plan")?)?;
             }

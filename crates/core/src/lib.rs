@@ -111,7 +111,7 @@ pub mod prelude {
         CostObjective, HashPartitioner, PartitionAnalysis, PartitionSet, UniformStats,
     };
     pub use qap_plan::{render_dag, render_dag_annotated, LogicalNode, QueryDag};
-    pub use qap_planner::{plan_with, PlannerInput, PlannerOutcome};
+    pub use qap_planner::{PlannerInput, PlannerOutcome};
     pub use qap_sql::QuerySetBuilder;
     pub use qap_trace::{
         generate, generate_skew_ramp, read_trace, stats, write_trace, SkewRampConfig, TraceConfig,

@@ -27,8 +27,7 @@ use std::fmt;
 
 use egg::{EGraph, Extractor, Id, Rewrite, Runner};
 use qap_partition::{
-    node_compatibilities_with, AnalysisOptions, CostModel, PartitionSet, StatsProvider,
-    UniformStats,
+    node_compatibilities_with, AnalysisOptions, CostModel, PartitionSet, UniformStats,
 };
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 
@@ -133,19 +132,9 @@ pub struct PlannerOutcome {
 /// model — what `optimize()` uses, keeping its decisions
 /// deterministic.
 pub fn plan(input: &PlannerInput<'_>) -> Result<PlannerOutcome, PlannerError> {
-    plan_with(input, &UniformStats::default(), &CostModel::default())
-}
-
-/// [`plan`] with explicit statistics and cost model (benchmarks inject
-/// measured selectivities here).
-pub fn plan_with(
-    input: &PlannerInput<'_>,
-    stats: &dyn StatsProvider,
-    model: &CostModel,
-) -> Result<PlannerOutcome, PlannerError> {
     let dag = input.dag;
     let compat = node_compatibilities_with(dag, input.analysis);
-    let rates = qap_partition::node_rates(dag, stats, model);
+    let rates = qap_partition::node_rates(dag, &UniformStats::default(), &CostModel::default());
     let sub_bytes = cost::sub_partial_bytes(dag, &rates);
     let splittable = splittable_nodes(dag);
 

@@ -139,24 +139,12 @@ fn edge_counts(result: &SimResult) -> Vec<Edge> {
         .collect()
 }
 
-/// The entries of `pinned` whose producers `run` shipped from.
-fn pinned_for(run: &SimResult, pinned: &[Edge]) -> Vec<Edge> {
-    let shipped: Vec<usize> = edge_counts(run).iter().map(|e| e.0).collect();
-    pinned
-        .iter()
-        .copied()
-        .filter(|e| shipped.contains(&e.0))
-        .collect()
-}
-
 /// One deployment on one trace: each producer's tapped frames against
 /// `frame_sums` (the FNV-1a checksum of their concatenated bytes), and
-/// every runner's per-edge counts against `pinned` — both generated
+/// both runners' per-edge counts against `pinned` — both generated
 /// while the frames were still checked against the row-staged oracle.
-/// `pinned` is the threaded runner's partition-parallel decomposition;
-/// the host-serial decomposition (the socket runner's, and the threaded
-/// runner's under `host_serial()`) ships the same edges minus the
-/// aggregator host's own.
+/// The edges are the ones that ship: the leaf hosts' boundary
+/// producers (the aggregator host's own stay inside the central unit).
 fn check(
     label: &str,
     scenario: Scenario,
@@ -181,40 +169,15 @@ fn check(
     let sums: Vec<(u32, u64)> = frames.iter().map(|(p, f)| (*p, fnv1a(f))).collect();
     assert_eq!(sums, frame_sums, "{label}: frame checksums");
 
-    let serial = edge_counts(&run);
-    assert!(
-        serial.len() < pinned.len(),
-        "{label}: host-serial ships fewer edges"
-    );
-    assert_eq!(
-        serial,
-        pinned_for(&run, pinned),
-        "{label}: socket runner edges"
-    );
-    let threaded_serial = SimConfig {
-        transport: cfg().transport.host_serial(),
-        ..cfg()
-    };
-    let threaded = run_distributed_threaded(&plan, trace, &threaded_serial).unwrap();
-    assert_eq!(
-        edge_counts(&threaded),
-        serial,
-        "{label}: threaded host-serial edges"
-    );
+    assert_eq!(edge_counts(&run), pinned, "{label}: socket runner edges");
     let threaded = run_distributed_threaded(&plan, trace, &cfg()).unwrap();
-    assert_eq!(
-        edge_counts(&threaded),
-        pinned,
-        "{label}: threaded partition-parallel edges"
-    );
+    assert_eq!(edge_counts(&threaded), pinned, "{label}: threaded edges");
 }
 
 #[test]
 fn simple_agg_naive_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(31));
     let pinned = [
-        (6, 20, 135, 9000),
-        (7, 19, 129, 8598),
         (8, 19, 132, 8790),
         (9, 18, 120, 8004),
         (10, 20, 140, 9320),
@@ -240,8 +203,6 @@ fn simple_agg_naive_frames_are_the_row_staged_frames() {
 fn simple_agg_partitioned_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(31));
     let pinned = [
-        (6, 0, 0, 0),
-        (7, 1, 2, 146),
         (8, 1, 3, 210),
         (9, 1, 5, 338),
         (10, 1, 3, 210),
@@ -267,17 +228,14 @@ fn simple_agg_partitioned_frames_are_the_row_staged_frames() {
 fn query_set_optimal_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(37));
     let config = "Partitioned (optimal)";
-    // Producers 18–23 are the pushed-down self-join: nothing to emit
-    // until the echo gives flows a second epoch.
+    // Producers 20–23 are the leaf hosts' share of the pushed-down
+    // self-join: nothing to emit until the echo gives flows a second
+    // epoch.
     let pinned = [
-        (6, 4, 26, 1088),
-        (7, 4, 25, 1048),
         (8, 3, 15, 636),
         (9, 2, 14, 584),
         (10, 3, 16, 676),
         (11, 3, 21, 876),
-        (18, 0, 0, 0),
-        (19, 0, 0, 0),
         (20, 0, 0, 0),
         (21, 0, 0, 0),
         (22, 0, 0, 0),
@@ -298,14 +256,10 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
         &sums,
     );
     let pinned = [
-        (6, 6, 40, 1672),
-        (7, 7, 43, 1804),
         (8, 4, 26, 1088),
         (9, 4, 23, 968),
         (10, 4, 28, 1168),
         (11, 5, 33, 1380),
-        (18, 15, 103, 5154),
-        (19, 10, 69, 3452),
         (20, 4, 26, 1304),
         (21, 3, 20, 1002),
         (22, 4, 23, 1160),
@@ -336,8 +290,6 @@ fn complex_full_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(41));
     let config = "Partitioned (full)";
     let pinned = [
-        (18, 1, 6, 202),
-        (19, 2, 11, 372),
         (20, 1, 4, 138),
         (21, 2, 8, 276),
         (22, 1, 5, 170),
@@ -358,8 +310,6 @@ fn complex_full_frames_are_the_row_staged_frames() {
         &sums,
     );
     let pinned = [
-        (18, 2, 13, 436),
-        (19, 3, 18, 606),
         (20, 2, 11, 372),
         (21, 3, 21, 702),
         (22, 3, 15, 510),

@@ -138,14 +138,13 @@ fn complex_chain_never_leaves_the_kernels() {
 
 /// A columnar feed never drops to rows between operators — not at a
 /// window the feed closes and not at the one the end of the stream
-/// closes: on every `bench_e2e` deployment (3 hosts, host-serial, batch
-/// 1024, threaded runner), every batch any operator of any unit received
-/// was a column batch.
+/// closes: on every `bench_e2e` deployment (3 hosts, batch 1024,
+/// threaded runner), every batch any operator of any unit received was
+/// a column batch.
 #[test]
 fn no_row_batch_reaches_an_operator_of_a_lane_fed_plan() {
     let cfg = SimConfig {
         batch: BatchConfig::new(1024),
-        transport: TransportConfig::default().host_serial(),
         ..SimConfig::default()
     };
     for (scenario, config, seed) in [

@@ -453,9 +453,8 @@ mod socket_chaos {
         // unit, so the sleep runs inside the child process) so it is
         // guaranteed mid-epoch when SIGKILL lands: the coordinator
         // cannot finish without its Result frame.
-        let transport = TransportConfig::default()
-            .host_serial()
-            .with_fault(FaultPlan::seeded(31).hang(victim, 60_000));
+        let transport =
+            TransportConfig::default().with_fault(FaultPlan::seeded(31).hang(victim, 60_000));
         let cfg = remote_cfg(transport);
         let needed = remote_host_count(&plan, &cfg);
         let hosts: Vec<(Child, HostAddr)> = (0..needed).map(|_| spawn_host()).collect();
@@ -492,7 +491,6 @@ mod socket_chaos {
         let plan = plan_for(3);
         let victim = first_leaf_host(&plan);
         let transport = TransportConfig::default()
-            .host_serial()
             .with_fault(FaultPlan::seeded(33).hang(victim, 60_000))
             .with_partial_results(true)
             .with_send_timeout_ms(2_000);
@@ -541,9 +539,7 @@ mod socket_chaos {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             HostAddr::parse(&l.local_addr().unwrap().to_string()).unwrap()
         };
-        let transport = TransportConfig::default()
-            .host_serial()
-            .with_send_timeout_ms(400);
+        let transport = TransportConfig::default().with_send_timeout_ms(400);
         let cfg = remote_cfg(transport);
         let needed = remote_host_count(&plan, &cfg);
         let addrs = vec![dead; needed];
@@ -568,7 +564,6 @@ mod socket_chaos {
             HostAddr::parse(&l.local_addr().unwrap().to_string()).unwrap()
         };
         let transport = TransportConfig::default()
-            .host_serial()
             .with_send_timeout_ms(400)
             .with_partial_results(true);
         let cfg = remote_cfg(transport);
@@ -636,7 +631,7 @@ mod socket_chaos {
             s.flush().unwrap();
             s.shutdown();
         });
-        let transport = TransportConfig::default().host_serial();
+        let transport = TransportConfig::default();
         let cfg = remote_cfg(transport);
         let needed = remote_host_count(&plan, &cfg);
         assert_eq!(needed, 1, "2-host plan has one leaf unit");

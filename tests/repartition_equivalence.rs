@@ -9,8 +9,9 @@
 //! partial aggregates at epoch boundaries the static run holds until
 //! end of stream.) A dedicated skewed workload checks migrations
 //! actually fire — an equivalence proof over zero migrations proves
-//! nothing — and property tests drive the extract → ship → absorb
-//! machinery directly with randomized boundaries and bucket moves.
+//! nothing — and that every runner makes the same ones; property tests
+//! drive the extract → ship → absorb machinery directly with randomized
+//! boundaries and bucket moves.
 
 use std::io::BufRead as _;
 use std::process::{Child, Command, Stdio};
@@ -145,37 +146,37 @@ fn complex_adaptive_matches_static() {
 }
 
 // ---------------------------------------------------------------------
-// Migrations genuinely fire — and still agree — on the skewed workload
+// Migrations genuinely fire — the same ones on every runner — and still
+// agree, on the skewed workload
 // ---------------------------------------------------------------------
 
+/// Every runner deploys one unit per host and every unit's state can
+/// move, the aggregator's own partitions included, so the controller
+/// makes the same migrations on the same trace wherever the units run:
+/// with one leaf host beside the aggregator as with three.
 #[test]
 fn skewed_workload_migrates_and_matches_static() {
     let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
+    let cfg = SimConfig {
+        transport: TransportConfig {
+            rebalance: adaptive(),
+            ..TransportConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let decisions = |r: &SimResult| (r.metrics.repartitions, r.metrics.migrated_keys);
     for hosts in [2usize, 4] {
         let plan = flows_plan(hosts);
         let static_ref = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
-        let cfg = SimConfig {
-            transport: TransportConfig {
-                rebalance: adaptive(),
-                ..TransportConfig::default()
-            },
-            ..SimConfig::default()
-        };
-        for (label, result) in [
-            (
-                format!("sim hosts={hosts}"),
-                run_distributed(&plan, &trace, &cfg).unwrap(),
-            ),
-            (
-                format!("threaded hosts={hosts}"),
-                run_distributed_threaded(&plan, &trace, &cfg).unwrap(),
-            ),
-        ] {
-            assert!(
-                result.metrics.rebalance_fallback.is_none(),
-                "{label}: fell back: {:?}",
-                result.metrics.rebalance_fallback
-            );
+        let sim = run_distributed(&plan, &trace, &cfg).unwrap();
+        let threaded = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
+        let children = spawn_hosts(remote_host_count(&plan, &cfg));
+        let addrs: Vec<HostAddr> = children.iter().map(|c| c.addr.clone()).collect();
+        let tcp = run_distributed_remote(&plan, &trace, &cfg, &addrs).unwrap();
+        drop(children);
+        for (runner, result) in [("sim", &sim), ("threaded", &threaded), ("tcp", &tcp)] {
+            let label = format!("{runner} hosts={hosts}");
+            assert_eq!(result.metrics.rebalance_fallback, None, "{label}");
             assert!(
                 result.metrics.repartitions >= 1,
                 "{label}: controller never fired"
@@ -185,8 +186,9 @@ fn skewed_workload_migrates_and_matches_static() {
                 "{label}: no live state shipped"
             );
             assert!(result.metrics.load_imbalance > 1.0, "{label}");
-            assert!(result.failures.is_empty(), "{label}");
-            assert_same_outputs(&label, &result, &static_ref);
+            assert!(result.failures.is_empty(), "{label}: {:?}", result.failures);
+            assert_eq!(decisions(result), decisions(&sim), "{label}: decisions");
+            assert_same_outputs(&label, result, &static_ref);
         }
     }
 }
@@ -236,10 +238,7 @@ fn spawn_hosts(n: usize) -> Vec<ChildHost> {
 fn tcp_adaptive_matches_static_and_migrates() {
     let trace = generate_skew_ramp(&SkewRampConfig::tiny(7));
     let plan = flows_plan(4);
-    let static_cfg = SimConfig {
-        transport: TransportConfig::default().host_serial(),
-        ..SimConfig::default()
-    };
+    let static_cfg = SimConfig::default();
     let needed = remote_host_count(&plan, &static_cfg);
 
     let children = spawn_hosts(needed);
@@ -250,7 +249,7 @@ fn tcp_adaptive_matches_static_and_migrates() {
     let cfg = SimConfig {
         transport: TransportConfig {
             rebalance: adaptive(),
-            ..TransportConfig::default().host_serial()
+            ..TransportConfig::default()
         },
         ..SimConfig::default()
     };
@@ -313,7 +312,6 @@ fn controller_that_never_fires_is_the_static_run() {
     let threaded_armed = run_distributed_threaded(&plan, &trace, &armed(transport)).unwrap();
     check("threaded", &threaded_armed, &threaded_off);
 
-    let transport = transport.host_serial();
     let needed = remote_host_count(&plan, &off(transport));
     let mut tcp = Vec::new();
     for cfg in [off(transport), armed(transport)] {

@@ -46,65 +46,53 @@ fn assert_transport_invariant(queries: &[(&str, &str)], hosts: usize, seed: u64)
 
     for capacity in [1usize, 4, 64] {
         for frame_batch in [1usize, 1024] {
-            for parallel in [true, false] {
-                let transport = TransportConfig {
-                    partition_parallel: parallel,
-                    ..TransportConfig::new(capacity, frame_batch)
-                };
-                let sim = SimConfig {
-                    transport,
-                    ..SimConfig::default()
-                };
-                let label = format!("cap={capacity} frame={frame_batch} parallel={parallel}");
-                let result = run_distributed_threaded(&plan, &trace, &sim)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let sim = SimConfig {
+                transport: TransportConfig::new(capacity, frame_batch),
+                ..SimConfig::default()
+            };
+            let label = format!("cap={capacity} frame={frame_batch}");
+            let result = run_distributed_threaded(&plan, &trace, &sim)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-                // Results and cumulative per-node counters are
-                // bit-identical to the simulator's.
-                assert_eq!(result.counters, reference.counters, "{label}: counters");
-                for ((name, rows), (ref_name, ref_rows)) in
-                    result.outputs.iter().zip(ref_outputs.iter())
-                {
-                    assert_eq!(name, ref_name, "{label}");
-                    assert_eq!(&sorted(rows.clone()), ref_rows, "{label}: output {name}");
-                }
-
-                // Transport telemetry is self-consistent: every shipped
-                // tuple is accounted to an edge, frame bytes carry the
-                // 8-byte header per frame, and tiny frames mean one
-                // tuple per frame.
-                let t = &result.metrics.transport;
-                assert_eq!(t.channel_capacity, capacity, "{label}");
-                assert_eq!(t.frame_batch, frame_batch, "{label}");
-                let edge_tuples: u64 = t.edges.iter().map(|e| e.tuples).sum();
-                assert_eq!(t.tuples(), edge_tuples, "{label}: edge tuple accounting");
-                let edge_frames: u64 = t.edges.iter().map(|e| e.frames).sum();
-                assert_eq!(t.frames, edge_frames, "{label}: edge frame accounting");
-                assert_eq!(
-                    t.frame_bytes,
-                    t.payload_bytes() + 8 * t.frames,
-                    "{label}: header accounting"
-                );
-                if frame_batch == 1 {
-                    assert_eq!(t.frames, t.tuples(), "{label}: one tuple per frame");
-                }
-                // The expected boundary volume depends on the worker
-                // topology: partition-parallel ships every leaf→central
-                // transfer (including the aggregator host's loopback);
-                // host-serial keeps the aggregator host's leaves
-                // in-engine.
-                let m = &result.metrics;
-                let expected: u64 = if parallel {
-                    m.total_transfers
-                } else {
-                    let agg = plan.partitioning.aggregator_host;
-                    (0..m.hosts)
-                        .filter(|&h| h != agg)
-                        .map(|h| m.host_tx_tuples[h])
-                        .sum()
-                };
-                assert_eq!(t.tuples(), expected, "{label}: boundary volume");
+            // Results and cumulative per-node counters are
+            // bit-identical to the simulator's.
+            assert_eq!(result.counters, reference.counters, "{label}: counters");
+            for ((name, rows), (ref_name, ref_rows)) in
+                result.outputs.iter().zip(ref_outputs.iter())
+            {
+                assert_eq!(name, ref_name, "{label}");
+                assert_eq!(&sorted(rows.clone()), ref_rows, "{label}: output {name}");
             }
+
+            // Transport telemetry is self-consistent: every shipped
+            // tuple is accounted to an edge, frame bytes carry the
+            // 8-byte header per frame, and tiny frames mean one tuple
+            // per frame.
+            let t = &result.metrics.transport;
+            assert_eq!(t.channel_capacity, capacity, "{label}");
+            assert_eq!(t.frame_batch, frame_batch, "{label}");
+            let edge_tuples: u64 = t.edges.iter().map(|e| e.tuples).sum();
+            assert_eq!(t.tuples(), edge_tuples, "{label}: edge tuple accounting");
+            let edge_frames: u64 = t.edges.iter().map(|e| e.frames).sum();
+            assert_eq!(t.frames, edge_frames, "{label}: edge frame accounting");
+            assert_eq!(
+                t.frame_bytes,
+                t.payload_bytes() + 8 * t.frames,
+                "{label}: header accounting"
+            );
+            if frame_batch == 1 {
+                assert_eq!(t.frames, t.tuples(), "{label}: one tuple per frame");
+            }
+            // The boundary carries what the non-aggregator hosts ship:
+            // the aggregator host's own leaves run inside the central
+            // unit.
+            let m = &result.metrics;
+            let agg = plan.partitioning.aggregator_host;
+            let expected: u64 = (0..m.hosts)
+                .filter(|&h| h != agg)
+                .map(|h| m.host_tx_tuples[h])
+                .sum();
+            assert_eq!(t.tuples(), expected, "{label}: boundary volume");
         }
     }
 }
