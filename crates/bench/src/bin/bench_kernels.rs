@@ -35,6 +35,7 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use qap::cluster::rebalance::BUCKETS_PER_PARTITION;
 use qap::obs::{OpMetrics, KERNEL_LANE_LABELS};
 use qap::plan::NodeId;
 use qap::prelude::*;
@@ -70,8 +71,7 @@ fn summed_metrics(engine: &Engine) -> OpMetrics {
 }
 
 /// Times `dag` over pre-staged columnar chunks: warm-up, then the
-/// minimum of [`ITERS`] full runs (engine construction included,
-/// matching the `micro_engine` criterion groups).
+/// minimum of [`ITERS`] full runs, engine construction included.
 fn measure(dag: &QueryDag, chunks: &[ColumnBatch], tuples: usize) -> (f64, OpMetrics) {
     let root = dag.roots()[0];
     let run = || {
@@ -321,9 +321,9 @@ fn measure_splitter_route(trace: &[Tuple], scenario: Scenario, config: &str) -> 
         panic!("{config} is a hash deployment");
     };
     let schema = tcp_schema();
-    let buckets = RebalanceConfig::default().buckets_per_partition;
-    let router = HashPartitioner::with_buckets(set, &schema, partitioning.partitions, buckets)
-        .expect("the set binds");
+    let router =
+        HashPartitioner::with_buckets(set, &schema, partitioning.partitions, BUCKETS_PER_PARTITION)
+            .expect("the set binds");
     let mut stage: Vec<ColumnBatch> = (0..partitioning.partitions)
         .map(|_| ColumnBatch::with_row_budget(schema.arity(), BATCH))
         .collect();

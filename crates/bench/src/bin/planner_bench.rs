@@ -7,8 +7,10 @@
 //! the call, and prices the extracted physical plan with the plan-based
 //! predictor. The process exits non-zero if a deployment's predicted
 //! total cost or physical node count differs from the value pinned in
-//! the deployment table — CI runs this as a regression gate. Planning
-//! time is advisory: it is reported, never gated.
+//! the deployment table — CI runs this as a regression gate. It also
+//! times the analyzer's `choose_partitioning` search on the three §6
+//! query sets and on a wide set of 8 aggregations with overlapping
+//! keys. Every timing is advisory: it is reported, never gated.
 //!
 //! Usage: `cargo run --release -p qap-bench --bin planner_bench [OUT.json]`
 //! (default output path `BENCH_planner.json` in the working directory).
@@ -19,6 +21,44 @@ use std::time::Instant;
 
 use qap::prelude::*;
 
+/// The minimum over 31 timed calls after one warm-up, in µs: planning
+/// is micro-scale, and on a shared box the minimum is the one statistic
+/// outside load cannot inflate (EXPERIMENTS.md).
+fn min_micros<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut out = f();
+    let mut best = f64::INFINITY;
+    for _ in 0..31 {
+        let t0 = Instant::now();
+        out = f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    (out, best)
+}
+
+/// A wide query set — 8 independent aggregations with overlapping keys —
+/// that stresses the candidate enumeration.
+fn wide_8_queries() -> QueryDag {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    let keys = [
+        "srcIP, destIP, srcPort, destPort",
+        "srcIP, destIP, srcPort",
+        "srcIP, destIP",
+        "srcIP",
+        "destIP, destPort",
+        "destIP",
+        "srcIP, srcPort",
+        "srcPort, destPort",
+    ];
+    for (i, k) in keys.iter().enumerate() {
+        b.add_query(
+            &format!("q{i}"),
+            &format!("SELECT tb, {k}, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, {k}"),
+        )
+        .expect("parses");
+    }
+    b.build()
+}
+
 /// One measured (scenario, configuration) cell.
 struct Case {
     scenario: &'static str,
@@ -28,24 +68,6 @@ struct Case {
     predicted_total_bytes_per_sec: f64,
     predicted_aggregator_bytes_per_sec: f64,
     physical_nodes: usize,
-}
-
-fn measure(
-    dag: &QueryDag,
-    partitioning: &Partitioning,
-    config: &OptimizerConfig,
-) -> (DistributedPlan, f64) {
-    // Warm-up, then the minimum of 31 runs: planning is micro-scale,
-    // and on a shared box the minimum is the one statistic outside
-    // load cannot inflate (EXPERIMENTS.md).
-    let (mut plan, _) = optimize_explained(dag, partitioning, config).expect("planning succeeds");
-    let mut best = f64::INFINITY;
-    for _ in 0..31 {
-        let t0 = Instant::now();
-        (plan, _) = optimize_explained(dag, partitioning, config).expect("planning succeeds");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    (plan, best)
 }
 
 fn main() -> ExitCode {
@@ -78,7 +100,9 @@ fn main() -> ExitCode {
     for &(scenario, config_name, pinned_total, pinned_nodes) in deployments {
         let dag = scenario.dag();
         let (partitioning, cfg) = scenario.deployment(config_name, hosts);
-        let (plan, micros) = measure(&dag, &partitioning, &cfg);
+        let ((plan, _), micros) = min_micros(|| {
+            optimize_explained(&dag, &partitioning, &cfg).expect("planning succeeds")
+        });
         let load = predict_host_load_for_plan(&plan, &dag, &stats, &model);
         let total: f64 = load.iter().sum();
         let nodes = plan.dag.len();
@@ -103,7 +127,29 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut json = String::from("{\n  \"bench\": \"planner\",\n  \"cases\": [\n");
+    let searches = [Scenario::SimpleAgg, Scenario::QuerySet, Scenario::Complex]
+        .map(|s| (s.name(), s.dag()))
+        .into_iter()
+        .chain([("wide_8_queries", wide_8_queries())]);
+    let mut chosen: Vec<(&str, String, f64)> = Vec::new();
+    for (name, dag) in searches {
+        let (analysis, micros) = min_micros(|| choose_partitioning(&dag, &stats, &model));
+        println!(
+            "choose_partitioning {name}: {micros:.0} us, recommends {}",
+            analysis.recommended
+        );
+        chosen.push((name, analysis.recommended.to_string(), micros));
+    }
+
+    let mut json = String::from("{\n  \"bench\": \"planner\",\n  \"choose_partitioning\": [\n");
+    for (i, (name, set, micros)) in chosen.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"query_set\": \"{name}\", \"recommended\": \"{set}\", \"micros\": {micros:.1}}}{}",
+            if i + 1 < chosen.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         let _ = writeln!(
             json,

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Shared infrastructure for the figure harness and criterion benches.
+//! Shared infrastructure for the measurement binaries.
 
 use qap::prelude::*;
 
@@ -28,7 +28,8 @@ pub fn standard_trace_config() -> TraceConfig {
     }
 }
 
-/// A small trace for micro-benches where trace size is not the subject.
+/// A small trace for the ablation tables and kernel groups, where trace
+/// size is not the subject.
 pub fn small_trace() -> Vec<Tuple> {
     generate(&TraceConfig {
         epochs: 3,

@@ -510,14 +510,12 @@ pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResu
         UnitCmd::Extract {
             boundary,
             partitions,
-            buckets_per_partition,
             assignment,
             jobs,
         } => {
             out.put_u8(MIGRATE_EXTRACT);
             out.put_u64(*boundary);
             out.put_u32(*partitions);
-            out.put_u32(*buckets_per_partition);
             out.put_u32(assignment.len() as u32);
             for &a in assignment {
                 out.put_u32(a);
@@ -547,7 +545,6 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
         MIGRATE_EXTRACT => {
             let boundary = r.u64()?;
             let partitions = r.u32()?;
-            let buckets_per_partition = r.u32()?;
             let n = r.len()?;
             let mut assignment = Vec::with_capacity(n);
             for _ in 0..n {
@@ -567,7 +564,6 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
             UnitCmd::Extract {
                 boundary,
                 partitions,
-                buckets_per_partition,
                 assignment,
                 jobs,
             }
@@ -759,8 +755,7 @@ mod tests {
             UnitCmd::Extract {
                 boundary: 1_234_567,
                 partitions: 8,
-                buckets_per_partition: 4,
-                assignment: (0..32).map(|b| b / 4).collect(),
+                assignment: (0..64).map(|b| b / 8).collect(),
                 jobs: vec![(3, vec![2, 3]), (9, vec![6, 7])],
             },
             UnitCmd::Absorb(vec![

@@ -13,7 +13,7 @@
 use qap_exec::{Engine, ExecResult};
 use qap_partition::{NodeStats, UniformStats};
 use qap_plan::{LogicalNode, QueryDag};
-use qap_types::{encoded_len, Tuple};
+use qap_types::{estimated_tuple_size, Tuple};
 
 /// Executes the logical plan over a sample and returns measured
 /// per-node statistics (selectivity and mean output tuple size).
@@ -49,10 +49,10 @@ pub fn measure_stats(dag: &QueryDag, sample: &[Tuple]) -> ExecResult<UniformStat
             continue;
         }
         let selectivity = c.tuples_out as f64 / c.tuples_in as f64;
-        // Estimate the wire size from the output schema arity (matches
-        // the cost model's default estimator; an exact mean would
-        // require retaining output tuples).
-        let out_tuple_size = estimated_size(dag, id);
+        // Estimate the wire size from the output schema arity (the cost
+        // model's default estimator; an exact mean would require
+        // retaining output tuples).
+        let out_tuple_size = estimated_tuple_size(dag.schema(id).arity());
         stats = stats.with_override(
             id,
             NodeStats {
@@ -62,14 +62,6 @@ pub fn measure_stats(dag: &QueryDag, sample: &[Tuple]) -> ExecResult<UniformStat
         );
     }
     Ok(stats)
-}
-
-fn estimated_size(dag: &QueryDag, id: usize) -> f64 {
-    // One representative tuple of NULLs under-counts strings but the
-    // schemas here are numeric; reuse the wire encoding for fidelity.
-    let arity = dag.schema(id).arity();
-    let probe = Tuple::new(vec![qap_types::Value::UInt(0); arity]);
-    encoded_len(&probe) as f64
 }
 
 #[cfg(test)]

@@ -76,6 +76,11 @@ use qap_types::{ColumnBatch, Schema, Tuple, Value};
 
 use crate::splitter::{Gauges, Splitter, StreamScans};
 
+/// Virtual buckets per partition (`k` of
+/// [`qap_partition::HashPartitioner::with_buckets`]) behind every hash
+/// splitter: the load quantum a migration moves is one bucket.
+pub const BUCKETS_PER_PARTITION: usize = 8;
+
 /// Knobs for the online rebalance controller. Disabled by default —
 /// every existing entry point keeps its static behavior unless a
 /// caller opts in.
@@ -89,10 +94,6 @@ pub struct RebalanceConfig {
     pub threshold: f64,
     /// Consecutive over-threshold epochs before the detector fires.
     pub consecutive: u32,
-    /// Virtual buckets per partition (`k` of
-    /// [`qap_partition::HashPartitioner::with_buckets`]): finer buckets
-    /// move smaller load quanta.
-    pub buckets_per_partition: usize,
     /// Sample epoch length in trace seconds: the splitter cuts the feed
     /// and reads the gauges every `sample_secs` of trace time.
     pub sample_secs: u64,
@@ -104,7 +105,6 @@ impl Default for RebalanceConfig {
             enabled: false,
             threshold: 1.5,
             consecutive: 2,
-            buckets_per_partition: 8,
             sample_secs: 60,
         }
     }
@@ -132,12 +132,6 @@ impl RebalanceConfig {
     /// Sets the consecutive-epoch count before firing (≥ 1).
     pub fn with_consecutive(mut self, k: u32) -> Self {
         self.consecutive = k.max(1);
-        self
-    }
-
-    /// Sets the virtual-bucket granularity (≥ 1 bucket per partition).
-    pub fn with_buckets_per_partition(mut self, k: usize) -> Self {
-        self.buckets_per_partition = k.max(1);
         self
     }
 
@@ -664,7 +658,7 @@ impl Controller {
                         set,
                         &fam.schema,
                         partitions,
-                        reb.buckets_per_partition,
+                        BUCKETS_PER_PARTITION,
                     )
                     .map_err(|e| format!("migration key partitioner: {e}"))
                 })
@@ -749,7 +743,6 @@ pub(crate) struct Handoff<'a> {
     pub(crate) boundary: u64,
     pub(crate) next: &'a [u32],
     pub(crate) partitions: usize,
-    pub(crate) buckets_per_partition: usize,
 }
 
 /// Group-state rows of one aggregate (a global plan node), mid-handoff.
@@ -889,7 +882,6 @@ fn handoff<C: Carrier>(
         boundary: ctl.epoch_end.unwrap_or(0),
         next,
         partitions: ctl.partitions,
-        buckets_per_partition: ctl.reb.buckets_per_partition,
     };
     let (extracted, any_dead) = carrier.extract(&change, jobs)?;
     if any_dead {

@@ -600,7 +600,7 @@ mod tests {
     use qap_types::decode_control;
 
     use crate::link::{connect_with_backoff, Frame};
-    use crate::rebalance::{Carrier, ExtractJob, Handoff, StateRows};
+    use crate::rebalance::{Carrier, ExtractJob, Handoff, StateRows, BUCKETS_PER_PARTITION};
     use crate::run_distributed_threaded;
     use crate::sim::tests::{skew_case, sorted};
     use crate::splitter::Splitter;
@@ -756,13 +756,18 @@ mod tests {
         let partitions = plan.partitioning.partitions;
         let handoff = Handoff {
             boundary: late[0].get(0).as_u64().unwrap(),
-            next: &qap_partition::identity_assignment(partitions, 1),
+            next: &qap_partition::identity_assignment(partitions, BUCKETS_PER_PARTITION),
             partitions,
-            buckets_per_partition: 1,
         };
         let job = ExtractJob {
             node: member.unwrap().node,
-            keyp: HashPartitioner::with_buckets(set, &family.schema, partitions, 1).unwrap(),
+            keyp: HashPartitioner::with_buckets(
+                set,
+                &family.schema,
+                partitions,
+                BUCKETS_PER_PARTITION,
+            )
+            .unwrap(),
             owned: Vec::new(),
         };
 

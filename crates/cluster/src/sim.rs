@@ -7,7 +7,7 @@ use serde::Serialize;
 
 use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
 use qap_optimizer::DistributedPlan;
-use qap_types::{ColumnBatch, Tuple};
+use qap_types::{estimated_tuple_size, ColumnBatch, Tuple};
 
 use crate::rebalance::{
     absorb_in_engine, drive, extract_in_engine, Carrier, Controller, ExtractJob, Handoff, StateRows,
@@ -289,9 +289,6 @@ struct InEngine<'a>(&'a mut Engine);
 
 impl Carrier for InEngine<'_> {
     fn feed(&mut self, scan: usize, batch: &mut ColumnBatch) -> ExecResult<()> {
-        // Ship encoded lanes: string columns enter the engine as
-        // dictionary codes.
-        batch.dict_encode_strings();
         self.0.push_columns(scan, batch)
     }
 
@@ -332,9 +329,7 @@ pub(crate) fn account(
     let mut host_tx_tuples = vec![0u64; hosts];
     let mut host_tx_bytes = vec![0.0f64; hosts];
 
-    // Wire size estimate per node's output tuple (matches the cost
-    // model's estimator: 2-byte header + 9 bytes per field).
-    let wire_size = |id: usize| 2.0 + 9.0 * plan.dag.schema(id).arity() as f64;
+    let wire_size = |id: usize| estimated_tuple_size(plan.dag.schema(id).arity());
 
     for id in plan.dag.topo_order() {
         let h = plan.host[id];

@@ -19,6 +19,7 @@ use qap_partition::{HashPartitioner, KeySketch};
 use qap_plan::{LogicalNode, NodeId};
 use qap_types::{Bytes, ColumnBatch, Schema, Tuple, COLUMNAR_FLAG, FRAME_HEADER_LEN};
 
+use crate::rebalance::BUCKETS_PER_PARTITION;
 use crate::sim::SimConfig;
 
 /// One base stream's partition scans.
@@ -176,11 +177,10 @@ impl Splitter {
     ) -> ExecResult<Splitter> {
         let part = &plan.partitioning;
         let m = part.partitions;
-        let buckets_per_partition = cfg.transport.rebalance.buckets_per_partition;
         let route = match &part.strategy {
             SplitStrategy::RoundRobin => Route::RoundRobin(0),
             SplitStrategy::Hash(set) => Route::Hash(
-                HashPartitioner::with_buckets(set, &scans.schema, m, buckets_per_partition)
+                HashPartitioner::with_buckets(set, &scans.schema, m, BUCKETS_PER_PARTITION)
                     .map_err(|e| ExecError::BadPlan(format!("unusable partitioning set: {e}")))?,
             ),
         };
@@ -327,9 +327,10 @@ impl Splitter {
     }
 }
 
-/// Ships one staged batch. `Engine::push_columns` swaps the buffer
-/// against a pooled batch; one of another arity is re-armed before
-/// reuse.
+/// Ships one staged batch, its string columns dictionary-encoded so
+/// that every runner's engines receive the same lane types.
+/// `Engine::push_columns` swaps the buffer against a pooled batch; one
+/// of another arity is re-armed before reuse.
 fn emit_columns(
     buf: &mut ColumnBatch,
     scan: NodeId,
@@ -337,6 +338,7 @@ fn emit_columns(
     max: usize,
     emit: &mut impl FnMut(NodeId, &mut ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
+    buf.dict_encode_strings();
     emit(scan, buf)?;
     if buf.arity() != arity {
         *buf = ColumnBatch::with_row_budget(arity, max);
@@ -521,8 +523,13 @@ mod tests {
             let SplitStrategy::Hash(set) = &part.strategy else {
                 unreachable!("hash strategies only");
             };
-            let k = cfg.transport.rebalance.buckets_per_partition;
-            let h = HashPartitioner::with_buckets(set, &scans.schema, part.partitions, k).unwrap();
+            let h = HashPartitioner::with_buckets(
+                set,
+                &scans.schema,
+                part.partitions,
+                BUCKETS_PER_PARTITION,
+            )
+            .unwrap();
             let mut hosts = vec![0u64; part.hosts];
             let mut buckets = vec![0u64; h.bucket_count()];
             let mut sketch = KeySketch::with_defaults();

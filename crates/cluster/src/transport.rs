@@ -15,8 +15,8 @@
 //!
 //! [`TransportMetrics`] is the *measured* side: actual frames and
 //! encoded bytes that crossed each boundary edge — as opposed to the
-//! cost model's derived `tuples × wire_size(arity)` estimate — plus
-//! backpressure stalls and the live buffer-depth peak.
+//! cost model's derived `tuples × estimated_tuple_size(arity)`
+//! estimate — plus backpressure stalls and the live buffer-depth peak.
 
 use serde::Serialize;
 
@@ -290,8 +290,8 @@ pub struct EdgeTransport {
     pub tuples: u64,
     /// Encoded payload bytes carried (excluding the 8-byte frame
     /// headers) — the measured counterpart of the cost model's
-    /// `tuples × wire_size(arity)` estimate, which prices the tagged
-    /// per-tuple encoding. Lane frames pack typed values untagged, so
+    /// `tuples × estimated_tuple_size(arity)` estimate, which prices the
+    /// tagged per-tuple encoding. Lane frames pack typed values untagged, so
     /// on all-numeric schemas they measure *below* the estimate.
     pub bytes: u64,
     /// Bounded-backoff retries this edge's producer performed against a

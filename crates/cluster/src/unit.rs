@@ -34,6 +34,7 @@ use crate::link::{
 };
 use crate::rebalance::{
     absorb_in_engine, extract_in_engine, Carrier, ExtractJob, Handoff, StateRows,
+    BUCKETS_PER_PARTITION,
 };
 use crate::splitter::Batch;
 use crate::threaded::{Central, Deployment};
@@ -133,8 +134,9 @@ pub(crate) enum UnitCmd {
     /// Force-close windows before `boundary` on each job's node, then
     /// extract every group whose key re-routes away from the node's
     /// owned partitions under the new table; reply with the rows. The
-    /// command carries the table recipe — bucket geometry and the *next*
-    /// assignment — and the unit rebuilds the key partitioner from it
+    /// command carries the table recipe — the partition count and the
+    /// *next* assignment, at [`BUCKETS_PER_PARTITION`] buckets per
+    /// partition — and the unit rebuilds the key partitioner from it
     /// and its deployed set ([`UnitSpec::set`]) against each node's
     /// aggregate schema, because a host process shares no memory with
     /// the coordinator's splitter.
@@ -143,8 +145,6 @@ pub(crate) enum UnitCmd {
         boundary: u64,
         /// Partition count `M` of the deployed splitter.
         partitions: u32,
-        /// Virtual buckets per partition.
-        buckets_per_partition: u32,
         /// The *new* bucket→partition table the extraction routes by.
         assignment: Vec<u32>,
         /// Per-node jobs: (local node id, owned partitions).
@@ -345,7 +345,6 @@ pub(crate) fn run_unit<P: UnitPort>(
             UnitCmd::Extract {
                 boundary,
                 partitions,
-                buckets_per_partition,
                 assignment,
                 jobs,
             } => {
@@ -362,7 +361,7 @@ pub(crate) fn run_unit<P: UnitPort>(
                             &spec.set,
                             dag.schema(node),
                             partitions as usize,
-                            buckets_per_partition as usize,
+                            BUCKETS_PER_PARTITION,
                         )
                         .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
                         keyp.set_assignment(assignment.clone());
@@ -747,7 +746,6 @@ impl Carrier for Units<'_> {
                 let cmd = UnitCmd::Extract {
                     boundary: handoff.boundary,
                     partitions: handoff.partitions as u32,
-                    buckets_per_partition: handoff.buckets_per_partition as u32,
                     assignment: handoff.next.to_vec(),
                     jobs: jobs
                         .iter()

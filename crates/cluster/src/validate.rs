@@ -33,9 +33,7 @@ use std::collections::HashSet;
 
 use qap_exec::{ExecError, ExecResult};
 use qap_optimizer::{optimize, DistributedPlan, OptimizerConfig, Partitioning};
-use qap_partition::{
-    node_compatibilities_with, node_rates, plan_cost, CostModel, CostObjective, StatsProvider,
-};
+use qap_partition::{node_compatibilities_with, node_rates, plan_cost, CostModel, StatsProvider};
 use qap_plan::QueryDag;
 use qap_types::Tuple;
 
@@ -206,10 +204,7 @@ pub fn validate_cost_model(
     //    trace's own rate over the span the run measured, so predicted
     //    and measured bytes/sec share a denominator.
     let source_rate = trace.len() as f64 / metrics.duration_secs;
-    let model = CostModel {
-        source_rate,
-        objective: CostObjective::MaxPerNode,
-    };
+    let model = CostModel { source_rate };
     let predicted = predict_host_load_for_plan(&plan, dag, &stats, &model);
     let measured = metrics.host_rx_bytes_per_sec;
 

@@ -102,13 +102,13 @@ pub mod prelude {
     pub use qap_expr::{AggKind, ColumnTransform, ScalarExpr};
     pub use qap_optimizer::{
         agnostic_plan, optimize, optimize_explained, plan_partitioning, DistributedPlan,
-        NodeDecision, OptimizerConfig, PartialAggScope, Partitioning, PlacementStrategy,
-        PlanExplanation, SplitStrategy,
+        NodeDecision, OptimizerConfig, PartialAggScope, Partitioning, PlanExplanation,
+        SplitStrategy,
     };
     pub use qap_partition::{
         choose_partitioning, choose_partitioning_with, compatible_set, node_compatibilities,
         plan_cost, reconcile_partition_sets, AnalysisOptions, Compatibility, CostModel,
-        CostObjective, HashPartitioner, PartitionAnalysis, PartitionSet, UniformStats,
+        HashPartitioner, PartitionAnalysis, PartitionSet, UniformStats,
     };
     pub use qap_plan::{render_dag, render_dag_annotated, LogicalNode, QueryDag};
     pub use qap_planner::{PlannerInput, PlannerOutcome};

@@ -131,8 +131,9 @@ pub struct Engine {
     /// overhead guard benches both settings).
     metrics_on: bool,
     /// Estimated wire bytes of one tuple of each node's output schema —
-    /// `qap_obs::wire_size` precomputed per node, so byte accounting is
-    /// a multiply per batch rather than an `encoded_len` walk per tuple.
+    /// `qap_types::estimated_tuple_size` precomputed per node, so byte
+    /// accounting is a multiply per batch rather than an `encoded_len`
+    /// walk per tuple.
     wire: Vec<u64>,
 }
 
@@ -173,7 +174,7 @@ impl Engine {
             .collect();
         let wire = dag
             .topo_order()
-            .map(|id| qap_obs::wire_size(dag.schema(id).arity()) as u64)
+            .map(|id| qap_types::estimated_tuple_size(dag.schema(id).arity()) as u64)
             .collect();
         Ok(Engine {
             ops,

@@ -36,10 +36,10 @@
 //!
 //! Per-tuple byte accounting would be a real cost (`encoded_len` walks
 //! the tuple), so bytes are *derived*: every operator's output schema
-//! is fixed, hence `bytes = tuples × wire_size(schema)` — the same
-//! 2 + 9·arity estimator the Section 4.2.1 cost model uses, which is
-//! exactly what makes measured bytes comparable to predicted bytes in
-//! the cost-model validation harness.
+//! is fixed, hence `bytes = tuples × qap_types::estimated_tuple_size`
+//! of its arity — the same 2 + 9·arity estimator the Section 4.2.1 cost
+//! model uses, which is exactly what makes measured bytes comparable to
+//! predicted bytes in the cost-model validation harness.
 
 mod export;
 mod histogram;
@@ -50,23 +50,3 @@ pub use registry::{
     EdgeEntry, HostMetrics, MetricsRegistry, OpEntry, OpMetrics, SharedGauge, KERNEL_LANES,
     KERNEL_LANE_LABELS,
 };
-
-/// Estimated wire size in bytes of one tuple with `arity` fields —
-/// 2-byte header plus 1 tag + 8 payload bytes per field. Mirrors
-/// `qap_types::encoded_len` for numeric tuples and the cost model's
-/// `estimated_tuple_size`; keeping the three in agreement is what lets
-/// measured byte counters validate cost-model predictions.
-pub fn wire_size(arity: usize) -> f64 {
-    2.0 + 9.0 * arity as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_size_matches_cost_model_estimator() {
-        assert_eq!(wire_size(0), 2.0);
-        assert_eq!(wire_size(4), 38.0);
-    }
-}

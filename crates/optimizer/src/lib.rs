@@ -39,5 +39,5 @@ pub use distributed::{
 };
 pub use error::{OptError, OptResult};
 pub use partitioning::{OptimizerConfig, PartialAggScope, Partitioning, SplitStrategy};
-pub use plan_partition::{plan_partitioning, PlacementStrategy};
+pub use plan_partition::plan_partitioning;
 pub use qap_planner::{NodeDecision, PlanExplanation};

@@ -9,32 +9,18 @@
 //! packets/sec, most non-trivial operators are too heavy)" — the
 //! low-level aggregation must still see *every* packet on one host, so
 //! the maximum per-host load barely moves as machines are added. The
-//! `ablation` benches measure exactly that against query-aware data
-//! partitioning.
+//! `figures` binary's ablation tables measure exactly that against
+//! query-aware data partitioning.
 
 use qap_plan::{LogicalNode, NodeId, QueryDag};
 
 use crate::{DistributedPlan, OptResult, Partitioning, PlanOutput, SplitStrategy};
 
-/// Operator placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementStrategy {
-    /// Operators assigned to hosts round-robin in topological order.
-    #[default]
-    RoundRobin,
-    /// Each root query's whole chain on one host (query-level
-    /// placement: the coarsest practical plan partitioning).
-    PerQuery,
-}
-
 /// Lowers a logical plan by *operator placement*: the stream is not
 /// split (a single ingest scan feeds the first consumer), and each
-/// query operator runs whole on some host.
-pub fn plan_partitioning(
-    logical: &QueryDag,
-    hosts: usize,
-    strategy: PlacementStrategy,
-) -> OptResult<DistributedPlan> {
+/// query operator runs whole on some host, assigned round-robin in
+/// topological order.
+pub fn plan_partitioning(logical: &QueryDag, hosts: usize) -> OptResult<DistributedPlan> {
     assert!(hosts > 0, "at least one host required");
     let mut dag = QueryDag::new(logical.catalog().clone());
     let mut host: Vec<usize> = Vec::new();
@@ -42,7 +28,7 @@ pub fn plan_partitioning(
     let mut map: Vec<Option<NodeId>> = vec![None; logical.len()];
 
     // Host per logical node.
-    let placement = place(logical, hosts, strategy);
+    let placement = place(logical, hosts);
 
     for id in logical.topo_order() {
         let node = match logical.node(id).clone() {
@@ -144,45 +130,23 @@ pub fn plan_partitioning(
     })
 }
 
-fn place(logical: &QueryDag, hosts: usize, strategy: PlacementStrategy) -> Vec<usize> {
+fn place(logical: &QueryDag, hosts: usize) -> Vec<usize> {
     let mut placement = vec![0usize; logical.len()];
-    match strategy {
-        PlacementStrategy::RoundRobin => {
-            let mut next = 0usize;
-            for id in logical.topo_order() {
-                if logical.node(id).is_source() {
-                    // The ingest scan lands with its first consumer to
-                    // model the tap feeding that machine directly.
-                    continue;
-                }
-                placement[id] = next % hosts;
-                next += 1;
-            }
-            // Sources inherit their first consumer's host.
-            for id in logical.topo_order() {
-                if logical.node(id).is_source() {
-                    let consumer = logical.parents(id).into_iter().next();
-                    placement[id] = consumer.map(|c| placement[c]).unwrap_or(0);
-                }
-            }
+    let mut next = 0usize;
+    for id in logical.topo_order() {
+        if logical.node(id).is_source() {
+            // The ingest scan lands with its first consumer to model the
+            // tap feeding that machine directly.
+            continue;
         }
-        PlacementStrategy::PerQuery => {
-            // Color each root's reachable subgraph; shared subplans stay
-            // with the first (lowest-numbered) root that reaches them.
-            let roots = logical.roots();
-            for (i, &root) in roots.iter().enumerate() {
-                let h = i % hosts;
-                let mut stack = vec![root];
-                let mut seen = vec![false; logical.len()];
-                while let Some(n) = stack.pop() {
-                    if seen[n] {
-                        continue;
-                    }
-                    seen[n] = true;
-                    placement[n] = h;
-                    stack.extend(logical.node(n).children());
-                }
-            }
+        placement[id] = next % hosts;
+        next += 1;
+    }
+    // Sources inherit their first consumer's host.
+    for id in logical.topo_order() {
+        if logical.node(id).is_source() {
+            let consumer = logical.parents(id).into_iter().next();
+            placement[id] = consumer.map(|c| placement[c]).unwrap_or(0);
         }
     }
     placement
@@ -220,7 +184,7 @@ mod tests {
     #[test]
     fn round_robin_spreads_operators() {
         let dag = section_3_2();
-        let plan = plan_partitioning(&dag, 3, PlacementStrategy::RoundRobin).unwrap();
+        let plan = plan_partitioning(&dag, 3).unwrap();
         // One physical node per logical node.
         assert_eq!(plan.dag.len(), dag.len());
         // Operators land on more than one host.
@@ -232,7 +196,7 @@ mod tests {
     #[test]
     fn source_collocated_with_first_consumer() {
         let dag = section_3_2();
-        let plan = plan_partitioning(&dag, 4, PlacementStrategy::RoundRobin).unwrap();
+        let plan = plan_partitioning(&dag, 4).unwrap();
         let scan = plan
             .dag
             .topo_order()
@@ -243,29 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn per_query_places_whole_chains() {
-        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-        b.add_query(
-            "a",
-            "SELECT tb, srcIP, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, srcIP",
-        )
-        .unwrap();
-        b.add_query(
-            "b",
-            "SELECT tb, destIP, COUNT(*) as c FROM TCP GROUP BY time/60 as tb, destIP",
-        )
-        .unwrap();
-        let dag = b.build();
-        let plan = plan_partitioning(&dag, 2, PlacementStrategy::PerQuery).unwrap();
-        let a = dag.query_node("a").unwrap();
-        let b_ = dag.query_node("b").unwrap();
-        assert_ne!(plan.host[a], plan.host[b_]);
-    }
-
-    #[test]
     fn single_host_degenerates_to_centralized() {
         let dag = section_3_2();
-        let plan = plan_partitioning(&dag, 1, PlacementStrategy::RoundRobin).unwrap();
+        let plan = plan_partitioning(&dag, 1).unwrap();
         assert!(plan.host.iter().all(|&h| h == 0));
     }
 }

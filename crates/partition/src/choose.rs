@@ -164,10 +164,8 @@ pub fn choose_partitioning_with(
     // equally expensive while satisfying more constrained nodes (ties on
     // pure network cost break toward spreading CPU load — a partitioned
     // plan never loses to the centralized fallback it matches).
-    let objective = model.objective;
     let improves = |cand: &CostReport, best: &CostReport| {
-        let c = cand.objective_cost(objective);
-        let b = best.objective_cost(objective);
+        let (c, b) = (cand.max_cost, best.max_cost);
         let eps = 1e-9 * b.max(1.0);
         c < b - eps || (c <= b + eps && satisfied_count(cand) > satisfied_count(best))
     };

@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 
 use qap_plan::{LogicalNode, NodeId, QueryDag};
+use qap_types::estimated_tuple_size;
 
 use crate::{Compatibility, PartitionSet};
 
@@ -98,13 +99,6 @@ impl UniformStats {
     }
 }
 
-/// Estimated wire size of one tuple of `arity` fields (mirrors
-/// `qap_types::encoded_len` for numeric fields: 2-byte header plus
-/// 1 tag + 8 payload bytes per field).
-pub fn estimated_tuple_size(arity: usize) -> f64 {
-    2.0 + 9.0 * arity as f64
-}
-
 /// Per-node steady-state rates, independent of any partitioning choice:
 /// the pure ingredient both [`plan_cost`] and external planners (the
 /// e-graph extractor in `qap-planner`) charge network transfers from.
@@ -172,27 +166,11 @@ impl StatsProvider for UniformStats {
     }
 }
 
-/// What the optimal-set search minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostObjective {
-    /// The paper's objective: the *maximum* network load any single node
-    /// receives ("trying to avoid overloading a single node rather than
-    /// minimizing average load", Section 4.2.1).
-    #[default]
-    MaxPerNode,
-    /// The alternative the paper argues against: total network load
-    /// summed over nodes. Can prefer partitionings that leave one node
-    /// overloaded — exposed for the ablation benches.
-    Total,
-}
-
 /// Input parameters of the cost evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Rate of each source input stream, in tuples/sec (`R`).
     pub source_rate: f64,
-    /// Objective the search minimizes.
-    pub objective: CostObjective,
 }
 
 impl Default for CostModel {
@@ -201,7 +179,6 @@ impl Default for CostModel {
         // direction.
         CostModel {
             source_rate: 100_000.0,
-            objective: CostObjective::MaxPerNode,
         }
     }
 }
@@ -218,22 +195,14 @@ pub struct CostReport {
     pub out_tuples: Vec<f64>,
     /// Per node: network receive rate in bytes/sec (`cost(Qi)`).
     pub node_cost: Vec<f64>,
-    /// `cost(Qplan, PS)` = max over nodes, bytes/sec.
+    /// `cost(Qplan, PS)` = max over nodes, bytes/sec: what the search
+    /// minimizes ("trying to avoid overloading a single node rather than
+    /// minimizing average load", Section 4.2.1).
     pub max_cost: f64,
-    /// Sum of per-node costs, bytes/sec (the alternative objective).
+    /// Sum of per-node costs, bytes/sec (reported, never minimized).
     pub total_cost: f64,
     /// The node attaining the maximum.
     pub bottleneck: Option<NodeId>,
-}
-
-impl CostReport {
-    /// The figure the search minimizes under a given objective.
-    pub fn objective_cost(&self, objective: CostObjective) -> f64 {
-        match objective {
-            CostObjective::MaxPerNode => self.max_cost,
-            CostObjective::Total => self.total_cost,
-        }
-    }
 }
 
 /// Evaluates `cost(Qplan, PS)` (Section 4.2.1).
@@ -406,35 +375,6 @@ mod tests {
         let full = cost_of(&dag, &PartitionSet::from_columns(["srcIP"])).max_cost;
         assert!(naive > partial, "naive {naive} vs partial {partial}");
         assert!(partial > full, "partial {partial} vs full {full}");
-    }
-
-    #[test]
-    fn total_objective_reports_sum_of_node_costs() {
-        let dag = section_3_2_dag();
-        let report = cost_of(&dag, &PartitionSet::from_columns(["srcIP", "destIP"]));
-        let sum: f64 = report.node_cost.iter().sum();
-        assert!((report.total_cost - sum).abs() < 1e-9);
-        assert!(report.total_cost >= report.max_cost);
-        assert_eq!(
-            report.objective_cost(CostObjective::MaxPerNode),
-            report.max_cost
-        );
-        assert_eq!(
-            report.objective_cost(CostObjective::Total),
-            report.total_cost
-        );
-    }
-
-    #[test]
-    fn search_runs_under_total_objective() {
-        let dag = section_3_2_dag();
-        let model = CostModel {
-            objective: CostObjective::Total,
-            ..CostModel::default()
-        };
-        let analysis = crate::choose_partitioning(&dag, &UniformStats::default(), &model);
-        // Under either objective the fully-compatible (srcIP) wins here.
-        assert_eq!(analysis.recommended, PartitionSet::from_columns(["srcIP"]));
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub use compat::{
     AnalysisOptions, Compatibility,
 };
 pub use cost::{
-    estimated_tuple_size, node_rates, plan_cost, CostModel, CostObjective, CostReport, NodeRates,
-    NodeStats, StatsProvider, UniformStats,
+    node_rates, plan_cost, CostModel, CostReport, NodeRates, NodeStats, StatsProvider, UniformStats,
 };
 pub use hash::{fnv1a_hash, identity_assignment, HashPartitioner, Routed};
 pub use set::{reconcile_partition_sets, PartitionSet};

@@ -12,8 +12,9 @@
 use std::cmp::Ordering;
 
 use egg::{CostFunction, Id};
-use qap_partition::{estimated_tuple_size, NodeRates};
+use qap_partition::NodeRates;
 use qap_plan::{LogicalNode, QueryDag};
+use qap_types::estimated_tuple_size;
 
 use crate::partial;
 use crate::term::PlanExpr;

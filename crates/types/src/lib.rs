@@ -36,10 +36,25 @@ pub use udaf::{Udaf, UdafRegistry, UdafState};
 pub use value::Value;
 pub use wire::{
     decode_column_batch, decode_tuple, encode_column_batch, encode_tuple, encoded_column_batch_len,
-    encoded_len, COLUMNAR_FLAG, FRAME_HEADER_LEN,
+    encoded_len, estimated_tuple_size, COLUMNAR_FLAG, FRAME_HEADER_LEN,
 };
 
 // Downstream crates (exec frame ingestion, the cluster transport) take
 // and return wire buffers; re-export the byte types so they don't need
 // their own dependency edge on the vendored crate.
 pub use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wire_size_matches_cost_model_estimator() {
+        assert_eq!(estimated_tuple_size(0), 2.0);
+        assert_eq!(estimated_tuple_size(4), 38.0);
+        for arity in [0, 1, 4, 9] {
+            let numeric = Tuple::new(vec![Value::UInt(7); arity]);
+            assert_eq!(estimated_tuple_size(arity), encoded_len(&numeric) as f64);
+        }
+    }
+}

@@ -397,6 +397,15 @@ pub fn encoded_len(tuple: &Tuple) -> usize {
         .sum::<usize>()
 }
 
+/// Estimated wire size in bytes of one tuple with `arity` fields: the
+/// 2-byte header plus 1 tag + 8 payload bytes per field, which is
+/// [`encoded_len`] of an all-numeric tuple. The cost model charges
+/// network bytes by it and the engine derives its byte counters from
+/// it, which is what lets measured bytes validate predicted ones.
+pub fn estimated_tuple_size(arity: usize) -> f64 {
+    2.0 + 9.0 * arity as f64
+}
+
 /// Ensures `buf` holds at least `need` more bytes before a read.
 fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
     let have = buf.remaining();

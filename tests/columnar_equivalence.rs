@@ -237,6 +237,90 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
     );
 }
 
+/// A string column reaches every runner's engines as the same lane
+/// type: the splitter dictionary-encodes each batch it stages. The
+/// stream is `bench_kernels`' `FLOW(time, srcIP, proto string, len)`,
+/// derived from the TCP trace, partitioned on `proto` so that both
+/// queries run whole on the leaves, over the batches the splitter
+/// staged: an aggregate grouped by `proto`, and a self-join keyed on
+/// it. The aggregate encodes strings at its own entry too; the join
+/// reads its key lanes as they arrive and tallies its fallback by their
+/// type. So the simulator and the threaded runner sum to the same
+/// kernel hits, fallbacks and per-lane tallies only if they feed the
+/// same lanes.
+#[test]
+fn a_string_key_reaches_every_runner_as_the_same_lanes() {
+    use qap::obs::OpMetrics;
+    use qap::types::{DataType, Field, Temporality};
+    const PROTOS: [&str; 6] = ["tcp", "udp", "icmp", "gre", "esp", "sctp"];
+    let mut catalog = Catalog::new();
+    catalog
+        .register(
+            Schema::new(
+                "FLOW",
+                vec![
+                    Field::temporal("time", DataType::UInt, Temporality::Increasing),
+                    Field::new("srcIP", DataType::UInt),
+                    Field::new("proto", DataType::Str),
+                    Field::new("len", DataType::UInt),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let mut b = QuerySetBuilder::new(catalog);
+    b.add_query(
+        "by_proto",
+        "SELECT tb, proto, COUNT(*) as cnt, SUM(len) as bytes FROM FLOW \
+         GROUP BY time/60 as tb, proto",
+    )
+    .unwrap();
+    b.add_query(
+        "same_proto",
+        "SELECT S1.time, S1.srcIP, S1.proto, S2.len FROM FLOW S1, FLOW S2 \
+         WHERE S1.srcIP = S2.srcIP and S1.proto = S2.proto and S1.time = S2.time",
+    )
+    .unwrap();
+    let dag = b.build();
+    let flows: Vec<Tuple> = generate(&TraceConfig::tiny(47))
+        .iter()
+        .map(|t| {
+            let v = t.values();
+            let proto = PROTOS[v[5].as_u64().unwrap() as usize % PROTOS.len()];
+            Tuple::new(vec![
+                v[0].clone(),
+                v[2].clone(),
+                Value::from(proto),
+                v[8].clone(),
+            ])
+        })
+        .collect();
+    let plan = optimize(
+        &dag,
+        &Partitioning::hash(PartitionSet::from_columns(["proto"]), 3),
+        &OptimizerConfig::full(),
+    )
+    .unwrap();
+    let tally = |run: &SimResult| {
+        let mut total = OpMetrics::default();
+        for m in &run.node_metrics {
+            total.merge(m);
+        }
+        (
+            total.kernel_hits,
+            total.kernel_fallbacks,
+            total.kernel_lane_hits,
+            total.kernel_lane_fallbacks,
+        )
+    };
+    let cfg = SimConfig::default();
+    let sim = run_distributed(&plan, &flows, &cfg).unwrap();
+    let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
+    assert!(tally(&sim).0 > 0);
+    assert_eq!(tally(&threaded), tally(&sim));
+    assert_eq!(threaded.counters, sim.counters);
+}
+
 /// The splitter always hashes the *row* view of a tuple, and a tuple
 /// that has crossed the columnar wire must route to the same partition
 /// as its original: transpose → encode → decode → materialize is the

@@ -209,8 +209,8 @@ fn plan_partitioning_cannot_shed_the_heavy_operator() {
         r.metrics.work.iter().fold(0.0f64, |a, &b| a.max(b))
     };
 
-    let centralized = max_load(&plan_partitioning(&dag, 1, PlacementStrategy::RoundRobin).unwrap());
-    let plan_part_4 = max_load(&plan_partitioning(&dag, 4, PlacementStrategy::RoundRobin).unwrap());
+    let centralized = max_load(&plan_partitioning(&dag, 1).unwrap());
+    let plan_part_4 = max_load(&plan_partitioning(&dag, 4).unwrap());
     let data_part_4 = max_load(
         &optimize(
             &dag,
@@ -233,18 +233,8 @@ fn plan_partitioning_cannot_shed_the_heavy_operator() {
     );
 
     // And both still compute the right answer.
-    let reference = run_distributed(
-        &plan_partitioning(&dag, 1, PlacementStrategy::RoundRobin).unwrap(),
-        &trace,
-        &sim,
-    )
-    .unwrap();
-    let spread = run_distributed(
-        &plan_partitioning(&dag, 4, PlacementStrategy::RoundRobin).unwrap(),
-        &trace,
-        &sim,
-    )
-    .unwrap();
+    let reference = run_distributed(&plan_partitioning(&dag, 1).unwrap(), &trace, &sim).unwrap();
+    let spread = run_distributed(&plan_partitioning(&dag, 4).unwrap(), &trace, &sim).unwrap();
     for ((n, a), (_, b)) in reference.outputs.iter().zip(spread.outputs.iter()) {
         assert_eq!(a.len(), b.len(), "{n}");
     }

@@ -290,7 +290,7 @@ fn plan_without_gsql_is_refused_before_any_host_is_contacted() {
     b.add_query("per_epoch", sql).unwrap();
     let part = Partitioning::round_robin(2);
     let union = optimize(&b.build(), &part, &OptimizerConfig::naive()).unwrap();
-    let placed = plan_partitioning(&flows_dag(), 2, PlacementStrategy::RoundRobin).unwrap();
+    let placed = plan_partitioning(&flows_dag(), 2).unwrap();
     let dead = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         HostAddr::parse(&l.local_addr().unwrap().to_string()).unwrap()
