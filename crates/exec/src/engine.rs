@@ -1,11 +1,14 @@
 //! Plan compilation and the batch-routing engine.
 //!
 //! The engine moves tuples through the DAG a *batch* at a time: the
-//! routing queue holds `(node, port, Vec<Tuple>)` entries, operator
-//! dispatch and counter updates are paid once per batch, and scratch
-//! buffers are pooled and reused. Semantics are defined tuple-at-a-time
-//! (see [`crate::ops::Operator`]); batch size is a pure performance
-//! knob, tuned through [`BatchConfig`].
+//! routing queue holds `(node, port, payload)` entries, where the
+//! payload is a [`ColumnBatch`] for a lane feed and a `Vec<Tuple>` for
+//! the row reference, and operator dispatch and counter updates are
+//! paid once per batch. A batch keeps the representation it was fed in
+//! from source to sink, and column batches are pooled and reused.
+//! Semantics are defined tuple-at-a-time (see
+//! [`crate::ops::Operator`]); batch size is a pure performance knob,
+//! tuned through [`BatchConfig`].
 
 use std::collections::{HashMap, VecDeque};
 
@@ -61,15 +64,15 @@ impl BatchConfig {
     }
 }
 
-/// Cap on pooled scratch buffers; beyond this they are dropped rather
+/// Cap on pooled column batches; beyond this they are dropped rather
 /// than retained, bounding idle memory.
 const POOL_CAP: usize = 32;
 
 /// One in-flight routed payload: a row (AoS) batch or a columnar (SoA)
-/// batch. The queue preserves representation end-to-end — every
-/// operator consumes both and answers lanes with lanes, so a columnar
-/// feed stays columnar through the whole plan; what a sink does with it
-/// is the sink's kind ([`Sink`]).
+/// batch. The queue preserves representation end-to-end — an operator
+/// fed lanes answers in lanes, so a columnar feed stays columnar
+/// through the whole plan; what a sink does with it is the sink's kind
+/// ([`Sink`]).
 enum Payload {
     Rows(Vec<Tuple>),
     Cols(ColumnBatch),
@@ -99,11 +102,13 @@ enum Sink {
 
 /// A compiled, executable plan.
 ///
-/// Feed tuples to source scans with [`Engine::push_batch`] (or the
-/// per-tuple [`Engine::push`] shim), in non-decreasing order of the
-/// stream's temporal attribute, then call [`Engine::finish`]; a query
-/// output's collected rows are available through [`Engine::output`], a
-/// boundary's lanes through [`Engine::drain_boundary`] at any time.
+/// Feed lanes to source scans with [`Engine::push_columns`] or
+/// [`Engine::push_frame`] — or, for the row reference, tuples with
+/// [`Engine::push_batch`] (or the per-tuple [`Engine::push`] shim) — in
+/// non-decreasing order of the stream's temporal attribute, then call
+/// [`Engine::finish`]; a query output's collected rows are available
+/// through [`Engine::output`], a boundary's lanes through
+/// [`Engine::drain_boundary`] at any time.
 pub struct Engine {
     ops: Vec<Box<dyn Operator>>,
     consumers: Vec<Vec<(NodeId, usize)>>,
@@ -113,11 +118,9 @@ pub struct Engine {
     sinks: HashMap<NodeId, Sink>,
     finished: bool,
     batch: BatchConfig,
-    /// Recycled scratch buffers: every routed batch and operator output
-    /// draws from here and returns here, so steady-state routing does
-    /// no buffer allocation.
-    pool: Vec<Vec<Tuple>>,
-    /// Recycled columnar scratch batches (the SoA analogue of `pool`).
+    /// Recycled column batches: every routed lane batch and operator
+    /// output draws from here and returns here, so steady-state lane
+    /// routing does no batch allocation.
     col_pool: Vec<ColumnBatch>,
     /// In-flight batches awaiting delivery, FIFO. Each entry carries
     /// its representation (rows or columns).
@@ -192,7 +195,6 @@ impl Engine {
                 .collect(),
             finished: false,
             batch: BatchConfig::default(),
-            pool: Vec::new(),
             col_pool: Vec::new(),
             queue: VecDeque::new(),
             metrics: vec![OpMetrics::default(); n],
@@ -210,17 +212,6 @@ impl Engine {
     /// The current batch-routing configuration.
     pub fn batch_config(&self) -> BatchConfig {
         self.batch
-    }
-
-    fn take_buf(&mut self) -> Vec<Tuple> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, mut buf: Vec<Tuple>) {
-        if self.pool.len() < POOL_CAP {
-            buf.clear();
-            self.pool.push(buf);
-        }
     }
 
     fn take_col_buf(&mut self) -> ColumnBatch {
@@ -268,18 +259,16 @@ impl Engine {
         if self.metrics_on {
             self.metrics[source].bytes_in += self.wire[source];
         }
-        let mut b = self.take_buf();
-        b.push(tuple);
-        self.queue.push_back((source, 0, Payload::Rows(b)));
+        self.queue
+            .push_back((source, 0, Payload::Rows(vec![tuple])));
         self.run()
     }
 
     /// Delivers a batch of raw tuples to a source scan, draining
-    /// `batch` (its allocation is swapped against a pooled buffer, so
-    /// the caller can refill it without reallocating). Feeds larger
-    /// than [`BatchConfig::max_batch`] are chunked. Every tuple must
-    /// match the scan's schema arity; validation happens up front, so
-    /// a mismatch anywhere in the batch routes nothing.
+    /// `batch`. Feeds larger than [`BatchConfig::max_batch`] are
+    /// chunked. Every tuple must match the scan's schema arity;
+    /// validation happens up front, so a mismatch anywhere in the batch
+    /// routes nothing.
     pub fn push_batch(&mut self, source: NodeId, batch: &mut Vec<Tuple>) -> ExecResult<()> {
         let arity = self.check_source(source)?;
         for t in batch.iter() {
@@ -300,17 +289,14 @@ impl Engine {
         let max = self.batch.max_batch;
         if batch.len() <= max {
             // Whole feed fits one batch: move it, no per-tuple work.
-            let mut b = self.take_buf();
-            std::mem::swap(&mut b, batch);
+            let b = std::mem::take(batch);
             self.queue.push_back((source, 0, Payload::Rows(b)));
             return self.run();
         }
         let mut drain = batch.drain(..);
         loop {
-            let mut b = self.take_buf();
-            b.extend(drain.by_ref().take(max));
+            let b: Vec<Tuple> = drain.by_ref().take(max).collect();
             if b.is_empty() {
-                self.recycle(b);
                 break;
             }
             self.queue.push_back((source, 0, Payload::Rows(b)));
@@ -392,19 +378,17 @@ impl Engine {
                     m.col_batch_occupancy.record(n);
                 }
             }
-            let mut out = self.take_buf();
             match payload {
                 Payload::Rows(mut batch) => {
+                    let mut out = Vec::new();
                     self.ops[id].push_batch(port, &mut batch, &mut out)?;
-                    self.recycle(batch);
                     self.route(id, out);
                 }
                 Payload::Cols(mut cols) => {
-                    let mut cols_out = self.take_col_buf();
-                    self.ops[id].push_columns(port, &mut cols, &mut out, &mut cols_out)?;
+                    let mut out = self.take_col_buf();
+                    self.ops[id].push_columns(port, &mut cols, &mut out)?;
                     self.recycle_col(cols);
-                    self.route(id, out);
-                    self.route_cols(id, cols_out);
+                    self.route_cols(id, out);
                 }
             }
         }
@@ -433,16 +417,13 @@ impl Engine {
             None => {}
         }
         if !has_consumers || out.is_empty() {
-            self.recycle(out);
             return;
         }
         let n = self.consumers[id].len();
         for k in 0..n - 1 {
             // Clone for all but the last consumer.
             let (c, p) = self.consumers[id][k];
-            let mut copy = self.take_buf();
-            copy.extend(out.iter().cloned());
-            self.queue.push_back((c, p, Payload::Rows(copy)));
+            self.queue.push_back((c, p, Payload::Rows(out.clone())));
         }
         let (c, p) = self.consumers[id][n - 1];
         self.queue.push_back((c, p, Payload::Rows(out)));
@@ -492,7 +473,7 @@ impl Engine {
         debug_assert!(!self.finished, "finish called twice");
         self.finished = true;
         for id in 0..self.ops.len() {
-            let mut out = self.take_buf();
+            let mut out = Vec::new();
             let mut cols_out = self.take_col_buf();
             self.ops[id].finish(&mut out, &mut cols_out)?;
             self.route(id, out);
@@ -516,7 +497,7 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to flush")));
         }
-        let mut out = self.take_buf();
+        let mut out = Vec::new();
         let mut cols_out = self.take_col_buf();
         self.ops[node].flush_before(time, &mut out, &mut cols_out)?;
         self.route(node, out);
@@ -547,7 +528,7 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to absorb into")));
         }
-        let mut out = self.take_buf();
+        let mut out = Vec::new();
         self.ops[node].absorb_state(rows, &mut out)?;
         self.route(node, out);
         self.run()

@@ -14,9 +14,7 @@ use crate::fx;
 use crate::ExecResult;
 
 use super::group_table::GroupTable;
-use super::{
-    bucket_of, column_lane_kind, masked, merge_lanes, reset_arity, OpRuntimeStats, Operator,
-};
+use super::{bucket_of, column_lane_kind, masked, merge_lanes, Emit, OpRuntimeStats, Operator};
 
 /// How to create fresh per-group aggregate state.
 pub(crate) enum AccFactory {
@@ -44,6 +42,26 @@ impl AnyAcc {
         match self {
             AnyAcc::Builtin(a) => a.merge(v),
             AnyAcc::Udaf(u) => u.merge(v),
+        }
+    }
+
+    /// `COUNT(*)`'s fold: what `update` does with any non-null value,
+    /// inline for the built-in counter.
+    #[inline]
+    fn count(&mut self) {
+        match self {
+            AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
+            other => other.update(&Value::Bool(true)),
+        }
+    }
+
+    /// `update(&Value::UInt(x))`, inline for a built-in `SUM`
+    /// (`Accumulator::update`'s `Sum`+`UInt` arm).
+    #[inline]
+    fn add_uint(&mut self, x: u64) {
+        match self {
+            AnyAcc::Builtin(Accumulator::Sum(s)) => *s = Some(s.unwrap_or(0) + i128::from(x)),
+            other => other.update(&Value::UInt(x)),
         }
     }
 
@@ -115,22 +133,34 @@ impl AggSlot {
             AccFactory::Udaf(u) => AnyAcc::Udaf(u.init()),
         }
     }
+
+    /// Folds one input row into `acc`: the argument's value (every row
+    /// counts for `COUNT(*)`), merged when the slot takes partials.
+    fn fold(&self, acc: &mut AnyAcc, row: &Tuple) -> ExecResult<()> {
+        let v = match &self.arg {
+            Some(e) => e.eval(row)?,
+            None => Value::Bool(true),
+        };
+        if self.merge {
+            acc.merge(&v);
+        } else {
+            acc.update(&v);
+        }
+        Ok(())
+    }
 }
 
-/// Precompiled fast path for one group-key expression, classified once
-/// at operator construction. The general recursive evaluator threads a
-/// `Result<Value>` through every node, which is a measurable share of
-/// the per-tuple cost; the two shapes every windowed query hits — a
-/// plain column and the `time/60` window key — shortcut it on both
-/// paths, and any other numeric key (`srcIP & 0xFFF0`) compiles to a
-/// kernel for the columnar one. Each fast path reproduces
-/// [`BoundExpr::eval`] exactly and falls back to it for any input value
-/// outside its domain.
+/// How the lane path reads one group-key expression, classified once
+/// at operator construction: the two shapes every windowed query hits —
+/// a plain column and the `time/60` window key — read their lanes
+/// directly, and any other numeric key (`srcIP & 0xFFF0`) compiles to a
+/// kernel. Each reproduces [`BoundExpr::eval`] exactly; a batch whose
+/// lanes fall outside a shape's domain takes the per-row algorithm.
 enum KeyEval {
     /// Plain column reference.
     Col(usize),
     /// `column / <positive unsigned literal>` over an unsigned input;
-    /// other inputs (NULL, signed, …) take the general path. When
+    /// other inputs (NULL, signed, …) take the per-row path. When
     /// `magic` is non-zero (divisor in `2..2^32`), a dividend that fits
     /// 32 bits strength-reduces the hardware division to a
     /// multiply-shift: with `m = ⌊2^64/d⌋ + 1`, `(x·m) >> 64 = ⌊x/d⌋`
@@ -139,11 +169,10 @@ enum KeyEval {
     /// true fraction `r/d` sits at least `1/d > 2^-32` below the next
     /// integer).
     DivConst { col: usize, div: u64, magic: u64 },
-    /// Any other key inside the numeric kernel domain: the columnar
-    /// path evaluates it once per batch into an owned unsigned lane;
-    /// the row path evaluates it like [`KeyEval::General`].
+    /// Any other key inside the numeric kernel domain, evaluated once
+    /// per batch into an owned unsigned lane.
     Kernel(NumKernel),
-    /// Full recursive evaluation.
+    /// Outside every lane shape: the per-row path evaluates it.
     General,
 }
 
@@ -177,44 +206,20 @@ impl KeyEval {
     fn general(e: &BoundExpr) -> KeyEval {
         NumKernel::compile(e).map_or(KeyEval::General, KeyEval::Kernel)
     }
-
-    /// Whether the row path reads this key straight off the tuple.
-    fn is_fast(&self) -> bool {
-        matches!(self, KeyEval::Col(_) | KeyEval::DivConst { .. })
-    }
 }
 
-/// Precompiled fast path for one aggregate slot's per-tuple fold.
+/// How the lane path folds one aggregate slot, classified once at
+/// operator construction (the per-batch [`SlotLane`] refines it).
 enum SlotEval {
-    /// `COUNT(*)` on a built-in accumulator: unconditional increment
-    /// (the general path folds a non-null marker, which counts every
-    /// tuple — identical).
+    /// `COUNT(*)`: an unconditional increment.
     CountStar,
-    /// `SUM(column)` on a built-in accumulator over an unsigned input:
-    /// widen-and-add inline, mirroring `Accumulator::update`'s
-    /// `Sum`+`UInt` arm exactly; any other input value falls back to
-    /// the full update.
+    /// `SUM(column)` on a built-in accumulator: widen-and-add straight
+    /// off a non-null unsigned lane.
     SumCol(usize),
-    /// Non-merge fold of a plain column argument: update straight from
-    /// the tuple slot, skipping the expression evaluator and its value
-    /// clone. `Accumulator::update` takes the value by reference, so
-    /// semantics are bit-identical.
+    /// Non-merge fold of a plain column argument, read off its lane.
     Col(usize),
     /// Evaluate the argument expression, then update or merge.
     General,
-}
-
-/// Where the fast key path reads the temporal (window) attribute from,
-/// precomputed so the per-tuple loop neither re-indexes the key scratch
-/// nor re-evaluates the expression. Only meaningful when every key
-/// expression is fast ([`AggregateOp::fast_keys`]).
-enum TemporalSrc {
-    /// Tuple column index (a `KeyEval::Col` temporal key).
-    Col(usize),
-    /// Index into the per-tuple division scratch (a `KeyEval::DivConst`
-    /// temporal key, e.g. `time/60`; the quotient is unsigned, so the
-    /// attribute is never NULL on this path).
-    Div(usize),
 }
 
 /// Strength-reduced unsigned division for the window key (see
@@ -226,29 +231,6 @@ fn div_q(x: u64, div: u64, magic: u64) -> u64 {
     } else {
         x / div
     }
-}
-
-/// Compares a stored group key against the *current tuple's* key
-/// without materializing the latter: plain columns compare in place and
-/// window quotients come from `divs` (one entry per `DivConst` eval, in
-/// key order). Equality agrees exactly with the `[Value]` comparison
-/// the materializing path performs, because the materialized key is a
-/// clone of precisely these values.
-#[inline]
-fn key_matches(evals: &[KeyEval], divs: &[u64], tuple: &Tuple, key: &[Value]) -> bool {
-    let mut d = 0;
-    evals.iter().zip(key).all(|(ev, kv)| match ev {
-        KeyEval::Col(i) => kv == tuple.get(*i),
-        KeyEval::DivConst { .. } => {
-            let q = divs[d];
-            d += 1;
-            matches!(kv, Value::UInt(x) if *x == q)
-        }
-        KeyEval::Kernel(_) | KeyEval::General => {
-            debug_assert!(false, "fast key path excludes interpreted evals");
-            false
-        }
-    })
 }
 
 impl SlotEval {
@@ -273,21 +255,14 @@ impl SlotEval {
 pub(crate) struct AggregateOp {
     predicate: Option<BoundExpr>,
     group_exprs: Vec<BoundExpr>,
-    /// Fast paths for `group_exprs`, classified once (parallel vector).
+    /// Lane shapes of `group_exprs`, classified once (parallel vector).
     key_evals: Vec<KeyEval>,
-    /// True when every key eval is `Col` or `DivConst`: the per-tuple
-    /// loop then hashes and compares the group key straight from the
-    /// tuple and only materializes an owned key when a new group
-    /// inserts — the common case (a probe hit) clones nothing.
-    fast_keys: bool,
-    /// Where the fast path reads the window attribute (unused when
-    /// `fast_keys` is false).
-    temporal_src: TemporalSrc,
     /// Index (within the group key) of the temporal attribute that
     /// defines the window.
     temporal_idx: usize,
     slots: Vec<AggSlot>,
-    /// Fast paths for `slots` folds, classified once (parallel vector).
+    /// Lane shapes of the `slots` folds, classified once (parallel
+    /// vector).
     slot_evals: Vec<SlotEval>,
     having: Option<BoundExpr>,
     current_bucket: Option<i128>,
@@ -313,15 +288,6 @@ pub(crate) struct AggregateOp {
     /// scratch and probes by slice; a new group drains the scratch into
     /// the table's key arena, so no per-group allocation ever happens.
     key_scratch: Vec<Value>,
-    /// Per-tuple window-key quotients on the fast path (one per
-    /// `DivConst` eval, in key order), feeding both the probe
-    /// comparison and the insert-time key materialization.
-    div_scratch: Vec<u64>,
-    /// Recycled tuple backing buffers: consumed input tuples donate
-    /// their (cleared) allocations here and window flushes build output
-    /// rows from them, so steady-state emission allocates nothing —
-    /// the malloc/free pair per group row becomes a freelist pop/push.
-    spare: Vec<Vec<Value>>,
     /// Compiled predicate kernel for the columnar path (None: no
     /// predicate, or outside the kernel domain).
     kernel: Option<PredicateKernel>,
@@ -333,11 +299,10 @@ pub(crate) struct AggregateOp {
     /// key lane) so the probe loop touches no `Value`s at all.
     hash_scratch: Vec<u64>,
     /// Per-row window-key quotients on the columnar path, one lane per
-    /// `DivConst` eval in key order (the columnar analogue of
-    /// `div_scratch`).
+    /// `DivConst` eval in key order.
     q_lanes: Vec<Vec<u64>>,
-    /// Reused row materialization for columnar fallbacks (interpreter
-    /// predicates, `General` slot folds).
+    /// Reused row: a columnar fallback's materialization (interpreter
+    /// predicates, `General` slot folds) and each emitted group row.
     row_scratch: Tuple,
     /// Recycled surviving-row indices for the interpreter predicate
     /// fallback, so a kernel bailout does not reallocate two index
@@ -356,8 +321,8 @@ pub(crate) struct AggregateOp {
     /// Columnar batches whose classified key lanes completed, tallied
     /// by lane type (one batch credits every lane type it read).
     lane_hits: [u64; LANE_KINDS],
-    /// Columnar batches bounced to the row path, tallied by the lane
-    /// type that forced the bounce.
+    /// Columnar batches bounced to the per-row algorithm, tallied by
+    /// the lane type that forced the bounce.
     lane_fallbacks: [u64; LANE_KINDS],
     /// Flattened fold-word sequences of a dictionary key lane's
     /// distinct strings (reused across batches), with
@@ -367,10 +332,6 @@ pub(crate) struct AggregateOp {
     kernel_hits: u64,
     kernel_fallbacks: u64,
 }
-
-/// Cap on recycled tuple buffers (bounds idle memory to a few hundred
-/// input-arity rows); beyond this, consumed tuples drop normally.
-const SPARE_CAP: usize = 512;
 
 impl AggregateOp {
     pub(crate) fn new(
@@ -389,23 +350,9 @@ impl AggregateOp {
                 emit_partial,
             })
             .collect();
-        let key_evals: Vec<KeyEval> = group_exprs.iter().map(KeyEval::classify).collect();
-        let fast_keys = key_evals.iter().all(KeyEval::is_fast);
-        let divs_before = key_evals[..temporal_idx]
-            .iter()
-            .filter(|e| matches!(e, KeyEval::DivConst { .. }))
-            .count();
-        let temporal_src = match &key_evals[temporal_idx] {
-            KeyEval::Col(i) => TemporalSrc::Col(*i),
-            KeyEval::DivConst { .. } => TemporalSrc::Div(divs_before),
-            // Unused: `fast_keys` is false, so the slow path runs.
-            KeyEval::Kernel(_) | KeyEval::General => TemporalSrc::Col(0),
-        };
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         AggregateOp {
-            key_evals,
-            fast_keys,
-            temporal_src,
+            key_evals: group_exprs.iter().map(KeyEval::classify).collect(),
             slot_evals: slots.iter().map(SlotEval::classify).collect(),
             predicate,
             group_exprs,
@@ -419,8 +366,6 @@ impl AggregateOp {
             flushes: 0,
             flush_ns: 0,
             key_scratch: Vec::new(),
-            div_scratch: Vec::new(),
-            spare: Vec::new(),
             kernel,
             kscratch: KernelScratch::new(),
             sel: SelectionVector::new(),
@@ -440,44 +385,9 @@ impl AggregateOp {
         }
     }
 
-    #[inline]
-    fn fold(
-        slots: &[AggSlot],
-        slot_evals: &[SlotEval],
-        accs: &mut [AnyAcc],
-        tuple: &Tuple,
-    ) -> ExecResult<()> {
-        for ((slot, ev), acc) in slots.iter().zip(slot_evals).zip(accs.iter_mut()) {
-            match ev {
-                SlotEval::CountStar => match acc {
-                    AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-                    other => other.update(&Value::Bool(true)),
-                },
-                SlotEval::SumCol(i) => match (&mut *acc, tuple.get(*i)) {
-                    (AnyAcc::Builtin(Accumulator::Sum(s)), Value::UInt(x)) => {
-                        *s = Some(s.unwrap_or(0) + i128::from(*x));
-                    }
-                    (acc, v) => acc.update(v),
-                },
-                SlotEval::Col(i) => acc.update(tuple.get(*i)),
-                SlotEval::General => {
-                    let v = match &slot.arg {
-                        Some(e) => e.eval(tuple)?,
-                        // COUNT(*): every tuple counts.
-                        None => Value::Bool(true),
-                    };
-                    if slot.merge {
-                        acc.merge(&v);
-                    } else {
-                        acc.update(&v);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, out: &mut Vec<Tuple>) -> ExecResult<()> {
+    /// Closes the current window: emits its groups into `out` and
+    /// empties the table.
+    fn flush(&mut self, out: &mut impl Emit) -> ExecResult<()> {
         let start = std::time::Instant::now();
         let (mut keys, accs, n) = self.groups.take_entries();
         let res = self.emit(&mut keys, &accs, n, out);
@@ -489,34 +399,18 @@ impl AggregateOp {
         res
     }
 
-    /// [`AggregateOp::flush`] for the columnar path: emits the closed
-    /// window into a [`ColumnBatch`] (reusing `row_scratch` per row)
-    /// instead of allocating one `Vec<Value>` per output tuple — the
-    /// engine pools the batch, so steady-state columnar emission
-    /// allocates nothing per row.
-    fn flush_cols(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
-        let start = std::time::Instant::now();
-        let (mut keys, accs, n) = self.groups.take_entries();
-        let res = self.emit_cols(&mut keys, &accs, n, out);
-        self.groups.restore(keys, accs);
-        self.flushes += 1;
-        self.flush_ns += start.elapsed().as_nanos() as u64;
-        res
-    }
-
-    /// [`AggregateOp::emit`] into a columnar batch: each group row is
-    /// built in the reused `row_scratch`, HAVING-filtered, and appended
-    /// lane-wise — no per-row buffer allocation.
-    fn emit_cols(
+    /// Emits `n` drained groups — keys drained from the flat key arena,
+    /// one finalized (or partial) value per aggregate slot — applying
+    /// the HAVING filter. Each row is built in the reused `row_scratch`.
+    fn emit(
         &mut self,
         keys: &mut Vec<Value>,
         accs_arena: &[AnyAcc],
         n: usize,
-        out: &mut ColumnBatch,
+        out: &mut impl Emit,
     ) -> ExecResult<()> {
         let arity = self.group_exprs.len();
         let width = self.slots.len();
-        reset_arity(out, arity + width);
         let mut vals = keys.drain(..);
         for e in 0..n {
             let accs = &accs_arena[e * width..(e + 1) * width];
@@ -536,120 +430,15 @@ impl AggregateOp {
                     continue;
                 }
             }
-            out.push_row(&self.row_scratch);
+            out.emit(&mut self.row_scratch);
         }
         Ok(())
     }
 
-    /// Emits `n` drained groups — keys drained from the flat key arena,
-    /// one finalized (or partial) value per aggregate slot — applying
-    /// the HAVING filter.
-    fn emit(
-        &mut self,
-        keys: &mut Vec<Value>,
-        accs_arena: &[AnyAcc],
-        n: usize,
-        out: &mut Vec<Tuple>,
-    ) -> ExecResult<()> {
-        let arity = self.group_exprs.len();
-        let width = self.slots.len();
-        out.reserve(n);
-        let mut vals = keys.drain(..);
-        for e in 0..n {
-            let accs = &accs_arena[e * width..(e + 1) * width];
-            let mut buf = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(arity + width));
-            // `take(arity)` off a drain is exact-size, so this extend
-            // is one reservation plus straight moves — no per-value
-            // capacity check like a push loop.
-            buf.extend(vals.by_ref().take(arity));
-            for (slot, acc) in self.slots.iter().zip(accs) {
-                buf.push(if slot.emit_partial {
-                    acc.partial()
-                } else {
-                    acc.finalize()
-                });
-            }
-            let t = Tuple::new(buf);
-            if let Some(h) = &self.having {
-                if !h.eval_predicate(&t)? {
-                    continue;
-                }
-            }
-            out.push(t);
-        }
-        Ok(())
-    }
-
-    /// Donates a consumed input tuple's backing buffer to the spare
-    /// freelist (cleared, values dropped now) for reuse as an output
-    /// row; past the cap the tuple drops normally.
-    #[inline]
-    fn recycle(&mut self, tuple: Tuple) {
-        if self.spare.len() < SPARE_CAP {
-            let mut vals = tuple.into_values();
-            vals.clear();
-            self.spare.push(vals);
-        }
-    }
-
-    /// Builds the owned group key in `key_scratch` for a fast-path
-    /// tuple: plain columns clone out of the tuple, window quotients
-    /// come from `div_scratch`. Runs only when a new group inserts.
-    fn materialize_key(&mut self, tuple: &Tuple) {
-        self.key_scratch.clear();
-        let mut d = 0;
-        for ev in &self.key_evals {
-            match ev {
-                KeyEval::Col(i) => self.key_scratch.push(tuple.get(*i).clone()),
-                KeyEval::DivConst { .. } => {
-                    self.key_scratch.push(Value::UInt(self.div_scratch[d]));
-                    d += 1;
-                }
-                KeyEval::Kernel(_) | KeyEval::General => {
-                    debug_assert!(false, "fast key path excludes interpreted evals")
-                }
-            }
-        }
-    }
-
-    /// The materializing (general) per-tuple path: evaluates the group
-    /// key into the reused scratch — hashing it in the same pass — and
-    /// probes by slice; a brand-new group moves the scratch's values
-    /// into the table's flat key arena (no allocation). The predicate
-    /// has already been applied by the caller.
-    fn push_one(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) -> ExecResult<()> {
-        self.key_scratch.clear();
-        let mut vh = fx::ValueHash::new();
-        for (e, ev) in self.group_exprs.iter().zip(&self.key_evals) {
-            let v = match ev {
-                KeyEval::Col(i) => tuple.get(*i).clone(),
-                KeyEval::DivConst { col, div, magic } => match tuple.get(*col) {
-                    Value::UInt(x) => Value::UInt(div_q(*x, *div, *magic)),
-                    _ => e.eval(&tuple)?,
-                },
-                KeyEval::Kernel(_) | KeyEval::General => e.eval(&tuple)?,
-            };
-            vh.add(&v);
-            self.key_scratch.push(v);
-        }
-        let hash = vh.finish();
-        if self.key_scratch[self.temporal_idx].is_null() {
-            // NULL window attribute (e.g. outer-join padding): no
-            // window ever closes over it, so accumulate until
-            // end-of-stream.
-            let accs = self.null_groups.get_or_insert(
-                hash,
-                &mut self.key_scratch,
-                self.slots.iter().map(AggSlot::fresh),
-            );
-            Self::fold(&self.slots, &self.slot_evals, accs, &tuple)?;
-            self.recycle(tuple);
-            return Ok(());
-        }
-        let bucket = bucket_of(&self.key_scratch[self.temporal_idx]);
+    /// Admits a row of window `bucket`: a later window first closes the
+    /// current one into `out`; an earlier one is late — counted, and
+    /// `false`.
+    fn admit(&mut self, bucket: i128, out: &mut impl Emit) -> ExecResult<bool> {
         match self.current_bucket {
             Some(cur) if bucket > cur => {
                 self.flush(out)?;
@@ -657,18 +446,68 @@ impl AggregateOp {
             }
             Some(cur) if bucket < cur => {
                 self.late += 1;
-                return Ok(());
+                return Ok(false);
             }
             Some(_) => {}
             None => self.current_bucket = Some(bucket),
         }
-        let accs = self.groups.get_or_insert(
-            hash,
-            &mut self.key_scratch,
-            self.slots.iter().map(AggSlot::fresh),
-        );
-        Self::fold(&self.slots, &self.slot_evals, accs, &tuple)?;
-        self.recycle(tuple);
+        Ok(true)
+    }
+
+    /// The per-tuple algorithm (Section 3.1), for a tuple the predicate
+    /// has kept: evaluate the group key into the reused scratch —
+    /// hashing it in the same pass — find or create its group in the
+    /// current window (a later window closes this one first), and fold
+    /// the tuple into every slot.
+    fn push_one(&mut self, tuple: &Tuple, out: &mut impl Emit) -> ExecResult<()> {
+        self.key_scratch.clear();
+        let mut vh = fx::ValueHash::new();
+        for e in &self.group_exprs {
+            let v = e.eval(tuple)?;
+            vh.add(&v);
+            self.key_scratch.push(v);
+        }
+        let hash = vh.finish();
+        let temporal = &self.key_scratch[self.temporal_idx];
+        let accs = if temporal.is_null() {
+            // NULL window attribute (e.g. outer-join padding): no
+            // window ever closes over it, so accumulate until
+            // end-of-stream.
+            self.null_groups.get_or_insert(
+                hash,
+                &mut self.key_scratch,
+                self.slots.iter().map(AggSlot::fresh),
+            )
+        } else {
+            let bucket = bucket_of(temporal);
+            if !self.admit(bucket, out)? {
+                return Ok(());
+            }
+            self.groups.get_or_insert(
+                hash,
+                &mut self.key_scratch,
+                self.slots.iter().map(AggSlot::fresh),
+            )
+        };
+        for (slot, acc) in self.slots.iter().zip(accs) {
+            slot.fold(acc, tuple)?;
+        }
+        Ok(())
+    }
+
+    /// Closes every window at end-of-stream, the NULL-window groups
+    /// last (their emission folds into the final flush's latency
+    /// accounting).
+    fn close(&mut self, out: &mut impl Emit) -> ExecResult<()> {
+        self.flush(out)?;
+        let start = std::time::Instant::now();
+        let (mut keys, accs, n) = self.null_groups.take_entries();
+        let res = self.emit(&mut keys, &accs, n, out);
+        self.null_groups.restore(keys, accs);
+        self.flush_ns += start.elapsed().as_nanos() as u64;
+        res?;
+        self.current_bucket = None;
+        debug_assert!(self.groups.is_empty() && self.null_groups.is_empty());
         Ok(())
     }
 
@@ -699,13 +538,11 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Folds row `r` into a group's accumulators, mirroring
-    /// [`AggregateOp::fold`] arm for arm. The per-batch
+    /// Folds row `r` into a group's accumulators. The per-batch
     /// [`SlotLane`] classification hoists the lane resolution out of
     /// the row loop: `Count` increments, `SumU` widen-adds straight off
-    /// its captured unsigned lane, and everything else takes the exact
-    /// per-row arm (`General` slots evaluate against `row` — the
-    /// caller's materialization of row `r`).
+    /// its captured unsigned lane, and everything else takes
+    /// [`fold_row`].
     fn fold_lanes(
         slots: &[AggSlot],
         slot_evals: &[SlotEval],
@@ -713,7 +550,7 @@ impl AggregateOp {
         accs: &mut [AnyAcc],
         batch: &ColumnBatch,
         r: usize,
-        row: &Tuple,
+        row: &mut Tuple,
     ) -> ExecResult<()> {
         for (((slot, ev), lane), acc) in slots
             .iter()
@@ -722,44 +559,9 @@ impl AggregateOp {
             .zip(accs.iter_mut())
         {
             match lane {
-                SlotLane::Count => match acc {
-                    AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-                    other => other.update(&Value::Bool(true)),
-                },
-                SlotLane::SumU(l) => match &mut *acc {
-                    AnyAcc::Builtin(Accumulator::Sum(s)) => {
-                        *s = Some(s.unwrap_or(0) + i128::from(l[r]));
-                    }
-                    acc => acc.update(&Value::UInt(l[r])),
-                },
-                SlotLane::Row => match ev {
-                    SlotEval::CountStar => match acc {
-                        AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-                        other => other.update(&Value::Bool(true)),
-                    },
-                    SlotEval::SumCol(i) => {
-                        let c = batch.column(*i);
-                        match (&mut *acc, c.uints()) {
-                            (AnyAcc::Builtin(Accumulator::Sum(s)), Some(lane)) if !c.is_null(r) => {
-                                *s = Some(s.unwrap_or(0) + i128::from(lane[r]));
-                            }
-                            (acc, _) => acc.update(&c.value(r)),
-                        }
-                    }
-                    SlotEval::Col(i) => acc.update(&batch.column(*i).value(r)),
-                    SlotEval::General => {
-                        let v = match &slot.arg {
-                            Some(e) => e.eval(row)?,
-                            // COUNT(*): every tuple counts.
-                            None => Value::Bool(true),
-                        };
-                        if slot.merge {
-                            acc.merge(&v);
-                        } else {
-                            acc.update(&v);
-                        }
-                    }
-                },
+                SlotLane::Count => acc.count(),
+                SlotLane::SumU(l) => acc.add_uint(l[r]),
+                SlotLane::Row => fold_row(slot, ev, acc, batch, r, row)?,
             }
         }
         Ok(())
@@ -790,85 +592,60 @@ impl AggregateOp {
         if let [SlotLane::Count, SlotLane::SumU(l)] = slot_lanes {
             for &er in ents {
                 let e = (er >> 32) as usize;
-                let x = i128::from(l[er as u32 as usize]);
                 let [c, s] = &mut payloads[e * 2..e * 2 + 2] else {
                     unreachable!("entry payloads are exactly `width` slots");
                 };
-                match (c, s) {
-                    (
-                        AnyAcc::Builtin(Accumulator::Count(n)),
-                        AnyAcc::Builtin(Accumulator::Sum(s)),
-                    ) => {
-                        *n += 1;
-                        *s = Some(s.unwrap_or(0) + x);
-                    }
-                    (c, s) => {
-                        c.update(&Value::Bool(true));
-                        s.update(&Value::UInt(l[er as u32 as usize]));
-                    }
-                }
+                c.count();
+                s.add_uint(l[er as u32 as usize]);
             }
             return Ok(());
         }
         for (k, ((slot, ev), lane)) in slots.iter().zip(slot_evals).zip(slot_lanes).enumerate() {
+            let acc = |er: u64| (er >> 32) as usize * width + k;
             match lane {
                 SlotLane::Count => {
                     for &er in ents {
-                        match &mut payloads[(er >> 32) as usize * width + k] {
-                            AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-                            other => other.update(&Value::Bool(true)),
-                        }
+                        payloads[acc(er)].count();
                     }
                 }
                 SlotLane::SumU(l) => {
                     for &er in ents {
-                        match &mut payloads[(er >> 32) as usize * width + k] {
-                            AnyAcc::Builtin(Accumulator::Sum(s)) => {
-                                *s = Some(s.unwrap_or(0) + i128::from(l[er as u32 as usize]));
-                            }
-                            acc => acc.update(&Value::UInt(l[er as u32 as usize])),
-                        }
+                        payloads[acc(er)].add_uint(l[er as u32 as usize]);
                     }
                 }
                 SlotLane::Row => {
                     for &er in ents {
                         let r = er as u32 as usize;
-                        let acc = &mut payloads[(er >> 32) as usize * width + k];
-                        match ev {
-                            SlotEval::CountStar => match acc {
-                                AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-                                other => other.update(&Value::Bool(true)),
-                            },
-                            SlotEval::SumCol(i) => {
-                                let c = batch.column(*i);
-                                match (&mut *acc, c.uints()) {
-                                    (AnyAcc::Builtin(Accumulator::Sum(s)), Some(lane))
-                                        if !c.is_null(r) =>
-                                    {
-                                        *s = Some(s.unwrap_or(0) + i128::from(lane[r]));
-                                    }
-                                    (acc, _) => acc.update(&c.value(r)),
-                                }
-                            }
-                            SlotEval::Col(i) => acc.update(&batch.column(*i).value(r)),
-                            SlotEval::General => {
-                                batch.write_row_into(r, row_scratch);
-                                let v = match &slot.arg {
-                                    Some(e) => e.eval(row_scratch)?,
-                                    None => Value::Bool(true),
-                                };
-                                if slot.merge {
-                                    acc.merge(&v);
-                                } else {
-                                    acc.update(&v);
-                                }
-                            }
-                        }
+                        fold_row(slot, ev, &mut payloads[acc(er)], batch, r, row_scratch)?;
                     }
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// The per-row fold of a [`SlotLane::Row`] slot, shared by both lane
+/// folds: a column argument updates straight off its lane, anything
+/// else evaluates against row `r` materialized into `row`.
+#[inline]
+fn fold_row(
+    slot: &AggSlot,
+    ev: &SlotEval,
+    acc: &mut AnyAcc,
+    batch: &ColumnBatch,
+    r: usize,
+    row: &mut Tuple,
+) -> ExecResult<()> {
+    match ev {
+        SlotEval::SumCol(i) | SlotEval::Col(i) => {
+            acc.update(&batch.column(*i).value(r));
+            Ok(())
+        }
+        SlotEval::CountStar | SlotEval::General => {
+            batch.write_row_into(r, row);
+            slot.fold(acc, row)
+        }
     }
 }
 
@@ -937,7 +714,7 @@ impl AggregateOp {
         if let Some(cur) = self.current_bucket {
             if cur < boundary {
                 if self.lane_fed {
-                    self.flush_cols(cols_out)?;
+                    self.flush(cols_out)?;
                 } else {
                     self.flush(rows_out)?;
                 }
@@ -1007,17 +784,8 @@ impl AggregateOp {
                 )
             } else {
                 let bucket = bucket_of(&self.key_scratch[self.temporal_idx]);
-                match self.current_bucket {
-                    Some(cur) if bucket > cur => {
-                        self.flush(out)?;
-                        self.current_bucket = Some(bucket);
-                    }
-                    Some(cur) if bucket < cur => {
-                        self.late += 1;
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => self.current_bucket = Some(bucket),
+                if !self.admit(bucket, out)? {
+                    continue;
                 }
                 self.groups.get_or_insert(
                     hash,
@@ -1319,9 +1087,8 @@ fn key_matches_lanes(lanes: &[KeyLane<'_>], q_lanes: &[Vec<u64>], r: usize, key:
     })
 }
 
-/// Builds the owned group key for row `r` from classified lanes — the
-/// lane-reading analogue of [`AggregateOp::materialize_key`]. Runs only
-/// when a new group inserts.
+/// Builds the owned group key for row `r` from classified lanes. Runs
+/// only when a new group inserts.
 fn materialize_key_lanes(
     lanes: &[KeyLane<'_>],
     q_lanes: &[Vec<u64>],
@@ -1374,8 +1141,7 @@ enum SlotLane<'a> {
     /// Built-in `SUM` over a non-null unsigned lane: widen-add off the
     /// captured lane.
     SumU(&'a [u64]),
-    /// Everything else: the exact per-row arm of the matching
-    /// [`SlotEval`].
+    /// Everything else: [`fold_row`].
     Row,
 }
 
@@ -1403,115 +1169,22 @@ impl Operator for AggregateOp {
         batch: &mut Vec<Tuple>,
         out: &mut Vec<Tuple>,
     ) -> ExecResult<()> {
-        let arity = self.group_exprs.len();
         for tuple in batch.drain(..) {
             if let Some(p) = &self.predicate {
                 if !p.eval_predicate(&tuple)? {
                     continue;
                 }
             }
-            if !self.fast_keys {
-                self.push_one(tuple, out)?;
-                continue;
-            }
-            // Fast key path: hash the group key straight from the tuple
-            // (no clones, no scratch writes) and probe with an in-place
-            // comparison; the owned key materializes only when a new
-            // group inserts. A `DivConst` eval over an unexpected value
-            // (non-unsigned input) falls back to the materializing path
-            // for that tuple — both paths hash identical values, so
-            // they probe the same table consistently.
-            self.div_scratch.clear();
-            let mut vh = fx::ValueHash::new();
-            let mut fallback = false;
-            for ev in &self.key_evals {
-                match ev {
-                    KeyEval::Col(i) => vh.add(tuple.get(*i)),
-                    KeyEval::DivConst { col, div, magic } => match tuple.get(*col) {
-                        Value::UInt(x) => {
-                            let q = div_q(*x, *div, *magic);
-                            vh.add(&Value::UInt(q));
-                            self.div_scratch.push(q);
-                        }
-                        _ => {
-                            fallback = true;
-                            break;
-                        }
-                    },
-                    KeyEval::Kernel(_) | KeyEval::General => {
-                        fallback = true;
-                        break;
-                    }
-                }
-            }
-            if fallback {
-                self.push_one(tuple, out)?;
-                continue;
-            }
-            let hash = vh.finish();
-            let (temporal_null, bucket) = match self.temporal_src {
-                TemporalSrc::Col(i) => {
-                    let v = tuple.get(i);
-                    (v.is_null(), bucket_of(v))
-                }
-                // Window quotients are unsigned: never NULL.
-                TemporalSrc::Div(d) => (false, i128::from(self.div_scratch[d])),
-            };
-            if temporal_null {
-                // NULL window attribute (e.g. outer-join padding): no
-                // window ever closes over it, so accumulate until
-                // end-of-stream.
-                self.materialize_key(&tuple);
-                let accs = self.null_groups.get_or_insert(
-                    hash,
-                    &mut self.key_scratch,
-                    self.slots.iter().map(AggSlot::fresh),
-                );
-                Self::fold(&self.slots, &self.slot_evals, accs, &tuple)?;
-                self.recycle(tuple);
-                continue;
-            }
-            match self.current_bucket {
-                Some(cur) if bucket > cur => {
-                    self.flush(out)?;
-                    self.current_bucket = Some(bucket);
-                }
-                Some(cur) if bucket < cur => {
-                    self.late += 1;
-                    continue;
-                }
-                Some(_) => {}
-                None => self.current_bucket = Some(bucket),
-            }
-            let found = {
-                let evals = &self.key_evals;
-                let divs = &self.div_scratch;
-                self.groups
-                    .find_with(hash, arity, |key| key_matches(evals, divs, &tuple, key))
-            };
-            let accs = match found {
-                Some(e) => self.groups.payload_mut(e),
-                None => {
-                    self.materialize_key(&tuple);
-                    self.groups.insert_new(
-                        hash,
-                        &mut self.key_scratch,
-                        self.slots.iter().map(AggSlot::fresh),
-                    )
-                }
-            };
-            Self::fold(&self.slots, &self.slot_evals, accs, &tuple)?;
-            self.recycle(tuple);
+            self.push_one(&tuple, out)?;
         }
         Ok(())
     }
 
     fn push_columns(
         &mut self,
-        port: usize,
+        _port: usize,
         batch: &mut ColumnBatch,
-        rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             batch.clear();
@@ -1536,8 +1209,9 @@ impl Operator for AggregateOp {
         // Computed keys evaluate once per batch into owned lanes; then
         // key-lane eligibility gates the whole batch. Ineligible shapes
         // (a bailed key kernel, Mixed lanes, General evals, non-unsigned
-        // window attributes) materialize the survivors and take the
-        // exact row path, whose predicate pass keeps all of them again.
+        // window attributes) run the survivors through the per-tuple
+        // algorithm one materialized row at a time; the windows they
+        // close still leave as lanes.
         let computed: Option<Vec<Column>> = self
             .key_evals
             .iter()
@@ -1555,10 +1229,14 @@ impl Operator for AggregateOp {
             Err(kind) => {
                 self.kernel_fallbacks += 1;
                 self.lane_fallbacks[kind as usize] += 1;
-                let mut rows = Vec::with_capacity(batch.rows());
-                batch.append_rows_to(&mut rows);
+                let mut row = std::mem::take(&mut self.row_scratch);
+                for r in 0..batch.rows() {
+                    batch.write_row_into(r, &mut row);
+                    self.push_one(&row, out)?;
+                }
+                self.row_scratch = row;
                 batch.clear();
-                return self.push_batch(port, &mut rows, rows_out);
+                return Ok(());
             }
         };
         self.kernel_hits += 1;
@@ -1569,10 +1247,6 @@ impl Operator for AggregateOp {
         }
         let arity = self.group_exprs.len();
         let rows = batch.rows();
-        let any_general = self
-            .slot_evals
-            .iter()
-            .any(|e| matches!(e, SlotEval::General));
         let slot_lanes = classify_slot_lanes(&self.slot_evals, batch);
         // All-unsigned keys — the shape of every §6 query — take the
         // word fast path: one row-major word buffer per batch serves as
@@ -1615,7 +1289,7 @@ impl Operator for AggregateOp {
                             &mut self.row_scratch,
                         )?;
                         ents.clear();
-                        self.flush_cols(cols_out)?;
+                        self.flush(out)?;
                         self.current_bucket = Some(bucket);
                     }
                     Some(cur) if bucket < cur => {
@@ -1680,17 +1354,8 @@ impl Operator for AggregateOp {
                 TSrc::U(l) => i128::from(l[r]),
                 TSrc::Q(d) => i128::from(self.q_lanes[d][r]),
             };
-            match self.current_bucket {
-                Some(cur) if bucket > cur => {
-                    self.flush_cols(cols_out)?;
-                    self.current_bucket = Some(bucket);
-                }
-                Some(cur) if bucket < cur => {
-                    self.late += 1;
-                    continue;
-                }
-                Some(_) => {}
-                None => self.current_bucket = Some(bucket),
+            if !self.admit(bucket, out)? {
+                continue;
             }
             let found = {
                 let q_lanes = &self.q_lanes;
@@ -1698,9 +1363,6 @@ impl Operator for AggregateOp {
                     key_matches_lanes(&lanes, q_lanes, r, key)
                 })
             };
-            if any_general {
-                batch.write_row_into(r, &mut self.row_scratch);
-            }
             let accs = match found {
                 Some(e) => self.groups.payload_mut(e),
                 None => {
@@ -1719,7 +1381,7 @@ impl Operator for AggregateOp {
                 accs,
                 batch,
                 r,
-                &self.row_scratch,
+                &mut self.row_scratch,
             )?;
         }
         batch.clear();
@@ -1728,26 +1390,10 @@ impl Operator for AggregateOp {
 
     fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
         if self.lane_fed {
-            self.flush_cols(cols_out)?;
+            self.close(cols_out)
         } else {
-            self.flush(rows_out)?;
+            self.close(rows_out)
         }
-        // NULL-window groups close with the stream, into the buffer the
-        // last window took (their emission folds into the final flush's
-        // latency accounting).
-        let start = std::time::Instant::now();
-        let (mut keys, accs, n) = self.null_groups.take_entries();
-        let res = if self.lane_fed {
-            self.emit_cols(&mut keys, &accs, n, cols_out)
-        } else {
-            self.emit(&mut keys, &accs, n, rows_out)
-        };
-        self.null_groups.restore(keys, accs);
-        self.flush_ns += start.elapsed().as_nanos() as u64;
-        res?;
-        self.current_bucket = None;
-        debug_assert!(self.groups.is_empty() && self.null_groups.is_empty());
-        Ok(())
     }
 
     fn late_dropped(&self) -> u64 {

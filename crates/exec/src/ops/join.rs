@@ -12,7 +12,7 @@ use crate::ExecResult;
 use super::select::ColPlan;
 use super::{
     append_batch, bucket_of, column_lane_kind, for_each_bucket_run, masked, merge_lanes,
-    reset_arity, OpRuntimeStats, Operator,
+    project_row, reset_arity, OpRuntimeStats, Operator,
 };
 
 struct Side {
@@ -508,14 +508,6 @@ impl JoinOp {
     }
 }
 
-fn project_row(projections: &[BoundExpr], joined: &Tuple, out: &mut Tuple) -> ExecResult<()> {
-    out.clear();
-    for e in projections {
-        out.push(e.eval(joined)?);
-    }
-    Ok(())
-}
-
 impl Operator for JoinOp {
     fn push_batch(
         &mut self,
@@ -548,8 +540,7 @@ impl Operator for JoinOp {
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        _rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             return Ok(());
@@ -567,7 +558,7 @@ impl Operator for JoinOp {
             };
             rows.append_range(rows_in, run);
             if changed {
-                self.fire_ready(cols_out)?;
+                self.fire_ready(out)?;
             }
             Ok(())
         })?;

@@ -106,8 +106,7 @@ impl Operator for MergeOp {
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        _rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             return Ok(());
@@ -137,7 +136,7 @@ impl Operator for MergeOp {
         // Whole buckets leave as they are: the first moves into the
         // output, later ones append to it.
         for rows in self.release() {
-            append_batch(cols_out, rows);
+            append_batch(out, rows);
         }
         Ok(())
     }

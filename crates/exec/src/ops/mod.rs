@@ -11,7 +11,7 @@ pub(crate) use join::JoinOp;
 pub(crate) use merge::MergeOp;
 pub(crate) use select::SelectOp;
 
-use qap_expr::{LaneKind, LANE_KINDS};
+use qap_expr::{BoundExpr, LaneKind, LANE_KINDS};
 use qap_types::{Column, ColumnBatch, ColumnData, Tuple, Value};
 
 use crate::ExecResult;
@@ -52,20 +52,20 @@ pub(crate) struct OpRuntimeStats {
 /// input tuples on an input port (0 for unary operators; joins use
 /// 0 = left, 1 = right; merges one port per input) and must drain
 /// `batch`, appending any produced tuples to `out`; `push_columns`
-/// delivers the same thing as a [`ColumnBatch`]. All buffers are
-/// engine-owned scratch that is recycled between calls, so operators
-/// must not stash them. Semantics are defined tuple-at-a-time:
-/// `push_batch(p, [t1..tn], out)` must emit exactly the concatenation a
-/// per-tuple loop would, in the same order — batching and
-/// representation are mechanical optimisations, never semantic ones.
-/// `finish` signals end-of-stream on all ports (the engine calls it in
-/// topological order, so every input is already complete).
+/// delivers the same thing as a [`ColumnBatch`] and answers in one.
+/// Semantics are defined tuple-at-a-time: `push_batch(p, [t1..tn], out)`
+/// must emit exactly the concatenation a per-tuple loop would, in the
+/// same order — batching and representation are mechanical
+/// optimisations, never semantic ones. The row entry is that definition
+/// written plainly (the reference [`crate::run_logical`] runs); the lane
+/// entry is the one production runs. `finish` signals end-of-stream on
+/// all ports (the engine calls it in topological order, so every input
+/// is already complete).
 ///
-/// Every call that can emit takes the `(rows_out, cols_out)` pair and
-/// fills one of the two, never both: an operator that has been fed
-/// lanes answers in lanes — window flushes, the end-of-stream flush and
-/// a migration drain included — so a columnar feed never drops to rows
-/// between operators.
+/// An operator that has been fed lanes answers in lanes. Only the calls
+/// no input drives — `finish` and `flush_before` — take the
+/// `(rows_out, cols_out)` pair, and fill `cols_out` exactly when some
+/// input arrived as lanes.
 pub(crate) trait Operator {
     /// Processes one batch of tuples, draining `batch` and appending
     /// any produced tuples to `out`.
@@ -79,17 +79,16 @@ pub(crate) trait Operator {
     /// the operator has been fed lanes and into `rows_out` otherwise.
     fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()>;
     /// Processes one columnar batch, draining `batch` (left cleared)
-    /// and appending produced output to `rows_out` and/or `cols_out`
-    /// (an empty engine-owned scratch batch of no particular arity).
-    /// Must emit exactly what [`Operator::push_batch`] would emit for
-    /// the batch's row materialization, in the same order; one call's
-    /// output goes to one of the two buffers, never both.
+    /// and appending produced output to `out` (an empty engine-owned
+    /// scratch batch of no particular arity). Must emit exactly what
+    /// [`Operator::push_batch`] would emit for the batch's row
+    /// materialization, in the same order — fallbacks to the per-row
+    /// interpreter included.
     fn push_columns(
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()>;
     /// Tuples dropped for arriving behind the operator's window.
     fn late_dropped(&self) -> u64 {
@@ -161,14 +160,52 @@ impl Operator for ScanOp {
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
-        _rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
         // Column batches pass through by swap, mirroring the row path.
-        std::mem::swap(cols_out, batch);
+        std::mem::swap(out, batch);
         batch.clear();
         Ok(())
     }
+}
+
+/// Where an operator's per-row output goes: the row reference's tuple
+/// buffer, or a lane-fed operator's output batch. Lets one per-row
+/// algorithm (a window flush, an interpreted projection) answer in the
+/// representation its input arrived in.
+pub(crate) trait Emit {
+    /// Appends `row`. A tuple buffer keeps the tuple, leaving `row` an
+    /// empty tuple with room for as many values; a batch copies it into
+    /// its lanes (giving an empty batch the row's arity), leaving `row`
+    /// to be reused.
+    fn emit(&mut self, row: &mut Tuple);
+}
+
+impl Emit for Vec<Tuple> {
+    fn emit(&mut self, row: &mut Tuple) {
+        let next = Tuple::with_capacity(row.arity());
+        self.push(std::mem::replace(row, next));
+    }
+}
+
+impl Emit for ColumnBatch {
+    fn emit(&mut self, row: &mut Tuple) {
+        reset_arity(self, row.arity());
+        self.push_row(row);
+    }
+}
+
+/// Evaluates `projections` over `input` into `out` (cleared first).
+pub(crate) fn project_row(
+    projections: &[BoundExpr],
+    input: &Tuple,
+    out: &mut Tuple,
+) -> ExecResult<()> {
+    out.clear();
+    for e in projections {
+        out.push(e.eval(input)?);
+    }
+    Ok(())
 }
 
 /// Numeric epoch value of a temporal attribute, for window comparisons.

@@ -5,7 +5,7 @@ use qap_types::{Column, ColumnBatch, SelectionVector, Tuple};
 
 use crate::ExecResult;
 
-use super::{OpRuntimeStats, Operator};
+use super::{project_row, Emit, OpRuntimeStats, Operator};
 
 /// One projection's columnar evaluation strategy, classified once at
 /// construction.
@@ -95,14 +95,8 @@ impl ColPlan {
 
 /// Stateless filter + projection.
 ///
-/// **Row path.** When every projection is a bare column reference (the
-/// common case in the paper's HFTA queries, which push arithmetic into
-/// the LFTA tier), the projection loop takes a scratch-reusing fast
-/// path: [`Tuple::project_into`] fills one recycled scratch tuple,
-/// which is then swapped with the drained input tuple — so the output
-/// row reuses the previous input row's backing allocation. The general
-/// path evaluates into the same scratch and swaps likewise, so neither
-/// projection shape allocates per surviving tuple.
+/// **Row path.** The definition: per tuple, evaluate the predicate,
+/// then every projection.
 ///
 /// **Columnar path.** The predicate compiles once into a
 /// [`PredicateKernel`] that refines a [`SelectionVector`]
@@ -110,15 +104,15 @@ impl ColPlan {
 /// projection is a column pointer shuffle (bare columns) or a
 /// [`NumKernel`] evaluation — zero per-tuple work. Anything outside the
 /// kernel domain (at compile time or via a runtime bailout) falls back
-/// to the per-tuple interpreter with identical semantics.
+/// to the per-tuple interpreter with identical semantics, and its rows
+/// still leave as lanes.
 pub(crate) struct SelectOp {
     predicate: Option<BoundExpr>,
     projections: Vec<BoundExpr>,
-    /// `Some(positions)` when all projections are `BoundExpr::Column`.
-    column_positions: Option<Vec<usize>>,
-    /// Recycled scratch row (output projection on the row path, input
-    /// materialization on columnar fallbacks).
+    /// Reused input row for columnar fallbacks.
     scratch: Tuple,
+    /// Reused projected row.
+    out_row: Tuple,
     /// Compiled predicate kernel (None: no predicate, or outside the
     /// kernel domain — the interpreter handles it).
     kernel: Option<PredicateKernel>,
@@ -139,20 +133,13 @@ pub(crate) struct SelectOp {
 
 impl SelectOp {
     pub(crate) fn new(predicate: Option<BoundExpr>, projections: Vec<BoundExpr>) -> Self {
-        let column_positions = projections
-            .iter()
-            .map(|e| match e {
-                BoundExpr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         let col_plan = ColPlan::compile(&projections);
         SelectOp {
             predicate,
             projections,
-            column_positions,
             scratch: Tuple::default(),
+            out_row: Tuple::default(),
             kernel,
             col_plan,
             sel: SelectionVector::new(),
@@ -200,31 +187,14 @@ impl Operator for SelectOp {
         batch: &mut Vec<Tuple>,
         out: &mut Vec<Tuple>,
     ) -> ExecResult<()> {
-        for mut tuple in batch.drain(..) {
+        for tuple in batch.drain(..) {
             if let Some(p) = &self.predicate {
                 if !p.eval_predicate(&tuple)? {
                     continue;
                 }
             }
-            if let Some(positions) = &self.column_positions {
-                // Fast path: project into the recycled scratch row,
-                // then swap it with the spent input row. The pushed
-                // output carries the projected values; `scratch`
-                // inherits the input's allocation for the next tuple.
-                tuple.project_into(positions, &mut self.scratch);
-                std::mem::swap(&mut tuple, &mut self.scratch);
-                out.push(tuple);
-            } else {
-                // General path: same scratch-swap discipline — evaluate
-                // into the recycled scratch, swap with the spent input
-                // row, push. No per-tuple allocation here either.
-                self.scratch.clear();
-                for e in &self.projections {
-                    self.scratch.push(e.eval(&tuple)?);
-                }
-                std::mem::swap(&mut tuple, &mut self.scratch);
-                out.push(tuple);
-            }
+            project_row(&self.projections, &tuple, &mut self.out_row)?;
+            out.emit(&mut self.out_row);
         }
         Ok(())
     }
@@ -241,8 +211,7 @@ impl Operator for SelectOp {
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
-        rows_out: &mut Vec<Tuple>,
-        cols_out: &mut ColumnBatch,
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
         let n = batch.rows();
         if n == 0 {
@@ -265,26 +234,23 @@ impl Operator for SelectOp {
         // π, columnar: kernels evaluate first (they read input
         // columns), then bare columns move or clone into place.
         if let Some(plan) = &self.col_plan {
-            if let Some((out, ran_kernel)) = plan.project(batch, &mut self.kscratch) {
+            if let Some((projected, ran_kernel)) = plan.project(batch, &mut self.kscratch) {
                 if ran_kernel {
                     self.kernel_hits += 1;
                 }
-                *cols_out = out;
+                *out = projected;
                 batch.clear();
                 return Ok(());
             }
         }
         // Whole-batch row fallback for the projection: the filter has
-        // already been applied, so only survivors materialize.
+        // already been applied, so only survivors materialize, and each
+        // projected row lands in the output lanes.
         self.kernel_fallbacks += 1;
-        rows_out.reserve(batch.rows());
         for i in 0..batch.rows() {
             batch.write_row_into(i, &mut self.scratch);
-            let mut t = Tuple::with_capacity(self.projections.len());
-            for e in &self.projections {
-                t.push(e.eval(&self.scratch)?);
-            }
-            rows_out.push(t);
+            project_row(&self.projections, &self.scratch, &mut self.out_row)?;
+            out.emit(&mut self.out_row);
         }
         batch.clear();
         Ok(())

@@ -24,6 +24,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::wire::want;
 use crate::{TypeError, TypeResult};
 
 /// Version of the coordinator⇄host protocol. A host rejects a `Hello`
@@ -214,17 +215,6 @@ pub fn encode_control(frame: &ControlFrame, scratch: &mut BytesMut) -> TypeResul
     }
     debug_assert_eq!(scratch.len(), CONTROL_HEADER_LEN + payload);
     Ok(scratch.split().freeze())
-}
-
-fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
-    if buf.remaining() < need {
-        return Err(TypeError::Truncated {
-            context,
-            need,
-            have: buf.remaining(),
-        });
-    }
-    Ok(())
 }
 
 /// Decodes one control frame produced by [`encode_control`].

@@ -86,18 +86,6 @@ impl Tuple {
             values: positions.iter().map(|&i| self.values[i].clone()).collect(),
         }
     }
-
-    /// Projects the tuple onto `positions`, writing into `out` instead
-    /// of allocating a fresh tuple. `out` is cleared first and keeps
-    /// whatever backing capacity it has, so a batch loop that recycles
-    /// one scratch tuple does no per-tuple allocation (values are still
-    /// cloned — cheap for numerics, an `Arc` bump for strings).
-    pub fn project_into(&self, positions: &[usize], out: &mut Tuple) {
-        out.values.clear();
-        out.values.reserve(positions.len());
-        out.values
-            .extend(positions.iter().map(|&i| self.values[i].clone()));
-    }
 }
 
 impl From<Vec<Value>> for Tuple {
@@ -151,18 +139,6 @@ mod tests {
     fn project_selects_positions() {
         let t = tuple![10u64, 20u64, 30u64];
         assert_eq!(t.project(&[2, 0]), tuple![30u64, 10u64]);
-    }
-
-    #[test]
-    fn project_into_reuses_scratch() {
-        let t = tuple![10u64, 20u64, 30u64];
-        let mut scratch = Tuple::with_capacity(4);
-        t.project_into(&[2, 0], &mut scratch);
-        assert_eq!(scratch, tuple![30u64, 10u64]);
-        // Re-projecting clears stale contents first.
-        t.project_into(&[1], &mut scratch);
-        assert_eq!(scratch, tuple![20u64]);
-        assert_eq!(t.project(&[1]), scratch);
     }
 
     #[test]

@@ -407,7 +407,7 @@ pub fn estimated_tuple_size(arity: usize) -> f64 {
 }
 
 /// Ensures `buf` holds at least `need` more bytes before a read.
-fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
+pub(crate) fn want(buf: &Bytes, context: &'static str, need: usize) -> TypeResult<()> {
     let have = buf.remaining();
     if have < need {
         return Err(TypeError::Truncated {

@@ -1,16 +1,19 @@
-//! Differential tests for the aggregation operator's precompiled fast
-//! paths.
+//! Differential tests for the aggregation operator: the row reference
+//! against the lanes.
 //!
-//! The operator classifies group-key expressions (plain column,
-//! `column / constant`) and aggregate folds (`COUNT(*)`, `SUM(column)`)
-//! into per-tuple shortcuts at construction time, falling back to the
-//! general recursive evaluator for everything else — HAVING predicates,
-//! `OR_AGGR`, masked keys, and any *value* outside a shortcut's domain
-//! (NULL or signed inputs reaching a `DivConst` key or a `SUM` slot).
-//! The contract is that the shortcut is invisible: byte-identical
-//! output tuples and identical operator counters at every batch size,
-//! including inputs engineered to cross the fast/fallback seam
-//! mid-stream.
+//! The row entry (`Engine::push_batch`, what `run_logical` runs) is the
+//! plain per-tuple algorithm: evaluate the group key, find or create
+//! the group, evaluate each slot's fold. The lane entry
+//! (`Engine::push_columns`) classifies group keys (plain column,
+//! `column / constant`, kernel-compiled) and folds (`COUNT(*)`,
+//! `SUM(column)`) into lane reads, and falls back to the per-row
+//! algorithm for everything else — HAVING predicates, `OR_AGGR`, masked
+//! keys, and any *value* outside a lane shape's domain (NULL or signed
+//! inputs reaching a `DivConst` key or a `SUM` slot). The contract is
+//! that the lanes are invisible: byte-identical output tuples and
+//! identical operator counters against the batch-size-1 row reference,
+//! at every batch size, including inputs engineered to cross the
+//! lane/fallback seam mid-stream.
 
 use qap::prelude::*;
 use qap::types::encode_tuple;

@@ -137,12 +137,62 @@ fn complex_chain_never_leaves_the_kernels() {
 }
 
 /// A columnar feed never drops to rows between operators — not at a
-/// window the feed closes and not at the one the end of the stream
-/// closes: on every `bench_e2e` deployment (3 hosts, batch 1024,
-/// threaded runner), every batch any operator of any unit received was
-/// a column batch.
+/// window the feed closes, not at the one the end of the stream closes,
+/// and not where an operator leaves the kernels for the per-row
+/// interpreter: on every `bench_e2e` deployment (3 hosts, batch 1024,
+/// threaded runner) and on one engine running each plan whose producer
+/// falls back, every batch any operator received was a column batch.
 #[test]
 fn no_row_batch_reaches_an_operator_of_a_lane_fed_plan() {
+    // Each producer falls back on every batch: a string constant and an
+    // unsigned subtraction that borrows into signed leave the
+    // projection kernels, and a comparison key leaves the group-key
+    // lanes. Its consumer must still be fed lanes.
+    for (producer, consumer) in [
+        (
+            "SELECT time, srcIP, 'x' as tag FROM TCP",
+            "SELECT tb, tag, COUNT(*) as cnt FROM p GROUP BY time/60 as tb, tag",
+        ),
+        (
+            "SELECT time, srcIP, len - 100 as d FROM TCP",
+            "SELECT tb, srcIP, SUM(d) as total FROM p GROUP BY time/60 as tb, srcIP",
+        ),
+        (
+            "SELECT tb, big, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb, len > 100 as big",
+            "SELECT tb, SUM(cnt) as total FROM p GROUP BY tb",
+        ),
+    ] {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.add_query("p", producer).unwrap();
+        b.add_query("q", consumer).unwrap();
+        let dag = b.build();
+        let root = dag.roots()[0];
+        let trace = generate(&TraceConfig::tiny(43));
+        let mut engine = Engine::new(&dag).unwrap();
+        let source = engine.source_nodes()[0];
+        for chunk in trace.chunks(1024) {
+            engine
+                .push_columns(source, &mut ColumnBatch::from_rows(chunk))
+                .unwrap();
+        }
+        engine.finish().unwrap();
+        let metrics = engine.metrics();
+        let fallbacks = metrics[dag.node(root).children()[0]].kernel_fallbacks;
+        assert!(fallbacks > 0, "{producer}: the producer never fell back");
+        for id in dag.topo_order().filter(|&id| !dag.node(id).is_source()) {
+            let m = &metrics[id];
+            assert!(m.batches_in > 0, "{producer}: node {id} was never fed");
+            assert_eq!(
+                m.batches_in,
+                m.col_batches_in,
+                "{producer}: node {id} ({}) received a row batch",
+                dag.node(id).label()
+            );
+        }
+        let logical = run_logical(&dag, trace).unwrap();
+        assert_eq!(engine.output(root), logical[0].1, "{producer}");
+    }
+
     let cfg = SimConfig {
         batch: BatchConfig::new(1024),
         ..SimConfig::default()
