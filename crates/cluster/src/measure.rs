@@ -13,7 +13,7 @@
 use qap_exec::{Engine, ExecResult};
 use qap_partition::{NodeStats, UniformStats};
 use qap_plan::{LogicalNode, QueryDag};
-use qap_types::{estimated_tuple_size, Tuple};
+use qap_types::{estimated_tuple_size, ColumnBatch, Tuple};
 
 /// Executes the logical plan over a sample and returns measured
 /// per-node statistics (selectivity and mean output tuple size).
@@ -22,18 +22,11 @@ use qap_types::{estimated_tuple_size, Tuple};
 /// suffice since the cost model only consumes rate *ratios*.
 pub fn measure_stats(dag: &QueryDag, sample: &[Tuple]) -> ExecResult<UniformStats> {
     let mut engine = Engine::new(dag)?;
-    let sources = engine.source_nodes();
     // Feed every source the sample (the analyzer's single-input-schema
-    // assumption: all sources see the same feed), in batches through
-    // the engine's vectorized path — one clone per chunk buffer instead
-    // of one `push` call per tuple.
-    const CHUNK: usize = 1024;
-    let mut buf = Vec::with_capacity(CHUNK.min(sample.len()));
-    for &s in &sources {
-        for chunk in sample.chunks(CHUNK) {
-            buf.clear();
-            buf.extend_from_slice(chunk);
-            engine.push_batch(s, &mut buf)?;
+    // assumption: all sources see the same feed), as lanes.
+    for s in engine.source_nodes() {
+        for chunk in sample.chunks(1024) {
+            engine.push_columns(s, &mut ColumnBatch::from_rows(chunk))?;
         }
     }
     engine.finish()?;

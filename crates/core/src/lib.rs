@@ -96,9 +96,7 @@ pub mod prelude {
         SimResult, TransportConfig, TransportKind, TransportMetrics, DEFAULT_SEND_TIMEOUT_MS,
         DEFAULT_TOLERANCE,
     };
-    pub use qap_exec::{
-        run_logical, run_logical_with, BatchConfig, Engine, OpCounters, PaneAggregator, PaneSpec,
-    };
+    pub use qap_exec::{run_logical, BatchConfig, Engine, OpCounters};
     pub use qap_expr::{AggKind, ColumnTransform, ScalarExpr};
     pub use qap_optimizer::{
         agnostic_plan, optimize, optimize_explained, plan_partitioning, DistributedPlan,

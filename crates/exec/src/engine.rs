@@ -1,23 +1,23 @@
 //! Plan compilation and the batch-routing engine.
 //!
-//! The engine moves tuples through the DAG a *batch* at a time: the
-//! routing queue holds `(node, port, payload)` entries, where the
-//! payload is a [`ColumnBatch`] for a lane feed and a `Vec<Tuple>` for
-//! the row reference, and operator dispatch and counter updates are
-//! paid once per batch. A batch keeps the representation it was fed in
-//! from source to sink, and column batches are pooled and reused.
-//! Semantics are defined tuple-at-a-time (see
-//! [`crate::ops::Operator`]); batch size is a pure performance knob,
-//! tuned through [`BatchConfig`].
+//! The engine moves tuples through the DAG a *batch* at a time, as
+//! lanes: the routing queue holds `(node, port, batch)` entries, each a
+//! pooled [`ColumnBatch`], and operator dispatch and counter updates are
+//! paid once per batch. Rows appear only at the edges: a query output
+//! transposes its lanes into result rows ([`Engine::output`]), and
+//! migration state travels as rows. Semantics are defined
+//! tuple-at-a-time by the reference model ([`crate::run_logical`]),
+//! which the equivalence suites hold the engine to; batch size is a pure
+//! performance knob, tuned through [`BatchConfig`].
 
 use std::collections::{HashMap, VecDeque};
 
-use qap_expr::{bind, bind_with, BoundExpr, ColumnRef, ScalarExpr};
 use qap_obs::OpMetrics;
-use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{ColumnBatch, Schema, Temporality, Tuple};
+use qap_plan::{NodeId, QueryDag};
+use qap_types::{ColumnBatch, Tuple};
 
-use crate::ops::{AccFactory, AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
+use crate::bind::{bind_node, BoundNode};
+use crate::ops::{AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
 use crate::{ExecError, ExecResult};
 
 /// Per-operator tuple-flow counters; the raw material of the cluster
@@ -57,8 +57,8 @@ impl BatchConfig {
         }
     }
 
-    /// Degenerate config routing one tuple per batch — the old
-    /// tuple-at-a-time engine, kept for equivalence testing.
+    /// Degenerate config routing one tuple per batch, for equivalence
+    /// testing.
     pub fn per_tuple() -> Self {
         BatchConfig::new(1)
     }
@@ -68,46 +68,26 @@ impl BatchConfig {
 /// than retained, bounding idle memory.
 const POOL_CAP: usize = 32;
 
-/// One in-flight routed payload: a row (AoS) batch or a columnar (SoA)
-/// batch. The queue preserves representation end-to-end — an operator
-/// fed lanes answers in lanes, so a columnar feed stays columnar
-/// through the whole plan; what a sink does with it is the sink's kind
-/// ([`Sink`]).
-enum Payload {
-    Rows(Vec<Tuple>),
-    Cols(ColumnBatch),
-}
-
-impl Payload {
-    fn len(&self) -> usize {
-        match self {
-            Payload::Rows(b) => b.len(),
-            Payload::Cols(c) => c.rows(),
-        }
-    }
-}
-
 /// Where a sink node's output collects.
 enum Sink {
     /// A query output: result rows, read once through
-    /// [`Engine::output`]. A columnar output transposes here — a run's
-    /// few thousand result rows.
+    /// [`Engine::output`]. The lanes transpose here — a run's few
+    /// thousand result rows.
     Rows(Vec<Tuple>),
     /// A boundary: the producer's output on its way to another unit,
     /// kept as lanes from the operator to the frame encoder
-    /// ([`Engine::drain_boundary`]). A columnar output appends lane to
-    /// lane; only a row output is transposed in.
+    /// ([`Engine::drain_boundary`]), appended lane to lane.
     Lanes(ColumnBatch),
 }
 
 /// A compiled, executable plan.
 ///
 /// Feed lanes to source scans with [`Engine::push_columns`] or
-/// [`Engine::push_frame`] — or, for the row reference, tuples with
-/// [`Engine::push_batch`] (or the per-tuple [`Engine::push`] shim) — in
-/// non-decreasing order of the stream's temporal attribute, then call
-/// [`Engine::finish`]; a query output's collected rows are available
-/// through [`Engine::output`], a boundary's lanes through
+/// [`Engine::push_frame`], in non-decreasing order of the stream's
+/// temporal attribute, then call [`Engine::finish`]. Every operator
+/// takes one input type and writes one output type, a [`ColumnBatch`]; a
+/// query output's collected rows are available through
+/// [`Engine::output`], a boundary's lanes through
 /// [`Engine::drain_boundary`] at any time.
 pub struct Engine {
     ops: Vec<Box<dyn Operator>>,
@@ -122,9 +102,8 @@ pub struct Engine {
     /// output draws from here and returns here, so steady-state lane
     /// routing does no batch allocation.
     col_pool: Vec<ColumnBatch>,
-    /// In-flight batches awaiting delivery, FIFO. Each entry carries
-    /// its representation (rows or columns).
-    queue: VecDeque<(NodeId, usize, Payload)>,
+    /// In-flight batches awaiting delivery, FIFO.
+    queue: VecDeque<(NodeId, usize, ColumnBatch)>,
     /// Batch-level telemetry per node (bytes, batch counts, occupancy);
     /// tuple counts and operator-internal stats join in at snapshot
     /// time ([`Engine::metrics`]). Updated once per *batch*, never per
@@ -204,14 +183,9 @@ impl Engine {
     }
 
     /// Sets the batch-routing configuration. Affects only chunking of
-    /// future [`Engine::push_batch`] feeds, never results.
+    /// future [`Engine::push_columns`] feeds, never results.
     pub fn set_batch_config(&mut self, batch: BatchConfig) {
         self.batch = batch;
-    }
-
-    /// The current batch-routing configuration.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.batch
     }
 
     fn take_col_buf(&mut self) -> ColumnBatch {
@@ -232,86 +206,16 @@ impl Engine {
             .collect()
     }
 
-    /// Validates a source feed, returning the scan's expected arity.
-    fn check_source(&self, source: NodeId) -> ExecResult<usize> {
-        match self.source_arity.get(source) {
-            Some(Some(arity)) => Ok(*arity),
-            _ => Err(ExecError::NotASource(source)),
-        }
-    }
-
-    /// Delivers one raw tuple to a source scan. The tuple must match the
-    /// scan's schema arity — a mismatched feed would otherwise evaluate
-    /// positions against the wrong fields and produce silent garbage.
-    ///
-    /// This is a batch-of-one shim over [`Engine::push_batch`]: the
-    /// tuple is routed (and any window it closes flushes) before the
-    /// call returns, exactly as under the per-tuple engine.
-    pub fn push(&mut self, source: NodeId, tuple: Tuple) -> ExecResult<()> {
-        let arity = self.check_source(source)?;
-        if tuple.arity() != arity {
-            return Err(ExecError::BadPlan(format!(
-                "tuple arity {} does not match source {source}'s schema arity {arity}",
-                tuple.arity()
-            )));
-        }
-        debug_assert!(!self.finished, "push after finish");
-        if self.metrics_on {
-            self.metrics[source].bytes_in += self.wire[source];
-        }
-        self.queue
-            .push_back((source, 0, Payload::Rows(vec![tuple])));
-        self.run()
-    }
-
-    /// Delivers a batch of raw tuples to a source scan, draining
-    /// `batch`. Feeds larger than [`BatchConfig::max_batch`] are
-    /// chunked. Every tuple must match the scan's schema arity;
-    /// validation happens up front, so a mismatch anywhere in the batch
-    /// routes nothing.
-    pub fn push_batch(&mut self, source: NodeId, batch: &mut Vec<Tuple>) -> ExecResult<()> {
-        let arity = self.check_source(source)?;
-        for t in batch.iter() {
-            if t.arity() != arity {
-                return Err(ExecError::BadPlan(format!(
-                    "tuple arity {} does not match source {source}'s schema arity {arity}",
-                    t.arity()
-                )));
-            }
-        }
-        debug_assert!(!self.finished, "push after finish");
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if self.metrics_on {
-            self.metrics[source].bytes_in += batch.len() as u64 * self.wire[source];
-        }
-        let max = self.batch.max_batch;
-        if batch.len() <= max {
-            // Whole feed fits one batch: move it, no per-tuple work.
-            let b = std::mem::take(batch);
-            self.queue.push_back((source, 0, Payload::Rows(b)));
-            return self.run();
-        }
-        let mut drain = batch.drain(..);
-        loop {
-            let b: Vec<Tuple> = drain.by_ref().take(max).collect();
-            if b.is_empty() {
-                break;
-            }
-            self.queue.push_back((source, 0, Payload::Rows(b)));
-        }
-        self.run()
-    }
-
     /// Delivers a columnar batch to a source scan, draining `cols`
     /// (its buffers are swapped against a pooled batch when the feed
     /// fits one routed batch). The batch stays in SoA form through
-    /// every operator; it must produce exactly the results its row
-    /// materialization would — the columnar equivalence suite holds the
-    /// engine to that.
+    /// every operator; it must produce exactly what the reference model
+    /// produces for its rows — the equivalence suites hold the engine to
+    /// that.
     pub fn push_columns(&mut self, source: NodeId, cols: &mut ColumnBatch) -> ExecResult<()> {
-        let arity = self.check_source(source)?;
+        let Some(&Some(arity)) = self.source_arity.get(source) else {
+            return Err(ExecError::NotASource(source));
+        };
         if cols.rows() == 0 {
             return Ok(());
         }
@@ -329,7 +233,7 @@ impl Engine {
         if cols.rows() <= max {
             let mut b = self.take_col_buf();
             std::mem::swap(&mut b, cols);
-            self.queue.push_back((source, 0, Payload::Cols(b)));
+            self.queue.push_back((source, 0, b));
             return self.run();
         }
         // Oversized feed: `max` rows at a time, each chunk one lane copy
@@ -341,7 +245,7 @@ impl Engine {
                 chunk = ColumnBatch::new(arity);
             }
             chunk.append_range(cols, at..cols.rows().min(at + max));
-            self.queue.push_back((source, 0, Payload::Cols(chunk)));
+            self.queue.push_back((source, 0, chunk));
         }
         cols.clear();
         self.run()
@@ -363,77 +267,30 @@ impl Engine {
         Ok(n)
     }
 
-    /// Drains the routing queue, delivering each in-flight batch in
-    /// its native representation.
+    /// Drains the routing queue, delivering each in-flight batch.
     fn run(&mut self) -> ExecResult<()> {
-        while let Some((id, port, payload)) = self.queue.pop_front() {
-            let n = payload.len() as u64;
+        while let Some((id, port, mut batch)) = self.queue.pop_front() {
+            let n = batch.rows() as u64;
             self.counters[id].tuples_in += n;
             if self.metrics_on {
                 let m = &mut self.metrics[id];
                 m.batches_in += 1;
                 m.batch_occupancy.record(n);
-                if matches!(payload, Payload::Cols(_)) {
-                    m.col_batches_in += 1;
-                    m.col_batch_occupancy.record(n);
-                }
+                m.col_batches_in += 1;
+                m.col_batch_occupancy.record(n);
             }
-            match payload {
-                Payload::Rows(mut batch) => {
-                    let mut out = Vec::new();
-                    self.ops[id].push_batch(port, &mut batch, &mut out)?;
-                    self.route(id, out);
-                }
-                Payload::Cols(mut cols) => {
-                    let mut out = self.take_col_buf();
-                    self.ops[id].push_columns(port, &mut cols, &mut out)?;
-                    self.recycle_col(cols);
-                    self.route_cols(id, out);
-                }
-            }
+            let mut out = self.take_col_buf();
+            self.ops[id].push_columns(port, &mut batch, &mut out)?;
+            self.recycle_col(batch);
+            self.route(id, out);
         }
         Ok(())
     }
 
-    /// Records and fans out one operator's output batch: sinks copy
-    /// (or take, when nothing is downstream), each consumer but the
-    /// last gets a clone, the last gets the batch itself.
-    fn route(&mut self, id: NodeId, mut out: Vec<Tuple>) {
-        self.counters[id].tuples_out += out.len() as u64;
-        if self.metrics_on && !out.is_empty() {
-            let bytes = out.len() as u64 * self.wire[id];
-            self.metrics[id].bytes_out += bytes;
-            self.metrics[id].batches_out += 1;
-            // Each consumer receives a producer-schema-sized copy.
-            for &(c, _) in &self.consumers[id] {
-                self.metrics[c].bytes_in += bytes;
-            }
-        }
-        let has_consumers = !self.consumers[id].is_empty();
-        match self.sinks.get_mut(&id) {
-            Some(Sink::Rows(sink)) if has_consumers => sink.extend(out.iter().cloned()),
-            Some(Sink::Rows(sink)) => sink.append(&mut out),
-            Some(Sink::Lanes(sink)) => sink.extend_rows(&out),
-            None => {}
-        }
-        if !has_consumers || out.is_empty() {
-            return;
-        }
-        let n = self.consumers[id].len();
-        for k in 0..n - 1 {
-            // Clone for all but the last consumer.
-            let (c, p) = self.consumers[id][k];
-            self.queue.push_back((c, p, Payload::Rows(out.clone())));
-        }
-        let (c, p) = self.consumers[id][n - 1];
-        self.queue.push_back((c, p, Payload::Rows(out)));
-    }
-
-    /// [`Engine::route`] for a columnar output batch: identical
-    /// accounting and fan-out, with consumers and boundary sinks
-    /// receiving the batch as lanes and query-output sinks its row
-    /// materialization.
-    fn route_cols(&mut self, id: NodeId, out: ColumnBatch) {
+    /// Records and fans out one operator's output batch: sinks copy it
+    /// (a query output as rows, a boundary as lanes), each consumer but
+    /// the last gets a clone, the last gets the batch itself.
+    fn route(&mut self, id: NodeId, out: ColumnBatch) {
         // An empty output batch has no particular arity: nothing in it
         // to count, collect or deliver.
         if out.is_empty() {
@@ -444,6 +301,7 @@ impl Engine {
             let bytes = out.rows() as u64 * self.wire[id];
             self.metrics[id].bytes_out += bytes;
             self.metrics[id].batches_out += 1;
+            // Each consumer receives a producer-schema-sized copy.
             for &(c, _) in &self.consumers[id] {
                 self.metrics[c].bytes_in += bytes;
             }
@@ -460,10 +318,10 @@ impl Engine {
         let n = self.consumers[id].len();
         for k in 0..n - 1 {
             let (c, p) = self.consumers[id][k];
-            self.queue.push_back((c, p, Payload::Cols(out.clone())));
+            self.queue.push_back((c, p, out.clone()));
         }
         let (c, p) = self.consumers[id][n - 1];
-        self.queue.push_back((c, p, Payload::Cols(out)));
+        self.queue.push_back((c, p, out));
     }
 
     /// Signals end-of-stream: every operator flushes, in topological
@@ -473,11 +331,9 @@ impl Engine {
         debug_assert!(!self.finished, "finish called twice");
         self.finished = true;
         for id in 0..self.ops.len() {
-            let mut out = Vec::new();
-            let mut cols_out = self.take_col_buf();
-            self.ops[id].finish(&mut out, &mut cols_out)?;
+            let mut out = self.take_col_buf();
+            self.ops[id].finish(&mut out)?;
             self.route(id, out);
-            self.route_cols(id, cols_out);
             // Drain anything still in flight destined at or after `id`.
             self.run()?;
         }
@@ -488,8 +344,7 @@ impl Engine {
     }
 
     /// Migration drain: force-closes any window at `node` complete
-    /// relative to boundary `time`, routing what it flushes downstream
-    /// (as lanes when the node has been fed lanes).
+    /// relative to boundary `time`, routing what it flushes downstream.
     /// After this, the node's live state holds at most the one window
     /// the boundary splits — exactly what [`Engine::extract_state`]
     /// ships.
@@ -497,11 +352,9 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to flush")));
         }
-        let mut out = Vec::new();
-        let mut cols_out = self.take_col_buf();
-        self.ops[node].flush_before(time, &mut out, &mut cols_out)?;
+        let mut out = self.take_col_buf();
+        self.ops[node].flush_before(time, &mut out)?;
         self.route(node, out);
-        self.route_cols(node, cols_out);
         self.run()
     }
 
@@ -528,7 +381,7 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to absorb into")));
         }
-        let mut out = Vec::new();
+        let mut out = self.take_col_buf();
         self.ops[node].absorb_state(rows, &mut out)?;
         self.route(node, out);
         self.run()
@@ -566,11 +419,6 @@ impl Engine {
         self.metrics_on = on;
     }
 
-    /// Whether batch-level metrics recording is enabled.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on
-    }
-
     /// Snapshot of per-operator metrics, indexed by node id: the
     /// routing path's batch-level telemetry joined with the semantic
     /// tuple counters and each operator's internal runtime stats
@@ -601,235 +449,22 @@ impl Engine {
     }
 }
 
-/// Runs a single-source logical plan over a tuple stream, returning
-/// `(root node, output)` pairs. The stream must be ordered by the
-/// source's temporal attribute.
-///
-/// ```
-/// use qap_exec::run_logical;
-/// use qap_sql::QuerySetBuilder;
-/// use qap_types::{tuple, Catalog};
-///
-/// let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-/// b.add_query(
-///     "sums",
-///     "SELECT tb, srcIP, destIP, SUM(len) as total FROM PKT \
-///      GROUP BY time/60 as tb, srcIP, destIP",
-/// )
-/// .unwrap();
-/// let dag = b.build();
-/// // PKT(time, srcIP, destIP, len)
-/// let trace = vec![tuple![0u64, 1u64, 2u64, 10u64], tuple![5u64, 1u64, 2u64, 30u64]];
-/// let outputs = run_logical(&dag, trace).unwrap();
-/// assert_eq!(outputs[0].1, vec![tuple![0u64, 1u64, 2u64, 40u64]]);
-/// ```
-pub fn run_logical(
-    dag: &QueryDag,
-    tuples: impl IntoIterator<Item = Tuple>,
-) -> ExecResult<Vec<(NodeId, Vec<Tuple>)>> {
-    run_logical_with(dag, tuples, BatchConfig::default())
-}
-
-/// [`run_logical`] with an explicit batch configuration. The input
-/// stream is buffered into chunks of `batch.max_batch` tuples and fed
-/// through [`Engine::push_batch`]; for a single-source plan the output
-/// is identical at every batch size.
-pub fn run_logical_with(
-    dag: &QueryDag,
-    tuples: impl IntoIterator<Item = Tuple>,
-    batch: BatchConfig,
-) -> ExecResult<Vec<(NodeId, Vec<Tuple>)>> {
-    let mut engine = Engine::new(dag)?;
-    engine.set_batch_config(batch);
-    let sources = engine.source_nodes();
-    let [source] = sources[..] else {
-        return Err(ExecError::BadPlan(format!(
-            "run_logical expects exactly one source, found {}",
-            sources.len()
-        )));
-    };
-    let mut buf = Vec::with_capacity(batch.max_batch.min(4096));
-    for t in tuples {
-        buf.push(t);
-        if buf.len() >= batch.max_batch {
-            engine.push_batch(source, &mut buf)?;
-        }
-    }
-    if !buf.is_empty() {
-        engine.push_batch(source, &mut buf)?;
-    }
-    engine.finish()?;
-    let roots = dag.roots();
-    Ok(roots
-        .into_iter()
-        .map(|r| {
-            let out = engine.output(r);
-            (r, out)
-        })
-        .collect())
-}
-
 // ---------------------------------------------------------------------
 // compilation
 // ---------------------------------------------------------------------
 
 fn compile(dag: &QueryDag, id: NodeId) -> ExecResult<Box<dyn Operator>> {
-    match dag.node(id) {
-        LogicalNode::Source { .. } => Ok(Box::new(ScanOp)),
-        LogicalNode::SelectProject {
-            input,
+    Ok(match bind_node(dag, id)? {
+        BoundNode::Source => Box::new(ScanOp),
+        BoundNode::Select {
             predicate,
             projections,
-        } => {
-            let in_schema = dag.schema(*input);
-            let predicate = predicate.as_ref().map(|p| bind(p, in_schema)).transpose()?;
-            let projections = projections
-                .iter()
-                .map(|ne| bind(&ne.expr, in_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Box::new(SelectOp::new(predicate, projections)))
-        }
-        LogicalNode::Aggregate {
-            input,
-            predicate,
-            group_by,
-            aggregates,
-            having,
-        } => {
-            let in_schema = dag.schema(*input);
-            let out_schema = dag.schema(id);
-            let predicate = predicate.as_ref().map(|p| bind(p, in_schema)).transpose()?;
-            let group_exprs = group_by
-                .iter()
-                .map(|g| bind(&g.expr, in_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            // The window attribute: first temporal field among the group
-            // columns of the output schema.
-            let temporal_idx = out_schema.fields()[..group_by.len()]
-                .iter()
-                .position(|f| f.temporality() != Temporality::None)
-                .ok_or_else(|| {
-                    ExecError::BadPlan(format!(
-                        "aggregate node {id} has no temporal group attribute"
-                    ))
-                })?;
-            let aggs = aggregates
-                .iter()
-                .map(|a| {
-                    let arg = a
-                        .call
-                        .arg
-                        .as_ref()
-                        .map(|e| bind(e, in_schema))
-                        .transpose()?;
-                    let factory = match &a.call.func {
-                        qap_expr::AggFunc::Builtin(kind) => AccFactory::Builtin(*kind),
-                        qap_expr::AggFunc::Udaf(name) => {
-                            let udaf = dag.catalog().udafs().get(name).ok_or_else(|| {
-                                ExecError::Expr(qap_expr::ExprError::UnknownUdaf(name.clone()))
-                            })?;
-                            AccFactory::Udaf(udaf.clone())
-                        }
-                    };
-                    Ok((factory, arg, a.call.merge, a.call.emit_partial))
-                })
-                .collect::<ExecResult<Vec<_>>>()?;
-            let having = having.as_ref().map(|h| bind(h, out_schema)).transpose()?;
-            Ok(Box::new(AggregateOp::new(
-                predicate,
-                group_exprs,
-                temporal_idx,
-                aggs,
-                having,
-            )))
-        }
-        LogicalNode::Join {
-            left,
-            right,
-            left_alias,
-            right_alias,
-            join_type,
-            temporal,
-            equi,
-            residual,
-            projections,
-        } => {
-            let ls = dag.schema(*left);
-            let rs = dag.schema(*right);
-            let lt = resolve_in(&temporal.left, ls, left_alias).ok_or_else(|| {
-                ExecError::BadPlan(format!("temporal column {} unresolved", temporal.left))
-            })?;
-            let rt = resolve_in(&temporal.right, rs, right_alias).ok_or_else(|| {
-                ExecError::BadPlan(format!("temporal column {} unresolved", temporal.right))
-            })?;
-            let left_key = equi
-                .iter()
-                .map(|(le, _)| bind_side(le, ls, left_alias))
-                .collect::<ExecResult<Vec<_>>>()?;
-            let right_key = equi
-                .iter()
-                .map(|(_, re)| bind_side(re, rs, right_alias))
-                .collect::<ExecResult<Vec<_>>>()?;
-            let concat = |c: &ColumnRef| -> Option<usize> {
-                match &c.qualifier {
-                    Some(q) if q.eq_ignore_ascii_case(left_alias) => ls.index_of(&c.name),
-                    Some(q) if q.eq_ignore_ascii_case(right_alias) => {
-                        rs.index_of(&c.name).map(|i| ls.arity() + i)
-                    }
-                    Some(_) => None,
-                    None => match (ls.index_of(&c.name), rs.index_of(&c.name)) {
-                        (Some(i), _) => Some(i),
-                        (None, Some(i)) => Some(ls.arity() + i),
-                        (None, None) => None,
-                    },
-                }
-            };
-            let residual = residual
-                .as_ref()
-                .map(|r| bind_with(r, &concat))
-                .transpose()?;
-            let projections = projections
-                .iter()
-                .map(|ne| bind_with(&ne.expr, &concat))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Box::new(JoinOp::new(
-                lt,
-                rt,
-                left_key,
-                right_key,
-                temporal.offset,
-                *join_type,
-                residual,
-                projections,
-                ls.arity(),
-                rs.arity(),
-            )))
-        }
-        LogicalNode::Merge { inputs } => {
-            let schema = dag.schema(id);
-            let temporal_idx = schema
-                .fields()
-                .iter()
-                .position(|f| f.temporality() != Temporality::None)
-                .ok_or_else(|| {
-                    ExecError::BadPlan(format!("merge node {id} lacks a temporal attribute"))
-                })?;
-            Ok(Box::new(MergeOp::new(inputs.len(), temporal_idx)))
-        }
-    }
-}
-
-/// Resolves a (possibly alias-qualified) column in one side's schema.
-fn resolve_in(c: &ColumnRef, schema: &Schema, alias: &str) -> Option<usize> {
-    match &c.qualifier {
-        Some(q) if q.eq_ignore_ascii_case(alias) => schema.index_of(&c.name),
-        Some(_) => None,
-        None => schema.index_of(&c.name),
-    }
-}
-
-/// Binds a one-sided join expression against that side's schema,
-/// accepting the side's alias as qualifier.
-fn bind_side(e: &ScalarExpr, schema: &Schema, alias: &str) -> ExecResult<BoundExpr> {
-    Ok(bind_with(e, &|c: &ColumnRef| resolve_in(c, schema, alias))?)
+        } => Box::new(SelectOp::new(predicate, projections)),
+        BoundNode::Aggregate(a) => Box::new(AggregateOp::new(a)),
+        BoundNode::Join(j) => Box::new(JoinOp::new(j)),
+        BoundNode::Merge {
+            ports,
+            temporal_idx,
+        } => Box::new(MergeOp::new(ports, temporal_idx)),
+    })
 }

@@ -19,20 +19,23 @@
 //! The [`Engine`] is deterministic and counts per-operator tuple flow
 //! (`tuples_in`/`tuples_out`), which the cluster simulator turns into
 //! the CPU and network loads of the paper's figures. Internally tuples
-//! move in batches (see [`BatchConfig`]); counters stay per-tuple
-//! accurate, so every figure series is independent of batch size.
+//! move in batches of lanes (see [`BatchConfig`]); counters stay
+//! per-tuple accurate, so every figure series is independent of batch
+//! size. [`run_logical`] is the reference model the engine is held to:
+//! a brute-force evaluator that shares no operator code with it.
 
+mod bind;
 mod engine;
 mod error;
 mod fx;
 mod ops;
-mod panes;
+mod reference;
 #[cfg(test)]
 mod tests;
 
-pub use engine::{run_logical, run_logical_with, BatchConfig, Engine, OpCounters};
+pub use engine::{BatchConfig, Engine, OpCounters};
 pub use error::{ExecError, ExecResult, FailureCause, HostFailure};
-pub use panes::{PaneAggregator, PaneSpec};
 // Re-exported so engine users can consume [`Engine::metrics`] without
 // depending on `qap-obs` directly.
 pub use qap_obs::{Histogram, OpMetrics};
+pub use reference::run_logical;

@@ -6,13 +6,14 @@ use qap_expr::{BoundExpr, KernelScratch, LaneKind, PredicateKernel, LANE_KINDS};
 use qap_plan::JoinType;
 use qap_types::{ColumnBatch, SelectionVector, Tuple, Value};
 
+use crate::bind::BoundJoin;
 use crate::fx;
 use crate::ExecResult;
 
 use super::select::ColPlan;
 use super::{
-    append_batch, bucket_of, column_lane_kind, for_each_bucket_run, masked, merge_lanes,
-    project_row, reset_arity, OpRuntimeStats, Operator,
+    append_batch, column_lane_kind, for_each_bucket_run, masked, merge_lanes, project_row,
+    reset_arity, OpRuntimeStats, Operator,
 };
 
 struct Side {
@@ -160,8 +161,7 @@ const NIL: u32 = u32::MAX;
 /// are closed (their side has advanced past them, or finished). Outer
 /// variants NULL-pad unmatched rows when their epoch retires.
 ///
-/// Each (side, epoch) is buffered once, as a [`ColumnBatch`], whichever
-/// representation its rows arrive in. A fire chains the right epoch's
+/// Each (side, epoch) is buffered once, as a [`ColumnBatch`]. A fire chains the right epoch's
 /// rows by key hash (`heads`/`next`, built back to front so a chain
 /// walks in insertion order), probes the left rows in order into a pair
 /// list, and then evaluates residual and projections over the pairs:
@@ -186,9 +186,6 @@ pub(crate) struct JoinOp {
     /// kernel domain).
     col_plan: Option<ColPlan>,
     finished: bool,
-    /// Some input arrived as lanes: the end-of-stream fire leaves as
-    /// lanes too.
-    lane_fed: bool,
     lkeys: Keys,
     rkeys: Keys,
     /// Chained index over the firing right epoch: `heads[slot]` is the
@@ -212,30 +209,17 @@ pub(crate) struct JoinOp {
 }
 
 impl JoinOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        left_temporal_idx: usize,
-        right_temporal_idx: usize,
-        left_key: Vec<BoundExpr>,
-        right_key: Vec<BoundExpr>,
-        offset: i64,
-        join_type: JoinType,
-        residual: Option<BoundExpr>,
-        projections: Vec<BoundExpr>,
-        left_arity: usize,
-        right_arity: usize,
-    ) -> Self {
+    pub(crate) fn new(b: BoundJoin) -> Self {
         JoinOp {
-            left: Side::new(left_temporal_idx, left_key, left_arity),
-            right: Side::new(right_temporal_idx, right_key, right_arity),
-            offset,
-            join_type,
-            residual_kernel: residual.as_ref().and_then(PredicateKernel::compile),
-            col_plan: ColPlan::compile(&projections),
-            residual,
-            projections,
+            left: Side::new(b.left_temporal, b.left_key, b.left_arity),
+            right: Side::new(b.right_temporal, b.right_key, b.right_arity),
+            offset: b.offset,
+            join_type: b.join_type,
+            residual_kernel: b.residual.as_ref().and_then(PredicateKernel::compile),
+            col_plan: ColPlan::compile(&b.projections),
+            residual: b.residual,
+            projections: b.projections,
             finished: false,
-            lane_fed: false,
             lkeys: Keys::default(),
             rkeys: Keys::default(),
             heads: Vec::new(),
@@ -509,33 +493,6 @@ impl JoinOp {
 }
 
 impl Operator for JoinOp {
-    fn push_batch(
-        &mut self,
-        port: usize,
-        batch: &mut Vec<Tuple>,
-        out: &mut Vec<Tuple>,
-    ) -> ExecResult<()> {
-        let mut staged = ColumnBatch::default();
-        for tuple in batch.drain(..) {
-            let side = self.side(port);
-            let b = bucket_of(tuple.get(side.temporal_idx));
-            let Some((rows, changed)) = side.admit(b, 1) else {
-                continue;
-            };
-            rows.push_row(&tuple);
-            // `fire_ready` after a no-change insert is provably a
-            // no-op (ready/retired sets were drained by the previous
-            // pass and only grow on advance or epoch creation), so the
-            // common case — another row of the current epoch — costs
-            // no epoch scan.
-            if changed {
-                self.fire_ready(&mut staged)?;
-            }
-        }
-        staged.append_rows_to(out);
-        Ok(())
-    }
-
     fn push_columns(
         &mut self,
         port: usize,
@@ -549,7 +506,6 @@ impl Operator for JoinOp {
         // take the same late/advance decision for every row of the run,
         // and a pairing that the run's first row makes ready holds only
         // closed epochs, which the rest of the run cannot touch.
-        self.lane_fed = true;
         let temporal_idx = self.side(port).temporal_idx;
         let rows_in: &ColumnBatch = batch;
         for_each_bucket_run(rows_in.column(temporal_idx), |run, b| {
@@ -566,15 +522,9 @@ impl Operator for JoinOp {
         Ok(())
     }
 
-    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
+    fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
         self.finished = true;
-        if self.lane_fed {
-            self.fire_ready(cols_out)?;
-        } else {
-            let mut staged = ColumnBatch::default();
-            self.fire_ready(&mut staged)?;
-            staged.append_rows_to(rows_out);
-        }
+        self.fire_ready(out)?;
         debug_assert!(self.left.epochs.is_empty());
         debug_assert!(self.right.epochs.is_empty());
         Ok(())

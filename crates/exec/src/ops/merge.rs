@@ -2,11 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use qap_types::{ColumnBatch, Tuple};
+use qap_types::ColumnBatch;
 
 use crate::ExecResult;
 
-use super::{append_batch, bucket_of, for_each_bucket_run, Operator};
+use super::{append_batch, for_each_bucket_run, Operator};
 
 /// Merge of K same-schema inputs, aligned on the schema's temporal
 /// attribute so the downstream window discipline holds.
@@ -24,12 +24,8 @@ pub(crate) struct MergeOp {
     /// Per input port: last observed bucket.
     last: Vec<Option<i128>>,
     /// Buffered rows grouped by bucket, as lanes (insertion order
-    /// preserved within a bucket), whichever representation they
-    /// arrived in.
+    /// preserved within a bucket).
     buffer: BTreeMap<i128, ColumnBatch>,
-    /// Some input arrived as lanes: the end-of-stream release leaves as
-    /// lanes too.
-    lane_fed: bool,
 }
 
 impl MergeOp {
@@ -38,7 +34,6 @@ impl MergeOp {
             temporal_idx,
             last: vec![None; ports],
             buffer: BTreeMap::new(),
-            lane_fed: false,
         }
     }
 
@@ -76,32 +71,6 @@ impl MergeOp {
 }
 
 impl Operator for MergeOp {
-    fn push_batch(
-        &mut self,
-        port: usize,
-        batch: &mut Vec<Tuple>,
-        out: &mut Vec<Tuple>,
-    ) -> ExecResult<()> {
-        for tuple in batch.drain(..) {
-            let b = bucket_of(tuple.get(self.temporal_idx));
-            self.observe(port, b);
-            self.buffer
-                .entry(b)
-                .or_insert_with(|| ColumnBatch::new(tuple.arity()))
-                .push_row(&tuple);
-        }
-        // One release per batch is exact, not an approximation: a
-        // released bucket lies strictly below every port's watermark,
-        // and per-port inputs are bucket-ordered, so no tuple later in
-        // this batch (or any later batch) can belong to it. Deferring
-        // the release only coalesces consecutive per-tuple releases;
-        // bucket order and within-bucket insertion order are unchanged.
-        for rows in self.release() {
-            rows.append_rows_to(out);
-        }
-        Ok(())
-    }
-
     fn push_columns(
         &mut self,
         port: usize,
@@ -111,7 +80,6 @@ impl Operator for MergeOp {
         if batch.rows() == 0 {
             return Ok(());
         }
-        self.lane_fed = true;
         let rows_in: &ColumnBatch = batch;
         let mut whole = None;
         for_each_bucket_run(rows_in.column(self.temporal_idx), |run, b| {
@@ -141,13 +109,9 @@ impl Operator for MergeOp {
         Ok(())
     }
 
-    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()> {
+    fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
         for rows in std::mem::take(&mut self.buffer).into_values() {
-            if self.lane_fed {
-                append_batch(cols_out, rows);
-            } else {
-                rows.append_rows_to(rows_out);
-            }
+            append_batch(out, rows);
         }
         Ok(())
     }

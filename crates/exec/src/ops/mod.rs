@@ -6,7 +6,7 @@ mod join;
 mod merge;
 mod select;
 
-pub(crate) use aggregate::{AccFactory, AggregateOp};
+pub(crate) use aggregate::AggregateOp;
 pub(crate) use join::JoinOp;
 pub(crate) use merge::MergeOp;
 pub(crate) use select::SelectOp;
@@ -47,49 +47,33 @@ pub(crate) struct OpRuntimeStats {
     pub kernel_lane_fallbacks: [u64; LANE_KINDS],
 }
 
-/// A compiled streaming operator, processing input one *batch* at a
-/// time, in either representation. `push_batch` delivers a batch of
-/// input tuples on an input port (0 for unary operators; joins use
-/// 0 = left, 1 = right; merges one port per input) and must drain
-/// `batch`, appending any produced tuples to `out`; `push_columns`
-/// delivers the same thing as a [`ColumnBatch`] and answers in one.
-/// Semantics are defined tuple-at-a-time: `push_batch(p, [t1..tn], out)`
-/// must emit exactly the concatenation a per-tuple loop would, in the
-/// same order — batching and representation are mechanical
-/// optimisations, never semantic ones. The row entry is that definition
-/// written plainly (the reference [`crate::run_logical`] runs); the lane
-/// entry is the one production runs. `finish` signals end-of-stream on
-/// all ports (the engine calls it in topological order, so every input
-/// is already complete).
-///
-/// An operator that has been fed lanes answers in lanes. Only the calls
-/// no input drives — `finish` and `flush_before` — take the
-/// `(rows_out, cols_out)` pair, and fill `cols_out` exactly when some
-/// input arrived as lanes.
+/// A compiled streaming operator, processing input one *batch* of lanes
+/// at a time. `push_columns` delivers a [`ColumnBatch`] on an input port
+/// (0 for unary operators; joins use 0 = left, 1 = right; merges one port
+/// per input) and must drain it, appending any produced rows to `out`.
+/// Every call that can emit — `push_columns`, `finish`, `flush_before`,
+/// `absorb_state` — writes one output type: a [`ColumnBatch`] (an empty
+/// engine-owned scratch batch of no particular arity, which the
+/// operator gives its output arity). Semantics are defined
+/// tuple-at-a-time by the reference model ([`crate::run_logical`]):
+/// batching is a mechanical optimisation, never a semantic one, and a
+/// fallback to the per-row interpreter still answers in lanes. `finish`
+/// signals end-of-stream on all ports (the engine calls it in
+/// topological order, so every input is already complete).
 pub(crate) trait Operator {
-    /// Processes one batch of tuples, draining `batch` and appending
-    /// any produced tuples to `out`.
-    fn push_batch(
-        &mut self,
-        port: usize,
-        batch: &mut Vec<Tuple>,
-        out: &mut Vec<Tuple>,
-    ) -> ExecResult<()>;
-    /// Flushes remaining state at end-of-stream, into `cols_out` when
-    /// the operator has been fed lanes and into `rows_out` otherwise.
-    fn finish(&mut self, rows_out: &mut Vec<Tuple>, cols_out: &mut ColumnBatch) -> ExecResult<()>;
     /// Processes one columnar batch, draining `batch` (left cleared)
-    /// and appending produced output to `out` (an empty engine-owned
-    /// scratch batch of no particular arity). Must emit exactly what
-    /// [`Operator::push_batch`] would emit for the batch's row
-    /// materialization, in the same order — fallbacks to the per-row
-    /// interpreter included.
+    /// and appending produced rows to `out`.
     fn push_columns(
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
         out: &mut ColumnBatch,
     ) -> ExecResult<()>;
+    /// Flushes remaining state at end-of-stream into `out`. Stateless
+    /// operators have nothing to flush.
+    fn finish(&mut self, _out: &mut ColumnBatch) -> ExecResult<()> {
+        Ok(())
+    }
     /// Tuples dropped for arriving behind the operator's window.
     fn late_dropped(&self) -> u64 {
         0
@@ -98,12 +82,7 @@ pub(crate) trait Operator {
     /// to the drain boundary `time` (every tuple at `time` or later
     /// maps to a strictly greater bucket), emitting the flushed rows.
     /// Stateless and non-windowed operators have nothing to close.
-    fn flush_before(
-        &mut self,
-        _time: u64,
-        _rows_out: &mut Vec<Tuple>,
-        _cols_out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
+    fn flush_before(&mut self, _time: u64, _out: &mut ColumnBatch) -> ExecResult<()> {
         Ok(())
     }
     /// Migration extract hook: removes live group state for keys the
@@ -113,9 +92,10 @@ pub(crate) trait Operator {
     fn extract_state(&mut self, _pred: &mut dyn FnMut(&[Value]) -> bool, _out: &mut Vec<Tuple>) {}
     /// Migration absorb hook: merges state rows produced by
     /// [`Operator::extract_state`] on an identically-shaped operator,
-    /// draining `rows`. Operators without keyed window state drop the
-    /// payload (callers gate migration on aggregate leaves).
-    fn absorb_state(&mut self, rows: &mut Vec<Tuple>, _out: &mut Vec<Tuple>) -> ExecResult<()> {
+    /// draining `rows` and writing any window the absorbed state closes
+    /// to `out`. Operators without keyed window state drop the payload
+    /// (callers gate migration on aggregate leaves).
+    fn absorb_state(&mut self, rows: &mut Vec<Tuple>, _out: &mut ColumnBatch) -> ExecResult<()> {
         rows.clear();
         Ok(())
     }
@@ -128,71 +108,28 @@ pub(crate) trait Operator {
 }
 
 /// Pass-through operator for source scans (the engine routes external
-/// tuples straight through so counters see them). The whole batch moves
-/// in one swap (or a bulk append when `out` already holds tuples) — no
-/// per-tuple work at all.
+/// batches straight through so counters see them): the whole batch
+/// moves in one swap.
 pub(crate) struct ScanOp;
 
 impl Operator for ScanOp {
-    fn push_batch(
-        &mut self,
-        _port: usize,
-        batch: &mut Vec<Tuple>,
-        out: &mut Vec<Tuple>,
-    ) -> ExecResult<()> {
-        if out.is_empty() {
-            std::mem::swap(out, batch);
-        } else {
-            out.append(batch);
-        }
-        Ok(())
-    }
-
-    fn finish(
-        &mut self,
-        _rows_out: &mut Vec<Tuple>,
-        _cols_out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
-        Ok(())
-    }
-
     fn push_columns(
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
         out: &mut ColumnBatch,
     ) -> ExecResult<()> {
-        // Column batches pass through by swap, mirroring the row path.
         std::mem::swap(out, batch);
         batch.clear();
         Ok(())
     }
 }
 
-/// Where an operator's per-row output goes: the row reference's tuple
-/// buffer, or a lane-fed operator's output batch. Lets one per-row
-/// algorithm (a window flush, an interpreted projection) answer in the
-/// representation its input arrived in.
-pub(crate) trait Emit {
-    /// Appends `row`. A tuple buffer keeps the tuple, leaving `row` an
-    /// empty tuple with room for as many values; a batch copies it into
-    /// its lanes (giving an empty batch the row's arity), leaving `row`
-    /// to be reused.
-    fn emit(&mut self, row: &mut Tuple);
-}
-
-impl Emit for Vec<Tuple> {
-    fn emit(&mut self, row: &mut Tuple) {
-        let next = Tuple::with_capacity(row.arity());
-        self.push(std::mem::replace(row, next));
-    }
-}
-
-impl Emit for ColumnBatch {
-    fn emit(&mut self, row: &mut Tuple) {
-        reset_arity(self, row.arity());
-        self.push_row(row);
-    }
+/// Appends `row` to an output batch, giving an empty batch the row's
+/// arity first.
+pub(crate) fn emit_row(out: &mut ColumnBatch, row: &Tuple) {
+    reset_arity(out, row.arity());
+    out.push_row(row);
 }
 
 /// Evaluates `projections` over `input` into `out` (cleared first).

@@ -2,9 +2,15 @@
 
 use qap_plan::QueryDag;
 use qap_sql::QuerySetBuilder;
-use qap_types::{tuple, Catalog, Tuple, Value};
+use qap_types::{tuple, Catalog, ColumnBatch, Tuple, Value};
 
 use crate::{run_logical, Engine, ExecError};
+
+/// Feeds one tuple to `source` as a one-row lane batch.
+fn push(engine: &mut Engine, source: usize, t: Tuple) {
+    let mut cols = ColumnBatch::from_rows(&[t]);
+    engine.push_columns(source, &mut cols).unwrap();
+}
 
 /// TCP(time, timestamp, srcIP, destIP, srcPort, destPort, protocol,
 /// flags, len)
@@ -78,11 +84,11 @@ fn window_flushes_on_epoch_advance_not_before() {
     )]);
     let mut engine = Engine::new(&dag).unwrap();
     let src = engine.source_nodes()[0];
-    engine.push(src, pkt(0, 1, 2, 0, 100)).unwrap();
-    engine.push(src, pkt(59, 1, 2, 0, 100)).unwrap();
+    push(&mut engine, src, pkt(0, 1, 2, 0, 100));
+    push(&mut engine, src, pkt(59, 1, 2, 0, 100));
     // Nothing emitted yet: the window is still open.
     assert_eq!(engine.counters()[dag.roots()[0]].tuples_out, 0);
-    engine.push(src, pkt(60, 1, 2, 0, 100)).unwrap();
+    push(&mut engine, src, pkt(60, 1, 2, 0, 100));
     // Epoch 0 flushed.
     assert_eq!(engine.counters()[dag.roots()[0]].tuples_out, 1);
     engine.finish().unwrap();
@@ -262,9 +268,9 @@ fn late_tuples_dropped_and_counted() {
     )]);
     let mut engine = Engine::new(&dag).unwrap();
     let src = engine.source_nodes()[0];
-    engine.push(src, pkt(120, 1, 2, 0, 10)).unwrap();
+    push(&mut engine, src, pkt(120, 1, 2, 0, 10));
     // A tuple from a closed window.
-    engine.push(src, pkt(0, 1, 2, 0, 10)).unwrap();
+    push(&mut engine, src, pkt(0, 1, 2, 0, 10));
     engine.finish().unwrap();
     let agg = dag.query_node("flows").unwrap();
     assert_eq!(engine.counters()[agg].late_dropped, 1);
@@ -366,10 +372,10 @@ fn merge_alignment_with_silent_partition() {
     let mut engine = Engine::with_sinks(&dag, &[sup]).unwrap();
     // Partition 0 races ahead through three epochs...
     for t in [0u64, 65, 130] {
-        engine.push(s0, pkt(t, 1, 2, 0, 10)).unwrap();
+        push(&mut engine, s0, pkt(t, 1, 2, 0, 10));
     }
     // ...while partition 1 only now delivers an epoch-0 packet.
-    engine.push(s1, pkt(3, 1, 2, 0, 10)).unwrap();
+    push(&mut engine, s1, pkt(3, 1, 2, 0, 10));
     engine.finish().unwrap();
     let rows = sorted(engine.output(sup));
     // Epoch 0 must count BOTH partitions' packets: a premature flush
@@ -442,7 +448,7 @@ fn counters_track_flow() {
     let mut engine = Engine::new(&dag).unwrap();
     let src = engine.source_nodes()[0];
     for i in 0..100u64 {
-        engine.push(src, pkt(i, i % 5, 2, 0, 10)).unwrap();
+        push(&mut engine, src, pkt(i, i % 5, 2, 0, 10));
     }
     engine.finish().unwrap();
     let agg = dag.query_node("flows").unwrap();
@@ -456,7 +462,6 @@ fn counters_track_flow() {
 #[test]
 fn oversized_column_feed_equals_max_batch_feeds() {
     use crate::BatchConfig;
-    use qap_types::ColumnBatch;
     let dag = build(&[(
         "flows",
         "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
@@ -496,7 +501,7 @@ fn oversized_column_feed_equals_max_batch_feeds() {
 
 #[test]
 fn frame_without_the_columnar_flag_is_a_wire_error_that_moves_nothing() {
-    use qap_types::{encode_column_batch, Bytes, BytesMut, ColumnBatch, COLUMNAR_FLAG};
+    use qap_types::{encode_column_batch, Bytes, BytesMut, COLUMNAR_FLAG};
     let dag = build(&[(
         "flows",
         "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb, srcIP",
@@ -521,7 +526,6 @@ fn frame_without_the_columnar_flag_is_a_wire_error_that_moves_nothing() {
 
 #[test]
 fn a_boundary_sink_collects_what_an_output_sink_does() {
-    use qap_types::ColumnBatch;
     // Every window but the last closes inside a feed; the last leaves
     // through `finish`.
     let dag = build(&[(
@@ -536,29 +540,24 @@ fn a_boundary_sink_collects_what_an_output_sink_does() {
     let want = run_logical(&dag, trace.clone()).unwrap().remove(0).1;
     assert!(want.len() > 8);
 
-    for columnar in [false, true] {
-        let mut engine = Engine::with_boundary(&dag, &[], &[agg]).unwrap();
-        let src = engine.source_nodes()[0];
-        let mut got = ColumnBatch::new(dag.schema(agg).arity());
-        for chunk in trace.chunks(50) {
-            if columnar {
-                let mut cols = ColumnBatch::from_rows(chunk);
-                engine.push_columns(src, &mut cols).unwrap();
-            } else {
-                engine.push_batch(src, &mut chunk.to_vec()).unwrap();
-            }
-            // Draining leaves the sink collecting.
-            if let Some(drained) = engine.drain_boundary(agg) {
-                got.append_range(&drained, 0..drained.rows());
-            }
+    let mut engine = Engine::with_boundary(&dag, &[], &[agg]).unwrap();
+    let src = engine.source_nodes()[0];
+    let mut got = ColumnBatch::new(dag.schema(agg).arity());
+    for chunk in trace.chunks(50) {
+        engine
+            .push_columns(src, &mut ColumnBatch::from_rows(chunk))
+            .unwrap();
+        // Draining leaves the sink collecting.
+        if let Some(drained) = engine.drain_boundary(agg) {
+            got.append_range(&drained, 0..drained.rows());
         }
-        engine.finish().unwrap();
-        let last = engine
-            .drain_boundary(agg)
-            .expect("the last window closes at finish");
-        got.append_range(&last, 0..last.rows());
-        assert_eq!(got.to_rows(), want, "columnar={columnar}");
-        assert!(engine.drain_boundary(agg).is_none());
-        assert!(engine.output(agg).is_empty(), "a boundary is not an output");
     }
+    engine.finish().unwrap();
+    let last = engine
+        .drain_boundary(agg)
+        .expect("the last window closes at finish");
+    got.append_range(&last, 0..last.rows());
+    assert_eq!(got.to_rows(), want);
+    assert!(engine.drain_boundary(agg).is_none());
+    assert!(engine.output(agg).is_empty(), "a boundary is not an output");
 }

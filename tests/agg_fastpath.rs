@@ -1,64 +1,68 @@
-//! Differential tests for the aggregation operator: the row reference
+//! Differential tests for the aggregation operator: the reference model
 //! against the lanes.
 //!
-//! The row entry (`Engine::push_batch`, what `run_logical` runs) is the
-//! plain per-tuple algorithm: evaluate the group key, find or create
-//! the group, evaluate each slot's fold. The lane entry
-//! (`Engine::push_columns`) classifies group keys (plain column,
-//! `column / constant`, kernel-compiled) and folds (`COUNT(*)`,
-//! `SUM(column)`) into lane reads, and falls back to the per-row
-//! algorithm for everything else — HAVING predicates, `OR_AGGR`, masked
-//! keys, and any *value* outside a lane shape's domain (NULL or signed
-//! inputs reaching a `DivConst` key or a `SUM` slot). The contract is
-//! that the lanes are invisible: byte-identical output tuples and
-//! identical operator counters against the batch-size-1 row reference,
-//! at every batch size, including inputs engineered to cross the
-//! lane/fallback seam mid-stream.
+//! The model (`run_logical`) is the plain per-tuple algorithm with no
+//! engine code in it: evaluate the group key, find or create the group
+//! in a map, fold each slot. The lane entry (`Engine::push_columns`)
+//! classifies group keys (plain column, `column / constant`,
+//! kernel-compiled) and folds (`COUNT(*)`, `SUM(column)`) into lane reads,
+//! and falls back to the per-row algorithm for everything else — HAVING
+//! predicates, `OR_AGGR`, masked keys, and any *value* outside a lane
+//! shape's domain (NULL or signed inputs reaching a `DivConst` key or a
+//! `SUM` slot). The contract is that the lanes are invisible:
+//! byte-identical output tuples against the model, and identical
+//! operator counters at every batch size, including inputs engineered to
+//! cross the lane/fallback seam mid-stream.
 
 use qap::prelude::*;
-use qap::types::encode_tuple;
+use qap::types::{encode_tuple, ColumnBatch};
 
 /// One sink's output: (sink node id, encoded rows in emission order).
 type SinkRows = (usize, Vec<Vec<u8>>);
 
-/// Runs a query set at one batch size and returns the sink outputs
-/// encoded to wire bytes plus the engine's counters.
-fn run_encoded(dag: &QueryDag, input: &[Tuple], batch: usize) -> (Vec<SinkRows>, Vec<OpCounters>) {
+fn encode(outputs: Vec<(usize, Vec<Tuple>)>) -> Vec<SinkRows> {
+    outputs
+        .into_iter()
+        .map(|(id, rows)| (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect()))
+        .collect()
+}
+
+/// Runs a query set through the lanes (tuples transposed to
+/// [`ColumnBatch`] chunks of `batch` rows, pushed via `push_columns`)
+/// and returns the root outputs encoded to wire bytes plus the engine's
+/// counters.
+fn run_lanes(dag: &QueryDag, input: &[Tuple], batch: usize) -> (Vec<SinkRows>, Vec<OpCounters>) {
     let mut engine = Engine::new(dag).expect("engine builds");
-    let sources = engine.source_nodes();
-    let mut buf = Vec::new();
-    for &s in &sources {
+    engine.set_batch_config(BatchConfig::new(batch));
+    for s in engine.source_nodes() {
         for chunk in input.chunks(batch) {
-            buf.clear();
-            buf.extend_from_slice(chunk);
-            engine.push_batch(s, &mut buf).expect("push");
+            let mut cols = ColumnBatch::from_rows(chunk);
+            engine.push_columns(s, &mut cols).expect("push");
         }
     }
     engine.finish().expect("finish");
     let counters = engine.counters().to_vec();
     let outputs = dag
-        .topo_order()
-        .filter(|&id| dag.parents(id).is_empty())
-        .map(|id| {
-            let rows = engine.output(id);
-            (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect())
-        })
+        .roots()
+        .into_iter()
+        .map(|id| (id, engine.output(id)))
         .collect();
-    (outputs, counters)
+    (encode(outputs), counters)
 }
 
-/// Asserts a query produces byte-identical outputs and identical
-/// counters at every batch size, against the batch-size-1 reference
-/// (the pure per-tuple path).
-fn assert_batch_invariant(dag: &QueryDag, input: &[Tuple], label: &str) {
-    let (ref_out, ref_counters) = run_encoded(dag, input, 1);
+/// Asserts the lanes are invisible: at every batch size, byte-identical
+/// outputs against the model and counters identical to the batch-size-1
+/// run's.
+fn assert_model_equals_lanes(dag: &QueryDag, input: &[Tuple], label: &str) {
+    let model = encode(run_logical(dag, input.iter().cloned()).expect("model runs"));
     assert!(
-        ref_out.iter().any(|(_, rows)| !rows.is_empty()),
-        "{label}: reference run produced no rows"
+        model.iter().any(|(_, rows)| !rows.is_empty()),
+        "{label}: the model produced no rows"
     );
-    for batch in [5usize, 64, 1024] {
-        let (out, counters) = run_encoded(dag, input, batch);
-        assert_eq!(out, ref_out, "{label}: outputs differ at batch {batch}");
+    let (_, ref_counters) = run_lanes(dag, input, 1);
+    for batch in [1usize, 5, 64, 1024] {
+        let (out, counters) = run_lanes(dag, input, batch);
+        assert_eq!(out, model, "{label}: outputs differ at batch {batch}");
         assert_eq!(
             counters, ref_counters,
             "{label}: counters differ at batch {batch}"
@@ -91,7 +95,7 @@ fn fast_keys_and_fast_slots() {
         "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
          GROUP BY time/60 as tb, srcIP",
     );
-    assert_batch_invariant(&dag, &tcp_trace(), "fast keys + fast slots");
+    assert_model_equals_lanes(&dag, &tcp_trace(), "fast keys + fast slots");
 }
 
 #[test]
@@ -102,20 +106,20 @@ fn masked_key_takes_general_evaluator() {
         "SELECT tb, subnet, COUNT(*) as cnt FROM TCP \
          GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet",
     );
-    assert_batch_invariant(&dag, &tcp_trace(), "masked key");
+    assert_model_equals_lanes(&dag, &tcp_trace(), "masked key");
 }
 
 #[test]
 fn having_or_aggr_general_path() {
     // The Section 6.1 query: OR_AGGR has no fold shortcut and HAVING
-    // filters at flush; both must be batch-size-invariant.
+    // filters at flush; both must match the model at every batch size.
     let dag = tcp_dag(
         "SELECT tb, srcIP, destIP, srcPort, destPort, \
          OR_AGGR(flags) as orflag, COUNT(*) as cnt FROM TCP \
          GROUP BY time/60 as tb, srcIP, destIP, srcPort, destPort \
          HAVING OR_AGGR(flags) = 0x29",
     );
-    assert_batch_invariant(&dag, &tcp_trace(), "HAVING + OR_AGGR");
+    assert_model_equals_lanes(&dag, &tcp_trace(), "HAVING + OR_AGGR");
 }
 
 /// A hand-built stream whose key and sum columns wander outside the
@@ -155,60 +159,7 @@ fn mixed_trace() -> Vec<Tuple> {
 #[test]
 fn mixed_type_inputs_cross_the_fallback_seam() {
     let dag = mixed_dag();
-    assert_batch_invariant(&dag, &mixed_trace(), "mixed-type keys and sums");
-}
-
-/// Runs a query set through the *columnar* path (tuples transposed to
-/// [`ColumnBatch`] chunks, pushed via `push_columns`) and returns the
-/// same encoded-output + counters shape as [`run_encoded`].
-fn run_encoded_columnar(
-    dag: &QueryDag,
-    input: &[Tuple],
-    batch: usize,
-) -> (Vec<SinkRows>, Vec<OpCounters>) {
-    use qap::types::ColumnBatch;
-    let mut engine = Engine::new(dag).expect("engine builds");
-    engine.set_batch_config(BatchConfig::new(batch));
-    let sources = engine.source_nodes();
-    for &s in &sources {
-        for chunk in input.chunks(batch) {
-            let mut cols = ColumnBatch::from_rows(chunk);
-            engine.push_columns(s, &mut cols).expect("push");
-        }
-    }
-    engine.finish().expect("finish");
-    let counters = engine.counters().to_vec();
-    let outputs = dag
-        .topo_order()
-        .filter(|&id| dag.parents(id).is_empty())
-        .map(|id| {
-            let rows = engine.output(id);
-            (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect())
-        })
-        .collect();
-    (outputs, counters)
-}
-
-/// Asserts the columnar typed-lane path is invisible: byte-identical
-/// outputs and identical counters against the batch-size-1 row
-/// reference, at every batch size.
-fn assert_columnar_invariant(dag: &QueryDag, input: &[Tuple], label: &str) {
-    let (ref_out, ref_counters) = run_encoded(dag, input, 1);
-    assert!(
-        ref_out.iter().any(|(_, rows)| !rows.is_empty()),
-        "{label}: reference run produced no rows"
-    );
-    for batch in [5usize, 64, 1024] {
-        let (out, counters) = run_encoded_columnar(dag, input, batch);
-        assert_eq!(
-            out, ref_out,
-            "{label}: columnar outputs differ at batch {batch}"
-        );
-        assert_eq!(
-            counters, ref_counters,
-            "{label}: columnar counters differ at batch {batch}"
-        );
-    }
+    assert_model_equals_lanes(&dag, &mixed_trace(), "mixed-type keys and sums");
 }
 
 /// A stream with signed and boolean columns, exercising the Int and
@@ -227,7 +178,7 @@ fn signed_dag() -> QueryDag {
 #[test]
 fn int_lane_negative_sums_match_row_path() {
     // SUM over a lane that is mostly negative: the signed accumulator
-    // must agree with the row evaluator sign-for-sign.
+    // must agree with the model sign-for-sign.
     let input: Vec<Tuple> = (0..900u64)
         .map(|i| {
             Tuple::new(vec![
@@ -238,7 +189,7 @@ fn int_lane_negative_sums_match_row_path() {
             ])
         })
         .collect();
-    assert_columnar_invariant(&signed_dag(), &input, "negative int sums");
+    assert_model_equals_lanes(&signed_dag(), &input, "negative int sums");
 }
 
 #[test]
@@ -256,7 +207,7 @@ fn all_null_lanes_match_row_path() {
             ])
         })
         .collect();
-    assert_columnar_invariant(&signed_dag(), &input, "all-null lanes");
+    assert_model_equals_lanes(&signed_dag(), &input, "all-null lanes");
 }
 
 #[test]
@@ -278,7 +229,7 @@ fn mixed_null_and_non_null_groups_match_row_path() {
             Tuple::new(vec![Value::UInt(i / 4), delta, up, Value::UInt(i)])
         })
         .collect();
-    assert_columnar_invariant(&signed_dag(), &input, "mixed null groups");
+    assert_model_equals_lanes(&signed_dag(), &input, "mixed null groups");
 }
 
 #[test]
@@ -333,6 +284,5 @@ fn min_max_over_int_and_null_blocks_match_row_path() {
             Tuple::new(vec![Value::UInt(i / 3), Value::UInt(i % 3), v])
         })
         .collect();
-    assert_batch_invariant(&dag, &input, "min/max int/null blocks");
-    assert_columnar_invariant(&dag, &input, "min/max int/null blocks");
+    assert_model_equals_lanes(&dag, &input, "min/max int/null blocks");
 }

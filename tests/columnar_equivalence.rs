@@ -3,8 +3,9 @@
 //! group-key path and the column-contiguous wire frames must all be
 //! invisible to results and to the semantic per-node counters — at
 //! every batch size, in both the deterministic simulator and the
-//! threaded runner. Results are held to `run_logical`, the row-at-a-time
-//! reference engine over the unpartitioned query set.
+//! threaded runner. Results are held to `run_logical`, the reference
+//! model over the unpartitioned query set, which shares no operator code
+//! with the engine.
 
 use qap::prelude::*;
 use qap::types::{decode_column_batch, encode_column_batch, BytesMut, ColumnBatch};
@@ -290,14 +291,18 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 /// A string column reaches every runner's engines as the same lane
 /// type: the splitter dictionary-encodes each batch it stages. The
 /// stream is `bench_kernels`' `FLOW(time, srcIP, proto string, len)`,
-/// derived from the TCP trace, partitioned on `proto` so that both
-/// queries run whole on the leaves, over the batches the splitter
-/// staged: an aggregate grouped by `proto`, and a self-join keyed on
-/// it. The aggregate encodes strings at its own entry too; the join
-/// reads its key lanes as they arrive and tallies its fallback by their
-/// type. So the simulator and the threaded runner sum to the same
-/// kernel hits, fallbacks and per-lane tallies only if they feed the
-/// same lanes.
+/// derived from the TCP trace. Partitioned on `proto`, both queries run
+/// whole on the leaves, over the batches the splitter staged: an
+/// aggregate grouped by `proto`, and a self-join keyed on it. The
+/// aggregate encodes strings at its own entry too; the join reads its
+/// key lanes as they arrive and tallies its fallback by their type.
+/// Partitioned on `srcIP`, the aggregate's central super-aggregate is
+/// grouped by `proto` and fed the leaves' flushed windows, which an
+/// engine writes into recycled batches: a batch whose lanes kept an
+/// earlier user's types would tally a `Mixed` fallback in one runner and
+/// not the other. So the simulator and the threaded runner agree on
+/// every node's kernel hits, fallbacks and per-lane tallies only if they
+/// feed the same lanes.
 #[test]
 fn a_string_key_reaches_every_runner_as_the_same_lanes() {
     use qap::obs::OpMetrics;
@@ -345,30 +350,40 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
             ])
         })
         .collect();
-    let plan = optimize(
-        &dag,
-        &Partitioning::hash(PartitionSet::from_columns(["proto"]), 3),
-        &OptimizerConfig::full(),
-    )
-    .unwrap();
-    let tally = |run: &SimResult| {
-        let mut total = OpMetrics::default();
-        for m in &run.node_metrics {
-            total.merge(m);
-        }
+    let tally = |m: &OpMetrics| {
         (
-            total.kernel_hits,
-            total.kernel_fallbacks,
-            total.kernel_lane_hits,
-            total.kernel_lane_fallbacks,
+            m.kernel_hits,
+            m.kernel_fallbacks,
+            m.kernel_lane_hits,
+            m.kernel_lane_fallbacks,
         )
     };
     let cfg = SimConfig::default();
-    let sim = run_distributed(&plan, &flows, &cfg).unwrap();
-    let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
-    assert!(tally(&sim).0 > 0);
-    assert_eq!(tally(&threaded), tally(&sim));
-    assert_eq!(threaded.counters, sim.counters);
+    for set in ["proto", "srcIP"] {
+        let plan = optimize(
+            &dag,
+            &Partitioning::hash(PartitionSet::from_columns([set]), 3),
+            &OptimizerConfig::full(),
+        )
+        .unwrap();
+        let sim = run_distributed(&plan, &flows, &cfg).unwrap();
+        let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
+        assert!(sim.node_metrics.iter().any(|m| m.kernel_hits > 0), "{set}");
+        for (id, (t, s)) in threaded
+            .node_metrics
+            .iter()
+            .zip(&sim.node_metrics)
+            .enumerate()
+        {
+            assert_eq!(
+                tally(t),
+                tally(s),
+                "on {set}: node {id} ({})",
+                plan.dag.node(id).label()
+            );
+        }
+        assert_eq!(threaded.counters, sim.counters, "{set}");
+    }
 }
 
 /// The splitter always hashes the *row* view of a tuple, and a tuple

@@ -376,16 +376,35 @@ fn build_dag(queries: &[(&str, &str)]) -> QueryDag {
     b.build()
 }
 
+/// One engine over the whole logical plan, fed the trace as lane
+/// batches of `batch` rows: each root's output, in emission order.
+fn run_lanes(dag: &QueryDag, trace: &[Tuple], batch: usize) -> Vec<(usize, Vec<Tuple>)> {
+    let mut engine = Engine::new(dag).unwrap();
+    engine.set_batch_config(BatchConfig::new(batch));
+    let source = engine.source_nodes()[0];
+    for chunk in trace.chunks(batch) {
+        let mut cols = qap::types::ColumnBatch::from_rows(chunk);
+        engine.push_columns(source, &mut cols).unwrap();
+    }
+    engine.finish().unwrap();
+    dag.roots()
+        .into_iter()
+        .map(|r| (r, engine.output(r)))
+        .collect()
+}
+
 /// Single-source logical plans are *bit-identical* (same rows, same
 /// order) at every batch size — batching never reorders a plan without
-/// a merge of independently-progressing inputs.
+/// a merge of independently-progressing inputs — and equal to the
+/// reference model's.
 #[test]
 fn logical_plan_bit_identical_across_batch_sizes() {
     let dag = build_dag(&section_3_2_queries());
     let trace = generate(&TraceConfig::tiny(47));
-    let per_tuple = run_logical_with(&dag, trace.clone(), BatchConfig::per_tuple()).unwrap();
+    let per_tuple = run_lanes(&dag, &trace, 1);
+    assert_eq!(per_tuple, run_logical(&dag, trace.clone()).unwrap());
     for batch in [2usize, 7, 64, 1024, 1 << 20] {
-        let batched = run_logical_with(&dag, trace.clone(), BatchConfig::new(batch)).unwrap();
+        let batched = run_lanes(&dag, &trace, batch);
         assert_eq!(per_tuple, batched, "batch size {batch} diverged");
     }
 }

@@ -15,6 +15,7 @@
 
 use qap::exec::OpMetrics;
 use qap::prelude::*;
+use qap::types::ColumnBatch;
 
 const BATCH_SIZES: [usize; 4] = [1, 7, 256, 1024];
 
@@ -54,13 +55,10 @@ fn assert_conserves(dag: &QueryDag, metrics: &[OpMetrics], label: &str) {
 /// returns the per-node metrics.
 fn logical_metrics(dag: &QueryDag, trace: &[Tuple], batch: usize) -> Vec<OpMetrics> {
     let mut engine = Engine::new(dag).expect("engine builds");
-    let sources = engine.source_nodes();
-    let mut buf = Vec::new();
-    for &s in &sources {
+    for s in engine.source_nodes() {
         for chunk in trace.chunks(batch) {
-            buf.clear();
-            buf.extend_from_slice(chunk);
-            engine.push_batch(s, &mut buf).expect("push");
+            let mut cols = ColumnBatch::from_rows(chunk);
+            engine.push_columns(s, &mut cols).expect("push");
         }
     }
     engine.finish().expect("finish");

@@ -1,12 +1,12 @@
-//! Join and merge hold their epochs as lanes and consume rows and
-//! columns alike; this suite holds them to the tuple-at-a-time
-//! definition of their semantics. The reference feeds every input tuple
-//! through `Engine::push`, one at a time; the subject feeds the *same*
-//! tuple sequence cut into arbitrary chunks, each chunk as rows
-//! (`push_batch`) or as a — possibly dictionary-encoded — column batch
-//! (`push_columns`), so one epoch routinely arrives half as rows and
-//! half as columns. Outputs must agree row for row, in order, and every
-//! per-node counter (late drops included) must be equal.
+//! Join and merge hold their epochs as lanes; this suite holds them to
+//! the tuple-at-a-time definition of their semantics on multi-source
+//! plans, which the single-source reference model (`run_logical`) does
+//! not take. The reference feeds every input tuple as its own one-row
+//! lane batch; the subject feeds the *same* tuple sequence cut into
+//! arbitrary chunks, each chunk a plain or a dictionary-encoded column
+//! batch, so one epoch routinely arrives in both encodings. Outputs must
+//! agree row for row, in order, and every per-node counter (late drops
+//! included) must be equal.
 
 use proptest::prelude::*;
 
@@ -19,7 +19,6 @@ type Event = (usize, Tuple);
 /// How the subject run delivers one chunk.
 #[derive(Debug, Clone, Copy)]
 enum Rep {
-    Rows,
     Cols,
     DictCols,
 }
@@ -28,7 +27,10 @@ fn run_per_tuple(dag: &QueryDag, events: &[Event]) -> (Vec<Tuple>, Vec<OpCounter
     let mut engine = Engine::new(dag).expect("engine builds");
     let sources = engine.source_nodes();
     for (port, t) in events {
-        engine.push(sources[*port], t.clone()).expect("push");
+        let mut cols = ColumnBatch::from_rows(std::slice::from_ref(t));
+        engine
+            .push_columns(sources[*port], &mut cols)
+            .expect("push");
     }
     engine.finish().expect("finish");
     let out = engine.output(dag.roots()[0]);
@@ -56,20 +58,15 @@ fn run_chunked(
             .take(want)
             .take_while(|(p, _)| *p == port)
             .count();
-        let mut rows: Vec<Tuple> = events[at..at + len]
+        let rows: Vec<Tuple> = events[at..at + len]
             .iter()
             .map(|(_, t)| t.clone())
             .collect();
-        match reps[chunk_no % reps.len()] {
-            Rep::Rows => engine.push_batch(sources[port], &mut rows).expect("push"),
-            rep => {
-                let mut cols = ColumnBatch::from_rows(&rows);
-                if matches!(rep, Rep::DictCols) {
-                    cols.dict_encode_strings();
-                }
-                engine.push_columns(sources[port], &mut cols).expect("push");
-            }
+        let mut cols = ColumnBatch::from_rows(&rows);
+        if matches!(reps[chunk_no % reps.len()], Rep::DictCols) {
+            cols.dict_encode_strings();
         }
+        engine.push_columns(sources[port], &mut cols).expect("push");
         at += len;
         chunk_no += 1;
     }
@@ -79,7 +76,7 @@ fn run_chunked(
 }
 
 fn arb_rep() -> impl Strategy<Value = Rep> {
-    prop_oneof![Just(Rep::Rows), Just(Rep::Cols), Just(Rep::DictCols)]
+    prop_oneof![Just(Rep::Cols), Just(Rep::DictCols)]
 }
 
 fn arb_cuts_and_reps() -> impl Strategy<Value = (Vec<usize>, Vec<Rep>)> {
@@ -169,7 +166,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every join type × offset × key shape × residual: chunked, mixed
-    /// representation input ≡ one tuple at a time.
+    /// encoding input ≡ one tuple at a time.
     #[test]
     fn join_is_cut_and_representation_invariant(
         events in arb_join_events(),
@@ -192,7 +189,7 @@ proptest! {
 
 /// The fixed case behind the property: both sides repeat a key, NULL
 /// keys match nothing yet pad, a late row is dropped and counted, and
-/// left epoch 1 arrives half as rows and half as columns.
+/// left epoch 1 arrives half plain and half dictionary-encoded.
 #[test]
 fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
     let dag = join_dag("FULL OUTER JOIN", 0, false, false);
@@ -221,8 +218,9 @@ fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
         r(2, Value::UInt(9), 0),
     ];
     let want = run_per_tuple(&dag, &events);
-    // Left rows 0..2 as rows, 2..4 as columns: one epoch, two forms.
-    let got = run_chunked(&dag, &events, &[1], &[Rep::Rows, Rep::Cols]);
+    // Left rows 0..2 plain, 2..4 dictionary-encoded: one epoch, two
+    // encodings.
+    let got = run_chunked(&dag, &events, &[1], &[Rep::Cols, Rep::DictCols]);
     assert_eq!(got, want);
     let row = |vals: [Value; 6]| Tuple::new(vals.to_vec());
     let (a, b, u, n) = (
@@ -340,8 +338,8 @@ fn arb_merge_events(ports: usize, silent: usize) -> impl Strategy<Value = Vec<Ev
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// K-port merge with skewed port progress: chunked, mixed
-    /// representation input ≡ one tuple at a time.
+    /// K-port merge with skewed port progress: chunked, mixed encoding
+    /// input ≡ one tuple at a time.
     #[test]
     fn merge_is_cut_and_representation_invariant(
         events in arb_merge_events(3, 0),

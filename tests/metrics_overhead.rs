@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use qap::prelude::*;
+use qap::types::ColumnBatch;
 
 /// Maximum tolerated relative overhead of metrics-on vs metrics-off.
 #[cfg(not(debug_assertions))]
@@ -27,16 +28,16 @@ const MAX_OVERHEAD: f64 = 0.05;
 #[cfg(debug_assertions)]
 const MAX_OVERHEAD: f64 = 0.50;
 
-fn run_once(dag: &QueryDag, trace: &[Tuple], metrics_on: bool) -> std::time::Duration {
+fn run_once(dag: &QueryDag, staged: &[ColumnBatch], metrics_on: bool) -> std::time::Duration {
     let mut engine = Engine::new(dag).expect("engine builds");
     engine.set_metrics_enabled(metrics_on);
     let source = engine.source_nodes()[0];
-    let mut buf = Vec::new();
+    // `push_columns` drains its feed, so each run takes its own copy,
+    // made before the clock starts.
+    let mut batches = staged.to_vec();
     let start = Instant::now();
-    for chunk in trace.chunks(1024) {
-        buf.clear();
-        buf.extend_from_slice(chunk);
-        engine.push_batch(source, &mut buf).expect("push");
+    for batch in &mut batches {
+        engine.push_columns(source, batch).expect("push");
     }
     engine.finish().expect("finish");
     let elapsed = start.elapsed();
@@ -65,6 +66,7 @@ fn metrics_overhead_within_bound() {
         seed: 90210,
         ..TraceConfig::default()
     });
+    let trace: Vec<ColumnBatch> = trace.chunks(1024).map(ColumnBatch::from_rows).collect();
 
     // Warm-up both variants (allocator, caches, lazy init).
     run_once(&dag, &trace, true);

@@ -710,12 +710,22 @@ proptest! {
             ..TraceConfig::default()
         });
 
-        // Logical plan: bit-identical, order included.
-        let per_tuple =
-            run_logical_with(&dag, trace.clone(), BatchConfig::per_tuple()).unwrap();
-        let batched =
-            run_logical_with(&dag, trace.clone(), BatchConfig::new(batch)).unwrap();
-        prop_assert_eq!(&per_tuple, &batched, "logical diverged at batch {}", batch);
+        // Logical plan on one engine's lanes: bit-identical, order
+        // included, and equal to the reference model's.
+        let lanes = |batch: usize| {
+            let mut engine = Engine::new(&dag).unwrap();
+            engine.set_batch_config(BatchConfig::new(batch));
+            let source = engine.source_nodes()[0];
+            for chunk in trace.chunks(batch) {
+                let mut cols = qap::types::ColumnBatch::from_rows(chunk);
+                engine.push_columns(source, &mut cols).unwrap();
+            }
+            engine.finish().unwrap();
+            dag.roots().into_iter().map(|r| (r, engine.output(r))).collect::<Vec<_>>()
+        };
+        let per_tuple = lanes(1);
+        prop_assert_eq!(&per_tuple, &lanes(batch), "logical diverged at batch {}", batch);
+        prop_assert_eq!(&per_tuple, &run_logical(&dag, trace.clone()).unwrap());
 
         // Distributed plan: identical counters, identical multisets.
         let partitioning = if use_hash {

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 
 use qap::exec::Engine;
 use qap::prelude::*;
+use qap::types::ColumnBatch;
 
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows.sort_by(|a, b| {
@@ -405,12 +406,9 @@ proptest! {
         let t0 = trace.first().map(|t| t.get(tidx).as_u64().unwrap_or(0)).unwrap_or(0);
         let boundary = t0 + boundary_off;
 
-        // Reference: one engine sees everything.
-        let mut reference = Engine::new(&dag).unwrap();
-        let mut all = trace.clone();
-        reference.push_batch(src, &mut all).unwrap();
-        reference.finish().unwrap();
-        let want = sorted(reference.output(root));
+        // Reference: the model sees everything.
+        let want = sorted(run_logical(&dag, trace.clone()).unwrap().remove(0).1);
+        let one = |t: &Tuple| ColumnBatch::from_rows(std::slice::from_ref(t));
 
         // Split run: 2 engines, 8 buckets each, with the stream router
         // and the state router sharing one table.
@@ -426,7 +424,7 @@ proptest! {
         let split = trace.iter().position(|t| t.get(tidx).as_u64().unwrap_or(0) >= boundary)
             .unwrap_or(trace.len());
         for t in &trace[..split] {
-            engines[route.partition(t)].push_batch(src, &mut vec![t.clone()]).unwrap();
+            engines[route.partition(t)].push_columns(src, &mut one(t)).unwrap();
         }
 
         // Drain-and-handoff at the boundary, both directions at once:
@@ -453,7 +451,7 @@ proptest! {
         route.set_assignment(next);
 
         for t in &trace[split..] {
-            engines[route.partition(t)].push_batch(src, &mut vec![t.clone()]).unwrap();
+            engines[route.partition(t)].push_columns(src, &mut one(t)).unwrap();
         }
         let mut got = Vec::new();
         for e in &mut engines {

@@ -2,8 +2,9 @@
 //! partition layouts, runtime expression errors, and multi-stream
 //! feeds.
 
-use qap::exec::ExecError;
+use qap::exec::{ExecError, ExecResult};
 use qap::prelude::*;
+use qap::types::ColumnBatch;
 
 fn pkt(time: u64, src: u64, dst: u64, len: u64) -> Tuple {
     Tuple::new(vec![
@@ -17,6 +18,11 @@ fn pkt(time: u64, src: u64, dst: u64, len: u64) -> Tuple {
         Value::UInt(0x10),
         Value::UInt(len),
     ])
+}
+
+/// Feeds one tuple to `source` as a one-row lane batch.
+fn push(engine: &mut Engine, source: usize, t: Tuple) -> ExecResult<()> {
+    engine.push_columns(source, &mut ColumnBatch::from_rows(&[t]))
 }
 
 fn flows_dag() -> QueryDag {
@@ -39,7 +45,7 @@ fn out_of_order_input_drops_late_without_crashing() {
     let src = engine.source_nodes()[0];
     // Shuffled epochs: 2, 0, 1, 3.
     for &t in &[130u64, 5, 70, 200] {
-        engine.push(src, pkt(t, 1, 2, 100)).unwrap();
+        push(&mut engine, src, pkt(t, 1, 2, 100)).unwrap();
     }
     engine.finish().unwrap();
     let agg = dag.query_node("flows").unwrap();
@@ -84,8 +90,11 @@ fn division_by_zero_mid_stream_surfaces_as_error() {
     let dag = b.build();
     let mut engine = Engine::new(&dag).unwrap();
     let src = engine.source_nodes()[0];
-    engine.push(src, pkt(0, 1, 2, 100)).unwrap();
-    let err = engine.push(src, pkt(1, 1, 2, 40)).unwrap_err();
+    push(&mut engine, src, pkt(0, 1, 2, 100)).unwrap();
+    let err = push(&mut engine, src, pkt(1, 1, 2, 40)).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    // The reference model agrees.
+    let err = run_logical(&dag, vec![pkt(0, 1, 2, 100), pkt(1, 1, 2, 40)]).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
 }
 
