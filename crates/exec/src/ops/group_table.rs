@@ -122,7 +122,7 @@ pub(crate) struct GroupTable<P> {
     /// Flat payload storage: entry `e` owns
     /// `payloads[e*width .. (e+1)*width]`.
     payloads: Vec<P>,
-    /// Payload slots per entry.
+    /// Accumulator (payload) slots per entry.
     width: usize,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.

@@ -157,9 +157,9 @@ fn payload_len(frame: &ControlFrame) -> usize {
 }
 
 /// Encodes one control frame, reusing `scratch` as the staging buffer
-/// exactly as [`crate::encode_column_batch`] does. Payloads that overflow the
+/// exactly as [`crate::encode_column_batch`] does. A payload that overflows the
 /// `u32` header length (or an `Error` message longer than `u32::MAX`)
-/// are refused with [`TypeError::FrameTooLarge`] before any bytes are
+/// is refused with [`TypeError::FrameTooLarge`] before any bytes are
 /// staged.
 pub fn encode_control(frame: &ControlFrame, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     scratch.clear();

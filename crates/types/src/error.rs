@@ -43,7 +43,7 @@ pub enum TypeError {
     /// A frame header's declared payload length disagreed with the
     /// bytes actually present.
     FrameLengthMismatch {
-        /// Payload length the header declared.
+        /// The payload length the header declared.
         declared: usize,
         /// Bytes actually following the header.
         actual: usize,

@@ -64,7 +64,7 @@ pub fn encode_tuple(tuple: &Tuple) -> Bytes {
     buf.freeze()
 }
 
-/// Payload byte length of the value body (excluding the 1-byte tag) —
+/// The byte length of the value body (excluding the 1-byte tag) —
 /// shared between [`encoded_len`] and the mixed-lane encoder.
 #[inline]
 fn value_body_len(v: &Value) -> usize {
@@ -117,8 +117,8 @@ pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
 /// all). Decoding the frame and materializing its rows yields exactly
 /// the rows the batch holds, for every value kind.
 ///
-/// Payloads, row counts or arities that overflow their header fields
-/// (`u32`/`u32`/`u16`) report [`TypeError::FrameTooLarge`] *before* any
+/// A payload, row count or arity that overflows its header field
+/// (`u32`/`u32`/`u16`) reports [`TypeError::FrameTooLarge`] *before* any
 /// bytes are staged, instead of emitting a silently length-truncated
 /// (corrupt) frame. Per-string `u32` length prefixes cannot overflow
 /// once the whole payload fits (each string costs `4 + len` payload
