@@ -200,8 +200,6 @@ fn put_op_metrics(buf: &mut BytesMut, m: &OpMetrics) {
     buf.put_u64(m.batches_out);
     buf.put_u64(m.late_dropped);
     put_histogram(buf, &m.batch_occupancy);
-    buf.put_u64(m.col_batches_in);
-    put_histogram(buf, &m.col_batch_occupancy);
     buf.put_u64(m.kernel_hits);
     buf.put_u64(m.kernel_fallbacks);
     for v in m.kernel_lane_hits {
@@ -235,8 +233,6 @@ fn read_op_metrics(r: &mut Reader) -> TypeResult<OpMetrics> {
         batches_out: r.u64()?,
         late_dropped: r.u64()?,
         batch_occupancy: read_histogram(r)?,
-        col_batches_in: r.u64()?,
-        col_batch_occupancy: read_histogram(r)?,
         kernel_hits: r.u64()?,
         kernel_fallbacks: r.u64()?,
         kernel_lane_hits: read_lane_counters(r)?,
@@ -267,10 +263,9 @@ pub(crate) struct DeployInputs {
     /// Index of the host's leaf unit in the deployment (≥ 1).
     pub(crate) unit: u32,
     /// The run knobs a leaf unit sees: engine batch size, tuples per
-    /// boundary frame, the timeout bound and the fault plan.
+    /// boundary frame and the fault plan.
     pub(crate) max_batch: u32,
     pub(crate) frame_batch: u32,
-    pub(crate) send_timeout_ms: u64,
     pub(crate) fault: FaultPlan,
     /// [`plan_fingerprint`] of the coordinator's plan.
     pub(crate) fingerprint: u64,
@@ -319,7 +314,6 @@ pub(crate) fn encode_deploy(d: &DeployInputs) -> Bytes {
     for n in [d.unit, d.max_batch, d.frame_batch] {
         buf.put_u32(n);
     }
-    buf.put_u64(d.send_timeout_ms);
     put_fault(&mut buf, &d.fault);
     buf.put_u64(d.fingerprint);
     buf.freeze()
@@ -359,7 +353,6 @@ pub(crate) fn decode_deploy(payload: Bytes) -> TypeResult<DeployInputs> {
         unit: r.u32()?,
         max_batch: r.u32()?,
         frame_batch: r.u32()?,
-        send_timeout_ms: r.u64()?,
         fault: read_fault(&mut r)?,
         fingerprint: r.u64()?,
     };
@@ -414,7 +407,6 @@ pub(crate) fn encode_unit_outcome(
     }
     out.put_u64(outcome.stalls);
     out.put_u64(outcome.dropped);
-    out.put_u64(outcome.tuples_fed);
     Ok(out.freeze())
 }
 
@@ -455,7 +447,6 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
     }
     let stalls = r.u64()?;
     let dropped = r.u64()?;
-    let tuples_fed = r.u64()?;
     r.finish()?;
     Ok(UnitOutcome {
         counters,
@@ -464,7 +455,6 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
         edges,
         stalls,
         dropped,
-        tuples_fed,
     })
 }
 
@@ -612,7 +602,6 @@ mod tests {
             unit: 2,
             max_batch: 512,
             frame_batch: 128,
-            send_timeout_ms: 1500,
             fault: FaultPlan::seeded(11).corrupt_every(3).slow(1, 40),
             fingerprint: plan_fingerprint(&plan),
         }
@@ -678,9 +667,7 @@ mod tests {
             batches_in: 2,
             batches_out: 1,
             late_dropped: 1,
-            batch_occupancy: h.clone(),
-            col_batches_in: 1,
-            col_batch_occupancy: h,
+            batch_occupancy: h,
             kernel_hits: 5,
             kernel_fallbacks: 1,
             kernel_lane_hits: [5, 0, 1, 0, 2, 0],
@@ -719,7 +706,6 @@ mod tests {
             }],
             stalls: 1,
             dropped: 0,
-            tuples_fed: 1_000,
         };
         let mut scratch = BytesMut::new();
         let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
@@ -830,7 +816,6 @@ mod tests {
             edges: Vec::new(),
             stalls: 0,
             dropped: 0,
-            tuples_fed: 7,
         };
         let mut scratch = BytesMut::new();
         let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();

@@ -9,9 +9,9 @@
 //!
 //! - implements the **splitter**: round-robin or hash partitioning of
 //!   the raw stream into `M` partitions mapped onto hosts (Section 3.3);
-//! - executes the optimizer's physical plan *exactly* (the same
-//!   operators a single Gigascope instance runs), so result correctness
-//!   is end-to-end checkable against the centralized plan;
+//! - executes the optimizer's physical plan *exactly*, one unit per
+//!   host as the paper runs one Gigascope instance per host, so result
+//!   correctness is end-to-end checkable against the centralized plan;
 //! - charges per-tuple **work units** — parse cost at the scans,
 //!   operator cost per processed tuple, a *send* cost at the producing
 //!   host and a (deliberately larger) *remote-receive* cost at the

@@ -56,18 +56,20 @@
 //! trace into epochs, routes each through the `Splitter` into the
 //! runner's `Carrier`, and — when a `Controller` is attached — runs
 //! the control step between epochs and, if it yields a table, one
-//! drain-and-handoff (`handoff`) before the swap. The carrier is the
-//! only runner-specific part: a direct engine call (the simulator), or
-//! unit commands over ports (the `unit` module — worker threads and
-//! host processes alike) beside the central unit's own engine. Whatever
-//! the carrier, each engine applies its share of a handoff through the
-//! same two calls, `extract_in_engine` and `absorb_in_engine`.
+//! drain-and-handoff (`handoff`) before the swap. A handoff is two
+//! rounds of unit commands: one `Extract` per unit holding a member,
+//! then one `Absorb` per unit holding a destination. The carrier is the
+//! only runner-specific part: the simulator applies the commands to its
+//! units in place, the threaded and socket runners send them over the
+//! units' ports (the `unit` module) and apply the central unit's in
+//! place. Every unit applies its share the same way
+//! (`crate::unit::Unit::apply`).
 
 use std::collections::{BTreeMap, HashMap};
 
 use serde::Serialize;
 
-use qap_exec::{Engine, ExecResult};
+use qap_exec::ExecResult;
 use qap_expr::{BinOp, ScalarExpr};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
 use qap_partition::HashPartitioner;
@@ -75,6 +77,8 @@ use qap_plan::{LogicalNode, NodeId, QueryDag};
 use qap_types::{ColumnBatch, Schema, Tuple, Value};
 
 use crate::splitter::{Gauges, Splitter, StreamScans};
+use crate::threaded::Deployment;
+use crate::unit::{LocalRows, UnitCmd, UnitReply};
 
 /// Virtual buckets per partition (`k` of
 /// [`qap_partition::HashPartitioner::with_buckets`]) behind every hash
@@ -724,85 +728,22 @@ impl Controller {
     }
 }
 
-/// One member's share of a handoff: drain `node`, shipping every group
-/// whose key routes outside `owned` under `keyp`'s (next) table.
-pub(crate) struct ExtractJob {
-    /// The member aggregate: a global plan-node id, until a carrier
-    /// addresses it inside one unit's engine.
-    pub(crate) node: NodeId,
-    pub(crate) keyp: HashPartitioner,
-    /// Partitions the member keeps under the next table (sorted).
-    pub(crate) owned: Vec<u32>,
-}
-
-/// The table change a handoff serves, for carriers whose units rebuild
-/// the key partitioners on their side of a wire (over the set each unit
-/// was deployed with).
-pub(crate) struct Handoff<'a> {
-    /// Drain boundary (a trace timestamp).
-    pub(crate) boundary: u64,
-    pub(crate) next: &'a [u32],
-    pub(crate) partitions: usize,
-}
-
 /// Group-state rows of one aggregate (a global plan node), mid-handoff.
 pub(crate) type StateRows = (NodeId, Vec<Tuple>);
 
 /// How a runner reaches its units: the transport-specific half of the
-/// feed loop and of drain-and-handoff. Node ids are global plan ids.
+/// feed loop and of drain-and-handoff.
 pub(crate) trait Carrier {
-    /// Delivers one staged batch to the unit that owns `scan`, draining
-    /// the splitter's buffer. A dead unit swallows its feed (its failure
-    /// surfaces when it is joined).
+    /// Delivers one staged batch to the unit that owns `scan` (a global
+    /// plan id), draining the splitter's buffer. A dead unit swallows
+    /// its feed (its failure surfaces when it is joined).
     fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()>;
 
-    /// On every job's unit: force-close windows before the boundary,
-    /// then extract the re-routed groups. Returns the non-empty state
-    /// row sets keyed by member node, and whether any unit died (or
-    /// could not be reached) on the way.
-    fn extract(
-        &mut self,
-        handoff: &Handoff<'_>,
-        jobs: Vec<ExtractJob>,
-    ) -> ExecResult<(Vec<StateRows>, bool)>;
-
-    /// Merges state rows into the given aggregates; `false` when a
-    /// destination died.
-    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool>;
-}
-
-/// The extract half of a handoff inside one engine, whichever unit it
-/// is: force-close windows before `boundary` on every job's node, then
-/// extract from each the groups its `keyp` routes outside `owned`.
-/// Node ids are the engine's own; returns the non-empty row sets.
-pub(crate) fn extract_in_engine(
-    engine: &mut Engine,
-    boundary: u64,
-    jobs: &[ExtractJob],
-) -> ExecResult<Vec<StateRows>> {
-    for job in jobs {
-        engine.flush_before(job.node, boundary)?;
-    }
-    let mut extracted = Vec::new();
-    for job in jobs {
-        let rows = engine.extract_state(job.node, &mut |key| {
-            !job.owned
-                .contains(&(job.keyp.partition(&Tuple::new(key.to_vec())) as u32))
-        });
-        if !rows.is_empty() {
-            extracted.push((job.node, rows));
-        }
-    }
-    Ok(extracted)
-}
-
-/// The absorb half of a handoff inside one engine: merges each batch of
-/// state rows into its node's group table (the engine's own ids).
-pub(crate) fn absorb_in_engine(engine: &mut Engine, batches: Vec<StateRows>) -> ExecResult<()> {
-    for (node, mut rows) in batches {
-        engine.absorb_state(node, &mut rows)?;
-    }
-    Ok(())
+    /// Gives each unit its command — one half of a handoff — and
+    /// collects the replies; `None` for a unit that is dead or could not
+    /// be reached.
+    fn round(&mut self, cmds: Vec<(usize, UnitCmd)>)
+        -> ExecResult<Vec<(usize, Option<UnitReply>)>>;
 }
 
 /// Drives one feed through the splitter and into the carrier. Without a
@@ -812,6 +753,7 @@ pub(crate) fn absorb_in_engine(engine: &mut Engine, batches: Vec<StateRows>) -> 
 /// (the drain needs every routed tuple inside its engine) — so a
 /// controller that never fires feeds exactly the static run's batches.
 pub(crate) fn drive<C: Carrier>(
+    dep: &Deployment<'_>,
     splitter: &mut Splitter,
     mut controller: Option<&mut Controller>,
     stats: &mut ControlStats,
@@ -832,7 +774,7 @@ pub(crate) fn drive<C: Carrier>(
                 if let Some(next) = ctl.at_boundary(gauges, splitter.assignment(), stats) {
                     splitter.flush(&mut |scan, batch| carrier.feed(scan, batch))?;
                     let timer = std::time::Instant::now();
-                    let moved = handoff(ctl, carrier, &next)?;
+                    let moved = handoff(ctl, dep, carrier, &next)?;
                     stats.pause_ms += timer.elapsed().as_secs_f64() * 1e3;
                     if let Some(n) = moved {
                         stats.migrated_keys += n;
@@ -852,13 +794,14 @@ pub(crate) fn drive<C: Carrier>(
 /// flush-and-extract on every member, route the state rows by the next
 /// table, absorb at the destinations. Transactional up to the first
 /// absorb: if any extract died, every extracted row goes back to its
-/// source engine (best effort) and the old table stays (`None`). Once
-/// absorbs start the next table takes effect regardless — rows bound
-/// for a dead unit are part of that unit's failure record, exactly like
-/// tuples it would have been fed. Either kind of death ends migrations
-/// for the run.
+/// source (best effort) and the old table stays (`None`). Once absorbs
+/// start the next table takes effect regardless — rows bound for a dead
+/// unit are part of that unit's failure record, exactly like tuples it
+/// would have been fed. Either kind of death ends migrations for the
+/// run.
 fn handoff<C: Carrier>(
     ctl: &mut Controller,
+    dep: &Deployment<'_>,
     carrier: &mut C,
     next: &[u32],
 ) -> ExecResult<Option<u64>> {
@@ -866,26 +809,45 @@ fn handoff<C: Carrier>(
     for kp in &mut keyps {
         kp.set_assignment(next.to_vec());
     }
+    // One `Extract` per unit, over the members it runs.
     let mut family_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut jobs = Vec::new();
+    let mut jobs: BTreeMap<usize, Vec<(u32, Vec<u32>)>> = BTreeMap::new();
     for (fi, fam) in ctl.spec.families.iter().enumerate() {
         for mem in &fam.members {
             family_of.insert(mem.node, fi);
-            jobs.push(ExtractJob {
-                node: mem.node,
-                keyp: keyps[fi].clone(),
-                owned: mem.partitions.clone(),
-            });
+            let job = (dep.local_of[mem.node] as u32, mem.partitions.clone());
+            jobs.entry(dep.unit_of[mem.node]).or_default().push(job);
         }
     }
-    let change = Handoff {
-        boundary: ctl.epoch_end.unwrap_or(0),
-        next,
-        partitions: ctl.partitions,
-    };
-    let (extracted, any_dead) = carrier.extract(&change, jobs)?;
+    let cmds = jobs
+        .into_iter()
+        .map(|(u, jobs)| {
+            let cmd = UnitCmd::Extract {
+                boundary: ctl.epoch_end.unwrap_or(0),
+                partitions: ctl.partitions as u32,
+                assignment: next.to_vec(),
+                jobs,
+            };
+            (u, cmd)
+        })
+        .collect();
+    let (mut extracted, mut any_dead) = (Vec::new(), false);
+    for (u, reply) in carrier.round(cmds)? {
+        let Some(rows) = reply else {
+            any_dead = true;
+            continue;
+        };
+        for (local, rows) in rows {
+            let local = local as NodeId;
+            let ids = |&g: &NodeId| dep.unit_of[g] == u && dep.local_of[g] == local;
+            match (0..dep.unit_of.len()).find(ids) {
+                Some(node) => extracted.push((node, rows)),
+                None => any_dead = true,
+            }
+        }
+    }
     if any_dead {
-        carrier.absorb(extracted)?;
+        absorb(dep, carrier, extracted)?;
         ctl.live = false;
         return Ok(None);
     }
@@ -905,10 +867,32 @@ fn handoff<C: Carrier>(
         }
     }
     let moved = per_dest.values().map(|rows| rows.len() as u64).sum();
-    if !carrier.absorb(per_dest.into_iter().collect())? {
+    if !absorb(dep, carrier, per_dest.into_iter().collect())? {
         ctl.live = false;
     }
     Ok(Some(moved))
+}
+
+/// The absorb half of a handoff: one `Absorb` per unit holding a
+/// destination; `false` when one of them is dead.
+fn absorb<C: Carrier>(
+    dep: &Deployment<'_>,
+    carrier: &mut C,
+    batches: Vec<StateRows>,
+) -> ExecResult<bool> {
+    let mut by_unit: BTreeMap<usize, Vec<LocalRows>> = BTreeMap::new();
+    for (node, rows) in batches {
+        let local = (dep.local_of[node] as u32, rows);
+        by_unit.entry(dep.unit_of[node]).or_default().push(local);
+    }
+    let cmds = by_unit
+        .into_iter()
+        .map(|(u, batches)| (u, UnitCmd::Absorb(batches)))
+        .collect();
+    Ok(carrier
+        .round(cmds)?
+        .iter()
+        .all(|(_, reply)| reply.is_some()))
 }
 
 #[cfg(test)]

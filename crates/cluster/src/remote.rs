@@ -4,11 +4,12 @@
 //! [`run_distributed_threaded`](crate::run_distributed_threaded) keeps
 //! every execution unit in one process; this module puts each leaf
 //! unit in its *own* OS process and drives it over a TCP or
-//! Unix-domain socket. The unit is the same [`run_unit`] loop over the
-//! same [`UnitCmd`]s; what this module adds is the wire in between:
+//! Unix-domain socket. The unit is the same [`crate::unit::Unit`] run
+//! by the same [`run_unit`] loop over the same [`UnitCmd`]s; what this
+//! module adds is the wire in between:
 //!
 //! 1. the coordinator slices the plan one unit per host (the threaded
-//!    runner's [`Deployment`]), connects to each leaf host with bounded
+//!    runner's [`Deployment::star`]), connects to each leaf host with bounded
 //!    backoff, and performs the versioned handshake
 //!    (`Hello`/`Welcome`, [`qap_types::PROTOCOL_VERSION`]);
 //! 2. each host is sent a [`Deploy`] payload ([`crate::deploy`]) with
@@ -75,7 +76,7 @@ use crate::link::{
 use crate::sim::{SimConfig, SimResult};
 use crate::splitter::Batch;
 use crate::threaded::{
-    compute_units, feed_and_aggregate, panic_message, stitch, Central, Deployment, Feed,
+    compute_units, feed_and_aggregate, panic_message, Central, Deployment, Feed,
 };
 use crate::transport::TransportConfig;
 use crate::unit::{run_unit, StreamPort, UnitCmd, UnitOutcome, UnitReply, Units};
@@ -86,10 +87,8 @@ use crate::unit::{run_unit, StreamPort, UnitCmd, UnitOutcome, UnitReply, Units};
 
 /// One connected, deployed host session on the coordinator side.
 struct HostSession {
-    /// Index into `slices` (≥ 1; 0 is the central unit).
+    /// Index of the leaf unit in the deployment (≥ 1).
     unit: usize,
-    /// Cluster host id.
-    host: usize,
     stream: DuplexStream,
 }
 
@@ -165,11 +164,7 @@ fn deploy_host(
     // receive timeout — not a per-read socket bound — decides when a
     // quiet boundary means a hung peer.
     stream.set_read_timeout(None).map_err(&fail)?;
-    Ok(HostSession {
-        unit,
-        host: slice_host,
-        stream,
-    })
+    Ok(HostSession { unit, stream })
 }
 
 /// Number of leaf host processes (and thus addresses) a plan needs: one
@@ -213,7 +208,6 @@ fn deploy_inputs(plan: &DistributedPlan, cfg: &SimConfig) -> ExecResult<DeployIn
         unit: 0,
         max_batch: cfg.batch.max_batch as u32,
         frame_batch: cfg.transport.frame_batch as u32,
-        send_timeout_ms: cfg.transport.send_timeout_ms,
         fault: cfg.transport.fault,
         fingerprint: plan_fingerprint(plan),
     })
@@ -227,7 +221,6 @@ impl DeployInputs {
             batch: BatchConfig::new(self.max_batch as usize),
             transport: TransportConfig {
                 frame_batch: self.frame_batch as usize,
-                send_timeout_ms: self.send_timeout_ms,
                 fault: self.fault,
                 ..TransportConfig::default()
             },
@@ -370,25 +363,27 @@ pub fn run_distributed_remote(
     hosts: &[HostAddr],
 ) -> ExecResult<SimResult> {
     let mut inputs = deploy_inputs(plan, cfg)?;
-    let dep = Deployment::new(plan, cfg)?;
-    if hosts.len() != dep.specs.len() {
+    let (dep, scans) = Deployment::star(plan, cfg)?;
+    if hosts.len() != dep.units.len() - 1 {
         return Err(ExecError::BadPlan(format!(
             "plan needs {} leaf host processes, got {} addresses",
-            dep.specs.len(),
+            dep.units.len() - 1,
             hosts.len()
         )));
     }
-    let mut feed = Feed::new(&dep, trace)?;
+    let mut feed = Feed::new(&dep, &scans, trace)?;
 
     // Connect + handshake + deploy every leaf host up front, so a
     // refused or mismatched host fails fast (strict) or is recorded and
     // excluded (partial) before any data moves.
     let mut sessions: Vec<HostSession> = Vec::new();
+    let host_of = |s: &HostSession| dep.units[s.unit].0.host as usize;
     let mut failures: Vec<HostFailure> = Vec::new();
-    for ((u, _, spec), addr) in dep.leaves().zip(hosts) {
+    for ((u, (spec, _)), addr) in dep.units.iter().enumerate().skip(1).zip(hosts) {
         inputs.unit = u as u32;
         let payload = encode_deploy(&inputs);
-        match deploy_host(addr, u, spec.host as usize, payload, spec.send_timeout_ms) {
+        let timeout_ms = dep.cfg.transport.send_timeout_ms;
+        match deploy_host(addr, u, spec.host as usize, payload, timeout_ms) {
             Ok(session) => sessions.push(session),
             Err(failure) if cfg.transport.partial_results => failures.push(failure),
             Err(failure) => return Err(failure.into()),
@@ -425,7 +420,7 @@ pub fn run_distributed_remote(
                         scope.spawn(move || pump_session(read_half, sink, replies, depth)),
                     ));
                 }
-                Err(e) => failures.push(link_failure(session.host, 0, e)),
+                Err(e) => failures.push(link_failure(host_of(session), 0, e)),
             }
         }
         drop(tx);
@@ -463,13 +458,13 @@ pub fn run_distributed_remote(
         // consequence, not a second failure.
         if let Some(msg) = pumped.cause.or(written.err()) {
             let fed = fed[i].load(Ordering::Relaxed);
-            failures.push(link_failure(sessions[i].host, fed, msg));
+            failures.push(link_failure(host_of(&sessions[i]), fed, msg));
         }
         if let Some(outcome) = pumped.outcome {
             outcomes.push((sessions[i].unit, outcome));
         }
     }
-    stitch(&dep, feed, central?, outcomes, failures)
+    feed.finish(&dep, central?, outcomes, failures)
 }
 
 // ---------------------------------------------------------------------
@@ -534,11 +529,12 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
         Err(message) => return reject(&mut stream, ERROR_DEPLOY, message),
     };
     let dep = Deployment::new(&plan, &inputs.sim_config());
+    let u = inputs.unit as usize;
     let unit = match &dep {
-        Ok(dep) => dep.leaves().find(|&(u, ..)| u == inputs.unit as usize),
+        Ok(dep) => dep.units.get(u).filter(|_| u > 0),
         Err(e) => return reject(&mut stream, ERROR_DEPLOY, e.to_string()),
     };
-    let Some((_, slice, spec)) = unit else {
+    let Some((spec, dag)) = unit else {
         let message = format!("the deployed plan has no leaf unit {}", inputs.unit);
         return reject(&mut stream, ERROR_DEPLOY, message);
     };
@@ -553,7 +549,7 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     // tear down the acceptor silently: catch it and report a typed
     // execution error before ending the session.
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        run_unit(spec, &slice.dag, &mut port, &progress)
+        run_unit(spec, dag, &mut port, &progress)
     }));
     let report = match ran {
         Ok(Ok(outcome)) => ControlFrame::Result(
@@ -600,14 +596,13 @@ mod tests {
     use qap_types::decode_control;
 
     use crate::link::{connect_with_backoff, Frame};
-    use crate::rebalance::{Carrier, ExtractJob, Handoff, StateRows, BUCKETS_PER_PARTITION};
+    use crate::rebalance::{Carrier, BUCKETS_PER_PARTITION};
     use crate::run_distributed_threaded;
     use crate::sim::tests::{skew_case, sorted};
+    use crate::splitter::single_stream;
     use crate::splitter::Splitter;
     use crate::transport::TransportConfig;
-    use crate::unit::ChannelPort;
-    use qap_optimizer::SplitStrategy;
-    use qap_partition::HashPartitioner;
+    use crate::unit::{ChannelPort, LocalRows};
 
     fn flows_dag() -> qap_plan::QueryDag {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -720,7 +715,7 @@ mod tests {
 
     /// Everything observable about one unit's run: its outcome, the
     /// state rows its `Extract` returned, and its boundary frames.
-    type UnitTrace = (UnitOutcome, Vec<StateRows>, Vec<Frame>);
+    type UnitTrace = (UnitOutcome, Vec<LocalRows>, Vec<Frame>);
 
     /// Drives leaf unit `u` through the carrier with one fixed script —
     /// the first half of the trace, an `Extract` of everything the unit
@@ -746,29 +741,17 @@ mod tests {
         let finish = start(inbox, replies, ChannelSink(tx));
 
         let plan = dep.plan;
-        let mut splitter = Splitter::new(plan, &dep.scans, &dep.cfg, false).unwrap();
+        let scans = single_stream(plan).unwrap();
+        let mut splitter = Splitter::new(plan, &scans, &dep.cfg, false).unwrap();
         let (early, late) = trace.split_at(trace.len() / 2);
         let family = &crate::migration_spec(plan).unwrap().families[0];
         let member = family.members.iter().find(|m| dep.unit_of[m.node] == u);
-        let SplitStrategy::Hash(set) = &plan.partitioning.strategy else {
-            panic!("hash plan");
-        };
         let partitions = plan.partitioning.partitions;
-        let handoff = Handoff {
+        let extract = UnitCmd::Extract {
             boundary: late[0].get(0).as_u64().unwrap(),
-            next: &qap_partition::identity_assignment(partitions, BUCKETS_PER_PARTITION),
-            partitions,
-        };
-        let job = ExtractJob {
-            node: member.unwrap().node,
-            keyp: HashPartitioner::with_buckets(
-                set,
-                &family.schema,
-                partitions,
-                BUCKETS_PER_PARTITION,
-            )
-            .unwrap(),
-            owned: Vec::new(),
+            partitions: partitions as u32,
+            assignment: qap_partition::identity_assignment(partitions, BUCKETS_PER_PARTITION),
+            jobs: vec![(dep.local_of[member.unwrap().node] as u32, Vec::new())],
         };
 
         let mut feed = |part: &[Tuple], units: &mut Units<'_>| {
@@ -778,9 +761,11 @@ mod tests {
             splitter.flush(&mut |scan, b| units.feed(scan, b)).unwrap();
         };
         feed(early, &mut units);
-        let (rows, dead) = units.extract(&handoff, vec![job]).unwrap();
-        assert!(!dead && rows.iter().any(|(_, r)| !r.is_empty()), "{rows:?}");
-        assert!(units.absorb(rows.clone()).unwrap());
+        let mut replies = units.round(vec![(u, extract)]).unwrap();
+        let rows = replies.remove(0).1.expect("extract answered");
+        assert!(rows.iter().any(|(_, r)| !r.is_empty()), "{rows:?}");
+        let absorbed = units.round(vec![(u, UnitCmd::Absorb(rows.clone()))]);
+        assert!(absorbed.unwrap()[0].1.is_some());
         feed(late, &mut units);
         drop(units);
         let outcome = finish();
@@ -805,7 +790,7 @@ mod tests {
             ..SimConfig::default()
         };
         let dep = Deployment::new(&plan, &cfg).unwrap();
-        let (u, slice, spec) = dep.leaves().next().unwrap();
+        let (u, (spec, dag)) = (1, &dep.units[1]);
         let trace = generate(&TraceConfig::tiny(33));
         let (depth, fed) = (&SharedGauge::new(), &AtomicU64::new(0));
 
@@ -816,8 +801,9 @@ mod tests {
                     replies,
                     sink,
                     depth,
+                    timeout: Duration::from_millis(dep.cfg.transport.send_timeout_ms),
                 };
-                let unit = scope.spawn(move || run_unit(spec, &slice.dag, &mut port, fed));
+                let unit = scope.spawn(move || run_unit(spec, dag, &mut port, fed));
                 Box::new(move || unit.join().unwrap().unwrap())
             });
             let by_stream = scripted_unit(&dep, &trace, u, |inbox, replies, sink| {
@@ -825,7 +811,8 @@ mod tests {
                 inputs.unit = u as u32;
                 let payload = encode_deploy(&inputs);
                 let addr = spawn_hosts(1).remove(0);
-                let session = deploy_host(&addr, u, slice.host, payload, 5_000).unwrap();
+                let host = spec.host as usize;
+                let session = deploy_host(&addr, u, host, payload, 5_000).unwrap();
                 let (w, r) = (session.stream.try_clone(), session.stream.try_clone());
                 let writer = scope.spawn(move || write_session(w.unwrap(), inbox, fed));
                 let pump = scope.spawn(move || pump_session(r.unwrap(), sink, replies, depth));
@@ -844,7 +831,7 @@ mod tests {
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.edges, b.edges);
-        let sends = |o: &UnitOutcome| (o.stalls, o.dropped, o.tuples_fed);
+        let sends = |o: &UnitOutcome| (o.stalls, o.dropped);
         assert_eq!(sends(a), sends(b));
         assert_eq!(by_channel.1, by_stream.1, "extracted state rows");
         assert_eq!(by_channel.2, by_stream.2, "boundary frame sequence");

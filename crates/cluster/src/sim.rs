@@ -1,19 +1,37 @@
-//! The deterministic cluster simulator: the whole physical plan in one
-//! engine, fed by the shared splitter loop ([`crate::rebalance::drive`])
-//! through a carrier that is a direct engine call, with per-host work
-//! accounted from the operator counters afterwards.
+//! The deterministic cluster simulator: the same per-host units every
+//! runner deploys ([`crate::unit::Unit`]), driven on one thread by a
+//! seeded scheduler, and the one path from unit outcomes to a run's
+//! [`SimResult`] ([`stitch`], with per-host work accounted from the
+//! operator counters by [`account`]).
+//!
+//! The scheduler is the carrier of the shared splitter loop
+//! ([`crate::rebalance::drive`]): it applies each feed batch and each
+//! handoff command to the owning unit in place, and keeps the boundary
+//! frames the units cut pending per edge — a producer node and a unit
+//! that consumes it. After every feed and every handoff round it
+//! delivers a prefix of each edge's pending frames, oldest first, whose
+//! length it draws from [`crate::FaultPlan::seed`] stepped by
+//! SplitMix64; the default seed, 0, delivers everything. Each edge stays
+//! FIFO, as every real transport is, so every schedule is one the
+//! threaded runner could take. At end of stream the rest is delivered,
+//! and the units end one after another, each producer's last frames
+//! delivered before a consumer of it ends — which also ends units that
+//! feed each other, as query-per-host plans do.
+
+use std::collections::{BTreeMap, VecDeque};
 
 use serde::Serialize;
 
-use qap_exec::{BatchConfig, Engine, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
-use qap_optimizer::DistributedPlan;
-use qap_types::{estimated_tuple_size, ColumnBatch, Tuple};
+use qap_exec::{BatchConfig, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
+use qap_optimizer::{DistributedPlan, PlanOutput};
+use qap_plan::NodeId;
+use qap_types::{estimated_tuple_size, Bytes, ColumnBatch, Tuple, FRAME_HEADER_LEN};
 
-use crate::rebalance::{
-    absorb_in_engine, drive, extract_in_engine, Carrier, Controller, ExtractJob, Handoff, StateRows,
-};
+use crate::rebalance::{drive, Carrier, ControlStats, Controller};
 use crate::splitter::{plan_streams, single_stream, Splitter};
-use crate::transport::{TransportConfig, TransportMetrics};
+use crate::threaded::Deployment;
+use crate::transport::{EdgeTransport, TransportConfig, TransportMetrics};
+use crate::unit::{Inbound, Unit, UnitCmd, UnitOutcome, UnitReply};
 
 /// Per-tuple work-unit charges. The absolute scale is arbitrary — CPU
 /// percentages divide by [`SimConfig::host_budget`] — but the *ratio*
@@ -65,10 +83,11 @@ pub struct SimConfig {
     /// performance knob: metrics and outputs are batch-size-invariant
     /// (the equivalence suite enforces it).
     pub batch: BatchConfig,
-    /// Boundary-transport knobs for the threaded runner (channel
-    /// capacity, frame size). The channel knobs are ignored by the
-    /// deterministic simulator, which delivers boundaries in-process;
-    /// the rebalance controller is honored by every runner.
+    /// Boundary-transport knobs: channel capacity, frame size, fault
+    /// plan, failure mode and the rebalance controller. The simulator
+    /// frames and faults the boundary like every runner, and draws its
+    /// delivery order from the fault plan's seed; it has no channel to
+    /// bound, and no clock for the hang, slow and panic faults.
     pub transport: TransportConfig,
 }
 
@@ -135,9 +154,9 @@ pub struct ClusterMetrics {
     pub host_tx_tuples: Vec<u64>,
     /// Estimated wire bytes/sec shipped per host.
     pub host_tx_bytes_per_sec: Vec<f64>,
-    /// Peak boundary-queue depth (in-flight frames). Zero in the
-    /// deterministic simulator (batches deliver synchronously); the
-    /// threaded runner reports its live channel peak.
+    /// Peak boundary-queue depth (in-flight frames): the threaded and
+    /// socket runners' live channel peak, the simulator's peak of frames
+    /// cut but not yet delivered.
     pub boundary_queue_peak: u64,
     /// Re-partitioning events the online controller fired (0 when the
     /// controller is disabled or the plan fell back to static).
@@ -155,9 +174,8 @@ pub struct ClusterMetrics {
     /// Why an enabled rebalance controller fell back to static
     /// partitioning (plan ineligible), if it did.
     pub rebalance_fallback: Option<String>,
-    /// Measured boundary transport (frames, encoded bytes, stalls).
-    /// Empty in the deterministic simulator; the threaded runner fills
-    /// it from its framed channel path.
+    /// Measured boundary transport (frames, encoded bytes, stalls),
+    /// from the frames the units cut, on every runner.
     pub transport: TransportMetrics,
 }
 
@@ -173,14 +191,13 @@ pub struct SimResult {
     /// batched and per-tuple execution agree tuple-for-tuple.
     pub counters: Vec<OpCounters>,
     /// Full per-node operator metrics (bytes, batches, occupancy, flush
-    /// latency, group-table telemetry), indexed by plan node id. The
-    /// threaded runner stitches these from its per-host engines.
+    /// latency, group-table telemetry), indexed by plan node id,
+    /// stitched from the per-host units.
     pub node_metrics: Vec<OpMetrics>,
-    /// Per-host failure records from a partial-results threaded run
+    /// Per-host failure records from a partial-results run
     /// ([`crate::TransportConfig::partial_results`]): who failed, why,
-    /// and how far each got. Empty on the clean path, in strict mode
-    /// (the first failure aborts as `Err` instead), and always in the
-    /// deterministic simulator.
+    /// and how far each got. Empty on the clean path and in strict mode
+    /// (the first failure aborts as `Err` instead).
     pub failures: Vec<HostFailure>,
 }
 
@@ -199,14 +216,8 @@ pub fn run_distributed(
 /// Executes a distributed plan over time-ordered traces of its source
 /// streams. The paper's framework partitions every source with the same
 /// partitioning set (Section 4's simplifying assumption), so one
-/// splitter configuration drives all feeds.
-///
-/// Every host lives in one engine here, so the splitter's carrier is a
-/// direct engine call, and a migration "ships" state by
-/// extract→absorb between plan nodes — the same
-/// [`Engine::flush_before`]/[`Engine::extract_state`]/
-/// [`Engine::absorb_state`] contract the threaded and remote runners
-/// drive over their transports.
+/// splitter configuration drives all feeds, one splitter per stream,
+/// over the same units.
 pub fn run_distributed_multi(
     plan: &DistributedPlan,
     feeds: &[(&str, &[Tuple])],
@@ -222,11 +233,8 @@ pub fn run_distributed_multi(
         }
     }
     let (mut controller, mut control) = Controller::attach(plan, cfg.transport.rebalance, &streams);
-
-    let sink_nodes: Vec<usize> = plan.outputs.iter().map(|o| o.node).collect();
-    let mut engine = Engine::with_sinks(&plan.dag, &sink_nodes)?;
-    engine.set_batch_config(cfg.batch);
-
+    let dep = Deployment::new(plan, cfg)?;
+    let mut scheduler = Scheduler::new(&dep)?;
     let mut duration = 1.0f64;
     for (stream, trace) in feeds {
         // A feed for a stream the plan never reads is ignored.
@@ -238,27 +246,235 @@ pub fn run_distributed_multi(
         };
         let mut splitter = Splitter::new(plan, scans, cfg, controller.is_some())?;
         drive(
+            &dep,
             &mut splitter,
             controller.as_mut(),
             &mut control,
             trace,
-            &mut InEngine(&mut engine),
+            &mut scheduler,
         )?;
         duration = duration.max(splitter.duration());
     }
-    engine.finish()?;
+    let (outcomes, inbound) = scheduler.finish()?;
+    stitch(&dep, duration, control, outcomes, inbound, Vec::new())
+}
 
-    let counters = engine.counters().to_vec();
-    let node_metrics = engine.metrics();
-    let mut metrics = account(plan, &counters, duration, cfg);
-    control.apply(&mut metrics);
+/// The simulator's carrier: every unit of the deployment, on the
+/// calling thread, and the boundary frames cut but not yet delivered.
+struct Scheduler<'a> {
+    dep: &'a Deployment<'a>,
+    units: Vec<Unit<'a>>,
+    /// Per edge — (producer, consuming unit) — the frames in cut order.
+    pending: BTreeMap<(NodeId, usize), VecDeque<Bytes>>,
+    /// SplitMix64 state, from a nonzero seed; the default seed delivers
+    /// everything at once.
+    draw: Option<u64>,
+    inbound: Inbound,
+}
 
-    let mut outputs = named_outputs(plan);
-    for (o, out) in plan.outputs.iter().zip(&mut outputs) {
-        out.1 = engine.output(o.node);
+impl<'a> Scheduler<'a> {
+    fn new(dep: &'a Deployment<'a>) -> ExecResult<Scheduler<'a>> {
+        let seed = dep.cfg.transport.fault.seed;
+        Ok(Scheduler {
+            dep,
+            units: (dep.units.iter())
+                .map(|(spec, dag)| Unit::new(spec, dag))
+                .collect::<ExecResult<_>>()?,
+            pending: BTreeMap::new(),
+            draw: (seed != 0).then_some(seed),
+            inbound: Inbound::new(dep.cfg.transport.partial_results),
+        })
     }
-    metrics.output_rows = outputs
-        .iter()
+
+    /// Queues the frames unit `u` cut on every edge they take.
+    fn collect(&mut self, u: usize) {
+        for (producer, frame) in self.units[u].take_frames() {
+            for (c, (spec, _)) in self.dep.units.iter().enumerate() {
+                if spec.inputs.iter().any(|&(g, _)| g as NodeId == producer) {
+                    let edge = self.pending.entry((producer, c)).or_default();
+                    edge.push_back(frame.clone());
+                }
+            }
+        }
+        let queued = self.pending.values().map(VecDeque::len).sum::<usize>();
+        self.inbound.queue_peak = self.inbound.queue_peak.max(queued as u64);
+    }
+
+    /// Delivers the oldest pending frame of `edge` to its consumer.
+    fn deliver(&mut self, edge: (NodeId, usize)) -> ExecResult<()> {
+        let Some(queue) = self.pending.get_mut(&edge) else {
+            return Ok(());
+        };
+        let frame = queue.pop_front();
+        if queue.is_empty() {
+            self.pending.remove(&edge);
+        }
+        if let Some(frame) = frame {
+            let (producer, c) = edge;
+            (self.inbound).deliver(&mut self.units[c], self.dep.plan, (producer, frame))?;
+            self.collect(c);
+        }
+        Ok(())
+    }
+
+    /// Delivers until no frame is pending.
+    fn drain(&mut self) -> ExecResult<()> {
+        while let Some(&edge) = self.pending.keys().next() {
+            self.deliver(edge)?;
+        }
+        Ok(())
+    }
+
+    /// The delivery step after a feed or a handoff round: a seed-drawn
+    /// prefix of each edge's pending frames.
+    fn step(&mut self) -> ExecResult<()> {
+        let Some(mut state) = self.draw else {
+            return self.drain();
+        };
+        let edges: Vec<_> = self.pending.iter().map(|(&e, q)| (e, q.len())).collect();
+        for (edge, queued) in edges {
+            for _ in 0..splitmix64(&mut state) % (queued as u64 + 1) {
+                self.deliver(edge)?;
+            }
+        }
+        self.draw = Some(state);
+        Ok(())
+    }
+
+    /// End of stream: everything pending is delivered, then the units
+    /// end — the leaf units first and the central unit last, as on the
+    /// threaded runner. Each ends its operators in topological order as
+    /// far as their inputs have ended, and the frames that cuts are
+    /// delivered before the next unit's turn; units that feed each
+    /// other take turns until every operator has ended. (The plan's
+    /// topologically first open operator can always end, so each pass
+    /// ends at least one.)
+    fn finish(mut self) -> ExecResult<(Vec<(usize, UnitOutcome)>, Inbound)> {
+        self.drain()?;
+        let dep = self.dep;
+        let dag = &dep.plan.dag;
+        let mut ended = vec![false; dag.len()];
+        while ended.contains(&false) {
+            for u in (1..self.units.len()).chain([0]) {
+                let mut last = None;
+                for node in dag.topo_order().filter(|&g| dep.unit_of[g] == u) {
+                    if ended[node] {
+                        continue;
+                    }
+                    if !dag.node(node).children().iter().all(|&c| ended[c]) {
+                        break;
+                    }
+                    ended[node] = true;
+                    last = Some(node);
+                }
+                if let Some(node) = last {
+                    self.units[u].finish_through(dep.local_of[node])?;
+                    self.collect(u);
+                    self.drain()?;
+                }
+            }
+        }
+        let outcomes = (self.units.iter_mut())
+            .map(Unit::finish)
+            .enumerate()
+            .map(|(u, outcome)| Ok((u, outcome?)))
+            .collect::<ExecResult<_>>()?;
+        Ok((outcomes, self.inbound))
+    }
+}
+
+/// One SplitMix64 step.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl Carrier for Scheduler<'_> {
+    fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
+        let u = self.dep.unit_of[scan];
+        self.units[u].feed(self.dep.local_of[scan], batch)?;
+        self.collect(u);
+        self.step()
+    }
+
+    fn round(
+        &mut self,
+        cmds: Vec<(usize, UnitCmd)>,
+    ) -> ExecResult<Vec<(usize, Option<UnitReply>)>> {
+        let mut replies = Vec::new();
+        for (u, cmd) in cmds {
+            replies.push((u, self.units[u].apply(cmd)?));
+            self.collect(u);
+        }
+        self.step()?;
+        Ok(replies)
+    }
+}
+
+/// Merges per-unit results into the run's [`SimResult`], whichever
+/// runner ran the units: counters and metrics back onto global node ids,
+/// outputs by plan index, edges and send-path tallies into the measured
+/// [`TransportMetrics`], and the accounting of [`account`] over the
+/// merged counters. The failures the runner observed come first, then
+/// the receive side's; in strict mode the first is the run's error
+/// instead.
+pub(crate) fn stitch(
+    dep: &Deployment<'_>,
+    duration: f64,
+    control: ControlStats,
+    units: Vec<(usize, UnitOutcome)>,
+    inbound: Inbound,
+    mut failures: Vec<HostFailure>,
+) -> ExecResult<SimResult> {
+    let (plan, cfg) = (dep.plan, &dep.cfg);
+    failures.extend(inbound.failures);
+    if !cfg.transport.partial_results && !failures.is_empty() {
+        return Err(failures.swap_remove(0).into());
+    }
+    let mut counters = vec![OpCounters::default(); plan.dag.len()];
+    let mut node_metrics = vec![OpMetrics::default(); plan.dag.len()];
+    let name = |o: &PlanOutput| o.name.clone().unwrap_or(format!("query{}", o.logical));
+    let mut outputs: Vec<(String, Vec<Tuple>)> =
+        plan.outputs.iter().map(|o| (name(o), Vec::new())).collect();
+    let mut edges: Vec<EdgeTransport> = Vec::new();
+    let (mut stalls, mut dropped) = (0, 0);
+    for (u, unit) in units {
+        for global in (0..plan.dag.len()).filter(|&g| dep.unit_of[g] == u) {
+            let local = dep.local_of[global];
+            counters[global] = unit.counters[local];
+            node_metrics[global] = unit.node_metrics[local].clone();
+        }
+        for (idx, rows) in unit.outputs {
+            outputs[idx as usize].1 = rows;
+        }
+        edges.extend(unit.edges);
+        stalls += unit.stalls;
+        dropped += unit.dropped;
+    }
+    edges.sort_unstable_by_key(|e| e.producer);
+    let frames: u64 = edges.iter().map(|e| e.frames).sum();
+    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
+    let retries: u64 = edges.iter().map(|e| e.retries).sum();
+    let transport = TransportMetrics {
+        edges,
+        frames,
+        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
+        backpressure_stalls: stalls,
+        queue_peak: inbound.queue_peak,
+        retries,
+        frames_dropped: dropped,
+        frames_corrupt_dropped: inbound.corrupt_dropped,
+        channel_capacity: cfg.transport.channel_capacity.max(1),
+        frame_batch: cfg.transport.frame_batch.max(1),
+    };
+    let mut metrics = account(plan, &counters, duration, cfg);
+    metrics.boundary_queue_peak = transport.queue_peak;
+    metrics.transport = transport;
+    control.apply(&mut metrics);
+    metrics.output_rows = (outputs.iter())
         .map(|(n, rows)| (n.clone(), rows.len() as u64))
         .collect();
     Ok(SimResult {
@@ -266,44 +482,8 @@ pub fn run_distributed_multi(
         outputs,
         counters,
         node_metrics,
-        failures: Vec::new(),
+        failures,
     })
-}
-
-/// The plan's output names, each with an empty row set to fill in.
-pub(crate) fn named_outputs(plan: &DistributedPlan) -> Vec<(String, Vec<Tuple>)> {
-    plan.outputs
-        .iter()
-        .map(|o| {
-            let name = o
-                .name
-                .clone()
-                .unwrap_or_else(|| format!("query{}", o.logical));
-            (name, Vec::new())
-        })
-        .collect()
-}
-
-/// The simulator's carrier: every unit is the one engine.
-struct InEngine<'a>(&'a mut Engine);
-
-impl Carrier for InEngine<'_> {
-    fn feed(&mut self, scan: usize, batch: &mut ColumnBatch) -> ExecResult<()> {
-        self.0.push_columns(scan, batch)
-    }
-
-    fn extract(
-        &mut self,
-        handoff: &Handoff<'_>,
-        jobs: Vec<ExtractJob>,
-    ) -> ExecResult<(Vec<StateRows>, bool)> {
-        Ok((extract_in_engine(self.0, handoff.boundary, &jobs)?, false))
-    }
-
-    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
-        absorb_in_engine(self.0, batches)?;
-        Ok(true)
-    }
 }
 
 /// Turns raw per-operator counters into per-host work and the paper's
@@ -444,6 +624,7 @@ pub(crate) fn account(
 pub(crate) mod tests {
     use super::*;
     use crate::rebalance::RebalanceConfig;
+    use crate::transport::FaultPlan;
     use qap_optimizer::{optimize, OptimizerConfig, Partitioning};
     use qap_partition::PartitionSet;
     use qap_plan::QueryDag;
@@ -617,6 +798,49 @@ pub(crate) mod tests {
             "partitioned {} vs naive {}",
             partitioned.metrics.aggregator_rx_tuples,
             naive.metrics.aggregator_rx_tuples
+        );
+    }
+
+    /// The seed is live: two seeds hold different frames back from the
+    /// central unit after the same feeds.
+    #[test]
+    fn two_seeds_deliver_in_different_orders() {
+        let naive = OptimizerConfig::naive();
+        let plan = optimize(&flows_dag(), &Partitioning::round_robin(4), &naive).unwrap();
+        let trace = generate(&TraceConfig::tiny(6));
+        let schedule = |seed| {
+            let cfg = SimConfig {
+                transport: TransportConfig::new(64, 16).with_fault(FaultPlan::seeded(seed)),
+                ..SimConfig::default()
+            };
+            let dep = Deployment::new(&plan, &cfg).unwrap();
+            let mut scheduler = Scheduler::new(&dep).unwrap();
+            let scans = single_stream(&plan).unwrap();
+            let mut splitter = Splitter::new(&plan, &scans, &cfg, false).unwrap();
+            let mut held = Vec::new();
+            let mut feed = |scan, batch: &mut ColumnBatch| {
+                scheduler.feed(scan, batch)?;
+                let into_central = scheduler.pending.iter().filter(|((_, c), _)| *c == 0);
+                held.push(
+                    into_central
+                        .map(|(&(p, _), q)| (p, q.len()))
+                        .collect::<Vec<_>>(),
+                );
+                Ok(())
+            };
+            splitter.route(&trace, &mut feed).unwrap();
+            splitter.flush(&mut feed).unwrap();
+            held
+        };
+        let (one, two) = (schedule(1), schedule(2));
+        assert!(
+            one.iter().any(|h| !h.is_empty()),
+            "seed 1 holds frames back"
+        );
+        assert_ne!(one, two);
+        assert!(
+            schedule(0).iter().all(Vec::is_empty),
+            "the default delivers all"
         );
     }
 

@@ -1,37 +1,36 @@
 //! Multi-threaded cluster execution over framed, bounded boundary
-//! transport — and the coordinator half every distributing runner
-//! shares.
+//! transport — and the coordinator half every port-based runner shares.
 //!
-//! Where [`crate::run_distributed`] executes the whole physical plan in
-//! one deterministic engine, this runner actually *distributes* it, one
-//! **execution unit** per host ([`Deployment`]), as the paper deploys
-//! one Gigascope instance per host:
+//! This runner *distributes* the physical plan, one **execution unit**
+//! per host ([`Deployment`]), as the paper deploys one Gigascope
+//! instance per host:
 //!
-//! - the **central unit** ([`Central`]) — every node on the aggregator
-//!   host: the aggregation tier (`plan.central` nodes) and the
-//!   aggregator's own partitions beside it — run by the calling thread;
+//! - the **central unit** — every node on the aggregator host: the
+//!   aggregation tier (`plan.central` nodes) and the aggregator's own
+//!   partitions beside it — run by the calling thread inside
+//!   [`Central`], which adds the receive half of the boundary;
 //! - one **leaf unit** per other host with nodes, running [`run_unit`]
 //!   on its own worker thread.
 //!
-//! The calling thread also runs the shared feed loop
-//! ([`crate::rebalance::drive`]) with the unit ports as its carrier
-//! ([`Units`]): it routes the trace and moves each staged batch into
-//! the owning leaf unit's bounded inbox — or, for the aggregator host's
-//! own scans, straight into the central engine — and applies the
+//! Every unit is the same [`crate::unit::Unit`] the simulator and the
+//! host processes run. The calling thread also runs the shared feed
+//! loop ([`crate::rebalance::drive`]) with the unit ports as its
+//! carrier ([`Units`]): it routes the trace and moves each staged batch
+//! into the owning leaf unit's bounded inbox — or, for the aggregator
+//! host's own scans, straight into the central unit — and applies the
 //! boundary frames that have arrived in between. When an inbox is full
 //! it waits *on the boundary*, so a leaf stalled on a full boundary
 //! channel is always drained and every queue of the run can be bounded:
 //! the splitter is never more than an inbox ahead of its slowest unit.
 //! Once the feed is over the inboxes close and the central unit drains
-//! the boundary to its end. Leaf units apply their inbox in order.
-//! Static partitioning is that loop with no rebalance controller
-//! attached; with one, the same inboxes carry the two halves of each
-//! drain-and-handoff to the leaf units, and the central unit applies
-//! its own halves in place. The socket coordinator in [`crate::remote`]
-//! is this runner with its leaf units in other processes: it shares the
-//! decomposition, [`Feed`], [`feed_and_aggregate`] and [`stitch`], and
-//! differs only in how a leaf unit is started and how its end is
-//! harvested.
+//! the boundary to its end. With a rebalance controller attached, the
+//! same inboxes carry the two halves of each drain-and-handoff to the
+//! leaf units, and the central unit applies its own halves in place.
+//! The socket coordinator in [`crate::remote`] is this runner with its
+//! leaf units in other processes: it shares the deployment, [`Feed`],
+//! [`feed_and_aggregate`] and [`crate::sim::stitch`], and differs only
+//! in how a leaf unit is started and how its end is harvested. Both
+//! deploy only a star around the central unit ([`Deployment::star`]).
 //!
 //! There is no splitter thread, on purpose. Every thread a run spawns
 //! takes an allocator arena that keeps its high-water mark after the
@@ -42,18 +41,15 @@
 //! and the central unit allocate lives in the caller's own arena.
 //!
 //! Boundary data crosses units as **length-prefixed wire frames** (up
-//! to [`TransportConfig::frame_batch`] tuples per frame, staged through
-//! reusable scratch) over a **bounded** channel of
-//! [`TransportConfig::channel_capacity`] frames: a producer that
-//! outruns the central consumer blocks — backpressure — instead of
-//! buffering unboundedly. Every frame is a lane frame
-//! ([`qap_types::encode_column_batch`]): cut off the producer's output
-//! lanes, decoded straight into lanes, so the receiving engine stays on
-//! its vectorized path. The encoded frames double as the *measured*
-//! byte source ([`TransportMetrics`]), which sits below the Section
-//! 4.2.1 cost model's tagged per-tuple estimate.
-//!
-//! Results are identical to the single-threaded simulator at every
+//! to [`TransportConfig::frame_batch`] tuples per frame) over a
+//! **bounded** channel of [`TransportConfig::channel_capacity`] frames:
+//! a producer that outruns the central consumer blocks — backpressure —
+//! instead of buffering unboundedly. Every frame is a lane frame
+//! ([`qap_types::encode_column_batch`]), decoded straight into lanes,
+//! so the receiving engine stays on its vectorized path. The encoded
+//! frames double as the *measured* byte source ([`TransportMetrics`]),
+//! which sits below the Section 4.2.1 cost model's tagged per-tuple
+//! estimate. Results are identical to the simulator's at every
 //! capacity/frame-size setting (the engines' merge operators align
 //! independently-progressing inputs), which the transport equivalence
 //! suite checks.
@@ -62,11 +58,10 @@
 //!
 //! Host faults are first-class operating conditions, not panics. A
 //! worker panic is caught ([`std::panic::catch_unwind`]) and surfaces
-//! as a typed [`HostFailure`] with
-//! [`FailureCause::Panic`]; a corrupt boundary frame surfaces as
-//! [`FailureCause::Decode`] attributed to the producing host; a peer
-//! that neither produces nor accepts a frame within
-//! [`TransportConfig::send_timeout_ms`] surfaces as
+//! as a typed [`HostFailure`] with [`FailureCause::Panic`]; a corrupt
+//! boundary frame surfaces as [`FailureCause::Decode`] attributed to
+//! the producing host; a peer that neither produces nor accepts a frame
+//! within [`TransportConfig::send_timeout_ms`] surfaces as
 //! [`FailureCause::Timeout`] instead of deadlocking the run (producers
 //! retry a full channel with bounded backoff; the central consumer
 //! bounds its receive wait; the feed loop bounds its wait for room in
@@ -79,51 +74,38 @@
 //! for the chaos suite; the default plan injects nothing and leaves the
 //! clean path bit-identical.
 //!
+//! [`TransportMetrics`]: crate::TransportMetrics
 //! [`TransportConfig::frame_batch`]: crate::TransportConfig::frame_batch
 //! [`TransportConfig::channel_capacity`]: crate::TransportConfig::channel_capacity
 //! [`TransportConfig::send_timeout_ms`]: crate::TransportConfig::send_timeout_ms
 //! [`TransportConfig::partial_results`]: crate::TransportConfig::partial_results
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use qap_exec::{Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics};
+use qap_exec::{ExecError, ExecResult, FailureCause, HostFailure};
 use qap_obs::SharedGauge;
 use qap_optimizer::DistributedPlan;
 use qap_plan::{LogicalNode, NodeId, QueryDag};
-use qap_types::{ColumnBatch, Tuple, FRAME_HEADER_LEN};
+use qap_types::Tuple;
 
 use crate::link::{ChannelSource, ChannelTransport, Frame, FrameSource, RecvOutcome, Transport};
-use crate::rebalance::{
-    absorb_in_engine, drive, extract_in_engine, ControlStats, Controller, ExtractJob, StateRows,
-};
-use crate::sim::{account, named_outputs, SimConfig, SimResult};
+use crate::rebalance::{drive, ControlStats, Controller};
+use crate::sim::{stitch, SimConfig, SimResult};
 use crate::splitter::{single_stream, Splitter, StreamScans};
-use crate::transport::{EdgeTransport, TransportMetrics};
-use crate::unit::{run_unit, ChannelPort, UnitOutcome, UnitSpec, Units};
-
-/// One execution unit's slice of the plan.
-#[derive(Debug)]
-pub(crate) struct UnitPlan {
-    /// Executing host (for transport attribution).
-    pub(crate) host: usize,
-    pub(crate) dag: QueryDag,
-    /// global node id → local node id.
-    pub(crate) local: HashMap<NodeId, NodeId>,
-    /// global producer id → local pseudo-source id (remote inputs).
-    pub(crate) remote_in: HashMap<NodeId, NodeId>,
-    /// Global ids (in this unit) whose output crosses to another unit.
-    pub(crate) boundary: Vec<NodeId>,
-    /// Plan outputs hosted here: (output index, global node id).
-    pub(crate) outputs: Vec<(usize, NodeId)>,
-}
+use crate::unit::{run_unit, ChannelPort, Inbound, Unit, UnitOutcome, UnitSpec, Units};
 
 /// Clones the sub-plan induced by `nodes` (a deterministic, topo-ordered
-/// subset), registering a pseudo-source for every edge arriving from
-/// outside the unit.
-pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult<UnitPlan> {
+/// subset) into one unit's DAG, registering a pseudo-source for every
+/// edge arriving from outside the unit, and describes the unit for
+/// `cfg`'s run. Also returns each node's (global id → local id).
+pub(crate) fn slice_unit(
+    plan: &DistributedPlan,
+    nodes: &[NodeId],
+    cfg: &SimConfig,
+) -> ExecResult<(UnitSpec, QueryDag, HashMap<NodeId, NodeId>)> {
     let mut in_unit = vec![false; plan.dag.len()];
     for &id in nodes {
         in_unit[id] = true;
@@ -140,41 +122,30 @@ pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult
         }
     };
 
-    let mut local: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut remote_in: HashMap<NodeId, NodeId> = HashMap::new();
+    // Pseudo-sources for the producers outside the unit, numbered by
+    // ascending producer id.
+    let producers: BTreeSet<NodeId> = (nodes.iter())
+        .flat_map(|&id| plan.dag.node(id).children())
+        .filter(|&c| !in_unit[c])
+        .collect();
     let mut catalog = plan.dag.catalog().clone();
-
-    // First pass: register pseudo-streams for outside producers.
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
-        for child in plan.dag.node(id).children() {
-            if !in_unit[child] && !remote_in.contains_key(&child) {
-                let name = format!("__remote_{child}");
-                catalog
-                    .register(plan.dag.schema(child).renamed(name))
-                    .map_err(|e| ExecError::BadPlan(format!("pseudo-stream clash: {e}")))?;
-                remote_in.insert(child, usize::MAX); // placeholder
-            }
-        }
+    for &p in &producers {
+        catalog
+            .register(plan.dag.schema(p).renamed(format!("__remote_{p}")))
+            .map_err(|e| ExecError::BadPlan(format!("pseudo-stream clash: {e}")))?;
     }
     let mut dag = QueryDag::new(catalog);
-    // Deterministic pseudo-source numbering: ascending producer id.
-    let mut producers: Vec<NodeId> = remote_in.keys().copied().collect();
-    producers.sort_unstable();
-    for child in producers {
+    let mut remote_in: HashMap<NodeId, NodeId> = HashMap::new();
+    for &p in &producers {
         let sid = dag
-            .add_source(&format!("__remote_{child}"))
+            .add_source(&format!("__remote_{p}"))
             .map_err(|e| ExecError::BadPlan(format!("pseudo-source: {e}")))?;
-        remote_in.insert(child, sid);
+        remote_in.insert(p, sid);
     }
 
-    // Second pass: clone this unit's nodes with remapped children.
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
+    // Clone this unit's nodes with remapped children.
+    let mut local: HashMap<NodeId, NodeId> = HashMap::new();
+    for &id in nodes {
         let remap = |c: NodeId| -> NodeId {
             if in_unit[c] {
                 local[&c]
@@ -210,39 +181,34 @@ pub(crate) fn slice_unit(plan: &DistributedPlan, nodes: &[NodeId]) -> ExecResult
     }
 
     // Boundary producers: nodes here consumed outside the unit.
-    let mut boundary = Vec::new();
-    for id in plan.dag.topo_order() {
-        if !in_unit[id] {
-            continue;
-        }
-        let crosses = plan.dag.parents(id).into_iter().any(|p| !in_unit[p]);
-        if crosses {
-            boundary.push(id);
-        }
-    }
-    let outputs = plan
-        .outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| in_unit[o.node])
-        .map(|(i, o)| (i, o.node))
+    let boundary = (nodes.iter())
+        .filter(|&&id| plan.dag.parents(id).into_iter().any(|p| !in_unit[p]))
+        .map(|&id| (id as u32, local[&id] as u32))
         .collect();
-
-    Ok(UnitPlan {
-        host,
-        dag,
-        local,
-        remote_in,
+    let outputs = (plan.outputs.iter().enumerate())
+        .filter(|(_, o)| in_unit[o.node])
+        .map(|(i, o)| (i as u32, local[&o.node] as u32))
+        .collect();
+    let transport = cfg.transport;
+    let spec = UnitSpec {
+        host: host as u32,
+        set: plan.partitioning.strategy.effective_set(),
+        inputs: (producers.iter())
+            .map(|p| (*p as u32, remote_in[p] as u32))
+            .collect(),
         boundary,
         outputs,
-    })
+        max_batch: cfg.batch.max_batch as u32,
+        frame_batch: transport.frame_batch.max(1) as u32,
+        fault: transport.fault,
+    };
+    Ok((spec, dag, local))
 }
 
 /// Splits the plan into execution units, one per host: element 0 is the
-/// central unit — every node on the aggregator host `agg`, run by the
-/// calling thread — and the rest are one leaf unit per other host that
-/// has nodes, in ascending host order (one worker thread or host
-/// process each).
+/// central unit — every node on the aggregator host `agg` — and the
+/// rest are one leaf unit per other host that has nodes, in ascending
+/// host order.
 pub(crate) fn compute_units(plan: &DistributedPlan, agg: usize) -> Vec<Vec<NodeId>> {
     let mut per_host: Vec<Vec<NodeId>> = vec![Vec::new(); plan.partitioning.hosts];
     for id in plan.dag.topo_order() {
@@ -265,22 +231,19 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The plan cut into execution units for one single-stream feed: what
-/// the threaded runner and the socket coordinator both deploy.
+/// The plan cut into execution units, one per host: what every runner
+/// deploys.
 pub(crate) struct Deployment<'a> {
     pub(crate) plan: &'a DistributedPlan,
     /// The run's configuration, as deployed.
     pub(crate) cfg: SimConfig,
-    /// Unit slices; element 0 is the central unit.
-    pub(crate) slices: Vec<UnitPlan>,
-    /// The leaf units' descriptions: `specs[u - 1]` describes
-    /// `slices[u]` (see [`Deployment::leaves`]).
-    pub(crate) specs: Vec<UnitSpec>,
+    /// Each unit's description and sliced DAG; unit 0 is the central
+    /// unit, on the aggregator host.
+    pub(crate) units: Vec<(UnitSpec, QueryDag)>,
     /// Plan node → index of the unit that runs it.
     pub(crate) unit_of: Vec<usize>,
     /// Plan node → its local id inside that unit.
     pub(crate) local_of: Vec<NodeId>,
-    pub(crate) scans: StreamScans,
 }
 
 impl<'a> Deployment<'a> {
@@ -288,91 +251,51 @@ impl<'a> Deployment<'a> {
         // One bound for every wait of the run, and never "no bound".
         let mut cfg = *cfg;
         cfg.transport.send_timeout_ms = cfg.transport.send_timeout_ms.max(1);
+        let mut unit_of = vec![0; plan.dag.len()];
+        let mut local_of = vec![0; plan.dag.len()];
+        let (mut units, agg) = (Vec::new(), plan.partitioning.aggregator_host);
+        for (u, nodes) in compute_units(plan, agg).iter().enumerate() {
+            let (spec, dag, local) = slice_unit(plan, nodes, &cfg)?;
+            for (global, local) in local {
+                unit_of[global] = u;
+                local_of[global] = local;
+            }
+            units.push((spec, dag));
+        }
+        Ok(Deployment {
+            plan,
+            cfg,
+            units,
+            unit_of,
+            local_of,
+        })
+    }
+
+    /// The deployment of the threaded and socket runners, and the one
+    /// stream it is fed: leaf units whose only inputs are trace
+    /// partitions, and a central unit that ships nothing onward. Their
+    /// one boundary rendezvous is the central unit, which could deadlock
+    /// on any other shape.
+    pub(crate) fn star(
+        plan: &'a DistributedPlan,
+        cfg: &SimConfig,
+    ) -> ExecResult<(Self, StreamScans)> {
         let scans = single_stream(plan)?;
-        let unit_nodes = compute_units(plan, plan.partitioning.aggregator_host);
-        let slices: Vec<UnitPlan> = unit_nodes
-            .iter()
-            .map(|nodes| slice_unit(plan, nodes))
-            .collect::<ExecResult<_>>()?;
-        // Leaf units must be channel-source-free: their only inputs are
-        // trace partitions (the lowering sends leaf-tier data toward the
-        // central tier, never back out), and the central unit must not
-        // ship anything onward — otherwise the single rendezvous at the
-        // central unit could deadlock.
-        for s in &slices[1..] {
-            if !s.remote_in.is_empty() {
+        let dep = Deployment::new(plan, cfg)?;
+        for (spec, _) in &dep.units[1..] {
+            if !spec.inputs.is_empty() {
                 return Err(ExecError::BadPlan(format!(
                     "leaf unit on host {} unexpectedly consumes remote streams",
-                    s.host
+                    spec.host
                 )));
             }
         }
-        if !slices[0].boundary.is_empty() {
+        if !dep.units[0].0.boundary.is_empty() {
             return Err(ExecError::BadPlan(
                 "central unit unexpectedly ships boundary output".into(),
             ));
         }
-        let mut unit_of = vec![0; plan.dag.len()];
-        let mut local_of = vec![0; plan.dag.len()];
-        for (u, slice) in slices.iter().enumerate() {
-            for (&global, &local) in &slice.local {
-                unit_of[global] = u;
-                local_of[global] = local;
-            }
-        }
-        let specs = slices[1..]
-            .iter()
-            .map(|slice| unit_spec_of(plan, slice, &cfg))
-            .collect();
-        Ok(Deployment {
-            plan,
-            cfg,
-            slices,
-            specs,
-            unit_of,
-            local_of,
-            scans,
-        })
-    }
-
-    /// The leaf units: (unit index, slice, description).
-    pub(crate) fn leaves(&self) -> impl Iterator<Item = (usize, &UnitPlan, &UnitSpec)> {
-        let leaves = self.slices[1..].iter().zip(&self.specs);
-        leaves.zip(1..).map(|((slice, spec), u)| (u, slice, spec))
-    }
-}
-
-/// Describes one leaf slice for [`run_unit`]: its id maps, the deployed
-/// set and the run's knobs.
-fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> UnitSpec {
-    let transport = cfg.transport;
-    let mut scans: Vec<(u32, u32)> = slice
-        .local
-        .iter()
-        .filter(|(&g, _)| plan.dag.node(g).is_source())
-        .map(|(&g, &l)| (g as u32, l as u32))
-        .collect();
-    scans.sort_unstable();
-    let boundary = slice
-        .boundary
-        .iter()
-        .map(|&g| (g as u32, slice.local[&g] as u32))
-        .collect();
-    let outputs = slice
-        .outputs
-        .iter()
-        .map(|&(idx, g)| (idx as u32, slice.local[&g] as u32))
-        .collect();
-    UnitSpec {
-        host: slice.host as u32,
-        set: plan.partitioning.strategy.effective_set(),
-        scans,
-        boundary,
-        outputs,
-        max_batch: cfg.batch.max_batch as u32,
-        frame_batch: transport.frame_batch.max(1) as u32,
-        send_timeout_ms: transport.send_timeout_ms,
-        fault: transport.fault,
+        Ok((dep, scans))
     }
 }
 
@@ -380,7 +303,7 @@ fn unit_spec_of(plan: &DistributedPlan, slice: &UnitPlan, cfg: &SimConfig) -> Un
 /// framed, bounded boundary transport. Semantically identical to
 /// [`crate::run_distributed`]; metrics are computed from the merged
 /// per-unit counters with the same accounting, plus the *measured*
-/// [`TransportMetrics`] from the frame path.
+/// [`crate::TransportMetrics`] from the frame path.
 ///
 /// The calling thread routes the trace into the leaf units' bounded
 /// inboxes and runs the central unit; when a rebalance controller is
@@ -391,8 +314,8 @@ pub fn run_distributed_threaded(
     trace: &[Tuple],
     cfg: &SimConfig,
 ) -> ExecResult<SimResult> {
-    let dep = Deployment::new(plan, cfg)?;
-    let mut feed = Feed::new(&dep, trace)?;
+    let (dep, scans) = Deployment::star(plan, cfg)?;
+    let mut feed = Feed::new(&dep, &scans, trace)?;
 
     // The boundary data path: one bounded frame channel fanning into
     // the central unit — producers block when `channel_capacity` frames
@@ -402,21 +325,21 @@ pub fn run_distributed_threaded(
     // Per-worker progress counters, owned by the driver so a panicking
     // worker's last consistent tuple count survives into its failure
     // record.
-    let fed: Vec<AtomicU64> = dep.slices.iter().map(|_| AtomicU64::new(0)).collect();
+    let fed: Vec<AtomicU64> = dep.units.iter().map(|_| AtomicU64::new(0)).collect();
 
     let central = Central::new(&dep, rx, &depth)?;
 
     let (central, outcomes, failures) = std::thread::scope(|scope| {
         let mut units = Units::new(&dep, central);
         let mut handles = Vec::new();
-        for (u, slice, spec) in dep.leaves() {
+        for (u, (spec, dag)) in dep.units.iter().enumerate().skip(1) {
             let (inbox, replies) = units.open(u);
-            let (sink, depth) = (tx.clone(), &depth);
             let mut port = ChannelPort {
                 inbox,
                 replies,
-                sink,
-                depth,
+                sink: tx.clone(),
+                depth: &depth,
+                timeout: Duration::from_millis(dep.cfg.transport.send_timeout_ms),
             };
             let fed = &fed[u];
             // A worker panic (organic or injected) must not propagate:
@@ -424,9 +347,7 @@ pub fn run_distributed_threaded(
             // HostFailure. The closure's state is moved in and
             // abandoned on unwind, so AssertUnwindSafe is sound.
             handles.push(scope.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_unit(spec, &slice.dag, &mut port, fed)
-                }))
+                catch_unwind(AssertUnwindSafe(|| run_unit(spec, dag, &mut port, fed)))
             }));
         }
         drop(tx);
@@ -437,9 +358,12 @@ pub fn run_distributed_threaded(
         // the outcomes here is what turns panics into typed records.
         let mut outcomes = Vec::new();
         let mut failures: Vec<HostFailure> = Vec::new();
-        for (handle, (u, slice, _)) in handles.into_iter().zip(dep.leaves()) {
+        for (handle, (u, (spec, _))) in handles
+            .into_iter()
+            .zip(dep.units.iter().enumerate().skip(1))
+        {
             let failed = |cause| HostFailure {
-                host: slice.host,
+                host: spec.host as usize,
                 cause,
                 tuples_processed: fed[u].load(Ordering::Relaxed),
             };
@@ -452,7 +376,7 @@ pub fn run_distributed_threaded(
         }
         (central, outcomes, failures)
     });
-    stitch(&dep, feed, central?, outcomes, failures)
+    feed.finish(&dep, central?, outcomes, failures)
 }
 
 /// What the feed loop drives: the one splitter over the one trace, and
@@ -465,13 +389,17 @@ pub(crate) struct Feed<'a> {
 }
 
 impl<'a> Feed<'a> {
-    pub(crate) fn new(dep: &Deployment<'_>, trace: &'a [Tuple]) -> ExecResult<Feed<'a>> {
+    pub(crate) fn new(
+        dep: &Deployment<'_>,
+        scans: &StreamScans,
+        trace: &'a [Tuple],
+    ) -> ExecResult<Feed<'a>> {
         let (controller, control) = Controller::attach(
             dep.plan,
             dep.cfg.transport.rebalance,
-            std::slice::from_ref(&dep.scans),
+            std::slice::from_ref(scans),
         );
-        let splitter = Splitter::new(dep.plan, &dep.scans, &dep.cfg, controller.is_some())?;
+        let splitter = Splitter::new(dep.plan, scans, &dep.cfg, controller.is_some())?;
         Ok(Feed {
             splitter,
             controller,
@@ -479,29 +407,46 @@ impl<'a> Feed<'a> {
             trace,
         })
     }
+
+    /// The run's result once every unit is harvested: the central
+    /// unit's outcome, and what its receive side observed, stitched
+    /// with the leaf units'.
+    pub(crate) fn finish(
+        self,
+        dep: &Deployment<'_>,
+        (central, inbound): (UnitOutcome, Inbound),
+        mut units: Vec<(usize, UnitOutcome)>,
+        failures: Vec<HostFailure>,
+    ) -> ExecResult<SimResult> {
+        units.push((0, central));
+        let duration = self.splitter.duration();
+        stitch(dep, duration, self.control, units, inbound, failures)
+    }
 }
 
 /// The part of a run every port-based runner shares once its leaf
 /// units are started, all of it on the calling thread: the feed loop
 /// routes the trace into `units` — the central unit's own scans
-/// straight into its engine, boundary frames applied as they arrive —
-/// then the inboxes close and the central unit drains the boundary to
-/// its end. The calling thread's allocator arena outlives the run, so a
-/// caller that runs many plans re-uses the splitter's batches and the
-/// central tier's (large) working memory instead of stranding them in a
-/// per-run thread's arena. `stop` runs once the central unit is done:
-/// whatever it takes for the runner's leaf units to wind down even when
-/// the run is aborting.
+/// straight into it, boundary frames applied as they arrive — then the
+/// inboxes close and the central unit drains the boundary to its end.
+/// The calling thread's allocator arena outlives the run, so a caller
+/// that runs many plans re-uses the splitter's batches and the central
+/// tier's (large) working memory instead of stranding them in a per-run
+/// thread's arena. `stop` runs once the central unit is done: whatever
+/// it takes for the runner's leaf units to wind down even when the run
+/// is aborting. Returns the central unit's outcome and what the receive
+/// side observed.
 pub(crate) fn feed_and_aggregate(
     dep: &Deployment<'_>,
     feed: &mut Feed<'_>,
     mut units: Units<'_>,
     stop: impl FnOnce(),
-) -> ExecResult<CentralOutcome> {
+) -> ExecResult<(UnitOutcome, Inbound)> {
     // A panic in the feed loop is the aggregator host's typed failure,
     // like a worker's; what it abandons is dropped with the run.
     let driven = catch_unwind(AssertUnwindSafe(|| {
         drive(
+            dep,
             &mut feed.splitter,
             feed.controller.as_mut(),
             &mut feed.control,
@@ -527,104 +472,22 @@ pub(crate) fn feed_and_aggregate(
     outcome
 }
 
-/// Merges per-unit results into the run's [`SimResult`]: counters and
-/// metrics back onto global node ids through each slice's local map,
-/// outputs by plan index, edges and send-path tallies into the measured
-/// [`TransportMetrics`], and the accounting of [`account`] over the
-/// merged counters. In strict mode the first failure is the run's error
-/// instead.
-pub(crate) fn stitch(
-    dep: &Deployment<'_>,
-    feed: Feed<'_>,
-    central: CentralOutcome,
-    mut units: Vec<(usize, UnitOutcome)>,
-    mut failures: Vec<HostFailure>,
-) -> ExecResult<SimResult> {
-    let (plan, cfg) = (dep.plan, &dep.cfg);
-    failures.extend(central.failures);
-    if !cfg.transport.partial_results && !failures.is_empty() {
-        return Err(failures.swap_remove(0).into());
-    }
-    units.push((0, central.outcome));
-    let mut counters = vec![OpCounters::default(); plan.dag.len()];
-    let mut node_metrics = vec![OpMetrics::default(); plan.dag.len()];
-    let mut outputs = named_outputs(plan);
-    let mut edges: Vec<EdgeTransport> = Vec::new();
-    let (mut stalls, mut dropped) = (0, 0);
-    for (u, unit) in units {
-        for (&global, &local) in &dep.slices[u].local {
-            counters[global] = unit.counters[local];
-            node_metrics[global] = unit.node_metrics[local].clone();
-        }
-        for (idx, rows) in unit.outputs {
-            outputs[idx as usize].1 = rows;
-        }
-        edges.extend(unit.edges);
-        stalls += unit.stalls;
-        dropped += unit.dropped;
-    }
-    edges.sort_unstable_by_key(|e| e.producer);
-    let frames: u64 = edges.iter().map(|e| e.frames).sum();
-    let payload: u64 = edges.iter().map(|e| e.bytes).sum();
-    let retries: u64 = edges.iter().map(|e| e.retries).sum();
-    let transport = TransportMetrics {
-        edges,
-        frames,
-        frame_bytes: payload + frames * FRAME_HEADER_LEN as u64,
-        backpressure_stalls: stalls,
-        queue_peak: central.queue_peak,
-        retries,
-        frames_dropped: dropped,
-        frames_corrupt_dropped: central.corrupt_dropped,
-        channel_capacity: cfg.transport.channel_capacity.max(1),
-        frame_batch: cfg.transport.frame_batch.max(1),
-    };
-    let mut metrics = account(plan, &counters, feed.splitter.duration(), cfg);
-    metrics.boundary_queue_peak = transport.queue_peak;
-    metrics.transport = transport;
-    feed.control.apply(&mut metrics);
-    Ok(SimResult {
-        metrics,
-        outputs,
-        counters,
-        node_metrics,
-        failures,
-    })
-}
-
-/// The central unit's outcome: its engine results plus the failure
-/// records it observed on the receive side (always empty in strict
-/// mode, where the first such failure aborts instead).
-pub(crate) struct CentralOutcome {
-    outcome: UnitOutcome,
-    failures: Vec<HostFailure>,
-    /// Corrupt frames detected, recorded, and discarded (partial mode).
-    corrupt_dropped: u64,
-    /// Peak boundary-buffer depth (in-flight frames) over the run.
-    queue_peak: u64,
-}
-
-/// The central unit — the aggregation tier, plus the aggregator host's
-/// own partitions — as the calling thread runs it: fed in place by the
-/// feed loop, handing its own partitions' state off in place, applying
-/// boundary frames whenever the loop has a moment or has to wait, and
-/// draining the boundary to its end once the feed is over. Merge
-/// operators align the independently-progressing inputs, so the order
-/// in which feed batches and boundary frames reach the engine does not
-/// change its results.
+/// The central unit as the calling thread runs it — the aggregation
+/// tier, plus the aggregator host's own partitions — with the receive
+/// half of the boundary: fed and handed off in place by the feed loop,
+/// applying boundary frames whenever the loop has a moment or has to
+/// wait, and draining the boundary to its end once the feed is over.
+/// Merge operators align the independently-progressing inputs, so the
+/// order in which feed batches and boundary frames reach the unit does
+/// not change its results.
 pub(crate) struct Central<'a> {
     dep: &'a Deployment<'a>,
-    engine: Engine,
+    pub(crate) unit: Unit<'a>,
     rx: ChannelSource,
     depth: &'a SharedGauge,
     /// The boundary still has producers and has not been given up on.
     open: bool,
-    /// Tuples fed from the unit's own scans.
-    fed: u64,
-    /// Tuples received across the boundary.
-    rx_tuples: u64,
-    failures: Vec<HostFailure>,
-    corrupt_dropped: u64,
+    inbound: Inbound,
 }
 
 impl<'a> Central<'a> {
@@ -633,87 +496,28 @@ impl<'a> Central<'a> {
         rx: ChannelSource,
         depth: &'a SharedGauge,
     ) -> ExecResult<Central<'a>> {
-        let slice = &dep.slices[0];
-        let sinks: Vec<NodeId> = slice
-            .outputs
-            .iter()
-            .map(|&(_, g)| slice.local[&g])
-            .collect();
-        let mut engine = Engine::with_sinks(&slice.dag, &sinks)?;
-        engine.set_batch_config(dep.cfg.batch);
+        let (spec, dag) = &dep.units[0];
         Ok(Central {
             dep,
-            engine,
+            unit: Unit::new(spec, dag)?,
             rx,
             depth,
             open: true,
-            fed: 0,
-            rx_tuples: 0,
-            failures: Vec::new(),
-            corrupt_dropped: 0,
+            inbound: Inbound::new(dep.cfg.transport.partial_results),
         })
-    }
-
-    /// Feeds one staged batch to a scan of this unit (its local id),
-    /// draining the splitter's buffer in place.
-    pub(crate) fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
-        self.fed += batch.rows() as u64;
-        self.engine.push_columns(scan, batch)
-    }
-
-    /// This unit's share of a handoff's extract half (jobs and rows by
-    /// local id).
-    pub(crate) fn extract(
-        &mut self,
-        boundary: u64,
-        jobs: &[ExtractJob],
-    ) -> ExecResult<Vec<StateRows>> {
-        extract_in_engine(&mut self.engine, boundary, jobs)
-    }
-
-    /// This unit's share of a handoff's absorb half (by local id).
-    pub(crate) fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<()> {
-        absorb_in_engine(&mut self.engine, batches)
-    }
-
-    /// A failure this unit observed. Strict mode fails the run on the
-    /// first one; partial mode records it and carries on.
-    pub(crate) fn observe(&mut self, host: usize, cause: FailureCause) -> ExecResult<()> {
-        let failure = HostFailure {
-            host,
-            cause,
-            tuples_processed: self.rx_tuples,
-        };
-        if self.dep.cfg.transport.partial_results {
-            self.failures.push(failure);
-            Ok(())
-        } else {
-            Err(failure.into())
-        }
     }
 
     /// A timeout this unit's host observed while waiting on a peer.
     pub(crate) fn timed_out(&mut self, waited: Duration) -> ExecResult<()> {
         let waited_ms = waited.as_millis() as u64;
         let agg = self.dep.plan.partitioning.aggregator_host;
-        self.observe(agg, FailureCause::Timeout { waited_ms })
+        self.inbound
+            .observe(agg, FailureCause::Timeout { waited_ms })
     }
 
-    /// Decodes one boundary frame straight into the engine's pooled
-    /// buffers. A corrupt frame is attributed to the producing host;
-    /// partial mode drops it and keeps consuming.
-    fn apply(&mut self, (producer, frame): Frame) -> ExecResult<()> {
+    fn apply(&mut self, frame: Frame) -> ExecResult<()> {
         self.depth.dec();
-        let pseudo = self.dep.slices[0].remote_in[&producer];
-        match self.engine.push_frame(pseudo, frame) {
-            Ok(n) => self.rx_tuples += n as u64,
-            Err(ExecError::Wire(e)) => {
-                self.observe(self.dep.plan.host[producer], FailureCause::Decode(e))?;
-                self.corrupt_dropped += 1;
-            }
-            Err(other) => return Err(other),
-        }
-        Ok(())
+        self.inbound.deliver(&mut self.unit, self.dep.plan, frame)
     }
 
     /// Waits up to `wait` for the next boundary frame. `None` with the
@@ -727,7 +531,7 @@ impl<'a> Central<'a> {
             Ok(RecvOutcome::Closed) => {}
             Err(msg) => {
                 let agg = self.dep.plan.partitioning.aggregator_host;
-                self.observe(agg, FailureCause::Link(msg))?;
+                self.inbound.observe(agg, FailureCause::Link(msg))?;
             }
         }
         self.open = false;
@@ -750,14 +554,14 @@ impl<'a> Central<'a> {
         Ok(())
     }
 
-    /// The rest of the boundary, then the engine's results. The receive
+    /// The rest of the boundary, then the unit's results. The receive
     /// wait is bounded (`send_timeout_ms`): a quiet-but-connected
     /// boundary past the bound means a hung peer, surfaced as a typed
     /// timeout attributed to this observer host — give up on it but
     /// keep what arrived, and finish the surviving epochs. Dropping
     /// `self` on an early error unblocks any producer stalled on a full
     /// channel.
-    fn finish(mut self) -> ExecResult<CentralOutcome> {
+    fn finish(mut self) -> ExecResult<(UnitOutcome, Inbound)> {
         let timeout = Duration::from_millis(self.dep.cfg.transport.send_timeout_ms);
         while self.open {
             match self.next_frame(timeout)? {
@@ -769,18 +573,9 @@ impl<'a> Central<'a> {
                 None => {}
             }
         }
-        self.engine.finish()?;
-        let slice = &self.dep.slices[0];
-        let outputs = slice
-            .outputs
-            .iter()
-            .map(|&(idx, g)| (idx as u32, slice.local[&g]));
-        Ok(CentralOutcome {
-            outcome: UnitOutcome::collect(&mut self.engine, outputs, self.fed),
-            failures: self.failures,
-            corrupt_dropped: self.corrupt_dropped,
-            queue_peak: self.depth.peak(),
-        })
+        let outcome = self.unit.finish()?;
+        self.inbound.queue_peak = self.depth.peak();
+        Ok((outcome, self.inbound))
     }
 }
 
@@ -889,15 +684,16 @@ mod tests {
             let plan = optimize(&dag, &part, &OptimizerConfig::full()).unwrap();
             let dep = Deployment::new(&plan, &SimConfig::default()).unwrap();
             let agg = plan.partitioning.aggregator_host;
-            assert_eq!(dep.slices[0].host, agg, "{hosts} hosts");
-            let mut unit_hosts: Vec<usize> = dep.slices.iter().map(|s| s.host).collect();
+            let host = |u: usize| dep.units[u].0.host as usize;
+            assert_eq!(host(0), agg, "{hosts} hosts");
+            let mut unit_hosts: Vec<usize> = (0..dep.units.len()).map(host).collect();
             unit_hosts.sort_unstable();
             let mut plan_hosts = plan.host.clone();
             plan_hosts.sort_unstable();
             plan_hosts.dedup();
             assert_eq!(unit_hosts, plan_hosts, "{hosts} hosts: one unit per host");
             for id in 0..plan.dag.len() {
-                assert_eq!(dep.slices[dep.unit_of[id]].host, plan.host[id], "node {id}");
+                assert_eq!(host(dep.unit_of[id]), plan.host[id], "node {id}");
             }
         }
         check_matches(&SimConfig::default());
@@ -914,7 +710,7 @@ mod tests {
             &OptimizerConfig::full(),
         )
         .unwrap();
-        let err = slice_unit(&plan, &[]).unwrap_err();
+        let err = slice_unit(&plan, &[], &SimConfig::default()).unwrap_err();
         assert!(
             matches!(&err, ExecError::BadPlan(msg) if msg.contains("no nodes")),
             "got {err}"

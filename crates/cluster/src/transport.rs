@@ -22,8 +22,8 @@ use serde::Serialize;
 
 use crate::rebalance::RebalanceConfig;
 
-/// Deterministic fault-injection plan, applied by every leaf unit
-/// wherever it runs.
+/// Deterministic fault-injection plan, applied by every unit wherever
+/// it runs.
 ///
 /// All knobs are *every-Nth* selectors driven by per-edge (or per-host)
 /// monotone counters, so a given plan injects the same faults at the
@@ -43,7 +43,9 @@ use crate::rebalance::RebalanceConfig;
 ///   link; conservation checks catch the deficit);
 /// - **slowdown** (`slow_host` + `slow_micros`): every frame shipped by
 ///   that host sleeps first — exercises backpressure and timeouts
-///   without changing results;
+///   without changing results. This and the next two are faults of the
+///   thread and host-process drivers: the simulator has no clock or
+///   worker to apply them to, and ignores them;
 /// - **hang** (`hang_host` + `hang_millis`): the host sleeps *once*,
 ///   before its first frame, long enough to trip the consumer's
 ///   receive timeout (finite, so the scoped runner always joins);
@@ -53,9 +55,11 @@ use crate::rebalance::RebalanceConfig;
 ///   [`qap_exec::HostFailure`](qap_exec::FailureCause::Panic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct FaultPlan {
-    /// Seed recorded with the plan (reserved for randomized selection;
-    /// current knobs are deterministic every-Nth counters, but the seed
-    /// keys chaos-suite fixtures and metrics artifacts).
+    /// The simulator's delivery schedule: 0 delivers every boundary
+    /// frame as soon as it is cut, any other seed draws how many of each
+    /// edge's pending frames to deliver after every step
+    /// ([`crate::run_distributed`]). The other runners' schedules are
+    /// their threads'.
     pub seed: u64,
     /// Corrupt every Nth boundary frame (per edge); 0 = never.
     pub corrupt_every: u64,
@@ -301,13 +305,13 @@ pub struct EdgeTransport {
     pub retries: u64,
 }
 
-/// Measured boundary-transport telemetry of one threaded run.
+/// Measured boundary-transport telemetry of one run.
 ///
 /// Frame/tuple/byte counts per edge are deterministic (each producer's
 /// output stream and its chunking into frames are fixed by the plan and
 /// trace); `backpressure_stalls` and `queue_peak` depend on scheduling
-/// and vary run to run. The deterministic simulator ships no frames and
-/// reports an empty value.
+/// and vary run to run on the threaded and socket runners. The
+/// simulator's queue peak is a function of its seed; nothing stalls.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct TransportMetrics {
     /// Per-edge measurements, sorted by producing node id.

@@ -1,19 +1,28 @@
-//! One leaf execution unit: what it is told to run ([`UnitSpec`]), the
-//! three things it is asked to do ([`UnitCmd`]), the loop that does
-//! them ([`run_unit`]), the two ports a command can arrive on, and the
-//! carrier the splitter reaches every unit through ([`Units`]).
+//! One execution unit ([`Unit`]), the loop that runs it behind a port
+//! ([`run_unit`]), and the carrier the splitter reaches ported units
+//! through ([`Units`]).
 //!
-//! A unit is the same thing wherever it runs — a worker thread beside
-//! the aggregator ([`crate::run_distributed_threaded`]) or a `qapctl
-//! host` process across a socket ([`crate::serve_host`]). Only its
-//! [`UnitPort`] differs: [`ChannelPort`] hands it commands by move over
-//! an in-process inbox, [`StreamPort`] reads them off the session
-//! socket as control frames. Per-port FIFO is the protocol's ordering
-//! guarantee: by the time a unit sees `Extract`, every earlier `Feed`
-//! on the same port has been applied — the drain step of
-//! drain-and-handoff. The end of the port is end-of-stream.
+//! A unit is one host's share of the plan in one engine, and a plain
+//! value that never waits, sleeps or reads a clock: [`Unit::apply`]
+//! takes one [`UnitCmd`] — a feed batch, or one half of a
+//! drain-and-handoff — and answers it; the boundary output that
+//! produces is cut into frames, encoded, and put through the fault
+//! plan's per-edge corruptions, truncations and drops (functions of the
+//! frame sequence alone), for [`Unit::take_frames`]; [`Unit::finish`]
+//! ends the stream. Three drivers run it. A worker thread
+//! ([`crate::run_distributed_threaded`]) and a `qapctl host` session
+//! ([`crate::serve_host`]) run [`run_unit`] over a [`UnitPort`] — an
+//! in-process inbox ([`ChannelPort`]) or the session socket
+//! ([`StreamPort`]); the loop owns the injected hang, slow sends and
+//! worker panic, and the channel port the bounded retry on a full
+//! boundary buffer. The simulator ([`crate::run_distributed`]) owns
+//! every unit on one thread and delivers their frames itself.
+//!
+//! Per-port FIFO is the protocol's ordering guarantee: by the time a
+//! unit sees `Extract`, every earlier `Feed` on the same port has been
+//! applied — the drain step of drain-and-handoff. The end of the port
+//! is end-of-stream.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -22,6 +31,7 @@ use qap_exec::{
     BatchConfig, Engine, ExecError, ExecResult, FailureCause, HostFailure, OpCounters, OpMetrics,
 };
 use qap_obs::SharedGauge;
+use qap_optimizer::DistributedPlan;
 use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{NodeId, QueryDag};
 use qap_types::{
@@ -32,22 +42,19 @@ use crate::deploy::{decode_unit_cmd, encode_unit_reply};
 use crate::link::{
     read_control, ChannelSink, DuplexStream, Frame, FrameSink, SendOutcome, StreamSink,
 };
-use crate::rebalance::{
-    absorb_in_engine, extract_in_engine, Carrier, ExtractJob, Handoff, StateRows,
-    BUCKETS_PER_PARTITION,
-};
+use crate::rebalance::{Carrier, BUCKETS_PER_PARTITION};
 use crate::splitter::Batch;
 use crate::threaded::{Central, Deployment};
 use crate::transport::{EdgeTransport, FaultPlan};
 
-/// One leaf execution unit's description: the id maps that address its
+/// One execution unit's description: the id maps that address its
 /// data, the deployed partitioning set, and every knob that shapes its
-/// execution — batch size, frame size, timeout and fault plan.
+/// execution — batch size, frame size and fault plan.
 ///
-/// [`Deployment::new`] builds it next to the sliced DAG, and [`run_unit`]
-/// takes both. Nothing serializes it: a host process derives the same
-/// pair from the same plan, which it plans again from the `Deploy`
-/// payload's text ([`crate::deploy`]).
+/// [`crate::threaded::slice_unit`] builds it next to the sliced DAG,
+/// and [`Unit::new`] takes both. Nothing serializes it: a host process
+/// derives the same pair from the same plan, which it plans again from
+/// the `Deploy` payload's text ([`crate::deploy`]).
 #[derive(Debug, Clone)]
 pub(crate) struct UnitSpec {
     /// Cluster host id this unit executes as.
@@ -55,8 +62,8 @@ pub(crate) struct UnitSpec {
     /// The deployed partitioning set (empty under round-robin): what an
     /// `Extract` re-keys the unit's aggregates by.
     pub(crate) set: PartitionSet,
-    /// Partition scans: (global node id, local node id).
-    pub(crate) scans: Vec<(u32, u32)>,
+    /// Boundary inputs: (global producer id, local pseudo-source id).
+    pub(crate) inputs: Vec<(u32, u32)>,
     /// Boundary producers: (global node id, local node id).
     pub(crate) boundary: Vec<(u32, u32)>,
     /// Plan outputs hosted here: (output index, local node id).
@@ -65,18 +72,15 @@ pub(crate) struct UnitSpec {
     pub(crate) max_batch: u32,
     /// Tuples staged per boundary frame.
     pub(crate) frame_batch: u32,
-    /// Bound on the full-buffer retry loop, in milliseconds.
-    pub(crate) send_timeout_ms: u64,
     /// Deterministic fault plan, part of the description so chaos tests
     /// inject the same faults in-process and across processes.
     pub(crate) fault: FaultPlan,
 }
 
-/// One unit's results, stitched back into global vectors by the
-/// coordinator: per-local-node counters and metrics, any plan outputs
-/// hosted on the unit, the measured per-edge transport, and the
-/// send-path tallies the coordinator sums into
-/// [`crate::TransportMetrics`].
+/// One unit's results, stitched back into global vectors by
+/// [`crate::sim::stitch`]: per-local-node counters and metrics, any
+/// plan outputs hosted on the unit, the measured per-edge transport,
+/// and the send-path tallies summed into [`crate::TransportMetrics`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct UnitOutcome {
     /// Per-local-node semantic counters.
@@ -91,45 +95,16 @@ pub(crate) struct UnitOutcome {
     pub(crate) stalls: u64,
     /// Frames the fault plan dropped before the wire.
     pub(crate) dropped: u64,
-    /// Tuples the unit fed its engine (failure attribution).
-    pub(crate) tuples_fed: u64,
-}
-
-impl UnitOutcome {
-    /// Reads a finished engine: counters, metrics and the rows of the
-    /// hosted `outputs` (output index, local node id). The send-path
-    /// fields start at zero.
-    pub(crate) fn collect(
-        engine: &mut Engine,
-        outputs: impl Iterator<Item = (u32, NodeId)>,
-        tuples_fed: u64,
-    ) -> UnitOutcome {
-        UnitOutcome {
-            counters: engine.counters().to_vec(),
-            node_metrics: engine.metrics(),
-            outputs: outputs.map(|(idx, l)| (idx, engine.output(l))).collect(),
-            edges: Vec::new(),
-            stalls: 0,
-            dropped: 0,
-            tuples_fed,
-        }
-    }
 }
 
 /// State rows keyed by a unit-local node id, as they cross a port.
 pub(crate) type LocalRows = (u32, Vec<Tuple>);
 
-/// Row sets keyed by a unit's node ids, as a port carries them.
-fn local_rows(rows: Vec<StateRows>) -> Vec<LocalRows> {
-    rows.into_iter().map(|(l, r)| (l as u32, r)).collect()
-}
-
-/// What a leaf unit is asked to do. Node ids are the unit's *local*
-/// ids: [`Units`] is the one place that translates.
+/// What a unit is asked to do. Node ids are the unit's *local* ids.
 #[derive(Debug)]
 #[cfg_attr(test, derive(PartialEq))]
 pub(crate) enum UnitCmd {
-    /// Consume one splitter batch at the given scan. No reply.
+    /// Consume one batch at the given scan or boundary input. No reply.
     Feed(u32, Batch),
     /// Force-close windows before `boundary` on each job's node, then
     /// extract every group whose key re-routes away from the node's
@@ -159,6 +134,343 @@ pub(crate) enum UnitCmd {
 /// `Absorb` (empty).
 pub(crate) type UnitReply = Vec<LocalRows>;
 
+/// Per-boundary-producer framing state within one unit.
+struct EdgeStage {
+    /// Local sink id inside the unit's engine.
+    local: NodeId,
+    /// The frame being filled, short of `frame_batch` rows between
+    /// calls: cut into straight from the engine's boundary sink and
+    /// encoded off these lanes, so no tuple is built on the way out.
+    pending: ColumnBatch,
+    /// 1-based frame sequence number for deterministic fault selection;
+    /// advances even for frames the fault plan drops (unlike
+    /// `stats.frames`, which counts only shipped frames).
+    seq: u64,
+    /// Measured transport for this edge.
+    stats: EdgeTransport,
+}
+
+/// One execution unit: its engine, its boundary framing, and the frames
+/// cut but not yet taken.
+pub(crate) struct Unit<'a> {
+    spec: &'a UnitSpec,
+    dag: &'a QueryDag,
+    engine: Engine,
+    edges: Vec<EdgeStage>,
+    scratch: BytesMut,
+    frames: Vec<Frame>,
+    /// Frames the fault plan dropped.
+    dropped: u64,
+    /// Local operators ended so far: a prefix of the topological order.
+    done: usize,
+    /// Tuples fed to the engine so far.
+    pub(crate) fed: u64,
+}
+
+impl<'a> Unit<'a> {
+    /// Builds the unit's one engine over its slice of the plan.
+    pub(crate) fn new(spec: &'a UnitSpec, dag: &'a QueryDag) -> ExecResult<Unit<'a>> {
+        let locals =
+            |ids: &[(u32, u32)]| -> Vec<NodeId> { ids.iter().map(|&(_, l)| l as NodeId).collect() };
+        let mut engine =
+            Engine::with_boundary(dag, &locals(&spec.outputs), &locals(&spec.boundary))?;
+        engine.set_batch_config(BatchConfig::new(spec.max_batch as usize));
+        let edges = spec
+            .boundary
+            .iter()
+            .map(|&(g, l)| EdgeStage {
+                local: l as NodeId,
+                pending: ColumnBatch::new(dag.schema(l as NodeId).arity()),
+                seq: 0,
+                stats: EdgeTransport {
+                    producer: g as NodeId,
+                    from_host: spec.host as usize,
+                    ..EdgeTransport::default()
+                },
+            })
+            .collect();
+        Ok(Unit {
+            spec,
+            dag,
+            engine,
+            edges,
+            scratch: BytesMut::new(),
+            frames: Vec::new(),
+            dropped: 0,
+            done: 0,
+            fed: 0,
+        })
+    }
+
+    /// Applies one command, cutting the boundary frames it completes;
+    /// `Extract` and `Absorb` are answered, a feed is not. A node the
+    /// unit does not run (a feed to a non-source) is a typed error.
+    pub(crate) fn apply(&mut self, cmd: UnitCmd) -> ExecResult<Option<UnitReply>> {
+        let reply = match cmd {
+            UnitCmd::Feed(local, Batch::Columns(mut cols)) => {
+                return self.feed(local as NodeId, &mut cols).map(|()| None);
+            }
+            UnitCmd::Feed(local, Batch::Frame(frame)) => {
+                self.fed += self.engine.push_frame(local as NodeId, frame)? as u64;
+                None
+            }
+            UnitCmd::Extract {
+                boundary,
+                partitions,
+                assignment,
+                jobs,
+            } => Some(self.extract(boundary, partitions, assignment, jobs)?),
+            UnitCmd::Absorb(batches) => {
+                for (node, mut rows) in batches {
+                    self.engine.absorb_state(node as NodeId, &mut rows)?;
+                }
+                Some(Vec::new())
+            }
+        };
+        self.cut()?;
+        Ok(reply)
+    }
+
+    /// A `Feed` of lanes the caller keeps: drains `batch` in place, the
+    /// engine swapping it against a pooled buffer.
+    pub(crate) fn feed(&mut self, local: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
+        self.fed += batch.rows() as u64;
+        self.engine.push_columns(local, batch)?;
+        self.cut()
+    }
+
+    /// The extract half of a handoff: force-close windows before
+    /// `boundary` on every job's node, then extract from each the groups
+    /// that route outside its owned partitions under the new table.
+    fn extract(
+        &mut self,
+        boundary: u64,
+        partitions: u32,
+        assignment: Vec<u32>,
+        jobs: Vec<(u32, Vec<u32>)>,
+    ) -> ExecResult<UnitReply> {
+        if assignment.is_empty() || assignment.iter().any(|&p| p >= partitions) {
+            return Err(ExecError::BadPlan(
+                "migrate table is empty or names a nonexistent partition".into(),
+            ));
+        }
+        let mut keyed = Vec::with_capacity(jobs.len());
+        for (node, owned) in jobs {
+            // Every node is flushed before any is extracted from; one the
+            // unit does not run is a typed error.
+            let node = node as NodeId;
+            self.engine.flush_before(node, boundary)?;
+            let mut keyp = HashPartitioner::with_buckets(
+                &self.spec.set,
+                self.dag.schema(node),
+                partitions as usize,
+                BUCKETS_PER_PARTITION,
+            )
+            .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
+            keyp.set_assignment(assignment.clone());
+            keyed.push((node, keyp, owned));
+        }
+        let mut extracted = Vec::new();
+        for (node, keyp, owned) in keyed {
+            let rows = self.engine.extract_state(node, &mut |key| {
+                !owned.contains(&(keyp.partition(&Tuple::new(key.to_vec())) as u32))
+            });
+            if !rows.is_empty() {
+                extracted.push((node as u32, rows));
+            }
+        }
+        Ok(extracted)
+    }
+
+    /// The boundary frames cut since the last call, in cut order:
+    /// encoded, with the fault plan applied.
+    pub(crate) fn take_frames(&mut self) -> std::vec::Drain<'_, Frame> {
+        self.frames.drain(..)
+    }
+
+    /// Ends the stream for the local operators up to `last` only (see
+    /// [`Engine::finish_through`]), cutting the final frame of every
+    /// boundary producer among them: how the simulator ends units that
+    /// feed each other.
+    pub(crate) fn finish_through(&mut self, last: NodeId) -> ExecResult<()> {
+        self.engine.finish_through(last)?;
+        self.done = self.done.max(last.saturating_add(1));
+        self.cut()
+    }
+
+    /// Ends the stream: the engine finishes, the final frames are cut,
+    /// and the unit's results are read out.
+    pub(crate) fn finish(&mut self) -> ExecResult<UnitOutcome> {
+        self.finish_through(NodeId::MAX)?;
+        let engine = &mut self.engine;
+        Ok(UnitOutcome {
+            counters: engine.counters().to_vec(),
+            node_metrics: engine.metrics(),
+            outputs: (self.spec.outputs.iter())
+                .map(|&(idx, l)| (idx, engine.output(l as NodeId)))
+                .collect(),
+            edges: self.edges.iter().map(|e| e.stats).collect(),
+            stalls: 0,
+            dropped: self.dropped,
+        })
+    }
+
+    /// Drains each boundary sink, as lanes, and cuts every frame the
+    /// drained rows complete: `frame_batch` rows each, off the front of
+    /// the producer's output sequence — plus, once the producer has
+    /// ended, the partial tail frame. Frames per edge are deterministic:
+    /// that sequence is fixed by the plan and trace, and chunking is
+    /// positional.
+    fn cut(&mut self) -> ExecResult<()> {
+        let Unit {
+            spec,
+            engine,
+            edges,
+            scratch,
+            frames,
+            dropped,
+            done,
+            ..
+        } = self;
+        // Encodes the edge's pending rows as one frame straight off their
+        // lanes and applies the fault plan; a dropped frame never counts
+        // as shipped.
+        let mut encode = |edge: &mut EdgeStage| -> ExecResult<()> {
+            let frame = encode_column_batch(&edge.pending, scratch)?;
+            let (tuples, len) = (edge.pending.rows() as u64, frame.len());
+            edge.pending.clear();
+            edge.seq += 1;
+            match inject_frame_fault(&spec.fault, edge.seq, frame) {
+                None => *dropped += 1,
+                Some(frame) => {
+                    edge.stats.frames += 1;
+                    edge.stats.tuples += tuples;
+                    edge.stats.bytes += (len - FRAME_HEADER_LEN) as u64;
+                    frames.push((edge.stats.producer, frame));
+                }
+            }
+            Ok(())
+        };
+        let frame_batch = spec.frame_batch.max(1) as usize;
+        for edge in edges.iter_mut() {
+            if let Some(drained) = engine.drain_boundary(edge.local) {
+                let mut at = 0;
+                while edge.pending.rows() + (drained.rows() - at) >= frame_batch {
+                    let cut = at + frame_batch - edge.pending.rows();
+                    edge.pending.append_range(&drained, at..cut);
+                    at = cut;
+                    encode(edge)?;
+                }
+                edge.pending.append_range(&drained, at..drained.rows());
+            }
+            if edge.local < *done && !edge.pending.is_empty() {
+                encode(edge)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Applies the per-frame fault knobs to an encoded frame about to be
+/// shipped. `seq` is the edge's 1-based frame sequence number (advanced
+/// even for dropped frames), so a fixed plan hits the same frames on
+/// every run. Returns `None` when the frame is dropped.
+///
+/// Corruption flips the high byte of the big-endian payload-length
+/// header word — the consumer's decoder deterministically reports
+/// `FrameLengthMismatch`. Truncation halves the frame (cutting either
+/// mid-payload or into the header), which decodes as
+/// `Truncated`/`FrameLengthMismatch`. Both mutations copy the frame —
+/// the clean path stays zero-copy.
+// `seq % n == 0` spelled out rather than `is_multiple_of` to hold the
+// workspace MSRV (1.75; the method stabilized in 1.87).
+#[allow(clippy::manual_is_multiple_of)]
+fn inject_frame_fault(fault: &FaultPlan, seq: u64, frame: Bytes) -> Option<Bytes> {
+    if fault.drop_every > 0 && seq % fault.drop_every == 0 {
+        return None;
+    }
+    let corrupt = fault.corrupt_every > 0 && seq % fault.corrupt_every == 0;
+    let truncate = fault.truncate_every > 0 && seq % fault.truncate_every == 0;
+    if !corrupt && !truncate {
+        return Some(frame);
+    }
+    let mut bytes = frame.as_ref().to_vec();
+    if corrupt && !bytes.is_empty() {
+        bytes[0] ^= 0x80;
+    }
+    if truncate {
+        bytes.truncate(bytes.len() / 2);
+    }
+    Some(Bytes::from(bytes))
+}
+
+/// A run's receive side: boundary frames applied at the units that
+/// consume them, and the failures observed there. Strict mode fails the
+/// run on the first failure; partial mode records each and carries on.
+#[derive(Default)]
+pub(crate) struct Inbound {
+    partial: bool,
+    /// Tuples received across the boundary (failure attribution).
+    rx_tuples: u64,
+    pub(crate) failures: Vec<HostFailure>,
+    /// Corrupt frames detected, recorded and discarded (partial mode).
+    pub(crate) corrupt_dropped: u64,
+    /// Peak boundary frames in flight over the run.
+    pub(crate) queue_peak: u64,
+}
+
+impl Inbound {
+    pub(crate) fn new(partial: bool) -> Inbound {
+        Inbound {
+            partial,
+            ..Inbound::default()
+        }
+    }
+
+    /// A failure observed on the receive side, charged to `host`.
+    pub(crate) fn observe(&mut self, host: usize, cause: FailureCause) -> ExecResult<()> {
+        let failure = HostFailure {
+            host,
+            cause,
+            tuples_processed: self.rx_tuples,
+        };
+        if self.partial {
+            self.failures.push(failure);
+            Ok(())
+        } else {
+            Err(failure.into())
+        }
+    }
+
+    /// Applies one boundary frame at the unit consuming it, decoded
+    /// straight into the engine's pooled buffers. A frame that does not
+    /// decode is a [`FailureCause::Decode`] charged to the producer's
+    /// host; partial mode drops it and keeps consuming.
+    pub(crate) fn deliver(
+        &mut self,
+        unit: &mut Unit<'_>,
+        plan: &DistributedPlan,
+        (producer, frame): Frame,
+    ) -> ExecResult<()> {
+        let inputs = &unit.spec.inputs;
+        let Some(&(_, local)) = inputs.iter().find(|&&(g, _)| g as NodeId == producer) else {
+            return Err(ExecError::BadPlan(format!(
+                "boundary frame from node {producer}, which the unit does not consume"
+            )));
+        };
+        let fed = unit.fed;
+        match unit.apply(UnitCmd::Feed(local, Batch::Frame(frame))) {
+            Ok(_) => self.rx_tuples += unit.fed - fed,
+            Err(ExecError::Wire(e)) => {
+                self.observe(plan.host[producer], FailureCause::Decode(e))?;
+                self.corrupt_dropped += 1;
+            }
+            Err(other) => return Err(other),
+        }
+        Ok(())
+    }
+}
+
 /// How commands reach a unit and how its replies and boundary frames
 /// leave it.
 pub(crate) trait UnitPort {
@@ -166,9 +478,9 @@ pub(crate) trait UnitPort {
     fn next(&mut self) -> ExecResult<Option<UnitCmd>>;
     /// Answers the `Extract`/`Absorb` just applied.
     fn reply(&mut self, reply: UnitReply) -> ExecResult<()>;
-    /// Offers one boundary frame to the port's [`FrameSink`] without
-    /// blocking on capacity.
-    fn ship(&mut self, frame: Frame) -> Result<SendOutcome, String>;
+    /// Ships one boundary frame; returns how many times the port found
+    /// its buffer full first.
+    fn ship(&mut self, frame: Frame) -> Result<u64, FailureCause>;
 }
 
 /// The in-process port: commands arrive by move over the unit's inbox,
@@ -180,6 +492,8 @@ pub(crate) struct ChannelPort<'a> {
     pub(crate) sink: ChannelSink,
     /// Live boundary-buffer depth (in-flight frames).
     pub(crate) depth: &'a SharedGauge,
+    /// Bound on the retries of one frame against a full channel.
+    pub(crate) timeout: Duration,
 }
 
 impl UnitPort for ChannelPort<'_> {
@@ -193,13 +507,36 @@ impl UnitPort for ChannelPort<'_> {
         Ok(())
     }
 
-    fn ship(&mut self, frame: Frame) -> Result<SendOutcome, String> {
-        self.depth.inc();
-        let sent = self.sink.try_send(frame);
-        if !matches!(sent, Ok(SendOutcome::Sent)) {
+    /// A non-blocking attempt first; on a full channel, retries with
+    /// exponential backoff bounded by the send timeout, so a consumer
+    /// that never drains surfaces as a typed [`FailureCause::Timeout`]
+    /// instead of wedging the unit. A dropped receiver (central error
+    /// path) discards the frame — never a deadlock.
+    fn ship(&mut self, mut frame: Frame) -> Result<u64, FailureCause> {
+        let (mut fulls, started) = (0, Instant::now());
+        let mut backoff = Duration::from_micros(100);
+        loop {
+            self.depth.inc();
+            let sent = self.sink.try_send(frame).map_err(FailureCause::Link);
+            if let Ok(SendOutcome::Sent) = sent {
+                return Ok(fulls);
+            }
             self.depth.dec();
+            let Ok(SendOutcome::Full(back)) = sent else {
+                return sent.map(|_| fulls);
+            };
+            frame = back;
+            fulls += 1;
+            let waited = started.elapsed();
+            if fulls > 1 {
+                if waited >= self.timeout {
+                    let waited_ms = waited.as_millis() as u64;
+                    return Err(FailureCause::Timeout { waited_ms });
+                }
+                std::thread::sleep(backoff.min(self.timeout - waited));
+                backoff = (backoff * 2).min(Duration::from_millis(10));
+            }
         }
-        sent
     }
 }
 
@@ -242,41 +579,20 @@ impl UnitPort for StreamPort {
             .map_err(|e| ExecError::BadPlan(format!("migrate ack link: {e}")))
     }
 
-    fn ship(&mut self, frame: Frame) -> Result<SendOutcome, String> {
-        self.sink.try_send(frame)
+    /// A socket never reports a full buffer: a slow consumer blocks the
+    /// write instead. A broken link is a typed [`FailureCause::Link`].
+    fn ship(&mut self, frame: Frame) -> Result<u64, FailureCause> {
+        self.sink.try_send(frame).map_err(FailureCause::Link)?;
+        Ok(0)
     }
 }
 
-/// Feeds one splitter batch to a unit engine, staged or still encoded;
-/// returns the tuples ingested.
-pub(crate) fn push_feed(engine: &mut Engine, local: NodeId, batch: Batch) -> ExecResult<usize> {
-    match batch {
-        Batch::Columns(mut cols) => {
-            let n = cols.rows();
-            engine.push_columns(local, &mut cols)?;
-            Ok(n)
-        }
-        Batch::Frame(frame) => engine.push_frame(local, frame),
-    }
-}
-
-/// Resolves a node id a command names; one the unit does not run is a
-/// typed error, never an index out of bounds.
-fn known(dag: &QueryDag, node: u32, what: &str) -> ExecResult<NodeId> {
-    if (node as usize) < dag.len() {
-        Ok(node as NodeId)
-    } else {
-        Err(ExecError::BadPlan(format!(
-            "{what} for unknown node {node}"
-        )))
-    }
-}
-
-/// Runs one leaf unit to completion: applies the port's commands in
-/// order — feed batches into the scans, and the two halves of a
-/// drain-and-handoff — shipping boundary frames as they materialize;
-/// the end of the port finishes the engine and flushes the tail frames.
-/// `progress` follows the tuples fed, batch by batch, so a panic
+/// Runs one unit to completion behind a port: applies the port's
+/// commands in order, answers each handoff half, and ships the boundary
+/// frames each command produced; the end of the port finishes the unit
+/// and ships its tail. The injected hang (once, before the first
+/// command), slow sends and the worker panic happen here, not in the
+/// unit. `progress` follows the tuples fed, batch by batch, so a panic
 /// mid-run leaves the last consistent count behind for the failure
 /// record. An error mid-handoff returns before the reply: the splitter
 /// sees the unit as dead and aborts the handoff, and whoever started
@@ -287,281 +603,61 @@ pub(crate) fn run_unit<P: UnitPort>(
     port: &mut P,
     progress: &AtomicU64,
 ) -> ExecResult<UnitOutcome> {
-    let host = spec.host as usize;
-    let fault = spec.fault;
-    // Injected hang: stall once, before the first frame, long enough
-    // for the consumer's receive timeout to notice. Finite by
-    // construction — whoever started the unit must eventually join it.
+    let (host, fault) = (spec.host as usize, spec.fault);
+    // Finite by construction — whoever started the unit must eventually
+    // join it.
     if fault.hang_host == Some(host) && fault.hang_millis > 0 {
         std::thread::sleep(Duration::from_millis(fault.hang_millis));
     }
     let panic_at = (fault.panic_host == Some(host)).then_some(fault.panic_after_tuples);
-
-    let boundary: Vec<NodeId> = spec.boundary.iter().map(|&(_, l)| l as NodeId).collect();
-    let outputs: Vec<NodeId> = spec.outputs.iter().map(|&(_, l)| l as NodeId).collect();
-    let mut engine = Engine::with_boundary(dag, &outputs, &boundary)?;
-    engine.set_batch_config(BatchConfig::new(spec.max_batch as usize));
-    let mut edges: Vec<EdgeStage> = spec
-        .boundary
-        .iter()
-        .map(|&(g, l)| EdgeStage {
-            producer: g as NodeId,
-            local: l as NodeId,
-            pending: ColumnBatch::new(dag.schema(l as NodeId).arity()),
-            seq: 0,
-            stats: EdgeTransport {
-                producer: g as NodeId,
-                from_host: host,
-                ..EdgeTransport::default()
-            },
-        })
-        .collect();
-    let mut tx = Tx {
-        spec,
-        scratch: BytesMut::new(),
-        stalls: 0,
-        dropped: 0,
-        fed: 0,
+    let mut unit = Unit::new(spec, dag)?;
+    // The send path's tallies: frames that first found the port's
+    // buffer full, and further full-buffer attempts per boundary edge.
+    let (mut stalls, mut retries) = (0, vec![0; spec.boundary.len()]);
+    // Ships the unit's new frames, each after the slow host's delay; a
+    // port that fails is this host's typed failure.
+    let mut ship = |unit: &mut Unit<'_>, port: &mut P| -> ExecResult<()> {
+        let fed = unit.fed;
+        for (producer, frame) in unit.take_frames() {
+            if fault.slow_host == Some(host) && fault.slow_micros > 0 {
+                std::thread::sleep(Duration::from_micros(fault.slow_micros));
+            }
+            let failed = |cause| HostFailure {
+                host,
+                cause,
+                tuples_processed: fed,
+            };
+            let fulls = port.ship((producer, frame)).map_err(failed)?;
+            if fulls > 0 {
+                stalls += 1;
+                let edge = spec
+                    .boundary
+                    .iter()
+                    .position(|&(g, _)| g as NodeId == producer);
+                retries[edge.unwrap_or(0)] += fulls - 1;
+            }
+        }
+        Ok(())
     };
-
     while let Some(cmd) = port.next()? {
-        let reply = match cmd {
-            UnitCmd::Feed(scan, batch) => {
-                if !spec.scans.iter().any(|&(_, l)| l == scan) {
-                    return Err(ExecError::BadPlan(format!(
-                        "feed for unknown scan node {scan}"
-                    )));
-                }
-                tx.fed += push_feed(&mut engine, scan as NodeId, batch)? as u64;
-                progress.store(tx.fed, Ordering::Relaxed);
-                if let Some(at) = panic_at {
-                    if tx.fed >= at {
-                        let fed = tx.fed;
-                        panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
-                    }
-                }
-                None
-            }
-            UnitCmd::Extract {
-                boundary,
-                partitions,
-                assignment,
-                jobs,
-            } => {
-                if assignment.is_empty() || assignment.iter().any(|&p| p >= partitions) {
-                    return Err(ExecError::BadPlan(
-                        "migrate table is empty or names a nonexistent partition".into(),
-                    ));
-                }
-                let jobs = jobs
-                    .into_iter()
-                    .map(|(node, owned)| {
-                        let node = known(dag, node, "migrate job")?;
-                        let mut keyp = HashPartitioner::with_buckets(
-                            &spec.set,
-                            dag.schema(node),
-                            partitions as usize,
-                            BUCKETS_PER_PARTITION,
-                        )
-                        .map_err(|e| ExecError::BadPlan(format!("migrate partitioner: {e}")))?;
-                        keyp.set_assignment(assignment.clone());
-                        Ok(ExtractJob { node, keyp, owned })
-                    })
-                    .collect::<ExecResult<Vec<_>>>()?;
-                let extracted = extract_in_engine(&mut engine, boundary, &jobs)?;
-                Some(local_rows(extracted))
-            }
-            UnitCmd::Absorb(batches) => {
-                let batches = batches
-                    .into_iter()
-                    .map(|(node, rows)| Ok((known(dag, node, "migrate batch")?, rows)))
-                    .collect::<ExecResult<_>>()?;
-                absorb_in_engine(&mut engine, batches)?;
-                Some(Vec::new())
-            }
-        };
+        let reply = unit.apply(cmd)?;
+        progress.store(unit.fed, Ordering::Relaxed);
+        if let Some(at) = panic_at.filter(|&at| unit.fed >= at) {
+            let fed = unit.fed;
+            panic!("injected worker fault after {fed} tuples (plan: panic at {at})");
+        }
         if let Some(reply) = reply {
             port.reply(reply)?;
         }
-        forward_boundary(&mut engine, &mut edges, &mut tx, port, false)?;
+        ship(&mut unit, port)?;
     }
-    engine.finish()?;
-    forward_boundary(&mut engine, &mut edges, &mut tx, port, true)?;
-
-    let outputs = spec.outputs.iter().map(|&(idx, l)| (idx, l as NodeId));
-    Ok(UnitOutcome {
-        edges: edges.into_iter().map(|e| e.stats).collect(),
-        stalls: tx.stalls,
-        dropped: tx.dropped,
-        ..UnitOutcome::collect(&mut engine, outputs, tx.fed)
-    })
-}
-
-/// Per-boundary-producer framing state within one leaf unit.
-struct EdgeStage {
-    /// Global producer node id.
-    producer: NodeId,
-    /// Local sink id inside the unit's engine.
-    local: NodeId,
-    /// The frame being filled: the producer's output not yet shipped,
-    /// always short of `frame_batch` rows between calls. Rows are cut
-    /// into these lanes straight from the engine's boundary sink
-    /// ([`ColumnBatch::append_range`]) and encoded from them, so
-    /// steady-state framing reuses the lane allocations and no tuple is
-    /// built on the way out.
-    pending: ColumnBatch,
-    /// 1-based frame sequence number for deterministic fault selection;
-    /// advances even for frames the fault plan drops (unlike
-    /// `stats.frames`, which counts only shipped frames).
-    seq: u64,
-    /// Measured transport for this edge.
-    stats: EdgeTransport,
-}
-
-/// A unit's send-path state across its boundary edges.
-struct Tx<'a> {
-    spec: &'a UnitSpec,
-    scratch: BytesMut,
-    /// First-refusal backpressure stalls.
-    stalls: u64,
-    /// Frames discarded by the fault plan's `drop_every` knob.
-    dropped: u64,
-    /// Tuples fed so far (failure attribution).
-    fed: u64,
-}
-
-/// Applies the per-frame fault knobs to an encoded frame about to be
-/// shipped. `seq` is the edge's 1-based frame sequence number (advanced
-/// even for dropped frames), so a fixed plan hits the same frames on
-/// every run. Returns `None` when the frame is dropped.
-///
-/// Corruption flips the high byte of the big-endian payload-length
-/// header word — the consumer's decoder deterministically reports
-/// `FrameLengthMismatch`. Truncation halves the frame (cutting either
-/// mid-payload or into the header), which decodes as
-/// `Truncated`/`FrameLengthMismatch`. Both mutations copy the frame —
-/// the clean path stays zero-copy.
-// `seq % n == 0` spelled out rather than `is_multiple_of` to hold the
-// workspace MSRV (1.75; the method stabilized in 1.87).
-#[allow(clippy::manual_is_multiple_of)]
-fn inject_frame_fault(fault: &FaultPlan, seq: u64, frame: Bytes) -> Option<Bytes> {
-    if fault.drop_every > 0 && seq % fault.drop_every == 0 {
-        return None;
+    let mut outcome = unit.finish()?;
+    ship(&mut unit, port)?;
+    outcome.stalls = stalls;
+    for (edge, retries) in outcome.edges.iter_mut().zip(retries) {
+        edge.retries = retries;
     }
-    let corrupt = fault.corrupt_every > 0 && seq % fault.corrupt_every == 0;
-    let truncate = fault.truncate_every > 0 && seq % fault.truncate_every == 0;
-    if !corrupt && !truncate {
-        return Some(frame);
-    }
-    let mut bytes = frame.as_ref().to_vec();
-    if corrupt && !bytes.is_empty() {
-        bytes[0] ^= 0x80;
-    }
-    if truncate {
-        bytes.truncate(bytes.len() / 2);
-    }
-    Some(Bytes::from(bytes))
-}
-
-/// Drains each boundary sink, as lanes, and ships every frame the
-/// drained rows complete: `frame_batch` rows each, cut off the front of
-/// the producer's output sequence (plus, on `final_flush`, the partial
-/// tail frame). Frames per edge are deterministic: that sequence is
-/// fixed by the plan and trace, and chunking is positional.
-fn forward_boundary<P: UnitPort>(
-    engine: &mut Engine,
-    edges: &mut [EdgeStage],
-    tx: &mut Tx<'_>,
-    port: &mut P,
-    final_flush: bool,
-) -> ExecResult<()> {
-    let frame_batch = tx.spec.frame_batch.max(1) as usize;
-    for edge in edges.iter_mut() {
-        if let Some(drained) = engine.drain_boundary(edge.local) {
-            let mut at = 0;
-            while edge.pending.rows() + (drained.rows() - at) >= frame_batch {
-                let cut = at + frame_batch - edge.pending.rows();
-                edge.pending.append_range(&drained, at..cut);
-                at = cut;
-                ship(edge, tx, port)?;
-            }
-            edge.pending.append_range(&drained, at..drained.rows());
-        }
-        if final_flush && !edge.pending.is_empty() {
-            ship(edge, tx, port)?;
-        }
-    }
-    Ok(())
-}
-
-/// Encodes the edge's pending rows as one frame straight off their
-/// lanes, applies the fault plan, and ships it through the port: a
-/// non-blocking attempt first, and on a full buffer one counted
-/// backpressure stall followed by a retry-with-backoff loop bounded by
-/// the unit's send timeout.
-/// Exhausting the bound surfaces as a typed [`FailureCause::Timeout`]
-/// instead of wedging the unit. A dropped receiver (central error path)
-/// discards the frame — never a deadlock. A sink whose *link* breaks
-/// (socket ports only) surfaces as a typed [`FailureCause::Link`].
-fn ship<P: UnitPort>(edge: &mut EdgeStage, tx: &mut Tx<'_>, port: &mut P) -> ExecResult<()> {
-    let spec = tx.spec;
-    let frame = encode_column_batch(&edge.pending, &mut tx.scratch)?;
-    let tuples = edge.pending.rows() as u64;
-    edge.pending.clear();
-    edge.seq += 1;
-    let frame_len = frame.len();
-    let Some(frame) = inject_frame_fault(&spec.fault, edge.seq, frame) else {
-        // Dropped by the fault plan: the frame never reaches the wire,
-        // so it counts as a drop, not a shipment.
-        tx.dropped += 1;
-        return Ok(());
-    };
-    let host = spec.host as usize;
-    if spec.fault.slow_host == Some(host) && spec.fault.slow_micros > 0 {
-        std::thread::sleep(Duration::from_micros(spec.fault.slow_micros));
-    }
-    edge.stats.frames += 1;
-    edge.stats.tuples += tuples;
-    edge.stats.bytes += (frame_len - FRAME_HEADER_LEN) as u64;
-    let fed = tx.fed;
-    let failed = move |cause| -> ExecError {
-        HostFailure {
-            host,
-            cause,
-            tuples_processed: fed,
-        }
-        .into()
-    };
-    let first = port
-        .ship((edge.producer, frame))
-        .map_err(|e| failed(FailureCause::Link(e)))?;
-    let SendOutcome::Full(mut msg) = first else {
-        return Ok(());
-    };
-    tx.stalls += 1;
-    // Bounded retry with exponential backoff, capped at the send
-    // timeout: a consumer that never drains surfaces as a typed timeout
-    // failure instead of a wedged unit.
-    let deadline = Duration::from_millis(spec.send_timeout_ms.max(1));
-    let started = Instant::now();
-    let mut backoff = Duration::from_micros(100);
-    loop {
-        match port.ship(msg).map_err(|e| failed(FailureCause::Link(e)))? {
-            SendOutcome::Sent | SendOutcome::Closed => return Ok(()),
-            SendOutcome::Full(m) => {
-                msg = m;
-                edge.stats.retries += 1;
-                let waited = started.elapsed();
-                if waited >= deadline {
-                    return Err(failed(FailureCause::Timeout {
-                        waited_ms: waited.as_millis() as u64,
-                    }));
-                }
-                std::thread::sleep(backoff.min(deadline - waited));
-                backoff = (backoff * 2).min(Duration::from_millis(10));
-            }
-        }
-    }
+    Ok(outcome)
 }
 
 /// Commands a leaf unit's inbox holds before the feed loop waits for
@@ -582,14 +678,13 @@ struct UnitLink {
 
 /// The carrier of every runner whose leaf units sit behind ports:
 /// per-unit command inboxes out, replies back, and the central unit —
-/// which runs on the feed loop's own thread — fed directly. In-process
+/// which runs on the feed loop's own thread — applied in place. In-process
 /// the worker thread holds the other ends ([`ChannelPort`]); over
 /// sockets a session's writer drains the inbox into control frames and
 /// its reader pump turns `MigrateAck`s into replies. A unit without a
 /// link — it never deployed, its inbox closed, or it stayed silent past
 /// the control timeout — is dead: it is fed no more, and its typed
-/// failure surfaces where the unit is harvested. This is also the one
-/// place global plan ids become unit-local ids, and back.
+/// failure surfaces where the unit is harvested.
 ///
 /// Every inbox is bounded. That is safe because the feed loop never
 /// just waits: whenever an inbox is full or a reply is outstanding it
@@ -610,7 +705,7 @@ impl<'a> Units<'a> {
     /// A carrier around the central unit, with no leaf unit linked yet.
     pub(crate) fn new(dep: &'a Deployment<'a>, central: Central<'a>) -> Units<'a> {
         Units {
-            links: dep.slices.iter().map(|_| None).collect(),
+            links: dep.units.iter().map(|_| None).collect(),
             central,
             dep,
             timeout: Duration::from_millis(dep.cfg.transport.send_timeout_ms),
@@ -653,23 +748,41 @@ impl<'a> Units<'a> {
         self.links[u] = None;
         Ok(false)
     }
+}
 
-    /// Sends one command per unit, then collects the replies, pumping
-    /// the boundary while it waits; a unit that cannot be reached or
-    /// does not answer within the control timeout yields `None` and is
-    /// marked dead.
+impl Carrier for Units<'_> {
+    fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
+        let (u, local) = (self.dep.unit_of[scan], self.dep.local_of[scan]);
+        if u == 0 {
+            self.central.unit.feed(local, batch)?;
+        } else {
+            let cmd = UnitCmd::Feed(local as u32, Batch::Columns(batch.take()));
+            self.send(u, cmd)?;
+        }
+        // Whatever reached the boundary meanwhile.
+        self.central.pump(Duration::ZERO)
+    }
+
+    /// The central unit's command is applied in place before any other
+    /// goes out; then every leaf command goes out before the first wait
+    /// for a reply, pumping the boundary meanwhile. A unit that cannot
+    /// be reached or does not answer within the control timeout yields
+    /// `None` and is marked dead.
     fn round(
         &mut self,
         cmds: Vec<(usize, UnitCmd)>,
     ) -> ExecResult<Vec<(usize, Option<UnitReply>)>> {
-        // Every command goes out before the first wait; a failed send
-        // leaves no link, which reads as no reply below.
+        let mut answers = Vec::new();
         let mut asked = Vec::new();
         for (u, cmd) in cmds {
-            self.send(u, cmd)?;
-            asked.push(u);
+            if u == 0 {
+                answers.push((0, self.central.unit.apply(cmd)?));
+            } else {
+                // A failed send leaves no link, which reads as no reply.
+                self.send(u, cmd)?;
+                asked.push(u);
+            }
         }
-        let mut answers = Vec::new();
         for u in asked {
             let started = Instant::now();
             let reply = loop {
@@ -692,104 +805,5 @@ impl<'a> Units<'a> {
             answers.push((u, reply));
         }
         Ok(answers)
-    }
-}
-
-impl Carrier for Units<'_> {
-    fn feed(&mut self, scan: NodeId, batch: &mut ColumnBatch) -> ExecResult<()> {
-        let (u, local) = (self.dep.unit_of[scan], self.dep.local_of[scan]);
-        if u == 0 {
-            self.central.feed(local, batch)?;
-        } else {
-            self.send(u, UnitCmd::Feed(local as u32, Batch::Columns(batch.take())))?;
-        }
-        // Whatever reached the boundary meanwhile.
-        self.central.pump(Duration::ZERO)
-    }
-
-    /// One `Extract` round trip per leaf unit: flush to the boundary,
-    /// then extract. Combining the two per unit is sound because no
-    /// absorb goes out until *every* reply is in — by then the whole
-    /// fleet is flushed to the boundary. The central unit's jobs — the
-    /// aggregator host's own partitions — are applied to its engine in
-    /// place, before any command goes out.
-    fn extract(
-        &mut self,
-        handoff: &Handoff<'_>,
-        jobs: Vec<ExtractJob>,
-    ) -> ExecResult<(Vec<StateRows>, bool)> {
-        // unit → (global node ids, the jobs by the unit's local ids)
-        let mut by_unit: BTreeMap<usize, (Vec<NodeId>, Vec<ExtractJob>)> = BTreeMap::new();
-        for job in jobs {
-            let u = self.dep.unit_of[job.node];
-            // Nothing has been extracted yet: aborting here leaves all
-            // state in place.
-            if u != 0 && self.links[u].is_none() {
-                return Ok((Vec::new(), true));
-            }
-            let (globals, local) = by_unit.entry(u).or_default();
-            globals.push(job.node);
-            local.push(ExtractJob {
-                node: self.dep.local_of[job.node],
-                ..job
-            });
-        }
-        let mut replies = Vec::new();
-        if let Some((_, jobs)) = by_unit.get(&0) {
-            let rows = self.central.extract(handoff.boundary, jobs)?;
-            replies.push((0, Some(local_rows(rows))));
-        }
-        let cmds = by_unit
-            .iter()
-            .filter(|(&u, _)| u != 0)
-            .map(|(&u, (_, jobs))| {
-                let cmd = UnitCmd::Extract {
-                    boundary: handoff.boundary,
-                    partitions: handoff.partitions as u32,
-                    assignment: handoff.next.to_vec(),
-                    jobs: jobs
-                        .iter()
-                        .map(|j| (j.node as u32, j.owned.clone()))
-                        .collect(),
-                };
-                (u, cmd)
-            })
-            .collect();
-        replies.extend(self.round(cmds)?);
-        let mut any_dead = false;
-        let mut extracted = Vec::new();
-        for (u, reply) in replies {
-            let Some(batches) = reply else {
-                any_dead = true;
-                continue;
-            };
-            let (globals, jobs) = &by_unit[&u];
-            for (local, rows) in batches {
-                match jobs.iter().position(|j| j.node == local as NodeId) {
-                    Some(i) => extracted.push((globals[i], rows)),
-                    None => any_dead = true,
-                }
-            }
-        }
-        Ok((extracted, any_dead))
-    }
-
-    fn absorb(&mut self, batches: Vec<StateRows>) -> ExecResult<bool> {
-        let mut by_unit: BTreeMap<usize, Vec<StateRows>> = BTreeMap::new();
-        for (node, rows) in batches {
-            by_unit
-                .entry(self.dep.unit_of[node])
-                .or_default()
-                .push((self.dep.local_of[node], rows));
-        }
-        if let Some(batches) = by_unit.remove(&0) {
-            self.central.absorb(batches)?;
-        }
-        let cmds = by_unit
-            .into_iter()
-            .map(|(u, batches)| (u, UnitCmd::Absorb(local_rows(batches))))
-            .collect();
-        // Only a dead unit fails to answer here.
-        Ok(self.round(cmds)?.iter().all(|(_, reply)| reply.is_some()))
     }
 }

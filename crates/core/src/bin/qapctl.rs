@@ -54,11 +54,12 @@ const USAGE: &str = "usage:
                    [--metrics[=PATH]] (export run metrics; .prom = Prometheus text, else JSON;
                                        bare --metrics prints JSON to stdout)
                    [--channel-capacity C] (bounded boundary-channel depth for --threaded; default 64)
-                   [--frame-batch F]      (max tuples per boundary frame for --threaded; default 1024)
-                   [--fault-plan SPEC]    (deterministic fault injection for --threaded; SPEC is a
-                                           comma list of seed=N, corrupt=N, truncate=N, drop=N
-                                           (every Nth frame), slow=HOST:MICROS, hang=HOST:MILLIS,
-                                           panic=HOST:TUPLES)
+                   [--frame-batch F]      (max tuples per boundary frame; default 1024)
+                   [--fault-plan SPEC]    (deterministic fault injection; SPEC is a comma list of
+                                           seed=N (the simulator's delivery order), corrupt=N,
+                                           truncate=N, drop=N (every Nth frame), and, with
+                                           --threaded or --transport, slow=HOST:MICROS,
+                                           hang=HOST:MILLIS, panic=HOST:TUPLES)
                    [--partial-results]    (record host failures and finish surviving epochs instead
                                            of failing the run on the first fault)
                    [--send-timeout MS]    (bound on send retries / receive waits before a hung peer

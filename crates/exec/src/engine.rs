@@ -96,7 +96,8 @@ pub struct Engine {
     source_arity: Vec<Option<usize>>,
     counters: Vec<OpCounters>,
     sinks: HashMap<NodeId, Sink>,
-    finished: bool,
+    /// Operators finished so far: a prefix of the topological order.
+    done: usize,
     batch: BatchConfig,
     /// Recycled column batches: every routed lane batch and operator
     /// output draws from here and returns here, so steady-state lane
@@ -172,7 +173,7 @@ impl Engine {
                         .map(|&s| (s, Sink::Lanes(ColumnBatch::new(dag.schema(s).arity())))),
                 )
                 .collect(),
-            finished: false,
+            done: 0,
             batch: BatchConfig::default(),
             col_pool: Vec::new(),
             queue: VecDeque::new(),
@@ -225,7 +226,7 @@ impl Engine {
                 cols.arity()
             )));
         }
-        debug_assert!(!self.finished, "push after finish");
+        debug_assert!(self.done < self.ops.len(), "push after finish");
         if self.metrics_on {
             self.metrics[source].bytes_in += cols.rows() as u64 * self.wire[source];
         }
@@ -276,8 +277,6 @@ impl Engine {
                 let m = &mut self.metrics[id];
                 m.batches_in += 1;
                 m.batch_occupancy.record(n);
-                m.col_batches_in += 1;
-                m.col_batch_occupancy.record(n);
             }
             let mut out = self.take_col_buf();
             self.ops[id].push_columns(port, &mut batch, &mut out)?;
@@ -328,16 +327,23 @@ impl Engine {
     /// order, with flushed tuples flowing downstream (through the
     /// pooled batch queue) before their consumers finish.
     pub fn finish(&mut self) -> ExecResult<()> {
-        debug_assert!(!self.finished, "finish called twice");
-        self.finished = true;
-        for id in 0..self.ops.len() {
+        debug_assert!(self.done < self.ops.len(), "finish called twice");
+        self.finish_through(NodeId::MAX)
+    }
+
+    /// [`Engine::finish`] for the operators up to and including `last`
+    /// only, skipping those already finished: how a plan cut across
+    /// engines ends, one producer at a time, when some of an engine's
+    /// sources are fed by another engine's operators.
+    pub fn finish_through(&mut self, last: NodeId) -> ExecResult<()> {
+        while self.done < self.ops.len() && self.done <= last {
+            let id = self.done;
+            self.done += 1;
             let mut out = self.take_col_buf();
             self.ops[id].finish(&mut out)?;
             self.route(id, out);
             // Drain anything still in flight destined at or after `id`.
             self.run()?;
-        }
-        for id in 0..self.ops.len() {
             self.counters[id].late_dropped = self.ops[id].late_dropped();
         }
         Ok(())

@@ -86,7 +86,7 @@ fn json_op_metrics(out: &mut String, m: &OpMetrics) {
         out,
         "{{\"tuples_in\":{},\"tuples_out\":{},\"bytes_in\":{},\"bytes_out\":{},\
          \"batches_in\":{},\"batches_out\":{},\"late_dropped\":{},\
-         \"col_batches_in\":{},\"kernel_hits\":{},\"kernel_fallbacks\":{},\
+         \"kernel_hits\":{},\"kernel_fallbacks\":{},\
          \"flushes\":{},\"flush_ns\":{},\"group_slots\":{},\"group_probes\":{},\
          \"group_inserts\":{},\"batch_occupancy\":",
         m.tuples_in,
@@ -96,7 +96,6 @@ fn json_op_metrics(out: &mut String, m: &OpMetrics) {
         m.batches_in,
         m.batches_out,
         m.late_dropped,
-        m.col_batches_in,
         m.kernel_hits,
         m.kernel_fallbacks,
         m.flushes,
@@ -106,8 +105,6 @@ fn json_op_metrics(out: &mut String, m: &OpMetrics) {
         m.group_inserts,
     );
     json_histogram(out, &m.batch_occupancy);
-    out.push_str(",\"col_batch_occupancy\":");
-    json_histogram(out, &m.col_batch_occupancy);
     for (name, arr) in [
         ("kernel_lane_hits", &m.kernel_lane_hits),
         ("kernel_lane_fallbacks", &m.kernel_lane_fallbacks),
@@ -240,11 +237,6 @@ impl MetricsRegistry {
                 |m| m.late_dropped,
             ),
             (
-                "qap_op_col_batches_in",
-                "Input batches delivered in columnar representation",
-                |m| m.col_batches_in,
-            ),
-            (
                 "qap_op_kernel_hits",
                 "Compiled-kernel executions that ran to completion",
                 |m| m.kernel_hits,
@@ -338,31 +330,6 @@ impl MetricsRegistry {
             }
             let _ = writeln!(out, "{hname}_sum{{{labels}}} {}", h.sum());
             let _ = writeln!(out, "{hname}_count{{{labels}}} {}", h.count());
-        }
-
-        // Columnar-batch-occupancy histogram (cumulative le buckets).
-        let cname = "qap_op_col_batch_occupancy";
-        let _ = writeln!(
-            out,
-            "# HELP {cname} Tuples per delivered columnar input batch"
-        );
-        let _ = writeln!(out, "# TYPE {cname} histogram");
-        for e in &self.ops {
-            let labels = format!("op=\"{}\",node=\"{}\",host=\"{}\"", e.op, e.node, e.host);
-            let h = &e.metrics.col_batch_occupancy;
-            let mut cum = 0u64;
-            for (i, c) in h.bucket_counts().iter().enumerate() {
-                cum += c;
-                let bound = Histogram::bucket_bound(i);
-                let le = if bound == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    format!("{bound}")
-                };
-                let _ = writeln!(out, "{cname}_bucket{{{labels},le=\"{le}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{cname}_sum{{{labels}}} {}", h.sum());
-            let _ = writeln!(out, "{cname}_count{{{labels}}} {}", h.count());
         }
 
         // Per-host gauge families.

@@ -36,11 +36,6 @@ pub struct OpMetrics {
     pub late_dropped: u64,
     /// Occupancy (tuples per delivered input batch).
     pub batch_occupancy: Histogram,
-    /// Input batches delivered in columnar (SoA) representation — a
-    /// subset of `batches_in`.
-    pub col_batches_in: u64,
-    /// Occupancy (tuples per delivered *columnar* input batch).
-    pub col_batch_occupancy: Histogram,
     /// Compiled-kernel executions that ran to completion (vectorized
     /// predicate filters / projection evaluations / columnar key
     /// passes).
@@ -79,8 +74,6 @@ impl OpMetrics {
         self.batches_out += other.batches_out;
         self.late_dropped += other.late_dropped;
         self.batch_occupancy.merge(&other.batch_occupancy);
-        self.col_batches_in += other.col_batches_in;
-        self.col_batch_occupancy.merge(&other.col_batch_occupancy);
         self.kernel_hits += other.kernel_hits;
         self.kernel_fallbacks += other.kernel_fallbacks;
         for (a, b) in self

@@ -237,6 +237,55 @@ fn dropped_frames_complete_with_an_accounted_deficit() {
 }
 
 // ---------------------------------------------------------------------
+// the simulator: the same units, the same frame faults
+// ---------------------------------------------------------------------
+
+/// The simulator's units cut and fault frames like the threaded
+/// runner's: under the same plan, a partial-results run drops and
+/// rejects exactly the same frames and records the same failures. (How
+/// many tuples the consumer had taken in when it saw each corrupt frame
+/// depends on arrival order, so records compare by host and cause.)
+#[test]
+fn simulator_corrupts_and_drops_the_threaded_runners_frames() {
+    let trace = generate(&TraceConfig::tiny(11));
+    let plan = plan_for(3);
+    for fault in [
+        FaultPlan::seeded(3).corrupt_every(2),
+        FaultPlan::seeded(4).drop_every(2),
+    ] {
+        let cfg = SimConfig {
+            transport: TransportConfig::new(16, 8)
+                .with_fault(fault)
+                .with_partial_results(true),
+            ..SimConfig::default()
+        };
+        let threaded = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
+        let simulated = run_distributed(&plan, &trace, &cfg).unwrap();
+        let (t, s) = (&threaded.metrics.transport, &simulated.metrics.transport);
+        assert!(s.frames_dropped + s.frames_corrupt_dropped > 0, "{fault:?}");
+        assert_eq!(s.frames_dropped, t.frames_dropped, "{fault:?}");
+        assert_eq!(
+            s.frames_corrupt_dropped, t.frames_corrupt_dropped,
+            "{fault:?}"
+        );
+        assert_eq!(
+            deterministic_fingerprint(&simulated),
+            deterministic_fingerprint(&threaded),
+            "{fault:?}"
+        );
+        let records = |r: &SimResult| {
+            let mut records: Vec<String> = (r.failures.iter())
+                .map(|f| format!("host {}: {}", f.host, f.cause))
+                .collect();
+            records.sort();
+            records
+        };
+        assert_eq!(records(&simulated), records(&threaded), "{fault:?}");
+        assert_eq!(simulated.counters, threaded.counters, "{fault:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // slowdowns, hangs, panics
 // ---------------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 //! space: the bounded, framed boundary transport must be invisible to
 //! results and per-node counters at *any* channel capacity and frame
 //! size — including the pathological capacity-1 / frame-1 corner, which
-//! exercises maximal backpressure and must not deadlock.
+//! exercises maximal backpressure and must not deadlock — and the
+//! simulator's units must cut exactly the threaded runner's frames.
 
 use qap::prelude::*;
 
@@ -93,6 +94,17 @@ fn assert_transport_invariant(queries: &[(&str, &str)], hosts: usize, seed: u64)
                 .map(|h| m.host_tx_tuples[h])
                 .sum();
             assert_eq!(t.tuples(), expected, "{label}: boundary volume");
+
+            // The simulator runs the same units: per edge, the same
+            // frames, tuples and bytes.
+            let series = |r: &SimResult| -> Vec<(usize, usize, u64, u64, u64)> {
+                let edges = r.metrics.transport.edges.iter();
+                edges
+                    .map(|e| (e.producer, e.from_host, e.frames, e.tuples, e.bytes))
+                    .collect()
+            };
+            let simulated = run_distributed(&plan, &trace, &sim).unwrap();
+            assert_eq!(series(&simulated), series(&result), "{label}: frames");
         }
     }
 }
