@@ -213,7 +213,7 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
         &leaf.boundary
     };
     let t0 = Instant::now();
-    let mut engine = Engine::with_boundary(&leaf.dag, &[], boundary).expect("engine builds");
+    let mut engine = Engine::with_sinks(&leaf.dag, boundary).expect("engine builds");
     engine.set_batch_config(BatchConfig::new(BATCH));
     let mut pending: Vec<ColumnBatch> = boundary
         .iter()

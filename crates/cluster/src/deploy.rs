@@ -12,9 +12,13 @@
 //! fingerprint ([`crate::serve_host`]). Planning is deterministic, so
 //! the IR has one definition — its GSQL surface — and no second one
 //! here. The [`UnitCmd`] halves of a drain-and-handoff travel inside
-//! [`qap_types::ControlFrame::Migrate`] (and the [`UnitReply`] inside
-//! `MigrateAck`), and the [`UnitOutcome`] the host streams back inside
-//! [`qap_types::ControlFrame::Result`].
+//! [`qap_types::ControlFrame::Migrate`], and the [`UnitReply`] inside
+//! `MigrateAck`: per node, the extracted state rows and each row's
+//! partition under the new table, which tells the coordinator where
+//! the row goes. The [`UnitOutcome`] the host streams back travels
+//! inside [`qap_types::ControlFrame::Result`]. State and outputs are
+//! lanes throughout, each batch one lane frame of the hardened boundary
+//! codec; its round trip is exact for every value kind.
 //!
 //! Everything is hand-rolled binary in the style of
 //! [`qap_types::wire`]: the vendored `serde` is a no-op marker, so tags
@@ -29,12 +33,12 @@ use qap_optimizer::{
 };
 use qap_partition::{fnv1a_hash, AnalysisOptions, PartitionSet};
 use qap_types::{
-    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, Tuple,
-    TypeError, TypeResult,
+    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, TypeError,
+    TypeResult,
 };
 
 use crate::transport::{EdgeTransport, FaultPlan};
-use crate::unit::{LocalRows, UnitCmd, UnitOutcome, UnitReply};
+use crate::unit::{UnitCmd, UnitOutcome, UnitReply};
 
 // ---------------------------------------------------------------------
 // Primitive writers/readers
@@ -123,6 +127,14 @@ impl Reader {
     fn bytes(&mut self) -> TypeResult<Bytes> {
         let n = self.len()?;
         Ok(self.buf.copy_to_bytes(n))
+    }
+
+    fn batch(&mut self) -> TypeResult<ColumnBatch> {
+        decode_column_batch(self.bytes()?)
+    }
+
+    fn u32s(&mut self) -> TypeResult<Vec<u32>> {
+        (0..self.len()?).map(|_| self.u32()).collect()
     }
 
     fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> TypeResult<T>) -> TypeResult<Option<T>> {
@@ -360,22 +372,21 @@ pub(crate) fn decode_deploy(payload: Bytes) -> TypeResult<DeployInputs> {
     Ok(inputs)
 }
 
-/// Writes rows as one length-prefixed lane frame, so the result and
-/// migration paths reuse the hardened boundary codec; its round trip is
-/// exact for every value kind.
-fn put_rows(buf: &mut BytesMut, rows: &[Tuple], scratch: &mut BytesMut) -> TypeResult<()> {
-    let frame = encode_column_batch(&ColumnBatch::from_rows(rows), scratch)?;
+/// Writes a batch as one length-prefixed lane frame.
+fn put_batch(buf: &mut BytesMut, batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeResult<()> {
+    let frame = encode_column_batch(batch, scratch)?;
     buf.put_u32(frame.len() as u32);
     buf.put_slice(&frame);
     Ok(())
 }
 
-fn read_rows(r: &mut Reader) -> TypeResult<Vec<Tuple>> {
-    Ok(decode_column_batch(r.bytes()?)?.to_rows())
+fn put_u32s(buf: &mut BytesMut, xs: &[u32]) {
+    buf.put_u32(xs.len() as u32);
+    xs.iter().for_each(|&x| buf.put_u32(x));
 }
 
-/// Encodes a [`UnitOutcome`] into a `Result` payload, each output's
-/// rows as one lane frame.
+/// Encodes a [`UnitOutcome`] into a `Result` payload, each output as
+/// one lane frame.
 pub(crate) fn encode_unit_outcome(
     outcome: &UnitOutcome,
     scratch: &mut BytesMut,
@@ -392,9 +403,9 @@ pub(crate) fn encode_unit_outcome(
         put_op_metrics(&mut out, m);
     }
     out.put_u32(outcome.outputs.len() as u32);
-    for (idx, rows) in &outcome.outputs {
+    for (idx, lanes) in &outcome.outputs {
         out.put_u32(*idx);
-        put_rows(&mut out, rows, scratch)?;
+        put_batch(&mut out, lanes, scratch)?;
     }
     out.put_u32(outcome.edges.len() as u32);
     for e in &outcome.edges {
@@ -431,7 +442,7 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
     let mut outputs = Vec::with_capacity(n);
     for _ in 0..n {
         let idx = r.u32()?;
-        outputs.push((idx, read_rows(&mut r)?));
+        outputs.push((idx, r.batch()?));
     }
     let n = r.len()?;
     let mut edges = Vec::with_capacity(n);
@@ -462,31 +473,6 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
 // Migration payloads
 // ---------------------------------------------------------------------
 
-/// Writes a `(local node, rows)` list with each batch as one lane frame
-/// — the same codec the result path uses for outputs.
-fn put_node_batches(
-    buf: &mut BytesMut,
-    batches: &[LocalRows],
-    scratch: &mut BytesMut,
-) -> TypeResult<()> {
-    buf.put_u32(batches.len() as u32);
-    for (node, rows) in batches {
-        buf.put_u32(*node);
-        put_rows(buf, rows, scratch)?;
-    }
-    Ok(())
-}
-
-fn read_node_batches(r: &mut Reader) -> TypeResult<Vec<LocalRows>> {
-    let n = r.len()?;
-    let mut batches = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = r.u32()?;
-        batches.push((node, read_rows(r)?));
-    }
-    Ok(batches)
-}
-
 const MIGRATE_EXTRACT: u8 = 0;
 const MIGRATE_ABSORB: u8 = 1;
 
@@ -506,22 +492,20 @@ pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResu
             out.put_u8(MIGRATE_EXTRACT);
             out.put_u64(*boundary);
             out.put_u32(*partitions);
-            out.put_u32(assignment.len() as u32);
-            for &a in assignment {
-                out.put_u32(a);
-            }
+            put_u32s(&mut out, assignment);
             out.put_u32(jobs.len() as u32);
             for (node, owned) in jobs {
                 out.put_u32(*node);
-                out.put_u32(owned.len() as u32);
-                for &p in owned {
-                    out.put_u32(p);
-                }
+                put_u32s(&mut out, owned);
             }
         }
         UnitCmd::Absorb(batches) => {
             out.put_u8(MIGRATE_ABSORB);
-            put_node_batches(&mut out, batches, scratch)?;
+            out.put_u32(batches.len() as u32);
+            for (node, state) in batches {
+                out.put_u32(*node);
+                put_batch(&mut out, state, scratch)?;
+            }
         }
     }
     Ok(out.freeze())
@@ -535,62 +519,56 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
         MIGRATE_EXTRACT => {
             let boundary = r.u64()?;
             let partitions = r.u32()?;
-            let n = r.len()?;
-            let mut assignment = Vec::with_capacity(n);
-            for _ in 0..n {
-                assignment.push(r.u32()?);
-            }
-            let n = r.len()?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let node = r.u32()?;
-                let k = r.len()?;
-                let mut owned = Vec::with_capacity(k);
-                for _ in 0..k {
-                    owned.push(r.u32()?);
-                }
-                jobs.push((node, owned));
-            }
+            let assignment = r.u32s()?;
+            let jobs = (0..r.len()?).map(|_| Ok((r.u32()?, r.u32s()?)));
             UnitCmd::Extract {
                 boundary,
                 partitions,
                 assignment,
-                jobs,
+                jobs: jobs.collect::<TypeResult<_>>()?,
             }
         }
-        MIGRATE_ABSORB => UnitCmd::Absorb(read_node_batches(&mut r)?),
+        MIGRATE_ABSORB => {
+            let batches = (0..r.len()?).map(|_| Ok((r.u32()?, r.batch()?)));
+            UnitCmd::Absorb(batches.collect::<TypeResult<_>>()?)
+        }
         other => return Err(TypeError::BadTag(other)),
     };
     r.finish()?;
     Ok(cmd)
 }
 
-/// Encodes a `MigrateAck` payload: the per-node state rows an extract
-/// produced (empty for an absorb acknowledgement).
-pub(crate) fn encode_unit_reply(
-    batches: &[LocalRows],
-    scratch: &mut BytesMut,
-) -> TypeResult<Bytes> {
+/// Encodes a `MigrateAck` payload: per node, the state rows an extract
+/// produced and each row's partition (empty for an absorb
+/// acknowledgement).
+pub(crate) fn encode_unit_reply(reply: &UnitReply, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     let mut out = BytesMut::new();
-    put_node_batches(&mut out, batches, scratch)?;
+    out.put_u32(reply.len() as u32);
+    for (node, state, parts) in reply {
+        out.put_u32(*node);
+        put_batch(&mut out, state, scratch)?;
+        put_u32s(&mut out, parts);
+    }
     Ok(out.freeze())
 }
 
 /// Decodes a `MigrateAck` payload.
 pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
     let mut r = Reader::new(payload, "migrate reply");
-    let batches = read_node_batches(&mut r)?;
+    let reply = (0..r.len()?).map(|_| Ok((r.u32()?, r.batch()?, r.u32s()?)));
+    let reply = reply.collect::<TypeResult<_>>()?;
     r.finish()?;
-    Ok(batches)
+    Ok(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qap_expr::{BinOp, ScalarExpr};
-    use qap_types::Value;
+    use qap_types::{Tuple, Value};
 
     use crate::experiments::Scenario;
+    use crate::sim::tests::rows_of;
 
     /// The inputs of leaf unit 2 of the §6.2 optimal deployment.
     fn sample_deploy() -> DeployInputs {
@@ -691,10 +669,10 @@ mod tests {
             outputs: vec![
                 (
                     0,
-                    vec![Tuple::new(vec![Value::UInt(1), Value::Str("a".into())])],
+                    lanes(&[Tuple::new(vec![Value::UInt(1), Value::Str("a".into())])]),
                 ),
-                (1, every_lane_kind()),
-                (2, Vec::new()),
+                (1, lanes(&every_lane_kind())),
+                (2, ColumnBatch::new(3)),
             ],
             edges: vec![EdgeTransport {
                 producer: 9,
@@ -709,7 +687,27 @@ mod tests {
         };
         let mut scratch = BytesMut::new();
         let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
-        assert_eq!(decode_unit_outcome(bytes).unwrap(), outcome);
+        let decoded = decode_unit_outcome(bytes).unwrap();
+        assert_eq!(decoded.counters, outcome.counters);
+        assert_eq!(decoded.node_metrics, outcome.node_metrics);
+        assert_eq!(rows_of(&decoded.outputs), rows_of(&outcome.outputs));
+        assert_eq!(decoded.edges, outcome.edges);
+        assert_eq!(
+            (decoded.stalls, decoded.dropped),
+            (outcome.stalls, outcome.dropped)
+        );
+    }
+
+    fn lanes(rows: &[Tuple]) -> ColumnBatch {
+        ColumnBatch::from_rows(rows)
+    }
+
+    /// A migrate command with its state as rows, for comparison.
+    fn cmd_rows(cmd: &UnitCmd) -> String {
+        match cmd {
+            UnitCmd::Absorb(batches) => format!("Absorb({:?})", rows_of(batches)),
+            other => format!("{other:?}"),
+        }
     }
 
     /// Rows whose columns land on every lane a frame carries: `UInt`,
@@ -747,14 +745,14 @@ mod tests {
             UnitCmd::Absorb(vec![
                 (
                     3,
-                    vec![Tuple::new(vec![
+                    lanes(&[Tuple::new(vec![
                         Value::UInt(60),
                         Value::UInt(0xDEAD),
                         Value::Int(7),
-                    ])],
+                    ])]),
                 ),
-                (9, Vec::new()),
-                (12, every_lane_kind()),
+                (9, ColumnBatch::new(3)),
+                (12, lanes(&every_lane_kind())),
             ]),
             UnitCmd::Absorb(Vec::new()),
         ]
@@ -765,7 +763,8 @@ mod tests {
         let mut scratch = BytesMut::new();
         for cmd in sample_migrate_cmds() {
             let bytes = encode_unit_cmd(&cmd, &mut scratch).unwrap();
-            assert_eq!(decode_unit_cmd(bytes).unwrap(), cmd, "{cmd:?}");
+            let decoded = decode_unit_cmd(bytes).unwrap();
+            assert_eq!(cmd_rows(&decoded), cmd_rows(&cmd));
         }
     }
 
@@ -789,19 +788,28 @@ mod tests {
 
     #[test]
     fn migrate_reply_round_trips() {
-        let batches = vec![
+        let reply = vec![
             (
                 4,
-                vec![
+                lanes(&[
                     Tuple::new(vec![Value::UInt(1), Value::Str("k".into())]),
                     Tuple::new(vec![Value::UInt(2), Value::Null]),
-                ],
+                ]),
+                vec![5, 0],
             ),
-            (11, Vec::new()),
+            (11, ColumnBatch::new(2), Vec::new()),
         ];
+        let rows = |r: &UnitReply| -> Vec<_> {
+            r.iter()
+                .map(|(n, b, p)| (*n, b.to_rows(), p.clone()))
+                .collect()
+        };
         let mut scratch = BytesMut::new();
-        let bytes = encode_unit_reply(&batches, &mut scratch).unwrap();
-        assert_eq!(decode_unit_reply(bytes.clone()).unwrap(), batches);
+        let bytes = encode_unit_reply(&reply, &mut scratch).unwrap();
+        assert_eq!(
+            rows(&decode_unit_reply(bytes.clone()).unwrap()),
+            rows(&reply)
+        );
         for cut in 0..bytes.len() {
             assert!(decode_unit_reply(bytes.slice(..cut)).is_err(), "cut {cut}");
         }
@@ -812,7 +820,7 @@ mod tests {
         let outcome = UnitOutcome {
             counters: vec![OpCounters::default()],
             node_metrics: vec![OpMetrics::default()],
-            outputs: vec![(0, vec![Tuple::new(vec![Value::UInt(7)])])],
+            outputs: vec![(0, lanes(&[Tuple::new(vec![Value::UInt(7)])]))],
             edges: Vec::new(),
             stalls: 0,
             dropped: 0,

@@ -598,11 +598,11 @@ mod tests {
     use crate::link::{connect_with_backoff, Frame};
     use crate::rebalance::{Carrier, BUCKETS_PER_PARTITION};
     use crate::run_distributed_threaded;
-    use crate::sim::tests::{skew_case, sorted};
+    use crate::sim::tests::{rows_of, skew_case, sorted};
     use crate::splitter::single_stream;
     use crate::splitter::Splitter;
     use crate::transport::TransportConfig;
-    use crate::unit::{ChannelPort, LocalRows};
+    use crate::unit::ChannelPort;
 
     fn flows_dag() -> qap_plan::QueryDag {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -714,8 +714,8 @@ mod tests {
     }
 
     /// Everything observable about one unit's run: its outcome, the
-    /// state rows its `Extract` returned, and its boundary frames.
-    type UnitTrace = (UnitOutcome, Vec<LocalRows>, Vec<Frame>);
+    /// state its `Extract` returned, and its boundary frames.
+    type UnitTrace = (UnitOutcome, UnitReply, Vec<Frame>);
 
     /// Drives leaf unit `u` through the carrier with one fixed script —
     /// the first half of the trace, an `Extract` of everything the unit
@@ -763,8 +763,9 @@ mod tests {
         feed(early, &mut units);
         let mut replies = units.round(vec![(u, extract)]).unwrap();
         let rows = replies.remove(0).1.expect("extract answered");
-        assert!(rows.iter().any(|(_, r)| !r.is_empty()), "{rows:?}");
-        let absorbed = units.round(vec![(u, UnitCmd::Absorb(rows.clone()))]);
+        assert!(rows.iter().any(|(_, r, _)| !r.is_empty()), "{rows:?}");
+        let back = rows.iter().map(|(n, r, _)| (*n, r.clone())).collect();
+        let absorbed = units.round(vec![(u, UnitCmd::Absorb(back))]);
         assert!(absorbed.unwrap()[0].1.is_some());
         feed(late, &mut units);
         drop(units);
@@ -829,11 +830,19 @@ mod tests {
         let (a, b) = (&by_channel.0, &by_stream.0);
         assert!(a.edges.iter().all(|e| e.frames > 1), "{:?}", a.edges);
         assert_eq!(a.counters, b.counters);
-        assert_eq!(a.outputs, b.outputs);
+        assert_eq!(rows_of(&a.outputs), rows_of(&b.outputs));
         assert_eq!(a.edges, b.edges);
         let sends = |o: &UnitOutcome| (o.stalls, o.dropped);
         assert_eq!(sends(a), sends(b));
-        assert_eq!(by_channel.1, by_stream.1, "extracted state rows");
+        let state = |r: &UnitReply| {
+            let rows = r.iter().map(|(n, b, p)| (*n, b.to_rows(), p.clone()));
+            rows.collect::<Vec<_>>()
+        };
+        assert_eq!(
+            state(&by_channel.1),
+            state(&by_stream.1),
+            "extracted state rows"
+        );
         assert_eq!(by_channel.2, by_stream.2, "boundary frame sequence");
     }
 

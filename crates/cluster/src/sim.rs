@@ -416,7 +416,8 @@ impl Carrier for Scheduler<'_> {
 
 /// Merges per-unit results into the run's [`SimResult`], whichever
 /// runner ran the units: counters and metrics back onto global node ids,
-/// outputs by plan index, edges and send-path tallies into the measured
+/// outputs by plan index (lanes transposed to rows, one output at a
+/// time), edges and send-path tallies into the measured
 /// [`TransportMetrics`], and the accounting of [`account`] over the
 /// merged counters. The failures the runner observed come first, then
 /// the receive side's; in strict mode the first is the run's error
@@ -447,8 +448,9 @@ pub(crate) fn stitch(
             counters[global] = unit.counters[local];
             node_metrics[global] = unit.node_metrics[local].clone();
         }
-        for (idx, rows) in unit.outputs {
-            outputs[idx as usize].1 = rows;
+        // Each output's lanes go as soon as it is rows.
+        for (idx, lanes) in unit.outputs {
+            outputs[idx as usize].1 = lanes.to_rows();
         }
         edges.extend(unit.edges);
         stalls += unit.stalls;
@@ -677,6 +679,12 @@ pub(crate) mod tests {
             std::cmp::Ordering::Equal
         });
         rows
+    }
+
+    /// Batches keyed by node or output index, as rows: tests compare
+    /// lanes through `to_rows()`.
+    pub(crate) fn rows_of(batches: &[(u32, ColumnBatch)]) -> Vec<(u32, Vec<Tuple>)> {
+        batches.iter().map(|(k, b)| (*k, b.to_rows())).collect()
     }
 
     #[test]

@@ -81,14 +81,14 @@ pub(crate) struct UnitSpec {
 /// [`crate::sim::stitch`]: per-local-node counters and metrics, any
 /// plan outputs hosted on the unit, the measured per-edge transport,
 /// and the send-path tallies summed into [`crate::TransportMetrics`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct UnitOutcome {
     /// Per-local-node semantic counters.
     pub(crate) counters: Vec<OpCounters>,
     /// Per-local-node observability metrics.
     pub(crate) node_metrics: Vec<OpMetrics>,
-    /// Plan outputs hosted on this unit: (output index, rows).
-    pub(crate) outputs: Vec<(u32, Vec<Tuple>)>,
+    /// Plan outputs hosted on this unit: (output index, lanes).
+    pub(crate) outputs: Vec<(u32, ColumnBatch)>,
     /// Measured per-edge transport.
     pub(crate) edges: Vec<EdgeTransport>,
     /// Backpressure stalls the unit's send path observed.
@@ -97,18 +97,15 @@ pub(crate) struct UnitOutcome {
     pub(crate) dropped: u64,
 }
 
-/// State rows keyed by a unit-local node id, as they cross a port.
-pub(crate) type LocalRows = (u32, Vec<Tuple>);
-
 /// What a unit is asked to do. Node ids are the unit's *local* ids.
 #[derive(Debug)]
-#[cfg_attr(test, derive(PartialEq))]
 pub(crate) enum UnitCmd {
     /// Consume one batch at the given scan or boundary input. No reply.
     Feed(u32, Batch),
     /// Force-close windows before `boundary` on each job's node, then
     /// extract every group whose key re-routes away from the node's
-    /// owned partitions under the new table; reply with the rows. The
+    /// owned partitions under the new table; reply with the state rows
+    /// and each row's partition under that table. The
     /// command carries the table recipe — the partition count and the
     /// *next* assignment, at [`BUCKETS_PER_PARTITION`] buckets per
     /// partition — and the unit rebuilds the key partitioner from it
@@ -125,14 +122,15 @@ pub(crate) enum UnitCmd {
         /// Per-node jobs: (local node id, owned partitions).
         jobs: Vec<(u32, Vec<u32>)>,
     },
-    /// Merge shipped state rows into each node's group table; reply
-    /// with an empty acknowledgement.
-    Absorb(Vec<LocalRows>),
+    /// Merge shipped state rows, (local node id, state), into each
+    /// node's group table; reply with an empty acknowledgement.
+    Absorb(Vec<(u32, ColumnBatch)>),
 }
 
-/// A unit's answer to `Extract` (the non-empty extracted row sets) or
-/// `Absorb` (empty).
-pub(crate) type UnitReply = Vec<LocalRows>;
+/// A unit's answer to `Extract` or `Absorb` (empty): per local node
+/// that shipped state, the state rows and each row's partition under
+/// the new table — where the row goes, decided here and nowhere else.
+pub(crate) type UnitReply = Vec<(u32, ColumnBatch, Vec<u32>)>;
 
 /// Per-boundary-producer framing state within one unit.
 struct EdgeStage {
@@ -172,8 +170,8 @@ impl<'a> Unit<'a> {
     pub(crate) fn new(spec: &'a UnitSpec, dag: &'a QueryDag) -> ExecResult<Unit<'a>> {
         let locals =
             |ids: &[(u32, u32)]| -> Vec<NodeId> { ids.iter().map(|&(_, l)| l as NodeId).collect() };
-        let mut engine =
-            Engine::with_boundary(dag, &locals(&spec.outputs), &locals(&spec.boundary))?;
+        let sinks = [locals(&spec.outputs), locals(&spec.boundary)].concat();
+        let mut engine = Engine::with_sinks(dag, &sinks)?;
         engine.set_batch_config(BatchConfig::new(spec.max_batch as usize));
         let edges = spec
             .boundary
@@ -221,8 +219,8 @@ impl<'a> Unit<'a> {
                 jobs,
             } => Some(self.extract(boundary, partitions, assignment, jobs)?),
             UnitCmd::Absorb(batches) => {
-                for (node, mut rows) in batches {
-                    self.engine.absorb_state(node as NodeId, &mut rows)?;
+                for (node, state) in batches {
+                    self.engine.absorb_state(node as NodeId, &state)?;
                 }
                 Some(Vec::new())
             }
@@ -241,7 +239,8 @@ impl<'a> Unit<'a> {
 
     /// The extract half of a handoff: force-close windows before
     /// `boundary` on every job's node, then extract from each the groups
-    /// that route outside its owned partitions under the new table.
+    /// that route outside its owned partitions under the new table,
+    /// noting each one's partition there.
     fn extract(
         &mut self,
         boundary: u64,
@@ -271,12 +270,21 @@ impl<'a> Unit<'a> {
             keyed.push((node, keyp, owned));
         }
         let mut extracted = Vec::new();
+        let mut key = Tuple::default();
         for (node, keyp, owned) in keyed {
-            let rows = self.engine.extract_state(node, &mut |key| {
-                !owned.contains(&(keyp.partition(&Tuple::new(key.to_vec())) as u32))
-            });
-            if !rows.is_empty() {
-                extracted.push((node as u32, rows));
+            let mut parts = Vec::new();
+            let state = self.engine.extract_state(node, &mut |vals| {
+                key.clear();
+                vals.iter().for_each(|v| key.push(v.clone()));
+                let p = keyp.partition(&key) as u32;
+                let moves = !owned.contains(&p);
+                if moves {
+                    parts.push(p);
+                }
+                moves
+            })?;
+            if !state.is_empty() {
+                extracted.push((node as u32, state, parts));
             }
         }
         Ok(extracted)
@@ -307,7 +315,7 @@ impl<'a> Unit<'a> {
             counters: engine.counters().to_vec(),
             node_metrics: engine.metrics(),
             outputs: (self.spec.outputs.iter())
-                .map(|&(idx, l)| (idx, engine.output(l as NodeId)))
+                .map(|&(idx, l)| (idx, engine.drain_boundary(l as NodeId).unwrap_or_default()))
                 .collect(),
             edges: self.edges.iter().map(|e| e.stats).collect(),
             stalls: 0,
@@ -805,5 +813,37 @@ impl Carrier for Units<'_> {
             answers.push((u, reply));
         }
         Ok(answers)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::tests::skew_case;
+    use crate::SimConfig;
+    use qap_plan::LogicalNode;
+    use qap_types::Value;
+
+    /// Migrated state sent to an operator that keeps no keyed state (a
+    /// scan, σπ, ⋈ or ∪) is a typed error, never a silent drop.
+    #[test]
+    fn absorb_into_a_stateless_node_is_an_error() {
+        let (plan, _, _) = skew_case();
+        let dep = Deployment::new(&plan, &SimConfig::default()).unwrap();
+        let (spec, dag) = &dep.units[1];
+        let mut unit = Unit::new(spec, dag).unwrap();
+        let stateless: Vec<NodeId> = (dag.topo_order())
+            .filter(|&n| !matches!(dag.node(n), LogicalNode::Aggregate { .. }))
+            .collect();
+        assert!(!stateless.is_empty());
+        let row = Tuple::new(vec![Value::UInt(60), Value::UInt(7), Value::UInt(1)]);
+        for local in stateless {
+            let state = ColumnBatch::from_rows(std::slice::from_ref(&row));
+            let got = unit.apply(UnitCmd::Absorb(vec![(local as u32, state)]));
+            assert!(
+                matches!(got, Err(ExecError::BadPlan(_))),
+                "node {local}: {got:?}"
+            );
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! The engine moves tuples through the DAG a *batch* at a time, as
 //! lanes: the routing queue holds `(node, port, batch)` entries, each a
 //! pooled [`ColumnBatch`], and operator dispatch and counter updates are
-//! paid once per batch. Rows appear only at the edges: a query output
-//! transposes its lanes into result rows ([`Engine::output`]), and
-//! migration state travels as rows. Semantics are defined
+//! paid once per batch. Every sink collects lanes, and migration state
+//! leaves and enters an operator as lanes too; rows appear only where a
+//! single-engine caller reads a query output ([`Engine::output`]
+//! transposes on read). Semantics are defined
 //! tuple-at-a-time by the reference model ([`crate::run_logical`]),
 //! which the equivalence suites hold the engine to; batch size is a pure
 //! performance knob, tuned through [`BatchConfig`].
@@ -14,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 
 use qap_obs::OpMetrics;
 use qap_plan::{NodeId, QueryDag};
-use qap_types::{ColumnBatch, Tuple};
+use qap_types::{ColumnBatch, Tuple, Value};
 
 use crate::bind::{bind_node, BoundNode};
 use crate::ops::{AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
@@ -68,34 +69,23 @@ impl BatchConfig {
 /// than retained, bounding idle memory.
 const POOL_CAP: usize = 32;
 
-/// Where a sink node's output collects.
-enum Sink {
-    /// A query output: result rows, read once through
-    /// [`Engine::output`]. The lanes transpose here — a run's few
-    /// thousand result rows.
-    Rows(Vec<Tuple>),
-    /// A boundary: the producer's output on its way to another unit,
-    /// kept as lanes from the operator to the frame encoder
-    /// ([`Engine::drain_boundary`]), appended lane to lane.
-    Lanes(ColumnBatch),
-}
-
 /// A compiled, executable plan.
 ///
 /// Feed lanes to source scans with [`Engine::push_columns`] or
 /// [`Engine::push_frame`], in non-decreasing order of the stream's
 /// temporal attribute, then call [`Engine::finish`]. Every operator
-/// takes one input type and writes one output type, a [`ColumnBatch`]; a
-/// query output's collected rows are available through
-/// [`Engine::output`], a boundary's lanes through
-/// [`Engine::drain_boundary`] at any time.
+/// takes one input type and writes one output type, a [`ColumnBatch`].
+/// A sink collects its node's output as lanes, appended lane to lane;
+/// they leave through [`Engine::drain_boundary`] at any time (a boundary
+/// on its way to the frame encoder, or a unit's query output), or as
+/// rows through [`Engine::output`].
 pub struct Engine {
     ops: Vec<Box<dyn Operator>>,
     consumers: Vec<Vec<(NodeId, usize)>>,
     /// Expected tuple arity per source scan (None for non-sources).
     source_arity: Vec<Option<usize>>,
     counters: Vec<OpCounters>,
-    sinks: HashMap<NodeId, Sink>,
+    sinks: HashMap<NodeId, ColumnBatch>,
     /// Operators finished so far: a prefix of the topological order.
     done: usize,
     batch: BatchConfig,
@@ -127,19 +117,9 @@ impl Engine {
         Engine::with_sinks(dag, &roots)
     }
 
-    /// Compiles a plan, collecting output at the given sink nodes.
+    /// Compiles a plan, collecting output at the given sink nodes (a
+    /// node named twice is one sink).
     pub fn with_sinks(dag: &QueryDag, sinks: &[NodeId]) -> ExecResult<Self> {
-        Engine::with_boundary(dag, sinks, &[])
-    }
-
-    /// Compiles a plan that collects result rows at the `outputs` nodes
-    /// and lanes at the `boundary` nodes — producers whose output leaves
-    /// for another unit. A node named in both is a boundary.
-    pub fn with_boundary(
-        dag: &QueryDag,
-        outputs: &[NodeId],
-        boundary: &[NodeId],
-    ) -> ExecResult<Self> {
         let n = dag.len();
         let mut ops: Vec<Box<dyn Operator>> = Vec::with_capacity(n);
         for id in dag.topo_order() {
@@ -164,14 +144,8 @@ impl Engine {
             consumers,
             source_arity,
             counters: vec![OpCounters::default(); n],
-            sinks: outputs
-                .iter()
-                .map(|&s| (s, Sink::Rows(Vec::new())))
-                .chain(
-                    boundary
-                        .iter()
-                        .map(|&s| (s, Sink::Lanes(ColumnBatch::new(dag.schema(s).arity())))),
-                )
+            sinks: (sinks.iter())
+                .map(|&s| (s, ColumnBatch::new(dag.schema(s).arity())))
                 .collect(),
             done: 0,
             batch: BatchConfig::default(),
@@ -286,8 +260,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Records and fans out one operator's output batch: sinks copy it
-    /// (a query output as rows, a boundary as lanes), each consumer but
+    /// Records and fans out one operator's output batch: a sink copies
+    /// it lane to lane, each consumer but
     /// the last gets a clone, the last gets the batch itself.
     fn route(&mut self, id: NodeId, out: ColumnBatch) {
         // An empty output batch has no particular arity: nothing in it
@@ -305,10 +279,8 @@ impl Engine {
                 self.metrics[c].bytes_in += bytes;
             }
         }
-        match self.sinks.get_mut(&id) {
-            Some(Sink::Rows(sink)) => out.append_rows_to(sink),
-            Some(Sink::Lanes(sink)) => sink.append_range(&out, 0..out.rows()),
-            None => {}
+        if let Some(sink) = self.sinks.get_mut(&id) {
+            sink.append_range(&out, 0..out.rows());
         }
         if self.consumers[id].is_empty() {
             self.recycle_col(out);
@@ -366,51 +338,57 @@ impl Engine {
 
     /// Migration extract: removes live group state at `node` for keys
     /// the predicate selects, returning one state row per moved group
-    /// (group key values, then per-slot lossless accumulator state).
+    /// (group key values, then per-slot lossless accumulator state) in
+    /// the order the predicate selected them. A node the engine does
+    /// not have is a typed [`ExecError::BadPlan`].
     pub fn extract_state(
         &mut self,
         node: NodeId,
-        pred: &mut dyn FnMut(&[qap_types::Value]) -> bool,
-    ) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        if node < self.ops.len() {
-            self.ops[node].extract_state(pred, &mut out);
-        }
-        out
+        pred: &mut dyn FnMut(&[Value]) -> bool,
+    ) -> ExecResult<ColumnBatch> {
+        let op = self.ops.get_mut(node);
+        let op = op.ok_or_else(|| ExecError::BadPlan(format!("no node {node} to extract from")))?;
+        let mut out = ColumnBatch::default();
+        op.extract_state(pred, &mut out);
+        Ok(out)
     }
 
     /// Migration absorb: merges state rows previously extracted from an
     /// identically-shaped node on a peer engine into `node`'s live
-    /// tables, draining `rows` and routing anything the absorbed state
-    /// flushes.
-    pub fn absorb_state(&mut self, node: NodeId, rows: &mut Vec<Tuple>) -> ExecResult<()> {
+    /// tables, routing anything the absorbed state flushes. A node the
+    /// engine does not have, or one without keyed state, is a typed
+    /// [`ExecError::BadPlan`].
+    pub fn absorb_state(&mut self, node: NodeId, state: &ColumnBatch) -> ExecResult<()> {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to absorb into")));
         }
         let mut out = self.take_col_buf();
-        self.ops[node].absorb_state(rows, &mut out)?;
+        self.ops[node]
+            .absorb_state(state, &mut out)
+            .map_err(|e| match e {
+                ExecError::BadPlan(why) => {
+                    ExecError::BadPlan(format!("absorb into node {node}: {why}"))
+                }
+                other => other,
+            })?;
         self.route(node, out);
         self.run()
     }
 
-    /// Takes the collected rows of a query-output sink (none for a
-    /// node that is not one).
+    /// Takes what a sink has collected, transposed to result rows (none
+    /// for a node that is not one).
     pub fn output(&mut self, node: NodeId) -> Vec<Tuple> {
-        match self.sinks.get_mut(&node) {
-            Some(Sink::Rows(rows)) => std::mem::take(rows),
-            _ => Vec::new(),
-        }
+        self.drain_boundary(node)
+            .map_or_else(Vec::new, |lanes| lanes.to_rows())
     }
 
-    /// Moves out what a boundary sink has accumulated since the last
-    /// drain, as lanes, leaving the sink collecting — incremental
-    /// forwarding of a unit's boundary while its engine keeps running.
-    /// `None` when nothing has arrived (or the node is not a boundary).
+    /// Moves out what a sink has accumulated since the last drain, as
+    /// lanes, leaving it collecting — incremental forwarding of a unit's
+    /// boundary while its engine keeps running. `None` when nothing has
+    /// arrived (or the node is not a sink).
     pub fn drain_boundary(&mut self, node: NodeId) -> Option<ColumnBatch> {
-        match self.sinks.get_mut(&node) {
-            Some(Sink::Lanes(lanes)) if !lanes.is_empty() => Some(lanes.take()),
-            _ => None,
-        }
+        let lanes = self.sinks.get_mut(&node)?;
+        (!lanes.is_empty()).then(|| lanes.take())
     }
 
     /// Tuple-flow counters, indexed by node id.

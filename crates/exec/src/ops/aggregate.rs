@@ -627,9 +627,8 @@ fn extract_from_table(
     table: &mut GroupTable<AnyAcc>,
     slots: &[AggSlot],
     arity: usize,
-    state_w: usize,
     pred: &mut dyn FnMut(&[Value]) -> bool,
-    out: &mut Vec<Tuple>,
+    out: &mut ColumnBatch,
 ) {
     if table.is_empty() {
         return;
@@ -643,12 +642,12 @@ fn extract_from_table(
         scratch.clear();
         scratch.extend(key_iter.by_ref().take(arity));
         if pred(&scratch) {
-            let mut row = Vec::with_capacity(arity + state_w);
-            row.append(&mut scratch);
             for acc in pay_iter.by_ref().take(width) {
-                acc.state_values(&mut row);
+                acc.state_values(&mut scratch);
             }
-            out.push(Tuple::new(row));
+            let row = Tuple::new(std::mem::take(&mut scratch));
+            emit_row(out, &row);
+            scratch = row.into_values();
         } else {
             let mut vh = fx::ValueHash::new();
             for v in &scratch {
@@ -1263,18 +1262,10 @@ impl Operator for AggregateOp {
     /// Extracts live group state (current window and NULL-window
     /// groups) for keys `pred` selects; each state row is the group key
     /// followed by every slot's lossless accumulator state.
-    fn extract_state(&mut self, pred: &mut dyn FnMut(&[Value]) -> bool, out: &mut Vec<Tuple>) {
+    fn extract_state(&mut self, pred: &mut dyn FnMut(&[Value]) -> bool, out: &mut ColumnBatch) {
         let arity = self.group_exprs.len();
-        let state_w: usize = self.slots.iter().map(slot_state_width).sum();
-        extract_from_table(&mut self.groups, &self.slots, arity, state_w, pred, out);
-        extract_from_table(
-            &mut self.null_groups,
-            &self.slots,
-            arity,
-            state_w,
-            pred,
-            out,
-        );
+        extract_from_table(&mut self.groups, &self.slots, arity, pred, out);
+        extract_from_table(&mut self.null_groups, &self.slots, arity, pred, out);
     }
 
     /// Absorbs state rows extracted from the same operator shape on
@@ -1283,22 +1274,27 @@ impl Operator for AggregateOp {
     /// bucket ahead of the local window flushes it first; behind it
     /// counts as late — neither occurs under the drain protocol, which
     /// aligns both hosts on the boundary bucket before shipping.
-    fn absorb_state(&mut self, rows: &mut Vec<Tuple>, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn absorb_state(&mut self, state: &ColumnBatch, out: &mut ColumnBatch) -> ExecResult<()> {
         let arity = self.group_exprs.len();
         let state_w: usize = self.slots.iter().map(slot_state_width).sum();
-        for tuple in rows.drain(..) {
-            let vals = tuple.into_values();
-            if vals.len() != arity + state_w {
-                return Err(crate::ExecError::BadPlan(format!(
-                    "migration state row arity {} does not match key {arity} + state {state_w}",
-                    vals.len()
-                )));
-            }
+        if state.is_empty() {
+            return Ok(());
+        }
+        if state.arity() != arity + state_w {
+            return Err(crate::ExecError::BadPlan(format!(
+                "migration state row arity {} does not match key {arity} + state {state_w}",
+                state.arity()
+            )));
+        }
+        let (keys, states) = state.columns().split_at(arity);
+        let mut vals = Vec::with_capacity(state_w);
+        for r in 0..state.rows() {
             self.key_scratch.clear();
             let mut vh = fx::ValueHash::new();
-            for v in &vals[..arity] {
-                vh.add(v);
-                self.key_scratch.push(v.clone());
+            for c in keys {
+                let v = c.value(r);
+                vh.add(&v);
+                self.key_scratch.push(v);
             }
             let hash = vh.finish();
             let accs = if self.key_scratch[self.temporal_idx].is_null() {
@@ -1318,7 +1314,9 @@ impl Operator for AggregateOp {
                     self.slots.iter().map(AggSlot::fresh),
                 )
             };
-            let mut off = arity;
+            vals.clear();
+            vals.extend(states.iter().map(|c| c.value(r)));
+            let mut off = 0;
             for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
                 let w = slot_state_width(slot);
                 acc.absorb_state(&vals[off..off + w]);

@@ -14,7 +14,7 @@ pub(crate) use select::SelectOp;
 use qap_expr::{BoundExpr, LaneKind, LANE_KINDS};
 use qap_types::{Column, ColumnBatch, ColumnData, Tuple, Value};
 
-use crate::ExecResult;
+use crate::{ExecError, ExecResult};
 
 /// Operator-internal runtime telemetry, harvested once per snapshot
 /// (off the hot path). Distinct from [`crate::OpCounters`], which is
@@ -86,18 +86,20 @@ pub(crate) trait Operator {
         Ok(())
     }
     /// Migration extract hook: removes live group state for keys the
-    /// predicate selects, appending one state row per moved group (key
-    /// values, then lossless accumulator state per slot). Operators
-    /// without keyed window state ship nothing.
-    fn extract_state(&mut self, _pred: &mut dyn FnMut(&[Value]) -> bool, _out: &mut Vec<Tuple>) {}
+    /// predicate selects, appending to `out` (an empty batch of no
+    /// particular arity) one state row per moved group: the key columns,
+    /// then each slot's lossless accumulator state. Operators without
+    /// keyed window state ship nothing.
+    fn extract_state(&mut self, _pred: &mut dyn FnMut(&[Value]) -> bool, _out: &mut ColumnBatch) {}
     /// Migration absorb hook: merges state rows produced by
     /// [`Operator::extract_state`] on an identically-shaped operator,
-    /// draining `rows` and writing any window the absorbed state closes
-    /// to `out`. Operators without keyed window state drop the payload
-    /// (callers gate migration on aggregate leaves).
-    fn absorb_state(&mut self, rows: &mut Vec<Tuple>, _out: &mut ColumnBatch) -> ExecResult<()> {
-        rows.clear();
-        Ok(())
+    /// writing any window the absorbed state closes to `out`. An
+    /// operator without keyed window state has nowhere to put it: a
+    /// typed [`ExecError::BadPlan`], never a silent drop.
+    fn absorb_state(&mut self, _state: &ColumnBatch, _out: &mut ColumnBatch) -> ExecResult<()> {
+        Err(ExecError::BadPlan(
+            "the operator holds no keyed state".into(),
+        ))
     }
     /// Operator-internal runtime telemetry (flush latency, group-table
     /// occupancy). Harvested once per snapshot, never on the hot path;

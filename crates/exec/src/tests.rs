@@ -536,7 +536,7 @@ fn a_boundary_sink_collects_what_an_output_sink_does() {
     let want = run_logical(&dag, trace.clone()).unwrap().remove(0).1;
     assert!(want.len() > 8);
 
-    let mut engine = Engine::with_boundary(&dag, &[], &[agg]).unwrap();
+    let mut engine = Engine::with_sinks(&dag, &[agg]).unwrap();
     let src = engine.source_nodes()[0];
     let mut got = ColumnBatch::new(dag.schema(agg).arity());
     for chunk in trace.chunks(50) {
@@ -555,5 +555,5 @@ fn a_boundary_sink_collects_what_an_output_sink_does() {
     got.append_range(&last, 0..last.rows());
     assert_eq!(got.to_rows(), want);
     assert!(engine.drain_boundary(agg).is_none());
-    assert!(engine.output(agg).is_empty(), "a boundary is not an output");
+    assert!(engine.output(agg).is_empty(), "draining empties the sink");
 }

@@ -31,7 +31,7 @@ use crate::{TypeError, TypeResult};
 /// carrying any other version with [`ControlFrame::Error`] (kind
 /// [`ERROR_VERSION`]) — mixed-version clusters fail fast at the
 /// handshake instead of mis-decoding deployment payloads mid-run.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Byte length of a control-frame header: `u32` payload length plus
 /// `u8` tag.
@@ -134,8 +134,9 @@ pub enum ControlFrame {
         Bytes,
     ),
     /// Host → coordinator: reply to a [`ControlFrame::Migrate`]
-    /// command (opaque payload: the extracted state rows, empty for an
-    /// absorb acknowledgement).
+    /// command (opaque payload: the extracted state rows and each
+    /// row's partition under the new table, empty for an absorb
+    /// acknowledgement).
     MigrateAck(
         /// The serialized migration reply.
         Bytes,

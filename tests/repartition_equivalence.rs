@@ -383,26 +383,45 @@ proptest! {
     /// extract → ship → absorb preserves every aggregate: two engines
     /// split a stream by key, a randomized subset of buckets migrates
     /// at a randomized boundary (splitting a window more often than
-    /// not), and the merged output equals a single reference engine's.
+    /// not), and the merged output equals the reference model's. The
+    /// select list is drawn from every built-in accumulator, with an
+    /// optional HAVING, and `len` is NULL for a third of the sources
+    /// (and scattered elsewhere), so SUM's two-word state, AVG's sum and
+    /// count, and MIN/MAX state holding NULL all cross as lanes.
     #[test]
     fn migration_preserves_every_aggregate(
         seed in 0u64..200,
         boundary_off in 10u64..170,
         flips in proptest::collection::vec(any::<bool>(), 16..17),
+        picks in proptest::collection::vec(0usize..6, 1..5),
+        having in any::<bool>(),
     ) {
+        const AGGS: [&str; 6] =
+            ["COUNT(*)", "SUM(len)", "MIN(len)", "MAX(len)", "AVG(len)", "OR_AGGR(flags)"];
+        let select: Vec<String> =
+            picks.iter().enumerate().map(|(i, &k)| format!("{} as a{i}", AGGS[k])).collect();
+        let query = format!(
+            "SELECT tb, srcIP, {} FROM TCP GROUP BY time/60 as tb, srcIP{}",
+            select.join(", "),
+            if having { " HAVING COUNT(*) > 2" } else { "" },
+        );
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-        b.add_query(
-            "flows",
-            "SELECT tb, srcIP, COUNT(*) as pkts, SUM(len) as bytes FROM TCP \
-             GROUP BY time/60 as tb, srcIP",
-        ).unwrap();
+        b.add_query("flows", &query).unwrap();
         let dag = b.build();
         let (agg, src) = agg_and_source(&dag);
         let root = dag.roots()[0];
-        let trace = generate(&TraceConfig::tiny(seed));
         let set = PartitionSet::from_columns(["srcIP"]);
         let schema = qap::types::tcp_schema();
-        let tidx = schema.index_of("time").unwrap();
+        let (tidx, sidx) = (schema.index_of("time").unwrap(), schema.index_of("srcIP").unwrap());
+        let lidx = schema.index_of("len").unwrap();
+        let mut trace = generate(&TraceConfig::tiny(seed));
+        for (i, t) in trace.iter_mut().enumerate() {
+            if t.get(sidx).as_u64().unwrap_or(0) % 3 == 0 || i % 7 == 0 {
+                let mut vals = std::mem::take(t).into_values();
+                vals[lidx] = Value::Null;
+                *t = Tuple::new(vals);
+            }
+        }
         let t0 = trace.first().map(|t| t.get(tidx).as_u64().unwrap_or(0)).unwrap_or(0);
         let boundary = t0 + boundary_off;
 
@@ -436,17 +455,17 @@ proptest! {
         engines[1].flush_before(agg, boundary).unwrap();
         let mut state = HashPartitioner::with_buckets(&set, dag.schema(agg), 2, 8).unwrap();
         state.set_assignment(next.clone());
-        let mut shipped: Vec<(usize, Vec<Tuple>)> = Vec::new();
+        let mut shipped: Vec<(usize, ColumnBatch)> = Vec::new();
         for (owner, engine) in engines.iter_mut().enumerate() {
-            let rows = engine.extract_state(agg, &mut |key| {
+            let lanes = engine.extract_state(agg, &mut |key| {
                 state.partition(&Tuple::new(key.to_vec())) != owner
-            });
-            if !rows.is_empty() {
-                shipped.push((1 - owner, rows));
+            }).unwrap();
+            if !lanes.is_empty() {
+                shipped.push((1 - owner, lanes));
             }
         }
-        for (dest, mut rows) in shipped {
-            engines[dest].absorb_state(agg, &mut rows).unwrap();
+        for (dest, lanes) in shipped {
+            engines[dest].absorb_state(agg, &lanes).unwrap();
         }
         route.set_assignment(next);
 
@@ -458,7 +477,7 @@ proptest! {
             e.finish().unwrap();
             got.extend(e.output(root));
         }
-        prop_assert_eq!(sorted(got), want);
+        prop_assert_eq!(sorted(got), want, "{}", query);
     }
 
     /// End-to-end randomized equivalence: whatever the trigger
