@@ -18,7 +18,10 @@
 //! fallback-zero gate. The `qset_*` groups decompose the §6.2 set the
 //! way EXPERIMENTS.md reports it: the subnet aggregate with and without
 //! its `srcIP & 0xFFF0` key, `tcp_flows` alone, with the `jitter`
-//! self-join on top, and the full set. `naive_leaf_boundary` sizes the
+//! self-join on top, and the full set; `simple_agg_e2e` is the §6.1
+//! query itself on that trace. Every case that aggregates also reports
+//! its window close per group (`emit ns/group`: flush time over group
+//! inserts). `naive_leaf_boundary` sizes the
 //! other end of a leaf engine: what one §6.1 Naive leaf host spends per
 //! tuple it *ships* — closing the window (emit), collecting it at the
 //! boundary (sink), cutting and encoding frames (frame).
@@ -58,6 +61,12 @@ struct Case {
     /// `ns_per_tuple` by stage — (emit, sink, frame) — for the boundary
     /// group.
     stages: Option<[f64; 3]>,
+}
+
+/// Window-close nanoseconds per group created, for a case that
+/// aggregates.
+fn emit_ns_per_group(m: &OpMetrics) -> Option<f64> {
+    (m.group_inserts > 0).then(|| m.flush_ns as f64 / m.group_inserts as f64)
 }
 
 /// Sums the kernel/group counters across all operators of one engine
@@ -490,6 +499,12 @@ fn main() -> ExitCode {
             true,
         ),
         ("qset_full", Scenario::QuerySet.dag(), &e2e_chunks, true),
+        (
+            "simple_agg_e2e",
+            Scenario::SimpleAgg.dag(),
+            &e2e_chunks,
+            true,
+        ),
         ("complex_full", Scenario::Complex.dag(), &e2e_chunks, true),
         (
             "columnar_str_filter",
@@ -516,6 +531,9 @@ fn main() -> ExitCode {
             metrics.kernel_fallbacks,
             metrics.group_inserts,
         );
+        if let Some(emit) = emit_ns_per_group(metrics) {
+            print!(", emit {emit:.1} ns/group");
+        }
         match c.stages {
             Some([emit, sink, frame]) => {
                 println!(" (per tuple shipped: emit {emit:.1} + sink {sink:.1} + frame {frame:.1})")
@@ -583,7 +601,7 @@ fn main() -> ExitCode {
         };
         let _ = writeln!(
             json,
-            "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, {}\
+            "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, {}{}\
              \"mtuples_per_sec\": {:.2}, \"gated\": {}, \"kernel_hits\": {}, \
              \"kernel_fallbacks\": {}, \"kernel_lane_hits\": {}, \
              \"kernel_lane_fallbacks\": {}, \"group_inserts\": {}, \"flush_ns\": {}}}{}",
@@ -594,6 +612,9 @@ fn main() -> ExitCode {
                 .map_or(String::new(), |[emit, sink, frame]| format!(
                     "\"emit_ns\": {emit:.2}, \"sink_ns\": {sink:.2}, \"frame_ns\": {frame:.2}, "
                 )),
+            emit_ns_per_group(&c.metrics).map_or(String::new(), |emit| format!(
+                "\"emit_ns_per_group\": {emit:.2}, "
+            )),
             1e3 / c.ns_per_tuple,
             c.gate,
             c.metrics.kernel_hits,

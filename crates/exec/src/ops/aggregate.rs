@@ -14,8 +14,11 @@ use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
-use super::group_table::GroupTable;
-use super::{bucket_of, column_lane_kind, emit_row, masked, merge_lanes, OpRuntimeStats, Operator};
+use super::group_table::{GroupTable, WindowKeys};
+use super::{
+    bucket_of, column_lane_kind, emit_row, masked, merge_lanes, reset_arity, OpRuntimeStats,
+    Operator,
+};
 
 /// Running state of one aggregate slot for one group.
 enum AnyAcc {
@@ -48,12 +51,16 @@ impl AnyAcc {
         }
     }
 
-    /// `update(&Value::UInt(x))`, inline for a built-in `SUM`
-    /// (`Accumulator::update`'s `Sum`+`UInt` arm).
+    /// `update(&Value::UInt(x))`, inline for the built-ins whose
+    /// `Accumulator::update` arm is one integer operation on an unsigned
+    /// value: `COUNT`, `SUM`, `OR_AGGR` and `AND_AGGR`.
     #[inline]
-    fn add_uint(&mut self, x: u64) {
+    fn fold_uint(&mut self, x: u64) {
         match self {
+            AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
             AnyAcc::Builtin(Accumulator::Sum(s)) => *s = Some(s.unwrap_or(0) + i128::from(x)),
+            AnyAcc::Builtin(Accumulator::Or(a)) => *a |= x,
+            AnyAcc::Builtin(Accumulator::And(a)) => *a = Some(a.unwrap_or(u64::MAX) & x),
             other => other.update(&Value::UInt(x)),
         }
     }
@@ -194,9 +201,6 @@ impl KeyEval {
 enum SlotEval {
     /// `COUNT(*)`: an unconditional increment.
     CountStar,
-    /// `SUM(column)` on a built-in accumulator: widen-and-add straight
-    /// off a non-null unsigned lane.
-    SumCol(usize),
     /// Non-merge fold of a plain column argument, read off its lane.
     Col(usize),
     /// Evaluate the argument expression, then update or merge.
@@ -221,7 +225,6 @@ impl SlotEval {
         }
         match (&slot.factory, &slot.arg) {
             (AccFactory::Builtin(AggKind::Count), None) => SlotEval::CountStar,
-            (AccFactory::Builtin(AggKind::Sum), Some(BoundExpr::Column(i))) => SlotEval::SumCol(*i),
             (_, Some(BoundExpr::Column(i))) => SlotEval::Col(*i),
             _ => SlotEval::General,
         }
@@ -246,6 +249,16 @@ pub(crate) struct AggregateOp {
     /// vector).
     slot_evals: Vec<SlotEval>,
     having: Option<BoundExpr>,
+    /// HAVING compiled against the output schema (None: no HAVING, or
+    /// outside the kernel domain), run over each closed window's lanes.
+    having_kernel: Option<PredicateKernel>,
+    /// The HAVING kernel's own register file: its lane tallies are not
+    /// the operator's input-side kernel telemetry.
+    having_scratch: KernelScratch,
+    /// Reused lanes of the window being closed: one per group key, then
+    /// one per aggregate slot (trimmed or extended to that count when a
+    /// window that left whole handed back the output's lanes).
+    window: Vec<Column>,
     current_bucket: Option<i128>,
     /// Current window's groups, in insertion order (deterministic
     /// flush). The payload width is `slots.len()`: entry `e` owns the
@@ -271,7 +284,8 @@ pub(crate) struct AggregateOp {
     kernel: Option<PredicateKernel>,
     /// Reused kernel register file.
     kscratch: KernelScratch,
-    /// Reused selection vector for the columnar filter.
+    /// Reused selection vector: the columnar filter's, and HAVING's
+    /// over a closed window.
     sel: SelectionVector,
     /// Per-row group-key hashes, built column-at-a-time (one fold per
     /// key lane) so the probe loop touches no `Value`s at all.
@@ -280,7 +294,7 @@ pub(crate) struct AggregateOp {
     /// `DivConst` eval in key order.
     q_lanes: Vec<Vec<u64>>,
     /// Reused row: a columnar fallback's materialization (interpreter
-    /// predicates, `General` slot folds) and each emitted group row.
+    /// predicates and HAVING, `General` slot folds).
     row_scratch: Tuple,
     /// Recycled surviving-row indices for the interpreter predicate
     /// fallback, so a kernel bailout does not reallocate two index
@@ -293,7 +307,7 @@ pub(crate) struct AggregateOp {
     ukeys_flat: Vec<u64>,
     /// `(group entry << 32) | row` per surviving row of the current
     /// window segment (late rows absent), filled by the probe pass and
-    /// consumed by the slot-major fold pass of the all-unsigned
+    /// consumed by the entry-major fold pass of the all-unsigned
     /// columnar path.
     entry_scratch: Vec<u64>,
     /// Columnar batches whose classified key lanes completed, tallied
@@ -321,6 +335,7 @@ impl AggregateOp {
             having,
         } = b;
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
+        let having_kernel = having.as_ref().and_then(PredicateKernel::compile);
         AggregateOp {
             key_evals: group_exprs.iter().map(KeyEval::classify).collect(),
             slot_evals: slots.iter().map(SlotEval::classify).collect(),
@@ -328,6 +343,9 @@ impl AggregateOp {
             group_exprs,
             temporal_idx,
             having,
+            having_kernel,
+            having_scratch: KernelScratch::new(),
+            window: Vec::new(),
             current_bucket: None,
             groups: GroupTable::new(slots.len()),
             null_groups: GroupTable::new(slots.len()),
@@ -358,49 +376,100 @@ impl AggregateOp {
     /// empties the table.
     fn flush(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
         let start = std::time::Instant::now();
-        let (mut keys, accs, n) = self.groups.take_entries();
-        let res = self.emit(&mut keys, &accs, n, out);
-        // Hand the drained arenas back so the next window reuses their
-        // capacity instead of reallocating from empty.
-        self.groups.restore(keys, accs);
+        let res = self.emit(false, out);
+        self.groups.clear();
         self.flushes += 1;
         self.flush_ns += start.elapsed().as_nanos() as u64;
         res
     }
 
-    /// Emits `n` drained groups — keys drained from the flat key arena,
-    /// one finalized (or partial) value per aggregate slot — applying
-    /// the HAVING filter. Each row is built in the reused `row_scratch`.
-    fn emit(
-        &mut self,
-        keys: &mut Vec<Value>,
-        accs_arena: &[AnyAcc],
-        n: usize,
-        out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
+    /// Emits every group of one table — the current window's, or with
+    /// `null_window` the NULL-window groups — as one batch of lanes: a
+    /// lane per group key, straight off the table's words while the
+    /// window is all-unsigned, then a lane per aggregate slot of its
+    /// finalized (or partial) values. HAVING filters that batch — the
+    /// compiled kernel, or the interpreter over the same lanes when the
+    /// kernel refuses the predicate or bails — and the survivors leave
+    /// by `append_gather`. The lanes are reused from flush to flush.
+    fn emit(&mut self, null_window: bool, out: &mut ColumnBatch) -> ExecResult<()> {
+        let table = if null_window {
+            &self.null_groups
+        } else {
+            &self.groups
+        };
+        let (keys, accs, n) = table.window();
+        if n == 0 {
+            return Ok(());
+        }
         let arity = self.group_exprs.len();
         let width = self.slots.len();
-        let mut vals = keys.drain(..);
-        for e in 0..n {
-            let accs = &accs_arena[e * width..(e + 1) * width];
-            self.row_scratch.clear();
-            for v in vals.by_ref().take(arity) {
-                self.row_scratch.push(v);
+        let mut cols = std::mem::take(&mut self.window);
+        cols.resize_with(arity + width, Column::new);
+        // An unsigned lane keeps its capacity; any other starts afresh,
+        // so the window's lanes are what pushing its values would type.
+        for c in &mut cols {
+            if c.uints().is_some() {
+                c.clear();
+            } else {
+                *c = Column::new();
             }
-            for (slot, acc) in self.slots.iter().zip(accs) {
-                self.row_scratch.push(if slot.emit_partial {
+        }
+        let (key_cols, slot_cols) = cols.split_at_mut(arity);
+        for (k, c) in key_cols.iter_mut().enumerate() {
+            match keys {
+                WindowKeys::Words(w) => c.extend_uints(w[k..].iter().step_by(arity).copied()),
+                WindowKeys::Values(v) => v[k..].iter().step_by(arity).for_each(|x| c.push(x)),
+            }
+        }
+        for (k, (slot, c)) in self.slots.iter().zip(slot_cols).enumerate() {
+            let mut vals = accs[k..].iter().step_by(width).map(|acc| {
+                if slot.emit_partial {
                     acc.partial()
                 } else {
                     acc.finalize()
-                });
-            }
-            if let Some(h) = &self.having {
-                if !h.eval_predicate(&self.row_scratch)? {
-                    continue;
                 }
+            });
+            // Unsigned values in one extend, up to the first of another
+            // kind; that one and the rest are pushed.
+            let mut other = None;
+            c.extend_uints(vals.by_ref().map_while(|v| match v {
+                Value::UInt(x) => Some(x),
+                v => {
+                    other = Some(v);
+                    None
+                }
+            }));
+            for v in other.into_iter().chain(vals) {
+                c.push(&v);
             }
-            emit_row(out, &self.row_scratch);
         }
+        let mut window = ColumnBatch::from_columns_with_rows(cols, n);
+        reset_arity(out, arity + width);
+        match &self.having {
+            // Unfiltered into an empty output, the window *is* the
+            // output: it moves out whole, and the output's pooled lanes
+            // stage the next window.
+            None if out.is_empty() => std::mem::swap(out, &mut window),
+            None => out.append_range(&window, 0..n),
+            Some(h) => {
+                self.sel.fill_identity(n);
+                let compiled = self
+                    .having_kernel
+                    .as_ref()
+                    .is_some_and(|k| k.filter(&window, &mut self.sel, &mut self.having_scratch));
+                if !compiled {
+                    self.sel.clear();
+                    for i in 0..n {
+                        window.write_row_into(i, &mut self.row_scratch);
+                        if h.eval_predicate(&self.row_scratch)? {
+                            self.sel.push(i as u32);
+                        }
+                    }
+                }
+                out.append_gather(&window, self.sel.as_slice());
+            }
+        }
+        self.window = (0..window.arity()).map(|i| window.take_column(i)).collect();
         Ok(())
     }
 
@@ -470,9 +539,8 @@ impl AggregateOp {
     fn close(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
         self.flush(out)?;
         let start = std::time::Instant::now();
-        let (mut keys, accs, n) = self.null_groups.take_entries();
-        let res = self.emit(&mut keys, &accs, n, out);
-        self.null_groups.restore(keys, accs);
+        let res = self.emit(true, out);
+        self.null_groups.clear();
         self.flush_ns += start.elapsed().as_nanos() as u64;
         res?;
         self.current_bucket = None;
@@ -509,9 +577,9 @@ impl AggregateOp {
 
     /// Folds row `r` into a group's accumulators. The per-batch
     /// [`SlotLane`] classification hoists the lane resolution out of
-    /// the row loop: `Count` increments, `SumU` widen-adds straight off
-    /// its captured unsigned lane, and everything else takes
-    /// [`fold_row`].
+    /// the row loop: `Count` increments, `Word` folds straight off its
+    /// captured unsigned lane, and everything else takes [`fold_row`].
+    #[inline(always)]
     fn fold_lanes(
         slots: &[AggSlot],
         slot_evals: &[SlotEval],
@@ -521,29 +589,23 @@ impl AggregateOp {
         r: usize,
         row: &mut Tuple,
     ) -> ExecResult<()> {
-        for (((slot, ev), lane), acc) in slots
-            .iter()
-            .zip(slot_evals)
-            .zip(slot_lanes)
-            .zip(accs.iter_mut())
-        {
+        for (k, (lane, acc)) in slot_lanes.iter().zip(accs).enumerate() {
             match lane {
                 SlotLane::Count => acc.count(),
-                SlotLane::SumU(l) => acc.add_uint(l[r]),
-                SlotLane::Row => fold_row(slot, ev, acc, batch, r, row)?,
+                SlotLane::Word(l) => acc.fold_uint(l[r]),
+                SlotLane::Row => fold_row(&slots[k], &slot_evals[k], acc, batch, r, row)?,
             }
         }
         Ok(())
     }
 
-    /// Slot-major fold over one window segment of the all-unsigned fast
+    /// Entry-major fold over one window segment of the all-unsigned fast
     /// path: each `ents` word packs `(group entry << 32) | row` (late
-    /// rows absent). Where [`AggregateOp::fold_lanes`] dispatches per
-    /// slot per row, this runs one tight loop per slot — the lane match
-    /// happens `width` times per segment, not per row — and each
-    /// accumulator still sees its rows in row order, so any
-    /// order-sensitive UDAF state observes the same update sequence the
-    /// row path produces.
+    /// rows absent). One pass touches each row's group once and folds
+    /// all of its slots together — a group's accumulators sit side by
+    /// side in the payload arena — and each accumulator sees its rows in
+    /// row order, so any order-sensitive UDAF state observes the update
+    /// sequence the row path produces.
     fn fold_segment(
         slots: &[AggSlot],
         slot_evals: &[SlotEval],
@@ -553,42 +615,43 @@ impl AggregateOp {
         batch: &ColumnBatch,
         row_scratch: &mut Tuple,
     ) -> ExecResult<()> {
-        let width = slots.len();
-        // The Section 6.1 shape — `COUNT(*), SUM(col)` — gets a fused
-        // pass: a group's two accumulators share a cache line, so one
-        // entry-major walk touches each group once where the slot-major
-        // loops below would take two random passes over the arena.
-        if let [SlotLane::Count, SlotLane::SumU(l)] = slot_lanes {
-            for &er in ents {
-                let e = (er >> 32) as usize;
-                let [c, s] = &mut payloads[e * 2..e * 2 + 2] else {
-                    unreachable!("entry payloads are exactly `width` slots");
-                };
-                c.count();
-                s.add_uint(l[er as u32 as usize]);
-            }
-            return Ok(());
-        }
-        for (k, ((slot, ev), lane)) in slots.iter().zip(slot_evals).zip(slot_lanes).enumerate() {
-            let acc = |er: u64| (er >> 32) as usize * width + k;
-            match lane {
-                SlotLane::Count => {
-                    for &er in ents {
-                        payloads[acc(er)].count();
-                    }
-                }
-                SlotLane::SumU(l) => {
-                    for &er in ents {
-                        payloads[acc(er)].add_uint(l[er as u32 as usize]);
-                    }
-                }
-                SlotLane::Row => {
-                    for &er in ents {
-                        let r = er as u32 as usize;
-                        fold_row(slot, ev, &mut payloads[acc(er)], batch, r, row_scratch)?;
-                    }
-                }
-            }
+        // Up to four slots, the width is a constant of the loop, so the
+        // slot loop unrolls and each slot's dispatch stays in registers.
+        let fold = match slots.len() {
+            1 => Self::fold_entries::<1>,
+            2 => Self::fold_entries::<2>,
+            3 => Self::fold_entries::<3>,
+            4 => Self::fold_entries::<4>,
+            _ => Self::fold_entries::<0>,
+        };
+        fold(
+            slots,
+            slot_evals,
+            slot_lanes,
+            payloads,
+            ents,
+            batch,
+            row_scratch,
+        )
+    }
+
+    /// [`AggregateOp::fold_segment`]'s loop for `W` slots (`0`: any).
+    fn fold_entries<const W: usize>(
+        slots: &[AggSlot],
+        slot_evals: &[SlotEval],
+        slot_lanes: &[SlotLane<'_>],
+        payloads: &mut [AnyAcc],
+        ents: &[u64],
+        batch: &ColumnBatch,
+        row_scratch: &mut Tuple,
+    ) -> ExecResult<()> {
+        let width = if W == 0 { slots.len() } else { W };
+        let slot_lanes = &slot_lanes[..width];
+        for &er in ents {
+            let e = (er >> 32) as usize;
+            let accs = &mut payloads[e * width..(e + 1) * width];
+            let r = er as u32 as usize;
+            Self::fold_lanes(slots, slot_evals, slot_lanes, accs, batch, r, row_scratch)?;
         }
         Ok(())
     }
@@ -597,7 +660,7 @@ impl AggregateOp {
 /// The per-row fold of a [`SlotLane::Row`] slot, shared by both lane
 /// folds: a column argument updates straight off its lane, anything
 /// else evaluates against row `r` materialized into `row`.
-#[inline]
+#[inline(never)]
 fn fold_row(
     slot: &AggSlot,
     ev: &SlotEval,
@@ -607,7 +670,7 @@ fn fold_row(
     row: &mut Tuple,
 ) -> ExecResult<()> {
     match ev {
-        SlotEval::SumCol(i) | SlotEval::Col(i) => {
+        SlotEval::Col(i) => {
             acc.update(&batch.column(*i).value(r));
             Ok(())
         }
@@ -992,9 +1055,9 @@ fn materialize_key_lanes(
 enum SlotLane<'a> {
     /// `COUNT(*)`: unconditional increment.
     Count,
-    /// Built-in `SUM` over a non-null unsigned lane: widen-add off the
-    /// captured lane.
-    SumU(&'a [u64]),
+    /// A non-merge fold of a non-null unsigned lane:
+    /// [`AnyAcc::fold_uint`] off the captured lane.
+    Word(&'a [u64]),
     /// Everything else: [`fold_row`].
     Row,
 }
@@ -1004,14 +1067,14 @@ fn classify_slot_lanes<'a>(slot_evals: &[SlotEval], batch: &'a ColumnBatch) -> V
         .iter()
         .map(|ev| match ev {
             SlotEval::CountStar => SlotLane::Count,
-            SlotEval::SumCol(i) => {
+            SlotEval::Col(i) => {
                 let c = batch.column(*i);
                 match (c.uints(), c.has_nulls()) {
-                    (Some(l), false) => SlotLane::SumU(l),
+                    (Some(l), false) => SlotLane::Word(l),
                     _ => SlotLane::Row,
                 }
             }
-            _ => SlotLane::Row,
+            SlotEval::General => SlotLane::Row,
         })
         .collect()
 }
@@ -1101,10 +1164,10 @@ impl Operator for AggregateOp {
             let t_off = self.temporal_idx;
             // Probe pass: one counted walk per row finds-or-inserts the
             // group and records `(entry, row)` packed in one word.
-            // Folding is deferred to a slot-major segment pass (one
-            // tight loop per aggregate slot, dispatch hoisted out of
-            // the row loop), run before every window flush so bucket
-            // transitions observe exactly the state the row path would.
+            // Folding is deferred to an entry-major segment pass (slot
+            // dispatch classified once per batch), run before every
+            // window flush so bucket transitions observe exactly the
+            // state the row path would.
             let mut ents = std::mem::take(&mut self.entry_scratch);
             ents.clear();
             // Probe tally lives in a register for the whole batch — a

@@ -19,23 +19,26 @@
 //! - a probe loads one 16-byte slot (cached hash + entry id), rejects
 //!   on hash mismatch without touching the key arena, and walks
 //!   linearly — no collision-chain pointer chasing across side arrays;
-//! - key values live in one **global** flat arena (`arity` values per
-//!   entry) shared by all partitions, so entries stay in insertion
-//!   order regardless of which partition indexes them and a
-//!   hash-confirmed probe compares against contiguous memory;
+//! - keys live in one **global** flat arena (`arity` keys per entry)
+//!   shared by all partitions, so entries stay in insertion order
+//!   regardless of which partition indexes them and a hash-confirmed
+//!   probe compares against contiguous memory;
 //! - while every key inserted this window is all-unsigned (the network
-//!   schema case), a parallel `u64` **word arena** mirrors the keys, and
-//!   [`GroupTable::upsert_u64`] probes with plain word compares — no
-//!   `Value` enum dispatch in the columnar upsert loop. The first
-//!   non-unsigned key poisons the word arena for the window (the
-//!   `Value` probe is always available and always exact);
+//!   schema case), that arena is a `u64` **word arena**:
+//!   [`GroupTable::upsert_u64`] probes with plain word compares and
+//!   stores nothing else, and the window closes straight off the words
+//!   ([`GroupTable::window`]). The `Value` arena is built from the words
+//!   only when something needs values — a `Value` probe or insert, or
+//!   [`GroupTable::take_entries`] — and the first non-unsigned key
+//!   poisons the word arena for the window (the `Value` probe is always
+//!   available and always exact);
 //! - payloads live in a second flat arena (`width` slots per entry), so
 //!   the per-tuple fold updates contiguous accumulator state instead of
 //!   dereferencing a per-group heap `Vec`, and creating a group extends
 //!   the arena in place — again no allocation per group;
-//! - entries stay in insertion order (arena append order), so flushing
-//!   is a plain ordered drain — no re-hash, no order side-vector, no
-//!   clones.
+//! - entries stay in insertion order (arena append order), so closing a
+//!   window reads the arenas front to back — no re-hash, no order
+//!   side-vector, no clones.
 //!
 //! Determinism: iteration order is exactly insertion order, so operator
 //! output is independent of the hash function and identical across
@@ -46,8 +49,6 @@
 //! exact precisely when both the stored key and the probe key are
 //! all-`UInt` — which is what `ukeys_ok` tracks for the stored side and
 //! the caller's lane gate guarantees for the probe side.
-
-use std::cell::Cell;
 
 use qap_types::Value;
 
@@ -101,23 +102,34 @@ impl Partition {
     }
 }
 
+/// The current window's keys, in insertion order (`arity` per entry),
+/// as the table stores them: words while every key is all-unsigned,
+/// values otherwise.
+pub(crate) enum WindowKeys<'a> {
+    Words(&'a [u64]),
+    Values(&'a [Value]),
+}
+
 /// Hash table mapping a fixed-arity `[Value]` key to a fixed-width
-/// payload slice of `P`, preserving insertion order for drains. All
-/// keys passed to one table must share the same arity (an operator's
-/// group-key width); payload width is fixed at construction (an
-/// operator's aggregate-slot count).
+/// payload slice of `P`, preserving insertion order. All keys passed to
+/// one table must share the same arity (an operator's group-key width);
+/// payload width is fixed at construction (an operator's aggregate-slot
+/// count).
 pub(crate) struct GroupTable<P> {
     /// First-level partitions, selected by the hash's top bits.
     parts: Vec<Partition>,
     /// Number of live entries across all partitions.
     len: usize,
-    /// Flat key storage: entry `e` owns `keys[e*arity .. (e+1)*arity]`.
+    /// Flat key values: entry `e` owns `keys[e*arity .. (e+1)*arity]`.
+    /// While `ukeys_ok` this covers only a prefix of the entries (those
+    /// before the last word upsert); [`GroupTable::sync_keys`] extends
+    /// it from the words before anything reads it.
     keys: Vec<Value>,
-    /// Parallel `u64` key words (entry `e` owns
-    /// `ukeys[e*arity .. (e+1)*arity]`), valid while `ukeys_ok`.
+    /// Flat key words (entry `e` owns `ukeys[e*arity .. (e+1)*arity]`):
+    /// every entry's key while `ukeys_ok`, empty otherwise.
     ukeys: Vec<u64>,
     /// Whether every key inserted since the last drain was all-`UInt`
-    /// (so `ukeys` mirrors `keys` and word probes are exact).
+    /// (so `ukeys` holds every key and word probes are exact).
     ukeys_ok: bool,
     /// Flat payload storage: entry `e` owns
     /// `payloads[e*width .. (e+1)*width]`.
@@ -126,12 +138,9 @@ pub(crate) struct GroupTable<P> {
     width: usize,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.
-    /// `Cell` because [`GroupTable::find_with`] probes through `&self`;
-    /// the counter accumulates locally per lookup and writes once, so
-    /// the probe loop itself stays increment-free.
-    probes: Cell<u64>,
+    probes: u64,
     /// Groups created across the table's lifetime (not reset by
-    /// [`GroupTable::take_entries`]).
+    /// [`GroupTable::clear`]).
     inserts: u64,
 }
 
@@ -145,7 +154,7 @@ impl<P> GroupTable<P> {
             ukeys_ok: true,
             payloads: Vec::new(),
             width,
-            probes: Cell::new(0),
+            probes: 0,
             inserts: 0,
         }
     }
@@ -162,7 +171,7 @@ impl<P> GroupTable<P> {
 
     /// Total slot inspections across all lookups so far.
     pub(crate) fn probe_count(&self) -> u64 {
-        self.probes.get()
+        self.probes
     }
 
     /// Groups created across the table's lifetime.
@@ -176,9 +185,20 @@ impl<P> GroupTable<P> {
         self.ukeys_ok
     }
 
+    /// Builds the `Value` arena up to the last entry from the words the
+    /// word upserts left: a no-op unless a word upsert came after the
+    /// last `Value` access.
+    fn sync_keys(&mut self) {
+        if self.ukeys_ok && self.keys.len() < self.ukeys.len() {
+            let done = self.keys.len();
+            self.keys
+                .extend(self.ukeys[done..].iter().map(|&w| Value::UInt(w)));
+        }
+    }
+
     /// Entry index of `key`, or `None` when the group does not exist.
     #[inline]
-    fn find(&self, hash: u64, key: &[Value]) -> Option<usize> {
+    fn find(&mut self, hash: u64, key: &[Value]) -> Option<usize> {
         self.find_with(hash, key.len(), |k| k == key)
     }
 
@@ -189,11 +209,12 @@ impl<P> GroupTable<P> {
     /// equality the stored keys were inserted under.
     #[inline]
     pub(crate) fn find_with(
-        &self,
+        &mut self,
         hash: u64,
         arity: usize,
         mut eq: impl FnMut(&[Value]) -> bool,
     ) -> Option<usize> {
+        self.sync_keys();
         let p = &self.parts[(hash >> PART_SHIFT) as usize];
         if p.slots.is_empty() {
             return None;
@@ -214,7 +235,7 @@ impl<P> GroupTable<P> {
             }
             i = (i + 1) & p.mask as usize;
         };
-        self.probes.set(self.probes.get() + inspected);
+        self.probes += inspected;
         found
     }
 
@@ -281,8 +302,9 @@ impl<P> GroupTable<P> {
         self.insert_new(hash, key, fresh)
     }
 
-    /// Sizes the three flat arenas for [`FIRST_ENTRIES`] entries before
-    /// the first one goes in, instead of letting each double its way up
+    /// Sizes the flat arenas the first key of a window goes into for
+    /// [`FIRST_ENTRIES`] entries — the `Value` arena only when that key
+    /// arrives as values — instead of letting each double its way up
     /// from four elements. Besides the eight regrowths this saves, it
     /// decides *where* the arenas live: the allocator serves a request
     /// of a few words from the thread's cache of chunks it freed last —
@@ -293,8 +315,10 @@ impl<P> GroupTable<P> {
     /// process, in some runs and not in others (EXPERIMENTS.md, PR 23
     /// *Steadiness*); a block this size comes from the caller's own.
     #[cold]
-    fn first_entry(&mut self, arity: usize) {
-        self.keys.reserve(FIRST_ENTRIES * arity);
+    fn first_entry(&mut self, arity: usize, values: bool) {
+        if values {
+            self.keys.reserve(FIRST_ENTRIES * arity);
+        }
         self.ukeys.reserve(FIRST_ENTRIES * arity);
         self.payloads.reserve(FIRST_ENTRIES * self.width);
     }
@@ -312,8 +336,9 @@ impl<P> GroupTable<P> {
         fresh: impl Iterator<Item = P>,
     ) -> &mut [P] {
         if self.len == 0 {
-            self.first_entry(key.len());
+            self.first_entry(key.len(), true);
         }
+        self.sync_keys();
         let p = &mut self.parts[(hash >> PART_SHIFT) as usize];
         if p.len * 2 >= p.slots.len() {
             p.grow();
@@ -350,15 +375,15 @@ impl<P> GroupTable<P> {
     /// All-unsigned find-or-insert for the columnar fast path: the key
     /// arrives as raw words (one per lane), one probe walk serves both
     /// the lookup and — on a miss — the insert position, and the key
-    /// mirrors into both arenas without passing through a `Value`
-    /// scratch buffer. Returns the entry index (an index into
-    /// [`GroupTable::payloads_mut`] at `width` stride). Callers check
-    /// [`GroupTable::u64_keys_ok`] and guarantee every word is a
-    /// `Value::UInt` payload, or the probe is meaningless.
+    /// goes into the word arena only (no `Value` is built). Returns the
+    /// entry index (an index into [`GroupTable::payloads_mut`] at
+    /// `width` stride). Callers check [`GroupTable::u64_keys_ok`] and
+    /// guarantee every word is a `Value::UInt` payload, or the probe is
+    /// meaningless.
     ///
     /// Probes are tallied into `counted`, a caller-held register, not
-    /// directly into the [`GroupTable::probes`] cell: a per-call
-    /// read-modify-write of the cell is a loop-carried dependency
+    /// directly into [`GroupTable::probes`]: a per-call
+    /// read-modify-write of the field is a loop-carried dependency
     /// through memory that serializes the caller's row loop. The caller
     /// folds the tally in once per batch via [`GroupTable::add_probes`]
     /// — final counter values still match the row path's walk-by-walk
@@ -373,7 +398,7 @@ impl<P> GroupTable<P> {
         debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
         let arity = ukey.len();
         let pi = (hash >> PART_SHIFT) as usize;
-        // Probe walk, counted exactly like `find_u64`'s — row- and
+        // Probe walk, counted exactly like `find_with`'s — row- and
         // column-pushed streams must report identical probe telemetry —
         // landing on the empty slot the insert will fill on a miss.
         let mut landing = None;
@@ -404,7 +429,7 @@ impl<P> GroupTable<P> {
             *counted += inspected;
         }
         if self.len == 0 {
-            self.first_entry(arity);
+            self.first_entry(arity, false);
         }
         let p = &mut self.parts[pi];
         let i = if p.len * 2 >= p.slots.len() {
@@ -422,7 +447,6 @@ impl<P> GroupTable<P> {
         p.len += 1;
         p.slots[i] = (hash, self.len as u32);
         self.ukeys.extend_from_slice(ukey);
-        self.keys.extend(ukey.iter().map(|&w| Value::UInt(w)));
         let start = self.payloads.len();
         self.payloads.extend(fresh);
         debug_assert_eq!(self.payloads.len(), start + self.width);
@@ -432,46 +456,54 @@ impl<P> GroupTable<P> {
     /// Folds a batch's probe tally (accumulated across
     /// [`GroupTable::upsert_u64`] calls) into the probe counter.
     #[inline]
-    pub(crate) fn add_probes(&self, counted: u64) {
-        self.probes.set(self.probes.get() + counted);
+    pub(crate) fn add_probes(&mut self, counted: u64) {
+        self.probes += counted;
     }
 
     /// The whole payload arena — entry `e` owns
-    /// `[e*width .. (e+1)*width]` — for bulk slot-major folds.
+    /// `[e*width .. (e+1)*width]` — for bulk folds.
     #[inline]
     pub(crate) fn payloads_mut(&mut self) -> &mut [P] {
         &mut self.payloads
     }
 
-    /// Takes every entry in insertion order — the flat key arena
-    /// (`arity` values per entry), the flat payload arena (`width`
-    /// slots per entry) and the entry count — and resets the table for
-    /// the next window (slot storage is retained, word probes re-arm).
-    pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<P>, usize) {
-        let n = self.len;
+    /// The current window as stored — its keys, its payload arena and
+    /// its entry count, all in insertion order — for the caller to close
+    /// before [`GroupTable::clear`]. Word keys are handed over as words:
+    /// no `Value` arena is built to close a window.
+    pub(crate) fn window(&self) -> (WindowKeys<'_>, &[P], usize) {
+        let keys = if self.ukeys_ok {
+            WindowKeys::Words(&self.ukeys)
+        } else {
+            WindowKeys::Values(&self.keys)
+        };
+        (keys, &self.payloads, self.len)
+    }
+
+    /// Empties the table for the next window: arenas and slot storage
+    /// keep their capacity, word probes re-arm.
+    pub(crate) fn clear(&mut self) {
         for p in &mut self.parts {
             p.slots.fill((0, 0));
             p.len = 0;
         }
         self.len = 0;
+        self.keys.clear();
         self.ukeys.clear();
         self.ukeys_ok = true;
-        (
-            std::mem::take(&mut self.keys),
-            std::mem::take(&mut self.payloads),
-            n,
-        )
+        self.payloads.clear();
     }
 
-    /// Hands back the arenas returned by [`GroupTable::take_entries`]
-    /// once the caller has drained the keys, so the next window fills
-    /// already-sized allocations instead of re-growing from empty.
-    pub(crate) fn restore(&mut self, keys: Vec<Value>, mut payloads: Vec<P>) {
-        debug_assert!(keys.is_empty(), "caller drains keys before restore");
-        debug_assert!(self.keys.is_empty() && self.payloads.is_empty());
-        payloads.clear();
-        self.keys = keys;
-        self.payloads = payloads;
+    /// Takes every entry in insertion order — the flat key arena as
+    /// values (`arity` per entry), the flat payload arena (`width`
+    /// slots per entry) and the entry count — and empties the table.
+    pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<P>, usize) {
+        self.sync_keys();
+        let n = self.len;
+        let keys = std::mem::take(&mut self.keys);
+        let payloads = std::mem::take(&mut self.payloads);
+        self.clear();
+        (keys, payloads, n)
     }
 }
 
@@ -523,8 +555,9 @@ mod tests {
     fn first_insert_sizes_the_arenas_on_both_paths() {
         // One entry in, room for FIRST_ENTRIES: no arena ever holds a
         // block small enough to have come out of another thread's heap.
-        let sized = |t: &GroupTable<u64>| {
-            assert!(t.keys.capacity() >= FIRST_ENTRIES * 2);
+        // The word path builds no `Value` arena at all.
+        let sized = |t: &GroupTable<u64>, values: bool| {
+            assert_eq!(t.keys.capacity() >= FIRST_ENTRIES * 2, values);
             assert!(t.ukeys.capacity() >= FIRST_ENTRIES * 2);
             assert!(t.payloads.capacity() >= FIRST_ENTRIES * 3);
         };
@@ -532,17 +565,15 @@ mod tests {
         let mut k = key(1);
         let h = hash_values(&k);
         by_value.insert_new(h, &mut k, [0, 0, 0].into_iter());
-        sized(&by_value);
+        sized(&by_value, true);
 
         let mut by_word: GroupTable<u64> = GroupTable::new(3);
         by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
-        sized(&by_word);
-        // A window that was drained and restored keeps what it had.
-        let (mut keys, payloads, _) = by_word.take_entries();
-        keys.clear();
-        by_word.restore(keys, payloads);
+        sized(&by_word, false);
+        // A closed window keeps what it had.
+        by_word.clear();
         by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
-        sized(&by_word);
+        sized(&by_word, false);
     }
 
     #[test]
@@ -615,12 +646,86 @@ mod tests {
             "hit, no dup"
         );
         assert!(walked >= 1, "hit walks are tallied into the register");
+        assert!(t.keys.is_empty(), "word upserts build no values");
         t.payloads_mut()[e] += 1;
         assert_eq!(t.find_u64(h, &words), Some(0));
         assert_eq!(t.find_with(h, 2, |s| s == k.as_slice()), Some(0));
         let (arena, payloads, n) = t.take_entries();
         assert_eq!((n, payloads.as_slice()), (1, &[10u64][..]));
         assert_eq!(arena, k);
+    }
+
+    /// `n` two-word keys, in order, upserted as words.
+    fn by_words(n: u64) -> GroupTable<u64> {
+        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut walked = 0;
+        for v in 0..n {
+            let h = hash_values(&key(v));
+            t.upsert_u64(h, &[v, v.wrapping_mul(7)], &mut walked, [v].into_iter());
+        }
+        t.add_probes(walked);
+        t
+    }
+
+    /// The same keys inserted as values, each probed first.
+    fn by_values(n: u64) -> GroupTable<u64> {
+        let mut t: GroupTable<u64> = GroupTable::new(1);
+        for v in 0..n {
+            let mut k = key(v);
+            let h = hash_values(&k);
+            t.get_or_insert(h, &mut k, [v].into_iter());
+        }
+        t
+    }
+
+    #[test]
+    fn value_probe_finds_every_word_upserted_group() {
+        let mut t = by_words(1_000);
+        assert!(t.keys.is_empty());
+        for v in 0..1_000u64 {
+            let k = key(v);
+            assert_eq!(
+                t.find_with(hash_values(&k), 2, |s| s == k.as_slice()),
+                Some(v as usize),
+                "v={v}"
+            );
+        }
+        assert_eq!(t.keys.len(), 2_000, "the first probe built every value");
+        assert!(t.u64_keys_ok(), "probing values leaves words exact");
+    }
+
+    #[test]
+    fn mid_window_signed_key_materializes_words_in_order() {
+        // No `Value` probe first: the insert itself builds the values.
+        let mut t = by_words(300);
+        let mut signed = vec![Value::UInt(1), Value::Int(-1)];
+        t.insert_new(hash_values(&signed), &mut signed, [7].into_iter());
+        assert!(!t.u64_keys_ok(), "the signed key poisons word probes");
+        let (WindowKeys::Values(keys), payloads, n) = t.window() else {
+            panic!("a poisoned window hands over values");
+        };
+        assert_eq!(n, 301);
+        let mut want: Vec<Value> = (0..300u64).flat_map(key).collect();
+        want.extend([Value::UInt(1), Value::Int(-1)]);
+        assert_eq!(keys, want.as_slice());
+        assert_eq!(payloads[300], 7);
+        t.clear();
+        assert!(t.u64_keys_ok(), "closing the window re-arms word probes");
+    }
+
+    #[test]
+    fn word_and_value_fills_drain_and_count_alike() {
+        let (mut words, mut values) = (by_words(5_000), by_values(5_000));
+        assert_eq!(words.probe_count(), values.probe_count());
+        assert_eq!(words.insert_count(), values.insert_count());
+        assert_eq!(words.slot_count(), values.slot_count());
+        match words.window() {
+            (WindowKeys::Words(w), _, 5_000) => {
+                assert_eq!(w[..4], [0, 0, 1, 7]);
+            }
+            _ => panic!("an all-unsigned window hands over words"),
+        }
+        assert_eq!(words.take_entries(), values.take_entries());
     }
 
     #[test]
@@ -638,7 +743,7 @@ mod tests {
         assert!(t
             .find_with(hash_values(&probe), 2, |s| s == probe.as_slice())
             .is_none());
-        t.take_entries();
+        t.clear();
         assert!(t.u64_keys_ok(), "drain re-arms word probes");
     }
 

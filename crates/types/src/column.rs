@@ -519,6 +519,28 @@ impl Column {
         self.push_reserving(v, 0);
     }
 
+    /// Appends unsigned values, leaving the column as pushing each one
+    /// as a [`Value::UInt`] would; onto an unsigned lane they go in one
+    /// extend, with no per-value dispatch.
+    pub fn extend_uints(&mut self, xs: impl IntoIterator<Item = u64>) {
+        let mut xs = xs.into_iter();
+        if !matches!(self.data, Some(ColumnData::UInt(_))) {
+            // The first value types (or demotes) the lane as a push does.
+            let Some(x) = xs.next() else { return };
+            self.push(&Value::UInt(x));
+        }
+        let Some(ColumnData::UInt(lane)) = &mut self.data else {
+            return xs.for_each(|x| self.push(&Value::UInt(x)));
+        };
+        let at = lane.len();
+        lane.extend(xs);
+        let n = lane.len() - at;
+        if !self.nulls.is_empty() {
+            self.nulls.resize(self.len + n, false);
+        }
+        self.len += n;
+    }
+
     /// [`Column::push`] for a column that expects `budget` rows: the
     /// push that types the lane allocates it at that size.
     fn push_reserving(&mut self, v: &Value, budget: usize) {
@@ -1142,6 +1164,31 @@ mod tests {
     #[test]
     fn round_trip_empty_batch() {
         round_trip(Vec::new());
+    }
+
+    #[test]
+    fn extend_uints_is_pushing_each() {
+        // Onto a fresh, a NULL-bearing, an untyped all-NULL, a signed and
+        // a recycled signed column: the same column pushes would leave.
+        let mut recycled = Column::from_values(&[Value::Int(5)]);
+        recycled.clear();
+        let starts = [
+            Column::new(),
+            Column::from_values(&[Value::Null, Value::UInt(3)]),
+            Column::from_values(&[Value::Null, Value::Null]),
+            Column::from_values(&[Value::Int(-2)]),
+            recycled,
+        ];
+        for mut c in starts {
+            let mut want = c.clone();
+            for x in [7u64, 0, u64::MAX] {
+                want.push(&Value::UInt(x));
+            }
+            c.extend_uints([7u64, 0, u64::MAX]);
+            assert_eq!(format!("{c:?}"), format!("{want:?}"));
+            c.extend_uints(std::iter::empty());
+            assert_eq!(format!("{c:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]

@@ -13,9 +13,19 @@
 //! byte-identical output tuples against the model, and identical
 //! operator counters at every batch size, including inputs engineered to
 //! cross the lane/fallback seam mid-stream.
+//!
+//! Closing a window is on lanes too: keys come straight off the group
+//! table's words (or its values, once a non-unsigned key has poisoned
+//! the window), slots finalize lane by lane, and HAVING runs as a
+//! compiled kernel over the staged window, or through the interpreter
+//! when the kernel refuses the predicate or bails. The tests at the end
+//! cross each of those seams with all-unsigned key columns.
 
+use std::sync::Arc;
+
+use qap::expr::{bind, KernelScratch, PredicateKernel};
 use qap::prelude::*;
-use qap::types::{encode_tuple, ColumnBatch};
+use qap::types::{encode_tuple, ColumnBatch, SelectionVector, Udaf, UdafState};
 
 /// One sink's output: (sink node id, encoded rows in emission order).
 type SinkRows = (usize, Vec<Vec<u8>>);
@@ -285,4 +295,188 @@ fn min_max_over_int_and_null_blocks_match_row_path() {
         })
         .collect();
     assert_model_equals_lanes(&dag, &input, "min/max int/null blocks");
+}
+
+/// The HAVING of `dag`'s one aggregate, compiled against the output
+/// schema the way the operator compiles it.
+fn having_kernel(dag: &QueryDag) -> Option<PredicateKernel> {
+    let root = dag.roots()[0];
+    let LogicalNode::Aggregate {
+        having: Some(h), ..
+    } = dag.node(root)
+    else {
+        panic!("the root is an aggregate with a HAVING");
+    };
+    PredicateKernel::compile(&bind(h, dag.schema(root)).expect("HAVING binds"))
+}
+
+#[test]
+fn having_the_kernel_refuses_runs_in_the_interpreter() {
+    // `NOT` over a conjunction is outside the kernel's domain: every
+    // window is filtered by the interpreter over its staged lanes.
+    let dag = tcp_dag(
+        "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+         GROUP BY time/60 as tb, srcIP, destIP \
+         HAVING NOT (COUNT(*) > 2 AND SUM(len) > 300)",
+    );
+    assert!(
+        having_kernel(&dag).is_none(),
+        "the kernel refuses NOT (a AND b)"
+    );
+    assert_model_equals_lanes(&dag, &tcp_trace(), "HAVING the kernel refuses");
+}
+
+/// Unsigned keys over a value column that is unsigned, NULL or negative:
+/// a window's `SUM` lane holds unsigned sums, NULLs (groups that saw
+/// only NULLs) and negative sums. `having` ends the query.
+fn signed_sum_dag(having: &str) -> QueryDag {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(&format!(
+        "STREAM S(ts uint increasing, k uint, v uint);\n\
+         QUERY sums: SELECT tb, k, COUNT(*) as cnt, SUM(v) as sv FROM S \
+         GROUP BY ts/60 as tb, k {having};"
+    ))
+    .expect("script parses");
+    b.build()
+}
+
+fn signed_sum_trace() -> Vec<Tuple> {
+    (0..900u64)
+        .map(|i| {
+            let k = i % 13;
+            let v = match k % 3 {
+                0 => Value::UInt(i % 11),
+                1 => Value::Null,
+                _ => Value::Int(-((i % 7) as i64)),
+            };
+            Tuple::new(vec![Value::UInt(i / 4), Value::UInt(k), v])
+        })
+        .collect()
+}
+
+#[test]
+fn having_kernel_bailing_on_a_null_bearing_sum_lane_falls_back() {
+    let dag = signed_sum_dag("HAVING SUM(v) + 1 > 4");
+    let input = signed_sum_trace();
+    // Every window's SUM lane mixes NULLs, unsigned and negative sums,
+    // which the compiled `+` cannot load: it bails at run time.
+    let kernel = having_kernel(&dag).expect("`SUM(v) + 1 > 4` compiles");
+    let unfiltered = signed_sum_dag("");
+    let rows = &run_logical(&unfiltered, input.iter().cloned()).expect("model runs")[0].1;
+    let mut scratch = KernelScratch::new();
+    for window in rows.chunk_by(|a, b| a.get(0) == b.get(0)) {
+        let lanes = ColumnBatch::from_rows(window);
+        let mut sel = SelectionVector::identity(lanes.rows());
+        assert!(
+            !kernel.filter(&lanes, &mut sel, &mut scratch),
+            "the kernel bails on window {:?}",
+            window[0].get(0)
+        );
+    }
+    assert_model_equals_lanes(&dag, &input, "HAVING kernel bails");
+}
+
+/// `BITS(x)`: the set of `x mod 64` values a group saw. Its partial
+/// state is the bit set, its finalized value the set's size, so a
+/// window that emits partials shows which one it emitted.
+struct Bits;
+
+struct BitsState(u64);
+
+impl UdafState for BitsState {
+    fn update(&mut self, v: &Value) {
+        if let Some(x) = v.as_u64() {
+            self.0 |= 1 << (x % 64);
+        }
+    }
+    fn merge(&mut self, partial: &Value) {
+        if let Some(x) = partial.as_u64() {
+            self.0 |= x;
+        }
+    }
+    fn partial(&self) -> Value {
+        Value::UInt(self.0)
+    }
+    fn finalize(&self) -> Value {
+        Value::UInt(u64::from(self.0.count_ones()))
+    }
+}
+
+impl Udaf for Bits {
+    fn name(&self) -> &str {
+        "BITS"
+    }
+    fn splittable(&self) -> bool {
+        true
+    }
+    fn init(&self) -> Box<dyn UdafState> {
+        Box::new(BitsState(0))
+    }
+}
+
+#[test]
+fn emit_partial_window_matches_the_model() {
+    // A sub-aggregate as a distributed plan places it on a leaf: the
+    // UDAF slot emits its partial state, the COUNT its count.
+    let mut catalog = Catalog::with_network_schemas();
+    catalog.register_udaf(Arc::new(Bits));
+    let mut b = QuerySetBuilder::new(catalog);
+    b.add_query(
+        "q",
+        "SELECT tb, srcIP, BITS(len) as bits, COUNT(*) as cnt FROM TCP \
+         GROUP BY time/60 as tb, srcIP",
+    )
+    .expect("query parses");
+    let parsed = b.build();
+    let root = parsed.roots()[0];
+    let LogicalNode::Aggregate {
+        predicate,
+        group_by,
+        mut aggregates,
+        having,
+        ..
+    } = parsed.node(root).clone()
+    else {
+        panic!("the query is an aggregate");
+    };
+    aggregates[0].call.emit_partial = true;
+    let mut dag = QueryDag::new(parsed.catalog().clone());
+    let source = dag.add_source("TCP").expect("source");
+    let sub = dag
+        .add_node(LogicalNode::Aggregate {
+            input: source,
+            predicate,
+            group_by,
+            aggregates,
+            having,
+        })
+        .expect("sub-aggregate");
+    dag.name_query("q", sub).expect("names");
+    let input = tcp_trace();
+    let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+    assert!(
+        rows.iter().any(|r| r.get(2).as_u64() > Some(64)),
+        "the model emits bit sets, not their sizes"
+    );
+    assert_model_equals_lanes(&dag, &input, "emit_partial window");
+}
+
+#[test]
+fn window_poisoned_mid_way_matches_the_model() {
+    // Unsigned key columns, but one window sees a signed key and another
+    // a NULL key part-way through: the groups before it were stored as
+    // words only, and must come out as the same `UInt` keys, in order.
+    let dag = mixed_dag();
+    let mut input: Vec<Tuple> = (0..720u64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::UInt(i / 2),
+                Value::UInt(i % 37),
+                Value::UInt(i),
+            ])
+        })
+        .collect();
+    input[70] = Tuple::new(vec![Value::UInt(35), Value::Int(-4), Value::UInt(1)]);
+    input[200] = Tuple::new(vec![Value::UInt(100), Value::Null, Value::UInt(2)]);
+    assert_model_equals_lanes(&dag, &input, "window poisoned mid-way");
 }
