@@ -25,6 +25,9 @@
 //! other end of a leaf engine: what one §6.1 Naive leaf host spends per
 //! tuple it *ships* — closing the window (emit), collecting it at the
 //! boundary (sink), cutting and encoding frames (frame).
+//! `naive_central_merge` is the stage behind the wire on that
+//! deployment: the aggregator's super-aggregate fed what every leaf
+//! host's sub-aggregates drain, per tuple received.
 //! `splitter_route` sizes the stage in front of the engines: the
 //! splitter's routing hash and its per-row route + scatter under the
 //! §6.1 and §6.2 sets, timed but not gated.
@@ -120,8 +123,8 @@ fn measure(dag: &QueryDag, chunks: &[ColumnBatch], tuples: usize) -> (f64, OpMet
     (best / tuples as f64, metrics)
 }
 
-/// One leaf host of the §6.1 Naive deployment as a stand-alone plan:
-/// its partition scans and their sub-aggregates, the batches the
+/// One host's leaf tier of the §6.1 Naive deployment as a stand-alone
+/// plan: its partition scans and their sub-aggregates, the batches the
 /// round-robin splitter hands it, and the nodes whose output crosses to
 /// the aggregator.
 struct NaiveLeaf {
@@ -130,15 +133,15 @@ struct NaiveLeaf {
     boundary: Vec<NodeId>,
 }
 
-fn naive_leaf(trace: &[Tuple]) -> NaiveLeaf {
-    let plan = Scenario::SimpleAgg.plan("Naive", 3);
-    let host = (0..plan.partitioning.hosts)
-        .find(|&h| h != plan.partitioning.aggregator_host)
-        .expect("three hosts");
+fn naive_leaf(trace: &[Tuple], plan: &DistributedPlan, host: usize) -> NaiveLeaf {
     let mut dag = QueryDag::new(plan.dag.catalog().clone());
     let mut local: HashMap<NodeId, NodeId> = HashMap::new();
     let mut scan_of: HashMap<usize, NodeId> = HashMap::new();
-    for id in plan.dag.topo_order().filter(|&id| plan.host[id] == host) {
+    let leaf_tier = plan
+        .dag
+        .topo_order()
+        .filter(|&id| plan.host[id] == host && !plan.central[id]);
+    for id in leaf_tier {
         let lid = match plan.dag.node(id).clone() {
             LogicalNode::Source { stream, partition } => {
                 let p = partition.expect("a distributed plan scans partitions");
@@ -272,7 +275,11 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
 /// sub-aggregates' own flush clocks and the two stages after it as
 /// differences of minima.
 fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
-    let leaf = naive_leaf(trace);
+    let plan = Scenario::SimpleAgg.plan("Naive", 3);
+    let host = (0..plan.partitioning.hosts)
+        .find(|&h| h != plan.partitioning.aggregator_host)
+        .expect("three hosts");
+    let leaf = naive_leaf(trace, &plan, host);
     let depths = [Upto::Emit, Upto::Sink, Upto::Frame];
     let mut best = [f64::INFINITY; 3];
     let (mut tuples, mut metrics) = (0, OpMetrics::default());
@@ -306,6 +313,85 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
         gate: true,
         metrics,
         stages: Some(stages),
+    }
+}
+
+/// The §6.1 Naive aggregator's merge stage: its super-aggregate as a
+/// stand-alone plan over a stream of the sub-aggregates' partials, fed
+/// what every host's sub-aggregates drain at the boundary over one pass
+/// of the trace — built once, the hosts' drains taken in turn, as the
+/// aggregator's links deliver them — timed like every engine group.
+fn measure_central_merge(trace: &[Tuple]) -> Case {
+    let plan = Scenario::SimpleAgg.plan("Naive", 3);
+    let mut drains: Vec<Vec<ColumnBatch>> = Vec::new();
+    let mut partials = None;
+    for host in 0..plan.partitioning.hosts {
+        let leaf = naive_leaf(trace, &plan, host);
+        let mut engine = Engine::with_sinks(&leaf.dag, &leaf.boundary).expect("engine builds");
+        engine.set_batch_config(BatchConfig::new(BATCH));
+        let mut drained = Vec::new();
+        let mut drain = |engine: &mut Engine| {
+            for &b in &leaf.boundary {
+                drained.extend(engine.drain_boundary(b).filter(|d| !d.is_empty()));
+            }
+        };
+        for (scan, mut cols) in leaf.feed.clone() {
+            engine.push_columns(scan, &mut cols).expect("push");
+            drain(&mut engine);
+        }
+        engine.finish().expect("finish");
+        drain(&mut engine);
+        drains.push(drained);
+        partials = Some(leaf.dag.schema(leaf.boundary[0]).clone());
+    }
+    let longest = drains.iter().map(Vec::len).max().unwrap_or(0);
+    let feed: Vec<ColumnBatch> = (0..longest)
+        .flat_map(|i| drains.iter().filter_map(move |d| d.get(i).cloned()))
+        .collect();
+    let partials = partials.expect("three hosts");
+    let mut catalog = Catalog::new();
+    catalog
+        .register(Schema::new("PARTIALS", partials.fields().to_vec()).expect("partials schema"))
+        .expect("one stream");
+    let mut dag = QueryDag::new(catalog);
+    let source = dag.add_source("PARTIALS").expect("source");
+    let central = plan
+        .dag
+        .topo_order()
+        .find(|&id| {
+            matches!(plan.dag.node(id), LogicalNode::Aggregate { input, .. }
+                if matches!(plan.dag.node(*input), LogicalNode::Merge { .. }))
+        })
+        .expect("a Naive plan merges centrally");
+    let LogicalNode::Aggregate {
+        predicate,
+        group_by,
+        aggregates,
+        having,
+        ..
+    } = plan.dag.node(central).clone()
+    else {
+        unreachable!("found as an aggregate");
+    };
+    let merge = dag
+        .add_node(LogicalNode::Aggregate {
+            input: source,
+            predicate,
+            group_by,
+            aggregates,
+            having,
+        })
+        .expect("super-aggregate");
+    dag.name_query("suspicious_flows", merge).expect("names");
+    let tuples = feed.iter().map(ColumnBatch::rows).sum();
+    let (ns_per_tuple, metrics) = measure(&dag, &feed, tuples);
+    Case {
+        group: "naive_central_merge",
+        tuples,
+        ns_per_tuple,
+        gate: true,
+        metrics,
+        stages: None,
     }
 }
 
@@ -561,6 +647,7 @@ fn main() -> ExitCode {
         });
     }
     finish(measure_leaf_boundary(&e2e_trace));
+    finish(measure_central_merge(&e2e_trace));
 
     let routes = [
         measure_splitter_route(&e2e_trace, Scenario::SimpleAgg, "Partitioned"),

@@ -1,10 +1,17 @@
 //! Tumbling-window hash aggregation (γ).
+//!
+//! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
+//! when the operator is built: every `COUNT`, `SUM`, `AVG`, `OR_AGGR`
+//! and `AND_AGGR` slot is a run of `u64` words ([`WordAgg`]) beside its
+//! group's other slots, and each `MIN`, `MAX` or UDAF slot an
+//! [`AnyAcc`] in the side arena. Folds, window closes, migration
+//! extracts and absorbs all read and write that layout directly.
 
 use std::sync::Arc;
 
 use qap_expr::{
     make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel,
-    PredicateKernel, UdafState, LANE_KINDS,
+    PredicateKernel, UdafState, WordAgg, LANE_KINDS,
 };
 use qap_types::{
     Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE,
@@ -14,13 +21,16 @@ use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
-use super::group_table::{GroupTable, WindowKeys};
+use super::group_table::{GroupTable, Window, WindowKeys};
 use super::{
     bucket_of, column_lane_kind, emit_row, masked, merge_lanes, reset_arity, OpRuntimeStats,
     Operator,
 };
 
-/// Running state of one aggregate slot for one group.
+/// Running state of one `MIN`, `MAX` or UDAF slot for one group (every
+/// other built-in keeps its state as [`WordAgg`] words). Its lossless
+/// migration state is one value, its partial — `MIN`/`MAX`'s extreme, a
+/// UDAF's mergeable state by contract — and merges back in.
 enum AnyAcc {
     Builtin(Accumulator),
     Udaf(Box<dyn UdafState>),
@@ -41,30 +51,6 @@ impl AnyAcc {
         }
     }
 
-    /// `COUNT(*)`'s fold: what `update` does with any non-null value,
-    /// inline for the built-in counter.
-    #[inline]
-    fn count(&mut self) {
-        match self {
-            AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-            other => other.update(&Value::Bool(true)),
-        }
-    }
-
-    /// `update(&Value::UInt(x))`, inline for the built-ins whose
-    /// `Accumulator::update` arm is one integer operation on an unsigned
-    /// value: `COUNT`, `SUM`, `OR_AGGR` and `AND_AGGR`.
-    #[inline]
-    fn fold_uint(&mut self, x: u64) {
-        match self {
-            AnyAcc::Builtin(Accumulator::Count(n)) => *n += 1,
-            AnyAcc::Builtin(Accumulator::Sum(s)) => *s = Some(s.unwrap_or(0) + i128::from(x)),
-            AnyAcc::Builtin(Accumulator::Or(a)) => *a |= x,
-            AnyAcc::Builtin(Accumulator::And(a)) => *a = Some(a.unwrap_or(u64::MAX) & x),
-            other => other.update(&Value::UInt(x)),
-        }
-    }
-
     fn finalize(&self) -> Value {
         match self {
             AnyAcc::Builtin(a) => a.finalize(),
@@ -80,62 +66,126 @@ impl AnyAcc {
             AnyAcc::Udaf(u) => u.partial(),
         }
     }
+}
 
-    /// Lossless serialized state for migration (unlike `partial`, which
-    /// truncates AVG and saturates SUM through `finalize`). Built-ins
-    /// emit their fixed-width word encoding; a UDAF's mergeable state
-    /// is its `partial` by contract.
-    fn state_values(&self, out: &mut Vec<Value>) {
-        match self {
-            AnyAcc::Builtin(a) => a.state_values(out),
-            AnyAcc::Udaf(u) => out.push(u.partial()),
-        }
-    }
+/// Where one slot keeps its state in a group's payload, fixed when the
+/// operator is built.
+#[derive(Clone, Copy)]
+enum SlotState {
+    /// A word kind, at `words[off..off + agg.width()]`.
+    Word { agg: WordAgg, off: usize },
+    /// A `MIN`, `MAX` or UDAF accumulator, at `side[i]`.
+    Side(usize),
+}
 
-    /// Folds shipped state (from [`AnyAcc::state_values`] on the same
-    /// slot shape) into this accumulator.
-    fn absorb_state(&mut self, vals: &[Value]) {
-        match self {
-            AnyAcc::Builtin(a) => a.merge_state(vals),
-            AnyAcc::Udaf(u) => {
-                if let Some(v) = vals.first() {
-                    u.merge(v);
+/// One aggregate slot as the operator runs it: the bound slot, how the
+/// lane path reads its argument and where its state lives.
+struct Slot {
+    bound: AggSlot,
+    eval: SlotEval,
+    state: SlotState,
+}
+
+impl Slot {
+    /// Classifies `slots` and lays their state out: word kinds side by
+    /// side in slot order, then one side accumulator per other slot.
+    /// Returns them with the words and side accumulators per group.
+    fn plan(slots: Vec<AggSlot>) -> (Vec<Slot>, usize, usize) {
+        let (mut words, mut side) = (0, 0);
+        let slots = slots.into_iter().map(|bound| {
+            let state = match &bound.factory {
+                AccFactory::Builtin(kind) => WordAgg::of(*kind),
+                AccFactory::Udaf(_) => None,
+            };
+            let state = match state {
+                Some(agg) => {
+                    words += agg.width();
+                    SlotState::Word {
+                        agg,
+                        off: words - agg.width(),
+                    }
                 }
-            }
-        }
+                None => {
+                    side += 1;
+                    SlotState::Side(side - 1)
+                }
+            };
+            let eval = SlotEval::classify(&bound);
+            Slot { bound, eval, state }
+        });
+        (slots.collect(), words, side)
     }
-}
 
-/// Number of state values one slot ships per group during migration.
-fn slot_state_width(slot: &AggSlot) -> usize {
-    match &slot.factory {
-        AccFactory::Builtin(kind) => qap_expr::state_width(*kind),
-        AccFactory::Udaf(_) => 1,
-    }
-}
-
-impl AggSlot {
-    fn fresh(&self) -> AnyAcc {
-        match &self.factory {
+    /// A fresh side accumulator, for a slot that keeps one.
+    fn fresh_side(&self) -> Option<AnyAcc> {
+        let SlotState::Side(_) = self.state else {
+            return None;
+        };
+        Some(match &self.bound.factory {
             AccFactory::Builtin(kind) => AnyAcc::Builtin(make_accumulator(*kind)),
             AccFactory::Udaf(u) => AnyAcc::Udaf(u.init()),
+        })
+    }
+
+    /// Folds one argument value into a group's state: updated, or
+    /// merged when the slot takes partials.
+    fn fold_value(&self, words: &mut [u64], side: &mut [AnyAcc], v: &Value) {
+        match (self.state, self.bound.merge) {
+            (SlotState::Word { agg, off }, false) => agg.update(&mut words[off..], v),
+            (SlotState::Word { agg, off }, true) => agg.merge(&mut words[off..], v),
+            (SlotState::Side(i), false) => side[i].update(v),
+            (SlotState::Side(i), true) => side[i].merge(v),
         }
     }
 
-    /// Folds one input row into `acc`: the argument's value (every row
-    /// counts for `COUNT(*)`), merged when the slot takes partials.
-    fn fold(&self, acc: &mut AnyAcc, row: &Tuple) -> ExecResult<()> {
-        let v = match &self.arg {
+    /// Folds one input row: the argument's value (every row counts for
+    /// `COUNT(*)`).
+    fn fold(&self, words: &mut [u64], side: &mut [AnyAcc], row: &Tuple) -> ExecResult<()> {
+        let v = match &self.bound.arg {
             Some(e) => e.eval(row)?,
             None => Value::Bool(true),
         };
-        if self.merge {
-            acc.merge(&v);
-        } else {
-            acc.update(&v);
-        }
+        self.fold_value(words, side, &v);
         Ok(())
     }
+
+    /// The slot's value for a closing window: its partial when the
+    /// slot emits partials (a built-in's is its final value).
+    fn close(&self, words: &[u64], side: &[AnyAcc]) -> Value {
+        match self.state {
+            SlotState::Word { agg, off } => agg.finalize(&words[off..]),
+            SlotState::Side(i) if self.bound.emit_partial => side[i].partial(),
+            SlotState::Side(i) => side[i].finalize(),
+        }
+    }
+
+    /// Number of state values the slot ships per group in migration.
+    fn state_width(&self) -> usize {
+        match &self.bound.factory {
+            AccFactory::Builtin(kind) => qap_expr::state_width(*kind),
+            AccFactory::Udaf(_) => 1,
+        }
+    }
+
+    fn state_values(&self, words: &[u64], side: &[AnyAcc], out: &mut Vec<Value>) {
+        match self.state {
+            SlotState::Word { agg, off } => agg.state_values(&words[off..], out),
+            SlotState::Side(i) => out.push(side[i].partial()),
+        }
+    }
+
+    fn absorb_state(&self, words: &mut [u64], side: &mut [AnyAcc], vals: &[Value]) {
+        match (self.state, vals.first()) {
+            (SlotState::Word { agg, off }, _) => agg.merge_state(&mut words[off..], vals),
+            (SlotState::Side(i), Some(v)) => side[i].merge(v),
+            (SlotState::Side(_), None) => {}
+        }
+    }
+}
+
+/// Fresh side accumulators for a new group.
+fn fresh_side(slots: &[Slot]) -> impl Iterator<Item = AnyAcc> + '_ {
+    slots.iter().filter_map(Slot::fresh_side)
 }
 
 /// How the lane path reads one group-key expression, classified once
@@ -196,12 +246,13 @@ impl KeyEval {
     }
 }
 
-/// How the lane path folds one aggregate slot, classified once at
-/// operator construction (the per-batch [`SlotLane`] refines it).
+/// How the lane path reads one aggregate slot's argument, classified
+/// once at operator construction (the per-batch [`SlotLane`] refines
+/// it).
 enum SlotEval {
     /// `COUNT(*)`: an unconditional increment.
     CountStar,
-    /// Non-merge fold of a plain column argument, read off its lane.
+    /// A plain column argument, read off its lane.
     Col(usize),
     /// Evaluate the argument expression, then update or merge.
     General,
@@ -220,9 +271,6 @@ fn div_q(x: u64, div: u64, magic: u64) -> u64 {
 
 impl SlotEval {
     fn classify(slot: &AggSlot) -> SlotEval {
-        if slot.merge {
-            return SlotEval::General;
-        }
         match (&slot.factory, &slot.arg) {
             (AccFactory::Builtin(AggKind::Count), None) => SlotEval::CountStar,
             (_, Some(BoundExpr::Column(i))) => SlotEval::Col(*i),
@@ -244,10 +292,7 @@ pub(crate) struct AggregateOp {
     /// Index (within the group key) of the temporal attribute that
     /// defines the window.
     temporal_idx: usize,
-    slots: Vec<AggSlot>,
-    /// Lane shapes of the `slots` folds, classified once (parallel
-    /// vector).
-    slot_evals: Vec<SlotEval>,
+    slots: Vec<Slot>,
     having: Option<BoundExpr>,
     /// HAVING compiled against the output schema (None: no HAVING, or
     /// outside the kernel domain), run over each closed window's lanes.
@@ -261,9 +306,10 @@ pub(crate) struct AggregateOp {
     window: Vec<Column>,
     current_bucket: Option<i128>,
     /// Current window's groups, in insertion order (deterministic
-    /// flush). The payload width is `slots.len()`: entry `e` owns the
-    /// accumulator slice `e*width..(e+1)*width` in the table's flat
-    /// payload arena, so the per-tuple fold touches contiguous state.
+    /// flush). Each group's word-kind state sits in one run of the
+    /// table's word arena, so the per-tuple fold touches contiguous
+    /// words; `MIN`, `MAX` and UDAF slots keep an [`AnyAcc`] each in
+    /// its side arena.
     groups: GroupTable<AnyAcc>,
     /// Groups whose temporal attribute is NULL (outer-join padding):
     /// they belong to no window, accumulate for the whole stream, and
@@ -336,9 +382,9 @@ impl AggregateOp {
         } = b;
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         let having_kernel = having.as_ref().and_then(PredicateKernel::compile);
+        let (slots, words, side) = Slot::plan(slots);
         AggregateOp {
             key_evals: group_exprs.iter().map(KeyEval::classify).collect(),
-            slot_evals: slots.iter().map(SlotEval::classify).collect(),
             predicate,
             group_exprs,
             temporal_idx,
@@ -347,8 +393,8 @@ impl AggregateOp {
             having_scratch: KernelScratch::new(),
             window: Vec::new(),
             current_bucket: None,
-            groups: GroupTable::new(slots.len()),
-            null_groups: GroupTable::new(slots.len()),
+            groups: GroupTable::new(words, side),
+            null_groups: GroupTable::new(words, side),
             late: 0,
             flushes: 0,
             flush_ns: 0,
@@ -387,22 +433,30 @@ impl AggregateOp {
     /// `null_window` the NULL-window groups — as one batch of lanes: a
     /// lane per group key, straight off the table's words while the
     /// window is all-unsigned, then a lane per aggregate slot of its
-    /// finalized (or partial) values. HAVING filters that batch — the
-    /// compiled kernel, or the interpreter over the same lanes when the
-    /// kernel refuses the predicate or bails — and the survivors leave
-    /// by `append_gather`. The lanes are reused from flush to flush.
+    /// finalized (or partial) values — `COUNT` and `OR_AGGR` copied off
+    /// their state words. HAVING filters that batch — the compiled
+    /// kernel, or the interpreter over the same lanes when the kernel
+    /// refuses the predicate or bails — and the survivors leave by
+    /// `append_gather`. The lanes are reused from flush to flush.
     fn emit(&mut self, null_window: bool, out: &mut ColumnBatch) -> ExecResult<()> {
         let table = if null_window {
             &self.null_groups
         } else {
             &self.groups
         };
-        let (keys, accs, n) = table.window();
+        let Window {
+            keys,
+            words,
+            side,
+            len: n,
+        } = table.window();
         if n == 0 {
             return Ok(());
         }
         let arity = self.group_exprs.len();
         let width = self.slots.len();
+        // Each arena holds exactly `n` entries' runs.
+        let (words_w, side_w) = (words.len() / n, side.len() / n);
         let mut cols = std::mem::take(&mut self.window);
         cols.resize_with(arity + width, Column::new);
         // An unsigned lane keeps its capacity; any other starts afresh,
@@ -421,13 +475,18 @@ impl AggregateOp {
                 WindowKeys::Values(v) => v[k..].iter().step_by(arity).for_each(|x| c.push(x)),
             }
         }
-        for (k, (slot, c)) in self.slots.iter().zip(slot_cols).enumerate() {
-            let mut vals = accs[k..].iter().step_by(width).map(|acc| {
-                if slot.emit_partial {
-                    acc.partial()
-                } else {
-                    acc.finalize()
-                }
+        for (slot, c) in self.slots.iter().zip(slot_cols) {
+            if let SlotState::Word {
+                agg: WordAgg::Count | WordAgg::Or,
+                off,
+            } = slot.state
+            {
+                c.extend_uints(words[off..].iter().step_by(words_w).copied());
+                continue;
+            }
+            let mut vals = (0..n).map(|e| {
+                let w = &words[e * words_w..(e + 1) * words_w];
+                slot.close(w, &side[e * side_w..(e + 1) * side_w])
             });
             // Unsigned values in one extend, up to the first of another
             // kind; that one and the rest are pushed.
@@ -492,6 +551,28 @@ impl AggregateOp {
         Ok(true)
     }
 
+    /// Finds or creates the group of the key in `key_scratch` (hashed
+    /// to `hash`): in the NULL-window table when its window attribute
+    /// is NULL (e.g. outer-join padding: no window ever closes over it,
+    /// so it accumulates until end-of-stream), else in the current
+    /// window once [`AggregateOp::admit`] lets it in. Returns whether
+    /// the group is a NULL-window one and its entry, `None` for a late
+    /// key.
+    fn group_of(&mut self, hash: u64, out: &mut ColumnBatch) -> ExecResult<Option<(bool, usize)>> {
+        let temporal = &self.key_scratch[self.temporal_idx];
+        let null = temporal.is_null();
+        if !null && !self.admit(bucket_of(temporal), out)? {
+            return Ok(None);
+        }
+        let table = if null {
+            &mut self.null_groups
+        } else {
+            &mut self.groups
+        };
+        let e = table.get_or_insert(hash, &mut self.key_scratch, fresh_side(&self.slots));
+        Ok(Some((null, e)))
+    }
+
     /// The per-tuple algorithm (Section 3.1), for a tuple the predicate
     /// has kept: evaluate the group key into the reused scratch —
     /// hashing it in the same pass — find or create its group in the
@@ -505,30 +586,17 @@ impl AggregateOp {
             vh.add(&v);
             self.key_scratch.push(v);
         }
-        let hash = vh.finish();
-        let temporal = &self.key_scratch[self.temporal_idx];
-        let accs = if temporal.is_null() {
-            // NULL window attribute (e.g. outer-join padding): no
-            // window ever closes over it, so accumulate until
-            // end-of-stream.
-            self.null_groups.get_or_insert(
-                hash,
-                &mut self.key_scratch,
-                self.slots.iter().map(AggSlot::fresh),
-            )
-        } else {
-            let bucket = bucket_of(temporal);
-            if !self.admit(bucket, out)? {
-                return Ok(());
-            }
-            self.groups.get_or_insert(
-                hash,
-                &mut self.key_scratch,
-                self.slots.iter().map(AggSlot::fresh),
-            )
+        let Some((null, e)) = self.group_of(vh.finish(), out)? else {
+            return Ok(());
         };
-        for (slot, acc) in self.slots.iter().zip(accs) {
-            slot.fold(acc, tuple)?;
+        let table = if null {
+            &mut self.null_groups
+        } else {
+            &mut self.groups
+        };
+        let (words, side) = table.payload_mut(e);
+        for slot in &self.slots {
+            slot.fold(words, side, tuple)?;
         }
         Ok(())
     }
@@ -575,25 +643,30 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Folds row `r` into a group's accumulators. The per-batch
-    /// [`SlotLane`] classification hoists the lane resolution out of
-    /// the row loop: `Count` increments, `Word` folds straight off its
-    /// captured unsigned lane, and everything else takes [`fold_row`].
+    /// Folds row `r` into a group's state. The per-batch [`SlotLane`]
+    /// classification hoists the lane resolution out of the row loop:
+    /// `Count` increments, `Word` folds straight off its captured
+    /// unsigned lane, and everything else takes [`fold_row`].
     #[inline(always)]
     fn fold_lanes(
-        slots: &[AggSlot],
-        slot_evals: &[SlotEval],
+        slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        accs: &mut [AnyAcc],
+        words: &mut [u64],
+        side: &mut [AnyAcc],
         batch: &ColumnBatch,
         r: usize,
         row: &mut Tuple,
     ) -> ExecResult<()> {
-        for (k, (lane, acc)) in slot_lanes.iter().zip(accs).enumerate() {
-            match lane {
-                SlotLane::Count => acc.count(),
-                SlotLane::Word(l) => acc.fold_uint(l[r]),
-                SlotLane::Row => fold_row(&slots[k], &slot_evals[k], acc, batch, r, row)?,
+        for (slot, lane) in slots.iter().zip(slot_lanes) {
+            match *lane {
+                SlotLane::Count(off) => words[off] += 1,
+                SlotLane::Word {
+                    agg,
+                    merge,
+                    off,
+                    lane,
+                } => agg.fold_uint(&mut words[off..], lane[r], merge),
+                SlotLane::Row => fold_row(slot, words, side, batch, r, row)?,
             }
         }
         Ok(())
@@ -602,15 +675,14 @@ impl AggregateOp {
     /// Entry-major fold over one window segment of the all-unsigned fast
     /// path: each `ents` word packs `(group entry << 32) | row` (late
     /// rows absent). One pass touches each row's group once and folds
-    /// all of its slots together — a group's accumulators sit side by
-    /// side in the payload arena — and each accumulator sees its rows in
+    /// all of its slots together — a group's state words sit side by
+    /// side in the word arena — and each accumulator sees its rows in
     /// row order, so any order-sensitive UDAF state observes the update
     /// sequence the row path produces.
     fn fold_segment(
-        slots: &[AggSlot],
-        slot_evals: &[SlotEval],
+        slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        payloads: &mut [AnyAcc],
+        table: &mut GroupTable<AnyAcc>,
         ents: &[u64],
         batch: &ColumnBatch,
         row_scratch: &mut Tuple,
@@ -624,59 +696,49 @@ impl AggregateOp {
             4 => Self::fold_entries::<4>,
             _ => Self::fold_entries::<0>,
         };
-        fold(
-            slots,
-            slot_evals,
-            slot_lanes,
-            payloads,
-            ents,
-            batch,
-            row_scratch,
-        )
+        fold(slots, slot_lanes, table, ents, batch, row_scratch)
     }
 
     /// [`AggregateOp::fold_segment`]'s loop for `W` slots (`0`: any).
     fn fold_entries<const W: usize>(
-        slots: &[AggSlot],
-        slot_evals: &[SlotEval],
+        slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        payloads: &mut [AnyAcc],
+        table: &mut GroupTable<AnyAcc>,
         ents: &[u64],
         batch: &ColumnBatch,
         row_scratch: &mut Tuple,
     ) -> ExecResult<()> {
         let width = if W == 0 { slots.len() } else { W };
-        let slot_lanes = &slot_lanes[..width];
+        let (slots, slot_lanes) = (&slots[..width], &slot_lanes[..width]);
         for &er in ents {
-            let e = (er >> 32) as usize;
-            let accs = &mut payloads[e * width..(e + 1) * width];
+            let (words, side) = table.payload_mut((er >> 32) as usize);
             let r = er as u32 as usize;
-            Self::fold_lanes(slots, slot_evals, slot_lanes, accs, batch, r, row_scratch)?;
+            Self::fold_lanes(slots, slot_lanes, words, side, batch, r, row_scratch)?;
         }
         Ok(())
     }
 }
 
 /// The per-row fold of a [`SlotLane::Row`] slot, shared by both lane
-/// folds: a column argument updates straight off its lane, anything
-/// else evaluates against row `r` materialized into `row`.
+/// folds: a column argument folds straight off its lane, anything else
+/// evaluates against row `r` materialized into `row`.
 #[inline(never)]
 fn fold_row(
-    slot: &AggSlot,
-    ev: &SlotEval,
-    acc: &mut AnyAcc,
+    slot: &Slot,
+    words: &mut [u64],
+    side: &mut [AnyAcc],
     batch: &ColumnBatch,
     r: usize,
     row: &mut Tuple,
 ) -> ExecResult<()> {
-    match ev {
+    match slot.eval {
         SlotEval::Col(i) => {
-            acc.update(&batch.column(*i).value(r));
+            slot.fold_value(words, side, &batch.column(i).value(r));
             Ok(())
         }
         SlotEval::CountStar | SlotEval::General => {
             batch.write_row_into(r, row);
-            slot.fold(acc, row)
+            slot.fold(words, side, row)
         }
     }
 }
@@ -688,7 +750,7 @@ fn fold_row(
 /// event, so the rebuild is off every hot path.
 fn extract_from_table(
     table: &mut GroupTable<AnyAcc>,
-    slots: &[AggSlot],
+    slots: &[Slot],
     arity: usize,
     pred: &mut dyn FnMut(&[Value]) -> bool,
     out: &mut ColumnBatch,
@@ -696,18 +758,22 @@ fn extract_from_table(
     if table.is_empty() {
         return;
     }
-    let width = slots.len();
-    let (keys, payloads, n) = table.take_entries();
+    let (keys, words, side, n) = table.take_entries();
+    let (words_w, side_w) = (words.len() / n, side.len() / n);
     let mut key_iter = keys.into_iter();
-    let mut pay_iter = payloads.into_iter();
+    let mut side_iter = side.into_iter();
     let mut scratch: Vec<Value> = Vec::with_capacity(arity);
-    for _ in 0..n {
+    let mut accs: Vec<AnyAcc> = Vec::with_capacity(side_w);
+    for e in 0..n {
+        let w = &words[e * words_w..(e + 1) * words_w];
         scratch.clear();
         scratch.extend(key_iter.by_ref().take(arity));
+        accs.extend(side_iter.by_ref().take(side_w));
         if pred(&scratch) {
-            for acc in pay_iter.by_ref().take(width) {
-                acc.state_values(&mut scratch);
+            for slot in slots {
+                slot.state_values(w, &accs, &mut scratch);
             }
+            accs.clear();
             let row = Tuple::new(std::mem::take(&mut scratch));
             emit_row(out, &row);
             scratch = row.into_values();
@@ -716,7 +782,8 @@ fn extract_from_table(
             for v in &scratch {
                 vh.add(v);
             }
-            table.insert_new(vh.finish(), &mut scratch, pay_iter.by_ref().take(width));
+            let e = table.insert_new(vh.finish(), &mut scratch, accs.drain(..));
+            table.payload_mut(e).0.copy_from_slice(w);
         }
     }
 }
@@ -1052,29 +1119,40 @@ fn materialize_key_lanes(
 
 /// One aggregate slot's per-batch fold source: the lane-resolved
 /// refinement of [`SlotEval`], classified once per batch.
+#[derive(Clone, Copy)]
 enum SlotLane<'a> {
-    /// `COUNT(*)`: unconditional increment.
-    Count,
-    /// A non-merge fold of a non-null unsigned lane:
-    /// [`AnyAcc::fold_uint`] off the captured lane.
-    Word(&'a [u64]),
+    /// `COUNT(*)`: the count word at `off` goes up by one.
+    Count(usize),
+    /// A word kind folded off a non-null unsigned lane:
+    /// [`WordAgg::fold_uint`] on the words at `off`.
+    Word {
+        agg: WordAgg,
+        merge: bool,
+        off: usize,
+        lane: &'a [u64],
+    },
     /// Everything else: [`fold_row`].
     Row,
 }
 
-fn classify_slot_lanes<'a>(slot_evals: &[SlotEval], batch: &'a ColumnBatch) -> Vec<SlotLane<'a>> {
-    slot_evals
+fn classify_slot_lanes<'a>(slots: &[Slot], batch: &'a ColumnBatch) -> Vec<SlotLane<'a>> {
+    slots
         .iter()
-        .map(|ev| match ev {
-            SlotEval::CountStar => SlotLane::Count,
-            SlotEval::Col(i) => {
+        .map(|slot| match (&slot.eval, slot.state) {
+            (SlotEval::CountStar, SlotState::Word { off, .. }) => SlotLane::Count(off),
+            (SlotEval::Col(i), SlotState::Word { agg, off }) => {
                 let c = batch.column(*i);
                 match (c.uints(), c.has_nulls()) {
-                    (Some(l), false) => SlotLane::Word(l),
+                    (Some(lane), false) => SlotLane::Word {
+                        agg,
+                        merge: slot.bound.merge,
+                        off,
+                        lane,
+                    },
                     _ => SlotLane::Row,
                 }
             }
-            SlotEval::General => SlotLane::Row,
+            _ => SlotLane::Row,
         })
         .collect()
 }
@@ -1146,7 +1224,7 @@ impl Operator for AggregateOp {
         }
         let arity = self.group_exprs.len();
         let rows = batch.rows();
-        let slot_lanes = classify_slot_lanes(&self.slot_evals, batch);
+        let slot_lanes = classify_slot_lanes(&self.slots, batch);
         // All-unsigned keys — the shape of every §6 query — take the
         // word fast path: one row-major word buffer per batch serves as
         // hash input, probe key, window-bucket source, and insert key,
@@ -1180,9 +1258,8 @@ impl Operator for AggregateOp {
                     Some(cur) if bucket > cur => {
                         Self::fold_segment(
                             &self.slots,
-                            &self.slot_evals,
                             &slot_lanes,
-                            self.groups.payloads_mut(),
+                            &mut self.groups,
                             &ents,
                             batch,
                             &mut self.row_scratch,
@@ -1198,20 +1275,16 @@ impl Operator for AggregateOp {
                     Some(_) => {}
                     None => self.current_bucket = Some(bucket),
                 }
-                let e = self.groups.upsert_u64(
-                    hash,
-                    key,
-                    &mut walked,
-                    self.slots.iter().map(AggSlot::fresh),
-                );
+                let e = self
+                    .groups
+                    .upsert_u64(hash, key, &mut walked, fresh_side(&self.slots));
                 ents.push((e as u64) << 32 | r as u64);
             }
             self.groups.add_probes(walked);
             Self::fold_segment(
                 &self.slots,
-                &self.slot_evals,
                 &slot_lanes,
-                self.groups.payloads_mut(),
+                &mut self.groups,
                 &ents,
                 batch,
                 &mut self.row_scratch,
@@ -1262,22 +1335,17 @@ impl Operator for AggregateOp {
                     key_matches_lanes(&lanes, q_lanes, r, key)
                 })
             };
-            let accs = match found {
-                Some(e) => self.groups.payload_mut(e),
-                None => {
-                    materialize_key_lanes(&lanes, &self.q_lanes, r, &mut self.key_scratch);
-                    self.groups.insert_new(
-                        hash,
-                        &mut self.key_scratch,
-                        self.slots.iter().map(AggSlot::fresh),
-                    )
-                }
-            };
+            let e = found.unwrap_or_else(|| {
+                materialize_key_lanes(&lanes, &self.q_lanes, r, &mut self.key_scratch);
+                self.groups
+                    .insert_new(hash, &mut self.key_scratch, fresh_side(&self.slots))
+            });
+            let (words, side) = self.groups.payload_mut(e);
             Self::fold_lanes(
                 &self.slots,
-                &self.slot_evals,
                 &slot_lanes,
-                accs,
+                words,
+                side,
                 batch,
                 r,
                 &mut self.row_scratch,
@@ -1339,7 +1407,7 @@ impl Operator for AggregateOp {
     /// aligns both hosts on the boundary bucket before shipping.
     fn absorb_state(&mut self, state: &ColumnBatch, out: &mut ColumnBatch) -> ExecResult<()> {
         let arity = self.group_exprs.len();
-        let state_w: usize = self.slots.iter().map(slot_state_width).sum();
+        let state_w: usize = self.slots.iter().map(Slot::state_width).sum();
         if state.is_empty() {
             return Ok(());
         }
@@ -1359,30 +1427,21 @@ impl Operator for AggregateOp {
                 vh.add(&v);
                 self.key_scratch.push(v);
             }
-            let hash = vh.finish();
-            let accs = if self.key_scratch[self.temporal_idx].is_null() {
-                self.null_groups.get_or_insert(
-                    hash,
-                    &mut self.key_scratch,
-                    self.slots.iter().map(AggSlot::fresh),
-                )
-            } else {
-                let bucket = bucket_of(&self.key_scratch[self.temporal_idx]);
-                if !self.admit(bucket, out)? {
-                    continue;
-                }
-                self.groups.get_or_insert(
-                    hash,
-                    &mut self.key_scratch,
-                    self.slots.iter().map(AggSlot::fresh),
-                )
+            let Some((null, e)) = self.group_of(vh.finish(), out)? else {
+                continue;
             };
+            let table = if null {
+                &mut self.null_groups
+            } else {
+                &mut self.groups
+            };
+            let (words, side) = table.payload_mut(e);
             vals.clear();
             vals.extend(states.iter().map(|c| c.value(r)));
             let mut off = 0;
-            for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
-                let w = slot_state_width(slot);
-                acc.absorb_state(&vals[off..off + w]);
+            for slot in &self.slots {
+                let w = slot.state_width();
+                slot.absorb_state(words, side, &vals[off..off + w]);
                 off += w;
             }
         }

@@ -16,8 +16,8 @@
 //!   enough to live in cache while it is hot, and the layout matches
 //!   the paper's per-partition → global aggregation structure
 //!   (Section 5.2.2: sub-aggregates per partition, one global arena);
-//! - a probe loads one 16-byte slot (cached hash + entry id), rejects
-//!   on hash mismatch without touching the key arena, and walks
+//! - a probe loads one 8-byte slot (the hash's low 32 bits + entry id),
+//!   rejects on a tag mismatch without touching the key arena, and walks
 //!   linearly — no collision-chain pointer chasing across side arrays;
 //! - keys live in one **global** flat arena (`arity` keys per entry)
 //!   shared by all partitions, so entries stay in insertion order
@@ -32,10 +32,13 @@
 //!   [`GroupTable::take_entries`] — and the first non-unsigned key
 //!   poisons the word arena for the window (the `Value` probe is always
 //!   available and always exact);
-//! - payloads live in a second flat arena (`width` slots per entry), so
-//!   the per-tuple fold updates contiguous accumulator state instead of
-//!   dereferencing a per-group heap `Vec`, and creating a group extends
-//!   the arena in place — again no allocation per group;
+//! - payloads live in two more flat arenas: `u64` **state words** (a
+//!   fixed count per entry, all zero when the group is created) and
+//!   `side` payloads for state that is not words (a fixed count per
+//!   entry, often none). The per-tuple fold updates contiguous words
+//!   instead of dereferencing a per-group heap `Vec`, creating a group
+//!   extends the arenas in place — again no allocation per group — and
+//!   a table without side payloads clears with no drop loop;
 //! - entries stay in insertion order (arena append order), so closing a
 //!   window reads the arenas front to back — no re-hash, no order
 //!   side-vector, no clones.
@@ -52,9 +55,10 @@
 
 use qap_types::Value;
 
-/// One open-addressed index slot: the entry's cached hash and its
-/// arena index *plus one* (`0` marks a vacant slot).
-type Slot = (u64, u32);
+/// One open-addressed index slot: the low 32 bits of the entry's hash
+/// (its tag) and its arena index *plus one* (`0` marks a vacant slot).
+/// A tag match on a different key walks on, as a hash match would.
+type Slot = (u32, u32);
 
 /// Number of first-level partitions (must be a power of two).
 const PARTITIONS: usize = 128;
@@ -83,17 +87,22 @@ struct Partition {
 
 impl Partition {
     /// Doubles the slot array and re-places every live slot under the
-    /// new mask, from the hashes cached in the slots themselves.
+    /// new mask, from the tags cached in the slots themselves: while the
+    /// mask fits in the tag, a slot goes where its full hash puts it.
     #[cold]
     fn grow(&mut self) {
         let n = (self.slots.len() * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
         self.mask = (n - 1) as u64;
+        debug_assert!(
+            self.mask <= u64::from(u32::MAX),
+            "the tag holds the slot bits"
+        );
         for (h, e1) in old {
             if e1 == 0 {
                 continue;
             }
-            let mut i = (h & self.mask) as usize;
+            let mut i = (u64::from(h) & self.mask) as usize;
             while self.slots[i].1 != 0 {
                 i = (i + 1) & self.mask as usize;
             }
@@ -110,11 +119,21 @@ pub(crate) enum WindowKeys<'a> {
     Values(&'a [Value]),
 }
 
+/// The current window as stored, every arena in insertion order.
+pub(crate) struct Window<'a, P> {
+    pub(crate) keys: WindowKeys<'a>,
+    /// The state words, the same count per entry.
+    pub(crate) words: &'a [u64],
+    /// The side payloads, the same count per entry.
+    pub(crate) side: &'a [P],
+    pub(crate) len: usize,
+}
+
 /// Hash table mapping a fixed-arity `[Value]` key to a fixed-width
-/// payload slice of `P`, preserving insertion order. All keys passed to
-/// one table must share the same arity (an operator's group-key width);
-/// payload width is fixed at construction (an operator's aggregate-slot
-/// count).
+/// payload — a slice of state words and a slice of side payloads `P` —
+/// preserving insertion order. All keys passed to one table must share
+/// the same arity (an operator's group-key width); both payload widths
+/// are fixed at construction (by an operator's aggregate slots).
 pub(crate) struct GroupTable<P> {
     /// First-level partitions, selected by the hash's top bits.
     parts: Vec<Partition>,
@@ -131,11 +150,14 @@ pub(crate) struct GroupTable<P> {
     /// Whether every key inserted since the last drain was all-`UInt`
     /// (so `ukeys` holds every key and word probes are exact).
     ukeys_ok: bool,
-    /// Flat payload storage: entry `e` owns
-    /// `payloads[e*width .. (e+1)*width]`.
-    payloads: Vec<P>,
-    /// Accumulator (payload) slots per entry.
-    width: usize,
+    /// Flat state words: entry `e` owns `words[e*words_w ..
+    /// (e+1)*words_w]`, zeroed when the entry is created.
+    words: Vec<u64>,
+    words_w: usize,
+    /// Flat side payloads: entry `e` owns `side[e*side_w ..
+    /// (e+1)*side_w]`.
+    side: Vec<P>,
+    side_w: usize,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.
     probes: u64,
@@ -145,15 +167,17 @@ pub(crate) struct GroupTable<P> {
 }
 
 impl<P> GroupTable<P> {
-    pub(crate) fn new(width: usize) -> Self {
+    pub(crate) fn new(words_w: usize, side_w: usize) -> Self {
         GroupTable {
             parts: (0..PARTITIONS).map(|_| Partition::default()).collect(),
             len: 0,
             keys: Vec::new(),
             ukeys: Vec::new(),
             ukeys_ok: true,
-            payloads: Vec::new(),
-            width,
+            words: Vec::new(),
+            words_w,
+            side: Vec::new(),
+            side_w,
             probes: 0,
             inserts: 0,
         }
@@ -227,7 +251,7 @@ impl<P> GroupTable<P> {
             if e1 == 0 {
                 break None;
             }
-            if h == hash {
+            if h == hash as u32 {
                 let e = (e1 - 1) as usize;
                 if eq(&self.keys[e * arity..(e + 1) * arity]) {
                     break Some(e);
@@ -239,67 +263,32 @@ impl<P> GroupTable<P> {
         found
     }
 
-    /// Entry index of the group whose key words equal `ukey` — the
-    /// non-mutating form of [`GroupTable::upsert_u64`]'s probe walk,
-    /// kept as a test oracle for word/value probe agreement.
-    #[cfg(test)]
-    fn find_u64(&self, hash: u64, ukey: &[u64]) -> Option<usize> {
-        debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
-        let arity = ukey.len();
-        let p = &self.parts[(hash >> PART_SHIFT) as usize];
-        if p.slots.is_empty() {
-            return None;
-        }
-        let mut i = (hash & p.mask) as usize;
-        loop {
-            let (h, e1) = p.slots[i];
-            if e1 == 0 {
-                return None;
-            }
-            if h == hash {
-                let e = (e1 - 1) as usize;
-                if self.ukeys[e * arity..(e + 1) * arity] == *ukey {
-                    return Some(e);
-                }
-            }
-            i = (i + 1) & p.mask as usize;
-        }
-    }
-
-    /// Mutable payload slice of entry `e` (an index returned by
-    /// [`GroupTable::find_with`]).
+    /// Mutable state words and side payloads of entry `e` (an index
+    /// returned by a probe or an insert).
     #[inline]
-    pub(crate) fn payload_mut(&mut self, e: usize) -> &mut [P] {
-        &mut self.payloads[e * self.width..(e + 1) * self.width]
+    pub(crate) fn payload_mut(&mut self, e: usize) -> (&mut [u64], &mut [P]) {
+        (
+            &mut self.words[e * self.words_w..(e + 1) * self.words_w],
+            &mut self.side[e * self.side_w..(e + 1) * self.side_w],
+        )
     }
 
-    /// Mutable payload slice of `key` (pre-hashed with
-    /// [`crate::fx::hash_values`]), or `None` when the group does not
-    /// exist yet. The hot path goes through
-    /// [`GroupTable::get_or_insert`]; this probe-only form backs the
-    /// unit tests.
-    #[cfg(test)]
-    fn get_mut(&mut self, hash: u64, key: &[Value]) -> Option<&mut [P]> {
-        let e = self.find(hash, key)?;
-        Some(self.payload_mut(e))
-    }
-
-    /// Mutable payload slice of `key`, creating the group when absent:
-    /// the key drains out of the caller's scratch buffer (so the
-    /// scratch keeps its capacity for the next tuple) and the new
-    /// entry's payload slots fill from `fresh`. The single-probe
-    /// hit-or-insert the aggregation inner loop runs per tuple.
+    /// Entry index of `key`, creating the group when absent: the key
+    /// drains out of the caller's scratch buffer (so the scratch keeps
+    /// its capacity for the next tuple), the new entry's words start at
+    /// zero and its side payloads fill from `fresh`. The single-probe
+    /// hit-or-insert of the per-tuple algorithm.
     #[inline]
     pub(crate) fn get_or_insert(
         &mut self,
         hash: u64,
         key: &mut Vec<Value>,
         fresh: impl Iterator<Item = P>,
-    ) -> &mut [P] {
-        if let Some(e) = self.find(hash, key) {
-            return self.payload_mut(e);
+    ) -> usize {
+        match self.find(hash, key) {
+            Some(e) => e,
+            None => self.insert_new(hash, key, fresh),
         }
-        self.insert_new(hash, key, fresh)
     }
 
     /// Sizes the flat arenas the first key of a window goes into for
@@ -320,21 +309,29 @@ impl<P> GroupTable<P> {
             self.keys.reserve(FIRST_ENTRIES * arity);
         }
         self.ukeys.reserve(FIRST_ENTRIES * arity);
-        self.payloads.reserve(FIRST_ENTRIES * self.width);
+        self.words.reserve(FIRST_ENTRIES * self.words_w);
+        self.side.reserve(FIRST_ENTRIES * self.side_w);
+    }
+
+    /// Appends a new entry's payloads: zeroed words, side from `fresh`.
+    fn push_payload(&mut self, fresh: impl Iterator<Item = P>) -> usize {
+        self.words.resize(self.words.len() + self.words_w, 0);
+        self.side.extend(fresh);
+        debug_assert_eq!(self.side.len(), self.len * self.side_w);
+        self.len - 1
     }
 
     /// Inserts a key known to be absent (callers probe first, e.g. via
     /// [`GroupTable::find_with`]), draining it out of the caller's
     /// scratch buffer so the scratch keeps its capacity for the next
-    /// tuple, and filling the entry's payload slots from `fresh`.
-    /// Returns the new entry's payload slice so the caller can fold
-    /// into it directly.
+    /// tuple, zeroing the entry's words and filling its side payloads
+    /// from `fresh`. Returns the new entry's index.
     pub(crate) fn insert_new(
         &mut self,
         hash: u64,
         key: &mut Vec<Value>,
         fresh: impl Iterator<Item = P>,
-    ) -> &mut [P] {
+    ) -> usize {
         if self.len == 0 {
             self.first_entry(key.len(), true);
         }
@@ -350,7 +347,7 @@ impl<P> GroupTable<P> {
         }
         self.len += 1;
         p.len += 1;
-        p.slots[i] = (hash, self.len as u32);
+        p.slots[i] = (hash as u32, self.len as u32);
         // Mirror the key into the word arena while it stays all-`UInt`;
         // the first other kind poisons word probes for this window.
         if self.ukeys_ok {
@@ -366,18 +363,14 @@ impl<P> GroupTable<P> {
             }
         }
         self.keys.append(key);
-        let start = self.payloads.len();
-        self.payloads.extend(fresh);
-        debug_assert_eq!(self.payloads.len(), start + self.width);
-        &mut self.payloads[start..]
+        self.push_payload(fresh)
     }
 
     /// All-unsigned find-or-insert for the columnar fast path: the key
     /// arrives as raw words (one per lane), one probe walk serves both
     /// the lookup and — on a miss — the insert position, and the key
     /// goes into the word arena only (no `Value` is built). Returns the
-    /// entry index (an index into [`GroupTable::payloads_mut`] at
-    /// `width` stride). Callers check [`GroupTable::u64_keys_ok`] and
+    /// entry index. Callers check [`GroupTable::u64_keys_ok`] and
     /// guarantee every word is a `Value::UInt` payload, or the probe is
     /// meaningless.
     ///
@@ -413,7 +406,7 @@ impl<P> GroupTable<P> {
                     landing = Some(i);
                     break;
                 }
-                if h == hash {
+                if h == hash as u32 {
                     let e = (e1 - 1) as usize;
                     // Explicit word loop: group keys are 1-5 words, so
                     // an unrolled compare beats the memcmp call a slice
@@ -445,12 +438,9 @@ impl<P> GroupTable<P> {
         self.inserts += 1;
         self.len += 1;
         p.len += 1;
-        p.slots[i] = (hash, self.len as u32);
+        p.slots[i] = (hash as u32, self.len as u32);
         self.ukeys.extend_from_slice(ukey);
-        let start = self.payloads.len();
-        self.payloads.extend(fresh);
-        debug_assert_eq!(self.payloads.len(), start + self.width);
-        self.len - 1
+        self.push_payload(fresh)
     }
 
     /// Folds a batch's probe tally (accumulated across
@@ -460,24 +450,20 @@ impl<P> GroupTable<P> {
         self.probes += counted;
     }
 
-    /// The whole payload arena — entry `e` owns
-    /// `[e*width .. (e+1)*width]` — for bulk folds.
-    #[inline]
-    pub(crate) fn payloads_mut(&mut self) -> &mut [P] {
-        &mut self.payloads
-    }
-
-    /// The current window as stored — its keys, its payload arena and
-    /// its entry count, all in insertion order — for the caller to close
-    /// before [`GroupTable::clear`]. Word keys are handed over as words:
-    /// no `Value` arena is built to close a window.
-    pub(crate) fn window(&self) -> (WindowKeys<'_>, &[P], usize) {
-        let keys = if self.ukeys_ok {
-            WindowKeys::Words(&self.ukeys)
-        } else {
-            WindowKeys::Values(&self.keys)
-        };
-        (keys, &self.payloads, self.len)
+    /// The current window as stored, for the caller to close before
+    /// [`GroupTable::clear`]. Word keys are handed over as words: no
+    /// `Value` arena is built to close a window.
+    pub(crate) fn window(&self) -> Window<'_, P> {
+        Window {
+            keys: if self.ukeys_ok {
+                WindowKeys::Words(&self.ukeys)
+            } else {
+                WindowKeys::Values(&self.keys)
+            },
+            words: &self.words,
+            side: &self.side,
+            len: self.len,
+        }
     }
 
     /// Empties the table for the next window: arenas and slot storage
@@ -491,19 +477,21 @@ impl<P> GroupTable<P> {
         self.keys.clear();
         self.ukeys.clear();
         self.ukeys_ok = true;
-        self.payloads.clear();
+        self.words.clear();
+        self.side.clear();
     }
 
     /// Takes every entry in insertion order — the flat key arena as
-    /// values (`arity` per entry), the flat payload arena (`width`
-    /// slots per entry) and the entry count — and empties the table.
-    pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<P>, usize) {
+    /// values (`arity` per entry), the word and side arenas and the
+    /// entry count — and empties the table.
+    pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<u64>, Vec<P>, usize) {
         self.sync_keys();
         let n = self.len;
         let keys = std::mem::take(&mut self.keys);
-        let payloads = std::mem::take(&mut self.payloads);
+        let words = std::mem::take(&mut self.words);
+        let side = std::mem::take(&mut self.side);
         self.clear();
-        (keys, payloads, n)
+        (keys, words, side, n)
     }
 }
 
@@ -512,21 +500,62 @@ mod tests {
     use super::*;
     use crate::fx::hash_values;
 
+    /// Probe-only forms of the table's walks, for the tests.
+    impl<P> GroupTable<P> {
+        /// Entry index of the group whose key words equal `ukey` — the
+        /// non-mutating form of [`GroupTable::upsert_u64`]'s probe walk,
+        /// kept as a test oracle for word/value probe agreement.
+        fn find_u64(&self, hash: u64, ukey: &[u64]) -> Option<usize> {
+            debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
+            let arity = ukey.len();
+            let p = &self.parts[(hash >> PART_SHIFT) as usize];
+            if p.slots.is_empty() {
+                return None;
+            }
+            let mut i = (hash & p.mask) as usize;
+            loop {
+                let (h, e1) = p.slots[i];
+                if e1 == 0 {
+                    return None;
+                }
+                if h == hash as u32 {
+                    let e = (e1 - 1) as usize;
+                    if self.ukeys[e * arity..(e + 1) * arity] == *ukey {
+                        return Some(e);
+                    }
+                }
+                i = (i + 1) & p.mask as usize;
+            }
+        }
+
+        /// Mutable side payloads of `key` (pre-hashed with
+        /// [`crate::fx::hash_values`]), or `None` when the group does not
+        /// exist yet. The hot path goes through
+        /// [`GroupTable::get_or_insert`]; this probe-only form backs the
+        /// unit tests.
+        fn get_mut(&mut self, hash: u64, key: &[Value]) -> Option<&mut [P]> {
+            let e = self.find(hash, key)?;
+            Some(self.payload_mut(e).1)
+        }
+    }
+
     fn key(v: u64) -> Vec<Value> {
         vec![Value::UInt(v), Value::UInt(v.wrapping_mul(7))]
     }
 
     #[test]
     fn insert_probe_drain_in_order() {
-        // Width-2 payloads: [v, 0] at insert, second slot bumped on
-        // every probe.
-        let mut t: GroupTable<u64> = GroupTable::new(2);
+        // Width-2 side payloads: [v, 0] at insert, second slot bumped on
+        // every probe; one state word, zero at insert, set to `v + 1`.
+        let mut t: GroupTable<u64> = GroupTable::new(1, 2);
         for v in 0..100u64 {
             let mut k = key(v);
             let h = hash_values(&k);
             assert!(t.get_mut(h, &k).is_none());
-            let p = t.insert_new(h, &mut k, [v, 0].into_iter());
-            assert_eq!(p, &mut [v, 0]);
+            let e = t.insert_new(h, &mut k, [v, 0].into_iter());
+            let (words, side) = t.payload_mut(e);
+            assert_eq!((&*words, &*side), (&[0][..], &[v, 0][..]));
+            words[0] = v + 1;
             assert!(k.is_empty(), "insert drains the scratch key");
         }
         for v in 0..100u64 {
@@ -534,8 +563,9 @@ mod tests {
             let h = hash_values(&k);
             t.get_mut(h, &k).expect("present")[1] += 1;
         }
-        let (arena, payloads, n) = t.take_entries();
+        let (arena, words, payloads, n) = t.take_entries();
         assert_eq!(n, 100);
+        assert_eq!(words, (1..=100u64).collect::<Vec<u64>>());
         assert_eq!(
             payloads,
             (0..100u64).flat_map(|v| [v, 1]).collect::<Vec<u64>>()
@@ -559,15 +589,16 @@ mod tests {
         let sized = |t: &GroupTable<u64>, values: bool| {
             assert_eq!(t.keys.capacity() >= FIRST_ENTRIES * 2, values);
             assert!(t.ukeys.capacity() >= FIRST_ENTRIES * 2);
-            assert!(t.payloads.capacity() >= FIRST_ENTRIES * 3);
+            assert!(t.words.capacity() >= FIRST_ENTRIES * 5);
+            assert!(t.side.capacity() >= FIRST_ENTRIES * 3);
         };
-        let mut by_value: GroupTable<u64> = GroupTable::new(3);
+        let mut by_value: GroupTable<u64> = GroupTable::new(5, 3);
         let mut k = key(1);
         let h = hash_values(&k);
         by_value.insert_new(h, &mut k, [0, 0, 0].into_iter());
         sized(&by_value, true);
 
-        let mut by_word: GroupTable<u64> = GroupTable::new(3);
+        let mut by_word: GroupTable<u64> = GroupTable::new(5, 3);
         by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
         sized(&by_word, false);
         // A closed window keeps what it had.
@@ -579,7 +610,7 @@ mod tests {
     #[test]
     fn zero_width_payloads_count_entries() {
         // DISTINCT-style use: groups with no aggregate slots.
-        let mut t: GroupTable<u64> = GroupTable::new(0);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 0);
         for v in 0..10u64 {
             let mut k = key(v);
             let h = hash_values(&k);
@@ -587,9 +618,9 @@ mod tests {
                 t.insert_new(h, &mut k, std::iter::empty());
             }
         }
-        let (arena, payloads, n) = t.take_entries();
+        let (arena, words, payloads, n) = t.take_entries();
         assert_eq!(n, 10);
-        assert!(payloads.is_empty());
+        assert!(words.is_empty() && payloads.is_empty());
         assert_eq!(arena.len(), 20);
     }
 
@@ -597,18 +628,25 @@ mod tests {
     fn colliding_hashes_resolve_by_key() {
         // Force identical hashes: linear probing must fall through to
         // the key comparison and keep both entries reachable.
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         let (mut a, mut b) = (key(1), key(2));
         t.insert_new(42, &mut a, [10].into_iter());
         t.insert_new(42, &mut b, [20].into_iter());
         assert_eq!(t.get_mut(42, &key(1)), Some(&mut [10u64][..]));
         assert_eq!(t.get_mut(42, &key(2)), Some(&mut [20u64][..]));
         assert!(t.get_mut(42, &key(3)).is_none());
+        // Same partition, same low 32 bits: the tags match, the keys
+        // decide.
+        let mut c = key(3);
+        let far = 42 | 1 << 40;
+        t.insert_new(far, &mut c, [30].into_iter());
+        assert_eq!(t.get_mut(far, &key(3)), Some(&mut [30u64][..]));
+        assert_eq!(t.get_mut(42, &key(1)), Some(&mut [10u64][..]));
     }
 
     #[test]
     fn u64_probe_agrees_with_value_probe() {
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         for v in 0..200u64 {
             let mut k = key(v);
             let h = hash_values(&k);
@@ -633,7 +671,7 @@ mod tests {
         // value-inserted ones: both probes find them, a re-upsert hits
         // instead of duplicating, and the drained key arena holds real
         // `UInt` values.
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         let words = [5u64, 35];
         let k = key(5);
         let h = hash_values(&k);
@@ -647,17 +685,17 @@ mod tests {
         );
         assert!(walked >= 1, "hit walks are tallied into the register");
         assert!(t.keys.is_empty(), "word upserts build no values");
-        t.payloads_mut()[e] += 1;
+        t.payload_mut(e).1[0] += 1;
         assert_eq!(t.find_u64(h, &words), Some(0));
         assert_eq!(t.find_with(h, 2, |s| s == k.as_slice()), Some(0));
-        let (arena, payloads, n) = t.take_entries();
+        let (arena, _, payloads, n) = t.take_entries();
         assert_eq!((n, payloads.as_slice()), (1, &[10u64][..]));
         assert_eq!(arena, k);
     }
 
     /// `n` two-word keys, in order, upserted as words.
     fn by_words(n: u64) -> GroupTable<u64> {
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         let mut walked = 0;
         for v in 0..n {
             let h = hash_values(&key(v));
@@ -669,7 +707,7 @@ mod tests {
 
     /// The same keys inserted as values, each probed first.
     fn by_values(n: u64) -> GroupTable<u64> {
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         for v in 0..n {
             let mut k = key(v);
             let h = hash_values(&k);
@@ -701,10 +739,15 @@ mod tests {
         let mut signed = vec![Value::UInt(1), Value::Int(-1)];
         t.insert_new(hash_values(&signed), &mut signed, [7].into_iter());
         assert!(!t.u64_keys_ok(), "the signed key poisons word probes");
-        let (WindowKeys::Values(keys), payloads, n) = t.window() else {
-            panic!("a poisoned window hands over values");
+        let Window {
+            keys: WindowKeys::Values(keys),
+            side: payloads,
+            len: 301,
+            ..
+        } = t.window()
+        else {
+            panic!("a poisoned window hands over its 301 values");
         };
-        assert_eq!(n, 301);
         let mut want: Vec<Value> = (0..300u64).flat_map(key).collect();
         want.extend([Value::UInt(1), Value::Int(-1)]);
         assert_eq!(keys, want.as_slice());
@@ -720,7 +763,11 @@ mod tests {
         assert_eq!(words.insert_count(), values.insert_count());
         assert_eq!(words.slot_count(), values.slot_count());
         match words.window() {
-            (WindowKeys::Words(w), _, 5_000) => {
+            Window {
+                keys: WindowKeys::Words(w),
+                len: 5_000,
+                ..
+            } => {
                 assert_eq!(w[..4], [0, 0, 1, 7]);
             }
             _ => panic!("an all-unsigned window hands over words"),
@@ -730,7 +777,7 @@ mod tests {
 
     #[test]
     fn non_uint_key_poisons_u64_probe_until_drain() {
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         let mut k = key(3);
         t.insert_new(hash_values(&k), &mut k, [1].into_iter());
         assert!(t.u64_keys_ok());
@@ -751,7 +798,7 @@ mod tests {
     fn partitions_grow_independently_and_drain_in_insertion_order() {
         // Enough keys to force growth in many partitions; the drain
         // must still come back in exact insertion order.
-        let mut t: GroupTable<u64> = GroupTable::new(1);
+        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
         for v in 0..5_000u64 {
             let mut k = key(v);
             let h = hash_values(&k);
@@ -759,7 +806,7 @@ mod tests {
             t.insert_new(h, &mut k, [v].into_iter());
         }
         assert_eq!(t.insert_count(), 5_000);
-        let (arena, payloads, n) = t.take_entries();
+        let (arena, _, payloads, n) = t.take_entries();
         assert_eq!(n, 5_000);
         assert_eq!(payloads, (0..5_000u64).collect::<Vec<u64>>());
         for v in 0..5_000u64 {

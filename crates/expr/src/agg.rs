@@ -268,8 +268,9 @@ impl Accumulator {
     }
 }
 
-/// Number of [`Value`] slots [`Accumulator::state_values`] emits for a
-/// kind. Fixed per kind so shipped state rows have a static layout.
+/// Number of [`Value`]s a kind's migration state takes
+/// ([`WordAgg::state_values`]; one for `MIN`/`MAX`, its extreme). Fixed
+/// per kind so shipped state rows have a static layout.
 pub fn state_width(kind: AggKind) -> usize {
     match kind {
         AggKind::Count | AggKind::Min | AggKind::Max | AggKind::OrAgg | AggKind::AndAgg => 1,
@@ -278,89 +279,14 @@ pub fn state_width(kind: AggKind) -> usize {
     }
 }
 
-fn put_i128(x: i128, out: &mut Vec<Value>) {
+/// An `i128` as its `[hi, lo]` words.
+fn split_i128(x: i128) -> [u64; 2] {
     let b = x as u128;
-    out.push(Value::UInt((b >> 64) as u64));
-    out.push(Value::UInt(b as u64));
+    [(b >> 64) as u64, b as u64]
 }
 
-fn get_i128(hi: &Value, lo: &Value) -> Option<i128> {
-    match (hi, lo) {
-        (Value::UInt(h), Value::UInt(l)) => Some(((u128::from(*h) << 64) | u128::from(*l)) as i128),
-        _ => None,
-    }
-}
-
-impl Accumulator {
-    /// Serializes the exact internal state as `state_width` values, for
-    /// shipping a live group across hosts during migration. Unlike
-    /// `finalize`, this is lossless: an AVG ships its (sum, count) pair
-    /// and a SUM ships its full i128 as two u64 words.
-    pub fn state_values(&self, out: &mut Vec<Value>) {
-        match self {
-            Accumulator::Count(n) => out.push(Value::UInt(*n)),
-            Accumulator::Sum(s) => match s {
-                Some(x) => put_i128(*x, out),
-                None => {
-                    out.push(Value::Null);
-                    out.push(Value::Null);
-                }
-            },
-            Accumulator::Min(m) | Accumulator::Max(m) => out.push(m.clone().unwrap_or(Value::Null)),
-            Accumulator::Avg(s, n) => {
-                put_i128(*s, out);
-                out.push(Value::UInt(*n));
-            }
-            Accumulator::Or(acc) => out.push(Value::UInt(*acc)),
-            Accumulator::And(acc) => out.push(acc.map(Value::UInt).unwrap_or(Value::Null)),
-        }
-    }
-
-    /// Folds serialized state (as produced by [`Accumulator::state_values`]
-    /// on the same kind) into this accumulator, which may already hold
-    /// partial state of its own. Exact inverse of `state_values` when the
-    /// receiver is fresh.
-    pub fn merge_state(&mut self, vals: &[Value]) {
-        match self {
-            Accumulator::Count(n) => {
-                if let Some(Value::UInt(x)) = vals.first() {
-                    *n += x;
-                }
-            }
-            Accumulator::Sum(s) => {
-                if let (Some(hi), Some(lo)) = (vals.first(), vals.get(1)) {
-                    if let Some(x) = get_i128(hi, lo) {
-                        *s = Some(s.unwrap_or(0) + x);
-                    }
-                }
-            }
-            Accumulator::Min(_) | Accumulator::Max(_) => {
-                if let Some(v) = vals.first() {
-                    self.update(v);
-                }
-            }
-            Accumulator::Avg(s, n) => {
-                if let (Some(hi), Some(lo), Some(Value::UInt(c))) =
-                    (vals.first(), vals.get(1), vals.get(2))
-                {
-                    if let Some(x) = get_i128(hi, lo) {
-                        *s += x;
-                        *n += c;
-                    }
-                }
-            }
-            Accumulator::Or(acc) => {
-                if let Some(Value::UInt(x)) = vals.first() {
-                    *acc |= x;
-                }
-            }
-            Accumulator::And(acc) => {
-                if let Some(Value::UInt(x)) = vals.first() {
-                    *acc = Some(acc.unwrap_or(u64::MAX) & x);
-                }
-            }
-        }
-    }
+fn join_i128(hi: u64, lo: u64) -> i128 {
+    ((u128::from(hi) << 64) | u128::from(lo)) as i128
 }
 
 fn widen(v: &Value) -> Option<i128> {
@@ -381,6 +307,147 @@ fn narrow(x: i128) -> Value {
         i64::try_from(x)
             .map(Value::Int)
             .unwrap_or(Value::Int(i64::MIN))
+    }
+}
+
+/// The state of every built-in aggregate but `MIN`/`MAX` (whose state
+/// is a [`Value`]) as a fixed number of `u64` words, all zero when
+/// fresh. `update`, `merge` and `finalize` are the [`Accumulator`]
+/// methods of the same name over those words, value for value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordAgg {
+    /// `COUNT`: `[n]`.
+    Count,
+    /// `SUM`: `[hi, lo, seen]`, the running `i128` in two words and a
+    /// word that is non-zero once a value arrived.
+    Sum,
+    /// `AVG`: `[hi, lo, n]`.
+    Avg,
+    /// `OR_AGGR`: `[acc]`.
+    Or,
+    /// `AND_AGGR`: `[present, acc]`.
+    And,
+}
+
+/// Adds `x` to the `i128` in `w[0..2]`.
+#[inline]
+fn add_i128(w: &mut [u64], x: i128) {
+    [w[0], w[1]] = split_i128(join_i128(w[0], w[1]) + x);
+}
+
+impl WordAgg {
+    /// The word layout of `kind`, or `None` for `MIN`/`MAX`.
+    pub fn of(kind: AggKind) -> Option<WordAgg> {
+        Some(match kind {
+            AggKind::Count => WordAgg::Count,
+            AggKind::Sum => WordAgg::Sum,
+            AggKind::Avg => WordAgg::Avg,
+            AggKind::OrAgg => WordAgg::Or,
+            AggKind::AndAgg => WordAgg::And,
+            AggKind::Min | AggKind::Max => return None,
+        })
+    }
+
+    /// Words of state per group.
+    pub fn width(self) -> usize {
+        match self {
+            WordAgg::Count | WordAgg::Or => 1,
+            WordAgg::And => 2,
+            WordAgg::Sum | WordAgg::Avg => 3,
+        }
+    }
+
+    /// `update(&Value::UInt(x))`, or with `merge` `merge(&Value::UInt(x))`:
+    /// the fold off a non-null unsigned lane.
+    #[inline]
+    pub fn fold_uint(self, w: &mut [u64], x: u64, merge: bool) {
+        match self {
+            WordAgg::Count => w[0] += if merge { x } else { 1 },
+            WordAgg::Avg if merge => debug_assert!(false, "AVG partials must be decomposed"),
+            WordAgg::Sum | WordAgg::Avg => {
+                add_i128(w, i128::from(x));
+                w[2] += 1;
+            }
+            WordAgg::Or => w[0] |= x,
+            WordAgg::And => {
+                w[1] = if w[0] == 0 { x } else { w[1] & x };
+                w[0] = 1;
+            }
+        }
+    }
+
+    /// [`Accumulator::update`].
+    pub fn update(self, w: &mut [u64], v: &Value) {
+        match self {
+            _ if v.is_null() => {}
+            WordAgg::Count => w[0] += 1,
+            WordAgg::Sum | WordAgg::Avg => {
+                if let Some(x) = widen(v) {
+                    add_i128(w, x);
+                    w[2] += 1;
+                }
+            }
+            WordAgg::Or | WordAgg::And => {
+                if let Some(x) = v.as_u64() {
+                    self.fold_uint(w, x, false);
+                }
+            }
+        }
+    }
+
+    /// [`Accumulator::merge`].
+    pub fn merge(self, w: &mut [u64], partial: &Value) {
+        match self {
+            WordAgg::Count => w[0] += partial.as_u64().unwrap_or(0),
+            WordAgg::Avg => debug_assert!(partial.is_null(), "AVG partials must be decomposed"),
+            _ => self.update(w, partial),
+        }
+    }
+
+    /// [`Accumulator::finalize`]; a built-in's partial is its final value.
+    pub fn finalize(self, w: &[u64]) -> Value {
+        match self {
+            WordAgg::Count | WordAgg::Or => Value::UInt(w[0]),
+            WordAgg::Sum | WordAgg::Avg if w[2] == 0 => Value::Null,
+            WordAgg::Sum => narrow(join_i128(w[0], w[1])),
+            WordAgg::Avg => narrow(join_i128(w[0], w[1]) / i128::from(w[2])),
+            WordAgg::And if w[0] == 0 => Value::Null,
+            WordAgg::And => Value::UInt(w[1]),
+        }
+    }
+
+    /// The lossless migration state, [`state_width`] values: unlike
+    /// `finalize`, a `SUM` ships its whole `i128` as two words and an
+    /// `AVG` its sum and count.
+    pub fn state_values(self, w: &[u64], out: &mut Vec<Value>) {
+        match self {
+            WordAgg::Sum if w[2] == 0 => out.extend([Value::Null, Value::Null]),
+            WordAgg::Sum => out.extend(w[..2].iter().map(|&x| Value::UInt(x))),
+            WordAgg::Avg => out.extend(w[..3].iter().map(|&x| Value::UInt(x))),
+            _ => out.push(self.finalize(w)),
+        }
+    }
+
+    /// Folds migration state from [`WordAgg::state_values`] into these
+    /// words, which may hold state of their own.
+    pub fn merge_state(self, w: &mut [u64], vals: &[Value]) {
+        let word = |i: usize| match vals.get(i) {
+            Some(Value::UInt(x)) => Some(*x),
+            _ => None,
+        };
+        match (self, word(0), word(1), word(2)) {
+            (WordAgg::Count, Some(x), ..) => w[0] += x,
+            (WordAgg::Sum, Some(hi), Some(lo), _) => {
+                add_i128(w, join_i128(hi, lo));
+                w[2] += 1;
+            }
+            (WordAgg::Avg, Some(hi), Some(lo), Some(n)) => {
+                add_i128(w, join_i128(hi, lo));
+                w[2] += n;
+            }
+            (WordAgg::Or | WordAgg::And, Some(x), ..) => self.fold_uint(w, x, false),
+            _ => {}
+        }
     }
 }
 
@@ -450,6 +517,94 @@ pub fn split_agg(kind: AggKind) -> SplitAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_i128(x: i128, out: &mut Vec<Value>) {
+        out.extend(split_i128(x).map(Value::UInt));
+    }
+
+    fn get_i128(hi: &Value, lo: &Value) -> Option<i128> {
+        match (hi, lo) {
+            (Value::UInt(h), Value::UInt(l)) => Some(join_i128(*h, *l)),
+            _ => None,
+        }
+    }
+
+    /// The migration state the engine's word state is held to: an
+    /// `Accumulator`'s lossless encoding, SUM's full `i128` as two words
+    /// and AVG's (sum, count).
+    impl Accumulator {
+        /// Serializes the exact internal state as `state_width` values, for
+        /// shipping a live group across hosts during migration. Unlike
+        /// `finalize`, this is lossless: an AVG ships its (sum, count) pair
+        /// and a SUM ships its full i128 as two u64 words.
+        fn state_values(&self, out: &mut Vec<Value>) {
+            match self {
+                Accumulator::Count(n) => out.push(Value::UInt(*n)),
+                Accumulator::Sum(s) => match s {
+                    Some(x) => put_i128(*x, out),
+                    None => {
+                        out.push(Value::Null);
+                        out.push(Value::Null);
+                    }
+                },
+                Accumulator::Min(m) | Accumulator::Max(m) => {
+                    out.push(m.clone().unwrap_or(Value::Null))
+                }
+                Accumulator::Avg(s, n) => {
+                    put_i128(*s, out);
+                    out.push(Value::UInt(*n));
+                }
+                Accumulator::Or(acc) => out.push(Value::UInt(*acc)),
+                Accumulator::And(acc) => out.push(acc.map(Value::UInt).unwrap_or(Value::Null)),
+            }
+        }
+
+        /// Folds serialized state (as produced by [`Accumulator::state_values`]
+        /// on the same kind) into this accumulator, which may already hold
+        /// partial state of its own. Exact inverse of `state_values` when the
+        /// receiver is fresh.
+        fn merge_state(&mut self, vals: &[Value]) {
+            match self {
+                Accumulator::Count(n) => {
+                    if let Some(Value::UInt(x)) = vals.first() {
+                        *n += x;
+                    }
+                }
+                Accumulator::Sum(s) => {
+                    if let (Some(hi), Some(lo)) = (vals.first(), vals.get(1)) {
+                        if let Some(x) = get_i128(hi, lo) {
+                            *s = Some(s.unwrap_or(0) + x);
+                        }
+                    }
+                }
+                Accumulator::Min(_) | Accumulator::Max(_) => {
+                    if let Some(v) = vals.first() {
+                        self.update(v);
+                    }
+                }
+                Accumulator::Avg(s, n) => {
+                    if let (Some(hi), Some(lo), Some(Value::UInt(c))) =
+                        (vals.first(), vals.get(1), vals.get(2))
+                    {
+                        if let Some(x) = get_i128(hi, lo) {
+                            *s += x;
+                            *n += c;
+                        }
+                    }
+                }
+                Accumulator::Or(acc) => {
+                    if let Some(Value::UInt(x)) = vals.first() {
+                        *acc |= x;
+                    }
+                }
+                Accumulator::And(acc) => {
+                    if let Some(Value::UInt(x)) = vals.first() {
+                        *acc = Some(acc.unwrap_or(u64::MAX) & x);
+                    }
+                }
+            }
+        }
+    }
 
     fn run(kind: AggKind, inputs: &[Value]) -> Value {
         let mut acc = make_accumulator(kind);
@@ -646,6 +801,164 @@ mod tests {
         let mut b = make_accumulator(AggKind::Sum);
         b.merge_state(&shipped);
         assert_eq!(b.finalize(), Value::Int(-5));
+    }
+
+    const WORD_KINDS: [AggKind; 5] = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Avg,
+        AggKind::OrAgg,
+        AggKind::AndAgg,
+    ];
+
+    /// Folds `vals` into a fresh [`Accumulator`] and into fresh words —
+    /// by value, and off an unsigned lane wherever the value is one —
+    /// and holds every read of the words to the accumulator's:
+    /// `finalize`, `state_values`, and `merge_state` into a fresh and a
+    /// non-empty state. Returns the final value.
+    fn word_equals_accumulator(kind: AggKind, merge: bool, vals: &[Value]) -> Value {
+        let agg = WordAgg::of(kind).expect("a word kind");
+        let mut acc = make_accumulator(kind);
+        let mut by_value = vec![0u64; agg.width()];
+        let mut by_lane = by_value.clone();
+        for v in vals {
+            if merge {
+                acc.merge(v);
+                agg.merge(&mut by_value, v);
+            } else {
+                acc.update(v);
+                agg.update(&mut by_value, v);
+            }
+            match v {
+                Value::UInt(x) => agg.fold_uint(&mut by_lane, *x, merge),
+                v if merge => agg.merge(&mut by_lane, v),
+                v => agg.update(&mut by_lane, v),
+            }
+        }
+        assert_eq!(by_lane, by_value, "{kind} merge={merge} {vals:?}");
+        let want = acc.finalize();
+        assert_eq!(
+            agg.finalize(&by_value),
+            want,
+            "{kind} merge={merge} {vals:?}"
+        );
+        let (mut shipped, mut words_shipped) = (Vec::new(), Vec::new());
+        acc.state_values(&mut shipped);
+        agg.state_values(&by_value, &mut words_shipped);
+        assert_eq!(words_shipped, shipped, "{kind} merge={merge} {vals:?}");
+        assert_eq!(shipped.len(), state_width(kind));
+        for base in [None, Some(Value::UInt(3))] {
+            let mut acc2 = make_accumulator(kind);
+            let mut w2 = vec![0u64; agg.width()];
+            if let Some(b) = &base {
+                acc2.update(b);
+                agg.update(&mut w2, b);
+            }
+            acc2.merge_state(&shipped);
+            agg.merge_state(&mut w2, &shipped);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            acc2.state_values(&mut a);
+            agg.state_values(&w2, &mut b);
+            assert_eq!(
+                (agg.finalize(&w2), b),
+                (acc2.finalize(), a),
+                "{kind} {base:?}"
+            );
+        }
+        want
+    }
+
+    /// A seeded stream of UInt, Int, Bool, NULL and Str values, with
+    /// values near the edges of `u64`/`i64` when `edges`.
+    fn seeded_values(seed: u64, n: usize, edges: bool) -> Vec<Value> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = x >> 33;
+                match (r % 8, edges) {
+                    (0, _) => Value::Null,
+                    (1, _) => Value::Int(-((r >> 4) as i64 % 1000)),
+                    (2, _) => Value::Bool(r & 16 != 0),
+                    (3, _) => Value::from("s"),
+                    (4, _) => Value::Int((r >> 4) as i64 % 1000),
+                    (5, true) => Value::UInt(u64::MAX - (r >> 4) % 3),
+                    (6, true) => Value::Int(i64::MIN + (r >> 4) as i64 % 3),
+                    _ => Value::UInt((r >> 4) % 1000),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_state_equals_accumulator() {
+        for seed in 0..200u64 {
+            let vals = seeded_values(seed, (seed % 40) as usize, seed % 2 == 0);
+            for kind in WORD_KINDS {
+                word_equals_accumulator(kind, false, &vals);
+                // AVG partials never merge (the optimizer splits AVG into
+                // SUM and COUNT), and a COUNT merge of the edge values
+                // would overflow the count in both.
+                let edges = vals.iter().any(|v| v.as_u64().is_some_and(|x| x > 1 << 32));
+                if kind != AggKind::Avg && !(kind == AggKind::Count && edges) {
+                    word_equals_accumulator(kind, true, &vals);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_state_edges() {
+        use AggKind::*;
+        let check = |kind, merge, vals: &[Value], want: Value| {
+            assert_eq!(word_equals_accumulator(kind, merge, vals), want, "{kind}");
+        };
+        // `narrow` saturates a SUM past either end; the state stays exact.
+        check(
+            Sum,
+            false,
+            &[Value::UInt(u64::MAX), Value::UInt(2)],
+            Value::UInt(u64::MAX),
+        );
+        check(
+            Sum,
+            false,
+            &[Value::Int(i64::MIN), Value::Int(-1)],
+            Value::Int(i64::MIN),
+        );
+        check(
+            Avg,
+            false,
+            &[Value::Int(i64::MIN), Value::Int(i64::MIN)],
+            Value::Int(i64::MIN),
+        );
+        // No non-null (numeric) input: NULL.
+        for kind in [Sum, AndAgg, Avg] {
+            check(kind, false, &[], Value::Null);
+            check(kind, false, &[Value::Null, Value::from("s")], Value::Null);
+        }
+        // A negative `Int` partial is no count.
+        check(
+            Count,
+            true,
+            &[Value::UInt(4), Value::Int(-5)],
+            Value::UInt(4),
+        );
+        check(
+            Count,
+            false,
+            &[Value::UInt(4), Value::Int(-5)],
+            Value::UInt(2),
+        );
+        // Bitwise folds over `Bool` and non-negative `Int`.
+        let bits = [Value::Int(6), Value::Bool(true), Value::Int(-1)];
+        for merge in [false, true] {
+            check(OrAgg, merge, &bits, Value::UInt(7));
+            check(AndAgg, merge, &bits, Value::UInt(0));
+            check(AndAgg, merge, &bits[..1], Value::UInt(6));
+        }
     }
 
     #[test]

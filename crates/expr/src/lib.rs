@@ -16,10 +16,11 @@
 //!    requirements can be merged into their least common coarsening
 //!    (Section 4.1: `time/60` ⊓ `time/90` = `time/180`,
 //!    `srcIP` ⊓ `srcIP & 0xFFF0` = `srcIP & 0xFFF0`).
-//! 3. **Aggregates** ([`AggKind`], [`Accumulator`], [`split_agg`]): the
-//!    built-in aggregate functions including the paper's `OR_AGGR`, with
-//!    the sub/super-aggregate decomposition used by the optimizer's
-//!    partial-aggregation transformation (Section 5.2.2).
+//! 3. **Aggregates** ([`AggKind`], [`Accumulator`], [`WordAgg`],
+//!    [`split_agg`]): the built-in aggregate functions including the
+//!    paper's `OR_AGGR`, their state as `u64` words for the engine's
+//!    group tables, and the sub/super-aggregate decomposition used by the
+//!    optimizer's partial-aggregation transformation (Section 5.2.2).
 
 mod agg;
 mod analysis;
@@ -30,7 +31,7 @@ mod scalar;
 
 pub use agg::{
     make_accumulator, split_agg, state_width, Accumulator, AggCall, AggFunc, AggKind, FinishOp,
-    SplitAgg,
+    SplitAgg, WordAgg,
 };
 pub use analysis::{analyze_transform, AnalyzedExpr, ColumnTransform};
 pub use bound::{bind, bind_with, BoundExpr, Resolver};

@@ -5,11 +5,11 @@
 //! engine code in it: evaluate the group key, find or create the group
 //! in a map, fold each slot. The lane entry (`Engine::push_columns`)
 //! classifies group keys (plain column, `column / constant`,
-//! kernel-compiled) and folds (`COUNT(*)`, `SUM(column)`) into lane reads,
-//! and falls back to the per-row algorithm for everything else — HAVING
-//! predicates, `OR_AGGR`, masked keys, and any *value* outside a lane
-//! shape's domain (NULL or signed inputs reaching a `DivConst` key or a
-//! `SUM` slot). The contract is that the lanes are invisible:
+//! kernel-compiled) and folds (`COUNT(*)`, and every word-kind slot over
+//! a column, merge slots included) into lane reads, and falls back to the
+//! per-row algorithm for everything else — `MIN`/`MAX`/UDAF slots,
+//! computed arguments, and any *value* outside a lane shape's domain
+//! (NULL or signed inputs reaching a `DivConst` key or a folded slot). The contract is that the lanes are invisible:
 //! byte-identical output tuples against the model, and identical
 //! operator counters at every batch size, including inputs engineered to
 //! cross the lane/fallback seam mid-stream.
@@ -479,4 +479,91 @@ fn window_poisoned_mid_way_matches_the_model() {
     input[70] = Tuple::new(vec![Value::UInt(35), Value::Int(-4), Value::UInt(1)]);
     input[200] = Tuple::new(vec![Value::UInt(100), Value::Null, Value::UInt(2)]);
     assert_model_equals_lanes(&dag, &input, "window poisoned mid-way");
+}
+
+#[test]
+fn merge_slots_fold_partials_off_lanes() {
+    // A sub → super plan whose super-aggregate takes the partials with
+    // merge semantics: `COUNT` adds partial counts, the others fold
+    // them. Even windows' partials are all unsigned, so every merge
+    // folds off its lane; odd windows' carry NULL and negative sums and
+    // NULL `AND_AGGR`s, so those slots fall back to the row fold while
+    // `cnt` and `ov` stay on lanes. `nsv` merges the sums as counts: a
+    // negative or NULL partial adds nothing.
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(
+        "STREAM S(ts uint increasing, k uint, v uint);\n\
+         QUERY sub: SELECT tb, k, COUNT(v) as cnt, SUM(v) as sv, OR_AGGR(v) as ov, \
+         AND_AGGR(v) as av FROM S GROUP BY ts/60 as tb, k;\n\
+         QUERY sup: SELECT tb, COUNT(cnt) as cnt, SUM(sv) as sv, OR_AGGR(ov) as ov, \
+         AND_AGGR(av) as av, COUNT(sv) as nsv FROM sub GROUP BY tb HAVING SUM(sv) > 3;",
+    )
+    .expect("script parses");
+    let parsed = b.build();
+    let sup = parsed.roots()[0];
+    let LogicalNode::Aggregate {
+        input: sub,
+        predicate,
+        group_by,
+        mut aggregates,
+        having,
+    } = parsed.node(sup).clone()
+    else {
+        panic!("sup is an aggregate");
+    };
+    for a in &mut aggregates {
+        a.call.merge = true;
+    }
+    let mut dag = QueryDag::new(parsed.catalog().clone());
+    let source = dag.add_source("S").expect("source");
+    let LogicalNode::Aggregate {
+        predicate: sub_pred,
+        group_by: sub_keys,
+        aggregates: sub_aggs,
+        having: sub_having,
+        ..
+    } = parsed.node(sub).clone()
+    else {
+        panic!("sub is an aggregate");
+    };
+    let sub = dag
+        .add_node(LogicalNode::Aggregate {
+            input: source,
+            predicate: sub_pred,
+            group_by: sub_keys,
+            aggregates: sub_aggs,
+            having: sub_having,
+        })
+        .expect("sub-aggregate");
+    let sup = dag
+        .add_node(LogicalNode::Aggregate {
+            input: sub,
+            predicate,
+            group_by,
+            aggregates,
+            having,
+        })
+        .expect("super-aggregate");
+    dag.name_query("sup", sup).expect("names");
+    let input: Vec<Tuple> = (0..1200u64)
+        .map(|i| {
+            let (ts, k) = (i / 2, i % 7);
+            let v = match (ts / 60 % 2, k, i % 3) {
+                (0, ..) => Value::UInt(i % 50),
+                (_, 0, _) => Value::Null,
+                (_, 1, _) => Value::Int(-((i % 9) as i64)),
+                (_, _, 0) => Value::Int(-3),
+                (_, _, 1) => Value::Null,
+                _ => Value::UInt(i % 50),
+            };
+            Tuple::new(vec![Value::UInt(ts), Value::UInt(k), v])
+        })
+        .collect();
+    let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+    assert!(
+        rows.iter()
+            .any(|r| r.get(0).as_u64().is_some_and(|tb| tb % 2 == 1)),
+        "odd windows pass the HAVING too"
+    );
+    assert_model_equals_lanes(&dag, &input, "merge slots on lanes");
 }

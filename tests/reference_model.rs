@@ -88,29 +88,25 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 /// max(len), or(flags).
 #[allow(clippy::type_complexity)]
 fn model_flows(trace: &[Pkt]) -> Vec<Tuple> {
-    let mut m: BTreeMap<(u64, u64, u64), (u64, u64, u64, u64, u64)> = BTreeMap::new();
+    let mut m: BTreeMap<(u64, u64, u64), [u64; 6]> = BTreeMap::new();
     for p in trace {
         let e = m
             .entry((p.time / 60, p.src, p.dst))
-            .or_insert((0, 0, u64::MAX, 0, 0));
-        e.0 += 1;
-        e.1 += p.len;
-        e.2 = e.2.min(p.len);
-        e.3 = e.3.max(p.len);
-        e.4 |= p.flags;
+            .or_insert([0, 0, u64::MAX, 0, 0, u64::MAX]);
+        e[0] += 1;
+        e[1] += p.len;
+        e[2] = e[2].min(p.len);
+        e[3] = e[3].max(p.len);
+        e[4] |= p.flags;
+        e[5] &= p.flags;
     }
     m.into_iter()
-        .map(|((tb, s, d), (cnt, sum, min, max, or))| {
-            Tuple::new(vec![
-                Value::UInt(tb),
-                Value::UInt(s),
-                Value::UInt(d),
-                Value::UInt(cnt),
-                Value::UInt(sum),
-                Value::UInt(min),
-                Value::UInt(max),
-                Value::UInt(or),
-            ])
+        .map(|((tb, s, d), [cnt, sum, min, max, or, and])| {
+            Tuple::new(
+                [tb, s, d, cnt, sum, min, max, or, and, sum / cnt]
+                    .map(Value::UInt)
+                    .to_vec(),
+            )
         })
         .collect()
 }
@@ -359,14 +355,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The model's aggregation semantics match the brute force for all
-    /// five aggregate kinds at once, and the engine matches the model.
+    /// seven aggregate kinds at once, and the engine matches the model.
     #[test]
     fn aggregation_matches_model(trace in arb_trace(), cuts in arb_cuts()) {
         let model = model_eval(
             &[(
                 "flows",
                 "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes, \
-                 MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf FROM TCP \
+                 MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf, \
+                 AND_AGGR(flags) as andf, AVG(len) as mean FROM TCP \
                  GROUP BY time/60 as tb, srcIP, destIP",
             )],
             &trace,
@@ -438,7 +435,8 @@ proptest! {
                 "small",
                 &format!(
                     "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes, \
-                     MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf FROM TCP \
+                     MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf, \
+                     AND_AGGR(flags) as andf, AVG(len) as mean FROM TCP \
                      WHERE len < {cutoff} \
                      GROUP BY time/60 as tb, srcIP, destIP"
                 ),
@@ -459,7 +457,8 @@ proptest! {
         b.add_query(
             "flows",
             "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes, \
-             MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf FROM TCP \
+             MIN(len) as lo, MAX(len) as hi, OR_AGGR(flags) as orf, \
+             AND_AGGR(flags) as andf, AVG(len) as mean FROM TCP \
              GROUP BY time/60 as tb, srcIP, destIP",
         )
         .unwrap();

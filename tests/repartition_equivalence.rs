@@ -393,11 +393,18 @@ proptest! {
         seed in 0u64..200,
         boundary_off in 10u64..170,
         flips in proptest::collection::vec(any::<bool>(), 16..17),
-        picks in proptest::collection::vec(0usize..6, 1..5),
+        picks in proptest::collection::vec(0usize..7, 1..5),
         having in any::<bool>(),
     ) {
-        const AGGS: [&str; 6] =
-            ["COUNT(*)", "SUM(len)", "MIN(len)", "MAX(len)", "AVG(len)", "OR_AGGR(flags)"];
+        const AGGS: [&str; 7] = [
+            "COUNT(*)",
+            "SUM(len)",
+            "MIN(len)",
+            "MAX(len)",
+            "AVG(len)",
+            "OR_AGGR(flags)",
+            "AND_AGGR(flags)",
+        ];
         let select: Vec<String> =
             picks.iter().enumerate().map(|(i, &k)| format!("{} as a{i}", AGGS[k])).collect();
         let query = format!(
