@@ -181,7 +181,7 @@ fn ablation_join_compatibility(trace: &[Tuple], sim: &SimConfig) {
     }
 }
 
-/// The FLUX contrast (related work [20]): hash partitioning on a skewed
+/// The FLUX contrast (related work \[20\]): hash partitioning on a skewed
 /// key concentrates load while round-robin balances perfectly — the
 /// price of query-aware partitioning, and the imbalance adaptive
 /// operators repair at the cost of query-independence.

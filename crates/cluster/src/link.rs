@@ -15,7 +15,7 @@
 //!   [`std::os::unix::net::UnixStream`], lower loopback overhead.
 //!
 //! The socket backends wrap each boundary frame in a
-//! [`ControlFrame::Data`] envelope ([`qap_types::control`]); the inner
+//! [`ControlFrame::Data`] envelope ([`qap_types::encode_control`]); the inner
 //! bytes reach the consuming engine untouched, so every decode-hardening
 //! and fault-injection property of the in-process path carries over to
 //! sockets unchanged.

@@ -2,7 +2,7 @@
 //! runner deploys ([`crate::unit::Unit`]), driven on one thread by a
 //! seeded scheduler, and the one path from unit outcomes to a run's
 //! [`SimResult`] ([`stitch`], with per-host work accounted from the
-//! operator counters by [`account`]).
+//! operator counters by `account`).
 //!
 //! The scheduler is the carrier of the shared splitter loop
 //! ([`crate::rebalance::drive`]): it applies each feed batch and each
@@ -187,7 +187,7 @@ pub struct SimResult {
     /// `(output name, rows)` per plan output.
     pub outputs: Vec<(String, Vec<Tuple>)>,
     /// Raw per-node tuple-flow counters, indexed by plan node id — the
-    /// input to [`account`], exposed so equivalence tests can assert
+    /// input to `account`, exposed so equivalence tests can assert
     /// batched and per-tuple execution agree tuple-for-tuple.
     pub counters: Vec<OpCounters>,
     /// Full per-node operator metrics (bytes, batches, occupancy, flush

@@ -1,80 +1,47 @@
 //! Tumbling-window hash aggregation (γ).
 //!
 //! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
-//! when the operator is built: every `COUNT`, `SUM`, `AVG`, `OR_AGGR`
-//! and `AND_AGGR` slot is a run of `u64` words ([`WordAgg`]) beside its
-//! group's other slots, and each `MIN`, `MAX` or UDAF slot an
-//! [`AnyAcc`] in the side arena. Folds, window closes, migration
+//! when the operator is built: every built-in slot is a run of `u64`
+//! words ([`WordAgg`]) beside its group's other slots — a string
+//! `MIN`/`MAX` extreme is an index into the table's string pool — and
+//! each UDAF slot a boxed [`UdafState`] in the side arena, which a γ
+//! without UDAFs never allocates. Folds, window closes, migration
 //! extracts and absorbs all read and write that layout directly.
 
-use std::sync::Arc;
-
 use qap_expr::{
-    make_accumulator, Accumulator, AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel,
-    PredicateKernel, UdafState, WordAgg, LANE_KINDS,
+    AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel, PredicateKernel, UdafState,
+    WordAgg, LANE_KINDS,
 };
 use qap_types::{
-    Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value, DICT_NULL_CODE,
+    ArcStr, Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value,
+    DICT_NULL_CODE,
 };
 
 use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
-use super::group_table::{GroupTable, Window, WindowKeys};
+use super::group_table::{GroupTable, Payload, Window, WindowKeys};
 use super::{
     bucket_of, column_lane_kind, emit_row, masked, merge_lanes, reset_arity, OpRuntimeStats,
     Operator,
 };
 
-/// Running state of one `MIN`, `MAX` or UDAF slot for one group (every
-/// other built-in keeps its state as [`WordAgg`] words). Its lossless
-/// migration state is one value, its partial — `MIN`/`MAX`'s extreme, a
-/// UDAF's mergeable state by contract — and merges back in.
-enum AnyAcc {
-    Builtin(Accumulator),
-    Udaf(Box<dyn UdafState>),
-}
+/// A UDAF slot's running state for one group: the one kind of state
+/// that is not words. Its lossless migration state is its partial,
+/// which merges back in.
+type Udaf = Box<dyn UdafState>;
 
-impl AnyAcc {
-    fn update(&mut self, v: &Value) {
-        match self {
-            AnyAcc::Builtin(a) => a.update(v),
-            AnyAcc::Udaf(u) => u.update(v),
-        }
-    }
-
-    fn merge(&mut self, v: &Value) {
-        match self {
-            AnyAcc::Builtin(a) => a.merge(v),
-            AnyAcc::Udaf(u) => u.merge(v),
-        }
-    }
-
-    fn finalize(&self) -> Value {
-        match self {
-            AnyAcc::Builtin(a) => a.finalize(),
-            AnyAcc::Udaf(u) => u.finalize(),
-        }
-    }
-
-    /// Serialized mergeable state, for sub-aggregate emission. Built-in
-    /// partials coincide with their finalized values.
-    fn partial(&self) -> Value {
-        match self {
-            AnyAcc::Builtin(a) => a.finalize(),
-            AnyAcc::Udaf(u) => u.partial(),
-        }
-    }
-}
+/// One group's state in γ's tables.
+type Group<'a> = Payload<'a, Udaf>;
 
 /// Where one slot keeps its state in a group's payload, fixed when the
 /// operator is built.
 #[derive(Clone, Copy)]
 enum SlotState {
-    /// A word kind, at `words[off..off + agg.width()]`.
+    /// A built-in, at `words[off..off + agg.width()]`.
     Word { agg: WordAgg, off: usize },
-    /// A `MIN`, `MAX` or UDAF accumulator, at `side[i]`.
+    /// A UDAF, at `side[i]`.
     Side(usize),
 }
 
@@ -87,25 +54,22 @@ struct Slot {
 }
 
 impl Slot {
-    /// Classifies `slots` and lays their state out: word kinds side by
-    /// side in slot order, then one side accumulator per other slot.
-    /// Returns them with the words and side accumulators per group.
+    /// Classifies `slots` and lays their state out: built-ins' words
+    /// side by side in slot order, then one side payload per UDAF.
+    /// Returns them with the words and side payloads per group.
     fn plan(slots: Vec<AggSlot>) -> (Vec<Slot>, usize, usize) {
         let (mut words, mut side) = (0, 0);
         let slots = slots.into_iter().map(|bound| {
             let state = match &bound.factory {
-                AccFactory::Builtin(kind) => WordAgg::of(*kind),
-                AccFactory::Udaf(_) => None,
-            };
-            let state = match state {
-                Some(agg) => {
+                AccFactory::Builtin(kind) => {
+                    let agg = WordAgg::of(*kind);
                     words += agg.width();
                     SlotState::Word {
                         agg,
                         off: words - agg.width(),
                     }
                 }
-                None => {
+                AccFactory::Udaf(_) => {
                     side += 1;
                     SlotState::Side(side - 1)
                 }
@@ -116,44 +80,33 @@ impl Slot {
         (slots.collect(), words, side)
     }
 
-    /// A fresh side accumulator, for a slot that keeps one.
-    fn fresh_side(&self) -> Option<AnyAcc> {
-        let SlotState::Side(_) = self.state else {
-            return None;
-        };
-        Some(match &self.bound.factory {
-            AccFactory::Builtin(kind) => AnyAcc::Builtin(make_accumulator(*kind)),
-            AccFactory::Udaf(u) => AnyAcc::Udaf(u.init()),
-        })
-    }
-
     /// Folds one argument value into a group's state: updated, or
     /// merged when the slot takes partials.
-    fn fold_value(&self, words: &mut [u64], side: &mut [AnyAcc], v: &Value) {
+    fn fold_value(&self, g: &mut Group<'_>, v: &Value) {
         match (self.state, self.bound.merge) {
-            (SlotState::Word { agg, off }, false) => agg.update(&mut words[off..], v),
-            (SlotState::Word { agg, off }, true) => agg.merge(&mut words[off..], v),
-            (SlotState::Side(i), false) => side[i].update(v),
-            (SlotState::Side(i), true) => side[i].merge(v),
+            (SlotState::Word { agg, off }, false) => agg.update(&mut g.words[off..], v, g.strs),
+            (SlotState::Word { agg, off }, true) => agg.merge(&mut g.words[off..], v, g.strs),
+            (SlotState::Side(i), false) => g.side[i].update(v),
+            (SlotState::Side(i), true) => g.side[i].merge(v),
         }
     }
 
     /// Folds one input row: the argument's value (every row counts for
     /// `COUNT(*)`).
-    fn fold(&self, words: &mut [u64], side: &mut [AnyAcc], row: &Tuple) -> ExecResult<()> {
+    fn fold(&self, g: &mut Group<'_>, row: &Tuple) -> ExecResult<()> {
         let v = match &self.bound.arg {
             Some(e) => e.eval(row)?,
             None => Value::Bool(true),
         };
-        self.fold_value(words, side, &v);
+        self.fold_value(g, &v);
         Ok(())
     }
 
     /// The slot's value for a closing window: its partial when the
     /// slot emits partials (a built-in's is its final value).
-    fn close(&self, words: &[u64], side: &[AnyAcc]) -> Value {
+    fn close(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr]) -> Value {
         match self.state {
-            SlotState::Word { agg, off } => agg.finalize(&words[off..]),
+            SlotState::Word { agg, off } => agg.finalize(&words[off..], strs),
             SlotState::Side(i) if self.bound.emit_partial => side[i].partial(),
             SlotState::Side(i) => side[i].finalize(),
         }
@@ -167,25 +120,28 @@ impl Slot {
         }
     }
 
-    fn state_values(&self, words: &[u64], side: &[AnyAcc], out: &mut Vec<Value>) {
+    fn state_values(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr], out: &mut Vec<Value>) {
         match self.state {
-            SlotState::Word { agg, off } => agg.state_values(&words[off..], out),
+            SlotState::Word { agg, off } => agg.state_values(&words[off..], strs, out),
             SlotState::Side(i) => out.push(side[i].partial()),
         }
     }
 
-    fn absorb_state(&self, words: &mut [u64], side: &mut [AnyAcc], vals: &[Value]) {
+    fn absorb_state(&self, g: &mut Group<'_>, vals: &[Value]) {
         match (self.state, vals.first()) {
-            (SlotState::Word { agg, off }, _) => agg.merge_state(&mut words[off..], vals),
-            (SlotState::Side(i), Some(v)) => side[i].merge(v),
+            (SlotState::Word { agg, off }, _) => agg.merge_state(&mut g.words[off..], vals, g.strs),
+            (SlotState::Side(i), Some(v)) => g.side[i].merge(v),
             (SlotState::Side(_), None) => {}
         }
     }
 }
 
-/// Fresh side accumulators for a new group.
-fn fresh_side(slots: &[Slot]) -> impl Iterator<Item = AnyAcc> + '_ {
-    slots.iter().filter_map(Slot::fresh_side)
+/// Fresh UDAF states for a new group.
+fn fresh_side(slots: &[Slot]) -> impl Iterator<Item = Udaf> + '_ {
+    slots.iter().filter_map(|slot| match &slot.bound.factory {
+        AccFactory::Udaf(u) => Some(u.init()),
+        AccFactory::Builtin(_) => None,
+    })
 }
 
 /// How the lane path reads one group-key expression, classified once
@@ -306,15 +262,14 @@ pub(crate) struct AggregateOp {
     window: Vec<Column>,
     current_bucket: Option<i128>,
     /// Current window's groups, in insertion order (deterministic
-    /// flush). Each group's word-kind state sits in one run of the
+    /// flush). Each group's built-in state sits in one run of the
     /// table's word arena, so the per-tuple fold touches contiguous
-    /// words; `MIN`, `MAX` and UDAF slots keep an [`AnyAcc`] each in
-    /// its side arena.
-    groups: GroupTable<AnyAcc>,
+    /// words; UDAF slots keep a boxed state each in its side arena.
+    groups: GroupTable<Udaf>,
     /// Groups whose temporal attribute is NULL (outer-join padding):
     /// they belong to no window, accumulate for the whole stream, and
     /// flush at finish.
-    null_groups: GroupTable<AnyAcc>,
+    null_groups: GroupTable<Udaf>,
     late: u64,
     /// Window flushes performed (including the end-of-stream flush).
     flushes: u64,
@@ -448,6 +403,7 @@ impl AggregateOp {
             keys,
             words,
             side,
+            strs,
             len: n,
         } = table.window();
         if n == 0 {
@@ -486,7 +442,7 @@ impl AggregateOp {
             }
             let mut vals = (0..n).map(|e| {
                 let w = &words[e * words_w..(e + 1) * words_w];
-                slot.close(w, &side[e * side_w..(e + 1) * side_w])
+                slot.close(w, &side[e * side_w..(e + 1) * side_w], strs)
             });
             // Unsigned values in one extend, up to the first of another
             // kind; that one and the rest are pushed.
@@ -594,9 +550,9 @@ impl AggregateOp {
         } else {
             &mut self.groups
         };
-        let (words, side) = table.payload_mut(e);
+        let mut g = table.payload_mut(e);
         for slot in &self.slots {
-            slot.fold(words, side, tuple)?;
+            slot.fold(&mut g, tuple)?;
         }
         Ok(())
     }
@@ -651,22 +607,21 @@ impl AggregateOp {
     fn fold_lanes(
         slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        words: &mut [u64],
-        side: &mut [AnyAcc],
+        mut g: Group<'_>,
         batch: &ColumnBatch,
         r: usize,
         row: &mut Tuple,
     ) -> ExecResult<()> {
         for (slot, lane) in slots.iter().zip(slot_lanes) {
             match *lane {
-                SlotLane::Count(off) => words[off] += 1,
+                SlotLane::Count(off) => g.words[off] += 1,
                 SlotLane::Word {
                     agg,
                     merge,
                     off,
                     lane,
-                } => agg.fold_uint(&mut words[off..], lane[r], merge),
-                SlotLane::Row => fold_row(slot, words, side, batch, r, row)?,
+                } => agg.fold_uint(&mut g.words[off..], lane[r], merge),
+                SlotLane::Row => fold_row(slot, &mut g, batch, r, row)?,
             }
         }
         Ok(())
@@ -682,7 +637,7 @@ impl AggregateOp {
     fn fold_segment(
         slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        table: &mut GroupTable<AnyAcc>,
+        table: &mut GroupTable<Udaf>,
         ents: &[u64],
         batch: &ColumnBatch,
         row_scratch: &mut Tuple,
@@ -703,7 +658,7 @@ impl AggregateOp {
     fn fold_entries<const W: usize>(
         slots: &[Slot],
         slot_lanes: &[SlotLane<'_>],
-        table: &mut GroupTable<AnyAcc>,
+        table: &mut GroupTable<Udaf>,
         ents: &[u64],
         batch: &ColumnBatch,
         row_scratch: &mut Tuple,
@@ -711,9 +666,9 @@ impl AggregateOp {
         let width = if W == 0 { slots.len() } else { W };
         let (slots, slot_lanes) = (&slots[..width], &slot_lanes[..width]);
         for &er in ents {
-            let (words, side) = table.payload_mut((er >> 32) as usize);
+            let g = table.payload_mut((er >> 32) as usize);
             let r = er as u32 as usize;
-            Self::fold_lanes(slots, slot_lanes, words, side, batch, r, row_scratch)?;
+            Self::fold_lanes(slots, slot_lanes, g, batch, r, row_scratch)?;
         }
         Ok(())
     }
@@ -725,20 +680,19 @@ impl AggregateOp {
 #[inline(never)]
 fn fold_row(
     slot: &Slot,
-    words: &mut [u64],
-    side: &mut [AnyAcc],
+    g: &mut Group<'_>,
     batch: &ColumnBatch,
     r: usize,
     row: &mut Tuple,
 ) -> ExecResult<()> {
     match slot.eval {
         SlotEval::Col(i) => {
-            slot.fold_value(words, side, &batch.column(i).value(r));
+            slot.fold_value(g, &batch.column(i).value(r));
             Ok(())
         }
         SlotEval::CountStar | SlotEval::General => {
             batch.write_row_into(r, row);
-            slot.fold(words, side, row)
+            slot.fold(g, row)
         }
     }
 }
@@ -749,7 +703,7 @@ fn fold_row(
 /// structure is rebuilt for the keepers; migration is an epoch-boundary
 /// event, so the rebuild is off every hot path.
 fn extract_from_table(
-    table: &mut GroupTable<AnyAcc>,
+    table: &mut GroupTable<Udaf>,
     slots: &[Slot],
     arity: usize,
     pred: &mut dyn FnMut(&[Value]) -> bool,
@@ -763,7 +717,7 @@ fn extract_from_table(
     let mut key_iter = keys.into_iter();
     let mut side_iter = side.into_iter();
     let mut scratch: Vec<Value> = Vec::with_capacity(arity);
-    let mut accs: Vec<AnyAcc> = Vec::with_capacity(side_w);
+    let mut accs: Vec<Udaf> = Vec::with_capacity(side_w);
     for e in 0..n {
         let w = &words[e * words_w..(e + 1) * words_w];
         scratch.clear();
@@ -771,7 +725,7 @@ fn extract_from_table(
         accs.extend(side_iter.by_ref().take(side_w));
         if pred(&scratch) {
             for slot in slots {
-                slot.state_values(w, &accs, &mut scratch);
+                slot.state_values(w, &accs, table.window().strs, &mut scratch);
             }
             accs.clear();
             let row = Tuple::new(std::mem::take(&mut scratch));
@@ -783,7 +737,7 @@ fn extract_from_table(
                 vh.add(v);
             }
             let e = table.insert_new(vh.finish(), &mut scratch, accs.drain(..));
-            table.payload_mut(e).0.copy_from_slice(w);
+            table.payload_mut(e).words.copy_from_slice(w);
         }
     }
 }
@@ -1062,7 +1016,7 @@ fn key_matches_lanes(lanes: &[KeyLane<'_>], q_lanes: &[Vec<u64>], r: usize, key:
             } else {
                 matches!(kv, Value::Str(s) if {
                     let v = d.get(r);
-                    Arc::ptr_eq(s, v) || s == v
+                    ArcStr::ptr_eq(s, v) || s == v
                 })
             }
         }
@@ -1108,7 +1062,7 @@ fn materialize_key_lanes(
                 if d.codes()[r] == DICT_NULL_CODE {
                     Value::Null
                 } else {
-                    Value::Str(Arc::clone(d.get(r)))
+                    Value::Str(d.get(r).clone())
                 }
             }
             KeyLane::AllNull => Value::Null,
@@ -1123,7 +1077,7 @@ fn materialize_key_lanes(
 enum SlotLane<'a> {
     /// `COUNT(*)`: the count word at `off` goes up by one.
     Count(usize),
-    /// A word kind folded off a non-null unsigned lane:
+    /// A built-in folded off a non-null unsigned lane:
     /// [`WordAgg::fold_uint`] on the words at `off`.
     Word {
         agg: WordAgg,
@@ -1340,16 +1294,8 @@ impl Operator for AggregateOp {
                 self.groups
                     .insert_new(hash, &mut self.key_scratch, fresh_side(&self.slots))
             });
-            let (words, side) = self.groups.payload_mut(e);
-            Self::fold_lanes(
-                &self.slots,
-                &slot_lanes,
-                words,
-                side,
-                batch,
-                r,
-                &mut self.row_scratch,
-            )?;
+            let g = self.groups.payload_mut(e);
+            Self::fold_lanes(&self.slots, &slot_lanes, g, batch, r, &mut self.row_scratch)?;
         }
         batch.clear();
         Ok(())
@@ -1435,13 +1381,13 @@ impl Operator for AggregateOp {
             } else {
                 &mut self.groups
             };
-            let (words, side) = table.payload_mut(e);
+            let mut g = table.payload_mut(e);
             vals.clear();
             vals.extend(states.iter().map(|c| c.value(r)));
             let mut off = 0;
             for slot in &self.slots {
                 let w = slot.state_width();
-                slot.absorb_state(words, side, &vals[off..off + w]);
+                slot.absorb_state(&mut g, &vals[off..off + w]);
                 off += w;
             }
         }

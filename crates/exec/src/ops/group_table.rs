@@ -35,10 +35,14 @@
 //! - payloads live in two more flat arenas: `u64` **state words** (a
 //!   fixed count per entry, all zero when the group is created) and
 //!   `side` payloads for state that is not words (a fixed count per
-//!   entry, often none). The per-tuple fold updates contiguous words
-//!   instead of dereferencing a per-group heap `Vec`, creating a group
-//!   extends the arenas in place — again no allocation per group — and
-//!   a table without side payloads clears with no drop loop;
+//!   entry, often none — then the arena is never allocated). The
+//!   per-tuple fold updates contiguous words instead of dereferencing a
+//!   per-group heap `Vec`, creating a group extends the arenas in place
+//!   — again no allocation per group — and a table without side
+//!   payloads clears with no drop loop;
+//! - strings the state words refer to (a `MIN`/`MAX` extreme that is a
+//!   string) sit in one **string pool** per table, indexed from the
+//!   words; it empties with the window;
 //! - entries stay in insertion order (arena append order), so closing a
 //!   window reads the arenas front to back — no re-hash, no order
 //!   side-vector, no clones.
@@ -53,7 +57,7 @@
 //! all-`UInt` — which is what `ukeys_ok` tracks for the stored side and
 //! the caller's lane gate guarantees for the probe side.
 
-use qap_types::Value;
+use qap_types::{ArcStr, Value};
 
 /// One open-addressed index slot: the low 32 bits of the entry's hash
 /// (its tag) and its arena index *plus one* (`0` marks a vacant slot).
@@ -126,7 +130,17 @@ pub(crate) struct Window<'a, P> {
     pub(crate) words: &'a [u64],
     /// The side payloads, the same count per entry.
     pub(crate) side: &'a [P],
+    /// The strings the state words index.
+    pub(crate) strs: &'a [ArcStr],
     pub(crate) len: usize,
+}
+
+/// One entry's mutable payload: its state words and side payloads, and
+/// the table's string pool the words may index.
+pub(crate) struct Payload<'a, P> {
+    pub(crate) words: &'a mut [u64],
+    pub(crate) side: &'a mut [P],
+    pub(crate) strs: &'a mut Vec<ArcStr>,
 }
 
 /// Hash table mapping a fixed-arity `[Value]` key to a fixed-width
@@ -158,6 +172,8 @@ pub(crate) struct GroupTable<P> {
     /// (e+1)*side_w]`.
     side: Vec<P>,
     side_w: usize,
+    /// Strings the state words index, kept until the window closes.
+    strs: Vec<ArcStr>,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.
     probes: u64,
@@ -178,6 +194,7 @@ impl<P> GroupTable<P> {
             words_w,
             side: Vec::new(),
             side_w,
+            strs: Vec::new(),
             probes: 0,
             inserts: 0,
         }
@@ -263,14 +280,15 @@ impl<P> GroupTable<P> {
         found
     }
 
-    /// Mutable state words and side payloads of entry `e` (an index
-    /// returned by a probe or an insert).
+    /// The payload of entry `e` (an index returned by a probe or an
+    /// insert).
     #[inline]
-    pub(crate) fn payload_mut(&mut self, e: usize) -> (&mut [u64], &mut [P]) {
-        (
-            &mut self.words[e * self.words_w..(e + 1) * self.words_w],
-            &mut self.side[e * self.side_w..(e + 1) * self.side_w],
-        )
+    pub(crate) fn payload_mut(&mut self, e: usize) -> Payload<'_, P> {
+        Payload {
+            words: &mut self.words[e * self.words_w..(e + 1) * self.words_w],
+            side: &mut self.side[e * self.side_w..(e + 1) * self.side_w],
+            strs: &mut self.strs,
+        }
     }
 
     /// Entry index of `key`, creating the group when absent: the key
@@ -462,6 +480,7 @@ impl<P> GroupTable<P> {
             },
             words: &self.words,
             side: &self.side,
+            strs: &self.strs,
             len: self.len,
         }
     }
@@ -479,18 +498,22 @@ impl<P> GroupTable<P> {
         self.ukeys_ok = true;
         self.words.clear();
         self.side.clear();
+        self.strs.clear();
     }
 
     /// Takes every entry in insertion order — the flat key arena as
     /// values (`arity` per entry), the word and side arenas and the
-    /// entry count — and empties the table.
+    /// entry count — and empties the table but for the string pool,
+    /// which the taken words and those put back still index.
     pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<u64>, Vec<P>, usize) {
         self.sync_keys();
         let n = self.len;
         let keys = std::mem::take(&mut self.keys);
         let words = std::mem::take(&mut self.words);
         let side = std::mem::take(&mut self.side);
+        let strs = std::mem::take(&mut self.strs);
         self.clear();
+        self.strs = strs;
         (keys, words, side, n)
     }
 }
@@ -535,7 +558,7 @@ mod tests {
         /// unit tests.
         fn get_mut(&mut self, hash: u64, key: &[Value]) -> Option<&mut [P]> {
             let e = self.find(hash, key)?;
-            Some(self.payload_mut(e).1)
+            Some(self.payload_mut(e).side)
         }
     }
 
@@ -553,9 +576,9 @@ mod tests {
             let h = hash_values(&k);
             assert!(t.get_mut(h, &k).is_none());
             let e = t.insert_new(h, &mut k, [v, 0].into_iter());
-            let (words, side) = t.payload_mut(e);
-            assert_eq!((&*words, &*side), (&[0][..], &[v, 0][..]));
-            words[0] = v + 1;
+            let p = t.payload_mut(e);
+            assert_eq!((&*p.words, &*p.side), (&[0][..], &[v, 0][..]));
+            p.words[0] = v + 1;
             assert!(k.is_empty(), "insert drains the scratch key");
         }
         for v in 0..100u64 {
@@ -685,7 +708,7 @@ mod tests {
         );
         assert!(walked >= 1, "hit walks are tallied into the register");
         assert!(t.keys.is_empty(), "word upserts build no values");
-        t.payload_mut(e).1[0] += 1;
+        t.payload_mut(e).side[0] += 1;
         assert_eq!(t.find_u64(h, &words), Some(0));
         assert_eq!(t.find_with(h, 2, |s| s == k.as_slice()), Some(0));
         let (arena, _, payloads, n) = t.take_entries();

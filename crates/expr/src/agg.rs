@@ -1,10 +1,14 @@
 //! Aggregate functions and their sub/super-aggregate decomposition.
+//! Every built-in's state is here twice: the reference model's
+//! [`Accumulator`], and the engine's `u64` words ([`WordAgg`]), which
+//! the unit tests hold to it value for value.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use qap_types::Value;
+use qap_types::{ArcStr, Value};
 
 use crate::ScalarExpr;
 
@@ -310,10 +314,11 @@ fn narrow(x: i128) -> Value {
     }
 }
 
-/// The state of every built-in aggregate but `MIN`/`MAX` (whose state
-/// is a [`Value`]) as a fixed number of `u64` words, all zero when
-/// fresh. `update`, `merge` and `finalize` are the [`Accumulator`]
-/// methods of the same name over those words, value for value.
+/// The state of every built-in aggregate as a fixed number of `u64`
+/// words, all zero when fresh. `update`, `merge` and `finalize` are the
+/// [`Accumulator`] methods of the same name over those words, value for
+/// value. A string `MIN`/`MAX` extreme is an index into a pool the
+/// caller keeps beside the words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordAgg {
     /// `COUNT`: `[n]`.
@@ -327,7 +332,18 @@ pub enum WordAgg {
     Or,
     /// `AND_AGGR`: `[present, acc]`.
     And,
+    /// `MIN`: `[tag, bits]`, the extreme's kind (`0` before any value)
+    /// and its payload.
+    Min,
+    /// `MAX`: `[tag, bits]`.
+    Max,
 }
+
+/// `MIN`/`MAX` tags, each the kind of the extreme in `bits`.
+const TAG_BOOL: u64 = 1;
+const TAG_UINT: u64 = 2;
+const TAG_INT: u64 = 3;
+const TAG_STR: u64 = 4;
 
 /// Adds `x` to the `i128` in `w[0..2]`.
 #[inline]
@@ -336,23 +352,24 @@ fn add_i128(w: &mut [u64], x: i128) {
 }
 
 impl WordAgg {
-    /// The word layout of `kind`, or `None` for `MIN`/`MAX`.
-    pub fn of(kind: AggKind) -> Option<WordAgg> {
-        Some(match kind {
+    /// The word layout of `kind`.
+    pub fn of(kind: AggKind) -> WordAgg {
+        match kind {
             AggKind::Count => WordAgg::Count,
             AggKind::Sum => WordAgg::Sum,
             AggKind::Avg => WordAgg::Avg,
             AggKind::OrAgg => WordAgg::Or,
             AggKind::AndAgg => WordAgg::And,
-            AggKind::Min | AggKind::Max => return None,
-        })
+            AggKind::Min => WordAgg::Min,
+            AggKind::Max => WordAgg::Max,
+        }
     }
 
     /// Words of state per group.
     pub fn width(self) -> usize {
         match self {
             WordAgg::Count | WordAgg::Or => 1,
-            WordAgg::And => 2,
+            WordAgg::And | WordAgg::Min | WordAgg::Max => 2,
             WordAgg::Sum | WordAgg::Avg => 3,
         }
     }
@@ -373,11 +390,42 @@ impl WordAgg {
                 w[1] = if w[0] == 0 { x } else { w[1] & x };
                 w[0] = 1;
             }
+            WordAgg::Min if w[0] == TAG_UINT => w[1] = w[1].min(x),
+            WordAgg::Max if w[0] == TAG_UINT => w[1] = w[1].max(x),
+            WordAgg::Min | WordAgg::Max if w[0] != 0 && !self.beats(&Value::UInt(x), w, &[]) => {}
+            WordAgg::Min | WordAgg::Max => [w[0], w[1]] = [TAG_UINT, x],
         }
     }
 
-    /// [`Accumulator::update`].
-    pub fn update(self, w: &mut [u64], v: &Value) {
+    /// Whether `v` replaces the extreme in `w`: by `Value::total_cmp`,
+    /// strictly below it for `MIN` and above it for `MAX`, so on a tie
+    /// the first value stays. Only a string reads a string extreme.
+    /// Out of line, so every other kind's lane fold stays small.
+    #[inline(never)]
+    fn beats(self, v: &Value, w: &[u64], pool: &[ArcStr]) -> bool {
+        let ord = match (v, w[0]) {
+            (_, 0) => return true,
+            (Value::Str(s), TAG_STR) => (**s).cmp(&pool[w[1] as usize]),
+            (_, TAG_STR) => Ordering::Less,
+            _ => v.total_cmp(&Self::extreme(w, pool)),
+        };
+        (self == WordAgg::Min && ord.is_lt()) || (self == WordAgg::Max && ord.is_gt())
+    }
+
+    /// The extreme `MIN`/`MAX` words hold (`NULL` before any value).
+    fn extreme(w: &[u64], pool: &[ArcStr]) -> Value {
+        match w[0] {
+            TAG_BOOL => Value::Bool(w[1] != 0),
+            TAG_UINT => Value::UInt(w[1]),
+            TAG_INT => Value::Int(w[1] as i64),
+            TAG_STR => Value::Str(pool[w[1] as usize].clone()),
+            _ => Value::Null,
+        }
+    }
+
+    /// [`Accumulator::update`]. A string `MIN`/`MAX` extreme goes into
+    /// `pool`, over the group's previous string if it had one.
+    pub fn update(self, w: &mut [u64], v: &Value, pool: &mut Vec<ArcStr>) {
         match self {
             _ if v.is_null() => {}
             WordAgg::Count => w[0] += 1,
@@ -392,20 +440,34 @@ impl WordAgg {
                     self.fold_uint(w, x, false);
                 }
             }
+            WordAgg::Min | WordAgg::Max if !self.beats(v, w, pool) => {}
+            WordAgg::Min | WordAgg::Max => {
+                [w[0], w[1]] = match v {
+                    Value::Str(s) if w[0] == TAG_STR => return pool[w[1] as usize] = s.clone(),
+                    Value::Str(s) => {
+                        pool.push(s.clone());
+                        [TAG_STR, pool.len() as u64 - 1]
+                    }
+                    Value::Bool(b) => [TAG_BOOL, u64::from(*b)],
+                    Value::Int(x) => [TAG_INT, *x as u64],
+                    Value::UInt(x) => [TAG_UINT, *x],
+                    Value::Null => return,
+                };
+            }
         }
     }
 
     /// [`Accumulator::merge`].
-    pub fn merge(self, w: &mut [u64], partial: &Value) {
+    pub fn merge(self, w: &mut [u64], partial: &Value, pool: &mut Vec<ArcStr>) {
         match self {
             WordAgg::Count => w[0] += partial.as_u64().unwrap_or(0),
             WordAgg::Avg => debug_assert!(partial.is_null(), "AVG partials must be decomposed"),
-            _ => self.update(w, partial),
+            _ => self.update(w, partial, pool),
         }
     }
 
     /// [`Accumulator::finalize`]; a built-in's partial is its final value.
-    pub fn finalize(self, w: &[u64]) -> Value {
+    pub fn finalize(self, w: &[u64], pool: &[ArcStr]) -> Value {
         match self {
             WordAgg::Count | WordAgg::Or => Value::UInt(w[0]),
             WordAgg::Sum | WordAgg::Avg if w[2] == 0 => Value::Null,
@@ -413,29 +475,35 @@ impl WordAgg {
             WordAgg::Avg => narrow(join_i128(w[0], w[1]) / i128::from(w[2])),
             WordAgg::And if w[0] == 0 => Value::Null,
             WordAgg::And => Value::UInt(w[1]),
+            WordAgg::Min | WordAgg::Max => Self::extreme(w, pool),
         }
     }
 
     /// The lossless migration state, [`state_width`] values: unlike
     /// `finalize`, a `SUM` ships its whole `i128` as two words and an
     /// `AVG` its sum and count.
-    pub fn state_values(self, w: &[u64], out: &mut Vec<Value>) {
+    pub fn state_values(self, w: &[u64], pool: &[ArcStr], out: &mut Vec<Value>) {
         match self {
             WordAgg::Sum if w[2] == 0 => out.extend([Value::Null, Value::Null]),
             WordAgg::Sum => out.extend(w[..2].iter().map(|&x| Value::UInt(x))),
             WordAgg::Avg => out.extend(w[..3].iter().map(|&x| Value::UInt(x))),
-            _ => out.push(self.finalize(w)),
+            _ => out.push(self.finalize(w, pool)),
         }
     }
 
     /// Folds migration state from [`WordAgg::state_values`] into these
     /// words, which may hold state of their own.
-    pub fn merge_state(self, w: &mut [u64], vals: &[Value]) {
+    pub fn merge_state(self, w: &mut [u64], vals: &[Value], pool: &mut Vec<ArcStr>) {
         let word = |i: usize| match vals.get(i) {
             Some(Value::UInt(x)) => Some(*x),
             _ => None,
         };
         match (self, word(0), word(1), word(2)) {
+            (WordAgg::Min | WordAgg::Max, ..) => {
+                if let Some(v) = vals.first() {
+                    self.update(w, v, pool);
+                }
+            }
             (WordAgg::Count, Some(x), ..) => w[0] += x,
             (WordAgg::Sum, Some(hi), Some(lo), _) => {
                 add_i128(w, join_i128(hi, lo));
@@ -803,12 +871,14 @@ mod tests {
         assert_eq!(b.finalize(), Value::Int(-5));
     }
 
-    const WORD_KINDS: [AggKind; 5] = [
+    const WORD_KINDS: [AggKind; 7] = [
         AggKind::Count,
         AggKind::Sum,
         AggKind::Avg,
         AggKind::OrAgg,
         AggKind::AndAgg,
+        AggKind::Min,
+        AggKind::Max,
     ];
 
     /// Folds `vals` into a fresh [`Accumulator`] and into fresh words —
@@ -817,50 +887,57 @@ mod tests {
     /// `finalize`, `state_values`, and `merge_state` into a fresh and a
     /// non-empty state. Returns the final value.
     fn word_equals_accumulator(kind: AggKind, merge: bool, vals: &[Value]) -> Value {
-        let agg = WordAgg::of(kind).expect("a word kind");
+        let agg = WordAgg::of(kind);
         let mut acc = make_accumulator(kind);
         let mut by_value = vec![0u64; agg.width()];
         let mut by_lane = by_value.clone();
+        let (mut pool, mut lane_pool) = (Vec::new(), Vec::new());
         for v in vals {
             if merge {
                 acc.merge(v);
-                agg.merge(&mut by_value, v);
+                agg.merge(&mut by_value, v, &mut pool);
             } else {
                 acc.update(v);
-                agg.update(&mut by_value, v);
+                agg.update(&mut by_value, v, &mut pool);
             }
             match v {
                 Value::UInt(x) => agg.fold_uint(&mut by_lane, *x, merge),
-                v if merge => agg.merge(&mut by_lane, v),
-                v => agg.update(&mut by_lane, v),
+                v if merge => agg.merge(&mut by_lane, v, &mut lane_pool),
+                v => agg.update(&mut by_lane, v, &mut lane_pool),
             }
         }
-        assert_eq!(by_lane, by_value, "{kind} merge={merge} {vals:?}");
+        assert_eq!(
+            (&by_lane, &lane_pool),
+            (&by_value, &pool),
+            "{kind} merge={merge} {vals:?}"
+        );
         let want = acc.finalize();
         assert_eq!(
-            agg.finalize(&by_value),
+            agg.finalize(&by_value, &pool),
             want,
             "{kind} merge={merge} {vals:?}"
         );
+        // A group holds at most one live string per slot.
+        assert!(pool.len() <= 1 && lane_pool.len() <= 1, "{kind} {vals:?}");
         let (mut shipped, mut words_shipped) = (Vec::new(), Vec::new());
         acc.state_values(&mut shipped);
-        agg.state_values(&by_value, &mut words_shipped);
+        agg.state_values(&by_value, &pool, &mut words_shipped);
         assert_eq!(words_shipped, shipped, "{kind} merge={merge} {vals:?}");
         assert_eq!(shipped.len(), state_width(kind));
-        for base in [None, Some(Value::UInt(3))] {
+        for base in [None, Some(Value::UInt(3)), Some(Value::from("m"))] {
             let mut acc2 = make_accumulator(kind);
-            let mut w2 = vec![0u64; agg.width()];
+            let (mut w2, mut pool2) = (vec![0u64; agg.width()], Vec::new());
             if let Some(b) = &base {
                 acc2.update(b);
-                agg.update(&mut w2, b);
+                agg.update(&mut w2, b, &mut pool2);
             }
             acc2.merge_state(&shipped);
-            agg.merge_state(&mut w2, &shipped);
+            agg.merge_state(&mut w2, &shipped, &mut pool2);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             acc2.state_values(&mut a);
-            agg.state_values(&w2, &mut b);
+            agg.state_values(&w2, &pool2, &mut b);
             assert_eq!(
-                (agg.finalize(&w2), b),
+                (agg.finalize(&w2, &pool2), b),
                 (acc2.finalize(), a),
                 "{kind} {base:?}"
             );
@@ -882,7 +959,7 @@ mod tests {
                     (0, _) => Value::Null,
                     (1, _) => Value::Int(-((r >> 4) as i64 % 1000)),
                     (2, _) => Value::Bool(r & 16 != 0),
-                    (3, _) => Value::from("s"),
+                    (3, _) => Value::from(["s", "a", "z"][(r >> 4) as usize % 3]),
                     (4, _) => Value::Int((r >> 4) as i64 % 1000),
                     (5, true) => Value::UInt(u64::MAX - (r >> 4) % 3),
                     (6, true) => Value::Int(i64::MIN + (r >> 4) as i64 % 3),
@@ -958,6 +1035,36 @@ mod tests {
             check(OrAgg, merge, &bits, Value::UInt(7));
             check(AndAgg, merge, &bits, Value::UInt(0));
             check(AndAgg, merge, &bits[..1], Value::UInt(6));
+        }
+        for merge in [false, true] {
+            // On a tie the first value stays, whatever its kind.
+            let (u, i) = (Value::UInt(5), Value::Int(5));
+            for kind in [Min, Max] {
+                check(kind, merge, &[u.clone(), i.clone()], u.clone());
+                check(kind, merge, &[i.clone(), u.clone(), i.clone()], i.clone());
+                // No non-null input: NULL.
+                check(kind, merge, &[], Value::Null);
+                check(kind, merge, &[Value::Null, Value::Null], Value::Null);
+            }
+            // Kinds rank Bool < numbers < Str.
+            let nums = [Value::Int(-3), Value::from("b"), Value::UInt(7)];
+            check(Max, merge, &nums, Value::from("b"));
+            check(Min, merge, &nums, Value::Int(-3));
+            let flags = [Value::UInt(0), Value::Bool(true), Value::Int(-9)];
+            check(Min, merge, &flags, Value::Bool(true));
+            check(Max, merge, &flags, Value::UInt(0));
+            let strs = [Value::from("b"), Value::from("a"), Value::from("c")];
+            check(Min, merge, &strs, Value::from("a"));
+            check(Max, merge, &strs, Value::from("c"));
+            // The ends of both integer kinds.
+            let ends = [
+                Value::UInt(u64::MAX),
+                Value::Int(i64::MIN),
+                Value::UInt(0),
+                Value::Int(i64::MAX),
+            ];
+            check(Min, merge, &ends, Value::Int(i64::MIN));
+            check(Max, merge, &ends, Value::UInt(u64::MAX));
         }
     }
 

@@ -18,8 +18,9 @@
 //!    `srcIP` ⊓ `srcIP & 0xFFF0` = `srcIP & 0xFFF0`).
 //! 3. **Aggregates** ([`AggKind`], [`Accumulator`], [`WordAgg`],
 //!    [`split_agg`]): the built-in aggregate functions including the
-//!    paper's `OR_AGGR`, their state as `u64` words for the engine's
-//!    group tables, and the sub/super-aggregate decomposition used by the
+//!    paper's `OR_AGGR`, the reference [`Accumulator`] the model runs,
+//!    every built-in's state as `u64` words for the engine's group
+//!    tables, and the sub/super-aggregate decomposition used by the
 //!    optimizer's partial-aggregation transformation (Section 5.2.2).
 
 mod agg;

@@ -2,7 +2,7 @@
 //! partition/placement annotations in one IR.
 //!
 //! Every logical node of the input [`qap_plan::QueryDag`] is referenced
-//! by its stable [`NodeId`] (as `op`); the e-graph reasons about *how*
+//! by its stable [`qap_plan::NodeId`] (as `op`); the e-graph reasons about *how*
 //! each operator is realized, not *what* it computes. Terms are sorted
 //! by construction into two families:
 //!

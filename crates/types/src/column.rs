@@ -25,10 +25,8 @@
 //!   communication between predicate kernels and operators: a filter is
 //!   a refinement of the selection, not a copy of the data.
 
+use crate::{ArcStr, Tuple, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use crate::{Tuple, Value};
 
 /// The code a dictionary lane stores at NULL positions. Never
 /// dereferenced: [`Column::value`] consults the null mask before the
@@ -42,7 +40,7 @@ pub const DICT_NULL_CODE: u32 = u32::MAX;
 /// attributes are extremely repetitive) collapse to integer compares:
 /// a predicate evaluates once per *distinct* value and then runs an
 /// integer scan over the codes, and per-row hashing becomes a per-code
-/// table lookup. The dictionary is per-batch: [`DictLane::clear`]
+/// table lookup. The dictionary is per-batch: clearing the lane
 /// resets it, and the wire codec ships the table with every frame.
 ///
 /// Codes of *one lane* are comparable (equal codes ⇔ equal strings,
@@ -51,12 +49,12 @@ pub const DICT_NULL_CODE: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub struct DictLane {
     codes: Vec<u32>,
-    values: Vec<Arc<str>>,
+    values: Vec<ArcStr>,
     /// Content → code, so interning is O(1) per push. Rebuilt on
     /// decode; first occurrence wins when a decoded table carries
     /// duplicates (codes stay valid — consumers compare via the
     /// `values` table, never across raw codes of distinct entries).
-    index: HashMap<Arc<str>, u32>,
+    index: HashMap<ArcStr, u32>,
 }
 
 impl DictLane {
@@ -68,7 +66,7 @@ impl DictLane {
     /// Rebuilds a lane from decoded parts. Every code must be a valid
     /// index into `values` or [`DICT_NULL_CODE`] (the decoder enforces
     /// this against the null mask before constructing the lane).
-    pub fn from_parts(codes: Vec<u32>, values: Vec<Arc<str>>) -> Self {
+    pub fn from_parts(codes: Vec<u32>, values: Vec<ArcStr>) -> Self {
         assert!(
             codes
                 .iter()
@@ -78,7 +76,7 @@ impl DictLane {
         let index = values
             .iter()
             .enumerate()
-            .map(|(i, s)| (Arc::clone(s), i as u32))
+            .map(|(i, s)| (ArcStr::clone(s), i as u32))
             .collect();
         DictLane {
             codes,
@@ -107,7 +105,7 @@ impl DictLane {
 
     /// The distinct strings, indexed by code, in first-seen order.
     #[inline]
-    pub fn values(&self) -> &[Arc<str>] {
+    pub fn values(&self) -> &[ArcStr] {
         &self.values
     }
 
@@ -116,12 +114,12 @@ impl DictLane {
     /// # Panics
     /// When row `i` is a NULL placeholder or out of bounds.
     #[inline]
-    pub fn get(&self, i: usize) -> &Arc<str> {
+    pub fn get(&self, i: usize) -> &ArcStr {
         &self.values[self.codes[i] as usize]
     }
 
     /// Interns a string, returning its code.
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+    pub fn intern(&mut self, s: &ArcStr) -> u32 {
         // Network-attribute dictionaries are almost always tiny
         // (protocol names, flag strings), where a few length-guarded
         // compares — pointer equality first — are much cheaper than a
@@ -129,7 +127,7 @@ impl DictLane {
         // index; both structures always hold every entry.
         if self.values.len() <= 8 {
             for (i, v) in self.values.iter().enumerate() {
-                if Arc::ptr_eq(v, s) || v.as_ref() == s.as_ref() {
+                if ArcStr::ptr_eq(v, s) || v.as_ref() == s.as_ref() {
                     return i as u32;
                 }
             }
@@ -138,13 +136,13 @@ impl DictLane {
         }
         let c = self.values.len() as u32;
         debug_assert!(c != DICT_NULL_CODE, "dictionary full");
-        self.values.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), c);
+        self.values.push(ArcStr::clone(s));
+        self.index.insert(ArcStr::clone(s), c);
         c
     }
 
     /// Appends one row holding `s`.
-    pub fn push(&mut self, s: &Arc<str>) {
+    pub fn push(&mut self, s: &ArcStr) {
         let c = self.intern(s);
         self.codes.push(c);
     }
@@ -247,7 +245,7 @@ pub enum ColumnData {
     /// Boolean lane.
     Bool(Vec<bool>),
     /// Interned-string lane.
-    Str(Vec<Arc<str>>),
+    Str(Vec<ArcStr>),
     /// Dictionary-encoded string lane: integer codes into a per-batch
     /// table of distinct strings.
     Dict(DictLane),
@@ -295,7 +293,7 @@ impl ColumnData {
             ColumnData::UInt(v) => v.push(0),
             ColumnData::Int(v) => v.push(0),
             ColumnData::Bool(v) => v.push(false),
-            ColumnData::Str(v) => v.push(Arc::from("")),
+            ColumnData::Str(v) => v.push(ArcStr::from("")),
             ColumnData::Dict(v) => v.push_placeholder(),
             ColumnData::Mixed(v) => v.push(Value::Null),
         }
@@ -472,7 +470,7 @@ impl Column {
     /// The string lane when the column is typed `Str` (not
     /// dictionary-encoded).
     #[inline]
-    pub fn strs(&self) -> Option<&[Arc<str>]> {
+    pub fn strs(&self) -> Option<&[ArcStr]> {
         match &self.data {
             Some(ColumnData::Str(v)) => Some(v),
             _ => None,
@@ -601,7 +599,7 @@ impl Column {
             (ColumnData::UInt(l), Value::UInt(x)) => l.push(*x),
             (ColumnData::Int(l), Value::Int(x)) => l.push(*x),
             (ColumnData::Bool(l), Value::Bool(x)) => l.push(*x),
-            (ColumnData::Str(l), Value::Str(x)) => l.push(Arc::clone(x)),
+            (ColumnData::Str(l), Value::Str(x)) => l.push(ArcStr::clone(x)),
             (ColumnData::Dict(l), Value::Str(x)) => l.push(x),
             (ColumnData::Mixed(l), v) => l.push(v.clone()),
             (_, v) => {
@@ -621,7 +619,7 @@ impl Column {
         self.data = Some(ColumnData::Mixed(mixed));
     }
 
-    /// Materializes row `i` as a [`Value`] (an `Arc` bump for strings).
+    /// Materializes row `i` as a [`Value`] (a reference-count bump for strings).
     ///
     /// # Panics
     /// When `i` is out of bounds.
@@ -634,8 +632,8 @@ impl Column {
             Some(ColumnData::UInt(l)) => Value::UInt(l[i]),
             Some(ColumnData::Int(l)) => Value::Int(l[i]),
             Some(ColumnData::Bool(l)) => Value::Bool(l[i]),
-            Some(ColumnData::Str(l)) => Value::Str(Arc::clone(&l[i])),
-            Some(ColumnData::Dict(l)) => Value::Str(Arc::clone(l.get(i))),
+            Some(ColumnData::Str(l)) => Value::Str(ArcStr::clone(&l[i])),
+            Some(ColumnData::Dict(l)) => Value::Str(ArcStr::clone(l.get(i))),
             Some(ColumnData::Mixed(l)) => l[i].clone(),
             None => unreachable!("non-null row in an untyped column"),
         }
@@ -750,7 +748,7 @@ impl Column {
                     }
                     (ColumnData::Str(d), ColumnData::Str(s)) => {
                         rows.extend(d, s);
-                        blank_nulls(d, appended, || Arc::from(""));
+                        blank_nulls(d, appended, || ArcStr::from(""));
                     }
                     (ColumnData::Dict(d), ColumnData::Dict(s)) => d.append_lane(s, rows),
                     (ColumnData::Dict(d), ColumnData::Str(s)) => rows.for_each(|i| {
@@ -762,9 +760,9 @@ impl Column {
                     }),
                     (ColumnData::Str(d), ColumnData::Dict(s)) => rows.for_each(|i| {
                         d.push(if src.is_null(i) {
-                            Arc::from("")
+                            ArcStr::from("")
                         } else {
-                            Arc::clone(s.get(i))
+                            ArcStr::clone(s.get(i))
                         });
                     }),
                     _ => {

@@ -33,7 +33,7 @@ pub use error::{TypeError, TypeResult};
 pub use schema::{DataType, Field, Schema, Temporality};
 pub use tuple::Tuple;
 pub use udaf::{Udaf, UdafRegistry, UdafState};
-pub use value::Value;
+pub use value::{ArcStr, Value};
 pub use wire::{
     decode_column_batch, decode_tuple, encode_column_batch, encode_tuple, encoded_column_batch_len,
     encoded_len, estimated_tuple_size, COLUMNAR_FLAG, FRAME_HEADER_LEN,

@@ -1,10 +1,70 @@
 //! Runtime values flowing through the stream engine.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+
+/// A shared, immutable string one pointer wide, so a [`Value`] is two
+/// words. It compares, orders, hashes and prints as the `str` it holds;
+/// a clone is a reference-count bump.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ArcStr(Arc<Box<str>>);
+
+impl ArcStr {
+    /// Whether `a` and `b` share one allocation (then they are equal).
+    #[inline]
+    pub fn ptr_eq(a: &ArcStr, b: &ArcStr) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for ArcStr {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for ArcStr {
+    fn as_ref(&self) -> &str {
+        self
+    }
+}
+
+impl Borrow<str> for ArcStr {
+    fn borrow(&self) -> &str {
+        self
+    }
+}
+
+impl From<&str> for ArcStr {
+    fn from(s: &str) -> Self {
+        ArcStr(Arc::new(Box::from(s)))
+    }
+}
+
+impl From<String> for ArcStr {
+    fn from(s: String) -> Self {
+        ArcStr(Arc::new(s.into_boxed_str()))
+    }
+}
+
+impl fmt::Debug for ArcStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for ArcStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
+}
 
 /// A single attribute value inside a [`crate::Tuple`].
 ///
@@ -22,8 +82,8 @@ pub enum Value {
     Int(i64),
     /// Boolean, produced by predicates.
     Bool(bool),
-    /// Interned string (protocol names, labels).
-    Str(Arc<str>),
+    /// Shared string (protocol names, labels).
+    Str(ArcStr),
 }
 
 impl Value {
@@ -146,7 +206,7 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(ArcStr::from(v))
     }
 }
 
@@ -169,7 +229,7 @@ mod tests {
         assert_eq!(Value::UInt(0).as_bool(), Some(false));
         assert_eq!(Value::UInt(3).as_bool(), Some(true));
         assert_eq!(Value::Int(-3).as_bool(), Some(true));
-        assert_eq!(Value::Str(Arc::from("x")).as_bool(), None);
+        assert_eq!(Value::Str(ArcStr::from("x")).as_bool(), None);
     }
 
     #[test]
@@ -183,6 +243,31 @@ mod tests {
     fn total_cmp_null_sorts_first() {
         assert_eq!(Value::Null.total_cmp(&Value::UInt(0)), Ordering::Less);
         assert_eq!(Value::Null.total_cmp(&Value::Null), Ordering::Equal);
+    }
+
+    #[test]
+    fn value_is_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    #[test]
+    fn shared_strings_act_as_str() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        let (a, b) = (ArcStr::from("tcp"), ArcStr::from(String::from("tcp")));
+        assert!(a == b && !ArcStr::ptr_eq(&a, &b) && ArcStr::ptr_eq(&a, &a.clone()));
+        assert_eq!(hash(&|s| a.hash(s)), hash(&|s| "tcp".hash(s)));
+        assert!(ArcStr::from("ab") < ArcStr::from("b"));
+        assert_eq!(
+            (format!("{a}"), format!("{a:?}")),
+            ("tcp".into(), "\"tcp\"".into())
+        );
+        assert_eq!(format!("{:?}", Value::from("x")), "Str(\"x\")");
     }
 
     #[test]

@@ -334,7 +334,7 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
                 let raw = buf.copy_to_bytes(len);
                 let s =
                     std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-                l.push(std::sync::Arc::from(s));
+                l.push(crate::ArcStr::from(s));
             }
             ColumnData::Str(l)
         }
@@ -353,7 +353,7 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
                 let raw = buf.copy_to_bytes(len);
                 let s =
                     std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-                values.push(std::sync::Arc::from(s));
+                values.push(crate::ArcStr::from(s));
             }
             want(buf, "dictionary codes", 4 * rows)?;
             let mut codes = Vec::with_capacity(rows);
@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn oversize_payload_is_rejected_before_staging() {
-        // 68 rows sharing one 64 MiB Arc<str> describe a ~4.25 GiB
+        // 68 rows sharing one 64 MiB string describe a ~4.25 GiB
         // payload while occupying ~64 MiB of memory: the encoder must
         // refuse before reserving anything, instead of emitting a frame
         // whose u32 length word silently truncated.

@@ -5,11 +5,12 @@
 //! engine code in it: evaluate the group key, find or create the group
 //! in a map, fold each slot. The lane entry (`Engine::push_columns`)
 //! classifies group keys (plain column, `column / constant`,
-//! kernel-compiled) and folds (`COUNT(*)`, and every word-kind slot over
+//! kernel-compiled) and folds (`COUNT(*)`, and every built-in slot over
 //! a column, merge slots included) into lane reads, and falls back to the
-//! per-row algorithm for everything else — `MIN`/`MAX`/UDAF slots,
-//! computed arguments, and any *value* outside a lane shape's domain
-//! (NULL or signed inputs reaching a `DivConst` key or a folded slot). The contract is that the lanes are invisible:
+//! per-row algorithm for everything else — UDAF slots, computed
+//! arguments, and any *value* outside a lane shape's domain (NULL,
+//! signed, Bool or string inputs reaching a `DivConst` key or a folded
+//! slot). The contract is that the lanes are invisible:
 //! byte-identical output tuples against the model, and identical
 //! operator counters at every batch size, including inputs engineered to
 //! cross the lane/fallback seam mid-stream.
@@ -18,8 +19,11 @@
 //! table's words (or its values, once a non-unsigned key has poisoned
 //! the window), slots finalize lane by lane, and HAVING runs as a
 //! compiled kernel over the staged window, or through the interpreter
-//! when the kernel refuses the predicate or bails. The tests at the end
-//! cross each of those seams with all-unsigned key columns.
+//! when the kernel refuses the predicate or bails. The tests after that
+//! cross each of those seams with all-unsigned key columns, and the last
+//! hold `MIN`/`MAX` of every value kind — strings in the group table's
+//! pool included — to the model through folds, merges, window closes
+//! and a migration.
 
 use std::sync::Arc;
 
@@ -481,24 +485,12 @@ fn window_poisoned_mid_way_matches_the_model() {
     assert_model_equals_lanes(&dag, &input, "window poisoned mid-way");
 }
 
-#[test]
-fn merge_slots_fold_partials_off_lanes() {
-    // A sub → super plan whose super-aggregate takes the partials with
-    // merge semantics: `COUNT` adds partial counts, the others fold
-    // them. Even windows' partials are all unsigned, so every merge
-    // folds off its lane; odd windows' carry NULL and negative sums and
-    // NULL `AND_AGGR`s, so those slots fall back to the row fold while
-    // `cnt` and `ov` stay on lanes. `nsv` merges the sums as counts: a
-    // negative or NULL partial adds nothing.
+/// The `sub` → `sup` plan of `script` as a distributed plan runs it:
+/// the super-aggregate takes the sub-aggregate's partials with merge
+/// semantics.
+fn merge_dag(script: &str) -> QueryDag {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-    b.parse_script(
-        "STREAM S(ts uint increasing, k uint, v uint);\n\
-         QUERY sub: SELECT tb, k, COUNT(v) as cnt, SUM(v) as sv, OR_AGGR(v) as ov, \
-         AND_AGGR(v) as av FROM S GROUP BY ts/60 as tb, k;\n\
-         QUERY sup: SELECT tb, COUNT(cnt) as cnt, SUM(sv) as sv, OR_AGGR(ov) as ov, \
-         AND_AGGR(av) as av, COUNT(sv) as nsv FROM sub GROUP BY tb HAVING SUM(sv) > 3;",
-    )
-    .expect("script parses");
+    b.parse_script(script).expect("script parses");
     let parsed = b.build();
     let sup = parsed.roots()[0];
     let LogicalNode::Aggregate {
@@ -515,17 +507,20 @@ fn merge_slots_fold_partials_off_lanes() {
         a.call.merge = true;
     }
     let mut dag = QueryDag::new(parsed.catalog().clone());
-    let source = dag.add_source("S").expect("source");
     let LogicalNode::Aggregate {
+        input: source,
         predicate: sub_pred,
         group_by: sub_keys,
         aggregates: sub_aggs,
         having: sub_having,
-        ..
     } = parsed.node(sub).clone()
     else {
         panic!("sub is an aggregate");
     };
+    let LogicalNode::Source { stream, .. } = parsed.node(source) else {
+        panic!("sub reads the stream");
+    };
+    let source = dag.add_source(stream).expect("source");
     let sub = dag
         .add_node(LogicalNode::Aggregate {
             input: source,
@@ -545,6 +540,25 @@ fn merge_slots_fold_partials_off_lanes() {
         })
         .expect("super-aggregate");
     dag.name_query("sup", sup).expect("names");
+    dag
+}
+
+#[test]
+fn merge_slots_fold_partials_off_lanes() {
+    // A sub → super plan whose super-aggregate takes the partials with
+    // merge semantics: `COUNT` adds partial counts, the others fold
+    // them. Even windows' partials are all unsigned, so every merge
+    // folds off its lane; odd windows' carry NULL and negative sums and
+    // NULL `AND_AGGR`s, so those slots fall back to the row fold while
+    // `cnt` and `ov` stay on lanes. `nsv` merges the sums as counts: a
+    // negative or NULL partial adds nothing.
+    let dag = merge_dag(
+        "STREAM S(ts uint increasing, k uint, v uint);\n\
+         QUERY sub: SELECT tb, k, COUNT(v) as cnt, SUM(v) as sv, OR_AGGR(v) as ov, \
+         AND_AGGR(v) as av FROM S GROUP BY ts/60 as tb, k;\n\
+         QUERY sup: SELECT tb, COUNT(cnt) as cnt, SUM(sv) as sv, OR_AGGR(ov) as ov, \
+         AND_AGGR(av) as av, COUNT(sv) as nsv FROM sub GROUP BY tb HAVING SUM(sv) > 3;",
+    );
     let input: Vec<Tuple> = (0..1200u64)
         .map(|i| {
             let (ts, k) = (i / 2, i % 7);
@@ -566,4 +580,136 @@ fn merge_slots_fold_partials_off_lanes() {
         "odd windows pass the HAVING too"
     );
     assert_model_equals_lanes(&dag, &input, "merge slots on lanes");
+}
+
+/// A stream whose `MIN`/`MAX` arguments cross every kind, window by
+/// window (four kinds of window, nine windows): `v` is unsigned with
+/// NULLs; negative `Int`s among unsigned values; `Bool`s, signed values
+/// and — in group `k = 3` only — strings; and, in every fourth window,
+/// unsigned values above 900 and no NULL. `s` is a string column with
+/// NULLs; `t` is 7 as a `UInt` or as an `Int` by turns, so each of its
+/// extremes is a tie the first value wins.
+const EXTREMES: &str = "STREAM M(ts uint increasing, k uint, v uint, s string, t uint);\n";
+
+fn extremes_trace() -> Vec<Tuple> {
+    const NAMES: [&str; 5] = ["tcp", "udp", "icmp", "gre", "esp"];
+    (0..1500u64)
+        .map(|i| {
+            let (ts, k) = (i / 3, i % 5);
+            let v = match (ts / 60 % 4, i % 10) {
+                (3, _) => Value::UInt(1_000 - i % 100),
+                (_, 0) => Value::Null,
+                (0, _) => Value::UInt(i % 40),
+                (1, 1..=3) => Value::Int(-((i % 13) as i64)),
+                (1, _) => Value::UInt(i % 40),
+                (_, 1) => Value::Bool(i % 2 == 0),
+                (_, 3) => Value::from(NAMES[(i / 5 % 5) as usize]),
+                _ => Value::Int((i % 40) as i64),
+            };
+            let s = match i % 11 {
+                0 => Value::Null,
+                _ => Value::from(NAMES[((i / 3 + i / 7) % 5) as usize]),
+            };
+            let t = match (ts / 60 + i / 40) % 2 {
+                0 => Value::UInt(7),
+                _ => Value::Int(7),
+            };
+            Tuple::new(vec![Value::UInt(ts), Value::UInt(k), v, s, t])
+        })
+        .collect()
+}
+
+#[test]
+fn min_max_over_every_kind_match_the_model() {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(&format!(
+        "{EXTREMES}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+         MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k \
+         HAVING MIN(v) < 30;"
+    ))
+    .expect("script parses");
+    let dag = b.build();
+    let input = extremes_trace();
+    let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+    let has = |col: usize, f: fn(&Value) -> bool| rows.iter().any(|r| f(r.get(col)));
+    assert!(has(3, |v| matches!(v, Value::Str(_))), "a string MAX");
+    assert!(has(2, |v| matches!(v, Value::Bool(_))), "a Bool MIN");
+    assert!(
+        has(2, |v| matches!(v, Value::Int(x) if *x < 0)),
+        "a negative MIN"
+    );
+    assert!(has(6, |v| matches!(v, Value::Int(7))) && has(6, |v| *v == Value::UInt(7)));
+    assert!(rows.len() < 9 * 5, "the HAVING drops groups");
+    assert_model_equals_lanes(&dag, &input, "min/max over every kind");
+}
+
+#[test]
+fn min_max_partials_merge_off_lanes() {
+    // The super-aggregate merges `MIN`/`MAX` partials of every kind:
+    // windows where a partial lane is all unsigned fold it off the lane.
+    let dag = merge_dag(&format!(
+        "{EXTREMES}QUERY sub: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+         MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k;\n\
+         QUERY sup: SELECT tb, MIN(lo) as lo, MAX(hi) as hi, MIN(smin) as smin, \
+         MAX(smax) as smax, MIN(tlo) as tlo, MAX(thi) as thi FROM sub GROUP BY tb \
+         HAVING MIN(lo) < 30;"
+    ));
+    assert_model_equals_lanes(&dag, &extremes_trace(), "min/max partials");
+}
+
+#[test]
+fn string_extremes_migrate() {
+    // Mid-window, one engine hands its odd groups to another: the state
+    // rows carry string extremes out of one table's pool into the
+    // other's, and the two engines' outputs together are the model's.
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(&format!(
+        "{EXTREMES}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+         MAX(s) as smax, COUNT(*) as n FROM M GROUP BY ts/60 as tb, k;"
+    ))
+    .expect("script parses");
+    let dag = b.build();
+    let root = dag.roots()[0];
+    let input = extremes_trace();
+    let sorted = |mut rows: Vec<Tuple>| {
+        rows.sort_by_key(|t| encode_tuple(t).to_vec());
+        rows
+    };
+    let want = sorted(
+        run_logical(&dag, input.iter().cloned()).expect("model")[0]
+            .1
+            .clone(),
+    );
+    let mut engines = [Engine::new(&dag).unwrap(), Engine::new(&dag).unwrap()];
+    let src = engines[0].source_nodes()[0];
+    let boundary = 150;
+    let split = input
+        .iter()
+        .position(|t| t.get(0).as_u64() >= Some(boundary))
+        .unwrap();
+    let odd = |key: &[Value]| key[1].as_u64().is_some_and(|k| k % 2 == 1);
+    for chunk in input[..split].chunks(64) {
+        engines[0]
+            .push_columns(src, &mut ColumnBatch::from_rows(chunk))
+            .unwrap();
+    }
+    engines[0].flush_before(root, boundary).unwrap();
+    let state = engines[0].extract_state(root, &mut |key| odd(key)).unwrap();
+    let strings = (0..state.rows())
+        .filter(|&r| matches!(state.column(3).value(r), Value::Str(_)))
+        .count();
+    assert!(strings > 0, "a string MAX extreme crosses");
+    engines[1].absorb_state(root, &state).unwrap();
+    for t in &input[split..] {
+        let e = usize::from(odd(t.values()));
+        engines[e]
+            .push_columns(src, &mut ColumnBatch::from_rows(std::slice::from_ref(t)))
+            .unwrap();
+    }
+    let mut got = Vec::new();
+    for e in &mut engines {
+        e.finish().unwrap();
+        got.extend(e.output(root));
+    }
+    assert_eq!(sorted(got), want);
 }
