@@ -1,8 +1,11 @@
 //! Fast, deterministic hashing for internal operator state.
 //!
-//! Group and join probes hash a short slice of [`Value`]s on *every*
-//! tuple, which makes the default SipHash a measurable fraction of the
-//! engine's per-tuple cost. Operator state is never exposed to
+//! Group and join probes hash a key on *every* tuple, which makes the
+//! default SipHash a measurable fraction of the engine's per-tuple
+//! cost. A key hashes one of two ways: as words ([`fold_word`], when
+//! every key reads as a non-null unsigned word — `ops::keys`) or as
+//! values ([`ValueHash`], the per-row path). An all-unsigned key hashes
+//! the same both ways, so both paths probe one table. Operator state is never exposed to
 //! adversarial keys (group keys come from the operator's own expression
 //! evaluation, and tables live only for one window), so a fast
 //! non-cryptographic hash is appropriate. This is the well-known
@@ -20,12 +23,12 @@ use qap_types::Value;
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// One multiply-xor round over a raw word — the fold [`FxHasher::add`]
-/// performs, exposed so the columnar aggregation path can hash an
-/// entire unsigned key lane in one pass. Starting from `0`
-/// (`FxHasher::default()`'s state), `fold_word(h, x)` agrees
-/// bit-for-bit with [`ValueHash::add`] of `Value::UInt(x)` because the
-/// `UInt` variant tag is zero — so column-hashed and row-hashed group
-/// keys probe the same table slots.
+/// performs, exposed so a key read as words hashes without building a
+/// `Value` (`ops::keys`). Starting from `0` (`FxHasher::default()`'s
+/// state), `fold_word(h, x)` agrees bit-for-bit with
+/// [`ValueHash::add`] of `Value::UInt(x)` because the `UInt` variant tag
+/// is zero — so a key hashed as words and the same key hashed as values
+/// probe the same table slots.
 #[inline]
 pub(crate) fn fold_word(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
@@ -131,44 +134,6 @@ const TAG_INT: u64 = 0xc2b2_ae3d_27d4_eb4f;
 const TAG_BOOL: u64 = 0x1656_67b1_9e37_79f9;
 const TAG_STR: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// The word [`ValueHash::add`] folds for `Value::Null` — exposed (with
-/// [`int_word`], [`bool_word`] and [`str_value_words`]) so the columnar
-/// aggregation path can hash typed key lanes in exact agreement with
-/// the row path's incremental hasher.
-pub(crate) const NULL_WORD: u64 = TAG_NULL;
-
-/// The word [`ValueHash::add`] folds for `Value::Int(x)`.
-#[inline]
-pub(crate) fn int_word(x: i64) -> u64 {
-    (x as u64) ^ TAG_INT
-}
-
-/// The word [`ValueHash::add`] folds for `Value::Bool(b)`.
-#[inline]
-pub(crate) fn bool_word(b: bool) -> u64 {
-    u64::from(b) ^ TAG_BOOL
-}
-
-/// Appends the exact fold-word sequence [`ValueHash::add`] performs for
-/// `Value::Str(s)`: the tag word, then the byte stream in 8-byte
-/// little-endian chunks with a zero-padded tail (mirroring
-/// [`FxHasher::write`]). A dictionary lane uses this to flatten each
-/// *distinct* string to words once, then replays the words per row.
-pub(crate) fn str_value_words(s: &str, out: &mut Vec<u64>) {
-    out.push(TAG_STR);
-    let bytes = s.as_bytes();
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        out.push(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        out.push(u64::from_le_bytes(buf));
-    }
-}
-
 impl ValueHash {
     #[inline]
     pub(crate) fn new() -> Self {
@@ -247,43 +212,6 @@ mod tests {
                 h = fold_word(h, x);
             }
             assert_eq!(vh.finish(), h, "key {key:?}");
-        }
-    }
-
-    /// Every per-lane word helper must reproduce [`ValueHash::add`]'s
-    /// fold sequence exactly — the agreement that lets column-hashed
-    /// and row-hashed group keys probe the same table slots for every
-    /// value kind, not just unsigned.
-    #[test]
-    fn lane_words_match_value_hash_on_all_kinds() {
-        let vals = [
-            Value::Null,
-            Value::Int(-5),
-            Value::Int(i64::MAX),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Str("proto-name!".into()), // 8-byte chunk + tail
-            Value::Str("".into()),            // tag word only
-            Value::Str("exactly8".into()),    // chunk, no tail
-            Value::UInt(9),
-        ];
-        let mut vh = ValueHash::new();
-        let mut h = 0u64;
-        let mut words = Vec::new();
-        for v in &vals {
-            vh.add(v);
-            words.clear();
-            match v {
-                Value::Null => words.push(NULL_WORD),
-                Value::UInt(x) => words.push(*x),
-                Value::Int(x) => words.push(int_word(*x)),
-                Value::Bool(b) => words.push(bool_word(*b)),
-                Value::Str(s) => str_value_words(s, &mut words),
-            }
-            for &w in &words {
-                h = fold_word(h, w);
-            }
-            assert_eq!(vh.finish(), h, "diverged at {v:?}");
         }
     }
 

@@ -1,5 +1,14 @@
 //! Tumbling-window hash aggregation (γ).
 //!
+//! A batch's group keys are read one of two ways. When every key reads
+//! as words ([`read_words`]: a non-null unsigned lane, `time/60` or a
+//! kernel key such as `srcIP & 0xFFF0` — every §6 query) and the window
+//! holds word keys only, the batch folds on words: one probe pass
+//! through [`GroupTable::upsert_u64`], then an entry-major fold. Any
+//! other batch — a signed, Bool, dictionary-string, nullable or all-NULL
+//! key lane, an interpreted key, or a window a key of another kind has
+//! poisoned — runs the per-row algorithm of Section 3.1 (`push_one`).
+//!
 //! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
 //! when the operator is built: every built-in slot is a run of `u64`
 //! words ([`WordAgg`]) beside its group's other slots — a string
@@ -9,23 +18,17 @@
 //! extracts and absorbs all read and write that layout directly.
 
 use qap_expr::{
-    AggKind, BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel, PredicateKernel, UdafState,
-    WordAgg, LANE_KINDS,
+    AggKind, BoundExpr, KernelScratch, LaneKind, PredicateKernel, UdafState, WordAgg, LANE_KINDS,
 };
-use qap_types::{
-    ArcStr, Column, ColumnBatch, ColumnData, DictLane, SelectionVector, Tuple, Value,
-    DICT_NULL_CODE,
-};
+use qap_types::{ArcStr, Column, ColumnBatch, SelectionVector, Tuple, Value};
 
 use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
 use super::group_table::{GroupTable, Payload, Window, WindowKeys};
-use super::{
-    bucket_of, column_lane_kind, emit_row, masked, merge_lanes, reset_arity, OpRuntimeStats,
-    Operator,
-};
+use super::keys::{read_words, KeyEval};
+use super::{bucket_of, emit_row, merge_lanes, reset_arity, OpRuntimeStats, Operator};
 
 /// A UDAF slot's running state for one group: the one kind of state
 /// that is not words. Its lossless migration state is its partial,
@@ -144,64 +147,6 @@ fn fresh_side(slots: &[Slot]) -> impl Iterator<Item = Udaf> + '_ {
     })
 }
 
-/// How the lane path reads one group-key expression, classified once
-/// at operator construction: the two shapes every windowed query hits —
-/// a plain column and the `time/60` window key — read their lanes
-/// directly, and any other numeric key (`srcIP & 0xFFF0`) compiles to a
-/// kernel. Each reproduces [`BoundExpr::eval`] exactly; a batch whose
-/// lanes fall outside a shape's domain takes the per-row algorithm.
-enum KeyEval {
-    /// Plain column reference.
-    Col(usize),
-    /// `column / <positive unsigned literal>` over an unsigned input;
-    /// other inputs (NULL, signed, …) take the per-row path. When
-    /// `magic` is non-zero (divisor in `2..2^32`), a dividend that fits
-    /// 32 bits strength-reduces the hardware division to a
-    /// multiply-shift: with `m = ⌊2^64/d⌋ + 1`, `(x·m) >> 64 = ⌊x/d⌋`
-    /// exactly for all `x, d < 2^32` (the +1 over-approximation of
-    /// `2^64/d` adds under `x·2^-64 < 2^-32` before the floor, and the
-    /// true fraction `r/d` sits at least `1/d > 2^-32` below the next
-    /// integer).
-    DivConst { col: usize, div: u64, magic: u64 },
-    /// Any other key inside the numeric kernel domain, evaluated once
-    /// per batch into an owned unsigned lane.
-    Kernel(NumKernel),
-    /// Outside every lane shape: the per-row path evaluates it.
-    General,
-}
-
-impl KeyEval {
-    fn classify(e: &BoundExpr) -> KeyEval {
-        match e {
-            BoundExpr::Column(i) => KeyEval::Col(*i),
-            BoundExpr::Binary {
-                op: BinOp::Div,
-                lhs,
-                rhs,
-            } => match (lhs.as_ref(), rhs.as_ref()) {
-                (BoundExpr::Column(i), BoundExpr::Literal(Value::UInt(c))) if *c > 0 => {
-                    let magic = if (2..1u64 << 32).contains(c) {
-                        ((1u128 << 64) / u128::from(*c)) as u64 + 1
-                    } else {
-                        0
-                    };
-                    KeyEval::DivConst {
-                        col: *i,
-                        div: *c,
-                        magic,
-                    }
-                }
-                _ => KeyEval::general(e),
-            },
-            _ => KeyEval::general(e),
-        }
-    }
-
-    fn general(e: &BoundExpr) -> KeyEval {
-        NumKernel::compile(e).map_or(KeyEval::General, KeyEval::Kernel)
-    }
-}
-
 /// How the lane path reads one aggregate slot's argument, classified
 /// once at operator construction (the per-batch [`SlotLane`] refines
 /// it).
@@ -212,17 +157,6 @@ enum SlotEval {
     Col(usize),
     /// Evaluate the argument expression, then update or merge.
     General,
-}
-
-/// Strength-reduced unsigned division for the window key (see
-/// [`KeyEval::DivConst`]).
-#[inline]
-fn div_q(x: u64, div: u64, magic: u64) -> u64 {
-    if magic != 0 && x >> 32 == 0 {
-        ((u128::from(x) * u128::from(magic)) >> 64) as u64
-    } else {
-        x / div
-    }
 }
 
 impl SlotEval {
@@ -243,7 +177,8 @@ impl SlotEval {
 pub(crate) struct AggregateOp {
     predicate: Option<BoundExpr>,
     group_exprs: Vec<BoundExpr>,
-    /// Lane shapes of `group_exprs`, classified once (parallel vector).
+    /// How `group_exprs` read as words, classified once (parallel
+    /// vector).
     key_evals: Vec<KeyEval>,
     /// Index (within the group key) of the temporal attribute that
     /// defines the window.
@@ -288,12 +223,9 @@ pub(crate) struct AggregateOp {
     /// Reused selection vector: the columnar filter's, and HAVING's
     /// over a closed window.
     sel: SelectionVector,
-    /// Per-row group-key hashes, built column-at-a-time (one fold per
-    /// key lane) so the probe loop touches no `Value`s at all.
+    /// Per-row group-key hashes of the word path, the fx fold of each
+    /// row's key words.
     hash_scratch: Vec<u64>,
-    /// Per-row window-key quotients on the columnar path, one lane per
-    /// `DivConst` eval in key order.
-    q_lanes: Vec<Vec<u64>>,
     /// Reused row: a columnar fallback's materialization (interpreter
     /// predicates and HAVING, `General` slot folds).
     row_scratch: Tuple,
@@ -301,27 +233,20 @@ pub(crate) struct AggregateOp {
     /// fallback, so a kernel bailout does not reallocate two index
     /// buffers per batch.
     fallback_keep: Vec<u32>,
-    /// Row-major key words for the all-unsigned columnar path (`arity`
-    /// words per row, window quotients computed in place). One buffer,
-    /// four uses: hash input, probe key ([`GroupTable::upsert_u64`]),
-    /// window-bucket source and insert key.
+    /// Row-major key words for the word path ([`read_words`]: `arity`
+    /// words per row). One buffer, four uses: hash input, probe key
+    /// ([`GroupTable::upsert_u64`]), window-bucket source and insert key.
     ukeys_flat: Vec<u64>,
     /// `(group entry << 32) | row` per surviving row of the current
     /// window segment (late rows absent), filled by the probe pass and
-    /// consumed by the entry-major fold pass of the all-unsigned
-    /// columnar path.
+    /// consumed by the entry-major fold pass of the word path.
     entry_scratch: Vec<u64>,
-    /// Columnar batches whose classified key lanes completed, tallied
-    /// by lane type (one batch credits every lane type it read).
+    /// Key lanes read as words, tallied under `Uint` (one per key per
+    /// batch).
     lane_hits: [u64; LANE_KINDS],
-    /// Columnar batches bounced to the per-row algorithm, tallied by
-    /// the lane type that forced the bounce.
+    /// Batches bounced to the per-row algorithm, tallied by the lane
+    /// type that forced the bounce.
     lane_fallbacks: [u64; LANE_KINDS],
-    /// Flattened fold-word sequences of a dictionary key lane's
-    /// distinct strings (reused across batches), with
-    /// `str_offs[c]..str_offs[c+1]` delimiting code `c`'s words.
-    str_words: Vec<u64>,
-    str_offs: Vec<u32>,
     kernel_hits: u64,
     kernel_fallbacks: u64,
 }
@@ -358,15 +283,12 @@ impl AggregateOp {
             kscratch: KernelScratch::new(),
             sel: SelectionVector::new(),
             hash_scratch: Vec::new(),
-            q_lanes: Vec::new(),
             row_scratch: Tuple::default(),
             fallback_keep: Vec::new(),
             ukeys_flat: Vec::new(),
             entry_scratch: Vec::new(),
             lane_hits: [0; LANE_KINDS],
             lane_fallbacks: [0; LANE_KINDS],
-            str_words: Vec::new(),
-            str_offs: Vec::new(),
             kernel_hits: 0,
             kernel_fallbacks: 0,
             slots,
@@ -599,37 +521,98 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Folds row `r` into a group's state. The per-batch [`SlotLane`]
-    /// classification hoists the lane resolution out of the row loop:
-    /// `Count` increments, `Word` folds straight off its captured
-    /// unsigned lane, and everything else takes [`fold_row`].
-    #[inline(always)]
-    fn fold_lanes(
-        slots: &[Slot],
-        slot_lanes: &[SlotLane<'_>],
-        mut g: Group<'_>,
+    /// The word path over a batch whose keys [`read_words`] laid out as
+    /// `flat` (`arity` words per row) and hashed into `hashes`, into a
+    /// window whose keys are all words: the one buffer serves as hash
+    /// input, probe key, window-bucket source and insert key, so the
+    /// per-row loop touches no `Value` at all.
+    fn push_words(
+        &mut self,
         batch: &ColumnBatch,
-        r: usize,
-        row: &mut Tuple,
+        flat: &[u64],
+        hashes: &[u64],
+        out: &mut ColumnBatch,
     ) -> ExecResult<()> {
-        for (slot, lane) in slots.iter().zip(slot_lanes) {
-            match *lane {
-                SlotLane::Count(off) => g.words[off] += 1,
-                SlotLane::Word {
-                    agg,
-                    merge,
-                    off,
-                    lane,
-                } => agg.fold_uint(&mut g.words[off..], lane[r], merge),
-                SlotLane::Row => fold_row(slot, &mut g, batch, r, row)?,
+        let arity = self.group_exprs.len();
+        self.kernel_hits += 1;
+        self.lane_hits[LaneKind::Uint as usize] += arity as u64;
+        let slot_lanes = classify_slot_lanes(&self.slots, batch);
+        let t_off = self.temporal_idx;
+        // Probe pass: one counted walk per row finds-or-inserts the
+        // group and records `(entry, row)` packed in one word. Folding
+        // is deferred to an entry-major segment pass (slot dispatch
+        // classified once per batch), run before every window flush so
+        // bucket transitions observe exactly the state the row path
+        // would.
+        let mut ents = std::mem::take(&mut self.entry_scratch);
+        ents.clear();
+        // Probe tally lives in a register for the whole batch — a
+        // per-row `Cell` update would chain the iterations through
+        // memory (see `upsert_u64`).
+        let mut walked = 0u64;
+        for (r, (key, &hash)) in flat.chunks_exact(arity).zip(hashes).enumerate() {
+            let bucket = i128::from(key[t_off]);
+            match self.current_bucket {
+                Some(cur) if bucket > cur => {
+                    Self::fold_segment(
+                        &self.slots,
+                        &slot_lanes,
+                        &mut self.groups,
+                        &ents,
+                        batch,
+                        &mut self.row_scratch,
+                    )?;
+                    ents.clear();
+                    self.flush(out)?;
+                    self.current_bucket = Some(bucket);
+                }
+                Some(cur) if bucket < cur => {
+                    self.late += 1;
+                    continue;
+                }
+                Some(_) => {}
+                None => self.current_bucket = Some(bucket),
             }
+            let e = self
+                .groups
+                .upsert_u64(hash, key, &mut walked, fresh_side(&self.slots));
+            ents.push((e as u64) << 32 | r as u64);
         }
+        self.groups.add_probes(walked);
+        Self::fold_segment(
+            &self.slots,
+            &slot_lanes,
+            &mut self.groups,
+            &ents,
+            batch,
+            &mut self.row_scratch,
+        )?;
+        self.entry_scratch = ents;
         Ok(())
     }
 
-    /// Entry-major fold over one window segment of the all-unsigned fast
-    /// path: each `ents` word packs `(group entry << 32) | row` (late
-    /// rows absent). One pass touches each row's group once and folds
+    /// The per-tuple algorithm over every row of a batch the word path
+    /// refused, tallied under the lane type `kind` that forced it.
+    fn push_rows(
+        &mut self,
+        kind: LaneKind,
+        batch: &ColumnBatch,
+        out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
+        self.kernel_fallbacks += 1;
+        self.lane_fallbacks[kind as usize] += 1;
+        let mut row = std::mem::take(&mut self.row_scratch);
+        let res = (0..batch.rows()).try_for_each(|r| {
+            batch.write_row_into(r, &mut row);
+            self.push_one(&row, out)
+        });
+        self.row_scratch = row;
+        res
+    }
+
+    /// Entry-major fold over one window segment of the word path: each
+    /// `ents` word packs `(group entry << 32) | row` (late rows
+    /// absent). One pass touches each row's group once and folds
     /// all of its slots together — a group's state words sit side by
     /// side in the word arena — and each accumulator sees its rows in
     /// row order, so any order-sensitive UDAF state observes the update
@@ -666,17 +649,28 @@ impl AggregateOp {
         let width = if W == 0 { slots.len() } else { W };
         let (slots, slot_lanes) = (&slots[..width], &slot_lanes[..width]);
         for &er in ents {
-            let g = table.payload_mut((er >> 32) as usize);
+            let mut g = table.payload_mut((er >> 32) as usize);
             let r = er as u32 as usize;
-            Self::fold_lanes(slots, slot_lanes, g, batch, r, row_scratch)?;
+            for (slot, lane) in slots.iter().zip(slot_lanes) {
+                match *lane {
+                    SlotLane::Count(off) => g.words[off] += 1,
+                    SlotLane::Word {
+                        agg,
+                        merge,
+                        off,
+                        lane,
+                    } => agg.fold_uint(&mut g.words[off..], lane[r], merge),
+                    SlotLane::Row => fold_row(slot, &mut g, batch, r, row_scratch)?,
+                }
+            }
         }
         Ok(())
     }
 }
 
-/// The per-row fold of a [`SlotLane::Row`] slot, shared by both lane
-/// folds: a column argument folds straight off its lane, anything else
-/// evaluates against row `r` materialized into `row`.
+/// The per-row fold of a [`SlotLane::Row`] slot: a column argument
+/// folds straight off its lane, anything else evaluates against row `r`
+/// materialized into `row`.
 #[inline(never)]
 fn fold_row(
     slot: &Slot,
@@ -739,335 +733,6 @@ fn extract_from_table(
             let e = table.insert_new(vh.finish(), &mut scratch, accs.drain(..));
             table.payload_mut(e).words.copy_from_slice(w);
         }
-    }
-}
-
-/// One group-key expression's source for the current batch, classified
-/// once per batch so the per-row loop (hash, probe, materialize) reads
-/// raw lanes — no `Column` dispatch per row per probe.
-enum KeyLane<'a> {
-    /// Non-null unsigned lane.
-    U(&'a [u64]),
-    /// Unsigned lane with a null mask.
-    UNull(&'a [u64], &'a [bool]),
-    /// Signed lane (empty mask = no NULLs).
-    I(&'a [i64], &'a [bool]),
-    /// Boolean lane (empty mask = no NULLs).
-    B(&'a [bool], &'a [bool]),
-    /// Dictionary-encoded strings; NULL rows carry [`DICT_NULL_CODE`].
-    D(&'a DictLane),
-    /// Untyped all-NULL column.
-    AllNull,
-    /// Window quotient: the divisor's source lane, materialized into
-    /// `q_lanes[idx]` by the hash pass.
-    Q {
-        src: &'a [u64],
-        div: u64,
-        magic: u64,
-        idx: usize,
-    },
-}
-
-/// The lane type a classified key lane reads — `None` for the untyped
-/// all-NULL lane, which belongs to no tally.
-fn key_lane_kind(lane: &KeyLane<'_>) -> Option<LaneKind> {
-    Some(match lane {
-        KeyLane::U(_) | KeyLane::UNull(..) | KeyLane::Q { .. } => LaneKind::Uint,
-        KeyLane::I(..) => LaneKind::Int,
-        KeyLane::B(..) => LaneKind::Bool,
-        KeyLane::D(_) => LaneKind::Dict,
-        KeyLane::AllNull => return None,
-    })
-}
-
-/// Classifies every key eval's source lane, or the blocking lane type
-/// when some shape keeps the batch off the columnar path: a `Mixed` or
-/// plain-`Str` lane (entry normalization dictionary-encodes strings, so
-/// plain `Str` means a demoted recycle), a `General` eval (tallied as
-/// `Mixed` — no single lane to blame), a window divisor over anything
-/// but a non-null unsigned lane, or a temporal lane that is not
-/// non-null unsigned — NULL windows and kind-ranked buckets stay on the
-/// exact row path. `computed` holds this batch's kernel-evaluated keys,
-/// one column per `Kernel` eval in key order.
-fn classify_key_lanes<'a>(
-    key_evals: &[KeyEval],
-    temporal_idx: usize,
-    batch: &'a ColumnBatch,
-    computed: &'a [Column],
-) -> Result<Vec<KeyLane<'a>>, LaneKind> {
-    let mut lanes = Vec::with_capacity(key_evals.len());
-    let mut n_divs = 0;
-    let mut computed = computed.iter();
-    for ev in key_evals {
-        lanes.push(match ev {
-            KeyEval::Col(i) => {
-                let c = batch.column(*i);
-                let m = c.null_mask();
-                match c.data() {
-                    Some(ColumnData::UInt(l)) if m.is_empty() => KeyLane::U(l),
-                    Some(ColumnData::UInt(l)) => KeyLane::UNull(l, m),
-                    Some(ColumnData::Int(l)) => KeyLane::I(l, m),
-                    Some(ColumnData::Bool(l)) => KeyLane::B(l, m),
-                    Some(ColumnData::Dict(d)) => KeyLane::D(d),
-                    None => KeyLane::AllNull,
-                    Some(ColumnData::Str(_)) => return Err(LaneKind::Str),
-                    Some(ColumnData::Mixed(_)) => return Err(LaneKind::Mixed),
-                }
-            }
-            KeyEval::DivConst { col, div, magic } => {
-                let c = batch.column(*col);
-                let (Some(src), false) = (c.uints(), c.has_nulls()) else {
-                    return Err(column_lane_kind(c));
-                };
-                let idx = n_divs;
-                n_divs += 1;
-                KeyLane::Q {
-                    src,
-                    div: *div,
-                    magic: *magic,
-                    idx,
-                }
-            }
-            KeyEval::Kernel(_) => match computed.next().map(|c| (c.uints(), c.null_mask())) {
-                Some((Some(l), [])) => KeyLane::U(l),
-                Some((Some(l), m)) => KeyLane::UNull(l, m),
-                _ => return Err(LaneKind::Uint),
-            },
-            KeyEval::General => return Err(LaneKind::Mixed),
-        });
-    }
-    match lanes[temporal_idx] {
-        KeyLane::U(_) | KeyLane::Q { .. } => Ok(lanes),
-        ref l => Err(key_lane_kind(l).unwrap_or(LaneKind::Mixed)),
-    }
-}
-
-/// Builds the row-major key-word buffer for the all-unsigned fast path
-/// — `arity` words per row, filled lane-at-a-time (plain lanes copy,
-/// window quotients compute in place) — folding each word into the
-/// per-row hash in the same sweep. Each row's word slice *is* its
-/// group key: the words equal the `Value::UInt` payloads the row path
-/// would materialize, and because lanes fill in key order, the hash
-/// folds words in row order and reproduces [`fx::ValueHash`] exactly
-/// (the `UInt` tag is zero).
-fn build_flat_words(
-    lanes: &[KeyLane<'_>],
-    rows: usize,
-    flat: &mut Vec<u64>,
-    hashes: &mut Vec<u64>,
-) {
-    let arity = lanes.len();
-    flat.clear();
-    flat.resize(rows * arity, 0);
-    for (k, lane) in lanes.iter().enumerate() {
-        match lane {
-            KeyLane::U(l) => {
-                for (row, &x) in flat.chunks_exact_mut(arity).zip(*l) {
-                    row[k] = x;
-                }
-            }
-            KeyLane::Q {
-                src, div, magic, ..
-            } => {
-                for (row, &x) in flat.chunks_exact_mut(arity).zip(*src) {
-                    row[k] = div_q(x, *div, *magic);
-                }
-            }
-            _ => unreachable!("caller gates on all-unsigned lanes"),
-        }
-    }
-    hashes.clear();
-    hashes.extend(
-        flat.chunks_exact(arity)
-            .map(|key| key.iter().fold(0u64, |h, &w| fx::fold_word(h, w))),
-    );
-}
-
-/// The vectorized key pass: one fold per key lane per row into the
-/// per-row hash vector, quotient lanes computed in the same sweep. The
-/// hash agrees bit-for-bit with the row path's [`fx::ValueHash`] over
-/// the same key values — every lane kind folds exactly the word(s)
-/// `ValueHash::add` would — so row-pushed and column-pushed tuples
-/// probe identical table slots. Dictionary lanes flatten each
-/// *distinct* string to its word sequence once (into
-/// `str_words`/`str_offs`) and replay the words per row.
-fn hash_key_lanes(
-    lanes: &[KeyLane<'_>],
-    rows: usize,
-    hashes: &mut Vec<u64>,
-    q_lanes: &mut Vec<Vec<u64>>,
-    str_words: &mut Vec<u64>,
-    str_offs: &mut Vec<u32>,
-) {
-    hashes.clear();
-    hashes.resize(rows, 0);
-    let n_divs = lanes
-        .iter()
-        .filter(|l| matches!(l, KeyLane::Q { .. }))
-        .count();
-    q_lanes.resize_with(n_divs, Vec::new);
-    for lane in lanes {
-        match lane {
-            KeyLane::U(l) => {
-                for (h, &x) in hashes.iter_mut().zip(*l) {
-                    *h = fx::fold_word(*h, x);
-                }
-            }
-            KeyLane::UNull(l, m) => {
-                for ((h, &x), &n) in hashes.iter_mut().zip(*l).zip(*m) {
-                    *h = fx::fold_word(*h, if n { fx::NULL_WORD } else { x });
-                }
-            }
-            KeyLane::I(l, m) => {
-                for (r, (h, &x)) in hashes.iter_mut().zip(*l).enumerate() {
-                    let w = if masked(m, r) {
-                        fx::NULL_WORD
-                    } else {
-                        fx::int_word(x)
-                    };
-                    *h = fx::fold_word(*h, w);
-                }
-            }
-            KeyLane::B(l, m) => {
-                for (r, (h, &b)) in hashes.iter_mut().zip(*l).enumerate() {
-                    let w = if masked(m, r) {
-                        fx::NULL_WORD
-                    } else {
-                        fx::bool_word(b)
-                    };
-                    *h = fx::fold_word(*h, w);
-                }
-            }
-            KeyLane::AllNull => {
-                for h in hashes.iter_mut() {
-                    *h = fx::fold_word(*h, fx::NULL_WORD);
-                }
-            }
-            KeyLane::D(d) => {
-                str_words.clear();
-                str_offs.clear();
-                str_offs.push(0);
-                for v in d.values() {
-                    fx::str_value_words(v, str_words);
-                    str_offs.push(str_words.len() as u32);
-                }
-                for (h, &c) in hashes.iter_mut().zip(d.codes()) {
-                    if c == DICT_NULL_CODE {
-                        *h = fx::fold_word(*h, fx::NULL_WORD);
-                    } else {
-                        let span = str_offs[c as usize] as usize..str_offs[c as usize + 1] as usize;
-                        for &w in &str_words[span] {
-                            *h = fx::fold_word(*h, w);
-                        }
-                    }
-                }
-            }
-            KeyLane::Q {
-                src,
-                div,
-                magic,
-                idx,
-            } => {
-                let q = &mut q_lanes[*idx];
-                q.clear();
-                q.extend(src.iter().map(|&x| div_q(x, *div, *magic)));
-                for (h, &qv) in hashes.iter_mut().zip(q.iter()) {
-                    *h = fx::fold_word(*h, qv);
-                }
-            }
-        }
-    }
-}
-
-/// Compares a stored group key against row `r`'s key without
-/// materializing the latter, lane-at-a-time. Equality agrees exactly
-/// with the `[Value]` comparison (structural: `UInt(5) ≠ Int(5)`)
-/// because each arm matches only its lane's exact `Value` kind;
-/// dictionary rows short-circuit on pointer equality within a batch and
-/// fall back to content comparison across batches.
-#[inline]
-fn key_matches_lanes(lanes: &[KeyLane<'_>], q_lanes: &[Vec<u64>], r: usize, key: &[Value]) -> bool {
-    lanes.iter().zip(key).all(|(lane, kv)| match lane {
-        KeyLane::U(l) => matches!(kv, Value::UInt(x) if *x == l[r]),
-        KeyLane::UNull(l, m) => {
-            if m[r] {
-                kv.is_null()
-            } else {
-                matches!(kv, Value::UInt(x) if *x == l[r])
-            }
-        }
-        KeyLane::I(l, m) => {
-            if masked(m, r) {
-                kv.is_null()
-            } else {
-                matches!(kv, Value::Int(x) if *x == l[r])
-            }
-        }
-        KeyLane::B(l, m) => {
-            if masked(m, r) {
-                kv.is_null()
-            } else {
-                matches!(kv, Value::Bool(x) if *x == l[r])
-            }
-        }
-        KeyLane::D(d) => {
-            if d.codes()[r] == DICT_NULL_CODE {
-                kv.is_null()
-            } else {
-                matches!(kv, Value::Str(s) if {
-                    let v = d.get(r);
-                    ArcStr::ptr_eq(s, v) || s == v
-                })
-            }
-        }
-        KeyLane::AllNull => kv.is_null(),
-        KeyLane::Q { idx, .. } => matches!(kv, Value::UInt(x) if *x == q_lanes[*idx][r]),
-    })
-}
-
-/// Builds the owned group key for row `r` from classified lanes. Runs
-/// only when a new group inserts.
-fn materialize_key_lanes(
-    lanes: &[KeyLane<'_>],
-    q_lanes: &[Vec<u64>],
-    r: usize,
-    out: &mut Vec<Value>,
-) {
-    out.clear();
-    for lane in lanes {
-        out.push(match lane {
-            KeyLane::U(l) => Value::UInt(l[r]),
-            KeyLane::UNull(l, m) => {
-                if m[r] {
-                    Value::Null
-                } else {
-                    Value::UInt(l[r])
-                }
-            }
-            KeyLane::I(l, m) => {
-                if masked(m, r) {
-                    Value::Null
-                } else {
-                    Value::Int(l[r])
-                }
-            }
-            KeyLane::B(l, m) => {
-                if masked(m, r) {
-                    Value::Null
-                } else {
-                    Value::Bool(l[r])
-                }
-            }
-            KeyLane::D(d) => {
-                if d.codes()[r] == DICT_NULL_CODE {
-                    Value::Null
-                } else {
-                    Value::Str(d.get(r).clone())
-                }
-            }
-            KeyLane::AllNull => Value::Null,
-            KeyLane::Q { idx, .. } => Value::UInt(q_lanes[*idx][r]),
-        });
     }
 }
 
@@ -1137,168 +802,30 @@ impl Operator for AggregateOp {
             }
             batch.compact(&self.sel);
         }
-        // Computed keys evaluate once per batch into owned lanes; then
-        // key-lane eligibility gates the whole batch. Ineligible shapes
-        // (a bailed key kernel, Mixed lanes, General evals, non-unsigned
-        // window attributes) run the survivors through the per-tuple
-        // algorithm one materialized row at a time; the windows they
-        // close still leave as lanes.
-        let computed: Option<Vec<Column>> = self
-            .key_evals
-            .iter()
-            .filter_map(|ev| match ev {
-                KeyEval::Kernel(k) => Some(k.eval_column(batch, &mut self.kscratch)),
-                _ => None,
-            })
-            .collect();
-        let classified = match &computed {
-            Some(cols) => classify_key_lanes(&self.key_evals, self.temporal_idx, batch, cols),
-            None => Err(LaneKind::Uint),
-        };
-        let lanes = match classified {
-            Ok(lanes) => lanes,
-            Err(kind) => {
-                self.kernel_fallbacks += 1;
-                self.lane_fallbacks[kind as usize] += 1;
-                let mut row = std::mem::take(&mut self.row_scratch);
-                for r in 0..batch.rows() {
-                    batch.write_row_into(r, &mut row);
-                    self.push_one(&row, out)?;
-                }
-                self.row_scratch = row;
-                batch.clear();
-                return Ok(());
-            }
-        };
-        self.kernel_hits += 1;
-        for lane in &lanes {
-            if let Some(k) = key_lane_kind(lane) {
-                self.lane_hits[k as usize] += 1;
-            }
-        }
-        let arity = self.group_exprs.len();
-        let rows = batch.rows();
-        let slot_lanes = classify_slot_lanes(&self.slots, batch);
-        // All-unsigned keys — the shape of every §6 query — take the
-        // word fast path: one row-major word buffer per batch serves as
-        // hash input, probe key, window-bucket source, and insert key,
-        // so the per-row loop touches no `Value` at all. The table's
-        // word arena stays valid throughout: every key this path
-        // inserts is all-`UInt`.
-        if self.groups.u64_keys_ok()
-            && lanes
-                .iter()
-                .all(|l| matches!(l, KeyLane::U(_) | KeyLane::Q { .. }))
-        {
-            let mut flat = std::mem::take(&mut self.ukeys_flat);
-            let mut hashes = std::mem::take(&mut self.hash_scratch);
-            build_flat_words(&lanes, rows, &mut flat, &mut hashes);
-            let t_off = self.temporal_idx;
-            // Probe pass: one counted walk per row finds-or-inserts the
-            // group and records `(entry, row)` packed in one word.
-            // Folding is deferred to an entry-major segment pass (slot
-            // dispatch classified once per batch), run before every
-            // window flush so bucket transitions observe exactly the
-            // state the row path would.
-            let mut ents = std::mem::take(&mut self.entry_scratch);
-            ents.clear();
-            // Probe tally lives in a register for the whole batch — a
-            // per-row `Cell` update would chain the iterations through
-            // memory (see `upsert_u64`).
-            let mut walked = 0u64;
-            for (r, (key, &hash)) in flat.chunks_exact(arity).zip(hashes.iter()).enumerate() {
-                let bucket = i128::from(key[t_off]);
-                match self.current_bucket {
-                    Some(cur) if bucket > cur => {
-                        Self::fold_segment(
-                            &self.slots,
-                            &slot_lanes,
-                            &mut self.groups,
-                            &ents,
-                            batch,
-                            &mut self.row_scratch,
-                        )?;
-                        ents.clear();
-                        self.flush(out)?;
-                        self.current_bucket = Some(bucket);
-                    }
-                    Some(cur) if bucket < cur => {
-                        self.late += 1;
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => self.current_bucket = Some(bucket),
-                }
-                let e = self
-                    .groups
-                    .upsert_u64(hash, key, &mut walked, fresh_side(&self.slots));
-                ents.push((e as u64) << 32 | r as u64);
-            }
-            self.groups.add_probes(walked);
-            Self::fold_segment(
-                &self.slots,
-                &slot_lanes,
-                &mut self.groups,
-                &ents,
-                batch,
-                &mut self.row_scratch,
-            )?;
-            self.entry_scratch = ents;
-            self.ukeys_flat = flat;
-            self.hash_scratch = hashes;
-            batch.clear();
-            return Ok(());
-        }
-        // Vectorized key pass: hash every row's group key lane-at-a-
-        // time, computing window quotients in the same sweep.
-        hash_key_lanes(
-            &lanes,
-            rows,
-            &mut self.hash_scratch,
-            &mut self.q_lanes,
-            &mut self.str_words,
-            &mut self.str_offs,
+        // The keys read as words — the shape of every §6 query — or the
+        // whole batch takes the per-tuple algorithm, one materialized
+        // row at a time: a key lane that is not words, or a window an
+        // earlier row of another kind has poisoned (no single lane to
+        // blame: tallied as `Mixed`). The windows it closes still leave
+        // as lanes.
+        let mut flat = std::mem::take(&mut self.ukeys_flat);
+        let mut hashes = std::mem::take(&mut self.hash_scratch);
+        let read = read_words(
+            &self.key_evals,
+            batch,
+            &mut self.kscratch,
+            &mut flat,
+            &mut hashes,
         );
-        // Temporal source resolved to a raw lane read (the gate
-        // guarantees a non-null unsigned temporal lane).
-        enum TSrc<'a> {
-            U(&'a [u64]),
-            Q(usize),
-        }
-        let tsrc = match &lanes[self.temporal_idx] {
-            KeyLane::U(l) => TSrc::U(l),
-            KeyLane::Q { idx, .. } => TSrc::Q(*idx),
-            _ => unreachable!("gate requires an unsigned temporal lane"),
+        let res = match read {
+            Ok(()) if self.groups.u64_keys_ok() => self.push_words(batch, &flat, &hashes, out),
+            Ok(()) => self.push_rows(LaneKind::Mixed, batch, out),
+            Err(kind) => self.push_rows(kind, batch, out),
         };
-        // Bulk upsert: per row, probe with an in-place lane comparison
-        // (no key materialization on a hit) and fold straight off the
-        // lanes. Window flush/late logic runs in row order, so bucket
-        // transitions land exactly where the row path puts them.
-        for r in 0..rows {
-            let hash = self.hash_scratch[r];
-            let bucket: i128 = match tsrc {
-                TSrc::U(l) => i128::from(l[r]),
-                TSrc::Q(d) => i128::from(self.q_lanes[d][r]),
-            };
-            if !self.admit(bucket, out)? {
-                continue;
-            }
-            let found = {
-                let q_lanes = &self.q_lanes;
-                self.groups.find_with(hash, arity, |key| {
-                    key_matches_lanes(&lanes, q_lanes, r, key)
-                })
-            };
-            let e = found.unwrap_or_else(|| {
-                materialize_key_lanes(&lanes, &self.q_lanes, r, &mut self.key_scratch);
-                self.groups
-                    .insert_new(hash, &mut self.key_scratch, fresh_side(&self.slots))
-            });
-            let g = self.groups.payload_mut(e);
-            Self::fold_lanes(&self.slots, &slot_lanes, g, batch, r, &mut self.row_scratch)?;
-        }
+        self.ukeys_flat = flat;
+        self.hash_scratch = hashes;
         batch.clear();
-        Ok(())
+        res
     }
 
     fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
@@ -1412,6 +939,7 @@ impl Operator for AggregateOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qap_expr::BinOp;
 
     /// The strength-reduced window-key division must agree with the
     /// hardware division everywhere the fast path is taken: all

@@ -55,7 +55,8 @@
 //! derived `PartialEq`: `UInt(5) ≠ Int(5)`), so raw word comparison is
 //! exact precisely when both the stored key and the probe key are
 //! all-`UInt` — which is what `ukeys_ok` tracks for the stored side and
-//! the caller's lane gate guarantees for the probe side.
+//! the key reader (`ops::keys::read_words`) guarantees for the probe
+//! side.
 
 use qap_types::{ArcStr, Value};
 
@@ -240,22 +241,8 @@ impl<P> GroupTable<P> {
     /// Entry index of `key`, or `None` when the group does not exist.
     #[inline]
     fn find(&mut self, hash: u64, key: &[Value]) -> Option<usize> {
-        self.find_with(hash, key.len(), |k| k == key)
-    }
-
-    /// Entry index of the group whose stored key slice satisfies `eq`,
-    /// or `None`. The predicate form lets callers probe against a key
-    /// they never materialized (e.g. comparing column values straight
-    /// out of the input tuple); `eq` must be consistent with the
-    /// equality the stored keys were inserted under.
-    #[inline]
-    pub(crate) fn find_with(
-        &mut self,
-        hash: u64,
-        arity: usize,
-        mut eq: impl FnMut(&[Value]) -> bool,
-    ) -> Option<usize> {
         self.sync_keys();
+        let arity = key.len();
         let p = &self.parts[(hash >> PART_SHIFT) as usize];
         if p.slots.is_empty() {
             return None;
@@ -270,7 +257,7 @@ impl<P> GroupTable<P> {
             }
             if h == hash as u32 {
                 let e = (e1 - 1) as usize;
-                if eq(&self.keys[e * arity..(e + 1) * arity]) {
+                if self.keys[e * arity..(e + 1) * arity] == *key {
                     break Some(e);
                 }
             }
@@ -339,8 +326,8 @@ impl<P> GroupTable<P> {
         self.len - 1
     }
 
-    /// Inserts a key known to be absent (callers probe first, e.g. via
-    /// [`GroupTable::find_with`]), draining it out of the caller's
+    /// Inserts a key known to be absent (callers probe first, or rebuild
+    /// a table from its own distinct keys), draining it out of the caller's
     /// scratch buffer so the scratch keeps its capacity for the next
     /// tuple, zeroing the entry's words and filling its side payloads
     /// from `fresh`. Returns the new entry's index.
@@ -409,7 +396,7 @@ impl<P> GroupTable<P> {
         debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
         let arity = ukey.len();
         let pi = (hash >> PART_SHIFT) as usize;
-        // Probe walk, counted exactly like `find_with`'s — row- and
+        // Probe walk, counted exactly like `find`'s — row- and
         // column-pushed streams must report identical probe telemetry —
         // landing on the empty slot the insert will fill on a miss.
         let mut landing = None;
@@ -676,7 +663,7 @@ mod tests {
             assert!(t.u64_keys_ok());
             assert_eq!(
                 t.find_u64(h, &[v, v.wrapping_mul(7)]),
-                t.find_with(h, 2, |s| s == k.as_slice()),
+                t.find(h, &k),
                 "pre-insert probe, v={v}"
             );
             t.insert_new(h, &mut k, [v].into_iter());
@@ -710,7 +697,7 @@ mod tests {
         assert!(t.keys.is_empty(), "word upserts build no values");
         t.payload_mut(e).side[0] += 1;
         assert_eq!(t.find_u64(h, &words), Some(0));
-        assert_eq!(t.find_with(h, 2, |s| s == k.as_slice()), Some(0));
+        assert_eq!(t.find(h, &k), Some(0));
         let (arena, _, payloads, n) = t.take_entries();
         assert_eq!((n, payloads.as_slice()), (1, &[10u64][..]));
         assert_eq!(arena, k);
@@ -745,11 +732,7 @@ mod tests {
         assert!(t.keys.is_empty());
         for v in 0..1_000u64 {
             let k = key(v);
-            assert_eq!(
-                t.find_with(hash_values(&k), 2, |s| s == k.as_slice()),
-                Some(v as usize),
-                "v={v}"
-            );
+            assert_eq!(t.find(hash_values(&k), &k), Some(v as usize), "v={v}");
         }
         assert_eq!(t.keys.len(), 2_000, "the first probe built every value");
         assert!(t.u64_keys_ok(), "probing values leaves words exact");
@@ -810,9 +793,7 @@ mod tests {
         // The Value probe still distinguishes UInt(5) from Int(5)
         // structurally.
         let probe = vec![Value::UInt(5), Value::UInt(5)];
-        assert!(t
-            .find_with(hash_values(&probe), 2, |s| s == probe.as_slice())
-            .is_none());
+        assert!(t.find(hash_values(&probe), &probe).is_none());
         t.clear();
         assert!(t.u64_keys_ok(), "drain re-arms word probes");
     }

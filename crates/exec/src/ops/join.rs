@@ -10,10 +10,11 @@ use crate::bind::BoundJoin;
 use crate::fx;
 use crate::ExecResult;
 
+use super::keys::{read_words, KeyEval};
 use super::select::ColPlan;
 use super::{
-    append_batch, column_lane_kind, for_each_bucket_run, masked, merge_lanes, project_row,
-    reset_arity, OpRuntimeStats, Operator,
+    append_batch, for_each_bucket_run, masked, merge_lanes, project_row, reset_arity,
+    OpRuntimeStats, Operator,
 };
 
 struct Side {
@@ -21,9 +22,8 @@ struct Side {
     temporal_idx: usize,
     /// Equi-key expressions over this side's schema.
     key: Vec<BoundExpr>,
-    /// The key's column positions when every key expression is a bare
-    /// column — the shape whose lanes the probe can read directly.
-    key_cols: Option<Vec<usize>>,
+    /// How `key` reads as words, classified once (parallel vector).
+    key_evals: Vec<KeyEval>,
     arity: usize,
     /// Last observed epoch.
     cur: Option<i128>,
@@ -34,17 +34,10 @@ struct Side {
 
 impl Side {
     fn new(temporal_idx: usize, key: Vec<BoundExpr>, arity: usize) -> Self {
-        let key_cols = key
-            .iter()
-            .map(|e| match e {
-                BoundExpr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
         Side {
             temporal_idx,
+            key_evals: key.iter().map(KeyEval::classify).collect(),
             key,
-            key_cols,
             arity,
             cur: None,
             epochs: BTreeMap::new(),
@@ -86,9 +79,9 @@ impl Side {
 }
 
 /// One side's equi-keys for one firing epoch: a hash per row plus the
-/// key itself, as raw words when every key lane is a non-null unsigned
-/// lane and as evaluated values otherwise. Both forms are flat
-/// (`width` entries per row), so a fire allocates nothing per row.
+/// key itself, as words when both sides' keys read as words
+/// ([`read_words`]) and as evaluated values otherwise. Both forms are
+/// flat (`width` entries per row), so a fire allocates nothing per row.
 #[derive(Default)]
 struct Keys {
     hashes: Vec<u64>,
@@ -100,31 +93,6 @@ struct Keys {
 }
 
 impl Keys {
-    /// Reads the key straight off its lanes, or names the lane type of
-    /// the first key lane that is not a non-null unsigned lane.
-    fn read_lanes(&mut self, cols: &[usize], rows: &ColumnBatch) -> Result<(), LaneKind> {
-        let width = cols.len();
-        self.nulls.clear();
-        self.words.clear();
-        self.words.resize(rows.rows() * width, 0);
-        for (k, &c) in cols.iter().enumerate() {
-            let col = rows.column(c);
-            let (Some(lane), false) = (col.uints(), col.has_nulls()) else {
-                return Err(column_lane_kind(col));
-            };
-            for (key, &x) in self.words.chunks_exact_mut(width).zip(lane) {
-                key[k] = x;
-            }
-        }
-        self.hashes.clear();
-        self.hashes.extend(
-            self.words
-                .chunks_exact(width)
-                .map(|key| key.iter().fold(0u64, |h, &w| fx::fold_word(h, w))),
-        );
-        Ok(())
-    }
-
     /// Evaluates the key expressions row by row through the interpreter.
     fn eval_exprs(
         &mut self,
@@ -309,19 +277,34 @@ impl JoinOp {
 
     /// Fills the pair list: for each left row in order, the right rows
     /// with an equal key in insertion order. Keys containing NULL match
-    /// nothing. Returns whether the keys were read off their lanes; when
-    /// not, they went through the interpreter and the blocking lane type
-    /// is tallied.
+    /// nothing. Returns whether the keys were read as words; when not,
+    /// they went through the interpreter and the blocking lane type is
+    /// tallied (`Mixed` for a join without equi-keys).
     fn probe(&mut self, lrows: &ColumnBatch, rrows: &ColumnBatch) -> ExecResult<bool> {
         self.pairs_l.clear();
         self.pairs_r.clear();
         let width = self.left.key.len();
-        let by_lanes = match (&self.left.key_cols, &self.right.key_cols) {
-            (Some(l), Some(r)) if width > 0 => self
-                .lkeys
-                .read_lanes(l, lrows)
-                .and_then(|()| self.rkeys.read_lanes(r, rrows)),
-            _ => Err(LaneKind::Mixed),
+        let (lk, rk) = (&mut self.lkeys, &mut self.rkeys);
+        lk.nulls.clear();
+        rk.nulls.clear();
+        let by_lanes = match width {
+            0 => Err(LaneKind::Mixed),
+            _ => read_words(
+                &self.left.key_evals,
+                lrows,
+                &mut self.kscratch,
+                &mut lk.words,
+                &mut lk.hashes,
+            )
+            .and_then(|()| {
+                read_words(
+                    &self.right.key_evals,
+                    rrows,
+                    &mut self.kscratch,
+                    &mut rk.words,
+                    &mut rk.hashes,
+                )
+            }),
         };
         if let Err(kind) = by_lanes {
             self.lane_fallbacks[kind as usize] += 1;

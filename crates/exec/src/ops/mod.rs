@@ -3,6 +3,7 @@
 mod aggregate;
 mod group_table;
 mod join;
+mod keys;
 mod merge;
 mod select;
 

@@ -291,8 +291,13 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
     }
     let data = match tag {
         LANE_NONE => {
-            // Untyped column: every row is NULL by invariant.
-            if has_mask && nulls.iter().any(|&n| !n) {
+            // Untyped column: every row is NULL by invariant, and the
+            // encoder writes that mask whenever there are rows — so a
+            // row count never sizes a mask the frame does not carry.
+            if rows > 0 && !has_mask {
+                return Err(TypeError::Corrupt("untyped column without a null mask"));
+            }
+            if nulls.iter().any(|&n| !n) {
                 return Err(TypeError::Corrupt("non-null row in untyped column"));
             }
             return Ok(Column::all_null(rows));
@@ -961,6 +966,25 @@ mod tests {
         assert!(matches!(
             decode_column_batch(raw.freeze()).unwrap_err(),
             TypeError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn columnar_untyped_lane_without_a_mask_is_rejected() {
+        // 18 bytes declaring 2^31 - 1 rows of four untyped columns and
+        // no masks: decoding them would allocate ~8 GiB of NULL masks.
+        let mut raw = BytesMut::new();
+        raw.put_u32(2 + 4 * 2); // arity + four lane headers
+        raw.put_u32(0x7FFF_FFFF | COLUMNAR_FLAG);
+        raw.put_u16(4);
+        for _ in 0..4 {
+            raw.put_u8(0); // LANE_NONE
+            raw.put_u8(0); // no mask
+        }
+        assert_eq!(raw.len(), 18);
+        assert!(matches!(
+            decode_column_batch(raw.freeze()).unwrap_err(),
+            TypeError::Corrupt("untyped column without a null mask")
         ));
     }
 

@@ -4,13 +4,14 @@
 //! The model (`run_logical`) is the plain per-tuple algorithm with no
 //! engine code in it: evaluate the group key, find or create the group
 //! in a map, fold each slot. The lane entry (`Engine::push_columns`)
-//! classifies group keys (plain column, `column / constant`,
-//! kernel-compiled) and folds (`COUNT(*)`, and every built-in slot over
-//! a column, merge slots included) into lane reads, and falls back to the
-//! per-row algorithm for everything else — UDAF slots, computed
-//! arguments, and any *value* outside a lane shape's domain (NULL,
-//! signed, Bool or string inputs reaching a `DivConst` key or a folded
-//! slot). The contract is that the lanes are invisible:
+//! reads group keys as words (a plain column, `column / constant` or a
+//! kernel-compiled key, each over a non-null unsigned lane) and folds
+//! (`COUNT(*)`, and every built-in slot over a column, merge slots
+//! included) into lane reads. A batch whose keys are not all words — a
+//! NULL, signed, Bool or string key lane, or a window such a key has
+//! poisoned — runs the per-row algorithm, and so, within the word path,
+//! do UDAF slots, computed arguments and folded slots whose values
+//! leave the unsigned domain. The contract is that the lanes are invisible:
 //! byte-identical output tuples against the model, and identical
 //! operator counters at every batch size, including inputs engineered to
 //! cross the lane/fallback seam mid-stream.
@@ -23,7 +24,8 @@
 //! cross each of those seams with all-unsigned key columns, and the last
 //! hold `MIN`/`MAX` of every value kind — strings in the group table's
 //! pool included — to the model through folds, merges, window closes
-//! and a migration.
+//! and a migration. The last groups by keys that are not words: a
+//! string column with NULLs, a `bool` column and a nullable `uint`.
 
 use std::sync::Arc;
 
@@ -712,4 +714,66 @@ fn string_extremes_migrate() {
         got.extend(e.output(root));
     }
     assert_eq!(sorted(got), want);
+}
+
+/// Keys that are not words: a string column with NULLs, a plain `bool`
+/// column and a nullable `uint` column, each the only non-window key of
+/// its query, over nine windows. The string lane arrives as a
+/// dictionary (γ encodes strings at its entry), so these are the
+/// dictionary, Bool and nullable unsigned key lanes; each batch that
+/// carries one runs the per-row algorithm, and a window the per-row
+/// path has opened stays off the word path until it closes.
+#[test]
+fn string_bool_and_nullable_uint_keys_match_the_model() {
+    const NAMES: [&str; 4] = ["tcp", "udp", "icmp", "gre"];
+    let input: Vec<Tuple> = (0..1080u64)
+        .map(|i| {
+            let s = match i % 9 {
+                0 => Value::Null,
+                _ => Value::from(NAMES[(i / 2 % 4) as usize]),
+            };
+            // Some windows carry no NULL key at all, so their batches
+            // arrive as plain unsigned lanes beside the others.
+            let u = match (i / 120 % 3, i % 7) {
+                (0, _) => Value::UInt(i % 5),
+                (_, 0) => Value::Null,
+                _ => Value::UInt(i % 5),
+            };
+            Tuple::new(vec![
+                Value::UInt(i / 2),
+                s,
+                Value::Bool(i % 3 == 0),
+                u,
+                Value::UInt(i % 11),
+            ])
+        })
+        .collect();
+    for key in ["s", "b", "u"] {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.parse_script(&format!(
+            "STREAM K(ts uint increasing, s string, b bool, u uint, v uint);\n\
+             QUERY q: SELECT tb, {key}, COUNT(*) as cnt, SUM(v) as sv, MAX(v) as hi \
+             FROM K GROUP BY ts/60 as tb, {key};"
+        ))
+        .expect("script parses");
+        let dag = b.build();
+        let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+        assert!(
+            rows.iter()
+                .map(|r| r.get(0))
+                .collect::<Vec<_>>()
+                .windows(2)
+                .filter(|w| w[0] != w[1])
+                .count()
+                >= 8,
+            "{key}: nine windows"
+        );
+        if key != "b" {
+            assert!(
+                rows.iter().any(|r| r.get(1).is_null()),
+                "{key}: a NULL key group"
+            );
+        }
+        assert_model_equals_lanes(&dag, &input, &format!("group by {key}"));
+    }
 }

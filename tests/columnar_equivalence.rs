@@ -124,6 +124,13 @@ fn engine_kernel_fallbacks(scenario: Scenario, seed: u64) -> u64 {
     engine.metrics().iter().map(|m| m.kernel_fallbacks).sum()
 }
 
+/// The §6.1 query — five word keys, `OR_AGGR`, `COUNT(*)` and a HAVING
+/// — the one three of the four `bench_e2e` workloads run.
+#[test]
+fn simple_agg_never_leaves_the_kernels() {
+    assert_eq!(engine_kernel_fallbacks(Scenario::SimpleAgg, 31), 0);
+}
+
 /// The §6.2 set — a computed group key, `MIN`, and the epoch self-join
 /// — stays on lanes from scan to sink: no operator falls back.
 #[test]
@@ -283,9 +290,11 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 /// earlier user's types would tally a `Mixed` fallback in one runner and
 /// not the other. So the simulator and the threaded runner agree on
 /// every node's kernel hits, fallbacks and per-lane tallies only if they
-/// feed the same lanes.
+/// feed the same lanes. γ reads no string key as words, so every
+/// aggregate node of both runners tallies its batches under `dict`.
 #[test]
 fn a_string_key_reaches_every_runner_as_the_same_lanes() {
+    use qap::expr::LaneKind;
     use qap::obs::OpMetrics;
     use qap::types::{DataType, Field, Temporality};
     const PROTOS: [&str; 6] = ["tcp", "udp", "icmp", "gre", "esp", "sctp"];
@@ -349,7 +358,22 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
         .unwrap();
         let sim = run_distributed(&plan, &flows, &cfg).unwrap();
         let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
-        assert!(sim.node_metrics.iter().any(|m| m.kernel_hits > 0), "{set}");
+        // γ reads `proto` as no word: every aggregate node fed any
+        // batch takes it through the per-row path, tallied under `dict`.
+        for (runner, result) in [("sim", &sim), ("threaded", &threaded)] {
+            let fed: Vec<usize> = (0..result.node_metrics.len())
+                .filter(|&id| matches!(plan.dag.node(id), LogicalNode::Aggregate { .. }))
+                .filter(|&id| result.node_metrics[id].tuples_in > 0)
+                .collect();
+            assert!(!fed.is_empty(), "on {set}: {runner} feeds an aggregate");
+            for id in fed {
+                assert!(
+                    result.node_metrics[id].kernel_lane_fallbacks[LaneKind::Dict as usize] > 0,
+                    "on {set}: {runner} node {id} ({})",
+                    plan.dag.node(id).label()
+                );
+            }
+        }
         for (id, (t, s)) in threaded
             .node_metrics
             .iter()

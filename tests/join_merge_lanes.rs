@@ -287,6 +287,56 @@ fn join_keys_off_the_lanes_count_as_kernel_fallbacks() {
     assert_eq!(tallies(true), (0, 2, 2));
 }
 
+/// Computed equi-keys read as words: a self-join of the TCP trace on a
+/// window quotient (`len / 100`) and a kernel key (`srcIP & 0xFFF0`)
+/// pairs rows whose `len` and `srcIP` differ, and must pair exactly the
+/// rows the reference model does. Both keys stay on lanes, so every fire
+/// — one per epoch — counts as a kernel hit.
+#[test]
+fn computed_equi_keys_join_on_words() {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.add_query(
+        "j",
+        "SELECT S1.time, S1.srcIP, S2.srcIP as other, S1.len, S2.len as olen \
+         FROM TCP S1, TCP S2 WHERE S1.srcIP & 0xFFF0 = S2.srcIP & 0xFFF0 \
+         and S1.len / 100 = S2.len / 100 and S1.time = S2.time",
+    )
+    .expect("query parses");
+    let dag = b.build();
+    let trace = generate(&TraceConfig::tiny(53));
+    let sorted = |mut rows: Vec<Tuple>| {
+        rows.sort_by_key(|t| t.values().iter().map(|v| v.as_u64()).collect::<Vec<_>>());
+        rows
+    };
+    let model = sorted(
+        run_logical(&dag, trace.iter().cloned()).expect("model runs")[0]
+            .1
+            .clone(),
+    );
+    let differ = |a: usize, b: usize| model.iter().filter(|r| r.get(a) != r.get(b)).count();
+    assert!(
+        differ(1, 2) > 0 && differ(3, 4) > 0,
+        "pairs on the quotient and the mask alone"
+    );
+    let mut engine = Engine::new(&dag).expect("engine builds");
+    let source = engine.source_nodes()[0];
+    for chunk in trace.chunks(1024) {
+        engine
+            .push_columns(source, &mut ColumnBatch::from_rows(chunk))
+            .expect("push");
+    }
+    engine.finish().expect("finish");
+    let join = dag.roots()[0];
+    assert_eq!(sorted(engine.output(join)), model);
+    let mut epochs: Vec<u64> = trace.iter().map(|t| t.get(0).as_u64().unwrap()).collect();
+    epochs.dedup();
+    let m = &engine.metrics()[join];
+    assert_eq!(
+        (m.kernel_hits, m.kernel_fallbacks),
+        (epochs.len() as u64, 0)
+    );
+}
+
 // ---------------------------------------------------------------------
 // merge
 // ---------------------------------------------------------------------
