@@ -216,3 +216,121 @@ fn query_set_is_transport_invariant() {
 fn complex_dag_is_transport_invariant() {
     sweep(Scenario::Complex, 107);
 }
+
+/// String predicates and string keys, end to end: σ with a string
+/// equality and a string order compare (`proto = 'udp' OR proto >
+/// 'icmp'`) feeding a γ grouped by `proto`, and a self-join keyed on
+/// `proto`. The stream is `columnar_equivalence`'s `FLOW(time, srcIP,
+/// proto string, len)` with NULL and empty-string protos mixed in.
+/// Partitioned on `proto` and on `srcIP`, the simulator, the threaded
+/// runner and real `qapctl host` children over TCP all return
+/// `run_logical`'s rows.
+#[test]
+fn string_predicates_and_keys_match_the_model_on_every_runner() {
+    use qap::types::{DataType, Field, Temporality};
+    const PROTOS: [Option<&str>; 8] = [
+        Some("tcp"),
+        Some("udp"),
+        Some("icmp"),
+        Some("gre"),
+        Some("esp"),
+        Some("sctp"),
+        Some(""),
+        None,
+    ];
+    let mut catalog = Catalog::new();
+    catalog
+        .register(
+            Schema::new(
+                "FLOW",
+                vec![
+                    Field::temporal("time", DataType::UInt, Temporality::Increasing),
+                    Field::new("srcIP", DataType::UInt),
+                    Field::new("proto", DataType::Str),
+                    Field::new("len", DataType::UInt),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let mut b = QuerySetBuilder::new(catalog);
+    b.add_query(
+        "picked",
+        "SELECT tb, proto, COUNT(*) as cnt, SUM(len) as bytes FROM FLOW \
+         WHERE proto = 'udp' OR proto > 'icmp' \
+         GROUP BY time/60 as tb, proto",
+    )
+    .unwrap();
+    b.add_query(
+        "same_proto",
+        "SELECT S1.time, S1.srcIP, S1.proto, S2.len FROM FLOW S1, FLOW S2 \
+         WHERE S1.srcIP = S2.srcIP and S1.proto = S2.proto and S1.time = S2.time",
+    )
+    .unwrap();
+    let dag = b.build();
+    let flows: Vec<Tuple> = generate(&TraceConfig::tiny(47))
+        .iter()
+        .map(|t| {
+            let v = t.values();
+            let proto = PROTOS[v[5].as_u64().unwrap() as usize % PROTOS.len()];
+            Tuple::new(vec![
+                v[0].clone(),
+                v[2].clone(),
+                proto.map_or(Value::Null, Value::from),
+                v[8].clone(),
+            ])
+        })
+        .collect();
+    let logical = run_logical(&dag, flows.clone()).unwrap();
+    let cfg = SimConfig::default();
+    for set in ["proto", "srcIP"] {
+        let plan = optimize(
+            &dag,
+            &Partitioning::hash(PartitionSet::from_columns([set]), 3),
+            &OptimizerConfig::full(),
+        )
+        .unwrap();
+        let expected: Vec<Vec<Tuple>> = plan
+            .outputs
+            .iter()
+            .map(|o| {
+                let (_, rows) = logical
+                    .iter()
+                    .find(|(id, _)| *id == o.logical)
+                    .expect("every plan output is a logical root");
+                sorted(rows.clone())
+            })
+            .collect();
+        assert!(expected.iter().all(|rows| !rows.is_empty()), "{set}");
+        // The join pairs empty-string protos (NULL never equals NULL).
+        let empty = Value::from("");
+        assert!(
+            expected
+                .iter()
+                .flatten()
+                .any(|t| t.values().contains(&empty)),
+            "{set}"
+        );
+        let children = spawn_hosts("tcp", remote_host_count(&plan, &cfg), &format!("str-{set}"));
+        let addrs: Vec<HostAddr> = children.iter().map(|c| c.addr.clone()).collect();
+        for (runner, result) in [
+            ("sim", run_distributed(&plan, &flows, &cfg)),
+            ("threaded", run_distributed_threaded(&plan, &flows, &cfg)),
+            ("tcp", run_distributed_remote(&plan, &flows, &cfg, &addrs)),
+        ] {
+            let result = result.unwrap_or_else(|e| panic!("on {set}: {runner}: {e}"));
+            assert!(result.failures.is_empty(), "on {set}: {runner}");
+            assert_eq!(result.outputs.len(), expected.len(), "on {set}: {runner}");
+            for ((name, rows), want) in result.outputs.iter().zip(&expected) {
+                assert_eq!(
+                    &sorted(rows.clone()),
+                    want,
+                    "on {set}: {runner}: output {name}"
+                );
+            }
+        }
+        for mut c in children {
+            let _ = c.child.wait();
+        }
+    }
+}
