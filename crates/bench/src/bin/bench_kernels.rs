@@ -474,8 +474,8 @@ const JITTER: &str = "SELECT S1.tb, S1.srcIP, S1.destIP, S1.srcPort, S1.destPort
 
 /// A flow-record stream with a string-typed protocol column, derived
 /// from the TCP trace: `FLOW(time, srcIP, proto string, len)`. The
-/// protocol names recur per flow, so per-batch dictionaries stay small
-/// — the shape the dictionary lane is built for.
+/// few protocol names recur per flow, and each row carries its own
+/// string on the lane.
 fn flow_catalog() -> Catalog {
     let mut c = Catalog::new();
     c.register(

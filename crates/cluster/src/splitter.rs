@@ -327,10 +327,9 @@ impl Splitter {
     }
 }
 
-/// Ships one staged batch, its string columns dictionary-encoded so
-/// that every runner's engines receive the same lane types.
-/// `Engine::push_columns` swaps the buffer against a pooled batch; one
-/// of another arity is re-armed before reuse.
+/// Ships one staged batch. `Engine::push_columns` swaps the buffer
+/// against a pooled batch; one of another arity is re-armed before
+/// reuse.
 fn emit_columns(
     buf: &mut ColumnBatch,
     scan: NodeId,
@@ -338,7 +337,6 @@ fn emit_columns(
     max: usize,
     emit: &mut impl FnMut(NodeId, &mut ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    buf.dict_encode_strings();
     emit(scan, buf)?;
     if buf.arity() != arity {
         *buf = ColumnBatch::with_row_budget(arity, max);

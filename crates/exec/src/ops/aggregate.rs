@@ -5,9 +5,9 @@
 //! kernel key such as `srcIP & 0xFFF0` — every §6 query) and the window
 //! holds word keys only, the batch folds on words: one probe pass
 //! through [`GroupTable::upsert_u64`], then an entry-major fold. Any
-//! other batch — a signed, Bool, dictionary-string, nullable or all-NULL
-//! key lane, an interpreted key, or a window a key of another kind has
-//! poisoned — runs the per-row algorithm of Section 3.1 (`push_one`).
+//! other batch — a signed, Bool, string, nullable or all-NULL key lane,
+//! an interpreted key, or a window a key of another kind has poisoned —
+//! runs the per-row algorithm of Section 3.1 (`push_one`).
 //!
 //! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
 //! when the operator is built: every built-in slot is a run of `u64`
@@ -787,10 +787,6 @@ impl Operator for AggregateOp {
             batch.clear();
             return Ok(());
         }
-        // Entry normalization: plain string lanes dictionary-encode so
-        // string predicates and group keys run as integer compares
-        // (no-op for already-typed lanes).
-        batch.dict_encode_strings();
         // σ: refine the selection, then compact onto the survivors
         // (skipped entirely when the plan has no predicate).
         if self.predicate.is_some() {

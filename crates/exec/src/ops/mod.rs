@@ -174,7 +174,6 @@ pub(crate) fn column_lane_kind(c: &Column) -> LaneKind {
         Some(ColumnData::Int(_)) => LaneKind::Int,
         Some(ColumnData::Bool(_)) => LaneKind::Bool,
         Some(ColumnData::Str(_)) => LaneKind::Str,
-        Some(ColumnData::Dict(_)) => LaneKind::Dict,
         Some(ColumnData::Mixed(_)) => LaneKind::Mixed,
     }
 }

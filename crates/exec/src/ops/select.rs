@@ -189,11 +189,6 @@ impl Operator for SelectOp {
             batch.clear();
             return Ok(());
         }
-        // Dictionary-encode string lanes first: a string predicate then
-        // costs one interpreter compare per *distinct* value plus an
-        // integer code scan, and downstream operators (aggregation,
-        // shipping) inherit the encoded lane.
-        batch.dict_encode_strings();
         // σ: refine the selection, then compact the batch onto it.
         self.sel.fill_identity(n);
         self.filter_columns(batch)?;

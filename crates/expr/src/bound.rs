@@ -118,8 +118,8 @@ fn eval_logical(op: BinOp, lhs: &BoundExpr, rhs: &BoundExpr, tuple: &Tuple) -> E
 }
 
 /// Exposed to the kernel compiler (`crate::kernel`), which precomputes
-/// comparison tables (per Bool lane value, per dictionary entry, per
-/// constant-vs-lane-kind) by invoking the interpreter itself — the
+/// comparison tables (per Bool lane value, per constant-vs-lane-kind)
+/// by invoking the interpreter itself — the
 /// tables are exact by construction rather than by a hand-rolled copy
 /// of these semantics.
 pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {

@@ -8,12 +8,11 @@ use crate::Histogram;
 /// Mirrors `qap_expr::LANE_KINDS` (the engines assign the compiler's
 /// fixed-size tallies straight into [`OpMetrics`], so a mismatch is a
 /// compile error there, not a silent truncation here).
-pub const KERNEL_LANES: usize = 6;
+pub const KERNEL_LANES: usize = 5;
 
 /// Exporter labels for the kernel lane types, indexed like the
 /// `kernel_lane_*` arrays (mirrors `qap_expr::LaneKind::label`).
-pub const KERNEL_LANE_LABELS: [&str; KERNEL_LANES] =
-    ["uint", "int", "bool", "str", "dict", "mixed"];
+pub const KERNEL_LANE_LABELS: [&str; KERNEL_LANES] = ["uint", "int", "bool", "str", "mixed"];
 
 /// Per-operator telemetry. Tuple counts are batch-size-invariant
 /// (semantic flow); batch counts, occupancy and latency describe the

@@ -5,7 +5,7 @@
 //! set's expressions, `R` the hash range and `M` the partition count.
 
 use qap_expr::{bind, BinOp, BoundExpr, ExprResult};
-use qap_types::{Column, ColumnBatch, ColumnData, Schema, Tuple, Value, DICT_NULL_CODE};
+use qap_types::{Column, ColumnBatch, ColumnData, Schema, Tuple, Value};
 
 use crate::PartitionSet;
 
@@ -210,9 +210,8 @@ impl HashPartitioner {
     /// Columnar twin of [`HashPartitioner::partition`]: assigns every
     /// row of a batch in one lane-at-a-time sweep, pushing the
     /// partition indices onto `out`. Bare columns fold straight off
-    /// their typed lanes (dictionary-encoded strings hash once per
-    /// *distinct* value, then resolve per row by code), and the subnet
-    /// idiom `col & mask` folds masked words off unsigned lanes.
+    /// their typed lanes, and the subnet idiom `col & mask` folds
+    /// masked words off unsigned lanes.
     ///
     /// Returns `false` — leaving `out` empty — when some expression has
     /// no lane form; the caller then routes that batch per tuple.
@@ -384,18 +383,6 @@ fn fold_column(c: &Column, hs: &mut [u64]) {
         Some(ColumnData::Str(l)) => {
             for (r, (h, s)) in hs.iter_mut().zip(l).enumerate() {
                 let w = if masked(r) { u64::MAX } else { str_word(s) };
-                *h = fnv_fold_word(*h, w);
-            }
-        }
-        Some(ColumnData::Dict(d)) => {
-            // One string hash per distinct value; rows resolve by code.
-            let words: Vec<u64> = d.values().iter().map(|s| str_word(s)).collect();
-            for (r, (h, &code)) in hs.iter_mut().zip(d.codes()).enumerate() {
-                let w = if masked(r) || code == DICT_NULL_CODE {
-                    u64::MAX
-                } else {
-                    words[code as usize]
-                };
                 *h = fnv_fold_word(*h, w);
             }
         }
@@ -611,16 +598,6 @@ mod tests {
         let p = HashPartitioner::new(&ps, &mixed_schema(), 9).unwrap();
         let rows = mixed_rows();
         assert_lane_agrees(&p, &rows, &ColumnBatch::from_rows(&rows));
-    }
-
-    #[test]
-    fn columnar_agrees_on_dict_encoded_strings() {
-        let ps = PartitionSet::from_columns(["s", "u"]);
-        let p = HashPartitioner::new(&ps, &mixed_schema(), 7).unwrap();
-        let rows = mixed_rows();
-        let mut batch = ColumnBatch::from_rows(&rows);
-        batch.dict_encode_strings();
-        assert_lane_agrees(&p, &rows, &batch);
     }
 
     #[test]

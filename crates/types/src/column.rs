@@ -26,164 +26,6 @@
 //!   a refinement of the selection, not a copy of the data.
 
 use crate::{ArcStr, Tuple, Value};
-use std::collections::HashMap;
-
-/// The code a dictionary lane stores at NULL positions. Never
-/// dereferenced: [`Column::value`] consults the null mask before the
-/// lane, and every consumer of dictionary codes must do the same.
-pub const DICT_NULL_CODE: u32 = u32::MAX;
-
-/// A dictionary-encoded string lane: one `u32` code per row into a
-/// table of distinct strings in first-seen order.
-///
-/// The point is that repeated strings (protocol names, hostnames — flow
-/// attributes are extremely repetitive) collapse to integer compares:
-/// a predicate evaluates once per *distinct* value and then runs an
-/// integer scan over the codes, and per-row hashing becomes a per-code
-/// table lookup. The dictionary is per-batch: clearing the lane
-/// resets it, and the wire codec ships the table with every frame.
-///
-/// Codes of *one lane* are comparable (equal codes ⇔ equal strings,
-/// by interning); codes of different lanes or different batches are
-/// not.
-#[derive(Debug, Clone, Default)]
-pub struct DictLane {
-    codes: Vec<u32>,
-    values: Vec<ArcStr>,
-    /// Content → code, so interning is O(1) per push. Rebuilt on
-    /// decode; first occurrence wins when a decoded table carries
-    /// duplicates (codes stay valid — consumers compare via the
-    /// `values` table, never across raw codes of distinct entries).
-    index: HashMap<ArcStr, u32>,
-}
-
-impl DictLane {
-    /// Creates an empty dictionary lane.
-    pub fn new() -> Self {
-        DictLane::default()
-    }
-
-    /// Rebuilds a lane from decoded parts. Every code must be a valid
-    /// index into `values` or [`DICT_NULL_CODE`] (the decoder enforces
-    /// this against the null mask before constructing the lane).
-    pub fn from_parts(codes: Vec<u32>, values: Vec<ArcStr>) -> Self {
-        assert!(
-            codes
-                .iter()
-                .all(|&c| c == DICT_NULL_CODE || (c as usize) < values.len()),
-            "dictionary code out of range"
-        );
-        let index = values
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (ArcStr::clone(s), i as u32))
-            .collect();
-        DictLane {
-            codes,
-            values,
-            index,
-        }
-    }
-
-    /// Number of rows (codes), not distinct values.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the lane holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The per-row codes ([`DICT_NULL_CODE`] at NULL positions).
-    #[inline]
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// The distinct strings, indexed by code, in first-seen order.
-    #[inline]
-    pub fn values(&self) -> &[ArcStr] {
-        &self.values
-    }
-
-    /// The string at row `i`.
-    ///
-    /// # Panics
-    /// When row `i` is a NULL placeholder or out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize) -> &ArcStr {
-        &self.values[self.codes[i] as usize]
-    }
-
-    /// Interns a string, returning its code.
-    pub fn intern(&mut self, s: &ArcStr) -> u32 {
-        // Network-attribute dictionaries are almost always tiny
-        // (protocol names, flag strings), where a few length-guarded
-        // compares — pointer equality first — are much cheaper than a
-        // SipHash lookup per row. Larger tables fall through to the
-        // index; both structures always hold every entry.
-        if self.values.len() <= 8 {
-            for (i, v) in self.values.iter().enumerate() {
-                if ArcStr::ptr_eq(v, s) || v.as_ref() == s.as_ref() {
-                    return i as u32;
-                }
-            }
-        } else if let Some(&c) = self.index.get(s.as_ref()) {
-            return c;
-        }
-        let c = self.values.len() as u32;
-        debug_assert!(c != DICT_NULL_CODE, "dictionary full");
-        self.values.push(ArcStr::clone(s));
-        self.index.insert(ArcStr::clone(s), c);
-        c
-    }
-
-    /// Appends one row holding `s`.
-    pub fn push(&mut self, s: &ArcStr) {
-        let c = self.intern(s);
-        self.codes.push(c);
-    }
-
-    fn push_placeholder(&mut self) {
-        self.codes.push(DICT_NULL_CODE);
-    }
-
-    fn clear(&mut self) {
-        self.codes.clear();
-        self.values.clear();
-        self.index.clear();
-    }
-
-    /// Compacts the codes onto the selection; the dictionary itself is
-    /// untouched (stale entries are harmless and batch-bounded).
-    fn compact(&mut self, sel: &[u32]) {
-        compact_lane(&mut self.codes, sel);
-    }
-
-    /// Appends the given rows of another dictionary lane. Codes of
-    /// different lanes are not comparable, so each distinct source
-    /// string interns into this lane's table once (on first use) and
-    /// its rows copy the translated code; NULL rows stay NULL codes.
-    fn append_lane(&mut self, src: &DictLane, rows: Rows<'_>) {
-        // `DICT_NULL_CODE` never names a string, so it doubles as the
-        // "not translated yet" mark.
-        let mut remap = vec![DICT_NULL_CODE; src.values.len()];
-        self.codes.reserve(rows.len());
-        rows.for_each(|i| {
-            let c = src.codes[i];
-            if c == DICT_NULL_CODE {
-                return self.codes.push(c);
-            }
-            if remap[c as usize] == DICT_NULL_CODE {
-                remap[c as usize] = self.intern(&src.values[c as usize]);
-            }
-            self.codes.push(remap[c as usize]);
-        });
-    }
-}
 
 /// The source rows of a lane append: a contiguous range (a slice copy)
 /// or an arbitrary gather list.
@@ -246,9 +88,6 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     /// Interned-string lane.
     Str(Vec<ArcStr>),
-    /// Dictionary-encoded string lane: integer codes into a per-batch
-    /// table of distinct strings.
-    Dict(DictLane),
     /// Untyped fallback lane holding plain values.
     Mixed(Vec<Value>),
 }
@@ -260,7 +99,6 @@ impl ColumnData {
             ColumnData::Int(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Str(v) => v.len(),
-            ColumnData::Dict(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
         }
     }
@@ -271,7 +109,6 @@ impl ColumnData {
             ColumnData::Int(v) => v.clear(),
             ColumnData::Bool(v) => v.clear(),
             ColumnData::Str(v) => v.clear(),
-            ColumnData::Dict(v) => v.clear(),
             ColumnData::Mixed(v) => v.clear(),
         }
     }
@@ -283,7 +120,6 @@ impl ColumnData {
             ColumnData::Int(_) => ColumnData::Int(Vec::new()),
             ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
             ColumnData::Str(_) => ColumnData::Str(Vec::new()),
-            ColumnData::Dict(_) => ColumnData::Dict(DictLane::new()),
             ColumnData::Mixed(_) => ColumnData::Mixed(Vec::new()),
         }
     }
@@ -294,7 +130,6 @@ impl ColumnData {
             ColumnData::Int(v) => v.push(0),
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Str(v) => v.push(ArcStr::from("")),
-            ColumnData::Dict(v) => v.push_placeholder(),
             ColumnData::Mixed(v) => v.push(Value::Null),
         }
     }
@@ -306,7 +141,6 @@ impl ColumnData {
             ColumnData::Int(v) => compact_lane(v, sel),
             ColumnData::Bool(v) => compact_lane(v, sel),
             ColumnData::Str(v) => compact_lane(v, sel),
-            ColumnData::Dict(v) => v.compact(sel),
             ColumnData::Mixed(v) => compact_lane(v, sel),
         }
     }
@@ -467,49 +301,13 @@ impl Column {
         }
     }
 
-    /// The string lane when the column is typed `Str` (not
-    /// dictionary-encoded).
+    /// The string lane when the column is typed `Str`.
     #[inline]
     pub fn strs(&self) -> Option<&[ArcStr]> {
         match &self.data {
             Some(ColumnData::Str(v)) => Some(v),
             _ => None,
         }
-    }
-
-    /// The dictionary lane when the column is dictionary-encoded.
-    #[inline]
-    pub fn dict(&self) -> Option<&DictLane> {
-        match &self.data {
-            Some(ColumnData::Dict(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Dictionary-encodes a plain `Str` lane in place (no-op on any
-    /// other lane type). Values are preserved exactly — only the
-    /// representation changes; `Dict` survives [`Column::clear`] like
-    /// every lane type, so a recycled staging column interns directly
-    /// on subsequent pushes.
-    pub fn dict_encode(&mut self) {
-        let Some(ColumnData::Str(lane)) = &self.data else {
-            return;
-        };
-        let mut d = DictLane::new();
-        if self.nulls.is_empty() {
-            for s in lane {
-                d.push(s);
-            }
-        } else {
-            for (s, &n) in lane.iter().zip(&self.nulls) {
-                if n {
-                    d.push_placeholder();
-                } else {
-                    d.push(s);
-                }
-            }
-        }
-        self.data = Some(ColumnData::Dict(d));
     }
 
     /// Appends a value, typing or demoting the lane as needed.
@@ -573,10 +371,7 @@ impl Column {
                     | (Some(ColumnData::UInt(_)), Value::UInt(_))
                     | (Some(ColumnData::Int(_)), Value::Int(_))
                     | (Some(ColumnData::Bool(_)), Value::Bool(_))
-                    | (
-                        Some(ColumnData::Str(_) | ColumnData::Dict(_)),
-                        Value::Str(_)
-                    )
+                    | (Some(ColumnData::Str(_)), Value::Str(_))
             )
         {
             self.data = None;
@@ -600,7 +395,6 @@ impl Column {
             (ColumnData::Int(l), Value::Int(x)) => l.push(*x),
             (ColumnData::Bool(l), Value::Bool(x)) => l.push(*x),
             (ColumnData::Str(l), Value::Str(x)) => l.push(ArcStr::clone(x)),
-            (ColumnData::Dict(l), Value::Str(x)) => l.push(x),
             (ColumnData::Mixed(l), v) => l.push(v.clone()),
             (_, v) => {
                 self.demote_to_mixed();
@@ -633,7 +427,6 @@ impl Column {
             Some(ColumnData::Int(l)) => Value::Int(l[i]),
             Some(ColumnData::Bool(l)) => Value::Bool(l[i]),
             Some(ColumnData::Str(l)) => Value::Str(ArcStr::clone(&l[i])),
-            Some(ColumnData::Dict(l)) => Value::Str(ArcStr::clone(l.get(i))),
             Some(ColumnData::Mixed(l)) => l[i].clone(),
             None => unreachable!("non-null row in an untyped column"),
         }
@@ -673,11 +466,9 @@ impl Column {
     /// as pushing `src.value(i)` for each row would leave it — same
     /// values, same null mask, same placeholders, and on a column with
     /// no rows the same lane type a fresh column would type itself to —
-    /// without materializing any value when the lane types agree. (One
-    /// representation is the source's to choose: a `Dict` source types
-    /// an empty column `Dict`, with the appended rows' distinct strings
-    /// interned in first-use order.) So what a consumer encodes after an
-    /// append depends on the rows, never on which lanes carried them.
+    /// without materializing any value when the lane types agree. So
+    /// what a consumer encodes after an append depends on the rows,
+    /// never on which lanes carried them.
     /// The caller has checked the rows against `src.len()`.
     fn append_rows(&mut self, src: &Column, rows: Rows<'_>) {
         let n = rows.len();
@@ -750,21 +541,6 @@ impl Column {
                         rows.extend(d, s);
                         blank_nulls(d, appended, || ArcStr::from(""));
                     }
-                    (ColumnData::Dict(d), ColumnData::Dict(s)) => d.append_lane(s, rows),
-                    (ColumnData::Dict(d), ColumnData::Str(s)) => rows.for_each(|i| {
-                        if src.is_null(i) {
-                            d.push_placeholder();
-                        } else {
-                            d.push(&s[i]);
-                        }
-                    }),
-                    (ColumnData::Str(d), ColumnData::Dict(s)) => rows.for_each(|i| {
-                        d.push(if src.is_null(i) {
-                            ArcStr::from("")
-                        } else {
-                            ArcStr::clone(s.get(i))
-                        });
-                    }),
                     _ => {
                         if !matches!(self.data, Some(ColumnData::Mixed(_))) {
                             self.demote_to_mixed();
@@ -998,15 +774,9 @@ impl ColumnBatch {
         out
     }
 
-    /// Dictionary-encodes every plain `Str` column in place — the
-    /// batch-entry normalization the columnar operators and the
-    /// boundary shippers apply so string predicates and group keys run
-    /// as integer compares downstream.
-    pub fn dict_encode_strings(&mut self) {
-        for c in &mut self.columns {
-            c.dict_encode();
-        }
-    }
+    /// Does nothing: a string column has one lane, [`ColumnData::Str`].
+    /// Kept for callers that still normalize batches at entry.
+    pub fn dict_encode_strings(&mut self) {}
 
     /// Empties the batch, retaining arity, lane types and capacity.
     pub fn clear(&mut self) {
@@ -1305,67 +1075,6 @@ mod tests {
         assert_eq!(s.as_slice(), &[0, 1]);
         s.clear();
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn dict_encode_round_trips_with_nulls() {
-        let rows = vec![
-            tuple!["tcp"],
-            tuple!["udp"],
-            Tuple::new(vec![Value::Null]),
-            tuple!["tcp"],
-            tuple![""],
-        ];
-        let mut b = ColumnBatch::from_rows(&rows);
-        b.dict_encode_strings();
-        let d = b.column(0).dict().expect("dict lane");
-        assert_eq!(d.values().len(), 3, "tcp, udp, empty string");
-        assert_eq!(d.codes(), &[0, 1, DICT_NULL_CODE, 0, 2]);
-        assert_eq!(b.to_rows(), rows);
-    }
-
-    #[test]
-    fn dict_lane_survives_clear_and_interns_pushes() {
-        let mut b = ColumnBatch::from_rows(&[tuple!["a"], tuple!["b"]]);
-        b.dict_encode_strings();
-        b.clear();
-        assert!(matches!(b.column(0).data(), Some(ColumnData::Dict(_))));
-        b.push_row(&tuple!["b"]);
-        b.push_row(&tuple!["b"]);
-        b.push_row(&tuple!["c"]);
-        let d = b.column(0).dict().expect("dict lane");
-        assert_eq!(d.values().len(), 2, "dictionary reset by clear");
-        assert_eq!(d.codes(), &[0, 0, 1]);
-        assert_eq!(b.to_rows(), vec![tuple!["b"], tuple!["b"], tuple!["c"]]);
-    }
-
-    #[test]
-    fn dict_lane_demotes_on_kind_mismatch() {
-        let mut b = ColumnBatch::from_rows(&[tuple!["a"]]);
-        b.dict_encode_strings();
-        b.push_row(&tuple![7u64]);
-        assert!(matches!(b.column(0).data(), Some(ColumnData::Mixed(_))));
-        assert_eq!(b.to_rows(), vec![tuple!["a"], tuple![7u64]]);
-    }
-
-    #[test]
-    fn dict_compact_keeps_codes_aligned() {
-        let rows = vec![tuple!["x"], tuple!["y"], tuple!["x"], tuple!["z"]];
-        let mut b = ColumnBatch::from_rows(&rows);
-        b.dict_encode_strings();
-        let mut sel = SelectionVector::new();
-        sel.push(1);
-        sel.push(3);
-        b.compact(&sel);
-        assert_eq!(b.to_rows(), vec![tuple!["y"], tuple!["z"]]);
-    }
-
-    #[test]
-    fn dict_encode_non_str_lane_is_noop() {
-        let mut b = ColumnBatch::from_rows(&[tuple![1u64, -1i64]]);
-        b.dict_encode_strings();
-        assert!(matches!(b.column(0).data(), Some(ColumnData::UInt(_))));
-        assert!(matches!(b.column(1).data(), Some(ColumnData::Int(_))));
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod value;
 mod wire;
 
 pub use catalog::{pkt_schema, tcp_schema, Catalog};
-pub use column::{Column, ColumnBatch, ColumnData, DictLane, SelectionVector, DICT_NULL_CODE};
+pub use column::{Column, ColumnBatch, ColumnData, SelectionVector};
 pub use control::{
     decode_control, encode_control, ControlFrame, CONTROL_HEADER_LEN, ERROR_DEPLOY, ERROR_EXEC,
     ERROR_LINK, ERROR_VERSION, MAX_CONTROL_PAYLOAD, PROTOCOL_VERSION,

@@ -31,9 +31,6 @@ const TAG_STR: u8 = 4;
 /// tags themselves, plus [`LANE_MIXED`] for the fallback lane.
 const LANE_NONE: u8 = TAG_NULL;
 const LANE_MIXED: u8 = 5;
-/// Lane tag for a dictionary-encoded string lane: the distinct-string
-/// table once, then one `u32` code per row.
-const LANE_DICT: u8 = 6;
 
 /// Byte length of a frame header: `u32` payload length plus `u32`
 /// row count.
@@ -85,9 +82,6 @@ fn encoded_column_len(col: &Column) -> usize {
         Some(ColumnData::UInt(_)) | Some(ColumnData::Int(_)) => 8 * col.len(),
         Some(ColumnData::Bool(_)) => col.len(),
         Some(ColumnData::Str(l)) => l.iter().map(|s| 4 + s.len()).sum(),
-        Some(ColumnData::Dict(d)) => {
-            4 + d.values().iter().map(|s| 4 + s.len()).sum::<usize>() + 4 * d.len()
-        }
         Some(ColumnData::Mixed(l)) => l.iter().map(|v| 1 + value_body_len(v)).sum(),
     };
     2 + mask + lane
@@ -150,7 +144,6 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
             Some(ColumnData::Int(_)) => TAG_INT,
             Some(ColumnData::Bool(_)) => TAG_BOOL,
             Some(ColumnData::Str(_)) => TAG_STR,
-            Some(ColumnData::Dict(_)) => LANE_DICT,
             Some(ColumnData::Mixed(_)) => LANE_MIXED,
         };
         scratch.put_u8(tag);
@@ -181,18 +174,6 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
                 for s in l {
                     scratch.put_u32(s.len() as u32);
                     scratch.put_slice(s.as_bytes());
-                }
-            }
-            Some(ColumnData::Dict(d)) => {
-                // Distinct-string table first, then one code per row —
-                // repeated strings ship once per frame.
-                scratch.put_u32(d.values().len() as u32);
-                for s in d.values() {
-                    scratch.put_u32(s.len() as u32);
-                    scratch.put_slice(s.as_bytes());
-                }
-                for &c in d.codes() {
-                    scratch.put_u32(c);
                 }
             }
             Some(ColumnData::Mixed(l)) => {
@@ -342,39 +323,6 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
                 l.push(crate::ArcStr::from(s));
             }
             ColumnData::Str(l)
-        }
-        LANE_DICT => {
-            want(buf, "dictionary size", 4)?;
-            let distinct = buf.get_u32() as usize;
-            // Each table entry costs at least its 4-byte length prefix,
-            // and the codes cost 4 bytes per row: bound both pre-sized
-            // allocations by the bytes actually present.
-            want(buf, "dictionary table", 4 * distinct)?;
-            let mut values = Vec::with_capacity(distinct);
-            for _ in 0..distinct {
-                want(buf, "dictionary entry length", 4)?;
-                let len = buf.get_u32() as usize;
-                want(buf, "dictionary entry body", len)?;
-                let raw = buf.copy_to_bytes(len);
-                let s =
-                    std::str::from_utf8(&raw).map_err(|_| TypeError::Corrupt("invalid utf-8"))?;
-                values.push(crate::ArcStr::from(s));
-            }
-            want(buf, "dictionary codes", 4 * rows)?;
-            let mut codes = Vec::with_capacity(rows);
-            for i in 0..rows {
-                let c = buf.get_u32();
-                let null_here = nulls.get(i).copied().unwrap_or(false);
-                if c == crate::DICT_NULL_CODE {
-                    if !null_here {
-                        return Err(TypeError::Corrupt("null dictionary code on non-null row"));
-                    }
-                } else if c as usize >= distinct {
-                    return Err(TypeError::Corrupt("dictionary code out of range"));
-                }
-                codes.push(c);
-            }
-            ColumnData::Dict(crate::DictLane::from_parts(codes, values))
         }
         LANE_MIXED => {
             // Each mixed entry costs at least its 1-byte value tag.
@@ -818,73 +766,6 @@ mod tests {
             tuple!["x"],
             tuple![true],
         ]);
-    }
-
-    #[test]
-    fn columnar_frame_interchangeable_dict_lane() {
-        let rows = vec![
-            tuple!["tcp", 1u64],
-            tuple!["udp", 2u64],
-            Tuple::new(vec![Value::Null, Value::UInt(3)]),
-            tuple!["tcp", 4u64],
-        ];
-        let mut batch = ColumnBatch::from_rows(&rows);
-        batch.dict_encode_strings();
-        let mut scratch = BytesMut::new();
-        let frame = encode_column_batch(&batch, &mut scratch).unwrap();
-        assert_eq!(
-            frame.len(),
-            FRAME_HEADER_LEN + encoded_column_batch_len(&batch)
-        );
-        let decoded = decode_column_batch(frame).unwrap();
-        // The dictionary representation survives the wire (the decoder
-        // yields a Dict lane, not a rehydrated Str lane) and the row
-        // view is identical.
-        assert!(matches!(
-            decoded.column(0).data(),
-            Some(ColumnData::Dict(_))
-        ));
-        assert_eq!(decoded.to_rows(), rows);
-    }
-
-    #[test]
-    fn dict_frame_ships_repeated_strings_once() {
-        let repeated: Vec<Tuple> = (0..64).map(|_| tuple!["a-long-protocol-name"]).collect();
-        let plain = ColumnBatch::from_rows(&repeated);
-        let mut dict = plain.clone();
-        dict.dict_encode_strings();
-        assert!(encoded_column_batch_len(&dict) < encoded_column_batch_len(&plain) / 4);
-    }
-
-    #[test]
-    fn dict_frame_code_out_of_range_is_rejected() {
-        let mut batch = ColumnBatch::from_rows(&[tuple!["a"], tuple!["b"]]);
-        batch.dict_encode_strings();
-        let mut scratch = BytesMut::new();
-        let frame = encode_column_batch(&batch, &mut scratch).unwrap();
-        let mut raw = frame.to_vec();
-        // Last 4 bytes are row 1's code; corrupt it past the table.
-        let n = raw.len();
-        raw[n - 4..].copy_from_slice(&9u32.to_be_bytes());
-        assert!(matches!(
-            decode_column_batch(Bytes::from(raw)).unwrap_err(),
-            TypeError::Corrupt(_)
-        ));
-    }
-
-    #[test]
-    fn dict_frame_null_code_on_non_null_row_is_rejected() {
-        let mut batch = ColumnBatch::from_rows(&[tuple!["a"], tuple!["b"]]);
-        batch.dict_encode_strings();
-        let mut scratch = BytesMut::new();
-        let frame = encode_column_batch(&batch, &mut scratch).unwrap();
-        let mut raw = frame.to_vec();
-        let n = raw.len();
-        raw[n - 4..].copy_from_slice(&crate::DICT_NULL_CODE.to_be_bytes());
-        assert!(matches!(
-            decode_column_batch(Bytes::from(raw)).unwrap_err(),
-            TypeError::Corrupt(_)
-        ));
     }
 
     #[test]

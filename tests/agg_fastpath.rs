@@ -718,11 +718,10 @@ fn string_extremes_migrate() {
 
 /// Keys that are not words: a string column with NULLs, a plain `bool`
 /// column and a nullable `uint` column, each the only non-window key of
-/// its query, over nine windows. The string lane arrives as a
-/// dictionary (γ encodes strings at its entry), so these are the
-/// dictionary, Bool and nullable unsigned key lanes; each batch that
-/// carries one runs the per-row algorithm, and a window the per-row
-/// path has opened stays off the word path until it closes.
+/// its query, over nine windows: the string, Bool and nullable unsigned
+/// key lanes. Each batch that carries one runs the per-row algorithm,
+/// and a window the per-row path has opened stays off the word path
+/// until it closes.
 #[test]
 fn string_bool_and_nullable_uint_keys_match_the_model() {
     const NAMES: [&str; 4] = ["tcp", "udp", "icmp", "gre"];

@@ -277,13 +277,12 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 }
 
 /// A string column reaches every runner's engines as the same lane
-/// type: the splitter dictionary-encodes each batch it stages. The
-/// stream is `bench_kernels`' `FLOW(time, srcIP, proto string, len)`,
-/// derived from the TCP trace. Partitioned on `proto`, both queries run
-/// whole on the leaves, over the batches the splitter staged: an
-/// aggregate grouped by `proto`, and a self-join keyed on it. The
-/// aggregate encodes strings at its own entry too; the join reads its
-/// key lanes as they arrive and tallies its fallback by their type.
+/// type. The stream is `bench_kernels`' `FLOW(time, srcIP, proto
+/// string, len)`, derived from the TCP trace. Partitioned on `proto`,
+/// both queries run whole on the leaves, over the batches the splitter
+/// staged: an aggregate grouped by `proto`, and a self-join keyed on
+/// it. The join reads its key lanes as they arrive and tallies its
+/// fallback by their type.
 /// Partitioned on `srcIP`, the aggregate's central super-aggregate is
 /// grouped by `proto` and fed the leaves' flushed windows, which an
 /// engine writes into recycled batches: a batch whose lanes kept an
@@ -291,7 +290,7 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 /// not the other. So the simulator and the threaded runner agree on
 /// every node's kernel hits, fallbacks and per-lane tallies only if they
 /// feed the same lanes. γ reads no string key as words, so every
-/// aggregate node of both runners tallies its batches under `dict`.
+/// aggregate node of both runners tallies its batches under `str`.
 #[test]
 fn a_string_key_reaches_every_runner_as_the_same_lanes() {
     use qap::expr::LaneKind;
@@ -359,7 +358,7 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
         let sim = run_distributed(&plan, &flows, &cfg).unwrap();
         let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
         // γ reads `proto` as no word: every aggregate node fed any
-        // batch takes it through the per-row path, tallied under `dict`.
+        // batch takes it through the per-row path, tallied under `str`.
         for (runner, result) in [("sim", &sim), ("threaded", &threaded)] {
             let fed: Vec<usize> = (0..result.node_metrics.len())
                 .filter(|&id| matches!(plan.dag.node(id), LogicalNode::Aggregate { .. }))
@@ -368,7 +367,7 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
             assert!(!fed.is_empty(), "on {set}: {runner} feeds an aggregate");
             for id in fed {
                 assert!(
-                    result.node_metrics[id].kernel_lane_fallbacks[LaneKind::Dict as usize] > 0,
+                    result.node_metrics[id].kernel_lane_fallbacks[LaneKind::Str as usize] > 0,
                     "on {set}: {runner} node {id} ({})",
                     plan.dag.node(id).label()
                 );

@@ -3,10 +3,10 @@
 //! plans, which the single-source reference model (`run_logical`) does
 //! not take. The reference feeds every input tuple as its own one-row
 //! lane batch; the subject feeds the *same* tuple sequence cut into
-//! arbitrary chunks, each chunk a plain or a dictionary-encoded column
-//! batch, so one epoch routinely arrives in both encodings. Outputs must
-//! agree row for row, in order, and every per-node counter (late drops
-//! included) must be equal.
+//! arbitrary chunks, each chunk one column batch, so one epoch routinely
+//! arrives split across batches. Outputs must agree row for row, in
+//! order, and every per-node counter (late drops included) must be
+//! equal.
 
 use proptest::prelude::*;
 
@@ -15,13 +15,6 @@ use qap::types::ColumnBatch;
 
 /// One input tuple headed for source `port`.
 type Event = (usize, Tuple);
-
-/// How the subject run delivers one chunk.
-#[derive(Debug, Clone, Copy)]
-enum Rep {
-    Cols,
-    DictCols,
-}
 
 fn run_per_tuple(dag: &QueryDag, events: &[Event]) -> (Vec<Tuple>, Vec<OpCounters>) {
     let mut engine = Engine::new(dag).expect("engine builds");
@@ -38,14 +31,8 @@ fn run_per_tuple(dag: &QueryDag, events: &[Event]) -> (Vec<Tuple>, Vec<OpCounter
 }
 
 /// Feeds `events` in order, cut where the port changes and wherever
-/// `cuts` says (a chunk ends after `cuts[i] + 1` events, cycling), with
-/// chunk `i` delivered as `reps[i]` (cycling).
-fn run_chunked(
-    dag: &QueryDag,
-    events: &[Event],
-    cuts: &[usize],
-    reps: &[Rep],
-) -> (Vec<Tuple>, Vec<OpCounters>) {
+/// `cuts` says (a chunk ends after `cuts[i] + 1` events, cycling).
+fn run_chunked(dag: &QueryDag, events: &[Event], cuts: &[usize]) -> (Vec<Tuple>, Vec<OpCounters>) {
     let mut engine = Engine::new(dag).expect("engine builds");
     let sources = engine.source_nodes();
     let mut at = 0;
@@ -63,9 +50,6 @@ fn run_chunked(
             .map(|(_, t)| t.clone())
             .collect();
         let mut cols = ColumnBatch::from_rows(&rows);
-        if matches!(reps[chunk_no % reps.len()], Rep::DictCols) {
-            cols.dict_encode_strings();
-        }
         engine.push_columns(sources[port], &mut cols).expect("push");
         at += len;
         chunk_no += 1;
@@ -75,15 +59,8 @@ fn run_chunked(
     (out, engine.counters().to_vec())
 }
 
-fn arb_rep() -> impl Strategy<Value = Rep> {
-    prop_oneof![Just(Rep::Cols), Just(Rep::DictCols)]
-}
-
-fn arb_cuts_and_reps() -> impl Strategy<Value = (Vec<usize>, Vec<Rep>)> {
-    (
-        proptest::collection::vec(0usize..9, 1..8),
-        proptest::collection::vec(arb_rep(), 1..8),
-    )
+fn arb_cuts() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..9, 1..8)
 }
 
 // ---------------------------------------------------------------------
@@ -170,16 +147,15 @@ proptest! {
     #[test]
     fn join_is_cut_and_representation_invariant(
         events in arb_join_events(),
-        cuts_and_reps in arb_cuts_and_reps(),
+        cuts in arb_cuts(),
         str_key in any::<bool>(),
         residual in any::<bool>()
     ) {
-        let (cuts, reps) = cuts_and_reps;
         for join in JOIN_TYPES {
             for offset in [-1i64, 0, 1] {
                 let dag = join_dag(join, offset, str_key, residual);
                 let want = run_per_tuple(&dag, &events);
-                let got = run_chunked(&dag, &events, &cuts, &reps);
+                let got = run_chunked(&dag, &events, &cuts);
                 prop_assert_eq!(&got.0, &want.0, "{} offset {}: rows", join, offset);
                 prop_assert_eq!(&got.1, &want.1, "{} offset {}: counters", join, offset);
             }
@@ -189,7 +165,7 @@ proptest! {
 
 /// The fixed case behind the property: both sides repeat a key, NULL
 /// keys match nothing yet pad, a late row is dropped and counted, and
-/// left epoch 1 arrives half plain and half dictionary-encoded.
+/// left epoch 1 arrives split across two batches.
 #[test]
 fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
     let dag = join_dag("FULL OUTER JOIN", 0, false, false);
@@ -218,9 +194,8 @@ fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
         r(2, Value::UInt(9), 0),
     ];
     let want = run_per_tuple(&dag, &events);
-    // Left rows 0..2 plain, 2..4 dictionary-encoded: one epoch, two
-    // encodings.
-    let got = run_chunked(&dag, &events, &[1], &[Rep::Cols, Rep::DictCols]);
+    // Left rows 0..2, then 2..4: one epoch, two batches.
+    let got = run_chunked(&dag, &events, &[1]);
     assert_eq!(got, want);
     let row = |vals: [Value; 6]| Tuple::new(vals.to_vec());
     let (a, b, u, n) = (
@@ -393,12 +368,11 @@ proptest! {
     #[test]
     fn merge_is_cut_and_representation_invariant(
         events in arb_merge_events(3, 0),
-        cuts_and_reps in arb_cuts_and_reps()
+        cuts in arb_cuts()
     ) {
-        let (cuts, reps) = cuts_and_reps;
         let dag = merge_dag(3);
         let want = run_per_tuple(&dag, &events);
-        let got = run_chunked(&dag, &events, &cuts, &reps);
+        let got = run_chunked(&dag, &events, &cuts);
         prop_assert_eq!(&got.0, &want.0);
         prop_assert_eq!(&got.1, &want.1);
         prop_assert_eq!(want.0.len(), events.len(), "a merge drops nothing");
@@ -409,12 +383,11 @@ proptest! {
     #[test]
     fn merge_with_a_silent_port_releases_at_finish(
         events in arb_merge_events(3, 1),
-        cuts_and_reps in arb_cuts_and_reps()
+        cuts in arb_cuts()
     ) {
-        let (cuts, reps) = cuts_and_reps;
         let dag = merge_dag(3);
         let want = run_per_tuple(&dag, &events);
-        let got = run_chunked(&dag, &events, &cuts, &reps);
+        let got = run_chunked(&dag, &events, &cuts);
         prop_assert_eq!(&got.0, &want.0);
         prop_assert_eq!(&got.1, &want.1);
         let buckets: Vec<u64> = want.0.iter().map(|t| t.get(0).as_u64().unwrap()).collect();

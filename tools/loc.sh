@@ -5,9 +5,10 @@
 #   tools/loc.sh DIR        for the checkout at DIR
 #
 # A file's non-test lines are its lines up to the first top-level
-# `#[cfg(test)]` that opens an inline test module (`mod tests {`); a
-# `#[cfg(test)]` on a lone item or on an out-of-line `mod tests;` does
-# not end the count. Files named `tests.rs` are skipped whole.
+# `#[cfg(test)]` that opens an inline test module (`mod tests {`, also
+# behind a `pub` or `pub(crate)` visibility); a `#[cfg(test)]` on a lone
+# item or on an out-of-line `mod tests;` does not end the count. Files
+# named `tests.rs` are skipped whole.
 set -euo pipefail
 root="${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
 total=0
@@ -16,7 +17,7 @@ for crate in "$root"/crates/*/; do
     xargs -0 -r awk '
       FNR == 1 { pending = 0; done = 0 }
       done { next }
-      pending && /^mod [A-Za-z_0-9]+ \{/ { done = 1; count -= 1; next }
+      pending && /^(pub(\([a-z]+\))? )?mod [A-Za-z_0-9]+ \{/ { done = 1; count -= 1; next }
       { pending = /^#\[cfg\(test\)\]/; count += 1 }
       END { print count + 0 }')
   printf '%-12s %6d\n' "$(basename "$crate")" "$n"
