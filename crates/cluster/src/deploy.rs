@@ -27,14 +27,14 @@
 //! a corrupt deployment never panics a host process.
 
 use qap_exec::{OpCounters, OpMetrics};
-use qap_obs::{Histogram, HISTOGRAM_BUCKETS};
+use qap_obs::{Histogram, HISTOGRAM_BUCKETS, KERNEL_LANES};
 use qap_optimizer::{
     DistributedPlan, OptimizerConfig, PartialAggScope, Partitioning, PlanSource, SplitStrategy,
 };
 use qap_partition::{fnv1a_hash, AnalysisOptions, PartitionSet};
 use qap_types::{
     decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, TypeError,
-    TypeResult,
+    TypeResult, FRAME_HEADER_LEN,
 };
 
 use crate::transport::{EdgeTransport, FaultPlan};
@@ -105,19 +105,20 @@ impl Reader {
         Ok(self.buf.get_u64())
     }
 
-    /// Element count prefix, sanity-bounded: each element costs at
-    /// least one byte, so a count beyond the remaining bytes is corrupt
-    /// (and must not drive a huge allocation).
-    fn len(&mut self) -> TypeResult<usize> {
+    /// Element count prefix of elements encoded in at least `min` bytes
+    /// each: a count the remaining bytes cannot hold is corrupt, so no
+    /// count drives an allocation larger than its element's in-memory
+    /// size over `min` per payload byte.
+    fn len(&mut self, min: usize) -> TypeResult<usize> {
         let n = self.u32()? as usize;
-        if n > self.buf.remaining() {
+        if n.saturating_mul(min) > self.buf.remaining() {
             return Err(TypeError::Corrupt("length prefix exceeds payload"));
         }
         Ok(n)
     }
 
     fn str(&mut self) -> TypeResult<String> {
-        let n = self.len()?;
+        let n = self.len(1)?;
         let raw = self.buf.copy_to_bytes(n);
         std::str::from_utf8(&raw)
             .map(str::to_string)
@@ -125,7 +126,7 @@ impl Reader {
     }
 
     fn bytes(&mut self) -> TypeResult<Bytes> {
-        let n = self.len()?;
+        let n = self.len(1)?;
         Ok(self.buf.copy_to_bytes(n))
     }
 
@@ -134,7 +135,7 @@ impl Reader {
     }
 
     fn u32s(&mut self) -> TypeResult<Vec<u32>> {
-        (0..self.len()?).map(|_| self.u32()).collect()
+        (0..self.len(4)?).map(|_| self.u32()).collect()
     }
 
     fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> TypeResult<T>) -> TypeResult<Option<T>> {
@@ -207,6 +208,13 @@ fn read_histogram(r: &mut Reader) -> TypeResult<Histogram> {
     }
     Ok(Histogram::from_parts(counts, sum, max))
 }
+
+/// Encoded bytes of one [`OpMetrics`]: every field a `u64`.
+const OP_METRICS_LEN: usize = 8 * (7 + HISTOGRAM_BUCKETS + 2 + 2 + 2 * KERNEL_LANES + 5);
+
+/// Least encoded bytes of a lane frame in a payload: its `u32` length
+/// prefix, the frame header and a `u16` arity.
+const BATCH_MIN_LEN: usize = 4 + FRAME_HEADER_LEN + 2;
 
 fn put_op_metrics(buf: &mut BytesMut, m: &OpMetrics) {
     buf.put_u64(m.tuples_in);
@@ -354,7 +362,7 @@ pub(crate) fn decode_deploy(payload: Bytes) -> TypeResult<DeployInputs> {
         },
     };
     let set = r.opt(|r| {
-        let items = (0..r.len()?).map(|_| r.str());
+        let items = (0..r.len(4)?).map(|_| r.str());
         parse_set(&items.collect::<TypeResult<Vec<_>>>()?)
     })?;
     let strategy = set.map_or(SplitStrategy::RoundRobin, SplitStrategy::Hash);
@@ -429,7 +437,7 @@ pub(crate) fn encode_unit_outcome(
 /// Decodes a `Result` payload back into a [`UnitOutcome`].
 pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
     let mut r = Reader::new(payload, "unit outcome");
-    let n = r.len()?;
+    let n = r.len(3 * 8)?;
     let mut counters = Vec::with_capacity(n);
     for _ in 0..n {
         counters.push(OpCounters {
@@ -438,18 +446,18 @@ pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
             late_dropped: r.u64()?,
         });
     }
-    let n = r.len()?;
+    let n = r.len(OP_METRICS_LEN)?;
     let mut node_metrics = Vec::with_capacity(n);
     for _ in 0..n {
         node_metrics.push(read_op_metrics(&mut r)?);
     }
-    let n = r.len()?;
+    let n = r.len(4 + BATCH_MIN_LEN)?;
     let mut outputs = Vec::with_capacity(n);
     for _ in 0..n {
         let idx = r.u32()?;
         outputs.push((idx, r.batch()?));
     }
-    let n = r.len()?;
+    let n = r.len(6 * 8)?;
     let mut edges = Vec::with_capacity(n);
     for _ in 0..n {
         edges.push(EdgeTransport {
@@ -525,7 +533,7 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
             let boundary = r.u64()?;
             let partitions = r.u32()?;
             let assignment = r.u32s()?;
-            let jobs = (0..r.len()?).map(|_| Ok((r.u32()?, r.u32s()?)));
+            let jobs = (0..r.len(8)?).map(|_| Ok((r.u32()?, r.u32s()?)));
             UnitCmd::Extract {
                 boundary,
                 partitions,
@@ -534,7 +542,7 @@ pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
             }
         }
         MIGRATE_ABSORB => {
-            let batches = (0..r.len()?).map(|_| Ok((r.u32()?, r.batch()?)));
+            let batches = (0..r.len(4 + BATCH_MIN_LEN)?).map(|_| Ok((r.u32()?, r.batch()?)));
             UnitCmd::Absorb(batches.collect::<TypeResult<_>>()?)
         }
         other => return Err(TypeError::BadTag(other)),
@@ -560,7 +568,7 @@ pub(crate) fn encode_unit_reply(reply: &UnitReply, scratch: &mut BytesMut) -> Ty
 /// Decodes a `MigrateAck` payload.
 pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
     let mut r = Reader::new(payload, "migrate reply");
-    let reply = (0..r.len()?).map(|_| Ok((r.u32()?, r.batch()?, r.u32s()?)));
+    let reply = (0..r.len(4 + BATCH_MIN_LEN + 4)?).map(|_| Ok((r.u32()?, r.batch()?, r.u32s()?)));
     let reply = reply.collect::<TypeResult<_>>()?;
     r.finish()?;
     Ok(reply)
@@ -693,6 +701,9 @@ mod tests {
 
     #[test]
     fn unit_outcome_round_trips() {
+        let mut one = BytesMut::new();
+        put_op_metrics(&mut one, &OpMetrics::default());
+        assert_eq!(one.len(), OP_METRICS_LEN);
         let outcome = sample_outcome();
         let mut scratch = BytesMut::new();
         let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
@@ -720,8 +731,7 @@ mod tests {
     }
 
     /// Rows whose columns land on every lane a frame carries: `UInt`,
-    /// negative `Int`, `Bool`, `Str`, all-NULL, and `Int` mixed with
-    /// `UInt`.
+    /// negative `Int`, `Bool`, `Str`, all-NULL, and a nullable `UInt`.
     fn every_lane_kind() -> Vec<Tuple> {
         vec![
             Tuple::new(vec![
@@ -738,7 +748,7 @@ mod tests {
                 Value::Bool(false),
                 Value::from(""),
                 Value::Null,
-                Value::Int(-3),
+                Value::Null,
             ]),
         ]
     }
@@ -866,11 +876,69 @@ mod tests {
         out
     }
 
+    /// Counts the bytes the calling thread allocates while a count is
+    /// open ([`allocated_by`]), so a test can bound one decode's
+    /// allocations by its payload's length; the harness runs tests on
+    /// parallel threads, and only the counting thread's count.
+    struct CountingAlloc;
+
+    thread_local! {
+        static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn charge(bytes: usize) {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                ALLOCATED.with(|a| a.set(a.get() + bytes));
+            }
+        });
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so `System`'s guarantees are this allocator's. Counting reads and
+    // writes two const-initialized thread-local `Cell`s, which neither
+    // allocate nor re-enter the allocator.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            charge(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            charge(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+            charge(size.saturating_sub(layout.size()));
+            std::alloc::System.realloc(ptr, layout, size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Runs `f` and returns its result with the bytes it allocated on
+    /// this thread (a `realloc` counts its growth).
+    fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        ALLOCATED.with(|a| a.set(0));
+        COUNTING.with(|on| on.set(true));
+        let out = f();
+        COUNTING.with(|on| on.set(false));
+        (out, ALLOCATED.with(std::cell::Cell::get))
+    }
+
     /// Holds a decoder to totality on [`inflated_and_spliced`] payloads
     /// of every pair of `valid` ones: each decode returns a typed error
     /// or a value the codec round-trips (an inflated word that holds a
     /// value, not a size, decodes to a different well-formed value),
-    /// and none panics.
+    /// and none panics or allocates more than the lane decoders may:
+    /// 16 bytes per payload byte and 1 KiB.
     fn assert_total<T>(
         valid: &[Bytes],
         decode: impl Fn(Bytes) -> TypeResult<T>,
@@ -879,7 +947,13 @@ mod tests {
         for a in valid {
             for b in valid {
                 for damaged in inflated_and_spliced(a, b) {
-                    if let Ok(v) = decode(damaged) {
+                    let len = damaged.len();
+                    let (decoded, allocated) = allocated_by(|| decode(damaged));
+                    assert!(
+                        allocated <= 16 * len + 1024,
+                        "decoding {len} bytes allocated {allocated} bytes"
+                    );
+                    if let Ok(v) = decoded {
                         let canon = encode(&v);
                         assert_eq!(encode(&decode(canon.clone()).unwrap()), canon);
                     }

@@ -6,8 +6,8 @@
 //! assignment of raw tuples to partitions, staged into
 //! `max_batch`-tuple batches per partition and handed to the runner's
 //! carrier a full batch at a time, with the partial tails flushed in
-//! ascending scan-node order. Each row is touched once: its arity is
-//! checked, its key words are hashed where they lie, and its values
+//! ascending scan-node order. Each row is touched once: its arity and
+//! its values' kinds are checked against the stream's schema, its key words are hashed where they lie, and its values
 //! are scattered into the partition's pre-sized lanes. A *static*
 //! deployment is simply a table nobody rewrites; the rebalance
 //! controller ([`crate::rebalance::Controller`]) rewrites it between
@@ -17,7 +17,7 @@ use qap_exec::{ExecError, ExecResult};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
 use qap_partition::{HashPartitioner, KeySketch};
 use qap_plan::{LogicalNode, NodeId};
-use qap_types::{Bytes, ColumnBatch, Schema, Tuple, COLUMNAR_FLAG, FRAME_HEADER_LEN};
+use qap_types::{Bytes, ColumnBatch, Field, Schema, Tuple, COLUMNAR_FLAG, FRAME_HEADER_LEN};
 
 use crate::rebalance::BUCKETS_PER_PARTITION;
 use crate::sim::SimConfig;
@@ -149,9 +149,10 @@ pub(crate) struct Splitter {
     tail_order: Vec<usize>,
     host_of: Vec<usize>,
     max: usize,
-    /// Stream name and arity, for the row check.
+    /// Stream name, arity and fields, for the row check.
     stream: String,
     arity: usize,
+    fields: Vec<Field>,
     /// Rows routed so far: the index a bad row is reported by.
     routed: usize,
     /// The stream's first temporal column, and the least and greatest
@@ -203,6 +204,7 @@ impl Splitter {
             max,
             stream: scans.stream.clone(),
             arity,
+            fields: scans.schema.fields().to_vec(),
             routed: 0,
             time_col: scans.schema.temporal_indices().first().copied(),
             time_lo: u64::MAX,
@@ -219,7 +221,8 @@ impl Splitter {
     /// trace span by each row's time. The receiver must drain the batch
     /// (as `Engine::push_columns` and `ColumnBatch::take` do); the
     /// buffer stays with the splitter. A row whose arity is not the
-    /// stream's is a typed error naming it: the feed comes from outside
+    /// stream's, or with a value of another kind than its column
+    /// declares, is a typed error naming it: the feed comes from outside
     /// the plan.
     pub(crate) fn route(
         &mut self,
@@ -236,6 +239,7 @@ impl Splitter {
                     self.arity
                 )));
             }
+            tuple.check_kinds(self.routed, &self.fields)?;
             self.routed += 1;
             if let Some(c) = self.time_col {
                 let t = tuple.get(c).as_u64().unwrap_or(0);
@@ -351,7 +355,7 @@ mod tests {
     use qap_partition::PartitionSet;
     use qap_sql::QuerySetBuilder;
     use qap_trace::{generate, TraceConfig};
-    use qap_types::{Catalog, Value};
+    use qap_types::{Catalog, DataType, TypeError, Value};
 
     fn plan_for(part: &Partitioning) -> DistributedPlan {
         let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
@@ -454,7 +458,7 @@ mod tests {
     /// A trace with NULLs, signed values and strings in the key
     /// columns (srcIP, destIP) and outside them (flags, len).
     fn untyped_trace() -> Vec<Tuple> {
-        let odd = [Value::Null, Value::Int(-5), Value::from("10.0.0.1")];
+        let odd = [Value::Null];
         let mut trace = generate(&TraceConfig::tiny(19));
         for (i, t) in trace.iter_mut().enumerate() {
             let at = match i % 11 {
@@ -558,11 +562,10 @@ mod tests {
         }
     }
 
-    /// [`untyped_trace`] with its times moved 1000 s on and NULL,
-    /// signed and string values among them: those read as 0 (or 7),
-    /// below every real time.
+    /// [`untyped_trace`] with its times moved 1000 s on and NULLs among
+    /// them: those read as 0, below every real time.
     fn untyped_times() -> Vec<Tuple> {
-        let odd = [Value::Null, Value::Int(-5), Value::Int(7), Value::from("9")];
+        let odd = [Value::Null];
         let mut trace = untyped_trace();
         for (i, t) in trace.iter_mut().enumerate() {
             let mut values = t.values().to_vec();
@@ -634,5 +637,38 @@ mod tests {
             err,
             ExecError::BadPlan("trace tuple 30 has arity 2 but stream 'TCP' has arity 9".into())
         );
+    }
+
+    /// A value of another kind than its column declares is refused by
+    /// row and column, before it is staged.
+    #[test]
+    fn off_kind_row_is_a_typed_error_naming_row_and_column() {
+        let plan = plan_for(&Partitioning::hash(
+            PartitionSet::from_columns(["srcIP"]),
+            3,
+        ));
+        let scans = single_stream(&plan).unwrap();
+        for (odd, found) in [
+            (Value::Int(-5), DataType::Int),
+            (Value::from("x"), DataType::Str),
+        ] {
+            let mut trace = generate(&TraceConfig::tiny(17));
+            let mut values = trace[40].values().to_vec();
+            values[8] = odd;
+            trace[40] = Tuple::new(values);
+            let mut splitter = Splitter::new(&plan, &scans, &cfg_of(7), false).unwrap();
+            let mut emit = |_: NodeId, batch: &mut ColumnBatch| {
+                batch.clear();
+                Ok(())
+            };
+            let err = splitter.route(&trace, &mut emit).unwrap_err();
+            let want = TypeError::KindMismatch {
+                column: "len".into(),
+                row: 40,
+                expected: DataType::UInt,
+                found,
+            };
+            assert_eq!(err, ExecError::Wire(want));
+        }
     }
 }

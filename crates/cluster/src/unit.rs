@@ -822,7 +822,7 @@ mod tests {
     use crate::sim::tests::skew_case;
     use crate::SimConfig;
     use qap_plan::LogicalNode;
-    use qap_types::Value;
+    use qap_types::{DataType, TypeError, Value};
 
     /// Migrated state sent to an operator that keeps no keyed state (a
     /// scan, σπ, ⋈ or ∪) is a typed error, never a silent drop.
@@ -845,5 +845,99 @@ mod tests {
                 "node {local}: {got:?}"
             );
         }
+    }
+
+    /// Migrated state whose lanes are not of the aggregate's state kinds
+    /// — a string where the group key is `uint` — is a typed error,
+    /// never a lane of another kind in the group table.
+    #[test]
+    fn absorb_of_another_kind_is_an_error() {
+        let (plan, _, _) = skew_case();
+        let dep = Deployment::new(&plan, &SimConfig::default()).unwrap();
+        let (spec, dag) = &dep.units[1];
+        let mut unit = Unit::new(spec, dag).unwrap();
+        let agg = (dag.topo_order())
+            .find(|&n| matches!(dag.node(n), LogicalNode::Aggregate { .. }))
+            .unwrap();
+        // `flows`' state row: tb, srcIP, COUNT's count, SUM's two words.
+        let row = |src: Value| {
+            Tuple::new(vec![
+                Value::UInt(60),
+                src,
+                Value::UInt(1),
+                Value::UInt(0),
+                Value::UInt(5),
+            ])
+        };
+        let good = ColumnBatch::from_rows(&[row(Value::UInt(7))]);
+        assert!(unit
+            .apply(UnitCmd::Absorb(vec![(agg as u32, good)]))
+            .is_ok());
+        let odd = ColumnBatch::from_rows(&[row(Value::from("7"))]);
+        let got = unit.apply(UnitCmd::Absorb(vec![(agg as u32, odd)]));
+        let Err(ExecError::Wire(TypeError::KindMismatch {
+            column,
+            row,
+            expected,
+            found,
+        })) = got
+        else {
+            panic!("{got:?}");
+        };
+        assert_eq!((column.as_str(), row), ("srcIP", 0));
+        assert_eq!((expected, found), (DataType::UInt, DataType::Str));
+    }
+
+    /// A boundary frame whose lanes are not of the kinds its consumer's
+    /// input declares is a `Decode` failure charged to the producing
+    /// host: strict mode returns it, partial mode records it, drops the
+    /// frame and keeps consuming to the end of the run.
+    #[test]
+    fn an_off_kind_boundary_frame_is_a_decode_failure_of_its_producer() {
+        let plan = crate::experiments::Scenario::SimpleAgg.plan("Naive", 3);
+        let dep = Deployment::new(&plan, &SimConfig::default()).unwrap();
+        let (spec, dag) = &dep.units[0];
+        let &(producer, local) = spec.inputs.first().expect("the central unit has inputs");
+        let fields = dag.schema(local as NodeId).fields();
+        let frame = |text: bool| {
+            let row = fields.iter().map(|f| match (text, f.data_type()) {
+                (true, DataType::UInt) => Value::from("x"),
+                _ => Value::UInt(3),
+            });
+            let batch = ColumnBatch::from_rows(&[Tuple::new(row.collect())]);
+            (
+                producer as NodeId,
+                encode_column_batch(&batch, &mut BytesMut::new()).unwrap(),
+            )
+        };
+        let host = plan.host[producer as NodeId];
+        let is_kind_mismatch = |c: &FailureCause| {
+            matches!(
+                c,
+                FailureCause::Decode(TypeError::KindMismatch {
+                    found: DataType::Str,
+                    ..
+                })
+            )
+        };
+
+        let mut unit = Unit::new(spec, dag).unwrap();
+        let got = Inbound::new(false).deliver(&mut unit, &plan, frame(true));
+        let Err(ExecError::Host(failure)) = got else {
+            panic!("{got:?}");
+        };
+        assert_eq!(failure.host, host);
+        assert!(is_kind_mismatch(&failure.cause), "{:?}", failure.cause);
+
+        let mut unit = Unit::new(spec, dag).unwrap();
+        let mut inbound = Inbound::new(true);
+        inbound.deliver(&mut unit, &plan, frame(true)).unwrap();
+        inbound.deliver(&mut unit, &plan, frame(false)).unwrap();
+        assert_eq!(inbound.corrupt_dropped, 1);
+        assert_eq!(inbound.failures.len(), 1);
+        assert_eq!(inbound.failures[0].host, host);
+        assert!(is_kind_mismatch(&inbound.failures[0].cause));
+        assert_eq!(unit.fed, 1, "the well-typed frame is consumed");
+        unit.finish().expect("the run finishes");
     }
 }

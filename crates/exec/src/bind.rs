@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
-use qap_expr::{bind, bind_with, AggFunc, AggKind, BoundExpr, ColumnRef, ScalarExpr, Udaf};
+use qap_expr::{
+    bind, bind_with, AggFunc, AggKind, BoundExpr, ColumnRef, ExprError, ScalarExpr, Udaf,
+};
 use qap_plan::{JoinType, LogicalNode, NodeId, QueryDag};
-use qap_types::{Schema, Temporality};
+use qap_types::{DataType, Field, Schema, Temporality, Value};
 
 use crate::{ExecError, ExecResult};
 
@@ -24,12 +26,42 @@ pub(crate) enum AccFactory {
 /// whether the slot emits its mergeable partial state rather than its
 /// finalized value (UDAF sub-aggregates). Built-in supers keep
 /// `merge = false` because the optimizer rewrites their kinds so the fold
-/// equals the partial merge.
+/// equals the partial merge. `out` is the plan's type for the slot's
+/// value, the kind a `SUM` or an `AVG` finalizes to.
 pub(crate) struct AggSlot {
     pub(crate) factory: AccFactory,
     pub(crate) arg: Option<BoundExpr>,
     pub(crate) merge: bool,
     pub(crate) emit_partial: bool,
+    pub(crate) out: DataType,
+}
+
+impl AggSlot {
+    /// The kinds of the slot's lossless migration state, one per state
+    /// value: a `SUM`'s and an `AVG`'s words are unsigned, a `MIN`'s or
+    /// `MAX`'s extreme and a UDAF's partial have the slot's kind.
+    fn state_types(&self) -> impl Iterator<Item = DataType> + '_ {
+        let (kind, width) = match &self.factory {
+            AccFactory::Builtin(k @ (AggKind::Sum | AggKind::Avg)) => {
+                (DataType::UInt, qap_expr::state_width(*k))
+            }
+            _ => (self.out, 1),
+        };
+        std::iter::repeat_n(kind, width)
+    }
+}
+
+/// A UDAF's value — final or partial — as a slot's: the plan types
+/// every UDAF `uint`, so a value of another kind is a typed error at
+/// the slot, never a lane of another kind.
+pub(crate) fn udaf_value(udaf: &dyn Udaf, v: Value) -> ExecResult<Value> {
+    match v {
+        Value::Null | Value::UInt(_) => Ok(v),
+        v => Err(ExecError::Expr(ExprError::TypeMismatch {
+            op: "UDAF",
+            detail: format!("{} returned {v:?}, which the plan types uint", udaf.name()),
+        })),
+    }
 }
 
 /// A bound tumbling-window aggregation (γ).
@@ -44,6 +76,9 @@ pub(crate) struct BoundAggregate {
     pub(crate) slots: Vec<AggSlot>,
     /// HAVING over the output row (group key, then one value per slot).
     pub(crate) having: Option<BoundExpr>,
+    /// The columns of a migration state row: the group key's, then
+    /// each slot's state values, named `<slot>.<i>`.
+    pub(crate) state_fields: Vec<Field>,
 }
 
 /// A bound epoch equi-join (⋈): left epoch = right epoch + `offset`.
@@ -116,9 +151,10 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
                         "aggregate node {id} has no temporal group attribute"
                     ))
                 })?;
-            let slots = aggregates
+            let slots: Vec<AggSlot> = aggregates
                 .iter()
-                .map(|a| {
+                .zip(&out_schema.fields()[group_by.len()..])
+                .map(|(a, field)| {
                     let factory = match &a.call.func {
                         AggFunc::Builtin(kind) => AccFactory::Builtin(*kind),
                         AggFunc::Udaf(name) => {
@@ -138,9 +174,16 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
                             .transpose()?,
                         merge: a.call.merge,
                         emit_partial: a.call.emit_partial,
+                        out: field.data_type(),
                     })
                 })
                 .collect::<ExecResult<_>>()?;
+            let key_fields = out_schema.fields()[..group_by.len()].iter().cloned();
+            let slot_fields = slots.iter().zip(&aggregates[..]).flat_map(|(slot, a)| {
+                let types = slot.state_types().enumerate();
+                types.map(move |(i, t)| Field::new(format!("{}.{i}", a.name), t))
+            });
+            let state_fields = key_fields.chain(slot_fields).collect();
             BoundNode::Aggregate(BoundAggregate {
                 predicate: predicate.as_ref().map(|p| bind(p, in_schema)).transpose()?,
                 group_by: group_by
@@ -150,6 +193,7 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
                 temporal_idx,
                 slots,
                 having: having.as_ref().map(|h| bind(h, out_schema)).transpose()?,
+                state_fields,
             })
         }
         LogicalNode::Join {

@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 
 use qap_obs::OpMetrics;
 use qap_plan::{NodeId, QueryDag};
-use qap_types::{ColumnBatch, Tuple, Value};
+use qap_types::{ColumnBatch, Field, Tuple, Value};
 
 use crate::bind::{bind_node, BoundNode};
 use crate::ops::{AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
@@ -82,8 +82,9 @@ const POOL_CAP: usize = 32;
 pub struct Engine {
     ops: Vec<Box<dyn Operator>>,
     consumers: Vec<Vec<(NodeId, usize)>>,
-    /// Expected tuple arity per source scan (None for non-sources).
-    source_arity: Vec<Option<usize>>,
+    /// Each source scan's schema fields, which a feed is checked
+    /// against (None for non-sources).
+    source_fields: Vec<Option<Vec<Field>>>,
     counters: Vec<OpCounters>,
     sinks: HashMap<NodeId, ColumnBatch>,
     /// Operators finished so far: a prefix of the topological order.
@@ -131,9 +132,13 @@ impl Engine {
                 consumers[child].push((id, port));
             }
         }
-        let source_arity = dag
+        let source_fields = dag
             .topo_order()
-            .map(|id| dag.node(id).is_source().then(|| dag.schema(id).arity()))
+            .map(|id| {
+                dag.node(id)
+                    .is_source()
+                    .then(|| dag.schema(id).fields().to_vec())
+            })
             .collect();
         let wire = dag
             .topo_order()
@@ -142,7 +147,7 @@ impl Engine {
         Ok(Engine {
             ops,
             consumers,
-            source_arity,
+            source_fields,
             counters: vec![OpCounters::default(); n],
             sinks: (sinks.iter())
                 .map(|&s| (s, ColumnBatch::new(dag.schema(s).arity())))
@@ -176,8 +181,8 @@ impl Engine {
 
     /// Ids of source scan nodes.
     pub fn source_nodes(&self) -> Vec<NodeId> {
-        (0..self.source_arity.len())
-            .filter(|&i| self.source_arity[i].is_some())
+        (0..self.source_fields.len())
+            .filter(|&i| self.source_fields[i].is_some())
             .collect()
     }
 
@@ -186,20 +191,26 @@ impl Engine {
     /// fits one routed batch). The batch stays in SoA form through
     /// every operator; it must produce exactly what the reference model
     /// produces for its rows — the equivalence suites hold the engine to
-    /// that.
+    /// that. A batch of another arity is a [`ExecError::BadPlan`], and a
+    /// lane of another kind than the source schema declares a
+    /// [`ExecError::Wire`] [`TypeError::KindMismatch`](qap_types::TypeError::KindMismatch):
+    /// this is where lanes enter the plan, so no operator meets a kind
+    /// its plan did not give it.
     pub fn push_columns(&mut self, source: NodeId, cols: &mut ColumnBatch) -> ExecResult<()> {
-        let Some(&Some(arity)) = self.source_arity.get(source) else {
+        let Some(Some(fields)) = self.source_fields.get(source) else {
             return Err(ExecError::NotASource(source));
         };
         if cols.rows() == 0 {
             return Ok(());
         }
+        let arity = fields.len();
         if cols.arity() != arity {
             return Err(ExecError::BadPlan(format!(
                 "column batch arity {} does not match source {source}'s schema arity {arity}",
                 cols.arity()
             )));
         }
+        cols.check_kinds(fields)?;
         debug_assert!(self.done < self.ops.len(), "push after finish");
         if self.metrics_on {
             self.metrics[source].bytes_in += cols.rows() as u64 * self.wire[source];
@@ -232,9 +243,10 @@ impl Engine {
     /// engine. Returns the number of tuples ingested.
     ///
     /// This is the receive half of the cluster's framed boundary
-    /// transport: a damaged frame, or one without
-    /// [`qap_types::COLUMNAR_FLAG`], is a typed [`ExecError::Wire`]
-    /// failure that reaches no operator — never a panic.
+    /// transport: a damaged frame, one without
+    /// [`qap_types::COLUMNAR_FLAG`], or one whose lanes are not of the
+    /// source's kinds, is a typed [`ExecError::Wire`] failure that
+    /// reaches no operator — never a panic.
     pub fn push_frame(&mut self, source: NodeId, frame: qap_types::Bytes) -> ExecResult<usize> {
         let mut cols = qap_types::decode_column_batch(frame).map_err(ExecError::Wire)?;
         let n = cols.rows();
@@ -349,7 +361,7 @@ impl Engine {
         let op = self.ops.get_mut(node);
         let op = op.ok_or_else(|| ExecError::BadPlan(format!("no node {node} to extract from")))?;
         let mut out = ColumnBatch::default();
-        op.extract_state(pred, &mut out);
+        op.extract_state(pred, &mut out)?;
         Ok(out)
     }
 

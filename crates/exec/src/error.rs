@@ -16,7 +16,9 @@ pub enum ExecError {
     /// A tuple was pushed to a node that is not a source scan.
     NotASource(usize),
     /// A wire frame failed to decode (truncation, bad tag, length
-    /// mismatch) — corrupt boundary transport, never a panic.
+    /// mismatch) — corrupt boundary transport, never a panic — or data
+    /// entering the plan has a kind its schema does not declare
+    /// ([`TypeError::KindMismatch`]).
     Wire(TypeError),
     /// A cluster host failed mid-run (worker panic, corrupt boundary
     /// frame, hung peer, nested execution error). Strict-mode
@@ -98,7 +100,7 @@ impl fmt::Display for ExecError {
             ExecError::Expr(e) => write!(f, "expression error: {e}"),
             ExecError::BadPlan(msg) => write!(f, "plan not executable: {msg}"),
             ExecError::NotASource(id) => write!(f, "node {id} is not a source scan"),
-            ExecError::Wire(e) => write!(f, "boundary frame decode failed: {e}"),
+            ExecError::Wire(e) => write!(f, "input refused: {e}"),
             ExecError::Host(failure) => write!(f, "{failure}"),
         }
     }

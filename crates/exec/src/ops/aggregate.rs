@@ -20,9 +20,9 @@
 use qap_expr::{
     AggKind, BoundExpr, KernelScratch, LaneKind, PredicateKernel, UdafState, WordAgg, LANE_KINDS,
 };
-use qap_types::{ArcStr, Column, ColumnBatch, SelectionVector, Tuple, Value};
+use qap_types::{ArcStr, Column, ColumnBatch, Field, SelectionVector, Tuple, Value};
 
-use crate::bind::{AccFactory, AggSlot, BoundAggregate};
+use crate::bind::{udaf_value, AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
@@ -107,11 +107,19 @@ impl Slot {
 
     /// The slot's value for a closing window: its partial when the
     /// slot emits partials (a built-in's is its final value).
-    fn close(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr]) -> Value {
+    fn close(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr]) -> ExecResult<Value> {
         match self.state {
-            SlotState::Word { agg, off } => agg.finalize(&words[off..], strs),
-            SlotState::Side(i) if self.bound.emit_partial => side[i].partial(),
-            SlotState::Side(i) => side[i].finalize(),
+            SlotState::Word { agg, off } => Ok(agg.finalize(&words[off..], strs, self.bound.out)),
+            SlotState::Side(i) if self.bound.emit_partial => self.udaf_value(side[i].partial()),
+            SlotState::Side(i) => self.udaf_value(side[i].finalize()),
+        }
+    }
+
+    /// A UDAF slot's value, held to the slot's kind.
+    fn udaf_value(&self, v: Value) -> ExecResult<Value> {
+        match &self.bound.factory {
+            AccFactory::Udaf(udaf) => udaf_value(&**udaf, v),
+            AccFactory::Builtin(_) => unreachable!("only a UDAF keeps side state"),
         }
     }
 
@@ -123,11 +131,18 @@ impl Slot {
         }
     }
 
-    fn state_values(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr], out: &mut Vec<Value>) {
+    fn state_values(
+        &self,
+        words: &[u64],
+        side: &[Udaf],
+        strs: &[ArcStr],
+        out: &mut Vec<Value>,
+    ) -> ExecResult<()> {
         match self.state {
             SlotState::Word { agg, off } => agg.state_values(&words[off..], strs, out),
-            SlotState::Side(i) => out.push(side[i].partial()),
+            SlotState::Side(i) => out.push(self.udaf_value(side[i].partial())?),
         }
+        Ok(())
     }
 
     fn absorb_state(&self, g: &mut Group<'_>, vals: &[Value]) {
@@ -185,6 +200,8 @@ pub(crate) struct AggregateOp {
     temporal_idx: usize,
     slots: Vec<Slot>,
     having: Option<BoundExpr>,
+    /// The columns of a migration state row, which an absorb checks.
+    state_fields: Vec<Field>,
     /// HAVING compiled against the output schema (None: no HAVING, or
     /// outside the kernel domain), run over each closed window's lanes.
     having_kernel: Option<PredicateKernel>,
@@ -259,6 +276,7 @@ impl AggregateOp {
             temporal_idx,
             slots,
             having,
+            state_fields,
         } = b;
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         let having_kernel = having.as_ref().and_then(PredicateKernel::compile);
@@ -269,6 +287,7 @@ impl AggregateOp {
             group_exprs,
             temporal_idx,
             having,
+            state_fields,
             having_kernel,
             having_scratch: KernelScratch::new(),
             window: Vec::new(),
@@ -370,14 +389,14 @@ impl AggregateOp {
             // kind; that one and the rest are pushed.
             let mut other = None;
             c.extend_uints(vals.by_ref().map_while(|v| match v {
-                Value::UInt(x) => Some(x),
+                Ok(Value::UInt(x)) => Some(x),
                 v => {
                     other = Some(v);
                     None
                 }
             }));
             for v in other.into_iter().chain(vals) {
-                c.push(&v);
+                c.push(&v?);
             }
         }
         let mut window = ColumnBatch::from_columns_with_rows(cols, n);
@@ -702,9 +721,9 @@ fn extract_from_table(
     arity: usize,
     pred: &mut dyn FnMut(&[Value]) -> bool,
     out: &mut ColumnBatch,
-) {
+) -> ExecResult<()> {
     if table.is_empty() {
-        return;
+        return Ok(());
     }
     let (keys, words, side, n) = table.take_entries();
     let (words_w, side_w) = (words.len() / n, side.len() / n);
@@ -719,7 +738,7 @@ fn extract_from_table(
         accs.extend(side_iter.by_ref().take(side_w));
         if pred(&scratch) {
             for slot in slots {
-                slot.state_values(w, &accs, table.window().strs, &mut scratch);
+                slot.state_values(w, &accs, table.window().strs, &mut scratch)?;
             }
             accs.clear();
             let row = Tuple::new(std::mem::take(&mut scratch));
@@ -734,6 +753,7 @@ fn extract_from_table(
             table.payload_mut(e).words.copy_from_slice(w);
         }
     }
+    Ok(())
 }
 
 /// One aggregate slot's per-batch fold source: the lane-resolved
@@ -862,10 +882,14 @@ impl Operator for AggregateOp {
     /// Extracts live group state (current window and NULL-window
     /// groups) for keys `pred` selects; each state row is the group key
     /// followed by every slot's lossless accumulator state.
-    fn extract_state(&mut self, pred: &mut dyn FnMut(&[Value]) -> bool, out: &mut ColumnBatch) {
+    fn extract_state(
+        &mut self,
+        pred: &mut dyn FnMut(&[Value]) -> bool,
+        out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
         let arity = self.group_exprs.len();
-        extract_from_table(&mut self.groups, &self.slots, arity, pred, out);
-        extract_from_table(&mut self.null_groups, &self.slots, arity, pred, out);
+        extract_from_table(&mut self.groups, &self.slots, arity, pred, out)?;
+        extract_from_table(&mut self.null_groups, &self.slots, arity, pred, out)
     }
 
     /// Absorbs state rows extracted from the same operator shape on
@@ -873,10 +897,11 @@ impl Operator for AggregateOp {
     /// into the local table (creating the group when absent). A shipped
     /// bucket ahead of the local window flushes it first; behind it
     /// counts as late — neither occurs under the drain protocol, which
-    /// aligns both hosts on the boundary bucket before shipping.
+    /// aligns both hosts on the boundary bucket before shipping. State
+    /// of another shape, or of other kinds, is a typed error.
     fn absorb_state(&mut self, state: &ColumnBatch, out: &mut ColumnBatch) -> ExecResult<()> {
         let arity = self.group_exprs.len();
-        let state_w: usize = self.slots.iter().map(Slot::state_width).sum();
+        let state_w = self.state_fields.len() - arity;
         if state.is_empty() {
             return Ok(());
         }
@@ -886,6 +911,7 @@ impl Operator for AggregateOp {
                 state.arity()
             )));
         }
+        state.check_kinds(&self.state_fields)?;
         let (keys, states) = state.columns().split_at(arity);
         let mut vals = Vec::with_capacity(state_w);
         for r in 0..state.rows() {

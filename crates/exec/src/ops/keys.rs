@@ -8,8 +8,8 @@
 //! row by the fx fold of its words. That hash is what [`fx::ValueHash`]
 //! gives the same key as `UInt` values (the `UInt` tag is zero), so a
 //! key read as words and the same key evaluated row by row probe the
-//! same slots. Any other key lane — signed, Bool, string, nullable,
-//! all-NULL or `Mixed`, or a key no lane shape covers — keeps
+//! same slots. Any other key lane — signed, Bool, string, nullable or
+//! all-NULL, or a key no lane shape covers — keeps
 //! the whole batch off words, and the operator runs its per-row
 //! algorithm over it.
 

@@ -91,7 +91,13 @@ pub(crate) trait Operator {
     /// particular arity) one state row per moved group: the key columns,
     /// then each slot's lossless accumulator state. Operators without
     /// keyed window state ship nothing.
-    fn extract_state(&mut self, _pred: &mut dyn FnMut(&[Value]) -> bool, _out: &mut ColumnBatch) {}
+    fn extract_state(
+        &mut self,
+        _pred: &mut dyn FnMut(&[Value]) -> bool,
+        _out: &mut ColumnBatch,
+    ) -> ExecResult<()> {
+        Ok(())
+    }
     /// Migration absorb hook: merges state rows produced by
     /// [`Operator::extract_state`] on an identically-shaped operator,
     /// writing any window the absorbed state closes to `out`. An
@@ -174,7 +180,6 @@ pub(crate) fn column_lane_kind(c: &Column) -> LaneKind {
         Some(ColumnData::Int(_)) => LaneKind::Int,
         Some(ColumnData::Bool(_)) => LaneKind::Bool,
         Some(ColumnData::Str(_)) => LaneKind::Str,
-        Some(ColumnData::Mixed(_)) => LaneKind::Mixed,
     }
 }
 

@@ -6,6 +6,10 @@
 //! checks the engine's window, flush, group-table, join-index and merge
 //! code instead of restating it.
 //!
+//! A tuple of another arity than the source schema's, or with a value of
+//! another kind than its column declares, is a typed error, as it is on
+//! the engine's entry.
+//!
 //! Semantics (Section 3.1): σπ filters and projects. γ keeps one open
 //! window plus the NULL-window groups; a later window emits the open one,
 //! an earlier one is late and dropped, and the NULL-window groups emit at
@@ -29,7 +33,7 @@ use qap_expr::{make_accumulator, Accumulator, BoundExpr, UdafState};
 use qap_plan::{JoinType, NodeId, QueryDag};
 use qap_types::{Tuple, Value};
 
-use crate::bind::{bind_node, AccFactory, BoundAggregate, BoundJoin, BoundNode};
+use crate::bind::{bind_node, udaf_value, AccFactory, BoundAggregate, BoundJoin, BoundNode};
 use crate::{ExecError, ExecResult};
 
 /// Runs a single-source logical plan over a stream ordered by the
@@ -63,7 +67,7 @@ pub fn run_logical(
             sources.len()
         )));
     };
-    let arity = dag.schema(source).arity();
+    let fields = dag.schema(source).fields();
     let mut model = Model {
         nodes: Vec::with_capacity(dag.len()),
         consumers: vec![Vec::new(); dag.len()],
@@ -83,13 +87,15 @@ pub fn run_logical(
             null_window: Groups::default(),
         });
     }
-    for t in tuples {
-        if t.arity() != arity {
+    for (row, t) in tuples.into_iter().enumerate() {
+        if t.arity() != fields.len() {
             return Err(ExecError::BadPlan(format!(
-                "tuple arity {} does not match source {source}'s schema arity {arity}",
-                t.arity()
+                "tuple arity {} does not match source {source}'s schema arity {}",
+                t.arity(),
+                fields.len()
             )));
         }
+        t.check_kinds(row, fields)?;
         model.send(source, Rc::new(t))?;
     }
     // End of stream, in topological order: flushes reach unfinished nodes.
@@ -289,10 +295,11 @@ fn emit_groups(b: &BoundAggregate, groups: &mut Groups) -> ExecResult<Vec<Row>> 
     for (g, mut row) in keys {
         row.reserve_exact(b.slots.len());
         for (slot, acc) in b.slots.iter().zip(&accs[g * b.slots.len()..]) {
-            row.push(match (acc, slot.emit_partial) {
-                (Acc::Builtin(a), _) => a.finalize(),
-                (Acc::Udaf(u), true) => u.partial(),
-                (Acc::Udaf(u), false) => u.finalize(),
+            row.push(match (acc, slot.emit_partial, &slot.factory) {
+                (Acc::Builtin(a), ..) => a.finalize(slot.out),
+                (Acc::Udaf(u), true, AccFactory::Udaf(f)) => udaf_value(&**f, u.partial())?,
+                (Acc::Udaf(u), _, AccFactory::Udaf(f)) => udaf_value(&**f, u.finalize())?,
+                (Acc::Udaf(_), _, AccFactory::Builtin(_)) => unreachable!("a UDAF slot's state"),
             });
         }
         let row = Tuple::new(row);

@@ -8,7 +8,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use qap_types::{ArcStr, Value};
+use qap_types::{ArcStr, DataType, Value};
 
 use crate::ScalarExpr;
 
@@ -250,12 +250,13 @@ impl Accumulator {
         }
     }
 
-    /// Produces the aggregate's value.
-    pub fn finalize(&self) -> Value {
+    /// Produces the aggregate's value, of kind `out` — the plan's type
+    /// for the aggregate, which only a `SUM` or an `AVG` reads.
+    pub fn finalize(&self, out: DataType) -> Value {
         match self {
             Accumulator::Count(n) => Value::UInt(*n),
             Accumulator::Sum(s) => match s {
-                Some(x) => narrow(*x),
+                Some(x) => narrow(*x, out),
                 None => Value::Null,
             },
             Accumulator::Min(m) | Accumulator::Max(m) => m.clone().unwrap_or(Value::Null),
@@ -263,7 +264,7 @@ impl Accumulator {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    narrow(s / i128::from(*n))
+                    narrow(s / i128::from(*n), out)
                 }
             }
             Accumulator::Or(acc) => Value::UInt(*acc),
@@ -302,15 +303,24 @@ fn widen(v: &Value) -> Option<i128> {
     }
 }
 
-fn narrow(x: i128) -> Value {
-    if x >= 0 {
-        u64::try_from(x)
-            .map(Value::UInt)
-            .unwrap_or(Value::UInt(u64::MAX))
-    } else {
-        i64::try_from(x)
-            .map(Value::Int)
-            .unwrap_or(Value::Int(i64::MIN))
+/// A `SUM` or an `AVG` as a value of its kind `out`: `Int` over a
+/// signed argument, else `UInt`, saturating at the kind's ends.
+fn narrow(x: i128, out: DataType) -> Value {
+    match out {
+        DataType::Int => Value::Int(x.clamp(i64::MIN.into(), i64::MAX.into()) as i64),
+        _ => Value::UInt(x.clamp(0, u64::MAX.into()) as u64),
+    }
+}
+
+/// The plan's type for a built-in aggregate over an argument of type
+/// `arg` (`None` for `COUNT(*)`): `MIN` and `MAX` take the argument's
+/// kind, `SUM` and `AVG` are `Int` over a signed argument and `UInt`
+/// otherwise, and `COUNT`, `OR_AGGR` and `AND_AGGR` are `UInt`.
+pub fn agg_output_type(kind: AggKind, arg: Option<DataType>) -> DataType {
+    match (kind, arg) {
+        (AggKind::Min | AggKind::Max, Some(t)) => t,
+        (AggKind::Sum | AggKind::Avg, Some(DataType::Int)) => DataType::Int,
+        _ => DataType::UInt,
     }
 }
 
@@ -467,12 +477,12 @@ impl WordAgg {
     }
 
     /// [`Accumulator::finalize`]; a built-in's partial is its final value.
-    pub fn finalize(self, w: &[u64], pool: &[ArcStr]) -> Value {
+    pub fn finalize(self, w: &[u64], pool: &[ArcStr], out: DataType) -> Value {
         match self {
             WordAgg::Count | WordAgg::Or => Value::UInt(w[0]),
             WordAgg::Sum | WordAgg::Avg if w[2] == 0 => Value::Null,
-            WordAgg::Sum => narrow(join_i128(w[0], w[1])),
-            WordAgg::Avg => narrow(join_i128(w[0], w[1]) / i128::from(w[2])),
+            WordAgg::Sum => narrow(join_i128(w[0], w[1]), out),
+            WordAgg::Avg => narrow(join_i128(w[0], w[1]) / i128::from(w[2]), out),
             WordAgg::And if w[0] == 0 => Value::Null,
             WordAgg::And => Value::UInt(w[1]),
             WordAgg::Min | WordAgg::Max => Self::extreme(w, pool),
@@ -487,7 +497,8 @@ impl WordAgg {
             WordAgg::Sum if w[2] == 0 => out.extend([Value::Null, Value::Null]),
             WordAgg::Sum => out.extend(w[..2].iter().map(|&x| Value::UInt(x))),
             WordAgg::Avg => out.extend(w[..3].iter().map(|&x| Value::UInt(x))),
-            _ => out.push(self.finalize(w, pool)),
+            // The kind narrows only a `SUM` or an `AVG`, which ship words.
+            _ => out.push(self.finalize(w, pool, DataType::UInt)),
         }
     }
 
@@ -674,12 +685,21 @@ mod tests {
         }
     }
 
+    /// The kind a `SUM` or an `AVG` over `vals` finalizes to: `Int` when
+    /// a value is signed, as the plan types a signed argument.
+    fn out_of(vals: &[Value]) -> DataType {
+        match vals.iter().any(|v| matches!(v, Value::Int(_))) {
+            true => DataType::Int,
+            false => DataType::UInt,
+        }
+    }
+
     fn run(kind: AggKind, inputs: &[Value]) -> Value {
         let mut acc = make_accumulator(kind);
         for v in inputs {
             acc.update(v);
         }
-        acc.finalize()
+        acc.finalize(out_of(inputs))
     }
 
     #[test]
@@ -746,7 +766,7 @@ mod tests {
         let mut acc = make_accumulator(AggKind::Count);
         acc.merge(&Value::UInt(10));
         acc.merge(&Value::UInt(5));
-        assert_eq!(acc.finalize(), Value::UInt(15));
+        assert_eq!(acc.finalize(DataType::UInt), Value::UInt(15));
     }
 
     #[test]
@@ -774,7 +794,7 @@ mod tests {
             let mut sup = make_accumulator(spec.sup[0]);
             sup.merge(&pa);
             sup.merge(&pb);
-            assert_eq!(sup.finalize(), direct, "kind {kind}");
+            assert_eq!(sup.finalize(DataType::UInt), direct, "kind {kind}");
         }
     }
 
@@ -820,7 +840,7 @@ mod tests {
             b.update(v);
         }
         b.merge_state(&shipped);
-        b.finalize()
+        b.finalize(out_of(&[part_a, part_b].concat()))
     }
 
     #[test]
@@ -838,9 +858,9 @@ mod tests {
             empty.state_values(&mut shipped);
             let mut b = make_accumulator(kind);
             b.update(&Value::UInt(4));
-            let before = b.finalize();
+            let before = b.finalize(DataType::UInt);
             b.merge_state(&shipped);
-            assert_eq!(b.finalize(), before, "kind {kind}");
+            assert_eq!(b.finalize(DataType::UInt), before, "kind {kind}");
         }
     }
 
@@ -857,7 +877,7 @@ mod tests {
         b.merge_state(&shipped);
         // (1 + 2 + 4) / 3 == 2; a lossy finalize-merge would give a
         // different answer because AVG(1,2) truncates to 1.
-        assert_eq!(b.finalize(), Value::UInt(2));
+        assert_eq!(b.finalize(DataType::UInt), Value::UInt(2));
     }
 
     #[test]
@@ -868,7 +888,7 @@ mod tests {
         a.state_values(&mut shipped);
         let mut b = make_accumulator(AggKind::Sum);
         b.merge_state(&shipped);
-        assert_eq!(b.finalize(), Value::Int(-5));
+        assert_eq!(b.finalize(DataType::Int), Value::Int(-5));
     }
 
     const WORD_KINDS: [AggKind; 7] = [
@@ -911,9 +931,10 @@ mod tests {
             (&by_value, &pool),
             "{kind} merge={merge} {vals:?}"
         );
-        let want = acc.finalize();
+        let out = out_of(vals);
+        let want = acc.finalize(out);
         assert_eq!(
-            agg.finalize(&by_value, &pool),
+            agg.finalize(&by_value, &pool, out),
             want,
             "{kind} merge={merge} {vals:?}"
         );
@@ -937,8 +958,8 @@ mod tests {
             acc2.state_values(&mut a);
             agg.state_values(&w2, &pool2, &mut b);
             assert_eq!(
-                (agg.finalize(&w2, &pool2), b),
-                (acc2.finalize(), a),
+                (agg.finalize(&w2, &pool2, out), b),
+                (acc2.finalize(out), a),
                 "{kind} {base:?}"
             );
         }

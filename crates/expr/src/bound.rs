@@ -155,19 +155,30 @@ fn values_eq(l: &Value, r: &Value) -> bool {
     l == r
 }
 
+/// Arithmetic whose result kind is a function of the operand kinds
+/// alone: two `UInt`s give a `UInt`, except `-`, which gives an `Int`;
+/// an `Int` or `Bool` operand gives an `Int`. The number is computed in
+/// the unsigned domain while both operands are non-negative, else in
+/// the signed one, and one the result kind cannot hold is an
+/// [`ExprError::Overflow`].
 fn eval_arith(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {
-    // Prefer unsigned arithmetic (the native domain); fall back to signed
-    // when either side is a negative Int.
-    if let (Some(a), Some(b)) = (l.as_u64(), r.as_u64()) {
-        return arith_u64(op, a, b);
+    let v = if let (Some(a), Some(b)) = (l.as_u64(), r.as_u64()) {
+        arith_u64(op, a, b)?
+    } else if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
+        arith_i64(op, a, b)?
+    } else {
+        return Err(ExprError::TypeMismatch {
+            op: op.symbol(),
+            detail: format!("{l} {} {r}", op.symbol()),
+        });
+    };
+    let unsigned = matches!((l, r), (Value::UInt(_), Value::UInt(_))) && op != BinOp::Sub;
+    match v {
+        Value::UInt(x) if !unsigned => i64::try_from(x)
+            .map(Value::Int)
+            .map_err(|_| ExprError::Overflow(op.symbol())),
+        v => Ok(v),
     }
-    if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
-        return arith_i64(op, a, b);
-    }
-    Err(ExprError::TypeMismatch {
-        op: op.symbol(),
-        detail: format!("{l} {} {r}", op.symbol()),
-    })
 }
 
 fn arith_u64(op: BinOp, a: u64, b: u64) -> ExprResult<Value> {
@@ -314,6 +325,35 @@ mod tests {
         let t = tuple![1u64, 2u64, 3u64];
         let e = ScalarExpr::col("time").binary(BinOp::Sub, ScalarExpr::col("len"));
         assert_eq!(eval(e, &t), Value::Int(-2));
+    }
+
+    /// A result's kind is its operands' kinds' alone: two `UInt`s give a
+    /// `UInt` except under `-`; an `Int` or `Bool` operand gives an
+    /// `Int`. The number is the one unsigned arithmetic gives, and one
+    /// the kind cannot hold overflows.
+    #[test]
+    fn arithmetic_kinds_follow_the_operand_kinds() {
+        let t = Tuple::new(vec![Value::UInt(7), Value::Int(2), Value::Bool(true)]);
+        let e = |op, l: usize, r: usize| BoundExpr::Binary {
+            op,
+            lhs: Box::new(BoundExpr::Column(l)),
+            rhs: Box::new(BoundExpr::Column(r)),
+        };
+        assert_eq!(e(BinOp::Add, 0, 0).eval(&t), Ok(Value::UInt(14)));
+        assert_eq!(e(BinOp::Sub, 0, 0).eval(&t), Ok(Value::Int(0)));
+        assert_eq!(e(BinOp::Mul, 0, 1).eval(&t), Ok(Value::Int(14)));
+        assert_eq!(e(BinOp::Add, 2, 0).eval(&t), Ok(Value::Int(8)));
+        assert_eq!(e(BinOp::Shl, 1, 1).eval(&t), Ok(Value::Int(8)));
+        let big = Tuple::new(vec![Value::UInt(u64::MAX), Value::Int(0), Value::UInt(1)]);
+        assert_eq!(
+            e(BinOp::Sub, 0, 2).eval(&big),
+            Err(ExprError::Overflow("-"))
+        );
+        assert_eq!(
+            e(BinOp::Add, 0, 1).eval(&big),
+            Err(ExprError::Overflow("+"))
+        );
+        assert_eq!(e(BinOp::BitAnd, 0, 2).eval(&big), Ok(Value::UInt(1)));
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! the unsigned domain — the native type of every packet-header field.
 //! Signed lanes whose selected values are all non-negative reinterpret
 //! into it bit-exactly (`as_u64` applies the same coercion); anything
-//! else bails out of the register path.
+//! else bails out of the register path. Each register also carries the
+//! kind the interpreter gives its value: signed once an operand is a
+//! signed lane or literal, or the operation is `-`, and a signed value
+//! past `i64::MAX` bails (the interpreter's overflow).
 //!
 //! The **fused filters** ([`Instr::FilterColConst`],
 //! [`Instr::FilterColTruthy`]) are lane-typed: unsigned and signed
 //! lanes compare numerically (`u64` resp. `i128`, exactly the
 //! `values_eq`/`total_cmp` result for numeric operand pairs), boolean
-//! lanes go through a two-entry truth table, and string or demoted
-//! mixed lanes row-at-a-time through the interpreter's own
-//! `eval_binary`. Every table entry and constant-fold is computed *by*
+//! lanes go through a two-entry truth table, and string lanes
+//! row-at-a-time through the interpreter's own `eval_binary`. Every table entry and constant-fold is computed *by*
 //! the interpreter, so the fused path is exact by construction.
 //! Constants of a kind whose comparison against the lane is
 //! value-independent (a negative literal against an unsigned lane, a
@@ -79,7 +81,9 @@ pub enum LaneKind {
     Bool = 2,
     /// Interned-string lane.
     Str = 3,
-    /// Demoted mixed-kind lane.
+    /// No lane: a fallback no single lane is to blame for — a key
+    /// outside every lane shape, a join without equi-keys, or a γ
+    /// window a key of another kind has poisoned.
     Mixed = 4,
 }
 
@@ -263,8 +267,9 @@ enum Instr {
     /// Gather the selected rows of a column into a register. Requires
     /// an unsigned-representable lane at runtime (bail out otherwise).
     LoadCol { col: u32, dst: u8 },
-    /// Broadcast a constant into a register.
-    LoadConst { idx: u16, dst: u8 },
+    /// Broadcast a constant into a register; `signed` when the literal
+    /// is an `Int`.
+    LoadConst { idx: u16, dst: u8, signed: bool },
     /// Element-wise unsigned arithmetic: `dst = a OP b`.
     Arith { op: ArithOp, a: u8, b: u8, dst: u8 },
     /// Element-wise bitwise complement: `dst = !a`.
@@ -311,6 +316,8 @@ enum Reg {
 #[derive(Default)]
 pub struct KernelScratch {
     regs: Vec<Reg>,
+    /// Per register: whether its value is an `Int` to the interpreter.
+    signed: Vec<bool>,
     cur: Vec<u32>,
     /// `(pending, accepted)` per open OR: rows not yet accepted by any
     /// branch, and the union of branch survivors so far.
@@ -343,6 +350,14 @@ impl KernelScratch {
     /// overflow/borrow bails attribute to the unsigned domain).
     pub fn lane_fallbacks(&self) -> [u64; LANE_KINDS] {
         self.lane_fallbacks
+    }
+
+    /// Sizes the register file for a kernel of `n` registers.
+    fn reserve_regs(&mut self, n: u8) {
+        if self.regs.len() < usize::from(n) {
+            self.regs.resize(usize::from(n), Reg::Empty);
+            self.signed.resize(usize::from(n), false);
+        }
     }
 
     fn take_idx(&mut self) -> Vec<u32> {
@@ -431,7 +446,12 @@ impl Compiler {
             }
             BoundExpr::Literal(v) => {
                 let idx = self.const_idx(literal_u64(v)?)?;
-                self.instrs.push(Instr::LoadConst { idx, dst: base });
+                let signed = matches!(v, Value::Int(_));
+                self.instrs.push(Instr::LoadConst {
+                    idx,
+                    dst: base,
+                    signed,
+                });
                 self.reserve(base);
                 Some(base)
             }
@@ -627,9 +647,7 @@ impl PredicateKernel {
         scratch.cur.clear();
         scratch.cur.extend_from_slice(sel.as_slice());
         scratch.or_stack.clear();
-        if scratch.regs.len() < usize::from(self.nregs) {
-            scratch.regs.resize(usize::from(self.nregs), Reg::Empty);
-        }
+        scratch.reserve_regs(self.nregs);
         let ok = run_instrs(&self.instrs, &self.consts, &self.cmp_consts, batch, scratch);
         scratch.settle(ok);
         if !ok {
@@ -675,34 +693,37 @@ impl NumKernel {
     }
 
     /// Evaluates the expression over all rows of `batch`, producing the
-    /// output column. `None` means the batch falls outside the compiled
-    /// domain (bail out to the interpreter); NULL inputs yield NULL
-    /// outputs exactly as the row evaluator's NULL propagation does.
+    /// output column: an unsigned lane, or a signed one when the
+    /// interpreter's value is an `Int`. `None` means the batch falls
+    /// outside the compiled domain (bail out to the interpreter); NULL
+    /// inputs yield NULL outputs exactly as the row evaluator's NULL
+    /// propagation does.
     pub fn eval_column(&self, batch: &ColumnBatch, scratch: &mut KernelScratch) -> Option<Column> {
         if batch.rows() == 0 {
-            return Some(Column::from_uints(Vec::new()));
+            return Some(Column::new());
         }
         scratch.cur.clear();
         scratch.cur.extend(0..batch.rows() as u32);
         scratch.or_stack.clear();
-        if scratch.regs.len() < usize::from(self.nregs) {
-            scratch.regs.resize(usize::from(self.nregs), Reg::Empty);
-        }
+        scratch.reserve_regs(self.nregs);
         let ok = run_instrs(&self.instrs, &self.consts, &self.cmp_consts, batch, scratch);
         scratch.settle(ok);
         if !ok {
             return None;
         }
         let n = batch.rows();
-        let col = match std::mem::take(&mut scratch.regs[usize::from(self.out)]) {
-            Reg::Scalar(c) => Column::from_uints(vec![c; n]),
-            Reg::Vector { vals, nulls } => {
-                debug_assert_eq!(vals.len(), n);
-                Column::from_parts(ColumnData::UInt(vals), nulls)
-            }
+        let (vals, nulls) = match std::mem::take(&mut scratch.regs[usize::from(self.out)]) {
+            Reg::Scalar(c) => (vec![c; n], Vec::new()),
+            Reg::Vector { vals, nulls } => (vals, nulls),
             Reg::Empty => unreachable!("kernel output register never written"),
         };
-        Some(col)
+        debug_assert_eq!(vals.len(), n);
+        let lane = match scratch.signed[usize::from(self.out)] {
+            // Every non-NULL value is at most `i64::MAX` (`arith`).
+            true => ColumnData::Int(vals.into_iter().map(|x| x as i64).collect()),
+            false => ColumnData::UInt(vals),
+        };
+        Some(Column::from_parts(lane, nulls))
     }
 }
 
@@ -727,6 +748,7 @@ fn run_instrs(
                             scratch.touched |= kind.bit();
                         }
                         scratch.regs[usize::from(*dst)] = reg;
+                        scratch.signed[usize::from(*dst)] = kind == Some(LaneKind::Int);
                     }
                     Err(kind) => {
                         scratch.bail = Some(kind);
@@ -734,27 +756,37 @@ fn run_instrs(
                     }
                 }
             }
-            Instr::LoadConst { idx, dst } => {
+            Instr::LoadConst { idx, dst, signed } => {
                 scratch.regs[usize::from(*dst)] = Reg::Scalar(consts[usize::from(*idx)]);
+                scratch.signed[usize::from(*dst)] = *signed;
             }
             Instr::Arith { op, a, b, dst } => {
-                if !arith(scratch, *op, *a, *b, *dst) {
+                let signed = scratch.signed[usize::from(*a)]
+                    || scratch.signed[usize::from(*b)]
+                    || *op == ArithOp::Sub;
+                if !arith(scratch, *op, *a, *b, *dst)
+                    || signed && !fits_i64(&scratch.regs[usize::from(*dst)])
+                {
                     // Overflow/borrow/zero-division: the unsigned
                     // arithmetic domain, not a typed lane.
                     scratch.bail = Some(LaneKind::Uint);
                     return false;
                 }
+                scratch.signed[usize::from(*dst)] = signed;
             }
-            Instr::BitNot { a, dst } => match std::mem::take(&mut scratch.regs[usize::from(*a)]) {
-                Reg::Scalar(x) => scratch.regs[usize::from(*dst)] = Reg::Scalar(!x),
-                Reg::Vector { mut vals, nulls } => {
-                    for v in &mut vals {
-                        *v = !*v;
+            Instr::BitNot { a, dst } => {
+                match std::mem::take(&mut scratch.regs[usize::from(*a)]) {
+                    Reg::Scalar(x) => scratch.regs[usize::from(*dst)] = Reg::Scalar(!x),
+                    Reg::Vector { mut vals, nulls } => {
+                        for v in &mut vals {
+                            *v = !*v;
+                        }
+                        scratch.regs[usize::from(*dst)] = Reg::Vector { vals, nulls };
                     }
-                    scratch.regs[usize::from(*dst)] = Reg::Vector { vals, nulls };
+                    Reg::Empty => unreachable!("BitNot on unwritten register"),
                 }
-                Reg::Empty => unreachable!("BitNot on unwritten register"),
-            },
+                scratch.signed[usize::from(*dst)] = false;
+            }
             Instr::Filter { op, a, b } => {
                 let (ra, rb) = if a == b {
                     let r = std::mem::take(&mut scratch.regs[usize::from(*a)]);
@@ -880,7 +912,6 @@ fn load_column(c: &Column, cur: &[u32], reg: &mut Reg) -> Result<Option<LaneKind
         }
         Some(ColumnData::Bool(_)) => return Err(LaneKind::Bool),
         Some(ColumnData::Str(_)) => return Err(LaneKind::Str),
-        Some(ColumnData::Mixed(_)) => return Err(LaneKind::Mixed),
     };
     *reg = Reg::Vector { vals, nulls };
     Ok(kind)
@@ -982,6 +1013,18 @@ fn arith(scratch: &mut KernelScratch, op: ArithOp, a: u8, b: u8, dst: u8) -> boo
     };
     scratch.regs[usize::from(dst)] = out;
     true
+}
+
+/// Whether every non-NULL value of a register is at most `i64::MAX`:
+/// what a signed result must be for the interpreter to hold it.
+fn fits_i64(r: &Reg) -> bool {
+    let fits = |x: u64| i64::try_from(x).is_ok();
+    match r {
+        Reg::Scalar(x) => fits(*x),
+        Reg::Vector { vals, nulls } if nulls.is_empty() => vals.iter().all(|&x| fits(x)),
+        Reg::Vector { vals, nulls } => vals.iter().zip(nulls).all(|(&x, &n)| n || fits(x)),
+        Reg::Empty => unreachable!("a result register is written"),
+    }
 }
 
 /// Union of two aligned NULL masks (`None` = no NULLs anywhere).
@@ -1232,20 +1275,6 @@ fn filter_col_const(cur: &mut Vec<u32>, c: &Column, op: CmpOp, k: &Value) -> Opt
             }
             Some(LaneKind::Str)
         }
-        Some(ColumnData::Mixed(lane)) => {
-            // Demoted lane: row-at-a-time through the interpreter
-            // (comparisons never error, so no mid-batch abort risk).
-            let mask = lane_mask(c);
-            let mut w = 0usize;
-            for r in 0..cur.len() {
-                let i = cur[r] as usize;
-                let keep = (mask.is_empty() || !mask[i]) && truth(op, &lane[i], k);
-                cur[w] = cur[r];
-                w += usize::from(keep);
-            }
-            cur.truncate(w);
-            Some(LaneKind::Mixed)
-        }
     }
 }
 
@@ -1275,18 +1304,6 @@ fn filter_col_truthy(cur: &mut Vec<u32>, c: &Column) -> Option<LaneKind> {
         Some(ColumnData::Str(_)) => {
             cur.clear();
             Some(LaneKind::Str)
-        }
-        Some(ColumnData::Mixed(lane)) => {
-            let mask = lane_mask(c);
-            let mut w = 0usize;
-            for r in 0..cur.len() {
-                let i = cur[r] as usize;
-                let keep = (mask.is_empty() || !mask[i]) && lane[i].as_bool().unwrap_or(false);
-                cur[w] = cur[r];
-                w += usize::from(keep);
-            }
-            cur.truncate(w);
-            Some(LaneKind::Mixed)
         }
     }
 }
@@ -1339,7 +1356,7 @@ fn diff_sorted(set: &mut Vec<u32>, remove: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qap_types::{tuple, Tuple};
+    use qap_types::{tuple, DataType, Tuple};
 
     fn batch(rows: &[Tuple]) -> ColumnBatch {
         ColumnBatch::from_rows(rows)
@@ -1570,29 +1587,61 @@ mod tests {
     }
 
     #[test]
-    fn mixed_lane_filters_per_row_and_reg_path_bails() {
-        let rows = vec![tuple![1u64], Tuple::new(vec![Value::Int(-5)])];
-        assert!(
-            matches!(batch(&rows).column(0).data(), Some(ColumnData::Mixed(_))),
-            "kind mismatch demotes the lane"
-        );
-        // The fused filter now evaluates demoted lanes row-at-a-time.
+    fn signed_lane_filters_fuse_and_reg_path_bails() {
+        let rows = vec![Tuple::new(vec![Value::Int(1)]), tuple![-5i64]];
         check(&bin(BinOp::Gt, col(0), lit(0)), &rows);
         check(&col(0), &rows);
-        // The register path (gather + arithmetic) still bails out
-        // losslessly.
+        // The register path (gather + arithmetic) bails out losslessly
+        // on a negative value.
         let e = bin(BinOp::Gt, bin(BinOp::Add, col(0), lit(0)), lit(0));
         let k = PredicateKernel::compile(&e).unwrap();
         let b = batch(&rows);
         let mut sel = SelectionVector::identity(2);
         let mut scratch = KernelScratch::new();
-        assert!(!k.filter(&b, &mut sel, &mut scratch), "mixed lane bails");
+        assert!(!k.filter(&b, &mut sel, &mut scratch), "negative int bails");
         assert_eq!(sel.as_slice(), &[0, 1], "selection untouched on bailout");
         assert_eq!(
-            scratch.lane_fallbacks()[LaneKind::Mixed as usize],
+            scratch.lane_fallbacks()[LaneKind::Int as usize],
             1,
-            "bail attributed to the demoted lane"
+            "bail attributed to the signed lane"
         );
+    }
+
+    /// A projection's lane has the kind of the interpreter's values:
+    /// signed once an operand is signed or the operation is `-`, and a
+    /// signed value past `i64::MAX` bails where the interpreter
+    /// overflows.
+    #[test]
+    fn num_kernel_lanes_take_the_interpreter_kinds() {
+        let uints = vec![tuple![7u64, 2u64], tuple![9u64, 4u64]];
+        let ints = vec![tuple![7i64, 2u64], tuple![9i64, 4u64]];
+        let mut scratch = KernelScratch::new();
+        for (e, rows, kind) in [
+            (bin(BinOp::Add, col(0), col(1)), &uints, DataType::UInt),
+            (bin(BinOp::Sub, col(0), col(1)), &uints, DataType::Int),
+            (bin(BinOp::Mul, col(0), ilit(3)), &uints, DataType::Int),
+            (bin(BinOp::Add, col(0), col(1)), &ints, DataType::Int),
+            (
+                BoundExpr::Unary {
+                    op: UnOp::BitNot,
+                    expr: Box::new(bin(BinOp::Sub, col(0), col(1))),
+                },
+                &uints,
+                DataType::UInt,
+            ),
+        ] {
+            let k = NumKernel::compile(&e).unwrap();
+            let out = k.eval_column(&batch(rows), &mut scratch).expect("runs");
+            assert_eq!(out.data_type(), Some(kind), "{e:?}");
+            for (i, t) in rows.iter().enumerate() {
+                assert_eq!(out.value(i), e.eval(t).unwrap(), "{e:?} row {i}");
+            }
+        }
+        let big = vec![tuple![u64::MAX, 0u64]];
+        let e = bin(BinOp::Sub, col(0), col(1));
+        assert!(e.eval(&big[0]).is_err(), "the interpreter overflows");
+        let k = NumKernel::compile(&e).unwrap();
+        assert!(k.eval_column(&batch(&big), &mut scratch).is_none());
     }
 
     #[test]

@@ -31,8 +31,8 @@ mod kernel;
 mod scalar;
 
 pub use agg::{
-    make_accumulator, split_agg, state_width, Accumulator, AggCall, AggFunc, AggKind, FinishOp,
-    SplitAgg, WordAgg,
+    agg_output_type, make_accumulator, split_agg, state_width, Accumulator, AggCall, AggFunc,
+    AggKind, FinishOp, SplitAgg, WordAgg,
 };
 pub use analysis::{analyze_transform, AnalyzedExpr, ColumnTransform};
 pub use bound::{bind, bind_with, BoundExpr, Resolver};

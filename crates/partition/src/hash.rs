@@ -386,12 +386,6 @@ fn fold_column(c: &Column, hs: &mut [u64]) {
                 *h = fnv_fold_word(*h, w);
             }
         }
-        Some(ColumnData::Mixed(l)) => {
-            for (r, (h, v)) in hs.iter_mut().zip(l).enumerate() {
-                let w = if masked(r) { u64::MAX } else { value_word(v) };
-                *h = fnv_fold_word(*h, w);
-            }
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use qap_expr::{analyze_transform, AggKind, ColumnRef, ColumnTransform, ExprError, ScalarExpr};
+use qap_expr::{analyze_transform, BinOp, ColumnRef, ColumnTransform, ExprError, ScalarExpr};
 use qap_types::{Catalog, DataType, Field, Schema, Temporality, Value};
 
 use crate::{LogicalNode, NamedExpr, PlanError, PlanResult};
@@ -269,6 +269,10 @@ impl QueryDag {
                 if let Some(p) = predicate {
                     validate_columns(p, &single_resolver(in_schema))?;
                 }
+                let type_in = |c: &ColumnRef| {
+                    let i = in_schema.index_of(&c.name)?;
+                    Some(in_schema.fields()[i].data_type())
+                };
                 let mut fields = Vec::with_capacity(group_by.len() + aggregates.len());
                 let mut has_window = false;
                 for g in group_by {
@@ -286,7 +290,10 @@ impl QueryDag {
                         validate_columns(arg, &single_resolver(in_schema))?;
                     }
                     let dt = match &a.call.func {
-                        qap_expr::AggFunc::Builtin(kind) => agg_output_type(*kind),
+                        qap_expr::AggFunc::Builtin(kind) => {
+                            let arg = a.call.arg.as_ref().map(|e| infer_type(e, &type_in));
+                            qap_expr::agg_output_type(*kind, arg)
+                        }
                         qap_expr::AggFunc::Udaf(name) => {
                             if self.catalog.udafs().get(name).is_none() {
                                 return Err(PlanError::Expr(ExprError::UnknownUdaf(name.clone())));
@@ -346,6 +353,10 @@ impl QueryDag {
             }
             LogicalNode::Merge { inputs } => {
                 let first = *inputs.first().ok_or(PlanError::EmptyMerge)?;
+                let types = |id: usize| self.schemas[id].fields().iter().map(Field::data_type);
+                if let Some(&input) = inputs.iter().find(|&&i| !types(i).eq(types(first))) {
+                    return Err(PlanError::MergeMismatch { input });
+                }
                 Ok(self.schemas[first].renamed(format!("node{}", self.nodes.len())))
             }
         }
@@ -470,17 +481,9 @@ fn validate_columns(
     }
 }
 
-/// Output type of an aggregate.
-fn agg_output_type(kind: AggKind) -> DataType {
-    match kind {
-        AggKind::Count | AggKind::Sum | AggKind::Avg | AggKind::OrAgg | AggKind::AndAgg => {
-            DataType::UInt
-        }
-        AggKind::Min | AggKind::Max => DataType::UInt,
-    }
-}
-
-/// Best-effort static type of an expression.
+/// Static type of an expression: the kind `BoundExpr::eval` gives every
+/// non-NULL value of it. Arithmetic over two `UInt`s is `UInt`, except
+/// `-`, which is `Int`; an `Int` or `Bool` operand makes it `Int`.
 fn infer_type(expr: &ScalarExpr, type_of: &impl Fn(&ColumnRef) -> Option<DataType>) -> DataType {
     match expr {
         ScalarExpr::Column(c) => type_of(c).unwrap_or(DataType::UInt),
@@ -496,7 +499,7 @@ fn infer_type(expr: &ScalarExpr, type_of: &impl Fn(&ColumnRef) -> Option<DataTyp
                 DataType::Bool
             } else {
                 match (infer_type(lhs, type_of), infer_type(rhs, type_of)) {
-                    (DataType::UInt, DataType::UInt) => DataType::UInt,
+                    (DataType::UInt, DataType::UInt) if *op != BinOp::Sub => DataType::UInt,
                     _ => DataType::Int,
                 }
             }
@@ -534,10 +537,70 @@ fn infer_temporality(
 mod tests {
     use super::*;
     use crate::{JoinType, NamedAgg, TemporalJoin};
-    use qap_expr::AggCall;
+    use qap_expr::{AggCall, AggKind};
 
     fn dag() -> QueryDag {
         QueryDag::new(Catalog::with_network_schemas())
+    }
+
+    /// A union carries one schema: inputs that differ in column count
+    /// or type are refused.
+    #[test]
+    fn merge_inputs_share_one_schema() {
+        let mut d = dag();
+        let tcp = d.add_source("TCP").unwrap();
+        let pkt = d.add_source("PKT").unwrap();
+        let err = d.add_node(LogicalNode::Merge {
+            inputs: vec![tcp, pkt],
+        });
+        assert!(matches!(err, Err(PlanError::MergeMismatch { input }) if input == pkt));
+        assert!(d
+            .add_node(LogicalNode::Merge {
+                inputs: vec![tcp, tcp]
+            })
+            .is_ok());
+    }
+
+    /// Output types are what evaluation gives: `-` of two `uint`s is an
+    /// `int`, a `SUM` and a `MIN` take their argument's kind.
+    #[test]
+    fn result_kinds_follow_the_operand_kinds() {
+        let mut d = dag();
+        let src = d.add_source("TCP").unwrap();
+        let id = d
+            .add_node(LogicalNode::Aggregate {
+                input: src,
+                predicate: None,
+                group_by: vec![
+                    NamedExpr::new("tb", ScalarExpr::col("time").div(60)),
+                    NamedExpr::new(
+                        "d",
+                        ScalarExpr::col("len").binary(BinOp::Sub, ScalarExpr::col("flags")),
+                    ),
+                ],
+                aggregates: vec![
+                    NamedAgg::new("s", AggCall::new(AggKind::Sum, ScalarExpr::col("len"))),
+                    NamedAgg::new(
+                        "sd",
+                        AggCall::new(
+                            AggKind::Sum,
+                            ScalarExpr::col("len").binary(BinOp::Sub, ScalarExpr::col("flags")),
+                        ),
+                    ),
+                    NamedAgg::new(
+                        "m",
+                        AggCall::new(
+                            AggKind::Min,
+                            ScalarExpr::col("len").binary(BinOp::Sub, ScalarExpr::col("flags")),
+                        ),
+                    ),
+                ],
+                having: None,
+            })
+            .unwrap();
+        let types: Vec<DataType> = d.schema(id).fields().iter().map(Field::data_type).collect();
+        let (u, i) = (DataType::UInt, DataType::Int);
+        assert_eq!(types, [u, i, u, i, i]);
     }
 
     /// Builds the paper's `flows` query:

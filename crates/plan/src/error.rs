@@ -37,6 +37,12 @@ pub enum PlanError {
     },
     /// A merge node with no inputs.
     EmptyMerge,
+    /// A merge input whose columns are not the first input's in number
+    /// and type: a union carries one schema.
+    MergeMismatch {
+        /// The input's node id.
+        input: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -65,6 +71,10 @@ impl fmt::Display for PlanError {
                 )
             }
             PlanError::EmptyMerge => write!(f, "merge node requires at least one input"),
+            PlanError::MergeMismatch { input } => write!(
+                f,
+                "merge input node {input} differs from the first input in column count or type"
+            ),
         }
     }
 }

@@ -11,11 +11,12 @@
 //! Three pieces:
 //!
 //! - [`Column`] — one attribute: a typed lane ([`ColumnData`]) plus a
-//!   null mask. Columns *type themselves* from the values pushed: the
-//!   first non-null value fixes the lane type; a later mismatching kind
-//!   demotes the column to a [`ColumnData::Mixed`] lane of plain
-//!   [`Value`]s, preserving every value exactly. Row→column→row is the
-//!   identity for arbitrary value sequences.
+//!   null mask. The first non-null value pushed fixes the lane type,
+//!   and every later one must have the same kind: the plan gives each
+//!   column one [`DataType`](crate::DataType), and data is checked
+//!   against it where it enters ([`ColumnBatch::check_kinds`],
+//!   [`Tuple::check_kinds`]), so a lane never holds two kinds.
+//!   Row→column→row is the identity for rows of one kind per column.
 //! - [`ColumnBatch`] — a fixed-arity set of equal-length columns with
 //!   row↔column converters for the engine boundary and lane-to-lane
 //!   appends ([`ColumnBatch::append_range`],
@@ -25,7 +26,7 @@
 //!   communication between predicate kernels and operators: a filter is
 //!   a refinement of the selection, not a copy of the data.
 
-use crate::{ArcStr, Tuple, Value};
+use crate::{ArcStr, DataType, Field, Tuple, TypeError, TypeResult, Value};
 
 /// The source rows of a lane append: a contiguous range (a slice copy)
 /// or an arbitrary gather list.
@@ -40,13 +41,6 @@ impl Rows<'_> {
         match self {
             Rows::Range(s, e) => e - s,
             Rows::Gather(idx) => idx.len(),
-        }
-    }
-
-    fn for_each(self, mut f: impl FnMut(usize)) {
-        match self {
-            Rows::Range(s, e) => (s..e).for_each(f),
-            Rows::Gather(idx) => idx.iter().for_each(|&i| f(i as usize)),
         }
     }
 
@@ -74,10 +68,7 @@ impl Rows<'_> {
 ///
 /// Lanes hold a *placeholder* at null positions (0, `false`, `""`);
 /// the authoritative null information lives in the column's null mask.
-/// A column whose values mix kinds (after GSQL's permissive coercions
-/// there are few, but arbitrary data can) is demoted to
-/// [`ColumnData::Mixed`], the exact row representation — correctness
-/// never depends on a lane staying typed, only speed does.
+/// A lane holds one kind: the plan's type for its column.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// Unsigned 64-bit lane — the native type of packet-header fields.
@@ -88,8 +79,6 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     /// Interned-string lane.
     Str(Vec<ArcStr>),
-    /// Untyped fallback lane holding plain values.
-    Mixed(Vec<Value>),
 }
 
 impl ColumnData {
@@ -99,7 +88,6 @@ impl ColumnData {
             ColumnData::Int(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Str(v) => v.len(),
-            ColumnData::Mixed(v) => v.len(),
         }
     }
 
@@ -109,7 +97,16 @@ impl ColumnData {
             ColumnData::Int(v) => v.clear(),
             ColumnData::Bool(v) => v.clear(),
             ColumnData::Str(v) => v.clear(),
-            ColumnData::Mixed(v) => v.clear(),
+        }
+    }
+
+    /// The lane's kind.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::UInt(_) => DataType::UInt,
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Bool(_) => DataType::Bool,
+            ColumnData::Str(_) => DataType::Str,
         }
     }
 
@@ -120,7 +117,6 @@ impl ColumnData {
             ColumnData::Int(_) => ColumnData::Int(Vec::new()),
             ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
             ColumnData::Str(_) => ColumnData::Str(Vec::new()),
-            ColumnData::Mixed(_) => ColumnData::Mixed(Vec::new()),
         }
     }
 
@@ -130,7 +126,6 @@ impl ColumnData {
             ColumnData::Int(v) => v.push(0),
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Str(v) => v.push(ArcStr::from("")),
-            ColumnData::Mixed(v) => v.push(Value::Null),
         }
     }
 
@@ -141,7 +136,6 @@ impl ColumnData {
             ColumnData::Int(v) => compact_lane(v, sel),
             ColumnData::Bool(v) => compact_lane(v, sel),
             ColumnData::Str(v) => compact_lane(v, sel),
-            ColumnData::Mixed(v) => compact_lane(v, sel),
         }
     }
 }
@@ -256,6 +250,12 @@ impl Column {
         self.data.as_ref()
     }
 
+    /// The lane's kind, or `None` while the column is untyped.
+    #[inline]
+    pub fn data_type(&self) -> Option<DataType> {
+        self.data.as_ref().map(ColumnData::data_type)
+    }
+
     /// The null mask: empty when no row is NULL, else one flag per row.
     #[inline]
     pub fn null_mask(&self) -> &[bool] {
@@ -310,7 +310,11 @@ impl Column {
         }
     }
 
-    /// Appends a value, typing or demoting the lane as needed.
+    /// Appends a value, typing the lane when it has no rows.
+    ///
+    /// # Panics
+    /// When the value's kind is not the lane's: every entry point
+    /// checks kinds against the plan first.
     pub fn push(&mut self, v: &Value) {
         self.push_reserving(v, 0);
     }
@@ -321,12 +325,12 @@ impl Column {
     pub fn extend_uints(&mut self, xs: impl IntoIterator<Item = u64>) {
         let mut xs = xs.into_iter();
         if !matches!(self.data, Some(ColumnData::UInt(_))) {
-            // The first value types (or demotes) the lane as a push does.
+            // The first value types the lane as a push does.
             let Some(x) = xs.next() else { return };
             self.push(&Value::UInt(x));
         }
         let Some(ColumnData::UInt(lane)) = &mut self.data else {
-            return xs.for_each(|x| self.push(&Value::UInt(x)));
+            unreachable!("a push of a UInt leaves a UInt lane");
         };
         let at = lane.len();
         lane.extend(xs);
@@ -395,22 +399,8 @@ impl Column {
             (ColumnData::Int(l), Value::Int(x)) => l.push(*x),
             (ColumnData::Bool(l), Value::Bool(x)) => l.push(*x),
             (ColumnData::Str(l), Value::Str(x)) => l.push(ArcStr::clone(x)),
-            (ColumnData::Mixed(l), v) => l.push(v.clone()),
-            (_, v) => {
-                self.demote_to_mixed();
-                match self.data.as_mut() {
-                    Some(ColumnData::Mixed(l)) => l.push(v.clone()),
-                    _ => unreachable!("demote_to_mixed leaves a Mixed lane"),
-                }
-            }
+            (lane, v) => panic!("a {v:?} pushed onto a {} lane", lane.data_type()),
         }
-    }
-
-    /// Rebuilds the lane as [`ColumnData::Mixed`], materializing every
-    /// existing row exactly (NULL rows become [`Value::Null`]).
-    fn demote_to_mixed(&mut self) {
-        let mixed: Vec<Value> = (0..self.len).map(|i| self.value(i)).collect();
-        self.data = Some(ColumnData::Mixed(mixed));
     }
 
     /// Materializes row `i` as a [`Value`] (a reference-count bump for strings).
@@ -427,7 +417,6 @@ impl Column {
             Some(ColumnData::Int(l)) => Value::Int(l[i]),
             Some(ColumnData::Bool(l)) => Value::Bool(l[i]),
             Some(ColumnData::Str(l)) => Value::Str(ArcStr::clone(&l[i])),
-            Some(ColumnData::Mixed(l)) => l[i].clone(),
             None => unreachable!("non-null row in an untyped column"),
         }
     }
@@ -466,10 +455,13 @@ impl Column {
     /// as pushing `src.value(i)` for each row would leave it — same
     /// values, same null mask, same placeholders, and on a column with
     /// no rows the same lane type a fresh column would type itself to —
-    /// without materializing any value when the lane types agree. So
-    /// what a consumer encodes after an append depends on the rows,
-    /// never on which lanes carried them.
+    /// without materializing any value. So what a consumer encodes
+    /// after an append depends on the rows, never on which lanes
+    /// carried them.
     /// The caller has checked the rows against `src.len()`.
+    ///
+    /// # Panics
+    /// When an appended non-NULL row's kind is not the lane's.
     fn append_rows(&mut self, src: &Column, rows: Rows<'_>) {
         let n = rows.len();
         if n == 0 {
@@ -483,21 +475,14 @@ impl Column {
         if self.len == 0 {
             // No rows, so no values to preserve: what is left of an
             // earlier use is allocations, which only a source lane of
-            // the same type can reuse. A `Mixed` source re-types itself
-            // row by row below, as pushes would.
+            // the same type can reuse.
             let reusable = match (&self.data, &src.data) {
-                (Some(d), Some(s)) => {
-                    std::mem::discriminant(d) == std::mem::discriminant(s)
-                        && !matches!(s, ColumnData::Mixed(_))
-                }
+                (Some(d), Some(s)) => std::mem::discriminant(d) == std::mem::discriminant(s),
                 _ => false,
             };
             if all_null || !reusable {
                 self.data = None;
             }
-        }
-        if let Some(ColumnData::Mixed(_)) = &src.data {
-            return rows.for_each(|i| self.push(&src.value(i)));
         }
         if nulls {
             if self.nulls.is_empty() {
@@ -508,7 +493,7 @@ impl Column {
             self.nulls.resize(self.len + n, false);
         }
         let typed = match &src.data {
-            Some(s) if !(all_null && self.data.is_none()) => Some(s),
+            Some(s) if !all_null => Some(s),
             _ => None,
         };
         match (&mut self.data, typed) {
@@ -541,15 +526,11 @@ impl Column {
                         rows.extend(d, s);
                         blank_nulls(d, appended, || ArcStr::from(""));
                     }
-                    _ => {
-                        if !matches!(self.data, Some(ColumnData::Mixed(_))) {
-                            self.demote_to_mixed();
-                        }
-                        let Some(ColumnData::Mixed(d)) = &mut self.data else {
-                            unreachable!("demote_to_mixed leaves a Mixed lane");
-                        };
-                        rows.for_each(|i| d.push(src.value(i)));
-                    }
+                    (d, s) => panic!(
+                        "a {} lane appended to a {} lane",
+                        s.data_type(),
+                        d.data_type()
+                    ),
                 }
             }
         }
@@ -602,6 +583,9 @@ impl ColumnBatch {
 
     /// Transposes a row batch into columns. The arity is taken from the
     /// first tuple (0 when the batch is empty).
+    ///
+    /// # Panics
+    /// When the rows disagree on arity, or a column's values on kind.
     pub fn from_rows(rows: &[Tuple]) -> Self {
         let arity = rows.first().map_or(0, Tuple::arity);
         let mut b = ColumnBatch::with_row_budget(arity, rows.len());
@@ -679,10 +663,32 @@ impl ColumnBatch {
         std::mem::take(&mut self.columns[i])
     }
 
+    /// Checks each column's lane against its field's declared kind: a
+    /// [`TypeError::KindMismatch`] names the first column whose lane
+    /// holds a non-NULL value of another kind, at its first such row.
+    /// The batch's arity is the caller's to check.
+    pub fn check_kinds(&self, fields: &[Field]) -> TypeResult<()> {
+        for (c, f) in self.columns.iter().zip(fields) {
+            let Some(found) = c.data_type().filter(|&k| k != f.data_type()) else {
+                continue;
+            };
+            if let Some(row) = (0..c.len).find(|&r| !c.is_null(r)) {
+                return Err(TypeError::KindMismatch {
+                    column: f.name().to_string(),
+                    row,
+                    expected: f.data_type(),
+                    found,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Appends one row.
     ///
     /// # Panics
-    /// When the tuple's arity disagrees with the batch's.
+    /// When the tuple's arity disagrees with the batch's, or a value's
+    /// kind is not its lane's.
     pub fn push_row(&mut self, t: &Tuple) {
         assert_eq!(t.arity(), self.arity(), "tuple arity != batch arity");
         for (c, v) in self.columns.iter_mut().zip(t.values()) {
@@ -700,6 +706,9 @@ impl ColumnBatch {
     }
 
     /// Appends every row of a batch.
+    ///
+    /// # Panics
+    /// As [`ColumnBatch::push_row`].
     pub fn extend_rows(&mut self, rows: &[Tuple]) {
         for t in rows {
             self.push_row(t);
@@ -710,7 +719,8 @@ impl ColumnBatch {
     /// those rows would leave, without materializing them.
     ///
     /// # Panics
-    /// When the arities disagree or the range reaches past `src.rows()`.
+    /// When the arities disagree, the range reaches past `src.rows()`,
+    /// or an appended non-NULL row's kind is not its lane's.
     pub fn append_range(&mut self, src: &ColumnBatch, rows: std::ops::Range<usize>) {
         assert!(
             rows.start <= rows.end && rows.end <= src.rows,
@@ -724,7 +734,8 @@ impl ColumnBatch {
     /// allowed), lane to lane.
     ///
     /// # Panics
-    /// When the arities disagree or an index reaches past `src.rows()`.
+    /// When the arities disagree, an index reaches past `src.rows()`, or
+    /// an appended non-NULL row's kind is not its lane's.
     pub fn append_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
         assert!(
             idx.iter().all(|&i| (i as usize) < src.rows),
@@ -913,7 +924,7 @@ mod tests {
                 Value::Bool(false),
             ]),
             Tuple::new(vec![
-                Value::UInt(9),
+                Value::Int(9),
                 Value::UInt(0),
                 Value::Null,
                 Value::Null,
@@ -936,15 +947,14 @@ mod tests {
 
     #[test]
     fn extend_uints_is_pushing_each() {
-        // Onto a fresh, a NULL-bearing, an untyped all-NULL, a signed and
-        // a recycled signed column: the same column pushes would leave.
+        // Onto a fresh, a NULL-bearing, an untyped all-NULL and a
+        // recycled signed column: the same column pushes would leave.
         let mut recycled = Column::from_values(&[Value::Int(5)]);
         recycled.clear();
         let starts = [
             Column::new(),
             Column::from_values(&[Value::Null, Value::UInt(3)]),
             Column::from_values(&[Value::Null, Value::Null]),
-            Column::from_values(&[Value::Int(-2)]),
             recycled,
         ];
         for mut c in starts {
@@ -960,17 +970,39 @@ mod tests {
     }
 
     #[test]
-    fn mixed_kinds_demote_but_preserve_values() {
-        let rows = vec![
-            tuple![1u64],
-            tuple![-2i64],
-            Tuple::new(vec![Value::Null]),
-            tuple!["x"],
-            tuple![true],
+    #[should_panic(expected = "pushed onto a uint lane")]
+    fn a_value_of_another_kind_is_refused() {
+        ColumnBatch::from_rows(&[tuple![1u64], tuple![-2i64]]);
+    }
+
+    #[test]
+    fn check_kinds_names_the_first_off_kind_row() {
+        use crate::DataType;
+        let fields = [
+            Field::new("a", DataType::UInt),
+            Field::new("b", DataType::UInt),
         ];
-        let b = ColumnBatch::from_rows(&rows);
-        assert!(matches!(b.column(0).data(), Some(ColumnData::Mixed(_))));
-        assert_eq!(b.to_rows(), rows);
+        let rows = vec![
+            Tuple::new(vec![Value::UInt(1), Value::Null]),
+            tuple![2u64, -3i64],
+        ];
+        let want = TypeError::KindMismatch {
+            column: "b".into(),
+            row: 1,
+            expected: DataType::UInt,
+            found: DataType::Int,
+        };
+        assert_eq!(
+            ColumnBatch::from_rows(&rows).check_kinds(&fields),
+            Err(want.clone())
+        );
+        assert_eq!(rows[1].check_kinds(1, &fields), Err(want));
+        assert_eq!(rows[0].check_kinds(0, &fields), Ok(()));
+        // A lane of another kind whose rows are all NULL holds no value
+        // of that kind.
+        let nulls = Column::from_parts(ColumnData::Int(vec![0, 0]), vec![true, true]);
+        let b = ColumnBatch::from_columns(vec![Column::from_uints(vec![1, 2]), nulls]);
+        assert_eq!(b.check_kinds(&fields), Ok(()));
     }
 
     #[test]
@@ -1053,14 +1085,11 @@ mod tests {
     fn a_cleared_lane_types_itself_from_its_next_value() {
         // A recycled batch of the same arity must not carry its last
         // user's lane types: a string pushed onto a cleared unsigned
-        // lane types it `Str`, as on a fresh batch, not `Mixed`.
+        // lane types it `Str`, as on a fresh batch.
         let mut b = ColumnBatch::from_rows(&[tuple![1u64]]);
         b.clear();
         b.push_row(&tuple!["tcp"]);
         assert!(matches!(b.column(0).data(), Some(ColumnData::Str(_))));
-        // A cleared `Mixed` lane re-types too.
-        b.push_row(&tuple![2u64]);
-        assert!(matches!(b.column(0).data(), Some(ColumnData::Mixed(_))));
         b.clear();
         b.push_row(&tuple![3u64]);
         assert!(matches!(b.column(0).data(), Some(ColumnData::UInt(_))));

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::DataType;
+
 /// Errors raised while building or resolving schemas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeError {
@@ -62,6 +64,20 @@ pub enum TypeError {
     },
     /// Wire decoding met a value tag outside the known set.
     BadTag(u8),
+    /// A value, or a lane, whose kind is not the type the schema
+    /// declares for its column: data that enters a plan (a trace row, a
+    /// source batch, a boundary frame, migrated state) is checked once,
+    /// where it enters.
+    KindMismatch {
+        /// The column, by name.
+        column: String,
+        /// The row: the trace row, or the first non-NULL row of a lane.
+        row: usize,
+        /// The kind the schema declares.
+        expected: DataType,
+        /// The kind found.
+        found: DataType,
+    },
 }
 
 impl fmt::Display for TypeError {
@@ -105,6 +121,15 @@ impl fmt::Display for TypeError {
                 )
             }
             TypeError::BadTag(tag) => write!(f, "unknown wire value tag {tag}"),
+            TypeError::KindMismatch {
+                column,
+                row,
+                expected,
+                found,
+            } => write!(
+                f,
+                "row {row}, column '{column}': a {found} value where the schema declares {expected}"
+            ),
         }
     }
 }

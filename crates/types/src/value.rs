@@ -8,6 +8,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::DataType;
+
 /// A shared, immutable string one pointer wide, so a [`Value`] is two
 /// words. It compares, orders, hashes and prints as the `str` it holds;
 /// a clone is a reference-count bump.
@@ -87,6 +89,18 @@ pub enum Value {
 }
 
 impl Value {
+    /// The value's kind; `None` for NULL, which a column of any kind
+    /// holds.
+    pub fn data_type(&self) -> Option<DataType> {
+        match self {
+            Value::Null => None,
+            Value::UInt(_) => Some(DataType::UInt),
+            Value::Int(_) => Some(DataType::Int),
+            Value::Bool(_) => Some(DataType::Bool),
+            Value::Str(_) => Some(DataType::Str),
+        }
+    }
+
     /// Returns the value as an unsigned integer when it is numeric.
     ///
     /// Signed values are accepted when non-negative; this mirrors GSQL's

@@ -28,9 +28,8 @@ const TAG_STR: u8 = 4;
 
 /// Lane tag marking an untyped (all-NULL) column in a columnar frame.
 /// Reuses the NULL value tag; the remaining lane tags are the value
-/// tags themselves, plus [`LANE_MIXED`] for the fallback lane.
+/// tags themselves, one per lane kind.
 const LANE_NONE: u8 = TAG_NULL;
-const LANE_MIXED: u8 = 5;
 
 /// Byte length of a frame header: `u32` payload length plus `u32`
 /// row count.
@@ -61,8 +60,7 @@ pub fn encode_tuple(tuple: &Tuple) -> Bytes {
     buf.freeze()
 }
 
-/// The byte length of the value body (excluding the 1-byte tag) —
-/// shared between [`encoded_len`] and the mixed-lane encoder.
+/// The byte length of the value body (excluding the 1-byte tag).
 #[inline]
 fn value_body_len(v: &Value) -> usize {
     match v {
@@ -82,7 +80,6 @@ fn encoded_column_len(col: &Column) -> usize {
         Some(ColumnData::UInt(_)) | Some(ColumnData::Int(_)) => 8 * col.len(),
         Some(ColumnData::Bool(_)) => col.len(),
         Some(ColumnData::Str(l)) => l.iter().map(|s| 4 + s.len()).sum(),
-        Some(ColumnData::Mixed(l)) => l.iter().map(|v| 1 + value_body_len(v)).sum(),
     };
     2 + mask + lane
 }
@@ -106,9 +103,8 @@ pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
 /// then `[u16 arity]` and, per column: `[u8 lane_tag][u8 has_mask]`,
 /// `row_count` mask bytes when `has_mask` is 1, and the lane body laid
 /// out contiguously (`u64`s for UInt, `i64`s for Int, one byte per
-/// Bool, `u32`-length-prefixed UTF-8 per Str, tagged [`Value`]
-/// encodings per Mixed entry; untyped all-NULL columns ship no body at
-/// all). Decoding the frame and materializing its rows yields exactly
+/// Bool, `u32`-length-prefixed UTF-8 per Str; untyped all-NULL
+/// columns ship no body at all). Decoding the frame and materializing its rows yields exactly
 /// the rows the batch holds, for every value kind.
 ///
 /// A payload, row count or arity that overflows its header field
@@ -144,7 +140,6 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
             Some(ColumnData::Int(_)) => TAG_INT,
             Some(ColumnData::Bool(_)) => TAG_BOOL,
             Some(ColumnData::Str(_)) => TAG_STR,
-            Some(ColumnData::Mixed(_)) => LANE_MIXED,
         };
         scratch.put_u8(tag);
         scratch.put_u8(u8::from(col.has_nulls()));
@@ -176,19 +171,13 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
                     scratch.put_slice(s.as_bytes());
                 }
             }
-            Some(ColumnData::Mixed(l)) => {
-                for v in l {
-                    encode_value_into(v, scratch);
-                }
-            }
         }
     }
     debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + payload);
     Ok(scratch.split().freeze())
 }
 
-/// Appends one tagged value encoding (the unit of both the tuple
-/// encoding and the mixed lane).
+/// Appends one tagged value encoding, the unit of the tuple encoding.
 fn encode_value_into(v: &Value, buf: &mut BytesMut) {
     match v {
         Value::Null => buf.put_u8(TAG_NULL),
@@ -324,15 +313,6 @@ fn decode_column_from(buf: &mut Bytes, rows: usize) -> TypeResult<Column> {
             }
             ColumnData::Str(l)
         }
-        LANE_MIXED => {
-            // Each mixed entry costs at least its 1-byte value tag.
-            want(buf, "mixed lane", rows)?;
-            let mut l = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                l.push(decode_value_from(buf)?);
-            }
-            ColumnData::Mixed(l)
-        }
         other => return Err(TypeError::BadTag(other)),
     };
     Ok(Column::from_parts(data, nulls))
@@ -388,8 +368,8 @@ pub fn decode_tuple(mut buf: Bytes) -> TypeResult<Tuple> {
     Ok(tuple)
 }
 
-/// Decodes one tagged value off the front of `buf` — shared by the
-/// tuple decoder and the mixed lane.
+/// Decodes one tagged value off the front of `buf`, the unit of the
+/// tuple decoder.
 fn decode_value_from(buf: &mut Bytes) -> TypeResult<Value> {
     want(buf, "value tag", 1)?;
     let tag = buf.get_u8();
@@ -758,17 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_frame_interchangeable_mixed_lane() {
-        assert_interchangeable(vec![
-            tuple![1u64],
-            tuple![-2i64],
-            Tuple::new(vec![Value::Null]),
-            tuple!["x"],
-            tuple![true],
-        ]);
-    }
-
-    #[test]
     fn columnar_frame_interchangeable_all_null_column() {
         assert_interchangeable(vec![
             Tuple::new(vec![Value::Null, Value::UInt(1)]),
@@ -801,7 +770,7 @@ mod tests {
     #[test]
     fn truncated_columnar_frame_reports_typed_errors() {
         let rows = vec![
-            Tuple::new(vec![Value::UInt(7), Value::from("abc"), Value::Null]),
+            Tuple::new(vec![Value::Int(7), Value::from("abc"), Value::Null]),
             Tuple::new(vec![Value::Int(-9), Value::from("d"), Value::Bool(true)]),
         ];
         let batch = ColumnBatch::from_rows(&rows);

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use qap::expr::{bind, KernelScratch, PredicateKernel};
 use qap::prelude::*;
-use qap::types::{encode_tuple, ColumnBatch, SelectionVector, Udaf, UdafState};
+use qap::types::{encode_tuple, ColumnBatch, DataType, SelectionVector, Udaf, UdafState};
 
 /// One sink's output: (sink node id, encoded rows in emission order).
 type SinkRows = (usize, Vec<Vec<u8>>);
@@ -84,6 +84,76 @@ fn assert_model_equals_lanes(dag: &QueryDag, input: &[Tuple], label: &str) {
             "{label}: counters differ at batch {batch}"
         );
     }
+}
+
+/// A trace whose columns hold values of several kinds, as streams a
+/// schema can declare: one run per kind a column holds (a column with
+/// fewer kinds cycles through its own), each column declared the run's
+/// kind. A number of the other integer kind is that number in the
+/// declared kind when it fits, any other value of another kind is NULL,
+/// so every value lands in the run of its own kind and every number in
+/// the run that declares its column `int`. Returns each run's column
+/// types with its rows.
+fn kind_runs(input: &[Tuple]) -> Vec<(Vec<DataType>, Vec<Tuple>)> {
+    let arity = input.first().map_or(0, Tuple::arity);
+    let kinds: Vec<Vec<DataType>> = (0..arity)
+        .map(|c| {
+            let mut ks = Vec::new();
+            for k in input.iter().filter_map(|t| t.get(c).data_type()) {
+                if !ks.contains(&k) {
+                    ks.push(k);
+                }
+            }
+            if ks.is_empty() {
+                ks.push(DataType::UInt);
+            }
+            ks
+        })
+        .collect();
+    let runs = kinds.iter().map(Vec::len).max().unwrap_or(1);
+    (0..runs)
+        .map(|j| {
+            let types: Vec<DataType> = kinds.iter().map(|ks| ks[j % ks.len()]).collect();
+            let as_kind = |v: &Value, t: DataType| match (v, t) {
+                (v, t) if v.data_type().is_none_or(|k| k == t) => v.clone(),
+                (Value::Int(x), DataType::UInt) => {
+                    u64::try_from(*x).map_or(Value::Null, Value::UInt)
+                }
+                (Value::UInt(x), DataType::Int) => {
+                    i64::try_from(*x).map_or(Value::Null, Value::Int)
+                }
+                _ => Value::Null,
+            };
+            let rows = input
+                .iter()
+                .map(|t| {
+                    Tuple::new(
+                        t.values()
+                            .iter()
+                            .zip(&types)
+                            .map(|(v, &k)| as_kind(v, k))
+                            .collect(),
+                    )
+                })
+                .collect();
+            (types, rows)
+        })
+        .collect()
+}
+
+/// `STREAM name(…)` declaring `columns` with `types`, the first
+/// column `increasing`.
+fn stream(name: &str, columns: &[&str], types: &[DataType]) -> String {
+    let cols: Vec<String> = columns
+        .iter()
+        .zip(types)
+        .enumerate()
+        .map(|(i, (c, t))| match i {
+            0 => format!("{c} {t} increasing"),
+            _ => format!("{c} {t}"),
+        })
+        .collect();
+    format!("STREAM {name}({});\n", cols.join(", "))
 }
 
 fn tcp_dag(query: &str) -> QueryDag {
@@ -139,14 +209,14 @@ fn having_or_aggr_general_path() {
 }
 
 /// A hand-built stream whose key and sum columns wander outside the
-/// fast paths' value domains mid-stream.
-fn mixed_dag() -> QueryDag {
+/// fast paths' value domains mid-stream, declared with `types`.
+fn mixed_dag(types: &[DataType]) -> QueryDag {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-    b.parse_script(
-        "STREAM S(ts uint increasing, k uint, v uint);\n\
-         QUERY mixed: SELECT tb, kb, COUNT(*) as cnt, SUM(v) as sv FROM S \
+    b.parse_script(&format!(
+        "{}QUERY mixed: SELECT tb, kb, COUNT(*) as cnt, SUM(v) as sv FROM S \
          GROUP BY ts/60 as tb, k/10 as kb;",
-    )
+        stream("S", &["ts", "k", "v"], types)
+    ))
     .expect("script parses");
     b.build()
 }
@@ -154,7 +224,8 @@ fn mixed_dag() -> QueryDag {
 fn mixed_trace() -> Vec<Tuple> {
     // ts advances normally; k and v cycle through UInt (fast), Int and
     // NULL (fallback), so consecutive tuples of the same batch take
-    // different paths through the same group table.
+    // different paths through the same group table ([`kind_runs`]
+    // declares the kinds).
     (0..600u64)
         .map(|i| {
             let k = match i % 4 {
@@ -174,8 +245,10 @@ fn mixed_trace() -> Vec<Tuple> {
 
 #[test]
 fn mixed_type_inputs_cross_the_fallback_seam() {
-    let dag = mixed_dag();
-    assert_model_equals_lanes(&dag, &mixed_trace(), "mixed-type keys and sums");
+    for (types, input) in kind_runs(&mixed_trace()) {
+        let label = format!("mixed-type keys and sums {types:?}");
+        assert_model_equals_lanes(&mixed_dag(&types), &input, &label);
+    }
 }
 
 /// A stream with signed and boolean columns, exercising the Int and
@@ -253,9 +326,13 @@ fn mixed_type_groups_match_a_scalar_reference() {
     // Beyond batch invariance: the division key's fallback must agree
     // with the evaluator's semantics. Recompute the expected group
     // count with direct Value arithmetic and compare cardinalities.
-    let dag = mixed_dag();
-    let input = mixed_trace();
-    let outputs = run_logical(&dag, input.iter().cloned()).expect("runs");
+    for (types, input) in kind_runs(&mixed_trace()) {
+        mixed_groups_match_a_scalar_reference(&mixed_dag(&types), &input);
+    }
+}
+
+fn mixed_groups_match_a_scalar_reference(dag: &QueryDag, input: &[Tuple]) {
+    let outputs = run_logical(dag, input.iter().cloned()).expect("runs");
     let rows = &outputs[0].1;
     use std::collections::BTreeSet;
     let expected: BTreeSet<(u64, String)> = input
@@ -263,10 +340,10 @@ fn mixed_type_groups_match_a_scalar_reference() {
         .map(|t| {
             let ts = t.get(0).as_u64().unwrap();
             // k/10 under evaluator semantics: UInt divides, Int divides
-            // signed, NULL propagates.
+            // signed (Euclidean), NULL propagates.
             let kb = match t.get(1) {
                 Value::UInt(x) => format!("u{}", x / 10),
-                Value::Int(x) => format!("i{}", x / 10),
+                Value::Int(x) => format!("i{}", x.div_euclid(10)),
                 _ => "null".to_string(),
             };
             (ts / 60, kb)
@@ -279,16 +356,9 @@ fn mixed_type_groups_match_a_scalar_reference() {
 fn min_max_over_int_and_null_blocks_match_row_path() {
     // The argument column runs in blocks — unsigned, then signed, then
     // unsigned with NULLs — while every group spans all blocks, so the
-    // accumulators meet `UInt`, `Int` and NULL off typed, nullable and
-    // `Mixed` lanes depending on where the batches cut.
-    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-    b.parse_script(
-        "STREAM T(ts uint increasing, k uint, v uint);\n\
-         QUERY extremes: SELECT tb, k, MIN(v) as lo, MAX(v) as hi FROM T \
-         GROUP BY ts/60 as tb, k;",
-    )
-    .expect("script parses");
-    let dag = b.build();
+    // accumulators meet values and NULL off typed and nullable lanes
+    // depending on where the batches cut: one unsigned stream and one
+    // signed ([`kind_runs`]).
     let input: Vec<Tuple> = (0..900u64)
         .map(|i| {
             let v = match (i / 20) % 3 {
@@ -300,7 +370,17 @@ fn min_max_over_int_and_null_blocks_match_row_path() {
             Tuple::new(vec![Value::UInt(i / 3), Value::UInt(i % 3), v])
         })
         .collect();
-    assert_model_equals_lanes(&dag, &input, "min/max int/null blocks");
+    for (types, input) in kind_runs(&input) {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.parse_script(&format!(
+            "{}QUERY extremes: SELECT tb, k, MIN(v) as lo, MAX(v) as hi FROM T \
+             GROUP BY ts/60 as tb, k;",
+            stream("T", &["ts", "k", "v"], &types)
+        ))
+        .expect("script parses");
+        let label = format!("min/max int/null blocks {types:?}");
+        assert_model_equals_lanes(&b.build(), &input, &label);
+    }
 }
 
 /// The HAVING of `dag`'s one aggregate, compiled against the output
@@ -332,13 +412,13 @@ fn having_the_kernel_refuses_runs_in_the_interpreter() {
     assert_model_equals_lanes(&dag, &tcp_trace(), "HAVING the kernel refuses");
 }
 
-/// Unsigned keys over a value column that is unsigned, NULL or negative:
-/// a window's `SUM` lane holds unsigned sums, NULLs (groups that saw
-/// only NULLs) and negative sums. `having` ends the query.
+/// Unsigned keys over a signed value column that is positive, NULL or
+/// negative: a window's `SUM` lane holds positive sums, NULLs (groups
+/// that saw only NULLs) and negative sums. `having` ends the query.
 fn signed_sum_dag(having: &str) -> QueryDag {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
     b.parse_script(&format!(
-        "STREAM S(ts uint increasing, k uint, v uint);\n\
+        "STREAM S(ts uint increasing, k uint, v int);\n\
          QUERY sums: SELECT tb, k, COUNT(*) as cnt, SUM(v) as sv FROM S \
          GROUP BY ts/60 as tb, k {having};"
     ))
@@ -351,7 +431,7 @@ fn signed_sum_trace() -> Vec<Tuple> {
         .map(|i| {
             let k = i % 13;
             let v = match k % 3 {
-                0 => Value::UInt(i % 11),
+                0 => Value::Int((i % 11) as i64),
                 1 => Value::Null,
                 _ => Value::Int(-((i % 7) as i64)),
             };
@@ -364,7 +444,7 @@ fn signed_sum_trace() -> Vec<Tuple> {
 fn having_kernel_bailing_on_a_null_bearing_sum_lane_falls_back() {
     let dag = signed_sum_dag("HAVING SUM(v) + 1 > 4");
     let input = signed_sum_trace();
-    // Every window's SUM lane mixes NULLs, unsigned and negative sums,
+    // Every window's SUM lane mixes NULLs, positive and negative sums,
     // which the compiled `+` cannot load: it bails at run time.
     let kernel = having_kernel(&dag).expect("`SUM(v) + 1 > 4` compiles");
     let unfiltered = signed_sum_dag("");
@@ -472,7 +552,8 @@ fn window_poisoned_mid_way_matches_the_model() {
     // Unsigned key columns, but one window sees a signed key and another
     // a NULL key part-way through: the groups before it were stored as
     // words only, and must come out as the same `UInt` keys, in order.
-    let dag = mixed_dag();
+    // The signed key declares its own stream ([`kind_runs`]); in the
+    // unsigned one, it is NULL.
     let mut input: Vec<Tuple> = (0..720u64)
         .map(|i| {
             Tuple::new(vec![
@@ -484,7 +565,10 @@ fn window_poisoned_mid_way_matches_the_model() {
         .collect();
     input[70] = Tuple::new(vec![Value::UInt(35), Value::Int(-4), Value::UInt(1)]);
     input[200] = Tuple::new(vec![Value::UInt(100), Value::Null, Value::UInt(2)]);
-    assert_model_equals_lanes(&dag, &input, "window poisoned mid-way");
+    for (types, input) in kind_runs(&input) {
+        let label = format!("window poisoned mid-way {types:?}");
+        assert_model_equals_lanes(&mixed_dag(&types), &input, &label);
+    }
 }
 
 /// The `sub` → `sup` plan of `script` as a distributed plan runs it:
@@ -553,14 +637,8 @@ fn merge_slots_fold_partials_off_lanes() {
     // folds off its lane; odd windows' carry NULL and negative sums and
     // NULL `AND_AGGR`s, so those slots fall back to the row fold while
     // `cnt` and `ov` stay on lanes. `nsv` merges the sums as counts: a
-    // negative or NULL partial adds nothing.
-    let dag = merge_dag(
-        "STREAM S(ts uint increasing, k uint, v uint);\n\
-         QUERY sub: SELECT tb, k, COUNT(v) as cnt, SUM(v) as sv, OR_AGGR(v) as ov, \
-         AND_AGGR(v) as av FROM S GROUP BY ts/60 as tb, k;\n\
-         QUERY sup: SELECT tb, COUNT(cnt) as cnt, SUM(sv) as sv, OR_AGGR(ov) as ov, \
-         AND_AGGR(av) as av, COUNT(sv) as nsv FROM sub GROUP BY tb HAVING SUM(sv) > 3;",
-    );
+    // negative or NULL partial adds nothing. The negative values need
+    // `v int`; in the `v uint` stream they are NULL ([`kind_runs`]).
     let input: Vec<Tuple> = (0..1200u64)
         .map(|i| {
             let (ts, k) = (i / 2, i % 7);
@@ -575,13 +653,22 @@ fn merge_slots_fold_partials_off_lanes() {
             Tuple::new(vec![Value::UInt(ts), Value::UInt(k), v])
         })
         .collect();
-    let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
-    assert!(
-        rows.iter()
-            .any(|r| r.get(0).as_u64().is_some_and(|tb| tb % 2 == 1)),
-        "odd windows pass the HAVING too"
-    );
-    assert_model_equals_lanes(&dag, &input, "merge slots on lanes");
+    for (types, input) in kind_runs(&input) {
+        let dag = merge_dag(&format!(
+            "{}QUERY sub: SELECT tb, k, COUNT(v) as cnt, SUM(v) as sv, OR_AGGR(v) as ov, \
+             AND_AGGR(v) as av FROM S GROUP BY ts/60 as tb, k;\n\
+             QUERY sup: SELECT tb, COUNT(cnt) as cnt, SUM(sv) as sv, OR_AGGR(ov) as ov, \
+             AND_AGGR(av) as av, COUNT(sv) as nsv FROM sub GROUP BY tb HAVING SUM(sv) > 3;",
+            stream("S", &["ts", "k", "v"], &types)
+        ));
+        let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+        assert!(
+            rows.iter()
+                .any(|r| r.get(0).as_u64().is_some_and(|tb| tb % 2 == 1)),
+            "{types:?}: odd windows pass the HAVING too"
+        );
+        assert_model_equals_lanes(&dag, &input, &format!("merge slots on lanes {types:?}"));
+    }
 }
 
 /// A stream whose `MIN`/`MAX` arguments cross every kind, window by
@@ -589,9 +676,22 @@ fn merge_slots_fold_partials_off_lanes() {
 /// NULLs; negative `Int`s among unsigned values; `Bool`s, signed values
 /// and — in group `k = 3` only — strings; and, in every fourth window,
 /// unsigned values above 900 and no NULL. `s` is a string column with
-/// NULLs; `t` is 7 as a `UInt` or as an `Int` by turns, so each of its
-/// extremes is a tie the first value wins.
-const EXTREMES: &str = "STREAM M(ts uint increasing, k uint, v uint, s string, t uint);\n";
+/// NULLs; `t` is 7 as a `UInt` or as an `Int` by turns. Each of
+/// [`kind_runs`]' four runs declares `v` one kind (and `t` `uint` or
+/// `int`); [`extremes_stream`] is its `STREAM` line.
+fn extremes_stream(types: &[DataType]) -> String {
+    stream("M", &["ts", "k", "v", "s", "t"], types)
+}
+
+/// A `HAVING MIN(col) < x` bound that keeps some groups and drops
+/// others whatever kind `v`'s run declares.
+fn extremes_bound(types: &[DataType]) -> &'static str {
+    match types[2] {
+        DataType::Bool => "true",
+        DataType::Str => "'tcp'",
+        _ => "30",
+    }
+}
 
 fn extremes_trace() -> Vec<Tuple> {
     const NAMES: [&str; 5] = ["tcp", "udp", "icmp", "gre", "esp"];
@@ -623,16 +723,23 @@ fn extremes_trace() -> Vec<Tuple> {
 
 #[test]
 fn min_max_over_every_kind_match_the_model() {
-    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
-    b.parse_script(&format!(
-        "{EXTREMES}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
-         MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k \
-         HAVING MIN(v) < 30;"
-    ))
-    .expect("script parses");
-    let dag = b.build();
-    let input = extremes_trace();
-    let rows = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+    let mut rows = Vec::new();
+    for (types, input) in kind_runs(&extremes_trace()) {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.parse_script(&format!(
+            "{}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+             MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k \
+             HAVING MIN(v) < {};",
+            extremes_stream(&types),
+            extremes_bound(&types)
+        ))
+        .expect("script parses");
+        let dag = b.build();
+        let run = run_logical(&dag, input.iter().cloned()).expect("model runs");
+        assert!(run[0].1.len() < 9 * 5, "{types:?}: the HAVING drops groups");
+        rows.extend(run.into_iter().flat_map(|(_, rows)| rows));
+        assert_model_equals_lanes(&dag, &input, &format!("min/max over every kind {types:?}"));
+    }
     let has = |col: usize, f: fn(&Value) -> bool| rows.iter().any(|r| f(r.get(col)));
     assert!(has(3, |v| matches!(v, Value::Str(_))), "a string MAX");
     assert!(has(2, |v| matches!(v, Value::Bool(_))), "a Bool MIN");
@@ -641,22 +748,24 @@ fn min_max_over_every_kind_match_the_model() {
         "a negative MIN"
     );
     assert!(has(6, |v| matches!(v, Value::Int(7))) && has(6, |v| *v == Value::UInt(7)));
-    assert!(rows.len() < 9 * 5, "the HAVING drops groups");
-    assert_model_equals_lanes(&dag, &input, "min/max over every kind");
 }
 
 #[test]
 fn min_max_partials_merge_off_lanes() {
     // The super-aggregate merges `MIN`/`MAX` partials of every kind:
     // windows where a partial lane is all unsigned fold it off the lane.
-    let dag = merge_dag(&format!(
-        "{EXTREMES}QUERY sub: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
-         MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k;\n\
-         QUERY sup: SELECT tb, MIN(lo) as lo, MAX(hi) as hi, MIN(smin) as smin, \
-         MAX(smax) as smax, MIN(tlo) as tlo, MAX(thi) as thi FROM sub GROUP BY tb \
-         HAVING MIN(lo) < 30;"
-    ));
-    assert_model_equals_lanes(&dag, &extremes_trace(), "min/max partials");
+    for (types, input) in kind_runs(&extremes_trace()) {
+        let dag = merge_dag(&format!(
+            "{}QUERY sub: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+             MAX(s) as smax, MIN(t) as tlo, MAX(t) as thi FROM M GROUP BY ts/60 as tb, k;\n\
+             QUERY sup: SELECT tb, MIN(lo) as lo, MAX(hi) as hi, MIN(smin) as smin, \
+             MAX(smax) as smax, MIN(tlo) as tlo, MAX(thi) as thi FROM sub GROUP BY tb \
+             HAVING MIN(lo) < {};",
+            extremes_stream(&types),
+            extremes_bound(&types)
+        ));
+        assert_model_equals_lanes(&dag, &input, &format!("min/max partials {types:?}"));
+    }
 }
 
 #[test]
@@ -664,15 +773,25 @@ fn string_extremes_migrate() {
     // Mid-window, one engine hands its odd groups to another: the state
     // rows carry string extremes out of one table's pool into the
     // other's, and the two engines' outputs together are the model's.
+    let mut strings = 0;
+    for (types, input) in kind_runs(&extremes_trace()) {
+        strings += migrate_extremes(&types, &input);
+    }
+    assert!(strings > 0, "a string MAX extreme crosses");
+}
+
+/// [`string_extremes_migrate`] over one run: returns how many string
+/// `MAX(v)` extremes crossed.
+fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> usize {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
     b.parse_script(&format!(
-        "{EXTREMES}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
-         MAX(s) as smax, COUNT(*) as n FROM M GROUP BY ts/60 as tb, k;"
+        "{}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
+         MAX(s) as smax, COUNT(*) as n FROM M GROUP BY ts/60 as tb, k;",
+        extremes_stream(types)
     ))
     .expect("script parses");
     let dag = b.build();
     let root = dag.roots()[0];
-    let input = extremes_trace();
     let sorted = |mut rows: Vec<Tuple>| {
         rows.sort_by_key(|t| encode_tuple(t).to_vec());
         rows
@@ -700,7 +819,6 @@ fn string_extremes_migrate() {
     let strings = (0..state.rows())
         .filter(|&r| matches!(state.column(3).value(r), Value::Str(_)))
         .count();
-    assert!(strings > 0, "a string MAX extreme crosses");
     engines[1].absorb_state(root, &state).unwrap();
     for t in &input[split..] {
         let e = usize::from(odd(t.values()));
@@ -713,7 +831,8 @@ fn string_extremes_migrate() {
         e.finish().unwrap();
         got.extend(e.output(root));
     }
-    assert_eq!(sorted(got), want);
+    assert_eq!(sorted(got), want, "{types:?}");
+    strings
 }
 
 /// Keys that are not words: a string column with NULLs, a plain `bool`

@@ -265,15 +265,19 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
         (22, 4, 23, 1160),
         (23, 9, 59, 2958),
     ];
+    // The self-join's `delay` (`S2.first_ts - S1.first_ts`) is an `int`
+    // lane, so producers 20–23 ship lane tag 2 where the row-staged
+    // oracle's frames, which typed it by value, had tag 1; re-encoding
+    // that lane as `uint` gives the oracle's checksums back.
     let sums = [
         (8, 0x2c6f_b9bd_88db_4c44),
         (9, 0x0aeb_1d57_4611_e8cf),
         (10, 0x7c35_97d1_0c0c_1792),
         (11, 0x638a_18af_4daf_b9e2),
-        (20, 0xd441_195f_522a_5618),
-        (21, 0x0333_ef88_3f39_133c),
-        (22, 0x0aa8_b87c_4a89_79b7),
-        (23, 0xa589_c74c_dcc9_1e6e),
+        (20, 0x6c55_a8c4_d396_437c),
+        (21, 0xebbb_a0db_09b8_4b83),
+        (22, 0x950f_ab23_e2f1_51a7),
+        (23, 0x72ff_f456_0601_9a31),
     ];
     check(
         "6.2 optimal, echo",

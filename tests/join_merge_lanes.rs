@@ -75,20 +75,22 @@ const JOIN_TYPES: [&str; 4] = [
 ];
 
 /// `L ⋈ R` on `k` (and on the string `s` when `str_key`), left epoch =
-/// right epoch + `offset`, optionally with a residual. The last
-/// projection borrows whenever `R.v < L.v`, which takes that epoch's
-/// pairs off the kernels and through the interpreter — unless the
-/// residual already removed those pairs.
-fn join_dag(join: &str, offset: i64, str_key: bool, residual: bool) -> QueryDag {
+/// right epoch + `offset`, optionally with a residual; `k` is `int`
+/// when `signed`, else `uint`. The last projection borrows whenever
+/// `R.v < L.v`, which takes that epoch's pairs off the kernels and
+/// through the interpreter — unless the residual already removed those
+/// pairs.
+fn join_dag(join: &str, offset: i64, str_key: bool, residual: bool, signed: bool) -> QueryDag {
     let temporal = match offset {
         0 => "L.ts = R.ts".to_string(),
         o if o > 0 => format!("L.ts = R.ts + {o}"),
         o => format!("L.ts + {} = R.ts", -o),
     };
+    let k = if signed { "int" } else { "uint" };
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
     b.parse_script(&format!(
-        "STREAM L(ts uint increasing, k uint, s string, v uint);\n\
-         STREAM R(ts uint increasing, k uint, s string, v uint);\n\
+        "STREAM L(ts uint increasing, k {k}, s string, v uint);\n\
+         STREAM R(ts uint increasing, k {k}, s string, v uint);\n\
          QUERY j: SELECT L.ts, L.k, L.s, R.s as rs, L.v, R.v - L.v as d \
          FROM L {join} R WHERE L.k = R.k{} and {temporal}{};",
         if str_key { " and L.s = R.s" } else { "" },
@@ -99,10 +101,12 @@ fn join_dag(join: &str, offset: i64, str_key: bool, residual: bool) -> QueryDag 
 }
 
 /// Join inputs: a handful of epochs, a key domain small enough that
-/// both sides repeat keys, NULL and (rarely) signed keys, a small
-/// string vocabulary with NULLs, and a timestamp that mostly advances
-/// but sometimes steps back behind its side's epoch (a late row).
-fn arb_join_events() -> impl Strategy<Value = Vec<Event>> {
+/// both sides repeat keys, NULL keys, a small string vocabulary with
+/// NULLs, and a timestamp that mostly advances but sometimes steps back
+/// behind its side's epoch (a late row). Keys are `Int`s when the drawn
+/// flag is set (the stream [`join_dag`] declares `signed`), else
+/// `UInt`s.
+fn arb_join_events() -> impl Strategy<Value = (bool, Vec<Event>)> {
     let row = (
         0usize..2,
         0u8..10,
@@ -115,9 +119,11 @@ fn arb_join_events() -> impl Strategy<Value = Vec<Event>> {
         ],
         0u64..6,
     );
-    proptest::collection::vec(row, 0..90).prop_map(|rows| {
+    let rows = proptest::collection::vec(row, 0..90);
+    (any::<bool>(), rows).prop_map(|(signed, rows)| {
         let mut ts = [0u64; 2];
-        rows.into_iter()
+        let events = rows
+            .into_iter()
             .map(|(port, step, key, s, v)| {
                 let t = match step {
                     0 => ts[port].saturating_sub(1),
@@ -129,13 +135,16 @@ fn arb_join_events() -> impl Strategy<Value = Vec<Event>> {
                 };
                 let k = match key {
                     0 => Value::Null,
-                    1 => Value::Int(2),
+                    1 if signed => Value::Int(2),
+                    1 => Value::UInt(2),
+                    k if signed => Value::Int(i64::from(k % 4)),
                     k => Value::UInt(u64::from(k % 4)),
                 };
                 let s = s.map_or(Value::Null, Value::from);
                 (port, Tuple::new(vec![Value::UInt(t), k, s, Value::UInt(v)]))
             })
-            .collect()
+            .collect();
+        (signed, events)
     })
 }
 
@@ -151,9 +160,10 @@ proptest! {
         str_key in any::<bool>(),
         residual in any::<bool>()
     ) {
+        let (signed, events) = events;
         for join in JOIN_TYPES {
             for offset in [-1i64, 0, 1] {
-                let dag = join_dag(join, offset, str_key, residual);
+                let dag = join_dag(join, offset, str_key, residual, signed);
                 let want = run_per_tuple(&dag, &events);
                 let got = run_chunked(&dag, &events, &cuts);
                 prop_assert_eq!(&got.0, &want.0, "{} offset {}: rows", join, offset);
@@ -168,7 +178,7 @@ proptest! {
 /// left epoch 1 arrives split across two batches.
 #[test]
 fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
-    let dag = join_dag("FULL OUTER JOIN", 0, false, false);
+    let dag = join_dag("FULL OUTER JOIN", 0, false, false, false);
     let l = |ts: u64, k: Value, v: u64| {
         (
             0,
@@ -198,20 +208,21 @@ fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
     let got = run_chunked(&dag, &events, &[1]);
     assert_eq!(got, want);
     let row = |vals: [Value; 6]| Tuple::new(vals.to_vec());
-    let (a, b, u, n) = (
+    let (a, b, u, i, n) = (
         || Value::from("a"),
         || Value::from("b"),
         Value::UInt,
+        Value::Int,
         || Value::Null,
     );
     assert_eq!(
         want.0,
         vec![
             // Epoch 1, nested-loop order: left row, then its matches.
-            row([u(1), u(7), a(), b(), u(1), u(4)]),
-            row([u(1), u(7), a(), b(), u(1), u(5)]),
-            row([u(1), u(7), a(), b(), u(2), u(3)]),
-            row([u(1), u(7), a(), b(), u(2), u(4)]),
+            row([u(1), u(7), a(), b(), u(1), i(4)]),
+            row([u(1), u(7), a(), b(), u(1), i(5)]),
+            row([u(1), u(7), a(), b(), u(2), i(3)]),
+            row([u(1), u(7), a(), b(), u(2), i(4)]),
             // Unmatched right, then unmatched left.
             row([n(), n(), n(), b(), n(), n()]),
             row([u(1), n(), a(), n(), u(3), n()]),
@@ -243,7 +254,7 @@ fn join_keys_off_the_lanes_count_as_kernel_fallbacks() {
     // `R.v - L.v` never borrows, so only the key shape differs.
     let events = vec![row(0, 1, 1), row(1, 1, 5), row(0, 2, 0), row(1, 2, 0)];
     let tallies = |str_key: bool| {
-        let dag = join_dag("JOIN", 0, str_key, false);
+        let dag = join_dag("JOIN", 0, str_key, false, false);
         let mut engine = Engine::new(&dag).expect("engine builds");
         let sources = engine.source_nodes();
         for (port, t) in &events {

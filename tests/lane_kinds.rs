@@ -1,16 +1,24 @@
 //! Lanes carry the kinds the plan declares. On well-typed input no node
 //! of any runner — the simulator, the threaded runner, and real
 //! `qapctl host` children behind TCP — tallies a kernel fallback under
-//! the `mixed` lane kind. The plans are the §6 deployments and
+//! the `mixed` lane kind, every typed lane every node outputs has the
+//! kind its schema declares, and so does every value the runners and
+//! the model output. The plans are the §6 deployments and
 //! `bench_kernels`' `FLOW` stream, whose string-keyed aggregate runs as
 //! a central super-aggregate when the stream is partitioned on `srcIP`.
+//! A trace row of another kind is refused by row and column, on every
+//! runner.
 
 use std::io::BufRead as _;
 use std::process::{Child, Command, Stdio};
 
+use qap::exec::{ExecError, ExecResult};
 use qap::expr::LaneKind;
 use qap::prelude::*;
-use qap::types::{DataType, Field, Temporality};
+use qap::types::{DataType, Field, Temporality, TypeError};
+
+#[path = "support/kinds.rs"]
+mod kinds;
 
 /// A spawned `qapctl host --listen tcp:… --once` child.
 struct ChildHost(Child, HostAddr);
@@ -40,29 +48,32 @@ fn spawn_host() -> ChildHost {
 }
 
 /// One plan on every runner: `(runner, result)`.
-fn every_runner(plan: &DistributedPlan, trace: &[Tuple]) -> Vec<(&'static str, SimResult)> {
+fn every_runner(
+    plan: &DistributedPlan,
+    trace: &[Tuple],
+) -> Vec<(&'static str, ExecResult<SimResult>)> {
     let cfg = SimConfig::default();
     let hosts: Vec<ChildHost> = (0..remote_host_count(plan, &cfg))
         .map(|_| spawn_host())
         .collect();
     let addrs: Vec<HostAddr> = hosts.iter().map(|h| h.1.clone()).collect();
     vec![
-        ("sim", run_distributed(plan, trace, &cfg).unwrap()),
-        (
-            "threaded",
-            run_distributed_threaded(plan, trace, &cfg).unwrap(),
-        ),
-        (
-            "tcp",
-            run_distributed_remote(plan, trace, &cfg, &addrs).unwrap(),
-        ),
+        ("sim", run_distributed(plan, trace, &cfg)),
+        ("threaded", run_distributed_threaded(plan, trace, &cfg)),
+        ("tcp", run_distributed_remote(plan, trace, &cfg, &addrs)),
     ]
 }
 
-/// No node of any runner tallies a `mixed` fallback.
-fn assert_no_mixed(label: &str, plan: &DistributedPlan, trace: &[Tuple]) {
+/// No node of any runner tallies a `mixed` fallback, and every output
+/// lane and value has its schema's kind.
+fn assert_lanes_typed(label: &str, plan: &DistributedPlan, trace: &[Tuple]) {
+    kinds::assert_plan_lanes_typed(label, plan, trace);
     for (runner, result) in every_runner(plan, trace) {
+        let result = result.unwrap_or_else(|e| panic!("{label} {runner}: {e}"));
         assert!(result.failures.is_empty(), "{label} {runner}");
+        for (out, (_, rows)) in plan.outputs.iter().zip(&result.outputs) {
+            kinds::assert_values_typed(label, &plan.dag, out.node, rows);
+        }
         for (id, m) in result.node_metrics.iter().enumerate() {
             assert_eq!(
                 m.kernel_lane_fallbacks[LaneKind::Mixed as usize],
@@ -122,6 +133,11 @@ fn flow() -> (QueryDag, Vec<Tuple>) {
     (b.build(), trace)
 }
 
+fn flow_plan(dag: &QueryDag) -> DistributedPlan {
+    let srcip = Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 3);
+    optimize(dag, &srcip, &OptimizerConfig::full()).unwrap()
+}
+
 #[test]
 fn no_runner_tallies_a_mixed_lane_on_well_typed_input() {
     for (scenario, seed) in [
@@ -130,17 +146,46 @@ fn no_runner_tallies_a_mixed_lane_on_well_typed_input() {
         (Scenario::Complex, 41),
     ] {
         let trace = generate(&TraceConfig::tiny(seed));
+        kinds::assert_model_values_typed(scenario.name(), &scenario.dag(), &trace);
         for &config in scenario.configs() {
             let label = format!("{} [{config}]", scenario.name());
-            assert_no_mixed(&label, &scenario.plan(config, 3), &trace);
+            assert_lanes_typed(&label, &scenario.plan(config, 3), &trace);
         }
     }
     let (dag, trace) = flow();
-    let plan = optimize(
-        &dag,
-        &Partitioning::hash(PartitionSet::from_columns(["srcIP"]), 3),
-        &OptimizerConfig::full(),
-    )
-    .unwrap();
-    assert_no_mixed("FLOW on srcIP", &plan, &trace);
+    kinds::assert_model_values_typed("FLOW", &dag, &trace);
+    assert_lanes_typed("FLOW on srcIP", &flow_plan(&dag), &trace);
+}
+
+/// A trace row with a value of another kind than its column declares —
+/// a signed `len`, a number for `proto` — fails the run on every runner
+/// with a typed error naming the row and the column, as it fails the
+/// model.
+#[test]
+fn an_off_kind_trace_row_is_refused_by_row_and_column() {
+    let (dag, flows) = flow();
+    let plan = flow_plan(&dag);
+    for (at, column, odd, found) in [
+        (57, "len", Value::Int(-3), DataType::Int),
+        (3, "proto", Value::UInt(17), DataType::UInt),
+    ] {
+        let mut trace = flows.clone();
+        let c = dag.catalog().get("FLOW").unwrap().index_of(column).unwrap();
+        let mut values = trace[at].values().to_vec();
+        values[c] = odd;
+        trace[at] = Tuple::new(values);
+        let want = ExecError::Wire(TypeError::KindMismatch {
+            column: column.into(),
+            row: at,
+            expected: dag.catalog().get("FLOW").unwrap().fields()[c].data_type(),
+            found,
+        });
+        assert_eq!(
+            run_logical(&dag, trace.iter().cloned()).err(),
+            Some(want.clone())
+        );
+        for (runner, result) in every_runner(&plan, &trace) {
+            assert_eq!(result.err(), Some(want.clone()), "{runner}");
+        }
+    }
 }

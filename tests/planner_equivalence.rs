@@ -17,11 +17,16 @@
 //! Plus a property test: random valid query DAGs never panic the
 //! planner, every extracted plan is accepted by the executor, and its
 //! rows are the reference's — as are the rows of one engine running the
-//! logical DAG, fed lanes cut at random points.
+//! logical DAG, fed lanes cut at random points. Every lane the plan's
+//! nodes output, and every value the model outputs, has the kind its
+//! schema declares.
 
 use proptest::prelude::*;
 use qap::prelude::*;
 use qap::types::ColumnBatch;
+
+#[path = "support/kinds.rs"]
+mod kinds;
 
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows.sort_by(|a, b| {
@@ -286,7 +291,10 @@ proptest! {
         };
         let plan = optimize(&dag, &partitioning, &cfg);
         prop_assert!(plan.is_ok(), "lowering failed: {:?}", plan.err());
-        let run = run_distributed(&plan.unwrap(), &trace, &SimConfig::default());
+        let plan = plan.unwrap();
+        kinds::assert_plan_lanes_typed("random DAG", &plan, &trace);
+        kinds::assert_model_values_typed("random DAG", &dag, &trace);
+        let run = run_distributed(&plan, &trace, &SimConfig::default());
         prop_assert!(run.is_ok(), "execution rejected the plan: {:?}", run.err());
         let reference = reference_outputs(&dag, &trace);
         prop_assert_eq!(sorted_outputs(&run.unwrap().outputs), reference.clone());

@@ -8,7 +8,7 @@ use qap::expr::{
 };
 use qap::partition::{reconcile_partition_sets, HashPartitioner, PartitionSet};
 use qap::prelude::*;
-use qap::types::{decode_tuple, encode_tuple, tcp_schema};
+use qap::types::{decode_tuple, encode_tuple, tcp_schema, DataType};
 
 // ---------------------------------------------------------------------
 // generators
@@ -283,7 +283,7 @@ proptest! {
             for v in &values {
                 acc.update(&Value::UInt(*v));
             }
-            acc.finalize()
+            acc.finalize(DataType::UInt)
         };
         let spec = split_agg(kind);
         let partial = |part: &[u64]| {
@@ -291,12 +291,12 @@ proptest! {
             for v in part {
                 acc.update(&Value::UInt(*v));
             }
-            acc.finalize()
+            acc.finalize(DataType::UInt)
         };
         let mut sup = make_accumulator(spec.sup[0]);
         sup.merge(&partial(left));
         sup.merge(&partial(right));
-        prop_assert_eq!(sup.finalize(), direct);
+        prop_assert_eq!(sup.finalize(DataType::UInt), direct);
     }
 }
 
@@ -331,18 +331,38 @@ fn arb_wire_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Rows as a schema types them: each column takes the kind of its
+/// first non-NULL value, and a later value of another kind is NULL in
+/// it — a column holds one kind, as the plan's columns do.
+fn typed(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    let arity = rows.first().map_or(0, Tuple::arity);
+    for c in 0..arity {
+        let kind = rows.iter().find_map(|t| t.get(c).data_type());
+        for t in &mut rows {
+            if t.get(c).data_type().is_some_and(|k| Some(k) != kind) {
+                let mut values = t.values().to_vec();
+                values[c] = Value::Null;
+                *t = Tuple::new(values);
+            }
+        }
+    }
+    rows
+}
+
 /// Uniform-arity batches (what a frame carries — a
 /// [`qap::types::ColumnBatch`] is rectangular by construction): a flat
-/// value pool chunked into rows of one drawn arity.
+/// value pool chunked into rows of one drawn arity, [`typed`].
 fn arb_uniform_batch() -> impl Strategy<Value = Vec<Tuple>> {
     (
         1usize..6,
         proptest::collection::vec(arb_wire_value(), 0..40),
     )
         .prop_map(|(arity, vals)| {
-            vals.chunks_exact(arity)
-                .map(|c| Tuple::new(c.to_vec()))
-                .collect()
+            typed(
+                vals.chunks_exact(arity)
+                    .map(|c| Tuple::new(c.to_vec()))
+                    .collect(),
+            )
         })
 }
 
@@ -354,7 +374,7 @@ fn lane_frame(batch: &[Tuple], scratch: &mut qap::types::BytesMut) -> qap::types
 
 proptest! {
     /// Batch framing round-trips for arbitrary batches — including the
-    /// empty batch, NULLs, strings and mixed lanes — the frame is
+    /// empty batch, NULLs and strings — the frame is
     /// exactly the 8-byte header plus `encoded_column_batch_len`, and a
     /// reused scratch buffer stages the same bytes as a fresh one.
     #[test]
@@ -530,10 +550,10 @@ fn assert_alloc_bound(allocated: usize, len: usize) {
     );
 }
 
-/// Batches whose columns cover every lane kind: the mixed-arity pool of
-/// [`arb_uniform_batch`] (mostly `Mixed` lanes) and the one-kind columns
-/// of [`arb_kinded_rows`] (typed `UInt`, `Int`, `Bool` and `Str` lanes,
-/// all-NULL untyped columns, NULL masks).
+/// Batches whose columns cover every lane kind: the varied arities of
+/// [`arb_uniform_batch`] and the one-kind columns of [`arb_kinded_rows`]
+/// (typed `UInt`, `Int`, `Bool` and `Str` lanes, all-NULL untyped
+/// columns, NULL masks).
 fn arb_every_lane_batch() -> impl Strategy<Value = Vec<Tuple>> {
     prop_oneof![
         arb_uniform_batch(),
@@ -620,25 +640,28 @@ proptest! {
     }
 }
 
-/// Two frames the mutators reach only by chance, pinned: a lane tag no
-/// encoder writes (6, once the dictionary lane's) is a `BadTag`, and 18
-/// bytes declaring 2³¹ − 1 rows of four untyped columns without their
-/// NULL masks are `Corrupt` — refused before a mask is sized off the
-/// count, within the allocation bound.
+/// Frames the mutators reach only by chance, pinned: the lane tags no
+/// encoder writes (5, once the mixed lane's, and 6, once the
+/// dictionary lane's) are a `BadTag`, and 18 bytes declaring 2³¹ − 1
+/// rows of four untyped columns without their NULL masks are `Corrupt`
+/// — refused before a mask is sized off the count, within the
+/// allocation bound.
 #[test]
 fn retired_lane_tag_and_maskless_untyped_columns_are_refused() {
     use qap::types::{decode_column_batch, BufMut, BytesMut, TypeError, COLUMNAR_FLAG};
-    let mut tag6 = BytesMut::new();
-    tag6.put_u32(2 + 2 + 8); // arity + lane header + one u64
-    tag6.put_u32(1 | COLUMNAR_FLAG);
-    tag6.put_u16(1);
-    tag6.put_u8(6);
-    tag6.put_u8(0);
-    tag6.put_u64(7);
-    assert!(matches!(
-        decode_column_batch(tag6.freeze()),
-        Err(TypeError::BadTag(6))
-    ));
+    for tag in [5, 6] {
+        let mut frame = BytesMut::new();
+        frame.put_u32(2 + 2 + 8); // arity + lane header + one u64
+        frame.put_u32(1 | COLUMNAR_FLAG);
+        frame.put_u16(1);
+        frame.put_u8(tag);
+        frame.put_u8(0);
+        frame.put_u64(7);
+        assert_eq!(
+            decode_column_batch(frame.freeze()).err(),
+            Some(TypeError::BadTag(tag))
+        );
+    }
 
     let mut maskless = BytesMut::new();
     maskless.put_u32(2 + 4 * 2); // arity + four lane headers
@@ -655,8 +678,8 @@ fn retired_lane_tag_and_maskless_untyped_columns_are_refused() {
 }
 
 /// Unsigned three times in four, so a column stays on the typed,
-/// all-valid lane for a while before a NULL masks it or another kind
-/// demotes it.
+/// all-valid lane for a while before a NULL masks it (a value of
+/// another kind is NULL in a [`typed`] column).
 fn arb_mostly_uint() -> impl Strategy<Value = Value> {
     (0u8..8, 0u64..u64::MAX, arb_wire_value()).prop_map(|(pick, x, other)| {
         if pick < 6 {
@@ -670,9 +693,9 @@ fn arb_mostly_uint() -> impl Strategy<Value = Value> {
 proptest! {
     /// `push_row` / `extend_rows` build exactly the columns that pushing
     /// each value through `Column::push` builds — same lane type, NULL
-    /// mask and values — through self-typing, masking and a `UInt` lane
-    /// demoted mid-batch, with and without a row budget, and again on
-    /// the recycled batch, whose lanes keep their type across `clear`.
+    /// mask and values — through self-typing and masking, with and
+    /// without a row budget, and again on the recycled batch, whose
+    /// lanes keep their type across `clear`.
     #[test]
     fn row_pushes_build_what_value_pushes_build(
         arity in 1usize..5,
@@ -681,7 +704,7 @@ proptest! {
         split in 0usize..16
     ) {
         use qap::types::{Column, ColumnBatch};
-        let rows: Vec<Tuple> = vals.chunks_exact(arity).map(|c| Tuple::new(c.to_vec())).collect();
+        let rows = typed(vals.chunks_exact(arity).map(|c| Tuple::new(c.to_vec())).collect());
         let split = split.min(rows.len());
         let mut batch = ColumnBatch::with_row_budget(arity, budget);
         let mut columns = vec![Column::new(); arity];
@@ -973,21 +996,22 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Uniform-arity row batches of arbitrary values (mixed kinds within a
-/// column are allowed — they exercise lane demotion). Rows are drawn at
-/// width 4 and truncated to a shared arity.
+/// Uniform-arity row batches of arbitrary values, [`typed`]. Rows are
+/// drawn at width 4 and truncated to a shared arity.
 fn arb_rows() -> impl Strategy<Value = Vec<Tuple>> {
     (
         0usize..5,
         proptest::collection::vec(proptest::collection::vec(arb_value(), 4..5), 0..25),
     )
         .prop_map(|(arity, rows)| {
-            rows.into_iter()
-                .map(|mut vals| {
-                    vals.truncate(arity);
-                    Tuple::new(vals)
-                })
-                .collect()
+            typed(
+                rows.into_iter()
+                    .map(|mut vals| {
+                        vals.truncate(arity);
+                        Tuple::new(vals)
+                    })
+                    .collect(),
+            )
         })
 }
 
@@ -1092,8 +1116,8 @@ fn arb_str_rows() -> impl Strategy<Value = Vec<Tuple>> {
 
 proptest! {
     /// Row → column → row is the identity for arbitrary uniform-arity
-    /// batches: every value kind, NULLs, interned strings, and columns
-    /// whose kinds mix (lane demotion) all survive the transpose.
+    /// batches: every value kind, NULLs and interned strings survive
+    /// the transpose.
     #[test]
     fn row_column_row_round_trip(rows in arb_rows()) {
         let b = ColumnBatch::from_rows(&rows);
@@ -1227,64 +1251,70 @@ proptest! {
 // lane-to-lane appends: `append_range` / `append_gather`
 // ---------------------------------------------------------------------
 
-/// A batch of arity 3 whose columns each draw one kind (so lanes stay
-/// typed) — unsigned, signed, boolean, a small string vocabulary, or a
-/// per-cell mix that demotes the lane — with NULLs sprinkled in.
-/// Returns the per-column kinds with the rows.
-fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
-    arb_kinded_rows_mixing(4)
-}
-
-/// [`arb_kinded_rows`] whose mixed columns draw from the first
-/// `mixed_kinds` of unsigned, signed, boolean, string.
-fn arb_kinded_rows_mixing(mixed_kinds: u64) -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
+/// Per column of an arity-3 batch, one kind — unsigned, signed,
+/// boolean or a small string vocabulary — and rows of raw cells, each a
+/// NULL pick (0 is NULL) and a number [`kinded_rows`] makes a value of
+/// its column's kind.
+fn arb_kinded_cells() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<(u8, u64)>>)> {
     (
-        proptest::collection::vec(0u8..5, 3..4),
+        proptest::collection::vec(0u8..4, 3..4),
         proptest::collection::vec(
             proptest::collection::vec((0u8..6, 0u64..1_000), 3..4),
             0..30,
         ),
     )
-        .prop_map(move |(kinds, cells)| {
-            let value = |kind: u8, x: u64| match kind {
-                0 => Value::UInt(x),
-                1 => Value::Int(x as i64 - 500),
-                2 => Value::Bool(x % 2 == 1),
-                _ => Value::from(["tcp", "udp", "", "°δ", "icmp"][x as usize % 5]),
-            };
-            let rows = cells
-                .into_iter()
-                .map(|row| {
-                    Tuple::new(
-                        row.into_iter()
-                            .zip(&kinds)
-                            .map(|((null, x), &kind)| match (null, kind) {
-                                (0, _) => Value::Null,
-                                (_, 4) => value((x % mixed_kinds) as u8, x / mixed_kinds),
-                                (_, kind) => value(kind, x),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            (kinds, rows)
+}
+
+/// The rows of [`arb_kinded_cells`]' cells under the column kinds
+/// `kinds`.
+fn kinded_rows(kinds: &[u8], cells: &[Vec<(u8, u64)>]) -> Vec<Tuple> {
+    let value = |kind: u8, x: u64| match kind {
+        0 => Value::UInt(x),
+        1 => Value::Int(x as i64 - 500),
+        2 => Value::Bool(x % 2 == 1),
+        _ => Value::from(["tcp", "udp", "", "°δ", "icmp"][x as usize % 5]),
+    };
+    cells
+        .iter()
+        .map(|row| {
+            Tuple::new(
+                row.iter()
+                    .zip(kinds)
+                    .map(|(&(null, x), &kind)| match null {
+                        0 => Value::Null,
+                        _ => value(kind, x),
+                    })
+                    .collect(),
+            )
         })
+        .collect()
+}
+
+/// A batch of arity 3 whose columns each hold one kind, with NULLs
+/// sprinkled in. Returns the per-column kinds with the rows.
+fn arb_kinded_rows() -> impl Strategy<Value = (Vec<u8>, Vec<Tuple>)> {
+    arb_kinded_cells().prop_map(|(kinds, cells)| {
+        let rows = kinded_rows(&kinds, &cells);
+        (kinds, rows)
+    })
 }
 
 proptest! {
     /// `append_range` and `append_gather` leave exactly the rows that
-    /// pushing each named source row would — across typed, nullable,
-    /// untyped and `Mixed` lanes — and keep a lane typed when both
-    /// sides agree on its type.
+    /// pushing each named source row would — across typed, nullable and
+    /// untyped lanes — and keep each lane of its column's kind. The
+    /// source shares the destination's column kinds, and a cleared
+    /// destination takes any source's.
     #[test]
     fn lane_appends_equal_row_pushes(
-        dst in arb_kinded_rows(),
-        src in arb_kinded_rows(),
+        dst in arb_kinded_cells(),
+        src in arb_kinded_cells(),
         bounds in (0usize..40, 0usize..40),
         picks in proptest::collection::vec(0usize..1_000, 0..40)
     ) {
-        use qap::types::ColumnData;
-        let ((dst_kinds, dst_rows), (src_kinds, src_rows)) = (dst, src);
+        let ((kinds, dst_cells), (other_kinds, src_cells)) = (dst, src);
+        let dst_rows = kinded_rows(&kinds, &dst_cells);
+        let src_rows = kinded_rows(&kinds, &src_cells);
         let mut dst = ColumnBatch::from_rows(&dst_rows);
         if dst_rows.is_empty() {
             dst = ColumnBatch::new(3);
@@ -1316,31 +1346,29 @@ proptest! {
         prop_assert_eq!(gathered.rows(), want.len());
         prop_assert_eq!(&gathered.to_rows(), &want);
 
+        let kind_of = |k: u8| [DataType::UInt, DataType::Int, DataType::Bool, DataType::Str][k as usize];
         for batch in [&ranged, &gathered] {
             for (c, col) in batch.columns().iter().enumerate() {
                 prop_assert_eq!(col.len(), batch.rows());
                 prop_assert!(col.null_mask().is_empty() || col.null_mask().len() == col.len());
-                if dst_kinds[c] == src_kinds[c] && dst_kinds[c] != 4 {
-                    prop_assert!(
-                        !matches!(col.data(), Some(ColumnData::Mixed(_))),
-                        "column {} demoted though both sides are kind {}", c, dst_kinds[c]
-                    );
-                }
+                prop_assert!(col.data_type().is_none_or(|t| t == kind_of(kinds[c])));
             }
         }
 
-        // A recycled (cleared) destination takes the source's lane
-        // types instead of demoting against its stale ones.
-        let mut recycled = dst.clone();
-        recycled.clear();
-        recycled.append_gather(&src, &idx);
-        prop_assert_eq!(
-            recycled.to_rows(),
-            idx.iter().map(|&i| src_rows[i as usize].clone()).collect::<Vec<_>>()
-        );
-        for (c, col) in recycled.columns().iter().enumerate() {
-            if src_kinds[c] != 4 && !idx.is_empty() {
-                prop_assert!(!matches!(col.data(), Some(ColumnData::Mixed(_))));
+        // A recycled (cleared) destination takes the lane types of a
+        // source of other kinds instead of keeping its stale ones.
+        let other_rows = kinded_rows(&other_kinds, &src_cells);
+        let other = ColumnBatch::from_rows(&other_rows);
+        if !idx.is_empty() {
+            let mut recycled = dst.clone();
+            recycled.clear();
+            recycled.append_gather(&other, &idx);
+            prop_assert_eq!(
+                recycled.to_rows(),
+                idx.iter().map(|&i| other_rows[i as usize].clone()).collect::<Vec<_>>()
+            );
+            for (c, col) in recycled.columns().iter().enumerate() {
+                prop_assert!(col.data_type().is_none_or(|t| t == kind_of(other_kinds[c])));
             }
         }
     }
@@ -1395,7 +1423,7 @@ proptest! {
     /// the staging batch held a frame ago.
     #[test]
     fn lane_cut_frames_equal_row_staged_frames(
-        src in arb_kinded_rows_mixing(3),
+        src in arb_kinded_rows(),
         poison in any::<bool>(),
         frame_batch in 1usize..9,
         drains in proptest::collection::vec(0usize..12, 0..8)

@@ -307,3 +307,87 @@ fn udaf_deployment_is_rejected() {
         other => panic!("expected BadPlan, got {:?}", other.map(|_| ())),
     }
 }
+
+/// `SPREAD(x)`: the signed difference of the last and first value a
+/// group saw — an `Int`, where the plan types every UDAF `uint`.
+struct Spread;
+
+struct SpreadState(Option<(u64, u64)>);
+
+impl UdafState for SpreadState {
+    fn update(&mut self, v: &Value) {
+        if let Some(x) = v.as_u64() {
+            let first = self.0.map_or(x, |(first, _)| first);
+            self.0 = Some((first, x));
+        }
+    }
+    fn merge(&mut self, partial: &Value) {
+        self.update(partial);
+    }
+    fn partial(&self) -> Value {
+        self.finalize()
+    }
+    fn finalize(&self) -> Value {
+        self.0.map_or(Value::Null, |(first, last)| {
+            Value::Int(last as i64 - first as i64)
+        })
+    }
+}
+
+impl Udaf for Spread {
+    fn name(&self) -> &str {
+        "SPREAD"
+    }
+    fn splittable(&self) -> bool {
+        false
+    }
+    fn init(&self) -> Box<dyn UdafState> {
+        Box::new(SpreadState(None))
+    }
+}
+
+/// A UDAF whose value is not of the kind the plan gives its column is a
+/// typed error at its slot, in the model and on every runner — never a
+/// lane of another kind.
+#[test]
+fn a_udaf_returning_another_kind_is_a_typed_error() {
+    use qap::exec::ExecError;
+    use qap::expr::ExprError;
+    let mut catalog = Catalog::with_network_schemas();
+    catalog.register_udaf(Arc::new(Spread));
+    let mut b = QuerySetBuilder::new(catalog);
+    b.add_query(
+        "spread",
+        "SELECT tb, srcIP, SPREAD(len) as s FROM TCP GROUP BY time/60 as tb, srcIP",
+    )
+    .unwrap();
+    let dag = b.build();
+    let trace = generate(&TraceConfig::tiny(50));
+    let is_udaf_kind = |e: &ExecError| {
+        matches!(e, ExecError::Expr(ExprError::TypeMismatch { op: "UDAF", detail })
+            if detail.contains("SPREAD"))
+    };
+    let err = run_logical(&dag, trace.clone()).unwrap_err();
+    assert!(is_udaf_kind(&err), "{err}");
+    let plan = optimize(
+        &dag,
+        &Partitioning::round_robin(2),
+        &OptimizerConfig::full(),
+    )
+    .unwrap();
+    let cfg = SimConfig::default();
+    for (runner, run) in [
+        ("sim", run_distributed(&plan, &trace, &cfg)),
+        ("threaded", run_distributed_threaded(&plan, &trace, &cfg)),
+    ] {
+        let err = run.err().unwrap_or_else(|| panic!("{runner} ran"));
+        let found = match &err {
+            ExecError::Host(f) => match &f.cause {
+                FailureCause::Exec(e) => is_udaf_kind(e),
+                _ => false,
+            },
+            e => is_udaf_kind(e),
+        };
+        assert!(found, "{runner}: {err}");
+    }
+}
