@@ -857,16 +857,20 @@ mod tests {
     /// Every damaged variant of each valid payload under the two
     /// mutators `property_based`'s `mutate_frame` has for sizes and
     /// frame boundaries, applied exhaustively: each `u32` word inflated
-    /// by the payload's length, and the payload's head spliced onto the
-    /// tail of another valid payload at every cut.
+    /// by the payload's length, or set to the number of bytes after it
+    /// (the largest count a bound of one byte per element admits), and
+    /// the payload's head spliced onto the tail of another valid payload
+    /// at every cut.
     fn inflated_and_spliced(bytes: &[u8], other: &[u8]) -> Vec<Bytes> {
         let mut out = Vec::new();
         for at in 0..bytes.len().saturating_sub(3) {
-            let mut b = bytes.to_vec();
-            let word = u32::from_be_bytes(b[at..at + 4].try_into().unwrap());
-            let inflated = word.saturating_add(bytes.len() as u32);
-            b[at..at + 4].copy_from_slice(&inflated.to_be_bytes());
-            out.push(Bytes::from(b));
+            let word = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
+            let rest = (bytes.len() - at - 4) as u32;
+            for inflated in [word.saturating_add(bytes.len() as u32), rest] {
+                let mut b = bytes.to_vec();
+                b[at..at + 4].copy_from_slice(&inflated.to_be_bytes());
+                out.push(Bytes::from(b));
+            }
         }
         for cut in 0..=bytes.len() {
             let mut b = bytes[..cut].to_vec();

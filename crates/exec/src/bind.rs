@@ -37,30 +37,31 @@ pub(crate) struct AggSlot {
 }
 
 impl AggSlot {
-    /// The kinds of the slot's lossless migration state, one per state
-    /// value: a `SUM`'s and an `AVG`'s words are unsigned, a `MIN`'s or
-    /// `MAX`'s extreme and a UDAF's partial have the slot's kind.
-    fn state_types(&self) -> impl Iterator<Item = DataType> + '_ {
-        let (kind, width) = match &self.factory {
+    /// The kinds of the slot's migration state values: a `SUM`'s and an
+    /// `AVG`'s words are unsigned, any other state value has the slot's
+    /// kind.
+    fn state_types(&self) -> impl Iterator<Item = DataType> {
+        match self.factory {
             AccFactory::Builtin(k @ (AggKind::Sum | AggKind::Avg)) => {
-                (DataType::UInt, qap_expr::state_width(*k))
+                std::iter::repeat_n(DataType::UInt, qap_expr::state_width(k))
             }
-            _ => (self.out, 1),
-        };
-        std::iter::repeat_n(kind, width)
+            _ => std::iter::repeat_n(self.out, 1),
+        }
     }
-}
 
-/// A UDAF's value — final or partial — as a slot's: the plan types
-/// every UDAF `uint`, so a value of another kind is a typed error at
-/// the slot, never a lane of another kind.
-pub(crate) fn udaf_value(udaf: &dyn Udaf, v: Value) -> ExecResult<Value> {
-    match v {
-        Value::Null | Value::UInt(_) => Ok(v),
-        v => Err(ExecError::Expr(ExprError::TypeMismatch {
-            op: "UDAF",
-            detail: format!("{} returned {v:?}, which the plan types uint", udaf.name()),
-        })),
+    /// A UDAF's value — final or partial — as the slot's: the plan types
+    /// every UDAF `uint`, so a value of another kind is a typed error at
+    /// the slot, never a lane of another kind.
+    pub(crate) fn udaf_value(&self, v: Value) -> ExecResult<Value> {
+        match (&self.factory, v) {
+            (AccFactory::Udaf(u), v @ (Value::Int(_) | Value::Bool(_) | Value::Str(_))) => {
+                Err(ExecError::Expr(ExprError::TypeMismatch {
+                    op: "UDAF",
+                    detail: format!("{} returned {v:?}, which the plan types uint", u.name()),
+                }))
+            }
+            (_, v) => Ok(v),
+        }
     }
 }
 
@@ -77,7 +78,7 @@ pub(crate) struct BoundAggregate {
     /// HAVING over the output row (group key, then one value per slot).
     pub(crate) having: Option<BoundExpr>,
     /// The columns of a migration state row: the group key's, then
-    /// each slot's state values, named `<slot>.<i>`.
+    /// each slot's state values, named after the slot.
     pub(crate) state_fields: Vec<Field>,
 }
 
@@ -178,12 +179,12 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
                     })
                 })
                 .collect::<ExecResult<_>>()?;
-            let key_fields = out_schema.fields()[..group_by.len()].iter().cloned();
-            let slot_fields = slots.iter().zip(&aggregates[..]).flat_map(|(slot, a)| {
-                let types = slot.state_types().enumerate();
-                types.map(move |(i, t)| Field::new(format!("{}.{i}", a.name), t))
-            });
-            let state_fields = key_fields.chain(slot_fields).collect();
+            let (key_fields, slot_fields) = out_schema.fields().split_at(group_by.len());
+            let state_fields = key_fields.iter().cloned().chain(
+                (slots.iter().zip(slot_fields))
+                    .flat_map(|(s, f)| s.state_types().map(|t| Field::new(f.name(), t))),
+            );
+            let state_fields = state_fields.collect();
             BoundNode::Aggregate(BoundAggregate {
                 predicate: predicate.as_ref().map(|p| bind(p, in_schema)).transpose()?,
                 group_by: group_by

@@ -22,7 +22,7 @@ use qap_expr::{
 };
 use qap_types::{ArcStr, Column, ColumnBatch, Field, SelectionVector, Tuple, Value};
 
-use crate::bind::{udaf_value, AccFactory, AggSlot, BoundAggregate};
+use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::fx;
 use crate::ExecResult;
 
@@ -106,20 +106,13 @@ impl Slot {
     }
 
     /// The slot's value for a closing window: its partial when the
-    /// slot emits partials (a built-in's is its final value).
-    fn close(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr]) -> ExecResult<Value> {
+    /// slot emits partials (a built-in's is its final value). A UDAF's
+    /// is the caller's to hold to the slot's kind.
+    fn close(&self, words: &[u64], side: &[Udaf], strs: &[ArcStr]) -> Value {
         match self.state {
-            SlotState::Word { agg, off } => Ok(agg.finalize(&words[off..], strs, self.bound.out)),
-            SlotState::Side(i) if self.bound.emit_partial => self.udaf_value(side[i].partial()),
-            SlotState::Side(i) => self.udaf_value(side[i].finalize()),
-        }
-    }
-
-    /// A UDAF slot's value, held to the slot's kind.
-    fn udaf_value(&self, v: Value) -> ExecResult<Value> {
-        match &self.bound.factory {
-            AccFactory::Udaf(udaf) => udaf_value(&**udaf, v),
-            AccFactory::Builtin(_) => unreachable!("only a UDAF keeps side state"),
+            SlotState::Word { agg, off } => agg.finalize(&words[off..], strs, self.bound.out),
+            SlotState::Side(i) if self.bound.emit_partial => side[i].partial(),
+            SlotState::Side(i) => side[i].finalize(),
         }
     }
 
@@ -140,7 +133,7 @@ impl Slot {
     ) -> ExecResult<()> {
         match self.state {
             SlotState::Word { agg, off } => agg.state_values(&words[off..], strs, out),
-            SlotState::Side(i) => out.push(self.udaf_value(side[i].partial())?),
+            SlotState::Side(i) => out.push(self.bound.udaf_value(side[i].partial())?),
         }
         Ok(())
     }
@@ -385,18 +378,24 @@ impl AggregateOp {
                 let w = &words[e * words_w..(e + 1) * words_w];
                 slot.close(w, &side[e * side_w..(e + 1) * side_w], strs)
             });
+            if let SlotState::Side(_) = slot.state {
+                for v in vals {
+                    c.push(&slot.bound.udaf_value(v)?);
+                }
+                continue;
+            }
             // Unsigned values in one extend, up to the first of another
             // kind; that one and the rest are pushed.
             let mut other = None;
             c.extend_uints(vals.by_ref().map_while(|v| match v {
-                Ok(Value::UInt(x)) => Some(x),
+                Value::UInt(x) => Some(x),
                 v => {
                     other = Some(v);
                     None
                 }
             }));
             for v in other.into_iter().chain(vals) {
-                c.push(&v?);
+                c.push(&v);
             }
         }
         let mut window = ColumnBatch::from_columns_with_rows(cols, n);

@@ -33,7 +33,7 @@ use qap_expr::{make_accumulator, Accumulator, BoundExpr, UdafState};
 use qap_plan::{JoinType, NodeId, QueryDag};
 use qap_types::{Tuple, Value};
 
-use crate::bind::{bind_node, udaf_value, AccFactory, BoundAggregate, BoundJoin, BoundNode};
+use crate::bind::{bind_node, AccFactory, BoundAggregate, BoundJoin, BoundNode};
 use crate::{ExecError, ExecResult};
 
 /// Runs a single-source logical plan over a stream ordered by the
@@ -295,11 +295,10 @@ fn emit_groups(b: &BoundAggregate, groups: &mut Groups) -> ExecResult<Vec<Row>> 
     for (g, mut row) in keys {
         row.reserve_exact(b.slots.len());
         for (slot, acc) in b.slots.iter().zip(&accs[g * b.slots.len()..]) {
-            row.push(match (acc, slot.emit_partial, &slot.factory) {
-                (Acc::Builtin(a), ..) => a.finalize(slot.out),
-                (Acc::Udaf(u), true, AccFactory::Udaf(f)) => udaf_value(&**f, u.partial())?,
-                (Acc::Udaf(u), _, AccFactory::Udaf(f)) => udaf_value(&**f, u.finalize())?,
-                (Acc::Udaf(_), _, AccFactory::Builtin(_)) => unreachable!("a UDAF slot's state"),
+            row.push(match (acc, slot.emit_partial) {
+                (Acc::Builtin(a), _) => a.finalize(slot.out),
+                (Acc::Udaf(u), true) => slot.udaf_value(u.partial())?,
+                (Acc::Udaf(u), false) => slot.udaf_value(u.finalize())?,
             });
         }
         let row = Tuple::new(row);

@@ -35,8 +35,9 @@
 //! lanes compare numerically (`u64` resp. `i128`, exactly the
 //! `values_eq`/`total_cmp` result for numeric operand pairs), boolean
 //! lanes go through a two-entry truth table, and string lanes
-//! row-at-a-time through the interpreter's own `eval_binary`. Every table entry and constant-fold is computed *by*
-//! the interpreter, so the fused path is exact by construction.
+//! row-at-a-time through the interpreter's own `eval_binary`. Every
+//! table entry and constant-fold is computed *by* the interpreter, so
+//! the fused path is exact by construction.
 //! Constants of a kind whose comparison against the lane is
 //! value-independent (a negative literal against an unsigned lane, a
 //! string against a numeric lane — `total_cmp` orders by kind rank)
@@ -767,8 +768,9 @@ fn run_instrs(
                 if !arith(scratch, *op, *a, *b, *dst)
                     || signed && !fits_i64(&scratch.regs[usize::from(*dst)])
                 {
-                    // Overflow/borrow/zero-division: the unsigned
-                    // arithmetic domain, not a typed lane.
+                    // Overflow/borrow/zero-division, or a signed result
+                    // past `i64::MAX`: the arithmetic domain, not a
+                    // typed lane.
                     scratch.bail = Some(LaneKind::Uint);
                     return false;
                 }

@@ -26,7 +26,7 @@
 //!   communication between predicate kernels and operators: a filter is
 //!   a refinement of the selection, not a copy of the data.
 
-use crate::{ArcStr, DataType, Field, Tuple, TypeError, TypeResult, Value};
+use crate::{ArcStr, DataType, Field, Tuple, TypeResult, Value};
 
 /// The source rows of a lane append: a contiguous range (a slice copy)
 /// or an arbitrary gather list.
@@ -170,16 +170,6 @@ impl Column {
     /// Creates an empty, untyped column.
     pub fn new() -> Self {
         Column::default()
-    }
-
-    /// Builds a typed unsigned column with no nulls.
-    pub fn from_uints(lane: Vec<u64>) -> Self {
-        let len = lane.len();
-        Column {
-            data: Some(ColumnData::UInt(lane)),
-            nulls: Vec::new(),
-            len,
-        }
     }
 
     /// Builds a typed signed column with no nulls.
@@ -664,21 +654,15 @@ impl ColumnBatch {
     }
 
     /// Checks each column's lane against its field's declared kind: a
-    /// [`TypeError::KindMismatch`] names the first column whose lane
+    /// [`crate::TypeError::KindMismatch`] names the first column whose lane
     /// holds a non-NULL value of another kind, at its first such row.
     /// The batch's arity is the caller's to check.
     pub fn check_kinds(&self, fields: &[Field]) -> TypeResult<()> {
         for (c, f) in self.columns.iter().zip(fields) {
-            let Some(found) = c.data_type().filter(|&k| k != f.data_type()) else {
-                continue;
-            };
-            if let Some(row) = (0..c.len).find(|&r| !c.is_null(r)) {
-                return Err(TypeError::KindMismatch {
-                    column: f.name().to_string(),
-                    row,
-                    expected: f.data_type(),
-                    found,
-                });
+            if c.data_type().is_some_and(|k| k != f.data_type()) {
+                if let Some(row) = (0..c.len).find(|&r| !c.is_null(r)) {
+                    f.check_kind(row, c.data_type())?;
+                }
             }
         }
         Ok(())
@@ -895,7 +879,7 @@ impl SelectionVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple;
+    use crate::{tuple, TypeError};
 
     fn round_trip(rows: Vec<Tuple>) {
         let b = ColumnBatch::from_rows(&rows);
@@ -1001,7 +985,8 @@ mod tests {
         // A lane of another kind whose rows are all NULL holds no value
         // of that kind.
         let nulls = Column::from_parts(ColumnData::Int(vec![0, 0]), vec![true, true]);
-        let b = ColumnBatch::from_columns(vec![Column::from_uints(vec![1, 2]), nulls]);
+        let uints = Column::from_parts(ColumnData::UInt(vec![1, 2]), Vec::new());
+        let b = ColumnBatch::from_columns(vec![uints, nulls]);
         assert_eq!(b.check_kinds(&fields), Ok(()));
     }
 

@@ -99,6 +99,21 @@ impl Field {
         self.data_type
     }
 
+    /// Checks the kind of a value found at `row` (`None` for NULL,
+    /// which every field holds) against the field's type: another kind
+    /// is a [`TypeError::KindMismatch`] naming the row and the field.
+    pub fn check_kind(&self, row: usize, found: Option<DataType>) -> TypeResult<()> {
+        match found {
+            Some(found) if found != self.data_type => Err(TypeError::KindMismatch {
+                column: self.name.clone(),
+                row,
+                expected: self.data_type,
+                found,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Ordering declaration.
     pub fn temporality(&self) -> Temporality {
         self.temporality

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Field, TypeError, TypeResult, Value};
+use crate::{Field, TypeResult, Value};
 
 /// A row flowing through the stream engine.
 ///
@@ -24,22 +24,12 @@ impl Tuple {
     }
 
     /// Checks each non-NULL value against its field's declared kind: a
-    /// [`TypeError::KindMismatch`] names the first that disagrees, as
+    /// [`crate::TypeError::KindMismatch`] names the first that disagrees, as
     /// row `row` of whatever feed the tuple came in. The arity is the
     /// caller's to check.
     pub fn check_kinds(&self, row: usize, fields: &[Field]) -> TypeResult<()> {
         for (v, f) in self.values.iter().zip(fields) {
-            match v.data_type() {
-                Some(found) if found != f.data_type() => {
-                    return Err(TypeError::KindMismatch {
-                        column: f.name().to_string(),
-                        row,
-                        expected: f.data_type(),
-                        found,
-                    })
-                }
-                _ => {}
-            }
+            f.check_kind(row, v.data_type())?;
         }
         Ok(())
     }

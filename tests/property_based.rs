@@ -478,10 +478,12 @@ fn inflates_length_word(kind: u64, pos: usize, frame: &[u8]) -> bool {
 }
 
 /// Bytes one decode may allocate per byte of the frame it reads: a
-/// `Mixed` lane's 1-byte NULL tag becomes a 16-byte `Value`, the
-/// costliest expansion the decoders perform. Everything else per frame
-/// (the column vector, a control frame's payload copy) fits the slack.
-const ALLOC_PER_FRAME_BYTE: usize = 16;
+/// string lane's empty string, whose 4-byte length prefix becomes an
+/// 8-byte `ArcStr` slot and its 32-byte shared allocation, is the
+/// costliest expansion the decoders perform (every other lane byte
+/// decodes to at most one byte). Everything else per frame (the column
+/// vector, a control frame's payload copy) fits the slack.
+const ALLOC_PER_FRAME_BYTE: usize = 10;
 /// Bytes one decode may allocate whatever its frame's length.
 const ALLOC_SLACK: usize = 1024;
 
