@@ -239,7 +239,7 @@ impl Splitter {
                     self.arity
                 )));
             }
-            tuple.check_kinds(self.routed, &self.fields)?;
+            let row = self.routed;
             self.routed += 1;
             if let Some(c) = self.time_col {
                 let t = tuple.get(c).as_u64().unwrap_or(0);
@@ -263,7 +263,7 @@ impl Splitter {
                 }
             };
             let buf = &mut self.stage[p];
-            buf.push_row(tuple);
+            buf.push_checked_row(tuple, row, &self.fields)?;
             if buf.rows() >= self.max {
                 emit_columns(buf, self.scan_of[p], self.arity, self.max, emit)?;
             }

@@ -95,7 +95,9 @@ pub fn run_logical(
                 fields.len()
             )));
         }
-        t.check_kinds(row, fields)?;
+        for (v, f) in t.values().iter().zip(fields) {
+            f.check_kind(row, v.data_type())?;
+        }
         model.send(source, Rc::new(t))?;
     }
     // End of stream, in topological order: flushes reach unfinished nodes.

@@ -15,7 +15,8 @@
 //!   and every later one must have the same kind: the plan gives each
 //!   column one [`DataType`](crate::DataType), and data is checked
 //!   against it where it enters ([`ColumnBatch::check_kinds`],
-//!   [`Tuple::check_kinds`]), so a lane never holds two kinds.
+//!   [`ColumnBatch::push_checked_row`]), so a lane never holds two
+//!   kinds.
 //!   Row→column→row is the identity for rows of one kind per column.
 //! - [`ColumnBatch`] — a fixed-arity set of equal-length columns with
 //!   row↔column converters for the engine boundary and lane-to-lane
@@ -674,19 +675,48 @@ impl ColumnBatch {
     /// When the tuple's arity disagrees with the batch's, or a value's
     /// kind is not its lane's.
     pub fn push_row(&mut self, t: &Tuple) {
+        let pushed: TypeResult<()> = self.push_row_with(t, |_, _| Ok(()));
+        debug_assert!(pushed.is_ok());
+    }
+
+    /// [`ColumnBatch::push_row`] for row `row` of a feed from outside the
+    /// plan, held to `fields`: a value of another kind than its field
+    /// declares is a [`crate::TypeError::KindMismatch`], and leaves the
+    /// batch with part of the row, to be discarded.
+    ///
+    /// # Panics
+    /// When the tuple's arity disagrees with the batch's.
+    pub fn push_checked_row(&mut self, t: &Tuple, row: usize, fields: &[Field]) -> TypeResult<()> {
+        self.push_row_with(t, |c, v| fields[c].check_kind(row, v.data_type()))
+    }
+
+    /// Appends `t`, passing every value that does not go onto a
+    /// non-empty, all-valid unsigned lane to `check` (with its column)
+    /// first. A value that goes there needs none: the one that typed the
+    /// lane was checked.
+    fn push_row_with(
+        &mut self,
+        t: &Tuple,
+        mut check: impl FnMut(usize, &Value) -> TypeResult<()>,
+    ) -> TypeResult<()> {
         assert_eq!(t.arity(), self.arity(), "tuple arity != batch arity");
-        for (c, v) in self.columns.iter_mut().zip(t.values()) {
+        for (i, (c, v)) in self.columns.iter_mut().zip(t.values()).enumerate() {
             match (&mut c.data, v) {
-                // The packet-header case, inline: an unsigned value
-                // onto an all-valid unsigned lane.
-                (Some(ColumnData::UInt(lane)), Value::UInt(x)) if c.nulls.is_empty() => {
+                // The packet-header case, inline.
+                (Some(ColumnData::UInt(lane)), Value::UInt(x))
+                    if c.nulls.is_empty() && c.len > 0 =>
+                {
                     lane.push(*x);
                     c.len += 1;
                 }
-                _ => c.push_reserving(v, self.budget),
+                _ => {
+                    check(i, v)?;
+                    c.push_reserving(v, self.budget);
+                }
             }
         }
         self.rows += 1;
+        Ok(())
     }
 
     /// Appends every row of a batch.
@@ -980,8 +1010,9 @@ mod tests {
             ColumnBatch::from_rows(&rows).check_kinds(&fields),
             Err(want.clone())
         );
-        assert_eq!(rows[1].check_kinds(1, &fields), Err(want));
-        assert_eq!(rows[0].check_kinds(0, &fields), Ok(()));
+        let mut staged = ColumnBatch::new(2);
+        assert_eq!(staged.push_checked_row(&rows[0], 0, &fields), Ok(()));
+        assert_eq!(staged.push_checked_row(&rows[1], 1, &fields), Err(want));
         // A lane of another kind whose rows are all NULL holds no value
         // of that kind.
         let nulls = Column::from_parts(ColumnData::Int(vec![0, 0]), vec![true, true]);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Field, TypeResult, Value};
+use crate::Value;
 
 /// A row flowing through the stream engine.
 ///
@@ -21,17 +21,6 @@ impl Tuple {
     /// Creates a tuple from values.
     pub fn new(values: Vec<Value>) -> Self {
         Tuple { values }
-    }
-
-    /// Checks each non-NULL value against its field's declared kind: a
-    /// [`crate::TypeError::KindMismatch`] names the first that disagrees, as
-    /// row `row` of whatever feed the tuple came in. The arity is the
-    /// caller's to check.
-    pub fn check_kinds(&self, row: usize, fields: &[Field]) -> TypeResult<()> {
-        for (v, f) in self.values.iter().zip(fields) {
-            f.check_kind(row, v.data_type())?;
-        }
-        Ok(())
     }
 
     /// Creates an empty tuple with reserved capacity.
