@@ -687,13 +687,18 @@ impl ColumnBatch {
     /// # Panics
     /// When the tuple's arity disagrees with the batch's.
     pub fn push_checked_row(&mut self, t: &Tuple, row: usize, fields: &[Field]) -> TypeResult<()> {
-        self.push_row_with(t, |c, v| fields[c].check_kind(row, v.data_type()))
+        let check = |c: usize, v: &Value| fields[c].check_kind(row, v.data_type());
+        if self.rows == 0 {
+            // An empty batch's lanes may be typed by an earlier use.
+            (t.values().iter().enumerate()).try_for_each(|(c, v)| check(c, v))?;
+        }
+        self.push_row_with(t, check)
     }
 
-    /// Appends `t`, passing every value that does not go onto a
-    /// non-empty, all-valid unsigned lane to `check` (with its column)
-    /// first. A value that goes there needs none: the one that typed the
-    /// lane was checked.
+    /// Appends `t`, passing every value that does not go onto an
+    /// all-valid unsigned lane to `check` (with its column) first. Once
+    /// the batch has a checked row, a value that goes there needs none:
+    /// the one that typed the lane was checked.
     fn push_row_with(
         &mut self,
         t: &Tuple,
@@ -703,9 +708,7 @@ impl ColumnBatch {
         for (i, (c, v)) in self.columns.iter_mut().zip(t.values()).enumerate() {
             match (&mut c.data, v) {
                 // The packet-header case, inline.
-                (Some(ColumnData::UInt(lane)), Value::UInt(x))
-                    if c.nulls.is_empty() && c.len > 0 =>
-                {
+                (Some(ColumnData::UInt(lane)), Value::UInt(x)) if c.nulls.is_empty() => {
                     lane.push(*x);
                     c.len += 1;
                 }
