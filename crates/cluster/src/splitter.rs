@@ -7,8 +7,9 @@
 //! `max_batch`-tuple batches per partition and handed to the runner's
 //! carrier a full batch at a time, with the partial tails flushed in
 //! ascending scan-node order. Each row is touched once: its arity and
-//! its values' kinds are checked against the stream's schema, its key words are hashed where they lie, and its values
-//! are scattered into the partition's pre-sized lanes. A *static*
+//! its values' kinds are checked against the stream's schema, its key
+//! words are hashed where they lie, and its values are scattered into
+//! the partition's pre-sized lanes. A *static*
 //! deployment is simply a table nobody rewrites; the rebalance
 //! controller ([`crate::rebalance::Controller`]) rewrites it between
 //! epochs.

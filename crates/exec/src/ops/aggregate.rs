@@ -349,15 +349,7 @@ impl AggregateOp {
         let (words_w, side_w) = (words.len() / n, side.len() / n);
         let mut cols = std::mem::take(&mut self.window);
         cols.resize_with(arity + width, Column::new);
-        // An unsigned lane keeps its capacity; any other starts afresh,
-        // so the window's lanes are what pushing its values would type.
-        for c in &mut cols {
-            if c.uints().is_some() {
-                c.clear();
-            } else {
-                *c = Column::new();
-            }
-        }
+        cols.iter_mut().for_each(Column::clear);
         let (key_cols, slot_cols) = cols.split_at_mut(arity);
         for (k, c) in key_cols.iter_mut().enumerate() {
             match keys {

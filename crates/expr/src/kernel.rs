@@ -694,8 +694,9 @@ impl NumKernel {
     }
 
     /// Evaluates the expression over all rows of `batch`, producing the
-    /// output column: an unsigned lane, or a signed one when the
-    /// interpreter's value is an `Int`. `None` means the batch falls
+    /// output column: an unsigned lane, a signed one when the
+    /// interpreter's value is an `Int`, or none when every row is NULL
+    /// (an untyped operand reads as unsigned). `None` means the batch falls
     /// outside the compiled domain (bail out to the interpreter); NULL
     /// inputs yield NULL outputs exactly as the row evaluator's NULL
     /// propagation does.
@@ -719,6 +720,10 @@ impl NumKernel {
             Reg::Empty => unreachable!("kernel output register never written"),
         };
         debug_assert_eq!(vals.len(), n);
+        if nulls.len() == n && !nulls.contains(&false) {
+            // Only NULLs: no lane, whatever an untyped operand read as.
+            return Some(Column::all_null(n));
+        }
         let lane = match scratch.signed[usize::from(self.out)] {
             // Every non-NULL value is at most `i64::MAX` (`arith`).
             true => ColumnData::Int(vals.into_iter().map(|x| x as i64).collect()),

@@ -173,16 +173,6 @@ impl Column {
         Column::default()
     }
 
-    /// Builds a typed signed column with no nulls.
-    pub fn from_ints(lane: Vec<i64>) -> Self {
-        let len = lane.len();
-        Column {
-            data: Some(ColumnData::Int(lane)),
-            nulls: Vec::new(),
-            len,
-        }
-    }
-
     /// Builds a column by pushing each value in turn (so the lane types
     /// itself exactly as incremental construction would).
     pub fn from_values(values: &[Value]) -> Self {
@@ -301,7 +291,9 @@ impl Column {
         }
     }
 
-    /// Appends a value, typing the lane when it has no rows.
+    /// Appends a value. A lane with no rows keeps its type only for a
+    /// value of that kind: another kind types it afresh, a NULL leaves it
+    /// untyped.
     ///
     /// # Panics
     /// When the value's kind is not the lane's: every entry point
@@ -335,6 +327,12 @@ impl Column {
     /// [`Column::push`] for a column that expects `budget` rows: the
     /// push that types the lane allocates it at that size.
     fn push_reserving(&mut self, v: &Value, budget: usize) {
+        // An empty lane holds no values to preserve: unless `v` is of
+        // its kind, it goes untyped, as a fresh column is, whatever an
+        // earlier use left.
+        if self.len == 0 && self.data_type() != v.data_type() {
+            self.data = None;
+        }
         match v {
             Value::Null => {
                 if self.nulls.is_empty() {
@@ -357,20 +355,6 @@ impl Column {
     }
 
     fn push_non_null(&mut self, v: &Value, budget: usize) {
-        // An empty lane holds no values to preserve: the first value
-        // types it, as on a fresh column, whatever an earlier use left.
-        if self.len == 0
-            && !matches!(
-                (&self.data, v),
-                (None, _)
-                    | (Some(ColumnData::UInt(_)), Value::UInt(_))
-                    | (Some(ColumnData::Int(_)), Value::Int(_))
-                    | (Some(ColumnData::Bool(_)), Value::Bool(_))
-                    | (Some(ColumnData::Str(_)), Value::Str(_))
-            )
-        {
-            self.data = None;
-        }
         let data = self.data.get_or_insert_with(|| {
             let cap = budget.max(self.len);
             let mut lane = match v {
@@ -656,14 +640,14 @@ impl ColumnBatch {
 
     /// Checks each column's lane against its field's declared kind: a
     /// [`crate::TypeError::KindMismatch`] names the first column whose lane
-    /// holds a non-NULL value of another kind, at its first such row.
-    /// The batch's arity is the caller's to check.
+    /// is of another kind, at its first non-NULL row (0 when every row
+    /// is NULL). An untyped lane passes. The batch's arity is the
+    /// caller's to check.
     pub fn check_kinds(&self, fields: &[Field]) -> TypeResult<()> {
         for (c, f) in self.columns.iter().zip(fields) {
             if c.data_type().is_some_and(|k| k != f.data_type()) {
-                if let Some(row) = (0..c.len).find(|&r| !c.is_null(r)) {
-                    f.check_kind(row, c.data_type())?;
-                }
+                let row = (0..c.len).find(|&r| !c.is_null(r)).unwrap_or(0);
+                f.check_kind(row, c.data_type())?;
             }
         }
         Ok(())
@@ -1003,12 +987,13 @@ mod tests {
             Tuple::new(vec![Value::UInt(1), Value::Null]),
             tuple![2u64, -3i64],
         ];
-        let want = TypeError::KindMismatch {
+        let want_at = |row| TypeError::KindMismatch {
             column: "b".into(),
-            row: 1,
+            row,
             expected: DataType::UInt,
             found: DataType::Int,
         };
+        let want = want_at(1);
         assert_eq!(
             ColumnBatch::from_rows(&rows).check_kinds(&fields),
             Err(want.clone())
@@ -1016,11 +1001,13 @@ mod tests {
         let mut staged = ColumnBatch::new(2);
         assert_eq!(staged.push_checked_row(&rows[0], 0, &fields), Ok(()));
         assert_eq!(staged.push_checked_row(&rows[1], 1, &fields), Err(want));
-        // A lane of another kind whose rows are all NULL holds no value
-        // of that kind.
+        // A lane of another kind is refused even when its rows are all
+        // NULL (at row 0); an untyped one passes.
+        let uints = || Column::from_parts(ColumnData::UInt(vec![1, 2]), Vec::new());
         let nulls = Column::from_parts(ColumnData::Int(vec![0, 0]), vec![true, true]);
-        let uints = Column::from_parts(ColumnData::UInt(vec![1, 2]), Vec::new());
-        let b = ColumnBatch::from_columns(vec![uints, nulls]);
+        let b = ColumnBatch::from_columns(vec![uints(), nulls]);
+        assert_eq!(b.check_kinds(&fields), Err(want_at(0)));
+        let b = ColumnBatch::from_columns(vec![uints(), Column::all_null(2)]);
         assert_eq!(b.check_kinds(&fields), Ok(()));
     }
 
@@ -1113,6 +1100,16 @@ mod tests {
         b.push_row(&tuple![3u64]);
         assert!(matches!(b.column(0).data(), Some(ColumnData::UInt(_))));
         assert_eq!(b.to_rows(), vec![tuple![3u64]]);
+        // A NULL first leaves it untyped, so the string after it types it.
+        b.clear();
+        b.push_row(&Tuple::new(vec![Value::Null]));
+        assert_eq!(b.column(0).data_type(), None);
+        b.push_row(&tuple!["udp"]);
+        assert!(matches!(b.column(0).data(), Some(ColumnData::Str(_))));
+        assert_eq!(
+            b.to_rows(),
+            vec![Tuple::new(vec![Value::Null]), tuple!["udp"]]
+        );
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub enum TypeError {
     KindMismatch {
         /// The column, by name.
         column: String,
-        /// The row: the trace row, or the first non-NULL row of a lane.
+        /// The row: the trace row, or the first non-NULL row of a lane
+        /// (0 when it has none).
         row: usize,
         /// The kind the schema declares.
         expected: DataType,

@@ -15,7 +15,7 @@ use std::process::{Child, Command, Stdio};
 use qap::exec::{ExecError, ExecResult};
 use qap::expr::LaneKind;
 use qap::prelude::*;
-use qap::types::{DataType, Field, Temporality, TypeError};
+use qap::types::{ColumnBatch, DataType, Field, Temporality, TypeError};
 
 #[path = "support/kinds.rs"]
 mod kinds;
@@ -188,4 +188,96 @@ fn an_off_kind_trace_row_is_refused_by_row_and_column() {
             assert_eq!(result.err(), Some(want.clone()), "{runner}");
         }
     }
+}
+
+/// One engine running `dag`, every node a sink, fed `batches` in turn at
+/// its one source: every typed lane every node outputs has the kind the
+/// node's schema declares, and every root outputs the model's rows.
+pub fn assert_engine_lanes_typed(label: &str, dag: &QueryDag, batches: &[Vec<Tuple>]) {
+    let all: Vec<usize> = dag.topo_order().collect();
+    let mut engine = Engine::with_sinks(dag, &all).expect("engine builds");
+    let source = engine.source_nodes()[0];
+    let mut got = vec![Vec::new(); dag.len()];
+    let mut drain = |engine: &mut Engine| {
+        for &id in &all {
+            if let Some(lanes) = engine.drain_boundary(id) {
+                kinds::assert_lanes_typed(label, dag, id, &lanes);
+                got[id].extend(lanes.to_rows());
+            }
+        }
+    };
+    for rows in batches {
+        let mut cols = ColumnBatch::from_rows(rows);
+        engine.push_columns(source, &mut cols).expect("push");
+        drain(&mut engine);
+    }
+    engine.finish().expect("finish");
+    drain(&mut engine);
+    for (id, mut want) in run_logical(dag, batches.concat()).expect("model runs") {
+        let order = |a: &Tuple, b: &Tuple| {
+            let pairs = a.values().iter().zip(b.values());
+            pairs.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne())
+        };
+        want.sort_by(|a, b| order(a, b).unwrap_or(std::cmp::Ordering::Equal));
+        got[id].sort_by(|a, b| order(a, b).unwrap_or(std::cmp::Ordering::Equal));
+        assert_eq!(got[id], want, "{label}: node {id}");
+    }
+}
+
+fn dag_of(script: &str) -> QueryDag {
+    let mut b = QuerySetBuilder::new(Catalog::new());
+    b.parse_script(script).expect("script parses");
+    b.build()
+}
+
+fn row(values: &[Value]) -> Tuple {
+    Tuple::new(values.to_vec())
+}
+
+/// A σπ that interprets a batch (`a + 1` bails on a negative `a`) emits
+/// its rows into a pooled batch, which another node of the same arity
+/// may have left typed `uint` in the column that here is `s string`: a
+/// NULL first in `s` leaves the lane untyped, and the string after it
+/// types it.
+#[test]
+fn a_row_fallback_into_a_pooled_batch_takes_the_plan_kinds() {
+    let dag = dag_of(
+        "STREAM S(ts uint increasing, v uint, s string, a int);\n\
+         QUERY vs: SELECT ts, v, s, a + 1 as b FROM S;\n\
+         QUERY sv: SELECT ts, s, v, a + 1 as b FROM S;",
+    );
+    let (u, i, s) = (Value::UInt, Value::Int, Value::from);
+    let kernel = |t: u64| vec![row(&[u(t), u(t), s("x"), i(1)])];
+    let fallback = |t: u64| {
+        vec![
+            row(&[u(t), u(t), Value::Null, i(-5)]),
+            row(&[u(t), u(t), s("y"), i(2)]),
+        ]
+    };
+    let batches: Vec<Vec<Tuple>> = (0..4).flat_map(|t| [kernel(t), fallback(t)]).collect();
+    assert_engine_lanes_typed("pooled σπ fallback", &dag, &batches);
+}
+
+/// A kernel over an `int` column whose batch holds only NULLs (an
+/// untyped lane) outputs no lane of another kind: the union after it
+/// takes the next batch's `int`s.
+#[test]
+fn a_kernel_over_an_all_null_batch_types_no_lane() {
+    let mut b = QuerySetBuilder::new(Catalog::new());
+    b.parse_script(
+        "STREAM S(ts uint increasing, v int);\n\
+         QUERY twice: SELECT ts, v * 2 as w FROM S;\n\
+         QUERY next: SELECT ts, v + 1 as w FROM S;",
+    )
+    .expect("script parses");
+    b.add_union("both", &["twice", "next"]).expect("union");
+    let (u, i) = (Value::UInt, Value::Int);
+    assert_engine_lanes_typed(
+        "σπ over all-NULL int into a union",
+        &b.build(),
+        &[
+            vec![row(&[u(1), Value::Null]), row(&[u(1), Value::Null])],
+            vec![row(&[u(1), i(3)]), row(&[u(2), i(4)])],
+        ],
+    );
 }

@@ -8,7 +8,7 @@ use qap::types::ColumnBatch;
 
 /// Asserts that every typed lane of `lanes` has its field's kind in
 /// node `id`'s schema (an untyped, all-NULL lane has none).
-fn assert_lanes_typed(label: &str, dag: &QueryDag, id: usize, lanes: &ColumnBatch) {
+pub fn assert_lanes_typed(label: &str, dag: &QueryDag, id: usize, lanes: &ColumnBatch) {
     for (c, f) in lanes.columns().iter().zip(dag.schema(id).fields()) {
         assert!(
             c.data_type().is_none_or(|t| t == f.data_type()),
