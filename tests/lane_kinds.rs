@@ -193,7 +193,7 @@ fn an_off_kind_trace_row_is_refused_by_row_and_column() {
 /// One engine running `dag`, every node a sink, fed `batches` in turn at
 /// its one source: every typed lane every node outputs has the kind the
 /// node's schema declares, and every root outputs the model's rows.
-pub fn assert_engine_lanes_typed(label: &str, dag: &QueryDag, batches: &[Vec<Tuple>]) {
+fn assert_engine_lanes_typed(label: &str, dag: &QueryDag, batches: &[Vec<Tuple>]) {
     let all: Vec<usize> = dag.topo_order().collect();
     let mut engine = Engine::with_sinks(dag, &all).expect("engine builds");
     let source = engine.source_nodes()[0];
@@ -213,14 +213,17 @@ pub fn assert_engine_lanes_typed(label: &str, dag: &QueryDag, batches: &[Vec<Tup
     }
     engine.finish().expect("finish");
     drain(&mut engine);
-    for (id, mut want) in run_logical(dag, batches.concat()).expect("model runs") {
-        let order = |a: &Tuple, b: &Tuple| {
+    let sorted = |mut rows: Vec<Tuple>| {
+        rows.sort_by(|a, b| {
             let pairs = a.values().iter().zip(b.values());
-            pairs.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne())
-        };
-        want.sort_by(|a, b| order(a, b).unwrap_or(std::cmp::Ordering::Equal));
-        got[id].sort_by(|a, b| order(a, b).unwrap_or(std::cmp::Ordering::Equal));
-        assert_eq!(got[id], want, "{label}: node {id}");
+            let first = pairs.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne());
+            first.unwrap_or(std::cmp::Ordering::Equal)
+        });
+        rows
+    };
+    for (id, want) in run_logical(dag, batches.concat()).expect("model runs") {
+        let got = sorted(std::mem::take(&mut got[id]));
+        assert_eq!(got, sorted(want), "{label}: node {id}");
     }
 }
 
