@@ -27,7 +27,8 @@ pub(crate) enum AccFactory {
 /// finalized value (UDAF sub-aggregates). Built-in supers keep
 /// `merge = false` because the optimizer rewrites their kinds so the fold
 /// equals the partial merge. `out` is the plan's type for the slot's
-/// value, the kind a `SUM` or an `AVG` finalizes to.
+/// value: the kind a `SUM` or an `AVG` finalizes to, and the kind of a
+/// `MIN`'s or a `MAX`'s extreme.
 pub(crate) struct AggSlot {
     pub(crate) factory: AccFactory,
     pub(crate) arg: Option<BoundExpr>,
@@ -64,6 +65,10 @@ impl AggSlot {
         }
     }
 }
+
+/// The most group keys a γ takes: its group table flags each NULL key
+/// in one mask word.
+pub(crate) const MAX_GROUP_KEYS: usize = 64;
 
 /// A bound tumbling-window aggregation (γ).
 pub(crate) struct BoundAggregate {
@@ -144,6 +149,12 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
         } => {
             let in_schema = dag.schema(*input);
             let out_schema = dag.schema(id);
+            if group_by.len() > MAX_GROUP_KEYS {
+                return Err(ExecError::BadPlan(format!(
+                    "aggregate node {id} has {} group keys, more than {MAX_GROUP_KEYS}",
+                    group_by.len()
+                )));
+            }
             let temporal_idx = out_schema.fields()[..group_by.len()]
                 .iter()
                 .position(|f| f.temporality() != Temporality::None)

@@ -2,10 +2,12 @@
 //!
 //! Group and join probes hash a key on *every* tuple, which makes the
 //! default SipHash a measurable fraction of the engine's per-tuple
-//! cost. A key hashes one of two ways: as words ([`fold_word`], when
-//! every key reads as a non-null unsigned word — `ops::keys`) or as
-//! values ([`ValueHash`], the per-row path). An all-unsigned key hashes
-//! the same both ways, so both paths probe one table. Operator state is never exposed to
+//! cost. A γ key always hashes as words ([`fold_word`]): read off its
+//! lanes (`ops::keys`) or encoded by the group table from the per-row
+//! path's values. A ⋈ key hashes as words when every key reads as a
+//! non-null unsigned word, or as values ([`ValueHash`], its per-row
+//! path); an all-unsigned key hashes the same both ways, so both paths
+//! probe one table. Operator state is never exposed to
 //! adversarial keys (group keys come from the operator's own expression
 //! evaluation, and tables live only for one window), so a fast
 //! non-cryptographic hash is appropriate. This is the well-known
@@ -27,8 +29,8 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// `Value` (`ops::keys`). Starting from `0` (`FxHasher::default()`'s
 /// state), `fold_word(h, x)` agrees bit-for-bit with
 /// [`ValueHash::add`] of `Value::UInt(x)` because the `UInt` variant tag
-/// is zero — so a key hashed as words and the same key hashed as values
-/// probe the same table slots.
+/// is zero — so a ⋈ key hashed as words and the same key hashed as
+/// values probe the same table slots.
 #[inline]
 pub(crate) fn fold_word(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
@@ -112,7 +114,7 @@ pub(crate) fn hash_values(vals: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Incremental value hasher for the aggregation key loop: callers that
+/// Incremental value hasher for ⋈'s per-row key loop: callers that
 /// materialize a key one value at a time thread this state through the
 /// same pass instead of re-traversing the finished key.
 ///
@@ -121,7 +123,7 @@ pub(crate) fn hash_values(vals: &[Value]) -> u64 {
 /// instead of spending a round of its own, halving the per-key hash
 /// cost versus the derived `Hash` impl. The result is deterministic and
 /// internally consistent (a tuple's probe and its insert share the one
-/// computed hash), which is all the group table requires; it is **not**
+/// computed hash), which is all a hash table requires; it is **not**
 /// interchangeable with [`hash_values`].
 pub(crate) struct ValueHash(FxHasher);
 

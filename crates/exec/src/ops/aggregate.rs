@@ -1,13 +1,15 @@
 //! Tumbling-window hash aggregation (γ).
 //!
-//! A batch's group keys are read one of two ways. When every key reads
-//! as words ([`read_words`]: a non-null unsigned lane, `time/60` or a
-//! kernel key such as `srcIP & 0xFFF0` — every §6 query) and the window
-//! holds word keys only, the batch folds on words: one probe pass
-//! through [`GroupTable::upsert_u64`], then an entry-major fold. Any
-//! other batch — a signed, Bool, string, nullable or all-NULL key lane,
-//! an interpreted key, or a window a key of another kind has poisoned —
-//! runs the per-row algorithm of Section 3.1 (`push_one`).
+//! Every group is keyed by words, laid out by the plan's key kinds when
+//! the operator is built ([`GroupTable`]). A batch's group keys are
+//! read one of two ways. When every key reads as words ([`read_words`]:
+//! a non-null unsigned lane, `time/60` or a kernel key such as
+//! `srcIP & 0xFFF0` — every §6 query), the batch folds on words: one
+//! probe pass through [`GroupTable::upsert`], then an entry-major fold.
+//! Any other batch — a signed, Bool, string, nullable or all-NULL key
+//! lane, or an interpreted key — runs the per-row algorithm of Section
+//! 3.1 (`push_one`), which encodes each row's key into the same words
+//! and upserts it into the same table.
 //!
 //! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
 //! when the operator is built: every built-in slot is a run of `u64`
@@ -20,13 +22,12 @@
 use qap_expr::{
     AggKind, BoundExpr, KernelScratch, LaneKind, PredicateKernel, UdafState, WordAgg, LANE_KINDS,
 };
-use qap_types::{ArcStr, Column, ColumnBatch, Field, SelectionVector, Tuple, Value};
+use qap_types::{ArcStr, Column, ColumnBatch, DataType, Field, SelectionVector, Tuple, Value};
 
 use crate::bind::{AccFactory, AggSlot, BoundAggregate};
-use crate::fx;
 use crate::ExecResult;
 
-use super::group_table::{GroupTable, Payload, Window, WindowKeys};
+use super::group_table::{key_hash, GroupTable, Payload, Window};
 use super::keys::{read_words, KeyEval};
 use super::{bucket_of, emit_row, merge_lanes, reset_arity, OpRuntimeStats, Operator};
 
@@ -132,7 +133,9 @@ impl Slot {
         out: &mut Vec<Value>,
     ) -> ExecResult<()> {
         match self.state {
-            SlotState::Word { agg, off } => agg.state_values(&words[off..], strs, out),
+            SlotState::Word { agg, off } => {
+                agg.state_values(&words[off..], strs, self.bound.out, out)
+            }
             SlotState::Side(i) => out.push(self.bound.udaf_value(side[i].partial())?),
         }
         Ok(())
@@ -221,10 +224,11 @@ pub(crate) struct AggregateOp {
     /// Wall-clock nanoseconds spent inside window flushes. Timed per
     /// flush (once per closed window), never per tuple.
     flush_ns: u64,
-    /// Reused group-key buffer: every tuple evaluates its key into this
-    /// scratch and probes by slice; a new group drains the scratch into
-    /// the table's key arena, so no per-group allocation ever happens.
+    /// Reused group-key buffers of the per-row path: every tuple
+    /// evaluates its key into the values, encodes them into the words
+    /// and upserts by slice, so no per-group allocation ever happens.
     key_scratch: Vec<Value>,
+    key_words: Vec<u64>,
     /// Compiled predicate kernel for the columnar path (None: no
     /// predicate, or outside the kernel domain).
     kernel: Option<PredicateKernel>,
@@ -245,7 +249,7 @@ pub(crate) struct AggregateOp {
     fallback_keep: Vec<u32>,
     /// Row-major key words for the word path ([`read_words`]: `arity`
     /// words per row). One buffer, four uses: hash input, probe key
-    /// ([`GroupTable::upsert_u64`]), window-bucket source and insert key.
+    /// ([`GroupTable::upsert`]), window-bucket source and insert key.
     ukeys_flat: Vec<u64>,
     /// `(group entry << 32) | row` per surviving row of the current
     /// window segment (late rows absent), filled by the probe pass and
@@ -274,6 +278,10 @@ impl AggregateOp {
         let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
         let having_kernel = having.as_ref().and_then(PredicateKernel::compile);
         let (slots, words, side) = Slot::plan(slots);
+        let kinds: Vec<DataType> = state_fields[..group_exprs.len()]
+            .iter()
+            .map(Field::data_type)
+            .collect();
         AggregateOp {
             key_evals: group_exprs.iter().map(KeyEval::classify).collect(),
             predicate,
@@ -285,12 +293,13 @@ impl AggregateOp {
             having_scratch: KernelScratch::new(),
             window: Vec::new(),
             current_bucket: None,
-            groups: GroupTable::new(words, side),
-            null_groups: GroupTable::new(words, side),
+            groups: GroupTable::new(kinds.clone(), words, side),
+            null_groups: GroupTable::new(kinds, words, side),
             late: 0,
             flushes: 0,
             flush_ns: 0,
             key_scratch: Vec::new(),
+            key_words: Vec::new(),
             kernel,
             kscratch: KernelScratch::new(),
             sel: SelectionVector::new(),
@@ -320,9 +329,9 @@ impl AggregateOp {
 
     /// Emits every group of one table — the current window's, or with
     /// `null_window` the NULL-window groups — as one batch of lanes: a
-    /// lane per group key, straight off the table's words while the
-    /// window is all-unsigned, then a lane per aggregate slot of its
-    /// finalized (or partial) values — `COUNT` and `OR_AGGR` copied off
+    /// lane per group key, built by its kind from the table's words,
+    /// then a lane per aggregate slot of its finalized (or partial)
+    /// values — `COUNT` and `OR_AGGR` copied off
     /// their state words. HAVING filters that batch — the compiled
     /// kernel, or the interpreter over the same lanes when the kernel
     /// refuses the predicate or bails — and the survivors leave by
@@ -334,7 +343,6 @@ impl AggregateOp {
             &self.groups
         };
         let Window {
-            keys,
             words,
             side,
             strs,
@@ -351,12 +359,7 @@ impl AggregateOp {
         cols.resize_with(arity + width, Column::new);
         cols.iter_mut().for_each(Column::clear);
         let (key_cols, slot_cols) = cols.split_at_mut(arity);
-        for (k, c) in key_cols.iter_mut().enumerate() {
-            match keys {
-                WindowKeys::Words(w) => c.extend_uints(w[k..].iter().step_by(arity).copied()),
-                WindowKeys::Values(v) => v[k..].iter().step_by(arity).for_each(|x| c.push(x)),
-            }
-        }
+        table.key_lanes(key_cols);
         for (slot, c) in self.slots.iter().zip(slot_cols) {
             if let SlotState::Word {
                 agg: WordAgg::Count | WordAgg::Or,
@@ -439,14 +442,14 @@ impl AggregateOp {
         Ok(true)
     }
 
-    /// Finds or creates the group of the key in `key_scratch` (hashed
-    /// to `hash`): in the NULL-window table when its window attribute
-    /// is NULL (e.g. outer-join padding: no window ever closes over it,
-    /// so it accumulates until end-of-stream), else in the current
-    /// window once [`AggregateOp::admit`] lets it in. Returns whether
-    /// the group is a NULL-window one and its entry, `None` for a late
-    /// key.
-    fn group_of(&mut self, hash: u64, out: &mut ColumnBatch) -> ExecResult<Option<(bool, usize)>> {
+    /// Finds or creates the group of the key in `key_scratch`, encoded
+    /// into `key_words`: in the NULL-window table when its window
+    /// attribute is NULL (e.g. outer-join padding: no window ever closes
+    /// over it, so it accumulates until end-of-stream), else in the
+    /// current window once [`AggregateOp::admit`] lets it in. Returns
+    /// whether the group is a NULL-window one and its entry, `None` for
+    /// a late key.
+    fn group_of(&mut self, out: &mut ColumnBatch) -> ExecResult<Option<(bool, usize)>> {
         let temporal = &self.key_scratch[self.temporal_idx];
         let null = temporal.is_null();
         if !null && !self.admit(bucket_of(temporal), out)? {
@@ -457,24 +460,30 @@ impl AggregateOp {
         } else {
             &mut self.groups
         };
-        let e = table.get_or_insert(hash, &mut self.key_scratch, fresh_side(&self.slots));
+        let key = &mut self.key_words;
+        let mask = table.encode(&self.key_scratch, key);
+        let mut walked = 0;
+        let e = table.upsert(
+            key_hash(key, mask),
+            key,
+            mask,
+            &mut walked,
+            fresh_side(&self.slots),
+        );
+        table.add_probes(walked);
         Ok(Some((null, e)))
     }
 
     /// The per-tuple algorithm (Section 3.1), for a tuple the predicate
-    /// has kept: evaluate the group key into the reused scratch —
-    /// hashing it in the same pass — find or create its group in the
-    /// current window (a later window closes this one first), and fold
-    /// the tuple into every slot.
+    /// has kept: evaluate the group key into the reused scratch, find or
+    /// create its group in the current window (a later window closes
+    /// this one first), and fold the tuple into every slot.
     fn push_one(&mut self, tuple: &Tuple, out: &mut ColumnBatch) -> ExecResult<()> {
         self.key_scratch.clear();
-        let mut vh = fx::ValueHash::new();
         for e in &self.group_exprs {
-            let v = e.eval(tuple)?;
-            vh.add(&v);
-            self.key_scratch.push(v);
+            self.key_scratch.push(e.eval(tuple)?);
         }
-        let Some((null, e)) = self.group_of(vh.finish(), out)? else {
+        let Some((null, e)) = self.group_of(out)? else {
             return Ok(());
         };
         let table = if null {
@@ -532,10 +541,10 @@ impl AggregateOp {
     }
 
     /// The word path over a batch whose keys [`read_words`] laid out as
-    /// `flat` (`arity` words per row) and hashed into `hashes`, into a
-    /// window whose keys are all words: the one buffer serves as hash
-    /// input, probe key, window-bucket source and insert key, so the
-    /// per-row loop touches no `Value` at all.
+    /// `flat` (`arity` words per row, none NULL) and hashed into
+    /// `hashes`: the one buffer serves as hash input, probe key,
+    /// window-bucket source and insert key, so the per-row loop touches
+    /// no `Value` at all.
     fn push_words(
         &mut self,
         batch: &ColumnBatch,
@@ -558,7 +567,7 @@ impl AggregateOp {
         ents.clear();
         // Probe tally lives in a register for the whole batch — a
         // per-row `Cell` update would chain the iterations through
-        // memory (see `upsert_u64`).
+        // memory (see `upsert`).
         let mut walked = 0u64;
         for (r, (key, &hash)) in flat.chunks_exact(arity).zip(hashes).enumerate() {
             let bucket = i128::from(key[t_off]);
@@ -585,7 +594,7 @@ impl AggregateOp {
             }
             let e = self
                 .groups
-                .upsert_u64(hash, key, &mut walked, fresh_side(&self.slots));
+                .upsert(hash, key, 0, &mut walked, fresh_side(&self.slots));
             ents.push((e as u64) << 32 | r as u64);
         }
         self.groups.add_probes(walked);
@@ -703,9 +712,9 @@ fn fold_row(
 
 /// Walks one group table, shipping every group whose key satisfies
 /// `pred` as a state row (key values, then each slot's lossless
-/// accumulator state) and re-inserting the keepers. The table's probe
-/// structure is rebuilt for the keepers; migration is an epoch-boundary
-/// event, so the rebuild is off every hot path.
+/// accumulator state) and re-inserting the keepers with their words.
+/// The table's probe structure is rebuilt for the keepers; migration is
+/// an epoch-boundary event, so the rebuild is off every hot path.
 fn extract_from_table(
     table: &mut GroupTable<Udaf>,
     slots: &[Slot],
@@ -718,14 +727,13 @@ fn extract_from_table(
     }
     let (keys, words, side, n) = table.take_entries();
     let (words_w, side_w) = (words.len() / n, side.len() / n);
-    let mut key_iter = keys.into_iter();
     let mut side_iter = side.into_iter();
     let mut scratch: Vec<Value> = Vec::with_capacity(arity);
     let mut accs: Vec<Udaf> = Vec::with_capacity(side_w);
-    for e in 0..n {
+    for (e, key) in keys.chunks_exact(arity + 1).enumerate() {
         let w = &words[e * words_w..(e + 1) * words_w];
         scratch.clear();
-        scratch.extend(key_iter.by_ref().take(arity));
+        scratch.extend((0..arity).map(|k| table.key_value(key, k)));
         accs.extend(side_iter.by_ref().take(side_w));
         if pred(&scratch) {
             for slot in slots {
@@ -736,11 +744,7 @@ fn extract_from_table(
             emit_row(out, &row);
             scratch = row.into_values();
         } else {
-            let mut vh = fx::ValueHash::new();
-            for v in &scratch {
-                vh.add(v);
-            }
-            let e = table.insert_new(vh.finish(), &mut scratch, accs.drain(..));
+            let e = table.put_back(key, accs.drain(..));
             table.payload_mut(e).words.copy_from_slice(w);
         }
     }
@@ -811,10 +815,8 @@ impl Operator for AggregateOp {
         }
         // The keys read as words — the shape of every §6 query — or the
         // whole batch takes the per-tuple algorithm, one materialized
-        // row at a time: a key lane that is not words, or a window an
-        // earlier row of another kind has poisoned (no single lane to
-        // blame: tallied as `Mixed`). The windows it closes still leave
-        // as lanes.
+        // row at a time, into the same table. The windows it closes
+        // still leave as lanes.
         let mut flat = std::mem::take(&mut self.ukeys_flat);
         let mut hashes = std::mem::take(&mut self.hash_scratch);
         let read = read_words(
@@ -825,8 +827,7 @@ impl Operator for AggregateOp {
             &mut hashes,
         );
         let res = match read {
-            Ok(()) if self.groups.u64_keys_ok() => self.push_words(batch, &flat, &hashes, out),
-            Ok(()) => self.push_rows(LaneKind::Mixed, batch, out),
+            Ok(()) => self.push_words(batch, &flat, &hashes, out),
             Err(kind) => self.push_rows(kind, batch, out),
         };
         self.ukeys_flat = flat;
@@ -907,13 +908,8 @@ impl Operator for AggregateOp {
         let mut vals = Vec::with_capacity(state_w);
         for r in 0..state.rows() {
             self.key_scratch.clear();
-            let mut vh = fx::ValueHash::new();
-            for c in keys {
-                let v = c.value(r);
-                vh.add(&v);
-                self.key_scratch.push(v);
-            }
-            let Some((null, e)) = self.group_of(vh.finish(), out)? else {
+            self.key_scratch.extend(keys.iter().map(|c| c.value(r)));
+            let Some((null, e)) = self.group_of(out)? else {
                 continue;
             };
             let table = if null {

@@ -1,7 +1,7 @@
 //! Insertion-ordered, two-level hash table for per-window operator
 //! state.
 //!
-//! The aggregation inner loop probes a value-keyed map on every tuple.
+//! The aggregation inner loop probes a key-indexed map on every tuple.
 //! A `std::collections::HashMap` makes that loop pay for SipHash on the
 //! probe, a *second* full hash on the miss→insert path, a key clone to
 //! track insertion order, and one more hash per group when the window
@@ -19,19 +19,16 @@
 //! - a probe loads one 8-byte slot (the hash's low 32 bits + entry id),
 //!   rejects on a tag mismatch without touching the key arena, and walks
 //!   linearly — no collision-chain pointer chasing across side arrays;
-//! - keys live in one **global** flat arena (`arity` keys per entry)
-//!   shared by all partitions, so entries stay in insertion order
-//!   regardless of which partition indexes them and a hash-confirmed
-//!   probe compares against contiguous memory;
-//! - while every key inserted this window is all-unsigned (the network
-//!   schema case), that arena is a `u64` **word arena**:
-//!   [`GroupTable::upsert_u64`] probes with plain word compares and
-//!   stores nothing else, and the window closes straight off the words
-//!   ([`GroupTable::window`]). The `Value` arena is built from the words
-//!   only when something needs values — a `Value` probe or insert, or
-//!   [`GroupTable::take_entries`] — and the first non-unsigned key
-//!   poisons the word arena for the window (the `Value` probe is always
-//!   available and always exact);
+//! - keys live in one **global** flat arena of `u64` words shared by
+//!   all partitions, so entries stay in insertion order regardless of
+//!   which partition indexes them and a hash-confirmed probe compares
+//!   contiguous words. The layout is fixed by the plan's key kinds when
+//!   the table is built: a `uint` is its word, an `int` its
+//!   two's-complement bits, a `bool` 0 or 1 and a `string` its index in
+//!   the string pool, and a **mask word** after an entry's keys flags
+//!   its NULL keys. A key read off unsigned lanes is already its words
+//!   ([`GroupTable::upsert`]); any other is encoded first
+//!   ([`GroupTable::encode`]), and both probe the one table;
 //! - payloads live in two more flat arenas: `u64` **state words** (a
 //!   fixed count per entry, all zero when the group is created) and
 //!   `side` payloads for state that is not words (a fixed count per
@@ -40,9 +37,9 @@
 //!   per-group heap `Vec`, creating a group extends the arenas in place
 //!   — again no allocation per group — and a table without side
 //!   payloads clears with no drop loop;
-//! - strings the state words refer to (a `MIN`/`MAX` extreme that is a
-//!   string) sit in one **string pool** per table, indexed from the
-//!   words; it empties with the window;
+//! - strings the words refer to (a string key, interned once per
+//!   window, or a `MIN`/`MAX` extreme that is a string) sit in one
+//!   **string pool** per table; it empties with the window;
 //! - entries stay in insertion order (arena append order), so closing a
 //!   window reads the arenas front to back — no re-hash, no order
 //!   side-vector, no clones.
@@ -51,14 +48,18 @@
 //! output is independent of the hash function and identical across
 //! batch sizes — the property the equivalence suite pins down.
 //!
-//! `u64`-probe exactness: group-key equality is *structural* (`Value`'s
-//! derived `PartialEq`: `UInt(5) ≠ Int(5)`), so raw word comparison is
-//! exact precisely when both the stored key and the probe key are
-//! all-`UInt` — which is what `ukeys_ok` tracks for the stored side and
-//! the key reader (`ops::keys::read_words`) guarantees for the probe
-//! side.
+//! Probe exactness: every key of one table has the same kinds, so two
+//! keys are equal exactly when their words and masks are. A key with no
+//! NULL hashes its words alone ([`key_hash`] folds the mask in only when
+//! it is non-zero), which is the hash the key reader
+//! (`ops::keys::read_words`) gives the same key read off its lanes.
 
-use qap_types::{ArcStr, Value};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use qap_types::{ArcStr, Column, DataType, Value};
+
+use crate::fx::{fold_word, FxHasher};
 
 /// One open-addressed index slot: the low 32 bits of the entry's hash
 /// (its tag) and its arena index *plus one* (`0` marks a vacant slot).
@@ -76,6 +77,18 @@ const PART_SHIFT: u32 = 64 - PARTITIONS.trailing_zeros();
 /// Entries the flat arenas make room for when the first key of a window
 /// finds them unallocated (see [`GroupTable::first_entry`]).
 const FIRST_ENTRIES: usize = 256;
+
+/// The hash of a key's words and NULL mask: the fx fold of the words,
+/// then of the mask when a key is NULL.
+#[inline]
+pub(crate) fn key_hash(key: &[u64], mask: u64) -> u64 {
+    let h = key.iter().fold(0, |h, &w| fold_word(h, w));
+    if mask == 0 {
+        h
+    } else {
+        fold_word(h, mask)
+    }
+}
 
 /// One first-level partition: an independently sized open-addressed
 /// slot array over the shared entry arenas.
@@ -116,22 +129,14 @@ impl Partition {
     }
 }
 
-/// The current window's keys, in insertion order (`arity` per entry),
-/// as the table stores them: words while every key is all-unsigned,
-/// values otherwise.
-pub(crate) enum WindowKeys<'a> {
-    Words(&'a [u64]),
-    Values(&'a [Value]),
-}
-
-/// The current window as stored, every arena in insertion order.
+/// The current window's payloads as stored, every arena in insertion
+/// order.
 pub(crate) struct Window<'a, P> {
-    pub(crate) keys: WindowKeys<'a>,
     /// The state words, the same count per entry.
     pub(crate) words: &'a [u64],
     /// The side payloads, the same count per entry.
     pub(crate) side: &'a [P],
-    /// The strings the state words index.
+    /// The strings the key and state words index.
     pub(crate) strs: &'a [ArcStr],
     pub(crate) len: usize,
 }
@@ -144,27 +149,22 @@ pub(crate) struct Payload<'a, P> {
     pub(crate) strs: &'a mut Vec<ArcStr>,
 }
 
-/// Hash table mapping a fixed-arity `[Value]` key to a fixed-width
-/// payload — a slice of state words and a slice of side payloads `P` —
-/// preserving insertion order. All keys passed to one table must share
-/// the same arity (an operator's group-key width); both payload widths
-/// are fixed at construction (by an operator's aggregate slots).
+/// Hash table mapping a group key of fixed kinds, as words, to a
+/// fixed-width payload — a slice of state words and a slice of side
+/// payloads `P` — preserving insertion order. The key kinds and both
+/// payload widths are fixed at construction (by an operator's group
+/// keys and aggregate slots).
 pub(crate) struct GroupTable<P> {
     /// First-level partitions, selected by the hash's top bits.
     parts: Vec<Partition>,
     /// Number of live entries across all partitions.
     len: usize,
-    /// Flat key values: entry `e` owns `keys[e*arity .. (e+1)*arity]`.
-    /// While `ukeys_ok` this covers only a prefix of the entries (those
-    /// before the last word upsert); [`GroupTable::sync_keys`] extends
-    /// it from the words before anything reads it.
-    keys: Vec<Value>,
-    /// Flat key words (entry `e` owns `ukeys[e*arity .. (e+1)*arity]`):
-    /// every entry's key while `ukeys_ok`, empty otherwise.
-    ukeys: Vec<u64>,
-    /// Whether every key inserted since the last drain was all-`UInt`
-    /// (so `ukeys` holds every key and word probes are exact).
-    ukeys_ok: bool,
+    /// Each key's kind: how its word decodes.
+    kinds: Vec<DataType>,
+    /// Flat key words: entry `e` owns `keys[e*(arity+1) ..
+    /// (e+1)*(arity+1)]`, its keys' words and then its NULL mask (bit
+    /// `k` set when key `k` is NULL, whose word is then zero).
+    keys: Vec<u64>,
     /// Flat state words: entry `e` owns `words[e*words_w ..
     /// (e+1)*words_w]`, zeroed when the entry is created.
     words: Vec<u64>,
@@ -173,8 +173,12 @@ pub(crate) struct GroupTable<P> {
     /// (e+1)*side_w]`.
     side: Vec<P>,
     side_w: usize,
-    /// Strings the state words index, kept until the window closes.
+    /// Strings the key and state words index, kept until the window
+    /// closes.
     strs: Vec<ArcStr>,
+    /// Each key string's index in `strs`. A `MIN`/`MAX` extreme never
+    /// shares one: its slot overwrites its pool entry in place.
+    interned: HashMap<ArcStr, u64, BuildHasherDefault<FxHasher>>,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.
     probes: u64,
@@ -184,18 +188,21 @@ pub(crate) struct GroupTable<P> {
 }
 
 impl<P> GroupTable<P> {
-    pub(crate) fn new(words_w: usize, side_w: usize) -> Self {
+    /// A table keyed by keys of `kinds`, at most
+    /// [`crate::bind::MAX_GROUP_KEYS`] (one mask bit each).
+    pub(crate) fn new(kinds: Vec<DataType>, words_w: usize, side_w: usize) -> Self {
+        assert!(kinds.len() <= crate::bind::MAX_GROUP_KEYS);
         GroupTable {
             parts: (0..PARTITIONS).map(|_| Partition::default()).collect(),
             len: 0,
+            kinds,
             keys: Vec::new(),
-            ukeys: Vec::new(),
-            ukeys_ok: true,
             words: Vec::new(),
             words_w,
             side: Vec::new(),
             side_w,
             strs: Vec::new(),
+            interned: HashMap::default(),
             probes: 0,
             inserts: 0,
         }
@@ -221,54 +228,7 @@ impl<P> GroupTable<P> {
         self.inserts
     }
 
-    /// Whether [`GroupTable::upsert_u64`] is currently exact: every key
-    /// inserted since the last drain was all-`UInt`.
-    pub(crate) fn u64_keys_ok(&self) -> bool {
-        self.ukeys_ok
-    }
-
-    /// Builds the `Value` arena up to the last entry from the words the
-    /// word upserts left: a no-op unless a word upsert came after the
-    /// last `Value` access.
-    fn sync_keys(&mut self) {
-        if self.ukeys_ok && self.keys.len() < self.ukeys.len() {
-            let done = self.keys.len();
-            self.keys
-                .extend(self.ukeys[done..].iter().map(|&w| Value::UInt(w)));
-        }
-    }
-
-    /// Entry index of `key`, or `None` when the group does not exist.
-    #[inline]
-    fn find(&mut self, hash: u64, key: &[Value]) -> Option<usize> {
-        self.sync_keys();
-        let arity = key.len();
-        let p = &self.parts[(hash >> PART_SHIFT) as usize];
-        if p.slots.is_empty() {
-            return None;
-        }
-        let mut i = (hash & p.mask) as usize;
-        let mut inspected = 0u64;
-        let found = loop {
-            inspected += 1;
-            let (h, e1) = p.slots[i];
-            if e1 == 0 {
-                break None;
-            }
-            if h == hash as u32 {
-                let e = (e1 - 1) as usize;
-                if self.keys[e * arity..(e + 1) * arity] == *key {
-                    break Some(e);
-                }
-            }
-            i = (i + 1) & p.mask as usize;
-        };
-        self.probes += inspected;
-        found
-    }
-
-    /// The payload of entry `e` (an index returned by a probe or an
-    /// insert).
+    /// The payload of entry `e` (an index returned by an upsert).
     #[inline]
     pub(crate) fn payload_mut(&mut self, e: usize) -> Payload<'_, P> {
         Payload {
@@ -278,127 +238,117 @@ impl<P> GroupTable<P> {
         }
     }
 
-    /// Entry index of `key`, creating the group when absent: the key
-    /// drains out of the caller's scratch buffer (so the scratch keeps
-    /// its capacity for the next tuple), the new entry's words start at
-    /// zero and its side payloads fill from `fresh`. The single-probe
-    /// hit-or-insert of the per-tuple algorithm.
-    #[inline]
-    pub(crate) fn get_or_insert(
-        &mut self,
-        hash: u64,
-        key: &mut Vec<Value>,
-        fresh: impl Iterator<Item = P>,
-    ) -> usize {
-        match self.find(hash, key) {
-            Some(e) => e,
-            None => self.insert_new(hash, key, fresh),
+    /// Encodes the key `vals` (one value per key, each NULL or of its
+    /// key's kind) into `key`, one word per key, and returns its NULL
+    /// mask. A string key becomes its index in the string pool, interned
+    /// the first time the window sees it.
+    pub(crate) fn encode(&mut self, vals: &[Value], key: &mut Vec<u64>) -> u64 {
+        key.clear();
+        let mut mask = 0;
+        for (k, v) in vals.iter().enumerate() {
+            debug_assert!(v.data_type().is_none_or(|t| t == self.kinds[k]));
+            key.push(match v {
+                Value::Null => {
+                    mask |= 1 << k;
+                    0
+                }
+                Value::UInt(x) => *x,
+                Value::Int(x) => *x as u64,
+                Value::Bool(b) => u64::from(*b),
+                Value::Str(s) => match self.interned.get(s) {
+                    Some(&i) => i,
+                    None => {
+                        self.strs.push(s.clone());
+                        let i = self.strs.len() as u64 - 1;
+                        self.interned.insert(s.clone(), i);
+                        i
+                    }
+                },
+            });
+        }
+        mask
+    }
+
+    /// Key `k` of an entry's key words (its keys' words, then the mask)
+    /// as a value of its kind: the inverse of [`GroupTable::encode`].
+    pub(crate) fn key_value(&self, key: &[u64], k: usize) -> Value {
+        let w = key[k];
+        if key[self.kinds.len()] >> k & 1 != 0 {
+            return Value::Null;
+        }
+        match self.kinds[k] {
+            DataType::UInt => Value::UInt(w),
+            DataType::Int => Value::Int(w as i64),
+            DataType::Bool => Value::Bool(w != 0),
+            DataType::Str => Value::Str(self.strs[w as usize].clone()),
+        }
+    }
+
+    /// Appends every entry's key, in insertion order, to `cols`, one
+    /// lane per key of its kind: an unsigned key that is never NULL is
+    /// copied straight off the words.
+    pub(crate) fn key_lanes(&self, cols: &mut [Column]) {
+        let stride = self.kinds.len() + 1;
+        let nulls = (self.keys[stride - 1..].iter().step_by(stride)).fold(0, |a, m| a | m);
+        for (k, c) in cols.iter_mut().enumerate() {
+            match self.kinds[k] {
+                DataType::UInt if nulls >> k & 1 == 0 => {
+                    c.extend_uints(self.keys[k..].iter().step_by(stride).copied())
+                }
+                _ => {
+                    (self.keys.chunks_exact(stride)).for_each(|key| c.push(&self.key_value(key, k)))
+                }
+            }
         }
     }
 
     /// Sizes the flat arenas the first key of a window goes into for
-    /// [`FIRST_ENTRIES`] entries — the `Value` arena only when that key
-    /// arrives as values — instead of letting each double its way up
-    /// from four elements. Besides the eight regrowths this saves, it
-    /// decides *where* the arenas live: the allocator serves a request
-    /// of a few words from the thread's cache of chunks it freed last —
-    /// on a central unit, chunks a session or leaf thread allocated —
-    /// and every later `realloc` stays in the malloc arena that first
-    /// chunk belongs to. A key arena that grew to its 800 KB there left
-    /// that thread's malloc arena 2 MB larger for the rest of the
-    /// process, in some runs and not in others (EXPERIMENTS.md, PR 23
+    /// [`FIRST_ENTRIES`] entries, instead of letting each double its
+    /// way up from four elements. Besides the eight regrowths this
+    /// saves, it decides *where* the arenas live: the allocator serves a
+    /// request of a few words from the thread's cache of chunks it freed
+    /// last — on a central unit, chunks a session or leaf thread
+    /// allocated — and every later `realloc` stays in the malloc arena
+    /// that first chunk belongs to. A key arena that grew to its 800 KB
+    /// there left that thread's malloc arena 2 MB larger for the rest of
+    /// the process, in some runs and not in others (EXPERIMENTS.md,
     /// *Steadiness*); a block this size comes from the caller's own.
     #[cold]
-    fn first_entry(&mut self, arity: usize, values: bool) {
-        if values {
-            self.keys.reserve(FIRST_ENTRIES * arity);
-        }
-        self.ukeys.reserve(FIRST_ENTRIES * arity);
+    fn first_entry(&mut self, stride: usize) {
+        self.keys.reserve(FIRST_ENTRIES * stride);
         self.words.reserve(FIRST_ENTRIES * self.words_w);
         self.side.reserve(FIRST_ENTRIES * self.side_w);
     }
 
-    /// Appends a new entry's payloads: zeroed words, side from `fresh`.
-    fn push_payload(&mut self, fresh: impl Iterator<Item = P>) -> usize {
-        self.words.resize(self.words.len() + self.words_w, 0);
-        self.side.extend(fresh);
-        debug_assert_eq!(self.side.len(), self.len * self.side_w);
-        self.len - 1
-    }
-
-    /// Inserts a key known to be absent (callers probe first, or rebuild
-    /// a table from its own distinct keys), draining it out of the caller's
-    /// scratch buffer so the scratch keeps its capacity for the next
-    /// tuple, zeroing the entry's words and filling its side payloads
-    /// from `fresh`. Returns the new entry's index.
-    pub(crate) fn insert_new(
-        &mut self,
-        hash: u64,
-        key: &mut Vec<Value>,
-        fresh: impl Iterator<Item = P>,
-    ) -> usize {
-        if self.len == 0 {
-            self.first_entry(key.len(), true);
-        }
-        self.sync_keys();
-        let p = &mut self.parts[(hash >> PART_SHIFT) as usize];
-        if p.len * 2 >= p.slots.len() {
-            p.grow();
-        }
-        self.inserts += 1;
-        let mut i = (hash & p.mask) as usize;
-        while p.slots[i].1 != 0 {
-            i = (i + 1) & p.mask as usize;
-        }
-        self.len += 1;
-        p.len += 1;
-        p.slots[i] = (hash as u32, self.len as u32);
-        // Mirror the key into the word arena while it stays all-`UInt`;
-        // the first other kind poisons word probes for this window.
-        if self.ukeys_ok {
-            for v in key.iter() {
-                match v {
-                    Value::UInt(x) => self.ukeys.push(*x),
-                    _ => {
-                        self.ukeys_ok = false;
-                        self.ukeys.clear();
-                        break;
-                    }
-                }
-            }
-        }
-        self.keys.append(key);
-        self.push_payload(fresh)
-    }
-
-    /// All-unsigned find-or-insert for the columnar fast path: the key
-    /// arrives as raw words (one per lane), one probe walk serves both
-    /// the lookup and — on a miss — the insert position, and the key
-    /// goes into the word arena only (no `Value` is built). Returns the
-    /// entry index. Callers check [`GroupTable::u64_keys_ok`] and
-    /// guarantee every word is a `Value::UInt` payload, or the probe is
-    /// meaningless.
+    /// Find-or-insert of the key whose words are `key` (one per key)
+    /// and NULL mask `mask`, hashed by [`key_hash`]: one probe walk
+    /// serves both the lookup and — on a miss — the insert position.
+    /// A new entry's words start at zero and its side payloads fill from
+    /// `fresh`. Returns the entry index.
     ///
     /// Probes are tallied into `counted`, a caller-held register, not
     /// directly into [`GroupTable::probes`]: a per-call
     /// read-modify-write of the field is a loop-carried dependency
     /// through memory that serializes the caller's row loop. The caller
-    /// folds the tally in once per batch via [`GroupTable::add_probes`]
-    /// — final counter values still match the row path's walk-by-walk
-    /// accounting exactly.
-    pub(crate) fn upsert_u64(
+    /// folds the tally in once per batch via [`GroupTable::add_probes`].
+    ///
+    /// Always inlined: the word path's row loop calls it per row, and
+    /// with the per-row path as a second caller the compiler otherwise
+    /// keeps it out of line.
+    #[inline(always)]
+    pub(crate) fn upsert(
         &mut self,
         hash: u64,
-        ukey: &[u64],
+        key: &[u64],
+        mask: u64,
         counted: &mut u64,
         fresh: impl Iterator<Item = P>,
     ) -> usize {
-        debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
-        let arity = ukey.len();
+        debug_assert_eq!(key.len(), self.kinds.len());
+        let stride = key.len() + 1;
         let pi = (hash >> PART_SHIFT) as usize;
-        // Probe walk, counted exactly like `find`'s — row- and
-        // column-pushed streams must report identical probe telemetry —
-        // landing on the empty slot the insert will fill on a miss.
+        // Probe walk, landing on the empty slot the insert will fill on
+        // a miss.
         let mut landing = None;
         let p = &self.parts[pi];
         if !p.slots.is_empty() {
@@ -416,8 +366,8 @@ impl<P> GroupTable<P> {
                     // Explicit word loop: group keys are 1-5 words, so
                     // an unrolled compare beats the memcmp call a slice
                     // `==` lowers to at these lengths.
-                    let cand = &self.ukeys[e * arity..(e + 1) * arity];
-                    if cand.iter().zip(ukey).all(|(a, b)| a == b) {
+                    let cand = &self.keys[e * stride..(e + 1) * stride];
+                    if cand[stride - 1] == mask && cand.iter().zip(key).all(|(a, b)| a == b) {
                         *counted += inspected;
                         return e;
                     }
@@ -427,7 +377,7 @@ impl<P> GroupTable<P> {
             *counted += inspected;
         }
         if self.len == 0 {
-            self.first_entry(arity, false);
+            self.first_entry(stride);
         }
         let p = &mut self.parts[pi];
         let i = if p.len * 2 >= p.slots.len() {
@@ -444,27 +394,33 @@ impl<P> GroupTable<P> {
         self.len += 1;
         p.len += 1;
         p.slots[i] = (hash as u32, self.len as u32);
-        self.ukeys.extend_from_slice(ukey);
-        self.push_payload(fresh)
+        self.keys.extend_from_slice(key);
+        self.keys.push(mask);
+        self.words.resize(self.words.len() + self.words_w, 0);
+        self.side.extend(fresh);
+        debug_assert_eq!(self.side.len(), self.len * self.side_w);
+        self.len - 1
+    }
+
+    /// Puts back an entry [`GroupTable::take_entries`] took, from its
+    /// key words (the mask last). Putting a group back is no lookup: its
+    /// walk is not tallied.
+    pub(crate) fn put_back(&mut self, key: &[u64], fresh: impl Iterator<Item = P>) -> usize {
+        let (mask, key) = key.split_last().expect("a key has a mask word");
+        self.upsert(key_hash(key, *mask), key, *mask, &mut 0, fresh)
     }
 
     /// Folds a batch's probe tally (accumulated across
-    /// [`GroupTable::upsert_u64`] calls) into the probe counter.
+    /// [`GroupTable::upsert`] calls) into the probe counter.
     #[inline]
     pub(crate) fn add_probes(&mut self, counted: u64) {
         self.probes += counted;
     }
 
     /// The current window as stored, for the caller to close before
-    /// [`GroupTable::clear`]. Word keys are handed over as words: no
-    /// `Value` arena is built to close a window.
+    /// [`GroupTable::clear`].
     pub(crate) fn window(&self) -> Window<'_, P> {
         Window {
-            keys: if self.ukeys_ok {
-                WindowKeys::Words(&self.ukeys)
-            } else {
-                WindowKeys::Values(&self.keys)
-            },
             words: &self.words,
             side: &self.side,
             strs: &self.strs,
@@ -473,34 +429,35 @@ impl<P> GroupTable<P> {
     }
 
     /// Empties the table for the next window: arenas and slot storage
-    /// keep their capacity, word probes re-arm.
+    /// keep their capacity.
     pub(crate) fn clear(&mut self) {
+        self.clear_entries();
+        self.strs.clear();
+        self.interned.clear();
+    }
+
+    /// Empties the index and the entry arenas, but not the string pool.
+    fn clear_entries(&mut self) {
         for p in &mut self.parts {
             p.slots.fill((0, 0));
             p.len = 0;
         }
         self.len = 0;
         self.keys.clear();
-        self.ukeys.clear();
-        self.ukeys_ok = true;
         self.words.clear();
         self.side.clear();
-        self.strs.clear();
     }
 
-    /// Takes every entry in insertion order — the flat key arena as
-    /// values (`arity` per entry), the word and side arenas and the
-    /// entry count — and empties the table but for the string pool,
-    /// which the taken words and those put back still index.
-    pub(crate) fn take_entries(&mut self) -> (Vec<Value>, Vec<u64>, Vec<P>, usize) {
-        self.sync_keys();
+    /// Takes every entry in insertion order — the key, word and side
+    /// arenas and the entry count — and empties the table but for the
+    /// string pool, which the taken words and those put back still
+    /// index.
+    pub(crate) fn take_entries(&mut self) -> (Vec<u64>, Vec<u64>, Vec<P>, usize) {
         let n = self.len;
         let keys = std::mem::take(&mut self.keys);
         let words = std::mem::take(&mut self.words);
         let side = std::mem::take(&mut self.side);
-        let strs = std::mem::take(&mut self.strs);
-        self.clear();
-        self.strs = strs;
+        self.clear_entries();
         (keys, words, side, n)
     }
 }
@@ -508,16 +465,15 @@ impl<P> GroupTable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fx::hash_values;
 
-    /// Probe-only forms of the table's walks, for the tests.
+    /// Probe-only and by-value forms of the table's walks, for the
+    /// tests.
     impl<P> GroupTable<P> {
-        /// Entry index of the group whose key words equal `ukey` — the
-        /// non-mutating form of [`GroupTable::upsert_u64`]'s probe walk,
-        /// kept as a test oracle for word/value probe agreement.
-        fn find_u64(&self, hash: u64, ukey: &[u64]) -> Option<usize> {
-            debug_assert!(self.ukeys_ok, "caller checks u64_keys_ok");
-            let arity = ukey.len();
+        /// Entry index of the group whose key words and mask equal
+        /// `key` and `mask` — the non-mutating form of
+        /// [`GroupTable::upsert`]'s probe walk.
+        fn find(&self, key: &[u64], mask: u64) -> Option<usize> {
+            let (hash, stride) = (key_hash(key, mask), key.len() + 1);
             let p = &self.parts[(hash >> PART_SHIFT) as usize];
             if p.slots.is_empty() {
                 return None;
@@ -528,52 +484,81 @@ mod tests {
                 if e1 == 0 {
                     return None;
                 }
-                if h == hash as u32 {
-                    let e = (e1 - 1) as usize;
-                    if self.ukeys[e * arity..(e + 1) * arity] == *ukey {
-                        return Some(e);
-                    }
+                let e = (e1 - 1) as usize;
+                let cand = &self.keys[e * stride..(e + 1) * stride];
+                if h == hash as u32 && cand[..key.len()] == *key && cand[key.len()] == mask {
+                    return Some(e);
                 }
                 i = (i + 1) & p.mask as usize;
             }
         }
 
-        /// Mutable side payloads of `key` (pre-hashed with
-        /// [`crate::fx::hash_values`]), or `None` when the group does not
-        /// exist yet. The hot path goes through
-        /// [`GroupTable::get_or_insert`]; this probe-only form backs the
-        /// unit tests.
-        fn get_mut(&mut self, hash: u64, key: &[Value]) -> Option<&mut [P]> {
-            let e = self.find(hash, key)?;
+        /// Entry index of the group of the values `vals`, encoded as the
+        /// per-row path encodes them.
+        fn find_values(&mut self, vals: &[Value]) -> Option<usize> {
+            let mut key = Vec::new();
+            let mask = self.encode(vals, &mut key);
+            self.find(&key, mask)
+        }
+
+        /// Mutable side payloads of the group of `vals`, or `None` when
+        /// it does not exist yet.
+        fn get_mut(&mut self, vals: &[Value]) -> Option<&mut [P]> {
+            let e = self.find_values(vals)?;
             Some(self.payload_mut(e).side)
         }
+
+        /// The per-row path's find-or-insert: `vals` encoded, hashed and
+        /// upserted, its probes tallied.
+        fn upsert_values(&mut self, vals: &[Value], fresh: impl Iterator<Item = P>) -> usize {
+            let mut key = Vec::new();
+            let mask = self.encode(vals, &mut key);
+            let mut walked = 0;
+            let e = self.upsert(key_hash(&key, mask), &key, mask, &mut walked, fresh);
+            self.add_probes(walked);
+            e
+        }
+
+        /// Every entry's key as values, in insertion order.
+        fn key_values(&self) -> Vec<Value> {
+            let arity = self.kinds.len();
+            (self.keys.chunks_exact(arity + 1))
+                .flat_map(|key| (0..arity).map(|k| self.key_value(key, k)))
+                .collect()
+        }
+    }
+
+    const UINTS: [DataType; 2] = [DataType::UInt, DataType::UInt];
+
+    fn table(words_w: usize, side_w: usize) -> GroupTable<u64> {
+        GroupTable::new(UINTS.to_vec(), words_w, side_w)
     }
 
     fn key(v: u64) -> Vec<Value> {
         vec![Value::UInt(v), Value::UInt(v.wrapping_mul(7))]
     }
 
+    fn words(v: u64) -> [u64; 2] {
+        [v, v.wrapping_mul(7)]
+    }
+
     #[test]
     fn insert_probe_drain_in_order() {
         // Width-2 side payloads: [v, 0] at insert, second slot bumped on
         // every probe; one state word, zero at insert, set to `v + 1`.
-        let mut t: GroupTable<u64> = GroupTable::new(1, 2);
+        let mut t = table(1, 2);
         for v in 0..100u64 {
-            let mut k = key(v);
-            let h = hash_values(&k);
-            assert!(t.get_mut(h, &k).is_none());
-            let e = t.insert_new(h, &mut k, [v, 0].into_iter());
+            assert!(t.get_mut(&key(v)).is_none());
+            let e = t.upsert_values(&key(v), [v, 0].into_iter());
             let p = t.payload_mut(e);
             assert_eq!((&*p.words, &*p.side), (&[0][..], &[v, 0][..]));
             p.words[0] = v + 1;
-            assert!(k.is_empty(), "insert drains the scratch key");
         }
         for v in 0..100u64 {
-            let k = key(v);
-            let h = hash_values(&k);
-            t.get_mut(h, &k).expect("present")[1] += 1;
+            t.get_mut(&key(v)).expect("present")[1] += 1;
         }
-        let (arena, words, payloads, n) = t.take_entries();
+        let arena = t.key_values();
+        let (keys, words, payloads, n) = t.take_entries();
         assert_eq!(n, 100);
         assert_eq!(words, (1..=100u64).collect::<Vec<u64>>());
         assert_eq!(
@@ -581,147 +566,128 @@ mod tests {
             (0..100u64).flat_map(|v| [v, 1]).collect::<Vec<u64>>()
         );
         assert_eq!(arena[6..8], key(3)[..]);
-        assert_eq!(arena.len(), 200);
+        assert_eq!((arena.len(), keys.len()), (200, 300));
         assert!(t.is_empty());
         // Reusable after a drain.
-        let mut k = key(7);
-        let h = hash_values(&k);
-        assert!(t.get_mut(h, &k).is_none());
-        t.insert_new(h, &mut k, [1, 1].into_iter());
-        assert_eq!(t.get_mut(h, &key(7)), Some(&mut [1u64, 1][..]));
+        assert!(t.get_mut(&key(7)).is_none());
+        t.upsert_values(&key(7), [1, 1].into_iter());
+        assert_eq!(t.get_mut(&key(7)), Some(&mut [1u64, 1][..]));
     }
 
     #[test]
     fn first_insert_sizes_the_arenas_on_both_paths() {
-        // One entry in, room for FIRST_ENTRIES: no arena ever holds a
-        // block small enough to have come out of another thread's heap.
-        // The word path builds no `Value` arena at all.
-        let sized = |t: &GroupTable<u64>, values: bool| {
-            assert_eq!(t.keys.capacity() >= FIRST_ENTRIES * 2, values);
-            assert!(t.ukeys.capacity() >= FIRST_ENTRIES * 2);
+        // One entry in, room for FIRST_ENTRIES whether the key arrives
+        // as words or as values: no arena ever holds a block small
+        // enough to have come out of another thread's heap.
+        let sized = |t: &GroupTable<u64>| {
+            assert!(t.keys.capacity() >= FIRST_ENTRIES * 3);
             assert!(t.words.capacity() >= FIRST_ENTRIES * 5);
             assert!(t.side.capacity() >= FIRST_ENTRIES * 3);
         };
-        let mut by_value: GroupTable<u64> = GroupTable::new(5, 3);
-        let mut k = key(1);
-        let h = hash_values(&k);
-        by_value.insert_new(h, &mut k, [0, 0, 0].into_iter());
-        sized(&by_value, true);
+        let mut by_value = table(5, 3);
+        by_value.upsert_values(&key(1), [0, 0, 0].into_iter());
+        sized(&by_value);
 
-        let mut by_word: GroupTable<u64> = GroupTable::new(5, 3);
-        by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
-        sized(&by_word, false);
+        let mut by_word = table(5, 3);
+        let h = key_hash(&words(1), 0);
+        by_word.upsert(h, &words(1), 0, &mut 0, [0, 0, 0].into_iter());
+        sized(&by_word);
         // A closed window keeps what it had.
         by_word.clear();
-        by_word.upsert_u64(h, &[1, 7], &mut 0, [0, 0, 0].into_iter());
-        sized(&by_word, false);
+        by_word.upsert(h, &words(1), 0, &mut 0, [0, 0, 0].into_iter());
+        sized(&by_word);
     }
 
     #[test]
     fn zero_width_payloads_count_entries() {
         // DISTINCT-style use: groups with no aggregate slots.
-        let mut t: GroupTable<u64> = GroupTable::new(0, 0);
+        let mut t = table(0, 0);
         for v in 0..10u64 {
-            let mut k = key(v);
-            let h = hash_values(&k);
-            if t.get_mut(h, &k).is_none() {
-                t.insert_new(h, &mut k, std::iter::empty());
+            if t.get_mut(&key(v)).is_none() {
+                t.upsert_values(&key(v), std::iter::empty());
             }
         }
-        let (arena, words, payloads, n) = t.take_entries();
+        let (keys, words, payloads, n) = t.take_entries();
         assert_eq!(n, 10);
         assert!(words.is_empty() && payloads.is_empty());
-        assert_eq!(arena.len(), 20);
+        assert_eq!(keys.len(), 30);
     }
 
     #[test]
     fn colliding_hashes_resolve_by_key() {
         // Force identical hashes: linear probing must fall through to
         // the key comparison and keep both entries reachable.
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
-        let (mut a, mut b) = (key(1), key(2));
-        t.insert_new(42, &mut a, [10].into_iter());
-        t.insert_new(42, &mut b, [20].into_iter());
-        assert_eq!(t.get_mut(42, &key(1)), Some(&mut [10u64][..]));
-        assert_eq!(t.get_mut(42, &key(2)), Some(&mut [20u64][..]));
-        assert!(t.get_mut(42, &key(3)).is_none());
+        let mut t = table(0, 1);
+        let up = |t: &mut GroupTable<u64>, h: u64, v: u64| {
+            t.upsert(h, &words(v), 0, &mut 0, [v * 10].into_iter())
+        };
+        assert_eq!((up(&mut t, 42, 1), up(&mut t, 42, 2)), (0, 1));
+        assert_eq!((up(&mut t, 42, 1), up(&mut t, 42, 2)), (0, 1), "hits");
         // Same partition, same low 32 bits: the tags match, the keys
         // decide.
-        let mut c = key(3);
         let far = 42 | 1 << 40;
-        t.insert_new(far, &mut c, [30].into_iter());
-        assert_eq!(t.get_mut(far, &key(3)), Some(&mut [30u64][..]));
-        assert_eq!(t.get_mut(42, &key(1)), Some(&mut [10u64][..]));
+        assert_eq!(up(&mut t, far, 3), 2);
+        assert_eq!(up(&mut t, 42, 1), 0);
+        // Same words, another mask: another key.
+        assert_eq!(t.upsert(42, &words(1), 1, &mut 0, [0].into_iter()), 3);
+        assert_eq!(t.window().side, &[10, 20, 30, 0]);
     }
 
     #[test]
     fn u64_probe_agrees_with_value_probe() {
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
+        // A key read as words and the same key as values find one group.
+        let mut t = table(0, 1);
         for v in 0..200u64 {
-            let mut k = key(v);
-            let h = hash_values(&k);
-            assert!(t.u64_keys_ok());
-            assert_eq!(
-                t.find_u64(h, &[v, v.wrapping_mul(7)]),
-                t.find(h, &k),
-                "pre-insert probe, v={v}"
-            );
-            t.insert_new(h, &mut k, [v].into_iter());
-            assert_eq!(
-                t.find_u64(h, &[v, v.wrapping_mul(7)]),
-                Some(v as usize),
-                "post-insert probe, v={v}"
-            );
+            assert_eq!(t.find(&words(v), 0), None, "pre-insert, v={v}");
+            assert_eq!(t.find_values(&key(v)), None, "pre-insert, v={v}");
+            t.upsert_values(&key(v), [v].into_iter());
+            assert_eq!(t.find(&words(v), 0), Some(v as usize), "v={v}");
+            assert_eq!(t.find_values(&key(v)), Some(v as usize), "v={v}");
         }
     }
 
     #[test]
     fn u64_upsert_mirrors_value_insert() {
-        // Word-upserted entries must be indistinguishable from
-        // value-inserted ones: both probes find them, a re-upsert hits
-        // instead of duplicating, and the drained key arena holds real
+        // Word-upserted entries are indistinguishable from
+        // value-upserted ones: both probes find them, a re-upsert either
+        // way hits instead of duplicating, and the key decodes to the
         // `UInt` values.
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
-        let words = [5u64, 35];
-        let k = key(5);
-        let h = hash_values(&k);
+        let mut t = table(0, 1);
+        let h = key_hash(&words(5), 0);
         let mut walked = 0u64;
-        let e = t.upsert_u64(h, &words, &mut walked, [9].into_iter());
+        let e = t.upsert(h, &words(5), 0, &mut walked, [9].into_iter());
         assert_eq!(e, 0);
         assert_eq!(
-            t.upsert_u64(h, &words, &mut walked, [0].into_iter()),
+            t.upsert(h, &words(5), 0, &mut walked, [0].into_iter()),
             0,
             "hit, no dup"
         );
         assert!(walked >= 1, "hit walks are tallied into the register");
-        assert!(t.keys.is_empty(), "word upserts build no values");
+        assert_eq!(t.upsert_values(&key(5), [0].into_iter()), 0);
         t.payload_mut(e).side[0] += 1;
-        assert_eq!(t.find_u64(h, &words), Some(0));
-        assert_eq!(t.find(h, &k), Some(0));
-        let (arena, _, payloads, n) = t.take_entries();
+        assert_eq!(t.find_values(&key(5)), Some(0));
+        assert_eq!(t.key_values(), key(5));
+        let (_, _, payloads, n) = t.take_entries();
         assert_eq!((n, payloads.as_slice()), (1, &[10u64][..]));
-        assert_eq!(arena, k);
     }
 
     /// `n` two-word keys, in order, upserted as words.
     fn by_words(n: u64) -> GroupTable<u64> {
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
+        let mut t = table(0, 1);
         let mut walked = 0;
         for v in 0..n {
-            let h = hash_values(&key(v));
-            t.upsert_u64(h, &[v, v.wrapping_mul(7)], &mut walked, [v].into_iter());
+            let h = key_hash(&words(v), 0);
+            t.upsert(h, &words(v), 0, &mut walked, [v].into_iter());
         }
         t.add_probes(walked);
         t
     }
 
-    /// The same keys inserted as values, each probed first.
+    /// The same keys upserted as values.
     fn by_values(n: u64) -> GroupTable<u64> {
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
+        let mut t = table(0, 1);
         for v in 0..n {
-            let mut k = key(v);
-            let h = hash_values(&k);
-            t.get_or_insert(h, &mut k, [v].into_iter());
+            t.upsert_values(&key(v), [v].into_iter());
         }
         t
     }
@@ -729,37 +695,60 @@ mod tests {
     #[test]
     fn value_probe_finds_every_word_upserted_group() {
         let mut t = by_words(1_000);
-        assert!(t.keys.is_empty());
         for v in 0..1_000u64 {
-            let k = key(v);
-            assert_eq!(t.find(hash_values(&k), &k), Some(v as usize), "v={v}");
+            assert_eq!(t.find_values(&key(v)), Some(v as usize), "v={v}");
         }
-        assert_eq!(t.keys.len(), 2_000, "the first probe built every value");
-        assert!(t.u64_keys_ok(), "probing values leaves words exact");
     }
 
     #[test]
-    fn mid_window_signed_key_materializes_words_in_order() {
-        // No `Value` probe first: the insert itself builds the values.
-        let mut t = by_words(300);
-        let mut signed = vec![Value::UInt(1), Value::Int(-1)];
-        t.insert_new(hash_values(&signed), &mut signed, [7].into_iter());
-        assert!(!t.u64_keys_ok(), "the signed key poisons word probes");
-        let Window {
-            keys: WindowKeys::Values(keys),
-            side: payloads,
-            len: 301,
-            ..
-        } = t.window()
-        else {
-            panic!("a poisoned window hands over its 301 values");
+    fn signed_string_and_null_keys_decode_in_order() {
+        // Keys of every kind, NULLs among them: each group decodes to the
+        // key it was inserted under, in insertion order, and equal
+        // values find their group again.
+        let kinds = vec![DataType::Int, DataType::Str, DataType::Bool];
+        let mut t: GroupTable<u64> = GroupTable::new(kinds, 0, 1);
+        let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
+        let vals = |i: i64| {
+            vec![
+                or_null(i % 4 == 0, Value::Int(i - 3)),
+                or_null(i % 3 == 0, Value::from(["a", "b"][i as usize % 2])),
+                or_null(i % 5 == 0, Value::Bool(i % 2 == 0)),
+            ]
         };
-        let mut want: Vec<Value> = (0..300u64).flat_map(key).collect();
-        want.extend([Value::UInt(1), Value::Int(-1)]);
-        assert_eq!(keys, want.as_slice());
-        assert_eq!(payloads[300], 7);
+        let keys: Vec<Vec<Value>> = (0..60).map(vals).collect();
+        let mut want: Vec<Vec<Value>> = Vec::new();
+        for k in &keys {
+            let e = t.upsert_values(k, [0].into_iter());
+            if e == want.len() {
+                want.push(k.clone());
+            }
+            assert_eq!(want[e], *k);
+            t.payload_mut(e).side[0] += 1;
+        }
+        assert_eq!(t.key_values(), want.concat());
+        assert_eq!(t.window().side.iter().sum::<u64>(), 60);
+        // Two key strings, interned once each.
+        assert_eq!(t.window().strs.len(), 2);
         t.clear();
-        assert!(t.u64_keys_ok(), "closing the window re-arms word probes");
+        assert!(t.window().strs.is_empty() && t.interned.is_empty());
+    }
+
+    #[test]
+    fn null_and_zero_keys_are_different_groups() {
+        let mut t = table(0, 1);
+        let zero = key(0);
+        let nulls = [
+            vec![Value::Null, Value::UInt(0)],
+            vec![Value::UInt(0), Value::Null],
+            vec![Value::Null, Value::Null],
+        ];
+        assert_eq!(t.upsert_values(&zero, [1].into_iter()), 0);
+        for (i, k) in nulls.iter().enumerate() {
+            assert_eq!(t.upsert_values(k, [0].into_iter()), i + 1, "{k:?}");
+        }
+        // The word path's unmasked key finds the zero key only.
+        assert_eq!(t.find(&[0, 0], 0), Some(0));
+        assert_eq!(t.key_values(), [zero, nulls.concat()].concat());
     }
 
     #[test]
@@ -768,49 +757,23 @@ mod tests {
         assert_eq!(words.probe_count(), values.probe_count());
         assert_eq!(words.insert_count(), values.insert_count());
         assert_eq!(words.slot_count(), values.slot_count());
-        match words.window() {
-            Window {
-                keys: WindowKeys::Words(w),
-                len: 5_000,
-                ..
-            } => {
-                assert_eq!(w[..4], [0, 0, 1, 7]);
-            }
-            _ => panic!("an all-unsigned window hands over words"),
-        }
+        assert_eq!(words.window().len, 5_000);
+        assert_eq!(words.keys[..6], [0, 0, 0, 1, 7, 0]);
         assert_eq!(words.take_entries(), values.take_entries());
-    }
-
-    #[test]
-    fn non_uint_key_poisons_u64_probe_until_drain() {
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
-        let mut k = key(3);
-        t.insert_new(hash_values(&k), &mut k, [1].into_iter());
-        assert!(t.u64_keys_ok());
-        let mut mixed = vec![Value::UInt(5), Value::Int(5)];
-        t.insert_new(hash_values(&mixed), &mut mixed, [2].into_iter());
-        assert!(!t.u64_keys_ok(), "Int key poisons word probes");
-        // The Value probe still distinguishes UInt(5) from Int(5)
-        // structurally.
-        let probe = vec![Value::UInt(5), Value::UInt(5)];
-        assert!(t.find(hash_values(&probe), &probe).is_none());
-        t.clear();
-        assert!(t.u64_keys_ok(), "drain re-arms word probes");
     }
 
     #[test]
     fn partitions_grow_independently_and_drain_in_insertion_order() {
         // Enough keys to force growth in many partitions; the drain
         // must still come back in exact insertion order.
-        let mut t: GroupTable<u64> = GroupTable::new(0, 1);
+        let mut t = table(0, 1);
         for v in 0..5_000u64 {
-            let mut k = key(v);
-            let h = hash_values(&k);
-            assert!(t.find(h, &k).is_none());
-            t.insert_new(h, &mut k, [v].into_iter());
+            assert!(t.find_values(&key(v)).is_none());
+            t.upsert_values(&key(v), [v].into_iter());
         }
         assert_eq!(t.insert_count(), 5_000);
-        let (arena, _, payloads, n) = t.take_entries();
+        let arena = t.key_values();
+        let (_, _, payloads, n) = t.take_entries();
         assert_eq!(n, 5_000);
         assert_eq!(payloads, (0..5_000u64).collect::<Vec<u64>>());
         for v in 0..5_000u64 {

@@ -9,9 +9,10 @@
 //! gives the same key as `UInt` values (the `UInt` tag is zero), so a
 //! key read as words and the same key evaluated row by row probe the
 //! same slots. Any other key lane — signed, Bool, string, nullable or
-//! all-NULL, or a key no lane shape covers — keeps
-//! the whole batch off words, and the operator runs its per-row
-//! algorithm over it.
+//! all-NULL, or a key no lane shape covers — keeps the whole batch off
+//! words, and the operator runs its per-row algorithm over it: γ's
+//! encodes each row's key into the words of the same group table (a key
+//! with no NULL hashes as its words do here), ⋈'s hashes values.
 
 use qap_expr::{BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel};
 use qap_types::{ColumnBatch, Value};

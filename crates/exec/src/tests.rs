@@ -294,6 +294,25 @@ fn run_logical_rejects_multi_source_plans() {
 }
 
 #[test]
+fn more_group_keys_than_one_mask_word_flags_are_a_bad_plan() {
+    let keys: Vec<String> = (0..64).map(|i| format!("len + {i} as k{i}")).collect();
+    let dag = build(&[(
+        "wide",
+        &format!(
+            "SELECT tb, COUNT(*) as cnt FROM TCP GROUP BY time/60 as tb, {}",
+            keys.join(", ")
+        ),
+    )]);
+    let err = Engine::new(&dag).err().expect("65 group keys");
+    assert!(
+        matches!(&err, ExecError::BadPlan(m) if m.contains("65 group keys")),
+        "{err}"
+    );
+    let err = run_logical(&dag, vec![pkt(0, 1, 2, 0, 100)]).unwrap_err();
+    assert!(matches!(err, ExecError::BadPlan(_)));
+}
+
+#[test]
 fn sum_min_max_avg_aggregates() {
     let dag = build(&[(
         "stats",

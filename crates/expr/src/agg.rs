@@ -327,8 +327,10 @@ pub fn agg_output_type(kind: AggKind, arg: Option<DataType>) -> DataType {
 /// The state of every built-in aggregate as a fixed number of `u64`
 /// words, all zero when fresh. `update`, `merge` and `finalize` are the
 /// [`Accumulator`] methods of the same name over those words, value for
-/// value. A string `MIN`/`MAX` extreme is an index into a pool the
-/// caller keeps beside the words.
+/// value, for a stream of values of one kind — the plan's kind for the
+/// argument, which `finalize` and `state_values` are given. A string
+/// `MIN`/`MAX` extreme is an index into a pool the caller keeps beside
+/// the words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordAgg {
     /// `COUNT`: `[n]`.
@@ -342,18 +344,13 @@ pub enum WordAgg {
     Or,
     /// `AND_AGGR`: `[present, acc]`.
     And,
-    /// `MIN`: `[tag, bits]`, the extreme's kind (`0` before any value)
-    /// and its payload.
+    /// `MIN`: `[present, bits]`, non-zero once a value arrived, and the
+    /// extreme as its kind's word: an `int`'s two's-complement bits, a
+    /// `bool` 0 or 1, a `string` its pool index.
     Min,
-    /// `MAX`: `[tag, bits]`.
+    /// `MAX`: `[present, bits]`.
     Max,
 }
-
-/// `MIN`/`MAX` tags, each the kind of the extreme in `bits`.
-const TAG_BOOL: u64 = 1;
-const TAG_UINT: u64 = 2;
-const TAG_INT: u64 = 3;
-const TAG_STR: u64 = 4;
 
 /// Adds `x` to the `i128` in `w[0..2]`.
 #[inline]
@@ -400,37 +397,18 @@ impl WordAgg {
                 w[1] = if w[0] == 0 { x } else { w[1] & x };
                 w[0] = 1;
             }
-            WordAgg::Min if w[0] == TAG_UINT => w[1] = w[1].min(x),
-            WordAgg::Max if w[0] == TAG_UINT => w[1] = w[1].max(x),
-            WordAgg::Min | WordAgg::Max if w[0] != 0 && !self.beats(&Value::UInt(x), w, &[]) => {}
-            WordAgg::Min | WordAgg::Max => [w[0], w[1]] = [TAG_UINT, x],
+            WordAgg::Min => [w[0], w[1]] = [1, if w[0] == 0 { x } else { w[1].min(x) }],
+            // Fresh bits are zero, which no word is below.
+            WordAgg::Max => [w[0], w[1]] = [1, w[1].max(x)],
         }
     }
 
-    /// Whether `v` replaces the extreme in `w`: by `Value::total_cmp`,
+    /// Whether a value that compares `ord` to the extreme replaces it:
     /// strictly below it for `MIN` and above it for `MAX`, so on a tie
-    /// the first value stays. Only a string reads a string extreme.
-    /// Out of line, so every other kind's lane fold stays small.
-    #[inline(never)]
-    fn beats(self, v: &Value, w: &[u64], pool: &[ArcStr]) -> bool {
-        let ord = match (v, w[0]) {
-            (_, 0) => return true,
-            (Value::Str(s), TAG_STR) => (**s).cmp(&pool[w[1] as usize]),
-            (_, TAG_STR) => Ordering::Less,
-            _ => v.total_cmp(&Self::extreme(w, pool)),
-        };
+    /// the first value stays.
+    #[inline]
+    fn beats(self, ord: Ordering) -> bool {
         (self == WordAgg::Min && ord.is_lt()) || (self == WordAgg::Max && ord.is_gt())
-    }
-
-    /// The extreme `MIN`/`MAX` words hold (`NULL` before any value).
-    fn extreme(w: &[u64], pool: &[ArcStr]) -> Value {
-        match w[0] {
-            TAG_BOOL => Value::Bool(w[1] != 0),
-            TAG_UINT => Value::UInt(w[1]),
-            TAG_INT => Value::Int(w[1] as i64),
-            TAG_STR => Value::Str(pool[w[1] as usize].clone()),
-            _ => Value::Null,
-        }
     }
 
     /// [`Accumulator::update`]. A string `MIN`/`MAX` extreme goes into
@@ -450,19 +428,28 @@ impl WordAgg {
                     self.fold_uint(w, x, false);
                 }
             }
-            WordAgg::Min | WordAgg::Max if !self.beats(v, w, pool) => {}
             WordAgg::Min | WordAgg::Max => {
-                [w[0], w[1]] = match v {
-                    Value::Str(s) if w[0] == TAG_STR => return pool[w[1] as usize] = s.clone(),
-                    Value::Str(s) => {
+                let (bits, ord) = match v {
+                    Value::UInt(x) => (*x, x.cmp(&w[1])),
+                    Value::Int(x) => (*x as u64, x.cmp(&(w[1] as i64))),
+                    Value::Bool(b) => (u64::from(*b), b.cmp(&(w[1] != 0))),
+                    Value::Str(s) if w[0] == 0 => {
                         pool.push(s.clone());
-                        [TAG_STR, pool.len() as u64 - 1]
+                        [w[0], w[1]] = [1, pool.len() as u64 - 1];
+                        return;
                     }
-                    Value::Bool(b) => [TAG_BOOL, u64::from(*b)],
-                    Value::Int(x) => [TAG_INT, *x as u64],
-                    Value::UInt(x) => [TAG_UINT, *x],
+                    Value::Str(s) => {
+                        let cur = &mut pool[w[1] as usize];
+                        if self.beats((**s).cmp(cur)) {
+                            *cur = s.clone();
+                        }
+                        return;
+                    }
                     Value::Null => return,
                 };
+                if w[0] == 0 || self.beats(ord) {
+                    [w[0], w[1]] = [1, bits];
+                }
             }
         }
     }
@@ -477,6 +464,8 @@ impl WordAgg {
     }
 
     /// [`Accumulator::finalize`]; a built-in's partial is its final value.
+    /// `out` is the plan's kind for the aggregate: a `SUM` or an `AVG`
+    /// narrows to it, and a `MIN`/`MAX` extreme decodes by it.
     pub fn finalize(self, w: &[u64], pool: &[ArcStr], out: DataType) -> Value {
         match self {
             WordAgg::Count | WordAgg::Or => Value::UInt(w[0]),
@@ -485,20 +474,25 @@ impl WordAgg {
             WordAgg::Avg => narrow(join_i128(w[0], w[1]) / i128::from(w[2]), out),
             WordAgg::And if w[0] == 0 => Value::Null,
             WordAgg::And => Value::UInt(w[1]),
-            WordAgg::Min | WordAgg::Max => Self::extreme(w, pool),
+            WordAgg::Min | WordAgg::Max if w[0] == 0 => Value::Null,
+            WordAgg::Min | WordAgg::Max => match out {
+                DataType::UInt => Value::UInt(w[1]),
+                DataType::Int => Value::Int(w[1] as i64),
+                DataType::Bool => Value::Bool(w[1] != 0),
+                DataType::Str => Value::Str(pool[w[1] as usize].clone()),
+            },
         }
     }
 
-    /// The lossless migration state, [`state_width`] values: unlike
-    /// `finalize`, a `SUM` ships its whole `i128` as two words and an
-    /// `AVG` its sum and count.
-    pub fn state_values(self, w: &[u64], pool: &[ArcStr], out: &mut Vec<Value>) {
+    /// The lossless migration state, [`state_width`] values, for the
+    /// aggregate of kind `kind`: unlike `finalize`, a `SUM` ships its
+    /// whole `i128` as two words and an `AVG` its sum and count.
+    pub fn state_values(self, w: &[u64], pool: &[ArcStr], kind: DataType, out: &mut Vec<Value>) {
         match self {
             WordAgg::Sum if w[2] == 0 => out.extend([Value::Null, Value::Null]),
             WordAgg::Sum => out.extend(w[..2].iter().map(|&x| Value::UInt(x))),
             WordAgg::Avg => out.extend(w[..3].iter().map(|&x| Value::UInt(x))),
-            // The kind narrows only a `SUM` or an `AVG`, which ship words.
-            _ => out.push(self.finalize(w, pool, DataType::UInt)),
+            _ => out.push(self.finalize(w, pool, kind)),
         }
     }
 
@@ -901,18 +895,25 @@ mod tests {
         AggKind::Max,
     ];
 
-    /// Folds `vals` into a fresh [`Accumulator`] and into fresh words —
-    /// by value, and off an unsigned lane wherever the value is one —
-    /// and holds every read of the words to the accumulator's:
-    /// `finalize`, `state_values`, and `merge_state` into a fresh and a
-    /// non-empty state. Returns the final value.
-    fn word_equals_accumulator(kind: AggKind, merge: bool, vals: &[Value]) -> Value {
+    /// The plan's value kinds.
+    const KINDS: [DataType; 4] = [DataType::UInt, DataType::Int, DataType::Bool, DataType::Str];
+
+    /// Folds `vals` — NULLs and values of the plan kind `t` — into a
+    /// fresh [`Accumulator`] and into fresh words, by value, and off an
+    /// unsigned lane wherever the value is one, and holds every read of
+    /// the words to the accumulator's: `finalize`, `state_values`, and
+    /// `merge_state` into a fresh and a non-empty state. Returns the
+    /// final value.
+    fn word_equals_accumulator(kind: AggKind, t: DataType, merge: bool, vals: &[Value]) -> Value {
+        let label = format!("{kind}({t}) merge={merge} {vals:?}");
         let agg = WordAgg::of(kind);
+        let out = agg_output_type(kind, Some(t));
         let mut acc = make_accumulator(kind);
         let mut by_value = vec![0u64; agg.width()];
         let mut by_lane = by_value.clone();
         let (mut pool, mut lane_pool) = (Vec::new(), Vec::new());
         for v in vals {
+            assert!(v.data_type().is_none_or(|k| k == t), "{label}");
             if merge {
                 acc.merge(v);
                 agg.merge(&mut by_value, v, &mut pool);
@@ -926,26 +927,23 @@ mod tests {
                 v => agg.update(&mut by_lane, v, &mut lane_pool),
             }
         }
-        assert_eq!(
-            (&by_lane, &lane_pool),
-            (&by_value, &pool),
-            "{kind} merge={merge} {vals:?}"
-        );
-        let out = out_of(vals);
+        assert_eq!((&by_lane, &lane_pool), (&by_value, &pool), "{label}");
         let want = acc.finalize(out);
-        assert_eq!(
-            agg.finalize(&by_value, &pool, out),
-            want,
-            "{kind} merge={merge} {vals:?}"
-        );
+        assert_eq!(agg.finalize(&by_value, &pool, out), want, "{label}");
         // A group holds at most one live string per slot.
-        assert!(pool.len() <= 1 && lane_pool.len() <= 1, "{kind} {vals:?}");
+        assert!(pool.len() <= 1 && lane_pool.len() <= 1, "{label}");
         let (mut shipped, mut words_shipped) = (Vec::new(), Vec::new());
         acc.state_values(&mut shipped);
-        agg.state_values(&by_value, &pool, &mut words_shipped);
-        assert_eq!(words_shipped, shipped, "{kind} merge={merge} {vals:?}");
+        agg.state_values(&by_value, &pool, out, &mut words_shipped);
+        assert_eq!(words_shipped, shipped, "{label}");
         assert_eq!(shipped.len(), state_width(kind));
-        for base in [None, Some(Value::UInt(3)), Some(Value::from("m"))] {
+        let base = match t {
+            DataType::UInt => Value::UInt(3),
+            DataType::Int => Value::Int(-3),
+            DataType::Bool => Value::Bool(true),
+            DataType::Str => Value::from("m"),
+        };
+        for base in [None, Some(base)] {
             let mut acc2 = make_accumulator(kind);
             let (mut w2, mut pool2) = (vec![0u64; agg.width()], Vec::new());
             if let Some(b) = &base {
@@ -956,19 +954,19 @@ mod tests {
             agg.merge_state(&mut w2, &shipped, &mut pool2);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             acc2.state_values(&mut a);
-            agg.state_values(&w2, &pool2, &mut b);
+            agg.state_values(&w2, &pool2, out, &mut b);
             assert_eq!(
                 (agg.finalize(&w2, &pool2, out), b),
                 (acc2.finalize(out), a),
-                "{kind} {base:?}"
+                "{label} {base:?}"
             );
         }
         want
     }
 
-    /// A seeded stream of UInt, Int, Bool, NULL and Str values, with
-    /// values near the edges of `u64`/`i64` when `edges`.
-    fn seeded_values(seed: u64, n: usize, edges: bool) -> Vec<Value> {
+    /// A seeded stream of NULLs and values of kind `t`, with values near
+    /// the ends of `u64`/`i64` when `edges`.
+    fn seeded_values(seed: u64, n: usize, t: DataType, edges: bool) -> Vec<Value> {
         let mut x = seed;
         (0..n)
             .map(|_| {
@@ -976,15 +974,16 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let r = x >> 33;
-                match (r % 8, edges) {
-                    (0, _) => Value::Null,
-                    (1, _) => Value::Int(-((r >> 4) as i64 % 1000)),
-                    (2, _) => Value::Bool(r & 16 != 0),
-                    (3, _) => Value::from(["s", "a", "z"][(r >> 4) as usize % 3]),
-                    (4, _) => Value::Int((r >> 4) as i64 % 1000),
-                    (5, true) => Value::UInt(u64::MAX - (r >> 4) % 3),
-                    (6, true) => Value::Int(i64::MIN + (r >> 4) as i64 % 3),
-                    _ => Value::UInt((r >> 4) % 1000),
+                let small = (r >> 4) % 1000;
+                match (r % 4, t, edges) {
+                    (0, ..) => Value::Null,
+                    (1, DataType::UInt, true) => Value::UInt(u64::MAX - small % 3),
+                    (1, DataType::Int, true) => Value::Int(i64::MIN + (small % 3) as i64),
+                    (2, DataType::Int, true) => Value::Int(i64::MAX - (small % 3) as i64),
+                    (_, DataType::UInt, _) => Value::UInt(small),
+                    (_, DataType::Int, _) => Value::Int(small as i64 - 500),
+                    (_, DataType::Bool, _) => Value::Bool(r & 16 != 0),
+                    (_, DataType::Str, _) => Value::from(["s", "a", "z", "m"][small as usize % 4]),
                 }
             })
             .collect()
@@ -993,15 +992,17 @@ mod tests {
     #[test]
     fn word_state_equals_accumulator() {
         for seed in 0..200u64 {
-            let vals = seeded_values(seed, (seed % 40) as usize, seed % 2 == 0);
-            for kind in WORD_KINDS {
-                word_equals_accumulator(kind, false, &vals);
-                // AVG partials never merge (the optimizer splits AVG into
-                // SUM and COUNT), and a COUNT merge of the edge values
-                // would overflow the count in both.
-                let edges = vals.iter().any(|v| v.as_u64().is_some_and(|x| x > 1 << 32));
-                if kind != AggKind::Avg && !(kind == AggKind::Count && edges) {
-                    word_equals_accumulator(kind, true, &vals);
+            for t in KINDS {
+                let vals = seeded_values(seed, (seed % 40) as usize, t, seed % 2 == 0);
+                for kind in WORD_KINDS {
+                    word_equals_accumulator(kind, t, false, &vals);
+                    // AVG partials never merge (the optimizer splits AVG
+                    // into SUM and COUNT), and a COUNT merge of the edge
+                    // values would overflow the count in both.
+                    let edges = vals.iter().any(|v| v.as_u64().is_some_and(|x| x > 1 << 32));
+                    if kind != AggKind::Avg && !(kind == AggKind::Count && edges) {
+                        word_equals_accumulator(kind, t, true, &vals);
+                    }
                 }
             }
         }
@@ -1010,82 +1011,99 @@ mod tests {
     #[test]
     fn word_state_edges() {
         use AggKind::*;
-        let check = |kind, merge, vals: &[Value], want: Value| {
-            assert_eq!(word_equals_accumulator(kind, merge, vals), want, "{kind}");
+        use DataType as T;
+        let check = |kind, t, merge, vals: &[Value], want: Value| {
+            assert_eq!(
+                word_equals_accumulator(kind, t, merge, vals),
+                want,
+                "{kind}({t})"
+            );
         };
+        let (umax, imin, imax) = (
+            Value::UInt(u64::MAX),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+        );
         // `narrow` saturates a SUM past either end; the state stays exact.
         check(
             Sum,
+            T::UInt,
             false,
-            &[Value::UInt(u64::MAX), Value::UInt(2)],
-            Value::UInt(u64::MAX),
+            &[umax.clone(), Value::UInt(2)],
+            umax.clone(),
         );
         check(
             Sum,
+            T::Int,
             false,
-            &[Value::Int(i64::MIN), Value::Int(-1)],
-            Value::Int(i64::MIN),
+            &[imin.clone(), Value::Int(-1)],
+            imin.clone(),
         );
         check(
             Avg,
+            T::Int,
             false,
-            &[Value::Int(i64::MIN), Value::Int(i64::MIN)],
-            Value::Int(i64::MIN),
+            &[imin.clone(), imin.clone()],
+            imin.clone(),
         );
         // No non-null (numeric) input: NULL.
         for kind in [Sum, AndAgg, Avg] {
-            check(kind, false, &[], Value::Null);
-            check(kind, false, &[Value::Null, Value::from("s")], Value::Null);
+            for t in KINDS {
+                check(kind, t, false, &[], Value::Null);
+                check(kind, t, false, &[Value::Null, Value::Null], Value::Null);
+            }
+            check(kind, T::Str, false, &[Value::from("s")], Value::Null);
         }
         // A negative `Int` partial is no count.
-        check(
-            Count,
-            true,
-            &[Value::UInt(4), Value::Int(-5)],
-            Value::UInt(4),
-        );
-        check(
-            Count,
-            false,
-            &[Value::UInt(4), Value::Int(-5)],
-            Value::UInt(2),
-        );
+        let signed = [Value::Int(4), Value::Int(-5)];
+        check(Count, T::Int, true, &signed, Value::UInt(4));
+        check(Count, T::Int, false, &signed, Value::UInt(2));
         // Bitwise folds over `Bool` and non-negative `Int`.
-        let bits = [Value::Int(6), Value::Bool(true), Value::Int(-1)];
+        let bits = [Value::Int(6), Value::Int(1), Value::Int(-1)];
+        let flags = [Value::Bool(true), Value::Bool(false)];
         for merge in [false, true] {
-            check(OrAgg, merge, &bits, Value::UInt(7));
-            check(AndAgg, merge, &bits, Value::UInt(0));
-            check(AndAgg, merge, &bits[..1], Value::UInt(6));
+            check(OrAgg, T::Int, merge, &bits, Value::UInt(7));
+            check(AndAgg, T::Int, merge, &bits, Value::UInt(0));
+            check(AndAgg, T::Int, merge, &bits[..1], Value::UInt(6));
+            check(OrAgg, T::Bool, merge, &flags, Value::UInt(1));
+            check(AndAgg, T::Bool, merge, &flags, Value::UInt(0));
+            check(AndAgg, T::Bool, merge, &flags[..1], Value::UInt(1));
         }
         for merge in [false, true] {
-            // On a tie the first value stays, whatever its kind.
-            let (u, i) = (Value::UInt(5), Value::Int(5));
             for kind in [Min, Max] {
-                check(kind, merge, &[u.clone(), i.clone()], u.clone());
-                check(kind, merge, &[i.clone(), u.clone(), i.clone()], i.clone());
                 // No non-null input: NULL.
-                check(kind, merge, &[], Value::Null);
-                check(kind, merge, &[Value::Null, Value::Null], Value::Null);
+                for t in KINDS {
+                    check(kind, t, merge, &[], Value::Null);
+                    check(kind, t, merge, &[Value::Null, Value::Null], Value::Null);
+                }
             }
-            // Kinds rank Bool < numbers < Str.
-            let nums = [Value::Int(-3), Value::from("b"), Value::UInt(7)];
-            check(Max, merge, &nums, Value::from("b"));
-            check(Min, merge, &nums, Value::Int(-3));
-            let flags = [Value::UInt(0), Value::Bool(true), Value::Int(-9)];
-            check(Min, merge, &flags, Value::Bool(true));
-            check(Max, merge, &flags, Value::UInt(0));
-            let strs = [Value::from("b"), Value::from("a"), Value::from("c")];
-            check(Min, merge, &strs, Value::from("a"));
-            check(Max, merge, &strs, Value::from("c"));
-            // The ends of both integer kinds.
-            let ends = [
-                Value::UInt(u64::MAX),
-                Value::Int(i64::MIN),
-                Value::UInt(0),
-                Value::Int(i64::MAX),
+            // The ends of each integer kind: an `int` compares signed, not
+            // by its bits.
+            let uends = [umax.clone(), Value::UInt(0), Value::UInt(5)];
+            check(Min, T::UInt, merge, &uends, Value::UInt(0));
+            check(Max, T::UInt, merge, &uends, umax.clone());
+            let iends = [imax.clone(), Value::Int(-1), imin.clone(), Value::Int(0)];
+            check(Min, T::Int, merge, &iends, imin.clone());
+            check(Max, T::Int, merge, &iends, imax.clone());
+            check(
+                Max,
+                T::Int,
+                merge,
+                &[Value::Int(-3), Value::Int(2)],
+                Value::Int(2),
+            );
+            let bools = [Value::Bool(true), Value::Null, Value::Bool(false)];
+            check(Min, T::Bool, merge, &bools, Value::Bool(false));
+            check(Max, T::Bool, merge, &bools, Value::Bool(true));
+            check(Min, T::Bool, merge, &bools[..1], Value::Bool(true));
+            let strs = [
+                Value::from("b"),
+                Value::from("a"),
+                Value::Null,
+                Value::from("c"),
             ];
-            check(Min, merge, &ends, Value::Int(i64::MIN));
-            check(Max, merge, &ends, Value::UInt(u64::MAX));
+            check(Min, T::Str, merge, &strs, Value::from("a"));
+            check(Max, T::Str, merge, &strs, Value::from("c"));
         }
     }
 

@@ -83,8 +83,8 @@ pub enum LaneKind {
     /// Interned-string lane.
     Str = 3,
     /// No lane: a fallback no single lane is to blame for — a key
-    /// outside every lane shape, a join without equi-keys, or a γ
-    /// window a key of another kind has poisoned.
+    /// outside every lane shape (a γ or ⋈ `General` key) or a join
+    /// without equi-keys.
     Mixed = 4,
 }
 

@@ -8,28 +8,30 @@
 //! kernel-compiled key, each over a non-null unsigned lane) and folds
 //! (`COUNT(*)`, and every built-in slot over a column, merge slots
 //! included) into lane reads. A batch whose keys are not all words — a
-//! NULL, signed, Bool or string key lane, or a window such a key has
-//! poisoned — runs the per-row algorithm, and so, within the word path,
-//! do UDAF slots, computed arguments and folded slots whose values
-//! leave the unsigned domain. The contract is that the lanes are invisible:
+//! NULL, signed, Bool or string key lane — runs the per-row algorithm,
+//! which encodes each key into the same words and the same group table,
+//! and so, within the word path, do UDAF slots, computed arguments and
+//! folded slots whose values leave the unsigned domain. The contract is
+//! that the lanes are invisible:
 //! byte-identical output tuples against the model, and identical
 //! operator counters at every batch size, including inputs engineered to
 //! cross the lane/fallback seam mid-stream.
 //!
-//! Closing a window is on lanes too: keys come straight off the group
-//! table's words (or its values, once a non-unsigned key has poisoned
-//! the window), slots finalize lane by lane, and HAVING runs as a
+//! Closing a window is on lanes too: keys are built by their kinds from
+//! the group table's words, slots finalize lane by lane, and HAVING runs as a
 //! compiled kernel over the staged window, or through the interpreter
 //! when the kernel refuses the predicate or bails. The tests after that
 //! cross each of those seams with all-unsigned key columns, and the last
 //! hold `MIN`/`MAX` of every value kind — strings in the group table's
 //! pool included — to the model through folds, merges, window closes
-//! and a migration. The last groups by keys that are not words: a
-//! string column with NULLs, a `bool` column and a nullable `uint`.
+//! and a migration, string and NULL group keys included. The last groups
+//! by keys that are not words: a string column with NULLs, a `bool`
+//! column and a nullable `uint`, whose clean batches stay on the word
+//! path.
 
 use std::sync::Arc;
 
-use qap::expr::{bind, KernelScratch, PredicateKernel};
+use qap::expr::{bind, KernelScratch, LaneKind, PredicateKernel};
 use qap::prelude::*;
 use qap::types::{encode_tuple, ColumnBatch, DataType, SelectionVector, Udaf, UdafState};
 
@@ -548,12 +550,12 @@ fn emit_partial_window_matches_the_model() {
 }
 
 #[test]
-fn window_poisoned_mid_way_matches_the_model() {
+fn null_or_signed_key_mid_window_matches_the_model() {
     // Unsigned key columns, but one window sees a signed key and another
-    // a NULL key part-way through: the groups before it were stored as
-    // words only, and must come out as the same `UInt` keys, in order.
-    // The signed key declares its own stream ([`kind_runs`]); in the
-    // unsigned one, it is NULL.
+    // a NULL key part-way through: the per-row path encodes it into the
+    // table the word path fills, and every group comes out as its key,
+    // in order. The signed key declares its own stream ([`kind_runs`]);
+    // in the unsigned one, it is NULL.
     let mut input: Vec<Tuple> = (0..720u64)
         .map(|i| {
             Tuple::new(vec![
@@ -566,7 +568,7 @@ fn window_poisoned_mid_way_matches_the_model() {
     input[70] = Tuple::new(vec![Value::UInt(35), Value::Int(-4), Value::UInt(1)]);
     input[200] = Tuple::new(vec![Value::UInt(100), Value::Null, Value::UInt(2)]);
     for (types, input) in kind_runs(&input) {
-        let label = format!("window poisoned mid-way {types:?}");
+        let label = format!("NULL or signed key mid-window {types:?}");
         assert_model_equals_lanes(&mixed_dag(&types), &input, &label);
     }
 }
@@ -774,15 +776,48 @@ fn string_extremes_migrate() {
     // rows carry string extremes out of one table's pool into the
     // other's, and the two engines' outputs together are the model's.
     let mut strings = 0;
+    let is_str = |v: Value| matches!(v, Value::Str(_));
     for (types, input) in kind_runs(&extremes_trace()) {
-        strings += migrate_extremes(&types, &input);
+        let state = migrate_extremes(&types, &input);
+        strings += (0..state.rows())
+            .filter(|&r| is_str(state.column(3).value(r)))
+            .count();
     }
     assert!(strings > 0, "a string MAX extreme crosses");
+    // Once more with a string key `k` that has NULLs: the state rows
+    // carry interned key strings and NULL masks out of one table and
+    // into the other.
+    const KEYS: [&str; 4] = ["a", "bb", "ccc", "dddd"];
+    let (mut types, input) = kind_runs(&extremes_trace())
+        .into_iter()
+        .find(|(types, _)| types[2] == DataType::Str)
+        .expect("a run of string values");
+    types[1] = DataType::Str;
+    let input: Vec<Tuple> = input
+        .into_iter()
+        .map(|t| {
+            let mut vals = t.into_values();
+            vals[1] = match vals[1].as_u64() {
+                Some(k @ 1..) => Value::from(KEYS[k as usize - 1]),
+                _ => Value::Null,
+            };
+            Tuple::new(vals)
+        })
+        .collect();
+    let state = migrate_extremes(&types, &input);
+    let keys: Vec<Value> = (0..state.rows())
+        .map(|r| state.column(1).value(r))
+        .collect();
+    assert!(keys.contains(&Value::Null), "a NULL key crosses");
+    assert!(
+        keys.iter().any(|k| is_str(k.clone())),
+        "a string key crosses"
+    );
 }
 
-/// [`string_extremes_migrate`] over one run: returns how many string
-/// `MAX(v)` extremes crossed.
-fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> usize {
+/// [`string_extremes_migrate`] over one run: returns the state rows
+/// that crossed.
+fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> ColumnBatch {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
     b.parse_script(&format!(
         "{}QUERY ext: SELECT tb, k, MIN(v) as lo, MAX(v) as hi, MIN(s) as smin, \
@@ -808,7 +843,13 @@ fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> usize {
         .iter()
         .position(|t| t.get(0).as_u64() >= Some(boundary))
         .unwrap();
-    let odd = |key: &[Value]| key[1].as_u64().is_some_and(|k| k % 2 == 1);
+    // Odd unsigned keys move, and so do odd-length string keys and NULL
+    // ones.
+    let odd = |key: &[Value]| match &key[1] {
+        Value::UInt(k) => k % 2 == 1,
+        Value::Str(s) => s.len() % 2 == 1,
+        _ => key[1].is_null(),
+    };
     for chunk in input[..split].chunks(64) {
         engines[0]
             .push_columns(src, &mut ColumnBatch::from_rows(chunk))
@@ -816,9 +857,6 @@ fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> usize {
     }
     engines[0].flush_before(root, boundary).unwrap();
     let state = engines[0].extract_state(root, &mut |key| odd(key)).unwrap();
-    let strings = (0..state.rows())
-        .filter(|&r| matches!(state.column(3).value(r), Value::Str(_)))
-        .count();
     engines[1].absorb_state(root, &state).unwrap();
     for t in &input[split..] {
         let e = usize::from(odd(t.values()));
@@ -832,15 +870,16 @@ fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> usize {
         got.extend(e.output(root));
     }
     assert_eq!(sorted(got), want, "{types:?}");
-    strings
+    state
 }
 
 /// Keys that are not words: a string column with NULLs, a plain `bool`
 /// column and a nullable `uint` column, each the only non-window key of
 /// its query, over nine windows: the string, Bool and nullable unsigned
-/// key lanes. Each batch that carries one runs the per-row algorithm,
-/// and a window the per-row path has opened stays off the word path
-/// until it closes.
+/// key lanes. Each batch that carries one runs the per-row algorithm
+/// into the same group table, and every batch whose `u` lane is
+/// non-null unsigned takes the word path, whatever NULL keys its window
+/// already holds.
 #[test]
 fn string_bool_and_nullable_uint_keys_match_the_model() {
     const NAMES: [&str; 4] = ["tcp", "udp", "icmp", "gre"];
@@ -893,5 +932,35 @@ fn string_bool_and_nullable_uint_keys_match_the_model() {
             );
         }
         assert_model_equals_lanes(&dag, &input, &format!("group by {key}"));
+        if key == "u" {
+            assert_clean_batches_take_words(&dag, &input);
+        }
+    }
+}
+
+/// At every batch size, γ folds each batch whose `u` lane (column 3)
+/// has no NULL on words, and tallies no `mixed` fallback.
+fn assert_clean_batches_take_words(dag: &QueryDag, input: &[Tuple]) {
+    let root = dag.roots()[0];
+    for batch in [1usize, 5, 64, 1024] {
+        let mut engine = Engine::new(dag).expect("engine builds");
+        engine.set_batch_config(BatchConfig::new(batch));
+        let src = engine.source_nodes()[0];
+        let mut clean = 0;
+        for chunk in input.chunks(batch) {
+            clean += u64::from(chunk.iter().all(|t| !t.get(3).is_null()));
+            let mut cols = ColumnBatch::from_rows(chunk);
+            engine.push_columns(src, &mut cols).expect("push");
+        }
+        engine.finish().expect("finish");
+        let m = &engine.metrics()[root];
+        assert_eq!(
+            (
+                m.kernel_hits,
+                m.kernel_lane_fallbacks[LaneKind::Mixed as usize]
+            ),
+            (clean, 0),
+            "batch {batch}: word-path batches and mixed fallbacks"
+        );
     }
 }
