@@ -8,7 +8,7 @@
 //! statistic on a shared machine, where every disturbance only adds
 //! time. After timing, one extra run harvests the engine's metrics
 //! snapshot: kernel hits and fallbacks (total and per lane type),
-//! group-table inserts and flush latency.
+//! group-table inserts and probes, and flush latency.
 //!
 //! The process exits non-zero if any all-unsigned group — the shape of
 //! every Section 6 query, the §6.2 set and the §6.3 chain included —
@@ -610,12 +610,13 @@ fn main() -> ExitCode {
         let (group, metrics) = (c.group, &c.metrics);
         print!(
             "{group}: {:.1} ns/tuple ({:.2} Mt/s), kernel {} hit / {} fallback, \
-             {} group inserts",
+             {} group inserts, {} group probes",
             c.ns_per_tuple,
             1e3 / c.ns_per_tuple,
             metrics.kernel_hits,
             metrics.kernel_fallbacks,
             metrics.group_inserts,
+            metrics.group_probes,
         );
         if let Some(emit) = emit_ns_per_group(metrics) {
             print!(", emit {emit:.1} ns/group");
@@ -691,7 +692,8 @@ fn main() -> ExitCode {
             "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, {}{}\
              \"mtuples_per_sec\": {:.2}, \"gated\": {}, \"kernel_hits\": {}, \
              \"kernel_fallbacks\": {}, \"kernel_lane_hits\": {}, \
-             \"kernel_lane_fallbacks\": {}, \"group_inserts\": {}, \"flush_ns\": {}}}{}",
+             \"kernel_lane_fallbacks\": {}, \"group_inserts\": {}, \"group_probes\": {}, \
+             \"flush_ns\": {}}}{}",
             c.group,
             c.tuples,
             c.ns_per_tuple,
@@ -709,6 +711,7 @@ fn main() -> ExitCode {
             lanes(&c.metrics.kernel_lane_hits),
             lanes(&c.metrics.kernel_lane_fallbacks),
             c.metrics.group_inserts,
+            c.metrics.group_probes,
             c.metrics.flush_ns,
             if i + 1 < cases.len() { "," } else { "" }
         );

@@ -21,8 +21,8 @@
 //! codec; its round trip is exact for every value kind.
 //!
 //! Everything is hand-rolled binary in the style of
-//! [`qap_types::wire`]: the vendored `serde` is a no-op marker, so tags
-//! and lengths are written explicitly, and the decoder surfaces typed
+//! [`qap_types::wire`]: the workspace has no serialization library, so
+//! tags and lengths are written explicitly, and the decoder surfaces typed
 //! [`TypeError`]s for truncation, bad tags and length disagreements —
 //! a corrupt deployment never panics a host process.
 

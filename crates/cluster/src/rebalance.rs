@@ -69,8 +69,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::Serialize;
-
 use qap_exec::ExecResult;
 use qap_expr::{BinOp, ScalarExpr};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
@@ -89,7 +87,7 @@ pub const BUCKETS_PER_PARTITION: usize = 8;
 /// Knobs for the online rebalance controller. Disabled by default —
 /// every existing entry point keeps its static behavior unless a
 /// caller opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Master switch: when false the runners never sample, detect or
     /// migrate.

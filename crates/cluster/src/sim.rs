@@ -20,8 +20,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::Serialize;
-
 use qap_exec::{BatchConfig, ExecError, ExecResult, HostFailure, OpCounters, OpMetrics};
 use qap_optimizer::{DistributedPlan, PlanOutput};
 use qap_plan::NodeId;
@@ -38,7 +36,7 @@ use crate::unit::{Inbound, Unit, UnitCmd, UnitOutcome, UnitReply};
 /// between `remote_rx` and `op` encodes the paper's premise that
 /// processing a tuple received from another process costs several times
 /// a local operator application (message framing, copies, scheduling).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Charged per raw packet at a partition scan (link-layer +
     /// protocol parse).
@@ -103,7 +101,7 @@ impl Default for SimConfig {
 }
 
 /// The measured quantities of one simulated run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterMetrics {
     /// Cluster size.
     pub hosts: usize,

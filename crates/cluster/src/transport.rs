@@ -18,8 +18,6 @@
 //! cost model's derived `tuples × estimated_tuple_size(arity)`
 //! estimate — plus backpressure stalls and the live buffer-depth peak.
 
-use serde::Serialize;
-
 use crate::rebalance::RebalanceConfig;
 
 /// Deterministic fault-injection plan, applied by every unit wherever
@@ -53,7 +51,7 @@ use crate::rebalance::RebalanceConfig;
 ///   host's worker panics after feeding N tuples; `catch_unwind`
 ///   converts it into a typed
 ///   [`qap_exec::HostFailure`](qap_exec::FailureCause::Panic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The simulator's delivery schedule: 0 delivers every boundary
     /// frame as soon as it is cut, any other seed draws how many of each
@@ -144,7 +142,7 @@ impl FaultPlan {
 }
 
 /// Knobs for the boundary transport and the units around it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportConfig {
     /// Bounded channel capacity, in frames. Producing units block once
     /// this many frames are in flight toward a consumer — backpressure
@@ -208,7 +206,7 @@ pub const DEFAULT_SEND_TIMEOUT_MS: u64 = 30_000;
 /// sweeps all three). `Channel` keeps the run in one process;
 /// `Tcp`/`Unix` put each leaf host in its own OS process (`qapctl host
 /// --listen`) behind a versioned handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process bounded crossbeam channel (the default).
     #[default]
@@ -282,7 +280,7 @@ impl TransportConfig {
 
 /// Measured transport for one boundary edge (one producing plan node's
 /// frame stream into its consuming unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EdgeTransport {
     /// Global plan-node id of the producing operator.
     pub producer: usize,
@@ -312,7 +310,7 @@ pub struct EdgeTransport {
 /// trace); `backpressure_stalls` and `queue_peak` depend on scheduling
 /// and vary run to run on the threaded and socket runners. The
 /// simulator's queue peak is a function of its seed; nothing stalls.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TransportMetrics {
     /// Per-edge measurements, sorted by producing node id.
     pub edges: Vec<EdgeTransport>,

@@ -66,8 +66,8 @@ impl AggSlot {
     }
 }
 
-/// The most group keys a γ takes: its group table flags each NULL key
-/// in one mask word.
+/// The most group keys a γ, or equi-keys a ⋈, takes: a key read as
+/// words flags each NULL key in one mask word.
 pub(crate) const MAX_GROUP_KEYS: usize = 64;
 
 /// A bound tumbling-window aggregation (γ).
@@ -221,6 +221,12 @@ pub(crate) fn bind_node(dag: &QueryDag, id: NodeId) -> ExecResult<BoundNode> {
         } => {
             let ls = dag.schema(*left);
             let rs = dag.schema(*right);
+            if equi.len() > MAX_GROUP_KEYS {
+                return Err(ExecError::BadPlan(format!(
+                    "join node {id} has {} equi-keys, more than {MAX_GROUP_KEYS}",
+                    equi.len()
+                )));
+            }
             let temporal_of = |c: &ColumnRef, schema: &Schema, alias: &str| {
                 resolve_in(c, schema, alias)
                     .ok_or_else(|| ExecError::BadPlan(format!("temporal column {c} unresolved")))

@@ -1,15 +1,21 @@
 //! Tumbling-window hash aggregation (γ).
 //!
 //! Every group is keyed by words, laid out by the plan's key kinds when
-//! the operator is built ([`GroupTable`]). A batch's group keys are
-//! read one of two ways. When every key reads as words ([`read_words`]:
-//! a non-null unsigned lane, `time/60` or a kernel key such as
-//! `srcIP & 0xFFF0` — every §6 query), the batch folds on words: one
-//! probe pass through [`GroupTable::upsert`], then an entry-major fold.
-//! Any other batch — a signed, Bool, string, nullable or all-NULL key
-//! lane, or an interpreted key — runs the per-row algorithm of Section
-//! 3.1 (`push_one`), which encodes each row's key into the same words
-//! and upserts it into the same table.
+//! the operator is built ([`GroupTable`]). Every batch runs one
+//! algorithm, the per-tuple one of Section 3.1 taken a batch at a time:
+//! the predicate filters the batch ([`Filter`]), [`read_words`] reads
+//! every row's keys as words, whatever their kinds, and one probe pass
+//! admits each row to its window, closing the window a later row opens
+//! and dropping a late row, and finds or creates its group. The rows a
+//! window admitted then fold entry-major, each slot reading its
+//! argument off a lane: a bare column's own, or one the slots'
+//! [`Projection`] evaluates over the admitted rows alone, so a late row
+//! never evaluates an argument.
+//!
+//! A batch whose keys are all non-null and none a string — every §6
+//! query — probes with the words as read. Any other batch moves each
+//! string key into its table's string pool and routes a row whose
+//! window key is NULL to the NULL-window table.
 //!
 //! Group state lives in the [`GroupTable`]'s arenas with a layout fixed
 //! when the operator is built: every built-in slot is a run of `u64`
@@ -19,17 +25,15 @@
 //! without UDAFs never allocates. Folds, window closes, migration
 //! extracts and absorbs all read and write that layout directly.
 
-use qap_expr::{
-    AggKind, BoundExpr, KernelScratch, LaneKind, PredicateKernel, UdafState, WordAgg, LANE_KINDS,
-};
-use qap_types::{ArcStr, Column, ColumnBatch, DataType, Field, SelectionVector, Tuple, Value};
+use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, Ran, UdafState, WordAgg, LANE_KINDS};
+use qap_types::{ArcStr, Column, ColumnBatch, DataType, Field, SelectionVector, Value};
 
 use crate::bind::{AccFactory, AggSlot, BoundAggregate};
 use crate::ExecResult;
 
-use super::group_table::{key_hash, GroupTable, Payload, Window};
-use super::keys::{read_words, KeyEval};
-use super::{bucket_of, emit_row, merge_lanes, reset_arity, OpRuntimeStats, Operator};
+use super::group_table::{GroupTable, Payload, Window};
+use super::keys::{key_hash, lane_kind, read_words, KeyEval, KeyWords, StrPool};
+use super::{append_batch, merge_lanes, reset_arity, OpRuntimeStats, Operator};
 
 /// A UDAF slot's running state for one group: the one kind of state
 /// that is not words. Its lossless migration state is its partial,
@@ -49,20 +53,33 @@ enum SlotState {
     Side(usize),
 }
 
-/// One aggregate slot as the operator runs it: the bound slot, how the
-/// lane path reads its argument and where its state lives.
+/// One aggregate slot as the operator runs it: the bound slot, which of
+/// the slots' arguments it folds and where its state lives.
 struct Slot {
     bound: AggSlot,
-    eval: SlotEval,
+    /// Its argument's index in [`Args`] (`None`: no argument, as in
+    /// `COUNT(*)`, which folds TRUE).
+    arg: Option<usize>,
     state: SlotState,
 }
 
+/// The slots' arguments, in slot order.
+enum Args {
+    /// Every argument is a bare column: read off the batch.
+    Cols(Vec<usize>),
+    /// Some argument is computed: all of them evaluate over the rows a
+    /// window admits.
+    Computed(Projection),
+}
+
 impl Slot {
-    /// Classifies `slots` and lays their state out: built-ins' words
-    /// side by side in slot order, then one side payload per UDAF.
-    /// Returns them with the words and side payloads per group.
-    fn plan(slots: Vec<AggSlot>) -> (Vec<Slot>, usize, usize) {
+    /// Lays the slots' state out — built-ins' words side by side in slot
+    /// order, then one side payload per UDAF — and collects their
+    /// arguments. Returns them with the words and side payloads per
+    /// group.
+    fn plan(slots: Vec<AggSlot>) -> (Vec<Slot>, Args, usize, usize) {
         let (mut words, mut side) = (0, 0);
+        let mut args: Vec<BoundExpr> = Vec::new();
         let slots = slots.into_iter().map(|bound| {
             let state = match &bound.factory {
                 AccFactory::Builtin(kind) => {
@@ -78,10 +95,21 @@ impl Slot {
                     SlotState::Side(side - 1)
                 }
             };
-            let eval = SlotEval::classify(&bound);
-            Slot { bound, eval, state }
+            let arg = bound.arg.as_ref().map(|e| {
+                args.push(e.clone());
+                args.len() - 1
+            });
+            Slot { bound, arg, state }
         });
-        (slots.collect(), words, side)
+        let slots = slots.collect();
+        let cols = args.iter().map(|e| match e {
+            BoundExpr::Column(i) => Some(*i),
+            _ => None,
+        });
+        match cols.collect() {
+            Some(cols) => (slots, Args::Cols(cols), words, side),
+            None => (slots, Args::Computed(Projection::new(args)), words, side),
+        }
     }
 
     /// Folds one argument value into a group's state: updated, or
@@ -93,17 +121,6 @@ impl Slot {
             (SlotState::Side(i), false) => g.side[i].update(v),
             (SlotState::Side(i), true) => g.side[i].merge(v),
         }
-    }
-
-    /// Folds one input row: the argument's value (every row counts for
-    /// `COUNT(*)`).
-    fn fold(&self, g: &mut Group<'_>, row: &Tuple) -> ExecResult<()> {
-        let v = match &self.bound.arg {
-            Some(e) => e.eval(row)?,
-            None => Value::Bool(true),
-        };
-        self.fold_value(g, &v);
-        Ok(())
     }
 
     /// The slot's value for a closing window: its partial when the
@@ -158,26 +175,42 @@ fn fresh_side(slots: &[Slot]) -> impl Iterator<Item = Udaf> + '_ {
     })
 }
 
-/// How the lane path reads one aggregate slot's argument, classified
-/// once at operator construction (the per-batch [`SlotLane`] refines
-/// it).
-enum SlotEval {
-    /// `COUNT(*)`: an unconditional increment.
-    CountStar,
-    /// A plain column argument, read off its lane.
-    Col(usize),
-    /// Evaluate the argument expression, then update or merge.
-    General,
+/// The window a temporal key's word names, as the model orders windows:
+/// a signed key by its value, a string key in no order at all.
+#[inline]
+fn bucket(kind: DataType, word: u64) -> i128 {
+    match kind {
+        DataType::UInt | DataType::Bool => i128::from(word),
+        DataType::Int => i128::from(word as i64),
+        DataType::Str => i128::MIN,
+    }
 }
 
-impl SlotEval {
-    fn classify(slot: &AggSlot) -> SlotEval {
-        match (&slot.factory, &slot.arg) {
-            (AccFactory::Builtin(AggKind::Count), None) => SlotEval::CountStar,
-            (_, Some(BoundExpr::Column(i))) => SlotEval::Col(*i),
-            _ => SlotEval::General,
-        }
+/// The words and hash `table` keys a row by: `key` as read, or — when a
+/// key is a string — with its strings moved from the batch's `pool`
+/// into the table's, in `buf`.
+#[inline]
+fn localize<'a>(
+    table: &mut GroupTable<Udaf>,
+    pool: &StrPool,
+    buf: &'a mut Vec<u64>,
+    key: &'a [u64],
+    mask: u64,
+    hash: u64,
+) -> (&'a [u64], u64) {
+    if !table.has_str_keys() {
+        return (key, hash);
     }
+    buf.clear();
+    buf.extend_from_slice(key);
+    table.intern_keys(buf, mask, pool);
+    (buf, key_hash(buf, mask))
+}
+
+/// Packs a probe's group entry and the row it folds into one word.
+#[inline]
+fn pack(entry: usize, row: usize) -> u64 {
+    (entry as u64) << 32 | row as u64
 }
 
 /// Hash aggregation over the current tumbling window. State holds only
@@ -186,23 +219,20 @@ impl SlotEval {
 /// behind the window are dropped and counted, mirroring a DSMS facing
 /// out-of-order input.
 pub(crate) struct AggregateOp {
-    predicate: Option<BoundExpr>,
-    group_exprs: Vec<BoundExpr>,
-    /// How `group_exprs` read as words, classified once (parallel
-    /// vector).
+    filter: Option<Filter>,
+    /// How the group keys read as words, classified once.
     key_evals: Vec<KeyEval>,
     /// Index (within the group key) of the temporal attribute that
-    /// defines the window.
+    /// defines the window, and its kind.
     temporal_idx: usize,
+    temporal_kind: DataType,
     slots: Vec<Slot>,
-    having: Option<BoundExpr>,
+    args: Args,
+    having: Option<Filter>,
     /// The columns of a migration state row, which an absorb checks.
     state_fields: Vec<Field>,
-    /// HAVING compiled against the output schema (None: no HAVING, or
-    /// outside the kernel domain), run over each closed window's lanes.
-    having_kernel: Option<PredicateKernel>,
-    /// The HAVING kernel's own register file: its lane tallies are not
-    /// the operator's input-side kernel telemetry.
+    /// HAVING's own register file: its lane tallies are not the
+    /// operator's input-side kernel telemetry.
     having_scratch: KernelScratch,
     /// Reused lanes of the window being closed: one per group key, then
     /// one per aggregate slot (trimmed or extended to that count when a
@@ -224,43 +254,26 @@ pub(crate) struct AggregateOp {
     /// Wall-clock nanoseconds spent inside window flushes. Timed per
     /// flush (once per closed window), never per tuple.
     flush_ns: u64,
-    /// Reused group-key buffers of the per-row path: every tuple
-    /// evaluates its key into the values, encodes them into the words
-    /// and upserts by slice, so no per-group allocation ever happens.
-    key_scratch: Vec<Value>,
-    key_words: Vec<u64>,
-    /// Compiled predicate kernel for the columnar path (None: no
-    /// predicate, or outside the kernel domain).
-    kernel: Option<PredicateKernel>,
     /// Reused kernel register file.
     kscratch: KernelScratch,
-    /// Reused selection vector: the columnar filter's, and HAVING's
-    /// over a closed window.
+    /// Reused selection vector: the filter's, and HAVING's over a
+    /// closed window.
     sel: SelectionVector,
-    /// Per-row group-key hashes of the word path, the fx fold of each
-    /// row's key words.
-    hash_scratch: Vec<u64>,
-    /// Reused row: a columnar fallback's materialization (interpreter
-    /// predicates and HAVING, `General` slot folds).
-    row_scratch: Tuple,
-    /// Recycled surviving-row indices for the interpreter predicate
-    /// fallback, so a kernel bailout does not reallocate two index
-    /// buffers per batch.
-    fallback_keep: Vec<u32>,
-    /// Row-major key words for the word path ([`read_words`]: `arity`
-    /// words per row). One buffer, four uses: hash input, probe key
-    /// ([`GroupTable::upsert`]), window-bucket source and insert key.
-    ukeys_flat: Vec<u64>,
-    /// `(group entry << 32) | row` per surviving row of the current
-    /// window segment (late rows absent), filled by the probe pass and
-    /// consumed by the entry-major fold pass of the word path.
+    /// The batch's keys as words: one buffer serves as hash input,
+    /// probe key, window-bucket source and insert key.
+    kw: KeyWords,
+    /// The batch's key strings, which its string keys' words index.
+    pool: StrPool,
+    /// A row's key with its strings moved into a table's pool.
+    key_buf: Vec<u64>,
+    /// `(group entry << 32) | row` per row the current window segment
+    /// admitted, filled by the probe pass and consumed by the
+    /// entry-major fold; the NULL window's in `null_entries`.
     entry_scratch: Vec<u64>,
-    /// Key lanes read as words, tallied under `Uint` (one per key per
-    /// batch).
+    null_entries: Vec<u64>,
+    /// Key lanes read as words, tallied under their lane type (one per
+    /// key per batch).
     lane_hits: [u64; LANE_KINDS],
-    /// Batches bounced to the per-row algorithm, tallied by the lane
-    /// type that forced the bounce.
-    lane_fallbacks: [u64; LANE_KINDS],
     kernel_hits: u64,
     kernel_fallbacks: u64,
 }
@@ -269,27 +282,26 @@ impl AggregateOp {
     pub(crate) fn new(b: BoundAggregate) -> Self {
         let BoundAggregate {
             predicate,
-            group_by: group_exprs,
+            group_by,
             temporal_idx,
             slots,
             having,
             state_fields,
         } = b;
-        let kernel = predicate.as_ref().and_then(PredicateKernel::compile);
-        let having_kernel = having.as_ref().and_then(PredicateKernel::compile);
-        let (slots, words, side) = Slot::plan(slots);
-        let kinds: Vec<DataType> = state_fields[..group_exprs.len()]
+        let (slots, args, words, side) = Slot::plan(slots);
+        let kinds: Vec<DataType> = state_fields[..group_by.len()]
             .iter()
             .map(Field::data_type)
             .collect();
         AggregateOp {
-            key_evals: group_exprs.iter().map(KeyEval::classify).collect(),
-            predicate,
-            group_exprs,
+            filter: predicate.map(Filter::new),
+            key_evals: group_by.iter().map(KeyEval::classify).collect(),
             temporal_idx,
-            having,
+            temporal_kind: kinds[temporal_idx],
+            slots,
+            args,
+            having: having.map(Filter::new),
             state_fields,
-            having_kernel,
             having_scratch: KernelScratch::new(),
             window: Vec::new(),
             current_bucket: None,
@@ -298,21 +310,16 @@ impl AggregateOp {
             late: 0,
             flushes: 0,
             flush_ns: 0,
-            key_scratch: Vec::new(),
-            key_words: Vec::new(),
-            kernel,
             kscratch: KernelScratch::new(),
             sel: SelectionVector::new(),
-            hash_scratch: Vec::new(),
-            row_scratch: Tuple::default(),
-            fallback_keep: Vec::new(),
-            ukeys_flat: Vec::new(),
+            kw: KeyWords::default(),
+            pool: StrPool::default(),
+            key_buf: Vec::new(),
             entry_scratch: Vec::new(),
+            null_entries: Vec::new(),
             lane_hits: [0; LANE_KINDS],
-            lane_fallbacks: [0; LANE_KINDS],
             kernel_hits: 0,
             kernel_fallbacks: 0,
-            slots,
         }
     }
 
@@ -332,10 +339,9 @@ impl AggregateOp {
     /// lane per group key, built by its kind from the table's words,
     /// then a lane per aggregate slot of its finalized (or partial)
     /// values — `COUNT` and `OR_AGGR` copied off
-    /// their state words. HAVING filters that batch — the compiled
-    /// kernel, or the interpreter over the same lanes when the kernel
-    /// refuses the predicate or bails — and the survivors leave by
-    /// `append_gather`. The lanes are reused from flush to flush.
+    /// their state words. HAVING filters that batch and the survivors
+    /// leave by `append_gather`. The lanes are reused from flush to
+    /// flush.
     fn emit(&mut self, null_window: bool, out: &mut ColumnBatch) -> ExecResult<()> {
         let table = if null_window {
             &self.null_groups
@@ -351,7 +357,7 @@ impl AggregateOp {
         if n == 0 {
             return Ok(());
         }
-        let arity = self.group_exprs.len();
+        let arity = self.key_evals.len();
         let width = self.slots.len();
         // Each arena holds exactly `n` entries' runs.
         let (words_w, side_w) = (words.len() / n, side.len() / n);
@@ -403,98 +409,11 @@ impl AggregateOp {
             None => out.append_range(&window, 0..n),
             Some(h) => {
                 self.sel.fill_identity(n);
-                let compiled = self
-                    .having_kernel
-                    .as_ref()
-                    .is_some_and(|k| k.filter(&window, &mut self.sel, &mut self.having_scratch));
-                if !compiled {
-                    self.sel.clear();
-                    for i in 0..n {
-                        window.write_row_into(i, &mut self.row_scratch);
-                        if h.eval_predicate(&self.row_scratch)? {
-                            self.sel.push(i as u32);
-                        }
-                    }
-                }
+                h.apply(&window, &mut self.sel, &mut self.having_scratch)?;
                 out.append_gather(&window, self.sel.as_slice());
             }
         }
         self.window = (0..window.arity()).map(|i| window.take_column(i)).collect();
-        Ok(())
-    }
-
-    /// Admits a row of window `bucket`: a later window first closes the
-    /// current one into `out`; an earlier one is late — counted, and
-    /// `false`.
-    fn admit(&mut self, bucket: i128, out: &mut ColumnBatch) -> ExecResult<bool> {
-        match self.current_bucket {
-            Some(cur) if bucket > cur => {
-                self.flush(out)?;
-                self.current_bucket = Some(bucket);
-            }
-            Some(cur) if bucket < cur => {
-                self.late += 1;
-                return Ok(false);
-            }
-            Some(_) => {}
-            None => self.current_bucket = Some(bucket),
-        }
-        Ok(true)
-    }
-
-    /// Finds or creates the group of the key in `key_scratch`, encoded
-    /// into `key_words`: in the NULL-window table when its window
-    /// attribute is NULL (e.g. outer-join padding: no window ever closes
-    /// over it, so it accumulates until end-of-stream), else in the
-    /// current window once [`AggregateOp::admit`] lets it in. Returns
-    /// whether the group is a NULL-window one and its entry, `None` for
-    /// a late key.
-    fn group_of(&mut self, out: &mut ColumnBatch) -> ExecResult<Option<(bool, usize)>> {
-        let temporal = &self.key_scratch[self.temporal_idx];
-        let null = temporal.is_null();
-        if !null && !self.admit(bucket_of(temporal), out)? {
-            return Ok(None);
-        }
-        let table = if null {
-            &mut self.null_groups
-        } else {
-            &mut self.groups
-        };
-        let key = &mut self.key_words;
-        let mask = table.encode(&self.key_scratch, key);
-        let mut walked = 0;
-        let e = table.upsert(
-            key_hash(key, mask),
-            key,
-            mask,
-            &mut walked,
-            fresh_side(&self.slots),
-        );
-        table.add_probes(walked);
-        Ok(Some((null, e)))
-    }
-
-    /// The per-tuple algorithm (Section 3.1), for a tuple the predicate
-    /// has kept: evaluate the group key into the reused scratch, find or
-    /// create its group in the current window (a later window closes
-    /// this one first), and fold the tuple into every slot.
-    fn push_one(&mut self, tuple: &Tuple, out: &mut ColumnBatch) -> ExecResult<()> {
-        self.key_scratch.clear();
-        for e in &self.group_exprs {
-            self.key_scratch.push(e.eval(tuple)?);
-        }
-        let Some((null, e)) = self.group_of(out)? else {
-            return Ok(());
-        };
-        let table = if null {
-            &mut self.null_groups
-        } else {
-            &mut self.groups
-        };
-        let mut g = table.payload_mut(e);
-        for slot in &self.slots {
-            slot.fold(&mut g, tuple)?;
-        }
         Ok(())
     }
 
@@ -513,74 +432,48 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Refines `self.sel` to the rows the predicate keeps — compiled
-    /// kernel when it applies, per-tuple interpreter otherwise. The
-    /// fallback swaps the selection through a recycled index buffer, so
-    /// a kernel that bails every batch still allocates nothing in
-    /// steady state.
-    fn filter_columns(&mut self, batch: &ColumnBatch) -> ExecResult<()> {
-        let Some(p) = &self.predicate else {
-            return Ok(());
-        };
-        if let Some(k) = &self.kernel {
-            if k.filter(batch, &mut self.sel, &mut self.kscratch) {
-                self.kernel_hits += 1;
-                return Ok(());
-            }
-        }
-        self.kernel_fallbacks += 1;
-        std::mem::swap(self.sel.raw_mut(), &mut self.fallback_keep);
-        self.sel.clear();
-        for &i in &self.fallback_keep {
-            batch.write_row_into(i as usize, &mut self.row_scratch);
-            if p.eval_predicate(&self.row_scratch)? {
-                self.sel.push(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// The word path over a batch whose keys [`read_words`] laid out as
-    /// `flat` (`arity` words per row, none NULL) and hashed into
-    /// `hashes`: the one buffer serves as hash input, probe key,
-    /// window-bucket source and insert key, so the per-row loop touches
-    /// no `Value` at all.
-    fn push_words(
+    /// The probe pass over rows whose keys `kw` holds: each row is
+    /// admitted to its window (a later window first folds and closes
+    /// the current one, an earlier one drops the row) and finds or
+    /// creates its group, and `fold` folds each window's admitted rows
+    /// (with whether they are the NULL window's) before it closes.
+    /// Without `GENERAL` no key is NULL or a string, and the words probe
+    /// as read — the §6 loop, with no per-row mask or string work.
+    fn push_words<const GENERAL: bool>(
         &mut self,
-        batch: &ColumnBatch,
-        flat: &[u64],
-        hashes: &[u64],
+        kw: &KeyWords,
         out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
-        let arity = self.group_exprs.len();
-        self.kernel_hits += 1;
-        self.lane_hits[LaneKind::Uint as usize] += arity as u64;
-        let slot_lanes = classify_slot_lanes(&self.slots, batch);
-        let t_off = self.temporal_idx;
-        // Probe pass: one counted walk per row finds-or-inserts the
-        // group and records `(entry, row)` packed in one word. Folding
-        // is deferred to an entry-major segment pass (slot dispatch
-        // classified once per batch), run before every window flush so
-        // bucket transitions observe exactly the state the row path
-        // would.
+        mut fold: impl FnMut(&mut Self, bool, &mut [u64]) -> ExecResult<Ran>,
+    ) -> ExecResult<Ran> {
+        let (arity, t_off, t_kind) = (self.key_evals.len(), self.temporal_idx, self.temporal_kind);
+        let mut ran = Ran::Moved;
         let mut ents = std::mem::take(&mut self.entry_scratch);
+        let mut null_ents = std::mem::take(&mut self.null_entries);
         ents.clear();
-        // Probe tally lives in a register for the whole batch — a
-        // per-row `Cell` update would chain the iterations through
-        // memory (see `upsert`).
-        let mut walked = 0u64;
-        for (r, (key, &hash)) in flat.chunks_exact(arity).zip(hashes).enumerate() {
-            let bucket = i128::from(key[t_off]);
+        null_ents.clear();
+        // Probe tallies live in registers for the whole batch — a
+        // per-row update of the table's counter would chain the
+        // iterations through memory (see `upsert`).
+        let (mut walked, mut null_walked) = (0u64, 0u64);
+        for (r, (key, &hash)) in kw.words.chunks_exact(arity).zip(&kw.hashes).enumerate() {
+            let mask = match GENERAL {
+                true => kw.masks.get(r).copied().unwrap_or(0),
+                false => 0,
+            };
+            if GENERAL && mask >> t_off & 1 != 0 {
+                // NULL window key (e.g. outer-join padding): no window
+                // ever closes over it, so it accumulates until
+                // end-of-stream.
+                let table = &mut self.null_groups;
+                let (key, hash) = localize(table, &self.pool, &mut self.key_buf, key, mask, hash);
+                let e = table.upsert(hash, key, mask, &mut null_walked, fresh_side(&self.slots));
+                null_ents.push(pack(e, r));
+                continue;
+            }
+            let bucket = bucket(t_kind, key[t_off]);
             match self.current_bucket {
                 Some(cur) if bucket > cur => {
-                    Self::fold_segment(
-                        &self.slots,
-                        &slot_lanes,
-                        &mut self.groups,
-                        &ents,
-                        batch,
-                        &mut self.row_scratch,
-                    )?;
+                    ran = ran.max(fold(self, false, &mut ents)?);
                     ents.clear();
                     self.flush(out)?;
                     self.current_bucket = Some(bucket);
@@ -592,122 +485,132 @@ impl AggregateOp {
                 Some(_) => {}
                 None => self.current_bucket = Some(bucket),
             }
-            let e = self
-                .groups
-                .upsert(hash, key, 0, &mut walked, fresh_side(&self.slots));
-            ents.push((e as u64) << 32 | r as u64);
+            let e = if GENERAL {
+                let table = &mut self.groups;
+                let (key, hash) = localize(table, &self.pool, &mut self.key_buf, key, mask, hash);
+                table.upsert(hash, key, mask, &mut walked, fresh_side(&self.slots))
+            } else {
+                (self.groups).upsert(hash, key, 0, &mut walked, fresh_side(&self.slots))
+            };
+            ents.push(pack(e, r));
         }
         self.groups.add_probes(walked);
-        Self::fold_segment(
-            &self.slots,
-            &slot_lanes,
-            &mut self.groups,
-            &ents,
-            batch,
-            &mut self.row_scratch,
-        )?;
+        self.null_groups.add_probes(null_walked);
+        ran = ran.max(fold(self, false, &mut ents)?);
+        ran = ran.max(fold(self, true, &mut null_ents)?);
         self.entry_scratch = ents;
-        Ok(())
+        self.null_entries = null_ents;
+        Ok(ran)
     }
 
-    /// The per-tuple algorithm over every row of a batch the word path
-    /// refused, tallied under the lane type `kind` that forced it.
-    fn push_rows(
-        &mut self,
-        kind: LaneKind,
-        batch: &ColumnBatch,
-        out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
-        self.kernel_fallbacks += 1;
-        self.lane_fallbacks[kind as usize] += 1;
-        let mut row = std::mem::take(&mut self.row_scratch);
-        let res = (0..batch.rows()).try_for_each(|r| {
-            batch.write_row_into(r, &mut row);
-            self.push_one(&row, out)
-        });
-        self.row_scratch = row;
-        res
-    }
-
-    /// Entry-major fold over one window segment of the word path: each
-    /// `ents` word packs `(group entry << 32) | row` (late rows
-    /// absent). One pass touches each row's group once and folds
-    /// all of its slots together — a group's state words sit side by
-    /// side in the word arena — and each accumulator sees its rows in
-    /// row order, so any order-sensitive UDAF state observes the update
-    /// sequence the row path produces.
+    /// Entry-major fold of the rows one window segment admitted: each
+    /// `ents` word packs `(group entry << 32) | row`. The slots'
+    /// arguments are the batch's columns, or the [`Args::Computed`]
+    /// projection over exactly those rows (the words then index its
+    /// output). One pass touches each row's group once and folds all of
+    /// its slots together — a group's state words sit side by side in
+    /// the word arena — and each accumulator sees its rows in row order,
+    /// so any order-sensitive UDAF state observes the model's update
+    /// sequence.
     fn fold_segment(
-        slots: &[Slot],
-        slot_lanes: &[SlotLane<'_>],
-        table: &mut GroupTable<Udaf>,
-        ents: &[u64],
+        &mut self,
+        null_window: bool,
+        ents: &mut [u64],
         batch: &ColumnBatch,
-        row_scratch: &mut Tuple,
-    ) -> ExecResult<()> {
+    ) -> ExecResult<Ran> {
+        if ents.is_empty() {
+            return Ok(Ran::Moved);
+        }
+        let computed;
+        let (cols, ran): (Vec<&Column>, Ran) = match &self.args {
+            Args::Cols(cols) => (cols.iter().map(|&c| batch.column(c)).collect(), Ran::Moved),
+            Args::Computed(p) => {
+                let rows: Vec<u32> = ents.iter().map(|&er| er as u32).collect();
+                let mut admitted = ColumnBatch::new(batch.arity());
+                admitted.append_gather(batch, &rows);
+                let ran;
+                (computed, ran) = p.project(&mut admitted, &mut self.kscratch)?;
+                for (i, er) in ents.iter_mut().enumerate() {
+                    *er = pack((*er >> 32) as usize, i);
+                }
+                (computed.columns().iter().collect(), ran)
+            }
+        };
+        let lanes = slot_lanes(&self.slots, &cols);
+        let table = if null_window {
+            &mut self.null_groups
+        } else {
+            &mut self.groups
+        };
         // Up to four slots, the width is a constant of the loop, so the
         // slot loop unrolls and each slot's dispatch stays in registers.
-        let fold = match slots.len() {
-            1 => Self::fold_entries::<1>,
-            2 => Self::fold_entries::<2>,
-            3 => Self::fold_entries::<3>,
-            4 => Self::fold_entries::<4>,
-            _ => Self::fold_entries::<0>,
+        let fold = match self.slots.len() {
+            1 => fold_entries::<1>,
+            2 => fold_entries::<2>,
+            3 => fold_entries::<3>,
+            4 => fold_entries::<4>,
+            _ => fold_entries::<0>,
         };
-        fold(slots, slot_lanes, table, ents, batch, row_scratch)
+        fold(&self.slots, &lanes, table, ents);
+        Ok(ran)
     }
 
-    /// [`AggregateOp::fold_segment`]'s loop for `W` slots (`0`: any).
-    fn fold_entries<const W: usize>(
-        slots: &[Slot],
-        slot_lanes: &[SlotLane<'_>],
-        table: &mut GroupTable<Udaf>,
-        ents: &[u64],
-        batch: &ColumnBatch,
-        row_scratch: &mut Tuple,
-    ) -> ExecResult<()> {
-        let width = if W == 0 { slots.len() } else { W };
-        let (slots, slot_lanes) = (&slots[..width], &slot_lanes[..width]);
+    /// Merges the migration state rows `ents` names (rows of `state`)
+    /// into their groups.
+    fn merge_states(&mut self, null_window: bool, ents: &[u64], state: &ColumnBatch) {
+        let states = &state.columns()[self.key_evals.len()..];
+        let mut vals = Vec::with_capacity(states.len());
+        let table = if null_window {
+            &mut self.null_groups
+        } else {
+            &mut self.groups
+        };
         for &er in ents {
             let mut g = table.payload_mut((er >> 32) as usize);
-            let r = er as u32 as usize;
-            for (slot, lane) in slots.iter().zip(slot_lanes) {
-                match *lane {
-                    SlotLane::Count(off) => g.words[off] += 1,
-                    SlotLane::Word {
-                        agg,
-                        merge,
-                        off,
-                        lane,
-                    } => agg.fold_uint(&mut g.words[off..], lane[r], merge),
-                    SlotLane::Row => fold_row(slot, &mut g, batch, r, row_scratch)?,
-                }
+            vals.clear();
+            vals.extend(states.iter().map(|c| c.value(er as u32 as usize)));
+            let mut off = 0;
+            for slot in &self.slots {
+                let w = slot.state_width();
+                slot.absorb_state(&mut g, &vals[off..off + w]);
+                off += w;
             }
         }
-        Ok(())
     }
 }
 
-/// The per-row fold of a [`SlotLane::Row`] slot: a column argument
-/// folds straight off its lane, anything else evaluates against row `r`
-/// materialized into `row`.
-#[inline(never)]
-fn fold_row(
-    slot: &Slot,
-    g: &mut Group<'_>,
-    batch: &ColumnBatch,
-    r: usize,
-    row: &mut Tuple,
-) -> ExecResult<()> {
-    match slot.eval {
-        SlotEval::Col(i) => {
-            slot.fold_value(g, &batch.column(i).value(r));
-            Ok(())
-        }
-        SlotEval::CountStar | SlotEval::General => {
-            batch.write_row_into(r, row);
-            slot.fold(g, row)
+/// [`AggregateOp::fold_segment`]'s loop for `W` slots (`0`: any).
+fn fold_entries<const W: usize>(
+    slots: &[Slot],
+    lanes: &[SlotLane<'_>],
+    table: &mut GroupTable<Udaf>,
+    ents: &[u64],
+) {
+    let width = if W == 0 { slots.len() } else { W };
+    let (slots, lanes) = (&slots[..width], &lanes[..width]);
+    for &er in ents {
+        let mut g = table.payload_mut((er >> 32) as usize);
+        let r = er as u32 as usize;
+        for (slot, lane) in slots.iter().zip(lanes) {
+            match *lane {
+                SlotLane::Count(off) => g.words[off] += 1,
+                SlotLane::Word {
+                    agg,
+                    merge,
+                    off,
+                    lane,
+                } => agg.fold_uint(&mut g.words[off..], lane[r], merge),
+                SlotLane::Value(c) => fold_lane_value(slot, &mut g, c, r),
+            }
         }
     }
+}
+
+/// The fold of a [`SlotLane::Value`] slot: row `r`'s value off its
+/// argument's lane (TRUE with no argument).
+#[inline(never)]
+fn fold_lane_value(slot: &Slot, g: &mut Group<'_>, c: Option<&Column>, r: usize) {
+    slot.fold_value(g, &c.map_or(Value::Bool(true), |c| c.value(r)));
 }
 
 /// Walks one group table, shipping every group whose key satisfies
@@ -728,31 +631,35 @@ fn extract_from_table(
     let (keys, words, side, n) = table.take_entries();
     let (words_w, side_w) = (words.len() / n, side.len() / n);
     let mut side_iter = side.into_iter();
-    let mut scratch: Vec<Value> = Vec::with_capacity(arity);
+    let mut row: Vec<Value> = Vec::with_capacity(arity);
     let mut accs: Vec<Udaf> = Vec::with_capacity(side_w);
+    let (mut cols, mut shipped): (Vec<Column>, usize) = (Vec::new(), 0);
     for (e, key) in keys.chunks_exact(arity + 1).enumerate() {
         let w = &words[e * words_w..(e + 1) * words_w];
-        scratch.clear();
-        scratch.extend((0..arity).map(|k| table.key_value(key, k)));
+        row.clear();
+        row.extend((0..arity).map(|k| table.key_value(key, k)));
         accs.extend(side_iter.by_ref().take(side_w));
-        if pred(&scratch) {
+        if pred(&row) {
             for slot in slots {
-                slot.state_values(w, &accs, table.window().strs, &mut scratch)?;
+                slot.state_values(w, &accs, table.window().strs, &mut row)?;
             }
             accs.clear();
-            let row = Tuple::new(std::mem::take(&mut scratch));
-            emit_row(out, &row);
-            scratch = row.into_values();
+            cols.resize_with(row.len(), Column::new);
+            cols.iter_mut().zip(&row).for_each(|(c, v)| c.push(v));
+            shipped += 1;
         } else {
             let e = table.put_back(key, accs.drain(..));
             table.payload_mut(e).words.copy_from_slice(w);
         }
     }
+    if shipped > 0 {
+        append_batch(out, ColumnBatch::from_columns_with_rows(cols, shipped));
+    }
     Ok(())
 }
 
-/// One aggregate slot's per-batch fold source: the lane-resolved
-/// refinement of [`SlotEval`], classified once per batch.
+/// One aggregate slot's per-segment fold source, classified once per
+/// segment from its argument's lane.
 #[derive(Clone, Copy)]
 enum SlotLane<'a> {
     /// `COUNT(*)`: the count word at `off` goes up by one.
@@ -765,28 +672,31 @@ enum SlotLane<'a> {
         off: usize,
         lane: &'a [u64],
     },
-    /// Everything else: [`fold_row`].
-    Row,
+    /// Everything else: [`fold_lane_value`].
+    Value(Option<&'a Column>),
 }
 
-fn classify_slot_lanes<'a>(slots: &[Slot], batch: &'a ColumnBatch) -> Vec<SlotLane<'a>> {
+fn slot_lanes<'a>(slots: &[Slot], cols: &[&'a Column]) -> Vec<SlotLane<'a>> {
     slots
         .iter()
-        .map(|slot| match (&slot.eval, slot.state) {
-            (SlotEval::CountStar, SlotState::Word { off, .. }) => SlotLane::Count(off),
-            (SlotEval::Col(i), SlotState::Word { agg, off }) => {
-                let c = batch.column(*i);
-                match (c.uints(), c.has_nulls()) {
-                    (Some(lane), false) => SlotLane::Word {
-                        agg,
-                        merge: slot.bound.merge,
-                        off,
-                        lane,
-                    },
-                    _ => SlotLane::Row,
-                }
-            }
-            _ => SlotLane::Row,
+        .map(|slot| match (slot.arg.map(|j| cols[j]), slot.state) {
+            (
+                None,
+                SlotState::Word {
+                    agg: WordAgg::Count,
+                    off,
+                },
+            ) => SlotLane::Count(off),
+            (Some(c), SlotState::Word { agg, off }) => match (c.uints(), c.has_nulls()) {
+                (Some(lane), false) => SlotLane::Word {
+                    agg,
+                    merge: slot.bound.merge,
+                    off,
+                    lane,
+                },
+                _ => SlotLane::Value(Some(c)),
+            },
+            (c, _) => SlotLane::Value(c),
         })
         .collect()
 }
@@ -804,34 +714,45 @@ impl Operator for AggregateOp {
         }
         // σ: refine the selection, then compact onto the survivors
         // (skipped entirely when the plan has no predicate).
-        if self.predicate.is_some() {
+        if let Some(f) = &self.filter {
             self.sel.fill_identity(batch.rows());
-            self.filter_columns(batch)?;
+            match f.apply(batch, &mut self.sel, &mut self.kscratch)? {
+                Ran::Rows => self.kernel_fallbacks += 1,
+                _ => self.kernel_hits += 1,
+            }
             if self.sel.is_empty() {
                 batch.clear();
                 return Ok(());
             }
             batch.compact(&self.sel);
         }
-        // The keys read as words — the shape of every §6 query — or the
-        // whole batch takes the per-tuple algorithm, one materialized
-        // row at a time, into the same table. The windows it closes
-        // still leave as lanes.
-        let mut flat = std::mem::take(&mut self.ukeys_flat);
-        let mut hashes = std::mem::take(&mut self.hash_scratch);
-        let read = read_words(
+        // Every key reads as words; the batch then probes and folds.
+        // The windows it closes leave as lanes.
+        let mut kw = std::mem::take(&mut self.kw);
+        self.pool.clear();
+        let res = read_words(
             &self.key_evals,
             batch,
             &mut self.kscratch,
-            &mut flat,
-            &mut hashes,
-        );
-        let res = match read {
-            Ok(()) => self.push_words(batch, &flat, &hashes, out),
-            Err(kind) => self.push_rows(kind, batch, out),
-        };
-        self.ukeys_flat = flat;
-        self.hash_scratch = hashes;
+            &mut self.pool,
+            &mut kw,
+        )
+        .and_then(|keys| {
+            for &kind in &kw.kinds {
+                self.lane_hits[lane_kind(kind) as usize] += 1;
+            }
+            let fold = |op: &mut Self, null, ents: &mut [u64]| op.fold_segment(null, ents, batch);
+            let folds = match kw.masks.is_empty() && !self.groups.has_str_keys() {
+                true => self.push_words::<false>(&kw, out, fold)?,
+                false => self.push_words::<true>(&kw, out, fold)?,
+            };
+            match keys.max(folds) {
+                Ran::Rows => self.kernel_fallbacks += 1,
+                _ => self.kernel_hits += 1,
+            }
+            Ok(())
+        });
+        self.kw = kw;
         batch.clear();
         res
     }
@@ -850,14 +771,14 @@ impl Operator for AggregateOp {
     /// migration drain protocol: after the splitter stops feeding at
     /// boundary `time` and this runs, the live table holds at most the
     /// single window the boundary splits, which is exactly the state
-    /// [`Operator::extract_state`] ships. A `General` temporal key
-    /// is a no-op (callers gate migration eligibility on fast temporal
+    /// [`Operator::extract_state`] ships. A computed temporal key is a
+    /// no-op (callers gate migration eligibility on fast temporal
     /// shapes).
     fn flush_before(&mut self, time: u64, out: &mut ColumnBatch) -> ExecResult<()> {
         let boundary = match &self.key_evals[self.temporal_idx] {
             KeyEval::Col(_) => i128::from(time),
             KeyEval::DivConst { div, .. } => i128::from(time / *div),
-            KeyEval::Kernel(_) | KeyEval::General => return Ok(()),
+            KeyEval::Computed(_) => return Ok(()),
         };
         if let Some(cur) = self.current_bucket {
             if cur < boundary {
@@ -879,20 +800,21 @@ impl Operator for AggregateOp {
         pred: &mut dyn FnMut(&[Value]) -> bool,
         out: &mut ColumnBatch,
     ) -> ExecResult<()> {
-        let arity = self.group_exprs.len();
+        let arity = self.key_evals.len();
         extract_from_table(&mut self.groups, &self.slots, arity, pred, out)?;
         extract_from_table(&mut self.null_groups, &self.slots, arity, pred, out)
     }
 
     /// Absorbs state rows extracted from the same operator shape on
     /// another host, merging each shipped group's accumulator state
-    /// into the local table (creating the group when absent). A shipped
-    /// bucket ahead of the local window flushes it first; behind it
-    /// counts as late — neither occurs under the drain protocol, which
-    /// aligns both hosts on the boundary bucket before shipping. State
-    /// of another shape, or of other kinds, is a typed error.
+    /// into the local table (creating the group when absent); the keys
+    /// read as words, as an input batch's do. A shipped bucket ahead of
+    /// the local window flushes it first; behind it counts as late —
+    /// neither occurs under the drain protocol, which aligns both hosts
+    /// on the boundary bucket before shipping. State of another shape,
+    /// or of other kinds, is a typed error.
     fn absorb_state(&mut self, state: &ColumnBatch, out: &mut ColumnBatch) -> ExecResult<()> {
-        let arity = self.group_exprs.len();
+        let arity = self.key_evals.len();
         let state_w = self.state_fields.len() - arity;
         if state.is_empty() {
             return Ok(());
@@ -904,30 +826,24 @@ impl Operator for AggregateOp {
             )));
         }
         state.check_kinds(&self.state_fields)?;
-        let (keys, states) = state.columns().split_at(arity);
-        let mut vals = Vec::with_capacity(state_w);
-        for r in 0..state.rows() {
-            self.key_scratch.clear();
-            self.key_scratch.extend(keys.iter().map(|c| c.value(r)));
-            let Some((null, e)) = self.group_of(out)? else {
-                continue;
-            };
-            let table = if null {
-                &mut self.null_groups
-            } else {
-                &mut self.groups
-            };
-            let mut g = table.payload_mut(e);
-            vals.clear();
-            vals.extend(states.iter().map(|c| c.value(r)));
-            let mut off = 0;
-            for slot in &self.slots {
-                let w = slot.state_width();
-                slot.absorb_state(&mut g, &vals[off..off + w]);
-                off += w;
-            }
-        }
-        Ok(())
+        let state_keys: Vec<KeyEval> = (0..arity).map(KeyEval::Col).collect();
+        let mut kw = std::mem::take(&mut self.kw);
+        self.pool.clear();
+        let res = read_words(
+            &state_keys,
+            state,
+            &mut self.kscratch,
+            &mut self.pool,
+            &mut kw,
+        )
+        .and_then(|_| {
+            self.push_words::<true>(&kw, out, |op, null, ents| {
+                op.merge_states(null, ents, state);
+                Ok(Ran::Moved)
+            })
+        });
+        self.kw = kw;
+        res.map(|_| ())
     }
 
     fn runtime_stats(&self) -> OpRuntimeStats {
@@ -940,7 +856,7 @@ impl Operator for AggregateOp {
             kernel_hits: self.kernel_hits,
             kernel_fallbacks: self.kernel_fallbacks,
             kernel_lane_hits: merge_lanes(self.kscratch.lane_hits(), self.lane_hits),
-            kernel_lane_fallbacks: merge_lanes(self.kscratch.lane_fallbacks(), self.lane_fallbacks),
+            kernel_lane_fallbacks: self.kscratch.lane_fallbacks(),
         }
     }
 }

@@ -22,13 +22,13 @@
 //! - keys live in one **global** flat arena of `u64` words shared by
 //!   all partitions, so entries stay in insertion order regardless of
 //!   which partition indexes them and a hash-confirmed probe compares
-//!   contiguous words. The layout is fixed by the plan's key kinds when
-//!   the table is built: a `uint` is its word, an `int` its
-//!   two's-complement bits, a `bool` 0 or 1 and a `string` its index in
-//!   the string pool, and a **mask word** after an entry's keys flags
-//!   its NULL keys. A key read off unsigned lanes is already its words
-//!   ([`GroupTable::upsert`]); any other is encoded first
-//!   ([`GroupTable::encode`]), and both probe the one table;
+//!   contiguous words. The layout is the key reader's (`ops::keys`),
+//!   fixed by the plan's key kinds when the table is built: a `uint` is
+//!   its word, an `int` its two's-complement bits, a `bool` 0 or 1 and
+//!   a `string` its index in the table's string pool, and a **mask
+//!   word** after an entry's keys flags its NULL keys. A key read off
+//!   lanes is already its words, once its strings move into the table's
+//!   pool ([`GroupTable::intern_keys`]);
 //! - payloads live in two more flat arenas: `u64` **state words** (a
 //!   fixed count per entry, all zero when the group is created) and
 //!   `side` payloads for state that is not words (a fixed count per
@@ -49,17 +49,13 @@
 //! batch sizes — the property the equivalence suite pins down.
 //!
 //! Probe exactness: every key of one table has the same kinds, so two
-//! keys are equal exactly when their words and masks are. A key with no
-//! NULL hashes its words alone ([`key_hash`] folds the mask in only when
-//! it is non-zero), which is the hash the key reader
-//! (`ops::keys::read_words`) gives the same key read off its lanes.
-
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+//! keys are equal exactly when their words and masks are. A key hashes
+//! by [`key_hash`], as the key reader hashes it: its words alone when
+//! no key is NULL.
 
 use qap_types::{ArcStr, Column, DataType, Value};
 
-use crate::fx::{fold_word, FxHasher};
+use super::keys::{key_hash, StrPool};
 
 /// One open-addressed index slot: the low 32 bits of the entry's hash
 /// (its tag) and its arena index *plus one* (`0` marks a vacant slot).
@@ -77,18 +73,6 @@ const PART_SHIFT: u32 = 64 - PARTITIONS.trailing_zeros();
 /// Entries the flat arenas make room for when the first key of a window
 /// finds them unallocated (see [`GroupTable::first_entry`]).
 const FIRST_ENTRIES: usize = 256;
-
-/// The hash of a key's words and NULL mask: the fx fold of the words,
-/// then of the mask when a key is NULL.
-#[inline]
-pub(crate) fn key_hash(key: &[u64], mask: u64) -> u64 {
-    let h = key.iter().fold(0, |h, &w| fold_word(h, w));
-    if mask == 0 {
-        h
-    } else {
-        fold_word(h, mask)
-    }
-}
 
 /// One first-level partition: an independently sized open-addressed
 /// slot array over the shared entry arenas.
@@ -161,6 +145,8 @@ pub(crate) struct GroupTable<P> {
     len: usize,
     /// Each key's kind: how its word decodes.
     kinds: Vec<DataType>,
+    /// The positions of the string keys.
+    str_keys: Vec<usize>,
     /// Flat key words: entry `e` owns `keys[e*(arity+1) ..
     /// (e+1)*(arity+1)]`, its keys' words and then its NULL mask (bit
     /// `k` set when key `k` is NULL, whose word is then zero).
@@ -175,10 +161,7 @@ pub(crate) struct GroupTable<P> {
     side_w: usize,
     /// Strings the key and state words index, kept until the window
     /// closes.
-    strs: Vec<ArcStr>,
-    /// Each key string's index in `strs`. A `MIN`/`MAX` extreme never
-    /// shares one: its slot overwrites its pool entry in place.
-    interned: HashMap<ArcStr, u64, BuildHasherDefault<FxHasher>>,
+    pool: StrPool,
     /// Total slot inspections across all lookups — the collision
     /// telemetry [`crate::OpCounters`]'s companion metrics report.
     probes: u64,
@@ -195,14 +178,16 @@ impl<P> GroupTable<P> {
         GroupTable {
             parts: (0..PARTITIONS).map(|_| Partition::default()).collect(),
             len: 0,
+            str_keys: (0..kinds.len())
+                .filter(|&k| kinds[k] == DataType::Str)
+                .collect(),
             kinds,
             keys: Vec::new(),
             words: Vec::new(),
             words_w,
             side: Vec::new(),
             side_w,
-            strs: Vec::new(),
-            interned: HashMap::default(),
+            pool: StrPool::default(),
             probes: 0,
             inserts: 0,
         }
@@ -234,43 +219,28 @@ impl<P> GroupTable<P> {
         Payload {
             words: &mut self.words[e * self.words_w..(e + 1) * self.words_w],
             side: &mut self.side[e * self.side_w..(e + 1) * self.side_w],
-            strs: &mut self.strs,
+            strs: &mut self.pool.strs,
         }
     }
 
-    /// Encodes the key `vals` (one value per key, each NULL or of its
-    /// key's kind) into `key`, one word per key, and returns its NULL
-    /// mask. A string key becomes its index in the string pool, interned
-    /// the first time the window sees it.
-    pub(crate) fn encode(&mut self, vals: &[Value], key: &mut Vec<u64>) -> u64 {
-        key.clear();
-        let mut mask = 0;
-        for (k, v) in vals.iter().enumerate() {
-            debug_assert!(v.data_type().is_none_or(|t| t == self.kinds[k]));
-            key.push(match v {
-                Value::Null => {
-                    mask |= 1 << k;
-                    0
-                }
-                Value::UInt(x) => *x,
-                Value::Int(x) => *x as u64,
-                Value::Bool(b) => u64::from(*b),
-                Value::Str(s) => match self.interned.get(s) {
-                    Some(&i) => i,
-                    None => {
-                        self.strs.push(s.clone());
-                        let i = self.strs.len() as u64 - 1;
-                        self.interned.insert(s.clone(), i);
-                        i
-                    }
-                },
-            });
+    /// Whether a key is a string, whose word indexes a pool.
+    pub(crate) fn has_str_keys(&self) -> bool {
+        !self.str_keys.is_empty()
+    }
+
+    /// Moves the string keys of `key` (words read into `from`, NULL mask
+    /// `mask`) into the table's pool: each becomes its index here,
+    /// interned the first time the window sees it.
+    pub(crate) fn intern_keys(&mut self, key: &mut [u64], mask: u64, from: &StrPool) {
+        for &k in &self.str_keys {
+            if mask >> k & 1 == 0 {
+                key[k] = self.pool.intern(&from.strs[key[k] as usize]);
+            }
         }
-        mask
     }
 
     /// Key `k` of an entry's key words (its keys' words, then the mask)
-    /// as a value of its kind: the inverse of [`GroupTable::encode`].
+    /// as a value of its kind.
     pub(crate) fn key_value(&self, key: &[u64], k: usize) -> Value {
         let w = key[k];
         if key[self.kinds.len()] >> k & 1 != 0 {
@@ -280,7 +250,7 @@ impl<P> GroupTable<P> {
             DataType::UInt => Value::UInt(w),
             DataType::Int => Value::Int(w as i64),
             DataType::Bool => Value::Bool(w != 0),
-            DataType::Str => Value::Str(self.strs[w as usize].clone()),
+            DataType::Str => Value::Str(self.pool.strs[w as usize].clone()),
         }
     }
 
@@ -332,9 +302,8 @@ impl<P> GroupTable<P> {
     /// through memory that serializes the caller's row loop. The caller
     /// folds the tally in once per batch via [`GroupTable::add_probes`].
     ///
-    /// Always inlined: the word path's row loop calls it per row, and
-    /// with the per-row path as a second caller the compiler otherwise
-    /// keeps it out of line.
+    /// Always inlined: γ's row loops call it per row, and with several
+    /// callers the compiler otherwise keeps it out of line.
     #[inline(always)]
     pub(crate) fn upsert(
         &mut self,
@@ -423,7 +392,7 @@ impl<P> GroupTable<P> {
         Window {
             words: &self.words,
             side: &self.side,
-            strs: &self.strs,
+            strs: &self.pool.strs,
             len: self.len,
         }
     }
@@ -432,8 +401,7 @@ impl<P> GroupTable<P> {
     /// keep their capacity.
     pub(crate) fn clear(&mut self) {
         self.clear_entries();
-        self.strs.clear();
-        self.interned.clear();
+        self.pool.clear();
     }
 
     /// Empties the index and the entry arenas, but not the string pool.
@@ -465,6 +433,9 @@ impl<P> GroupTable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::keys::{read_words, KeyEval, KeyWords};
+    use qap_expr::KernelScratch;
+    use qap_types::ColumnBatch;
 
     /// Probe-only and by-value forms of the table's walks, for the
     /// tests.
@@ -493,11 +464,32 @@ mod tests {
             }
         }
 
-        /// Entry index of the group of the values `vals`, encoded as the
-        /// per-row path encodes them.
+        /// The words and mask of the key `vals` (one value per key, each
+        /// NULL or of its key's kind): read off one-row lanes by the key
+        /// reader, its strings moved into the table's pool.
+        fn encode(&mut self, vals: &[Value]) -> (Vec<u64>, u64) {
+            let cols = vals
+                .iter()
+                .map(|v| Column::from_values(std::slice::from_ref(v)));
+            let batch = ColumnBatch::from_columns(cols.collect());
+            let evals: Vec<KeyEval> = (0..vals.len()).map(KeyEval::Col).collect();
+            let (mut pool, mut kw) = (StrPool::default(), KeyWords::default());
+            read_words(
+                &evals,
+                &batch,
+                &mut KernelScratch::new(),
+                &mut pool,
+                &mut kw,
+            )
+            .expect("column keys read");
+            let mask = kw.masks.first().copied().unwrap_or(0);
+            self.intern_keys(&mut kw.words, mask, &pool);
+            (kw.words, mask)
+        }
+
+        /// Entry index of the group of the values `vals`.
         fn find_values(&mut self, vals: &[Value]) -> Option<usize> {
-            let mut key = Vec::new();
-            let mask = self.encode(vals, &mut key);
+            let (key, mask) = self.encode(vals);
             self.find(&key, mask)
         }
 
@@ -508,11 +500,10 @@ mod tests {
             Some(self.payload_mut(e).side)
         }
 
-        /// The per-row path's find-or-insert: `vals` encoded, hashed and
+        /// Find-or-insert of the values `vals`: read as words, hashed and
         /// upserted, its probes tallied.
         fn upsert_values(&mut self, vals: &[Value], fresh: impl Iterator<Item = P>) -> usize {
-            let mut key = Vec::new();
-            let mask = self.encode(vals, &mut key);
+            let (key, mask) = self.encode(vals);
             let mut walked = 0;
             let e = self.upsert(key_hash(&key, mask), &key, mask, &mut walked, fresh);
             self.add_probes(walked);
@@ -730,7 +721,9 @@ mod tests {
         // Two key strings, interned once each.
         assert_eq!(t.window().strs.len(), 2);
         t.clear();
-        assert!(t.window().strs.is_empty() && t.interned.is_empty());
+        assert!(t.window().strs.is_empty());
+        t.upsert_values(&keys[1], [0].into_iter());
+        assert_eq!(t.window().strs.len(), 1, "the pool interns afresh");
     }
 
     #[test]

@@ -2,27 +2,21 @@
 
 use std::collections::BTreeMap;
 
-use qap_expr::{BoundExpr, KernelScratch, LaneKind, PredicateKernel, LANE_KINDS};
+use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, Ran};
 use qap_plan::JoinType;
-use qap_types::{ColumnBatch, SelectionVector, Tuple, Value};
+use qap_types::{Column, ColumnBatch, SelectionVector};
 
 use crate::bind::BoundJoin;
-use crate::fx;
 use crate::ExecResult;
 
-use super::keys::{read_words, KeyEval};
-use super::select::ColPlan;
-use super::{
-    append_batch, for_each_bucket_run, masked, merge_lanes, project_row, reset_arity,
-    OpRuntimeStats, Operator,
-};
+use super::keys::{read_words, KeyEval, KeyWords, StrPool};
+use super::{append_batch, for_each_bucket_run, reset_arity, OpRuntimeStats, Operator};
 
 struct Side {
     /// Position of the temporal attribute in this side's schema.
     temporal_idx: usize,
-    /// Equi-key expressions over this side's schema.
-    key: Vec<BoundExpr>,
-    /// How `key` reads as words, classified once (parallel vector).
+    /// How the equi-keys over this side's schema read as words,
+    /// classified once.
     key_evals: Vec<KeyEval>,
     arity: usize,
     /// Last observed epoch.
@@ -33,11 +27,10 @@ struct Side {
 }
 
 impl Side {
-    fn new(temporal_idx: usize, key: Vec<BoundExpr>, arity: usize) -> Self {
+    fn new(temporal_idx: usize, key: &[BoundExpr], arity: usize) -> Self {
         Side {
             temporal_idx,
             key_evals: key.iter().map(KeyEval::classify).collect(),
-            key,
             arity,
             cur: None,
             epochs: BTreeMap::new(),
@@ -78,48 +71,6 @@ impl Side {
     }
 }
 
-/// One side's equi-keys for one firing epoch: a hash per row plus the
-/// key itself, as words when both sides' keys read as words
-/// ([`read_words`]) and as evaluated values otherwise. Both forms are
-/// flat (`width` entries per row), so a fire allocates nothing per row.
-#[derive(Default)]
-struct Keys {
-    hashes: Vec<u64>,
-    /// Rows whose key holds a NULL (SQL equality: they match nothing).
-    /// Empty when none does.
-    nulls: Vec<bool>,
-    words: Vec<u64>,
-    values: Vec<Value>,
-}
-
-impl Keys {
-    /// Evaluates the key expressions row by row through the interpreter.
-    fn eval_exprs(
-        &mut self,
-        exprs: &[BoundExpr],
-        rows: &ColumnBatch,
-        row: &mut Tuple,
-    ) -> ExecResult<()> {
-        self.hashes.clear();
-        self.nulls.clear();
-        self.values.clear();
-        for r in 0..rows.rows() {
-            rows.write_row_into(r, row);
-            let mut vh = fx::ValueHash::new();
-            let mut null = false;
-            for e in exprs {
-                let v = e.eval(row)?;
-                null |= v.is_null();
-                vh.add(&v);
-                self.values.push(v);
-            }
-            self.hashes.push(vh.finish());
-            self.nulls.push(null);
-        }
-        Ok(())
-    }
-}
-
 /// End of a hash chain.
 const NIL: u32 = u32::MAX;
 
@@ -129,33 +80,30 @@ const NIL: u32 = u32::MAX;
 /// are closed (their side has advanced past them, or finished). Outer
 /// variants NULL-pad unmatched rows when their epoch retires.
 ///
-/// Each (side, epoch) is buffered once, as a [`ColumnBatch`]. A fire chains the right epoch's
-/// rows by key hash (`heads`/`next`, built back to front so a chain
-/// walks in insertion order), probes the left rows in order into a pair
-/// list, and then evaluates residual and projections over the pairs:
-/// gathered into one concatenated batch and run through the compiled
-/// kernels, or — when the residual or a projection is outside the
-/// kernel domain, or a kernel bails out on this epoch's values — pair by
-/// pair through the interpreter, which reproduces row-at-a-time
-/// semantics including which pair errors first. Either way the output
-/// order is that of a nested loop over (left row, matching right rows).
+/// Each (side, epoch) is buffered once, as a [`ColumnBatch`]. A fire
+/// reads both epochs' equi-keys as words into one string pool
+/// ([`read_words`]), chains the right epoch's rows by key hash
+/// (`heads`/`next`, built back to front so a chain walks in insertion
+/// order), probes the left rows in order into a pair list, and then
+/// runs the residual and the projections over the pairs, gathered into
+/// one concatenated batch, through `qap-expr`'s total lane API
+/// ([`Filter`], [`Projection`]). The output order is that of a nested
+/// loop over (left row, matching right rows). A retiring epoch's
+/// unmatched rows pad the same way: beside all-NULL lanes for the other
+/// side, through the same projection.
 pub(crate) struct JoinOp {
     left: Side,
     right: Side,
     offset: i64,
     join_type: JoinType,
-    residual: Option<BoundExpr>,
+    residual: Option<Filter>,
     /// Projections over the concatenated (left ++ right) schema.
-    projections: Vec<BoundExpr>,
-    /// Compiled residual (None: no residual, or outside the kernel
-    /// domain).
-    residual_kernel: Option<PredicateKernel>,
-    /// Compiled projections (None: some projection is outside the
-    /// kernel domain).
-    col_plan: Option<ColPlan>,
+    projection: Projection,
     finished: bool,
-    lkeys: Keys,
-    rkeys: Keys,
+    lkeys: KeyWords,
+    rkeys: KeyWords,
+    /// The firing epochs' key strings, which both sides' words index.
+    pool: StrPool,
     /// Chained index over the firing right epoch: `heads[slot]` is the
     /// first row of the slot's chain, `next[row]` the following one.
     heads: Vec<u32>,
@@ -165,42 +113,31 @@ pub(crate) struct JoinOp {
     pairs_r: Vec<u32>,
     sel: SelectionVector,
     kscratch: KernelScratch,
-    /// Reused concatenated row and projected row for the interpreter
-    /// path.
-    joined_row: Tuple,
-    out_row: Tuple,
     kernel_hits: u64,
     kernel_fallbacks: u64,
-    /// Fires whose keys left the lanes, by the blocking lane type
-    /// (`Mixed` for a computed key — no single lane to blame).
-    lane_fallbacks: [u64; LANE_KINDS],
 }
 
 impl JoinOp {
     pub(crate) fn new(b: BoundJoin) -> Self {
         JoinOp {
-            left: Side::new(b.left_temporal, b.left_key, b.left_arity),
-            right: Side::new(b.right_temporal, b.right_key, b.right_arity),
+            left: Side::new(b.left_temporal, &b.left_key, b.left_arity),
+            right: Side::new(b.right_temporal, &b.right_key, b.right_arity),
             offset: b.offset,
             join_type: b.join_type,
-            residual_kernel: b.residual.as_ref().and_then(PredicateKernel::compile),
-            col_plan: ColPlan::compile(&b.projections),
-            residual: b.residual,
-            projections: b.projections,
+            residual: b.residual.map(Filter::new),
+            projection: Projection::new(b.projections),
             finished: false,
-            lkeys: Keys::default(),
-            rkeys: Keys::default(),
+            lkeys: KeyWords::default(),
+            rkeys: KeyWords::default(),
+            pool: StrPool::default(),
             heads: Vec::new(),
             next: Vec::new(),
             pairs_l: Vec::new(),
             pairs_r: Vec::new(),
             sel: SelectionVector::new(),
             kscratch: KernelScratch::new(),
-            joined_row: Tuple::default(),
-            out_row: Tuple::default(),
             kernel_hits: 0,
             kernel_fallbacks: 0,
-            lane_fallbacks: [0; LANE_KINDS],
         }
     }
 
@@ -212,9 +149,17 @@ impl JoinOp {
         }
     }
 
+    /// One tally per emission: a hit unless a row fallback ran.
+    fn tally(&mut self, ran: Ran) {
+        match ran {
+            Ran::Rows => self.kernel_fallbacks += 1,
+            _ => self.kernel_hits += 1,
+        }
+    }
+
     /// Fires every left epoch whose pairing is complete.
     fn fire_ready(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
-        reset_arity(out, self.projections.len());
+        reset_arity(out, self.projection.exprs().len());
         let offset = i128::from(self.offset);
         let ready: Vec<i128> = self
             .left
@@ -257,19 +202,12 @@ impl JoinOp {
         let mut lmatched = vec![false; lrows.rows()];
         if let Some(rrows) = self.right.epochs.remove(&(e - i128::from(self.offset))) {
             let mut rmatched = vec![false; rrows.rows()];
-            // One tally per fire: a hit only when keys and pairs both
-            // stayed on lanes.
-            let by_lanes = self.probe(&lrows, &rrows)?;
-            let by_kernels = self.pairs_l.is_empty()
-                || self.emit_kernels(&lrows, &rrows, &mut lmatched, &mut rmatched, out);
-            if !by_kernels {
-                self.emit_interpreted(&lrows, &rrows, &mut lmatched, &mut rmatched, out)?;
-            }
-            if by_lanes && by_kernels {
-                self.kernel_hits += 1;
-            } else {
-                self.kernel_fallbacks += 1;
-            }
+            let keys = self.probe(&lrows, &rrows)?;
+            let pairs = match self.pairs_l.is_empty() {
+                true => Ran::Moved,
+                false => self.emit_pairs(&lrows, &rrows, &mut lmatched, &mut rmatched, out)?,
+            };
+            self.tally(keys.max(pairs));
             self.pad(&rrows, &rmatched, false, out)?;
         }
         self.pad(&lrows, &lmatched, true, out)
@@ -277,44 +215,39 @@ impl JoinOp {
 
     /// Fills the pair list: for each left row in order, the right rows
     /// with an equal key in insertion order. Keys containing NULL match
-    /// nothing. Returns whether the keys were read as words; when not,
-    /// they went through the interpreter and the blocking lane type is
-    /// tallied (`Mixed` for a join without equi-keys).
-    fn probe(&mut self, lrows: &ColumnBatch, rrows: &ColumnBatch) -> ExecResult<bool> {
+    /// nothing, and neither do keys of two kinds (`UInt(5) ≠ Int(5)`,
+    /// as the model's `Value` equality has it). Returns how the keys
+    /// were read; the right side's are read first, as the model
+    /// evaluates them.
+    fn probe(&mut self, lrows: &ColumnBatch, rrows: &ColumnBatch) -> ExecResult<Ran> {
         self.pairs_l.clear();
         self.pairs_r.clear();
-        let width = self.left.key.len();
+        self.pool.clear();
         let (lk, rk) = (&mut self.lkeys, &mut self.rkeys);
-        lk.nulls.clear();
-        rk.nulls.clear();
-        let by_lanes = match width {
-            0 => Err(LaneKind::Mixed),
-            _ => read_words(
-                &self.left.key_evals,
-                lrows,
-                &mut self.kscratch,
-                &mut lk.words,
-                &mut lk.hashes,
-            )
-            .and_then(|()| {
-                read_words(
-                    &self.right.key_evals,
-                    rrows,
-                    &mut self.kscratch,
-                    &mut rk.words,
-                    &mut rk.hashes,
-                )
-            }),
-        };
-        if let Err(kind) = by_lanes {
-            self.lane_fallbacks[kind as usize] += 1;
-            self.lkeys
-                .eval_exprs(&self.left.key, lrows, &mut self.joined_row)?;
-            self.rkeys
-                .eval_exprs(&self.right.key, rrows, &mut self.joined_row)?;
-        }
-        let by_lanes = by_lanes.is_ok();
+        let ran = read_words(
+            &self.right.key_evals,
+            rrows,
+            &mut self.kscratch,
+            &mut self.pool,
+            rk,
+        )?
+        .max(read_words(
+            &self.left.key_evals,
+            lrows,
+            &mut self.kscratch,
+            &mut self.pool,
+            lk,
+        )?);
         let (lk, rk) = (&self.lkeys, &self.rkeys);
+        let kinds_differ = (lk.kinds.iter().zip(&rk.kinds)).any(|(l, r)| match (l, r) {
+            (Some(l), Some(r)) => l != r,
+            _ => false,
+        });
+        if kinds_differ {
+            return Ok(ran);
+        }
+        let width = self.left.key_evals.len();
+        let null = |k: &KeyWords, r: usize| k.masks.get(r).is_some_and(|&m| m != 0);
         // Slots come from the hash's top bits: the multiply-xor fold
         // leaves its entropy there, not in the low bits.
         let bits = (rk.hashes.len() * 2)
@@ -327,54 +260,41 @@ impl JoinOp {
         self.next.clear();
         self.next.resize(rk.hashes.len(), NIL);
         for ri in (0..rk.hashes.len()).rev() {
-            if !masked(&rk.nulls, ri) {
+            if !null(rk, ri) {
                 let s = slot(rk.hashes[ri]);
                 self.next[ri] = self.heads[s];
                 self.heads[s] = ri as u32;
             }
         }
         for (li, &h) in lk.hashes.iter().enumerate() {
-            if masked(&lk.nulls, li) {
+            if null(lk, li) {
                 continue;
             }
             let mut ri = self.heads[slot(h)];
             while ri != NIL {
                 let r = ri as usize;
-                let equal = rk.hashes[r] == h
-                    && if by_lanes {
-                        lk.words[li * width..][..width] == rk.words[r * width..][..width]
-                    } else {
-                        lk.values[li * width..][..width] == rk.values[r * width..][..width]
-                    };
-                if equal {
+                if rk.hashes[r] == h
+                    && lk.words[li * width..][..width] == rk.words[r * width..][..width]
+                {
                     self.pairs_l.push(li as u32);
                     self.pairs_r.push(ri);
                 }
                 ri = self.next[r];
             }
         }
-        Ok(by_lanes)
+        Ok(ran)
     }
 
-    /// Residual and projections over the whole pair list through the
-    /// compiled kernels. `false` — with nothing emitted and no row
-    /// marked — when a kernel is missing or bails out.
-    fn emit_kernels(
+    /// Residual and projections over the whole pair list, gathered into
+    /// one batch of the concatenated schema.
+    fn emit_pairs(
         &mut self,
         lrows: &ColumnBatch,
         rrows: &ColumnBatch,
         lmatched: &mut [bool],
         rmatched: &mut [bool],
         out: &mut ColumnBatch,
-    ) -> bool {
-        let Some(plan) = &self.col_plan else {
-            return false;
-        };
-        if self.residual.is_some() && self.residual_kernel.is_none() {
-            return false;
-        }
-        // Gather each side's paired rows, then lay the columns side by
-        // side: the concatenated schema the expressions are bound to.
+    ) -> ExecResult<Ran> {
         let mut l = ColumnBatch::new(lrows.arity());
         l.append_gather(lrows, &self.pairs_l);
         let mut r = ColumnBatch::new(rrows.arity());
@@ -385,59 +305,24 @@ impl JoinOp {
             .collect();
         let mut joined = ColumnBatch::from_columns_with_rows(columns, self.pairs_l.len());
         self.sel.fill_identity(joined.rows());
-        if let Some(k) = &self.residual_kernel {
-            if !k.filter(&joined, &mut self.sel, &mut self.kscratch) {
-                return false;
-            }
+        let mut ran = Ran::Moved;
+        if let Some(f) = &self.residual {
+            ran = f.apply(&joined, &mut self.sel, &mut self.kscratch)?;
             joined.compact(&self.sel);
         }
-        let Some((projected, _)) = plan.project(&mut joined, &mut self.kscratch) else {
-            return false;
-        };
+        let (projected, p) = self.projection.project(&mut joined, &mut self.kscratch)?;
         for &p in self.sel.as_slice() {
             lmatched[self.pairs_l[p as usize] as usize] = true;
             rmatched[self.pairs_r[p as usize] as usize] = true;
         }
         append_batch(out, projected);
-        true
-    }
-
-    /// Residual and projections pair by pair through the interpreter.
-    fn emit_interpreted(
-        &mut self,
-        lrows: &ColumnBatch,
-        rrows: &ColumnBatch,
-        lmatched: &mut [bool],
-        rmatched: &mut [bool],
-        out: &mut ColumnBatch,
-    ) -> ExecResult<()> {
-        for (&li, &ri) in self.pairs_l.iter().zip(&self.pairs_r) {
-            let (li, ri) = (li as usize, ri as usize);
-            self.joined_row.clear();
-            for c in lrows.columns() {
-                self.joined_row.push(c.value(li));
-            }
-            for c in rrows.columns() {
-                self.joined_row.push(c.value(ri));
-            }
-            if let Some(r) = &self.residual {
-                if !r.eval_predicate(&self.joined_row)? {
-                    continue;
-                }
-            }
-            lmatched[li] = true;
-            rmatched[ri] = true;
-            project_row(&self.projections, &self.joined_row, &mut self.out_row)?;
-            out.push_row(&self.out_row);
-        }
-        Ok(())
+        Ok(ran.max(p))
     }
 
     /// NULL-pads a retiring epoch's unmatched rows (an empty `matched`
     /// means none was) when the join type keeps that side: `left_side`
-    /// rows pad on the right and vice versa. Pads go through the
-    /// interpreter (a projection over NULLs is outside every kernel's
-    /// domain).
+    /// rows sit beside all-NULL lanes for the right side and vice versa,
+    /// and the batch runs through the projection.
     fn pad(
         &mut self,
         rows: &ColumnBatch,
@@ -451,26 +336,27 @@ impl JoinOp {
             JoinType::RightOuter => !left_side,
             JoinType::Inner => false,
         };
-        let mut unmatched = (0..rows.rows()).filter(|&r| !masked(matched, r)).peekable();
-        if !keeps || unmatched.peek().is_none() {
+        let unmatched: Vec<u32> = (0..rows.rows() as u32)
+            .filter(|&r| !matched.get(r as usize).is_some_and(|&m| m))
+            .collect();
+        if !keeps || unmatched.is_empty() {
             return Ok(());
         }
-        self.kernel_fallbacks += 1;
-        let (la, ra) = (self.left.arity, self.right.arity);
-        for r in unmatched {
-            self.joined_row.clear();
-            if !left_side {
-                (0..la).for_each(|_| self.joined_row.push(Value::Null));
-            }
-            for c in rows.columns() {
-                self.joined_row.push(c.value(r));
-            }
-            if left_side {
-                (0..ra).for_each(|_| self.joined_row.push(Value::Null));
-            }
-            project_row(&self.projections, &self.joined_row, &mut self.out_row)?;
-            out.push_row(&self.out_row);
-        }
+        let n = unmatched.len();
+        let mut kept = ColumnBatch::new(rows.arity());
+        kept.append_gather(rows, &unmatched);
+        let kept = (0..kept.arity())
+            .map(|i| kept.take_column(i))
+            .collect::<Vec<_>>();
+        let nulls = |arity: usize| (0..arity).map(|_| Column::all_null(n)).collect::<Vec<_>>();
+        let columns = match left_side {
+            true => [kept, nulls(self.right.arity)].concat(),
+            false => [nulls(self.left.arity), kept].concat(),
+        };
+        let mut padded = ColumnBatch::from_columns_with_rows(columns, n);
+        let (projected, ran) = self.projection.project(&mut padded, &mut self.kscratch)?;
+        self.tally(ran);
+        append_batch(out, projected);
         Ok(())
     }
 }
@@ -522,7 +408,7 @@ impl Operator for JoinOp {
             kernel_hits: self.kernel_hits,
             kernel_fallbacks: self.kernel_fallbacks,
             kernel_lane_hits: self.kscratch.lane_hits(),
-            kernel_lane_fallbacks: merge_lanes(self.kscratch.lane_fallbacks(), self.lane_fallbacks),
+            kernel_lane_fallbacks: self.kscratch.lane_fallbacks(),
             ..OpRuntimeStats::default()
         }
     }

@@ -1,52 +1,103 @@
 //! Group keys and equi-keys as words.
 //!
-//! Every group key and equi-key of the paper's §6 queries is a non-null
-//! unsigned word: a packet-header field, `time/60` or `srcIP & 0xFFF0`.
-//! This module makes the one decision γ and ⋈ share about a key: each
-//! key expression is classified once into a [`KeyEval`], and per batch
-//! [`read_words`] lays the keys out as row-major words and hashes each
-//! row by the fx fold of its words. That hash is what [`fx::ValueHash`]
-//! gives the same key as `UInt` values (the `UInt` tag is zero), so a
-//! key read as words and the same key evaluated row by row probe the
-//! same slots. Any other key lane — signed, Bool, string, nullable or
-//! all-NULL, or a key no lane shape covers — keeps the whole batch off
-//! words, and the operator runs its per-row algorithm over it: γ's
-//! encodes each row's key into the words of the same group table (a key
-//! with no NULL hashes as its words do here), ⋈'s hashes values.
+//! γ and ⋈ share one decision about a key: each key expression is
+//! classified once into a [`KeyEval`], and per batch [`read_words`] lays
+//! every row's keys out as words, whatever their kind:
+//!
+//! - a `uint` is the word itself, an `int` its two's-complement bits and
+//!   a `bool` 0 or 1;
+//! - a `string` is its index in a [`StrPool`] the caller passes, which
+//!   interns each string once;
+//! - a NULL key is a zero word and a bit in its row's NULL mask.
+//!
+//! Each row hashes by [`key_hash`]: the fx fold of its words, then of
+//! its mask when a key is NULL. Every §6 key is a non-null `uint` lane,
+//! `time/60` or a kernel key such as `srcIP & 0xFFF0`, so its words are
+//! the lane's and its rows carry no mask. Two keys read into one pool
+//! are equal exactly when their words, masks and kinds are: ⋈ reads
+//! both sides into one pool per fire, and γ moves each string key into
+//! its group table's own pool as it inserts the group.
 
-use qap_expr::{BinOp, BoundExpr, KernelScratch, LaneKind, NumKernel};
-use qap_types::{ColumnBatch, Value};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use crate::fx;
+use qap_expr::{BinOp, BoundExpr, KernelScratch, LaneKind, Projection, Ran};
+use qap_types::{ArcStr, Column, ColumnBatch, ColumnData, DataType, Value};
 
-use super::column_lane_kind;
+use crate::fx::{fold_word, FxHasher};
+use crate::ExecResult;
+
+/// The hash of a key's words and NULL mask: the fx fold of the words,
+/// then of the mask when a key is NULL.
+#[inline]
+pub(crate) fn key_hash(key: &[u64], mask: u64) -> u64 {
+    let h = key.iter().fold(0, |h, &w| fold_word(h, w));
+    if mask == 0 {
+        h
+    } else {
+        fold_word(h, mask)
+    }
+}
+
+/// Strings that words index: a key string is interned once, and its
+/// word is its index here.
+#[derive(Default)]
+pub(crate) struct StrPool {
+    /// The strings, by index. A group table's pool also holds its
+    /// string `MIN`/`MAX` extremes, which are never interned: a slot
+    /// overwrites its extreme in place.
+    pub(crate) strs: Vec<ArcStr>,
+    interned: HashMap<ArcStr, u64, BuildHasherDefault<FxHasher>>,
+}
+
+impl StrPool {
+    /// The index of key string `s`, interned on first sight.
+    pub(crate) fn intern(&mut self, s: &ArcStr) -> u64 {
+        if let Some(&i) = self.interned.get(s) {
+            return i;
+        }
+        self.strs.push(s.clone());
+        let i = self.strs.len() as u64 - 1;
+        self.interned.insert(s.clone(), i);
+        i
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.strs.clear();
+        self.interned.clear();
+    }
+}
 
 /// How a key expression is read off a batch's lanes, classified once
 /// when the operator is built: the two shapes every windowed query hits
 /// — a plain column and the `time/60` window key — read their lanes
-/// directly, and any other numeric key (`srcIP & 0xFFF0`) compiles to a
-/// kernel. Each reproduces [`BoundExpr::eval`] exactly over a non-null
-/// unsigned lane.
+/// directly, and any other key evaluates through the total
+/// [`Projection`] (a kernel such as `srcIP & 0xFFF0`, else row at a
+/// time) into a lane that is then read.
 pub(crate) enum KeyEval {
     /// Plain column reference.
     Col(usize),
-    /// `column / <positive unsigned literal>`. When `magic` is non-zero
+    /// `column / <positive unsigned literal>` over an unsigned lane (a
+    /// lane of another kind evaluates `expr`). When `magic` is non-zero
     /// (divisor in `2..2^32`), a dividend that fits 32 bits
     /// strength-reduces the hardware division to a multiply-shift: with
     /// `m = ⌊2^64/d⌋ + 1`, `(x·m) >> 64 = ⌊x/d⌋` exactly for all
     /// `x, d < 2^32` (the +1 over-approximation of `2^64/d` adds under
     /// `x·2^-64 < 2^-32` before the floor, and the true fraction `r/d`
     /// sits at least `1/d > 2^-32` below the next integer).
-    DivConst { col: usize, div: u64, magic: u64 },
-    /// Any other key inside the numeric kernel domain, evaluated once
-    /// per batch into an owned unsigned lane.
-    Kernel(NumKernel),
-    /// Outside every lane shape: only the per-row path evaluates it.
-    General,
+    DivConst {
+        col: usize,
+        div: u64,
+        magic: u64,
+        expr: Projection,
+    },
+    /// Any other key, evaluated once per batch into a lane.
+    Computed(Projection),
 }
 
 impl KeyEval {
     pub(crate) fn classify(e: &BoundExpr) -> KeyEval {
+        let computed = || Projection::new(vec![e.clone()]);
         match e {
             BoundExpr::Column(i) => KeyEval::Col(*i),
             BoundExpr::Binary {
@@ -64,16 +115,13 @@ impl KeyEval {
                         col: *i,
                         div: *c,
                         magic,
+                        expr: computed(),
                     }
                 }
-                _ => KeyEval::general(e),
+                _ => KeyEval::Computed(computed()),
             },
-            _ => KeyEval::general(e),
+            _ => KeyEval::Computed(computed()),
         }
-    }
-
-    fn general(e: &BoundExpr) -> KeyEval {
-        NumKernel::compile(e).map_or(KeyEval::General, KeyEval::Kernel)
     }
 }
 
@@ -88,50 +136,119 @@ pub(crate) fn div_q(x: u64, div: u64, magic: u64) -> u64 {
     }
 }
 
-/// Reads the keys `evals` (at least one) of every row of `batch` into
-/// `words`, `evals.len()` words per row in key order — plain lanes
-/// copy, window quotients compute in place, kernel keys evaluate once
-/// into a lane — and each row's fx fold of its words into `hashes`.
-/// Each row's word slice *is* its key: the words equal the
-/// `Value::UInt`s the interpreter gives it. A key whose lane is not a
-/// non-null unsigned lane names its lane type instead (`Uint` for a
-/// nullable or all-NULL lane and for a kernel that bails, `Mixed` for a
-/// `General` key), and the buffers hold nothing meaningful.
+/// A batch's keys as words, filled by [`read_words`]; the buffers are
+/// reused from batch to batch.
+#[derive(Default)]
+pub(crate) struct KeyWords {
+    /// The keys' words, row-major: one word per key, in key order.
+    pub(crate) words: Vec<u64>,
+    /// Per row, bit `k` set when key `k` is NULL (its word is then
+    /// zero). Empty when no key of the batch is NULL.
+    pub(crate) masks: Vec<u64>,
+    /// Per row, [`key_hash`] of its words and mask.
+    pub(crate) hashes: Vec<u64>,
+    /// Each key's lane kind in this batch (`None`: every row NULL).
+    pub(crate) kinds: Vec<Option<DataType>>,
+}
+
+/// The lane type a key of kind `kind` reads as, for the per-lane
+/// tallies (an all-NULL key counts as unsigned).
+pub(crate) fn lane_kind(kind: Option<DataType>) -> LaneKind {
+    match kind {
+        Some(DataType::UInt) | None => LaneKind::Uint,
+        Some(DataType::Int) => LaneKind::Int,
+        Some(DataType::Bool) => LaneKind::Bool,
+        Some(DataType::Str) => LaneKind::Str,
+    }
+}
+
+/// Reads the keys `evals` of every row of `batch` into `kw` — plain
+/// lanes copy, window quotients compute in place, any other key
+/// evaluates once into a lane — interning string keys into `pool`.
+/// Returns how the computed keys ran; an error is the first a computed
+/// key meets.
 pub(crate) fn read_words(
     evals: &[KeyEval],
     batch: &ColumnBatch,
     kscratch: &mut KernelScratch,
-    words: &mut Vec<u64>,
-    hashes: &mut Vec<u64>,
-) -> Result<(), LaneKind> {
-    let arity = evals.len();
-    words.clear();
-    words.resize(batch.rows() * arity, 0);
+    pool: &mut StrPool,
+    kw: &mut KeyWords,
+) -> ExecResult<Ran> {
+    let (n, arity) = (batch.rows(), evals.len());
+    kw.words.clear();
+    kw.words.resize(n * arity, 0);
+    kw.masks.clear();
+    kw.kinds.clear();
+    let mut ran = Ran::Moved;
     for (k, ev) in evals.iter().enumerate() {
         let computed;
         let (col, div) = match ev {
             KeyEval::Col(i) => (batch.column(*i), None),
-            KeyEval::DivConst { col, div, magic } => (batch.column(*col), Some((*div, *magic))),
-            KeyEval::Kernel(kernel) => {
-                computed = kernel.eval_column(batch, kscratch).ok_or(LaneKind::Uint)?;
+            KeyEval::DivConst {
+                col, div, magic, ..
+            } if matches!(batch.column(*col).data(), Some(ColumnData::UInt(_)) | None) => {
+                (batch.column(*col), Some((*div, *magic)))
+            }
+            KeyEval::DivConst { expr: p, .. } | KeyEval::Computed(p) => {
+                let (mut cols, r) = p.columns(batch, kscratch)?;
+                ran = ran.max(r);
+                computed = cols.pop().expect("one key expression");
                 (&computed, None)
             }
-            KeyEval::General => return Err(LaneKind::Mixed),
         };
-        let (Some(lane), false) = (col.uints(), col.has_nulls()) else {
-            return Err(column_lane_kind(col));
-        };
-        let rows = words.chunks_exact_mut(arity).zip(lane);
-        match div {
-            None => rows.for_each(|(row, &x)| row[k] = x),
-            Some((div, magic)) => rows.for_each(|(row, &x)| row[k] = div_q(x, div, magic)),
+        put_words(col, div, k, arity, pool, kw);
+    }
+    kw.hashes.clear();
+    match (arity, kw.masks.is_empty()) {
+        (0, _) => kw.hashes.resize(n, 0),
+        (_, true) => kw
+            .hashes
+            .extend(kw.words.chunks_exact(arity).map(|key| key_hash(key, 0))),
+        (_, false) => kw.hashes.extend(
+            (kw.words.chunks_exact(arity).zip(&kw.masks)).map(|(key, &m)| key_hash(key, m)),
+        ),
+    }
+    Ok(ran)
+}
+
+/// Writes key `k`'s words off `col` (divided by `div` when given) and
+/// flags its NULL rows.
+fn put_words(
+    col: &Column,
+    div: Option<(u64, u64)>,
+    k: usize,
+    arity: usize,
+    pool: &mut StrPool,
+    kw: &mut KeyWords,
+) {
+    let rows = kw.words.chunks_exact_mut(arity);
+    let nulls = col.null_mask();
+    match (col.data(), div) {
+        (Some(ColumnData::UInt(lane)), None) => rows.zip(lane).for_each(|(row, &x)| row[k] = x),
+        (Some(ColumnData::UInt(lane)), Some((div, magic))) => rows
+            .zip(lane)
+            .for_each(|(row, &x)| row[k] = div_q(x, div, magic)),
+        (Some(ColumnData::Int(lane)), _) => rows.zip(lane).for_each(|(row, &x)| row[k] = x as u64),
+        (Some(ColumnData::Bool(lane)), _) => {
+            rows.zip(lane).for_each(|(row, &b)| row[k] = u64::from(b))
+        }
+        (Some(ColumnData::Str(lane)), _) => {
+            for (r, (row, s)) in rows.zip(lane).enumerate() {
+                if !nulls.get(r).is_some_and(|&null| null) {
+                    row[k] = pool.intern(s);
+                }
+            }
+        }
+        (None, _) => {}
+    }
+    if !nulls.is_empty() {
+        if kw.masks.is_empty() {
+            kw.masks.resize(col.len(), 0);
+        }
+        for (r, _) in nulls.iter().enumerate().filter(|(_, &null)| null) {
+            kw.masks[r] |= 1 << k;
+            kw.words[r * arity + k] = 0;
         }
     }
-    hashes.clear();
-    hashes.extend(
-        words
-            .chunks_exact(arity)
-            .map(|key| key.iter().fold(0u64, |h, &w| fx::fold_word(h, w))),
-    );
-    Ok(())
+    kw.kinds.push(col.data_type());
 }

@@ -1,4 +1,11 @@
 //! Streaming operator implementations.
+//!
+//! Operators see only lanes. Expressions run through `qap-expr`'s
+//! total lane API ([`qap_expr::Filter`], [`qap_expr::Projection`]),
+//! which picks between compiled kernels and its own row-at-a-time
+//! interpreter; group keys and equi-keys read as words
+//! ([`keys::read_words`]). No operator materializes a row or evaluates
+//! an expression itself.
 
 mod aggregate;
 mod group_table;
@@ -12,8 +19,8 @@ pub(crate) use join::JoinOp;
 pub(crate) use merge::MergeOp;
 pub(crate) use select::SelectOp;
 
-use qap_expr::{BoundExpr, LaneKind, LANE_KINDS};
-use qap_types::{Column, ColumnBatch, ColumnData, Tuple, Value};
+use qap_expr::LANE_KINDS;
+use qap_types::{Column, ColumnBatch, Value};
 
 use crate::{ExecError, ExecResult};
 
@@ -33,11 +40,11 @@ pub(crate) struct OpRuntimeStats {
     pub group_probes: u64,
     /// Groups created across the run.
     pub group_inserts: u64,
-    /// Compiled-kernel executions (vectorized filters, projections,
-    /// columnar key passes) that ran to completion.
+    /// Lane evaluations (filters, projections, key passes, folds)
+    /// that compiled kernels answered in full.
     pub kernel_hits: u64,
-    /// Columnar evaluations that fell back to the per-tuple
-    /// interpreter (non-kernelizable expression or runtime bailout).
+    /// Lane evaluations in which the row-at-a-time interpreter answered
+    /// an expression (non-kernelizable expression or runtime bailout).
     pub kernel_fallbacks: u64,
     /// Completed kernel runs per lane type the run touched, indexed by
     /// `qap_expr::LaneKind as usize` (one run may credit several lane
@@ -57,8 +64,11 @@ pub(crate) struct OpRuntimeStats {
 /// engine-owned scratch batch of no particular arity, which the
 /// operator gives its output arity). Semantics are defined
 /// tuple-at-a-time by the reference model ([`crate::run_logical`]):
-/// batching is a mechanical optimisation, never a semantic one, and a
-/// fallback to the per-row interpreter still answers in lanes. `finish`
+/// batching is a mechanical optimisation, never a semantic one. An
+/// operator never evaluates a row outside the model's order: a row the
+/// model would not evaluate an expression on (filtered out, or late to
+/// its window) evaluates none, so an error surfaces exactly when the
+/// model meets one. `finish`
 /// signals end-of-stream on all ports (the engine calls it in
 /// topological order, so every input is already complete).
 pub(crate) trait Operator {
@@ -134,26 +144,6 @@ impl Operator for ScanOp {
     }
 }
 
-/// Appends `row` to an output batch, giving an empty batch the row's
-/// arity first.
-pub(crate) fn emit_row(out: &mut ColumnBatch, row: &Tuple) {
-    reset_arity(out, row.arity());
-    out.push_row(row);
-}
-
-/// Evaluates `projections` over `input` into `out` (cleared first).
-pub(crate) fn project_row(
-    projections: &[BoundExpr],
-    input: &Tuple,
-    out: &mut Tuple,
-) -> ExecResult<()> {
-    out.clear();
-    for e in projections {
-        out.push(e.eval(input)?);
-    }
-    Ok(())
-}
-
 /// Numeric epoch value of a temporal attribute, for window comparisons.
 /// Non-numeric or NULL temporal values map to `i128::MIN` (sorts first,
 /// treated as a degenerate epoch).
@@ -163,23 +153,6 @@ pub(crate) fn bucket_of(v: &Value) -> i128 {
         Value::Int(x) => i128::from(*x),
         Value::Bool(b) => i128::from(*b),
         _ => i128::MIN,
-    }
-}
-
-/// Whether row `r` is flagged under a possibly-empty mask.
-#[inline]
-pub(crate) fn masked(m: &[bool], r: usize) -> bool {
-    !m.is_empty() && m[r]
-}
-
-/// The lane type a column's data would execute as — the label the
-/// per-lane kernel counters tally under.
-pub(crate) fn column_lane_kind(c: &Column) -> LaneKind {
-    match c.data() {
-        Some(ColumnData::UInt(_)) | None => LaneKind::Uint,
-        Some(ColumnData::Int(_)) => LaneKind::Int,
-        Some(ColumnData::Bool(_)) => LaneKind::Bool,
-        Some(ColumnData::Str(_)) => LaneKind::Str,
     }
 }
 

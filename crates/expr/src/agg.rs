@@ -6,8 +6,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qap_types::{ArcStr, DataType, Value};
 
 use crate::ScalarExpr;
@@ -16,7 +14,7 @@ use crate::ScalarExpr;
 ///
 /// `OrAgg` is the paper's `OR_AGGR` — the bitwise OR of TCP flags across
 /// a flow, used by the attack-detection HAVING clause of Section 6.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggKind {
     /// `COUNT(*)` / `COUNT(expr)`.
     Count,
@@ -72,7 +70,7 @@ impl fmt::Display for AggKind {
 
 /// Which aggregate function a call invokes: a built-in, or a UDAF
 /// resolved by name against the catalog's [`qap_types::UdafRegistry`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// A built-in aggregate.
     Builtin(AggKind),
@@ -90,7 +88,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// An aggregate invocation, e.g. `SUM(len)` or `COUNT(*)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggCall {
     /// The function invoked.
     pub func: AggFunc,
@@ -539,7 +537,7 @@ pub fn make_accumulator(kind: AggKind) -> Accumulator {
 
 /// How a super-aggregate turns its merged partial columns into the final
 /// aggregate value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FinishOp {
     /// The single merged partial *is* the result.
     First,
@@ -553,7 +551,7 @@ pub enum FinishOp {
 /// the super-aggregate merges column-wise with the listed kinds, then
 /// applies `finish`. E.g. `COUNT → sub [COUNT], super [SUM]`;
 /// `AVG → sub [SUM, COUNT], super [SUM, SUM], finish DivSumCount`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitAgg {
     /// Aggregates the sub-aggregate computes per partition.
     pub sub: Vec<AggKind>,

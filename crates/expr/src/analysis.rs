@@ -23,12 +23,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BinOp, ColumnRef, ScalarExpr};
 
 /// Canonicalized single-column transform.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ColumnTransform {
     /// The column itself.
     Identity,
@@ -120,7 +118,7 @@ impl fmt::Display for ColumnTransform {
 }
 
 /// A single-column expression decomposed into (column, transform).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AnalyzedExpr {
     /// The base column the expression reads.
     pub column: ColumnRef,

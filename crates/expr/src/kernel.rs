@@ -52,11 +52,14 @@
 //! `NOT`), and execution **bails out losslessly** (returning
 //! `false`/`None` with the selection untouched) when a batch's runtime
 //! lane types or an overflow/division error fall outside the compiled
-//! domain. The caller then re-runs the row interpreter, which
-//! reproduces tuple-at-a-time semantics — including *which* row errors
-//! first — bit-for-bit. A kernel therefore never changes results; it
-//! only makes the common case cheap. [`KernelScratch`] tallies
-//! hits and bailouts per [`LaneKind`] for the observability layer.
+//! domain. Kernels are not called directly by the engine: the total
+//! lane API ([`crate::Filter`], [`crate::Projection`]) runs them and,
+//! on a `None` or a bail, the crate's one row-at-a-time evaluator,
+//! which reproduces tuple-at-a-time semantics — including *which* row
+//! errors first — bit-for-bit. A kernel therefore never changes
+//! results; it only makes the common case cheap. [`KernelScratch`]
+//! tallies hits and bailouts per [`LaneKind`] for the observability
+//! layer.
 
 use qap_types::{Column, ColumnBatch, ColumnData, SelectionVector, Value};
 
@@ -82,9 +85,8 @@ pub enum LaneKind {
     Bool = 2,
     /// Interned-string lane.
     Str = 3,
-    /// No lane: a fallback no single lane is to blame for — a key
-    /// outside every lane shape (a γ or ⋈ `General` key) or a join
-    /// without equi-keys.
+    /// No single lane. Every γ and ⋈ key now reads as words, so
+    /// nothing tallies it; it keeps the exported label set stable.
     Mixed = 4,
 }
 
@@ -613,7 +615,7 @@ impl PredicateKernel {
     /// Compiles a predicate, or `None` when the expression contains a
     /// shape the kernel domain does not cover (`NULL`/boolean literals,
     /// division by a constant zero, non-comparison `NOT`, …) — the
-    /// caller keeps the per-tuple interpreter for those.
+    /// row-at-a-time evaluator takes those.
     pub fn compile(e: &BoundExpr) -> Option<Self> {
         let mut c = Compiler::new();
         c.pred(e)?;
@@ -631,9 +633,8 @@ impl PredicateKernel {
     /// untouched — when the batch falls outside the compiled domain at
     /// runtime (a register-path lane is not unsigned-representable, or
     /// an arithmetic instruction hits a value the row evaluator would
-    /// reject); the caller must then re-run the interpreter, which
-    /// reproduces exact tuple-at-a-time semantics including error
-    /// order.
+    /// reject); the row-at-a-time evaluator then reproduces exact
+    /// tuple-at-a-time semantics including error order.
     pub fn filter(
         &self,
         batch: &ColumnBatch,
@@ -675,7 +676,7 @@ impl NumKernel {
     /// the kernel domain. Bare column and non-`UInt` literal roots are
     /// rejected: the kernel's output lane is unsigned, and an identity
     /// root must preserve the input's kind (`Int 5` stays `Int 5`) —
-    /// those shapes belong to the operator's column-move path.
+    /// a projection moves a bare column instead.
     pub fn compile(e: &BoundExpr) -> Option<Self> {
         match e {
             BoundExpr::Column(_) => return None,
@@ -697,7 +698,7 @@ impl NumKernel {
     /// output column: an unsigned lane, a signed one when the
     /// interpreter's value is an `Int`, or none when every row is NULL
     /// (an untyped operand reads as unsigned). `None` means the batch falls
-    /// outside the compiled domain (bail out to the interpreter); NULL
+    /// outside the compiled domain (a bail to the row evaluator); NULL
     /// inputs yield NULL outputs exactly as the row evaluator's NULL
     /// propagation does.
     pub fn eval_column(&self, batch: &ColumnBatch, scratch: &mut KernelScratch) -> Option<Column> {

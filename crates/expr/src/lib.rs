@@ -28,6 +28,7 @@ mod analysis;
 mod bound;
 mod error;
 mod kernel;
+mod lanes;
 mod scalar;
 
 pub use agg::{
@@ -38,6 +39,7 @@ pub use analysis::{analyze_transform, AnalyzedExpr, ColumnTransform};
 pub use bound::{bind, bind_with, BoundExpr, Resolver};
 pub use error::{ExprError, ExprResult};
 pub use kernel::{KernelScratch, LaneKind, NumKernel, PredicateKernel, LANE_KINDS};
+pub use lanes::{Filter, Projection, Ran};
 pub use scalar::{BinOp, ColumnRef, ScalarExpr, UnOp};
 // Re-exported so downstream crates keep a single import path for the
 // aggregate machinery.

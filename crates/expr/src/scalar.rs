@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qap_types::Value;
 
 /// A (possibly qualified) column reference such as `srcIP` or `S1.tb`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     /// FROM-clause alias or stream name qualifier, when written.
     pub qualifier: Option<String>,
@@ -53,7 +51,7 @@ impl fmt::Display for ColumnRef {
 }
 
 /// Binary operators of the GSQL expression language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -135,7 +133,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -160,7 +158,7 @@ impl UnOp {
 ///
 /// This is the *unbound* form: column references are names, resolved
 /// against schemas at plan-compile time into [`crate::BoundExpr`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScalarExpr {
     /// Column reference.
     Column(ColumnRef),

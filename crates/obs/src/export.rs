@@ -1,6 +1,6 @@
 //! Snapshot exporters: JSON and Prometheus text formats.
 //!
-//! Both are hand-rolled (the workspace vendors a no-op `serde` stub) and
+//! Both are hand-rolled (the workspace has no serialization library) and
 //! deterministic — rows emit in insertion order, floats format via Rust's
 //! shortest-roundtrip `Display` — so golden-snapshot tests can compare
 //! exported text byte-for-byte.

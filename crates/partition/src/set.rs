@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qap_expr::{analyze_transform, AnalyzedExpr, ColumnRef, ColumnTransform, ScalarExpr};
 
 /// A partitioning set: a list of scalar expressions over source-stream
@@ -13,7 +11,7 @@ use qap_expr::{analyze_transform, AnalyzedExpr, ColumnRef, ColumnTransform, Scal
 /// Each entry is a single-column expression in analyzed (column,
 /// transform) form. At most one entry per base column is kept — two
 /// transforms of the same column reconcile into one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PartitionSet {
     exprs: Vec<AnalyzedExpr>,
 }

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qap_expr::{AggCall, ColumnRef, ScalarExpr};
 
 use crate::dag::NodeId;
 
 /// A named output column computed by a scalar expression.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedExpr {
     /// Output column name.
     pub name: String,
@@ -48,7 +46,7 @@ impl fmt::Display for NamedExpr {
 }
 
 /// A named aggregate output column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedAgg {
     /// Output column name.
     pub name: String,
@@ -73,7 +71,7 @@ impl fmt::Display for NamedAgg {
 }
 
 /// Join flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinType {
     /// Inner equi-join.
     Inner,
@@ -101,7 +99,7 @@ impl fmt::Display for JoinType {
 /// `left.column = right.column + offset` on epoch-valued ordered
 /// attributes. `flow_pairs`' `S1.tb = S2.tb + 1` has `offset = 1`,
 /// meaning each left epoch `e` joins right epoch `e - 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TemporalJoin {
     /// Ordered attribute on the left input.
     pub left: ColumnRef,
@@ -126,7 +124,7 @@ impl fmt::Display for TemporalJoin {
 /// A basic streaming query node (Section 4.2: "each query node is a
 /// basic streaming query — selection/projection, union, aggregation,
 /// and join").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalNode {
     /// A base stream read (leaf). In a *logical* plan `partition` is
     /// `None` (the whole stream); the distributed optimizer lowers each

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{TypeError, TypeResult};
 
 /// Logical type of a field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Unsigned 64-bit integer (IPs, ports, lengths, flags, timestamps).
     UInt,
@@ -40,7 +38,7 @@ impl fmt::Display for DataType {
 /// inference *excludes* temporal attributes (Section 3.5.1) because
 /// hashing on them reshuffles group-to-host allocation every epoch and
 /// breaks pane-based sliding-window evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Temporality {
     /// Not ordered: a regular data attribute.
     #[default]
@@ -59,7 +57,7 @@ impl Temporality {
 }
 
 /// A named, typed field of a stream schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     name: String,
     data_type: DataType,
@@ -121,7 +119,7 @@ impl Field {
 }
 
 /// An ordered list of fields describing the tuples of one stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     name: String,
     fields: Vec<Field>,

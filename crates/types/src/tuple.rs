@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Value;
 
 /// A row flowing through the stream engine.
@@ -12,7 +10,7 @@ use crate::Value;
 /// at plan-compile time, so the hot path indexes by position only. This
 /// mirrors Gigascope's compiled-query design where per-tuple work must fit
 /// in a few dozen cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Tuple {
     values: Vec<Value>,
 }

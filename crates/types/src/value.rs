@@ -6,8 +6,6 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::DataType;
 
 /// A shared, immutable string one pointer wide, so a [`Value`] is two
@@ -74,7 +72,7 @@ impl fmt::Display for ArcStr {
 /// (IP addresses, ports, packet lengths, TCP flags, timestamps), so the
 /// representation is deliberately small and `Copy`-friendly except for
 /// strings, which are reference counted so tuple cloning stays cheap.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// SQL NULL (produced e.g. by outer-join padding, Section 5.3).
     Null,

@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use qap::expr::{bind, KernelScratch, LaneKind, PredicateKernel};
+use qap::expr::{bind, KernelScratch, PredicateKernel};
 use qap::prelude::*;
 use qap::types::{encode_tuple, ColumnBatch, DataType, SelectionVector, Udaf, UdafState};
 
@@ -932,23 +932,21 @@ fn string_bool_and_nullable_uint_keys_match_the_model() {
             );
         }
         assert_model_equals_lanes(&dag, &input, &format!("group by {key}"));
-        if key == "u" {
-            assert_clean_batches_take_words(&dag, &input);
-        }
+        assert_every_batch_takes_words(&dag, &input);
     }
 }
 
-/// At every batch size, γ folds each batch whose `u` lane (column 3)
-/// has no NULL on words, and tallies no `mixed` fallback.
-fn assert_clean_batches_take_words(dag: &QueryDag, input: &[Tuple]) {
+/// At every batch size, γ folds every batch on words, whatever its key
+/// lanes hold, and tallies no fallback of any lane kind.
+fn assert_every_batch_takes_words(dag: &QueryDag, input: &[Tuple]) {
     let root = dag.roots()[0];
     for batch in [1usize, 5, 64, 1024] {
         let mut engine = Engine::new(dag).expect("engine builds");
         engine.set_batch_config(BatchConfig::new(batch));
         let src = engine.source_nodes()[0];
-        let mut clean = 0;
+        let mut batches = 0;
         for chunk in input.chunks(batch) {
-            clean += u64::from(chunk.iter().all(|t| !t.get(3).is_null()));
+            batches += 1;
             let mut cols = ColumnBatch::from_rows(chunk);
             engine.push_columns(src, &mut cols).expect("push");
         }
@@ -957,10 +955,108 @@ fn assert_clean_batches_take_words(dag: &QueryDag, input: &[Tuple]) {
         assert_eq!(
             (
                 m.kernel_hits,
-                m.kernel_lane_fallbacks[LaneKind::Mixed as usize]
+                m.kernel_fallbacks,
+                m.kernel_lane_fallbacks.iter().sum::<u64>()
             ),
-            (clean, 0),
-            "batch {batch}: word-path batches and mixed fallbacks"
+            (batches, 0, 0),
+            "batch {batch}: word-path batches and fallbacks"
         );
     }
+}
+
+/// A script over `STREAM K(…)` with one query `q`.
+fn k_dag(stream: &str, query: &str) -> QueryDag {
+    let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+    b.parse_script(&format!("STREAM K({stream});\nQUERY q: {query};"))
+        .expect("script parses");
+    b.build()
+}
+
+/// Rows of `K(ts, k, len)` over five windows, every tenth row from the
+/// third on a row of the previous window (late, and dropped) with
+/// `len = 40`; no admitted row has `len = 40`.
+fn late_forty_trace() -> Vec<Tuple> {
+    (0..600u64)
+        .map(|i| {
+            let late = i >= 120 && i % 10 == 3;
+            let ts = if late { i / 2 - 60 } else { i / 2 };
+            let len = if late { 40 } else { 41 + i % 17 + 30 * (i % 2) };
+            Tuple::new(vec![Value::UInt(ts), Value::UInt(i % 7), Value::UInt(len)])
+        })
+        .collect()
+}
+
+#[test]
+fn a_late_row_never_evaluates_a_slot_argument() {
+    // `len / (len - 40)` divides by zero on every late row only: the
+    // model drops a late row before it evaluates any slot argument, and
+    // so must every batch size, at which late rows sit mid-batch.
+    let dag = k_dag(
+        "ts uint increasing, k uint, len uint",
+        "SELECT tb, k, SUM(len / (len - 40)) as s, COUNT(*) as n FROM K \
+         GROUP BY ts/60 as tb, k",
+    );
+    let input = late_forty_trace();
+    assert_model_equals_lanes(&dag, &input, "late row, slot argument");
+    let (_, counters) = run_lanes(&dag, &input, 1024);
+    assert!(
+        counters[dag.roots()[0]].late_dropped > 0,
+        "late rows dropped"
+    );
+}
+
+#[test]
+fn string_groups_stay_distinct_across_a_mid_batch_close() {
+    // Each window sees the strings in another order, so a string's
+    // index in the window's pool changes at every close; the pool
+    // empties at a close, mid-batch at batch 64 and 1024. `MAX(name)`
+    // keeps string extremes in the same pool.
+    const WORDS: [&str; 7] = ["tcp", "udp", "icmp", "gre", "esp", "sctp", ""];
+    let input: Vec<Tuple> = (0..900u64)
+        .map(|i| {
+            let w = i / 180;
+            let s = WORDS[((i * (w + 3)) % 7) as usize];
+            let name = WORDS[((i + w) % 5) as usize];
+            Tuple::new(vec![
+                Value::UInt(i / 3),
+                Value::from(s),
+                Value::from(name),
+                Value::UInt(i % 13),
+            ])
+        })
+        .collect();
+    let dag = k_dag(
+        "ts uint increasing, s string, name string, v uint",
+        "SELECT tb, s, COUNT(*) as n, SUM(v) as t, MAX(name) as hi FROM K \
+         GROUP BY ts/60 as tb, s",
+    );
+    assert_model_equals_lanes(&dag, &input, "string keys across a close");
+}
+
+#[test]
+fn null_window_rows_accumulate_across_windows() {
+    // Rows whose window key is NULL join the NULL window whatever batch
+    // they arrive in, beside windows that open and close, keyed by a
+    // string as well; the NULL window emits at end of stream.
+    let input: Vec<Tuple> = (0..700u64)
+        .map(|i| {
+            let ts = if i % 9 == 4 {
+                Value::Null
+            } else {
+                Value::UInt(i / 2)
+            };
+            let s = ["a", "b", "c"][(i % 3) as usize];
+            Tuple::new(vec![ts, Value::UInt(i % 4), Value::from(s), Value::UInt(i)])
+        })
+        .collect();
+    let dag = k_dag(
+        "ts uint increasing, k uint, s string, v uint",
+        "SELECT tb, k, s, COUNT(*) as n, SUM(v) as t FROM K GROUP BY ts/60 as tb, k, s",
+    );
+    let model = &run_logical(&dag, input.iter().cloned()).expect("model runs")[0].1;
+    assert!(
+        model.iter().any(|r| r.get(0).is_null()),
+        "a NULL-window group"
+    );
+    assert_model_equals_lanes(&dag, &input, "NULL window");
 }

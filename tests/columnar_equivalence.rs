@@ -289,8 +289,9 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 /// earlier user's types would tally a `Mixed` fallback in one runner and
 /// not the other. So the simulator and the threaded runner agree on
 /// every node's kernel hits, fallbacks and per-lane tallies only if they
-/// feed the same lanes. γ reads no string key as words, so every
-/// aggregate node of both runners tallies its batches under `str`.
+/// feed the same lanes. γ reads a string key as words, so every
+/// aggregate node of both runners tallies its batches' `proto` lane as
+/// a `str` hit, and no fallback under `str`.
 #[test]
 fn a_string_key_reaches_every_runner_as_the_same_lanes() {
     use qap::expr::LaneKind;
@@ -357,8 +358,8 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
         .unwrap();
         let sim = run_distributed(&plan, &flows, &cfg).unwrap();
         let threaded = run_distributed_threaded(&plan, &flows, &cfg).unwrap();
-        // γ reads `proto` as no word: every aggregate node fed any
-        // batch takes it through the per-row path, tallied under `str`.
+        // γ reads `proto` as words: every aggregate node fed any batch
+        // tallies it as a `str` lane hit, and never falls back.
         for (runner, result) in [("sim", &sim), ("threaded", &threaded)] {
             let fed: Vec<usize> = (0..result.node_metrics.len())
                 .filter(|&id| matches!(plan.dag.node(id), LogicalNode::Aggregate { .. }))
@@ -366,8 +367,10 @@ fn a_string_key_reaches_every_runner_as_the_same_lanes() {
                 .collect();
             assert!(!fed.is_empty(), "on {set}: {runner} feeds an aggregate");
             for id in fed {
+                let m = &result.node_metrics[id];
                 assert!(
-                    result.node_metrics[id].kernel_lane_fallbacks[LaneKind::Str as usize] > 0,
+                    m.kernel_lane_hits[LaneKind::Str as usize] > 0
+                        && m.kernel_lane_fallbacks[LaneKind::Str as usize] == 0,
                     "on {set}: {runner} node {id} ({})",
                     plan.dag.node(id).label()
                 );

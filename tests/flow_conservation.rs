@@ -11,11 +11,14 @@
 //! runner, at batch sizes spanning the per-tuple and vectorized paths,
 //! and also assert byte-level conservation (each edge carries
 //! `tuples × wire(producer)` bytes) and batch-size invariance of the
-//! tuple counts.
+//! tuple counts. Every run's outputs are also the reference model's.
 
 use qap::exec::OpMetrics;
 use qap::prelude::*;
 use qap::types::ColumnBatch;
+
+#[path = "support/model.rs"]
+mod model;
 
 const BATCH_SIZES: [usize; 4] = [1, 7, 256, 1024];
 
@@ -52,7 +55,8 @@ fn assert_conserves(dag: &QueryDag, metrics: &[OpMetrics], label: &str) {
 }
 
 /// Runs the logical plan through the engine at one batch size and
-/// returns the per-node metrics.
+/// returns the per-node metrics, holding every root's output to the
+/// reference model's.
 fn logical_metrics(dag: &QueryDag, trace: &[Tuple], batch: usize) -> Vec<OpMetrics> {
     let mut engine = Engine::new(dag).expect("engine builds");
     for s in engine.source_nodes() {
@@ -62,6 +66,15 @@ fn logical_metrics(dag: &QueryDag, trace: &[Tuple], batch: usize) -> Vec<OpMetri
         }
     }
     engine.finish().expect("finish");
+    if engine.source_nodes().len() == 1 {
+        for (root, rows) in run_logical(dag, trace.iter().cloned()).expect("the model runs") {
+            assert_eq!(
+                model::sorted(engine.output(root)),
+                model::sorted(rows),
+                "batch {batch}: root {root} vs the model"
+            );
+        }
+    }
     engine.metrics()
 }
 
@@ -111,11 +124,9 @@ fn simulator_conserves_flow() {
                 ..SimConfig::default()
             };
             let result = run_distributed(&plan, &trace, &sim).expect("runs");
-            assert_conserves(
-                &plan.dag,
-                &result.node_metrics,
-                &format!("sim {scenario:?}/{config} batch {batch}"),
-            );
+            let label = format!("sim {scenario:?}/{config} batch {batch}");
+            assert_conserves(&plan.dag, &result.node_metrics, &label);
+            model::assert_model_outputs(&label, &scenario.dag(), &plan, &trace, &result.outputs);
             // The splitter delivers every tuple to exactly one scan.
             let scanned: u64 = plan
                 .dag
@@ -146,11 +157,9 @@ fn threaded_runner_conserves_flow() {
                 ..SimConfig::default()
             };
             let result = run_distributed_threaded(&plan, &trace, &sim).expect("runs");
-            assert_conserves(
-                &plan.dag,
-                &result.node_metrics,
-                &format!("threaded {scenario:?}/{config} batch {batch}"),
-            );
+            let label = format!("threaded {scenario:?}/{config} batch {batch}");
+            assert_conserves(&plan.dag, &result.node_metrics, &label);
+            model::assert_model_outputs(&label, &scenario.dag(), &plan, &trace, &result.outputs);
             let scanned: u64 = plan
                 .dag
                 .topo_order()

@@ -236,12 +236,11 @@ fn full_outer_join_with_split_epoch_matches_hand_computed_rows() {
     assert_eq!(want.1[join].late_dropped, 1);
 }
 
-/// A fire whose keys cannot be read off non-null unsigned lanes takes
-/// them through the interpreter and says so: one `kernel_fallback` per
-/// fire, tallied under the blocking lane's type. The same inputs joined
-/// on the unsigned key alone stay on lanes.
+/// A fire reads its keys as words whatever their kind: joined on a
+/// string key as on the unsigned key alone, every fire is one kernel
+/// hit, and nothing falls back under any lane type.
 #[test]
-fn join_keys_off_the_lanes_count_as_kernel_fallbacks() {
+fn join_keys_of_every_kind_count_as_kernel_hits() {
     let row = |port: usize, ts: u64, v: u64| {
         let vals = vec![
             Value::UInt(ts),
@@ -270,7 +269,7 @@ fn join_keys_off_the_lanes_count_as_kernel_fallbacks() {
         (m.kernel_hits, m.kernel_fallbacks, by_lane)
     };
     assert_eq!(tallies(false), (2, 0, 0));
-    assert_eq!(tallies(true), (0, 2, 2));
+    assert_eq!(tallies(true), (2, 0, 0));
 }
 
 /// Computed equi-keys read as words: a self-join of the TCP trace on a
@@ -404,5 +403,48 @@ proptest! {
         let buckets: Vec<u64> = want.0.iter().map(|t| t.get(0).as_u64().unwrap()).collect();
         prop_assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "bucket order");
         prop_assert_eq!(want.0.len(), events.len());
+    }
+}
+
+/// A self-join of one stream on a `uint` and an `int` column: binding
+/// admits the equi-key, and the model pairs by `Value` equality, under
+/// which `UInt(5)` is not `Int(5)`. Every batch size pairs exactly what
+/// the model pairs — nothing — and pads the same rows.
+#[test]
+fn a_uint_int_equi_key_pairs_what_the_model_pairs() {
+    for join in ["JOIN", "LEFT OUTER JOIN"] {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.parse_script(&format!(
+            "STREAM K(ts uint increasing, u uint, i int);\n\
+             QUERY j: SELECT S1.ts, S1.u, S2.i FROM K S1 {join} K S2 \
+             WHERE S1.u = S2.i and S1.ts = S2.ts;"
+        ))
+        .expect("script parses");
+        let dag = b.build();
+        let input: Vec<Tuple> = (0..300u64)
+            .map(|x| {
+                let vals = vec![
+                    Value::UInt(x / 10),
+                    Value::UInt(x % 5),
+                    Value::Int((x % 5) as i64),
+                ];
+                Tuple::new(vals)
+            })
+            .collect();
+        let model = run_logical(&dag, input.iter().cloned()).expect("model runs")[0]
+            .1
+            .clone();
+        assert_eq!(model.len(), if join == "JOIN" { 0 } else { 300 }, "{join}");
+        for batch in [1usize, 64, 1024] {
+            let mut engine = Engine::new(&dag).expect("engine builds");
+            let source = engine.source_nodes()[0];
+            for chunk in input.chunks(batch) {
+                engine
+                    .push_columns(source, &mut ColumnBatch::from_rows(chunk))
+                    .expect("push");
+            }
+            engine.finish().expect("finish");
+            assert_eq!(engine.output(dag.roots()[0]), model, "{join} batch {batch}");
+        }
     }
 }

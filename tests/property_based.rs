@@ -1250,6 +1250,150 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// the total lane API: `Filter` and `Projection`
+// ---------------------------------------------------------------------
+
+use qap::expr::{ExprError, Filter, Projection};
+
+/// Rows of four lanes — `uint`, `int`, `bool` and `string`, in that
+/// order — with NULLs, and values that make arithmetic overflow, borrow
+/// or divide by zero.
+fn arb_lane_rows() -> impl Strategy<Value = Vec<Tuple>> {
+    let uint = prop_oneof![
+        Just(Value::Null),
+        (0u64..4).prop_map(Value::UInt),
+        (0u64..100).prop_map(Value::UInt),
+        (u64::MAX - 2..=u64::MAX).prop_map(Value::UInt),
+    ];
+    let int = prop_oneof![
+        Just(Value::Null),
+        (-3i64..4).prop_map(Value::Int),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+    ];
+    let boolean = prop_oneof![Just(Value::Null), any::<bool>().prop_map(Value::Bool)];
+    let string = prop_oneof![
+        Just(Value::Null),
+        Just(Value::from("a")),
+        Just(Value::from("")),
+    ];
+    let row = (uint, int, boolean, string).prop_map(|(u, i, b, s)| Tuple::new(vec![u, i, b, s]));
+    proptest::collection::vec(row, 1..40)
+}
+
+/// Bound expressions over [`arb_lane_rows`]' lanes: arithmetic that
+/// overflows, borrows or divides by zero, comparisons, three-valued
+/// logic and operands of the wrong kind — the kernels' domain and much
+/// outside it.
+fn arb_lane_expr() -> impl Strategy<Value = BoundExpr> {
+    let literal = prop_oneof![
+        Just(Value::UInt(0)),
+        Just(Value::UInt(3)),
+        Just(Value::UInt(u64::MAX)),
+        Just(Value::Int(-2)),
+        Just(Value::Bool(true)),
+        Just(Value::from("a")),
+        Just(Value::Null),
+    ];
+    let leaf = prop_oneof![
+        (0usize..4).prop_map(BoundExpr::Column),
+        (0usize..4).prop_map(BoundExpr::Column),
+        literal.prop_map(BoundExpr::Literal),
+    ];
+    leaf.prop_recursive(3, 12, 2, |inner| {
+        let binary = prop_oneof![
+            Just(BinOp::Add),
+            Just(BinOp::Sub),
+            Just(BinOp::Mul),
+            Just(BinOp::Div),
+            Just(BinOp::Mod),
+            Just(BinOp::BitAnd),
+            Just(BinOp::Eq),
+            Just(BinOp::Lt),
+            Just(BinOp::And),
+            Just(BinOp::Or),
+        ];
+        let unary = prop_oneof![Just(UnOp::Neg), Just(UnOp::Not), Just(UnOp::BitNot)];
+        prop_oneof![
+            (binary, inner.clone(), inner.clone()).prop_map(|(op, l, r)| cmp_expr(op, l, r)),
+            (unary, inner).prop_map(|(op, e)| BoundExpr::Unary {
+                op,
+                expr: Box::new(e),
+            }),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Over any lanes, a projection list's output lanes hold exactly the
+    /// interpreter's values row for row, or its error is the first one
+    /// the interpreter meets, row-major across the list — whichever
+    /// expressions kernels took.
+    #[test]
+    fn projection_equals_the_interpreter_row_major(
+        e0 in arb_lane_expr(),
+        e1 in arb_lane_expr(),
+        e2 in arb_lane_expr(),
+        rows in arb_lane_rows()
+    ) {
+        let exprs = vec![e0, e1, e2, BoundExpr::Column(3)];
+        let want: Result<Vec<Vec<Value>>, ExprError> = rows
+            .iter()
+            .map(|t| exprs.iter().map(|e| e.eval(t)).collect())
+            .collect();
+        let mut batch = ColumnBatch::from_rows(&rows);
+        let got = Projection::new(exprs).project(&mut batch, &mut KernelScratch::new());
+        match (got, want) {
+            (Ok((out, _)), Ok(want)) => {
+                prop_assert_eq!(out.rows(), rows.len());
+                for (i, vals) in want.iter().enumerate() {
+                    prop_assert_eq!(out.row(i).values(), &vals[..], "row {}", i);
+                }
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "projection {:?} where the interpreter gives {:?}",
+                got.map(|(out, _)| out.to_rows()),
+                want
+            ),
+        }
+    }
+
+    /// Over any lanes, a filter keeps exactly the rows the interpreter's
+    /// predicate keeps, or fails with the error of the first row that
+    /// errs.
+    #[test]
+    fn filter_equals_the_interpreter(p in arb_lane_expr(), rows in arb_lane_rows()) {
+        let want: Result<Vec<u32>, ExprError> = rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match p.eval_predicate(t) {
+                Ok(true) => Some(Ok(i as u32)),
+                Ok(false) => None,
+                Err(e) => Some(Err(e)),
+            })
+            .collect();
+        let batch = ColumnBatch::from_rows(&rows);
+        let mut sel = SelectionVector::identity(rows.len());
+        let got = Filter::new(p).apply(&batch, &mut sel, &mut KernelScratch::new());
+        match (got, want) {
+            (Ok(_), Ok(want)) => prop_assert_eq!(sel.as_slice(), &want[..]),
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "filter {:?} ({:?}) where the interpreter gives {:?}",
+                got,
+                sel.as_slice(),
+                want
+            ),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // lane-to-lane appends: `append_range` / `append_gather`
 // ---------------------------------------------------------------------
 

@@ -3,27 +3,21 @@
 //! results and per-node counters at *any* channel capacity and frame
 //! size — including the pathological capacity-1 / frame-1 corner, which
 //! exercises maximal backpressure and must not deadlock — and the
-//! simulator's units must cut exactly the threaded runner's frames.
+//! simulator's units must cut exactly the threaded runner's frames. The
+//! simulator's answer is the reference model's.
 
 use qap::prelude::*;
 
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.values().iter().zip(b.values()) {
-            let ord = x.total_cmp(y);
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    rows
-}
+#[path = "support/model.rs"]
+mod model;
+
+use model::sorted;
 
 /// Runs one plan through the deterministic simulator and through the
 /// threaded runner at every point of the capacity × frame-batch sweep,
 /// asserting identical counters and outputs and sane transport
-/// telemetry at each point.
+/// telemetry at each point, and the simulator's outputs to the
+/// reference model's.
 fn assert_transport_invariant(queries: &[(&str, &str)], hosts: usize, seed: u64) {
     let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
     for (name, sql) in queries {
@@ -39,6 +33,7 @@ fn assert_transport_invariant(queries: &[(&str, &str)], hosts: usize, seed: u64)
     .unwrap();
 
     let reference = run_distributed(&plan, &trace, &SimConfig::default()).unwrap();
+    model::assert_model_outputs("sim", &dag, &plan, &trace, &reference.outputs);
     let ref_outputs: Vec<(String, Vec<Tuple>)> = reference
         .outputs
         .iter()
