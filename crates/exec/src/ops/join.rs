@@ -336,10 +336,13 @@ impl JoinOp {
             JoinType::RightOuter => !left_side,
             JoinType::Inner => false,
         };
+        if !keeps {
+            return Ok(());
+        }
         let unmatched: Vec<u32> = (0..rows.rows() as u32)
             .filter(|&r| !matched.get(r as usize).is_some_and(|&m| m))
             .collect();
-        if !keeps || unmatched.is_empty() {
+        if unmatched.is_empty() {
             return Ok(());
         }
         let n = unmatched.len();

@@ -313,6 +313,27 @@ fn more_group_keys_than_one_mask_word_flags_are_a_bad_plan() {
 }
 
 #[test]
+fn more_equi_keys_than_one_mask_word_flags_are_a_bad_plan() {
+    let keys: Vec<String> = (0..65)
+        .map(|i| format!("S1.len + {i} = S2.len + {i}"))
+        .collect();
+    let dag = build(&[(
+        "wide",
+        &format!(
+            "SELECT S1.time, S2.len FROM TCP S1, TCP S2 WHERE S1.time = S2.time and {}",
+            keys.join(" and ")
+        ),
+    )]);
+    let err = Engine::new(&dag).err().expect("65 equi-keys");
+    assert!(
+        matches!(&err, ExecError::BadPlan(m) if m.contains("65 equi-keys")),
+        "{err}"
+    );
+    let err = run_logical(&dag, vec![pkt(0, 1, 2, 0, 100)]).unwrap_err();
+    assert!(matches!(err, ExecError::BadPlan(_)));
+}
+
+#[test]
 fn sum_min_max_avg_aggregates() {
     let dag = build(&[(
         "stats",

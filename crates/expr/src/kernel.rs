@@ -85,8 +85,8 @@ pub enum LaneKind {
     Bool = 2,
     /// Interned-string lane.
     Str = 3,
-    /// No single lane. Every γ and ⋈ key now reads as words, so
-    /// nothing tallies it; it keeps the exported label set stable.
+    /// No single lane. Nothing tallies it, since every γ and ⋈ key
+    /// reads as words; it keeps the exported label set stable.
     Mixed = 4,
 }
 

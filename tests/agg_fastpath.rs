@@ -4,18 +4,17 @@
 //! The model (`run_logical`) is the plain per-tuple algorithm with no
 //! engine code in it: evaluate the group key, find or create the group
 //! in a map, fold each slot. The lane entry (`Engine::push_columns`)
-//! reads group keys as words (a plain column, `column / constant` or a
-//! kernel-compiled key, each over a non-null unsigned lane) and folds
-//! (`COUNT(*)`, and every built-in slot over a column, merge slots
-//! included) into lane reads. A batch whose keys are not all words — a
-//! NULL, signed, Bool or string key lane — runs the per-row algorithm,
-//! which encodes each key into the same words and the same group table,
-//! and so, within the word path, do UDAF slots, computed arguments and
-//! folded slots whose values leave the unsigned domain. The contract is
-//! that the lanes are invisible:
-//! byte-identical output tuples against the model, and identical
-//! operator counters at every batch size, including inputs engineered to
-//! cross the lane/fallback seam mid-stream.
+//! reads every group key as words, whatever its kind — a plain column,
+//! `column / constant` or a computed key, a NULL a bit in the row's
+//! mask, a string an index into a pool — and folds (`COUNT(*)`, and
+//! every built-in slot over a column, merge slots included) into lane
+//! reads; UDAF slots, computed arguments and folded slots whose values
+//! leave the unsigned domain fold each row's value off its lane. The
+//! contract is that the lanes are invisible: byte-identical output
+//! tuples against the model, and identical operator counters at every
+//! batch size, including inputs engineered to cross the seams mid-stream
+//! and mid-batch: a late row, a window that closes mid-batch over string
+//! keys, rows of the NULL window.
 //!
 //! Closing a window is on lanes too: keys are built by their kinds from
 //! the group table's words, slots finalize lane by lane, and HAVING runs as a
@@ -25,9 +24,8 @@
 //! hold `MIN`/`MAX` of every value kind — strings in the group table's
 //! pool included — to the model through folds, merges, window closes
 //! and a migration, string and NULL group keys included. The last groups
-//! by keys that are not words: a string column with NULLs, a `bool`
-//! column and a nullable `uint`, whose clean batches stay on the word
-//! path.
+//! by a string column with NULLs, a `bool` column and a nullable
+//! `uint`, every batch of which folds on words.
 
 use std::sync::Arc;
 
@@ -188,8 +186,8 @@ fn fast_keys_and_fast_slots() {
 
 #[test]
 fn masked_key_takes_general_evaluator() {
-    // `srcIP & 0xFFF0` is not a classified key shape, so the whole key
-    // tuple goes through the materializing path.
+    // `srcIP & 0xFFF0` is neither a column nor `column / constant`: it
+    // evaluates into a lane, which then reads as words.
     let dag = tcp_dag(
         "SELECT tb, subnet, COUNT(*) as cnt FROM TCP \
          GROUP BY time/60 as tb, srcIP & 0xFFF0 as subnet",

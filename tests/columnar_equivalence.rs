@@ -281,15 +281,14 @@ fn a_migration_drain_reaches_downstream_as_lanes() {
 /// string, len)`, derived from the TCP trace. Partitioned on `proto`,
 /// both queries run whole on the leaves, over the batches the splitter
 /// staged: an aggregate grouped by `proto`, and a self-join keyed on
-/// it. The join reads its key lanes as they arrive and tallies its
-/// fallback by their type.
-/// Partitioned on `srcIP`, the aggregate's central super-aggregate is
-/// grouped by `proto` and fed the leaves' flushed windows, which an
-/// engine writes into recycled batches: a batch whose lanes kept an
-/// earlier user's types would tally a `Mixed` fallback in one runner and
-/// not the other. So the simulator and the threaded runner agree on
-/// every node's kernel hits, fallbacks and per-lane tallies only if they
-/// feed the same lanes. γ reads a string key as words, so every
+/// it. Both read their key lanes as they arrive and tally them by their
+/// type. Partitioned on `srcIP`, the aggregate's central
+/// super-aggregate is grouped by `proto` and fed the leaves' flushed
+/// windows, which an engine writes into recycled batches: a batch whose
+/// lanes kept an earlier user's types would tally under another lane
+/// type in one runner and not the other. So the simulator and the
+/// threaded runner agree on every node's kernel hits, fallbacks and
+/// per-lane tallies only if they feed the same lanes. γ reads a string key as words, so every
 /// aggregate node of both runners tallies its batches' `proto` lane as
 /// a `str` hit, and no fallback under `str`.
 #[test]
