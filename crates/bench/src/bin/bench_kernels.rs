@@ -1,22 +1,19 @@
 //! Kernel-path benchmark: columnar engine ns/tuple per workload group
-//! plus per-lane kernel hit/fallback telemetry, written as
-//! machine-readable `BENCH_kernels.json`.
+//! plus per-lane evaluation telemetry, written as machine-readable
+//! `BENCH_kernels.json`.
 //!
 //! Each group stages a trace as SoA [`ColumnBatch`] chunks (outside the
 //! timed region), drives a fresh engine through `push_columns`, and
 //! reports the *minimum* wall time over several iterations — the right
 //! statistic on a shared machine, where every disturbance only adds
 //! time. After timing, one extra run harvests the engine's metrics
-//! snapshot: kernel hits and fallbacks (total and per lane type),
+//! snapshot: kernel hits (total and per lane type) and fallbacks,
 //! group-table inserts and probes, and flush latency.
 //!
-//! The process exits non-zero if any all-unsigned group — the shape of
-//! every Section 6 query, the §6.2 set and the §6.3 chain included —
-//! reports a kernel fallback: on those workloads the typed-lane
-//! compiler must cover the whole plan, joins and computed group keys
-//! too, and a bailout is a regression. CI runs this as the
-//! fallback-zero gate. The `qset_*` groups decompose the §6.2 set the
-//! way EXPERIMENTS.md reports it: the subnet aggregate with and without
+//! The process exits non-zero if any group reports a kernel fallback:
+//! the column evaluator answers every batch, so a fallback is a
+//! regression. CI runs this as the fallback-zero gate. The `qset_*`
+//! groups decompose the §6.2 set the way EXPERIMENTS.md reports it: the subnet aggregate with and without
 //! its `srcIP & 0xFFF0` key, `tcp_flows` alone, with the `jitter`
 //! self-join on top, and the full set; `simple_agg_e2e` is the §6.1
 //! query itself on that trace. Every case that aggregates also reports
@@ -58,8 +55,6 @@ struct Case {
     group: &'static str,
     tuples: usize,
     ns_per_tuple: f64,
-    /// Whether the fallback-zero gate applies (all-unsigned §6 shape).
-    gate: bool,
     metrics: OpMetrics,
     /// `ns_per_tuple` by stage — (emit, sink, frame) — for the boundary
     /// group.
@@ -310,7 +305,6 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
         group: "naive_leaf_boundary",
         tuples,
         ns_per_tuple: stages.iter().sum(),
-        gate: true,
         metrics,
         stages: Some(stages),
     }
@@ -389,7 +383,6 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
         group: "naive_central_merge",
         tuples,
         ns_per_tuple,
-        gate: true,
         metrics,
         stages: None,
     }
@@ -537,7 +530,7 @@ fn main() -> ExitCode {
     let mut cases: Vec<Case> = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
 
-    let groups: Vec<(&'static str, QueryDag, &[ColumnBatch], bool)> = vec![
+    let groups: Vec<(&'static str, QueryDag, &[ColumnBatch])> = vec![
         (
             "columnar_simple_agg",
             tcp_dag(
@@ -545,13 +538,11 @@ fn main() -> ExitCode {
                  GROUP BY time/60 as tb, srcIP, destIP",
             ),
             &tcp_chunks,
-            true,
         ),
         (
             "columnar_selection",
             tcp_dag("SELECT time, srcIP, len FROM TCP WHERE destPort = 80"),
             &tcp_chunks,
-            true,
         ),
         (
             "high_cardinality_agg",
@@ -560,7 +551,6 @@ fn main() -> ExitCode {
                  GROUP BY time/60 as tb, srcIP, destIP, srcPort, destPort",
             ),
             &tcp_chunks,
-            true,
         ),
         (
             "qset_subnet_unmasked",
@@ -569,29 +559,17 @@ fn main() -> ExitCode {
                  GROUP BY time/60 as tb, srcIP, destIP",
             ),
             &e2e_chunks,
-            true,
         ),
-        (
-            "qset_subnet_masked",
-            tcp_dag(SUBNET_STATS),
-            &e2e_chunks,
-            true,
-        ),
-        ("qset_flows", tcp_dag(TCP_FLOWS), &e2e_chunks, true),
+        ("qset_subnet_masked", tcp_dag(SUBNET_STATS), &e2e_chunks),
+        ("qset_flows", tcp_dag(TCP_FLOWS), &e2e_chunks),
         (
             "qset_flows_jitter",
             tcp_set(&[("tcp_flows", TCP_FLOWS), ("jitter", JITTER)]),
             &e2e_chunks,
-            true,
         ),
-        ("qset_full", Scenario::QuerySet.dag(), &e2e_chunks, true),
-        (
-            "simple_agg_e2e",
-            Scenario::SimpleAgg.dag(),
-            &e2e_chunks,
-            true,
-        ),
-        ("complex_full", Scenario::Complex.dag(), &e2e_chunks, true),
+        ("qset_full", Scenario::QuerySet.dag(), &e2e_chunks),
+        ("simple_agg_e2e", Scenario::SimpleAgg.dag(), &e2e_chunks),
+        ("complex_full", Scenario::Complex.dag(), &e2e_chunks),
         (
             "columnar_str_filter",
             {
@@ -601,7 +579,6 @@ fn main() -> ExitCode {
                 b.build()
             },
             &flow_chunks,
-            false,
         ),
     ];
 
@@ -627,22 +604,21 @@ fn main() -> ExitCode {
             }
             None => println!(),
         }
-        if c.gate && metrics.kernel_fallbacks > 0 {
+        if metrics.kernel_fallbacks > 0 {
             gate_failures.push(format!(
-                "{group}: {} kernel fallbacks on an all-unsigned workload",
+                "{group}: {} kernel fallbacks",
                 metrics.kernel_fallbacks
             ));
         }
         cases.push(c);
     };
-    for (group, dag, chunks, gate) in &groups {
+    for (group, dag, chunks) in &groups {
         let tuples = chunks.iter().map(ColumnBatch::rows).sum::<usize>();
         let (ns_per_tuple, metrics) = measure(dag, chunks, tuples);
         finish(Case {
             group,
             tuples,
             ns_per_tuple,
-            gate: *gate,
             metrics,
             stages: None,
         });
@@ -690,9 +666,9 @@ fn main() -> ExitCode {
         let _ = writeln!(
             json,
             "    {{\"group\": \"{}\", \"tuples\": {}, \"ns_per_tuple\": {:.2}, {}{}\
-             \"mtuples_per_sec\": {:.2}, \"gated\": {}, \"kernel_hits\": {}, \
+             \"mtuples_per_sec\": {:.2}, \"kernel_hits\": {}, \
              \"kernel_fallbacks\": {}, \"kernel_lane_hits\": {}, \
-             \"kernel_lane_fallbacks\": {}, \"group_inserts\": {}, \"group_probes\": {}, \
+             \"group_inserts\": {}, \"group_probes\": {}, \
              \"flush_ns\": {}}}{}",
             c.group,
             c.tuples,
@@ -705,11 +681,9 @@ fn main() -> ExitCode {
                 "\"emit_ns_per_group\": {emit:.2}, "
             )),
             1e3 / c.ns_per_tuple,
-            c.gate,
             c.metrics.kernel_hits,
             c.metrics.kernel_fallbacks,
             lanes(&c.metrics.kernel_lane_hits),
-            lanes(&c.metrics.kernel_lane_fallbacks),
             c.metrics.group_inserts,
             c.metrics.group_probes,
             c.metrics.flush_ns,

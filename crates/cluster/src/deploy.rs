@@ -210,7 +210,7 @@ fn read_histogram(r: &mut Reader) -> TypeResult<Histogram> {
 }
 
 /// Encoded bytes of one [`OpMetrics`]: every field a `u64`.
-const OP_METRICS_LEN: usize = 8 * (7 + HISTOGRAM_BUCKETS + 2 + 2 + 2 * KERNEL_LANES + 5);
+const OP_METRICS_LEN: usize = 8 * (7 + HISTOGRAM_BUCKETS + 2 + 2 + KERNEL_LANES + 5);
 
 /// Least encoded bytes of a lane frame in a payload: its `u32` length
 /// prefix, the frame header and a `u16` arity.
@@ -228,9 +228,6 @@ fn put_op_metrics(buf: &mut BytesMut, m: &OpMetrics) {
     buf.put_u64(m.kernel_hits);
     buf.put_u64(m.kernel_fallbacks);
     for v in m.kernel_lane_hits {
-        buf.put_u64(v);
-    }
-    for v in m.kernel_lane_fallbacks {
         buf.put_u64(v);
     }
     buf.put_u64(m.flushes);
@@ -261,7 +258,6 @@ fn read_op_metrics(r: &mut Reader) -> TypeResult<OpMetrics> {
         kernel_hits: r.u64()?,
         kernel_fallbacks: r.u64()?,
         kernel_lane_hits: read_lane_counters(r)?,
-        kernel_lane_fallbacks: read_lane_counters(r)?,
         flushes: r.u64()?,
         flush_ns: r.u64()?,
         group_slots: r.u64()?,
@@ -660,8 +656,7 @@ mod tests {
             batch_occupancy: h,
             kernel_hits: 5,
             kernel_fallbacks: 1,
-            kernel_lane_hits: [5, 0, 1, 2, 0],
-            kernel_lane_fallbacks: [0, 1, 0, 0, 3],
+            kernel_lane_hits: [5, 0, 1, 2],
             flushes: 2,
             flush_ns: 12_345,
             group_slots: 16,

@@ -434,12 +434,10 @@ impl Engine {
             m.group_probes = rt.group_probes;
             m.group_inserts = rt.group_inserts;
             m.kernel_hits = rt.kernel_hits;
-            m.kernel_fallbacks = rt.kernel_fallbacks;
             // Direct array assignment: `[u64; qap_expr::LANE_KINDS]` to
             // `[u64; qap_obs::KERNEL_LANES]` — a lane-count mismatch
             // between the two crates fails to compile right here.
             m.kernel_lane_hits = rt.kernel_lane_hits;
-            m.kernel_lane_fallbacks = rt.kernel_lane_fallbacks;
         }
         out
     }

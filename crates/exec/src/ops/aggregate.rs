@@ -25,7 +25,7 @@
 //! without UDAFs never allocates. Folds, window closes, migration
 //! extracts and absorbs all read and write that layout directly.
 
-use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, Ran, UdafState, WordAgg, LANE_KINDS};
+use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, UdafState, WordAgg, LANE_KINDS};
 use qap_types::{ArcStr, Column, ColumnBatch, DataType, Field, SelectionVector, Value};
 
 use crate::bind::{AccFactory, AggSlot, BoundAggregate};
@@ -231,8 +231,8 @@ pub(crate) struct AggregateOp {
     having: Option<Filter>,
     /// The columns of a migration state row, which an absorb checks.
     state_fields: Vec<Field>,
-    /// HAVING's own register file: its lane tallies are not the
-    /// operator's input-side kernel telemetry.
+    /// HAVING's own tallies: they are not the operator's input-side
+    /// lane telemetry.
     having_scratch: KernelScratch,
     /// Reused lanes of the window being closed: one per group key, then
     /// one per aggregate slot (trimmed or extended to that count when a
@@ -254,7 +254,7 @@ pub(crate) struct AggregateOp {
     /// Wall-clock nanoseconds spent inside window flushes. Timed per
     /// flush (once per closed window), never per tuple.
     flush_ns: u64,
-    /// Reused kernel register file.
+    /// The evaluator's input-side lane tallies.
     kscratch: KernelScratch,
     /// Reused selection vector: the filter's, and HAVING's over a
     /// closed window.
@@ -275,7 +275,6 @@ pub(crate) struct AggregateOp {
     /// key per batch).
     lane_hits: [u64; LANE_KINDS],
     kernel_hits: u64,
-    kernel_fallbacks: u64,
 }
 
 impl AggregateOp {
@@ -319,7 +318,6 @@ impl AggregateOp {
             null_entries: Vec::new(),
             lane_hits: [0; LANE_KINDS],
             kernel_hits: 0,
-            kernel_fallbacks: 0,
         }
     }
 
@@ -443,10 +441,9 @@ impl AggregateOp {
         &mut self,
         kw: &KeyWords,
         out: &mut ColumnBatch,
-        mut fold: impl FnMut(&mut Self, bool, &mut [u64]) -> ExecResult<Ran>,
-    ) -> ExecResult<Ran> {
+        mut fold: impl FnMut(&mut Self, bool, &mut [u64]) -> ExecResult<()>,
+    ) -> ExecResult<()> {
         let (arity, t_off, t_kind) = (self.key_evals.len(), self.temporal_idx, self.temporal_kind);
-        let mut ran = Ran::Moved;
         let mut ents = std::mem::take(&mut self.entry_scratch);
         let mut null_ents = std::mem::take(&mut self.null_entries);
         ents.clear();
@@ -473,7 +470,7 @@ impl AggregateOp {
             let bucket = bucket(t_kind, key[t_off]);
             match self.current_bucket {
                 Some(cur) if bucket > cur => {
-                    ran = ran.max(fold(self, false, &mut ents)?);
+                    fold(self, false, &mut ents)?;
                     ents.clear();
                     self.flush(out)?;
                     self.current_bucket = Some(bucket);
@@ -496,11 +493,11 @@ impl AggregateOp {
         }
         self.groups.add_probes(walked);
         self.null_groups.add_probes(null_walked);
-        ran = ran.max(fold(self, false, &mut ents)?);
-        ran = ran.max(fold(self, true, &mut null_ents)?);
+        fold(self, false, &mut ents)?;
+        fold(self, true, &mut null_ents)?;
         self.entry_scratch = ents;
         self.null_entries = null_ents;
-        Ok(ran)
+        Ok(())
     }
 
     /// Entry-major fold of the rows one window segment admitted: each
@@ -517,23 +514,22 @@ impl AggregateOp {
         null_window: bool,
         ents: &mut [u64],
         batch: &ColumnBatch,
-    ) -> ExecResult<Ran> {
+    ) -> ExecResult<()> {
         if ents.is_empty() {
-            return Ok(Ran::Moved);
+            return Ok(());
         }
         let computed;
-        let (cols, ran): (Vec<&Column>, Ran) = match &self.args {
-            Args::Cols(cols) => (cols.iter().map(|&c| batch.column(c)).collect(), Ran::Moved),
+        let cols: Vec<&Column> = match &self.args {
+            Args::Cols(cols) => cols.iter().map(|&c| batch.column(c)).collect(),
             Args::Computed(p) => {
                 let rows: Vec<u32> = ents.iter().map(|&er| er as u32).collect();
                 let mut admitted = ColumnBatch::new(batch.arity());
                 admitted.append_gather(batch, &rows);
-                let ran;
-                (computed, ran) = p.project(&mut admitted, &mut self.kscratch)?;
+                computed = p.project(&mut admitted, &mut self.kscratch)?;
                 for (i, er) in ents.iter_mut().enumerate() {
                     *er = pack((*er >> 32) as usize, i);
                 }
-                (computed.columns().iter().collect(), ran)
+                computed.columns().iter().collect()
             }
         };
         let lanes = slot_lanes(&self.slots, &cols);
@@ -552,7 +548,7 @@ impl AggregateOp {
             _ => fold_entries::<0>,
         };
         fold(&self.slots, &lanes, table, ents);
-        Ok(ran)
+        Ok(())
     }
 
     /// Merges the migration state rows `ents` names (rows of `state`)
@@ -716,10 +712,8 @@ impl Operator for AggregateOp {
         // (skipped entirely when the plan has no predicate).
         if let Some(f) = &self.filter {
             self.sel.fill_identity(batch.rows());
-            match f.apply(batch, &mut self.sel, &mut self.kscratch)? {
-                Ran::Rows => self.kernel_fallbacks += 1,
-                _ => self.kernel_hits += 1,
-            }
+            f.apply(batch, &mut self.sel, &mut self.kscratch)?;
+            self.kernel_hits += 1;
             if self.sel.is_empty() {
                 batch.clear();
                 return Ok(());
@@ -737,19 +731,16 @@ impl Operator for AggregateOp {
             &mut self.pool,
             &mut kw,
         )
-        .and_then(|keys| {
+        .and_then(|()| {
             for &kind in &kw.kinds {
                 self.lane_hits[lane_kind(kind) as usize] += 1;
             }
             let fold = |op: &mut Self, null, ents: &mut [u64]| op.fold_segment(null, ents, batch);
-            let folds = match kw.masks.is_empty() && !self.groups.has_str_keys() {
+            match kw.masks.is_empty() && !self.groups.has_str_keys() {
                 true => self.push_words::<false>(&kw, out, fold)?,
                 false => self.push_words::<true>(&kw, out, fold)?,
             };
-            match keys.max(folds) {
-                Ran::Rows => self.kernel_fallbacks += 1,
-                _ => self.kernel_hits += 1,
-            }
+            self.kernel_hits += 1;
             Ok(())
         });
         self.kw = kw;
@@ -836,14 +827,14 @@ impl Operator for AggregateOp {
             &mut self.pool,
             &mut kw,
         )
-        .and_then(|_| {
+        .and_then(|()| {
             self.push_words::<true>(&kw, out, |op, null, ents| {
                 op.merge_states(null, ents, state);
-                Ok(Ran::Moved)
+                Ok(())
             })
         });
         self.kw = kw;
-        res.map(|_| ())
+        res
     }
 
     fn runtime_stats(&self) -> OpRuntimeStats {
@@ -854,9 +845,7 @@ impl Operator for AggregateOp {
             group_probes: self.groups.probe_count() + self.null_groups.probe_count(),
             group_inserts: self.groups.insert_count() + self.null_groups.insert_count(),
             kernel_hits: self.kernel_hits,
-            kernel_fallbacks: self.kernel_fallbacks,
             kernel_lane_hits: merge_lanes(self.kscratch.lane_hits(), self.lane_hits),
-            kernel_lane_fallbacks: self.kscratch.lane_fallbacks(),
         }
     }
 }

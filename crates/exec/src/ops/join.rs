@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, Ran};
+use qap_expr::{BoundExpr, Filter, KernelScratch, Projection};
 use qap_plan::JoinType;
 use qap_types::{Column, ColumnBatch, SelectionVector};
 
@@ -86,7 +86,7 @@ const NIL: u32 = u32::MAX;
 /// (`heads`/`next`, built back to front so a chain walks in insertion
 /// order), probes the left rows in order into a pair list, and then
 /// runs the residual and the projections over the pairs, gathered into
-/// one concatenated batch, through `qap-expr`'s total lane API
+/// one concatenated batch, through `qap-expr`'s column evaluator
 /// ([`Filter`], [`Projection`]). The output order is that of a nested
 /// loop over (left row, matching right rows). A retiring epoch's
 /// unmatched rows pad the same way: beside all-NULL lanes for the other
@@ -113,8 +113,8 @@ pub(crate) struct JoinOp {
     pairs_r: Vec<u32>,
     sel: SelectionVector,
     kscratch: KernelScratch,
+    /// One per emission: a fire's pairs, or a pad.
     kernel_hits: u64,
-    kernel_fallbacks: u64,
 }
 
 impl JoinOp {
@@ -137,7 +137,6 @@ impl JoinOp {
             sel: SelectionVector::new(),
             kscratch: KernelScratch::new(),
             kernel_hits: 0,
-            kernel_fallbacks: 0,
         }
     }
 
@@ -146,14 +145,6 @@ impl JoinOp {
             0 => &mut self.left,
             1 => &mut self.right,
             _ => unreachable!("join has two ports"),
-        }
-    }
-
-    /// One tally per emission: a hit unless a row fallback ran.
-    fn tally(&mut self, ran: Ran) {
-        match ran {
-            Ran::Rows => self.kernel_fallbacks += 1,
-            _ => self.kernel_hits += 1,
         }
     }
 
@@ -202,12 +193,11 @@ impl JoinOp {
         let mut lmatched = vec![false; lrows.rows()];
         if let Some(rrows) = self.right.epochs.remove(&(e - i128::from(self.offset))) {
             let mut rmatched = vec![false; rrows.rows()];
-            let keys = self.probe(&lrows, &rrows)?;
-            let pairs = match self.pairs_l.is_empty() {
-                true => Ran::Moved,
-                false => self.emit_pairs(&lrows, &rrows, &mut lmatched, &mut rmatched, out)?,
-            };
-            self.tally(keys.max(pairs));
+            self.probe(&lrows, &rrows)?;
+            if !self.pairs_l.is_empty() {
+                self.emit_pairs(&lrows, &rrows, &mut lmatched, &mut rmatched, out)?;
+            }
+            self.kernel_hits += 1;
             self.pad(&rrows, &rmatched, false, out)?;
         }
         self.pad(&lrows, &lmatched, true, out)
@@ -216,35 +206,34 @@ impl JoinOp {
     /// Fills the pair list: for each left row in order, the right rows
     /// with an equal key in insertion order. Keys containing NULL match
     /// nothing, and neither do keys of two kinds (`UInt(5) ≠ Int(5)`,
-    /// as the model's `Value` equality has it). Returns how the keys
-    /// were read; the right side's are read first, as the model
-    /// evaluates them.
-    fn probe(&mut self, lrows: &ColumnBatch, rrows: &ColumnBatch) -> ExecResult<Ran> {
+    /// as the model's `Value` equality has it). The right side's keys
+    /// are read first, as the model evaluates them.
+    fn probe(&mut self, lrows: &ColumnBatch, rrows: &ColumnBatch) -> ExecResult<()> {
         self.pairs_l.clear();
         self.pairs_r.clear();
         self.pool.clear();
         let (lk, rk) = (&mut self.lkeys, &mut self.rkeys);
-        let ran = read_words(
+        read_words(
             &self.right.key_evals,
             rrows,
             &mut self.kscratch,
             &mut self.pool,
             rk,
-        )?
-        .max(read_words(
+        )?;
+        read_words(
             &self.left.key_evals,
             lrows,
             &mut self.kscratch,
             &mut self.pool,
             lk,
-        )?);
+        )?;
         let (lk, rk) = (&self.lkeys, &self.rkeys);
         let kinds_differ = (lk.kinds.iter().zip(&rk.kinds)).any(|(l, r)| match (l, r) {
             (Some(l), Some(r)) => l != r,
             _ => false,
         });
         if kinds_differ {
-            return Ok(ran);
+            return Ok(());
         }
         let width = self.left.key_evals.len();
         let null = |k: &KeyWords, r: usize| k.masks.get(r).is_some_and(|&m| m != 0);
@@ -282,7 +271,7 @@ impl JoinOp {
                 ri = self.next[r];
             }
         }
-        Ok(ran)
+        Ok(())
     }
 
     /// Residual and projections over the whole pair list, gathered into
@@ -294,7 +283,7 @@ impl JoinOp {
         lmatched: &mut [bool],
         rmatched: &mut [bool],
         out: &mut ColumnBatch,
-    ) -> ExecResult<Ran> {
+    ) -> ExecResult<()> {
         let mut l = ColumnBatch::new(lrows.arity());
         l.append_gather(lrows, &self.pairs_l);
         let mut r = ColumnBatch::new(rrows.arity());
@@ -305,18 +294,17 @@ impl JoinOp {
             .collect();
         let mut joined = ColumnBatch::from_columns_with_rows(columns, self.pairs_l.len());
         self.sel.fill_identity(joined.rows());
-        let mut ran = Ran::Moved;
         if let Some(f) = &self.residual {
-            ran = f.apply(&joined, &mut self.sel, &mut self.kscratch)?;
+            f.apply(&joined, &mut self.sel, &mut self.kscratch)?;
             joined.compact(&self.sel);
         }
-        let (projected, p) = self.projection.project(&mut joined, &mut self.kscratch)?;
+        let projected = self.projection.project(&mut joined, &mut self.kscratch)?;
         for &p in self.sel.as_slice() {
             lmatched[self.pairs_l[p as usize] as usize] = true;
             rmatched[self.pairs_r[p as usize] as usize] = true;
         }
         append_batch(out, projected);
-        Ok(ran.max(p))
+        Ok(())
     }
 
     /// NULL-pads a retiring epoch's unmatched rows (an empty `matched`
@@ -357,8 +345,8 @@ impl JoinOp {
             false => [nulls(self.left.arity), kept].concat(),
         };
         let mut padded = ColumnBatch::from_columns_with_rows(columns, n);
-        let (projected, ran) = self.projection.project(&mut padded, &mut self.kscratch)?;
-        self.tally(ran);
+        let projected = self.projection.project(&mut padded, &mut self.kscratch)?;
+        self.kernel_hits += 1;
         append_batch(out, projected);
         Ok(())
     }
@@ -409,9 +397,7 @@ impl Operator for JoinOp {
     fn runtime_stats(&self) -> OpRuntimeStats {
         OpRuntimeStats {
             kernel_hits: self.kernel_hits,
-            kernel_fallbacks: self.kernel_fallbacks,
             kernel_lane_hits: self.kscratch.lane_hits(),
-            kernel_lane_fallbacks: self.kscratch.lane_fallbacks(),
             ..OpRuntimeStats::default()
         }
     }

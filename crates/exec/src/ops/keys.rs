@@ -12,7 +12,7 @@
 //!
 //! Each row hashes by [`key_hash`]: the fx fold of its words, then of
 //! its mask when a key is NULL. Every §6 key is a non-null `uint` lane,
-//! `time/60` or a kernel key such as `srcIP & 0xFFF0`, so its words are
+//! `time/60` or a computed key such as `srcIP & 0xFFF0`, so its words are
 //! the lane's and its rows carry no mask. Two keys read into one pool
 //! are equal exactly when their words, masks and kinds are: ⋈ reads
 //! both sides into one pool per fire, and γ moves each string key into
@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use qap_expr::{BinOp, BoundExpr, KernelScratch, LaneKind, Projection, Ran};
+use qap_expr::{BinOp, BoundExpr, KernelScratch, LaneKind, Projection};
 use qap_types::{ArcStr, Column, ColumnBatch, ColumnData, DataType, Value};
 
 use crate::fx::{fold_word, FxHasher};
@@ -71,9 +71,9 @@ impl StrPool {
 /// How a key expression is read off a batch's lanes, classified once
 /// when the operator is built: the two shapes every windowed query hits
 /// — a plain column and the `time/60` window key — read their lanes
-/// directly, and any other key evaluates through the total
-/// [`Projection`] (a kernel such as `srcIP & 0xFFF0`, else row at a
-/// time) into a lane that is then read.
+/// directly, and any other key evaluates through the column
+/// evaluator's [`Projection`] (such as `srcIP & 0xFFF0`) into a lane
+/// that is then read.
 pub(crate) enum KeyEval {
     /// Plain column reference.
     Col(usize),
@@ -154,32 +154,25 @@ pub(crate) struct KeyWords {
 /// The lane type a key of kind `kind` reads as, for the per-lane
 /// tallies (an all-NULL key counts as unsigned).
 pub(crate) fn lane_kind(kind: Option<DataType>) -> LaneKind {
-    match kind {
-        Some(DataType::UInt) | None => LaneKind::Uint,
-        Some(DataType::Int) => LaneKind::Int,
-        Some(DataType::Bool) => LaneKind::Bool,
-        Some(DataType::Str) => LaneKind::Str,
-    }
+    kind.map_or(LaneKind::Uint, LaneKind::of)
 }
 
 /// Reads the keys `evals` of every row of `batch` into `kw` — plain
 /// lanes copy, window quotients compute in place, any other key
 /// evaluates once into a lane — interning string keys into `pool`.
-/// Returns how the computed keys ran; an error is the first a computed
-/// key meets.
+/// An error is the first a computed key meets.
 pub(crate) fn read_words(
     evals: &[KeyEval],
     batch: &ColumnBatch,
     kscratch: &mut KernelScratch,
     pool: &mut StrPool,
     kw: &mut KeyWords,
-) -> ExecResult<Ran> {
+) -> ExecResult<()> {
     let (n, arity) = (batch.rows(), evals.len());
     kw.words.clear();
     kw.words.resize(n * arity, 0);
     kw.masks.clear();
     kw.kinds.clear();
-    let mut ran = Ran::Moved;
     for (k, ev) in evals.iter().enumerate() {
         let computed;
         let (col, div) = match ev {
@@ -190,9 +183,7 @@ pub(crate) fn read_words(
                 (batch.column(*col), Some((*div, *magic)))
             }
             KeyEval::DivConst { expr: p, .. } | KeyEval::Computed(p) => {
-                let (mut cols, r) = p.columns(batch, kscratch)?;
-                ran = ran.max(r);
-                computed = cols.pop().expect("one key expression");
+                computed = (p.columns(batch, kscratch)?.pop()).expect("one key expression");
                 (&computed, None)
             }
         };
@@ -208,7 +199,7 @@ pub(crate) fn read_words(
             (kw.words.chunks_exact(arity).zip(&kw.masks)).map(|(key, &m)| key_hash(key, m)),
         ),
     }
-    Ok(ran)
+    Ok(())
 }
 
 /// Writes key `k`'s words off `col` (divided by `div` when given) and

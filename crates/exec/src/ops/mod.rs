@@ -1,11 +1,12 @@
 //! Streaming operator implementations.
 //!
 //! Operators see only lanes. Expressions run through `qap-expr`'s
-//! total lane API ([`qap_expr::Filter`], [`qap_expr::Projection`]),
-//! which picks between compiled kernels and its own row-at-a-time
-//! interpreter; group keys and equi-keys read as words
-//! ([`keys::read_words`]). No operator materializes a row or evaluates
-//! an expression itself.
+//! column evaluator ([`qap_expr::Filter`], [`qap_expr::Projection`]),
+//! which answers every batch a node at a time over typed lanes; group
+//! keys and equi-keys read as words ([`keys::read_words`]). No
+//! operator materializes a row or evaluates an expression itself, and
+//! neither does the evaluator: the row interpreter is the reference
+//! model's alone.
 
 mod aggregate;
 mod group_table;
@@ -40,19 +41,12 @@ pub(crate) struct OpRuntimeStats {
     pub group_probes: u64,
     /// Groups created across the run.
     pub group_inserts: u64,
-    /// Lane evaluations (filters, projections, key passes, folds)
-    /// that compiled kernels answered in full.
+    /// Lane evaluations (filters, projections, key passes, folds).
     pub kernel_hits: u64,
-    /// Lane evaluations in which the row-at-a-time interpreter answered
-    /// an expression (non-kernelizable expression or runtime bailout).
-    pub kernel_fallbacks: u64,
-    /// Completed kernel runs per lane type the run touched, indexed by
-    /// `qap_expr::LaneKind as usize` (one run may credit several lane
-    /// types).
+    /// Evaluations per lane type they read, indexed by
+    /// `qap_expr::LaneKind as usize` (one evaluation may credit several
+    /// lane types).
     pub kernel_lane_hits: [u64; LANE_KINDS],
-    /// Kernel bailouts per lane type that forced the fallback, same
-    /// indexing.
-    pub kernel_lane_fallbacks: [u64; LANE_KINDS],
 }
 
 /// A compiled streaming operator, processing input one *batch* of lanes
@@ -156,7 +150,7 @@ pub(crate) fn bucket_of(v: &Value) -> i128 {
     }
 }
 
-/// Element-wise sum of two per-lane counter arrays: a kernel scratch's
+/// Element-wise sum of two per-lane counter arrays: the evaluator's
 /// tallies plus the operator's own key-lane tallies.
 pub(crate) fn merge_lanes(a: [u64; LANE_KINDS], b: [u64; LANE_KINDS]) -> [u64; LANE_KINDS] {
     let mut out = a;

@@ -1,6 +1,6 @@
 //! Selection/projection (σ/π).
 
-use qap_expr::{BoundExpr, Filter, KernelScratch, Projection, Ran};
+use qap_expr::{BoundExpr, Filter, KernelScratch, Projection};
 use qap_types::{ColumnBatch, SelectionVector};
 
 use crate::ExecResult;
@@ -11,18 +11,16 @@ use super::{OpRuntimeStats, Operator};
 ///
 /// The predicate refines a [`SelectionVector`] and the batch compacts
 /// onto the surviving rows; the projection then moves bare columns and
-/// evaluates the rest. Both go through `qap-expr`'s total lane API
-/// ([`Filter`], [`Projection`]): compiled kernels when they apply, the
-/// row-at-a-time interpreter when they do not, lanes either way.
+/// evaluates the rest. Both go through `qap-expr`'s column evaluator
+/// ([`Filter`], [`Projection`]), which answers every batch in lanes.
 pub(crate) struct SelectOp {
     filter: Option<Filter>,
     projection: Projection,
     /// Reused selection vector for the filter.
     sel: SelectionVector,
-    /// Reused kernel register file.
+    /// The evaluator's lane tallies.
     kscratch: KernelScratch,
     kernel_hits: u64,
-    kernel_fallbacks: u64,
 }
 
 impl SelectOp {
@@ -33,15 +31,6 @@ impl SelectOp {
             sel: SelectionVector::new(),
             kscratch: KernelScratch::new(),
             kernel_hits: 0,
-            kernel_fallbacks: 0,
-        }
-    }
-
-    fn tally(&mut self, ran: Ran) {
-        match ran {
-            Ran::Moved => {}
-            Ran::Kernel => self.kernel_hits += 1,
-            Ran::Rows => self.kernel_fallbacks += 1,
         }
     }
 }
@@ -61,8 +50,8 @@ impl Operator for SelectOp {
         // σ: refine the selection, then compact the batch onto it.
         if let Some(f) = &self.filter {
             self.sel.fill_identity(n);
-            let ran = f.apply(batch, &mut self.sel, &mut self.kscratch)?;
-            self.tally(ran);
+            f.apply(batch, &mut self.sel, &mut self.kscratch)?;
+            self.kernel_hits += 1;
             if self.sel.is_empty() {
                 batch.clear();
                 return Ok(());
@@ -71,9 +60,8 @@ impl Operator for SelectOp {
         }
         // π: computed columns first (they read the input), then bare
         // columns move or clone into place.
-        let (projected, ran) = self.projection.project(batch, &mut self.kscratch)?;
-        self.tally(ran);
-        *out = projected;
+        *out = self.projection.project(batch, &mut self.kscratch)?;
+        self.kernel_hits += u64::from(self.projection.computes());
         batch.clear();
         Ok(())
     }
@@ -81,9 +69,7 @@ impl Operator for SelectOp {
     fn runtime_stats(&self) -> OpRuntimeStats {
         OpRuntimeStats {
             kernel_hits: self.kernel_hits,
-            kernel_fallbacks: self.kernel_fallbacks,
             kernel_lane_hits: self.kscratch.lane_hits(),
-            kernel_lane_fallbacks: self.kscratch.lane_fallbacks(),
             ..OpRuntimeStats::default()
         }
     }

@@ -92,16 +92,19 @@ impl BoundExpr {
 }
 
 fn eval_logical(op: BinOp, lhs: &BoundExpr, rhs: &BoundExpr, tuple: &Tuple) -> ExprResult<Value> {
-    let l = lhs.eval(tuple)?;
-    let lb = l.as_bool();
+    let lb = lhs.eval(tuple)?.as_bool();
     match (op, lb) {
         (BinOp::And, Some(false)) => return Ok(Value::Bool(false)),
         (BinOp::Or, Some(true)) => return Ok(Value::Bool(true)),
         _ => {}
     }
-    let r = rhs.eval(tuple)?;
-    let rb = r.as_bool();
-    let out = match op {
+    Ok(logic(op, lb, rhs.eval(tuple)?.as_bool()))
+}
+
+/// Three-valued AND/OR of two operands' truths (`None`: NULL, or a
+/// value with no truth).
+pub(crate) fn logic(op: BinOp, lb: Option<bool>, rb: Option<bool>) -> Value {
+    match op {
         BinOp::And => match (lb, rb) {
             (Some(true), Some(true)) => Value::Bool(true),
             (Some(false), _) | (_, Some(false)) => Value::Bool(false),
@@ -112,16 +115,14 @@ fn eval_logical(op: BinOp, lhs: &BoundExpr, rhs: &BoundExpr, tuple: &Tuple) -> E
             (Some(true), _) | (_, Some(true)) => Value::Bool(true),
             _ => Value::Null,
         },
-        _ => unreachable!("eval_logical called with non-logical op"),
-    };
-    Ok(out)
+        _ => unreachable!("logic called with non-logical op"),
+    }
 }
 
-/// Exposed to the kernel compiler (`crate::kernel`), which precomputes
-/// comparison tables (per Bool lane value, per constant-vs-lane-kind)
-/// by invoking the interpreter itself — the
-/// tables are exact by construction rather than by a hand-rolled copy
-/// of these semantics.
+/// Shared with the column evaluator (`crate::kernel`), whose
+/// element-wise arm calls it on each row's two values, so that arm is
+/// exact by construction rather than by a hand-rolled copy of these
+/// semantics.
 pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
@@ -161,7 +162,7 @@ fn values_eq(l: &Value, r: &Value) -> bool {
 /// the unsigned domain while both operands are non-negative, else in
 /// the signed one, and one the result kind cannot hold is an
 /// [`ExprError::Overflow`].
-fn eval_arith(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {
+pub(crate) fn eval_arith(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {
     let v = if let (Some(a), Some(b)) = (l.as_u64(), r.as_u64()) {
         arith_u64(op, a, b)?
     } else if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
@@ -182,19 +183,28 @@ fn eval_arith(op: BinOp, l: &Value, r: &Value) -> ExprResult<Value> {
 }
 
 fn arith_u64(op: BinOp, a: u64, b: u64) -> ExprResult<Value> {
-    let v = match op {
+    if op != BinOp::Sub {
+        return word_arith(op, a, b).map(Value::UInt);
+    }
+    match a.checked_sub(b) {
+        Some(v) => Ok(Value::UInt(v)),
+        // Borrow: switch to signed to model e.g. `len - hdr` underflow.
+        None => {
+            let (a, b) = (
+                i64::try_from(a).map_err(|_| ExprError::Overflow("-"))?,
+                i64::try_from(b).map_err(|_| ExprError::Overflow("-"))?,
+            );
+            Ok(Value::Int(a - b))
+        }
+    }
+}
+
+/// Every arithmetic operation but `-` over two unsigned words: the
+/// interpreter's own, which the column evaluator's `uint` loops call.
+#[inline]
+pub(crate) fn word_arith(op: BinOp, a: u64, b: u64) -> ExprResult<u64> {
+    Ok(match op {
         BinOp::Add => a.checked_add(b).ok_or(ExprError::Overflow("+"))?,
-        BinOp::Sub => match a.checked_sub(b) {
-            Some(v) => v,
-            // Borrow: switch to signed to model e.g. `len - hdr` underflow.
-            None => {
-                let (a, b) = (
-                    i64::try_from(a).map_err(|_| ExprError::Overflow("-"))?,
-                    i64::try_from(b).map_err(|_| ExprError::Overflow("-"))?,
-                );
-                return Ok(Value::Int(a - b));
-            }
-        },
         BinOp::Mul => a.checked_mul(b).ok_or(ExprError::Overflow("*"))?,
         BinOp::Div => a.checked_div(b).ok_or(ExprError::DivisionByZero)?,
         BinOp::Mod => a.checked_rem(b).ok_or(ExprError::DivisionByZero)?,
@@ -207,9 +217,8 @@ fn arith_u64(op: BinOp, a: u64, b: u64) -> ExprResult<Value> {
         BinOp::Shr => a
             .checked_shr(b.min(u64::from(u32::MAX)) as u32)
             .unwrap_or(0),
-        _ => unreachable!("non-arith op in arith_u64"),
-    };
-    Ok(Value::UInt(v))
+        _ => unreachable!("non-word op in word_arith"),
+    })
 }
 
 fn arith_i64(op: BinOp, a: i64, b: i64) -> ExprResult<Value> {
@@ -243,7 +252,7 @@ fn arith_i64(op: BinOp, a: i64, b: i64) -> ExprResult<Value> {
     Ok(Value::Int(v))
 }
 
-fn eval_unary(op: UnOp, v: &Value) -> ExprResult<Value> {
+pub(crate) fn eval_unary(op: UnOp, v: &Value) -> ExprResult<Value> {
     if v.is_null() {
         return Ok(Value::Null);
     }

@@ -7,19 +7,11 @@
 
 use std::fmt::Write as _;
 
-use crate::{Histogram, MetricsRegistry, OpMetrics, KERNEL_LANES, KERNEL_LANE_LABELS};
+use crate::{Histogram, MetricsRegistry, OpMetrics, KERNEL_LANE_LABELS};
 
 /// A metric family for the Prometheus exporter: metric name, help text,
 /// and the accessor that projects one value out of a record of type `R`.
 type Family<R, T> = (&'static str, &'static str, fn(&R) -> T);
-
-/// A per-lane counter family: name, help text, and the accessor that
-/// borrows the per-lane array out of one operator record.
-type LaneFamily = (
-    &'static str,
-    &'static str,
-    fn(&OpMetrics) -> &[u64; KERNEL_LANES],
-);
 
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -105,20 +97,18 @@ fn json_op_metrics(out: &mut String, m: &OpMetrics) {
         m.group_inserts,
     );
     json_histogram(out, &m.batch_occupancy);
-    for (name, arr) in [
-        ("kernel_lane_hits", &m.kernel_lane_hits),
-        ("kernel_lane_fallbacks", &m.kernel_lane_fallbacks),
-    ] {
-        let _ = write!(out, ",\"{name}\":{{");
-        for (i, (label, v)) in KERNEL_LANE_LABELS.iter().zip(arr.iter()).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{label}\":{v}");
+    out.push_str(",\"kernel_lane_hits\":{");
+    for (i, (label, v)) in KERNEL_LANE_LABELS
+        .iter()
+        .zip(&m.kernel_lane_hits)
+        .enumerate()
+    {
+        if i > 0 {
+            out.push(',');
         }
-        out.push('}');
+        let _ = write!(out, "\"{label}\":{v}");
     }
-    out.push('}');
+    out.push_str("}}");
 }
 
 impl MetricsRegistry {
@@ -281,32 +271,19 @@ impl MetricsRegistry {
             }
         }
 
-        // Per-lane kernel counters: one family each, a `lane` label per
-        // lane type so dashboards can break fallback rates down by the
-        // column representation that caused them.
-        let lane_families: &[LaneFamily] = &[
-            (
-                "qap_op_kernel_lane_hits",
-                "Completed kernel runs per lane type",
-                |m| &m.kernel_lane_hits,
-            ),
-            (
-                "qap_op_kernel_lane_fallbacks",
-                "Kernel bailouts per lane type that forced the interpreter fallback",
-                |m| &m.kernel_lane_fallbacks,
-            ),
-        ];
-        for (name, help, get) in lane_families {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for e in &self.ops {
-                for (label, v) in KERNEL_LANE_LABELS.iter().zip(get(&e.metrics).iter()) {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{op=\"{}\",node=\"{}\",host=\"{}\",lane=\"{label}\"}} {v}",
-                        e.op, e.node, e.host
-                    );
-                }
+        // Per-lane evaluation counter: a `lane` label per lane type, so
+        // dashboards can break evaluations down by the column
+        // representation they read.
+        let name = "qap_op_kernel_lane_hits";
+        let _ = writeln!(out, "# HELP {name} Completed kernel runs per lane type");
+        let _ = writeln!(out, "# TYPE {name} counter");
+        for e in &self.ops {
+            for (label, v) in KERNEL_LANE_LABELS.iter().zip(&e.metrics.kernel_lane_hits) {
+                let _ = writeln!(
+                    out,
+                    "{name}{{op=\"{}\",node=\"{}\",host=\"{}\",lane=\"{label}\"}} {v}",
+                    e.op, e.node, e.host
+                );
             }
         }
 

@@ -8,11 +8,11 @@ use crate::Histogram;
 /// Mirrors `qap_expr::LANE_KINDS` (the engines assign the compiler's
 /// fixed-size tallies straight into [`OpMetrics`], so a mismatch is a
 /// compile error there, not a silent truncation here).
-pub const KERNEL_LANES: usize = 5;
+pub const KERNEL_LANES: usize = 4;
 
 /// Exporter labels for the kernel lane types, indexed like the
 /// `kernel_lane_*` arrays (mirrors `qap_expr::LaneKind::label`).
-pub const KERNEL_LANE_LABELS: [&str; KERNEL_LANES] = ["uint", "int", "bool", "str", "mixed"];
+pub const KERNEL_LANE_LABELS: [&str; KERNEL_LANES] = ["uint", "int", "bool", "str"];
 
 /// Per-operator telemetry. Tuple counts are batch-size-invariant
 /// (semantic flow); batch counts, occupancy and latency describe the
@@ -35,19 +35,15 @@ pub struct OpMetrics {
     pub late_dropped: u64,
     /// Occupancy (tuples per delivered input batch).
     pub batch_occupancy: Histogram,
-    /// Compiled-kernel executions that ran to completion (vectorized
-    /// predicate filters / projection evaluations / columnar key
-    /// passes).
+    /// Column evaluations (predicate filters, projections, key passes).
     pub kernel_hits: u64,
-    /// Kernel bailouts and non-kernelizable evaluations that fell back
-    /// to the per-tuple interpreter on a columnar batch.
+    /// Always 0: no operator runs a row interpreter. Kept because
+    /// `bench_e2e` reports it, until ROADMAP item 1 drops it.
     pub kernel_fallbacks: u64,
-    /// Completed kernel runs per lane type, indexed per
-    /// [`KERNEL_LANE_LABELS`] (one run may credit several lane types).
+    /// Column evaluations per lane type they read, indexed per
+    /// [`KERNEL_LANE_LABELS`] (one evaluation may credit several lane
+    /// types).
     pub kernel_lane_hits: [u64; KERNEL_LANES],
-    /// Kernel bailouts per lane type that forced the interpreter
-    /// fallback, same indexing.
-    pub kernel_lane_fallbacks: [u64; KERNEL_LANES],
     /// Window flushes performed (aggregation operators).
     pub flushes: u64,
     /// Total wall-clock nanoseconds spent inside window flushes.
@@ -79,13 +75,6 @@ impl OpMetrics {
             .kernel_lane_hits
             .iter_mut()
             .zip(other.kernel_lane_hits.iter())
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .kernel_lane_fallbacks
-            .iter_mut()
-            .zip(other.kernel_lane_fallbacks.iter())
         {
             *a += b;
         }

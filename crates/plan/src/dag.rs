@@ -484,7 +484,10 @@ fn validate_columns(
 /// Static type of an expression: the kind `BoundExpr::eval` gives every
 /// non-NULL value of it. Arithmetic over two `UInt`s is `UInt`, except
 /// `-`, which is `Int`; an `Int` or `Bool` operand makes it `Int`.
-fn infer_type(expr: &ScalarExpr, type_of: &impl Fn(&ColumnRef) -> Option<DataType>) -> DataType {
+pub fn infer_type(
+    expr: &ScalarExpr,
+    type_of: &impl Fn(&ColumnRef) -> Option<DataType>,
+) -> DataType {
     match expr {
         ScalarExpr::Column(c) => type_of(c).unwrap_or(DataType::UInt),
         ScalarExpr::Literal(v) => match v {

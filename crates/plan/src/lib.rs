@@ -21,7 +21,7 @@ mod error;
 mod node;
 mod provenance;
 
-pub use dag::{NodeId, QueryDag};
+pub use dag::{infer_type, NodeId, QueryDag};
 pub use display::{render_dag, render_dag_annotated};
 pub use error::{PlanError, PlanResult};
 pub use node::{JoinType, LogicalNode, NamedAgg, NamedExpr, TemporalJoin};

@@ -1,7 +1,9 @@
 //! Semantic analysis: lowering parsed SELECTs into plan-DAG nodes.
 
 use qap_expr::{AggCall, AggKind, ColumnRef, ScalarExpr};
-use qap_plan::{JoinType, LogicalNode, NamedAgg, NamedExpr, NodeId, QueryDag, TemporalJoin};
+use qap_plan::{
+    infer_type, JoinType, LogicalNode, NamedAgg, NamedExpr, NodeId, QueryDag, TemporalJoin,
+};
 use qap_types::Catalog;
 use qap_types::Schema;
 
@@ -487,6 +489,15 @@ fn classify_conjunct(conjunct: &AstExpr, ctx: &JoinCtx<'_>) -> SqlResult<JoinCon
                     offset: ro - lo,
                 }));
             }
+        }
+        // An equi-key pairs equal values of one kind; `=` across kinds
+        // (`uint` against `int`) compares numerically, as it does in a
+        // WHERE, so it stays a residual.
+        let kind = |e: &ScalarExpr, s: &Schema| {
+            infer_type(e, &|c: &ColumnRef| s.field(&c.name).map(|f| f.data_type()))
+        };
+        if kind(&le, ctx.ls) != kind(&re, ctx.rs) {
+            return Ok(JoinConjunct::Residual(to_scalar(conjunct)?));
         }
         return Ok(JoinConjunct::Equi(le, re));
     }

@@ -426,6 +426,17 @@ impl Column {
         self.len = sel.len();
     }
 
+    /// The rows `idx` of this column, as a new column: what appending
+    /// them to an empty one leaves.
+    ///
+    /// # Panics
+    /// When an index is out of bounds.
+    pub fn gather(&self, idx: &[u32]) -> Column {
+        let mut out = Column::new();
+        out.append_rows(self, Rows::Gather(idx));
+        out
+    }
+
     /// Appends the given rows of `src`, lane to lane: the column is left
     /// as pushing `src.value(i)` for each row would leave it — same
     /// values, same null mask, same placeholders, and on a column with

@@ -31,7 +31,7 @@ use crate::{TypeError, TypeResult};
 /// carrying any other version with [`ControlFrame::Error`] (kind
 /// [`ERROR_VERSION`]) — mixed-version clusters fail fast at the
 /// handshake instead of mis-decoding deployment payloads mid-run.
-pub const PROTOCOL_VERSION: u32 = 8;
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Byte length of a control-frame header: `u32` payload length plus
 /// `u8` tag.

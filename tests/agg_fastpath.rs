@@ -29,9 +29,8 @@
 
 use std::sync::Arc;
 
-use qap::expr::{bind, KernelScratch, PredicateKernel};
 use qap::prelude::*;
-use qap::types::{encode_tuple, ColumnBatch, DataType, SelectionVector, Udaf, UdafState};
+use qap::types::{encode_tuple, ColumnBatch, DataType, Udaf, UdafState};
 
 /// One sink's output: (sink node id, encoded rows in emission order).
 type SinkRows = (usize, Vec<Vec<u8>>);
@@ -383,33 +382,16 @@ fn min_max_over_int_and_null_blocks_match_row_path() {
     }
 }
 
-/// The HAVING of `dag`'s one aggregate, compiled against the output
-/// schema the way the operator compiles it.
-fn having_kernel(dag: &QueryDag) -> Option<PredicateKernel> {
-    let root = dag.roots()[0];
-    let LogicalNode::Aggregate {
-        having: Some(h), ..
-    } = dag.node(root)
-    else {
-        panic!("the root is an aggregate with a HAVING");
-    };
-    PredicateKernel::compile(&bind(h, dag.schema(root)).expect("HAVING binds"))
-}
-
+/// `NOT` over a conjunction in HAVING: every window is filtered over
+/// its staged lanes as the model filters its rows.
 #[test]
-fn having_the_kernel_refuses_runs_in_the_interpreter() {
-    // `NOT` over a conjunction is outside the kernel's domain: every
-    // window is filtered by the interpreter over its staged lanes.
+fn having_not_of_a_conjunction_matches_the_model() {
     let dag = tcp_dag(
         "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
          GROUP BY time/60 as tb, srcIP, destIP \
          HAVING NOT (COUNT(*) > 2 AND SUM(len) > 300)",
     );
-    assert!(
-        having_kernel(&dag).is_none(),
-        "the kernel refuses NOT (a AND b)"
-    );
-    assert_model_equals_lanes(&dag, &tcp_trace(), "HAVING the kernel refuses");
+    assert_model_equals_lanes(&dag, &tcp_trace(), "HAVING NOT (a AND b)");
 }
 
 /// Unsigned keys over a signed value column that is positive, NULL or
@@ -440,26 +422,13 @@ fn signed_sum_trace() -> Vec<Tuple> {
         .collect()
 }
 
+/// Every window's SUM lane mixes NULLs, positive and negative sums:
+/// `SUM(v) + 1 > 4` runs over that signed, NULL-bearing lane as the
+/// model runs it row by row.
 #[test]
-fn having_kernel_bailing_on_a_null_bearing_sum_lane_falls_back() {
+fn having_over_a_null_bearing_signed_sum_lane_matches_the_model() {
     let dag = signed_sum_dag("HAVING SUM(v) + 1 > 4");
-    let input = signed_sum_trace();
-    // Every window's SUM lane mixes NULLs, positive and negative sums,
-    // which the compiled `+` cannot load: it bails at run time.
-    let kernel = having_kernel(&dag).expect("`SUM(v) + 1 > 4` compiles");
-    let unfiltered = signed_sum_dag("");
-    let rows = &run_logical(&unfiltered, input.iter().cloned()).expect("model runs")[0].1;
-    let mut scratch = KernelScratch::new();
-    for window in rows.chunk_by(|a, b| a.get(0) == b.get(0)) {
-        let lanes = ColumnBatch::from_rows(window);
-        let mut sel = SelectionVector::identity(lanes.rows());
-        assert!(
-            !kernel.filter(&lanes, &mut sel, &mut scratch),
-            "the kernel bails on window {:?}",
-            window[0].get(0)
-        );
-    }
-    assert_model_equals_lanes(&dag, &input, "HAVING kernel bails");
+    assert_model_equals_lanes(&dag, &signed_sum_trace(), "HAVING over signed sums");
 }
 
 /// `BITS(x)`: the set of `x mod 64` values a group saw. Its partial
@@ -935,7 +904,7 @@ fn string_bool_and_nullable_uint_keys_match_the_model() {
 }
 
 /// At every batch size, γ folds every batch on words, whatever its key
-/// lanes hold, and tallies no fallback of any lane kind.
+/// lanes hold, and tallies no fallback.
 fn assert_every_batch_takes_words(dag: &QueryDag, input: &[Tuple]) {
     let root = dag.roots()[0];
     for batch in [1usize, 5, 64, 1024] {
@@ -951,12 +920,8 @@ fn assert_every_batch_takes_words(dag: &QueryDag, input: &[Tuple]) {
         engine.finish().expect("finish");
         let m = &engine.metrics()[root];
         assert_eq!(
-            (
-                m.kernel_hits,
-                m.kernel_fallbacks,
-                m.kernel_lane_fallbacks.iter().sum::<u64>()
-            ),
-            (batches, 0, 0),
+            (m.kernel_hits, m.kernel_fallbacks),
+            (batches, 0),
             "batch {batch}: word-path batches and fallbacks"
         );
     }

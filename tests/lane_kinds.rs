@@ -1,7 +1,7 @@
 //! Lanes carry the kinds the plan declares. On well-typed input no node
 //! of any runner — the simulator, the threaded runner, and real
-//! `qapctl host` children behind TCP — tallies a kernel fallback under
-//! the `mixed` lane kind, every typed lane every node outputs has the
+//! `qapctl host` children behind TCP — tallies a kernel fallback (there
+//! is no `mixed` lane kind left to tally), every typed lane every node outputs has the
 //! kind its schema declares, and so does every value the runners and
 //! the model output. The plans are the §6 deployments and
 //! `bench_kernels`' `FLOW` stream, whose string-keyed aggregate runs as
@@ -13,7 +13,6 @@ use std::io::BufRead as _;
 use std::process::{Child, Command, Stdio};
 
 use qap::exec::{ExecError, ExecResult};
-use qap::expr::LaneKind;
 use qap::prelude::*;
 use qap::types::{ColumnBatch, DataType, Field, Temporality, TypeError};
 
@@ -64,8 +63,8 @@ fn every_runner(
     ]
 }
 
-/// No node of any runner tallies a `mixed` fallback, and every output
-/// lane and value has its schema's kind.
+/// No node of any runner tallies a fallback, and every output lane and
+/// value has its schema's kind.
 fn assert_lanes_typed(label: &str, plan: &DistributedPlan, trace: &[Tuple]) {
     kinds::assert_plan_lanes_typed(label, plan, trace);
     for (runner, result) in every_runner(plan, trace) {
@@ -76,7 +75,7 @@ fn assert_lanes_typed(label: &str, plan: &DistributedPlan, trace: &[Tuple]) {
         }
         for (id, m) in result.node_metrics.iter().enumerate() {
             assert_eq!(
-                m.kernel_lane_fallbacks[LaneKind::Mixed as usize],
+                m.kernel_fallbacks,
                 0,
                 "{label} {runner}: node {id} ({})",
                 plan.dag.node(id).label()

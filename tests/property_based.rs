@@ -981,7 +981,7 @@ proptest! {
 // columnar representation and kernels
 // ---------------------------------------------------------------------
 
-use qap::expr::{BinOp, BoundExpr, KernelScratch, NumKernel, PredicateKernel, UnOp};
+use qap::expr::{BinOp, BoundExpr, ExprError, Filter, KernelScratch, Projection, UnOp};
 use qap::types::{
     decode_column_batch, encode_column_batch, BytesMut, ColumnBatch, SelectionVector,
 };
@@ -1018,8 +1018,8 @@ fn arb_rows() -> impl Strategy<Value = Vec<Tuple>> {
 }
 
 /// Mostly-numeric rows of fixed arity 3 with occasional NULLs and
-/// near-overflow values — the kernel domain plus the bailout edges
-/// around it.
+/// near-overflow values: the §6 traffic plus the overflow edges around
+/// it.
 fn arb_numeric_rows() -> impl Strategy<Value = Vec<Tuple>> {
     proptest::collection::vec(
         proptest::collection::vec(
@@ -1092,6 +1092,68 @@ fn arb_predicate() -> impl Strategy<Value = BoundExpr> {
     })
 }
 
+/// Holds a [`Filter`] over `rows` to the interpreter's predicate: the
+/// same rows kept, or the error of the first row that errs.
+fn assert_filter_is_the_interpreter(p: BoundExpr, rows: &[Tuple]) {
+    let want: Result<Vec<u32>, ExprError> = rows
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| match p.eval_predicate(t) {
+            Ok(true) => Some(Ok(i as u32)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        })
+        .collect();
+    let batch = ColumnBatch::from_rows(rows);
+    let mut sel = SelectionVector::identity(rows.len());
+    let got = Filter::new(p).apply(&batch, &mut sel, &mut KernelScratch::new());
+    match (got, want) {
+        (Ok(()), Ok(want)) => prop_assert_eq!(sel.as_slice(), &want[..]),
+        (Err(got), Err(want)) => prop_assert_eq!(got, want),
+        (got, want) => prop_assert!(
+            false,
+            "filter {:?} ({:?}) where the interpreter gives {:?}",
+            got,
+            sel.as_slice(),
+            want
+        ),
+    }
+}
+
+/// Holds a [`Projection`] of `exprs` over `rows` to the interpreter:
+/// each output lane is the one pushing the interpreter's values builds
+/// (kind, NULL mask, values), or the error is the first one the
+/// interpreter meets, row-major across the list.
+fn assert_projection_is_the_interpreter(exprs: Vec<BoundExpr>, rows: &[Tuple]) {
+    let want: Result<Vec<Vec<Value>>, ExprError> = rows
+        .iter()
+        .map(|t| exprs.iter().map(|e| e.eval(t)).collect())
+        .collect();
+    let mut batch = ColumnBatch::from_rows(rows);
+    let got = Projection::new(exprs).project(&mut batch, &mut KernelScratch::new());
+    match (got, want) {
+        (Ok(out), Ok(want)) => {
+            prop_assert_eq!(out.rows(), rows.len());
+            for (i, vals) in want.iter().enumerate() {
+                prop_assert_eq!(out.row(i).values(), &vals[..], "row {}", i);
+            }
+            for (j, lane) in out.columns().iter().enumerate() {
+                let vals: Vec<Value> = want.iter().map(|r| r[j].clone()).collect();
+                let pushed = qap::types::Column::from_values(&vals);
+                prop_assert_eq!(lane.data_type(), pushed.data_type(), "lane {}", j);
+                prop_assert_eq!(lane.null_mask(), pushed.null_mask(), "lane {}", j);
+            }
+        }
+        (Err(got), Err(want)) => prop_assert_eq!(got, want),
+        (got, want) => prop_assert!(
+            false,
+            "projection {:?} where the interpreter gives {:?}",
+            got.map(|out| out.to_rows()),
+            want
+        ),
+    }
+}
+
 /// String-heavy two-column rows: a small label vocabulary with NULLs,
 /// the empty string, and multi-byte UTF-8 mixed in, next to a numeric
 /// lane.
@@ -1139,44 +1201,15 @@ proptest! {
         prop_assert_eq!(decoded.to_rows(), rows);
     }
 
-    /// A compiled predicate kernel that runs to completion selects
-    /// exactly the rows the interpreter keeps — and never completes on
-    /// a batch where the interpreter would error (overflow etc.): the
-    /// bailout discipline is lossless.
+    /// The predicate kernel — a [`Filter`] — selects exactly the rows
+    /// the interpreter keeps, or fails with the interpreter's first
+    /// error (overflow etc.).
     #[test]
     fn predicate_kernel_agrees_with_interpreter(
         p in arb_predicate(),
         rows in arb_numeric_rows()
     ) {
-        // Outside the compile-time domain the engine runs the
-        // interpreter; nothing to cross-check then.
-        if let Some(k) = PredicateKernel::compile(&p) {
-            let batch = ColumnBatch::from_rows(&rows);
-            let mut sel = SelectionVector::identity(rows.len());
-            let mut scratch = KernelScratch::new();
-            let ran = k.filter(&batch, &mut sel, &mut scratch);
-            let interp: Result<Vec<u32>, _> = rows
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| match p.eval_predicate(t) {
-                    Ok(true) => Some(Ok(i as u32)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect();
-            if ran {
-                match interp {
-                    Ok(expect) => prop_assert_eq!(sel.as_slice(), &expect[..]),
-                    Err(e) => prop_assert!(
-                        false,
-                        "kernel completed where the interpreter errors: {e}"
-                    ),
-                }
-            }
-            // A bailout is always allowed: the engine re-runs the
-            // interpreter, reproducing its exact outcome (including the
-            // error) row by row.
-        }
+        assert_filter_is_the_interpreter(p, &rows);
     }
 
     /// String-heavy batches round-trip the columnar wire: ship the
@@ -1192,7 +1225,7 @@ proptest! {
         prop_assert_eq!(decoded.to_rows(), rows);
     }
 
-    /// A string-equality kernel selects exactly the rows the
+    /// A string-equality filter selects exactly the rows the
     /// interpreter keeps on a string lane.
     #[test]
     fn string_equality_kernel_agrees_with_interpreter(
@@ -1207,53 +1240,23 @@ proptest! {
             BoundExpr::Column(0),
             BoundExpr::Literal(Value::from(needle)),
         );
-        if let Some(k) = PredicateKernel::compile(&p) {
-            let expect: Vec<u32> = rows
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| p.eval_predicate(t).unwrap_or(false))
-                .map(|(i, _)| i as u32)
-                .collect();
-            let batch = ColumnBatch::from_rows(&rows);
-            let mut sel = SelectionVector::identity(rows.len());
-            let mut scratch = KernelScratch::new();
-            if k.filter(&batch, &mut sel, &mut scratch) {
-                prop_assert_eq!(sel.as_slice(), &expect[..]);
-            }
-        }
+        assert_filter_is_the_interpreter(p, &rows);
     }
 
-    /// A numeric projection kernel that runs to completion computes
-    /// exactly the interpreter's values row for row.
+    /// A numeric projection computes exactly the interpreter's lane row
+    /// for row, or fails with its first error.
     #[test]
     fn num_kernel_agrees_with_interpreter(
         e in arb_atom(),
         rows in arb_numeric_rows()
     ) {
-        if let Some(k) = NumKernel::compile(&e) {
-            let batch = ColumnBatch::from_rows(&rows);
-            let mut scratch = KernelScratch::new();
-            if let Some(col) = k.eval_column(&batch, &mut scratch) {
-                prop_assert_eq!(col.len(), rows.len());
-                for (i, t) in rows.iter().enumerate() {
-                    match e.eval(t) {
-                        Ok(v) => prop_assert_eq!(col.value(i), v, "row {}", i),
-                        Err(err) => prop_assert!(
-                            false,
-                            "kernel completed where the interpreter errors: {err}"
-                        ),
-                    }
-                }
-            }
-        }
+        assert_projection_is_the_interpreter(vec![e], &rows);
     }
 }
 
 // ---------------------------------------------------------------------
-// the total lane API: `Filter` and `Projection`
+// the column evaluator: `Filter` and `Projection` on any lanes
 // ---------------------------------------------------------------------
-
-use qap::expr::{ExprError, Filter, Projection};
 
 /// Rows of four lanes — `uint`, `int`, `bool` and `string`, in that
 /// order — with NULLs, and values that make arithmetic overflow, borrow
@@ -1283,8 +1286,7 @@ fn arb_lane_rows() -> impl Strategy<Value = Vec<Tuple>> {
 
 /// Bound expressions over [`arb_lane_rows`]' lanes: arithmetic that
 /// overflows, borrows or divides by zero, comparisons, three-valued
-/// logic and operands of the wrong kind — the kernels' domain and much
-/// outside it.
+/// logic and operands of the wrong kind.
 fn arb_lane_expr() -> impl Strategy<Value = BoundExpr> {
     let literal = prop_oneof![
         Just(Value::UInt(0)),
@@ -1328,9 +1330,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Over any lanes, a projection list's output lanes hold exactly the
-    /// interpreter's values row for row, or its error is the first one
-    /// the interpreter meets, row-major across the list — whichever
-    /// expressions kernels took.
+    /// interpreter's values row for row, with the kinds and NULL masks
+    /// pushing them builds, or its error is the first one the
+    /// interpreter meets, row-major across the list.
     #[test]
     fn projection_equals_the_interpreter_row_major(
         e0 in arb_lane_expr(),
@@ -1338,28 +1340,7 @@ proptest! {
         e2 in arb_lane_expr(),
         rows in arb_lane_rows()
     ) {
-        let exprs = vec![e0, e1, e2, BoundExpr::Column(3)];
-        let want: Result<Vec<Vec<Value>>, ExprError> = rows
-            .iter()
-            .map(|t| exprs.iter().map(|e| e.eval(t)).collect())
-            .collect();
-        let mut batch = ColumnBatch::from_rows(&rows);
-        let got = Projection::new(exprs).project(&mut batch, &mut KernelScratch::new());
-        match (got, want) {
-            (Ok((out, _)), Ok(want)) => {
-                prop_assert_eq!(out.rows(), rows.len());
-                for (i, vals) in want.iter().enumerate() {
-                    prop_assert_eq!(out.row(i).values(), &vals[..], "row {}", i);
-                }
-            }
-            (Err(got), Err(want)) => prop_assert_eq!(got, want),
-            (got, want) => prop_assert!(
-                false,
-                "projection {:?} where the interpreter gives {:?}",
-                got.map(|(out, _)| out.to_rows()),
-                want
-            ),
-        }
+        assert_projection_is_the_interpreter(vec![e0, e1, e2, BoundExpr::Column(3)], &rows);
     }
 
     /// Over any lanes, a filter keeps exactly the rows the interpreter's
@@ -1367,29 +1348,7 @@ proptest! {
     /// errs.
     #[test]
     fn filter_equals_the_interpreter(p in arb_lane_expr(), rows in arb_lane_rows()) {
-        let want: Result<Vec<u32>, ExprError> = rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match p.eval_predicate(t) {
-                Ok(true) => Some(Ok(i as u32)),
-                Ok(false) => None,
-                Err(e) => Some(Err(e)),
-            })
-            .collect();
-        let batch = ColumnBatch::from_rows(&rows);
-        let mut sel = SelectionVector::identity(rows.len());
-        let got = Filter::new(p).apply(&batch, &mut sel, &mut KernelScratch::new());
-        match (got, want) {
-            (Ok(_), Ok(want)) => prop_assert_eq!(sel.as_slice(), &want[..]),
-            (Err(got), Err(want)) => prop_assert_eq!(got, want),
-            (got, want) => prop_assert!(
-                false,
-                "filter {:?} ({:?}) where the interpreter gives {:?}",
-                got,
-                sel.as_slice(),
-                want
-            ),
-        }
+        assert_filter_is_the_interpreter(p, &rows);
     }
 }
 

@@ -98,6 +98,39 @@ fn division_by_zero_mid_stream_surfaces_as_error() {
     assert!(err.to_string().contains("division by zero"), "{err}");
 }
 
+/// `i = 3 and u + u < 3` over `(u u64::MAX, i NULL)` then `(u 1, i 3)`:
+/// the model evaluates the right conjunct where the left one is NULL,
+/// and overflows there. At every batch size the engine fails with the
+/// model's error rather than emitting the second row.
+#[test]
+fn an_error_behind_a_null_conjunct_surfaces_as_the_models() {
+    let mut b = QuerySetBuilder::new(Catalog::new());
+    b.parse_script(
+        "STREAM S(ts uint increasing, u uint, i int);\n\
+         QUERY q: SELECT ts, u FROM S WHERE i = 3 and u + u < 3;",
+    )
+    .unwrap();
+    let dag = b.build();
+    let input = [
+        Tuple::new(vec![Value::UInt(1), Value::UInt(u64::MAX), Value::Null]),
+        Tuple::new(vec![Value::UInt(2), Value::UInt(1), Value::Int(3)]),
+    ];
+    let model = run_logical(&dag, input.iter().cloned()).unwrap_err();
+    assert!(model.to_string().contains("overflow"), "{model}");
+    for batch in [1usize, 64, 1024] {
+        let mut engine = Engine::new(&dag).unwrap();
+        engine.set_batch_config(BatchConfig::new(batch));
+        let src = engine.source_nodes()[0];
+        let run = |engine: &mut Engine| -> ExecResult<()> {
+            for chunk in input.chunks(batch) {
+                engine.push_columns(src, &mut ColumnBatch::from_rows(chunk))?;
+            }
+            engine.finish()
+        };
+        assert_eq!(run(&mut engine), Err(model.clone()), "batch {batch}");
+    }
+}
+
 #[test]
 fn extreme_partition_imbalance_still_correct() {
     // All traffic from one source: under hash(srcIP) every packet lands
