@@ -7,8 +7,10 @@
 //!
 //! 1. **Representation & evaluation** ([`ScalarExpr`], [`BoundExpr`]):
 //!    the expression language of GSQL's SELECT / WHERE / GROUP BY /
-//!    HAVING clauses, compiled against a schema into position-resolved
-//!    form for fast per-tuple evaluation.
+//!    HAVING clauses, bound against a schema into position-resolved
+//!    form. The engine evaluates it a batch at a time over typed lanes
+//!    ([`Filter`], [`Projection`]); `BoundExpr::eval`, one tuple at a
+//!    time, is the reference model's.
 //! 2. **Transform analysis** ([`ColumnTransform`], [`analyze_transform`]):
 //!    recognizing expressions of the shapes the paper's
 //!    `Reconcile_Partn_Sets` reasons about — `col`, `col / k`,
