@@ -11,264 +11,31 @@
 //! same decomposition, and runs its unit only if its plan has the same
 //! fingerprint ([`crate::serve_host`]). Planning is deterministic, so
 //! the IR has one definition — its GSQL surface — and no second one
-//! here. The [`UnitCmd`] halves of a drain-and-handoff travel inside
-//! [`qap_types::ControlFrame::Migrate`], and the [`UnitReply`] inside
-//! `MigrateAck`: per node, the extracted state rows and each row's
-//! partition under the new table, which tells the coordinator where
-//! the row goes. The [`UnitOutcome`] the host streams back travels
-//! inside [`qap_types::ControlFrame::Result`]. State and outputs are
-//! lanes throughout, each batch one lane frame of the hardened boundary
-//! codec; its round trip is exact for every value kind.
+//! here. The [`UnitCmd`](crate::unit::UnitCmd) halves of a
+//! drain-and-handoff travel inside [`qap_types::ControlFrame::Migrate`],
+//! and the [`UnitReply`](crate::unit::UnitReply) inside `MigrateAck`:
+//! per node, the extracted state rows and each row's partition under
+//! the new table, which tells the coordinator where the row goes. The
+//! [`UnitOutcome`](crate::unit::UnitOutcome) the host streams back
+//! travels inside [`qap_types::ControlFrame::Result`]. State and
+//! outputs are lanes throughout, each batch one lane frame of the
+//! hardened boundary codec; its round trip is exact for every value
+//! kind.
 //!
-//! Everything is hand-rolled binary in the style of
-//! [`qap_types::wire`]: the workspace has no serialization library, so
-//! tags and lengths are written explicitly, and the decoder surfaces typed
-//! [`TypeError`]s for truncation, bad tags and length disagreements —
-//! a corrupt deployment never panics a host process.
+//! Every payload is a [`Wire`] type of [`qap_types::codec`], encoded
+//! beside its type: this module holds [`DeployInputs`]'s, and the
+//! records it nests carry theirs. The workspace has no serialization
+//! library; the codec's reader surfaces typed [`TypeError`]s for
+//! truncation, bad tags and length disagreements — a corrupt deployment
+//! never panics a host process.
 
-use qap_exec::{OpCounters, OpMetrics};
-use qap_obs::{Histogram, HISTOGRAM_BUCKETS, KERNEL_LANES};
 use qap_optimizer::{
     DistributedPlan, OptimizerConfig, PartialAggScope, Partitioning, PlanSource, SplitStrategy,
 };
 use qap_partition::{fnv1a_hash, AnalysisOptions, PartitionSet};
-use qap_types::{
-    decode_column_batch, encode_column_batch, Buf, BufMut, Bytes, BytesMut, ColumnBatch, TypeError,
-    TypeResult, FRAME_HEADER_LEN,
-};
+use qap_types::{Reader, TypeError, TypeResult, Wire, Writer};
 
-use crate::transport::{EdgeTransport, FaultPlan};
-use crate::unit::{UnitCmd, UnitOutcome, UnitReply};
-
-// ---------------------------------------------------------------------
-// Primitive writers/readers
-// ---------------------------------------------------------------------
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_opt<T>(buf: &mut BytesMut, v: &Option<T>, f: impl FnOnce(&mut BytesMut, &T)) {
-    match v {
-        None => buf.put_u8(0),
-        Some(x) => {
-            buf.put_u8(1);
-            f(buf, x);
-        }
-    }
-}
-
-/// Sequential reader over a deploy/outcome payload with typed
-/// truncation errors (mirrors the wire decoder's `want` discipline).
-struct Reader {
-    buf: Bytes,
-    context: &'static str,
-}
-
-impl Reader {
-    fn new(buf: Bytes, context: &'static str) -> Self {
-        Reader { buf, context }
-    }
-
-    fn want(&self, need: usize) -> TypeResult<()> {
-        if self.buf.remaining() < need {
-            return Err(TypeError::Truncated {
-                context: self.context,
-                need,
-                have: self.buf.remaining(),
-            });
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> TypeResult<u8> {
-        self.want(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn bool(&mut self) -> TypeResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(TypeError::Corrupt("bool byte out of range")),
-        }
-    }
-
-    fn u32(&mut self) -> TypeResult<u32> {
-        self.want(4)?;
-        Ok(self.buf.get_u32())
-    }
-
-    fn u64(&mut self) -> TypeResult<u64> {
-        self.want(8)?;
-        Ok(self.buf.get_u64())
-    }
-
-    /// Element count prefix of elements encoded in at least `min` bytes
-    /// each: a count the remaining bytes cannot hold is corrupt, so no
-    /// count drives an allocation larger than its element's in-memory
-    /// size over `min` per payload byte.
-    fn len(&mut self, min: usize) -> TypeResult<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min) > self.buf.remaining() {
-            return Err(TypeError::Corrupt("length prefix exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> TypeResult<String> {
-        let n = self.len(1)?;
-        let raw = self.buf.copy_to_bytes(n);
-        std::str::from_utf8(&raw)
-            .map(str::to_string)
-            .map_err(|_| TypeError::Corrupt("string is not UTF-8"))
-    }
-
-    fn bytes(&mut self) -> TypeResult<Bytes> {
-        let n = self.len(1)?;
-        Ok(self.buf.copy_to_bytes(n))
-    }
-
-    fn batch(&mut self) -> TypeResult<ColumnBatch> {
-        decode_column_batch(self.bytes()?)
-    }
-
-    fn u32s(&mut self) -> TypeResult<Vec<u32>> {
-        (0..self.len(4)?).map(|_| self.u32()).collect()
-    }
-
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> TypeResult<T>) -> TypeResult<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            _ => Err(TypeError::Corrupt("option byte out of range")),
-        }
-    }
-
-    fn finish(self) -> TypeResult<()> {
-        if self.buf.remaining() != 0 {
-            return Err(TypeError::Corrupt("trailing bytes after payload"));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Metrics codecs
-// ---------------------------------------------------------------------
-
-fn put_fault(buf: &mut BytesMut, f: &FaultPlan) {
-    buf.put_u64(f.seed);
-    buf.put_u64(f.corrupt_every);
-    buf.put_u64(f.truncate_every);
-    buf.put_u64(f.drop_every);
-    put_opt(buf, &f.slow_host, |b, h| b.put_u64(*h as u64));
-    buf.put_u64(f.slow_micros);
-    put_opt(buf, &f.hang_host, |b, h| b.put_u64(*h as u64));
-    buf.put_u64(f.hang_millis);
-    put_opt(buf, &f.panic_host, |b, h| b.put_u64(*h as u64));
-    buf.put_u64(f.panic_after_tuples);
-}
-
-fn read_fault(r: &mut Reader) -> TypeResult<FaultPlan> {
-    Ok(FaultPlan {
-        seed: r.u64()?,
-        corrupt_every: r.u64()?,
-        truncate_every: r.u64()?,
-        drop_every: r.u64()?,
-        slow_host: r.opt(|r| Ok(r.u64()? as usize))?,
-        slow_micros: r.u64()?,
-        hang_host: r.opt(|r| Ok(r.u64()? as usize))?,
-        hang_millis: r.u64()?,
-        panic_host: r.opt(|r| Ok(r.u64()? as usize))?,
-        panic_after_tuples: r.u64()?,
-    })
-}
-
-fn put_histogram(buf: &mut BytesMut, h: &Histogram) {
-    for c in h.bucket_counts() {
-        buf.put_u64(*c);
-    }
-    buf.put_u64(h.sum());
-    buf.put_u64(h.max());
-}
-
-fn read_histogram(r: &mut Reader) -> TypeResult<Histogram> {
-    let mut counts = [0u64; HISTOGRAM_BUCKETS];
-    for c in counts.iter_mut() {
-        *c = r.u64()?;
-    }
-    let sum = r.u64()?;
-    let max = r.u64()?;
-    // `from_parts` totals the buckets; a total past `u64` is corrupt.
-    let total = counts.iter().try_fold(0u64, |n, &c| n.checked_add(c));
-    if total.is_none() {
-        return Err(TypeError::Corrupt("histogram bucket counts overflow"));
-    }
-    Ok(Histogram::from_parts(counts, sum, max))
-}
-
-/// Encoded bytes of one [`OpMetrics`]: every field a `u64`.
-const OP_METRICS_LEN: usize = 8 * (7 + HISTOGRAM_BUCKETS + 2 + 2 + KERNEL_LANES + 5);
-
-/// Least encoded bytes of a lane frame in a payload: its `u32` length
-/// prefix, the frame header and a `u16` arity.
-const BATCH_MIN_LEN: usize = 4 + FRAME_HEADER_LEN + 2;
-
-fn put_op_metrics(buf: &mut BytesMut, m: &OpMetrics) {
-    buf.put_u64(m.tuples_in);
-    buf.put_u64(m.tuples_out);
-    buf.put_u64(m.bytes_in);
-    buf.put_u64(m.bytes_out);
-    buf.put_u64(m.batches_in);
-    buf.put_u64(m.batches_out);
-    buf.put_u64(m.late_dropped);
-    put_histogram(buf, &m.batch_occupancy);
-    buf.put_u64(m.kernel_hits);
-    buf.put_u64(m.kernel_fallbacks);
-    for v in m.kernel_lane_hits {
-        buf.put_u64(v);
-    }
-    buf.put_u64(m.flushes);
-    buf.put_u64(m.flush_ns);
-    buf.put_u64(m.group_slots);
-    buf.put_u64(m.group_probes);
-    buf.put_u64(m.group_inserts);
-}
-
-fn read_lane_counters(r: &mut Reader) -> TypeResult<[u64; qap_obs::KERNEL_LANES]> {
-    let mut arr = [0u64; qap_obs::KERNEL_LANES];
-    for v in arr.iter_mut() {
-        *v = r.u64()?;
-    }
-    Ok(arr)
-}
-
-fn read_op_metrics(r: &mut Reader) -> TypeResult<OpMetrics> {
-    Ok(OpMetrics {
-        tuples_in: r.u64()?,
-        tuples_out: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        batches_in: r.u64()?,
-        batches_out: r.u64()?,
-        late_dropped: r.u64()?,
-        batch_occupancy: read_histogram(r)?,
-        kernel_hits: r.u64()?,
-        kernel_fallbacks: r.u64()?,
-        kernel_lane_hits: read_lane_counters(r)?,
-        flushes: r.u64()?,
-        flush_ns: r.u64()?,
-        group_slots: r.u64()?,
-        group_probes: r.u64()?,
-        group_inserts: r.u64()?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Top-level payloads
-// ---------------------------------------------------------------------
+use crate::transport::FaultPlan;
 
 /// What a `Deploy` payload carries: the inputs the coordinator planned
 /// from, and which of the plan's leaf units the host runs.
@@ -309,275 +76,83 @@ pub(crate) fn parse_set(items: &[String]) -> TypeResult<PartitionSet> {
     Ok(PartitionSet::from_exprs(&exprs))
 }
 
-/// Encodes a `Deploy` payload.
-pub(crate) fn encode_deploy(d: &DeployInputs) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_str(&mut buf, &d.catalog);
-    put_str(&mut buf, &d.source.gsql);
-    let o = &d.source.config;
-    let per_host = o.partial_agg_scope == PartialAggScope::PerHost;
-    let strict = o.analysis.strict_join_compatibility;
-    for flag in [o.agnostic, o.partial_aggregation, per_host, strict] {
-        buf.put_u8(flag as u8);
-    }
-    let p = &d.partitioning;
-    let set = match &p.strategy {
-        SplitStrategy::RoundRobin => None,
-        SplitStrategy::Hash(set) => Some(set),
-    };
-    put_opt(&mut buf, &set, |b, set| {
-        b.put_u32(set.len() as u32);
-        set.exprs().iter().for_each(|e| put_str(b, &e.render()));
-    });
-    for n in [p.partitions, p.hosts, p.aggregator_host] {
-        buf.put_u32(n as u32);
-    }
-    for n in [d.unit, d.max_batch, d.frame_batch] {
-        buf.put_u32(n);
-    }
-    put_fault(&mut buf, &d.fault);
-    buf.put_u64(d.fingerprint);
-    buf.freeze()
-}
-
-/// Decodes a `Deploy` payload; any damage surfaces as a typed
-/// [`TypeError`].
-pub(crate) fn decode_deploy(payload: Bytes) -> TypeResult<DeployInputs> {
-    let mut r = Reader::new(payload, "deploy");
-    let catalog = r.str()?;
-    let gsql = r.str()?;
-    let config = OptimizerConfig {
-        agnostic: r.bool()?,
-        partial_aggregation: r.bool()?,
-        partial_agg_scope: match r.bool()? {
-            true => PartialAggScope::PerHost,
-            false => PartialAggScope::PerPartition,
-        },
-        analysis: AnalysisOptions {
-            strict_join_compatibility: r.bool()?,
-        },
-    };
-    let set = r.opt(|r| {
-        let items = (0..r.len(4)?).map(|_| r.str());
-        parse_set(&items.collect::<TypeResult<Vec<_>>>()?)
-    })?;
-    let strategy = set.map_or(SplitStrategy::RoundRobin, SplitStrategy::Hash);
-    let inputs = DeployInputs {
-        catalog,
-        source: PlanSource { gsql, config },
-        partitioning: Partitioning {
-            strategy,
-            partitions: r.u32()? as usize,
-            hosts: r.u32()? as usize,
-            aggregator_host: r.u32()? as usize,
-        },
-        unit: r.u32()?,
-        max_batch: r.u32()?,
-        frame_batch: r.u32()?,
-        fault: read_fault(&mut r)?,
-        fingerprint: r.u64()?,
-    };
-    r.finish()?;
-    Ok(inputs)
-}
-
-/// Writes a batch as one length-prefixed lane frame.
-fn put_batch(buf: &mut BytesMut, batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeResult<()> {
-    let frame = encode_column_batch(batch, scratch)?;
-    buf.put_u32(frame.len() as u32);
-    buf.put_slice(&frame);
-    Ok(())
-}
-
-fn put_u32s(buf: &mut BytesMut, xs: &[u32]) {
-    buf.put_u32(xs.len() as u32);
-    xs.iter().for_each(|&x| buf.put_u32(x));
-}
-
-/// Encodes a [`UnitOutcome`] into a `Result` payload, each output as
-/// one lane frame.
-pub(crate) fn encode_unit_outcome(
-    outcome: &UnitOutcome,
-    scratch: &mut BytesMut,
-) -> TypeResult<Bytes> {
-    let mut out = BytesMut::new();
-    out.put_u32(outcome.counters.len() as u32);
-    for c in &outcome.counters {
-        out.put_u64(c.tuples_in);
-        out.put_u64(c.tuples_out);
-        out.put_u64(c.late_dropped);
-    }
-    out.put_u32(outcome.node_metrics.len() as u32);
-    for m in &outcome.node_metrics {
-        put_op_metrics(&mut out, m);
-    }
-    out.put_u32(outcome.outputs.len() as u32);
-    for (idx, lanes) in &outcome.outputs {
-        out.put_u32(*idx);
-        put_batch(&mut out, lanes, scratch)?;
-    }
-    out.put_u32(outcome.edges.len() as u32);
-    for e in &outcome.edges {
-        out.put_u64(e.producer as u64);
-        out.put_u64(e.from_host as u64);
-        out.put_u64(e.frames);
-        out.put_u64(e.tuples);
-        out.put_u64(e.bytes);
-        out.put_u64(e.retries);
-    }
-    out.put_u64(outcome.stalls);
-    out.put_u64(outcome.dropped);
-    Ok(out.freeze())
-}
-
-/// Decodes a `Result` payload back into a [`UnitOutcome`].
-pub(crate) fn decode_unit_outcome(payload: Bytes) -> TypeResult<UnitOutcome> {
-    let mut r = Reader::new(payload, "unit outcome");
-    let n = r.len(3 * 8)?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push(OpCounters {
-            tuples_in: r.u64()?,
-            tuples_out: r.u64()?,
-            late_dropped: r.u64()?,
-        });
-    }
-    let n = r.len(OP_METRICS_LEN)?;
-    let mut node_metrics = Vec::with_capacity(n);
-    for _ in 0..n {
-        node_metrics.push(read_op_metrics(&mut r)?);
-    }
-    let n = r.len(4 + BATCH_MIN_LEN)?;
-    let mut outputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let idx = r.u32()?;
-        outputs.push((idx, r.batch()?));
-    }
-    let n = r.len(6 * 8)?;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        edges.push(EdgeTransport {
-            producer: r.u64()? as usize,
-            from_host: r.u64()? as usize,
-            frames: r.u64()?,
-            tuples: r.u64()?,
-            bytes: r.u64()?,
-            retries: r.u64()?,
-        });
-    }
-    let stalls = r.u64()?;
-    let dropped = r.u64()?;
-    r.finish()?;
-    Ok(UnitOutcome {
-        counters,
-        node_metrics,
-        outputs,
-        edges,
-        stalls,
-        dropped,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Migration payloads
-// ---------------------------------------------------------------------
-
-const MIGRATE_EXTRACT: u8 = 0;
-const MIGRATE_ABSORB: u8 = 1;
-
-/// Encodes the `Extract` or `Absorb` half of a drain-and-handoff into
-/// a `Migrate` payload. A `Feed` has no such encoding: its batch
-/// travels as a `Data` frame.
-pub(crate) fn encode_unit_cmd(cmd: &UnitCmd, scratch: &mut BytesMut) -> TypeResult<Bytes> {
-    let mut out = BytesMut::new();
-    match cmd {
-        UnitCmd::Feed(..) => return Err(TypeError::Corrupt("a feed is not a migrate command")),
-        UnitCmd::Extract {
-            boundary,
-            partitions,
-            assignment,
-            jobs,
-        } => {
-            out.put_u8(MIGRATE_EXTRACT);
-            out.put_u64(*boundary);
-            out.put_u32(*partitions);
-            put_u32s(&mut out, assignment);
-            out.put_u32(jobs.len() as u32);
-            for (node, owned) in jobs {
-                out.put_u32(*node);
-                put_u32s(&mut out, owned);
-            }
+/// The catalog and the GSQL, the four optimizer flags, the hash set's
+/// items (none under round-robin), the partition, host and aggregator
+/// counts, the unit and its knobs as `u32`s, the fault plan and the
+/// fingerprint.
+impl Wire for DeployInputs {
+    const MIN_LEN: usize = 2 * 4 + 4 + 1 + 6 * 4 + FaultPlan::MIN_LEN + 8;
+    fn put(&self, w: &mut Writer) {
+        self.catalog.put(w);
+        self.source.gsql.put(w);
+        let o = &self.source.config;
+        w.bool(o.agnostic);
+        w.bool(o.partial_aggregation);
+        w.bool(o.partial_agg_scope == PartialAggScope::PerHost);
+        w.bool(o.analysis.strict_join_compatibility);
+        let p = &self.partitioning;
+        let set = match &p.strategy {
+            SplitStrategy::RoundRobin => None,
+            SplitStrategy::Hash(set) => Some(set.exprs().iter().map(|e| e.render()).collect()),
+        };
+        Option::<Vec<String>>::put(&set, w);
+        for n in [p.partitions, p.hosts, p.aggregator_host] {
+            w.count(n);
         }
-        UnitCmd::Absorb(batches) => {
-            out.put_u8(MIGRATE_ABSORB);
-            out.put_u32(batches.len() as u32);
-            for (node, state) in batches {
-                out.put_u32(*node);
-                put_batch(&mut out, state, scratch)?;
-            }
+        for n in [self.unit, self.max_batch, self.frame_batch] {
+            w.u32(n);
         }
+        self.fault.put(w);
+        w.u64(self.fingerprint);
     }
-    Ok(out.freeze())
-}
-
-/// Decodes a `Migrate` payload; damage surfaces as a typed
-/// [`TypeError`], never a panic in the host process.
-pub(crate) fn decode_unit_cmd(payload: Bytes) -> TypeResult<UnitCmd> {
-    let mut r = Reader::new(payload, "migrate command");
-    let cmd = match r.u8()? {
-        MIGRATE_EXTRACT => {
-            let boundary = r.u64()?;
-            let partitions = r.u32()?;
-            let assignment = r.u32s()?;
-            let jobs = (0..r.len(8)?).map(|_| Ok((r.u32()?, r.u32s()?)));
-            UnitCmd::Extract {
-                boundary,
-                partitions,
-                assignment,
-                jobs: jobs.collect::<TypeResult<_>>()?,
-            }
-        }
-        MIGRATE_ABSORB => {
-            let batches = (0..r.len(4 + BATCH_MIN_LEN)?).map(|_| Ok((r.u32()?, r.batch()?)));
-            UnitCmd::Absorb(batches.collect::<TypeResult<_>>()?)
-        }
-        other => return Err(TypeError::BadTag(other)),
-    };
-    r.finish()?;
-    Ok(cmd)
-}
-
-/// Encodes a `MigrateAck` payload: per node, the state rows an extract
-/// produced and each row's partition (empty for an absorb
-/// acknowledgement).
-pub(crate) fn encode_unit_reply(reply: &UnitReply, scratch: &mut BytesMut) -> TypeResult<Bytes> {
-    let mut out = BytesMut::new();
-    out.put_u32(reply.len() as u32);
-    for (node, state, parts) in reply {
-        out.put_u32(*node);
-        put_batch(&mut out, state, scratch)?;
-        put_u32s(&mut out, parts);
+    fn get(r: &mut Reader) -> TypeResult<Self> {
+        let catalog = String::get(r)?;
+        let gsql = String::get(r)?;
+        let config = OptimizerConfig {
+            agnostic: r.bool()?,
+            partial_aggregation: r.bool()?,
+            partial_agg_scope: match r.bool()? {
+                true => PartialAggScope::PerHost,
+                false => PartialAggScope::PerPartition,
+            },
+            analysis: AnalysisOptions {
+                strict_join_compatibility: r.bool()?,
+            },
+        };
+        let strategy = match Option::<Vec<String>>::get(r)? {
+            None => SplitStrategy::RoundRobin,
+            Some(items) => SplitStrategy::Hash(parse_set(&items)?),
+        };
+        Ok(DeployInputs {
+            catalog,
+            source: PlanSource { gsql, config },
+            partitioning: Partitioning {
+                strategy,
+                partitions: r.u32()? as usize,
+                hosts: r.u32()? as usize,
+                aggregator_host: r.u32()? as usize,
+            },
+            unit: r.u32()?,
+            max_batch: r.u32()?,
+            frame_batch: r.u32()?,
+            fault: FaultPlan::get(r)?,
+            fingerprint: r.u64()?,
+        })
     }
-    Ok(out.freeze())
-}
-
-/// Decodes a `MigrateAck` payload.
-pub(crate) fn decode_unit_reply(payload: Bytes) -> TypeResult<UnitReply> {
-    let mut r = Reader::new(payload, "migrate reply");
-    let reply = (0..r.len(4 + BATCH_MIN_LEN + 4)?).map(|_| Ok((r.u32()?, r.batch()?, r.u32s()?)));
-    let reply = reply.collect::<TypeResult<_>>()?;
-    r.finish()?;
-    Ok(reply)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use qap_exec::{OpCounters, OpMetrics};
     use qap_expr::{BinOp, ScalarExpr};
-    use qap_types::{Tuple, Value};
+    use qap_obs::Histogram;
+    use qap_types::{Bytes, ColumnBatch, ControlFrame, Tuple, Value};
 
     use crate::experiments::Scenario;
     use crate::sim::tests::rows_of;
+    use crate::transport::EdgeTransport;
+    use crate::unit::{UnitCmd, UnitOutcome, UnitReply};
 
     /// The inputs of leaf unit 2 of the §6.2 optimal deployment.
     fn sample_deploy() -> DeployInputs {
@@ -601,20 +176,23 @@ mod tests {
             ..sample_deploy()
         };
         for inputs in [sample_deploy(), round_robin] {
-            assert_eq!(decode_deploy(encode_deploy(&inputs)).unwrap(), inputs);
+            assert_eq!(
+                DeployInputs::decode(inputs.encode().unwrap()).unwrap(),
+                inputs
+            );
         }
     }
 
     #[test]
     fn truncated_unit_is_typed_error() {
-        let bytes = encode_deploy(&sample_deploy());
+        let bytes = sample_deploy().encode().unwrap();
         for cut in 0..bytes.len() {
-            let err = decode_deploy(bytes.slice(..cut));
+            let err = DeployInputs::decode(bytes.slice(..cut));
             assert!(err.is_err(), "cut {cut} decoded");
         }
         let mut longer = bytes.to_vec();
         longer.push(0);
-        assert!(decode_deploy(Bytes::from(longer)).is_err());
+        assert!(DeployInputs::decode(Bytes::from(longer)).is_err());
     }
 
     /// Every §6 hash set, plus a `Div`, a `Mask` and an `Opaque` item,
@@ -696,13 +274,9 @@ mod tests {
 
     #[test]
     fn unit_outcome_round_trips() {
-        let mut one = BytesMut::new();
-        put_op_metrics(&mut one, &OpMetrics::default());
-        assert_eq!(one.len(), OP_METRICS_LEN);
         let outcome = sample_outcome();
-        let mut scratch = BytesMut::new();
-        let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
-        let decoded = decode_unit_outcome(bytes).unwrap();
+        let bytes = outcome.encode().unwrap();
+        let decoded = UnitOutcome::decode(bytes).unwrap();
         assert_eq!(decoded.counters, outcome.counters);
         assert_eq!(decoded.node_metrics, outcome.node_metrics);
         assert_eq!(rows_of(&decoded.outputs), rows_of(&outcome.outputs));
@@ -774,30 +348,28 @@ mod tests {
 
     #[test]
     fn migrate_cmd_round_trips() {
-        let mut scratch = BytesMut::new();
         for cmd in sample_migrate_cmds() {
-            let bytes = encode_unit_cmd(&cmd, &mut scratch).unwrap();
-            let decoded = decode_unit_cmd(bytes).unwrap();
+            let bytes = cmd.encode().unwrap();
+            let decoded = UnitCmd::decode(bytes).unwrap();
             assert_eq!(cmd_rows(&decoded), cmd_rows(&cmd));
         }
     }
 
     #[test]
     fn truncated_migrate_cmd_is_typed_error() {
-        let mut scratch = BytesMut::new();
         for cmd in sample_migrate_cmds() {
-            let bytes = encode_unit_cmd(&cmd, &mut scratch).unwrap();
+            let bytes = cmd.encode().unwrap();
             for cut in 0..bytes.len() {
                 assert!(
-                    decode_unit_cmd(bytes.slice(..cut)).is_err(),
+                    UnitCmd::decode(bytes.slice(..cut)).is_err(),
                     "{cmd:?} cut {cut} decoded"
                 );
             }
             let mut longer = bytes.to_vec();
             longer.push(0);
-            assert!(decode_unit_cmd(Bytes::from(longer)).is_err());
+            assert!(UnitCmd::decode(Bytes::from(longer)).is_err());
         }
-        assert!(decode_unit_cmd(Bytes::from(vec![9u8])).is_err(), "bad tag");
+        assert!(UnitCmd::decode(Bytes::from(vec![9u8])).is_err(), "bad tag");
     }
 
     #[test]
@@ -818,14 +390,13 @@ mod tests {
                 .map(|(n, b, p)| (*n, b.to_rows(), p.clone()))
                 .collect()
         };
-        let mut scratch = BytesMut::new();
-        let bytes = encode_unit_reply(&reply, &mut scratch).unwrap();
+        let bytes = reply.encode().unwrap();
         assert_eq!(
-            rows(&decode_unit_reply(bytes.clone()).unwrap()),
+            rows(&UnitReply::decode(bytes.clone()).unwrap()),
             rows(&reply)
         );
         for cut in 0..bytes.len() {
-            assert!(decode_unit_reply(bytes.slice(..cut)).is_err(), "cut {cut}");
+            assert!(UnitReply::decode(bytes.slice(..cut)).is_err(), "cut {cut}");
         }
     }
 
@@ -839,11 +410,10 @@ mod tests {
             stalls: 0,
             dropped: 0,
         };
-        let mut scratch = BytesMut::new();
-        let bytes = encode_unit_outcome(&outcome, &mut scratch).unwrap();
+        let bytes = outcome.encode().unwrap();
         for cut in 0..bytes.len() {
             assert!(
-                decode_unit_outcome(bytes.slice(..cut)).is_err(),
+                UnitOutcome::decode(bytes.slice(..cut)).is_err(),
                 "cut {cut}"
             );
         }
@@ -924,7 +494,7 @@ mod tests {
 
     /// Runs `f` and returns its result with the bytes it allocated on
     /// this thread (a `realloc` counts its growth).
-    fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    pub(crate) fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
         ALLOCATED.with(|a| a.set(0));
         COUNTING.with(|on| on.set(true));
         let out = f();
@@ -938,60 +508,217 @@ mod tests {
     /// value, not a size, decodes to a different well-formed value),
     /// and none panics or allocates more than the lane decoders may
     /// (`property_based`'s bound): 10 bytes per payload byte and 1 KiB.
-    fn assert_total<T>(
-        valid: &[Bytes],
-        decode: impl Fn(Bytes) -> TypeResult<T>,
-        mut encode: impl FnMut(&T) -> Bytes,
-    ) {
-        for a in valid {
-            for b in valid {
+    fn assert_total<T: Wire>(valid: &[T]) {
+        let valid: Vec<Bytes> = valid.iter().map(|v| v.encode().unwrap()).collect();
+        for a in &valid {
+            for b in &valid {
                 for damaged in inflated_and_spliced(a, b) {
                     let len = damaged.len();
-                    let (decoded, allocated) = allocated_by(|| decode(damaged));
+                    let (decoded, allocated) = allocated_by(|| T::decode(damaged));
                     assert!(
                         allocated <= 10 * len + 1024,
                         "decoding {len} bytes allocated {allocated} bytes"
                     );
                     if let Ok(v) = decoded {
-                        let canon = encode(&v);
-                        assert_eq!(encode(&decode(canon.clone()).unwrap()), canon);
+                        let canon = v.encode().unwrap();
+                        assert_eq!(T::decode(canon.clone()).unwrap().encode().unwrap(), canon);
                     }
                 }
             }
         }
     }
 
-    #[test]
-    fn decoders_are_total_on_inflated_words_and_splices() {
-        let round_robin = DeployInputs {
-            partitioning: Partitioning::round_robin(4),
-            ..sample_deploy()
-        };
-        let deploys = [sample_deploy(), round_robin].map(|d| encode_deploy(&d));
-        assert_total(&deploys, decode_deploy, encode_deploy);
-
-        let mut scratch = BytesMut::new();
-        let mut encode = |o: &UnitOutcome| encode_unit_outcome(o, &mut scratch).unwrap();
-        let empty = UnitOutcome {
+    fn empty_outcome() -> UnitOutcome {
+        UnitOutcome {
             counters: Vec::new(),
             node_metrics: Vec::new(),
             outputs: Vec::new(),
             edges: Vec::new(),
             stalls: 0,
             dropped: 0,
+        }
+    }
+
+    fn sample_replies() -> Vec<UnitReply> {
+        vec![
+            vec![(4, lanes(&every_lane_kind()), vec![5, 0])],
+            vec![
+                (
+                    4,
+                    lanes(&[
+                        Tuple::new(vec![Value::UInt(1), Value::Str("k".into())]),
+                        Tuple::new(vec![Value::UInt(2), Value::Null]),
+                    ]),
+                    vec![5, 0],
+                ),
+                (11, ColumnBatch::new(2), Vec::new()),
+            ],
+            Vec::new(),
+        ]
+    }
+
+    /// The one-output outcome `truncated_outcome_is_typed_error` cuts.
+    fn one_output_outcome() -> UnitOutcome {
+        UnitOutcome {
+            counters: vec![OpCounters::default()],
+            node_metrics: vec![OpMetrics::default()],
+            outputs: vec![(0, lanes(&[Tuple::new(vec![Value::UInt(7)])]))],
+            ..empty_outcome()
+        }
+    }
+
+    /// `control.rs`'s samples: every variant, empty payloads included.
+    fn sample_controls() -> Vec<ControlFrame> {
+        use qap_types::{ERROR_EXEC, ERROR_VERSION, PROTOCOL_VERSION};
+        vec![
+            ControlFrame::Hello {
+                version: PROTOCOL_VERSION,
+                host: 3,
+            },
+            ControlFrame::Welcome {
+                version: PROTOCOL_VERSION,
+            },
+            ControlFrame::Deploy(Bytes::from(b"unit-bytes".to_vec())),
+            ControlFrame::Deploy(Bytes::new()),
+            ControlFrame::DeployAck,
+            ControlFrame::Data {
+                producer: 42,
+                frame: Bytes::from(vec![0u8; 8]),
+            },
+            ControlFrame::Data {
+                producer: 0,
+                frame: Bytes::new(),
+            },
+            ControlFrame::Eos,
+            ControlFrame::Result(Bytes::from(b"outcome".to_vec())),
+            ControlFrame::Error {
+                kind: ERROR_VERSION,
+                message: "version 1 != 2".into(),
+            },
+            ControlFrame::Error {
+                kind: ERROR_EXEC,
+                message: String::new(),
+            },
+            ControlFrame::Migrate(Bytes::from(b"drain-command".to_vec())),
+            ControlFrame::Migrate(Bytes::new()),
+            ControlFrame::MigrateAck(Bytes::from(b"state-rows".to_vec())),
+            ControlFrame::MigrateAck(Bytes::new()),
+        ]
+    }
+
+    /// Every `Wire` type through the trait: the four payloads, the
+    /// control frame, a bare lane frame and each record they nest.
+    #[test]
+    fn decoders_are_total_on_inflated_words_and_splices() {
+        let round_robin = DeployInputs {
+            partitioning: Partitioning::round_robin(4),
+            ..sample_deploy()
         };
-        let outcomes = [sample_outcome(), empty].map(|o| encode(&o));
-        assert_total(&outcomes, decode_unit_outcome, encode);
+        assert_total(&[sample_deploy(), round_robin]);
+        assert_total(&[sample_outcome(), empty_outcome()]);
+        assert_total(&sample_migrate_cmds());
+        assert_total(&sample_replies());
+        assert_total(&sample_controls());
+        assert_total(&[lanes(&every_lane_kind()), ColumnBatch::new(2)]);
+        assert_total(&sample_outcome().node_metrics);
+        assert_total(&[sample_outcome().node_metrics[0].batch_occupancy.clone()]);
+        assert_total(&sample_outcome().counters);
+        assert_total(&sample_outcome().edges);
+        assert_total(&[sample_deploy().fault, FaultPlan::default()]);
+    }
 
-        let mut scratch = BytesMut::new();
-        let mut encode = |c: &UnitCmd| encode_unit_cmd(c, &mut scratch).unwrap();
-        let cmds: Vec<Bytes> = sample_migrate_cmds().iter().map(&mut encode).collect();
-        assert_total(&cmds, decode_unit_cmd, encode);
+    /// Holds `T::MIN_LEN` to what it bounds: no sample encodes shorter.
+    fn min_len_bounds<T: Wire>(samples: &[T]) {
+        for v in samples {
+            let len = v.encode().unwrap().len();
+            let name = std::any::type_name::<T>();
+            assert!(len >= T::MIN_LEN, "{name}: {len} < {}", T::MIN_LEN);
+        }
+    }
 
-        let mut scratch = BytesMut::new();
-        let mut encode = |r: &UnitReply| encode_unit_reply(r, &mut scratch).unwrap();
-        let reply = vec![(4, lanes(&every_lane_kind()), vec![5, 0])];
-        let replies = [reply, Vec::new()].map(|r| encode(&r));
-        assert_total(&replies, decode_unit_reply, encode);
+    /// The default value of a fixed-size record encodes to exactly its
+    /// `MIN_LEN`: a field left out of one direction, or a count of a
+    /// record's fields kept by hand, shows here.
+    fn min_len_is_exact<T: Wire + Default>() {
+        let len = T::default().encode().unwrap().len();
+        assert_eq!(len, T::MIN_LEN, "{}", std::any::type_name::<T>());
+    }
+
+    #[test]
+    fn min_len_is_the_least_encoding() {
+        min_len_bounds(&[sample_deploy()]);
+        min_len_bounds(&[sample_outcome(), empty_outcome()]);
+        min_len_bounds(&sample_migrate_cmds());
+        min_len_bounds(&sample_replies());
+        min_len_bounds(&sample_controls());
+        min_len_bounds(&[lanes(&every_lane_kind()), ColumnBatch::new(0)]);
+        min_len_bounds(&sample_outcome().node_metrics);
+        min_len_bounds(&sample_outcome().counters);
+        min_len_bounds(&sample_outcome().edges);
+        min_len_bounds(&[sample_deploy().fault, FaultPlan::default()]);
+        min_len_bounds(&every_lane_kind());
+        min_len_bounds(every_lane_kind()[0].values());
+        min_len_bounds(&[String::new(), "gsql".into()]);
+        min_len_bounds(&[Bytes::new()]);
+        min_len_bounds(&[None, Some(7usize)]);
+        min_len_bounds(&[(1u8, true), (0, false)]);
+        min_len_bounds(&[[0u16; 3]]);
+        min_len_bounds(&[-1i64]);
+        min_len_is_exact::<OpMetrics>();
+        min_len_is_exact::<Histogram>();
+        min_len_is_exact::<OpCounters>();
+        min_len_is_exact::<EdgeTransport>();
+    }
+
+    /// The bytes of every deploy, outcome, migrate and control sample,
+    /// pinned by their FNV-1a: the layouts are the protocol's, and a
+    /// codec change that moves a byte shows here.
+    #[test]
+    fn sample_encodings_are_pinned() {
+        // Computed with the hand-written codecs this one replaced.
+        const PINNED: [u64; 26] = [
+            0xc574c6b6b159ef0a,
+            0x7bf1453975afd034,
+            0x4430c4dd4c553869,
+            0xd80ac658736bb725,
+            0x92c4f24684fe98ba,
+            0xf411faca8ff2ffa6,
+            0xd83c11524bc5fe02,
+            0xa23a95427e23c1a4,
+            0xad8962f67a7dcd9f,
+            0x51f8897be38e9321,
+            0x0c8210784d8af5a5,
+            0x0092fd107c620fe6,
+            0x30f80c48391617ea,
+            0xa233cdc448e9845e,
+            0x5fd16515fbe5a666,
+            0xc4eb81e8c53933c1,
+            0xd024e69ef421b6c6,
+            0xf6b8a3d35f5daba4,
+            0x02e10ffadb17c803,
+            0x82ccf006dc4ba5cf,
+            0x65bb6d33db7a8334,
+            0x9043977079dc58eb,
+            0xeaa807023d2b7ffb,
+            0x19b20f4c3d81632c,
+            0x2c90199a36dd1ea6,
+            0x76a264675e4f418f,
+        ];
+        let round_robin = DeployInputs {
+            partitioning: Partitioning::round_robin(4),
+            ..sample_deploy()
+        };
+        let mut encodings = vec![sample_deploy().encode(), round_robin.encode()];
+        for outcome in [sample_outcome(), empty_outcome(), one_output_outcome()] {
+            encodings.push(outcome.encode());
+        }
+        encodings.extend(sample_migrate_cmds().iter().map(Wire::encode));
+        encodings.extend(sample_replies().iter().map(Wire::encode));
+        encodings.extend(sample_controls().iter().map(Wire::encode));
+        let hashes: Vec<u64> = encodings
+            .into_iter()
+            .map(|b| fnv1a_hash(b.unwrap().iter().map(|&x| u64::from(x))))
+            .collect();
+        assert_eq!(hashes, PINNED);
     }
 }

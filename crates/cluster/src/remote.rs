@@ -61,14 +61,11 @@ use qap_optimizer::{optimize, DistributedPlan};
 use qap_plan::{LogicalNode, NodeId};
 use qap_sql::QuerySetBuilder;
 use qap_types::{
-    encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, ERROR_DEPLOY, ERROR_EXEC,
-    ERROR_VERSION, PROTOCOL_VERSION,
+    encode_column_batch, Bytes, BytesMut, Catalog, ControlFrame, Tuple, Wire, ERROR_DEPLOY,
+    ERROR_EXEC, ERROR_VERSION, PROTOCOL_VERSION,
 };
 
-use crate::deploy::{
-    decode_deploy, decode_unit_outcome, decode_unit_reply, encode_deploy, encode_unit_cmd,
-    encode_unit_outcome, plan_fingerprint, DeployInputs,
-};
+use crate::deploy::{plan_fingerprint, DeployInputs};
 use crate::link::{
     read_control, write_control, ChannelSink, ChannelTransport, DuplexStream, FrameSink, HostAddr,
     HostListener, SendOutcome, StreamSink, Transport,
@@ -277,8 +274,7 @@ fn write_session(
                 (ControlFrame::Data { producer, frame }, tuples)
             }
             migrate => {
-                let payload =
-                    encode_unit_cmd(&migrate, &mut enc_scratch).map_err(|e| e.to_string())?;
+                let payload = migrate.encode().map_err(|e| e.to_string())?;
                 (ControlFrame::Migrate(payload), 0)
             }
         };
@@ -320,13 +316,13 @@ fn pump_session(
                     break None;
                 }
             }
-            Ok(Some(ControlFrame::MigrateAck(payload))) => match decode_unit_reply(payload) {
+            Ok(Some(ControlFrame::MigrateAck(payload))) => match UnitReply::decode(payload) {
                 // Splitter gone (abort path): keep pumping boundary
                 // frames regardless.
                 Ok(reply) => drop(replies.send(reply)),
                 Err(e) => break Some(format!("migrate ack corrupt: {e}")),
             },
-            Ok(Some(ControlFrame::Result(payload))) => match decode_unit_outcome(payload) {
+            Ok(Some(ControlFrame::Result(payload))) => match UnitOutcome::decode(payload) {
                 Ok(decoded) => {
                     outcome = Some(decoded);
                     break None;
@@ -381,7 +377,7 @@ pub fn run_distributed_remote(
     let mut failures: Vec<HostFailure> = Vec::new();
     for ((u, (spec, _)), addr) in dep.units.iter().enumerate().skip(1).zip(hosts) {
         inputs.unit = u as u32;
-        let payload = encode_deploy(&inputs);
+        let payload = inputs.encode().map_err(ExecError::Wire)?;
         let timeout_ms = dep.cfg.transport.send_timeout_ms;
         match deploy_host(addr, u, spec.host as usize, payload, timeout_ms) {
             Ok(session) => sessions.push(session),
@@ -521,7 +517,7 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
             ))
         }
     };
-    let planned = decode_deploy(payload)
+    let planned = DeployInputs::decode(payload)
         .map_err(|e| format!("deployment payload corrupt: {e}"))
         .and_then(|inputs| Ok((replan(&inputs)?, inputs)));
     let (plan, inputs) = match planned {
@@ -553,7 +549,8 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     }));
     let report = match ran {
         Ok(Ok(outcome)) => ControlFrame::Result(
-            encode_unit_outcome(&outcome, &mut scratch)
+            outcome
+                .encode()
                 .map_err(|e| format!("encode outcome: {e}"))?,
         ),
         Ok(Err(e)) => ControlFrame::Error {
@@ -810,7 +807,7 @@ mod tests {
             let by_stream = scripted_unit(&dep, &trace, u, |inbox, replies, sink| {
                 let mut inputs = deploy_inputs(&plan, &cfg).unwrap();
                 inputs.unit = u as u32;
-                let payload = encode_deploy(&inputs);
+                let payload = inputs.encode().unwrap();
                 let addr = spawn_hosts(1).remove(0);
                 let host = spec.host as usize;
                 let session = deploy_host(&addr, u, host, payload, 5_000).unwrap();
@@ -944,7 +941,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server =
             std::thread::spawn(move || serve_host(&listener, &HostServerConfig { once: true }));
-        let err = deploy_host(&addr, 1, 1, encode_deploy(&inputs), 5_000)
+        let err = deploy_host(&addr, 1, 1, inputs.encode().unwrap(), 5_000)
             .err()
             .expect("deployment refused");
         server.join().unwrap().unwrap();

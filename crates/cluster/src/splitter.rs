@@ -18,7 +18,7 @@ use qap_exec::{ExecError, ExecResult};
 use qap_optimizer::{DistributedPlan, SplitStrategy};
 use qap_partition::{HashPartitioner, KeySketch};
 use qap_plan::{LogicalNode, NodeId};
-use qap_types::{Bytes, ColumnBatch, Field, Schema, Tuple, COLUMNAR_FLAG, FRAME_HEADER_LEN};
+use qap_types::{frame_rows, Bytes, ColumnBatch, Field, Schema, Tuple};
 
 use crate::rebalance::BUCKETS_PER_PARTITION;
 use crate::sim::SimConfig;
@@ -110,9 +110,7 @@ impl Batch {
     pub(crate) fn len(&self) -> usize {
         match self {
             Batch::Columns(cols) => cols.rows(),
-            Batch::Frame(frame) => frame.get(4..FRAME_HEADER_LEN).map_or(0, |w| {
-                (u32::from_be_bytes([w[0], w[1], w[2], w[3]]) & !COLUMNAR_FLAG) as usize
-            }),
+            Batch::Frame(frame) => frame_rows(frame),
         }
     }
 }

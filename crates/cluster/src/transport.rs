@@ -82,6 +82,19 @@ pub struct FaultPlan {
     pub panic_after_tuples: u64,
 }
 
+qap_types::wire_struct!(FaultPlan {
+    seed: u64,
+    corrupt_every: u64,
+    truncate_every: u64,
+    drop_every: u64,
+    slow_host: Option<usize>,
+    slow_micros: u64,
+    hang_host: Option<usize>,
+    hang_millis: u64,
+    panic_host: Option<usize>,
+    panic_after_tuples: u64,
+});
+
 impl FaultPlan {
     /// True when no knob is active — the clean path.
     pub fn is_clean(&self) -> bool {
@@ -302,6 +315,15 @@ pub struct EdgeTransport {
     /// first-refusals).
     pub retries: u64,
 }
+
+qap_types::wire_struct!(EdgeTransport {
+    producer: usize,
+    from_host: usize,
+    frames: u64,
+    tuples: u64,
+    bytes: u64,
+    retries: u64,
+});
 
 /// Measured boundary-transport telemetry of one run.
 ///

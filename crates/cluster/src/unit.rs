@@ -35,10 +35,10 @@ use qap_optimizer::DistributedPlan;
 use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{NodeId, QueryDag};
 use qap_types::{
-    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Tuple, FRAME_HEADER_LEN,
+    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Reader, Tuple, TypeError,
+    TypeResult, Wire, Writer, FRAME_HEADER_LEN,
 };
 
-use crate::deploy::{decode_unit_cmd, encode_unit_reply};
 use crate::link::{
     read_control, ChannelSink, DuplexStream, Frame, FrameSink, SendOutcome, StreamSink,
 };
@@ -97,6 +97,16 @@ pub(crate) struct UnitOutcome {
     pub(crate) dropped: u64,
 }
 
+// The `Result` payload, each output as one lane frame.
+qap_types::wire_struct!(UnitOutcome {
+    counters: Vec<OpCounters>,
+    node_metrics: Vec<OpMetrics>,
+    outputs: Vec<(u32, ColumnBatch)>,
+    edges: Vec<EdgeTransport>,
+    stalls: u64,
+    dropped: u64,
+});
+
 /// What a unit is asked to do. Node ids are the unit's *local* ids.
 #[derive(Debug)]
 pub(crate) enum UnitCmd {
@@ -125,6 +135,49 @@ pub(crate) enum UnitCmd {
     /// Merge shipped state rows, (local node id, state), into each
     /// node's group table; reply with an empty acknowledgement.
     Absorb(Vec<(u32, ColumnBatch)>),
+}
+
+const MIGRATE_EXTRACT: u8 = 0;
+const MIGRATE_ABSORB: u8 = 1;
+
+/// The `Migrate` payload of a drain-and-handoff half: a tag, then its
+/// fields. A `Feed` has no such encoding: its batch travels as a `Data`
+/// frame.
+impl Wire for UnitCmd {
+    const MIN_LEN: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        match self {
+            UnitCmd::Feed(..) => w.refuse(TypeError::Corrupt("a feed is not a migrate command")),
+            UnitCmd::Extract {
+                boundary,
+                partitions,
+                assignment,
+                jobs,
+            } => {
+                w.u8(MIGRATE_EXTRACT);
+                w.u64(*boundary);
+                w.u32(*partitions);
+                assignment.put(w);
+                jobs.put(w);
+            }
+            UnitCmd::Absorb(batches) => {
+                w.u8(MIGRATE_ABSORB);
+                batches.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader) -> TypeResult<Self> {
+        Ok(match r.u8()? {
+            MIGRATE_EXTRACT => UnitCmd::Extract {
+                boundary: r.u64()?,
+                partitions: r.u32()?,
+                assignment: Wire::get(r)?,
+                jobs: Wire::get(r)?,
+            },
+            MIGRATE_ABSORB => UnitCmd::Absorb(Wire::get(r)?),
+            other => return Err(TypeError::BadTag(other)),
+        })
+    }
 }
 
 /// A unit's answer to `Extract` or `Absorb` (empty): per local node
@@ -566,7 +619,7 @@ impl UnitPort for StreamPort {
             Some(ControlFrame::Data { producer, frame }) => {
                 Ok(Some(UnitCmd::Feed(producer, Batch::Frame(frame))))
             }
-            Some(ControlFrame::Migrate(payload)) => decode_unit_cmd(payload)
+            Some(ControlFrame::Migrate(payload)) => UnitCmd::decode(payload)
                 .map(Some)
                 .map_err(|e| ExecError::BadPlan(format!("migrate command corrupt: {e}"))),
             Some(ControlFrame::Eos) => Ok(None),
@@ -580,7 +633,8 @@ impl UnitPort for StreamPort {
     }
 
     fn reply(&mut self, reply: UnitReply) -> ExecResult<()> {
-        let payload = encode_unit_reply(&reply, &mut BytesMut::new())
+        let payload = reply
+            .encode()
             .map_err(|e| ExecError::BadPlan(format!("encode migrate reply: {e}")))?;
         self.sink
             .write_control(&ControlFrame::MigrateAck(payload))

@@ -33,6 +33,12 @@ pub struct OpCounters {
     pub late_dropped: u64,
 }
 
+qap_types::wire_struct!(OpCounters {
+    tuples_in: u64,
+    tuples_out: u64,
+    late_dropped: u64,
+});
+
 /// Tuning knobs for the engine's batched push path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {

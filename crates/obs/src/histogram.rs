@@ -1,5 +1,7 @@
 //! A fixed-size power-of-two histogram for hot-path recording.
 
+use qap_types::{Reader, TypeError, TypeResult, Wire, Writer};
+
 /// Bucket count of [`Histogram`]: buckets `0..=15` hold values in
 /// `(2^(i-1), 2^i]` (bucket 0 holds `0..=1`), bucket 16 is the
 /// overflow (`> 32768`).
@@ -87,22 +89,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Reassembles a histogram from its observable parts — the inverse
-    /// of ([`Histogram::bucket_counts`], [`Histogram::sum`],
-    /// [`Histogram::max`]). The sample count is the bucket-count total
-    /// (every [`Histogram::record`] increments exactly one bucket), so
-    /// a snapshot shipped across a process boundary reconstructs
-    /// exactly.
-    pub fn from_parts(counts: [u64; HISTOGRAM_BUCKETS], sum: u64, max: u64) -> Self {
-        let count = counts.iter().sum();
-        Histogram {
-            counts,
-            count,
-            sum,
-            max,
-        }
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -111,6 +97,30 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
+    }
+}
+
+/// The bucket counts, the sum and the max; the sample count is the
+/// bucket total (every [`Histogram::record`] increments exactly one
+/// bucket), so a snapshot shipped across a process boundary
+/// reconstructs exactly.
+impl Wire for Histogram {
+    const MIN_LEN: usize = 8 * (HISTOGRAM_BUCKETS + 2);
+    fn put(&self, w: &mut Writer) {
+        self.counts.put(w);
+        w.u64(self.sum);
+        w.u64(self.max);
+    }
+    fn get(r: &mut Reader) -> TypeResult<Self> {
+        let counts = <[u64; HISTOGRAM_BUCKETS]>::get(r)?;
+        let (sum, max) = (r.u64()?, r.u64()?);
+        let count = counts.iter().try_fold(0u64, |n, &c| n.checked_add(c));
+        Ok(Histogram {
+            counts,
+            count: count.ok_or(TypeError::Corrupt("histogram bucket counts overflow"))?,
+            sum,
+            max,
+        })
     }
 }
 

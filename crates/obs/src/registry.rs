@@ -86,6 +86,26 @@ impl OpMetrics {
     }
 }
 
+// Every field in declaration order, each counter a `u64`.
+qap_types::wire_struct!(OpMetrics {
+    tuples_in: u64,
+    tuples_out: u64,
+    bytes_in: u64,
+    bytes_out: u64,
+    batches_in: u64,
+    batches_out: u64,
+    late_dropped: u64,
+    batch_occupancy: Histogram,
+    kernel_hits: u64,
+    kernel_fallbacks: u64,
+    kernel_lane_hits: [u64; KERNEL_LANES],
+    flushes: u64,
+    flush_ns: u64,
+    group_slots: u64,
+    group_probes: u64,
+    group_inserts: u64,
+});
+
 /// One operator's row in a [`MetricsRegistry`] snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpEntry {

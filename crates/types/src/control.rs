@@ -16,15 +16,15 @@
 //! direction uses), so the inner bytes flow into the engine's frame
 //! ingestion untouched.
 //!
-//! The decoder follows the same hardening discipline as the wire
-//! codec: truncation, length disagreement, unknown tags, trailing bytes
-//! and invalid UTF-8 all surface as typed [`TypeError`]s — never a
-//! panic, never a partial parse (the control-codec proptests mutate
-//! valid frames every way the chaos suite's link faults can).
+//! Both directions run over [`crate::codec`], as every message does:
+//! truncation, length disagreement, unknown tags, trailing bytes and
+//! invalid UTF-8 all surface as typed [`TypeError`]s — never a panic,
+//! never a partial parse (the control-codec proptests mutate valid
+//! frames every way the chaos suite's link faults can).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
-use crate::wire::want;
+use crate::codec::{peek_u32, Reader, Wire, Writer};
 use crate::{TypeError, TypeResult};
 
 /// Version of the coordinator⇄host protocol. A host rejects a `Hello`
@@ -157,65 +157,98 @@ fn payload_len(frame: &ControlFrame) -> usize {
     }
 }
 
+/// The payload length a control-frame header declares.
+pub fn control_payload_len(header: &[u8; CONTROL_HEADER_LEN]) -> usize {
+    peek_u32(header, 0).map_or(0, |len| len as usize)
+}
+
+/// `[u32 payload_len][u8 tag][payload]`; the opaque payloads and a
+/// `Data` frame's lane frame run to the end of the frame.
+impl Wire for ControlFrame {
+    const MIN_LEN: usize = CONTROL_HEADER_LEN;
+
+    /// A payload that overflows the `u32` header length (or an `Error`
+    /// message longer than `u32::MAX`) is refused before any bytes are
+    /// staged.
+    fn put(&self, w: &mut Writer) {
+        let payload = payload_len(self);
+        if payload > MAX_CONTROL_PAYLOAD {
+            return w.refuse(TypeError::FrameTooLarge {
+                context: "control payload",
+                size: payload,
+                limit: MAX_CONTROL_PAYLOAD,
+            });
+        }
+        w.u32(payload as u32);
+        let opaque = |w: &mut Writer, tag: u8, p: &Bytes| {
+            w.u8(tag);
+            w.bytes(p);
+        };
+        match self {
+            ControlFrame::Hello { version, host } => (TAG_HELLO, *version, *host).put(w),
+            ControlFrame::Welcome { version } => (TAG_WELCOME, *version).put(w),
+            ControlFrame::Deploy(p) => opaque(w, TAG_DEPLOY, p),
+            ControlFrame::DeployAck => w.u8(TAG_DEPLOY_ACK),
+            ControlFrame::Data { producer, frame } => {
+                (TAG_DATA, *producer).put(w);
+                w.bytes(frame);
+            }
+            ControlFrame::Eos => w.u8(TAG_EOS),
+            ControlFrame::Result(p) => opaque(w, TAG_RESULT, p),
+            ControlFrame::Error { kind, message } => {
+                (TAG_ERROR, *kind).put(w);
+                w.str(message);
+            }
+            ControlFrame::Migrate(p) => opaque(w, TAG_MIGRATE, p),
+            ControlFrame::MigrateAck(p) => opaque(w, TAG_MIGRATE_ACK, p),
+        }
+    }
+
+    fn get(r: &mut Reader) -> TypeResult<Self> {
+        r.want("control header", CONTROL_HEADER_LEN)?;
+        let payload = r.u32()? as usize;
+        let tag = r.u8()?;
+        if r.remaining() != payload {
+            return Err(TypeError::FrameLengthMismatch {
+                declared: payload,
+                actual: r.remaining(),
+            });
+        }
+        Ok(match tag {
+            TAG_HELLO => ControlFrame::Hello {
+                version: r.u32()?,
+                host: r.u32()?,
+            },
+            TAG_WELCOME => ControlFrame::Welcome { version: r.u32()? },
+            TAG_DEPLOY => ControlFrame::Deploy(r.rest()),
+            TAG_DEPLOY_ACK => ControlFrame::DeployAck,
+            TAG_DATA => ControlFrame::Data {
+                producer: r.u32()?,
+                frame: r.rest(),
+            },
+            TAG_EOS => ControlFrame::Eos,
+            TAG_RESULT => ControlFrame::Result(r.rest()),
+            TAG_ERROR => ControlFrame::Error {
+                kind: r.u8()?,
+                message: r.str()?.to_string(),
+            },
+            TAG_MIGRATE => ControlFrame::Migrate(r.rest()),
+            TAG_MIGRATE_ACK => ControlFrame::MigrateAck(r.rest()),
+            other => return Err(TypeError::BadTag(other)),
+        })
+    }
+}
+
 /// Encodes one control frame, reusing `scratch` as the staging buffer
-/// exactly as [`crate::encode_column_batch`] does. A payload that overflows the
-/// `u32` header length (or an `Error` message longer than `u32::MAX`)
-/// is refused with [`TypeError::FrameTooLarge`] before any bytes are
-/// staged.
+/// exactly as [`crate::encode_column_batch`] does; `scratch` is left
+/// empty. An oversized payload is [`TypeError::FrameTooLarge`].
 pub fn encode_control(frame: &ControlFrame, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     scratch.clear();
-    let payload = payload_len(frame);
-    if payload > MAX_CONTROL_PAYLOAD {
-        return Err(TypeError::FrameTooLarge {
-            context: "control payload",
-            size: payload,
-            limit: MAX_CONTROL_PAYLOAD,
-        });
-    }
-    scratch.reserve(CONTROL_HEADER_LEN + payload);
-    scratch.put_u32(payload as u32);
-    match frame {
-        ControlFrame::Hello { version, host } => {
-            scratch.put_u8(TAG_HELLO);
-            scratch.put_u32(*version);
-            scratch.put_u32(*host);
-        }
-        ControlFrame::Welcome { version } => {
-            scratch.put_u8(TAG_WELCOME);
-            scratch.put_u32(*version);
-        }
-        ControlFrame::Deploy(p) => {
-            scratch.put_u8(TAG_DEPLOY);
-            scratch.put_slice(p);
-        }
-        ControlFrame::DeployAck => scratch.put_u8(TAG_DEPLOY_ACK),
-        ControlFrame::Data { producer, frame } => {
-            scratch.put_u8(TAG_DATA);
-            scratch.put_u32(*producer);
-            scratch.put_slice(frame);
-        }
-        ControlFrame::Eos => scratch.put_u8(TAG_EOS),
-        ControlFrame::Result(p) => {
-            scratch.put_u8(TAG_RESULT);
-            scratch.put_slice(p);
-        }
-        ControlFrame::Error { kind, message } => {
-            scratch.put_u8(TAG_ERROR);
-            scratch.put_u8(*kind);
-            scratch.put_u32(message.len() as u32);
-            scratch.put_slice(message.as_bytes());
-        }
-        ControlFrame::Migrate(p) => {
-            scratch.put_u8(TAG_MIGRATE);
-            scratch.put_slice(p);
-        }
-        ControlFrame::MigrateAck(p) => {
-            scratch.put_u8(TAG_MIGRATE_ACK);
-            scratch.put_slice(p);
-        }
-    }
-    debug_assert_eq!(scratch.len(), CONTROL_HEADER_LEN + payload);
-    Ok(scratch.split().freeze())
+    let mut w = Writer::new(scratch);
+    frame.put(&mut w);
+    let refused = w.finish();
+    let bytes = scratch.split().freeze();
+    refused.map(|()| bytes)
 }
 
 /// Decodes one control frame produced by [`encode_control`].
@@ -223,77 +256,8 @@ pub fn encode_control(frame: &ControlFrame, scratch: &mut BytesMut) -> TypeResul
 /// Truncated buffers, header/payload length disagreements, unknown
 /// tags, trailing bytes and invalid UTF-8 in an `Error` message all
 /// report typed [`TypeError`]s — a damaged control frame never panics.
-pub fn decode_control(mut buf: Bytes) -> TypeResult<ControlFrame> {
-    if buf.remaining() < CONTROL_HEADER_LEN {
-        return Err(TypeError::Truncated {
-            context: "control header",
-            need: CONTROL_HEADER_LEN,
-            have: buf.remaining(),
-        });
-    }
-    let payload = buf.get_u32() as usize;
-    let tag = buf.get_u8();
-    if buf.remaining() != payload {
-        return Err(TypeError::FrameLengthMismatch {
-            declared: payload,
-            actual: buf.remaining(),
-        });
-    }
-    let frame = match tag {
-        TAG_HELLO => {
-            want(&buf, "hello body", 8)?;
-            ControlFrame::Hello {
-                version: buf.get_u32(),
-                host: buf.get_u32(),
-            }
-        }
-        TAG_WELCOME => {
-            want(&buf, "welcome body", 4)?;
-            ControlFrame::Welcome {
-                version: buf.get_u32(),
-            }
-        }
-        TAG_DEPLOY => {
-            let p = buf.copy_to_bytes(buf.remaining());
-            ControlFrame::Deploy(p)
-        }
-        TAG_DEPLOY_ACK => ControlFrame::DeployAck,
-        TAG_DATA => {
-            want(&buf, "data producer", 4)?;
-            let producer = buf.get_u32();
-            let frame = buf.copy_to_bytes(buf.remaining());
-            ControlFrame::Data { producer, frame }
-        }
-        TAG_EOS => ControlFrame::Eos,
-        TAG_RESULT => {
-            let p = buf.copy_to_bytes(buf.remaining());
-            ControlFrame::Result(p)
-        }
-        TAG_ERROR => {
-            want(&buf, "error body", 5)?;
-            let kind = buf.get_u8();
-            let len = buf.get_u32() as usize;
-            want(&buf, "error message", len)?;
-            let raw = buf.copy_to_bytes(len);
-            let message = std::str::from_utf8(&raw)
-                .map_err(|_| TypeError::Corrupt("error message is not UTF-8"))?
-                .to_string();
-            ControlFrame::Error { kind, message }
-        }
-        TAG_MIGRATE => {
-            let p = buf.copy_to_bytes(buf.remaining());
-            ControlFrame::Migrate(p)
-        }
-        TAG_MIGRATE_ACK => {
-            let p = buf.copy_to_bytes(buf.remaining());
-            ControlFrame::MigrateAck(p)
-        }
-        other => return Err(TypeError::BadTag(other)),
-    };
-    if buf.remaining() != 0 {
-        return Err(TypeError::Corrupt("trailing bytes after control payload"));
-    }
-    Ok(frame)
+pub fn decode_control(buf: Bytes) -> TypeResult<ControlFrame> {
+    ControlFrame::decode(buf)
 }
 
 #[cfg(test)]

@@ -94,7 +94,7 @@ impl fmt::Display for TypeError {
             TypeError::DuplicateStream { stream } => {
                 write!(f, "stream '{stream}' already registered")
             }
-            TypeError::Corrupt(what) => write!(f, "corrupt tuple encoding: {what}"),
+            TypeError::Corrupt(what) => write!(f, "corrupt wire data: {what}"),
             TypeError::Truncated {
                 context,
                 need,

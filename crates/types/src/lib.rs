@@ -14,6 +14,7 @@
 //! excluded from partitioning sets (Section 3.5.1 of the paper).
 
 mod catalog;
+pub mod codec;
 mod column;
 mod control;
 mod error;
@@ -24,10 +25,11 @@ mod value;
 mod wire;
 
 pub use catalog::{pkt_schema, tcp_schema, Catalog};
+pub use codec::{Reader, Wire, Writer};
 pub use column::{Column, ColumnBatch, ColumnData, SelectionVector};
 pub use control::{
-    decode_control, encode_control, ControlFrame, CONTROL_HEADER_LEN, ERROR_DEPLOY, ERROR_EXEC,
-    ERROR_LINK, ERROR_VERSION, MAX_CONTROL_PAYLOAD, PROTOCOL_VERSION,
+    control_payload_len, decode_control, encode_control, ControlFrame, CONTROL_HEADER_LEN,
+    ERROR_DEPLOY, ERROR_EXEC, ERROR_LINK, ERROR_VERSION, MAX_CONTROL_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use error::{TypeError, TypeResult};
 pub use schema::{DataType, Field, Schema, Temporality};
@@ -36,7 +38,7 @@ pub use udaf::{Udaf, UdafRegistry, UdafState};
 pub use value::{ArcStr, Value};
 pub use wire::{
     decode_column_batch, decode_tuple, encode_column_batch, encode_tuple, encoded_column_batch_len,
-    encoded_len, estimated_tuple_size, COLUMNAR_FLAG, FRAME_HEADER_LEN,
+    encoded_len, estimated_tuple_size, frame_rows, COLUMNAR_FLAG, FRAME_HEADER_LEN,
 };
 
 // Downstream crates (exec frame ingestion, the cluster transport) take
