@@ -20,7 +20,7 @@ pub enum TraceFileError {
     Io(io::Error),
     /// The file does not start with the trace magic.
     BadMagic,
-    /// A tuple failed to decode.
+    /// A tuple failed to encode or decode.
     Corrupt(qap_types::TypeError),
 }
 
@@ -48,7 +48,7 @@ pub fn write_trace(path: impl AsRef<Path>, trace: &[Tuple]) -> Result<(), TraceF
     w.write_all(MAGIC)?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
     for t in trace {
-        let bytes = encode_tuple(t);
+        let bytes = encode_tuple(t).map_err(TraceFileError::Corrupt)?;
         w.write_all(&(bytes.len() as u32).to_le_bytes())?;
         w.write_all(&bytes)?;
     }

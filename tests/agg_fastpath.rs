@@ -38,7 +38,14 @@ type SinkRows = (usize, Vec<Vec<u8>>);
 fn encode(outputs: Vec<(usize, Vec<Tuple>)>) -> Vec<SinkRows> {
     outputs
         .into_iter()
-        .map(|(id, rows)| (id, rows.iter().map(|t| encode_tuple(t).to_vec()).collect()))
+        .map(|(id, rows)| {
+            (
+                id,
+                rows.iter()
+                    .map(|t| encode_tuple(t).unwrap().to_vec())
+                    .collect(),
+            )
+        })
         .collect()
 }
 
@@ -795,7 +802,7 @@ fn migrate_extremes(types: &[DataType], input: &[Tuple]) -> ColumnBatch {
     let dag = b.build();
     let root = dag.roots()[0];
     let sorted = |mut rows: Vec<Tuple>| {
-        rows.sort_by_key(|t| encode_tuple(t).to_vec());
+        rows.sort_by_key(|t| encode_tuple(t).unwrap().to_vec());
         rows
     };
     let want = sorted(

@@ -308,7 +308,7 @@ proptest! {
     #[test]
     fn wire_round_trips(vals in proptest::collection::vec(0u64..u64::MAX, 0..20)) {
         let t = Tuple::new(vals.into_iter().map(Value::UInt).collect());
-        let encoded = encode_tuple(&t);
+        let encoded = encode_tuple(&t).unwrap();
         prop_assert_eq!(encoded.len(), qap::types::encoded_len(&t));
         prop_assert_eq!(decode_tuple(encoded).unwrap(), t);
     }
