@@ -12,7 +12,9 @@
 //!
 //! The process exits non-zero if any group reports a kernel fallback:
 //! the column evaluator answers every batch, so a fallback is a
-//! regression. CI runs this as the fallback-zero gate. The `qset_*`
+//! regression; or if the super-aggregate of `naive_central_merge`
+//! receives a batch past [`BATCH`] rows, the engine's batch bound. CI
+//! runs this as the fallback-zero gate. The `qset_*`
 //! groups decompose the §6.2 set the way EXPERIMENTS.md reports it: the subnet aggregate with and without
 //! its `srcIP & 0xFFF0` key, `tcp_flows` alone, with the `jitter`
 //! self-join on top, and the full set; `simple_agg_e2e` is the §6.1
@@ -23,8 +25,8 @@
 //! tuple it *ships* — closing the window (emit), collecting it at the
 //! boundary (sink), cutting and encoding frames (frame).
 //! `naive_central_merge` is the stage behind the wire on that
-//! deployment: the aggregator's super-aggregate fed what every leaf
-//! host's sub-aggregates drain, per tuple received.
+//! deployment: the aggregator's ∪ and super-aggregate fed the frames
+//! every leaf host's sub-aggregates drain, per tuple received.
 //! `splitter_route` sizes the stage in front of the engines: the
 //! splitter's routing hash and its per-row route + scatter under the
 //! §6.1 and §6.2 sets, timed but not gated.
@@ -77,45 +79,36 @@ fn summed_metrics(engine: &Engine) -> OpMetrics {
     total
 }
 
-/// Times `dag` over pre-staged columnar chunks: warm-up, then the
-/// minimum of [`ITERS`] full runs, engine construction included.
-fn measure(dag: &QueryDag, chunks: &[ColumnBatch], tuples: usize) -> (f64, OpMetrics) {
+/// Times `dag` over pre-staged columnar chunks, each for the source
+/// its index names (in [`Engine::source_nodes`] order): warm-up, then
+/// the minimum of [`ITERS`] full runs, engine construction included.
+/// Returns the last run's engine, for its metrics: counters are
+/// deterministic across runs, and flush_ns, wall time, comes from a
+/// warm run.
+fn measure(dag: &QueryDag, chunks: &[(usize, &ColumnBatch)], tuples: usize) -> (f64, Engine) {
     let root = dag.roots()[0];
     let run = || {
-        let mut engine = Engine::new(dag).expect("engine builds");
-        engine.set_batch_config(BatchConfig::new(BATCH));
-        let source = engine.source_nodes()[0];
-        for cols in chunks {
-            let mut cols = cols.clone();
-            engine.push_columns(source, &mut cols).expect("push");
-        }
-        engine.finish().expect("finish");
-        (engine.output(root).len(), engine)
-    };
-    let (warm_rows, _) = run();
-    let mut best = f64::INFINITY;
-    let mut metrics = OpMetrics::default();
-    for it in 0..ITERS {
-        let staged: Vec<ColumnBatch> = chunks.to_vec();
+        let staged: Vec<(usize, ColumnBatch)> =
+            chunks.iter().map(|&(s, c)| (s, c.clone())).collect();
         let t0 = Instant::now();
         let mut engine = Engine::new(dag).expect("engine builds");
         engine.set_batch_config(BatchConfig::new(BATCH));
-        let source = engine.source_nodes()[0];
-        for mut cols in staged {
-            engine.push_columns(source, &mut cols).expect("push");
+        let sources = engine.source_nodes();
+        for (s, mut cols) in staged {
+            engine.push_columns(sources[s], &mut cols).expect("push");
         }
         engine.finish().expect("finish");
-        let out = engine.output(root);
-        let ns = t0.elapsed().as_nanos() as f64;
-        assert_eq!(out.len(), warm_rows, "nondeterministic output");
-        best = best.min(ns);
-        // Counters are deterministic across runs; flush_ns is wall
-        // time, so harvest it from a warm timed run, not the cold one.
-        if it + 1 == ITERS {
-            metrics = summed_metrics(&engine);
-        }
+        let rows = engine.output(root).len();
+        (t0.elapsed().as_nanos() as f64, rows, engine)
+    };
+    let (_, warm_rows, mut engine) = run();
+    let mut best = f64::INFINITY;
+    for _ in 0..ITERS {
+        let (ns, rows, last) = run();
+        assert_eq!(rows, warm_rows, "nondeterministic output");
+        (best, engine) = (best.min(ns), last);
     }
-    (best / tuples as f64, metrics)
+    (best / tuples as f64, engine)
 }
 
 /// One host's leaf tier of the §6.1 Naive deployment as a stand-alone
@@ -310,14 +303,16 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
     }
 }
 
-/// The §6.1 Naive aggregator's merge stage: its super-aggregate as a
-/// stand-alone plan over a stream of the sub-aggregates' partials, fed
-/// what every host's sub-aggregates drain at the boundary over one pass
-/// of the trace — built once, the hosts' drains taken in turn, as the
-/// aggregator's links deliver them — timed like every engine group.
-fn measure_central_merge(trace: &[Tuple]) -> Case {
+/// The §6.1 Naive aggregator's merge stage: the plan's ∪ over one port
+/// per host and its super-aggregate, as a stand-alone plan over the
+/// sub-aggregates' partials, fed what every host's sub-aggregates drain
+/// at the boundary over one pass of the trace, in [`BATCH`]-row frames —
+/// built once, the hosts' frames taken in turn, as the aggregator's
+/// links deliver them — timed like every engine group. Also returns the
+/// largest batch the super-aggregate received.
+fn measure_central_merge(trace: &[Tuple]) -> (Case, u64) {
     let plan = Scenario::SimpleAgg.plan("Naive", 3);
-    let mut drains: Vec<Vec<ColumnBatch>> = Vec::new();
+    let mut frames: Vec<Vec<ColumnBatch>> = Vec::new();
     let mut partials = None;
     for host in 0..plan.partitioning.hosts {
         let leaf = naive_leaf(trace, &plan, host);
@@ -326,7 +321,13 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
         let mut drained = Vec::new();
         let mut drain = |engine: &mut Engine| {
             for &b in &leaf.boundary {
-                drained.extend(engine.drain_boundary(b).filter(|d| !d.is_empty()));
+                if let Some(d) = engine.drain_boundary(b) {
+                    for at in (0..d.rows()).step_by(BATCH) {
+                        let mut frame = ColumnBatch::new(d.arity());
+                        frame.append_range(&d, at..d.rows().min(at + BATCH));
+                        drained.push(frame);
+                    }
+                }
             }
         };
         for (scan, mut cols) in leaf.feed.clone() {
@@ -335,12 +336,12 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
         }
         engine.finish().expect("finish");
         drain(&mut engine);
-        drains.push(drained);
+        frames.push(drained);
         partials = Some(leaf.dag.schema(leaf.boundary[0]).clone());
     }
-    let longest = drains.iter().map(Vec::len).max().unwrap_or(0);
-    let feed: Vec<ColumnBatch> = (0..longest)
-        .flat_map(|i| drains.iter().filter_map(move |d| d.get(i).cloned()))
+    let longest = frames.iter().map(Vec::len).max().unwrap_or(0);
+    let feed: Vec<(usize, &ColumnBatch)> = (0..longest)
+        .flat_map(|i| (frames.iter().enumerate()).filter_map(move |(h, f)| Some((h, f.get(i)?))))
         .collect();
     let partials = partials.expect("three hosts");
     let mut catalog = Catalog::new();
@@ -348,7 +349,10 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
         .register(Schema::new("PARTIALS", partials.fields().to_vec()).expect("partials schema"))
         .expect("one stream");
     let mut dag = QueryDag::new(catalog);
-    let source = dag.add_source("PARTIALS").expect("source");
+    let ports = (0..frames.len() as u32)
+        .map(|h| dag.add_partition_source("PARTIALS", h).expect("source"))
+        .collect();
+    let union = (dag.add_node(LogicalNode::Merge { inputs: ports })).expect("∪");
     let central = plan
         .dag
         .topo_order()
@@ -369,7 +373,7 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
     };
     let merge = dag
         .add_node(LogicalNode::Aggregate {
-            input: source,
+            input: union,
             predicate,
             group_by,
             aggregates,
@@ -377,15 +381,17 @@ fn measure_central_merge(trace: &[Tuple]) -> Case {
         })
         .expect("super-aggregate");
     dag.name_query("suspicious_flows", merge).expect("names");
-    let tuples = feed.iter().map(ColumnBatch::rows).sum();
-    let (ns_per_tuple, metrics) = measure(&dag, &feed, tuples);
-    Case {
+    let tuples = feed.iter().map(|(_, f)| f.rows()).sum();
+    let (ns_per_tuple, engine) = measure(&dag, &feed, tuples);
+    let largest = engine.metrics()[merge].batch_occupancy.max();
+    let case = Case {
         group: "naive_central_merge",
         tuples,
         ns_per_tuple,
-        metrics,
+        metrics: summed_metrics(&engine),
         stages: None,
-    }
+    };
+    (case, largest)
 }
 
 /// The splitter's per-row cost under one deployed set, ns per trace
@@ -614,17 +620,26 @@ fn main() -> ExitCode {
     };
     for (group, dag, chunks) in &groups {
         let tuples = chunks.iter().map(ColumnBatch::rows).sum::<usize>();
-        let (ns_per_tuple, metrics) = measure(dag, chunks, tuples);
+        let chunks: Vec<(usize, &ColumnBatch)> = chunks.iter().map(|c| (0, c)).collect();
+        let (ns_per_tuple, engine) = measure(dag, &chunks, tuples);
         finish(Case {
             group,
             tuples,
             ns_per_tuple,
-            metrics,
+            metrics: summed_metrics(&engine),
             stages: None,
         });
     }
     finish(measure_leaf_boundary(&e2e_trace));
-    finish(measure_central_merge(&e2e_trace));
+    let (central, largest) = measure_central_merge(&e2e_trace);
+    finish(central);
+    // The batch bound: the ∪ hands the super-aggregate at most a batch.
+    println!("naive_central_merge: largest super-aggregate batch {largest} rows");
+    if largest > BATCH as u64 {
+        gate_failures.push(format!(
+            "naive_central_merge: a {largest}-row batch reached the super-aggregate, past {BATCH}"
+        ));
+    }
 
     let routes = [
         measure_splitter_route(&e2e_trace, Scenario::SimpleAgg, "Partitioned"),

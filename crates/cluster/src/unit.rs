@@ -35,8 +35,8 @@ use qap_optimizer::DistributedPlan;
 use qap_partition::{HashPartitioner, PartitionSet};
 use qap_plan::{NodeId, QueryDag};
 use qap_types::{
-    encode_column_batch, Bytes, BytesMut, ColumnBatch, ControlFrame, Reader, Tuple, TypeError,
-    TypeResult, Wire, Writer, FRAME_HEADER_LEN,
+    encode_column_batch, encode_column_rows, Bytes, BytesMut, ColumnBatch, ControlFrame, Reader,
+    Tuple, TypeError, TypeResult, Wire, Writer, FRAME_HEADER_LEN,
 };
 
 use crate::link::{
@@ -189,9 +189,10 @@ pub(crate) type UnitReply = Vec<(u32, ColumnBatch, Vec<u32>)>;
 struct EdgeStage {
     /// Local sink id inside the unit's engine.
     local: NodeId,
-    /// The frame being filled, short of `frame_batch` rows between
-    /// calls: cut into straight from the engine's boundary sink and
-    /// encoded off these lanes, so no tuple is built on the way out.
+    /// The tail of the producer's output short of a frame, between
+    /// calls: a frame that lies inside one drained batch is encoded
+    /// straight off it, and only a frame that spans drains is filled
+    /// here. No tuple is built on the way out.
     pending: ColumnBatch,
     /// 1-based frame sequence number for deterministic fault selection;
     /// advances even for frames the fault plan drops (unlike
@@ -393,39 +394,48 @@ impl<'a> Unit<'a> {
             done,
             ..
         } = self;
-        // Encodes the edge's pending rows as one frame straight off their
-        // lanes and applies the fault plan; a dropped frame never counts
-        // as shipped.
-        let mut encode = |edge: &mut EdgeStage| -> ExecResult<()> {
-            let frame = encode_column_batch(&edge.pending, scratch)?;
-            let (tuples, len) = (edge.pending.rows() as u64, frame.len());
-            edge.pending.clear();
+        // Applies the fault plan to one encoded frame of `tuples` rows;
+        // a dropped frame never counts as shipped.
+        let mut ship = |edge: &mut EdgeStage, frame: Bytes, tuples: usize| {
+            let len = frame.len();
             edge.seq += 1;
             match inject_frame_fault(&spec.fault, edge.seq, frame) {
                 None => *dropped += 1,
                 Some(frame) => {
                     edge.stats.frames += 1;
-                    edge.stats.tuples += tuples;
+                    edge.stats.tuples += tuples as u64;
                     edge.stats.bytes += (len - FRAME_HEADER_LEN) as u64;
                     frames.push((edge.stats.producer, frame));
                 }
             }
-            Ok(())
         };
         let frame_batch = spec.frame_batch.max(1) as usize;
         for edge in edges.iter_mut() {
             if let Some(drained) = engine.drain_boundary(edge.local) {
                 let mut at = 0;
-                while edge.pending.rows() + (drained.rows() - at) >= frame_batch {
-                    let cut = at + frame_batch - edge.pending.rows();
-                    edge.pending.append_range(&drained, at..cut);
-                    at = cut;
-                    encode(edge)?;
+                if !edge.pending.is_empty() {
+                    // The pending tail fills up first, and leaves as a
+                    // frame once full.
+                    at = (frame_batch - edge.pending.rows()).min(drained.rows());
+                    edge.pending.append_range(&drained, 0..at);
+                    if edge.pending.rows() == frame_batch {
+                        let frame = encode_column_batch(&edge.pending, scratch)?;
+                        edge.pending.clear();
+                        ship(edge, frame, frame_batch);
+                    }
+                }
+                while drained.rows() - at >= frame_batch {
+                    let frame = encode_column_rows(&drained, at..at + frame_batch, scratch)?;
+                    at += frame_batch;
+                    ship(edge, frame, frame_batch);
                 }
                 edge.pending.append_range(&drained, at..drained.rows());
             }
             if edge.local < *done && !edge.pending.is_empty() {
-                encode(edge)?;
+                let frame = encode_column_batch(&edge.pending, scratch)?;
+                let tuples = edge.pending.rows();
+                edge.pending.clear();
+                ship(edge, frame, tuples);
             }
         }
         Ok(())

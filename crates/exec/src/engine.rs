@@ -18,7 +18,7 @@ use qap_plan::{NodeId, QueryDag};
 use qap_types::{ColumnBatch, Field, Tuple, Value};
 
 use crate::bind::{bind_node, BoundNode};
-use crate::ops::{AggregateOp, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
+use crate::ops::{AggregateOp, JoinOp, MergeOp, Operator, Out, ScanOp, SelectOp};
 use crate::{ExecError, ExecResult};
 
 /// Per-operator tuple-flow counters; the raw material of the cluster
@@ -43,8 +43,9 @@ qap_types::wire_struct!(OpCounters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum tuples per routed batch. Source feeds larger than this
-    /// are chunked; operators may still emit larger batches (e.g. a
-    /// window flush). `1` reproduces tuple-at-a-time routing exactly.
+    /// are chunked, and every operator emits batches of at most this
+    /// many rows (a window flush as several). `1` reproduces
+    /// tuple-at-a-time routing exactly.
     pub max_batch: usize,
 }
 
@@ -80,8 +81,9 @@ const POOL_CAP: usize = 32;
 /// Feed lanes to source scans with [`Engine::push_columns`] or
 /// [`Engine::push_frame`], in non-decreasing order of the stream's
 /// temporal attribute, then call [`Engine::finish`]. Every operator
-/// takes one input type and writes one output type, a [`ColumnBatch`].
-/// A sink collects its node's output as lanes, appended lane to lane;
+/// takes one input type and writes one output type, a [`ColumnBatch`]
+/// of at most `max_batch` rows. A sink collects its node's output as
+/// lanes, the first batch moved in and later ones appended lane to lane;
 /// they leave through [`Engine::drain_boundary`] at any time (a boundary
 /// on its way to the frame encoder, or a unit's query output), or as
 /// rows through [`Engine::output`].
@@ -102,6 +104,8 @@ pub struct Engine {
     col_pool: Vec<ColumnBatch>,
     /// In-flight batches awaiting delivery, FIFO.
     queue: VecDeque<(NodeId, usize, ColumnBatch)>,
+    /// What the operator call in progress emitted, in order.
+    outs: Vec<ColumnBatch>,
     /// Batch-level telemetry per node (bytes, batch counts, occupancy);
     /// tuple counts and operator-internal stats join in at snapshot
     /// time ([`Engine::metrics`]). Updated once per *batch*, never per
@@ -162,6 +166,7 @@ impl Engine {
             batch: BatchConfig::default(),
             col_pool: Vec::new(),
             queue: VecDeque::new(),
+            outs: Vec::new(),
             metrics: vec![OpMetrics::default(); n],
             metrics_on: true,
             wire,
@@ -264,24 +269,55 @@ impl Engine {
     fn run(&mut self) -> ExecResult<()> {
         while let Some((id, port, mut batch)) = self.queue.pop_front() {
             let n = batch.rows() as u64;
+            debug_assert!(
+                batch.rows() <= self.batch.max_batch,
+                "node {id} received {n} rows, past max_batch"
+            );
             self.counters[id].tuples_in += n;
             if self.metrics_on {
                 let m = &mut self.metrics[id];
                 m.batches_in += 1;
                 m.batch_occupancy.record(n);
             }
-            let mut out = self.take_col_buf();
-            self.ops[id].push_columns(port, &mut batch, &mut out)?;
+            let res = self.call(id, |op, out| op.push_columns(port, &mut batch, out));
             self.recycle_col(batch);
-            self.route(id, out);
+            res?;
         }
         Ok(())
     }
 
-    /// Records and fans out one operator's output batch: a sink copies
-    /// it lane to lane, each consumer but
-    /// the last gets a clone, the last gets the batch itself.
-    fn route(&mut self, id: NodeId, out: ColumnBatch) {
+    /// Runs one call of operator `id` and routes what it emitted, in
+    /// order; a call that fails routes nothing.
+    fn call(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn Operator, &mut Out) -> ExecResult<()>,
+    ) -> ExecResult<()> {
+        let mut outs = std::mem::take(&mut self.outs);
+        let mut out = Out {
+            batches: &mut outs,
+            pool: &mut self.col_pool,
+            max: self.batch.max_batch,
+        };
+        let res = f(self.ops[id].as_mut(), &mut out);
+        let mut more: usize = outs.iter().map(ColumnBatch::rows).sum();
+        for b in outs.drain(..) {
+            more -= b.rows();
+            match res {
+                Ok(()) => self.route(id, b, more),
+                Err(_) => self.recycle_col(b),
+            }
+        }
+        self.outs = outs;
+        res
+    }
+
+    /// Records and fans out one operator's output batch, `more` rows of
+    /// the same call still to come: a sink takes it whole when it is the
+    /// node's only destination and holds nothing yet, else copies it lane
+    /// to lane, making room for the rest of the call at once; each
+    /// consumer but the last gets a clone, the last gets the batch itself.
+    fn route(&mut self, id: NodeId, out: ColumnBatch, more: usize) {
         // An empty output batch has no particular arity: nothing in it
         // to count, collect or deliver.
         if out.is_empty() {
@@ -298,6 +334,11 @@ impl Engine {
             }
         }
         if let Some(sink) = self.sinks.get_mut(&id) {
+            if sink.is_empty() && self.consumers[id].is_empty() {
+                let empty = std::mem::replace(sink, out);
+                return self.recycle_col(empty);
+            }
+            sink.reserve(out.rows() + more);
             sink.append_range(&out, 0..out.rows());
         }
         if self.consumers[id].is_empty() {
@@ -329,9 +370,7 @@ impl Engine {
         while self.done < self.ops.len() && self.done <= last {
             let id = self.done;
             self.done += 1;
-            let mut out = self.take_col_buf();
-            self.ops[id].finish(&mut out)?;
-            self.route(id, out);
+            self.call(id, |op, out| op.finish(out))?;
             // Drain anything still in flight destined at or after `id`.
             self.run()?;
             self.counters[id].late_dropped = self.ops[id].late_dropped();
@@ -348,9 +387,7 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to flush")));
         }
-        let mut out = self.take_col_buf();
-        self.ops[node].flush_before(time, &mut out)?;
-        self.route(node, out);
+        self.call(node, |op, out| op.flush_before(time, out))?;
         self.run()
     }
 
@@ -380,16 +417,13 @@ impl Engine {
         if node >= self.ops.len() {
             return Err(ExecError::BadPlan(format!("no node {node} to absorb into")));
         }
-        let mut out = self.take_col_buf();
-        self.ops[node]
-            .absorb_state(state, &mut out)
+        self.call(node, |op, out| op.absorb_state(state, out))
             .map_err(|e| match e {
                 ExecError::BadPlan(why) => {
                     ExecError::BadPlan(format!("absorb into node {node}: {why}"))
                 }
                 other => other,
             })?;
-        self.route(node, out);
         self.run()
     }
 

@@ -33,7 +33,7 @@ use crate::ExecResult;
 
 use super::group_table::{GroupTable, Payload, Window};
 use super::keys::{key_hash, lane_kind, read_words, KeyEval, KeyWords, StrPool};
-use super::{append_batch, merge_lanes, reset_arity, OpRuntimeStats, Operator};
+use super::{merge_lanes, OpRuntimeStats, Operator, Out};
 
 /// A UDAF slot's running state for one group: the one kind of state
 /// that is not words. Its lossless migration state is its partial,
@@ -234,10 +234,6 @@ pub(crate) struct AggregateOp {
     /// HAVING's own tallies: they are not the operator's input-side
     /// lane telemetry.
     having_scratch: KernelScratch,
-    /// Reused lanes of the window being closed: one per group key, then
-    /// one per aggregate slot (trimmed or extended to that count when a
-    /// window that left whole handed back the output's lanes).
-    window: Vec<Column>,
     current_bucket: Option<i128>,
     /// Current window's groups, in insertion order (deterministic
     /// flush). Each group's built-in state sits in one run of the
@@ -302,7 +298,6 @@ impl AggregateOp {
             having: having.map(Filter::new),
             state_fields,
             having_scratch: KernelScratch::new(),
-            window: Vec::new(),
             current_bucket: None,
             groups: GroupTable::new(kinds.clone(), words, side),
             null_groups: GroupTable::new(kinds, words, side),
@@ -323,7 +318,7 @@ impl AggregateOp {
 
     /// Closes the current window: emits its groups into `out` and
     /// empties the table.
-    fn flush(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn flush(&mut self, out: &mut Out) -> ExecResult<()> {
         let start = std::time::Instant::now();
         let res = self.emit(false, out);
         self.groups.clear();
@@ -333,14 +328,13 @@ impl AggregateOp {
     }
 
     /// Emits every group of one table — the current window's, or with
-    /// `null_window` the NULL-window groups — as one batch of lanes: a
-    /// lane per group key, built by its kind from the table's words,
-    /// then a lane per aggregate slot of its finalized (or partial)
-    /// values — `COUNT` and `OR_AGGR` copied off
-    /// their state words. HAVING filters that batch and the survivors
-    /// leave by `append_gather`. The lanes are reused from flush to
-    /// flush.
-    fn emit(&mut self, null_window: bool, out: &mut ColumnBatch) -> ExecResult<()> {
+    /// `null_window` the NULL-window groups — in insertion order, one
+    /// pooled batch per `max_batch` entries: a lane per group key,
+    /// built by its kind from the table's words, then a lane per
+    /// aggregate slot of its finalized (or partial) values — `COUNT`
+    /// and `OR_AGGR` copied off their state words. HAVING compacts each
+    /// batch onto its survivors.
+    fn emit(&mut self, null_window: bool, out: &mut Out) -> ExecResult<()> {
         let table = if null_window {
             &self.null_groups
         } else {
@@ -356,69 +350,62 @@ impl AggregateOp {
             return Ok(());
         }
         let arity = self.key_evals.len();
-        let width = self.slots.len();
         // Each arena holds exactly `n` entries' runs.
         let (words_w, side_w) = (words.len() / n, side.len() / n);
-        let mut cols = std::mem::take(&mut self.window);
-        cols.resize_with(arity + width, Column::new);
-        cols.iter_mut().for_each(Column::clear);
-        let (key_cols, slot_cols) = cols.split_at_mut(arity);
-        table.key_lanes(key_cols);
-        for (slot, c) in self.slots.iter().zip(slot_cols) {
-            if let SlotState::Word {
-                agg: WordAgg::Count | WordAgg::Or,
-                off,
-            } = slot.state
-            {
-                c.extend_uints(words[off..].iter().step_by(words_w).copied());
-                continue;
-            }
-            let mut vals = (0..n).map(|e| {
-                let w = &words[e * words_w..(e + 1) * words_w];
-                slot.close(w, &side[e * side_w..(e + 1) * side_w], strs)
-            });
-            if let SlotState::Side(_) = slot.state {
-                for v in vals {
-                    c.push(&slot.bound.udaf_value(v)?);
+        for at in (0..n).step_by(out.max) {
+            let entries = at..n.min(at + out.max);
+            let batch = out.batch(arity + self.slots.len());
+            let mut cols: Vec<Column> = (0..batch.arity()).map(|i| batch.take_column(i)).collect();
+            let (key_cols, slot_cols) = cols.split_at_mut(arity);
+            table.key_lanes(entries.clone(), key_cols);
+            for (slot, c) in self.slots.iter().zip(slot_cols) {
+                if let SlotState::Word {
+                    agg: WordAgg::Count | WordAgg::Or,
+                    off,
+                } = slot.state
+                {
+                    let lane = words[at * words_w + off..].iter().step_by(words_w);
+                    c.extend_uints(lane.take(entries.len()).copied());
+                    continue;
                 }
-                continue;
-            }
-            // Unsigned values in one extend, up to the first of another
-            // kind; that one and the rest are pushed.
-            let mut other = None;
-            c.extend_uints(vals.by_ref().map_while(|v| match v {
-                Value::UInt(x) => Some(x),
-                v => {
-                    other = Some(v);
-                    None
+                let mut vals = entries.clone().map(|e| {
+                    let w = &words[e * words_w..(e + 1) * words_w];
+                    slot.close(w, &side[e * side_w..(e + 1) * side_w], strs)
+                });
+                if let SlotState::Side(_) = slot.state {
+                    for v in vals {
+                        c.push(&slot.bound.udaf_value(v)?);
+                    }
+                    continue;
                 }
-            }));
-            for v in other.into_iter().chain(vals) {
-                c.push(&v);
+                // Unsigned values in one extend, up to the first of
+                // another kind; that one and the rest are pushed.
+                let mut other = None;
+                c.extend_uints(vals.by_ref().map_while(|v| match v {
+                    Value::UInt(x) => Some(x),
+                    v => {
+                        other = Some(v);
+                        None
+                    }
+                }));
+                for v in other.into_iter().chain(vals) {
+                    c.push(&v);
+                }
+            }
+            *batch = ColumnBatch::from_columns_with_rows(cols, entries.len());
+            if let Some(h) = &self.having {
+                self.sel.fill_identity(batch.rows());
+                h.apply(batch, &mut self.sel, &mut self.having_scratch)?;
+                batch.compact(&self.sel);
             }
         }
-        let mut window = ColumnBatch::from_columns_with_rows(cols, n);
-        reset_arity(out, arity + width);
-        match &self.having {
-            // Unfiltered into an empty output, the window *is* the
-            // output: it moves out whole, and the output's pooled lanes
-            // stage the next window.
-            None if out.is_empty() => std::mem::swap(out, &mut window),
-            None => out.append_range(&window, 0..n),
-            Some(h) => {
-                self.sel.fill_identity(n);
-                h.apply(&window, &mut self.sel, &mut self.having_scratch)?;
-                out.append_gather(&window, self.sel.as_slice());
-            }
-        }
-        self.window = (0..window.arity()).map(|i| window.take_column(i)).collect();
         Ok(())
     }
 
     /// Closes every window at end-of-stream, the NULL-window groups
     /// last (their emission folds into the final flush's latency
     /// accounting).
-    fn close(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn close(&mut self, out: &mut Out) -> ExecResult<()> {
         self.flush(out)?;
         let start = std::time::Instant::now();
         let res = self.emit(true, out);
@@ -440,7 +427,7 @@ impl AggregateOp {
     fn push_words<const GENERAL: bool>(
         &mut self,
         kw: &KeyWords,
-        out: &mut ColumnBatch,
+        out: &mut Out,
         mut fold: impl FnMut(&mut Self, bool, &mut [u64]) -> ExecResult<()>,
     ) -> ExecResult<()> {
         let (arity, t_off, t_kind) = (self.key_evals.len(), self.temporal_idx, self.temporal_kind);
@@ -611,25 +598,26 @@ fn fold_lane_value(slot: &Slot, g: &mut Group<'_>, c: Option<&Column>, r: usize)
 
 /// Walks one group table, shipping every group whose key satisfies
 /// `pred` as a state row (key values, then each slot's lossless
-/// accumulator state) and re-inserting the keepers with their words.
-/// The table's probe structure is rebuilt for the keepers; migration is
-/// an epoch-boundary event, so the rebuild is off every hot path.
+/// accumulator state) onto `cols` and re-inserting the keepers with
+/// their words. Returns the rows shipped. The table's probe structure
+/// is rebuilt for the keepers; migration is an epoch-boundary event, so
+/// the rebuild is off every hot path.
 fn extract_from_table(
     table: &mut GroupTable<Udaf>,
     slots: &[Slot],
     arity: usize,
     pred: &mut dyn FnMut(&[Value]) -> bool,
-    out: &mut ColumnBatch,
-) -> ExecResult<()> {
+    cols: &mut Vec<Column>,
+) -> ExecResult<usize> {
     if table.is_empty() {
-        return Ok(());
+        return Ok(0);
     }
     let (keys, words, side, n) = table.take_entries();
     let (words_w, side_w) = (words.len() / n, side.len() / n);
     let mut side_iter = side.into_iter();
     let mut row: Vec<Value> = Vec::with_capacity(arity);
     let mut accs: Vec<Udaf> = Vec::with_capacity(side_w);
-    let (mut cols, mut shipped): (Vec<Column>, usize) = (Vec::new(), 0);
+    let mut shipped = 0;
     for (e, key) in keys.chunks_exact(arity + 1).enumerate() {
         let w = &words[e * words_w..(e + 1) * words_w];
         row.clear();
@@ -648,10 +636,7 @@ fn extract_from_table(
             table.payload_mut(e).words.copy_from_slice(w);
         }
     }
-    if shipped > 0 {
-        append_batch(out, ColumnBatch::from_columns_with_rows(cols, shipped));
-    }
-    Ok(())
+    Ok(shipped)
 }
 
 /// One aggregate slot's per-segment fold source, classified once per
@@ -702,7 +687,7 @@ impl Operator for AggregateOp {
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             batch.clear();
@@ -748,7 +733,7 @@ impl Operator for AggregateOp {
         res
     }
 
-    fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn finish(&mut self, out: &mut Out) -> ExecResult<()> {
         self.close(out)
     }
 
@@ -765,7 +750,7 @@ impl Operator for AggregateOp {
     /// [`Operator::extract_state`] ships. A computed temporal key is a
     /// no-op (callers gate migration eligibility on fast temporal
     /// shapes).
-    fn flush_before(&mut self, time: u64, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn flush_before(&mut self, time: u64, out: &mut Out) -> ExecResult<()> {
         let boundary = match &self.key_evals[self.temporal_idx] {
             KeyEval::Col(_) => i128::from(time),
             KeyEval::DivConst { div, .. } => i128::from(time / *div),
@@ -791,9 +776,13 @@ impl Operator for AggregateOp {
         pred: &mut dyn FnMut(&[Value]) -> bool,
         out: &mut ColumnBatch,
     ) -> ExecResult<()> {
-        let arity = self.key_evals.len();
-        extract_from_table(&mut self.groups, &self.slots, arity, pred, out)?;
-        extract_from_table(&mut self.null_groups, &self.slots, arity, pred, out)
+        let (arity, mut cols) = (self.key_evals.len(), Vec::new());
+        let shipped = extract_from_table(&mut self.groups, &self.slots, arity, pred, &mut cols)?
+            + extract_from_table(&mut self.null_groups, &self.slots, arity, pred, &mut cols)?;
+        if shipped > 0 {
+            *out = ColumnBatch::from_columns_with_rows(cols, shipped);
+        }
+        Ok(())
     }
 
     /// Absorbs state rows extracted from the same operator shape on
@@ -804,7 +793,7 @@ impl Operator for AggregateOp {
     /// neither occurs under the drain protocol, which aligns both hosts
     /// on the boundary bucket before shipping. State of another shape,
     /// or of other kinds, is a typed error.
-    fn absorb_state(&mut self, state: &ColumnBatch, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn absorb_state(&mut self, state: &ColumnBatch, out: &mut Out) -> ExecResult<()> {
         let arity = self.key_evals.len();
         let state_w = self.state_fields.len() - arity;
         if state.is_empty() {

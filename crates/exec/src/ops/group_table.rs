@@ -254,20 +254,19 @@ impl<P> GroupTable<P> {
         }
     }
 
-    /// Appends every entry's key, in insertion order, to `cols`, one
-    /// lane per key of its kind: an unsigned key that is never NULL is
-    /// copied straight off the words.
-    pub(crate) fn key_lanes(&self, cols: &mut [Column]) {
+    /// Appends the keys of the entries `entries` (insertion order), to
+    /// `cols`, one lane per key of its kind: an unsigned key that is
+    /// never NULL there is copied straight off the words.
+    pub(crate) fn key_lanes(&self, entries: std::ops::Range<usize>, cols: &mut [Column]) {
         let stride = self.kinds.len() + 1;
-        let nulls = (self.keys[stride - 1..].iter().step_by(stride)).fold(0, |a, m| a | m);
+        let keys = &self.keys[entries.start * stride..entries.end * stride];
+        let nulls = (keys[stride - 1..].iter().step_by(stride)).fold(0, |a, m| a | m);
         for (k, c) in cols.iter_mut().enumerate() {
             match self.kinds[k] {
                 DataType::UInt if nulls >> k & 1 == 0 => {
-                    c.extend_uints(self.keys[k..].iter().step_by(stride).copied())
+                    c.extend_uints(keys[k..].iter().step_by(stride).copied())
                 }
-                _ => {
-                    (self.keys.chunks_exact(stride)).for_each(|key| c.push(&self.key_value(key, k)))
-                }
+                _ => (keys.chunks_exact(stride)).for_each(|key| c.push(&self.key_value(key, k))),
             }
         }
     }

@@ -10,7 +10,7 @@ use crate::bind::BoundJoin;
 use crate::ExecResult;
 
 use super::keys::{read_words, KeyEval, KeyWords, StrPool};
-use super::{append_batch, for_each_bucket_run, reset_arity, OpRuntimeStats, Operator};
+use super::{for_each_bucket_run, OpRuntimeStats, Operator, Out};
 
 struct Side {
     /// Position of the temporal attribute in this side's schema.
@@ -85,8 +85,9 @@ const NIL: u32 = u32::MAX;
 /// ([`read_words`]), chains the right epoch's rows by key hash
 /// (`heads`/`next`, built back to front so a chain walks in insertion
 /// order), probes the left rows in order into a pair list, and then
-/// runs the residual and the projections over the pairs, gathered into
-/// one concatenated batch, through `qap-expr`'s column evaluator
+/// runs the residual and the projections over the pairs, `max_batch`
+/// at a time gathered into one concatenated batch, through `qap-expr`'s
+/// column evaluator
 /// ([`Filter`], [`Projection`]). The output order is that of a nested
 /// loop over (left row, matching right rows). A retiring epoch's
 /// unmatched rows pad the same way: beside all-NULL lanes for the other
@@ -149,8 +150,7 @@ impl JoinOp {
     }
 
     /// Fires every left epoch whose pairing is complete.
-    fn fire_ready(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
-        reset_arity(out, self.projection.exprs().len());
+    fn fire_ready(&mut self, out: &mut Out) -> ExecResult<()> {
         let offset = i128::from(self.offset);
         let ready: Vec<i128> = self
             .left
@@ -184,7 +184,7 @@ impl JoinOp {
         Ok(())
     }
 
-    fn fire(&mut self, e: i128, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn fire(&mut self, e: i128, out: &mut Out) -> ExecResult<()> {
         let Some(lrows) = self.left.epochs.remove(&e) else {
             return Ok(());
         };
@@ -274,49 +274,53 @@ impl JoinOp {
         Ok(())
     }
 
-    /// Residual and projections over the whole pair list, gathered into
-    /// one batch of the concatenated schema.
+    /// Residual and projections over the pair list, `max_batch` pairs
+    /// at a time, each range gathered into one batch of the
+    /// concatenated schema.
     fn emit_pairs(
         &mut self,
         lrows: &ColumnBatch,
         rrows: &ColumnBatch,
         lmatched: &mut [bool],
         rmatched: &mut [bool],
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
-        let mut l = ColumnBatch::new(lrows.arity());
-        l.append_gather(lrows, &self.pairs_l);
-        let mut r = ColumnBatch::new(rrows.arity());
-        r.append_gather(rrows, &self.pairs_r);
-        let columns = (0..l.arity())
-            .map(|i| l.take_column(i))
-            .chain((0..r.arity()).map(|i| r.take_column(i)))
-            .collect();
-        let mut joined = ColumnBatch::from_columns_with_rows(columns, self.pairs_l.len());
-        self.sel.fill_identity(joined.rows());
-        if let Some(f) = &self.residual {
-            f.apply(&joined, &mut self.sel, &mut self.kscratch)?;
-            joined.compact(&self.sel);
+        let max = out.max;
+        for (pl, pr) in self.pairs_l.chunks(max).zip(self.pairs_r.chunks(max)) {
+            let mut l = ColumnBatch::new(lrows.arity());
+            l.append_gather(lrows, pl);
+            let mut r = ColumnBatch::new(rrows.arity());
+            r.append_gather(rrows, pr);
+            let columns = (0..l.arity())
+                .map(|i| l.take_column(i))
+                .chain((0..r.arity()).map(|i| r.take_column(i)))
+                .collect();
+            let mut joined = ColumnBatch::from_columns_with_rows(columns, pl.len());
+            self.sel.fill_identity(joined.rows());
+            if let Some(f) = &self.residual {
+                f.apply(&joined, &mut self.sel, &mut self.kscratch)?;
+                joined.compact(&self.sel);
+            }
+            out.push(self.projection.project(&mut joined, &mut self.kscratch)?);
+            for &p in self.sel.as_slice() {
+                lmatched[pl[p as usize] as usize] = true;
+                rmatched[pr[p as usize] as usize] = true;
+            }
         }
-        let projected = self.projection.project(&mut joined, &mut self.kscratch)?;
-        for &p in self.sel.as_slice() {
-            lmatched[self.pairs_l[p as usize] as usize] = true;
-            rmatched[self.pairs_r[p as usize] as usize] = true;
-        }
-        append_batch(out, projected);
         Ok(())
     }
 
     /// NULL-pads a retiring epoch's unmatched rows (an empty `matched`
     /// means none was) when the join type keeps that side: `left_side`
     /// rows sit beside all-NULL lanes for the right side and vice versa,
-    /// and the batch runs through the projection.
+    /// and the batch runs through the projection, `max_batch` rows at a
+    /// time.
     fn pad(
         &mut self,
         rows: &ColumnBatch,
         matched: &[bool],
         left_side: bool,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
         let keeps = match self.join_type {
             JoinType::FullOuter => true,
@@ -333,21 +337,22 @@ impl JoinOp {
         if unmatched.is_empty() {
             return Ok(());
         }
-        let n = unmatched.len();
-        let mut kept = ColumnBatch::new(rows.arity());
-        kept.append_gather(rows, &unmatched);
-        let kept = (0..kept.arity())
-            .map(|i| kept.take_column(i))
-            .collect::<Vec<_>>();
-        let nulls = |arity: usize| (0..arity).map(|_| Column::all_null(n)).collect::<Vec<_>>();
-        let columns = match left_side {
-            true => [kept, nulls(self.right.arity)].concat(),
-            false => [nulls(self.left.arity), kept].concat(),
-        };
-        let mut padded = ColumnBatch::from_columns_with_rows(columns, n);
-        let projected = self.projection.project(&mut padded, &mut self.kscratch)?;
+        for unmatched in unmatched.chunks(out.max) {
+            let n = unmatched.len();
+            let mut kept = ColumnBatch::new(rows.arity());
+            kept.append_gather(rows, unmatched);
+            let kept = (0..kept.arity())
+                .map(|i| kept.take_column(i))
+                .collect::<Vec<_>>();
+            let nulls = |arity: usize| (0..arity).map(|_| Column::all_null(n)).collect::<Vec<_>>();
+            let columns = match left_side {
+                true => [kept, nulls(self.right.arity)].concat(),
+                false => [nulls(self.left.arity), kept].concat(),
+            };
+            let mut padded = ColumnBatch::from_columns_with_rows(columns, n);
+            out.push(self.projection.project(&mut padded, &mut self.kscratch)?);
+        }
         self.kernel_hits += 1;
-        append_batch(out, projected);
         Ok(())
     }
 }
@@ -357,7 +362,7 @@ impl Operator for JoinOp {
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             return Ok(());
@@ -382,7 +387,7 @@ impl Operator for JoinOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
+    fn finish(&mut self, out: &mut Out) -> ExecResult<()> {
         self.finished = true;
         self.fire_ready(out)?;
         debug_assert!(self.left.epochs.is_empty());

@@ -1,4 +1,14 @@
 //! Watermark-aligned stream union (∪).
+//!
+//! The ∪ has one release rule: every row of a bucket at or below the
+//! *threshold* — the least, over its ports, of the last bucket each
+//! port has delivered — leaves at once; rows above it wait. That is
+//! safe because each port is bucket-ordered: once every port has
+//! reached bucket `b`, no row of a bucket below `b` can arrive, so a
+//! row of `b` or below that leaves now is never overtaken by a row that
+//! should precede it. The output is therefore the stable sort of the
+//! arrival sequence by bucket, whatever the batch boundaries, and a
+//! downstream window sees bucket `b + 1` only after the last row of `b`.
 
 use std::collections::BTreeMap;
 
@@ -6,26 +16,21 @@ use qap_types::ColumnBatch;
 
 use crate::ExecResult;
 
-use super::{append_batch, for_each_bucket_run, Operator};
+use super::{for_each_bucket_run, Operator, Out};
 
 /// Merge of K same-schema inputs, aligned on the schema's temporal
-/// attribute so the downstream window discipline holds.
-///
-/// Each input is individually bucket-ordered (it comes from a tumbling
-/// operator or an ordered scan), but inputs progress independently — a
-/// partition replica flushes window `b` only when *its* data reaches
-/// `b+1`. Releasing a tuple of bucket `b` is safe once every input has
-/// moved beyond `b`; everything else buffers until the laggard advances
-/// or the stream finishes. Without this alignment a super-aggregate
-/// would close windows early and silently drop partials.
+/// attribute so the downstream window discipline holds: inputs progress
+/// independently, and without the alignment a super-aggregate would
+/// close windows early and silently drop partials.
 pub(crate) struct MergeOp {
     /// Index of the temporal attribute in the (shared) input schema.
     temporal_idx: usize,
     /// Per input port: last observed bucket.
     last: Vec<Option<i128>>,
-    /// Buffered rows grouped by bucket, as lanes (insertion order
-    /// preserved within a bucket).
-    buffer: BTreeMap<i128, ColumnBatch>,
+    /// Held rows per bucket, in arrival order, as the batches they
+    /// arrived in: moved in whole, or — for a batch spanning buckets —
+    /// one copied range per bucket. Each leaves as it is.
+    held: BTreeMap<i128, Vec<ColumnBatch>>,
 }
 
 impl MergeOp {
@@ -33,7 +38,7 @@ impl MergeOp {
         MergeOp {
             temporal_idx,
             last: vec![None; ports],
-            buffer: BTreeMap::new(),
+            held: BTreeMap::new(),
         }
     }
 
@@ -41,32 +46,13 @@ impl MergeOp {
         self.last[port] = Some(self.last[port].map_or(b, |l| l.max(b)));
     }
 
-    /// Buckets strictly below every port's current bucket are complete.
+    /// The least bucket every port has reached: no row below it can
+    /// arrive any more. `None` while some port has produced nothing (it
+    /// may still emit any bucket).
     fn threshold(&self) -> Option<i128> {
-        let mut min = i128::MAX;
-        for l in &self.last {
-            match l {
-                // A port that has produced nothing yet blocks release:
-                // it may still emit any bucket.
-                None => return None,
-                Some(b) => min = min.min(*b),
-            }
-        }
-        Some(min)
-    }
-
-    /// Takes the complete buckets out of the buffer, in bucket order.
-    fn release(&mut self) -> impl Iterator<Item = ColumnBatch> {
-        let ready = match self.threshold() {
-            // Split off the still-buffered tail (buckets >= threshold);
-            // what remains is complete.
-            Some(threshold) => {
-                let keep = self.buffer.split_off(&threshold);
-                std::mem::replace(&mut self.buffer, keep)
-            }
-            None => BTreeMap::new(),
-        };
-        ready.into_values()
+        self.last
+            .iter()
+            .try_fold(i128::MAX, |min, l| l.map(|b| min.min(b)))
     }
 }
 
@@ -75,7 +61,7 @@ impl Operator for MergeOp {
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
         if batch.rows() == 0 {
             return Ok(());
@@ -84,34 +70,33 @@ impl Operator for MergeOp {
         let mut whole = None;
         for_each_bucket_run(rows_in.column(self.temporal_idx), |run, b| {
             self.observe(port, b);
-            if run.len() == rows_in.rows() && !self.buffer.contains_key(&b) {
-                // The whole batch opens its bucket: move it in below.
+            if run.len() == rows_in.rows() {
                 whole = Some(b);
             } else {
-                self.buffer
-                    .entry(b)
-                    .or_insert_with(|| ColumnBatch::new(rows_in.arity()))
-                    .append_range(rows_in, run);
+                let mut part = ColumnBatch::new(rows_in.arity());
+                part.append_range(rows_in, run);
+                self.held.entry(b).or_default().push(part);
             }
             Ok(())
         })?;
         match whole {
-            Some(b) => {
-                self.buffer.insert(b, batch.take());
-            }
+            Some(b) => self.held.entry(b).or_default().push(batch.take()),
             None => batch.clear(),
         }
-        // Whole buckets leave as they are: the first moves into the
-        // output, later ones append to it.
-        for rows in self.release() {
-            append_batch(out, rows);
+        if let Some(threshold) = self.threshold() {
+            // Split off the buckets above the threshold; what remains
+            // is complete up to the threshold's own bucket.
+            let above = self.held.split_off(&(threshold + 1));
+            for rows in std::mem::replace(&mut self.held, above).into_values() {
+                rows.into_iter().for_each(|b| out.push(b));
+            }
         }
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut ColumnBatch) -> ExecResult<()> {
-        for rows in std::mem::take(&mut self.buffer).into_values() {
-            append_batch(out, rows);
+    fn finish(&mut self, out: &mut Out) -> ExecResult<()> {
+        for rows in std::mem::take(&mut self.held).into_values() {
+            rows.into_iter().for_each(|b| out.push(b));
         }
         Ok(())
     }

@@ -49,14 +49,43 @@ pub(crate) struct OpRuntimeStats {
     pub kernel_lane_hits: [u64; LANE_KINDS],
 }
 
+/// Where an operator call writes what it emits: batches of at most
+/// `max` rows each, which the engine routes in the order they were
+/// emitted. A fresh batch ([`Out::batch`]) comes from the engine's pool
+/// of recycled batches; a batch the operator already holds moves in
+/// whole ([`Out::push`]). No operator concatenates output batches.
+pub(crate) struct Out<'a> {
+    pub(crate) batches: &'a mut Vec<ColumnBatch>,
+    pub(crate) pool: &'a mut Vec<ColumnBatch>,
+    /// The most rows one emitted batch may hold: `max_batch`.
+    pub(crate) max: usize,
+}
+
+impl Out<'_> {
+    /// Emits an empty pooled batch of `arity`, to be filled with at
+    /// most `max` rows.
+    pub(crate) fn batch(&mut self, arity: usize) -> &mut ColumnBatch {
+        let at = self.pool.iter().rposition(|b| b.arity() == arity);
+        let b = at.map(|i| self.pool.swap_remove(i));
+        self.batches
+            .push(b.unwrap_or_else(|| ColumnBatch::new(arity)));
+        self.batches.last_mut().expect("just pushed")
+    }
+
+    /// Emits a whole batch of at most `max` rows.
+    pub(crate) fn push(&mut self, b: ColumnBatch) {
+        debug_assert!(b.rows() <= self.max, "{} rows past max_batch", b.rows());
+        self.batches.push(b);
+    }
+}
+
 /// A compiled streaming operator, processing input one *batch* of lanes
 /// at a time. `push_columns` delivers a [`ColumnBatch`] on an input port
 /// (0 for unary operators; joins use 0 = left, 1 = right; merges one port
-/// per input) and must drain it, appending any produced rows to `out`.
+/// per input) and must drain it, emitting any produced rows to `out`.
 /// Every call that can emit — `push_columns`, `finish`, `flush_before`,
-/// `absorb_state` — writes one output type: a [`ColumnBatch`] (an empty
-/// engine-owned scratch batch of no particular arity, which the
-/// operator gives its output arity). Semantics are defined
+/// `absorb_state` — emits [`ColumnBatch`]es of at most
+/// `max_batch` rows ([`Out`]). Semantics are defined
 /// tuple-at-a-time by the reference model ([`crate::run_logical`]):
 /// batching is a mechanical optimisation, never a semantic one. An
 /// operator never evaluates a row outside the model's order: a row the
@@ -67,16 +96,16 @@ pub(crate) struct OpRuntimeStats {
 /// topological order, so every input is already complete).
 pub(crate) trait Operator {
     /// Processes one columnar batch, draining `batch` (left cleared)
-    /// and appending produced rows to `out`.
+    /// and emitting produced rows to `out`.
     fn push_columns(
         &mut self,
         port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()>;
     /// Flushes remaining state at end-of-stream into `out`. Stateless
     /// operators have nothing to flush.
-    fn finish(&mut self, _out: &mut ColumnBatch) -> ExecResult<()> {
+    fn finish(&mut self, _out: &mut Out) -> ExecResult<()> {
         Ok(())
     }
     /// Tuples dropped for arriving behind the operator's window.
@@ -87,7 +116,7 @@ pub(crate) trait Operator {
     /// to the drain boundary `time` (every tuple at `time` or later
     /// maps to a strictly greater bucket), emitting the flushed rows.
     /// Stateless and non-windowed operators have nothing to close.
-    fn flush_before(&mut self, _time: u64, _out: &mut ColumnBatch) -> ExecResult<()> {
+    fn flush_before(&mut self, _time: u64, _out: &mut Out) -> ExecResult<()> {
         Ok(())
     }
     /// Migration extract hook: removes live group state for keys the
@@ -103,11 +132,11 @@ pub(crate) trait Operator {
         Ok(())
     }
     /// Migration absorb hook: merges state rows produced by
-    /// [`Operator::extract_state`] on an identically-shaped operator,
-    /// writing any window the absorbed state closes to `out`. An
-    /// operator without keyed window state has nowhere to put it: a
-    /// typed [`ExecError::BadPlan`], never a silent drop.
-    fn absorb_state(&mut self, _state: &ColumnBatch, _out: &mut ColumnBatch) -> ExecResult<()> {
+    /// [`Operator::extract_state`] on an identically-shaped operator
+    /// (of any size), emitting any window the absorbed state closes to
+    /// `out`. An operator without keyed window state has nowhere to put
+    /// it: a typed [`ExecError::BadPlan`], never a silent drop.
+    fn absorb_state(&mut self, _state: &ColumnBatch, _out: &mut Out) -> ExecResult<()> {
         Err(ExecError::BadPlan(
             "the operator holds no keyed state".into(),
         ))
@@ -122,7 +151,7 @@ pub(crate) trait Operator {
 
 /// Pass-through operator for source scans (the engine routes external
 /// batches straight through so counters see them): the whole batch
-/// moves in one swap.
+/// moves out, a pooled one taking its place.
 pub(crate) struct ScanOp;
 
 impl Operator for ScanOp {
@@ -130,10 +159,10 @@ impl Operator for ScanOp {
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
-        std::mem::swap(out, batch);
-        batch.clear();
+        let spare = out.pool.pop().unwrap_or_default();
+        out.push(std::mem::replace(batch, spare));
         Ok(())
     }
 }
@@ -158,25 +187,6 @@ pub(crate) fn merge_lanes(a: [u64; LANE_KINDS], b: [u64; LANE_KINDS]) -> [u64; L
         *o += v;
     }
     out
-}
-
-/// Gives an empty output batch the operator's output arity (pooled
-/// scratch batches arrive with whatever arity their last user left).
-pub(crate) fn reset_arity(out: &mut ColumnBatch, arity: usize) {
-    if out.arity() != arity {
-        debug_assert!(out.is_empty(), "pooled output batch arrives empty");
-        *out = ColumnBatch::new(arity);
-    }
-}
-
-/// Appends `src` to an output batch, by move when the output is still
-/// empty.
-pub(crate) fn append_batch(out: &mut ColumnBatch, src: ColumnBatch) {
-    if out.is_empty() {
-        *out = src;
-    } else {
-        out.append_range(&src, 0..src.rows());
-    }
 }
 
 /// Calls `f(rows, bucket)` for each maximal run of consecutive rows of

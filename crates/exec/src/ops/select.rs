@@ -5,7 +5,7 @@ use qap_types::{ColumnBatch, SelectionVector};
 
 use crate::ExecResult;
 
-use super::{OpRuntimeStats, Operator};
+use super::{OpRuntimeStats, Operator, Out};
 
 /// Stateless filter + projection over lanes.
 ///
@@ -40,7 +40,7 @@ impl Operator for SelectOp {
         &mut self,
         _port: usize,
         batch: &mut ColumnBatch,
-        out: &mut ColumnBatch,
+        out: &mut Out,
     ) -> ExecResult<()> {
         let n = batch.rows();
         if n == 0 {
@@ -60,7 +60,7 @@ impl Operator for SelectOp {
         }
         // π: computed columns first (they read the input), then bare
         // columns move or clone into place.
-        *out = self.projection.project(batch, &mut self.kscratch)?;
+        out.push(self.projection.project(batch, &mut self.kscratch)?);
         self.kernel_hits += u64::from(self.projection.computes());
         batch.clear();
         Ok(())

@@ -430,6 +430,52 @@ fn merge_alignment_with_silent_partition() {
     );
 }
 
+/// The ∪'s one release rule: with every port at bucket `b`, a further
+/// bucket-`b` batch leaves in the same push; a bucket-`b + 1` batch
+/// from one port waits until every port has reached `b + 1`, and then
+/// leaves ahead of the rows that brought the last port there.
+#[test]
+fn union_releases_a_bucket_once_every_port_has_reached_it() {
+    use crate::ops::{MergeOp, Operator, Out};
+    let mut merge = MergeOp::new(2, 0);
+    let (mut outs, mut pool) = (Vec::new(), Vec::new());
+    // Pushes `(bucket, port)` rows on `port`; returns what left.
+    let mut push = |port: usize, buckets: &[u64]| -> Vec<Tuple> {
+        let rows: Vec<Tuple> = buckets.iter().map(|&b| tuple![b, port as u64]).collect();
+        let mut out = Out {
+            batches: &mut outs,
+            pool: &mut pool,
+            max: 1024,
+        };
+        (merge.push_columns(port, &mut ColumnBatch::from_rows(&rows), &mut out)).unwrap();
+        outs.drain(..).flat_map(|b| b.to_rows()).collect()
+    };
+    assert_eq!(push(0, &[0]), vec![], "port 1 has delivered nothing");
+    assert_eq!(push(1, &[0]), vec![tuple![0u64, 0u64], tuple![0u64, 1u64]]);
+    assert_eq!(
+        push(0, &[0]),
+        vec![tuple![0u64, 0u64]],
+        "bucket 0 is open to all"
+    );
+    assert_eq!(
+        push(0, &[1, 1]),
+        vec![],
+        "port 1 may still deliver bucket 0"
+    );
+    assert_eq!(push(0, &[1]), vec![]);
+    assert_eq!(
+        push(1, &[1, 2]),
+        vec![
+            tuple![1u64, 0u64],
+            tuple![1u64, 0u64],
+            tuple![1u64, 0u64],
+            tuple![1u64, 1u64],
+        ],
+        "bucket 1 leaves once port 1 reaches it; bucket 2 waits"
+    );
+    assert_eq!(push(0, &[2]), vec![tuple![2u64, 1u64], tuple![2u64, 0u64]]);
+}
+
 #[test]
 fn join_retires_unmatched_right_epochs_for_inner() {
     // Right epochs with no possible left partner must be dropped (not

@@ -801,6 +801,21 @@ impl ColumnBatch {
     /// Kept for callers that still normalize batches at entry.
     pub fn dict_encode_strings(&mut self) {}
 
+    /// Makes room for `rows` more rows in every typed lane (and null
+    /// mask), so appending that many grows nothing.
+    pub fn reserve(&mut self, rows: usize) {
+        for c in &mut self.columns {
+            match &mut c.data {
+                Some(ColumnData::UInt(v)) => v.reserve(rows),
+                Some(ColumnData::Int(v)) => v.reserve(rows),
+                Some(ColumnData::Bool(v)) => v.reserve(rows),
+                Some(ColumnData::Str(v)) => v.reserve(rows),
+                None => {}
+            }
+            c.nulls.reserve(if c.nulls.is_empty() { 0 } else { rows });
+        }
+    }
+
     /// Empties the batch, retaining arity, lane types and capacity.
     pub fn clear(&mut self) {
         for c in &mut self.columns {

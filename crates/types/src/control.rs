@@ -244,6 +244,10 @@ impl Wire for ControlFrame {
 /// empty. An oversized payload is [`TypeError::FrameTooLarge`].
 pub fn encode_control(frame: &ControlFrame, scratch: &mut BytesMut) -> TypeResult<Bytes> {
     scratch.clear();
+    let payload = payload_len(frame);
+    if payload <= MAX_CONTROL_PAYLOAD {
+        scratch.reserve(CONTROL_HEADER_LEN + payload);
+    }
     let mut w = Writer::new(scratch);
     frame.put(&mut w);
     let refused = w.finish();

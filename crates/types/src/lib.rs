@@ -37,8 +37,9 @@ pub use tuple::Tuple;
 pub use udaf::{Udaf, UdafRegistry, UdafState};
 pub use value::{ArcStr, Value};
 pub use wire::{
-    decode_column_batch, decode_tuple, encode_column_batch, encode_tuple, encoded_column_batch_len,
-    encoded_len, estimated_tuple_size, frame_rows, COLUMNAR_FLAG, FRAME_HEADER_LEN,
+    decode_column_batch, decode_tuple, encode_column_batch, encode_column_rows, encode_tuple,
+    encoded_column_batch_len, encoded_len, estimated_tuple_size, frame_rows, COLUMNAR_FLAG,
+    FRAME_HEADER_LEN,
 };
 
 // Downstream crates (exec frame ingestion, the cluster transport) take

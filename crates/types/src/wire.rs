@@ -18,6 +18,8 @@
 //!   Nested in a message ([`Wire`] for [`ColumnBatch`]), a frame is
 //!   prefixed by its `u32` length.
 
+use std::ops::Range;
+
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::{peek_u32, Reader, Wire, Writer};
@@ -124,38 +126,57 @@ impl Wire for Tuple {
     }
 }
 
+/// Rows `rows` of `col` as a frame carries them — as appending them to
+/// an empty column ([`ColumnBatch::append_range`]) leaves them, so a
+/// frame depends on its rows alone: the lane (`None`, untyped, when
+/// every row is NULL) and the null mask (`None` when no row is NULL).
+/// A NULL row's value goes as the lane's placeholder.
+fn lane_shape<'a>(
+    col: &'a Column,
+    rows: &Range<usize>,
+) -> (Option<&'a ColumnData>, Option<&'a [bool]>) {
+    let mask = col.null_mask().get(rows.clone());
+    let nulls = mask.filter(|m| m.contains(&true));
+    let typed = nulls.is_none_or(|m| m.contains(&false));
+    (col.data().filter(|_| typed), nulls)
+}
+
 /// Byte length of one encoded column: lane tag, null-mask flag,
 /// optional mask, lane body.
-fn encoded_column_len(col: &Column) -> usize {
-    let mask = if col.has_nulls() { col.len() } else { 0 };
-    let lane = match col.data() {
+fn encoded_column_len(col: &Column, rows: &Range<usize>) -> usize {
+    let (data, nulls) = lane_shape(col, rows);
+    let n = rows.len();
+    let lane = match data {
         None => 0,
-        Some(ColumnData::UInt(_)) | Some(ColumnData::Int(_)) => 8 * col.len(),
-        Some(ColumnData::Bool(_)) => col.len(),
-        Some(ColumnData::Str(l)) => l.iter().map(|s| 4 + s.len()).sum(),
+        Some(ColumnData::UInt(_)) | Some(ColumnData::Int(_)) => 8 * n,
+        Some(ColumnData::Bool(_)) => n,
+        Some(ColumnData::Str(l)) => (rows.clone())
+            .map(|i| 4 + if col.is_null(i) { 0 } else { l[i].len() })
+            .sum(),
     };
-    2 + mask + lane
+    2 + nulls.map_or(0, <[bool]>::len) + lane
 }
 
 /// Exact payload length in bytes of a columnar frame carrying `batch`,
 /// excluding the [`FRAME_HEADER_LEN`]-byte header.
 pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
-    2 + batch
-        .columns()
-        .iter()
-        .map(encoded_column_len)
-        .sum::<usize>()
+    payload_len(batch, &(0..batch.rows()))
 }
 
-/// The payload length of `batch`'s frame, or [`TypeError::FrameTooLarge`]
-/// when a payload, row count or arity overflows its header field
-/// (`u32`/`u32`/`u16`). Per-string `u32` length prefixes cannot
-/// overflow once the whole payload fits (each string costs `4 + len`
-/// payload bytes).
-fn frame_payload(batch: &ColumnBatch) -> TypeResult<usize> {
-    let payload = encoded_column_batch_len(batch);
+fn payload_len(batch: &ColumnBatch, rows: &Range<usize>) -> usize {
+    let cols = batch.columns().iter();
+    2 + cols.map(|c| encoded_column_len(c, rows)).sum::<usize>()
+}
+
+/// The payload length of the frame of `batch`'s rows `rows`, or
+/// [`TypeError::FrameTooLarge`] when a payload, row count or arity
+/// overflows its header field (`u32`/`u32`/`u16`). Per-string `u32`
+/// length prefixes cannot overflow once the whole payload fits (each
+/// string costs `4 + len` payload bytes).
+fn frame_payload(batch: &ColumnBatch, rows: &Range<usize>) -> TypeResult<usize> {
+    let payload = payload_len(batch, rows);
     for (context, size, limit) in [
-        ("tuple count", batch.rows(), MAX_FRAME_COUNT),
+        ("tuple count", rows.len(), MAX_FRAME_COUNT),
         ("frame payload", payload, MAX_FRAME_PAYLOAD),
         ("column batch arity", batch.arity(), u16::MAX as usize),
     ] {
@@ -170,37 +191,54 @@ fn frame_payload(batch: &ColumnBatch) -> TypeResult<usize> {
     Ok(payload)
 }
 
-/// Writes `batch`'s frame, whose payload [`frame_payload`] measured.
-fn put_frame(w: &mut Writer, batch: &ColumnBatch, payload: usize) {
+/// Writes a lane's values, each NULL one (per `nulls`) as
+/// `placeholder`.
+fn put_lane<T>(
+    w: &mut Writer,
+    lane: &[T],
+    nulls: Option<&[bool]>,
+    placeholder: &T,
+    put: impl Fn(&mut Writer, &T),
+) {
+    match nulls {
+        None => lane.iter().for_each(|x| put(w, x)),
+        Some(nulls) => (lane.iter().zip(nulls))
+            .for_each(|(x, &null)| put(w, if null { placeholder } else { x })),
+    }
+}
+
+/// Writes the frame of `batch`'s rows `rows`, whose payload
+/// [`frame_payload`] measured.
+fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, payload: usize) {
     w.u32(payload as u32);
-    w.u32(batch.rows() as u32 | COLUMNAR_FLAG);
+    w.u32(rows.len() as u32 | COLUMNAR_FLAG);
     w.u16(batch.arity() as u16);
     for col in batch.columns() {
-        w.u8(match col.data() {
+        let (data, nulls) = lane_shape(col, rows);
+        w.u8(match data {
             None => LANE_NONE,
             Some(ColumnData::UInt(_)) => TAG_UINT,
             Some(ColumnData::Int(_)) => TAG_INT,
             Some(ColumnData::Bool(_)) => TAG_BOOL,
             Some(ColumnData::Str(_)) => TAG_STR,
         });
-        w.bool(col.has_nulls());
-        if col.has_nulls() {
-            col.null_mask().iter().for_each(|&n| w.bool(n));
-        }
-        match col.data() {
+        w.bool(nulls.is_some());
+        nulls.into_iter().flatten().for_each(|&n| w.bool(n));
+        let r = rows.clone();
+        match data {
             None => {}
-            Some(ColumnData::UInt(l)) => l.iter().for_each(|&x| w.u64(x)),
-            Some(ColumnData::Int(l)) => l.iter().for_each(|&x| w.i64(x)),
-            Some(ColumnData::Bool(l)) => l.iter().for_each(|&b| w.bool(b)),
-            Some(ColumnData::Str(l)) => l.iter().for_each(|s| w.str(s)),
+            Some(ColumnData::UInt(l)) => put_lane(w, &l[r], nulls, &0, |w, &x| w.u64(x)),
+            Some(ColumnData::Int(l)) => put_lane(w, &l[r], nulls, &0, |w, &x| w.i64(x)),
+            Some(ColumnData::Bool(l)) => put_lane(w, &l[r], nulls, &false, |w, &b| w.bool(b)),
+            Some(ColumnData::Str(l)) => put_lane(w, &l[r], nulls, &"".into(), |w, s| w.str(s)),
         }
     }
 }
 
-/// Encodes a column batch into one length-prefixed frame, reusing
-/// `scratch` as the staging buffer (its allocation is retained across
-/// calls, so steady-state framing does no buffer growth). The returned
-/// [`Bytes`] is self-contained; `scratch` is left empty.
+/// Encodes a column batch into one length-prefixed frame, staged in
+/// `scratch` (sized to the frame first, so staging never regrows it)
+/// and handed over without a copy: the returned [`Bytes`] is the
+/// staged buffer, and `scratch` is left empty.
 ///
 /// Frame layout: `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]`
 /// then `[u16 arity]` and, per column: `[u8 lane_tag][u8 has_mask]`,
@@ -208,16 +246,30 @@ fn put_frame(w: &mut Writer, batch: &ColumnBatch, payload: usize) {
 /// out contiguously (`u64`s for UInt, `i64`s for Int, one byte per
 /// Bool, `u32`-length-prefixed UTF-8 per Str; untyped all-NULL
 /// columns ship no body at all). Decoding the frame and materializing its rows yields exactly
-/// the rows the batch holds, for every value kind.
+/// the rows the batch holds, for every value kind; the bytes depend
+/// on those rows alone, never on which lanes held them.
 ///
 /// A payload, row count or arity that overflows its header field
 /// reports [`TypeError::FrameTooLarge`] *before* any bytes are staged,
 /// instead of emitting a silently length-truncated (corrupt) frame.
 pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeResult<Bytes> {
+    encode_column_rows(batch, 0..batch.rows(), scratch)
+}
+
+/// Encodes rows `rows` of `batch` as one frame — the frame of a batch
+/// holding just those rows, with no row copied out first.
+///
+/// # Panics
+/// When the range reaches past `batch.rows()`.
+pub fn encode_column_rows(
+    batch: &ColumnBatch,
+    rows: Range<usize>,
+    scratch: &mut BytesMut,
+) -> TypeResult<Bytes> {
     scratch.clear();
-    let payload = frame_payload(batch)?;
+    let payload = frame_payload(batch, &rows)?;
     scratch.reserve(FRAME_HEADER_LEN + payload);
-    put_frame(&mut Writer::new(scratch), batch, payload);
+    put_frame(&mut Writer::new(scratch), batch, &rows, payload);
     debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + payload);
     Ok(scratch.split().freeze())
 }
@@ -313,10 +365,11 @@ fn get_column(r: &mut Reader, rows: usize) -> TypeResult<Column> {
 impl Wire for ColumnBatch {
     const MIN_LEN: usize = 4 + FRAME_HEADER_LEN + 2;
     fn put(&self, w: &mut Writer) {
-        match frame_payload(self) {
+        let rows = 0..self.rows();
+        match frame_payload(self, &rows) {
             Ok(payload) => {
                 w.count(FRAME_HEADER_LEN + payload);
-                put_frame(w, self, payload);
+                put_frame(w, self, &rows, payload);
             }
             Err(e) => w.refuse(e),
         }

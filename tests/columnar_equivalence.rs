@@ -91,6 +91,53 @@ fn complex_deployments_match() {
     assert_columnar_invariant(Scenario::Complex, 4, 41);
 }
 
+/// Every batch an operator receives holds at most `max_batch` rows: the
+/// ∪ releases the batches its ports delivered, one by one, and a window
+/// closes in `max_batch`-row batches, so the Naive aggregator's
+/// super-aggregate never receives a whole window of partials. Outputs
+/// stay `run_logical`'s.
+#[test]
+fn every_operator_receives_at_most_max_batch_rows() {
+    let trace = generate(&TraceConfig::tiny(43));
+    for (scenario, config) in [
+        (Scenario::SimpleAgg, "Naive"),
+        (Scenario::SimpleAgg, "Partitioned"),
+        (Scenario::QuerySet, "Partitioned (optimal)"),
+    ] {
+        let logical = run_logical(&scenario.dag(), trace.clone()).unwrap();
+        let plan = scenario.plan(config, 3);
+        for max_batch in [64, 1024] {
+            let cfg = SimConfig {
+                batch: BatchConfig { max_batch },
+                ..SimConfig::default()
+            };
+            let label = format!("{} [{config}] max_batch={max_batch}", scenario.name());
+            let run = run_distributed_threaded(&plan, &trace, &cfg).unwrap();
+            for (id, m) in run.node_metrics.iter().enumerate() {
+                let largest = m.batch_occupancy.max();
+                assert!(
+                    largest as usize <= max_batch,
+                    "{label}: node {id} received {largest} rows"
+                );
+            }
+            assert!(
+                run.node_metrics
+                    .iter()
+                    .any(|m| m.batch_occupancy.count() > 0),
+                "{label}"
+            );
+            for (o, (name, rows)) in plan.outputs.iter().zip(&run.outputs) {
+                let (_, want) = (logical.iter()).find(|(id, _)| *id == o.logical).unwrap();
+                assert_eq!(
+                    sorted(rows.clone()),
+                    sorted(want.clone()),
+                    "{label}: {name}"
+                );
+            }
+        }
+    }
+}
+
 /// Sum of `kernel_fallbacks` over every operator of one engine running
 /// the scenario's whole logical query set on a columnar feed. The feed
 /// is the generated trace overlaid with its own echo one epoch later,
