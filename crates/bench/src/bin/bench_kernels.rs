@@ -12,9 +12,10 @@
 //!
 //! The process exits non-zero if any group reports a kernel fallback:
 //! the column evaluator answers every batch, so a fallback is a
-//! regression; or if the super-aggregate of `naive_central_merge`
-//! receives a batch past [`BATCH`] rows, the engine's batch bound. CI
-//! runs this as the fallback-zero gate. The `qset_*`
+//! regression; if the super-aggregate of `naive_central_merge`
+//! receives a batch past [`BATCH`] rows, the engine's batch bound; or
+//! past [`MAX_FRAME_BYTES_PER_TUPLE`] on `naive_leaf_boundary`. CI runs
+//! this as the fallback-zero gate. The `qset_*`
 //! groups decompose the §6.2 set the way EXPERIMENTS.md reports it: the subnet aggregate with and without
 //! its `srcIP & 0xFFF0` key, `tcp_flows` alone, with the `jitter`
 //! self-join on top, and the full set; `simple_agg_e2e` is the §6.1
@@ -23,7 +24,8 @@
 //! inserts). `naive_leaf_boundary` sizes the
 //! other end of a leaf engine: what one §6.1 Naive leaf host spends per
 //! tuple it *ships* — closing the window (emit), collecting it at the
-//! boundary (sink), cutting and encoding frames (frame).
+//! boundary (sink), cutting and encoding frames as a unit does (frame)
+//! — and the frame bytes it ships per tuple.
 //! `naive_central_merge` is the stage behind the wire on that
 //! deployment: the aggregator's ∪ and super-aggregate fed the frames
 //! every leaf host's sub-aggregates drain, per tuple received.
@@ -45,11 +47,15 @@ use qap::obs::{OpMetrics, KERNEL_LANE_LABELS};
 use qap::plan::NodeId;
 use qap::prelude::*;
 use qap::types::{
-    encode_column_batch, tcp_schema, BytesMut, ColumnBatch, DataType, Field, Temporality,
+    encode_column_batch, encode_column_rows, tcp_schema, Bytes, BytesMut, ColumnBatch, DataType,
+    Field, Temporality, TypeResult,
 };
 use qap_bench::{small_trace, standard_trace_config};
 
 const BATCH: usize = 1024;
+/// The gate on `naive_leaf_boundary`'s frame bytes per tuple shipped:
+/// packed lanes cost about 17 on this trace, 8-byte lanes over 64.
+const MAX_FRAME_BYTES_PER_TUPLE: f64 = 24.0;
 const ITERS: usize = 101;
 
 /// One measured workload group.
@@ -204,8 +210,9 @@ enum Upto {
 }
 
 /// One pass over the leaf's feed: wall nanoseconds, tuples that reached
-/// the boundary, and the engine for its metrics.
-fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
+/// the boundary, the frame bytes shipped and the engine for its metrics.
+/// Frames are cut as `Unit::cut` cuts them.
+fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, usize, Engine) {
     let feed: Vec<(NodeId, ColumnBatch)> = leaf.feed.clone();
     let boundary: &[NodeId] = if upto == Upto::Emit {
         &[]
@@ -220,12 +227,11 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
         .map(|&b| ColumnBatch::new(leaf.dag.schema(b).arity()))
         .collect();
     let mut scratch = BytesMut::new();
-    let mut shipped = 0;
+    let (mut shipped, mut bytes) = (0, 0);
     let mut forward = |engine: &mut Engine, last: bool| {
         for (&node, pending) in boundary.iter().zip(&mut pending) {
-            let mut frame = |pending: &mut ColumnBatch| {
-                black_box(encode_column_batch(pending, &mut scratch).expect("frame encodes"));
-                pending.clear();
+            let mut ship = |frame: TypeResult<Bytes>| {
+                bytes += black_box(frame.expect("frame encodes")).len();
             };
             if let Some(drained) = engine.drain_boundary(node) {
                 shipped += drained.rows();
@@ -234,16 +240,23 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
                     continue;
                 }
                 let mut at = 0;
-                while pending.rows() + (drained.rows() - at) >= BATCH {
-                    let cut = at + BATCH - pending.rows();
-                    pending.append_range(&drained, at..cut);
-                    at = cut;
-                    frame(pending);
+                if !pending.is_empty() {
+                    at = (BATCH - pending.rows()).min(drained.rows());
+                    pending.append_range(&drained, 0..at);
+                    if pending.rows() == BATCH {
+                        ship(encode_column_batch(pending, &mut scratch));
+                        pending.clear();
+                    }
+                }
+                while drained.rows() - at >= BATCH {
+                    ship(encode_column_rows(&drained, at..at + BATCH, &mut scratch));
+                    at += BATCH;
                 }
                 pending.append_range(&drained, at..drained.rows());
             }
             if last && !pending.is_empty() {
-                frame(pending);
+                ship(encode_column_batch(pending, &mut scratch));
+                pending.clear();
             }
         }
     };
@@ -254,7 +267,7 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
     engine.finish().expect("finish");
     forward(&mut engine, true);
     let ns = t0.elapsed().as_nanos() as f64;
-    (ns, shipped, engine)
+    (ns, shipped, bytes, engine)
 }
 
 /// The boundary's cost on one Naive leaf, per tuple shipped: the
@@ -262,7 +275,7 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, Engine) {
 /// disturbance falls on all three alike — with emit read off the
 /// sub-aggregates' own flush clocks and the two stages after it as
 /// differences of minima.
-fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
+fn measure_leaf_boundary(trace: &[Tuple]) -> (Case, f64) {
     let plan = Scenario::SimpleAgg.plan("Naive", 3);
     let host = (0..plan.partitioning.hosts)
         .find(|&h| h != plan.partitioning.aggregator_host)
@@ -270,14 +283,14 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
     let leaf = naive_leaf(trace, &plan, host);
     let depths = [Upto::Emit, Upto::Sink, Upto::Frame];
     let mut best = [f64::INFINITY; 3];
-    let (mut tuples, mut metrics) = (0, OpMetrics::default());
+    let (mut tuples, mut bytes, mut metrics) = (0, 0, OpMetrics::default());
     for _ in 0..=ITERS {
         for (upto, best) in depths.into_iter().zip(&mut best) {
-            let (ns, shipped, engine) = run_leaf(&leaf, upto);
+            let (ns, shipped, shipped_bytes, engine) = run_leaf(&leaf, upto);
             if ns < *best {
                 *best = ns;
                 if upto == Upto::Frame {
-                    (tuples, metrics) = (shipped, summed_metrics(&engine));
+                    (tuples, bytes, metrics) = (shipped, shipped_bytes, summed_metrics(&engine));
                 }
             }
         }
@@ -294,13 +307,16 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> Case {
         "naive_leaf_boundary: {fed} tuples in at {:.1} ns/tuple, {tuples} out",
         frame_ns / fed as f64
     );
-    Case {
+    let frame_bytes = bytes as f64 / tuples as f64;
+    println!("naive_leaf_boundary: frame bytes per tuple shipped {frame_bytes:.2}");
+    let case = Case {
         group: "naive_leaf_boundary",
         tuples,
         ns_per_tuple: stages.iter().sum(),
         metrics,
         stages: Some(stages),
-    }
+    };
+    (case, frame_bytes)
 }
 
 /// The §6.1 Naive aggregator's merge stage: the plan's ∪ over one port
@@ -630,7 +646,8 @@ fn main() -> ExitCode {
             stages: None,
         });
     }
-    finish(measure_leaf_boundary(&e2e_trace));
+    let (leaf, leaf_bytes) = measure_leaf_boundary(&e2e_trace);
+    finish(leaf);
     let (central, largest) = measure_central_merge(&e2e_trace);
     finish(central);
     // The batch bound: the ∪ hands the super-aggregate at most a batch.
@@ -638,6 +655,12 @@ fn main() -> ExitCode {
     if largest > BATCH as u64 {
         gate_failures.push(format!(
             "naive_central_merge: a {largest}-row batch reached the super-aggregate, past {BATCH}"
+        ));
+    }
+    if leaf_bytes > MAX_FRAME_BYTES_PER_TUPLE {
+        gate_failures.push(format!(
+            "naive_leaf_boundary: {leaf_bytes:.2} frame bytes per tuple shipped, \
+             past {MAX_FRAME_BYTES_PER_TUPLE}"
         ));
     }
 

@@ -792,12 +792,15 @@ mod tests {
 
     #[test]
     fn measured_frame_bytes_match_derived_estimate() {
-        // All-numeric, NULL-free boundary schemas: a lane frame of n rows
-        // and arity a is the 2-byte arity word plus, per column, a 2-byte
-        // lane header and n 8-byte values — 2 + a·(2 + 8n) bytes. Summed
-        // over an edge's frames that is its exact payload, and it stays
-        // below the cost model's derived estimate, which prices the
-        // tagged 2 + 9·a-byte tuple encoding.
+        // All-numeric, NULL-free boundary schemas whose shipped rows are
+        // rows of the outputs, and every output column spans under 2⁸:
+        // every lane of every frame packs at width 1. A lane frame of n
+        // rows and arity a is then the 2-byte arity word plus, per
+        // column, a 2-byte lane header, the width byte, the 8-byte base
+        // and n 1-byte offsets — 2 + a·(11 + n) bytes. Summed over an
+        // edge's frames that is its exact payload, and it stays below
+        // the cost model's derived estimate, which prices the tagged
+        // 2 + 9·a-byte tuple encoding.
         let dag = section_3_2();
         let trace = generate(&TraceConfig::tiny(5));
         let plan = optimize(
@@ -807,13 +810,20 @@ mod tests {
         )
         .unwrap();
         let result = run_distributed_threaded(&plan, &trace, &SimConfig::default()).unwrap();
+        for (name, rows) in &result.outputs {
+            for c in 0..rows.first().map_or(0, Tuple::arity) {
+                let column = rows.iter().map(|t| t.get(c).as_u64().unwrap());
+                let (lo, hi) = (column.clone().min().unwrap(), column.max().unwrap());
+                assert!(hi - lo < 1 << 8, "{name} column {c} spans {lo}..={hi}");
+            }
+        }
         let transport = &result.metrics.transport;
         assert!(transport.frames > 0);
         for e in &transport.edges {
             let a = plan.dag.schema(e.producer).arity() as u64;
             assert_eq!(
                 e.bytes,
-                2 * e.frames + a * (2 * e.frames + 8 * e.tuples),
+                2 * e.frames + a * (11 * e.frames + e.tuples),
                 "edge from producer {}",
                 e.producer
             );

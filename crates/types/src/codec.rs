@@ -16,6 +16,11 @@
 //! - [`Wire`] pairs both directions per type with the least length of
 //!   an encoding, which bounds every count of that type. Structs get
 //!   their impls from one field list ([`crate::wire_struct!`]).
+//! - A `uint` or `int` lane is packed ([`Packing`]). Peer bytes cannot
+//!   panic a reader: indexing, `unwrap`, `expect` and `panic!` are
+//!   denied here.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -65,9 +70,9 @@ pub trait Wire: Sized {
 }
 
 /// The integer fields: a [`Writer`] and a [`Reader`] method named by
-/// the type, its [`Wire`] impl and, after a `:`, a lane reader.
+/// the type, and its [`Wire`] impl.
 macro_rules! integers {
-    ($($ty:ident $(: $lane:ident)?)*) => {$(
+    ($($ty:ident)*) => {$(
         impl Writer<'_> {
             #[doc = concat!("Appends a `", stringify!($ty), "`.")]
             #[inline]
@@ -82,15 +87,6 @@ macro_rules! integers {
             pub fn $ty(&mut self) -> TypeResult<$ty> {
                 Ok($ty::from_be_bytes(self.array(self.context)?))
             }
-
-            $(
-            #[doc = concat!("A lane of `n` `", stringify!($ty), "`s behind one bound check.")]
-            pub fn $lane(&mut self, context: &'static str, n: usize) -> TypeResult<Vec<$ty>> {
-                const SIZE: usize = std::mem::size_of::<$ty>();
-                let body = self.take(context, n.saturating_mul(SIZE))?.chunks_exact(SIZE);
-                Ok(body.map(|b| $ty::from_be_bytes(b.try_into().expect("one word"))).collect())
-            }
-            )?
         }
 
         impl Wire for $ty {
@@ -107,7 +103,53 @@ macro_rules! integers {
     )*};
 }
 
-integers! { u8 u16 u32 u64: u64s i64: i64s }
+integers! { u8 u16 u32 u64 i64 }
+
+/// A packed lane's least value (as bits) and the fewest bytes, 1, 2, 4
+/// or 8, that hold every offset from it. No width 0: a lane costs a
+/// byte a row, so a frame decodes to at most 8× its bytes in lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packing {
+    base: u64,
+    pub(crate) width: usize,
+}
+
+/// Runs `$body` with `$t` the unsigned integer `$width` bytes wide.
+#[rustfmt::skip]
+macro_rules! by_width {
+    ($width:expr, $t:ident => $body:expr) => {
+        match $width {
+            1 => { type $t = u8; $body }
+            2 => { type $t = u16; $body }
+            4 => { type $t = u32; $body }
+            _ => { type $t = u64; $body }
+        }
+    };
+}
+
+impl Packing {
+    /// One min/max pass over a lane's bits (`None` for a NULL row);
+    /// XOR-ed with `flip` (the sign bit for `i64`) they order as the
+    /// values do. A lane with no value packs at width 1 from 0.
+    pub fn of(bits: impl Iterator<Item = Option<u64>>, flip: u64) -> Packing {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        bits.flatten()
+            .for_each(|x| (lo, hi) = (lo.min(x ^ flip), hi.max(x ^ flip)));
+        if lo > hi {
+            return Packing { base: 0, width: 1 };
+        }
+        let width = match hi - lo {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            0x1_0000..=0xFFFF_FFFF => 4,
+            _ => 8,
+        };
+        Packing {
+            base: lo ^ flip,
+            width,
+        }
+    }
+}
 
 impl<'a> Writer<'a> {
     /// A writer appending to `buf`.
@@ -146,6 +188,23 @@ impl<'a> Writer<'a> {
     pub fn str(&mut self, s: &str) {
         self.count(s.len());
         self.bytes(s.as_bytes());
+    }
+
+    /// Appends a lane's bits packed by `p` ([`Packing::of`] of them):
+    /// `[u8 width][u64 base]`, then each wrapping offset from the base
+    /// in `width` big-endian bytes, a NULL row's as 0.
+    pub fn packed(&mut self, bits: impl ExactSizeIterator<Item = Option<u64>>, p: Packing) {
+        self.u8(p.width as u8);
+        self.u64(p.base);
+        let at = self.buf.len();
+        self.buf.resize(at + p.width * bits.len(), 0);
+        let out = self.buf.get_mut(at..).unwrap_or_default();
+        let offsets = bits.map(|x| x.map_or(0, |x| x.wrapping_sub(p.base)));
+        by_width!(p.width, W => {
+            for (b, offset) in out.chunks_exact_mut(std::mem::size_of::<W>()).zip(offsets) {
+                b.copy_from_slice(&(offset as W).to_be_bytes());
+            }
+        })
     }
 
     /// Refuses the message; the first refusal is the one reported.
@@ -194,13 +253,14 @@ impl Reader {
     #[inline]
     pub fn take(&mut self, context: &'static str, n: usize) -> TypeResult<&[u8]> {
         self.want(context, n)?;
+        let at = self.at;
         self.at += n;
-        Ok(&self.buf[self.at - n..self.at])
+        (self.buf.get(at..self.at)).ok_or(TypeError::Corrupt("read past the buffer"))
     }
 
     #[inline]
     fn array<const N: usize>(&mut self, context: &'static str) -> TypeResult<[u8; N]> {
-        Ok(self.take(context, N)?.try_into().expect("took N bytes"))
+        (self.take(context, N)?.try_into()).map_err(|_| TypeError::Corrupt("short word"))
     }
 
     /// Reads a `bool`: 0 or 1, anything else corrupt.
@@ -247,6 +307,30 @@ impl Reader {
             out.push(strict_bool(b)?);
         }
         Ok(out)
+    }
+
+    /// A packed lane of `n` values ([`Writer::packed`]), made of their
+    /// bits by `value`. A width but 1, 2, 4 or 8 is corrupt; the offsets
+    /// are taken, behind one bound check, before the lane is allocated.
+    // Only the 8-byte arm's widening `as u64` casts to the same type.
+    #[allow(clippy::unnecessary_cast)]
+    pub fn packed<T>(
+        &mut self,
+        context: &'static str,
+        n: usize,
+        value: impl Fn(u64) -> T,
+    ) -> TypeResult<Vec<T>> {
+        self.want(context, 1 + 8)?;
+        let width = usize::from(self.u8()?);
+        if ![1, 2, 4, 8].contains(&width) {
+            return Err(TypeError::Corrupt("lane width not 1, 2, 4 or 8"));
+        }
+        let base = self.u64()?;
+        let body = self.take(context, n.saturating_mul(width))?;
+        Ok(by_width!(width, W => body
+            .chunks_exact(std::mem::size_of::<W>())
+            .map(|b| value(base.wrapping_add(W::from_be_bytes(b.try_into().unwrap_or_default()) as u64)))
+            .collect()))
     }
 
     /// Ends the read: bytes left over are corrupt.

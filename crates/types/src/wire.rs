@@ -13,16 +13,20 @@
 //!   length-prefixed **frame** carrying a whole [`ColumnBatch`] lane by
 //!   lane, the one unit every cluster runner ships across a boundary.
 //!   A frame is `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]
-//!   [lanes…]`; the lanes pack typed values without per-value tags, so
-//!   measured frame bytes sit below the cost model's tagged estimate.
+//!   [lanes…]`; the lanes carry typed values without per-value tags,
+//!   integers packed in 1, 2, 4 or 8 bytes ([`Packing`]), so measured
+//!   frame bytes sit far below the cost model's tagged estimate.
 //!   Nested in a message ([`Wire`] for [`ColumnBatch`]), a frame is
-//!   prefixed by its `u32` length.
+//!   prefixed by its `u32` length. Peer bytes cannot panic a decoder:
+//!   indexing, `unwrap`, `expect` and `panic!` are denied outside tests.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::codec::{peek_u32, Reader, Wire, Writer};
+use crate::codec::{peek_u32, Packing, Reader, Wire, Writer};
 use crate::{ArcStr, Column, ColumnBatch, ColumnData, Tuple, TypeError, TypeResult, Value};
 
 const TAG_NULL: u8 = 0;
@@ -141,43 +145,77 @@ fn lane_shape<'a>(
     (col.data().filter(|_| typed), nulls)
 }
 
+/// The rows `rows` of `lane`, which [`frame_payload`] checked.
+fn rows_of<'a, T>(lane: &'a [T], rows: &Range<usize>) -> &'a [T] {
+    lane.get(rows.clone()).unwrap_or_default()
+}
+
+/// A lane's rows `rows` as bits, by `bits`, `None` where `nulls` flags.
+fn bits<'a, T: Copy>(
+    lane: &'a [T],
+    (rows, nulls): (&Range<usize>, Option<&'a [bool]>),
+    bits: impl Fn(T) -> u64 + 'a,
+) -> impl ExactSizeIterator<Item = Option<u64>> + 'a {
+    let null = move |i| nulls.is_some_and(|m: &[bool]| m.get(i) == Some(&true));
+    (rows_of(lane, rows).iter().enumerate()).map(move |(i, &x)| (!null(i)).then(|| bits(x)))
+}
+
 /// Byte length of one encoded column: lane tag, null-mask flag,
 /// optional mask, lane body.
-fn encoded_column_len(col: &Column, rows: &Range<usize>) -> usize {
+fn encoded_column_len(col: &Column, rows: &Range<usize>, packing: Option<Packing>) -> usize {
     let (data, nulls) = lane_shape(col, rows);
     let n = rows.len();
-    let lane = match data {
-        None => 0,
-        Some(ColumnData::UInt(_)) | Some(ColumnData::Int(_)) => 8 * n,
-        Some(ColumnData::Bool(_)) => n,
-        Some(ColumnData::Str(l)) => (rows.clone())
-            .map(|i| 4 + if col.is_null(i) { 0 } else { l[i].len() })
+    let lane = match (data, packing) {
+        (_, Some(p)) => 1 + 8 + p.width * n,
+        (Some(ColumnData::Bool(_)), _) => n,
+        (Some(ColumnData::Str(l)), _) => (rows.clone())
+            .map(|i| 4 + l.get(i).filter(|_| !col.is_null(i)).map_or(0, |s| s.len()))
             .sum(),
+        _ => 0,
     };
     2 + nulls.map_or(0, <[bool]>::len) + lane
+}
+
+/// A frame's payload length and its columns' packings (for `uint`, `int`).
+type Measure = (usize, Vec<Option<Packing>>);
+
+/// Measures the frame of `batch`'s rows `rows`: one min/max pass per
+/// packed lane, which sizes the frame and then writes it.
+fn measure(batch: &ColumnBatch, rows: &Range<usize>) -> Measure {
+    let mut payload = 2;
+    let packings = (batch.columns().iter())
+        .map(|col| {
+            let (data, nulls) = lane_shape(col, rows);
+            let at = (rows, nulls);
+            let packing = match data {
+                Some(ColumnData::UInt(l)) => Some(Packing::of(bits(l, at, |x| x), 0)),
+                Some(ColumnData::Int(l)) => Some(Packing::of(bits(l, at, |x| x as u64), 1 << 63)),
+                _ => None,
+            };
+            payload += encoded_column_len(col, rows, packing);
+            packing
+        })
+        .collect();
+    (payload, packings)
 }
 
 /// Exact payload length in bytes of a columnar frame carrying `batch`,
 /// excluding the [`FRAME_HEADER_LEN`]-byte header.
 pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
-    payload_len(batch, &(0..batch.rows()))
+    measure(batch, &(0..batch.rows())).0
 }
 
-fn payload_len(batch: &ColumnBatch, rows: &Range<usize>) -> usize {
-    let cols = batch.columns().iter();
-    2 + cols.map(|c| encoded_column_len(c, rows)).sum::<usize>()
-}
-
-/// The payload length of the frame of `batch`'s rows `rows`, or
-/// [`TypeError::FrameTooLarge`] when a payload, row count or arity
-/// overflows its header field (`u32`/`u32`/`u16`). Per-string `u32`
-/// length prefixes cannot overflow once the whole payload fits (each
-/// string costs `4 + len` payload bytes).
-fn frame_payload(batch: &ColumnBatch, rows: &Range<usize>) -> TypeResult<usize> {
-    let payload = payload_len(batch, rows);
+/// The measure of the frame of `batch`'s rows `rows`, or
+/// [`TypeError::FrameTooLarge`] when the rows reach past the batch or a
+/// payload, row count or arity overflows its header field (`u32`/`u32`/
+/// `u16`). Per-string `u32` length prefixes cannot overflow once the
+/// whole payload fits (each string costs `4 + len` payload bytes).
+fn frame_payload(batch: &ColumnBatch, rows: &Range<usize>) -> TypeResult<Measure> {
+    let frame = measure(batch, rows);
     for (context, size, limit) in [
+        ("frame rows", rows.end, batch.rows()),
         ("tuple count", rows.len(), MAX_FRAME_COUNT),
-        ("frame payload", payload, MAX_FRAME_PAYLOAD),
+        ("frame payload", frame.0, MAX_FRAME_PAYLOAD),
         ("column batch arity", batch.arity(), u16::MAX as usize),
     ] {
         if size > limit {
@@ -188,18 +226,19 @@ fn frame_payload(batch: &ColumnBatch, rows: &Range<usize>) -> TypeResult<usize> 
             });
         }
     }
-    Ok(payload)
+    Ok(frame)
 }
 
-/// Writes a lane's values, each NULL one (per `nulls`) as
+/// Writes a lane's rows `rows`, each NULL one (per `nulls`) as
 /// `placeholder`.
 fn put_lane<T>(
     w: &mut Writer,
     lane: &[T],
-    nulls: Option<&[bool]>,
+    (rows, nulls): (&Range<usize>, Option<&[bool]>),
     placeholder: &T,
     put: impl Fn(&mut Writer, &T),
 ) {
+    let lane = rows_of(lane, rows);
     match nulls {
         None => lane.iter().for_each(|x| put(w, x)),
         Some(nulls) => (lane.iter().zip(nulls))
@@ -207,13 +246,14 @@ fn put_lane<T>(
     }
 }
 
-/// Writes the frame of `batch`'s rows `rows`, whose payload
-/// [`frame_payload`] measured.
-fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, payload: usize) {
-    w.u32(payload as u32);
+/// Writes the frame of `batch`'s rows `rows`, which [`frame_payload`]
+/// measured.
+fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, frame: &Measure) {
+    let (payload, packings) = frame;
+    w.u32(*payload as u32);
     w.u32(rows.len() as u32 | COLUMNAR_FLAG);
     w.u16(batch.arity() as u16);
-    for col in batch.columns() {
+    for (col, &packing) in batch.columns().iter().zip(packings) {
         let (data, nulls) = lane_shape(col, rows);
         w.u8(match data {
             None => LANE_NONE,
@@ -224,13 +264,13 @@ fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, payload: 
         });
         w.bool(nulls.is_some());
         nulls.into_iter().flatten().for_each(|&n| w.bool(n));
-        let r = rows.clone();
-        match data {
-            None => {}
-            Some(ColumnData::UInt(l)) => put_lane(w, &l[r], nulls, &0, |w, &x| w.u64(x)),
-            Some(ColumnData::Int(l)) => put_lane(w, &l[r], nulls, &0, |w, &x| w.i64(x)),
-            Some(ColumnData::Bool(l)) => put_lane(w, &l[r], nulls, &false, |w, &b| w.bool(b)),
-            Some(ColumnData::Str(l)) => put_lane(w, &l[r], nulls, &"".into(), |w, s| w.str(s)),
+        let at = (rows, nulls);
+        match (data, packing) {
+            (Some(ColumnData::UInt(l)), Some(p)) => w.packed(bits(l, at, |x| x), p),
+            (Some(ColumnData::Int(l)), Some(p)) => w.packed(bits(l, at, |x| x as u64), p),
+            (Some(ColumnData::Bool(l)), _) => put_lane(w, l, at, &false, |w, &b| w.bool(b)),
+            (Some(ColumnData::Str(l)), _) => put_lane(w, l, at, &"".into(), |w, s| w.str(s)),
+            _ => {}
         }
     }
 }
@@ -243,9 +283,13 @@ fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, payload: 
 /// Frame layout: `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]`
 /// then `[u16 arity]` and, per column: `[u8 lane_tag][u8 has_mask]`,
 /// `row_count` mask bytes when `has_mask` is 1, and the lane body laid
-/// out contiguously (`u64`s for UInt, `i64`s for Int, one byte per
-/// Bool, `u32`-length-prefixed UTF-8 per Str; untyped all-NULL
-/// columns ship no body at all). Decoding the frame and materializing its rows yields exactly
+/// out contiguously. A UInt or Int lane is `[u8 width][u64 base]` and
+/// `row_count` offsets of `width` bytes: `base` is the least non-NULL
+/// value (as an `i64` for Int), `width` the fewest of 1, 2, 4 or 8
+/// bytes that hold every wrapping difference from it, and a NULL row's
+/// offset is 0. A Bool lane is one byte per row, a Str lane
+/// `u32`-length-prefixed UTF-8 per row; untyped all-NULL columns ship
+/// no body at all. Decoding the frame and materializing its rows yields exactly
 /// the rows the batch holds, for every value kind; the bytes depend
 /// on those rows alone, never on which lanes held them.
 ///
@@ -257,20 +301,18 @@ pub fn encode_column_batch(batch: &ColumnBatch, scratch: &mut BytesMut) -> TypeR
 }
 
 /// Encodes rows `rows` of `batch` as one frame — the frame of a batch
-/// holding just those rows, with no row copied out first.
-///
-/// # Panics
-/// When the range reaches past `batch.rows()`.
+/// holding just those rows, with no row copied out first. A range
+/// reaching past `batch.rows()` is [`TypeError::FrameTooLarge`].
 pub fn encode_column_rows(
     batch: &ColumnBatch,
     rows: Range<usize>,
     scratch: &mut BytesMut,
 ) -> TypeResult<Bytes> {
     scratch.clear();
-    let payload = frame_payload(batch, &rows)?;
-    scratch.reserve(FRAME_HEADER_LEN + payload);
-    put_frame(&mut Writer::new(scratch), batch, &rows, payload);
-    debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + payload);
+    let frame = frame_payload(batch, &rows)?;
+    scratch.reserve(FRAME_HEADER_LEN + frame.0);
+    put_frame(&mut Writer::new(scratch), batch, &rows, &frame);
+    debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + frame.0);
     Ok(scratch.split().freeze())
 }
 
@@ -342,8 +384,8 @@ fn get_column(r: &mut Reader, rows: usize) -> TypeResult<Column> {
             }
             return Ok(Column::all_null(rows));
         }
-        TAG_UINT => ColumnData::UInt(r.u64s("uint lane", rows)?),
-        TAG_INT => ColumnData::Int(r.i64s("int lane", rows)?),
+        TAG_UINT => ColumnData::UInt(r.packed("uint lane", rows, |x| x)?),
+        TAG_INT => ColumnData::Int(r.packed("int lane", rows, |x| x as i64)?),
         TAG_BOOL => ColumnData::Bool(r.bools("bool lane", rows)?),
         TAG_STR => {
             // Each string costs at least its 4-byte length prefix:
@@ -367,9 +409,9 @@ impl Wire for ColumnBatch {
     fn put(&self, w: &mut Writer) {
         let rows = 0..self.rows();
         match frame_payload(self, &rows) {
-            Ok(payload) => {
-                w.count(FRAME_HEADER_LEN + payload);
-                put_frame(w, self, &rows, payload);
+            Ok(frame) => {
+                w.count(FRAME_HEADER_LEN + frame.0);
+                put_frame(w, self, &rows, &frame);
             }
             Err(e) => w.refuse(e),
         }
@@ -409,6 +451,8 @@ pub fn estimated_tuple_size(arity: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::indexing_slicing, clippy::unwrap_used)]
+
     use super::*;
     use crate::tuple;
     use crate::BufMut;
@@ -507,9 +551,9 @@ mod tests {
         let cols = ColumnBatch::from_rows(&batch);
         let mut scratch = BytesMut::new();
         let frame = encode_column_batch(&cols, &mut scratch).unwrap();
-        // Arity word; a masked uint lane (2 + 2 + 2·8); a string lane
-        // (2 + 4+5 + 4+4); a bool lane (2 + 2).
-        assert_eq!(encoded_column_batch_len(&cols), 2 + 20 + 19 + 4);
+        // Arity word; a masked uint lane (2 + 2 + 1+8 + 2·1); a string
+        // lane (2 + 4+5 + 4+4); a bool lane (2 + 2).
+        assert_eq!(encoded_column_batch_len(&cols), 2 + 15 + 19 + 4);
         assert_eq!(
             frame.len(),
             FRAME_HEADER_LEN + encoded_column_batch_len(&cols)
@@ -884,5 +928,88 @@ mod tests {
             decode_column_batch(raw.freeze()).unwrap_err(),
             TypeError::Corrupt("trailing bytes after columnar payload")
         ));
+    }
+
+    /// One column of `values` as a frame: its length must be the
+    /// header, the arity word and one packed lane of `width`-byte
+    /// offsets, and it must decode to the same rows.
+    fn assert_packs(values: Vec<Value>, width: usize) {
+        let rows: Vec<Tuple> = values.into_iter().map(|v| Tuple::new(vec![v])).collect();
+        let frame = frame_of(&rows, &mut BytesMut::new());
+        let mask = if rows.iter().any(|t| t.get(0).is_null()) {
+            rows.len()
+        } else {
+            0
+        };
+        assert_eq!(
+            frame.len(),
+            FRAME_HEADER_LEN + 2 + 2 + mask + 1 + 8 + width * rows.len()
+        );
+        assert_eq!(frame[FRAME_HEADER_LEN + 4 + mask] as usize, width);
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), rows);
+    }
+
+    #[test]
+    fn lanes_at_each_width_boundary_round_trip() {
+        let uints = |base: u64, span: u64| vec![Value::UInt(base + span), Value::UInt(base)];
+        for base in [0, 1_000_000] {
+            assert_packs(uints(base, (1 << 8) - 1), 1);
+            assert_packs(uints(base, 1 << 8), 2);
+            assert_packs(uints(base, (1 << 16) - 1), 2);
+            assert_packs(uints(base, 1 << 16), 4);
+            assert_packs(uints(base, (1 << 32) - 1), 4);
+            assert_packs(uints(base, 1 << 32), 8);
+        }
+        assert_packs(vec![Value::UInt(u64::MAX), Value::UInt(0)], 8);
+        assert_packs(vec![Value::Int(i64::MAX), Value::Int(i64::MIN)], 8);
+        assert_packs(vec![Value::Int(-128), Value::Int(127)], 1);
+        assert_packs(vec![Value::Int(-129), Value::Int(127)], 2);
+    }
+
+    #[test]
+    fn a_masked_lane_far_from_zero_round_trips() {
+        let far = u64::MAX - 300;
+        assert_packs(
+            vec![
+                Value::UInt(far + 7),
+                Value::Null,
+                Value::UInt(far),
+                Value::Null,
+                Value::UInt(far + 300),
+            ],
+            2,
+        );
+        assert_packs(
+            vec![Value::Null, Value::Int(i64::MIN + 5), Value::Int(i64::MIN)],
+            1,
+        );
+    }
+
+    #[test]
+    fn a_constant_lane_costs_one_byte_a_row() {
+        let rows: Vec<Tuple> = (0..100).map(|_| tuple![0xDEAD_BEEF_CAFEu64]).collect();
+        let batch = ColumnBatch::from_rows(&rows);
+        assert_eq!(encoded_column_batch_len(&batch), 2 + 2 + 1 + 8 + 100);
+        assert_packs(rows.into_iter().map(|t| t.get(0).clone()).collect(), 1);
+    }
+
+    #[test]
+    fn a_lane_width_other_than_1_2_4_or_8_is_refused() {
+        for width in [0u8, 3, 9] {
+            let mut raw = BytesMut::new();
+            raw.put_u32(2 + 2 + 1 + 8 + 2 * 8);
+            raw.put_u32(2 | COLUMNAR_FLAG);
+            raw.put_u16(1);
+            raw.put_u8(TAG_UINT);
+            raw.put_u8(0); // no mask
+            raw.put_u8(width);
+            raw.put_u64(5); // base
+            raw.put_slice(&[0; 16]);
+            assert_eq!(
+                decode_column_batch(raw.freeze()).unwrap_err(),
+                TypeError::Corrupt("lane width not 1, 2, 4 or 8"),
+                "width {width}"
+            );
+        }
     }
 }

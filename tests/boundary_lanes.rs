@@ -10,7 +10,11 @@
 //! host sends. Each producer's frames are pinned by a checksum over
 //! their bytes, generated while a row-fed run of the same deployment
 //! still served as the oracle — rows decoded from row frames, no lane
-//! involved — and every frame matched it byte for byte.
+//! involved — and every frame matched it byte for byte. Packed `uint`
+//! and `int` lanes re-pinned the checksums and the per-edge bytes:
+//! every tapped frame, decoded and re-encoded with 8 bytes per integer
+//! as before, gave the earlier checksums back, and frames and tuples
+//! per edge did not move.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -178,16 +182,16 @@ fn check(
 fn simple_agg_naive_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(31));
     let pinned = [
-        (8, 19, 132, 8790),
-        (9, 18, 120, 8004),
-        (10, 20, 140, 9320),
-        (11, 18, 124, 8260),
+        (8, 19, 132, 3134),
+        (9, 18, 120, 2916),
+        (10, 20, 140, 3326),
+        (11, 18, 124, 2965),
     ];
     let sums = [
-        (8, 0x0a8d_5580_401c_5086),
-        (9, 0x17e2_e5c8_8d2b_cbf0),
-        (10, 0x5e72_2b61_957d_117b),
-        (11, 0x981b_b7dd_2c57_062a),
+        (8, 0x465a_1561_8f0f_b310),
+        (9, 0x1db6_2377_12b3_f3b0),
+        (10, 0x7462_86e3_c9c8_25ea),
+        (11, 0xaabb_e693_f32d_51e7),
     ];
     check(
         "6.1 Naive",
@@ -203,16 +207,16 @@ fn simple_agg_naive_frames_are_the_row_staged_frames() {
 fn simple_agg_partitioned_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(31));
     let pinned = [
-        (8, 1, 3, 210),
-        (9, 1, 5, 338),
-        (10, 1, 3, 210),
-        (11, 1, 3, 210),
+        (8, 1, 3, 123),
+        (9, 1, 5, 145),
+        (10, 1, 3, 120),
+        (11, 1, 3, 123),
     ];
     let sums = [
-        (8, 0xf87a_f81d_8cf1_5d33),
-        (9, 0x9f0f_457b_2a84_dd7d),
-        (10, 0x37d6_b87d_5869_4e0b),
-        (11, 0x8859_219a_a178_ab4a),
+        (8, 0x2842_94db_f66e_e79d),
+        (9, 0x2611_1e16_ad57_cdf8),
+        (10, 0x43f0_e3cf_5a8b_e2f5),
+        (11, 0x8c05_533a_35f4_373a),
     ];
     check(
         "6.1 Partitioned",
@@ -232,20 +236,20 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
     // self-join: nothing to emit until the echo gives flows a second
     // epoch.
     let pinned = [
-        (8, 3, 15, 636),
-        (9, 2, 14, 584),
-        (10, 3, 16, 676),
-        (11, 3, 21, 876),
+        (8, 3, 15, 260),
+        (9, 2, 14, 198),
+        (10, 3, 16, 267),
+        (11, 3, 21, 297),
         (20, 0, 0, 0),
         (21, 0, 0, 0),
         (22, 0, 0, 0),
         (23, 0, 0, 0),
     ];
     let sums = [
-        (8, 0xd860_0f57_63e4_61a8),
-        (9, 0xc5bf_a26f_c2a1_b07d),
-        (10, 0x579a_813b_2c11_b68b),
-        (11, 0x9abd_a011_dee5_8874),
+        (8, 0xd3f2_b406_3804_adb5),
+        (9, 0x5cfa_c2a7_93f9_dcff),
+        (10, 0x7ea1_1615_6b14_66a1),
+        (11, 0x5790_53d6_b903_184d),
     ];
     check(
         "6.2 optimal",
@@ -256,28 +260,28 @@ fn query_set_optimal_frames_are_the_row_staged_frames() {
         &sums,
     );
     let pinned = [
-        (8, 4, 26, 1088),
-        (9, 4, 23, 968),
-        (10, 4, 28, 1168),
-        (11, 5, 33, 1380),
-        (20, 4, 26, 1304),
-        (21, 3, 20, 1002),
-        (22, 4, 23, 1160),
-        (23, 9, 59, 2958),
+        (8, 4, 26, 384),
+        (9, 4, 23, 366),
+        (10, 4, 28, 396),
+        (11, 5, 33, 483),
+        (20, 4, 26, 468),
+        (21, 3, 20, 357),
+        (22, 4, 23, 449),
+        (23, 9, 59, 1063),
     ];
     // The self-join's `delay` (`S2.first_ts - S1.first_ts`) is an `int`
     // lane, so producers 20–23 ship lane tag 2 where the row-staged
     // oracle's frames, which typed it by value, had tag 1; re-encoding
     // that lane as `uint` gives the oracle's checksums back.
     let sums = [
-        (8, 0x2c6f_b9bd_88db_4c44),
-        (9, 0x0aeb_1d57_4611_e8cf),
-        (10, 0x7c35_97d1_0c0c_1792),
-        (11, 0x638a_18af_4daf_b9e2),
-        (20, 0x6c55_a8c4_d396_437c),
-        (21, 0xebbb_a0db_09b8_4b83),
-        (22, 0x950f_ab23_e2f1_51a7),
-        (23, 0x72ff_f456_0601_9a31),
+        (8, 0x2ef2_718d_ce2b_6816),
+        (9, 0xf1ca_18ac_86aa_0b58),
+        (10, 0x645a_8dd0_7326_a67e),
+        (11, 0xd7ea_e4cf_a736_f4bc),
+        (20, 0xb283_deff_2980_86df),
+        (21, 0x666d_d4d2_4613_27c9),
+        (22, 0x3aa1_6c02_94ec_57c6),
+        (23, 0x00d8_d5fe_264f_7e7c),
     ];
     check(
         "6.2 optimal, echo",
@@ -294,16 +298,16 @@ fn complex_full_frames_are_the_row_staged_frames() {
     let trace = generate(&TraceConfig::tiny(41));
     let config = "Partitioned (full)";
     let pinned = [
-        (20, 1, 4, 138),
-        (21, 2, 8, 276),
-        (22, 1, 5, 170),
-        (23, 1, 7, 234),
+        (20, 1, 4, 62),
+        (21, 2, 8, 124),
+        (22, 1, 5, 66),
+        (23, 1, 7, 74),
     ];
     let sums = [
-        (20, 0xab00_e842_d7d3_c6d3),
-        (21, 0x897f_5d37_1052_18d3),
-        (22, 0xa565_910a_b354_50fb),
-        (23, 0x5fc7_5a6b_beb8_e2b7),
+        (20, 0xb515_8c11_9a3c_9067),
+        (21, 0x8a85_785e_a794_3bf5),
+        (22, 0x716e_7c2b_b827_beeb),
+        (23, 0x190d_4993_3974_02bd),
     ];
     check(
         "6.3 full",
@@ -314,16 +318,16 @@ fn complex_full_frames_are_the_row_staged_frames() {
         &sums,
     );
     let pinned = [
-        (20, 2, 11, 372),
-        (21, 3, 21, 702),
-        (22, 3, 15, 510),
-        (23, 4, 22, 744),
+        (20, 2, 11, 136),
+        (21, 3, 21, 222),
+        (22, 3, 15, 198),
+        (23, 4, 22, 272),
     ];
     let sums = [
-        (20, 0x19a8_b453_e0d8_f2b4),
-        (21, 0x2e02_1f5d_29b2_03fc),
-        (22, 0x7dfe_5825_5b7a_26f4),
-        (23, 0x22cb_a72b_d857_76c4),
+        (20, 0xe500_5676_b785_a5ce),
+        (21, 0xb0b7_fe6a_651d_80f6),
+        (22, 0x3e3b_7509_9800_9ada),
+        (23, 0xeb77_ca46_546d_818e),
     ];
     check(
         "6.3 full, echo",

@@ -882,6 +882,59 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The Naive aggregator's ∪ holds a bucket until every port has
+    /// reached it. Over 2–4 round-robin hosts and 3–4 epochs, at any
+    /// frame and batch size, with a seeded delivery schedule that lets
+    /// a port lag behind the others, the §6.1 aggregation (with and
+    /// without its HAVING) through per-partition partials, the ∪ and
+    /// the super-aggregate equals the model's.
+    #[test]
+    fn a_lagging_port_never_closes_a_window_early(
+        seed in 1u64..1000,
+        hosts in 2usize..5,
+        epochs in 3u64..5,
+        frame_batch in 4usize..65,
+        max_batch in 16usize..1025,
+        having in any::<bool>()
+    ) {
+        let mut b = QuerySetBuilder::new(Catalog::with_network_schemas());
+        b.add_query(
+            "suspicious_flows",
+            &format!(
+                "SELECT tb, srcIP, destIP, srcPort, destPort, OR_AGGR(flags) as orflag, \
+                 COUNT(*) as cnt, SUM(len) as bytes FROM TCP \
+                 GROUP BY time/60 as tb, srcIP, destIP, srcPort, destPort{}",
+                if having { " HAVING OR_AGGR(flags) = 0x29" } else { "" }
+            ),
+        )
+        .unwrap();
+        let dag = b.build();
+        let trace = generate(&TraceConfig {
+            seed,
+            epochs,
+            flows_per_epoch: 60,
+            hosts: 30,
+            ..TraceConfig::default()
+        });
+        let mut reference = run_logical(&dag, trace.clone()).unwrap().remove(0).1;
+        let plan = optimize(&dag, &Partitioning::round_robin(hosts), &OptimizerConfig::naive())
+            .unwrap();
+        let cfg = SimConfig {
+            batch: BatchConfig::new(max_batch),
+            transport: TransportConfig::new(64, frame_batch).with_fault(FaultPlan::seeded(seed)),
+            ..SimConfig::default()
+        };
+        let mut rows = run_distributed(&plan, &trace, &cfg).unwrap().outputs.remove(0).1;
+        let key = |t: &Tuple| format!("{t}");
+        reference.sort_by_key(key);
+        rows.sort_by_key(key);
+        prop_assert_eq!(rows, reference);
+    }
+}
+
 // ---------------------------------------------------------------------
 // batched == tuple-at-a-time, randomized
 // ---------------------------------------------------------------------
