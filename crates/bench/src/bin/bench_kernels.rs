@@ -47,15 +47,16 @@ use qap::obs::{OpMetrics, KERNEL_LANE_LABELS};
 use qap::plan::NodeId;
 use qap::prelude::*;
 use qap::types::{
-    encode_column_batch, encode_column_rows, tcp_schema, Bytes, BytesMut, ColumnBatch, DataType,
-    Field, Temporality, TypeResult,
+    dictionary_lanes, encode_column_rows, tcp_schema, BytesMut, ColumnBatch, DataType, Field,
+    Temporality,
 };
 use qap_bench::{small_trace, standard_trace_config};
 
 const BATCH: usize = 1024;
 /// The gate on `naive_leaf_boundary`'s frame bytes per tuple shipped:
-/// packed lanes cost about 17 on this trace, 8-byte lanes over 64.
-const MAX_FRAME_BYTES_PER_TUPLE: f64 = 24.0;
+/// packed and dictionary lanes cost about 14.3 on this trace, packed
+/// lanes alone 17.1, 8-byte lanes over 64.
+const MAX_FRAME_BYTES_PER_TUPLE: f64 = 16.0;
 const ITERS: usize = 101;
 
 /// One measured workload group.
@@ -211,8 +212,13 @@ enum Upto {
 
 /// One pass over the leaf's feed: wall nanoseconds, tuples that reached
 /// the boundary, the frame bytes shipped and the engine for its metrics.
-/// Frames are cut as `Unit::cut` cuts them.
-fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, usize, Engine) {
+/// Frames are cut as `Unit::cut` cuts them. With `lanes`, each frame's
+/// dictionary and integer lanes are added to it (outside any timing).
+fn run_leaf(
+    leaf: &NaiveLeaf,
+    upto: Upto,
+    mut lanes: Option<&mut (usize, usize)>,
+) -> (f64, usize, usize, Engine) {
     let feed: Vec<(NodeId, ColumnBatch)> = leaf.feed.clone();
     let boundary: &[NodeId] = if upto == Upto::Emit {
         &[]
@@ -230,7 +236,13 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, usize, Engine) {
     let (mut shipped, mut bytes) = (0, 0);
     let mut forward = |engine: &mut Engine, last: bool| {
         for (&node, pending) in boundary.iter().zip(&mut pending) {
-            let mut ship = |frame: TypeResult<Bytes>| {
+            let mut ship = |batch: &ColumnBatch, rows: std::ops::Range<usize>| {
+                if let Some(lanes) = lanes.as_deref_mut() {
+                    let (dictionary, integer) = dictionary_lanes(batch, rows.clone());
+                    lanes.0 += dictionary;
+                    lanes.1 += integer;
+                }
+                let frame = encode_column_rows(batch, rows, &mut scratch);
                 bytes += black_box(frame.expect("frame encodes")).len();
             };
             if let Some(drained) = engine.drain_boundary(node) {
@@ -244,18 +256,18 @@ fn run_leaf(leaf: &NaiveLeaf, upto: Upto) -> (f64, usize, usize, Engine) {
                     at = (BATCH - pending.rows()).min(drained.rows());
                     pending.append_range(&drained, 0..at);
                     if pending.rows() == BATCH {
-                        ship(encode_column_batch(pending, &mut scratch));
+                        ship(pending, 0..BATCH);
                         pending.clear();
                     }
                 }
                 while drained.rows() - at >= BATCH {
-                    ship(encode_column_rows(&drained, at..at + BATCH, &mut scratch));
+                    ship(&drained, at..at + BATCH);
                     at += BATCH;
                 }
                 pending.append_range(&drained, at..drained.rows());
             }
             if last && !pending.is_empty() {
-                ship(encode_column_batch(pending, &mut scratch));
+                ship(pending, 0..pending.rows());
                 pending.clear();
             }
         }
@@ -286,7 +298,7 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> (Case, f64) {
     let (mut tuples, mut bytes, mut metrics) = (0, 0, OpMetrics::default());
     for _ in 0..=ITERS {
         for (upto, best) in depths.into_iter().zip(&mut best) {
-            let (ns, shipped, shipped_bytes, engine) = run_leaf(&leaf, upto);
+            let (ns, shipped, shipped_bytes, engine) = run_leaf(&leaf, upto, None);
             if ns < *best {
                 *best = ns;
                 if upto == Upto::Frame {
@@ -309,6 +321,14 @@ fn measure_leaf_boundary(trace: &[Tuple]) -> (Case, f64) {
     );
     let frame_bytes = bytes as f64 / tuples as f64;
     println!("naive_leaf_boundary: frame bytes per tuple shipped {frame_bytes:.2}");
+    let mut lanes = (0, 0);
+    run_leaf(&leaf, Upto::Frame, Some(&mut lanes));
+    println!(
+        "naive_leaf_boundary: {} of {} integer lanes shipped as dictionaries ({:.1} %)",
+        lanes.0,
+        lanes.1,
+        100.0 * lanes.0 as f64 / lanes.1.max(1) as f64
+    );
     let case = Case {
         group: "naive_leaf_boundary",
         tuples,

@@ -24,9 +24,14 @@
 //! mid-frame, handshake rejections) surface as
 //! [`qap_exec::FailureCause::Link`] — the socket counterpart of the
 //! fault classes PR 5 typed for in-process runs.
+//!
+//! Peer bytes cannot panic a link: indexing, `unwrap`, `expect` and
+//! `panic!` are denied outside tests.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 use std::fmt;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -415,11 +420,21 @@ pub fn write_control<W: Write>(
     w.flush().map_err(|e| format!("flush: {e}"))
 }
 
+/// Bytes a session's read half buffers: a feed frame of 1024 TCP
+/// tuples (about 21 KB) arrives in one or two socket reads.
+pub const SESSION_READ_BUFFER: usize = 64 << 10;
+
+/// A session's read half behind one buffer, so a control frame costs a
+/// socket read or two, not one per doubling of its payload.
+pub fn session_reader(stream: DuplexStream) -> BufReader<DuplexStream> {
+    BufReader::with_capacity(SESSION_READ_BUFFER, stream)
+}
+
 /// Fills `buf`; `Ok(false)` when the stream ends before its first byte.
 fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, LinkError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => {
                 if filled == 0 {
                     return Ok(false);
@@ -508,6 +523,8 @@ impl<W: Write + Send> FrameSink for StreamSink<W> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
+
     use super::*;
 
     #[test]
@@ -625,6 +642,48 @@ mod tests {
             other => panic!("expected MidFrame, got {other:?}"),
         }
         assert!(allocated <= 4 * arrived, "allocated {allocated} bytes");
+    }
+
+    /// A reader that counts the reads reaching it.
+    struct Counted<'a> {
+        inner: std::io::Cursor<Vec<u8>>,
+        reads: &'a std::cell::Cell<usize>,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_buffered_session_reads_a_frame_in_at_most_three_socket_reads() {
+        let sizes = [2 << 10, 14 << 10, 21 << 10, 60 << 10];
+        let (mut buf, mut scratch) = (Vec::new(), BytesMut::new());
+        for &n in &sizes {
+            let frame = ControlFrame::Data {
+                producer: 1,
+                frame: Bytes::from(vec![7; n]),
+            };
+            write_control(&mut buf, &frame, &mut scratch).unwrap();
+        }
+        let reads = std::cell::Cell::new(0);
+        let counted = Counted {
+            inner: std::io::Cursor::new(buf),
+            reads: &reads,
+        };
+        let mut r = BufReader::with_capacity(SESSION_READ_BUFFER, counted);
+        for &n in &sizes {
+            let before = reads.get();
+            match read_control(&mut r).unwrap() {
+                Some(ControlFrame::Data { frame, .. }) => assert_eq!(frame.len(), n),
+                other => panic!("expected Data, got {other:?}"),
+            }
+            let took = reads.get() - before;
+            assert!(took <= 3, "a {n}-byte frame took {took} reads");
+        }
+        assert!(read_control(&mut r).unwrap().is_none());
     }
 
     #[test]

@@ -67,8 +67,8 @@ use qap_types::{
 
 use crate::deploy::{plan_fingerprint, DeployInputs};
 use crate::link::{
-    read_control, write_control, ChannelSink, ChannelTransport, DuplexStream, FrameSink, HostAddr,
-    HostListener, SendOutcome, StreamSink, Transport,
+    read_control, session_reader, write_control, ChannelSink, ChannelTransport, DuplexStream,
+    FrameSink, HostAddr, HostListener, SendOutcome, StreamSink, Transport,
 };
 use crate::sim::{SimConfig, SimResult};
 use crate::splitter::Batch;
@@ -297,11 +297,12 @@ struct PumpEnd {
 /// replies to the carrier, until the terminal `Result`; everything else
 /// ends the session with a cause.
 fn pump_session(
-    mut stream: DuplexStream,
+    stream: DuplexStream,
     mut sink: ChannelSink,
     replies: chan::Sender<UnitReply>,
     depth: &SharedGauge,
 ) -> PumpEnd {
+    let mut stream = session_reader(stream);
     let mut outcome = None;
     let cause = loop {
         match read_control(&mut stream) {
@@ -482,7 +483,10 @@ pub struct HostServerConfig {
 /// failures (the session socket itself dying) surface as `Err`.
 fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     let mut scratch = BytesMut::new();
-    let step = |stream: &mut DuplexStream, what: &str| match read_control(stream) {
+    // One buffered read half for the whole session: the handshake, the
+    // deployment and every command the unit reads after them.
+    let mut reader = session_reader(stream.try_clone()?);
+    let mut step = |what: &str| match read_control(&mut reader) {
         Ok(Some(frame)) => Ok(frame),
         Ok(None) => Err(format!("connection closed before {what}")),
         Err(e) => Err(e.to_string()),
@@ -491,7 +495,7 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
         let frame = ControlFrame::Error { kind, message };
         write_control(stream, &frame, &mut BytesMut::new())
     };
-    let version = match step(&mut stream, "Hello")? {
+    let version = match step("Hello")? {
         ControlFrame::Hello { version, .. } => version,
         other => return Err(format!("protocol violation: expected Hello, got {other:?}")),
     };
@@ -509,7 +513,7 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
         &mut scratch,
     )?;
 
-    let payload = match step(&mut stream, "Deploy")? {
+    let payload = match step("Deploy")? {
         ControlFrame::Deploy(payload) => payload,
         other => {
             return Err(format!(
@@ -537,8 +541,8 @@ fn serve_session(mut stream: DuplexStream) -> Result<(), String> {
     write_control(&mut stream, &ControlFrame::DeployAck, &mut scratch)?;
 
     let mut port = StreamPort {
-        sink: StreamSink::new(stream.try_clone()?),
-        stream,
+        sink: StreamSink::new(stream),
+        stream: reader,
     };
     let progress = AtomicU64::new(0);
     // A panic (organic or injected by the shipped fault plan) must not

@@ -616,7 +616,7 @@ impl UnitPort for ChannelPort<'_> {
 /// `MigrateAck`, and boundary frames interleave with them (and with the
 /// terminal `Result`) on the one ordered stream behind `sink`.
 pub(crate) struct StreamPort {
-    pub(crate) stream: DuplexStream,
+    pub(crate) stream: std::io::BufReader<DuplexStream>,
     pub(crate) sink: StreamSink<DuplexStream>,
 }
 

@@ -89,6 +89,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<Tuple>, TraceFileError> 
 mod tests {
     use super::*;
     use crate::{generate, TraceConfig};
+    use qap_types::{TypeError, Value};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -103,6 +104,25 @@ mod tests {
         write_trace(&path, &trace).unwrap();
         let back = read_trace(&path).unwrap();
         assert_eq!(back, trace);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_trace_reads_back_every_tuple_it_could_write() {
+        // 174 NULLs fit the decoders' allocation bound; 175 do not, and
+        // the writer refuses them rather than write an unreadable file.
+        let fits = vec![Tuple::new(vec![Value::Null; 174])];
+        let path = tmp("nulls.qtr");
+        write_trace(&path, &fits).unwrap();
+        assert_eq!(read_trace(&path).unwrap(), fits);
+        let past = vec![Tuple::new(vec![Value::Null; 175])];
+        assert!(matches!(
+            write_trace(&path, &past),
+            Err(TraceFileError::Corrupt(TypeError::FrameTooLarge {
+                context: "tuple arity",
+                ..
+            }))
+        ));
         std::fs::remove_file(path).ok();
     }
 

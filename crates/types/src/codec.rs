@@ -16,11 +16,14 @@
 //! - [`Wire`] pairs both directions per type with the least length of
 //!   an encoding, which bounds every count of that type. Structs get
 //!   their impls from one field list ([`crate::wire_struct!`]).
-//! - A `uint` or `int` lane is packed ([`Packing`]). Peer bytes cannot
+//! - A `uint` or `int` lane is packed ([`Packing`]) or, when that is
+//!   strictly smaller, a dictionary ([`Layout`]). Peer bytes cannot
 //!   panic a reader: indexing, `unwrap`, `expect` and `panic!` are
 //!   denied here.
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 #![deny(clippy::expect_used, clippy::panic)]
+
+use std::ops::Range;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -128,13 +131,10 @@ macro_rules! by_width {
 }
 
 impl Packing {
-    /// One min/max pass over a lane's bits (`None` for a NULL row);
-    /// XOR-ed with `flip` (the sign bit for `i64`) they order as the
-    /// values do. A lane with no value packs at width 1 from 0.
-    pub fn of(bits: impl Iterator<Item = Option<u64>>, flip: u64) -> Packing {
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        bits.flatten()
-            .for_each(|x| (lo, hi) = (lo.min(x ^ flip), hi.max(x ^ flip)));
+    /// The packing of bits whose least and greatest, XOR-ed with `flip`
+    /// (the sign bit for `i64`, so they order as the values do), are
+    /// `lo` and `hi`; `lo > hi` (no value) packs at width 1 from 0.
+    fn new(lo: u64, hi: u64, flip: u64) -> Packing {
         if lo > hi {
             return Packing { base: 0, width: 1 };
         }
@@ -148,6 +148,213 @@ impl Packing {
             base: lo ^ flip,
             width,
         }
+    }
+}
+
+/// The width-byte code of a dictionary lane: not a width, so a reader
+/// that knows only widths refuses it.
+pub(crate) const DICTIONARY: u8 = 0x80;
+
+/// Slots of the encoder's table: twice the most values a dictionary
+/// holds, so a probe always ends at a free slot.
+const TABLE_BITS: u32 = 11;
+const TABLE: usize = 1 << TABLE_BITS;
+
+/// Most distinct values a dictionary lane holds. A boundary frame is at
+/// most 1024 rows, whose lanes never need more.
+const DICTIONARY_MAX: usize = TABLE / 2;
+
+/// Elements each growable encoder scratch keeps between frames: a
+/// larger frame's (a migrated state) is given back once written.
+pub(crate) const RETAIN: usize = 1 << 12;
+
+/// Rows of a lane the encoder sweeps before it judges the rest.
+const PREFIX: usize = 128;
+
+/// Bytes of one dictionary index: 1 for up to 256 values, else 2.
+#[inline]
+fn index_width(count: usize) -> usize {
+    if count <= 1 << 8 {
+        1
+    } else {
+        2
+    }
+}
+
+/// A dictionary lane's bytes beside its values and indices: code,
+/// `u16` count, and the values' width byte and base.
+const DICTIONARY_HEADER: usize = 1 + 2 + 1 + 8;
+
+/// Bytes of a dictionary lane body of `rows` rows whose `count` values
+/// pack at `width`.
+fn dictionary_len(width: usize, count: usize, rows: usize) -> usize {
+    DICTIONARY_HEADER + width * count + index_width(count) * rows
+}
+
+/// The most values a dictionary over `rows` rows at `width` bytes a
+/// value can hold and be strictly smaller than the packed lane (0: none
+/// can): a byte's index up to 256 values, two bytes past that.
+fn most_values(width: usize, rows: usize) -> usize {
+    let smaller = (1 + 8 + width * rows).saturating_sub(DICTIONARY_HEADER + 1);
+    let fit = |index: usize| smaller.saturating_sub(index * rows) / width;
+    match fit(2).min(rows).min(DICTIONARY_MAX) {
+        most if most > 1 << 8 => most,
+        _ => fit(1).min(rows).min(1 << 8),
+    }
+}
+
+/// How an integer lane crosses the wire, decided once per frame
+/// ([`Dictionaries::layout`]) and written from that decision.
+#[derive(Debug)]
+pub(crate) enum Layout {
+    /// `[u8 width][u64 base]`, then an offset a row ([`Writer::packed`]).
+    Packed(Packing),
+    /// `[u8 DICTIONARY][u16 count]`, the lane's distinct values in
+    /// first-appearance order packed by `packing`, then an index a row:
+    /// `values` and `index` locate them in the encoder's
+    /// [`Dictionaries`].
+    Dictionary {
+        packing: Packing,
+        values: Range<usize>,
+        index: Range<usize>,
+    },
+}
+
+impl Layout {
+    /// Bytes of the lane body for `rows` rows.
+    pub(crate) fn len(&self, rows: usize) -> usize {
+        match self {
+            Layout::Packed(p) => 1 + 8 + p.width * rows,
+            Layout::Dictionary {
+                packing, values, ..
+            } => dictionary_len(packing.width, values.len(), rows),
+        }
+    }
+}
+
+/// An encoder's reused scratch for dictionary lanes: an open-addressed
+/// table of [`TABLE`] slots, each a value (`keys`) and, in `slots`, the
+/// generation that filled it (high 16 bits) and the value's index (low
+/// 16), and the values and per-row indices of the frame's dictionary
+/// lanes. A slot of an older generation is free, so a lane empties the
+/// table by counting one generation on. The table never grows; the
+/// buffers keep at most [`RETAIN`] elements between frames.
+#[derive(Debug)]
+pub(crate) struct Dictionaries {
+    slots: Box<[u32; TABLE]>,
+    keys: Box<[u64; TABLE]>,
+    generation: u32,
+    values: Vec<u64>,
+    index: Vec<u16>,
+}
+
+impl Default for Dictionaries {
+    fn default() -> Self {
+        Dictionaries {
+            slots: Box::new([0; TABLE]),
+            keys: Box::new([0; TABLE]),
+            generation: 0,
+            values: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+}
+
+impl Dictionaries {
+    /// Forgets the last frame's lanes, and any capacity past [`RETAIN`].
+    pub(crate) fn clear(&mut self) {
+        self.values.clear();
+        self.index.clear();
+        self.values.shrink_to(RETAIN);
+        self.index.shrink_to(RETAIN);
+    }
+
+    /// The most elements either buffer holds room for.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.values.capacity().max(self.index.capacity())
+    }
+
+    /// Decides the layout of a lane whose rows' bits are `lane` (a
+    /// NULL row's as the lane's first value that is not NULL), `flip`
+    /// as in [`Packing::new`]: one min/max pass sizes the packing; no
+    /// dictionary beats a byte a row, so only a wider lane is swept
+    /// again, into the table, until the dictionary has so many values
+    /// that it cannot win at that width, or its first [`PREFIX`] rows
+    /// show that it will not ([`Dictionaries::sweep`]). It is chosen
+    /// when strictly smaller; a tie packs.
+    pub(crate) fn layout(&mut self, lane: &[u64], flip: u64) -> Layout {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for &x in lane {
+            (lo, hi) = (lo.min(x ^ flip), hi.max(x ^ flip));
+        }
+        let packing = Packing::new(lo, hi, flip);
+        let most = most_values(packing.width, lane.len());
+        if most == 0 {
+            return Layout::Packed(packing);
+        }
+        let (values, index) = (self.values.len(), self.index.len());
+        let swept = self.sweep(lane, most);
+        if swept.is_none() {
+            self.values.truncate(values);
+            self.index.truncate(index);
+            return Layout::Packed(packing);
+        }
+        Layout::Dictionary {
+            packing,
+            values: values..self.values.len(),
+            index: index..self.index.len(),
+        }
+    }
+
+    /// Appends the lane's distinct values in first-appearance order and
+    /// an index a row, probing the table from each value's hash;
+    /// `None` at the value past `most`, or after [`PREFIX`] rows that
+    /// project past twice `most` (a heuristic: such a lane may still
+    /// have won, and then packs).
+    fn sweep(&mut self, lane: &[u64], most: usize) -> Option<()> {
+        self.generation += 1;
+        if self.generation > u32::from(u16::MAX) {
+            self.slots.fill(0);
+            self.generation = 1;
+        }
+        let tag = self.generation << 16;
+        let (values_at, index_at) = (self.values.len(), self.index.len());
+        self.values.resize(values_at + most, 0);
+        self.index.resize(index_at + lane.len(), 0);
+        // Plain slices, so the loop keeps them in registers.
+        let slots: &mut [u32; TABLE] = &mut self.slots;
+        let keys: &mut [u64; TABLE] = &mut self.keys;
+        let values = self.values.get_mut(values_at..)?;
+        let index = self.index.get_mut(index_at..)?;
+        let mut count = 0;
+        // After the first rows, a lane is given up when more than half
+        // of them brought a new value and, at that rate, it would hold
+        // more than twice the values that can win.
+        let hopeless = (PREFIX / 2).max(PREFIX * 2 * most / lane.len().max(1));
+        for (row, (&x, out)) in lane.iter().zip(index).enumerate() {
+            if row == PREFIX && count as usize > hopeless {
+                return None;
+            }
+            let mut i = (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TABLE_BITS)) as usize;
+            let slot = loop {
+                let (slot, key) = (slots.get_mut(i)?, keys.get_mut(i)?);
+                if *slot & !0xFFFF != tag {
+                    // A value past `most` finds no room: the lane loses.
+                    *values.get_mut(count as usize)? = x;
+                    (*slot, *key) = (tag | count, x);
+                    count += 1;
+                    break *slot;
+                }
+                if *key == x {
+                    break *slot;
+                }
+                i = (i + 1) & (TABLE - 1);
+            };
+            *out = slot as u16;
+        }
+        self.values.truncate(values_at + count as usize);
+        Some(())
     }
 }
 
@@ -190,19 +397,57 @@ impl<'a> Writer<'a> {
         self.bytes(s.as_bytes());
     }
 
-    /// Appends a lane's bits packed by `p` ([`Packing::of`] of them):
+    /// Appends a lane's bits `lane` packed by `p` (their [`Packing`]):
     /// `[u8 width][u64 base]`, then each wrapping offset from the base
-    /// in `width` big-endian bytes, a NULL row's as 0.
-    pub fn packed(&mut self, bits: impl ExactSizeIterator<Item = Option<u64>>, p: Packing) {
+    /// in `width` big-endian bytes, a NULL row's (per `nulls`) as 0.
+    pub(crate) fn packed(&mut self, lane: &[u64], nulls: Option<&[bool]>, p: Packing) {
         self.u8(p.width as u8);
         self.u64(p.base);
         let at = self.buf.len();
-        self.buf.resize(at + p.width * bits.len(), 0);
+        self.buf.resize(at + p.width * lane.len(), 0);
         let out = self.buf.get_mut(at..).unwrap_or_default();
-        let offsets = bits.map(|x| x.map_or(0, |x| x.wrapping_sub(p.base)));
         by_width!(p.width, W => {
-            for (b, offset) in out.chunks_exact_mut(std::mem::size_of::<W>()).zip(offsets) {
-                b.copy_from_slice(&(offset as W).to_be_bytes());
+            let size = std::mem::size_of::<W>();
+            for (b, &x) in out.chunks_exact_mut(size).zip(lane) {
+                b.copy_from_slice(&(x.wrapping_sub(p.base) as W).to_be_bytes());
+            }
+            let rows = out.chunks_exact_mut(size).zip(nulls.unwrap_or_default());
+            rows.filter(|(_, &null)| null).for_each(|(b, _)| b.fill(0));
+        })
+    }
+
+    /// Appends an integer lane whose bits are `lane` as `layout` lays
+    /// it out ([`Dictionaries::layout`] of these bits, whose scratch
+    /// `dicts` holds a dictionary's values and indices).
+    // Only the 2-byte arm's `as u16` casts to the same type.
+    #[allow(clippy::unnecessary_cast)]
+    pub(crate) fn lane(
+        &mut self,
+        lane: &[u64],
+        nulls: Option<&[bool]>,
+        layout: &Layout,
+        dicts: &Dictionaries,
+    ) {
+        let (packing, values, index) = match layout {
+            Layout::Packed(p) => return self.packed(lane, nulls, *p),
+            Layout::Dictionary {
+                packing,
+                values,
+                index,
+            } => (packing, values, index),
+        };
+        let values = dicts.values.get(values.clone()).unwrap_or_default();
+        let index = dicts.index.get(index.clone()).unwrap_or_default();
+        self.u8(DICTIONARY);
+        self.u16(values.len() as u16);
+        self.packed(values, None, *packing);
+        let at = self.buf.len();
+        let width = index_width(values.len());
+        self.buf.resize(at + width * index.len(), 0);
+        let out = self.buf.get_mut(at..).unwrap_or_default();
+        by_width!(width, W => {
+            for (b, &i) in out.chunks_exact_mut(std::mem::size_of::<W>()).zip(index) {
+                b.copy_from_slice(&(i as W).to_be_bytes());
             }
         })
     }
@@ -309,19 +554,65 @@ impl Reader {
         Ok(out)
     }
 
-    /// A packed lane of `n` values ([`Writer::packed`]), made of their
-    /// bits by `value`. A width but 1, 2, 4 or 8 is corrupt; the offsets
-    /// are taken, behind one bound check, before the lane is allocated.
-    // Only the 8-byte arm's widening `as u64` casts to the same type.
-    #[allow(clippy::unnecessary_cast)]
-    pub fn packed<T>(
+    /// An integer lane of `n` values ([`Writer::lane`]), made of their
+    /// bits by `value`: packed, or a dictionary. Every body is taken,
+    /// behind one bound check, before the lane is allocated. A width
+    /// but 1, 2, 4 or 8 that is not the dictionary code is corrupt, as
+    /// are a dictionary count of 0 or past `n` and an index past the
+    /// count.
+    pub fn packed<T: Copy + Default>(
         &mut self,
         context: &'static str,
         n: usize,
         value: impl Fn(u64) -> T,
     ) -> TypeResult<Vec<T>> {
         self.want(context, 1 + 8)?;
-        let width = usize::from(self.u8()?);
+        let code = self.u8()?;
+        if code != DICTIONARY {
+            return self.offsets(context, code, n, value);
+        }
+        let count = usize::from(self.u16()?);
+        if count == 0 || count > n {
+            return Err(TypeError::Corrupt("dictionary count not in 1..=rows"));
+        }
+        self.want(context, 1 + 8)?;
+        let width = self.u8()?;
+        let values = self.offsets(context, width, count, value)?;
+        let index = self.take(context, n.saturating_mul(index_width(count)))?;
+        // One pass checks every index, so the gather has no error path;
+        // a fold over the largest vectorizes where `max` does not.
+        let past = TypeError::Corrupt("dictionary index past its count");
+        if count <= 1 << 8 {
+            if usize::from(index.iter().fold(0, |m: u8, &i| m.max(i))) >= count {
+                return Err(past);
+            }
+            // A byte never indexes past 256 slots.
+            let mut table = [T::default(); 1 << 8];
+            table.iter_mut().zip(values).for_each(|(t, v)| *t = v);
+            let gather = index.iter().map(|&i| table.get(usize::from(i)).copied());
+            return Ok(gather.map(Option::unwrap_or_default).collect());
+        }
+        let index =
+            (index.chunks_exact(2)).map(|b| u16::from_be_bytes(b.try_into().unwrap_or_default()));
+        if usize::from(index.clone().fold(0, u16::max)) >= count {
+            return Err(past);
+        }
+        Ok(index
+            .map(|i| values.get(usize::from(i)).copied().unwrap_or_default())
+            .collect())
+    }
+
+    /// `n` offsets of width `width` from a `u64` base ([`Writer::packed`]).
+    // Only the 8-byte arm's widening `as u64` casts to the same type.
+    #[allow(clippy::unnecessary_cast)]
+    fn offsets<T>(
+        &mut self,
+        context: &'static str,
+        width: u8,
+        n: usize,
+        value: impl Fn(u64) -> T,
+    ) -> TypeResult<Vec<T>> {
+        let width = usize::from(width);
         if ![1, 2, 4, 8].contains(&width) {
             return Err(TypeError::Corrupt("lane width not 1, 2, 4 or 8"));
         }

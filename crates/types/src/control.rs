@@ -20,7 +20,10 @@
 //! truncation, length disagreement, unknown tags, trailing bytes and
 //! invalid UTF-8 all surface as typed [`TypeError`]s — never a panic,
 //! never a partial parse (the control-codec proptests mutate valid
-//! frames every way the chaos suite's link faults can).
+//! frames every way the chaos suite's link faults can). Indexing,
+//! `unwrap`, `expect` and `panic!` are denied outside tests.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 use bytes::{Bytes, BytesMut};
 
@@ -31,7 +34,7 @@ use crate::{TypeError, TypeResult};
 /// carrying any other version with [`ControlFrame::Error`] (kind
 /// [`ERROR_VERSION`]) — mixed-version clusters fail fast at the
 /// handshake instead of mis-decoding deployment payloads mid-run.
-pub const PROTOCOL_VERSION: u32 = 10;
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Byte length of a control-frame header: `u32` payload length plus
 /// `u8` tag.
@@ -266,6 +269,8 @@ pub fn decode_control(buf: Bytes) -> TypeResult<ControlFrame> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::indexing_slicing, clippy::unwrap_used)]
+
     use super::*;
 
     fn samples() -> Vec<ControlFrame> {

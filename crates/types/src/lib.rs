@@ -37,9 +37,9 @@ pub use tuple::Tuple;
 pub use udaf::{Udaf, UdafRegistry, UdafState};
 pub use value::{ArcStr, Value};
 pub use wire::{
-    decode_column_batch, decode_tuple, encode_column_batch, encode_column_rows, encode_tuple,
-    encoded_column_batch_len, encoded_len, estimated_tuple_size, frame_rows, COLUMNAR_FLAG,
-    FRAME_HEADER_LEN,
+    decode_column_batch, decode_tuple, dictionary_lanes, encode_column_batch, encode_column_rows,
+    encode_tuple, encoded_column_batch_len, encoded_len, estimated_tuple_size, frame_rows,
+    COLUMNAR_FLAG, FRAME_HEADER_LEN,
 };
 
 // Downstream crates (exec frame ingestion, the cluster transport) take
@@ -50,6 +50,62 @@ pub use bytes::{Buf, BufMut, Bytes, BytesMut};
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts the bytes the calling thread allocates while a count is
+    /// open ([`allocated_by`]); the harness runs tests on parallel
+    /// threads, and only the counting thread's count.
+    struct CountingAlloc;
+
+    thread_local! {
+        static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn charge(bytes: usize) {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                ALLOCATED.with(|a| a.set(a.get() + bytes));
+            }
+        });
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so `System`'s guarantees are this allocator's. Counting reads and
+    // writes two const-initialized thread-local `Cell`s, which neither
+    // allocate nor re-enter the allocator.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            charge(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            charge(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+            charge(size.saturating_sub(layout.size()));
+            std::alloc::System.realloc(ptr, layout, size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Runs `f` and returns its result with the bytes it allocated on
+    /// this thread (a `realloc` counts its growth).
+    pub(crate) fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        ALLOCATED.with(|a| a.set(0));
+        COUNTING.with(|on| on.set(true));
+        let out = f();
+        COUNTING.with(|on| on.set(false));
+        (out, ALLOCATED.with(std::cell::Cell::get))
+    }
 
     #[test]
     fn wire_size_matches_cost_model_estimator() {

@@ -14,19 +14,26 @@
 //!   lane, the one unit every cluster runner ships across a boundary.
 //!   A frame is `[u32 payload_len][u32 row_count | COLUMNAR_FLAG]
 //!   [lanes…]`; the lanes carry typed values without per-value tags,
-//!   integers packed in 1, 2, 4 or 8 bytes ([`Packing`]), so measured
-//!   frame bytes sit far below the cost model's tagged estimate.
+//!   so measured frame bytes sit far below the cost model's tagged
+//!   estimate. An integer lane is packed in 1, 2, 4 or 8 bytes a row
+//!   ([`crate::codec::Packing`]) or, when strictly smaller (and the
+//!   lane's first 128 rows do not show otherwise), ships as a
+//!   dictionary: the frame's distinct values once, in first-appearance
+//!   order and themselves packed, then a 1- or 2-byte index a row. One
+//!   measure per frame decides every lane's layout, in a scratch each
+//!   encoding thread reuses, and the write follows it.
 //!   Nested in a message ([`Wire`] for [`ColumnBatch`]), a frame is
 //!   prefixed by its `u32` length. Peer bytes cannot panic a decoder:
 //!   indexing, `unwrap`, `expect` and `panic!` are denied outside tests.
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 #![deny(clippy::expect_used, clippy::panic)]
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::codec::{peek_u32, Packing, Reader, Wire, Writer};
+use crate::codec::{peek_u32, Dictionaries, Layout, Reader, Wire, Writer, RETAIN};
 use crate::{ArcStr, Column, ColumnBatch, ColumnData, Tuple, TypeError, TypeResult, Value};
 
 const TAG_NULL: u8 = 0;
@@ -39,6 +46,37 @@ const TAG_STR: u8 = 4;
 /// Reuses the NULL value tag; the remaining lane tags are the value
 /// tags themselves, one per lane kind.
 const LANE_NONE: u8 = TAG_NULL;
+
+/// Bytes a decode may allocate whatever its length, beside 10 a byte.
+const ALLOC_SLACK: usize = 1024;
+
+/// An encoding thread's scratch, which every frame it encodes reuses:
+/// the dictionaries, and a lane's bits when they are not the lane
+/// itself (an `int` lane, or one with NULL rows).
+#[derive(Default)]
+struct Scratch {
+    dicts: Dictionaries,
+    bits: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`Scratch`], then empties it of the frame
+/// and of any capacity past [`RETAIN`] elements, so a large frame (a
+/// migrated state) does not pin its scratch for the thread's life. No
+/// frame encode runs inside another, so it is never borrowed twice.
+fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|s| {
+        let mut s = s.borrow_mut();
+        let out = f(&mut s);
+        s.dicts.clear();
+        s.bits.clear();
+        s.bits.shrink_to(RETAIN);
+        out
+    })
+}
 
 /// Byte length of a frame header: `u32` payload length plus `u32`
 /// row count.
@@ -104,17 +142,36 @@ impl Wire for Value {
     }
 }
 
+/// The most values a tuple may hold whose values carry `carried` bytes
+/// past their 1-byte tags. Decoding allocates a 16-byte slot a value,
+/// and a string's shared header beside its body. Against the decoders'
+/// bound of 10 bytes a byte read and 1 KiB, a slot overdraws its tag by
+/// 6; every value pays 2 a byte it carries past its tag, a string's
+/// header included, so those 2 and the 1 KiB must cover it. Encoder and
+/// decoder both refuse past it, so what one writes the other reads.
+fn most_tuple_values(carried: usize) -> usize {
+    let overdraft = std::mem::size_of::<Value>().saturating_sub(10);
+    (ALLOC_SLACK + 10 * 2 + 2 * carried) / overdraft.max(1)
+}
+
+/// The refusal of a tuple of `arity` values, `limit` the most it may hold.
+fn arity_refused(arity: usize, limit: usize) -> TypeError {
+    TypeError::FrameTooLarge {
+        context: "tuple arity",
+        size: arity,
+        limit,
+    }
+}
+
 /// A `u16` arity, then the tagged values.
 impl Wire for Tuple {
     const MIN_LEN: usize = 2;
     fn put(&self, w: &mut Writer) {
+        let carried = encoded_len(self) - 2 - self.arity();
+        let limit = most_tuple_values(carried).min(u16::MAX as usize);
         match u16::try_from(self.arity()) {
-            Ok(arity) => w.u16(arity),
-            Err(_) => w.refuse(TypeError::FrameTooLarge {
-                context: "tuple arity",
-                size: self.arity(),
-                limit: u16::MAX as usize,
-            }),
+            Ok(arity) if self.arity() <= limit => w.u16(arity),
+            _ => w.refuse(arity_refused(self.arity(), limit)),
         }
         self.values().iter().for_each(|v| v.put(w));
     }
@@ -122,6 +179,10 @@ impl Wire for Tuple {
         let arity = r.u16()? as usize;
         // Each value costs at least its 1-byte tag.
         r.want("tuple values", arity)?;
+        let limit = most_tuple_values(r.remaining() - arity);
+        if arity > limit {
+            return Err(arity_refused(arity, limit));
+        }
         let mut tuple = Tuple::with_capacity(arity);
         for _ in 0..arity {
             tuple.push(Value::get(r)?);
@@ -150,23 +211,51 @@ fn rows_of<'a, T>(lane: &'a [T], rows: &Range<usize>) -> &'a [T] {
     lane.get(rows.clone()).unwrap_or_default()
 }
 
-/// A lane's rows `rows` as bits, by `bits`, `None` where `nulls` flags.
-fn bits<'a, T: Copy>(
-    lane: &'a [T],
-    (rows, nulls): (&Range<usize>, Option<&'a [bool]>),
-    bits: impl Fn(T) -> u64 + 'a,
-) -> impl ExactSizeIterator<Item = Option<u64>> + 'a {
-    let null = move |i| nulls.is_some_and(|m: &[bool]| m.get(i) == Some(&true));
-    (rows_of(lane, rows).iter().enumerate()).map(move |(i, &x)| (!null(i)).then(|| bits(x)))
+/// The bits of an integer lane's rows `rows` (a NULL row's, per
+/// `nulls`, as the first that is not NULL) and the flip that orders
+/// them: a `uint` lane without NULLs as it is, else copied into `copy`.
+fn lane_bits<'a>(
+    data: &'a ColumnData,
+    (rows, nulls): (&Range<usize>, Option<&[bool]>),
+    copy: &'a mut Vec<u64>,
+) -> Option<(&'a [u64], u64)> {
+    let flip = match data {
+        ColumnData::UInt(l) if nulls.is_none() => return Some((rows_of(l, rows), 0)),
+        ColumnData::UInt(l) => copy_bits(copy, rows_of(l, rows), nulls, |x| x, 0),
+        ColumnData::Int(l) => copy_bits(copy, rows_of(l, rows), nulls, |x| x as u64, 1 << 63),
+        _ => return None,
+    };
+    Some((copy, flip))
+}
+
+/// Fills `copy` with `lane`'s bits, by `bits`, as [`lane_bits`]
+/// gives them; returns `flip`.
+fn copy_bits<T: Copy>(
+    copy: &mut Vec<u64>,
+    lane: &[T],
+    nulls: Option<&[bool]>,
+    bits: impl Fn(T) -> u64,
+    flip: u64,
+) -> u64 {
+    copy.clear();
+    let rows = lane
+        .iter()
+        .zip(nulls.into_iter().flatten().chain(std::iter::repeat(&false)));
+    let first = rows
+        .clone()
+        .find(|(_, &null)| !null)
+        .map_or(0, |(&x, _)| bits(x));
+    copy.extend(rows.map(|(&x, &null)| if null { first } else { bits(x) }));
+    flip
 }
 
 /// Byte length of one encoded column: lane tag, null-mask flag,
 /// optional mask, lane body.
-fn encoded_column_len(col: &Column, rows: &Range<usize>, packing: Option<Packing>) -> usize {
+fn encoded_column_len(col: &Column, rows: &Range<usize>, layout: Option<&Layout>) -> usize {
     let (data, nulls) = lane_shape(col, rows);
     let n = rows.len();
-    let lane = match (data, packing) {
-        (_, Some(p)) => 1 + 8 + p.width * n,
+    let lane = match (data, layout) {
+        (_, Some(l)) => l.len(n),
         (Some(ColumnData::Bool(_)), _) => n,
         (Some(ColumnData::Str(l)), _) => (rows.clone())
             .map(|i| 4 + l.get(i).filter(|_| !col.is_null(i)).map_or(0, |s| s.len()))
@@ -176,33 +265,44 @@ fn encoded_column_len(col: &Column, rows: &Range<usize>, packing: Option<Packing
     2 + nulls.map_or(0, <[bool]>::len) + lane
 }
 
-/// A frame's payload length and its columns' packings (for `uint`, `int`).
-type Measure = (usize, Vec<Option<Packing>>);
+/// A frame's payload length and its columns' layouts (for `uint`, `int`).
+type Measure = (usize, Vec<Option<Layout>>);
 
-/// Measures the frame of `batch`'s rows `rows`: one min/max pass per
-/// packed lane, which sizes the frame and then writes it.
-fn measure(batch: &ColumnBatch, rows: &Range<usize>) -> Measure {
+/// Measures the frame of `batch`'s rows `rows`: one sweep per integer
+/// lane decides its layout, building any dictionary in the scratch,
+/// which sizes the frame and then writes it.
+fn measure(batch: &ColumnBatch, rows: &Range<usize>, scratch: &mut Scratch) -> Measure {
+    let Scratch { dicts, bits } = scratch;
     let mut payload = 2;
-    let packings = (batch.columns().iter())
+    let layouts = (batch.columns().iter())
         .map(|col| {
             let (data, nulls) = lane_shape(col, rows);
-            let at = (rows, nulls);
-            let packing = match data {
-                Some(ColumnData::UInt(l)) => Some(Packing::of(bits(l, at, |x| x), 0)),
-                Some(ColumnData::Int(l)) => Some(Packing::of(bits(l, at, |x| x as u64), 1 << 63)),
-                _ => None,
-            };
-            payload += encoded_column_len(col, rows, packing);
-            packing
+            let layout = data
+                .and_then(|data| lane_bits(data, (rows, nulls), bits))
+                .map(|(lane, flip)| dicts.layout(lane, flip));
+            payload += encoded_column_len(col, rows, layout.as_ref());
+            layout
         })
         .collect();
-    (payload, packings)
+    (payload, layouts)
 }
 
 /// Exact payload length in bytes of a columnar frame carrying `batch`,
 /// excluding the [`FRAME_HEADER_LEN`]-byte header.
 pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
-    measure(batch, &(0..batch.rows())).0
+    with_scratch(|scratch| measure(batch, &(0..batch.rows()), scratch).0)
+}
+
+/// How many of the integer lanes of the frame of `batch`'s rows `rows`
+/// ship as dictionaries, and how many integer lanes it has.
+pub fn dictionary_lanes(batch: &ColumnBatch, rows: Range<usize>) -> (usize, usize) {
+    let layouts = with_scratch(|scratch| measure(batch, &rows, scratch).1);
+    let dictionary = |l: &Layout| matches!(l, Layout::Dictionary { .. });
+    let integer = layouts.iter().flatten();
+    (
+        integer.clone().filter(|l| dictionary(l)).count(),
+        integer.count(),
+    )
 }
 
 /// The measure of the frame of `batch`'s rows `rows`, or
@@ -210,8 +310,12 @@ pub fn encoded_column_batch_len(batch: &ColumnBatch) -> usize {
 /// payload, row count or arity overflows its header field (`u32`/`u32`/
 /// `u16`). Per-string `u32` length prefixes cannot overflow once the
 /// whole payload fits (each string costs `4 + len` payload bytes).
-fn frame_payload(batch: &ColumnBatch, rows: &Range<usize>) -> TypeResult<Measure> {
-    let frame = measure(batch, rows);
+fn frame_payload(
+    batch: &ColumnBatch,
+    rows: &Range<usize>,
+    scratch: &mut Scratch,
+) -> TypeResult<Measure> {
+    let frame = measure(batch, rows, scratch);
     for (context, size, limit) in [
         ("frame rows", rows.end, batch.rows()),
         ("tuple count", rows.len(), MAX_FRAME_COUNT),
@@ -247,13 +351,20 @@ fn put_lane<T>(
 }
 
 /// Writes the frame of `batch`'s rows `rows`, which [`frame_payload`]
-/// measured.
-fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, frame: &Measure) {
-    let (payload, packings) = frame;
+/// measured into `scratch`.
+fn put_frame(
+    w: &mut Writer,
+    batch: &ColumnBatch,
+    rows: &Range<usize>,
+    frame: &Measure,
+    scratch: &mut Scratch,
+) {
+    let Scratch { dicts, bits } = scratch;
+    let (payload, layouts) = frame;
     w.u32(*payload as u32);
     w.u32(rows.len() as u32 | COLUMNAR_FLAG);
     w.u16(batch.arity() as u16);
-    for (col, &packing) in batch.columns().iter().zip(packings) {
+    for (col, layout) in batch.columns().iter().zip(layouts) {
         let (data, nulls) = lane_shape(col, rows);
         w.u8(match data {
             None => LANE_NONE,
@@ -265,9 +376,12 @@ fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, frame: &M
         w.bool(nulls.is_some());
         nulls.into_iter().flatten().for_each(|&n| w.bool(n));
         let at = (rows, nulls);
-        match (data, packing) {
-            (Some(ColumnData::UInt(l)), Some(p)) => w.packed(bits(l, at, |x| x), p),
-            (Some(ColumnData::Int(l)), Some(p)) => w.packed(bits(l, at, |x| x as u64), p),
+        match (data, layout) {
+            (Some(data), Some(layout)) => {
+                if let Some((lane, _)) = lane_bits(data, at, bits) {
+                    w.lane(lane, nulls, layout, dicts);
+                }
+            }
             (Some(ColumnData::Bool(l)), _) => put_lane(w, l, at, &false, |w, &b| w.bool(b)),
             (Some(ColumnData::Str(l)), _) => put_lane(w, l, at, &"".into(), |w, s| w.str(s)),
             _ => {}
@@ -289,7 +403,13 @@ fn put_frame(w: &mut Writer, batch: &ColumnBatch, rows: &Range<usize>, frame: &M
 /// bytes that hold every wrapping difference from it, and a NULL row's
 /// offset is 0. A Bool lane is one byte per row, a Str lane
 /// `u32`-length-prefixed UTF-8 per row; untyped all-NULL columns ship
-/// no body at all. Decoding the frame and materializing its rows yields exactly
+/// no body at all. A UInt or Int lane whose packed width is 2, 4 or 8
+/// ships instead as a dictionary when that is strictly smaller, unless
+/// more than half its first 128 rows bring a new value at a rate that
+/// projects past twice what can win:
+/// `[u8 0x80][u16 count]`, the lane's `count` distinct non-NULL values
+/// in the order they first appear, packed as above, then one index a
+/// row, 1 byte when `count` ≤ 256 and 2 past that (a NULL row's is 0). Decoding the frame and materializing its rows yields exactly
 /// the rows the batch holds, for every value kind; the bytes depend
 /// on those rows alone, never on which lanes held them.
 ///
@@ -309,11 +429,13 @@ pub fn encode_column_rows(
     scratch: &mut BytesMut,
 ) -> TypeResult<Bytes> {
     scratch.clear();
-    let frame = frame_payload(batch, &rows)?;
-    scratch.reserve(FRAME_HEADER_LEN + frame.0);
-    put_frame(&mut Writer::new(scratch), batch, &rows, &frame);
-    debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + frame.0);
-    Ok(scratch.split().freeze())
+    with_scratch(|lanes| {
+        let frame = frame_payload(batch, &rows, lanes)?;
+        scratch.reserve(FRAME_HEADER_LEN + frame.0);
+        put_frame(&mut Writer::new(scratch), batch, &rows, &frame, lanes);
+        debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + frame.0);
+        Ok(scratch.split().freeze())
+    })
 }
 
 /// Decodes a frame produced by [`encode_column_batch`].
@@ -345,7 +467,9 @@ pub fn decode_column_batch(frame: Bytes) -> TypeResult<ColumnBatch> {
     if arity * 2 > r.remaining() {
         return Err(TypeError::Corrupt("column count exceeds frame payload"));
     }
-    let mut columns = Vec::with_capacity(arity);
+    // A column also costs a byte a row (its mask, or a body of at least
+    // a byte a row): only as many as that leaves room for are reserved.
+    let mut columns = Vec::with_capacity(arity.min(r.remaining() / (2 + rows)));
     for _ in 0..arity {
         columns.push(get_column(&mut r, rows)?);
     }
@@ -408,13 +532,13 @@ impl Wire for ColumnBatch {
     const MIN_LEN: usize = 4 + FRAME_HEADER_LEN + 2;
     fn put(&self, w: &mut Writer) {
         let rows = 0..self.rows();
-        match frame_payload(self, &rows) {
+        with_scratch(|scratch| match frame_payload(self, &rows, scratch) {
             Ok(frame) => {
                 w.count(FRAME_HEADER_LEN + frame.0);
-                put_frame(w, self, &rows, &frame);
+                put_frame(w, self, &rows, &frame, scratch);
             }
             Err(e) => w.refuse(e),
-        }
+        })
     }
     fn get(r: &mut Reader) -> TypeResult<Self> {
         decode_column_batch(Bytes::get(r)?)
@@ -487,6 +611,47 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn an_arity_whose_values_cannot_fit_the_allocation_bound_is_refused() {
+        // 60,000 NULLs in 60,002 bytes: their 16-byte slots would take
+        // 960,000 bytes, past 10 × 60,002 + 1 KiB.
+        let mut nulls = 60_000u16.to_be_bytes().to_vec();
+        nulls.resize(60_002, TAG_NULL);
+        let nulls = Bytes::from(nulls);
+        let (decoded, allocated) = crate::tests::allocated_by(|| decode_tuple(nulls.clone()));
+        assert!(matches!(
+            decoded,
+            Err(TypeError::FrameTooLarge {
+                context: "tuple arity",
+                size: 60_000,
+                ..
+            })
+        ));
+        assert!(
+            allocated <= 10 * nulls.len() + 1024,
+            "allocated {allocated}"
+        );
+        // As many NULLs as the slack covers (174) still encode and
+        // decode, within bound; one more is refused on both sides.
+        let few = encode_tuple(&Tuple::new(vec![Value::Null; 174])).unwrap();
+        let (decoded, allocated) = crate::tests::allocated_by(|| decode_tuple(few.clone()));
+        assert_eq!(decoded.unwrap().arity(), 174);
+        assert!(allocated <= 10 * few.len() + 1024, "allocated {allocated}");
+        let refused = |arity: usize| TypeError::FrameTooLarge {
+            context: "tuple arity",
+            size: arity,
+            limit: 174,
+        };
+        let more = Tuple::new(vec![Value::Null; 175]);
+        assert_eq!(encode_tuple(&more).unwrap_err(), refused(175));
+        let mut raw = 175u16.to_be_bytes().to_vec();
+        raw.resize(2 + 175, TAG_NULL);
+        assert_eq!(decode_tuple(raw.into()).unwrap_err(), refused(175));
+        // Values that carry bytes past their tags pay for their slots.
+        let wide = Tuple::new(vec![Value::UInt(7); 1_000]);
+        assert_eq!(decode_tuple(encode_tuple(&wide).unwrap()).unwrap(), wide);
     }
 
     #[test]
@@ -991,6 +1156,228 @@ mod tests {
         let batch = ColumnBatch::from_rows(&rows);
         assert_eq!(encoded_column_batch_len(&batch), 2 + 2 + 1 + 8 + 100);
         assert_packs(rows.into_iter().map(|t| t.get(0).clone()).collect(), 1);
+    }
+
+    /// One `uint` column of `values` as a frame; returns the frame and
+    /// the offset of its lane's code byte.
+    fn one_lane(values: &[Value]) -> (Bytes, usize) {
+        let rows: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+        let frame = frame_of(&rows, &mut BytesMut::new());
+        assert_eq!(decode_column_batch(frame.clone()).unwrap().to_rows(), rows);
+        let mask = if values.iter().any(Value::is_null) {
+            values.len()
+        } else {
+            0
+        };
+        (frame, FRAME_HEADER_LEN + 4 + mask)
+    }
+
+    /// `rows` rows cycling through `distinct` values 100,000 apart.
+    fn cycling(distinct: u64, rows: u64) -> Vec<Value> {
+        (0..rows)
+            .map(|i| Value::UInt(i % distinct * 100_000))
+            .collect()
+    }
+
+    /// As [`cycling`], but the first 128 rows repeat four of the values,
+    /// so the encoder's first look at the lane finds few.
+    fn repeating_early(distinct: u64, rows: u64) -> Vec<Value> {
+        (0..rows)
+            .map(|i| Value::UInt(if i < 128 { i % 4 } else { i % distinct } * 100_000))
+            .collect()
+    }
+
+    #[test]
+    fn a_dictionary_indexes_in_one_byte_up_to_256_values() {
+        for (distinct, index) in [(256, 1), (257, 2)] {
+            let (frame, code) = one_lane(&repeating_early(distinct, 2048));
+            assert_eq!(frame[code], crate::codec::DICTIONARY, "{distinct} values");
+            // Code, count, width, base, 4-byte values, an index a row.
+            let lane = 1 + 2 + 1 + 8 + 4 * distinct as usize + index * 2048;
+            assert_eq!(frame.len(), code + lane, "{distinct} values");
+            assert_eq!(
+                u16::from_be_bytes([frame[code + 1], frame[code + 2]]),
+                distinct as u16
+            );
+        }
+    }
+
+    #[test]
+    fn a_dictionary_that_only_ties_the_packed_lane_packs() {
+        // Two values 1,000 apart: width 2. Over 7 rows the dictionary
+        // (12 + 2·2 + 7) ties the packed lane (9 + 2·7); over 8 it wins.
+        let lane =
+            |rows: u64| -> Vec<Value> { (0..rows).map(|i| Value::UInt(i % 2 * 1_000)).collect() };
+        let (tie, code) = one_lane(&lane(7));
+        assert_eq!((tie[code], tie.len() - code), (2, 9 + 2 * 7));
+        let (win, code) = one_lane(&lane(8));
+        assert_eq!(win[code], crate::codec::DICTIONARY);
+        assert_eq!(win.len() - code, 12 + 2 * 2 + 8);
+    }
+
+    #[test]
+    fn first_appearance_orders_the_dictionary() {
+        let values: Vec<Value> = [70_000u64, 5, 70_000, 900_000, 5, 5, 900_000, 70_000]
+            .into_iter()
+            .map(Value::UInt)
+            .collect();
+        let (frame, code) = one_lane(&values);
+        assert_eq!(frame[code], crate::codec::DICTIONARY);
+        // Count 3; width 4 from base 5; offsets 69,995, 0, 899,995.
+        let body = &frame[code + 1..];
+        assert_eq!(&body[..3], &[0, 3, 4]);
+        assert_eq!(&body[3..11], &5u64.to_be_bytes());
+        assert_eq!(
+            &body[11..23],
+            &[0, 1, 0x11, 0x6B, 0, 0, 0, 0, 0, 0x0D, 0xBB, 0x9B]
+        );
+        assert_eq!(&body[23..], &[0, 1, 0, 2, 1, 1, 2, 0]);
+    }
+
+    #[test]
+    fn a_masked_lane_with_null_rows_ships_a_dictionary() {
+        let mut values = cycling(3, 40);
+        for i in (0..40).step_by(3) {
+            values[i] = Value::Null;
+        }
+        let (frame, code) = one_lane(&values);
+        assert_eq!(frame[code], crate::codec::DICTIONARY);
+    }
+
+    #[test]
+    fn an_int_lane_of_negative_values_ships_a_dictionary() {
+        let rows: Vec<Tuple> = (0..64)
+            .map(|i| Tuple::new(vec![Value::Int([-1_000_000, -3, 40_000][i % 3])]))
+            .collect();
+        let frame = frame_of(&rows, &mut BytesMut::new());
+        assert_eq!(frame[FRAME_HEADER_LEN + 4], crate::codec::DICTIONARY);
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), rows);
+    }
+
+    #[test]
+    fn a_sorted_lane_ships_a_dictionary_only_while_it_wins() {
+        // 1024 rows of 511 or 512 rising values 100,000 apart: 511
+        // values win at 4 bytes a value and 2 an index, 512 do not.
+        for (distinct, dictionary) in [(511u64, true), (512, false)] {
+            let mut values = cycling(distinct, 1024);
+            values.sort_by_key(|v| v.as_u64());
+            let (frame, code) = one_lane(&values);
+            let is_dictionary = frame[code] == crate::codec::DICTIONARY;
+            assert_eq!(is_dictionary, dictionary, "{distinct} values");
+        }
+    }
+
+    #[test]
+    fn a_lane_new_on_nearly_every_early_row_packs() {
+        // 256 values cycling over 2048 rows would take a 1-byte index
+        // (12 + 4·256 + 2048 bytes against 9 + 4·2048 packed), but each
+        // of the first 128 rows is new: projected over the lane, that
+        // is more than twice the values that can win, so the encoder
+        // stops looking there and packs.
+        let (frame, code) = one_lane(&cycling(256, 2048));
+        assert_eq!((frame[code], frame.len() - code), (4, 9 + 4 * 2048));
+        // With few values early, the same lane ships as a dictionary.
+        let (frame, code) = one_lane(&repeating_early(256, 2048));
+        assert_eq!(frame[code], crate::codec::DICTIONARY);
+    }
+
+    #[test]
+    fn a_large_frame_leaves_the_scratch_no_larger_than_it_keeps() {
+        // 100,000 rows of two `int` lanes of three values each: both
+        // lanes are copied into the scratch, and both ship as
+        // dictionaries indexing every row.
+        let rows: Vec<Tuple> = (0..100_000)
+            .map(|i| {
+                let x = [-1_000_000, -3, 40_000][i % 3];
+                Tuple::new(vec![Value::Int(x), Value::Int(-x)])
+            })
+            .collect();
+        let frame = frame_of(&rows, &mut BytesMut::new());
+        assert_eq!(frame[FRAME_HEADER_LEN + 4], crate::codec::DICTIONARY);
+        assert_eq!(decode_column_batch(frame).unwrap().to_rows(), rows);
+        SCRATCH.with(|s| {
+            let s = s.borrow();
+            assert!(s.bits.capacity() <= RETAIN, "bits {}", s.bits.capacity());
+            assert!(
+                s.dicts.retained() <= RETAIN,
+                "dictionaries {}",
+                s.dicts.retained()
+            );
+        });
+    }
+
+    #[test]
+    fn a_one_row_lane_packs() {
+        let (frame, code) = one_lane(&[Value::UInt(1 << 40)]);
+        assert_eq!((frame[code], frame.len() - code), (1, 9 + 1));
+    }
+
+    /// A one-`uint`-lane frame of `rows` rows whose body, after the
+    /// lane tag and the no-mask flag, is `body`.
+    fn hand_built(rows: u32, body: &[u8]) -> Bytes {
+        let mut raw = BytesMut::new();
+        raw.put_u32(2 + 2 + body.len() as u32);
+        raw.put_u32(rows | COLUMNAR_FLAG);
+        raw.put_u16(1);
+        raw.put_u8(TAG_UINT);
+        raw.put_u8(0);
+        raw.put_slice(body);
+        raw.freeze()
+    }
+
+    /// A dictionary body: `count`, the values packed at width 1 from 7
+    /// (`offsets`), then `index`.
+    fn dictionary_body(count: u16, offsets: &[u8], index: &[u8]) -> Vec<u8> {
+        let mut body = vec![crate::codec::DICTIONARY];
+        body.extend(count.to_be_bytes());
+        body.push(1);
+        body.extend(7u64.to_be_bytes());
+        body.extend(offsets);
+        body.extend(index);
+        body
+    }
+
+    #[test]
+    fn hand_built_dictionaries_decode_and_bad_ones_are_refused() {
+        let good = hand_built(3, &dictionary_body(2, &[0, 9], &[1, 0, 1]));
+        let lane: Vec<Tuple> = [16u64, 7, 16].into_iter().map(|x| tuple![x]).collect();
+        assert_eq!(decode_column_batch(good).unwrap().to_rows(), lane);
+        let refused = [
+            (
+                dictionary_body(0, &[], &[0, 0, 0]),
+                "dictionary count not in 1..=rows",
+            ),
+            (
+                dictionary_body(4, &[0, 1, 2, 3], &[0, 1, 2]),
+                "dictionary count not in 1..=rows",
+            ),
+            (
+                dictionary_body(2, &[0, 9], &[1, 2, 0]),
+                "dictionary index past its count",
+            ),
+        ];
+        for (body, err) in refused {
+            assert_eq!(
+                decode_column_batch(hand_built(3, &body)).unwrap_err(),
+                TypeError::Corrupt(err)
+            );
+        }
+        for code in [5u8, 0x81, 0xFF] {
+            let mut body = dictionary_body(2, &[0, 9], &[1, 0, 1]);
+            body[0] = code;
+            assert_eq!(
+                decode_column_batch(hand_built(3, &body)).unwrap_err(),
+                TypeError::Corrupt("lane width not 1, 2, 4 or 8"),
+                "code {code}"
+            );
+        }
+        // A dictionary's values are packed, never a dictionary again.
+        let mut nested = dictionary_body(2, &[0, 9], &[1, 0, 1]);
+        nested[3] = crate::codec::DICTIONARY;
+        assert!(matches!(
+            decode_column_batch(hand_built(3, &nested)).unwrap_err(),
+            TypeError::Corrupt(_)
+        ));
     }
 
     #[test]

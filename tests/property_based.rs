@@ -1637,3 +1637,107 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// dictionary lanes: any share of repeated values
+// ---------------------------------------------------------------------
+
+/// A `uint` and an `int` lane of `rows` rows, each drawn from at most
+/// `distinct` values `step` apart (1 packs at a byte, 300 at two, 70,000
+/// at four, 2⁴⁰ at eight), every `nulls`-th row NULL when `nulls` > 1.
+fn dictionary_rows(rows: usize, distinct: usize, step: u64, nulls: usize, seed: u64) -> Vec<Tuple> {
+    let mut s = seed | 1;
+    let mut pick = || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) % distinct as u64
+    };
+    (0..rows)
+        .map(|i| {
+            if nulls > 1 && i % nulls == 0 {
+                return Tuple::new(vec![Value::Null, Value::Null]);
+            }
+            let (a, b) = (pick(), pick());
+            Tuple::new(vec![
+                Value::UInt(1_000 + a.wrapping_mul(step)),
+                Value::Int((b.wrapping_mul(step) as i64).wrapping_sub(1 << 20)),
+            ])
+        })
+        .collect()
+}
+
+/// The payload of `batch`'s frame with every integer lane packed: what
+/// the frame cost before dictionaries.
+fn packed_only_len(batch: &qap::types::ColumnBatch) -> usize {
+    let n = batch.rows();
+    2 + batch
+        .columns()
+        .iter()
+        .map(|col| {
+            let nulls: Vec<bool> = (0..n).map(|i| col.is_null(i)).collect();
+            let mask = if nulls.contains(&true) { n } else { 0 };
+            let orders: Vec<i128> = (0..n)
+                .filter(|&i| !nulls[i])
+                .map(|i| match col.value(i) {
+                    Value::UInt(x) => i128::from(x),
+                    Value::Int(x) => i128::from(x),
+                    other => panic!("not an integer lane: {other:?}"),
+                })
+                .collect();
+            if orders.is_empty() {
+                return 2 + mask;
+            }
+            let span = orders.iter().max().unwrap() - orders.iter().min().unwrap();
+            let width = match span {
+                0..=0xFF => 1,
+                0x100..=0xFFFF => 2,
+                0x1_0000..=0xFFFF_FFFF => 4,
+                _ => 8,
+            };
+            2 + mask + 1 + 8 + width * n
+        })
+        .sum::<usize>()
+}
+
+proptest! {
+    /// Lanes drawn from 1 to `rows` distinct values round-trip, their
+    /// frame is never larger than with every lane packed (a dictionary
+    /// ships only when strictly smaller), and damaged copies of it
+    /// decode to a typed error or a batch the codec round-trips, within
+    /// the decoders' allocation bound.
+    #[test]
+    fn dictionary_lanes_round_trip_and_never_outgrow_packed_lanes(
+        rows in 1usize..600,
+        distinct in 1usize..600,
+        shape in 0usize..16,
+        seed in 0u64..u64::MAX,
+        damage in 0usize..5 * 4096 * 256
+    ) {
+        // The lanes' spacing and NULL rows; the mutation's kind, place
+        // and junk byte.
+        let (scale, nulls) = (shape % 4, shape / 4);
+        let (kind, pos, junk) = ((damage % 5) as u64, damage / 5 % 4096, damage / 5 / 4096);
+        use qap::types::{
+            decode_column_batch, encode_column_batch, encoded_column_batch_len, Bytes, BytesMut,
+            ColumnBatch, FRAME_HEADER_LEN,
+        };
+        let step = [1, 300, 70_000, 1 << 40][scale];
+        let batch = dictionary_rows(rows, 1 + distinct % rows, step, nulls, seed);
+        let cols = ColumnBatch::from_rows(&batch);
+        let frame = encode_column_batch(&cols, &mut BytesMut::new()).unwrap();
+        prop_assert_eq!(frame.len(), FRAME_HEADER_LEN + encoded_column_batch_len(&cols));
+        prop_assert!(frame.len() <= FRAME_HEADER_LEN + packed_only_len(&cols));
+        prop_assert_eq!(decode_column_batch(frame.clone()).unwrap().to_rows(), batch);
+
+        let mutated = mutate_frame(&frame, &frame, kind, pos, junk as u8);
+        let len = mutated.len();
+        let (decoded, allocated) = allocated_by(|| decode_column_batch(Bytes::from(mutated)));
+        assert_alloc_bound(allocated, len);
+        if let Ok(decoded) = decoded {
+            let canon = encode_column_batch(&decoded, &mut BytesMut::new()).unwrap();
+            let again = decode_column_batch(canon.clone()).unwrap();
+            prop_assert_eq!(encode_column_batch(&again, &mut BytesMut::new()).unwrap(), canon);
+        }
+    }
+}
